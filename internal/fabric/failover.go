@@ -591,6 +591,8 @@ func (rec *Recovery) activate(crashed []bool, removed map[int64]bool, hostDead [
 	// their destination.
 	rec.drainDead()
 	rec.sweepSurvivors()
+	// Routes changed and queues were edited behind the hot path's back.
+	n.rebuildHeads()
 
 	// Re-arm every surviving arbitration point: queues and credits
 	// changed under them, and dead ports stopped rescheduling.

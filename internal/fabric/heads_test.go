@@ -1,0 +1,387 @@
+package fabric
+
+import (
+	"math/bits"
+	"testing"
+
+	"repro/internal/arbtable"
+	"repro/internal/faults"
+	"repro/internal/routing"
+	"repro/internal/sl"
+	"repro/internal/topology"
+	"repro/internal/traffic"
+)
+
+// candidates is what one scheduling pass at a switch output port would
+// arbitrate over: the VL 15 input served ahead of everything (-1 when
+// none) and the data-VL ready vector with the input port and queueing
+// VL behind each offered lane.
+type candidates struct {
+	mgmt  int
+	ready arbtable.Ready
+	src   [arbtable.NumDataVLs]int
+	srcVL [arbtable.NumDataVLs]uint8
+}
+
+// scanReady is the candidate search trySwitch used before the head
+// index replaced it, kept verbatim as the reference: probe every
+// (input, VL) queue head of the switch in round-robin input order and
+// look its output port up.
+func scanReady(n *Network, s, p int) candidates {
+	node := n.switches[s]
+	out := &node.out[p]
+	now := n.shardForSwitch(s).eng.Now()
+	down := n.occView(out)
+	capacity := n.bufferCapacity()
+
+	c := candidates{mgmt: -1}
+	{
+		vl := arbtable.MgmtVL
+		for k := 0; k < topology.SwitchPorts; k++ {
+			i := (out.rr[vl] + k) % topology.SwitchPorts
+			in := &node.in[i]
+			q := &in.queues[vl]
+			if q.len() == 0 || in.busyUntil > now {
+				continue
+			}
+			pkt := q.front()
+			if n.Routes.NextPort(s, pkt.Dst) != p {
+				continue
+			}
+			if down != nil && down[vl]+pkt.Wire > capacity {
+				continue
+			}
+			c.mgmt = i
+			break
+		}
+	}
+	for invl := 0; invl < arbtable.NumDataVLs; invl++ {
+		for k := 0; k < topology.SwitchPorts; k++ {
+			i := (out.rr[invl] + k) % topology.SwitchPorts
+			in := &node.in[i]
+			q := &in.queues[invl]
+			if q.len() == 0 || in.busyUntil > now {
+				continue
+			}
+			pkt := q.front()
+			if n.Routes.NextPort(s, pkt.Dst) != p {
+				continue
+			}
+			outvl := invl
+			if n.planes > 1 {
+				outvl = int(n.Routes.HopVL(s, pkt.Dst, pkt.Base))
+				if c.ready[outvl] != 0 {
+					continue // lane claimed by an earlier input VL
+				}
+			}
+			if down != nil && down[outvl]+pkt.Wire > capacity {
+				continue // no credit toward the next switch
+			}
+			c.ready[outvl] = pkt.Wire
+			c.src[outvl] = i
+			c.srcVL[outvl] = uint8(invl)
+			break
+		}
+	}
+	return c
+}
+
+// indexReady is what trySwitch computes for the same port now.
+func indexReady(n *Network, s, p int) candidates {
+	node := n.switches[s]
+	out := &node.out[p]
+	now := n.shardForSwitch(s).eng.Now()
+	down := n.occView(out)
+	capacity := n.bufferCapacity()
+	c := candidates{mgmt: n.mgmtCandidate(node, out, p, now, down, capacity)}
+	n.dataCandidates(node, out, p, now, down, capacity, &c.ready, &c.src, &c.srcVL)
+	return c
+}
+
+// stepStats counts how hard a differential run exercised the pick, so
+// a test that compared nothing but empty ports fails loudly.
+type stepStats struct {
+	offered   int // (port, lane) candidates seen
+	contended int // candidate sets with more than one input
+	blocked   int // set members the per-candidate checks passed over
+	mgmt      int // VL 15 candidates seen
+}
+
+// compareAllPorts checks, for every wired output port of every switch,
+// that the index yields exactly the candidates of the reference scan.
+func compareAllPorts(t *testing.T, n *Network, st *stepStats) {
+	t.Helper()
+	offered, members := 0, 0
+	for s, node := range n.switches {
+		for p := range node.out {
+			if !node.out[p].wired {
+				continue
+			}
+			want, got := scanReady(n, s, p), indexReady(n, s, p)
+			if got.mgmt != want.mgmt || got.ready != want.ready {
+				t.Fatalf("t=%d switch %d port %d: index offers mgmt %d ready %v, scan offers mgmt %d ready %v",
+					n.Now(), s, p, got.mgmt, got.ready, want.mgmt, want.ready)
+			}
+			if want.mgmt >= 0 {
+				st.mgmt++
+			}
+			for vl, wire := range want.ready {
+				if wire == 0 {
+					continue
+				}
+				offered++
+				if got.src[vl] != want.src[vl] || got.srcVL[vl] != want.srcVL[vl] {
+					t.Fatalf("t=%d switch %d port %d lane %d: index picks input %d VL %d, scan picks input %d VL %d",
+						n.Now(), s, p, vl, got.src[vl], got.srcVL[vl], want.src[vl], want.srcVL[vl])
+				}
+			}
+			if p < len(node.heads.vls) {
+				for vl := 0; vl < arbtable.NumDataVLs; vl++ {
+					set := node.heads.cand[p*arbtable.NumVLs+vl]
+					if set&(set-1) != 0 {
+						st.contended++
+					}
+					members += bits.OnesCount32(set)
+				}
+			}
+		}
+	}
+	st.offered += offered
+	st.blocked += members - offered
+}
+
+// loadDifferential offers the traffic mix the differential runs need:
+// loadSharded's admitted QoS connections and light background, plus
+// best effort heavy enough to exhaust downstream credit and pile
+// several inputs onto one output lane, and VL 15 management flows
+// converging on a few hosts.
+func loadDifferential(t *testing.T, n *Network, seed int64) {
+	t.Helper()
+	loadSharded(t, n, seed)
+	hosts := n.Topo.NumHosts()
+	for _, be := range traffic.BestEffortBackground(hosts, 1500, seed+2) {
+		n.AddBestEffort(be)
+	}
+	// Hot spots: every host also sends best effort to host 0 or 1.
+	for h := 2; h < hosts; h++ {
+		n.AddBestEffort(traffic.BestEffort{Src: h, Dst: h % 2, SL: sl.BESL, Mbps: 600})
+	}
+	for h := 1; h < hosts; h++ {
+		n.AddManagement(h, (h*5+1)%hosts, 40)
+		n.AddManagement(h, 0, 120)
+	}
+}
+
+// TestHeadIndexMatchesScan single-steps loaded fabrics of every
+// routing class and compares, after every event, the candidates the
+// index yields at every wired output port with the retired full scan's:
+// same VL 15 input, same ready vector, same input and queueing VL
+// behind every lane.  Identical candidates mean identical picks and
+// round-robin updates, which is what keeps every golden byte-identical.
+func TestHeadIndexMatchesScan(t *testing.T) {
+	cases := []struct {
+		name   string
+		spec   topology.Spec
+		planes int
+	}{
+		{"irregular-8", topology.Spec{Class: topology.Irregular, Switches: 8, Seed: 11}, 1},
+		{"fattree-k4", topology.Spec{Class: topology.FatTree, K: 4}, 1},
+		{"dragonfly-2-2-1", topology.Spec{Class: topology.Dragonfly, A: 2, P: 2, H: 1}, 2},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			n := buildStructured(t, tc.spec, 9)
+			if n.planes != tc.planes {
+				t.Fatalf("planes = %d, want %d", n.planes, tc.planes)
+			}
+			loadDifferential(t, n, 31)
+			n.Start()
+			n.Run(20_000) // let the queues fill before comparing
+			var st stepStats
+			for step := 0; step < 4000; step++ {
+				if !n.Engine.Step() {
+					t.Fatal("engine ran dry")
+				}
+				compareAllPorts(t, n, &st)
+				if step%500 == 0 {
+					if err := n.CheckBuffers(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if st.offered == 0 || st.contended == 0 || st.blocked == 0 || st.mgmt == 0 {
+				t.Fatalf("run too quiet to prove anything: %+v", st)
+			}
+		})
+	}
+}
+
+// TestParallelShardHeadIndex is the same comparison on a two-shard
+// parallel run, made at window barriers — the only instants at which
+// another goroutine may read shard state.  Boundary ports take their
+// credit view from the sender-side mirror on both sides of the
+// comparison.  ci.sh runs it under -race with the other
+// TestParallelShard gates.
+func TestParallelShardHeadIndex(t *testing.T) {
+	n := buildSharded(t, topology.Spec{Class: topology.FatTree, K: 4}, 3, 2, false)
+	if !n.Parallel() {
+		t.Fatal("2-shard fat-tree should run parallel")
+	}
+	loadDifferential(t, n, 17)
+	n.Start()
+	var st stepStats
+	for until := int64(20_000); until < 60_000; until += 97 {
+		n.Run(until)
+		compareAllPorts(t, n, &st)
+	}
+	if err := n.CheckBuffers(); err != nil {
+		t.Fatal(err)
+	}
+	if st.offered == 0 || st.contended == 0 || st.mgmt == 0 {
+		t.Fatalf("run too quiet to prove anything: %+v", st)
+	}
+}
+
+// TestHeadIndexAcrossFailover replays the link-failure, switch-crash
+// and revival schedules of failover_test.go one event at a time and
+// audits the index the instant each activation completes — after the
+// route swap, the drain and the sweep, before any scheduling pass runs
+// on the rebuilt index — and against the reference scan from then on.
+func TestHeadIndexAcrossFailover(t *testing.T) {
+	cases := []struct {
+		name        string
+		seed        int64
+		schedule    func(t *testing.T, n *Network, flows []*Flow) faults.Schedule
+		activations int64
+	}{
+		{"link-failure", 1, func(t *testing.T, n *Network, flows []*Flow) faults.Schedule {
+			s, p := pathLink(t, n, flows)
+			return faults.Schedule{{Kind: faults.FailLink, Switch: s, Port: p, At: 100_000}}
+		}, 1},
+		{"switch-crash", 3, func(t *testing.T, n *Network, flows []*Flow) faults.Schedule {
+			sw, _ := n.Topo.HostSwitch(flows[0].Dst)
+			return faults.Schedule{{Kind: faults.FailSwitch, Switch: sw, At: 100_000}}
+		}, 1},
+		{"revival", 5, func(t *testing.T, n *Network, flows []*Flow) faults.Schedule {
+			s, p := pathLink(t, n, flows)
+			return faults.Schedule{{Kind: faults.FailLink, Switch: s, Port: p, At: 100_000, Revive: 300_000}}
+		}, 2},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			n, rec, flows := buildFailoverNet(t, 8, tc.seed)
+			for _, be := range traffic.BestEffortBackground(n.Topo.NumHosts(), 800, tc.seed) {
+				n.AddBestEffort(be)
+			}
+			if err := rec.ApplySchedule(tc.schedule(t, n, flows)); err != nil {
+				t.Fatal(err)
+			}
+			n.Start()
+			var st stepStats
+			seen, compareFor := int64(0), 0
+			for n.Now() < 600_000 && n.Engine.Step() {
+				if done := rec.Counters().RepairsCompleted; done != seen {
+					seen = done
+					if err := n.CheckBuffers(); err != nil {
+						t.Fatalf("right after activation %d: %v", done, err)
+					}
+					compareFor = 2000
+				}
+				if compareFor > 0 {
+					compareFor--
+					compareAllPorts(t, n, &st)
+				}
+			}
+			if err := rec.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if seen != tc.activations {
+				t.Fatalf("%d activations, want %d", seen, tc.activations)
+			}
+			if st.offered == 0 {
+				t.Fatal("no candidates compared after the activation")
+			}
+			// Let the packets still on a wire land before the drain check
+			// (it only waits for queues to empty).
+			n.StopGeneration()
+			n.Run(n.Now() + 100_000)
+			drainAndCheck(t, n, rec)
+		})
+	}
+}
+
+// TestHeadIndexIgnoresUnroutableHeads covers the window between a
+// route repair and the sweep: a queued head whose destination the
+// repaired routes cannot reach (NextPort -1) requests no output, kicks
+// no output, and the audit accepts the index built over it.
+func TestHeadIndexIgnoresUnroutableHeads(t *testing.T) {
+	n, _, _ := buildFailoverNet(t, 8, 3)
+	for _, be := range traffic.BestEffortBackground(n.Topo.NumHosts(), 800, 3) {
+		n.AddBestEffort(be)
+	}
+	n.Start()
+
+	// Run until some switch input holds a head that is not at its last
+	// hop, then remove the destination's switch from the route set.
+	var node *swNode
+	in, vl, dsw := -1, -1, -1
+	n.RunWhile(func() bool {
+		for _, sw := range n.switches {
+			for i := range sw.in {
+				for v := range sw.in[i].queues {
+					q := &sw.in[i].queues[v]
+					if q.len() == 0 {
+						continue
+					}
+					if d, _ := n.Topo.HostSwitch(q.front().Dst); d != sw.id {
+						node, in, vl, dsw = sw, i, v, d
+						return false
+					}
+				}
+			}
+		}
+		return n.Now() < 200_000
+	})
+	if node == nil {
+		t.Fatal("no transit head ever queued")
+	}
+	degraded := n.Topo.Clone()
+	if err := degraded.RemoveSwitch(dsw); err != nil {
+		t.Fatal(err)
+	}
+	repaired, _, err := routing.Repair(degraded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Routes, n.planes = repaired, repaired.Planes()
+	n.rebuildHeads()
+
+	head := node.in[in].queues[vl].front()
+	if port := n.Routes.NextPort(node.id, head.Dst); port != -1 {
+		t.Fatalf("head toward removed switch %d still routes out port %d", dsw, port)
+	}
+	if node.heads.queued[in]&(1<<uint(vl)) == 0 {
+		t.Fatal("unroutable head's queue not marked non-empty")
+	}
+	for p := range node.heads.vls {
+		if node.heads.cand[p*arbtable.NumVLs+vl]&(1<<uint(in)) != 0 {
+			t.Fatalf("unroutable head requests output port %d", p)
+		}
+	}
+	if err := n.CheckBuffers(); err != nil {
+		t.Fatal(err)
+	}
+	// A freed crossbar slot at that input must skip the head, not index
+	// port -1; the pass it arms for the other heads must run clean.
+	sh := n.shardForSwitch(node.id)
+	sh.kickHeadsOfInput(node.id, in)
+	sh.kickSwitch(node.id, -1)
+	n.Engine.Step() // runs the deferred passes
+	var st stepStats
+	compareAllPorts(t, n, &st)
+	if err := n.CheckBuffers(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/admission"
@@ -456,10 +457,16 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 		}
 	}
 
-	// Input-queued models: VOQ state per switch, iSLIP depth, and the
-	// MWM solver scratch.  The default WRR model allocates none of it.
+	// The WRR model indexes its arbitration candidates per switch (see
+	// heads.go).  Input-queued models: VOQ state per switch, iSLIP
+	// depth, and the MWM solver scratch; the default WRR model allocates
+	// none of it.
 	n.model = cfg.SwitchModel
-	if n.model != ModelWRR {
+	if n.model == ModelWRR {
+		for _, s := range n.switches {
+			s.heads = newHeadIndex(topo.Ports())
+		}
+	} else {
 		n.islipIters = cfg.ISLIPIters
 		if n.islipIters == 0 {
 			n.islipIters = DefaultISLIPIters
@@ -862,12 +869,10 @@ func (sh *shard) kickHeadsOfInput(s, i int) {
 		sh.kickVOQ(s)
 		return
 	}
-	in := &n.switches[s].in[i]
-	for vl := 0; vl < arbtable.NumVLs; vl++ {
-		q := &in.queues[vl]
-		if q.len() == 0 {
-			continue
-		}
+	node := n.switches[s]
+	in := &node.in[i]
+	for vls := node.heads.queued[i]; vls != 0; vls &= vls - 1 {
+		q := &in.queues[bits.TrailingZeros16(vls)]
 		sh.kickSwitch(s, n.Routes.NextPort(s, q.front().Dst))
 	}
 }
@@ -901,72 +906,18 @@ func (sh *shard) trySwitch(s, p int) {
 
 	// Subnet management (VL 15) preempts all data lanes: serve the
 	// first eligible VL 15 head in round-robin input order.
-	{
-		vl := arbtable.MgmtVL
-		for k := 0; k < topology.SwitchPorts; k++ {
-			i := (out.rr[vl] + k) % topology.SwitchPorts
-			in := &node.in[i]
-			q := &in.queues[vl]
-			if q.len() == 0 || in.busyUntil > now {
-				continue
-			}
-			pkt := q.front()
-			if n.Routes.NextPort(s, pkt.Dst) != p {
-				continue
-			}
-			if down != nil && down[vl]+pkt.Wire > capacity {
-				continue
-			}
-			q.pop()
-			out.rr[vl] = (i + 1) % topology.SwitchPorts
-			xfer := int64(pkt.Wire) / int64(n.Cfg.CrossbarSpeedup)
-			if xfer < 1 {
-				xfer = 1
-			}
-			in.busyUntil = now + xfer
-			sh.eng.Post(now+xfer, sh, sim.Event{Kind: evInputFree, A: int32(s), B: int32(i)})
-			sh.transmit(out, pkt, switchCode(s, i), arbtable.MgmtVL)
-			return
-		}
+	if i := n.mgmtCandidate(node, out, p, now, down, capacity); i >= 0 {
+		pkt := sh.takeHead(node, out, p, i, arbtable.MgmtVL, now)
+		sh.transmit(out, pkt, switchCode(s, i), arbtable.MgmtVL)
+		return
 	}
 
-	// Candidates are indexed by their OUTGOING wire VL: under a
-	// single-plane engine that is the queueing VL itself, and the
-	// remapping below compiles to the identity; multi-plane engines may
-	// shift a packet into its escape plane here, so the arbiter sees —
-	// and the downstream credit check guards — the lane the packet will
-	// actually occupy on the next link.
+	// Candidates are indexed by their OUTGOING wire VL (see
+	// dataCandidates).
 	var ready arbtable.Ready
 	var src [arbtable.NumDataVLs]int
 	var srcVL [arbtable.NumDataVLs]uint8
-	for invl := 0; invl < arbtable.NumDataVLs; invl++ {
-		for k := 0; k < topology.SwitchPorts; k++ {
-			i := (out.rr[invl] + k) % topology.SwitchPorts
-			in := &node.in[i]
-			q := &in.queues[invl]
-			if q.len() == 0 || in.busyUntil > now {
-				continue
-			}
-			pkt := q.front()
-			if n.Routes.NextPort(s, pkt.Dst) != p {
-				continue
-			}
-			outvl := invl
-			if n.planes > 1 {
-				outvl = int(n.Routes.HopVL(s, pkt.Dst, pkt.Base))
-				if ready[outvl] != 0 {
-					continue // lane claimed by an earlier input VL
-				}
-			}
-			if down != nil && down[outvl]+pkt.Wire > capacity {
-				continue // no credit toward the next switch
-			}
-			ready[outvl] = pkt.Wire
-			src[outvl] = i
-			srcVL[outvl] = uint8(invl)
-			break
-		}
-	}
+	n.dataCandidates(node, out, p, now, down, capacity, &ready, &src, &srcVL)
 	vl, _, ok := out.arb.Pick(&ready)
 	if !ok {
 		return
@@ -976,12 +927,11 @@ func (sh *shard) trySwitch(s, p int) {
 	}
 	i := src[vl]
 	invl := srcVL[vl]
-	in := &node.in[i]
-	pkt := in.queues[invl].pop()
+	pkt := sh.takeHead(node, out, p, i, int(invl), now)
 	pkt.VL = uint8(vl)
 	if m := sh.metrics; m != nil {
 		m.AddVLBytes(vl, pkt.Wire)
-		m.ObserveQueueDepth(int64(in.queues[invl].len()))
+		m.ObserveQueueDepth(int64(node.in[i].queues[invl].len()))
 	}
 	if t := sh.eng.Trace; t != nil {
 		lp := out.arb.Last()
@@ -990,18 +940,30 @@ func (sh *shard) trySwitch(s, p int) {
 			High: lp.High, Entry: int16(lp.Entry), WeightLeft: int32(lp.Residual),
 		})
 	}
-	out.rr[invl] = (i + 1) % topology.SwitchPorts
+	if n.OnForward != nil {
+		n.OnForward(pkt, s, p)
+	}
+	sh.transmit(out, pkt, switchCode(s, i), invl)
+}
+
+// takeHead pops the head of input i's VL queue, which output port p of
+// node is about to transmit: the candidate index follows the queue, the
+// port's round-robin cursor for that VL moves past the input, and the
+// input's crossbar slot is held for the transfer.
+func (sh *shard) takeHead(node *swNode, out *outPort, p, i, vl int, now int64) *Packet {
+	n := sh.n
+	in := &node.in[i]
+	q := &in.queues[vl]
+	pkt := q.pop()
+	n.headPopped(node, q, p, vl, i)
+	out.rr[vl] = (i + 1) % topology.SwitchPorts
 	xfer := int64(pkt.Wire) / int64(n.Cfg.CrossbarSpeedup)
 	if xfer < 1 {
 		xfer = 1
 	}
 	in.busyUntil = now + xfer
-	sh.eng.Post(now+xfer, sh, sim.Event{Kind: evInputFree, A: int32(s), B: int32(i)})
-
-	if n.OnForward != nil {
-		n.OnForward(pkt, s, p)
-	}
-	sh.transmit(out, pkt, switchCode(s, i), invl)
+	sh.eng.Post(now+xfer, sh, sim.Event{Kind: evInputFree, A: int32(node.id), B: int32(i)})
+	return pkt
 }
 
 // transmit puts pkt on out's wire: reserves downstream buffer space,
@@ -1067,7 +1029,8 @@ func (sh *shard) arrive(out *outPort, pkt *Packet) {
 		return
 	}
 	s := out.downSwitch
-	in := &n.switches[s].in[out.downPort]
+	node := n.switches[s]
+	in := &node.in[out.downPort]
 	if out.boundary {
 		in.occ[pkt.VL] += pkt.Wire
 	}
@@ -1075,8 +1038,11 @@ func (sh *shard) arrive(out *outPort, pkt *Packet) {
 		sh.voqEnqueue(s, out.downPort, pkt)
 		return
 	}
-	in.queues[pkt.VL].push(pkt)
-	sh.kickSwitch(s, n.Routes.NextPort(s, pkt.Dst))
+	q := &in.queues[pkt.VL]
+	q.push(pkt)
+	p := n.Routes.NextPort(s, pkt.Dst)
+	node.heads.headPushed(q, p, int(pkt.VL), out.downPort)
+	sh.kickSwitch(s, p)
 }
 
 // deliver records a packet reaching its destination host and recycles
@@ -1277,9 +1243,16 @@ func (n *Network) ReconfigStats() core.ReconfigStats {
 // buffer: per-VL occupancy stays within [0, capacity] and covers at
 // least the bytes of the packets actually queued (the rest being
 // space reserved for packets still on the wire or in the crossbar).
+// Under the WRR model it also audits every switch's candidate index
+// against a full scan of the queues (see checkHeads).
 func (n *Network) CheckBuffers() error {
 	capacity := n.bufferCapacity()
 	for _, s := range n.switches {
+		if s.heads != nil {
+			if err := n.checkHeads(s); err != nil {
+				return err
+			}
+		}
 		for p := range s.in {
 			in := &s.in[p]
 			for vl := 0; vl < arbtable.NumVLs; vl++ {

@@ -84,6 +84,10 @@ type swNode struct {
 	in  [topology.SwitchPorts]inPort
 	out [topology.SwitchPorts]outPort
 
+	// heads is the WRR model's candidate index over the input queue
+	// heads (see heads.go); nil under the input-queued models.
+	heads *headIndex
+
 	// voq is the input-queued half of the switch (virtual output
 	// queues plus the crossbar scheduler state, see voq.go); nil under
 	// the default output-driven WRR model.

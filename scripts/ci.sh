@@ -13,6 +13,8 @@
 #              allocates, so the budgets only hold in a plain build)
 #   fuzz smoke a short coverage-guided run of each fuzz target on top
 #              of the checked-in seed corpus
+#   bench smoke one short repetition of every gated benchmark workload,
+#              failing unless it reports "correct":true (no timing gate)
 #
 # Usage: scripts/ci.sh [--no-fuzz]
 #   FUZZTIME=30s scripts/ci.sh   # longer fuzz smoke
@@ -56,6 +58,13 @@ echo "==> go test -race -run TestParallelShard ./internal/fabric (sharded-core r
 # share nothing inside a window; the multi-shard smoke under the race
 # detector is the proof obligation (-count=1 so it always re-runs).
 go test -race -run 'TestParallelShard' -count=1 ./internal/fabric
+
+echo "==> go test -race -run TestHeadIndex ./internal/fabric (WRR candidate-index differential)"
+# The WRR pick reads a push-maintained candidate index instead of
+# scanning queue heads; the differential tests compare it against the
+# retired scan after every event (TestParallelShardHeadIndex, matched by
+# the gate above, does the same at the barriers of a two-shard run).
+go test -race -run 'TestHeadIndex' -count=1 ./internal/fabric
 
 echo "==> go test -race -run TestParallelControl ./internal/experiments (control-lane race gate)"
 # Churn and faults run their control planes — mid-run table programs,
@@ -125,6 +134,18 @@ for exp in churn faults; do
     done
 done
 rm -f /tmp/ci_ctl_base.out /tmp/ci_ctl_n.out
+
+echo "==> bench correctness smoke (one short repetition per gated workload)"
+# Not a timing gate: each repetition runs the benchmark's own checks
+# (conservation, CheckBuffers — which audits the WRR candidate index —
+# control-plane audits) and must report "correct":true.
+for w in wrr-k8 voq-islip-k8 admit-k8 churn-inband-k8; do
+    RESULT="$(bash bench/run.sh -workload "$w" -seed 7 -seconds 1 -trace 0 | tail -n 1)"
+    if [[ "$RESULT" != *'"correct":true'* ]]; then
+        echo "bench smoke: workload $w did not report correct:true: $RESULT" >&2
+        exit 1
+    fi
+done
 
 echo "==> ibsim -exp shardbench (parallel core smoke)"
 go run ./cmd/ibsim -exp shardbench -bench-shards 1,4 -bench-horizon 200000 >/dev/null
