@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/sl"
+	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
@@ -75,21 +76,43 @@ func TestAllocBudgetPerHopForwarding(t *testing.T) {
 // the steady-state packet path through the VOQ crossbar — enqueue into
 // the virtual output queue, the scheduling pass (iSLIP matching or the
 // MWM oracle), the arbitration-table lane pick, and delivery — must
-// also run allocation-free once warm, for both schedulers.
+// also run allocation-free once warm, for both schedulers at the 8-port
+// radix and for iSLIP at the full 32-port radix (a three-group
+// dragonfly with 17 ports in use per switch; the oracle stops at 16).
 func TestAllocBudgetVOQForwarding(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budgets hold only without race instrumentation")
 	}
-	for _, model := range []fabric.SwitchModel{fabric.ModelVOQISLIP, fabric.ModelVOQMWM} {
-		model := model
-		t.Run(model.String(), func(t *testing.T) {
-			cfg := fabric.DefaultConfig(2, 256, 41)
-			cfg.SwitchModel = model
-			net, err := fabric.New(cfg)
+	radix8 := topology.Spec{Class: topology.Irregular, Switches: 2, Seed: 41}
+	radix32 := topology.Spec{Class: topology.Dragonfly, A: 2, P: 15, H: 1}
+	for _, tc := range []struct {
+		name  string
+		model fabric.SwitchModel
+		spec  topology.Spec
+		ports int
+	}{
+		{"voq-islip", fabric.ModelVOQISLIP, radix8, 8},
+		{"voq-mwm", fabric.ModelVOQMWM, radix8, 8},
+		{"voq-islip-radix32", fabric.ModelVOQISLIP, radix32, 32},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			topo, err := tc.spec.Generate()
 			if err != nil {
 				t.Fatal(err)
 			}
-			conn, err := net.Adm.Admit(traffic.Request{Src: 0, Dst: 7, Level: sl.DefaultLevels[9], Mbps: 64})
+			if topo.Ports() != tc.ports {
+				t.Fatalf("%s has radix %d, want %d", tc.spec.Label(), topo.Ports(), tc.ports)
+			}
+			cfg := fabric.DefaultConfig(topo.NumSwitches, 256, 41)
+			cfg.SwitchModel = tc.model
+			net, err := fabric.NewWithTopology(cfg, topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// First host to last: across the two switches, or across
+			// dragonfly groups.
+			conn, err := net.Adm.Admit(traffic.Request{Src: 0, Dst: topo.NumHosts() - 1, Level: sl.DefaultLevels[9], Mbps: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +130,7 @@ func TestAllocBudgetVOQForwarding(t *testing.T) {
 				net.Engine.RunWhile(cond)
 			})
 			if allocs != 0 {
-				t.Errorf("%s forwarding allocates %.2f allocs/op, want 0", model, allocs)
+				t.Errorf("%s forwarding allocates %.2f allocs/op, want 0", tc.name, allocs)
 			}
 			if s := net.StaleArrivals(); s != 0 {
 				t.Errorf("StaleArrivals = %d, want 0", s)

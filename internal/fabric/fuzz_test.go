@@ -11,8 +11,9 @@ import (
 // matrices and iteration counts, run for several consecutive passes so
 // pointer updates feed back into the next matching.  Invariants: the
 // result is always a valid partial matching of the requests, pointers
-// stay reduced, enough iterations always yield a maximal matching, and
-// the matching is deterministic in the state.
+// stay reduced, enough iterations always yield a maximal matching, the
+// matching is deterministic in the state, and matching and successor
+// state equal the retired probe-loop scheduler's (matchReference).
 func FuzzISLIPSchedule(f *testing.F) {
 	const P = topology.SwitchPorts
 	// Layout: P grant pointers, P accept pointers, P little-endian
@@ -82,6 +83,15 @@ func FuzzISLIPSchedule(f *testing.F) {
 			st2 := before
 			if s2 := st2.Match(&req, iters, &m2); s2 != size || m1 != m2 || st2 != st {
 				t.Fatalf("non-deterministic: size %d/%d, match %v/%v", size, s2, m1, m2)
+			}
+
+			// The word-wide matcher agrees with the retired probe loops
+			// on the matching and on the successor state.
+			ref := before
+			var mr [P]int8
+			if sr := ref.matchReference(&req, iters, &mr); sr != size || mr != m1 || ref != st {
+				t.Fatalf("differs from the reference: size %d/%d, match %v/%v, state %+v/%+v",
+					size, sr, m1, mr, st, ref)
 			}
 
 			// Valid partial matching of the requests.

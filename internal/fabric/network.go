@@ -300,6 +300,18 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
+// eventPoolSize is the event population an engine serving the given
+// part of a fabric is preallocated for: one generator per eventual
+// flow plus a few events per switch port in use (transmit completion,
+// arrival, crossbar release, scheduling pass).  A loaded run on the
+// fat-tree and dragonfly shapes stays within it (the high-water mark
+// under saturating load is 10-12 events per host at 4-5 ports per
+// host); the host-dense irregular shapes can exceed it by a tenth and
+// regrow the pool once.
+func eventPoolSize(hosts, switches, ports int) int {
+	return 64 + 4*hosts + 2*switches*ports
+}
+
 // New builds a network: generates the topology, computes routes,
 // creates the arbitration tables (seeding the low-priority tables for
 // best-effort VLs) and wires switch and host models together.
@@ -342,9 +354,8 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 	}
 	if !parallel {
 		// Preallocate the event core for the steady-state event
-		// population: a few events per port plus one generator per
-		// eventual flow.
-		eng.Grow(64 + 4*topo.NumHosts() + 2*topo.NumSwitches*topology.SwitchPorts)
+		// population.
+		eng.Grow(eventPoolSize(topo.NumHosts(), topo.NumSwitches, topo.Ports()))
 	}
 
 	n := &Network{
@@ -382,7 +393,7 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 			sh.eng = &sim.Engine{}
 		}
 		if parallel {
-			sh.eng.Grow(64 + 4*len(part.Hosts(k)) + 2*len(part.Switches(k))*topology.SwitchPorts)
+			sh.eng.Grow(eventPoolSize(len(part.Hosts(k)), len(part.Switches(k)), topo.Ports()))
 		}
 		n.shards[k] = sh
 	}
@@ -472,7 +483,7 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 			n.islipIters = DefaultISLIPIters
 		}
 		for _, s := range n.switches {
-			s.voq = &voqState{}
+			s.voq = newVOQState(topo.Ports())
 		}
 		if n.model == ModelVOQMWM {
 			// The oracle's subset DP is O(P²·2^P); past 16 ports the
@@ -1140,12 +1151,8 @@ func (n *Network) QueuedPackets() int64 {
 			}
 		}
 		if v := s.voq; v != nil {
-			for i := range v.q {
-				for j := range v.q[i] {
-					for vl := range v.q[i][j] {
-						q += int64(v.q[i][j][vl].len())
-					}
-				}
+			for k := range v.q {
+				q += int64(v.q[k].len())
 			}
 		}
 	}
@@ -1243,13 +1250,20 @@ func (n *Network) ReconfigStats() core.ReconfigStats {
 // buffer: per-VL occupancy stays within [0, capacity] and covers at
 // least the bytes of the packets actually queued (the rest being
 // space reserved for packets still on the wire or in the crossbar).
-// Under the WRR model it also audits every switch's candidate index
-// against a full scan of the queues (see checkHeads).
+// It also audits what the scheduling passes read instead of scanning
+// queues, against a full scan: every WRR switch's candidate index (see
+// checkHeads) and every input-queued switch's occupancy words (see
+// checkVOQ).
 func (n *Network) CheckBuffers() error {
 	capacity := n.bufferCapacity()
 	for _, s := range n.switches {
 		if s.heads != nil {
 			if err := n.checkHeads(s); err != nil {
+				return err
+			}
+		}
+		if s.voq != nil {
+			if err := n.checkVOQ(s); err != nil {
 				return err
 			}
 		}
@@ -1268,11 +1282,14 @@ func (n *Network) CheckBuffers() error {
 				if v := s.voq; v != nil {
 					// Input-queued model: port p's packets live in its
 					// VOQ row, still accounted against the same per-VL
-					// credit the upstream sender reserved.
-					for j := 0; j < topology.SwitchPorts; j++ {
-						vq := &v.q[p][j][vl]
-						for k := 0; k < vq.len(); k++ {
-							queued += vq.at(k).Wire
+					// credit the upstream sender reserved.  Ports past
+					// the radix have no row (checkVOQ proved them empty).
+					if p < v.r {
+						for j := 0; j < v.r; j++ {
+							vq := v.queue(p, j, vl)
+							for k := 0; k < vq.len(); k++ {
+								queued += vq.at(k).Wire
+							}
 						}
 					}
 				} else {

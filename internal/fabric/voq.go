@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/arbtable"
 	"repro/internal/faults"
@@ -50,8 +51,10 @@ const (
 )
 
 // DefaultISLIPIters is the request-grant-accept iteration count used
-// when Config.ISLIPIters is zero: log2 of the port count, the depth at
-// which iSLIP matchings stop growing in practice (McKeown).
+// when Config.ISLIPIters is zero.  McKeown's rule of thumb is log2 of
+// the port count, the depth at which iSLIP matchings stop growing in
+// practice; 3 is that depth for the 8-port radix and is kept at radix
+// 16 and 32 too, where it is one and two iterations short of the rule.
 const DefaultISLIPIters = 3
 
 func (m SwitchModel) String() string {
@@ -90,6 +93,30 @@ type ISLIPState struct {
 	Accept [topology.SwitchPorts]uint8 // per-input accept pointer
 }
 
+// Request columns, grant words and the VOQ occupancy words are uint32
+// sets with one bit per port.
+const _ = uint(32 - topology.SwitchPorts)
+
+// noMatch is the idle matching: every output unmatched.
+var noMatch = func() (m [topology.SwitchPorts]int8) {
+	for j := range m {
+		m[j] = -1
+	}
+	return m
+}()
+
+// firstFrom returns the member of set reached first when the ports are
+// visited in the order from, from+1, ... wrapping at SwitchPorts; set
+// must not be empty.  Rotating the word right by from puts port
+// from+k at bit k for the ports at or above from and at bit k+32-from
+// for those below it, so the lowest set bit of the rotated word is the
+// first member a probe loop over (from+k) mod SwitchPorts would meet —
+// at any SwitchPorts up to the word width, since no port at or above
+// it is ever in a set.
+func firstFrom(set uint32, from int) int {
+	return (bits.TrailingZeros32(bits.RotateLeft32(set, -from)) + from) & 31
+}
+
 // Match computes one crossbar matching by iters request-grant-accept
 // rounds over the request matrix req (bit j of req[i] set = input i
 // has an eligible packet for output j).  match[j] receives the input
@@ -105,58 +132,79 @@ type ISLIPState struct {
 // pairs are locked for the remaining iterations.  Out-of-range
 // pointer values (a desynchronized or fuzzed state) are reduced mod
 // the port count rather than trusted.
+//
+// The scheduler works on request COLUMNS (see matchColumns); this
+// row-matrix form transposes first.  The fabric's scheduling pass
+// builds columns directly and never comes through here.
 func (st *ISLIPState) Match(req *[topology.SwitchPorts]uint32, iters int, match *[topology.SwitchPorts]int8) int {
-	const P = topology.SwitchPorts
-	for j := range match {
-		match[j] = -1
+	cols := *req
+	var outs uint32
+	for _, row := range cols {
+		outs |= row
 	}
+	transpose32(&cols)
+	return st.matchColumns(&cols, outs, iters, match)
+}
+
+// transpose32 transposes a 32x32 bit matrix in place (bit j of a[i]
+// becomes bit i of a[j]) by swapping off-diagonal blocks of halving
+// size: 5 rounds of 16 word pairs.
+func transpose32(a *[32]uint32) {
+	m := uint32(0x0000ffff)
+	for j := uint(16); j != 0; j, m = j>>1, m^m<<(j>>1) {
+		for k := uint(0); k < 32; k = (k + j + 1) &^ j {
+			t := (a[k]>>j ^ a[k+j]) & m
+			a[k] ^= t << j
+			a[k+j] ^= t
+		}
+	}
+}
+
+// matchColumns is the iSLIP scheduler over request columns: bit i of
+// cols[j] set = input i requests output j, and outs is the set of
+// outputs with a non-empty column.  Each round is word-wide: an output
+// grants firstFrom(its unmatched requesters, its grant pointer), an
+// input accepts firstFrom(the outputs granting it, its accept pointer),
+// and only outputs that can still grant are visited.  Within a round
+// the set of matched inputs is fixed while outputs grant, and every
+// output grants one input, so the order outputs and inputs are visited
+// in does not matter.
+func (st *ISLIPState) matchColumns(cols *[topology.SwitchPorts]uint32, outs uint32, iters int, match *[topology.SwitchPorts]int8) int {
+	const P = topology.SwitchPorts
+	*match = noMatch
 	if iters < 1 {
 		iters = 1
 	}
+	var grants [P]uint32 // per input: outputs granting it this round
 	var inMatched uint32
 	size := 0
-	for it := 0; it < iters && size < P; it++ {
-		// Grant phase.
-		var grants [P]uint32 // per input: outputs granting it this round
-		granted := false
-		for j := 0; j < P; j++ {
-			if match[j] >= 0 {
+	for it := 0; it < iters && outs != 0; it++ {
+		var granted uint32 // inputs holding a grant
+		for w := outs; w != 0; w &= w - 1 {
+			j := bits.TrailingZeros32(w)
+			c := cols[j] &^ inMatched
+			if c == 0 {
+				outs &^= 1 << j // every requester is matched elsewhere
 				continue
 			}
-			g := int(st.Grant[j]) % P
-			for k := 0; k < P; k++ {
-				i := (g + k) % P
-				if inMatched&(1<<i) == 0 && req[i]&(1<<j) != 0 {
-					grants[i] |= 1 << j
-					granted = true
-					break
-				}
-			}
+			i := firstFrom(c, int(st.Grant[j])%P)
+			grants[i] |= 1 << j
+			granted |= 1 << i
 		}
-		if !granted {
-			break // no addable edge remains; the matching is maximal
-		}
-		// Accept phase.  Every granted input is unmatched (the grant
-		// phase filtered), so each one accepts exactly one grant and
-		// the matching grows every iteration that granted.
-		for i := 0; i < P; i++ {
-			if grants[i] == 0 {
-				continue
-			}
-			a := int(st.Accept[i]) % P
-			for k := 0; k < P; k++ {
-				j := (a + k) % P
-				if grants[i]&(1<<j) == 0 {
-					continue
-				}
-				match[j] = int8(i)
-				inMatched |= 1 << i
-				size++
-				if it == 0 {
-					st.Grant[j] = uint8((i + 1) % P)
-					st.Accept[i] = uint8((j + 1) % P)
-				}
-				break
+		// Every granted input is unmatched, so each accepts exactly one
+		// grant; a round that grants nothing leaves a maximal matching
+		// and the loop condition ends it (outs is empty by then).
+		for w := granted; w != 0; w &= w - 1 {
+			i := bits.TrailingZeros32(w)
+			j := firstFrom(grants[i], int(st.Accept[i])%P)
+			grants[i] = 0
+			match[j] = int8(i)
+			inMatched |= 1 << i
+			outs &^= 1 << j
+			size++
+			if it == 0 {
+				st.Grant[j] = uint8((i + 1) % P)
+				st.Accept[i] = uint8((j + 1) % P)
 			}
 		}
 	}
@@ -165,20 +213,20 @@ func (st *ISLIPState) Match(req *[topology.SwitchPorts]uint32, iters int, match 
 
 // mwmScratch is the workspace of the exact maximum-weight-matching
 // solver: DP tables over output subsets plus the per-pass weight
-// matrix.  It lives on the Network so a scheduling pass allocates
-// nothing.  The DP tables are sized by the fabric's radix (the port
-// count the topology actually uses), so an 8-port fabric keeps its
+// matrix.  It lives on the shard so a scheduling pass allocates
+// nothing.  Everything is sized by the fabric's radix (the port count
+// the topology actually uses), so an 8-port fabric keeps its
 // 256-subset tables instead of paying for the full 2^16 state space.
 type mwmScratch struct {
-	n   int // radix: inputs/outputs run over 0..n-1
-	w   [topology.SwitchPorts][topology.SwitchPorts]int32
+	n   int        // radix: inputs/outputs run over 0..n-1
+	w   []int32    // w[i*n+j] > 0 is an edge from input i to output j
 	dp  [2][]int64 // 1<<n entries each
 	par [][]int8   // n rows of 1<<n entries
 }
 
 // newMWMScratch allocates the solver workspace for an n-port switch.
 func newMWMScratch(n int) *mwmScratch {
-	sc := &mwmScratch{n: n}
+	sc := &mwmScratch{n: n, w: make([]int32, n*n)}
 	sc.dp[0] = make([]int64, 1<<n)
 	sc.dp[1] = make([]int64, 1<<n)
 	sc.par = make([][]int8, n)
@@ -188,14 +236,14 @@ func newMWMScratch(n int) *mwmScratch {
 	return sc
 }
 
-// match computes an exact maximum-weight matching of w (w[i][j] > 0 is
-// an edge from input i to output j) by dynamic programming over output
-// subsets, O(P²·2^P).  match[j] receives the input assigned to output
-// j (-1 when unmatched); the matching size and total weight are
-// returned.  Fully deterministic: ties prefer leaving the input
-// unmatched, then the lowest output index, so the oracle's decisions
-// are reproducible from the weights alone.
-func (sc *mwmScratch) match(w *[topology.SwitchPorts][topology.SwitchPorts]int32, match *[topology.SwitchPorts]int8) (size int, weight int64) {
+// solve computes an exact maximum-weight matching of the weight matrix
+// sc.w by dynamic programming over output subsets, O(P²·2^P).
+// match[j] receives the input assigned to output j (-1 when
+// unmatched); the matching size and total weight are returned.  Fully
+// deterministic: ties prefer leaving the input unmatched, then the
+// lowest output index, so the oracle's decisions are reproducible from
+// the weights alone.
+func (sc *mwmScratch) solve(match *[topology.SwitchPorts]int8) (size int, weight int64) {
 	P := sc.n
 	full := 1 << P
 	cur, nxt := sc.dp[0], sc.dp[1]
@@ -204,6 +252,7 @@ func (sc *mwmScratch) match(w *[topology.SwitchPorts][topology.SwitchPorts]int32
 	}
 	cur[0] = 0
 	for i := 0; i < P; i++ {
+		w := sc.w[i*P : (i+1)*P]
 		for mask := 0; mask < full; mask++ {
 			nxt[mask] = cur[mask] // input i stays unmatched
 			sc.par[i][mask] = -1
@@ -214,10 +263,10 @@ func (sc *mwmScratch) match(w *[topology.SwitchPorts][topology.SwitchPorts]int32
 				continue
 			}
 			for j := 0; j < P; j++ {
-				if mask&(1<<j) != 0 || w[i][j] <= 0 {
+				if mask&(1<<j) != 0 || w[j] <= 0 {
 					continue
 				}
-				if cand := base + int64(w[i][j]); cand > nxt[mask|1<<j] {
+				if cand := base + int64(w[j]); cand > nxt[mask|1<<j] {
 					nxt[mask|1<<j] = cand
 					sc.par[i][mask|1<<j] = int8(j)
 				}
@@ -232,16 +281,16 @@ func (sc *mwmScratch) match(w *[topology.SwitchPorts][topology.SwitchPorts]int32
 		}
 	}
 	weight = cur[best]
-	for j := range match {
-		match[j] = -1
-	}
-	// Walk the decisions back.  par indexes the table for input i at
-	// the state AFTER processing i, which alternates between the two
-	// dp rows; reconstruct from the mask trail alone.
+	*match = noMatch
+	// Walk the decisions back: par[i][mask] is input i's choice at the
+	// used-output mask AFTER processing i.
 	mask := best
 	for i := P - 1; i >= 0; i-- {
-		j := sc.reconstruct(i, mask, w)
-		if j < 0 {
+		j := sc.par[i][mask]
+		if j < 0 || mask&(1<<int(j)) == 0 {
+			// No output taken, or the stored choice does not fit the
+			// trail (only on an unreachable state, which the walk never
+			// visits).
 			continue
 		}
 		match[j] = int8(i)
@@ -251,30 +300,31 @@ func (sc *mwmScratch) match(w *[topology.SwitchPorts][topology.SwitchPorts]int32
 	return size, weight
 }
 
-// reconstruct recovers input i's decision at the given used-output
-// mask by re-running the forward DP up to i.  The straightforward
-// approach — storing par per input — is exactly what sc.par holds;
-// this helper only validates it (the stored choice must be consistent
-// with the mask trail).
-func (sc *mwmScratch) reconstruct(i, mask int, w *[topology.SwitchPorts][topology.SwitchPorts]int32) int8 {
-	j := sc.par[i][mask]
-	if j >= 0 && mask&(1<<int(j)) == 0 {
-		// The stored choice no longer fits the trail (can only happen
-		// on an unreachable state, which the walk never visits).
-		return -1
-	}
-	return j
-}
-
-// voqState is the input-queued half of one switch: the virtual output
-// queues (one FIFO per input × output × VL), a per-(input,output)
-// occupancy bitmap of non-empty VLs so scheduling passes skip empty
-// lanes without scanning, and the iSLIP pointer state.
+// voqState is the input-queued half of one switch, sized at the
+// topology's radix r: the virtual output queues (one FIFO per input ×
+// output × VL), occupancy words at three grains so a scheduling pass
+// touches only what is queued, and the iSLIP pointer state.
+//
+// The occupancy words are written in exactly two places, voqPush and
+// voqPop; CheckBuffers recomputes them from the queues (checkVOQ).
 type voqState struct {
-	q        [topology.SwitchPorts][topology.SwitchPorts][arbtable.NumVLs]pktQueue
-	nonEmpty [topology.SwitchPorts][topology.SwitchPorts]uint16 // bit vl set = q[i][j][vl] non-empty
-	islip    ISLIPState
-	pending  bool // a scheduling-pass event is already queued
+	r int
+	// q[(i*r+j)*NumVLs+vl] queues the packets of input i bound for
+	// output j on VL vl.
+	q []pktQueue
+	// nonEmpty[i*r+j] is the set of VLs with a non-empty queue at
+	// (i, j).
+	nonEmpty []uint16
+	// dataRows[i] is the set of outputs j for which input i holds a
+	// non-empty data-VL queue — row i of the widest request matrix a
+	// pass could build.
+	dataRows []uint32
+	// mgmtCols[j] is the set of inputs i holding a VL 15 packet for
+	// output j.
+	mgmtCols []uint32
+
+	islip   ISLIPState
+	pending bool // a scheduling-pass event is already queued
 
 	// match is the current pass's matching scratch (match[j] = input
 	// feeding output j).  A field rather than a voqSched local so the
@@ -283,19 +333,46 @@ type voqState struct {
 	match [topology.SwitchPorts]int8
 }
 
+// newVOQState allocates the VOQ state of one r-port switch.
+func newVOQState(r int) *voqState {
+	return &voqState{
+		r:        r,
+		q:        make([]pktQueue, r*r*arbtable.NumVLs),
+		nonEmpty: make([]uint16, r*r),
+		dataRows: make([]uint32, r),
+		mgmtCols: make([]uint32, r),
+	}
+}
+
+// queue returns the (input, output, vl) queue.
+func (v *voqState) queue(i, j, vl int) *pktQueue {
+	return &v.q[(i*v.r+j)*arbtable.NumVLs+vl]
+}
+
 // voqPush enqueues pkt on the (input, output, vl) queue and maintains
-// the occupancy bitmap.
+// the occupancy words.
 func (v *voqState) voqPush(i, j, vl int, pkt *Packet) {
-	v.q[i][j][vl].push(pkt)
-	v.nonEmpty[i][j] |= 1 << vl
+	v.queue(i, j, vl).push(pkt)
+	v.nonEmpty[i*v.r+j] |= 1 << vl
+	if vl == arbtable.MgmtVL {
+		v.mgmtCols[j] |= 1 << i
+	} else {
+		v.dataRows[i] |= 1 << j
+	}
 }
 
 // voqPop dequeues the head of the (input, output, vl) queue.
 func (v *voqState) voqPop(i, j, vl int) *Packet {
-	q := &v.q[i][j][vl]
+	q := v.queue(i, j, vl)
 	pkt := q.pop()
 	if q.len() == 0 {
-		v.nonEmpty[i][j] &^= 1 << vl
+		ne := &v.nonEmpty[i*v.r+j]
+		*ne &^= 1 << vl
+		if vl == arbtable.MgmtVL {
+			v.mgmtCols[j] &^= 1 << i
+		} else if *ne&dataVLMask == 0 {
+			v.dataRows[i] &^= 1 << j
+		}
 	}
 	return pkt
 }
@@ -304,12 +381,8 @@ func (v *voqState) voqPop(i, j, vl int) *Packet {
 // group across all VLs — the weight the MWM oracle maximizes.
 func (v *voqState) voqOccupancy(i, j int) int32 {
 	var n int32
-	bits := v.nonEmpty[i][j]
-	for vl := 0; bits != 0; vl++ {
-		if bits&1 != 0 {
-			n += int32(v.q[i][j][vl].len())
-		}
-		bits >>= 1
+	for vls := v.nonEmpty[i*v.r+j]; vls != 0; vls &= vls - 1 {
+		n += int32(v.queue(i, j, bits.TrailingZeros16(vls)).len())
 	}
 	return n
 }
@@ -337,33 +410,111 @@ func (sh *shard) voqEnqueue(s, in int, pkt *Packet) {
 	sh.kickVOQ(s)
 }
 
-// voqEligible reports whether VOQ group (i, j) holds at least one head
-// packet with downstream credit on its outgoing lane.  down is the
+// voqEligible reports whether VOQ group (i, j) holds at least one data
+// head packet with downstream credit on its outgoing lane.  down is the
 // occupancy view of output j's downstream buffer (see occView): nil for
 // a host, the boundary mirror for a cross-shard link.
 func (n *Network) voqEligible(node *swNode, down *[arbtable.NumVLs]int, i, j, capacity int) bool {
 	v := node.voq
-	bits := v.nonEmpty[i][j] &^ (1 << arbtable.MgmtVL)
-	if bits == 0 {
+	vls := v.nonEmpty[i*v.r+j] & dataVLMask
+	if vls == 0 {
 		return false
 	}
 	if down == nil {
 		return true // host downstream: consumes at link rate
 	}
-	for vl := 0; bits != 0; vl++ {
-		if bits&1 != 0 {
-			pkt := v.q[i][j][vl].front()
-			outvl := vl
-			if n.planes > 1 {
-				outvl = int(n.Routes.HopVL(node.id, pkt.Dst, pkt.Base))
-			}
-			if down[outvl]+pkt.Wire <= capacity {
-				return true
-			}
+	for ; vls != 0; vls &= vls - 1 {
+		vl := bits.TrailingZeros16(vls)
+		pkt := v.queue(i, j, vl).front()
+		outvl := vl
+		if n.planes > 1 {
+			outvl = int(n.Routes.HopVL(node.id, pkt.Dst, pkt.Base))
 		}
-		bits >>= 1
+		if down[outvl]+pkt.Wire <= capacity {
+			return true
+		}
 	}
 	return false
+}
+
+// voqFreePorts returns the crossbar slots a scheduling pass at node
+// may use at time now: the outputs that are wired, idle and outside
+// fault windows, and the inputs whose crossbar slot is free.  An output
+// inside a fault window that ends gets a wake-up at the window's end.
+func (sh *shard) voqFreePorts(node *swNode, now int64) (outFree, inFree uint32) {
+	n := sh.n
+	for j := 0; j < node.voq.r; j++ {
+		out := &node.out[j]
+		if !out.wired || out.busyUntil > now {
+			continue
+		}
+		if n.Faults != nil {
+			if until := n.Faults.BlockedUntil(faults.SwitchPortKey(node.id, j), now); until > now {
+				// Permanent failures never un-block on their own (see
+				// tryHost): no event at infinity, every pass.
+				if until < faults.Forever {
+					sh.eng.Post(until, sh, sim.Event{Kind: evKickSwitch, A: int32(node.id), B: int32(j)})
+				}
+				continue
+			}
+		}
+		outFree |= 1 << j
+	}
+	for i := 0; i < node.voq.r; i++ {
+		if node.in[i].busyUntil <= now {
+			inFree |= 1 << i
+		}
+	}
+	return outFree, inFree
+}
+
+// voqMgmtCandidate returns the input whose VL 15 head free output j of
+// node serves next — the first free input in round-robin order from the
+// port's cursor whose head has downstream credit — or -1.
+func (n *Network) voqMgmtCandidate(node *swNode, j int, inFree uint32, capacity int) int {
+	const vl = arbtable.MgmtVL
+	v := node.voq
+	set := v.mgmtCols[j] & inFree
+	if set == 0 {
+		return -1
+	}
+	out := &node.out[j]
+	down := n.occView(out)
+	for _, w := range cyclicFrom(set, out.rr[vl]) {
+		for ; w != 0; w &= w - 1 {
+			i := bits.TrailingZeros32(w)
+			if down == nil || down[vl]+v.queue(i, j, vl).front().Wire <= capacity {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// voqRequests builds the data-VL request matrix of one pass in column
+// form: bit i of cols[j] set = free input i holds a head with
+// downstream credit for free output j.  It returns the set of outputs
+// requested and the number of inputs requesting.  Only (input, output)
+// groups that hold data packets are examined.
+func (n *Network) voqRequests(node *swNode, outFree, inFree uint32, capacity int,
+	cols *[topology.SwitchPorts]uint32) (outs uint32, backlogged int) {
+	v := node.voq
+	for w := inFree; w != 0; w &= w - 1 {
+		i := bits.TrailingZeros32(w)
+		var row uint32
+		for c := v.dataRows[i] & outFree; c != 0; c &= c - 1 {
+			j := bits.TrailingZeros32(c)
+			if n.voqEligible(node, n.occView(&node.out[j]), i, j, capacity) {
+				cols[j] |= 1 << i
+				row |= 1 << j
+			}
+		}
+		if row != 0 {
+			outs |= row
+			backlogged++
+		}
+	}
+	return outs, backlogged
 }
 
 // voqSched runs one crossbar scheduling pass at switch s: subnet
@@ -371,36 +522,15 @@ func (n *Network) voqEligible(node *swNode, down *[arbtable.NumVLs]int, i, j, ca
 // heads with credit, matched by iSLIP or the MWM oracle, and each
 // matched pair's lane is picked by the output port's arbitration
 // table.  Zero allocations: all scratch state is fixed-size on the
-// Network and the switch.
+// stack, the shard and the switch.
 func (sh *shard) voqSched(s int) {
-	const P = topology.SwitchPorts
 	n := sh.n
 	node := n.switches[s]
 	v := node.voq
 	now := sh.eng.Now()
 	capacity := n.bufferCapacity()
 
-	// Output availability: wired, link idle, outside fault windows.
-	var outFree uint32
-	for j := 0; j < P; j++ {
-		out := &node.out[j]
-		if !out.wired || out.busyUntil > now {
-			continue
-		}
-		if n.Faults != nil {
-			if until := n.Faults.BlockedUntil(faults.SwitchPortKey(s, j), now); until > now {
-				sh.eng.Post(until, sh, sim.Event{Kind: evKickSwitch, A: int32(s), B: int32(j)})
-				continue
-			}
-		}
-		outFree |= 1 << j
-	}
-	var inFree uint32
-	for i := 0; i < P; i++ {
-		if node.in[i].busyUntil <= now {
-			inFree |= 1 << i
-		}
-	}
+	outFree, inFree := sh.voqFreePorts(node, now)
 	if outFree == 0 || inFree == 0 {
 		return
 	}
@@ -408,49 +538,23 @@ func (sh *shard) voqSched(s int) {
 	// Subnet management (VL 15) preempts all data lanes: each free
 	// output serves its first eligible VL 15 head in round-robin input
 	// order, consuming the input and output crossbar slots it uses.
-	for j := 0; j < P; j++ {
-		if outFree&(1<<j) == 0 {
+	for w := outFree; w != 0; w &= w - 1 {
+		j := bits.TrailingZeros32(w)
+		i := n.voqMgmtCandidate(node, j, inFree, capacity)
+		if i < 0 {
 			continue
 		}
 		out := &node.out[j]
-		down := n.occView(out)
-		for k := 0; k < P; k++ {
-			i := (out.rr[arbtable.MgmtVL] + k) % P
-			if inFree&(1<<i) == 0 || v.nonEmpty[i][j]&(1<<arbtable.MgmtVL) == 0 {
-				continue
-			}
-			pkt := v.q[i][j][arbtable.MgmtVL].front()
-			if down != nil && down[arbtable.MgmtVL]+pkt.Wire > capacity {
-				continue
-			}
-			v.voqPop(i, j, arbtable.MgmtVL)
-			out.rr[arbtable.MgmtVL] = (i + 1) % P
-			inFree &^= 1 << i
-			outFree &^= 1 << j
-			sh.voqTransmit(node, out, pkt, i, arbtable.MgmtVL, now)
-			break
-		}
+		pkt := v.voqPop(i, j, arbtable.MgmtVL)
+		out.rr[arbtable.MgmtVL] = (i + 1) % topology.SwitchPorts
+		inFree &^= 1 << i
+		outFree &^= 1 << j
+		sh.voqTransmit(node, out, pkt, i, arbtable.MgmtVL, now)
 	}
 
 	// Request matrix over the data VLs.
-	var req [P]uint32
-	backlogged := 0
-	for i := 0; i < P; i++ {
-		if inFree&(1<<i) == 0 {
-			continue
-		}
-		for j := 0; j < P; j++ {
-			if outFree&(1<<j) == 0 || v.nonEmpty[i][j]&^(1<<arbtable.MgmtVL) == 0 {
-				continue
-			}
-			if n.voqEligible(node, n.occView(&node.out[j]), i, j, capacity) {
-				req[i] |= 1 << j
-			}
-		}
-		if req[i] != 0 {
-			backlogged++
-		}
-	}
+	var cols [topology.SwitchPorts]uint32
+	outs, backlogged := n.voqRequests(node, outFree, inFree, capacity, &cols)
 	if backlogged == 0 {
 		return
 	}
@@ -458,18 +562,18 @@ func (sh *shard) voqSched(s int) {
 	match := &v.match
 	var size int
 	if n.model == ModelVOQMWM {
-		for i := 0; i < P; i++ {
-			for j := 0; j < P; j++ {
-				if req[i]&(1<<j) != 0 {
-					sh.mwm.w[i][j] = v.voqOccupancy(i, j)
-				} else {
-					sh.mwm.w[i][j] = 0
-				}
+		sc := sh.mwm
+		clear(sc.w)
+		for w := outs; w != 0; w &= w - 1 {
+			j := bits.TrailingZeros32(w)
+			for c := cols[j]; c != 0; c &= c - 1 {
+				i := bits.TrailingZeros32(c)
+				sc.w[i*sc.n+j] = v.voqOccupancy(i, j)
 			}
 		}
-		size, _ = sh.mwm.match(&sh.mwm.w, match)
+		size, _ = sc.solve(match)
 	} else {
-		size = v.islip.Match(&req, n.islipIters, match)
+		size = v.islip.matchColumns(&cols, outs, n.islipIters, match)
 	}
 	if m := sh.metrics; m != nil {
 		m.CountVOQPass(size, backlogged)
@@ -478,7 +582,9 @@ func (sh *shard) voqSched(s int) {
 		n.OnMatch(s, match, size)
 	}
 
-	for j := 0; j < P; j++ {
+	// Only a requested output can be matched.
+	for w := outs; w != 0; w &= w - 1 {
+		j := bits.TrailingZeros32(w)
 		if match[j] >= 0 {
 			sh.voqServe(node, int(match[j]), j, capacity, now)
 		}
@@ -500,14 +606,9 @@ func (sh *shard) voqServe(node *swNode, i, j, capacity int, now int64) {
 	// its escape plane here.
 	var ready arbtable.Ready
 	var srcVL [arbtable.NumDataVLs]uint8
-	bits := v.nonEmpty[i][j] &^ (1 << arbtable.MgmtVL)
-	for vl := 0; bits != 0; vl++ {
-		if bits&1 == 0 {
-			bits >>= 1
-			continue
-		}
-		bits >>= 1
-		pkt := v.q[i][j][vl].front()
+	for vls := v.nonEmpty[i*v.r+j] & dataVLMask; vls != 0; vls &= vls - 1 {
+		vl := bits.TrailingZeros16(vls)
+		pkt := v.queue(i, j, vl).front()
 		outvl := vl
 		if n.planes > 1 {
 			outvl = int(n.Routes.HopVL(node.id, pkt.Dst, pkt.Base))
@@ -533,7 +634,7 @@ func (sh *shard) voqServe(node *swNode, i, j, capacity int, now int64) {
 	pkt.VL = uint8(vl)
 	if m := sh.metrics; m != nil {
 		m.AddVLBytes(vl, pkt.Wire)
-		m.ObserveVOQDepth(int64(v.q[i][j][invl].len()))
+		m.ObserveVOQDepth(int64(v.queue(i, j, invl).len()))
 	}
 	if t := sh.eng.Trace; t != nil {
 		lp := out.arb.Last()
@@ -564,4 +665,58 @@ func (sh *shard) voqTransmit(node *swNode, out *outPort, pkt *Packet, i, srcVL i
 	in.busyUntil = now + xfer
 	sh.eng.Post(now+xfer, sh, sim.Event{Kind: evInputFree, A: int32(node.id), B: int32(i)})
 	sh.transmit(out, pkt, switchCode(node.id, i), uint8(srcVL))
+}
+
+// checkVOQ audits one input-queued switch's occupancy words against a
+// full scan of its virtual output queues: no stale bit, no missing bit,
+// nothing queued toward an unwired output, and nothing in the per-input
+// VL queues the WRR model uses (at any port up to the array cap, so a
+// packet parked beyond the radix is found too).
+func (n *Network) checkVOQ(node *swNode) error {
+	v := node.voq
+	for p := range node.in {
+		for vl := range node.in[p].queues {
+			if k := node.in[p].queues[vl].len(); k != 0 {
+				return fmt.Errorf("fabric: VOQ switch %d holds %d packets in the input queue of port %d VL %d (radix %d)",
+					node.id, k, p, vl, v.r)
+			}
+		}
+	}
+	mgmtCols := make([]uint32, v.r)
+	for i := 0; i < v.r; i++ {
+		var dataRow uint32
+		for j := 0; j < v.r; j++ {
+			var vls uint16
+			for vl := 0; vl < arbtable.NumVLs; vl++ {
+				if v.queue(i, j, vl).len() != 0 {
+					vls |= 1 << vl
+				}
+			}
+			if vls != 0 && !node.out[j].wired {
+				return fmt.Errorf("fabric: switch %d input %d queues VLs %#04x toward unwired port %d",
+					node.id, i, vls, j)
+			}
+			if got := v.nonEmpty[i*v.r+j]; got != vls {
+				return fmt.Errorf("fabric: switch %d VOQ (%d,%d) non-empty VL set %#04x, queues say %#04x",
+					node.id, i, j, got, vls)
+			}
+			if vls&dataVLMask != 0 {
+				dataRow |= 1 << j
+			}
+			if vls&^dataVLMask != 0 {
+				mgmtCols[j] |= 1 << i
+			}
+		}
+		if v.dataRows[i] != dataRow {
+			return fmt.Errorf("fabric: switch %d input %d data-output set %#08x, queues say %#08x",
+				node.id, i, v.dataRows[i], dataRow)
+		}
+	}
+	for j, want := range mgmtCols {
+		if v.mgmtCols[j] != want {
+			return fmt.Errorf("fabric: switch %d output %d VL 15 input set %#08x, queues say %#08x",
+				node.id, j, v.mgmtCols[j], want)
+		}
+	}
+	return nil
 }

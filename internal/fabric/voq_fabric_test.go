@@ -14,17 +14,7 @@ import (
 // input-queued switch model.
 func buildVOQ(t *testing.T, spec topology.Spec, model SwitchModel, seed int64) *Network {
 	t.Helper()
-	topo, err := spec.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(topo.NumSwitches, 256, seed)
-	cfg.SwitchModel = model
-	n, err := NewWithTopology(cfg, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
+	return buildVOQSharded(t, spec, model, seed, 1)
 }
 
 // TestVOQForwardsGrantedByMatching is the oracle-driven crossbar

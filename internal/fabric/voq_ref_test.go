@@ -1,0 +1,679 @@
+package fabric
+
+import (
+	"math/bits"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/arbtable"
+	"repro/internal/faults"
+	"repro/internal/topology"
+)
+
+// This file holds what the word-wide crossbar replaced, kept as test
+// references, and the differential tests that compare the two: the
+// probe-loop iSLIP (matchReference), the 32x32 (+32x32) queue scans of
+// a scheduling pass (scanRequests), and the row-matrix entry of the MWM
+// oracle the oracle tests call.
+
+// match solves the weight matrix w (only the radix-sized corner
+// participates) with the oracle.
+func (sc *mwmScratch) match(w *[pP][pP]int32, match *[pP]int8) (size int, weight int64) {
+	for i := 0; i < sc.n; i++ {
+		copy(sc.w[i*sc.n:(i+1)*sc.n], w[i][:sc.n])
+	}
+	return sc.solve(match)
+}
+
+// matchReference is ISLIPState.Match as it was before the word-wide
+// rewrite, verbatim: every output probes up to P inputs from its grant
+// pointer with a % per probe, every granted input probes up to P
+// outputs from its accept pointer.
+func (st *ISLIPState) matchReference(req *[pP]uint32, iters int, match *[pP]int8) int {
+	const P = topology.SwitchPorts
+	for j := range match {
+		match[j] = -1
+	}
+	if iters < 1 {
+		iters = 1
+	}
+	var inMatched uint32
+	size := 0
+	for it := 0; it < iters && size < P; it++ {
+		// Grant phase.
+		var grants [P]uint32 // per input: outputs granting it this round
+		granted := false
+		for j := 0; j < P; j++ {
+			if match[j] >= 0 {
+				continue
+			}
+			g := int(st.Grant[j]) % P
+			for k := 0; k < P; k++ {
+				i := (g + k) % P
+				if inMatched&(1<<i) == 0 && req[i]&(1<<j) != 0 {
+					grants[i] |= 1 << j
+					granted = true
+					break
+				}
+			}
+		}
+		if !granted {
+			break // no addable edge remains; the matching is maximal
+		}
+		// Accept phase.
+		for i := 0; i < P; i++ {
+			if grants[i] == 0 {
+				continue
+			}
+			a := int(st.Accept[i]) % P
+			for k := 0; k < P; k++ {
+				j := (a + k) % P
+				if grants[i]&(1<<j) == 0 {
+					continue
+				}
+				match[j] = int8(i)
+				inMatched |= 1 << i
+				size++
+				if it == 0 {
+					st.Grant[j] = uint8((i + 1) % P)
+					st.Accept[i] = uint8((j + 1) % P)
+				}
+				break
+			}
+		}
+	}
+	return size
+}
+
+// TestTranspose32 checks the block-swap transpose against the
+// definition on random matrices.
+func TestTranspose32(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 64; round++ {
+		var a, want [32]uint32
+		for i := range a {
+			a[i] = rng.Uint32()
+			if round%4 == 0 {
+				a[i] &= rng.Uint32() & rng.Uint32() // sparse
+			}
+		}
+		for i := range a {
+			for j := 0; j < 32; j++ {
+				if a[i]&(1<<j) != 0 {
+					want[j] |= 1 << i
+				}
+			}
+		}
+		got := a
+		transpose32(&got)
+		if got != want {
+			t.Fatalf("round %d: transpose differs from the definition", round)
+		}
+	}
+}
+
+// compareISLIP runs Match and matchReference from the same state on
+// the same requests and fails on any difference in the matching, its
+// size or the successor pointer state.
+func compareISLIP(t *testing.T, name string, st ISLIPState, req *[pP]uint32, iters int) ISLIPState {
+	t.Helper()
+	ref := st
+	var got, want [pP]int8
+	size := st.Match(req, iters, &got)
+	wantSize := ref.matchReference(req, iters, &want)
+	if size != wantSize || got != want {
+		t.Fatalf("%s iters %d: Match size %d %v, reference size %d %v", name, iters, size, got, wantSize, want)
+	}
+	if st != ref {
+		t.Fatalf("%s iters %d: pointers after Match %+v, after the reference %+v", name, iters, st, ref)
+	}
+	return st
+}
+
+// TestISLIPMatchesReference is the differential test of the word-wide
+// matcher: fixed request shapes at radix 8, 16 and 32 (empty, full, one
+// column, one row, diagonal, rows at and beyond the radix) under
+// in-range, colliding and out-of-range pointers at every iteration
+// depth, then random matrices and pointer states fed through
+// consecutive passes so pointer updates feed back.
+func TestISLIPMatchesReference(t *testing.T) {
+	pointerStates := map[string]func(*ISLIPState){
+		"reset": func(*ISLIPState) {},
+		"colliding": func(st *ISLIPState) {
+			for i := range st.Grant {
+				st.Grant[i], st.Accept[i] = 5, 5
+			}
+		},
+		"counter-rotating": func(st *ISLIPState) {
+			for i := range st.Grant {
+				st.Grant[i] = uint8(i)
+				st.Accept[i] = uint8(pP - 1 - i)
+			}
+		},
+		"out-of-range": func(st *ISLIPState) {
+			for i := range st.Grant {
+				st.Grant[i] = uint8(200 + i)
+				st.Accept[i] = 255
+			}
+		},
+	}
+	for _, radix := range []int{8, 16, 32} {
+		full := uint32(uint64(1)<<radix - 1)
+		shapes := map[string][pP]uint32{"empty": {}}
+		var m [pP]uint32
+		for i := 0; i < radix; i++ {
+			m[i] = full
+		}
+		shapes["full"] = m
+		m = [pP]uint32{}
+		for i := 0; i < radix; i++ {
+			m[i] = 1 << (radix - 1)
+		}
+		shapes["one-column"] = m
+		m = [pP]uint32{}
+		m[radix/2] = full
+		shapes["one-row"] = m
+		m = [pP]uint32{}
+		for i := 0; i < radix; i++ {
+			m[i] = 1 << (radix - 1 - i)
+		}
+		shapes["anti-diagonal"] = m
+		// Requests from rows at and past the radix, and for outputs past
+		// it: Match is specified over the full array whatever the radix
+		// of the switch it serves.
+		m = [pP]uint32{}
+		for i := range m {
+			m[i] = full>>1 | 1<<uint(pP-1-i%4)
+		}
+		shapes["beyond-radix"] = m
+
+		for shape, req := range shapes {
+			for pname, setup := range pointerStates {
+				for iters := 1; iters <= pP; iters++ {
+					var st ISLIPState
+					setup(&st)
+					req := req
+					name := shape + "/" + pname
+					for pass := 0; pass < 3; pass++ {
+						st = compareISLIP(t, name, st, &req, iters)
+					}
+				}
+			}
+		}
+
+		rng := rand.New(rand.NewSource(int64(radix)))
+		for round := 0; round < 400; round++ {
+			var st ISLIPState
+			for i := range st.Grant {
+				st.Grant[i] = uint8(rng.Intn(256))
+				st.Accept[i] = uint8(rng.Intn(256))
+			}
+			density := []float64{0.05, 0.2, 0.5, 0.9}[round%4]
+			for pass := 0; pass < 8; pass++ {
+				var req [pP]uint32
+				for i := 0; i < radix; i++ {
+					for j := 0; j < radix; j++ {
+						if rng.Float64() < density {
+							req[i] |= 1 << j
+						}
+					}
+				}
+				st = compareISLIP(t, "random", st, &req, 1+rng.Intn(pP))
+			}
+		}
+	}
+}
+
+// voqPass is what one scheduling pass at an input-queued switch would
+// decide before matching: per free output the input whose VL 15 head it
+// serves (-1 none), and the data request matrix built from the inputs
+// and outputs the VL 15 phase left free.
+type voqPass struct {
+	mgmt       [pP]int8
+	req        [pP]uint32
+	backlogged int
+}
+
+// scanRequests is the candidate search voqSched ran before the
+// occupancy words replaced it, kept as the reference: availability
+// over all SwitchPorts ports, a round-robin probe of every input per
+// free output for VL 15, and a probe of every (input, output, VL)
+// queue for the request matrix.  It reads queue lengths only — none of
+// the maintained sets — and changes nothing.
+func scanRequests(n *Network, s int) voqPass {
+	const P = topology.SwitchPorts
+	node := n.switches[s]
+	v := node.voq
+	now := n.shardForSwitch(s).eng.Now()
+	capacity := n.bufferCapacity()
+	head := func(i, j, vl int) *Packet {
+		if i >= v.r || j >= v.r || v.queue(i, j, vl).len() == 0 {
+			return nil
+		}
+		return v.queue(i, j, vl).front()
+	}
+
+	var pass voqPass
+	for j := range pass.mgmt {
+		pass.mgmt[j] = -1
+	}
+	var outFree uint32
+	for j := 0; j < P; j++ {
+		out := &node.out[j]
+		if !out.wired || out.busyUntil > now {
+			continue
+		}
+		if n.Faults != nil && n.Faults.BlockedUntil(faults.SwitchPortKey(s, j), now) > now {
+			continue
+		}
+		outFree |= 1 << j
+	}
+	var inFree uint32
+	for i := 0; i < P; i++ {
+		if node.in[i].busyUntil <= now {
+			inFree |= 1 << i
+		}
+	}
+	if outFree == 0 || inFree == 0 {
+		return pass
+	}
+
+	for j := 0; j < P; j++ {
+		if outFree&(1<<j) == 0 {
+			continue
+		}
+		out := &node.out[j]
+		down := n.occView(out)
+		for k := 0; k < P; k++ {
+			i := (out.rr[arbtable.MgmtVL] + k) % P
+			if inFree&(1<<i) == 0 {
+				continue
+			}
+			pkt := head(i, j, arbtable.MgmtVL)
+			if pkt == nil {
+				continue
+			}
+			if down != nil && down[arbtable.MgmtVL]+pkt.Wire > capacity {
+				continue
+			}
+			pass.mgmt[j] = int8(i)
+			inFree &^= 1 << i
+			outFree &^= 1 << j
+			break
+		}
+	}
+
+	for i := 0; i < P; i++ {
+		if inFree&(1<<i) == 0 {
+			continue
+		}
+		for j := 0; j < P; j++ {
+			if outFree&(1<<j) == 0 {
+				continue
+			}
+			down := n.occView(&node.out[j])
+			for vl := 0; vl < arbtable.NumDataVLs; vl++ {
+				pkt := head(i, j, vl)
+				if pkt == nil {
+					continue
+				}
+				outvl := vl
+				if n.planes > 1 {
+					outvl = int(n.Routes.HopVL(node.id, pkt.Dst, pkt.Base))
+				}
+				if down == nil || down[outvl]+pkt.Wire <= capacity {
+					pass.req[i] |= 1 << j
+					break
+				}
+			}
+		}
+		if pass.req[i] != 0 {
+			pass.backlogged++
+		}
+	}
+	return pass
+}
+
+// indexRequests is what voqSched computes for the same switch now,
+// through the same helpers, with the pops and transmits of the VL 15
+// phase left out (they do not feed the data request matrix).
+func indexRequests(n *Network, s int) voqPass {
+	node := n.switches[s]
+	sh := n.shardForSwitch(s)
+	capacity := n.bufferCapacity()
+	var pass voqPass
+	for j := range pass.mgmt {
+		pass.mgmt[j] = -1
+	}
+	outFree, inFree := sh.voqFreePorts(node, sh.eng.Now())
+	if outFree == 0 || inFree == 0 {
+		return pass
+	}
+	for w := outFree; w != 0; w &= w - 1 {
+		j := bits.TrailingZeros32(w)
+		if i := n.voqMgmtCandidate(node, j, inFree, capacity); i >= 0 {
+			pass.mgmt[j] = int8(i)
+			inFree &^= 1 << i
+			outFree &^= 1 << j
+		}
+	}
+	var cols [pP]uint32
+	var outs uint32
+	outs, pass.backlogged = n.voqRequests(node, outFree, inFree, capacity, &cols)
+	for j, c := range cols {
+		if (c != 0) != (outs&(1<<j) != 0) {
+			panic("voqRequests: requested-output set disagrees with the columns")
+		}
+	}
+	transpose32(&cols)
+	pass.req = cols
+	return pass
+}
+
+// voqStats counts how hard a differential run exercised the scheduling
+// pass, so a test that compared nothing but idle switches fails loudly.
+type voqStats struct {
+	requests  int // request-matrix edges seen
+	contended int // outputs requested by more than one input
+	blocked   int // non-empty data groups that raised no request
+	mgmt      int // VL 15 candidates seen
+}
+
+// compareAllSwitches checks, for every input-queued switch, that the
+// occupancy words yield exactly the VL 15 picks and the request matrix
+// of the reference scan.
+func compareAllSwitches(t *testing.T, n *Network, st *voqStats) {
+	t.Helper()
+	for s, node := range n.switches {
+		want, got := scanRequests(n, s), indexRequests(n, s)
+		if got != want {
+			t.Fatalf("t=%d switch %d: occupancy words give mgmt %v req %x backlogged %d, scan gives mgmt %v req %x backlogged %d",
+				n.Now(), s, got.mgmt, got.req, got.backlogged, want.mgmt, want.req, want.backlogged)
+		}
+		var cols [pP]uint32
+		for i, row := range want.req {
+			st.requests += bits.OnesCount32(row)
+			for ; row != 0; row &= row - 1 {
+				cols[bits.TrailingZeros32(row)] |= 1 << i
+			}
+		}
+		for _, c := range cols {
+			if c&(c-1) != 0 {
+				st.contended++
+			}
+		}
+		for i, row := range node.voq.dataRows {
+			st.blocked += bits.OnesCount32(row &^ want.req[i])
+		}
+		for _, i := range want.mgmt {
+			if i >= 0 {
+				st.mgmt++
+			}
+		}
+	}
+}
+
+// matchAuditor hooks Network.OnMatch and replays every scheduling pass
+// through the references: the request matrix the pass matched must be
+// the scan's (at OnMatch time the VL 15 phase has already made its
+// inputs and outputs busy, so the scan sees the masks the data phase
+// saw), and the matching must be what the reference scheduler — the
+// probe-loop iSLIP from a shadow pointer state, or the oracle on
+// scanned occupancies — computes from it.  State is per switch, so the
+// hook is safe on a parallel run's shard goroutines.
+type matchAuditor struct {
+	shadow  []ISLIPState
+	oracle  []*mwmScratch
+	matches []int
+	edges   []int
+}
+
+func auditMatches(t *testing.T, n *Network) *matchAuditor {
+	a := &matchAuditor{
+		shadow:  make([]ISLIPState, len(n.switches)),
+		oracle:  make([]*mwmScratch, len(n.switches)),
+		matches: make([]int, len(n.switches)),
+		edges:   make([]int, len(n.switches)),
+	}
+	if n.model == ModelVOQMWM {
+		for s := range a.oracle {
+			a.oracle[s] = newMWMScratch(n.Topo.Ports())
+		}
+	}
+	n.OnMatch = func(sw int, match *[pP]int8, size int) {
+		v := n.switches[sw].voq
+		scan := scanRequests(n, sw)
+		var want [pP]int8
+		var wantSize int
+		if n.model == ModelVOQMWM {
+			var w [pP][pP]int32
+			for i, row := range scan.req {
+				for ; row != 0; row &= row - 1 {
+					j := bits.TrailingZeros32(row)
+					for vl := 0; vl < arbtable.NumVLs; vl++ {
+						w[i][j] += int32(v.queue(i, j, vl).len())
+					}
+				}
+			}
+			wantSize, _ = a.oracle[sw].match(&w, &want)
+		} else {
+			wantSize = a.shadow[sw].matchReference(&scan.req, n.islipIters, &want)
+			if a.shadow[sw] != v.islip {
+				t.Errorf("t=%d switch %d: iSLIP pointers %+v, reference %+v", n.Now(), sw, v.islip, a.shadow[sw])
+			}
+		}
+		if size != wantSize || *match != want {
+			t.Errorf("t=%d switch %d: matched %v (size %d), reference on the scanned requests %x gives %v (size %d)",
+				n.Now(), sw, *match, size, scan.req, want, wantSize)
+		}
+		a.matches[sw]++
+		for _, row := range scan.req {
+			a.edges[sw] += bits.OnesCount32(row)
+		}
+	}
+	return a
+}
+
+// check fails a run whose matchings were all trivial.
+func (a *matchAuditor) check(t *testing.T) {
+	t.Helper()
+	matches, edges := 0, 0
+	for s := range a.matches {
+		matches += a.matches[s]
+		edges += a.edges[s]
+	}
+	if matches == 0 || edges <= matches {
+		t.Fatalf("matchings too quiet to prove anything: %d passes, %d request edges", matches, edges)
+	}
+}
+
+// buildVOQSharded creates an input-queued network over a generated
+// topology with the given shard count.
+func buildVOQSharded(t *testing.T, spec topology.Spec, model SwitchModel, seed int64, shards int) *Network {
+	t.Helper()
+	topo, err := spec.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(topo.NumSwitches, 256, seed)
+	cfg.SwitchModel = model
+	cfg.Shards = shards
+	n, err := NewWithTopology(cfg, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestVOQIndexMatchesScan single-steps loaded input-queued fabrics of
+// every routing class under both schedulers and compares, after every
+// event, the VL 15 picks and request matrix the occupancy words yield
+// at every switch with the retired full scan's; every scheduling pass
+// is additionally replayed through the reference schedulers (see
+// matchAuditor).  Identical requests and matchings mean identical
+// forwards, pointer updates and events, which is what keeps
+// hol.golden.json byte-identical.
+func TestVOQIndexMatchesScan(t *testing.T) {
+	specs := []struct {
+		name   string
+		spec   topology.Spec
+		planes int
+	}{
+		{"irregular-8", topology.Spec{Class: topology.Irregular, Switches: 8, Seed: 11}, 1},
+		{"fattree-k4", topology.Spec{Class: topology.FatTree, K: 4}, 1},
+		{"dragonfly-2-2-1", topology.Spec{Class: topology.Dragonfly, A: 2, P: 2, H: 1}, 2},
+	}
+	for _, model := range []SwitchModel{ModelVOQISLIP, ModelVOQMWM} {
+		for _, tc := range specs {
+			model, tc := model, tc
+			t.Run(model.String()+"/"+tc.name, func(t *testing.T) {
+				n := buildVOQ(t, tc.spec, model, 9)
+				if n.planes != tc.planes {
+					t.Fatalf("planes = %d, want %d", n.planes, tc.planes)
+				}
+				loadDifferential(t, n, 31)
+				audit := auditMatches(t, n)
+				n.Start()
+				n.Run(20_000) // let the queues fill before comparing
+				var st voqStats
+				for step := 0; step < 4000; step++ {
+					if !n.Engine.Step() {
+						t.Fatal("engine ran dry")
+					}
+					compareAllSwitches(t, n, &st)
+					if step%500 == 0 {
+						if err := n.CheckBuffers(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				audit.check(t)
+				if st.requests == 0 || st.contended == 0 || st.blocked == 0 || st.mgmt == 0 {
+					t.Fatalf("run too quiet to prove anything: %+v", st)
+				}
+			})
+		}
+	}
+}
+
+// TestVOQIndexParallelShards is the same comparison on a two-shard
+// parallel run.  The matching replay runs inside the shard goroutines
+// and carries the proof; the per-switch comparison can only run at
+// window barriers — the only instants another goroutine may read shard
+// state — where every switch has already served what it could, so it
+// mostly agrees on blocked groups.  ci.sh runs it under -race.
+func TestVOQIndexParallelShards(t *testing.T) {
+	n := buildVOQSharded(t, topology.Spec{Class: topology.FatTree, K: 4}, ModelVOQISLIP, 3, 2)
+	if !n.Parallel() {
+		t.Fatal("2-shard fat-tree should run parallel")
+	}
+	loadDifferential(t, n, 17)
+	audit := auditMatches(t, n)
+	n.Start()
+	var st voqStats
+	for until := int64(20_000); until < 60_000; until += 97 {
+		n.Run(until)
+		compareAllSwitches(t, n, &st)
+	}
+	if err := n.CheckBuffers(); err != nil {
+		t.Fatal(err)
+	}
+	audit.check(t)
+	if st.blocked == 0 {
+		t.Fatalf("run too quiet to prove anything: %+v", st)
+	}
+}
+
+// TestVOQPermanentFaultPostsNoEvents is the regression for the event
+// leak under permanent fault windows: a scheduling pass used to post a
+// wake-up at the end of the window of every blocked output, every
+// pass, including windows that end at faults.Forever — one event per
+// pass that never executes.  With one port permanently down the event
+// population must stay bounded while the other ports keep delivering.
+func TestVOQPermanentFaultPostsNoEvents(t *testing.T) {
+	topo, err := topology.Generate(4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(4, 256, 7)
+	cfg.SwitchModel = ModelVOQISLIP
+	n, err := NewWithTopology(cfg, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := n.EnableMetrics()
+
+	// Host 0's switch keeps scheduling for a flow between two of its
+	// own hosts; one of its inter-switch ports is down for good.
+	sw, _ := topo.HostSwitch(0)
+	local := -1
+	for h := 1; h < topo.NumHosts(); h++ {
+		if s, _ := topo.HostSwitch(h); s == sw {
+			local = h
+			break
+		}
+	}
+	down := -1
+	for p := 0; p < topo.Ports(); p++ {
+		if topo.Peer(sw, p).Switch >= 0 {
+			down = p
+			break
+		}
+	}
+	if local < 0 || down < 0 {
+		t.Fatalf("switch %d: local host %d, inter-switch port %d", sw, local, down)
+	}
+	inj := faults.New(faults.Config{Seed: 1})
+	inj.AddLinkDown(faults.SwitchPortKey(sw, down), 0, faults.Forever)
+	n.SetFaults(inj)
+
+	f := admitFlow(t, n, 0, local, 9, 64)
+	n.Start()
+	n.Engine.Run(100 * f.IAT)
+	early := n.Engine.Pending()
+	n.Engine.Run(2000 * f.IAT)
+
+	passes := m.Snapshot().VOQ.SchedPasses
+	if passes < 1000 {
+		t.Fatalf("only %d scheduling passes ran", passes)
+	}
+	if f.delPkts < 1000 {
+		t.Fatalf("only %d packets delivered past the dead port", f.delPkts)
+	}
+	if late := n.Engine.Pending(); late > early+8 {
+		t.Fatalf("pending events grew %d -> %d over %d passes: wake-ups posted at the end of a permanent window",
+			early, late, passes)
+	}
+}
+
+// TestVOQStateSizedByRadix is the memory gate of the radix-sized VOQ
+// state: building the k=8 fat-tree under the input-queued model must
+// stay within 20 MB of heap (63 MB when every switch carried
+// 32x32x16 queues for its 8 ports).
+func TestVOQStateSizedByRadix(t *testing.T) {
+	topo, err := (topology.Spec{Class: topology.FatTree, K: 8}).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(topo.NumSwitches, 256, 7)
+	cfg.SwitchModel = ModelVOQISLIP
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	n, err := NewWithTopology(cfg, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	const budget = 20 << 20
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > budget {
+		t.Errorf("k=8 VOQ fabric holds %.1f MB of heap, budget %d MB", float64(grew)/(1<<20), budget>>20)
+	}
+	v := n.switches[0].voq
+	if r := topo.Ports(); v.r != r || len(v.q) != r*r*arbtable.NumVLs || len(v.nonEmpty) != r*r {
+		t.Errorf("VOQ state sized r=%d, %d queues, %d groups; topology radix %d", v.r, len(v.q), len(v.nonEmpty), r)
+	}
+	runtime.KeepAlive(n)
+}

@@ -66,6 +66,14 @@ echo "==> go test -race -run TestHeadIndex ./internal/fabric (WRR candidate-inde
 # the gate above, does the same at the barriers of a two-shard run).
 go test -race -run 'TestHeadIndex' -count=1 ./internal/fabric
 
+echo "==> go test -race -run TestVOQIndex ./internal/fabric (VOQ occupancy-word differential)"
+# The crossbar scheduling pass reads push-maintained occupancy words and
+# a word-wide iSLIP instead of scanning 32x32 queue groups; the
+# differential tests compare every VL 15 pick, request matrix and
+# matching with the retired scans, single-stepped and on a two-shard
+# parallel run whose OnMatch replay executes on the shard goroutines.
+go test -race -run 'TestVOQIndex' -count=1 ./internal/fabric
+
 echo "==> go test -race -run TestParallelControl ./internal/experiments (control-lane race gate)"
 # Churn and faults run their control planes — mid-run table programs,
 # retransmission, audits — as typed events serialized at window
@@ -78,6 +86,11 @@ echo "==> go test -run AllocBudget . (zero-alloc hot-path gate)"
 # full per-hop packet forwarding step with metrics disabled.  Must run
 # without -race (the detector's instrumentation allocates).
 go test -run 'AllocBudget' -count=1 .
+
+echo "==> go test -bench 'BenchmarkVOQForward|BenchmarkPerHopForwarding' -benchtime 1x . (forwarding benchmarks smoke)"
+# One iteration each, so the benchmarks behind the 0 allocs/op reports of
+# both forwarding paths at least build and run.
+go test -run '^$' -bench 'BenchmarkVOQForward|BenchmarkPerHopForwarding' -benchtime 1x .
 
 if [[ "$RUN_FUZZ" -eq 1 ]]; then
     # -fuzz takes one target per invocation; -run='^$' skips the unit
@@ -137,8 +150,9 @@ rm -f /tmp/ci_ctl_base.out /tmp/ci_ctl_n.out
 
 echo "==> bench correctness smoke (one short repetition per gated workload)"
 # Not a timing gate: each repetition runs the benchmark's own checks
-# (conservation, CheckBuffers — which audits the WRR candidate index —
-# control-plane audits) and must report "correct":true.
+# (conservation, CheckBuffers — which audits the WRR candidate index
+# and the VOQ occupancy words — control-plane audits) and must report
+# "correct":true.
 for w in wrr-k8 voq-islip-k8 admit-k8 churn-inband-k8; do
     RESULT="$(bash bench/run.sh -workload "$w" -seed 7 -seconds 1 -trace 0 | tail -n 1)"
     if [[ "$RESULT" != *'"correct":true'* ]]; then
