@@ -1,6 +1,11 @@
 package arbtable
 
-import "repro/internal/metrics"
+import (
+	"fmt"
+	"math/bits"
+
+	"repro/internal/metrics"
+)
 
 // Ready describes, for each data VL, the size in bytes of the packet at
 // the head of that VL's queue, or zero when the VL has nothing eligible
@@ -37,8 +42,8 @@ type choice struct {
 }
 
 // Arbiter is the weighted round-robin scheduling engine of one output
-// port.  It walks the high- and low-priority tables, tracking the byte
-// allowance of the current entry in each and the number of
+// port.  It cycles through the high- and low-priority tables, tracking
+// the byte allowance of the current entry in each and the number of
 // high-priority bytes sent since the last low-priority opportunity.
 //
 // The zero Arbiter is not usable; construct with NewArbiter.  An
@@ -46,6 +51,10 @@ type choice struct {
 // port owns one and all events run on a single goroutine.
 type Arbiter struct {
 	table *Table
+
+	// hiSlots is the table's HighSlotMasks as of epoch seen: the next
+	// serving high entry is found on these words, not by walking High.
+	hiSlots [NumDataVLs]uint64
 
 	hi wrrState
 	lo wrrState
@@ -87,9 +96,29 @@ func (a *Arbiter) Last() LastPick { return a.last }
 // in place between Pick calls (weights are re-read on every entry
 // visit); high-table changes arrive through Table.Swap, which the
 // arbiter observes at its next Pick — a packet boundary — and answers
-// with a deterministic re-anchor of its round-robin state.
+// with a deterministic re-anchor of its round-robin state.  Writing
+// t.High directly is only valid before this call: the arbiter indexes
+// the high table here and again at every re-anchor, nowhere else.
 func NewArbiter(t *Table) *Arbiter {
-	return &Arbiter{table: t, seen: t.Version()}
+	return &Arbiter{table: t, hiSlots: t.HighSlotMasks(), seen: t.Version()}
+}
+
+// CheckIndex verifies that the slot masks the arbiter schedules from
+// still describe its table's high entries.  A mismatch means High was
+// written directly while the arbiter was attached instead of going
+// through Swap.  A swap the arbiter has not yet picked under is not a
+// mismatch: the masks are rebuilt when it re-anchors.
+func (a *Arbiter) CheckIndex() error {
+	if a.table.Version() != a.seen {
+		return nil
+	}
+	for vl, want := range a.table.HighSlotMasks() {
+		if got := a.hiSlots[vl]; got != want {
+			return fmt.Errorf("arbtable: VL %d slot mask %#016x, high table has %#016x (written without Swap?)",
+				vl, got, want)
+		}
+	}
+	return nil
 }
 
 // Reanchors returns how many times a table swap forced the arbiter to
@@ -125,8 +154,9 @@ func (a *Arbiter) Pick(ready *Ready) (vl int, high bool, ok bool) {
 		a.hi.active = false
 		a.hi.residual = 0
 		a.reanchors++
+		a.hiSlots = a.table.HighSlotMasks()
 	}
-	hiCh, hiN, hiOK := peek(a.table.High[:], &a.hi, ready)
+	hiCh, hiN, hiOK := a.peekHigh(ready)
 	loCh, loN, loOK := peek(a.table.Low, &a.lo, ready)
 	if m := a.m; m != nil {
 		m.EntriesVisited += int64(hiN + loN)
@@ -172,6 +202,51 @@ func (a *Arbiter) limitExceeded() bool {
 	return a.hiSinceLow > 0 && a.hiSinceLow >= int(a.table.Limit)*LimitUnit
 }
 
+// hold is the rule both tables share before any scan: the current entry
+// keeps the token while it has residual allowance and an eligible
+// packet.  Otherwise it returns the slot the cyclic scan starts from:
+// the one after the current entry, or, before the first pick (inactive
+// state), the current slot itself so the table is honored from its
+// beginning.
+func (st *wrrState) hold(entries []Entry, ready *Ready) (ch choice, start int, ok bool) {
+	if !st.active {
+		return choice{}, st.idx, false
+	}
+	if st.residual > 0 {
+		e := entries[st.idx]
+		if !e.IsFree() && e.VL < NumDataVLs && ready[e.VL] > 0 {
+			return choice{entry: st.idx, vl: int(e.VL), fresh: false}, 0, true
+		}
+	}
+	return choice{}, st.idx + 1, false
+}
+
+// peekHigh is peek for the high table, with the cyclic scan done on the
+// slot masks: the slots whose VL is eligible are the OR of hiSlots over
+// the ready VLs, and the first of them at or after the cursor is one
+// rotate and one count-trailing-zeros away.  That is the entry a walk
+// from the cursor would stop at, after examining step+1 entries; with
+// no eligible slot the walk would have examined the whole table.
+// visited keeps reporting that count.
+func (a *Arbiter) peekHigh(ready *Ready) (ch choice, visited int, ok bool) {
+	ch, start, ok := a.hi.hold(a.table.High[:], ready)
+	if ok {
+		return ch, 1, true
+	}
+	var elig uint64
+	for vl, size := range ready {
+		if size != 0 {
+			elig |= a.hiSlots[vl]
+		}
+	}
+	if elig == 0 {
+		return choice{}, TableSize, false
+	}
+	step := bits.TrailingZeros64(bits.RotateLeft64(elig, -start))
+	i := (start + step) % TableSize
+	return choice{entry: i, vl: int(a.table.High[i].VL), fresh: true}, step + 1, true
+}
+
 // peek finds the entry the weighted round-robin would serve next
 // without consuming anything.  The current entry keeps the token while
 // it has residual allowance and an eligible packet; otherwise the scan
@@ -187,19 +262,11 @@ func peek(entries []Entry, st *wrrState, ready *Ready) (ch choice, visited int, 
 		// The table shrank since the last pick (dynamic low tables).
 		st.idx, st.active = 0, false
 	}
-	if st.active && st.residual > 0 {
-		e := entries[st.idx]
-		if !e.IsFree() && ready[e.VL] > 0 {
-			return choice{entry: st.idx, vl: int(e.VL), fresh: false}, 1, true
-		}
+	ch, start, ok := st.hold(entries, ready)
+	if ok {
+		return ch, 1, true
 	}
-	// Advance to the next entry with an eligible VL.  Before the first
-	// pick (inactive state) the scan starts at the current slot itself
-	// so the table is honored from its beginning.
-	start := st.idx
-	if st.active {
-		start = st.idx + 1
-	}
+	// Advance to the next entry with an eligible VL.
 	for step := 0; step < len(entries); step++ {
 		i := (start + step) % len(entries)
 		e := entries[i]

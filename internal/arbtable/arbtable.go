@@ -14,6 +14,7 @@ package arbtable
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -72,6 +73,10 @@ type Table struct {
 	// High is the high-priority table.  The fill-in algorithm of the
 	// paper operates on these 64 slots; positions matter because the
 	// distance between consecutive occupied slots bounds latency.
+	// Direct writes are only valid before an Arbiter is attached: a
+	// running arbiter schedules from slot masks it derives from High at
+	// construction and after every Swap, so later changes must arrive
+	// through Swap (Arbiter.CheckIndex reports the ones that did not).
 	High [TableSize]Entry
 
 	// Low is the low-priority table, used for best-effort and
@@ -159,14 +164,40 @@ func (t *Table) FreeHighSlots() int {
 	return n
 }
 
+// HighSlotMasks returns, for every data VL, the set of high-table
+// slots that serve it: bit i of element vl is set when High[i] names vl
+// with weight > 0.  These are the paper's entry sets E(i,j) seen from
+// the arbiter's side — a sequence of 2^k equally spaced slots is one
+// strided 64-bit word.  Entries naming a VL outside the data range
+// (which Validate rejects) appear in no mask.
+func (t *Table) HighSlotMasks() (masks [NumDataVLs]uint64) {
+	for i, e := range t.High {
+		if !e.IsFree() && e.VL < NumDataVLs {
+			masks[e.VL] |= 1 << uint(i)
+		}
+	}
+	return masks
+}
+
+// highSlotMask returns the HighSlotMasks element of one VL, zero for
+// VLs outside the data range.
+func (t *Table) highSlotMask(vl uint8) uint64 {
+	if vl >= NumDataVLs {
+		return 0
+	}
+	return t.HighSlotMasks()[vl]
+}
+
 // HighSlotsForVL returns the high-table slot indices occupied by vl, in
 // ascending position order.
 func (t *Table) HighSlotsForVL(vl uint8) []int {
-	var out []int
-	for i, e := range t.High {
-		if !e.IsFree() && e.VL == vl {
-			out = append(out, i)
-		}
+	m := t.highSlotMask(vl)
+	if m == 0 {
+		return nil
+	}
+	out := make([]int, 0, bits.OnesCount64(m))
+	for ; m != 0; m &= m - 1 {
+		out = append(out, bits.TrailingZeros64(m))
 	}
 	return out
 }
@@ -176,25 +207,21 @@ func (t *Table) HighSlotsForVL(vl uint8) []int {
 // slot.  This is the quantity the paper's latency guarantee bounds: a
 // connection requesting distance d must see MaxGap <= d.
 func (t *Table) MaxGap(vl uint8) int {
-	slots := t.HighSlotsForVL(vl)
-	if len(slots) == 0 {
+	m := t.highSlotMask(vl)
+	if m == 0 {
 		return 0
 	}
-	if len(slots) == 1 {
-		return TableSize
+	// Rotate an occupied slot to bit 0; each further set bit then ends
+	// one gap, and the wrap back to bit 0 closes the last one.  A lone
+	// slot is its own successor a full table away.
+	m = bits.RotateLeft64(m, -bits.TrailingZeros64(m)) &^ 1
+	maxGap, prev := 0, 0
+	for ; m != 0; m &= m - 1 {
+		next := bits.TrailingZeros64(m)
+		maxGap = max(maxGap, next-prev)
+		prev = next
 	}
-	maxGap := 0
-	for i := range slots {
-		next := slots[(i+1)%len(slots)]
-		gap := next - slots[i]
-		if gap <= 0 {
-			gap += TableSize
-		}
-		if gap > maxGap {
-			maxGap = gap
-		}
-	}
-	return maxGap
+	return max(maxGap, TableSize-prev)
 }
 
 // ServiceShare returns the fraction of high-priority service a VL is

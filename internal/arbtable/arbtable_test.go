@@ -1,6 +1,8 @@
 package arbtable
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -102,6 +104,107 @@ func TestMaxGap(t *testing.T) {
 	tb3.High[8] = Entry{VL: 2, Weight: 5}
 	if g := tb3.MaxGap(2); g != 56 {
 		t.Errorf("uneven gap = %d, want 56", g)
+	}
+}
+
+// highSlotsReference and maxGapReference are the slot walks
+// HighSlotsForVL and MaxGap were before they read the per-VL mask.
+func highSlotsReference(t *Table, vl uint8) []int {
+	var out []int
+	for i, e := range t.High {
+		if !e.IsFree() && e.VL == vl {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func maxGapReference(t *Table, vl uint8) int {
+	slots := highSlotsReference(t, vl)
+	if len(slots) == 0 {
+		return 0
+	}
+	if len(slots) == 1 {
+		return TableSize
+	}
+	maxGap := 0
+	for i := range slots {
+		gap := slots[(i+1)%len(slots)] - slots[i]
+		if gap <= 0 {
+			gap += TableSize
+		}
+		if gap > maxGap {
+			maxGap = gap
+		}
+	}
+	return maxGap
+}
+
+// TestSlotMaskHelpersMatchSlotWalk: on random tables — lanes holding 0,
+// 1, 2, a random number of and all 64 slots, zero-weight entries that
+// name a lane without occupying it — the mask-based HighSlotMasks,
+// HighSlotsForVL and MaxGap agree with the entry walks they replaced.
+func TestSlotMaskHelpersMatchSlotWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for trial := 0; trial < 500; trial++ {
+		tb := New(0)
+		// VL 0 gets the trial's occupancy class; the rest of the table
+		// is random filler, a quarter of it weightless.
+		var own int
+		switch trial % 5 {
+		case 0, 1, 2:
+			own = trial % 5
+		case 3:
+			own = TableSize
+		default:
+			own = 3 + rng.Intn(TableSize-3)
+		}
+		for n, slot := range rng.Perm(TableSize) {
+			switch {
+			case n < own:
+				tb.High[slot] = Entry{VL: 0, Weight: uint8(1 + rng.Intn(MaxWeight))}
+			case rng.Intn(4) == 0:
+				tb.High[slot] = Entry{VL: uint8(rng.Intn(NumDataVLs)), Weight: 0}
+			default:
+				tb.High[slot] = Entry{VL: uint8(1 + rng.Intn(NumDataVLs-1)), Weight: uint8(rng.Intn(3))}
+			}
+		}
+		masks := tb.HighSlotMasks()
+		for vl := uint8(0); vl < NumDataVLs; vl++ {
+			want := highSlotsReference(tb, vl)
+			if got := tb.HighSlotsForVL(vl); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d VL %d: slots %v, walk finds %v", trial, vl, got, want)
+			}
+			var mask uint64
+			for _, s := range want {
+				mask |= 1 << uint(s)
+			}
+			if masks[vl] != mask {
+				t.Fatalf("trial %d VL %d: mask %#x, walk finds %#x", trial, vl, masks[vl], mask)
+			}
+			if got, want := tb.MaxGap(vl), maxGapReference(tb, vl); got != want {
+				t.Fatalf("trial %d VL %d on %v: max gap %d, walk finds %d", trial, vl, tb, got, want)
+			}
+		}
+		if got := len(tb.HighSlotsForVL(0)); got != own {
+			t.Fatalf("trial %d: VL 0 holds %d slots, built with %d", trial, got, own)
+		}
+	}
+}
+
+// TestMaxGapNoAllocs: the distance audits call MaxGap once per live
+// sequence; it works on one word and must not allocate.
+func TestMaxGapNoAllocs(t *testing.T) {
+	tb := New(0)
+	for s := 3; s < TableSize; s += 8 {
+		tb.High[s] = Entry{VL: 6, Weight: 2}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if g := tb.MaxGap(6); g != 8 {
+			t.Fatalf("max gap %d, want 8", g)
+		}
+	}); allocs != 0 {
+		t.Errorf("MaxGap allocates %.1f/op, want 0", allocs)
 	}
 }
 

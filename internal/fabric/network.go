@@ -246,7 +246,9 @@ func (n *Network) EnableMetrics() *metrics.Metrics {
 		}
 		for s, node := range n.switches {
 			for p := range node.out {
-				node.out[p].arb.SetMetrics(&n.shardForSwitch(s).metrics.Arb)
+				if arb := node.out[p].arb; arb != nil {
+					arb.SetMetrics(&n.shardForSwitch(s).metrics.Arb)
+				}
 			}
 		}
 	}
@@ -424,7 +426,6 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 		for p := 0; p < topology.SwitchPorts; p++ {
 			pt := ports.Switch[s][p]
 			op := &node.out[p]
-			op.arb = arbtable.NewArbiter(pt.Active())
 			op.pt = pt
 			op.code = switchCode(s, p)
 			op.downSwitch, op.downPort, op.downHost = -1, -1, -1
@@ -435,12 +436,15 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 				op.downHost = host
 				op.wired = true
 				ip.upHost = host
-				continue
-			}
-			if peer := topo.Peer(s, p); peer.Switch >= 0 {
+			} else if peer := topo.Peer(s, p); peer.Switch >= 0 {
 				op.downSwitch, op.downPort = peer.Switch, peer.Port
 				op.wired = true
 				ip.upSwitch, ip.upPort = peer.Switch, peer.Port
+			}
+			// Only wired ports arbitrate (trySwitch and voqFreePorts
+			// skip the rest), so only they carry an arbiter.
+			if op.wired {
+				op.arb = arbtable.NewArbiter(pt.Active())
 			}
 		}
 		n.switches[s] = node
@@ -1251,12 +1255,25 @@ func (n *Network) ReconfigStats() core.ReconfigStats {
 // least the bytes of the packets actually queued (the rest being
 // space reserved for packets still on the wire or in the crossbar).
 // It also audits what the scheduling passes read instead of scanning
-// queues, against a full scan: every WRR switch's candidate index (see
-// checkHeads) and every input-queued switch's occupancy words (see
-// checkVOQ).
+// queues or tables, against a full scan: every arbiter's high-table
+// slot masks (arbtable.Arbiter.CheckIndex), every WRR switch's
+// candidate index (see checkHeads) and every input-queued switch's
+// occupancy words (see checkVOQ).
 func (n *Network) CheckBuffers() error {
 	capacity := n.bufferCapacity()
+	for _, h := range n.hosts {
+		if err := h.out.arb.CheckIndex(); err != nil {
+			return fmt.Errorf("fabric: host %d: %w", h.id, err)
+		}
+	}
 	for _, s := range n.switches {
+		for p := range s.out {
+			if arb := s.out[p].arb; arb != nil {
+				if err := arb.CheckIndex(); err != nil {
+					return fmt.Errorf("fabric: switch %d port %d: %w", s.id, p, err)
+				}
+			}
+		}
 		if s.heads != nil {
 			if err := n.checkHeads(s); err != nil {
 				return err

@@ -37,7 +37,7 @@ type inPort struct {
 // interface.  It owns the weighted round-robin arbiter over the
 // arbitration table that admission control fills in.
 type outPort struct {
-	arb       *arbtable.Arbiter
+	arb       *arbtable.Arbiter // nil on unwired switch ports, which never arbitrate
 	busyUntil int64
 	pending   bool // a kick event is already scheduled
 

@@ -74,6 +74,16 @@ echo "==> go test -race -run TestVOQIndex ./internal/fabric (VOQ occupancy-word 
 # parallel run whose OnMatch replay executes on the shard goroutines.
 go test -race -run 'TestVOQIndex' -count=1 ./internal/fabric
 
+echo "==> go test -race -run TestArbiterIndex ./internal/arbtable (high-table slot-mask differential)"
+# Arbiter.Pick finds the next serving high-table entry on per-VL slot
+# masks (one rotate and one count-trailing-zeros) instead of walking 64
+# entries; the differential test drives it and the retired walk over one
+# table with random scripts — swaps mid-allowance, shrinking low tables,
+# every Limit class, idle passes — and compares every pick, cursor and
+# counter.  Network.CheckBuffers audits the masks of every wired port,
+# so the fabric gates above and the bench smoke below cover them too.
+go test -race -run 'TestArbiterIndex' -count=1 ./internal/arbtable
+
 echo "==> go test -race -run TestParallelControl ./internal/experiments (control-lane race gate)"
 # Churn and faults run their control planes — mid-run table programs,
 # retransmission, audits — as typed events serialized at window
@@ -101,6 +111,7 @@ if [[ "$RUN_FUZZ" -eq 1 ]]; then
     done <<'EOF'
 ./internal/core FuzzAllocatorTrace
 ./internal/core FuzzShape
+./internal/arbtable FuzzArbiterPick
 ./internal/mad FuzzHighTableDecode
 ./internal/faults FuzzFaultSchedule
 ./internal/faults FuzzFailureSchedule
@@ -150,8 +161,9 @@ rm -f /tmp/ci_ctl_base.out /tmp/ci_ctl_n.out
 
 echo "==> bench correctness smoke (one short repetition per gated workload)"
 # Not a timing gate: each repetition runs the benchmark's own checks
-# (conservation, CheckBuffers — which audits the WRR candidate index
-# and the VOQ occupancy words — control-plane audits) and must report
+# (conservation, CheckBuffers — which audits the arbiter slot masks,
+# the WRR candidate index and the VOQ occupancy words — control-plane
+# audits) and must report
 # "correct":true.
 for w in wrr-k8 voq-islip-k8 admit-k8 churn-inband-k8; do
     RESULT="$(bash bench/run.sh -workload "$w" -seed 7 -seconds 1 -trace 0 | tail -n 1)"
