@@ -7,8 +7,13 @@
 package repro_test
 
 import (
+	"math/rand"
 	"testing"
+	"unsafe"
 
+	"repro/internal/admission"
+	"repro/internal/arbtable"
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/sl"
 	"repro/internal/topology"
@@ -136,5 +141,196 @@ func TestAllocBudgetVOQForwarding(t *testing.T) {
 				t.Errorf("StaleArrivals = %d, want 0", s)
 			}
 		})
+	}
+}
+
+// TestAllocBudgetFillIn gates the control-plane writer of the table:
+// joining and leaving a shared sequence, defragmentation, the capacity
+// queries and the audit allocate nothing; a fresh allocation costs its
+// Sequence record and a programming transaction its Delta, nothing
+// else; and an Allocator stays within the size the occupancy word and
+// the ID-ordered live list brought it to (it was 936 bytes plus a map
+// with an owner array per slot, times one allocator per port).
+func TestAllocBudgetFillIn(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budgets hold only without race instrumentation")
+	}
+	if size := unsafe.Sizeof(core.Allocator{}); size > 512 {
+		t.Errorf("core.Allocator is %d bytes, want <= 512", size)
+	}
+	pt := core.NewPortTable(arbtable.New(arbtable.UnlimitedHigh))
+	// A resident population on several lanes and of several sizes, so
+	// that every pass below has sequences to visit.
+	for vl, d := range []int{2, 8, 16, 32, 64, 64} {
+		if _, err := pt.Reserve(uint8(vl), d, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := pt.Allocator()
+	sink := 0
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		op     func()
+	}{
+		{"Reserve joining + Release not emptying", 0, func() {
+			r, err := pt.Reserve(2, 16, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pt.Release(r); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Defragment", 0, func() { sink += a.Defragment() }},
+		{"FreeSlots + TotalWeight", 0, func() { sink += a.FreeSlots() + a.TotalWeight() }},
+		{"CanAllocate", 0, func() {
+			if !a.CanAllocate(8, 300) || a.CanAllocate(2, 1) {
+				t.Fatal("wrong capacity answer")
+			}
+		}},
+		{"CheckInvariants", 0, func() {
+			if err := a.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// The release empties the sequence and defragments.
+		{"Allocate + RemoveWeight", 1, func() {
+			s, err := a.Allocate(9, 32, 300)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.RemoveWeight(s.ID, 300); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// Two transactions: the join dirties the table, the release
+		// dirties it back.
+		{"2 x BeginProgram + delivery", 2, func() {
+			r, err := pt.Reserve(2, 16, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			program(t, pt)
+			if err := pt.Release(r); err != nil {
+				t.Fatal(err)
+			}
+			program(t, pt)
+		}},
+	} {
+		tc.op() // grow slices to their steady capacity
+		if allocs := testing.AllocsPerRun(200, tc.op); allocs > tc.budget {
+			t.Errorf("%s allocates %.2f objects per op, budget %.0f", tc.name, allocs, tc.budget)
+		}
+	}
+	_ = sink
+}
+
+// program opens a programming transaction on a dirty port and delivers
+// every block of it, as admission.DirectProgrammer does.
+func program(t testing.TB, pt *core.PortTable) {
+	d, err := pt.BeginProgram()
+	if err != nil || len(d.Blocks) == 0 {
+		t.Fatalf("BeginProgram on a dirty port: %d blocks, error %v", len(d.Blocks), err)
+	}
+	for _, b := range d.Blocks {
+		if _, err := pt.DeliverBlock(d.Version, b.Index, len(d.Blocks), b.Entries); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// admitLoopK8 is the closed admission loop of the benchmark's admit-k8
+// workload: the control state of a k=8 fat-tree filled to its
+// reservation cap, then one offered request per step; a refusal tears
+// down four random live connections.
+type admitLoopK8 struct {
+	adm  *admission.Controller
+	src  *traffic.Source
+	rng  *rand.Rand
+	live []*admission.Conn
+}
+
+func newAdmitLoopK8(t testing.TB) *admitLoopK8 {
+	const payload, seed, fillPerHost = 256, 7, 128
+	topo, err := topology.Spec{Class: topology.FatTree, K: 8}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := fabric.BuildControl(fabric.DefaultConfig(topo.NumSwitches, payload, seed), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &admitLoopK8{
+		adm: cs.Adm,
+		src: traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), seed+1),
+		rng: rand.New(rand.NewSource(seed + 3)),
+	}
+	for i := 0; i < fillPerHost*topo.NumHosts(); i++ {
+		if conn, err := l.adm.Admit(l.src.Next()); err == nil {
+			l.live = append(l.live, conn)
+		}
+	}
+	return l
+}
+
+func (l *admitLoopK8) step(t testing.TB) {
+	conn, err := l.adm.Admit(l.src.Next())
+	if err == nil {
+		l.live = append(l.live, conn)
+		return
+	}
+	for j := 0; j < 4 && len(l.live) > 0; j++ {
+		k := l.rng.Intn(len(l.live))
+		victim := l.live[k]
+		l.live[k] = l.live[len(l.live)-1]
+		l.live = l.live[:len(l.live)-1]
+		if err := l.adm.Release(victim); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// admitLoopAllocBudget is the heap allocations one offered request of
+// the closed loop may cost, releases included (0.8 of them per request
+// near the cap): the connection and its hop list, the route walk, one
+// Delta per changed port, a Sequence per fresh placement, and the error
+// of a refusal.  It was 57 with the array/map allocator; the ceiling
+// sits just above what the loop measures so that it cannot creep back.
+const admitLoopAllocBudget = 16
+
+// TestAllocBudgetAdmitRelease gates a whole admission transaction.
+func TestAllocBudgetAdmitRelease(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budgets hold only without race instrumentation")
+	}
+	if testing.Short() {
+		t.Skip("fills a k=8 control state")
+	}
+	l := newAdmitLoopK8(t)
+	for i := 0; i < 2000; i++ {
+		l.step(t) // settle at the cap
+	}
+	allocs := testing.AllocsPerRun(20000, func() { l.step(t) })
+	t.Logf("%.2f allocs per offered request", allocs)
+	if allocs > admitLoopAllocBudget {
+		t.Errorf("closed admission loop allocates %.2f objects per offered request, budget %d", allocs, admitLoopAllocBudget)
+	}
+	if err := l.adm.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// BenchmarkAdmitReleaseK8 times the same closed loop, one offered
+// request per iteration.
+func BenchmarkAdmitReleaseK8(b *testing.B) {
+	l := newAdmitLoopK8(b)
+	for i := 0; i < 2000; i++ {
+		l.step(b)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.step(b)
 	}
 }

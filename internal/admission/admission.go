@@ -7,8 +7,9 @@
 // Admission is a two-phase transaction across the path:
 //
 //   - Prepare: every hop reserves the weight on its shadow
-//     (control-plane) table.  A hop that is over budget, out of table
-//     space, or currently mid-reprogram (ErrHopBusy) fails the
+//     (control-plane) table.  A hop that is over budget
+//     (ErrOverBudget), out of table space (core.ErrNoSpace), currently
+//     mid-reprogram (ErrHopBusy) or quarantined (ErrHopDown) fails the
 //     transaction.
 //   - Abort: on failure the hops already reserved are rolled back in
 //     reverse order of acquisition, without defragmentation, restoring
@@ -46,6 +47,11 @@ var ErrHopBusy = errors.New("admission: hop mid-reprogram")
 // the hop stays down for a macroscopic time — so AdmitWithRetry fails
 // fast instead of backing off.
 var ErrHopDown = errors.New("admission: hop down (quarantined)")
+
+// ErrOverBudget marks an admission refused because a hop's reserved
+// weight plus the request would exceed the controller's Budget — lack
+// of bandwidth, as opposed to lack of table entries (core.ErrNoSpace).
+var ErrOverBudget = errors.New("over budget")
 
 // PortID names one arbitration point of the fabric, so programmers can
 // attribute costs (hop distance from the subnet manager) to the port a
@@ -251,32 +257,13 @@ func (c *Controller) Ports() *Ports { return c.ports }
 // Live returns the number of admitted connections.
 func (c *Controller) Live() int { return len(c.live) }
 
-// site is one arbitration point of a path: its identity, its table,
-// and the wire VL the reservation lands on there.
-type site struct {
-	id    PortID
-	table *core.PortTable
-	vl    uint8
-}
-
-// pathSites returns the arbitration points of a route in order — the
-// source host interface, then each switch's output port along the path
-// (the last one being the destination host port) — with each hop's
-// wire VL resolved from the base VL via routing.PathHops.
-func (c *Controller) pathSites(src, dst int, base uint8) ([]site, error) {
-	hops, err := c.routes.PathHops(src, dst, base)
-	if err != nil {
-		return nil, err
+// site resolves one arbitration point of a path from src: the source
+// host interface, or a switch's output port.
+func (c *Controller) site(src int, h routing.Hop) (PortID, *core.PortTable) {
+	if h.Switch < 0 {
+		return HostPortID(src), c.ports.Host[src]
 	}
-	sites := make([]site, len(hops))
-	for i, h := range hops {
-		if h.Switch < 0 {
-			sites[i] = site{id: HostPortID(src), table: c.ports.Host[src], vl: h.WireVL}
-			continue
-		}
-		sites[i] = site{id: SwitchPortID(h.Switch, h.Port), table: c.ports.Switch[h.Switch][h.Port], vl: h.WireVL}
-	}
-	return sites, nil
+	return SwitchPortID(h.Switch, h.Port), c.ports.Switch[h.Switch][h.Port]
 }
 
 // Admit runs the two-phase admission transaction: every arbitration
@@ -296,7 +283,10 @@ func (c *Controller) Admit(req traffic.Request) (*Conn, error) {
 	if d, ok := c.Distances[req.Level.SL]; ok {
 		distance = d
 	}
-	sites, err := c.pathSites(req.Src, req.Dst, base)
+	// The arbitration points in path order — the source host interface,
+	// then each switch's output port (the last one being the destination
+	// host port) — each with the wire VL the reservation lands on there.
+	path, err := c.routes.PathHops(req.Src, req.Dst, base)
 	if err != nil {
 		return nil, err
 	}
@@ -305,32 +295,33 @@ func (c *Controller) Admit(req traffic.Request) (*Conn, error) {
 		ID:     c.nextID,
 		Req:    req,
 		Weight: weight,
-		Hops:   len(sites),
+		Hops:   len(path),
+		hops:   make([]hop, 0, len(path)),
 	}
 	conn.Deadline = int64(conn.Hops) * sl.HopDeadlineByteTimes(req.Level.Distance, c.PacketWire)
 
 	// Phase 1: prepare on the shadow tables.
-	for i, st := range sites {
-		tb := st.table
-		if c.Down != nil && c.Down(st.id) {
+	for i, h := range path {
+		id, tb := c.site(req.Src, h)
+		if c.Down != nil && c.Down(id) {
 			c.abort(conn)
-			return nil, fmt.Errorf("admission: hop %d/%d (%v): %w", i+1, len(sites), st.id, ErrHopDown)
+			return nil, fmt.Errorf("admission: hop %d/%d (%v): %w", i+1, len(path), id, ErrHopDown)
 		}
 		if tb.Programming() {
 			c.abort(conn)
-			return nil, fmt.Errorf("admission: hop %d/%d (%v): %w", i+1, len(sites), st.id, ErrHopBusy)
+			return nil, fmt.Errorf("admission: hop %d/%d (%v): %w", i+1, len(path), id, ErrHopBusy)
 		}
-		if tb.ReservedWeight()+weight > c.Budget {
+		if reserved := tb.ReservedWeight(); reserved+weight > c.Budget {
 			c.abort(conn)
-			return nil, fmt.Errorf("admission: hop %d/%d over budget (%d + %d > %d)",
-				i+1, len(sites), tb.ReservedWeight(), weight, c.Budget)
+			return nil, fmt.Errorf("admission: hop %d/%d %w (%d + %d > %d)",
+				i+1, len(path), ErrOverBudget, reserved, weight, c.Budget)
 		}
-		res, err := tb.Reserve(st.vl, distance, weight)
+		res, err := tb.Reserve(h.WireVL, distance, weight)
 		if err != nil {
 			c.abort(conn)
-			return nil, fmt.Errorf("admission: hop %d/%d: %w", i+1, len(sites), err)
+			return nil, fmt.Errorf("admission: hop %d/%d: %w", i+1, len(path), err)
 		}
-		conn.hops = append(conn.hops, hop{id: st.id, table: tb, res: res})
+		conn.hops = append(conn.hops, hop{id: id, table: tb, res: res})
 	}
 
 	// Phase 2: commit — emit one delta per hop to the data plane.

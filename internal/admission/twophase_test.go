@@ -33,72 +33,124 @@ func snap(pt *core.PortTable) portSnapshot {
 	return s
 }
 
-// TestAbortAtLastHopLeavesEarlierHopsUntouched drives the two-phase
-// protocol to its abort path: a 3-hop admission (source host
-// interface, source switch uplink, destination switch downlink) whose
-// LAST hop has no capacity left.  The first two hops prepared
-// successfully; the abort must roll them back to byte-identical
-// pre-Admit state.
-func TestAbortAtLastHopLeavesEarlierHopsUntouched(t *testing.T) {
-	c, topo := newController(t, 2, 3)
-	dst := topo.NumHosts() - 1 // a host on switch 1
-
-	// Saturate the destination switch's port to dst from a host on the
-	// same switch (2-hop paths: they never touch switch 0's tables).
-	for i := 0; i < 40; i++ {
-		if _, err := c.Admit(req(4, dst, 9, 64)); err != nil {
-			break
-		}
-	}
-	if _, err := c.Admit(req(4, dst, 9, 64)); err == nil {
-		t.Fatal("destination port still has capacity; saturation failed")
-	}
-
-	sites, err := c.pathSites(0, dst, 9)
+// pathTables returns the arbitration points Admit visits for a request
+// from src to dst on the given base VL, in path order.
+func pathTables(t *testing.T, c *Controller, src, dst int, base uint8) []hop {
+	t.Helper()
+	path, err := c.routes.PathHops(src, dst, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sites) != 3 {
-		t.Fatalf("path 0->%d has %d arbitration points, want 3", dst, len(sites))
+	hops := make([]hop, len(path))
+	for i, h := range path {
+		hops[i].id, hops[i].table = c.site(src, h)
 	}
-	before := make([]portSnapshot, len(sites))
-	for i, s := range sites {
-		before[i] = snap(s.table)
-	}
+	return hops
+}
 
-	if _, err := c.Admit(req(0, dst, 9, 64)); err == nil {
-		t.Fatal("admission over the saturated last hop succeeded")
-	}
-
-	for i, s := range sites {
-		after := snap(s.table)
-		if after.shadow != before[i].shadow {
-			t.Errorf("hop %d (%v): shadow table changed across aborted admission", i, s.id)
-		}
-		if after.active != before[i].active {
-			t.Errorf("hop %d (%v): active table changed across aborted admission", i, s.id)
-		}
-		if after.low != before[i].low {
-			t.Errorf("hop %d (%v): low table changed across aborted admission", i, s.id)
-		}
-		if after.reserved != before[i].reserved {
-			t.Errorf("hop %d (%v): reserved weight %d, want %d", i, s.id, after.reserved, before[i].reserved)
-		}
-		if len(after.seqs) != len(before[i].seqs) {
-			t.Errorf("hop %d (%v): %d sequences, want %d", i, s.id, len(after.seqs), len(before[i].seqs))
-			continue
-		}
-		for k := range after.seqs {
-			if after.seqs[k] != before[i].seqs[k] {
-				t.Errorf("hop %d (%v): sequence %d = %s, want %s", i, s.id, k, after.seqs[k], before[i].seqs[k])
+// TestAbortAtLastHopLeavesEarlierHopsUntouched drives the two-phase
+// protocol to its abort path once per refusal class: a 3-hop admission
+// (source host interface, source switch uplink, destination switch
+// downlink) whose LAST hop refuses — out of table entries, over the
+// weight budget, mid-reprogram, or quarantined.  The first two hops
+// prepared successfully; the abort must roll them back to
+// byte-identical pre-Admit state, and the error must name its class.
+func TestAbortAtLastHopLeavesEarlierHopsUntouched(t *testing.T) {
+	classes := []error{core.ErrNoSpace, ErrOverBudget, ErrHopBusy, ErrHopDown}
+	// saturate fills the destination switch's port to dst from a host on
+	// the same switch (2-hop paths: they never touch switch 0's tables).
+	saturate := func(t *testing.T, c *Controller, dst int, mbps float64) {
+		for i := 0; i < 100; i++ {
+			if _, err := c.Admit(req(4, dst, 9, mbps)); err != nil {
+				return
 			}
 		}
-		if err := s.table.Allocator().CheckInvariants(); err != nil {
-			t.Errorf("hop %d (%v): %v", i, s.id, err)
-		}
+		t.Fatal("destination port still has capacity; saturation failed")
 	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Error(err)
+	for _, tc := range []struct {
+		name  string
+		want  error
+		setup func(t *testing.T, c *Controller, dst int, last PortID)
+	}{
+		// 64 Mbps is weight 523: four slots each and no sharing, so the
+		// 64 entries run out at 16 connections, well inside the budget.
+		{"no space", core.ErrNoSpace, func(t *testing.T, c *Controller, dst int, _ PortID) {
+			saturate(t, c, dst, 64)
+		}},
+		// 30 Mbps fits one slot but not two to a sequence: the weight
+		// budget is spent while a dozen entries are still free.
+		{"over budget", ErrOverBudget, func(t *testing.T, c *Controller, dst int, last PortID) {
+			saturate(t, c, dst, 30)
+			if free := c.ports.Switch[last.Switch][last.Port].Allocator().FreeSlots(); free == 0 {
+				t.Fatal("table filled before the budget did")
+			}
+		}},
+		{"busy", ErrHopBusy, func(t *testing.T, c *Controller, dst int, _ PortID) {
+			c.SetProgrammer(&captureProgrammer{})
+			if _, err := c.Admit(req(4, dst, 9, 32)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"down", ErrHopDown, func(t *testing.T, c *Controller, _ int, last PortID) {
+			c.Down = func(id PortID) bool { return id == last }
+		}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			c, topo := newController(t, 2, 3)
+			dst := topo.NumHosts() - 1 // a host on switch 1
+			sites := pathTables(t, c, 0, dst, 9)
+			if len(sites) != 3 {
+				t.Fatalf("path 0->%d has %d arbitration points, want 3", dst, len(sites))
+			}
+			tc.setup(t, c, dst, sites[2].id)
+
+			before := make([]portSnapshot, len(sites))
+			for i, s := range sites {
+				before[i] = snap(s.table)
+			}
+
+			_, err := c.Admit(req(0, dst, 9, 64))
+			if err == nil {
+				t.Fatal("admission over the refusing last hop succeeded")
+			}
+			for _, class := range classes {
+				if got, want := errors.Is(err, class), class == tc.want; got != want {
+					t.Errorf("errors.Is(%q, %q) = %v, want %v", err, class, got, want)
+				}
+			}
+
+			for i, s := range sites {
+				after := snap(s.table)
+				if after.shadow != before[i].shadow {
+					t.Errorf("hop %d (%v): shadow table changed across aborted admission", i, s.id)
+				}
+				if after.active != before[i].active {
+					t.Errorf("hop %d (%v): active table changed across aborted admission", i, s.id)
+				}
+				if after.low != before[i].low {
+					t.Errorf("hop %d (%v): low table changed across aborted admission", i, s.id)
+				}
+				if after.reserved != before[i].reserved {
+					t.Errorf("hop %d (%v): reserved weight %d, want %d", i, s.id, after.reserved, before[i].reserved)
+				}
+				if len(after.seqs) != len(before[i].seqs) {
+					t.Errorf("hop %d (%v): %d sequences, want %d", i, s.id, len(after.seqs), len(before[i].seqs))
+					continue
+				}
+				for k := range after.seqs {
+					if after.seqs[k] != before[i].seqs[k] {
+						t.Errorf("hop %d (%v): sequence %d = %s, want %s", i, s.id, k, after.seqs[k], before[i].seqs[k])
+					}
+				}
+				if err := s.table.Allocator().CheckInvariants(); err != nil {
+					t.Errorf("hop %d (%v): %v", i, s.id, err)
+				}
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

@@ -47,15 +47,31 @@
 // the invariant (the companion technical report with the original
 // incremental procedure is unavailable; this re-derivation achieves
 // the same stated property and is verified by property tests).
+//
+// # Representation
+//
+// A candidate set is a strided 64-bit constant — E(i,0) has the bits
+// 0, 2^i, 2·2^i, ... set and E(i,j) is that word shifted left by j —
+// so the allocator keeps slot ownership as one occupancy word: "is
+// this set free" is an AND, placing and freeing a sequence an OR and an
+// AND-NOT, the free-slot count a population count, and the bit-reversal
+// scan reads a precomputed order table.  The live sequences sit in one
+// list in ascending ID order (IDs only grow, so appending keeps it
+// sorted), which makes "largest first, ties by ID" six passes over the
+// list, one per size class, with no sorting; the reserved weight is a
+// running total.  Nothing on the reserve/release/defragment path
+// allocates except the Sequence record of a fresh placement.  The word,
+// the list order and the total are derived state: CheckInvariants
+// recomputes each from the sequence records and the table and reports
+// any disagreement.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"repro/internal/arbtable"
-	"repro/internal/bitrev"
 )
 
 // TableSize is the number of slots in the high-priority table.
@@ -166,29 +182,59 @@ func nextPow2(n int) int {
 	return p
 }
 
-func log2(n int) int {
-	b := 0
-	for 1<<uint(b) < n {
-		b++
+// numStrides counts the power-of-two strides 1, 2, 4, ..., TableSize;
+// tables indexed by log2(stride) have this many rows.
+const numStrides = 7
+
+// strideMask[i] is the candidate set E(i,0) as a 64-bit word: the
+// slots 0, 2^i, 2·2^i, ...  Shifting it left by j gives E(i,j), so
+// "is this set free", "claim it" and "give it back" are one AND, OR
+// and AND-NOT against the occupancy word.
+var strideMask = func() (m [numStrides]uint64) {
+	for i := range m {
+		for pos := 0; pos < TableSize; pos += 1 << uint(i) {
+			m[i] |= 1 << uint(pos)
+		}
 	}
-	return b
+	return m
+}()
+
+// setMask returns the candidate set with the given stride (a power of
+// two in [1, TableSize]) and start offset as a slot mask.
+func setMask(stride, start int) uint64 {
+	return strideMask[bits.TrailingZeros(uint(stride))] << uint(start)
 }
+
+// mask returns the slots the sequence occupies.
+func (s *Sequence) mask() uint64 { return setMask(s.Stride, s.Start) }
 
 // Allocator manages the high-priority table of one output port.  It is
 // not safe for concurrent use; in the simulator each port is owned by
 // the single simulation goroutine.
+//
+// Besides the table it keeps three pieces of derived state, all
+// re-derived and compared by CheckInvariants: occ, live's order, and
+// total.
 type Allocator struct {
-	table    *arbtable.Table
-	policy   Policy
-	occupied [TableSize]SeqID // 0 = free
-	seqs     map[SeqID]*Sequence
-	nextID   SeqID
+	table  *arbtable.Table
+	policy Policy
+	nextID SeqID
+
+	// occ is the occupancy word: bit i is set when slot i belongs to a
+	// live sequence.
+	occ uint64
+
+	// live holds the live sequences in ascending ID order.  IDs are
+	// assigned in increasing order, so appending on Allocate keeps it
+	// sorted; a table of 64 slots holds at most 64 of them.
+	live []*Sequence
+
+	// total is the aggregate weight of the live sequences.
+	total int
 
 	// byVL indexes the live sequences by virtual lane, each list in
-	// ascending ID order.  It lets the sequence-sharing scan of
-	// PortTable.Reserve run without sorting or allocating: IDs are
-	// assigned in increasing order, so appending on Allocate keeps the
-	// lists sorted.
+	// ascending ID order like live.  It lets the sequence-sharing scan
+	// of PortTable.Reserve visit one lane's sequences only.
 	byVL [arbtable.NumDataVLs][]*Sequence
 
 	// moves counts sequences relocated by defragmentation over the
@@ -207,7 +253,7 @@ func NewAllocator(t *arbtable.Table) *Allocator {
 // NewAllocatorWithPolicy returns an allocator using an alternative
 // placement policy; used by the baseline comparisons.
 func NewAllocatorWithPolicy(t *arbtable.Table, p Policy) *Allocator {
-	return &Allocator{table: t, policy: p, seqs: make(map[SeqID]*Sequence), nextID: 1}
+	return &Allocator{table: t, policy: p, nextID: 1}
 }
 
 // Policy returns the allocator's placement policy.
@@ -217,32 +263,16 @@ func (a *Allocator) Policy() Policy { return a.policy }
 func (a *Allocator) Table() *arbtable.Table { return a.table }
 
 // FreeSlots returns the number of unoccupied high-priority slots.
-func (a *Allocator) FreeSlots() int {
-	n := 0
-	for _, id := range a.occupied {
-		if id == 0 {
-			n++
-		}
-	}
-	return n
-}
+func (a *Allocator) FreeSlots() int { return TableSize - bits.OnesCount64(a.occ) }
 
 // TotalWeight returns the aggregate weight of all live sequences.
-func (a *Allocator) TotalWeight() int {
-	w := 0
-	for _, s := range a.seqs {
-		w += s.Weight
-	}
-	return w
-}
+func (a *Allocator) TotalWeight() int { return a.total }
 
-// Sequences returns the live sequences sorted by ID.
+// Sequences returns the live sequences sorted by ID, in a fresh slice
+// the caller owns.
 func (a *Allocator) Sequences() []*Sequence {
-	out := make([]*Sequence, 0, len(a.seqs))
-	for _, s := range a.seqs {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := make([]*Sequence, len(a.live))
+	copy(out, a.live)
 	return out
 }
 
@@ -259,17 +289,41 @@ func (a *Allocator) SequencesForVL(vl uint8) []*Sequence {
 }
 
 // Lookup returns the sequence with the given ID, or nil.
-func (a *Allocator) Lookup(id SeqID) *Sequence { return a.seqs[id] }
+func (a *Allocator) Lookup(id SeqID) *Sequence {
+	if i := a.find(id); i >= 0 {
+		return a.live[i]
+	}
+	return nil
+}
 
-// setFree reports whether the candidate set with the given stride and
-// start offset is entirely free.
-func (a *Allocator) setFree(stride, start int) bool {
-	for k := start; k < TableSize; k += stride {
-		if a.occupied[k] != 0 {
-			return false
+// find returns the position of the sequence with the given ID in the
+// ID-ordered live list, or -1.
+func (a *Allocator) find(id SeqID) int {
+	lo, hi := 0, len(a.live)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if a.live[mid].ID < id {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return true
+	if lo < len(a.live) && a.live[lo].ID == id {
+		return lo
+	}
+	return -1
+}
+
+// firstFree returns the first start offset, in the policy's inspection
+// order, whose candidate set of the given stride is entirely free.
+func (a *Allocator) firstFree(stride int) (start int, ok bool) {
+	m := setMask(stride, 0)
+	for _, j := range a.policy.Order(stride) {
+		if a.occ&(m<<uint(j)) == 0 {
+			return j, true
+		}
+	}
+	return 0, false
 }
 
 // Allocate places a new sequence for a connection of virtual lane vl
@@ -286,49 +340,47 @@ func (a *Allocator) Allocate(vl uint8, distance, weight int) (*Sequence, error) 
 	if err != nil {
 		return nil, err
 	}
-	for _, j := range a.policy.Order(stride) {
-		if !a.setFree(stride, j) {
-			continue
-		}
-		s := &Sequence{
-			ID: a.nextID, VL: vl,
-			Stride: stride, Start: j, Count: count,
-			Weight: weight, Conns: 1,
-		}
-		a.nextID++
-		a.seqs[s.ID] = s
-		a.byVL[vl] = append(a.byVL[vl], s) // IDs ascend, so the index stays sorted
-		a.place(s)
-		return s, nil
+	j, ok := a.firstFree(stride)
+	if !ok {
+		return nil, fmt.Errorf("%w (need %d slots at stride %d, %d free)",
+			ErrNoSpace, count, stride, a.FreeSlots())
 	}
-	return nil, fmt.Errorf("%w (need %d slots at stride %d, %d free)",
-		ErrNoSpace, count, stride, a.FreeSlots())
+	s := &Sequence{
+		ID: a.nextID, VL: vl,
+		Stride: stride, Start: j, Count: count,
+		Weight: weight, Conns: 1,
+	}
+	a.nextID++
+	// IDs ascend, so both lists stay sorted.
+	a.live = append(a.live, s)
+	a.byVL[vl] = append(a.byVL[vl], s)
+	a.total += weight
+	a.place(s)
+	return s, nil
 }
 
-// place writes the sequence's slots into the occupancy map and the
-// arbitration table, distributing its table weight as evenly as
-// possible (every slot gets at least one unit).
+// place claims the sequence's slots in the occupancy word and writes
+// them to the arbitration table, distributing its table weight as
+// evenly as possible (every slot gets at least one unit).
 func (a *Allocator) place(s *Sequence) {
+	a.occ |= s.mask()
 	w := s.TableWeight()
 	base := w / s.Count
 	extra := w % s.Count
 	for k := 0; k < s.Count; k++ {
-		pos := s.Start + k*s.Stride
-		a.occupied[pos] = s.ID
 		ew := base
 		if k < extra {
 			ew++
 		}
-		a.table.High[pos] = arbtable.Entry{VL: s.VL, Weight: uint8(ew)}
+		a.table.High[s.Start+k*s.Stride] = arbtable.Entry{VL: s.VL, Weight: uint8(ew)}
 	}
 }
 
-// unplace clears the sequence's slots from the occupancy map and the
+// unplace clears the sequence's slots from the occupancy word and the
 // table.
 func (a *Allocator) unplace(s *Sequence) {
-	for k := 0; k < s.Count; k++ {
-		pos := s.Start + k*s.Stride
-		a.occupied[pos] = 0
+	a.occ &^= s.mask()
+	for pos := s.Start; pos < TableSize; pos += s.Stride {
 		a.table.High[pos] = arbtable.Entry{}
 	}
 }
@@ -337,7 +389,7 @@ func (a *Allocator) unplace(s *Sequence) {
 // existing sequence.  It fails without side effects when the sequence
 // lacks capacity.
 func (a *Allocator) AddWeight(id SeqID, weight int) error {
-	s := a.seqs[id]
+	s := a.Lookup(id)
 	if s == nil {
 		return ErrUnknownSeq
 	}
@@ -349,6 +401,7 @@ func (a *Allocator) AddWeight(id SeqID, weight int) error {
 	}
 	s.Weight += weight
 	s.Conns++
+	a.total += weight
 	a.place(s)
 	return nil
 }
@@ -372,20 +425,22 @@ func (a *Allocator) RemoveWeightNoDefrag(id SeqID, weight int) (freed bool, err 
 }
 
 func (a *Allocator) removeWeight(id SeqID, weight int, defrag bool) (freed bool, err error) {
-	s := a.seqs[id]
-	if s == nil {
+	i := a.find(id)
+	if i < 0 {
 		return false, ErrUnknownSeq
 	}
+	s := a.live[i]
 	if weight < 1 || weight > s.Weight {
 		return false, fmt.Errorf("core: cannot remove weight %d from sequence with weight %d", weight, s.Weight)
 	}
 	s.Weight -= weight
+	a.total -= weight
 	if s.Conns > 0 {
 		s.Conns--
 	}
 	if s.Weight == 0 {
 		a.unplace(s)
-		delete(a.seqs, id)
+		a.live = removeAt(a.live, i)
 		a.dropFromIndex(s)
 		if defrag {
 			a.Defragment()
@@ -396,12 +451,20 @@ func (a *Allocator) removeWeight(id SeqID, weight int, defrag bool) (freed bool,
 	return false, nil
 }
 
+// removeAt splices element i out of an ordered sequence list, clearing
+// the vacated tail cell so the freed sequence is not kept alive.
+func removeAt(list []*Sequence, i int) []*Sequence {
+	copy(list[i:], list[i+1:])
+	list[len(list)-1] = nil
+	return list[:len(list)-1]
+}
+
 // dropFromIndex splices a freed sequence out of the per-VL index.
 func (a *Allocator) dropFromIndex(s *Sequence) {
 	idx := a.byVL[s.VL]
 	for i, cand := range idx {
 		if cand.ID == s.ID {
-			a.byVL[s.VL] = append(idx[:i], idx[i+1:]...)
+			a.byVL[s.VL] = removeAt(idx, i)
 			return
 		}
 	}
@@ -409,10 +472,10 @@ func (a *Allocator) dropFromIndex(s *Sequence) {
 }
 
 // Defragment relocates live sequences to the lowest free bit-reversal
-// ranks, largest sequences first.  After it runs, the free slots again
-// contain a fully free aligned candidate set of every power-of-two
-// size up to the number of free slots, so the allocation theorem
-// holds.  It returns the number of sequences that moved.
+// ranks, largest sequences first, ties by ID.  After it runs, the free
+// slots again contain a fully free aligned candidate set of every
+// power-of-two size up to the number of free slots, so the allocation
+// theorem holds.  It returns the number of sequences that moved.
 //
 // Placing power-of-two-sized blocks in decreasing size order at the
 // first free candidate set (bit-reversal order = left-to-right in the
@@ -420,69 +483,47 @@ func (a *Allocator) dropFromIndex(s *Sequence) {
 // the remaining free sets then have pairwise distinct sizes whose sum
 // is the free-slot count F, so a free set of size 2^k exists for every
 // 2^k <= F.
+//
+// The placement order is produced without sorting: one pass over the
+// ID-ordered live list per size class, 32 slots down to 1.  Within a
+// class the shadow occupancy only grows, so a candidate set found
+// taken stays taken and each pass resumes its bit-reversal scan where
+// the previous sequence of the class stopped.
 func (a *Allocator) Defragment() (moves int) {
-	seqs := a.Sequences()
-	// Largest first; ties broken by ID for determinism.
-	sort.SliceStable(seqs, func(i, j int) bool { return seqs[i].Count > seqs[j].Count })
-
-	// Recompute placement from scratch on a shadow occupancy.
-	var shadow [TableSize]SeqID
-	free := func(stride, start int) bool {
-		for k := start; k < TableSize; k += stride {
-			if shadow[k] != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	newStart := make(map[SeqID]int, len(seqs))
-	for _, s := range seqs {
-		bits := log2(s.Stride)
-		placed := false
-		for _, j := range bitrev.Order(bits) {
-			if !free(s.Stride, j) {
+	var shadow uint64
+	var newStart [TableSize]int8 // by position in live
+	// Strides 2 up to 64: sequences of 32 slots down to 1.
+	for class := 1; class < numStrides; class++ {
+		m, order := strideMask[class], bitrevOrder[class]
+		rank := 0
+		for i, s := range a.live {
+			if s.Stride != 1<<uint(class) {
 				continue
 			}
-			for k := j; k < TableSize; k += s.Stride {
-				shadow[k] = s.ID
+			for rank < len(order) && shadow&(m<<uint(order[rank])) != 0 {
+				rank++
 			}
-			newStart[s.ID] = j
-			placed = true
-			break
-		}
-		if !placed {
-			// Cannot happen: the same sequences fit before.
-			panic("core: defragmentation failed to place a live sequence")
-		}
-	}
-
-	// Apply the new layout.
-	for _, s := range seqs {
-		if newStart[s.ID] != s.Start {
-			moves++
+			if rank == len(order) {
+				// Cannot happen: the same sequences fit before.
+				panic("core: defragmentation failed to place a live sequence")
+			}
+			j := order[rank]
+			shadow |= m << uint(j)
+			newStart[i] = int8(j)
+			if j != s.Start {
+				moves++
+			}
 		}
 	}
-	a.moves += moves
 	if moves == 0 {
 		return 0
 	}
-	a.occupied = shadow
-	for i := range a.table.High {
-		a.table.High[i] = arbtable.Entry{}
-	}
-	for _, s := range seqs {
-		s.Start = newStart[s.ID]
-		tw := s.TableWeight()
-		base := tw / s.Count
-		extra := tw % s.Count
-		for k := 0; k < s.Count; k++ {
-			pos := s.Start + k*s.Stride
-			w := base
-			if k < extra {
-				w++
-			}
-			a.table.High[pos] = arbtable.Entry{VL: s.VL, Weight: uint8(w)}
-		}
+	a.moves += moves
+	a.occ = shadow
+	a.table.High = [TableSize]arbtable.Entry{}
+	for i, s := range a.live {
+		s.Start = int(newStart[i])
+		a.place(s)
 	}
 	return moves
 }
@@ -498,39 +539,43 @@ func (a *Allocator) CanAllocate(distance, weight int) bool {
 	if err != nil {
 		return false
 	}
-	for _, j := range a.policy.Order(stride) {
-		if a.setFree(stride, j) {
-			return true
-		}
-	}
-	return false
+	_, ok := a.firstFree(stride)
+	return ok
 }
 
 // CheckInvariants verifies the allocator's internal consistency and
 // the paper's allocation theorem.  It is used by tests and by the
-// simulator's self-checks.
+// simulator's self-checks, including after every rolled-back hop of a
+// refused admission, so it does not allocate.
 func (a *Allocator) CheckInvariants() error {
-	// 1. Occupancy and table agree with the sequence records.
-	var seen [TableSize]bool
-	for _, s := range a.seqs {
-		if s.Start < 0 || s.Start >= s.Stride {
-			return fmt.Errorf("sequence %v: start outside [0,stride)", s)
+	// 1. The table agrees with the sequence records, and the derived
+	// state — the ID order of the live list, the occupancy word, the
+	// running weight total — agrees with what the records imply.
+	var owned uint64
+	var prev SeqID
+	weight := 0
+	for _, s := range a.live {
+		if s.ID <= prev {
+			return fmt.Errorf("live list out of ID order at sequence %d (after %d)", s.ID, prev)
 		}
+		prev = s.ID
 		if s.Count*s.Stride != TableSize {
 			return fmt.Errorf("sequence %v: count*stride != %d", s, TableSize)
+		}
+		if s.Start < 0 || s.Start >= s.Stride {
+			return fmt.Errorf("sequence %v: start outside [0,stride)", s)
 		}
 		if s.Weight < 1 || s.Weight > s.Capacity() {
 			return fmt.Errorf("sequence %v: weight out of range", s)
 		}
+		weight += s.Weight
+		m := s.mask()
+		if both := owned & m; both != 0 {
+			return fmt.Errorf("slot %d claimed by two sequences", bits.TrailingZeros64(both))
+		}
+		owned |= m
 		sum := 0
-		for _, pos := range s.Slots() {
-			if seen[pos] {
-				return fmt.Errorf("slot %d claimed by two sequences", pos)
-			}
-			seen[pos] = true
-			if a.occupied[pos] != s.ID {
-				return fmt.Errorf("slot %d: occupied=%d, want %d", pos, a.occupied[pos], s.ID)
-			}
+		for pos := s.Start; pos < TableSize; pos += s.Stride {
 			e := a.table.High[pos]
 			if e.VL != s.VL {
 				return fmt.Errorf("slot %d: table VL %d, sequence VL %d", pos, e.VL, s.VL)
@@ -544,13 +589,17 @@ func (a *Allocator) CheckInvariants() error {
 			return fmt.Errorf("sequence %v: slot weights sum to %d, want %d", s, sum, s.TableWeight())
 		}
 	}
-	for pos, id := range a.occupied {
-		if id != 0 && !seen[pos] {
-			return fmt.Errorf("slot %d: occupied by unknown sequence %d", pos, id)
-		}
-		if id == 0 && !a.table.High[pos].IsFree() {
+	if diff := a.occ ^ owned; diff != 0 {
+		pos := bits.TrailingZeros64(diff)
+		return fmt.Errorf("slot %d: occupancy bit %d, live sequences say %d", pos, a.occ>>uint(pos)&1, owned>>uint(pos)&1)
+	}
+	for pos := range a.table.High {
+		if owned>>uint(pos)&1 == 0 && !a.table.High[pos].IsFree() {
 			return fmt.Errorf("slot %d: free but table entry not empty", pos)
 		}
+	}
+	if a.total != weight {
+		return fmt.Errorf("running weight total %d, live sequences sum to %d", a.total, weight)
 	}
 	// 2. The per-VL index holds exactly the live sequences, in
 	// ascending ID order.
@@ -559,7 +608,7 @@ func (a *Allocator) CheckInvariants() error {
 		var prev SeqID
 		for _, s := range a.byVL[vl] {
 			indexed++
-			if a.seqs[s.ID] != s {
+			if a.Lookup(s.ID) != s {
 				return fmt.Errorf("VL %d index holds stale sequence %d", vl, s.ID)
 			}
 			if int(s.VL) != vl {
@@ -571,8 +620,8 @@ func (a *Allocator) CheckInvariants() error {
 			prev = s.ID
 		}
 	}
-	if indexed != len(a.seqs) {
-		return fmt.Errorf("VL index holds %d sequences, allocator has %d", indexed, len(a.seqs))
+	if indexed != len(a.live) {
+		return fmt.Errorf("VL index holds %d sequences, allocator has %d", indexed, len(a.live))
 	}
 	// 3. The allocation theorem: for every power-of-two size up to the
 	// free-slot count there is a fully free candidate set.  Only the
@@ -582,15 +631,7 @@ func (a *Allocator) CheckInvariants() error {
 	}
 	free := a.FreeSlots()
 	for n := 1; n <= free && n <= MaxSeqSlots; n *= 2 {
-		stride := TableSize / n
-		found := false
-		for j := 0; j < stride; j++ {
-			if a.setFree(stride, j) {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if _, found := a.firstFree(TableSize / n); !found {
 			return fmt.Errorf("theorem violated: %d slots free but no free set of size %d", free, n)
 		}
 	}

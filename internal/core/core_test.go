@@ -332,3 +332,36 @@ func TestTotalMovesAccounting(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCheckInvariantsAuditsDerivedState corrupts, one at a time, each
+// piece of state the allocator maintains incrementally instead of
+// re-deriving — the occupancy word, the running weight total, the ID
+// order of the live list — and expects the audit to notice.
+func TestCheckInvariantsAuditsDerivedState(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(a *Allocator)
+	}{
+		// The first sequence starts at slot 0; 13 slots are taken in
+		// all and slot 63 is not one of them.
+		{"occ marks a free slot", func(a *Allocator) { a.occ |= 1 << 63 }},
+		{"occ misses an owned slot", func(a *Allocator) { a.occ &^= 1 }},
+		{"total too high", func(a *Allocator) { a.total++ }},
+		{"total too low", func(a *Allocator) { a.total -= 40 }},
+		{"live list out of ID order", func(a *Allocator) { a.live[0], a.live[1] = a.live[1], a.live[0] }},
+	} {
+		a := newAlloc()
+		for vl, d := range []int{8, 16, 64} {
+			if _, err := a.Allocate(uint8(vl), d, 40); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatalf("%s: before corruption: %v", tc.name, err)
+		}
+		tc.corrupt(a)
+		if err := a.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants reported nothing", tc.name)
+		}
+	}
+}

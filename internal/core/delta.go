@@ -68,19 +68,24 @@ func (p *PortTable) BeginProgram() (Delta, error) {
 		return Delta{}, ErrProgramInFlight
 	}
 	shadow := p.alloc.Table()
-	var d Delta
-	for b := 0; b < NumHighBlocks; b++ {
-		lo := b * BlockEntries
-		var blk [BlockEntries]arbtable.Entry
-		copy(blk[:], shadow.High[lo:lo+BlockEntries])
-		var act [BlockEntries]arbtable.Entry
-		copy(act[:], p.active.High[lo:lo+BlockEntries])
-		if blk != act {
-			d.Blocks = append(d.Blocks, BlockDelta{Index: b, Entries: blk})
+	var changed [NumHighBlocks]bool
+	n := 0
+	for b := range changed {
+		if *highBlock(&shadow.High, b) != *highBlock(&p.active.High, b) {
+			changed[b] = true
+			n++
 		}
 	}
-	if len(d.Blocks) == 0 {
+	if n == 0 {
 		return Delta{}, nil
+	}
+	// The delta owns its blocks: a programmer holds it while its SMPs
+	// are in flight, so no buffer is shared across transactions.
+	d := Delta{Blocks: make([]BlockDelta, 0, n)}
+	for b, diff := range changed {
+		if diff {
+			d.Blocks = append(d.Blocks, BlockDelta{Index: b, Entries: *highBlock(&shadow.High, b)})
+		}
 	}
 	d.Version = p.active.Version() + 1
 	p.programming = true
@@ -187,10 +192,12 @@ func (p *PortTable) abortProgram() {
 // activeBlockMatches reports whether the active table already carries
 // exactly these entries at the given block.
 func (p *PortTable) activeBlockMatches(index int, entries [BlockEntries]arbtable.Entry) bool {
-	lo := index * BlockEntries
-	var act [BlockEntries]arbtable.Entry
-	copy(act[:], p.active.High[lo:lo+BlockEntries])
-	return act == entries
+	return *highBlock(&p.active.High, index) == entries
+}
+
+// highBlock returns block b of a high table in place.
+func highBlock(high *[TableSize]arbtable.Entry, b int) *[BlockEntries]arbtable.Entry {
+	return (*[BlockEntries]arbtable.Entry)(high[b*BlockEntries : (b+1)*BlockEntries])
 }
 
 // CancelProgram rolls back the open programming transaction iff it is

@@ -49,12 +49,20 @@ func materialize(descs []seqDesc) *Allocator {
 			Stride: d.stride, Start: d.start, Count: TableSize / d.stride,
 			Weight: TableSize / d.stride, Conns: 1,
 		}
-		a.seqs[s.ID] = s
-		a.byVL[s.VL] = append(a.byVL[s.VL], s)
-		a.place(s)
+		a.insert(s)
 	}
-	a.nextID = SeqID(len(descs) + 1)
 	return a
+}
+
+// insert adds a sequence at the placement its record names, bypassing
+// the policy's scan, and keeps every piece of derived allocator state
+// in step.  Records must arrive in ascending ID order with free slots.
+func (a *Allocator) insert(s *Sequence) {
+	a.live = append(a.live, s)
+	a.byVL[s.VL] = append(a.byVL[s.VL], s)
+	a.total += s.Weight
+	a.nextID = s.ID + 1
+	a.place(s)
 }
 
 // snapshot reads the allocator's state back as descriptors.

@@ -10,7 +10,10 @@ import (
 // against one allocator — two bytes per op: an opcode byte (even =
 // allocate with distance chosen by value, odd = release the op/2-th
 // accepted sequence) and a weight byte — and checks the allocation
-// theorem and all structural invariants after every step.  Run with
+// theorem and all structural invariants after every step.  The retired
+// array/map allocator runs the same stream in lock-step and every
+// observable (table bytes, sequences, moves, free slots, weight) must
+// match it after every operation.  Run with
 // `go test -fuzz FuzzAllocatorTrace ./internal/core` to explore; the
 // seed corpus keeps it active as a regular test.
 func FuzzAllocatorTrace(f *testing.F) {
@@ -20,6 +23,7 @@ func FuzzAllocatorTrace(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a := NewAllocator(arbtable.New(arbtable.UnlimitedHigh))
+		ref := newRefAllocator(BitReversal)
 		type live struct {
 			id     SeqID
 			weight int
@@ -37,6 +41,9 @@ func FuzzAllocatorTrace(f *testing.F) {
 				}
 				free := a.FreeSlots()
 				s, err := a.Allocate(uint8(i%14), d, w)
+				if _, rerr := ref.allocate(uint8(i%14), d, w); (rerr == nil) != (err == nil) {
+					t.Fatalf("allocate(%d,%d): error %v, reference error %v", d, w, err, rerr)
+				}
 				switch {
 				case err == nil && need > free:
 					t.Fatalf("allocated %d slots with %d free", need, free)
@@ -53,11 +60,14 @@ func FuzzAllocatorTrace(f *testing.F) {
 					if _, err := a.RemoveWeight(l.id, l.weight); err != nil {
 						t.Fatalf("release: %v", err)
 					}
+					if _, err := ref.removeWeight(l.id, l.weight, true); err != nil {
+						t.Fatalf("reference release: %v", err)
+					}
 					l.freed = true
 				}
 			}
-			if err := a.CheckInvariants(); err != nil {
-				t.Fatal(err)
+			if err := diffWithRef(a, ref); err != nil {
+				t.Fatalf("after op %d (%d,%d): %v", i/2, op, arg, err)
 			}
 		}
 	})

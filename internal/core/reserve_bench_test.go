@@ -47,3 +47,42 @@ func BenchmarkReserveJoin(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReleaseDefragment times the release that costs the most: it
+// empties a sequence, and the defragmenter that follows has to move a
+// later arrival into the hole.  One iteration is two fresh allocations
+// (the only heap objects: their Sequence records) and two releases, one
+// of which relocates a sequence.
+func BenchmarkReleaseDefragment(b *testing.B) {
+	p := newPort()
+	for vl, d := range []int{4, 8, 16, 32} {
+		if _, err := p.Reserve(uint8(vl), d, 100); err != nil {
+			b.Fatal(err)
+		}
+	}
+	round := func() {
+		first, err := p.Reserve(10, 64, 200)
+		if err != nil {
+			b.Fatal(err)
+		}
+		second, err := p.Reserve(11, 64, 200)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := p.Release(first); err != nil { // second moves into first's slot
+			b.Fatal(err)
+		}
+		if err := p.Release(second); err != nil {
+			b.Fatal(err)
+		}
+	}
+	round()
+	if p.Allocator().TotalMoves() != 1 {
+		b.Fatalf("a round relocated %d sequences, want 1", p.Allocator().TotalMoves())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}

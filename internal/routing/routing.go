@@ -276,7 +276,10 @@ func (r *Routes) Level(sw int) int { return r.level[sw] }
 func (r *Routes) PathSwitches(srcHost, dstHost int) ([]int, error) {
 	s, _ := r.topo.HostSwitch(srcHost)
 	d, _ := r.topo.HostSwitch(dstHost)
-	path := []int{s}
+	// Room for the longest minimal route of a fat-tree or dragonfly, so
+	// that the usual path is one allocation; longer ones regrow.
+	path := make([]int, 1, 8)
+	path[0] = s
 	for s != d {
 		p := r.next[s][d]
 		if p < 0 {

@@ -97,7 +97,7 @@ func NewInbandProgrammer(eng *sim.Engine, m *Manager) *InbandProgrammer {
 func (m *Manager) HopsToPort(id admission.PortID) int {
 	if id.Host >= 0 {
 		sw, _ := m.Topo.HostSwitch(id.Host)
-		return 1 + bfsDepth(m.Topo, m.HomeSwitch, sw)
+		return 1 + m.depthTo(sw)
 	}
 	return m.hopsTo(id.Switch)
 }

@@ -52,7 +52,18 @@ func (c *Costs) addMAD(hops int) {
 
 // Manager is the subnet manager: it owns the control-plane view of one
 // fabric.
+//
+// Its hop distances — what every MAD is charged — are tables, not
+// searches: the BFS depth of every switch from HomeSwitch, and for
+// switches with hosts the length of the routed path from the SM's
+// host.  They are keyed on the (Topo, HomeSwitch, Routes) values they
+// were derived from and re-derived when one of the three is reassigned.
 type Manager struct {
+	// Topo is the fabric as the manager sees it.  It must not be
+	// mutated in place once distances have been asked for (the tables
+	// would go stale unnoticed); failure handling everywhere in this
+	// repository degrades a Clone and hands the manager new Routes, or
+	// builds a new Manager, instead.
 	Topo   *topology.Topology
 	Routes *routing.Routes
 	// HomeSwitch is the switch the SM's host hangs off (host 0).
@@ -61,6 +72,23 @@ type Manager struct {
 	// lids[i] is the LID assigned to switch i (hosts use
 	// NumSwitches+host).  Exposed for inspection.
 	lids []int
+
+	dist distances
+}
+
+// distances are a Manager's hop-distance tables and the inputs they
+// were computed from.
+type distances struct {
+	topo   *topology.Topology
+	home   int
+	routes *routing.Routes
+
+	// depth[sw] is the unweighted distance from home to sw over topo,
+	// NumSwitches when unreachable.
+	depth []int
+	// routed[sw] is the SM's hop distance to sw over routes; nil until
+	// routes are known.
+	routed []int
 }
 
 // NewManager returns a manager for the fabric; Discover must run
@@ -69,17 +97,32 @@ func NewManager(topo *topology.Topology) *Manager {
 	return &Manager{Topo: topo, HomeSwitch: 0}
 }
 
-// hopsTo returns the SM's hop distance to a switch (BFS level metric
-// over the current routes).
-func (m *Manager) hopsTo(sw int) int {
-	if m.Routes == nil {
-		return 1
+// tables returns the distance tables for the manager's current Topo,
+// HomeSwitch and Routes, rebuilding whichever a reassignment outdated:
+// one breadth-first search for the depths, one routed path per hosted
+// switch for the routed distances.
+func (m *Manager) tables() *distances {
+	d := &m.dist
+	if d.depth == nil || d.topo != m.Topo || d.home != m.HomeSwitch {
+		*d = distances{topo: m.Topo, home: m.HomeSwitch, depth: bfsDepths(m.Topo, m.HomeSwitch)}
 	}
+	if m.Routes != nil && (d.routed == nil || d.routes != m.Routes) {
+		d.routes = m.Routes
+		d.routed = make([]int, m.Topo.NumSwitches)
+		for sw := range d.routed {
+			d.routed[sw] = m.routedHops(sw, d.depth)
+		}
+	}
+	return d
+}
+
+// routedHops computes one entry of the routed-distance table.
+func (m *Manager) routedHops(sw int, depth []int) int {
 	h := m.Topo.HostAt(sw, 0)
 	if h < 0 {
 		// Host-less switch (fat-tree aggregation or core): no routed
 		// host path ends there, so charge the BFS depth directly.
-		return 1 + bfsDepth(m.Topo, m.HomeSwitch, sw)
+		return 1 + depth[sw]
 	}
 	// Use the routed path from the SM's host to any host on sw.
 	path, err := m.Routes.PathSwitches(0, h)
@@ -87,6 +130,18 @@ func (m *Manager) hopsTo(sw int) int {
 		return m.Topo.NumSwitches
 	}
 	return len(path)
+}
+
+// depthTo returns the unweighted distance from the home switch to sw.
+func (m *Manager) depthTo(sw int) int { return m.tables().depth[sw] }
+
+// hopsTo returns the SM's hop distance to a switch (BFS level metric
+// over the current routes).
+func (m *Manager) hopsTo(sw int) int {
+	if m.Routes == nil {
+		return 1
+	}
+	return m.tables().routed[sw]
 }
 
 // Discover sweeps the fabric like a real SM: starting from the home
@@ -162,7 +217,7 @@ func (m *Manager) Discover() (Costs, error) {
 	// Hosts: one NodeInfo + PortInfo each.
 	for h := 0; h < m.Topo.NumHosts(); h++ {
 		sw, _ := m.Topo.HostSwitch(h)
-		depth := 1 + bfsDepth(m.Topo, m.HomeSwitch, sw)
+		depth := 1 + m.depthTo(sw)
 		if err := probeNode(mad.NodeInfo{
 			NodeType: mad.NodeTypeCA, NumPorts: 1,
 			GUID: uint64(m.Topo.NumSwitches + h + 1), LID: uint16(m.Topo.NumSwitches + h + 1),
@@ -192,14 +247,12 @@ func (m *Manager) Discover() (Costs, error) {
 	return c, nil
 }
 
-// bfsDepth returns the unweighted distance between two switches.
-func bfsDepth(t *topology.Topology, from, to int) int {
-	if from == to {
-		return 0
-	}
+// bfsDepths returns the unweighted distance from one switch to every
+// switch, NumSwitches for those it cannot reach.
+func bfsDepths(t *topology.Topology, from int) []int {
 	depth := make([]int, t.NumSwitches)
 	for i := range depth {
-		depth[i] = -1
+		depth[i] = t.NumSwitches
 	}
 	depth[from] = 0
 	queue := []int{from}
@@ -207,16 +260,13 @@ func bfsDepth(t *topology.Topology, from, to int) int {
 		s := queue[0]
 		queue = queue[1:]
 		for _, nb := range t.Neighbors(s) {
-			if depth[nb.Switch] < 0 {
+			if depth[nb.Switch] == t.NumSwitches {
 				depth[nb.Switch] = depth[s] + 1
-				if nb.Switch == to {
-					return depth[nb.Switch]
-				}
 				queue = append(queue, nb.Switch)
 			}
 		}
 	}
-	return t.NumSwitches
+	return depth
 }
 
 // ProgramForwarding distributes the linear forwarding tables: each
@@ -286,7 +336,7 @@ func (m *Manager) ProgramQoS(ports *admission.Ports, mapping sl.Mapping) (Costs,
 	}
 	for h := 0; h < m.Topo.NumHosts(); h++ {
 		sw, _ := m.Topo.HostSwitch(h)
-		hops := 1 + bfsDepth(m.Topo, m.HomeSwitch, sw)
+		hops := 1 + m.depthTo(sw)
 		if err := program(ports.Host[h].Allocator().Table(), hops); err != nil {
 			return c, err
 		}

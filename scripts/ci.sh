@@ -84,6 +84,19 @@ echo "==> go test -race -run TestArbiterIndex ./internal/arbtable (high-table sl
 # so the fabric gates above and the bench smoke below cover them too.
 go test -race -run 'TestArbiterIndex' -count=1 ./internal/arbtable
 
+echo "==> go test -race -run TestAllocatorMask ./internal/core (fill-in occupancy-mask differential)"
+# The allocator keeps slot ownership as one 64-bit word, the live
+# sequences as an ID-ordered list and the reserved weight as a running
+# total instead of walking an owner array and a map; the differential
+# test drives it and the retired array/map allocator with one random
+# script per seed and policy — joins, fresh placements at every
+# distance, releases with their defragmentation, rollbacks, malformed
+# requests — and compares table bytes, sequences, move counts and
+# outcomes after every operation.  Allocator.CheckInvariants re-derives
+# the word, the total and the order, so every admission abort, the
+# churn/faults/failover audits and the bench smoke below cover them too.
+go test -race -run 'TestAllocatorMask' -count=1 ./internal/core
+
 echo "==> go test -race -run TestParallelControl ./internal/experiments (control-lane race gate)"
 # Churn and faults run their control planes — mid-run table programs,
 # retransmission, audits — as typed events serialized at window
@@ -93,8 +106,11 @@ go test -race -run 'TestParallelControl' -count=1 ./internal/experiments
 
 echo "==> go test -run AllocBudget . (zero-alloc hot-path gate)"
 # testing.AllocsPerRun budgets: 0 allocs/op on arbiter pick and on a
-# full per-hop packet forwarding step with metrics disabled.  Must run
-# without -race (the detector's instrumentation allocates).
+# full per-hop packet forwarding step with metrics disabled; the
+# fill-in budgets (0 on join/leave, defragment and the audit, 1 per
+# fresh sequence and per programmed delta) and the ceiling on a whole
+# Admit + Release transaction.  Must run without -race (the detector's
+# instrumentation allocates).
 go test -run 'AllocBudget' -count=1 .
 
 echo "==> go test -bench 'BenchmarkVOQForward|BenchmarkPerHopForwarding' -benchtime 1x . (forwarding benchmarks smoke)"
