@@ -8,6 +8,7 @@ package repro_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/arbtable"
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/sim"
 	"repro/internal/sl"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -74,6 +76,60 @@ func TestAllocBudgetPerHopForwarding(t *testing.T) {
 	}
 	if s := net.StaleArrivals(); s != 0 {
 		t.Errorf("StaleArrivals = %d, want 0", s)
+	}
+}
+
+// nopHandler is a typed-event handler that does nothing.
+type nopHandler struct{}
+
+func (nopHandler) HandleEvent(sim.Event) {}
+
+// farDelay lies beyond the engine's timing wheel (three times its 2^14
+// byte-time window), so an event posted that far ahead waits in the
+// overflow heap and migrates into the wheel before it runs.
+const farDelay = 3 << 14
+
+// TestAllocBudgetEngine gates the event queue itself: in steady state
+// Post + Step allocates nothing for a near event (wheel bucket), for a
+// far one (overflow heap, migration, bucket) or for a timer armed and
+// canceled, and the wheel an engine's first near event allocates stays
+// within 160 kB — and is not allocated at all by far events alone.
+func TestAllocBudgetEngine(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budgets hold only without race instrumentation")
+	}
+	var h nopHandler
+	heapDelta := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var e sim.Engine
+	e.Grow(256)
+	if n := heapDelta(func() { e.Post(farDelay, h, sim.Event{}) }); n != 0 {
+		t.Errorf("a far event on a sized engine allocated %d bytes, want 0 (no wheel)", n)
+	}
+	if n := heapDelta(func() { e.Post(700, h, sim.Event{}) }); n == 0 || n > 160<<10 {
+		t.Errorf("the first near event allocated %d bytes, want the wheel, at most 160 kB", n)
+	}
+	for i := int64(0); i < 64; i++ {
+		e.Post(i*37, h, sim.Event{})
+		e.Post(farDelay+i*997, h, sim.Event{})
+	}
+	for name, step := range map[string]func(){
+		"near":        func() { e.Post(e.Now()+700, h, sim.Event{}); e.Step() },
+		"far":         func() { e.Post(e.Now()+farDelay, h, sim.Event{}); e.Step() },
+		"cancel near": func() { e.Cancel(e.PostTimer(e.Now()+700, h, sim.Event{})) },
+		"cancel far":  func() { e.Cancel(e.PostTimer(e.Now()+farDelay, h, sim.Event{})) },
+	} {
+		if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
+			t.Errorf("engine %s step allocates %.2f allocs/op, want 0", name, allocs)
+		}
+	}
+	if s := e.Stats(); s.Canceled == 0 || s.PoolReuse == 0 {
+		t.Errorf("steady-state steps never canceled or recycled: %+v", s)
 	}
 }
 

@@ -405,20 +405,45 @@ func BenchmarkRouting(b *testing.B) {
 }
 
 // BenchmarkEngine measures raw event throughput of the simulation
-// core.
+// core: a chain of closure events one byte time apart, and one typed
+// Post + Step with 4 096 events pending — posted a packet's wire time
+// ahead (near: a timing-wheel bucket) or beyond the wheel's window
+// (far: overflow heap, migration, bucket; farDelay is in
+// alloc_test.go).
 func BenchmarkEngine(b *testing.B) {
-	var e sim.Engine
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < b.N {
-			e.After(1, tick)
+	b.Run("chain", func(b *testing.B) {
+		var e sim.Engine
+		count := 0
+		var tick func()
+		tick = func() {
+			count++
+			if count < b.N {
+				e.After(1, tick)
+			}
 		}
+		b.ResetTimer()
+		e.At(0, tick)
+		e.Run(int64(b.N) + 10)
+	})
+	for _, c := range []struct {
+		name  string
+		delay int64
+	}{{"near", 700}, {"far", farDelay}} {
+		b.Run(c.name, func(b *testing.B) {
+			var e sim.Engine
+			var h nopHandler
+			const pending = 4096
+			e.Grow(pending + 1)
+			for i := int64(0); i < pending; i++ {
+				e.Post(i*c.delay/pending, h, sim.Event{})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Post(e.Now()+c.delay, h, sim.Event{})
+				e.Step()
+			}
+		})
 	}
-	b.ResetTimer()
-	e.At(0, tick)
-	e.Run(int64(b.N) + 10)
 }
 
 // BenchmarkFillUntilReject measures the acceptance trial used by the

@@ -105,11 +105,13 @@ func (DirectProgrammer) Program(id PortID, pt *core.PortTable, d core.Delta) err
 
 // Ports owns one arbitration table per output port of the network:
 // one per host (the host channel adapter's injection port) and one per
-// switch port.  The simulator's arbiters read the same tables the
-// admission controller writes.
+// switch port up to the topology's radix — no port at or above
+// Topo.Ports() is ever wired, routed through or repaired onto.  The
+// simulator's arbiters read the same tables the admission controller
+// writes.
 type Ports struct {
 	Host   []*core.PortTable   // indexed by host
-	Switch [][]*core.PortTable // [switch][port]
+	Switch [][]*core.PortTable // [switch][port], port < Topo.Ports()
 }
 
 // NewPorts builds empty tables for every output port of the topology.
@@ -124,7 +126,7 @@ func NewPorts(topo *topology.Topology, limit uint8) *Ports {
 		p.Host[h] = core.NewPortTable(arbtable.New(limit))
 	}
 	for s := range p.Switch {
-		p.Switch[s] = make([]*core.PortTable, topology.SwitchPorts)
+		p.Switch[s] = make([]*core.PortTable, topo.Ports())
 		for q := range p.Switch[s] {
 			p.Switch[s][q] = core.NewPortTable(arbtable.New(limit))
 		}
@@ -468,11 +470,11 @@ func (c *Controller) MeanHostReservation() float64 {
 func (c *Controller) MeanSwitchPortReservation() float64 {
 	sum, n := 0.0, 0
 	for s := range c.ports.Switch {
-		for q := 0; q < topology.SwitchPorts; q++ {
+		for q, p := range c.ports.Switch[s] {
 			if c.topo.Peer(s, q).Switch < 0 {
 				continue // host port or unwired
 			}
-			sum += sl.BandwidthForWeight(c.ports.Switch[s][q].ReservedWeight())
+			sum += sl.BandwidthForWeight(p.ReservedWeight())
 			n++
 		}
 	}

@@ -238,3 +238,87 @@ func TestAdmitInvalidRequest(t *testing.T) {
 		t.Error("self-connection admitted")
 	}
 }
+
+// TestPortsSizedToRadix: NewPorts builds Topo.Ports() tables per
+// switch, not the SwitchPorts array cap, and that is enough — every
+// port a forwarding entry, a PathHops hop or a route repaired around a
+// lost link or a crashed switch can name has a table.
+func TestPortsSizedToRadix(t *testing.T) {
+	for _, sp := range []topology.Spec{
+		{Class: topology.Irregular, Switches: 8, Seed: 3},
+		{Class: topology.FatTree, K: 4},
+		{Class: topology.FatTree, K: 8},
+		{Class: topology.Dragonfly, A: 3, P: 2, H: 1},
+	} {
+		sp := sp
+		t.Run(sp.Label(), func(t *testing.T) {
+			topo, err := sp.Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ports := NewPorts(topo, arbtable.UnlimitedHigh)
+			for s, row := range ports.Switch {
+				if len(row) != topo.Ports() {
+					t.Fatalf("switch %d has %d tables, want the radix %d", s, len(row), topo.Ports())
+				}
+			}
+			covered := func(what string, r *routing.Routes) {
+				t.Helper()
+				for s := 0; s < topo.NumSwitches; s++ {
+					for dst := 0; dst < topo.NumHosts(); dst++ {
+						if p := r.NextPort(s, dst); p >= len(ports.Switch[s]) {
+							t.Fatalf("%s: switch %d forwards host %d to port %d, beyond its %d tables",
+								what, s, dst, p, len(ports.Switch[s]))
+						}
+					}
+				}
+				for src := 0; src < topo.NumHosts(); src++ {
+					for dst := 0; dst < topo.NumHosts(); dst++ {
+						hops, err := r.PathHops(src, dst, 0)
+						if src == dst || err != nil {
+							continue // unroutable after a failure
+						}
+						for _, h := range hops[1:] {
+							if h.Port < 0 || h.Port >= len(ports.Switch[h.Switch]) {
+								t.Fatalf("%s: path %d->%d names switch %d port %d, beyond its %d tables",
+									what, src, dst, h.Switch, h.Port, len(ports.Switch[h.Switch]))
+							}
+						}
+					}
+				}
+			}
+			whole, err := routing.ComputeFor(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			covered("whole", whole)
+
+			// Every failure on the small shapes, a spread of sixteen of
+			// each on the k=8 fat-tree.
+			links := topo.Links()
+			for i := 0; i < len(links); i += 1 + len(links)/16 {
+				l := links[i]
+				degraded := topo.Clone()
+				if err := degraded.RemoveLink(l.A.Switch, l.A.Port); err != nil {
+					t.Fatal(err)
+				}
+				repaired, _, err := routing.Repair(degraded)
+				if err != nil {
+					t.Fatalf("link %d: %v", i, err)
+				}
+				covered("link lost", repaired)
+			}
+			for s := 0; s < topo.NumSwitches; s += 1 + topo.NumSwitches/16 {
+				degraded := topo.Clone()
+				if err := degraded.RemoveSwitch(s); err != nil {
+					t.Fatal(err)
+				}
+				repaired, _, err := routing.Repair(degraded)
+				if err != nil {
+					t.Fatalf("switch %d: %v", s, err)
+				}
+				covered("switch lost", repaired)
+			}
+		})
+	}
+}

@@ -424,7 +424,12 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 	for s := range n.switches {
 		node := &swNode{id: s}
 		for p := 0; p < topology.SwitchPorts; p++ {
-			pt := ports.Switch[s][p]
+			// Tables exist up to the radix; the ports past it are never
+			// wired and keep a nil table.
+			var pt *core.PortTable
+			if p < len(ports.Switch[s]) {
+				pt = ports.Switch[s][p]
+			}
 			op := &node.out[p]
 			op.pt = pt
 			op.code = switchCode(s, p)

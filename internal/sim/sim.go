@@ -10,21 +10,40 @@
 // The hot path schedules typed events (Post, PostAfter, DeferEvent): a
 // small self-describing Event union dispatched to a Handler, instead
 // of a heap-allocated closure per hop.  Event records live in a pooled
-// slab indexed by a 4-ary heap, so steady-state scheduling allocates
-// nothing: executed records return to a free-list and are reused by
-// the next Post.  The closure API (At, After, Defer) remains for cold
-// paths and tests; both kinds share one sequence-number space, so FIFO
-// order among simultaneous events is preserved regardless of which API
-// scheduled them.
+// slab, so steady-state scheduling allocates nothing: executed records
+// return to a free-list and are reused by the next Post.  The closure
+// API (At, After, Defer) remains for cold paths and tests; a closure is
+// a typed event whose handler calls it, so both kinds share one queue
+// and one sequence-number space and FIFO order among simultaneous
+// events holds regardless of which API scheduled them.
 //
-// PostTimer returns a cancelable handle: Cancel removes the event from
-// the heap in O(log n) and recycles its record.  Generation counters
-// on the records make stale handles (fired, canceled, or recycled
-// events) harmless — Cancel on one is a no-op returning false.
+// # The event queue
+//
+// The slab is indexed by a timing wheel: a ring of wheelSize buckets,
+// one per byte time of the window [Now, Now+wheelSize), each a FIFO
+// list linked through the records, with an occupancy bitmap (and one
+// summary word per 64 bitmap words) over the buckets.  Nearly every
+// event a packet simulation schedules lands inside that window — a
+// packet's wire time plus the link latency — so Post is an append and
+// an OR, and the next event is the first set bit at or after Now's
+// bucket.  Events at or beyond the window wait in the overflow level,
+// a 4-ary indexed heap ordered by (time, sequence), and move into
+// their bucket the moment the clock advances far enough for the window
+// to cover them, before anything runs at the new time; every event of
+// a bucket therefore arrives in (time, sequence) order and append
+// order is execution order.
+//
+// PostTimer returns a cancelable handle: Cancel unlinks the event from
+// its bucket in O(1), or removes it from the overflow heap in
+// O(log n), and recycles its record — no tombstone stays behind, so
+// NextTime is always exact.  Generation counters on the records make
+// stale handles (fired, canceled, recycled, or pre-Reset events)
+// harmless — Cancel on one is a no-op returning false.
 package sim
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/metrics"
 )
@@ -60,23 +79,78 @@ type Timer struct {
 	gen  uint32 // record generation at scheduling time
 }
 
-// record is one pooled event-record slot.  Free slots chain through
-// pos (encoded as next+1); queued slots use pos as their heap index.
+// record is one pooled event-record slot.  pos is the heap index of a
+// slot in the overflow heap and the next link (slot+1, 0 = end) of a
+// slot in a wheel bucket or on the free-list; prev is the bucket's
+// back link.
 type record struct {
-	at  int64
-	seq uint64 // tie-break: FIFO among simultaneous events
-	gen uint32 // bumped on every release; stale Timers can't match
-	pos int32
-	h   Handler
-	ev  Event
-	fn  func() // closure path; nil for typed events
+	at   int64
+	seq  uint64 // tie-break in the overflow heap: FIFO among simultaneous events
+	gen  uint32 // bumped on every release; stale Timers can't match
+	pos  int32
+	prev int32
+	h    Handler
+	ev   Event
 }
 
-// deferredWork is one same-instant follow-up, typed or closure.
+// deferredWork is one same-instant follow-up.
 type deferredWork struct {
 	h  Handler
 	ev Event
-	fn func()
+}
+
+// funcHandler runs the closure API on the typed path: At, After and
+// Defer schedule an Event whose P is the func (a func value in an
+// interface does not allocate).
+type funcHandler struct{}
+
+func (funcHandler) HandleEvent(ev Event) { ev.P.(func())() }
+
+// The wheel covers the wheelSize byte times from Now on.  Measured on
+// the k=8 fat-tree packet workload (2.56 M events, seed 7): 91.1 % of
+// events are scheduled less than 1 024 byte times ahead, 8.5 % between
+// 4 096 and 16 383 (flow inter-arrivals) and 0.3 % beyond; 2^14 keeps
+// all but those 0.3 % out of the overflow heap for 130 kB of ring per
+// engine; 2^13 sends 2.1 % through the heap for half the ring and
+// measures the same speed (DESIGN.md §9 has the runs).
+const (
+	wheelBits  = 14
+	wheelSize  = 1 << wheelBits
+	wheelMask  = wheelSize - 1
+	wheelWords = wheelSize / 64  // bitmap words
+	wheelSums  = wheelWords / 64 // summary words
+)
+
+// bucket is the FIFO list of the events of one byte time, as slot+1
+// links into the record slab (0 = empty).
+type bucket struct{ head, tail int32 }
+
+// wheel is the ring of buckets with its occupancy bitmap: bit i of
+// occ is set iff bucket i is non-empty, bit w of sum iff occ[w] != 0.
+type wheel struct {
+	sum     [wheelSums]uint64
+	occ     [wheelWords]uint64
+	buckets [wheelSize]bucket
+}
+
+// next returns the first non-empty bucket at or after p, cyclically.
+// The wheel must not be empty.
+func (w *wheel) next(p uint) uint {
+	wi := (p >> 6) % wheelWords // p < wheelSize; the modulo only spares the bounds check
+	if m := w.occ[wi] >> (p & 63); m != 0 {
+		return p + uint(bits.TrailingZeros64(m))
+	}
+	// Sparse case: the summary names the next non-empty word after wi;
+	// coming all the way round to wi finds its bits below p.
+	q := (wi + 1) % wheelWords
+	si := q >> 6
+	m := w.sum[si] >> (q & 63) << (q & 63)
+	for m == 0 {
+		si = (si + 1) % wheelSums
+		m = w.sum[si]
+	}
+	wi = (si<<6 + uint(bits.TrailingZeros64(m))) % wheelWords
+	return wi<<6 + uint(bits.TrailingZeros64(w.occ[wi]))
 }
 
 // Engine is a discrete-event scheduler.  The zero value is ready to
@@ -86,16 +160,24 @@ type Engine struct {
 	nextID uint64
 	count  uint64 // events executed
 
-	// Pooled event records and the 4-ary indexed heap ordering them by
-	// (at, seq).  The heap holds slot indices; records never move, so
-	// Timers can address them across sift operations.
+	// Pooled event records.  Records never move, so Timers can address
+	// them while the queue reorders around them.
 	records []record
-	heap    []int32
 	free    int32 // free-list head, encoded slot+1; 0 = empty
+
+	// The queue: events with at-now < wheelSize sit in wheel bucket
+	// at&wheelMask (so a bucket holds one timestamp at a time), all
+	// later ones in the 4-ary indexed heap of slot indices ordered by
+	// (at, seq).  advance is the only place the clock moves, and it
+	// restores that split before anything else runs.  The wheel is
+	// allocated by the first near event.
+	wheel  *wheel
+	wheelN int // events in the wheel
+	heap   []int32
 
 	// deferred holds zero-delay work scheduled from within the current
 	// event; it runs FIFO at the same timestamp without touching the
-	// heap.
+	// queue.
 	deferred []deferredWork
 
 	// PoolDisabled, when set before a run, stops record recycling:
@@ -109,7 +191,7 @@ type Engine struct {
 	canceled    uint64
 	poolReuse   uint64
 	poolGrow    uint64
-	maxHeap     int
+	maxPending  int
 	maxDeferred int
 	resets      uint64
 
@@ -135,24 +217,37 @@ func (e *Engine) NextTime() int64 {
 	if len(e.deferred) > 0 {
 		return e.now
 	}
-	if len(e.heap) == 0 {
+	if e.Pending() == 0 {
 		return math.MaxInt64
 	}
-	return e.records[e.heap[0]].at
+	return e.nextQueued()
 }
 
-// Pending returns the number of scheduled, unexecuted heap events
+// nextQueued returns the timestamp of the earliest queued event; the
+// queue must not be empty.  Every wheel event precedes every heap
+// event.
+func (e *Engine) nextQueued() int64 {
+	if e.wheelN == 0 {
+		return e.records[e.heap[0]].at
+	}
+	p := uint(e.now) & wheelMask
+	return e.now + int64((e.wheel.next(p)-p)&wheelMask)
+}
+
+// Pending returns the number of scheduled, unexecuted queue events
 // (deferred same-instant work is not counted, matching Step's notion
 // of "the queue").
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.wheelN + len(e.heap) }
 
 // Grow preallocates capacity for n in-flight events, so a simulation
 // sized in advance never grows the record slab or heap mid-run.
 func (e *Engine) Grow(n int) {
-	if cap(e.records) < n {
-		r := make([]record, len(e.records), n)
-		copy(r, e.records)
-		e.records = r
+	if c := cap(e.records); c < n {
+		// The whole old capacity moves, not just the live prefix: the
+		// slots a Reset emptied still carry their generations.
+		r := make([]record, n)
+		copy(r, e.records[:c])
+		e.records = r[:len(e.records)]
 	}
 	if cap(e.heap) < n {
 		h := make([]int32, len(e.heap), n)
@@ -166,13 +261,15 @@ func (e *Engine) Grow(n int) {
 // it started with; the preallocation regression tests pin that here.
 func (e *Engine) RecordCapacity() int { return cap(e.records) }
 
-// Stats exports the engine's event-pool and heap-depth counters.
+// Stats exports the engine's event-pool and queue-depth counters
+// (MaxHeapDepth is the high-water count of pending events, wheel and
+// overflow heap together).
 func (e *Engine) Stats() metrics.EngineCounters {
 	return metrics.EngineCounters{
 		Scheduled:    int64(e.scheduled),
 		Executed:     int64(e.count),
 		Canceled:     int64(e.canceled),
-		MaxHeapDepth: int64(e.maxHeap),
+		MaxHeapDepth: int64(e.maxPending),
 		MaxDeferred:  int64(e.maxDeferred),
 		PoolReuse:    int64(e.poolReuse),
 		PoolGrow:     int64(e.poolGrow),
@@ -181,9 +278,10 @@ func (e *Engine) Stats() metrics.EngineCounters {
 }
 
 // Reset returns the engine to its zero state while keeping the
-// capacity of the record slab, heap and deferred queue, so one engine
-// can be reused across the points of a sweep without reallocating its
-// working set.  Record generations survive (bumped), so Timers from
+// capacity of the record slab, wheel, heap and deferred queue, so one
+// engine can be reused across the points of a sweep without
+// reallocating its working set.  Record generations survive (bumped;
+// alloc and Grow keep them when the slab regrows), so Timers from
 // before the Reset can never cancel events of the next run.  The
 // trace buffer is detached; cumulative pool/heap statistics persist
 // across resets (Resets counts them).
@@ -198,6 +296,10 @@ func (e *Engine) Reset() {
 		e.records[i] = record{gen: gen + 1}
 	}
 	e.records = e.records[:0]
+	if e.wheelN > 0 {
+		*e.wheel = wheel{}
+		e.wheelN = 0
+	}
 	e.heap = e.heap[:0]
 	e.free = 0
 	e.Trace = nil
@@ -209,7 +311,7 @@ func (e *Engine) Reset() {
 // At schedules fn to run at the absolute time t.  Scheduling in the
 // past (t < Now) panics: it would silently corrupt causality.
 func (e *Engine) At(t int64, fn func()) {
-	e.schedule(t, nil, Event{}, fn)
+	e.schedule(t, funcHandler{}, Event{P: fn})
 }
 
 // After schedules fn to run d byte times from now.
@@ -218,24 +320,24 @@ func (e *Engine) After(d int64, fn func()) { e.At(e.now+d, fn) }
 // Post schedules a typed event for h at the absolute time t.  Like At
 // it panics on t < Now.
 func (e *Engine) Post(t int64, h Handler, ev Event) {
-	e.schedule(t, h, ev, nil)
+	e.schedule(t, h, ev)
 }
 
 // PostAfter schedules a typed event d byte times from now.
 func (e *Engine) PostAfter(d int64, h Handler, ev Event) {
-	e.schedule(e.now+d, h, ev, nil)
+	e.schedule(e.now+d, h, ev)
 }
 
 // PostTimer schedules a typed event at the absolute time t and returns
 // a handle that can cancel it.
 func (e *Engine) PostTimer(t int64, h Handler, ev Event) Timer {
-	return e.schedule(t, h, ev, nil)
+	return e.schedule(t, h, ev)
 }
 
 // PostTimerAfter schedules a cancelable typed event d byte times from
 // now.
 func (e *Engine) PostTimerAfter(d int64, h Handler, ev Event) Timer {
-	return e.schedule(e.now+d, h, ev, nil)
+	return e.schedule(e.now+d, h, ev)
 }
 
 // Cancel removes a scheduled typed event before it fires.  It reports
@@ -254,7 +356,11 @@ func (e *Engine) Cancel(t Timer) bool {
 	if r.gen != t.gen {
 		return false // fired, canceled, recycled, or pre-Reset
 	}
-	e.removeAt(int(r.pos))
+	if r.at-e.now < wheelSize {
+		e.unlink(slot)
+	} else {
+		e.removeAt(int(r.pos))
+	}
 	e.release(slot)
 	e.canceled++
 	return true
@@ -262,16 +368,13 @@ func (e *Engine) Cancel(t Timer) bool {
 
 // Defer schedules fn to run at the current timestamp, after the
 // currently executing event (and previously deferred work) finishes.
-// It is the cheap path for same-instant follow-ups — no heap insert.
+// It is the cheap path for same-instant follow-ups — no queue insert.
 func (e *Engine) Defer(fn func()) {
-	e.deferred = append(e.deferred, deferredWork{fn: fn})
-	if len(e.deferred) > e.maxDeferred {
-		e.maxDeferred = len(e.deferred)
-	}
+	e.DeferEvent(funcHandler{}, Event{P: fn})
 }
 
 // DeferEvent is Defer for a typed event: same-instant FIFO follow-up
-// with no heap insert and no closure.
+// with no queue insert and no closure.
 func (e *Engine) DeferEvent(h Handler, ev Event) {
 	e.deferred = append(e.deferred, deferredWork{h: h, ev: ev})
 	if len(e.deferred) > e.maxDeferred {
@@ -279,19 +382,27 @@ func (e *Engine) DeferEvent(h Handler, ev Event) {
 	}
 }
 
-// schedule allocates a record for one event (typed or closure) and
-// pushes it on the heap.
-func (e *Engine) schedule(t int64, h Handler, ev Event, fn func()) Timer {
+// schedule allocates a record for one event and queues it: in its
+// wheel bucket when the wheel's window covers t, else on the overflow
+// heap.
+func (e *Engine) schedule(t int64, h Handler, ev Event) Timer {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
 	slot := e.alloc()
 	r := &e.records[slot]
 	r.at, r.seq = t, e.nextID
-	r.h, r.ev, r.fn = h, ev, fn
+	r.h, r.ev = h, ev
 	e.nextID++
 	e.scheduled++
-	e.push(slot)
+	if t-e.now < wheelSize {
+		e.link(slot)
+	} else {
+		e.push(slot)
+	}
+	if n := e.Pending(); n > e.maxPending {
+		e.maxPending = n
+	}
 	return Timer{slot: slot + 1, gen: r.gen}
 }
 
@@ -303,7 +414,11 @@ func (e *Engine) alloc() int32 {
 		e.poolReuse++
 		return slot
 	}
-	e.records = append(e.records, record{})
+	if n := len(e.records); n < cap(e.records) {
+		e.records = e.records[:n+1] // keeps the slot's generation across a Reset
+	} else {
+		e.records = append(e.records, record{})
+	}
 	e.poolGrow++
 	return int32(len(e.records) - 1)
 }
@@ -314,7 +429,7 @@ func (e *Engine) alloc() int32 {
 func (e *Engine) release(slot int32) {
 	r := &e.records[slot]
 	r.gen++
-	r.h, r.fn = nil, nil
+	r.h = nil
 	r.ev = Event{}
 	if e.PoolDisabled {
 		return
@@ -332,38 +447,51 @@ func (e *Engine) drainDeferred() {
 		d := e.deferred[i]
 		e.deferred[i] = deferredWork{}
 		e.count++
-		if d.fn != nil {
-			d.fn()
-		} else {
-			d.h.HandleEvent(d.ev)
-		}
+		d.h.HandleEvent(d.ev)
 	}
 	e.deferred = e.deferred[:0]
 }
 
+// advance moves the clock to t and migrates every overflow event the
+// wheel's window now covers into its bucket, in (at, seq) order.  The
+// buckets they land in lie behind the old window's first event, so
+// they are empty, and no event can be scheduled directly into them
+// before advance returns: append order within a bucket stays (at, seq)
+// order.
+func (e *Engine) advance(t int64) {
+	e.now = t
+	for len(e.heap) > 0 && e.records[e.heap[0]].at-t < wheelSize {
+		e.link(e.popMin())
+	}
+}
+
+// fire executes the queued wheel event in slot, then the work it
+// deferred.
+func (e *Engine) fire(slot int32) {
+	e.unlink(slot)
+	r := &e.records[slot]
+	h, ev := r.h, r.ev
+	e.release(slot) // before dispatch: the handler may schedule into this slot
+	e.count++
+	h.HandleEvent(ev)
+	e.drainDeferred()
+}
+
 // Step executes the earliest pending work — deferred same-instant
-// functions first, then the earliest heap event — advancing the clock
-// as needed.  It reports false when nothing remains.
+// functions first, then the earliest queued event — advancing the
+// clock as needed.  It reports false when nothing remains.
 func (e *Engine) Step() bool {
 	if len(e.deferred) > 0 {
 		e.drainDeferred()
 		return true
 	}
-	if len(e.heap) == 0 {
+	if e.Pending() == 0 {
 		return false
 	}
-	slot := e.popMin()
-	r := &e.records[slot]
-	e.now = r.at
-	h, ev, fn := r.h, r.ev, r.fn
-	e.release(slot) // before dispatch: the handler may schedule into this slot
-	e.count++
-	if fn != nil {
-		fn()
-	} else {
-		h.HandleEvent(ev)
+	if t := e.nextQueued(); t != e.now {
+		e.advance(t)
 	}
-	e.drainDeferred()
+	e.fire(e.wheel.buckets[e.now&wheelMask].head - 1)
 	return true
 }
 
@@ -372,11 +500,22 @@ func (e *Engine) Step() bool {
 // time).  Events scheduled exactly at until are executed.
 func (e *Engine) Run(until int64) {
 	e.drainDeferred()
-	for len(e.heap) > 0 && e.records[e.heap[0]].at <= until {
-		e.Step()
+	for e.Pending() > 0 {
+		t := e.nextQueued()
+		if t > until {
+			break
+		}
+		if t != e.now {
+			e.advance(t)
+		}
+		// Drain the bucket: events its handlers post at Now append
+		// behind the cursor and run in turn.
+		for b := &e.wheel.buckets[t&wheelMask]; b.head != 0; {
+			e.fire(b.head - 1)
+		}
 	}
 	if e.now < until {
-		e.now = until
+		e.advance(until)
 	}
 }
 
@@ -387,7 +526,57 @@ func (e *Engine) RunWhile(cond func() bool) {
 	}
 }
 
-// --- 4-ary indexed heap over record slots, ordered by (at, seq) ---
+// --- the wheel: per-byte-time FIFO buckets linked through the records ---
+
+// link appends slot to the bucket of its timestamp, which the wheel's
+// window must cover.
+func (e *Engine) link(slot int32) {
+	w := e.wheel
+	if w == nil {
+		w = new(wheel)
+		e.wheel = w
+	}
+	r := &e.records[slot]
+	i := uint(r.at) & wheelMask
+	b := &w.buckets[i]
+	r.pos, r.prev = 0, b.tail
+	if b.tail != 0 {
+		e.records[b.tail-1].pos = slot + 1
+	} else {
+		b.head = slot + 1
+		w.occ[i>>6] |= 1 << (i & 63)
+		w.sum[i>>12] |= 1 << (i >> 6 & 63)
+	}
+	b.tail = slot + 1
+	e.wheelN++
+}
+
+// unlink removes slot from its bucket.
+func (e *Engine) unlink(slot int32) {
+	w := e.wheel
+	r := &e.records[slot]
+	i := uint(r.at) & wheelMask
+	b := &w.buckets[i]
+	if r.prev != 0 {
+		e.records[r.prev-1].pos = r.pos
+	} else {
+		b.head = r.pos
+	}
+	if r.pos != 0 {
+		e.records[r.pos-1].prev = r.prev
+	} else {
+		b.tail = r.prev
+	}
+	if b.head == 0 {
+		w.occ[i>>6] &^= 1 << (i & 63)
+		if w.occ[i>>6] == 0 {
+			w.sum[i>>12] &^= 1 << (i >> 6 & 63)
+		}
+	}
+	e.wheelN--
+}
+
+// --- the overflow level: 4-ary indexed heap over record slots, ordered by (at, seq) ---
 
 // less orders two record slots by time, then by scheduling order.
 func (e *Engine) less(a, b int32) bool {
@@ -403,9 +592,6 @@ func (e *Engine) push(slot int32) {
 	e.heap = append(e.heap, slot)
 	e.records[slot].pos = int32(len(e.heap) - 1)
 	e.siftUp(len(e.heap) - 1)
-	if len(e.heap) > e.maxHeap {
-		e.maxHeap = len(e.heap)
-	}
 }
 
 // popMin removes and returns the earliest slot.

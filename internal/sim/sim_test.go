@@ -300,6 +300,27 @@ func TestEngineReset(t *testing.T) {
 	if s := e.Stats(); s.Resets != 1 {
 		t.Errorf("Resets = %d, want 1", s.Resets)
 	}
+
+	// The slot of a pre-Reset timer, taken again by the next run: the
+	// slab regrows over it — directly, or after a Grow moved it — and
+	// the old handle must not match the new event.
+	for _, grow := range []int{0, 64} {
+		var e Engine
+		r := &recorder{}
+		stale := e.PostTimer(100, r, Event{A: 1})
+		e.Reset()
+		if grow > 0 {
+			e.Grow(grow)
+		}
+		e.PostTimer(50, r, Event{A: 2})
+		if e.Cancel(stale) {
+			t.Fatalf("Grow(%d): a pre-Reset timer canceled the event that reused its slot", grow)
+		}
+		e.Run(200)
+		if len(r.got) != 1 || r.got[0] != 2 {
+			t.Fatalf("Grow(%d): post-Reset run = %v, want [2]", grow, r.got)
+		}
+	}
 }
 
 // TestPoolDisabledBitIdentical: the engine's own record pooling is

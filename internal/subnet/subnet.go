@@ -325,11 +325,11 @@ func (m *Manager) ProgramQoS(ports *admission.Ports, mapping sl.Mapping) (Costs,
 		return nil
 	}
 	for s := 0; s < m.Topo.NumSwitches; s++ {
-		for p := 0; p < topology.SwitchPorts; p++ {
+		for p, pt := range ports.Switch[s] {
 			if p >= topology.HostsPerSwitch && m.Topo.Peer(s, p).Switch < 0 {
 				continue // unwired port
 			}
-			if err := program(ports.Switch[s][p].Allocator().Table(), m.hopsTo(s)); err != nil {
+			if err := program(pt.Allocator().Table(), m.hopsTo(s)); err != nil {
 				return c, err
 			}
 		}

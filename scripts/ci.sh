@@ -97,6 +97,21 @@ echo "==> go test -race -run TestAllocatorMask ./internal/core (fill-in occupanc
 # churn/faults/failover audits and the bench smoke below cover them too.
 go test -race -run 'TestAllocatorMask' -count=1 ./internal/core
 
+echo "==> go test -race -run TestEngineWheel ./internal/sim (timing-wheel event-queue differential)"
+# The engine finds its next event in a ring of per-byte-time FIFO
+# buckets (one shift and one count-trailing-zeros on an occupancy
+# bitmap) and keeps the 4-ary heap only for events beyond the ring's
+# window; the differential test drives it and the retired heap-only
+# queue with one random script per seed — every delay class around the
+# horizon, timers canceled near, far, fired and recycled, handlers that
+# defer and re-post into the bucket being drained, Run stopping short
+# of, at and past far events, Reset, PoolDisabled — and compares the
+# executed sequence and Now/NextTime/Pending/Executed/Stats after every
+# call, re-deriving bitmap, links and the window/overflow split from
+# the records each time.  Every simulation above and the bench smoke
+# below run on the same queue.
+go test -race -run 'TestEngineWheel' -count=1 ./internal/sim
+
 echo "==> go test -race -run TestParallelControl ./internal/experiments (control-lane race gate)"
 # Churn and faults run their control planes — mid-run table programs,
 # retransmission, audits — as typed events serialized at window
@@ -105,8 +120,9 @@ echo "==> go test -race -run TestParallelControl ./internal/experiments (control
 go test -race -run 'TestParallelControl' -count=1 ./internal/experiments
 
 echo "==> go test -run AllocBudget . (zero-alloc hot-path gate)"
-# testing.AllocsPerRun budgets: 0 allocs/op on arbiter pick and on a
-# full per-hop packet forwarding step with metrics disabled; the
+# testing.AllocsPerRun budgets: 0 allocs/op on arbiter pick, on the
+# event queue's Post + Step (near, far, timer + Cancel) and on a full
+# per-hop packet forwarding step with metrics disabled; the
 # fill-in budgets (0 on join/leave, defragment and the audit, 1 per
 # fresh sequence and per programmed delta) and the ceiling on a whole
 # Admit + Release transaction.  Must run without -race (the detector's
@@ -134,6 +150,7 @@ if [[ "$RUN_FUZZ" -eq 1 ]]; then
 ./internal/topology FuzzTopologyGenerate
 ./internal/fabric FuzzISLIPSchedule
 ./internal/plan FuzzPlanSpec
+./internal/sim FuzzEngineTrace
 EOF
 fi
 
