@@ -18,6 +18,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/sl"
+	"repro/internal/subnet"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -202,9 +203,9 @@ func TestAllocBudgetVOQForwarding(t *testing.T) {
 
 // TestAllocBudgetFillIn gates the control-plane writer of the table:
 // joining and leaving a shared sequence, defragmentation, the capacity
-// queries and the audit allocate nothing; a fresh allocation costs its
-// Sequence record and a programming transaction its Delta, nothing
-// else; and an Allocator stays within the size the occupancy word and
+// queries, the audit and a programming transaction (its Delta is a
+// value) allocate nothing; a fresh allocation costs its Sequence record,
+// nothing else; and an Allocator stays within the size the occupancy word and
 // the ID-ordered live list brought it to (it was 936 bytes plus a map
 // with an owner array per slot, times one allocator per port).
 func TestAllocBudgetFillIn(t *testing.T) {
@@ -262,7 +263,7 @@ func TestAllocBudgetFillIn(t *testing.T) {
 		}},
 		// Two transactions: the join dirties the table, the release
 		// dirties it back.
-		{"2 x BeginProgram + delivery", 2, func() {
+		{"2 x BeginProgram + delivery", 0, func() {
 			r, err := pt.Reserve(2, 16, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -286,13 +287,85 @@ func TestAllocBudgetFillIn(t *testing.T) {
 // every block of it, as admission.DirectProgrammer does.
 func program(t testing.TB, pt *core.PortTable) {
 	d, err := pt.BeginProgram()
-	if err != nil || len(d.Blocks) == 0 {
-		t.Fatalf("BeginProgram on a dirty port: %d blocks, error %v", len(d.Blocks), err)
+	if err != nil || len(d.Blocks()) == 0 {
+		t.Fatalf("BeginProgram on a dirty port: %d blocks, error %v", len(d.Blocks()), err)
 	}
-	for _, b := range d.Blocks {
-		if _, err := pt.DeliverBlock(d.Version, b.Index, len(d.Blocks), b.Entries); err != nil {
+	for _, b := range d.Blocks() {
+		if _, err := pt.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestAllocBudgetInbandProgram gates the in-band control transaction
+// itself: with the delivery pool and the event queue warm, opening a
+// transaction (BeginProgram), rendering every changed block to its
+// 256 wire bytes and posting it (InbandProgrammer.Program), and
+// landing it — parse, DeliverBlock, table swap, the chain check —
+// allocates nothing, for deltas of one to four blocks.  Each SMP used
+// to cost seven objects and each delta one more.
+func TestAllocBudgetInbandProgram(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budgets hold only without race instrumentation")
+	}
+	var eng sim.Engine
+	prog := &subnet.InbandProgrammer{Engine: &eng}
+	id := admission.SwitchPortID(3, 1)
+	pt := core.NewPortTable(arbtable.New(arbtable.UnlimitedHigh))
+	// Three resident sequences, joined and left below (which allocates
+	// nothing) with one unit of weight per entry so that every entry
+	// changes: distance 64 has one entry, distance 32 two entries two
+	// blocks apart, distance 16 one entry in every block.
+	join := map[int][][2]int{ // blocks -> (VL, distance) of the sequences to join
+		1: {{0, 64}},
+		2: {{1, 32}},
+		3: {{1, 32}, {0, 64}},
+		4: {{2, 16}},
+	}
+	for _, s := range [][2]int{{1, 32}, {0, 64}, {2, 16}} {
+		if _, err := pt.Reserve(uint8(s[0]), s[1], 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	transact := func(want int) {
+		d, err := pt.BeginProgram()
+		if err != nil || len(d.Blocks()) != want {
+			t.Fatalf("BeginProgram: %d blocks (want %d), error %v", len(d.Blocks()), want, err)
+		}
+		if err := prog.Program(id, pt, d); err != nil {
+			t.Fatal(err)
+		}
+		for eng.Step() {
+		}
+		if pt.Programming() || pt.Dirty() {
+			t.Fatal("delta did not land")
+		}
+	}
+	transact(4) // the resident population itself
+	for blocks := 1; blocks <= core.NumHighBlocks; blocks++ {
+		var held [2]core.Reservation
+		allocs := testing.AllocsPerRun(200, func() {
+			for i, s := range join[blocks] {
+				r, err := pt.Reserve(uint8(s[0]), s[1], 64/s[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				held[i] = r
+			}
+			transact(blocks)
+			for i := range join[blocks] {
+				if err := pt.Release(held[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			transact(blocks)
+		})
+		if allocs != 0 {
+			t.Errorf("two in-band transactions of %d blocks allocate %.2f objects, want 0", blocks, allocs)
+		}
+	}
+	if want := pt.Stats().Blocks; int64(prog.Costs.MADs) != want {
+		t.Errorf("%d MADs accounted, %d blocks delivered", prog.Costs.MADs, want)
 	}
 }
 
@@ -349,11 +422,13 @@ func (l *admitLoopK8) step(t testing.TB) {
 
 // admitLoopAllocBudget is the heap allocations one offered request of
 // the closed loop may cost, releases included (0.8 of them per request
-// near the cap): the connection and its hop list, the route walk, one
-// Delta per changed port, a Sequence per fresh placement, and the error
-// of a refusal.  It was 57 with the array/map allocator; the ceiling
-// sits just above what the loop measures so that it cannot creep back.
-const admitLoopAllocBudget = 16
+// near the cap): the connection with its hop list (one object), a
+// Sequence per fresh placement, and the error of a refusal.  It was 57
+// with the array/map allocator and 15 while the route walk, the hop
+// list, every Delta and the refusal's text were objects of their own;
+// the ceiling sits just above what the loop measures (3.0) so that it
+// cannot creep back.
+const admitLoopAllocBudget = 4
 
 // TestAllocBudgetAdmitRelease gates a whole admission transaction.
 func TestAllocBudgetAdmitRelease(t *testing.T) {
@@ -389,4 +464,115 @@ func BenchmarkAdmitReleaseK8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l.step(b)
 	}
+}
+
+// churnLoopK8 is the benchmark's churn-inband-k8 workload in miniature:
+// Poisson connection arrivals on a live k=8 fat-tree, every admission
+// through AdmitWithRetry, every table delta programmed in-band as SMPs
+// on the control lane, exponential holds, ReleaseConnection.
+type churnLoopK8 struct {
+	net  *fabric.Network
+	prog *subnet.InbandProgrammer
+	src  *traffic.Source
+	rng  *rand.Rand
+
+	arrivals, admitted, resolved int
+}
+
+func newChurnLoopK8(t testing.TB) *churnLoopK8 {
+	const payload, seed = 512, 7
+	topo, err := topology.Spec{Class: topology.FatTree, K: 8}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := fabric.NewWithTopology(fabric.DefaultConfig(topo.NumSwitches, payload, seed), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := subnet.NewManager(topo)
+	m.Routes = net.Routes
+	l := &churnLoopK8{
+		net:  net,
+		prog: subnet.NewInbandProgrammer(net.Ctrl, m),
+		src:  traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), seed+1),
+		rng:  rand.New(rand.NewSource(seed)),
+	}
+	net.Adm.SetProgrammer(l.prog)
+	net.Start()
+	net.Ctrl.After(1, l.arrive)
+	return l
+}
+
+// arrive starts one lifecycle and schedules the next arrival (mean gap
+// 512 BT, mean hold 65 536 BT: the benchmark's figures).
+func (l *churnLoopK8) arrive() {
+	net, eng := l.net, l.net.Ctrl
+	req, hold := l.src.Next(), 1+int64(l.rng.ExpFloat64()*65_536)
+	eng.After(1+int64(l.rng.ExpFloat64()*512), l.arrive)
+	l.arrivals++
+	net.Adm.AdmitWithRetry(eng, req, admission.DefaultRetryPolicy(), func(conn *admission.Conn, err error) {
+		if err != nil {
+			l.resolved++
+			return
+		}
+		l.admitted++
+		fl := net.AddConnection(conn)
+		eng.After(4096, func() { net.StartFlow(fl) })
+		eng.After(4096+hold, func() {
+			net.ReleaseConnection(conn, fl, func() { l.resolved++ })
+		})
+	})
+}
+
+// run simulates until n more lifecycles have arrived.
+func (l *churnLoopK8) run(n int) {
+	target := l.arrivals + n
+	l.net.RunWhile(func() bool { return l.arrivals < target })
+}
+
+// churnLifecycleAllocBudget is the heap allocations one connection
+// lifecycle of the churn loop may cost, everything included: the
+// arrival and retry events, the connection, its flow and statistics,
+// a Sequence per fresh placement on ≈ 5 hops (rolled-back attempts
+// included), ≈ 30 SMPs out and back, the release.  It was 248 when
+// every SMP cost seven objects; the ceiling sits just above what the
+// loop measures (19.2).
+const churnLifecycleAllocBudget = 22
+
+// TestAllocBudgetChurnLifecycle gates the in-band control transaction
+// end to end.
+func TestAllocBudgetChurnLifecycle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budgets hold only without race instrumentation")
+	}
+	if testing.Short() {
+		t.Skip("runs connection churn on a k=8 fabric")
+	}
+	l := newChurnLoopK8(t)
+	l.run(3000) // past the first holds: arrivals and releases balance
+	const lifecycles = 4000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l.run(lifecycles)
+	runtime.ReadMemStats(&after)
+	perLifecycle := float64(after.Mallocs-before.Mallocs) / lifecycles
+	t.Logf("%.1f allocs, %.0f bytes per lifecycle; %d of %d admitted, %d MADs",
+		perLifecycle, float64(after.TotalAlloc-before.TotalAlloc)/lifecycles,
+		l.admitted, l.arrivals, l.prog.Costs.MADs)
+	if perLifecycle > churnLifecycleAllocBudget {
+		t.Errorf("churn loop allocates %.1f objects per lifecycle, budget %d", perLifecycle, churnLifecycleAllocBudget)
+	}
+	if err := l.net.Adm.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// BenchmarkChurnLifecycleK8 times the same loop, one connection
+// lifecycle per iteration.
+func BenchmarkChurnLifecycleK8(b *testing.B) {
+	l := newChurnLoopK8(b)
+	l.run(3000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	l.run(b.N)
 }

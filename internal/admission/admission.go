@@ -94,8 +94,8 @@ type DirectProgrammer struct{}
 
 // Program implements Programmer.
 func (DirectProgrammer) Program(id PortID, pt *core.PortTable, d core.Delta) error {
-	total := len(d.Blocks)
-	for _, b := range d.Blocks {
+	total := len(d.Blocks())
+	for _, b := range d.Blocks() {
 		if _, err := pt.DeliverBlock(d.Version, b.Index, total, b.Entries); err != nil {
 			return fmt.Errorf("programming %v: %w", id, err)
 		}
@@ -155,6 +155,70 @@ type Conn struct {
 	hops []hop
 }
 
+// newConn returns a connection holding a copy of the reserved hops.
+// The connection and its hop list are one heap object up to eight hops
+// — every fat-tree and dragonfly route — in steps of two so that a
+// short path does not pay for a long one.
+func newConn(hops []hop) *Conn {
+	var conn *Conn
+	switch n := len(hops); {
+	case n <= 2:
+		b := new(struct {
+			Conn
+			buf [2]hop
+		})
+		b.hops, conn = b.buf[:0], &b.Conn
+	case n <= 4:
+		b := new(struct {
+			Conn
+			buf [4]hop
+		})
+		b.hops, conn = b.buf[:0], &b.Conn
+	case n <= 6:
+		b := new(struct {
+			Conn
+			buf [6]hop
+		})
+		b.hops, conn = b.buf[:0], &b.Conn
+	case n <= 8:
+		b := new(struct {
+			Conn
+			buf [8]hop
+		})
+		b.hops, conn = b.buf[:0], &b.Conn
+	default:
+		conn = new(Conn)
+	}
+	conn.hops = append(conn.hops, hops...)
+	return conn
+}
+
+// hopError is a prepare failure at one arbitration point of a path.
+// Refusals are routine under churn — two attempts in five meet a busy
+// hop — so the error carries its operands and renders its text only
+// when someone asks for it.  errors.Is matches the cause.
+type hopError struct {
+	cause error // ErrHopDown, ErrHopBusy, ErrOverBudget, or what Reserve returned
+	hop   int   // 1-based position on the path
+	of    int   // path length
+	id    PortID
+
+	reserved, weight, budget int // the operands of the budget test
+}
+
+func (e *hopError) Error() string {
+	switch e.cause {
+	case ErrHopDown, ErrHopBusy:
+		return fmt.Sprintf("admission: hop %d/%d (%v): %v", e.hop, e.of, e.id, e.cause)
+	case ErrOverBudget:
+		return fmt.Sprintf("admission: hop %d/%d %v (%d + %d > %d)",
+			e.hop, e.of, e.cause, e.reserved, e.weight, e.budget)
+	}
+	return fmt.Sprintf("admission: hop %d/%d: %v", e.hop, e.of, e.cause)
+}
+
+func (e *hopError) Unwrap() error { return e.cause }
+
 // Controller admits and releases connections against a topology's
 // arbitration tables.
 type Controller struct {
@@ -187,6 +251,11 @@ type Controller struct {
 
 	nextID int
 	live   map[int]*Conn
+
+	// Scratch of the Admit in progress, kept across calls: the route and
+	// the hops reserved so far.  A refused request allocates neither.
+	path []routing.Hop
+	held []hop
 
 	// prog delivers committed deltas to the data plane; defaults to
 	// DirectProgrammer (synchronous, free reconfiguration).
@@ -288,43 +357,44 @@ func (c *Controller) Admit(req traffic.Request) (*Conn, error) {
 	// The arbitration points in path order — the source host interface,
 	// then each switch's output port (the last one being the destination
 	// host port) — each with the wire VL the reservation lands on there.
-	path, err := c.routes.PathHops(req.Src, req.Dst, base)
+	path, err := c.routes.AppendPathHops(c.path[:0], req.Src, req.Dst, base)
 	if err != nil {
 		return nil, err
 	}
-
-	conn := &Conn{
-		ID:     c.nextID,
-		Req:    req,
-		Weight: weight,
-		Hops:   len(path),
-		hops:   make([]hop, 0, len(path)),
-	}
-	conn.Deadline = int64(conn.Hops) * sl.HopDeadlineByteTimes(req.Level.Distance, c.PacketWire)
+	c.path = path
 
 	// Phase 1: prepare on the shadow tables.
+	c.held = c.held[:0]
 	for i, h := range path {
 		id, tb := c.site(req.Src, h)
-		if c.Down != nil && c.Down(id) {
-			c.abort(conn)
-			return nil, fmt.Errorf("admission: hop %d/%d (%v): %w", i+1, len(path), id, ErrHopDown)
+		var cause error
+		reserved := tb.ReservedWeight()
+		switch {
+		case c.Down != nil && c.Down(id):
+			cause = ErrHopDown
+		case tb.Programming():
+			cause = ErrHopBusy
+		case reserved+weight > c.Budget:
+			cause = ErrOverBudget
+		default:
+			res, err := tb.Reserve(h.WireVL, distance, weight)
+			if err == nil {
+				c.held = append(c.held, hop{id: id, table: tb, res: res})
+				continue
+			}
+			cause = err
 		}
-		if tb.Programming() {
-			c.abort(conn)
-			return nil, fmt.Errorf("admission: hop %d/%d (%v): %w", i+1, len(path), id, ErrHopBusy)
-		}
-		if reserved := tb.ReservedWeight(); reserved+weight > c.Budget {
-			c.abort(conn)
-			return nil, fmt.Errorf("admission: hop %d/%d %w (%d + %d > %d)",
-				i+1, len(path), ErrOverBudget, reserved, weight, c.Budget)
-		}
-		res, err := tb.Reserve(h.WireVL, distance, weight)
-		if err != nil {
-			c.abort(conn)
-			return nil, fmt.Errorf("admission: hop %d/%d: %w", i+1, len(path), err)
-		}
-		conn.hops = append(conn.hops, hop{id: id, table: tb, res: res})
+		c.abort()
+		return nil, &hopError{cause: cause, hop: i + 1, of: len(path), id: id,
+			reserved: reserved, weight: weight, budget: c.Budget}
 	}
+
+	conn := newConn(c.held)
+	conn.ID = c.nextID
+	conn.Req = req
+	conn.Weight = weight
+	conn.Hops = len(path)
+	conn.Deadline = int64(conn.Hops) * sl.HopDeadlineByteTimes(req.Level.Distance, c.PacketWire)
 
 	// Phase 2: commit — emit one delta per hop to the data plane.
 	for _, h := range conn.hops {
@@ -344,7 +414,7 @@ func (c *Controller) commitHop(id PortID, tb *core.PortTable) {
 		return
 	}
 	d, err := tb.BeginProgram()
-	if err != nil || len(d.Blocks) == 0 {
+	if err != nil || len(d.Blocks()) == 0 {
 		return
 	}
 	if err := c.prog.Program(id, tb, d); err != nil {
@@ -359,9 +429,9 @@ func (c *Controller) commitHop(id PortID, tb *core.PortTable) {
 // reverse order of acquisition, and re-checks every touched hop's
 // allocator invariants.  Rollback never defragments, so each shadow
 // table is restored byte-identically to its pre-Admit state.
-func (c *Controller) abort(conn *Conn) {
-	for i := len(conn.hops) - 1; i >= 0; i-- {
-		h := conn.hops[i]
+func (c *Controller) abort() {
+	for i := len(c.held) - 1; i >= 0; i-- {
+		h := c.held[i]
 		// Rollback cannot fail for reservations we just made.
 		if err := h.table.Rollback(h.res); err != nil {
 			panic(fmt.Sprintf("admission: rollback at %v failed: %v", h.id, err))
@@ -370,7 +440,7 @@ func (c *Controller) abort(conn *Conn) {
 			panic(fmt.Sprintf("admission: invariants broken after rollback at %v: %v", h.id, err))
 		}
 	}
-	conn.hops = nil
+	c.held = c.held[:0]
 }
 
 // Release tears down an admitted connection as a committed

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/sl"
 )
 
 // portSnapshot captures everything admission may touch on one port,
@@ -54,7 +55,9 @@ func pathTables(t *testing.T, c *Controller, src, dst int, base uint8) []hop {
 // downlink) whose LAST hop refuses — out of table entries, over the
 // weight budget, mid-reprogram, or quarantined.  The first two hops
 // prepared successfully; the abort must roll them back to
-// byte-identical pre-Admit state, and the error must name its class.
+// byte-identical pre-Admit state, and the error must name its class —
+// to errors.Is, and in the text the typed error renders on demand,
+// which is word for word what fmt.Errorf used to build on every refusal.
 func TestAbortAtLastHopLeavesEarlierHopsUntouched(t *testing.T) {
 	classes := []error{core.ErrNoSpace, ErrOverBudget, ErrHopBusy, ErrHopDown}
 	// saturate fills the destination switch's port to dst from a host on
@@ -71,11 +74,16 @@ func TestAbortAtLastHopLeavesEarlierHopsUntouched(t *testing.T) {
 		name  string
 		want  error
 		setup func(t *testing.T, c *Controller, dst int, last PortID)
+		// text is the refusal's message given the last hop's table and
+		// the error Admit returned.
+		text func(c *Controller, last hop, err error) string
 	}{
 		// 64 Mbps is weight 523: four slots each and no sharing, so the
 		// 64 entries run out at 16 connections, well inside the budget.
 		{"no space", core.ErrNoSpace, func(t *testing.T, c *Controller, dst int, _ PortID) {
 			saturate(t, c, dst, 64)
+		}, func(_ *Controller, _ hop, err error) string {
+			return fmt.Sprintf("admission: hop 3/3: %v", errors.Unwrap(err))
 		}},
 		// 30 Mbps fits one slot but not two to a sequence: the weight
 		// budget is spent while a dozen entries are still free.
@@ -84,15 +92,22 @@ func TestAbortAtLastHopLeavesEarlierHopsUntouched(t *testing.T) {
 			if free := c.ports.Switch[last.Switch][last.Port].Allocator().FreeSlots(); free == 0 {
 				t.Fatal("table filled before the budget did")
 			}
+		}, func(c *Controller, last hop, _ error) string {
+			return fmt.Sprintf("admission: hop 3/3 over budget (%d + %d > %d)",
+				last.table.ReservedWeight(), sl.WeightForBandwidth(64*c.WireFactor), c.Budget)
 		}},
 		{"busy", ErrHopBusy, func(t *testing.T, c *Controller, dst int, _ PortID) {
 			c.SetProgrammer(&captureProgrammer{})
 			if _, err := c.Admit(req(4, dst, 9, 32)); err != nil {
 				t.Fatal(err)
 			}
+		}, func(_ *Controller, last hop, _ error) string {
+			return fmt.Sprintf("admission: hop 3/3 (%v): admission: hop mid-reprogram", last.id)
 		}},
 		{"down", ErrHopDown, func(t *testing.T, c *Controller, _ int, last PortID) {
 			c.Down = func(id PortID) bool { return id == last }
+		}, func(_ *Controller, last hop, _ error) string {
+			return fmt.Sprintf("admission: hop 3/3 (%v): admission: hop down (quarantined)", last.id)
 		}},
 	} {
 		tc := tc
@@ -118,6 +133,9 @@ func TestAbortAtLastHopLeavesEarlierHopsUntouched(t *testing.T) {
 				if got, want := errors.Is(err, class), class == tc.want; got != want {
 					t.Errorf("errors.Is(%q, %q) = %v, want %v", err, class, got, want)
 				}
+			}
+			if got, want := err.Error(), tc.text(c, sites[2], err); got != want {
+				t.Errorf("refusal reads %q, want %q", got, want)
 			}
 
 			for i, s := range sites {
@@ -174,8 +192,8 @@ func (p *captureProgrammer) Program(id PortID, pt *core.PortTable, d core.Delta)
 
 func (p *captureProgrammer) release() error {
 	for _, h := range p.held {
-		for _, b := range h.d.Blocks {
-			if _, err := h.pt.DeliverBlock(h.d.Version, b.Index, len(h.d.Blocks), b.Entries); err != nil {
+		for _, b := range h.d.Blocks() {
+			if _, err := h.pt.DeliverBlock(h.d.Version, b.Index, len(h.d.Blocks()), b.Entries); err != nil {
 				return err
 			}
 		}
@@ -237,5 +255,36 @@ func TestAdmitWithRetrySucceedsAfterProgramLands(t *testing.T) {
 	}
 	if eng.Now() < 5000 {
 		t.Errorf("admission resolved at t=%d, before the program landed", eng.Now())
+	}
+}
+
+// TestNewConnIsOneObject: a connection and its copy of the reserved
+// hops are a single allocation up to eight hops, the hop list a second
+// one beyond; either way the copy is exact and owns its storage.
+func TestNewConnIsOneObject(t *testing.T) {
+	scratch := make([]hop, 12)
+	for i := range scratch {
+		scratch[i] = hop{id: SwitchPortID(i, i+1), res: core.Reservation{Weight: 10 + i}}
+	}
+	for n := 1; n <= len(scratch); n++ {
+		conn := newConn(scratch[:n])
+		if len(conn.hops) != n {
+			t.Fatalf("%d hops: connection holds %d", n, len(conn.hops))
+		}
+		for i, h := range conn.hops {
+			if h != scratch[i] {
+				t.Fatalf("%d hops: hop %d = %+v, want %+v", n, i, h, scratch[i])
+			}
+		}
+		if &conn.hops[0] == &scratch[0] {
+			t.Fatalf("%d hops: connection aliases the controller's scratch", n)
+		}
+		want := 1.0
+		if n > 8 {
+			want = 2
+		}
+		if allocs := testing.AllocsPerRun(100, func() { conn = newConn(scratch[:n]) }); allocs != want {
+			t.Errorf("%d hops: newConn allocates %.0f objects, want %.0f", n, allocs, want)
+		}
 	}
 }

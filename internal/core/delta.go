@@ -28,9 +28,31 @@ type BlockDelta struct {
 // differ between the shadow (control-plane) and active (data-plane)
 // views, tagged with the version the active table will carry once all
 // of them are applied.  Unchanged blocks are not transmitted.
+//
+// The blocks live inside the Delta — at most NumHighBlocks of them —
+// so a Delta is a plain value: opening a transaction allocates
+// nothing, and a programmer that keeps one while its SMPs are in
+// flight shares no buffer with any other transaction.
 type Delta struct {
 	Version uint64
-	Blocks  []BlockDelta
+
+	n      int
+	blocks [NumHighBlocks]BlockDelta
+}
+
+// Blocks returns the changed blocks in ascending index order.  The
+// slice aliases the Delta's own storage.
+func (d *Delta) Blocks() []BlockDelta { return d.blocks[:d.n] }
+
+// Append adds one changed block and reports whether it fit: a Delta
+// holds at most NumHighBlocks.
+func (d *Delta) Append(b BlockDelta) bool {
+	if d.n == len(d.blocks) {
+		return false
+	}
+	d.blocks[d.n] = b
+	d.n++
+	return true
 }
 
 // Errors of the programming protocol.
@@ -68,30 +90,20 @@ func (p *PortTable) BeginProgram() (Delta, error) {
 		return Delta{}, ErrProgramInFlight
 	}
 	shadow := p.alloc.Table()
-	var changed [NumHighBlocks]bool
-	n := 0
-	for b := range changed {
-		if *highBlock(&shadow.High, b) != *highBlock(&p.active.High, b) {
-			changed[b] = true
-			n++
+	var d Delta
+	for b := 0; b < NumHighBlocks; b++ {
+		if blk := highBlock(&shadow.High, b); *blk != *highBlock(&p.active.High, b) {
+			d.Append(BlockDelta{Index: b, Entries: *blk})
 		}
 	}
-	if n == 0 {
+	if d.n == 0 {
 		return Delta{}, nil
-	}
-	// The delta owns its blocks: a programmer holds it while its SMPs
-	// are in flight, so no buffer is shared across transactions.
-	d := Delta{Blocks: make([]BlockDelta, 0, n)}
-	for b, diff := range changed {
-		if diff {
-			d.Blocks = append(d.Blocks, BlockDelta{Index: b, Entries: *highBlock(&shadow.High, b)})
-		}
 	}
 	d.Version = p.active.Version() + 1
 	p.programming = true
 	p.targetVer = d.Version
 	p.target = shadow.High
-	p.expectTotal = len(d.Blocks)
+	p.expectTotal = d.n
 	p.staged = [NumHighBlocks]bool{}
 	p.stats.Programs++
 	return d, nil

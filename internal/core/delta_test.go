@@ -12,9 +12,9 @@ import (
 func deliverAll(t *testing.T, p *PortTable, d Delta) bool {
 	t.Helper()
 	applied := false
-	for _, b := range d.Blocks {
+	for _, b := range d.Blocks() {
 		var err error
-		applied, err = p.DeliverBlock(d.Version, b.Index, len(d.Blocks), b.Entries)
+		applied, err = p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries)
 		if err != nil {
 			t.Fatalf("block %d: %v", b.Index, err)
 		}
@@ -72,8 +72,8 @@ func TestBeginProgramDiffsChangedBlocksOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Blocks) != 1 || d.Blocks[0].Index != 0 {
-		t.Fatalf("delta blocks = %+v, want exactly block 0", d.Blocks)
+	if len(d.Blocks()) != 1 || d.Blocks()[0].Index != 0 {
+		t.Fatalf("delta blocks = %+v, want exactly block 0", d.Blocks())
 	}
 	deliverAll(t, p, d)
 }
@@ -101,15 +101,15 @@ func TestDeliverBlockOutOfOrderApplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Blocks) != NumHighBlocks {
-		t.Fatalf("delta has %d blocks, want %d", len(d.Blocks), NumHighBlocks)
+	if len(d.Blocks()) != NumHighBlocks {
+		t.Fatalf("delta has %d blocks, want %d", len(d.Blocks()), NumHighBlocks)
 	}
 	// Deliver in reverse: staging must be order-free.
 	applied := false
-	for i := len(d.Blocks) - 1; i >= 0; i-- {
-		b := d.Blocks[i]
+	for i := len(d.Blocks()) - 1; i >= 0; i-- {
+		b := d.Blocks()[i]
 		var err error
-		applied, err = p.DeliverBlock(d.Version, b.Index, len(d.Blocks), b.Entries)
+		applied, err = p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,8 +145,8 @@ func TestDeliverBlockTornAborts(t *testing.T) {
 	})
 	t.Run("version mismatch", func(t *testing.T) {
 		p, d := reserveAndBegin(t)
-		b := d.Blocks[0]
-		if _, err := p.DeliverBlock(d.Version+7, b.Index, len(d.Blocks), b.Entries); !errors.Is(err, ErrTornUpdate) {
+		b := d.Blocks()[0]
+		if _, err := p.DeliverBlock(d.Version+7, b.Index, len(d.Blocks()), b.Entries); !errors.Is(err, ErrTornUpdate) {
 			t.Errorf("err = %v, want ErrTornUpdate", err)
 		}
 		if p.Programming() {
@@ -158,20 +158,20 @@ func TestDeliverBlockTornAborts(t *testing.T) {
 	})
 	t.Run("duplicate block with different content", func(t *testing.T) {
 		p, d := reserveAndBegin(t)
-		b := d.Blocks[0]
-		if _, err := p.DeliverBlock(d.Version, b.Index, len(d.Blocks), b.Entries); err != nil {
+		b := d.Blocks()[0]
+		if _, err := p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries); err != nil {
 			t.Fatal(err)
 		}
 		mutated := b.Entries
 		mutated[0].Weight ^= 0x7f
-		if _, err := p.DeliverBlock(d.Version, b.Index, len(d.Blocks), mutated); !errors.Is(err, ErrTornUpdate) {
+		if _, err := p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), mutated); !errors.Is(err, ErrTornUpdate) {
 			t.Errorf("err = %v, want ErrTornUpdate", err)
 		}
 	})
 	t.Run("total mismatch", func(t *testing.T) {
 		p, d := reserveAndBegin(t)
-		b := d.Blocks[0]
-		if _, err := p.DeliverBlock(d.Version, b.Index, len(d.Blocks)+1, b.Entries); !errors.Is(err, ErrTornUpdate) {
+		b := d.Blocks()[0]
+		if _, err := p.DeliverBlock(d.Version, b.Index, len(d.Blocks())+1, b.Entries); !errors.Is(err, ErrTornUpdate) {
 			t.Errorf("err = %v, want ErrTornUpdate", err)
 		}
 	})
@@ -180,8 +180,8 @@ func TestDeliverBlockTornAborts(t *testing.T) {
 	// transaction must succeed and converge.
 	t.Run("recovers", func(t *testing.T) {
 		p, d := reserveAndBegin(t)
-		b := d.Blocks[0]
-		if _, err := p.DeliverBlock(d.Version+1, b.Index, len(d.Blocks), b.Entries); err == nil {
+		b := d.Blocks()[0]
+		if _, err := p.DeliverBlock(d.Version+1, b.Index, len(d.Blocks()), b.Entries); err == nil {
 			t.Fatal("torn update accepted")
 		}
 		d2, err := p.BeginProgram()
@@ -212,16 +212,16 @@ func TestDeliverBlockDuplicateIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Blocks) != NumHighBlocks {
-		t.Fatalf("delta has %d blocks, want %d", len(d.Blocks), NumHighBlocks)
+	if len(d.Blocks()) != NumHighBlocks {
+		t.Fatalf("delta has %d blocks, want %d", len(d.Blocks()), NumHighBlocks)
 	}
 
 	// Mid-transaction duplicate with identical content: ignored.
-	b0 := d.Blocks[0]
-	if _, err := p.DeliverBlock(d.Version, b0.Index, len(d.Blocks), b0.Entries); err != nil {
+	b0 := d.Blocks()[0]
+	if _, err := p.DeliverBlock(d.Version, b0.Index, len(d.Blocks()), b0.Entries); err != nil {
 		t.Fatal(err)
 	}
-	if applied, err := p.DeliverBlock(d.Version, b0.Index, len(d.Blocks), b0.Entries); err != nil || applied {
+	if applied, err := p.DeliverBlock(d.Version, b0.Index, len(d.Blocks()), b0.Entries); err != nil || applied {
 		t.Fatalf("mid-transaction duplicate: applied=%v err=%v, want no-op", applied, err)
 	}
 	if !p.Programming() {
@@ -230,8 +230,8 @@ func TestDeliverBlockDuplicateIdempotent(t *testing.T) {
 
 	// Complete the transaction.
 	applied := false
-	for _, b := range d.Blocks[1:] {
-		if applied, err = p.DeliverBlock(d.Version, b.Index, len(d.Blocks), b.Entries); err != nil {
+	for _, b := range d.Blocks()[1:] {
+		if applied, err = p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,8 +242,8 @@ func TestDeliverBlockDuplicateIdempotent(t *testing.T) {
 
 	// Post-commit duplicate of a committed block: the content is
 	// already live, so it must be ignored — no abort, no extra swap.
-	last := d.Blocks[len(d.Blocks)-1]
-	if applied, err := p.DeliverBlock(d.Version, last.Index, len(d.Blocks), last.Entries); err != nil || applied {
+	last := d.Blocks()[len(d.Blocks())-1]
+	if applied, err := p.DeliverBlock(d.Version, last.Index, len(d.Blocks()), last.Entries); err != nil || applied {
 		t.Fatalf("post-commit duplicate: applied=%v err=%v, want no-op", applied, err)
 	}
 	if p.Programming() || p.Stats().Swaps != swaps || p.Stats().TornAborts != 0 {
@@ -280,8 +280,8 @@ func TestDeliverBlockStaleVersionIgnored(t *testing.T) {
 	}
 
 	// Straggler from transaction 1: ignored, transaction 2 survives.
-	old := d1.Blocks[0]
-	if applied, err := p.DeliverBlock(d1.Version, old.Index, len(d1.Blocks), old.Entries); err != nil || applied {
+	old := d1.Blocks()[0]
+	if applied, err := p.DeliverBlock(d1.Version, old.Index, len(d1.Blocks()), old.Entries); err != nil || applied {
 		t.Fatalf("stale block: applied=%v err=%v, want no-op", applied, err)
 	}
 	if !p.Programming() {
@@ -307,8 +307,8 @@ func TestCancelProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	activeBefore := p.Active().High
-	b := d.Blocks[0]
-	if _, err := p.DeliverBlock(d.Version, b.Index, len(d.Blocks), b.Entries); err != nil {
+	b := d.Blocks()[0]
+	if _, err := p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries); err != nil {
 		t.Fatal(err)
 	}
 

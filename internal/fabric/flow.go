@@ -76,12 +76,12 @@ func newFlow(id, src, dst int, slv, vl uint8, mbps float64, payload int, deadlin
 }
 
 // resetMeasurement clears the per-flow statistics at the start of the
-// measurement window.
+// measurement window, in place: Delay and Jitter keep their identity.
 func (f *Flow) resetMeasurement() {
 	f.Injected = stats.Meter{}
 	f.Delivered = stats.Meter{}
-	f.Delay = stats.NewDelayCDF()
-	f.Jitter = &stats.JitterHist{}
+	f.Delay.Reset()
+	f.Jitter.Reset()
 	f.lastArrival = -1
 	f.Drops = 0
 }

@@ -45,6 +45,16 @@ func TestHighTableRoundTripProperty(t *testing.T) {
 			t.Fatalf("trial %d: shuffled decode differs from programmed table", trial)
 		}
 
+		// Block by block, the in-place codec writes the same wire bytes
+		// and reads the same entries back.
+		for b := 0; b < NumHighBlocks; b++ {
+			wire, ok := diffEncode(t, version, b, NumHighBlocks, table.High[b*ArbBlockEntries:(b+1)*ArbBlockEntries])
+			if !ok {
+				t.Fatalf("trial %d: block %d did not encode", trial, b)
+			}
+			diffDecode(t, wire)
+		}
+
 		// Drop one block: torn.
 		drop := rng.Intn(len(shuffled))
 		partial := append(append([]*Packet(nil), shuffled[:drop]...), shuffled[drop+1:]...)
@@ -84,8 +94,9 @@ func hasDuplicate(pkts []*Packet) bool {
 
 // FuzzHighTableDecode feeds arbitrary bytes through the full wire
 // path: slice into MAD-sized packets, unmarshal, decode.  The decoder
-// must reject malformed sets with an error, never panic, and any set
-// it accepts must re-encode to the same blocks.
+// must reject malformed sets with an error, never panic, any set it
+// accepts must re-encode to the same blocks, and the in-place block
+// decoder must agree with the allocating one on every slice.
 func FuzzHighTableDecode(f *testing.F) {
 	marshalSet := func(pkts []*Packet) []byte {
 		var out []byte
@@ -108,8 +119,13 @@ func FuzzHighTableDecode(f *testing.F) {
 	f.Add([]byte("not a mad at all"))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		// Whatever the bytes, the in-place decoder and the allocating one
+		// agree: on the whole input (any length) and on every MAD-sized
+		// slice of it.
+		diffDecode(t, raw)
 		var pkts []*Packet
 		for off := 0; off+Size <= len(raw); off += Size {
+			diffDecode(t, raw[off:off+Size])
 			p, err := Unmarshal(raw[off : off+Size])
 			if err != nil {
 				continue

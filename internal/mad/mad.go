@@ -75,8 +75,27 @@ func (p *Packet) Marshal() ([]byte, error) {
 	if len(p.Data) > smpDataSize {
 		return nil, fmt.Errorf("mad: attribute payload %d exceeds %d bytes", len(p.Data), smpDataSize)
 	}
-	buf := make([]byte, Size)
-	h := p.Header
+	buf := new([Size]byte)
+	putHeader(buf, &p.Header)
+	copy(buf[smpDataOffset:], p.Data)
+	return buf[:], nil
+}
+
+// Unmarshal parses a 256-byte wire MAD.
+func Unmarshal(buf []byte) (*Packet, error) {
+	h, err := parseHeader(buf)
+	if err != nil {
+		return nil, err
+	}
+	return &Packet{
+		Header: h,
+		Data:   append([]byte(nil), buf[smpDataOffset:smpDataOffset+smpDataSize]...),
+	}, nil
+}
+
+// putHeader writes the common MAD header at the offsets the
+// specification assigns.  The reserved bytes are left as they are.
+func putHeader(buf *[Size]byte, h *Header) {
 	buf[0] = h.BaseVersion
 	buf[1] = h.MgmtClass
 	buf[2] = h.ClassVersion
@@ -86,30 +105,24 @@ func (p *Packet) Marshal() ([]byte, error) {
 	binary.BigEndian.PutUint64(buf[8:16], h.TID)
 	binary.BigEndian.PutUint16(buf[16:18], h.AttrID)
 	binary.BigEndian.PutUint32(buf[20:24], h.AttrModifier)
-	copy(buf[smpDataOffset:], p.Data)
-	return buf, nil
 }
 
-// Unmarshal parses a 256-byte wire MAD.
-func Unmarshal(buf []byte) (*Packet, error) {
+// parseHeader reads the common MAD header of a 256-byte wire MAD.
+func parseHeader(buf []byte) (Header, error) {
 	if len(buf) != Size {
-		return nil, fmt.Errorf("mad: packet is %d bytes, want %d", len(buf), Size)
+		return Header{}, fmt.Errorf("mad: packet is %d bytes, want %d", len(buf), Size)
 	}
-	p := &Packet{
-		Header: Header{
-			BaseVersion:  buf[0],
-			MgmtClass:    buf[1],
-			ClassVersion: buf[2],
-			Method:       buf[3],
-			Status:       binary.BigEndian.Uint16(buf[4:6]),
-			HopInfo:      binary.BigEndian.Uint16(buf[6:8]),
-			TID:          binary.BigEndian.Uint64(buf[8:16]),
-			AttrID:       binary.BigEndian.Uint16(buf[16:18]),
-			AttrModifier: binary.BigEndian.Uint32(buf[20:24]),
-		},
-		Data: append([]byte(nil), buf[smpDataOffset:smpDataOffset+smpDataSize]...),
-	}
-	return p, nil
+	return Header{
+		BaseVersion:  buf[0],
+		MgmtClass:    buf[1],
+		ClassVersion: buf[2],
+		Method:       buf[3],
+		Status:       binary.BigEndian.Uint16(buf[4:6]),
+		HopInfo:      binary.BigEndian.Uint16(buf[6:8]),
+		TID:          binary.BigEndian.Uint64(buf[8:16]),
+		AttrID:       binary.BigEndian.Uint16(buf[16:18]),
+		AttrModifier: binary.BigEndian.Uint32(buf[20:24]),
+	}, nil
 }
 
 // NodeInfo is the discovery attribute: what kind of device answered
@@ -221,54 +234,131 @@ func SplitArbModifier(mod uint32) (index, total int, ok bool) {
 	return index, total, true
 }
 
+// arbBlockBytes is the wire size of one 16-entry arbitration block.
+const arbBlockBytes = 2 * ArbBlockEntries
+
+// checkArbBlock rejects an entry list longer than one block.
+func checkArbBlock(entries []arbtable.Entry) error {
+	if len(entries) > ArbBlockEntries {
+		return fmt.Errorf("mad: %d entries exceed block size %d", len(entries), ArbBlockEntries)
+	}
+	return nil
+}
+
+// putArbBlock writes a checked entry list into a block's wire bytes;
+// dst holds at least arbBlockBytes, and the bytes of entries beyond
+// len(entries) stay as they are.
+func putArbBlock(dst []byte, entries []arbtable.Entry) {
+	_ = dst[arbBlockBytes-1]
+	for i, e := range entries {
+		dst[2*i] = e.VL & 0x0f
+		dst[2*i+1] = e.Weight
+	}
+}
+
+// parseArbBlock reads one arbitration block into out.
+func parseArbBlock(data []byte, out *[ArbBlockEntries]arbtable.Entry) error {
+	if len(data) < arbBlockBytes {
+		return fmt.Errorf("mad: arbitration block too short (%d)", len(data))
+	}
+	for i := range out {
+		out[i] = arbtable.Entry{VL: data[2*i] & 0x0f, Weight: data[2*i+1]}
+	}
+	return nil
+}
+
 // EncodeArbBlock renders one 16-entry arbitration block.
 func EncodeArbBlock(entries []arbtable.Entry) ([]byte, error) {
-	if len(entries) > ArbBlockEntries {
-		return nil, fmt.Errorf("mad: %d entries exceed block size %d", len(entries), ArbBlockEntries)
+	if err := checkArbBlock(entries); err != nil {
+		return nil, err
 	}
-	buf := make([]byte, 2*ArbBlockEntries)
-	for i, e := range entries {
-		buf[2*i] = e.VL & 0x0f
-		buf[2*i+1] = e.Weight
-	}
+	buf := make([]byte, arbBlockBytes)
+	putArbBlock(buf, entries)
 	return buf, nil
 }
 
 // DecodeArbBlock parses one arbitration block.
 func DecodeArbBlock(data []byte) ([]arbtable.Entry, error) {
-	if len(data) < 2*ArbBlockEntries {
-		return nil, fmt.Errorf("mad: arbitration block too short (%d)", len(data))
+	out := new([ArbBlockEntries]arbtable.Entry)
+	if err := parseArbBlock(data, out); err != nil {
+		return nil, err
 	}
-	out := make([]arbtable.Entry, ArbBlockEntries)
-	for i := range out {
-		out[i] = arbtable.Entry{VL: data[2*i] & 0x0f, Weight: data[2*i+1]}
+	return out[:], nil
+}
+
+// highBlockHeader is the header of an SMP carrying one 16-entry block
+// of a high-table transaction: version in the TID, block index and
+// total block count in the attribute modifier.
+func highBlockHeader(method uint8, version uint64, index, total int) (Header, error) {
+	if index < 0 || index >= NumHighBlocks {
+		return Header{}, fmt.Errorf("mad: high-table block index %d out of range", index)
 	}
-	return out, nil
+	if total < 1 || total > NumHighBlocks {
+		return Header{}, fmt.Errorf("mad: high-table block total %d out of range", total)
+	}
+	return Header{
+		BaseVersion: 1, MgmtClass: ClassSubnLID, ClassVersion: 1,
+		Method: method, TID: version,
+		AttrID:       AttrVLArbitration,
+		AttrModifier: ArbModifier(index, total),
+	}, nil
 }
 
 // HighBlockSMP builds one Set(VLArbitrationTable) SMP carrying one
-// 16-entry block of a table transaction: version in the TID, block
-// index and total block count in the attribute modifier.
+// 16-entry block of a table transaction.
 func HighBlockSMP(version uint64, index, total int, entries []arbtable.Entry) (*Packet, error) {
-	if index < 0 || index >= NumHighBlocks {
-		return nil, fmt.Errorf("mad: high-table block index %d out of range", index)
-	}
-	if total < 1 || total > NumHighBlocks {
-		return nil, fmt.Errorf("mad: high-table block total %d out of range", total)
+	h, err := highBlockHeader(MethodSet, version, index, total)
+	if err != nil {
+		return nil, err
 	}
 	block, err := EncodeArbBlock(entries)
 	if err != nil {
 		return nil, err
 	}
-	return &Packet{
-		Header: Header{
-			BaseVersion: 1, MgmtClass: ClassSubnLID, ClassVersion: 1,
-			Method: MethodSet, TID: version,
-			AttrID:       AttrVLArbitration,
-			AttrModifier: ArbModifier(index, total),
-		},
-		Data: block,
-	}, nil
+	return &Packet{Header: h, Data: block}, nil
+}
+
+// EncodeHighBlock renders the SMP HighBlockSMP builds straight into
+// its 256-byte wire form in wire, every byte of which is overwritten:
+// what HighBlockSMP(...).Marshal() returns, without the packet, the
+// payload and the buffer.  method is MethodSet for a programming SMP
+// and MethodGetResp for a read-back response.  On error wire is
+// untouched.
+func EncodeHighBlock(wire *[Size]byte, method uint8, version uint64, index, total int, entries []arbtable.Entry) error {
+	h, err := highBlockHeader(method, version, index, total)
+	if err != nil {
+		return err
+	}
+	if err := checkArbBlock(entries); err != nil {
+		return err
+	}
+	*wire = [Size]byte{}
+	putHeader(wire, &h)
+	putArbBlock(wire[smpDataOffset:], entries)
+	return nil
+}
+
+// DecodeHighBlock parses a wire SMP carrying one high-table block —
+// Unmarshal, SplitArbModifier and DecodeArbBlock in one pass, with the
+// entries written to out instead of allocated.  It returns the table
+// version from the TID and the block index and transaction total from
+// the attribute modifier; a wire that is not Size bytes or whose
+// modifier names no high-table block is an error.  Like the three
+// calls it replaces it does not look at the method or the attribute
+// ID: the caller knows what it asked for.
+func DecodeHighBlock(wire []byte, out *[ArbBlockEntries]arbtable.Entry) (version uint64, index, total int, err error) {
+	h, err := parseHeader(wire)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	index, total, ok := SplitArbModifier(h.AttrModifier)
+	if !ok {
+		return 0, 0, 0, fmt.Errorf("mad: attribute modifier %#x names no high-table block", h.AttrModifier)
+	}
+	if err := parseArbBlock(wire[smpDataOffset:], out); err != nil {
+		return 0, 0, 0, err
+	}
+	return h.TID, index, total, nil
 }
 
 // HighTableSMPs builds the four Set(VLArbitrationTable) SMPs that
@@ -318,11 +408,10 @@ func DecodeHighTable(pkts []*Packet) (*arbtable.Table, error) {
 		if staged[index] {
 			return nil, fmt.Errorf("mad: torn high table: duplicate block %d", index)
 		}
-		entries, err := DecodeArbBlock(p.Data)
-		if err != nil {
+		lo := index * ArbBlockEntries
+		if err := parseArbBlock(p.Data, (*[ArbBlockEntries]arbtable.Entry)(t.High[lo:lo+ArbBlockEntries])); err != nil {
 			return nil, err
 		}
-		copy(t.High[index*ArbBlockEntries:], entries)
 		staged[index] = true
 		seen++
 	}

@@ -317,21 +317,37 @@ type Hop struct {
 // these sites, and the analytical capacity planner accumulates offered
 // load over them, so the two agree on the path by construction.
 func (r *Routes) PathHops(srcHost, dstHost int, base uint8) ([]Hop, error) {
-	switches, err := r.PathSwitches(srcHost, dstHost)
-	if err != nil {
-		return nil, err
-	}
-	hops := make([]Hop, 0, len(switches)+1)
+	// Room for the longest minimal route of a fat-tree or dragonfly, so
+	// that the usual path is one allocation; longer ones regrow.
+	return r.AppendPathHops(make([]Hop, 0, 8), srcHost, dstHost, base)
+}
+
+// AppendPathHops appends the arbitration points PathHops returns to
+// dst, walking the forwarding tables once, so a caller that keeps dst
+// across calls routes without allocating.  On error dst is returned at
+// its original length.
+func (r *Routes) AppendPathHops(dst []Hop, srcHost, dstHost int, base uint8) ([]Hop, error) {
+	s, _ := r.topo.HostSwitch(srcHost)
+	d, dport := r.topo.HostSwitch(dstHost)
+	start := len(dst)
 	// The injection VL matches the first switch hop's plane.
-	hops = append(hops, Hop{Switch: -1, Port: -1, WireVL: r.HopVL(switches[0], dstHost, base)})
-	for _, sw := range switches {
-		hops = append(hops, Hop{
-			Switch: sw,
-			Port:   r.NextPort(sw, dstHost),
-			WireVL: r.HopVL(sw, dstHost, base),
-		})
+	dst = append(dst, Hop{Switch: -1, Port: -1, WireVL: r.HopVL(s, dstHost, base)})
+	for s != d {
+		p := r.next[s][d]
+		if p < 0 {
+			return dst[:start], fmt.Errorf("routing: no route from switch %d to %d", s, d)
+		}
+		e := r.topo.Peer(s, p)
+		if e.Switch < 0 {
+			return dst[:start], fmt.Errorf("routing: forwarding from switch %d uses dead port %d", s, p)
+		}
+		dst = append(dst, Hop{Switch: s, Port: p, WireVL: r.HopVL(s, dstHost, base)})
+		s = e.Switch
+		if len(dst)-start > r.topo.NumSwitches+1 {
+			return dst[:start], fmt.Errorf("routing: loop detected from host %d to %d", srcHost, dstHost)
+		}
 	}
-	return hops, nil
+	return append(dst, Hop{Switch: d, Port: dport, WireVL: r.HopVL(d, dstHost, base)}), nil
 }
 
 // CheckLegal verifies that every switch-to-switch route follows the

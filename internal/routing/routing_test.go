@@ -261,3 +261,86 @@ func TestChannelDependencyGraphAcyclic(t *testing.T) {
 		}
 	}
 }
+
+// TestPathHopsMatchesSwitchWalk: PathHops and AppendPathHops walk the
+// forwarding tables themselves; on every host pair of every topology
+// class they must name exactly the sites the switch list implies — the
+// source interface, then (switch, NextPort, HopVL) per switch of
+// PathSwitches — append after whatever the buffer already holds, and,
+// with a buffer that has room, allocate nothing.  Over a link the
+// tables still point across, both fail, and the buffer comes back at
+// its original length.
+func TestPathHopsMatchesSwitchWalk(t *testing.T) {
+	for _, sp := range []topology.Spec{
+		{Class: topology.Irregular, Switches: 16, Seed: 42},
+		{Class: topology.FatTree, K: 4},
+		{Class: topology.Dragonfly, A: 3, P: 2, H: 1},
+	} {
+		topo, err := sp.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := ComputeFor(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const base = 3
+		marker := Hop{Switch: -7, Port: -7}
+		buf := make([]Hop, 0, 64)
+		for src := 0; src < topo.NumHosts(); src++ {
+			for dst := 0; dst < topo.NumHosts(); dst++ {
+				if src == dst {
+					continue
+				}
+				switches, err := r.PathSwitches(src, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := []Hop{{Switch: -1, Port: -1, WireVL: r.HopVL(switches[0], dst, base)}}
+				for _, sw := range switches {
+					want = append(want, Hop{Switch: sw, Port: r.NextPort(sw, dst), WireVL: r.HopVL(sw, dst, base)})
+				}
+				got, err := r.PathHops(src, dst, base)
+				if err != nil || !equalHops(got, want) {
+					t.Fatalf("%s: PathHops(%d, %d) = %v, %v; want %v", sp.Label(), src, dst, got, err, want)
+				}
+				buf, err = r.AppendPathHops(append(buf[:0], marker), src, dst, base)
+				if err != nil || buf[0] != marker || !equalHops(buf[1:], want) {
+					t.Fatalf("%s: AppendPathHops(%d, %d) = %v, %v; want the marker, then %v", sp.Label(), src, dst, buf, err, want)
+				}
+			}
+		}
+		last := topo.NumHosts() - 1
+		if allocs := testing.AllocsPerRun(100, func() { buf, _ = r.AppendPathHops(buf[:0], 0, last, base) }); allocs != 0 {
+			t.Errorf("%s: AppendPathHops into a warm buffer allocates %.0f objects, want 0", sp.Label(), allocs)
+		}
+
+		// Cut the first inter-switch link of the route 0 -> last without
+		// repairing the tables.
+		hops, _ := r.PathHops(0, last, base)
+		if err := topo.RemoveLink(hops[1].Switch, hops[1].Port); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.PathSwitches(0, last); err == nil {
+			t.Fatalf("%s: PathSwitches crosses a removed link", sp.Label())
+		}
+		if got, err := r.PathHops(0, last, base); err == nil || len(got) != 0 {
+			t.Errorf("%s: PathHops over a removed link = %v, %v; want an error and no hops", sp.Label(), got, err)
+		}
+		if got, err := r.AppendPathHops(append(buf[:0], marker), 0, last, base); err == nil || len(got) != 1 || got[0] != marker {
+			t.Errorf("%s: AppendPathHops over a removed link = %v, %v; want an error and the buffer as it was", sp.Label(), got, err)
+		}
+	}
+}
+
+func equalHops(a, b []Hop) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

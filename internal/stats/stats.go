@@ -32,6 +32,12 @@ func NewDelayCDF() *DelayCDF {
 	return &DelayCDF{counts: make([]int64, len(DelayFractions)+1)}
 }
 
+// Reset empties the distribution in place, keeping its storage.
+func (d *DelayCDF) Reset() {
+	clear(d.counts)
+	d.total, d.sum, d.max = 0, 0, 0
+}
+
 // Add records one packet whose delay is the given fraction of its
 // deadline (delay/deadline).
 func (d *DelayCDF) Add(ratio float64) {
@@ -115,6 +121,9 @@ type JitterHist struct {
 	counts [JitterBuckets]int64
 	total  int64
 }
+
+// Reset empties the histogram in place.
+func (j *JitterHist) Reset() { *j = JitterHist{} }
 
 // Add records one interarrival deviation, already normalized by the
 // IAT (e.g. 0 means exactly on schedule, -0.5 means half an IAT early).

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -63,6 +64,32 @@ func TestDelayCDFMerge(t *testing.T) {
 	}
 	if a.MaxRatio() != 2.0 {
 		t.Errorf("merged max = %g, want 2", a.MaxRatio())
+	}
+}
+
+// TestResetInPlace: a reset distribution is indistinguishable from a
+// fresh one and records again, without a new object.
+func TestResetInPlace(t *testing.T) {
+	d := NewDelayCDF()
+	d.Add(0.1)
+	d.Add(2.0)
+	d.Reset()
+	if !reflect.DeepEqual(d, NewDelayCDF()) {
+		t.Errorf("reset DelayCDF = %+v, want the empty distribution", d)
+	}
+	d.Add(0.5)
+	if d.Total() != 1 || d.MaxRatio() != 0.5 || d.PercentMeetingDeadline() != 100 {
+		t.Errorf("after reset + one sample: total %d, max %g, met %g%%", d.Total(), d.MaxRatio(), d.PercentMeetingDeadline())
+	}
+	var j JitterHist
+	j.Add(0)
+	j.Add(5)
+	j.Reset()
+	if j != (JitterHist{}) {
+		t.Errorf("reset JitterHist = %+v, want the zero histogram", j)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { d.Reset(); j.Reset() }); allocs != 0 {
+		t.Errorf("Reset allocates %.0f objects, want 0", allocs)
 	}
 }
 

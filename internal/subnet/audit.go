@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/admission"
+	"repro/internal/arbtable"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/mad"
@@ -237,25 +238,17 @@ func (a *Auditor) round(st *auditState) {
 func (a *Auditor) readBack(st *auditState, block int) bool {
 	lo := block * core.BlockEntries
 	active := st.pt.Active()
-	pkt, err := mad.HighBlockSMP(active.Version(), block, core.NumHighBlocks, active.High[lo:lo+core.BlockEntries])
-	if err != nil {
+	want := active.High[lo : lo+core.BlockEntries]
+	var wire [mad.Size]byte
+	if err := mad.EncodeHighBlock(&wire, mad.MethodGetResp, active.Version(), block, core.NumHighBlocks, want); err != nil {
 		panic(fmt.Sprintf("subnet: audit read-back of %v: %v", st.id, err))
 	}
-	pkt.Header.Method = mad.MethodGetResp
-	wire, err := pkt.Marshal()
-	if err != nil {
-		panic(fmt.Sprintf("subnet: audit read-back of %v: %v", st.id, err))
-	}
-	back, err := mad.Unmarshal(wire)
-	if err != nil {
+	var got [core.BlockEntries]arbtable.Entry
+	if _, _, _, err := mad.DecodeHighBlock(wire[:], &got); err != nil {
 		return false
 	}
-	ent, err := mad.DecodeArbBlock(back.Data)
-	if err != nil {
-		return false
-	}
-	for i, e := range ent {
-		if e != active.High[lo+i] {
+	for i, e := range got {
+		if e != want[i] {
 			return false
 		}
 	}

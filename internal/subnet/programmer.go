@@ -67,6 +67,11 @@ type InbandProgrammer struct {
 
 	txns     map[*core.PortTable]*txnState
 	restarts map[*core.PortTable]int // torn-abort restarts per port
+
+	free *smpDelivery // recycled delivery records, linked through next
+	// poison, set by tests, overwrites a record's wire bytes as it is
+	// recycled, so that a use after recycle reads garbage at once.
+	poison bool
 }
 
 // noteSend counts one SMP leaving the SM toward id, flagging it as
@@ -77,12 +82,67 @@ func (p *InbandProgrammer) noteSend(id admission.PortID) {
 	}
 }
 
-// smpDelivery is one legacy fire-and-forget SMP in flight: the payload
-// of its evSMPArrive event.
+// smpDelivery is one SMP in flight toward a port: the payload of its
+// evSMPArrive (fire-and-forget) or evSMPDeliver (reliable, tx set)
+// event, with the SMP's wire bytes inline.  Records are recycled
+// through the programmer's free list, so the steady-state control
+// plane allocates nothing per SMP and the pool never holds more records
+// than SMPs were ever in flight at once.
+//
+// Lifetime: newDelivery hands a record out, exactly one event carries
+// it, and HandleEvent returns it with recycle only after the arrival
+// handler — including any transaction that handler chains, which draws
+// its own records — has returned.  A record is therefore never on the
+// free list while an event or a handler still refers to it.
 type smpDelivery struct {
 	id   admission.PortID
 	pt   *core.PortTable
-	wire []byte
+	tx   *txnState // reliable mode: the transaction the SMP belongs to
+	wire [mad.Size]byte
+
+	next   *smpDelivery // free-list link
+	flying bool         // handed out and not yet recycled
+}
+
+// newDelivery takes a record off the free list, or allocates the
+// pool's next one.  The wire bytes are whatever the last flight left;
+// the caller overwrites all of them.
+func (p *InbandProgrammer) newDelivery(id admission.PortID, pt *core.PortTable, tx *txnState) *smpDelivery {
+	d := p.free
+	if d == nil {
+		d = new(smpDelivery)
+	} else {
+		p.free = d.next
+	}
+	if d.flying {
+		panic("subnet: delivery record handed out while in flight")
+	}
+	d.id, d.pt, d.tx, d.next, d.flying = id, pt, tx, nil, true
+	return d
+}
+
+// recycle returns a record whose SMP has been handled (or never flew)
+// to the free list.
+func (p *InbandProgrammer) recycle(d *smpDelivery) {
+	if !d.flying {
+		panic("subnet: delivery record recycled twice")
+	}
+	if p.poison {
+		for i := range d.wire {
+			d.wire[i] = 0xff
+		}
+	}
+	d.pt, d.tx, d.flying = nil, nil, false
+	d.next, p.free = p.free, d
+}
+
+// encodeBlock renders block b of a total-block transaction as the
+// Set(VLArbitrationTable) SMP the subnet manager sends, into wire.
+func encodeBlock(wire *[mad.Size]byte, id admission.PortID, version uint64, total int, b core.BlockDelta) error {
+	if err := mad.EncodeHighBlock(wire, mad.MethodSet, version, b.Index, total, b.Entries[:]); err != nil {
+		return fmt.Errorf("subnet: block %d of %v: %w", b.Index, id, err)
+	}
+	return nil
 }
 
 // NewInbandProgrammer returns a programmer injecting SMPs into eng,
@@ -102,32 +162,37 @@ func (m *Manager) HopsToPort(id admission.PortID) int {
 	return m.hopsTo(id.Switch)
 }
 
-// Program implements admission.Programmer.
+// Program implements admission.Programmer.  The whole delta is encoded
+// before its first SMP is posted, so a delta the codec rejects (block
+// index or count out of range) leaves no event, no cost and no record
+// behind.
 func (p *InbandProgrammer) Program(id admission.PortID, pt *core.PortTable, d core.Delta) error {
 	if p.Retry.Enabled() {
 		return p.programReliable(id, pt, d)
+	}
+	blocks := d.Blocks()
+	var flights [core.NumHighBlocks]*smpDelivery
+	for k := range blocks {
+		fl := p.newDelivery(id, pt, nil)
+		flights[k] = fl
+		if err := encodeBlock(&fl.wire, id, d.Version, len(blocks), blocks[k]); err != nil {
+			for _, fl := range flights[:k+1] {
+				p.recycle(fl)
+			}
+			return err
+		}
 	}
 	hops := 1
 	if p.Hops != nil {
 		hops = p.Hops(id)
 	}
-	total := len(d.Blocks)
-	for k, b := range d.Blocks {
-		pkt, err := mad.HighBlockSMP(d.Version, b.Index, total, b.Entries[:])
-		if err != nil {
-			return fmt.Errorf("subnet: block %d of %v: %w", b.Index, id, err)
-		}
-		wire, err := pkt.Marshal()
-		if err != nil {
-			return fmt.Errorf("subnet: block %d of %v: %w", b.Index, id, err)
-		}
+	for k, fl := range flights[:len(blocks)] {
 		p.Costs.addMAD(hops)
 		p.noteSend(id)
 		// The SM serializes its SMPs back to back; each then needs the
 		// one-way path time to the port.
 		delay := int64(k+1)*madWireBytes + int64(hops)*(madWireBytes+hopLatencyBT)
-		p.Engine.PostAfter(delay, p,
-			sim.Event{Kind: evSMPArrive, P: &smpDelivery{id: id, pt: pt, wire: wire}})
+		p.Engine.PostAfter(delay, p, sim.Event{Kind: evSMPArrive, P: fl})
 	}
 	return nil
 }
@@ -137,28 +202,15 @@ func (p *InbandProgrammer) Program(id admission.PortID, pt *core.PortTable, d co
 // shadow table has moved on in the meantime, the next transaction is
 // chained immediately.
 func (p *InbandProgrammer) arrive(id admission.PortID, pt *core.PortTable, wire []byte) {
-	pkt, err := mad.Unmarshal(wire)
+	var blk [core.BlockEntries]arbtable.Entry
+	version, index, total, err := mad.DecodeHighBlock(wire, &blk)
 	if err != nil {
 		panic(fmt.Sprintf("subnet: SMP for %v corrupted on the wire: %v", id, err))
 	}
-	index, total, ok := mad.SplitArbModifier(pkt.Header.AttrModifier)
-	if !ok {
-		panic(fmt.Sprintf("subnet: SMP for %v is not a high-table block", id))
-	}
-	entries, err := mad.DecodeArbBlock(pkt.Data)
-	if err != nil {
-		panic(fmt.Sprintf("subnet: SMP for %v: %v", id, err))
-	}
-	var blk [core.BlockEntries]arbtable.Entry
-	copy(blk[:], entries)
-	applied, err := pt.DeliverBlock(pkt.Header.TID, index, total, blk)
-	if err != nil {
-		// The port rejected the set as torn and dropped its staged
-		// state.  The shadow table is still authoritative: start over.
-		p.chain(id, pt)
-		return
-	}
-	if applied {
+	applied, err := pt.DeliverBlock(version, index, total, blk)
+	// An error means the port rejected the set as torn and dropped its
+	// staged state.  The shadow table is still authoritative: start over.
+	if applied || err != nil {
 		p.chain(id, pt)
 	}
 }
@@ -170,7 +222,7 @@ func (p *InbandProgrammer) chain(id admission.PortID, pt *core.PortTable) {
 		return
 	}
 	d, err := pt.BeginProgram()
-	if err != nil || len(d.Blocks) == 0 {
+	if err != nil || len(d.Blocks()) == 0 {
 		return
 	}
 	if err := p.Program(id, pt, d); err != nil {

@@ -40,8 +40,8 @@ func TestInbandProgramTakesWireTime(t *testing.T) {
 	if err := prog.Program(id, pt, d); err != nil {
 		t.Fatal(err)
 	}
-	if prog.Costs.MADs != len(d.Blocks) {
-		t.Errorf("accounted %d MADs, want %d", prog.Costs.MADs, len(d.Blocks))
+	if prog.Costs.MADs != len(d.Blocks()) {
+		t.Errorf("accounted %d MADs, want %d", prog.Costs.MADs, len(d.Blocks()))
 	}
 
 	// Nothing has arrived yet.

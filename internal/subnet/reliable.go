@@ -1,8 +1,6 @@
 package subnet
 
 import (
-	"fmt"
-
 	"repro/internal/admission"
 	"repro/internal/arbtable"
 	"repro/internal/core"
@@ -79,19 +77,12 @@ const (
 	// the *smpDelivery.
 	evSMPArrive
 	// evSMPDeliver lands a reliable-mode SMP at its port; P is the
-	// *smpFlight.
+	// *smpDelivery, its tx set.
 	evSMPDeliver
 	// evSMPAck lands a response SMP back at the SM: block index in A,
 	// torn verdict in B, transaction version in N, transaction in P.
 	evSMPAck
 )
-
-// smpFlight is one reliable-mode SMP in flight: the payload of its
-// evSMPDeliver event (a duplicated SMP gets its own payload).
-type smpFlight struct {
-	tx   *txnState
-	wire []byte
-}
 
 // HandleEvent dispatches the programmer's control events.  It
 // implements sim.Handler.
@@ -108,11 +99,13 @@ func (p *InbandProgrammer) HandleEvent(ev sim.Event) {
 		p.counters().DeadlineAborts++
 		p.giveUp(tx.pt, tx)
 	case evSMPArrive:
-		d := ev.P.(*smpDelivery)
-		p.arrive(d.id, d.pt, d.wire)
+		fl := ev.P.(*smpDelivery)
+		p.arrive(fl.id, fl.pt, fl.wire[:])
+		p.recycle(fl)
 	case evSMPDeliver:
-		fl := ev.P.(*smpFlight)
-		p.arriveReliable(fl.tx.pt, fl.tx, fl.wire)
+		fl := ev.P.(*smpDelivery)
+		p.arriveReliable(fl.pt, fl.tx, fl.wire[:])
+		p.recycle(fl)
 	case evSMPAck:
 		tx := ev.P.(*txnState)
 		p.ack(tx.pt, tx, uint64(ev.N), int(ev.A), ev.B != 0)
@@ -126,15 +119,15 @@ type txnState struct {
 	pt      *core.PortTable
 	version uint64
 	hops    int
-	blocks  []core.BlockDelta
-	wires   [][]byte
-	acked   []bool
-	attempt []int // sends so far, per block; timeouts of superseded sends are stale
-	pending int   // blocks not yet acknowledged
-	done    bool  // completed, torn down, or given up
+	delta   core.Delta // owns the blocks
+	wires   [core.NumHighBlocks][mad.Size]byte
+	acked   [core.NumHighBlocks]bool
+	attempt [core.NumHighBlocks]int // sends so far, per block; timeouts of superseded sends are stale
+	pending int                     // blocks not yet acknowledged
+	done    bool                    // completed, torn down, or given up
 
-	timers   []sim.Timer // response timeout per block (latest send)
-	deadline sim.Timer   // transaction deadline, when armed
+	timers   [core.NumHighBlocks]sim.Timer // response timeout per block (latest send)
+	deadline sim.Timer                     // transaction deadline, when armed
 }
 
 // settle marks a transaction finished and cancels its outstanding
@@ -181,9 +174,21 @@ func (p *InbandProgrammer) OpenTransactions() int {
 }
 
 // programReliable opens a reliable transaction: every block is
-// marshaled once, sent through the injector, and tracked until
-// acknowledged.
+// rendered to its wire form once — before anything else changes, so a
+// delta the codec rejects leaves no trace — then sent through the
+// injector and tracked until acknowledged.
 func (p *InbandProgrammer) programReliable(id admission.PortID, pt *core.PortTable, d core.Delta) error {
+	hops := 1
+	if p.Hops != nil {
+		hops = p.Hops(id)
+	}
+	n := len(d.Blocks())
+	tx := &txnState{id: id, pt: pt, version: d.Version, hops: hops, delta: d, pending: n}
+	for k, b := range tx.delta.Blocks() {
+		if err := encodeBlock(&tx.wires[k], id, d.Version, n, b); err != nil {
+			return err
+		}
+	}
 	if p.txns == nil {
 		p.txns = make(map[*core.PortTable]*txnState)
 		p.restarts = make(map[*core.PortTable]int)
@@ -196,30 +201,8 @@ func (p *InbandProgrammer) programReliable(id admission.PortID, pt *core.PortTab
 		// and stragglers still in flight check done and fall dead.
 		p.settle(old)
 	}
-	hops := 1
-	if p.Hops != nil {
-		hops = p.Hops(id)
-	}
-	tx := &txnState{
-		id: id, pt: pt, version: d.Version, hops: hops, blocks: d.Blocks,
-		acked:   make([]bool, len(d.Blocks)),
-		attempt: make([]int, len(d.Blocks)),
-		timers:  make([]sim.Timer, len(d.Blocks)),
-		pending: len(d.Blocks),
-	}
-	for _, b := range d.Blocks {
-		pkt, err := mad.HighBlockSMP(d.Version, b.Index, len(d.Blocks), b.Entries[:])
-		if err != nil {
-			return fmt.Errorf("subnet: block %d of %v: %w", b.Index, id, err)
-		}
-		wire, err := pkt.Marshal()
-		if err != nil {
-			return fmt.Errorf("subnet: block %d of %v: %w", b.Index, id, err)
-		}
-		tx.wires = append(tx.wires, wire)
-	}
 	p.txns[pt] = tx
-	for k := range tx.blocks {
+	for k := 0; k < n; k++ {
 		// The SM serializes the initial burst back to back, like the
 		// legacy path.
 		p.sendBlock(pt, tx, k, 0, int64(k+1)*madWireBytes)
@@ -253,20 +236,21 @@ func (p *InbandProgrammer) sendBlock(pt *core.PortTable, tx *txnState, k, attemp
 		p.counters().SMPsDropped++
 		return
 	}
-	wire := tx.wires[k]
+	// Every flight carries its own copy of the retained wire bytes, so
+	// corruption never reaches what a retransmission will send.
+	fl := p.newDelivery(tx.id, pt, tx)
+	fl.wire = tx.wires[k]
 	if fate.Corrupt() {
-		w := append([]byte(nil), wire...)
-		w[fate.CorruptByte%len(w)] ^= fate.CorruptMask
-		wire = w
+		fl.wire[fate.CorruptByte%len(fl.wire)] ^= fate.CorruptMask
 		p.counters().SMPsCorrupted++
 	}
 	delay := serializeBT + oneWay + fate.DelayBT
-	p.Engine.PostAfter(delay, p,
-		sim.Event{Kind: evSMPDeliver, P: &smpFlight{tx: tx, wire: wire}})
+	p.Engine.PostAfter(delay, p, sim.Event{Kind: evSMPDeliver, P: fl})
 	if fate.Duplicate {
 		p.counters().SMPsDuplicated++
-		p.Engine.PostAfter(delay+madWireBytes, p,
-			sim.Event{Kind: evSMPDeliver, P: &smpFlight{tx: tx, wire: wire}})
+		dup := p.newDelivery(tx.id, pt, tx)
+		dup.wire = fl.wire
+		p.Engine.PostAfter(delay+madWireBytes, p, sim.Event{Kind: evSMPDeliver, P: dup})
 	}
 }
 
@@ -277,21 +261,12 @@ func (p *InbandProgrammer) sendBlock(pt *core.PortTable, tx *txnState, k, attemp
 // answers with a response SMP carrying the delivery verdict, subject to
 // the return path's own fate draw.
 func (p *InbandProgrammer) arriveReliable(pt *core.PortTable, tx *txnState, wire []byte) {
-	pkt, err := mad.Unmarshal(wire)
-	if err != nil {
-		return
-	}
-	index, total, ok := mad.SplitArbModifier(pkt.Header.AttrModifier)
-	if !ok {
-		return
-	}
-	entries, err := mad.DecodeArbBlock(pkt.Data)
-	if err != nil {
-		return
-	}
 	var blk [core.BlockEntries]arbtable.Entry
-	copy(blk[:], entries)
-	_, derr := pt.DeliverBlock(pkt.Header.TID, index, total, blk)
+	version, index, total, err := mad.DecodeHighBlock(wire, &blk)
+	if err != nil {
+		return
+	}
+	_, derr := pt.DeliverBlock(version, index, total, blk)
 	torn := derr != nil
 
 	link := linkKey(tx.id)
@@ -302,7 +277,7 @@ func (p *InbandProgrammer) arriveReliable(pt *core.PortTable, tx *txnState, wire
 		return
 	}
 	oneWay := int64(tx.hops) * (madWireBytes + hopLatencyBT)
-	ack := sim.Event{Kind: evSMPAck, A: int32(index), N: int64(pkt.Header.TID), P: tx}
+	ack := sim.Event{Kind: evSMPAck, A: int32(index), N: int64(version), P: tx}
 	if torn {
 		ack.B = 1
 	}
@@ -334,7 +309,7 @@ func (p *InbandProgrammer) ack(pt *core.PortTable, tx *txnState, version uint64,
 		p.chain(tx.id, pt)
 		return
 	}
-	for k, b := range tx.blocks {
+	for k, b := range tx.delta.Blocks() {
 		if b.Index != index || tx.acked[k] {
 			continue
 		}

@@ -112,6 +112,19 @@ echo "==> go test -race -run TestEngineWheel ./internal/sim (timing-wheel event-
 # below run on the same queue.
 go test -race -run 'TestEngineWheel' -count=1 ./internal/sim
 
+echo "==> go test -race ./internal/subnet ./internal/admission (delivery-record lifetime gate)"
+# Every in-band SMP flies in a record recycled through the programmer's
+# free list, its 256 wire bytes inline.  TestDeliveryPoolLifetime runs
+# 2 000 connection lifecycles over the k=8 control state — perfect and
+# duplicating/corrupting/reordering management networks — with records
+# poisoned as they are recycled, so that transactions chained from
+# inside a delivery would trip over a record returned too early; the
+# admission tests hold the typed refusals to the old text and the
+# one-object connection to its copy.  -count=1 so the gate always
+# re-runs; the detector sees the pool from the control lane of the
+# parallel runs in the gate below.
+go test -race -count=1 ./internal/subnet ./internal/admission
+
 echo "==> go test -race -run TestParallelControl ./internal/experiments (control-lane race gate)"
 # Churn and faults run their control planes — mid-run table programs,
 # retransmission, audits — as typed events serialized at window
@@ -123,9 +136,12 @@ echo "==> go test -run AllocBudget . (zero-alloc hot-path gate)"
 # testing.AllocsPerRun budgets: 0 allocs/op on arbiter pick, on the
 # event queue's Post + Step (near, far, timer + Cancel) and on a full
 # per-hop packet forwarding step with metrics disabled; the
-# fill-in budgets (0 on join/leave, defragment and the audit, 1 per
-# fresh sequence and per programmed delta) and the ceiling on a whole
-# Admit + Release transaction.  Must run without -race (the detector's
+# fill-in budgets (0 on join/leave, defragment, the audit and a
+# programmed delta, 1 per fresh sequence); 0 on an in-band transaction
+# of one to four blocks — BeginProgram, every SMP rendered to its wire
+# bytes, flown, parsed and delivered; and the ceilings on a whole
+# Admit + Release transaction and on a whole connection lifecycle of
+# the in-band churn loop.  Must run without -race (the detector's
 # instrumentation allocates).
 go test -run 'AllocBudget' -count=1 .
 
@@ -145,6 +161,7 @@ if [[ "$RUN_FUZZ" -eq 1 ]]; then
 ./internal/core FuzzShape
 ./internal/arbtable FuzzArbiterPick
 ./internal/mad FuzzHighTableDecode
+./internal/mad FuzzHighBlockCodec
 ./internal/faults FuzzFaultSchedule
 ./internal/faults FuzzFailureSchedule
 ./internal/topology FuzzTopologyGenerate
