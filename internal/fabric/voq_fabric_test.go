@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -210,4 +211,99 @@ func TestVOQDeliversAndMeters(t *testing.T) {
 			}
 		})
 	}
+}
+
+// voqDeliveryDigest runs a loaded input-queued fabric (loadDifferential:
+// credit-blocked best effort plus VL 15) for 120 000 byte-times and
+// returns an FNV-1a digest over (flow, packet tag, injection byte-time,
+// delivery byte-time) of every delivery.  Deliveries are digested per
+// destination host, in delivery order — a host belongs to one shard, so
+// the hook is safe on shard goroutines — and the host digests folded in
+// host order.
+func voqDeliveryDigest(t *testing.T, spec topology.Spec, model SwitchModel, seed int64, shards int) uint64 {
+	t.Helper()
+	const offset, prime = 14695981039346656037, 1099511628211
+	fold := func(d uint64, x int64) uint64 {
+		for b := 0; b < 64; b += 8 {
+			d = (d ^ uint64(x>>b)&0xff) * prime
+		}
+		return d
+	}
+	n := buildVOQSharded(t, spec, model, seed, shards)
+	if n.Parallel() != (shards > 1) {
+		t.Fatalf("Parallel() = %v at %d shards", n.Parallel(), shards)
+	}
+	loadDifferential(t, n, seed+22)
+	perHost := make([]uint64, n.Topo.NumHosts())
+	for h := range perHost {
+		perHost[h] = offset
+	}
+	n.OnDeliver = func(pkt *Packet) {
+		d := perHost[pkt.Dst]
+		now := n.shardForHost(pkt.Dst).eng.Now()
+		for _, x := range [...]int64{int64(pkt.Flow.ID), pkt.Tag, pkt.Injected, now} {
+			d = fold(d, x)
+		}
+		perHost[pkt.Dst] = d
+	}
+	n.Start()
+	n.Run(120_000)
+	if err := n.CheckBuffers(); err != nil {
+		t.Fatal(err)
+	}
+	if _, delivered, _ := n.Totals(); delivered < 1000 {
+		t.Fatalf("only %d deliveries", delivered)
+	}
+	digest := uint64(offset)
+	for _, d := range perHost {
+		digest = fold(digest, int64(d))
+	}
+	return digest
+}
+
+// TestVOQDeliveryDigest pins what the input-queued fabric delivers and
+// when, on one engine, for every routing class under both schedulers.
+// The constants were recorded before the scheduling pass started caching
+// its request columns and the kick stopped posting passes that cannot
+// match; any change to a match, a forward or a timestamp moves them.
+//
+// A two-shard parallel run is held to repeatability only: its barriers
+// sit where Coordinator.run finds the earliest pending work, deferred
+// work posted at a barrier included, so the number of events — not only
+// what they do — places its windows, and credit crosses shards at
+// barriers.
+func TestVOQDeliveryDigest(t *testing.T) {
+	specs := []struct {
+		name string
+		spec topology.Spec
+	}{
+		{"irregular-8", topology.Spec{Class: topology.Irregular, Switches: 8, Seed: 11}},
+		{"fattree-k4", topology.Spec{Class: topology.FatTree, K: 4}},
+		{"dragonfly-2-2-1", topology.Spec{Class: topology.Dragonfly, A: 2, P: 2, H: 1}},
+	}
+	// In the order of the loops below: model, topology, seed.
+	pinned := []uint64{
+		0x7af8ce9cb5246402, 0x4c198f015764693c, 0x01f677f2f150e4dd, 0xd39cec589aa3ff81,
+		0x2cb37d1ecf0fc1f8, 0x965cc9bee5c05d96, 0x1d8f67bebd1ffcad, 0x538ab9c50cc8f6cf,
+		0xf52c06fde8332379, 0xf1c91ecec71c00eb, 0x1e20732a72ebe862, 0x7a4f3ba476c88ed9,
+	}
+	for _, model := range []SwitchModel{ModelVOQISLIP, ModelVOQMWM} {
+		for _, tc := range specs {
+			for _, seed := range []int64{9, 23} {
+				model, tc, seed, want := model, tc, seed, pinned[0]
+				pinned = pinned[1:]
+				t.Run(fmt.Sprintf("%s/%s/seed%d", model, tc.name, seed), func(t *testing.T) {
+					if got := voqDeliveryDigest(t, tc.spec, model, seed, 1); got != want {
+						t.Errorf("digest %#016x, pinned %#016x", got, want)
+					}
+				})
+			}
+		}
+	}
+	t.Run("two-shards-repeat", func(t *testing.T) {
+		a := voqDeliveryDigest(t, specs[1].spec, ModelVOQISLIP, 9, 2)
+		if b := voqDeliveryDigest(t, specs[1].spec, ModelVOQISLIP, 9, 2); a != b {
+			t.Errorf("two runs of one two-shard configuration digest %#016x and %#016x", a, b)
+		}
+	})
 }
