@@ -125,7 +125,7 @@ func (sh *shard) xmitDone(outCode, srcCode int32, vl, wire int) {
 					code: switchCode(src.upSwitch, src.upPort), vl: uint8(vl), wire: int32(wire),
 				})
 			} else {
-				sh.kickSwitch(src.upSwitch, src.upPort)
+				sh.creditSwitch(src.upSwitch, src.upPort)
 			}
 		case src.upHost >= 0:
 			sh.kickHost(src.upHost)

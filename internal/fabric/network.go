@@ -804,15 +804,8 @@ func (sh *shard) tryHost(h int) {
 	if host.out.busyUntil > now {
 		return
 	}
-	if n.Faults != nil {
-		if until := n.Faults.BlockedUntil(faults.HostKey(h), now); until > now {
-			// Permanent failures never un-block on their own; recovery's
-			// revival re-arm covers them instead of an event at infinity.
-			if until < faults.Forever {
-				sh.eng.Post(until, sh, sim.Event{Kind: evKickHost, A: int32(h)})
-			}
-			return
-		}
+	if n.Faults != nil && sh.faultBlocked(&host.out, faults.HostKey(h), now) {
+		return
 	}
 	down := &n.switches[host.out.downSwitch].in[host.out.downPort]
 	capacity := n.bufferCapacity()
@@ -857,6 +850,44 @@ func (sh *shard) tryHost(h int) {
 	sh.transmit(&host.out, pkt, -1, pkt.VL)
 }
 
+// faultBlocked reports whether the scheduling point out (fault key key)
+// is inside a fault window at time now; the caller has checked that a
+// fault schedule is attached.  A window that ends gets one wake-up at
+// its end: the time it was posted for is remembered on the port, so the
+// passes that find the port blocked for the rest of the window post
+// nothing.  Permanent failures never un-block on their own — recovery's
+// revival re-arm covers them instead of an event at infinity.
+func (sh *shard) faultBlocked(out *outPort, key int32, now int64) bool {
+	until := sh.n.Faults.BlockedUntil(key, now)
+	if until <= now {
+		return false
+	}
+	if until < faults.Forever && out.wakeAt != until {
+		out.wakeAt = until
+		wake := sim.Event{Kind: evKickHost, A: -out.code - 1}
+		if out.code >= 0 {
+			wake = sim.Event{Kind: evKickSwitch, A: out.code / topology.SwitchPorts, B: out.code % topology.SwitchPorts}
+		}
+		sh.eng.Post(until, sh, wake)
+	}
+	return true
+}
+
+// faultFree returns the members of outs, a set of output ports of node,
+// that are outside fault windows at time now (see faultBlocked).
+func (sh *shard) faultFree(node *swNode, outs uint32, now int64) uint32 {
+	if sh.n.Faults == nil {
+		return outs
+	}
+	for w := outs; w != 0; w &= w - 1 {
+		j := bits.TrailingZeros32(w)
+		if sh.faultBlocked(&node.out[j], faults.SwitchPortKey(node.id, j), now) {
+			outs &^= 1 << j
+		}
+	}
+	return outs
+}
+
 // kickSwitch schedules a scheduling pass at a switch output port.
 // Under the input-queued models the whole switch is one scheduling
 // point, so every per-port kick folds into one crossbar pass.
@@ -877,6 +908,17 @@ func (sh *shard) kickSwitch(s, p int) {
 	}
 	out.pending = true
 	sh.eng.DeferEvent(sh, sim.Event{Kind: evTrySwitch, A: int32(s), B: int32(p)})
+}
+
+// creditSwitch re-arms switch s's output port p after its downstream
+// buffer returned credit.  Under the input-queued models the credit may
+// make a blocked head of request column p eligible, so the remembered
+// column is dropped first (see voqState.req).
+func (sh *shard) creditSwitch(s, p int) {
+	if v := sh.n.switches[s].voq; v != nil {
+		v.reqValid &^= 1 << p
+	}
+	sh.kickSwitch(s, p)
 }
 
 // kickHeadsOfInput re-arms exactly the output ports that the head
@@ -909,13 +951,8 @@ func (sh *shard) trySwitch(s, p int) {
 	if !out.wired || out.busyUntil > now {
 		return
 	}
-	if n.Faults != nil {
-		if until := n.Faults.BlockedUntil(faults.SwitchPortKey(s, p), now); until > now {
-			if until < faults.Forever {
-				sh.eng.Post(until, sh, sim.Event{Kind: evKickSwitch, A: int32(s), B: int32(p)})
-			}
-			return
-		}
+	if n.Faults != nil && sh.faultBlocked(out, faults.SwitchPortKey(s, p), now) {
+		return
 	}
 
 	// Credit view of the downstream buffer: the receiver's occupancy

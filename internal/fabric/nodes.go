@@ -40,6 +40,9 @@ type outPort struct {
 	arb       *arbtable.Arbiter // nil on unwired switch ports, which never arbitrate
 	busyUntil int64
 	pending   bool // a kick event is already scheduled
+	// wakeAt is the end of the fault window the port last posted a
+	// wake-up for (see faultBlocked); 0 before the first.
+	wakeAt int64
 
 	// pt is the port's control/data-plane table pair; the arbiter
 	// reads pt.Active().  Used to count packets scheduled while a

@@ -105,6 +105,10 @@ type shard struct {
 	// switches (shared across shards in single-engine modes, private
 	// in parallel mode; nil unless the oracle model is selected).
 	mwm *mwmScratch
+
+	// voqIdleKicks counts the kicks at input-queued switches that posted
+	// no scheduling pass because nothing could match (see kickVOQ).
+	voqIdleKicks int64
 }
 
 // shardForHost returns the shard owning a host.
@@ -155,7 +159,7 @@ func (n *Network) flushBoundary() {
 			out := n.outPortByCode(cr.code)
 			out.bOcc[cr.vl] -= int(cr.wire)
 			s := int(cr.code) / topology.SwitchPorts
-			n.shardForSwitch(s).kickSwitch(s, int(cr.code)%topology.SwitchPorts)
+			n.shardForSwitch(s).creditSwitch(s, int(cr.code)%topology.SwitchPorts)
 		}
 		sh.credits = sh.credits[:0]
 	}
@@ -255,6 +259,17 @@ func (n *Network) ExecutedEvents() uint64 {
 	}
 	if n.parallel {
 		total += n.Ctrl.Executed()
+	}
+	return total
+}
+
+// VOQIdleKicks returns the number of kicks at input-queued switches
+// that posted no scheduling pass because the pass could not have
+// matched anything (0 under the WRR model and under a fault schedule).
+func (n *Network) VOQIdleKicks() int64 {
+	var total int64
+	for _, sh := range n.shards {
+		total += sh.voqIdleKicks
 	}
 	return total
 }

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"repro/internal/arbtable"
-	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -303,10 +302,13 @@ func (sc *mwmScratch) solve(match *[topology.SwitchPorts]int8) (size int, weight
 // voqState is the input-queued half of one switch, sized at the
 // topology's radix r: the virtual output queues (one FIFO per input ×
 // output × VL), occupancy words at three grains so a scheduling pass
-// touches only what is queued, and the iSLIP pointer state.
+// touches only what is queued, the request matrix a pass matches on —
+// remembered between passes, column by column — and the iSLIP pointer
+// state.
 //
 // The occupancy words are written in exactly two places, voqPush and
-// voqPop; CheckBuffers recomputes them from the queues (checkVOQ).
+// voqPop; CheckBuffers recomputes every derived word below from the
+// queues, the credit view and the port timestamps (checkVOQ).
 type voqState struct {
 	r int
 	// q[(i*r+j)*NumVLs+vl] queues the packets of input i bound for
@@ -315,13 +317,33 @@ type voqState struct {
 	// nonEmpty[i*r+j] is the set of VLs with a non-empty queue at
 	// (i, j).
 	nonEmpty []uint16
-	// dataRows[i] is the set of outputs j for which input i holds a
-	// non-empty data-VL queue — row i of the widest request matrix a
-	// pass could build.
-	dataRows []uint32
-	// mgmtCols[j] is the set of inputs i holding a VL 15 packet for
-	// output j.
-	mgmtCols []uint32
+	// dataCols[j] is the set of inputs i holding a non-empty data-VL
+	// queue for output j — column j of the widest request matrix a pass
+	// could build; mgmtCols[j] is the set of inputs holding a VL 15
+	// packet for output j.  dataOuts and mgmtOuts are the outputs whose
+	// word is not zero, so a pass visits only outputs that hold
+	// something.
+	dataCols, mgmtCols []uint32
+	dataOuts, mgmtOuts uint32
+
+	// req[j] is column j of the request matrix before input availability
+	// is applied: the inputs whose group (i, j) holds a data head with
+	// downstream credit (voqEligible).  It is meaningful only while bit
+	// j of reqValid is set; the bit is cleared wherever the column can
+	// change — voqPush onto an empty data queue of column j, voqPop from
+	// column j (which precedes every transmit on j, so the credit the
+	// transmit consumes is covered) and a credit return to output j
+	// (creditSwitch) — and voqColumn recomputes an invalid column the
+	// next time a pass or a kick asks for it.
+	req      []uint32
+	reqValid uint32
+
+	// busyOut and busyIn are supersets of the outputs and inputs whose
+	// busyUntil lies in the future: set at transmit, cleared lazily
+	// against the port's timestamp by voqFreePorts.  No event clears
+	// them — a pass at byte-time t that runs ahead of the completion
+	// event of t must already see the port free.
+	busyOut, busyIn uint32
 
 	islip   ISLIPState
 	pending bool // a scheduling-pass event is already queued
@@ -339,8 +361,9 @@ func newVOQState(r int) *voqState {
 		r:        r,
 		q:        make([]pktQueue, r*r*arbtable.NumVLs),
 		nonEmpty: make([]uint16, r*r),
-		dataRows: make([]uint32, r),
+		dataCols: make([]uint32, r),
 		mgmtCols: make([]uint32, r),
+		req:      make([]uint32, r),
 	}
 }
 
@@ -350,28 +373,43 @@ func (v *voqState) queue(i, j, vl int) *pktQueue {
 }
 
 // voqPush enqueues pkt on the (input, output, vl) queue and maintains
-// the occupancy words.
+// the occupancy words.  Only a push onto an empty queue changes a head,
+// so only that can change column j of the request matrix.
 func (v *voqState) voqPush(i, j, vl int, pkt *Packet) {
-	v.queue(i, j, vl).push(pkt)
+	q := v.queue(i, j, vl)
+	q.push(pkt)
+	if q.len() > 1 {
+		return
+	}
 	v.nonEmpty[i*v.r+j] |= 1 << vl
 	if vl == arbtable.MgmtVL {
 		v.mgmtCols[j] |= 1 << i
+		v.mgmtOuts |= 1 << j
 	} else {
-		v.dataRows[i] |= 1 << j
+		v.dataCols[j] |= 1 << i
+		v.dataOuts |= 1 << j
+		v.reqValid &^= 1 << j
 	}
 }
 
-// voqPop dequeues the head of the (input, output, vl) queue.
+// voqPop dequeues the head of the (input, output, vl) queue.  The head
+// of column j changes and the transmit that follows consumes output j's
+// downstream credit, so the remembered column is dropped.
 func (v *voqState) voqPop(i, j, vl int) *Packet {
 	q := v.queue(i, j, vl)
 	pkt := q.pop()
+	v.reqValid &^= 1 << j
 	if q.len() == 0 {
 		ne := &v.nonEmpty[i*v.r+j]
 		*ne &^= 1 << vl
 		if vl == arbtable.MgmtVL {
-			v.mgmtCols[j] &^= 1 << i
+			if v.mgmtCols[j] &^= 1 << i; v.mgmtCols[j] == 0 {
+				v.mgmtOuts &^= 1 << j
+			}
 		} else if *ne&dataVLMask == 0 {
-			v.dataRows[i] &^= 1 << j
+			if v.dataCols[j] &^= 1 << i; v.dataCols[j] == 0 {
+				v.dataOuts &^= 1 << j
+			}
 		}
 	}
 	return pkt
@@ -389,14 +427,26 @@ func (v *voqState) voqOccupancy(i, j int) int32 {
 
 // kickVOQ schedules a crossbar scheduling pass at an input-queued
 // switch (the whole switch is one scheduling point, unlike the WRR
-// model's independent output ports).
+// model's independent output ports) — if the pass could do anything.
+// Every kick follows the state change it announces and the pass it
+// would post runs at this same byte-time, after deferred work that
+// touches other switches only, so a kick that finds nothing to match
+// stands for a pass that would find nothing either: one that changes no
+// queue, pointer, cursor or arbiter and posts no event.  Under a fault
+// schedule the pass is also what arms the wake-up at the end of a fault
+// window, so there every kick posts.
 func (sh *shard) kickVOQ(s int) {
-	v := sh.n.switches[s].voq
+	node := sh.n.switches[s]
+	v := node.voq
 	if v.pending {
 		return
 	}
-	v.pending = true
-	sh.eng.DeferEvent(sh, sim.Event{Kind: evVOQSched, A: int32(s)})
+	if sh.n.Faults != nil || sh.voqCanMatch(node, sh.eng.Now()) {
+		v.pending = true
+		sh.eng.DeferEvent(sh, sim.Event{Kind: evVOQSched, A: int32(s)})
+	} else {
+		sh.voqIdleKicks++
+	}
 }
 
 // voqEnqueue lands an arriving packet in its virtual output queue: the
@@ -437,35 +487,80 @@ func (n *Network) voqEligible(node *swNode, down *[arbtable.NumVLs]int, i, j, ca
 	return false
 }
 
-// voqFreePorts returns the crossbar slots a scheduling pass at node
-// may use at time now: the outputs that are wired, idle and outside
-// fault windows, and the inputs whose crossbar slot is free.  An output
-// inside a fault window that ends gets a wake-up at the window's end.
+// voqBuildColumn computes column j of the request matrix from the heads
+// of the groups queued toward output j and the downstream credit view.
+// This is the one place the request matrix is built from the queues.
+func (n *Network) voqBuildColumn(node *swNode, j, capacity int) uint32 {
+	down := n.occView(&node.out[j])
+	var col uint32
+	for c := node.voq.dataCols[j]; c != 0; c &= c - 1 {
+		i := bits.TrailingZeros32(c)
+		if n.voqEligible(node, down, i, j, capacity) {
+			col |= 1 << i
+		}
+	}
+	return col
+}
+
+// voqColumn returns req[j], rebuilding it first when it is not valid.
+func (n *Network) voqColumn(node *swNode, j, capacity int) uint32 {
+	v := node.voq
+	if v.reqValid&(1<<j) == 0 {
+		v.req[j] = n.voqBuildColumn(node, j, capacity)
+		v.reqValid |= 1 << j
+	}
+	return v.req[j]
+}
+
+// voqFreePorts returns the crossbar slots a scheduling pass at node may
+// use at time now: the outputs that hold something, are idle and
+// outside fault windows, and the inputs whose crossbar slot is free.
+// The busy masks are brought up to date first, reading the timestamps
+// of the ports still marked busy and of no other.  An output inside a
+// fault window that ends gets a wake-up at the window's end.
 func (sh *shard) voqFreePorts(node *swNode, now int64) (outFree, inFree uint32) {
-	n := sh.n
-	for j := 0; j < node.voq.r; j++ {
-		out := &node.out[j]
-		if !out.wired || out.busyUntil > now {
-			continue
-		}
-		if n.Faults != nil {
-			if until := n.Faults.BlockedUntil(faults.SwitchPortKey(node.id, j), now); until > now {
-				// Permanent failures never un-block on their own (see
-				// tryHost): no event at infinity, every pass.
-				if until < faults.Forever {
-					sh.eng.Post(until, sh, sim.Event{Kind: evKickSwitch, A: int32(node.id), B: int32(j)})
-				}
-				continue
-			}
-		}
-		outFree |= 1 << j
-	}
-	for i := 0; i < node.voq.r; i++ {
-		if node.in[i].busyUntil <= now {
-			inFree |= 1 << i
+	v := node.voq
+	for w := v.busyOut; w != 0; w &= w - 1 {
+		if j := bits.TrailingZeros32(w); node.out[j].busyUntil <= now {
+			v.busyOut &^= 1 << j
 		}
 	}
+	for w := v.busyIn; w != 0; w &= w - 1 {
+		if i := bits.TrailingZeros32(w); node.in[i].busyUntil <= now {
+			v.busyIn &^= 1 << i
+		}
+	}
+	// Nothing is ever queued toward an unwired port (checkVOQ), so the
+	// outputs that hold something are wired.
+	outFree = sh.faultFree(node, (v.mgmtOuts|v.dataOuts)&^v.busyOut, now)
+	inFree = uint32(uint64(1)<<v.r-1) &^ v.busyIn
 	return outFree, inFree
+}
+
+// voqCanMatch reports whether a scheduling pass at node would serve
+// anything at time now: a free output with a VL 15 candidate, or with a
+// data request from a free input.  A VL 15 transfer takes an input and
+// an output away from the data phase, but then the answer is already
+// yes; without one, the data phase sees exactly these masks.
+func (sh *shard) voqCanMatch(node *swNode, now int64) bool {
+	n := sh.n
+	v := node.voq
+	outFree, inFree := sh.voqFreePorts(node, now)
+	if outFree == 0 || inFree == 0 {
+		return false
+	}
+	capacity := n.bufferCapacity()
+	for w := outFree & v.mgmtOuts; w != 0; w &= w - 1 {
+		if n.voqMgmtCandidate(node, bits.TrailingZeros32(w), inFree, capacity) >= 0 {
+			return true
+		}
+	}
+	for w := outFree & v.dataOuts; w != 0; w &= w - 1 {
+		if n.voqColumn(node, bits.TrailingZeros32(w), capacity)&inFree != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // voqMgmtCandidate returns the input whose VL 15 head free output j of
@@ -491,38 +586,12 @@ func (n *Network) voqMgmtCandidate(node *swNode, j int, inFree uint32, capacity 
 	return -1
 }
 
-// voqRequests builds the data-VL request matrix of one pass in column
-// form: bit i of cols[j] set = free input i holds a head with
-// downstream credit for free output j.  It returns the set of outputs
-// requested and the number of inputs requesting.  Only (input, output)
-// groups that hold data packets are examined.
-func (n *Network) voqRequests(node *swNode, outFree, inFree uint32, capacity int,
-	cols *[topology.SwitchPorts]uint32) (outs uint32, backlogged int) {
-	v := node.voq
-	for w := inFree; w != 0; w &= w - 1 {
-		i := bits.TrailingZeros32(w)
-		var row uint32
-		for c := v.dataRows[i] & outFree; c != 0; c &= c - 1 {
-			j := bits.TrailingZeros32(c)
-			if n.voqEligible(node, n.occView(&node.out[j]), i, j, capacity) {
-				cols[j] |= 1 << i
-				row |= 1 << j
-			}
-		}
-		if row != 0 {
-			outs |= row
-			backlogged++
-		}
-	}
-	return outs, backlogged
-}
-
 // voqSched runs one crossbar scheduling pass at switch s: subnet
-// management preempts, then the request matrix is built from the VOQ
-// heads with credit, matched by iSLIP or the MWM oracle, and each
-// matched pair's lane is picked by the output port's arbitration
-// table.  Zero allocations: all scratch state is fixed-size on the
-// stack, the shard and the switch.
+// management preempts, then the request matrix is taken from the
+// remembered columns (cols[j] = req[j] restricted to the free inputs),
+// matched by iSLIP or the MWM oracle, and each matched pair's lane is
+// picked by the output port's arbitration table.  Zero allocations: all
+// scratch state is fixed-size on the stack, the shard and the switch.
 func (sh *shard) voqSched(s int) {
 	n := sh.n
 	node := n.switches[s]
@@ -538,26 +607,36 @@ func (sh *shard) voqSched(s int) {
 	// Subnet management (VL 15) preempts all data lanes: each free
 	// output serves its first eligible VL 15 head in round-robin input
 	// order, consuming the input and output crossbar slots it uses.
-	for w := outFree; w != 0; w &= w - 1 {
+	for w := outFree & v.mgmtOuts; w != 0; w &= w - 1 {
 		j := bits.TrailingZeros32(w)
 		i := n.voqMgmtCandidate(node, j, inFree, capacity)
 		if i < 0 {
 			continue
 		}
-		out := &node.out[j]
 		pkt := v.voqPop(i, j, arbtable.MgmtVL)
-		out.rr[arbtable.MgmtVL] = (i + 1) % topology.SwitchPorts
+		node.out[j].rr[arbtable.MgmtVL] = (i + 1) % topology.SwitchPorts
 		inFree &^= 1 << i
 		outFree &^= 1 << j
-		sh.voqTransmit(node, out, pkt, i, arbtable.MgmtVL, now)
+		sh.voqTransmit(node, pkt, i, j, arbtable.MgmtVL, now)
 	}
 
-	// Request matrix over the data VLs.
+	// Request matrix over the data VLs, in column form: bit i of cols[j]
+	// set = free input i holds a head with downstream credit for free
+	// output j.
 	var cols [topology.SwitchPorts]uint32
-	outs, backlogged := n.voqRequests(node, outFree, inFree, capacity, &cols)
-	if backlogged == 0 {
+	var outs, requesters uint32
+	for w := outFree & v.dataOuts; w != 0; w &= w - 1 {
+		j := bits.TrailingZeros32(w)
+		if c := n.voqColumn(node, j, capacity) & inFree; c != 0 {
+			cols[j] = c
+			outs |= 1 << j
+			requesters |= c
+		}
+	}
+	if outs == 0 {
 		return
 	}
+	backlogged := bits.OnesCount32(requesters)
 
 	match := &v.match
 	var size int
@@ -649,28 +728,33 @@ func (sh *shard) voqServe(node *swNode, i, j, capacity int, now int64) {
 	if n.OnForward != nil {
 		n.OnForward(pkt, node.id, j)
 	}
-	sh.voqTransmit(node, out, pkt, i, invl, now)
+	sh.voqTransmit(node, pkt, i, j, invl, now)
 }
 
-// voqTransmit occupies input i's crossbar slot for the transfer and
-// hands the packet to the shared transmit path (which reserves
-// downstream credit on pkt.VL and returns the source credit on srcVL
-// at completion, exactly as the WRR model does).
-func (sh *shard) voqTransmit(node *swNode, out *outPort, pkt *Packet, i, srcVL int, now int64) {
+// voqTransmit occupies input i's crossbar slot for the transfer, marks
+// both ports busy and hands the packet to the shared transmit path
+// (which reserves downstream credit on pkt.VL and returns the source
+// credit on srcVL at completion, exactly as the WRR model does).
+func (sh *shard) voqTransmit(node *swNode, pkt *Packet, i, j, srcVL int, now int64) {
 	in := &node.in[i]
 	xfer := int64(pkt.Wire) / int64(sh.n.Cfg.CrossbarSpeedup)
 	if xfer < 1 {
 		xfer = 1
 	}
 	in.busyUntil = now + xfer
+	node.voq.busyIn |= 1 << i
+	node.voq.busyOut |= 1 << j
 	sh.eng.Post(now+xfer, sh, sim.Event{Kind: evInputFree, A: int32(node.id), B: int32(i)})
-	sh.transmit(out, pkt, switchCode(node.id, i), uint8(srcVL))
+	sh.transmit(&node.out[j], pkt, switchCode(node.id, i), uint8(srcVL))
 }
 
-// checkVOQ audits one input-queued switch's occupancy words against a
-// full scan of its virtual output queues: no stale bit, no missing bit,
-// nothing queued toward an unwired output, and nothing in the per-input
-// VL queues the WRR model uses (at any port up to the array cap, so a
+// checkVOQ audits everything a scheduling pass at one input-queued
+// switch reads instead of scanning, against a full scan: the occupancy
+// words (no stale bit, no missing bit, nothing queued toward an unwired
+// output), every remembered request column against a fresh computation
+// from the heads and the current credit view, and the busy masks
+// against the port timestamps.  Nothing may sit in the per-input VL
+// queues the WRR model uses (at any port up to the array cap, so a
 // packet parked beyond the radix is found too).
 func (n *Network) checkVOQ(node *swNode) error {
 	v := node.voq
@@ -682,9 +766,9 @@ func (n *Network) checkVOQ(node *swNode) error {
 			}
 		}
 	}
-	mgmtCols := make([]uint32, v.r)
+	var dataCols, mgmtCols [topology.SwitchPorts]uint32
+	var dataOuts, mgmtOuts uint32
 	for i := 0; i < v.r; i++ {
-		var dataRow uint32
 		for j := 0; j < v.r; j++ {
 			var vls uint16
 			for vl := 0; vl < arbtable.NumVLs; vl++ {
@@ -701,21 +785,46 @@ func (n *Network) checkVOQ(node *swNode) error {
 					node.id, i, j, got, vls)
 			}
 			if vls&dataVLMask != 0 {
-				dataRow |= 1 << j
+				dataCols[j] |= 1 << i
+				dataOuts |= 1 << j
 			}
 			if vls&^dataVLMask != 0 {
 				mgmtCols[j] |= 1 << i
+				mgmtOuts |= 1 << j
 			}
 		}
-		if v.dataRows[i] != dataRow {
-			return fmt.Errorf("fabric: switch %d input %d data-output set %#08x, queues say %#08x",
-				node.id, i, v.dataRows[i], dataRow)
-		}
 	}
-	for j, want := range mgmtCols {
-		if v.mgmtCols[j] != want {
+	if v.dataOuts != dataOuts || v.mgmtOuts != mgmtOuts {
+		return fmt.Errorf("fabric: switch %d output summaries data %#08x VL 15 %#08x, queues say %#08x and %#08x",
+			node.id, v.dataOuts, v.mgmtOuts, dataOuts, mgmtOuts)
+	}
+	if v.reqValid>>v.r != 0 {
+		return fmt.Errorf("fabric: switch %d marks request columns %#08x valid beyond radix %d", node.id, v.reqValid, v.r)
+	}
+	now := n.shardForSwitch(node.id).eng.Now()
+	capacity := n.bufferCapacity()
+	for j := 0; j < v.r; j++ {
+		if v.dataCols[j] != dataCols[j] {
+			return fmt.Errorf("fabric: switch %d output %d data input set %#08x, queues say %#08x",
+				node.id, j, v.dataCols[j], dataCols[j])
+		}
+		if v.mgmtCols[j] != mgmtCols[j] {
 			return fmt.Errorf("fabric: switch %d output %d VL 15 input set %#08x, queues say %#08x",
-				node.id, j, v.mgmtCols[j], want)
+				node.id, j, v.mgmtCols[j], mgmtCols[j])
+		}
+		if v.reqValid&(1<<j) != 0 {
+			if col := n.voqBuildColumn(node, j, capacity); v.req[j] != col {
+				return fmt.Errorf("fabric: switch %d output %d remembers request column %#08x, heads and credit say %#08x",
+					node.id, j, v.req[j], col)
+			}
+		}
+		if node.out[j].busyUntil > now && v.busyOut&(1<<j) == 0 {
+			return fmt.Errorf("fabric: switch %d output %d transmits until %d (now %d) but is not marked busy",
+				node.id, j, node.out[j].busyUntil, now)
+		}
+		if node.in[j].busyUntil > now && v.busyIn&(1<<j) == 0 {
+			return fmt.Errorf("fabric: switch %d input %d holds its crossbar slot until %d (now %d) but is not marked busy",
+				node.id, j, node.in[j].busyUntil, now)
 		}
 	}
 	return nil

@@ -14,8 +14,10 @@ import (
 // This file holds what the word-wide crossbar replaced, kept as test
 // references, and the differential tests that compare the two: the
 // probe-loop iSLIP (matchReference), the 32x32 (+32x32) queue scans of
-// a scheduling pass (scanRequests), and the row-matrix entry of the MWM
-// oracle the oracle tests call.
+// a scheduling pass (scanRequests) — which are also what the remembered
+// request columns, the lazily cleared busy masks and the kick's "can
+// anything match" predicate are held to — and the row-matrix entry of
+// the MWM oracle the oracle tests call.
 
 // match solves the weight matrix w (only the radix-sized corner
 // participates) with the oracle.
@@ -337,9 +339,13 @@ func scanRequests(n *Network, s int) voqPass {
 
 // indexRequests is what voqSched computes for the same switch now,
 // through the same helpers, with the pops and transmits of the VL 15
-// phase left out (they do not feed the data request matrix).
+// phase left out (they do not feed the data request matrix).  Like a
+// pass it brings the busy masks up to date and rebuilds the request
+// columns it finds invalid; a column some event changed without
+// invalidating is read stale here, exactly as a pass would read it.
 func indexRequests(n *Network, s int) voqPass {
 	node := n.switches[s]
+	v := node.voq
 	sh := n.shardForSwitch(s)
 	capacity := n.bufferCapacity()
 	var pass voqPass
@@ -350,7 +356,7 @@ func indexRequests(n *Network, s int) voqPass {
 	if outFree == 0 || inFree == 0 {
 		return pass
 	}
-	for w := outFree; w != 0; w &= w - 1 {
+	for w := outFree & v.mgmtOuts; w != 0; w &= w - 1 {
 		j := bits.TrailingZeros32(w)
 		if i := n.voqMgmtCandidate(node, j, inFree, capacity); i >= 0 {
 			pass.mgmt[j] = int8(i)
@@ -359,16 +365,29 @@ func indexRequests(n *Network, s int) voqPass {
 		}
 	}
 	var cols [pP]uint32
-	var outs uint32
-	outs, pass.backlogged = n.voqRequests(node, outFree, inFree, capacity, &cols)
-	for j, c := range cols {
-		if (c != 0) != (outs&(1<<j) != 0) {
-			panic("voqRequests: requested-output set disagrees with the columns")
-		}
+	for w := outFree & v.dataOuts; w != 0; w &= w - 1 {
+		j := bits.TrailingZeros32(w)
+		cols[j] = n.voqColumn(node, j, capacity) & inFree
 	}
 	transpose32(&cols)
 	pass.req = cols
+	for _, row := range cols {
+		if row != 0 {
+			pass.backlogged++
+		}
+	}
 	return pass
+}
+
+// wantsPass is the kick predicate as the retired scans define it: a
+// pass would serve a VL 15 head or find a data request.
+func (p *voqPass) wantsPass() bool {
+	for _, i := range p.mgmt {
+		if i >= 0 {
+			return true
+		}
+	}
+	return p.backlogged > 0
 }
 
 // voqStats counts how hard a differential run exercised the scheduling
@@ -378,11 +397,16 @@ type voqStats struct {
 	contended int // outputs requested by more than one input
 	blocked   int // non-empty data groups that raised no request
 	mgmt      int // VL 15 candidates seen
+	idle      int // switches the kick predicate called idle
+	busy      int // switches it called worth a pass
 }
 
 // compareAllSwitches checks, for every input-queued switch, that the
-// occupancy words yield exactly the VL 15 picks and the request matrix
-// of the reference scan.
+// occupancy words, the remembered columns and the busy masks yield
+// exactly the VL 15 picks and the request matrix of the reference scan
+// (which reads queues, credit and port timestamps only), and that the
+// predicate a kick evaluates says "worth a pass" exactly when that scan
+// finds a VL 15 candidate or a request.
 func compareAllSwitches(t *testing.T, n *Network, st *voqStats) {
 	t.Helper()
 	for s, node := range n.switches {
@@ -391,6 +415,15 @@ func compareAllSwitches(t *testing.T, n *Network, st *voqStats) {
 			t.Fatalf("t=%d switch %d: occupancy words give mgmt %v req %x backlogged %d, scan gives mgmt %v req %x backlogged %d",
 				n.Now(), s, got.mgmt, got.req, got.backlogged, want.mgmt, want.req, want.backlogged)
 		}
+		sh := n.shardForSwitch(s)
+		if can := sh.voqCanMatch(node, sh.eng.Now()); can != want.wantsPass() {
+			t.Fatalf("t=%d switch %d: kick predicate %v, scan gives mgmt %v req %x",
+				n.Now(), s, can, want.mgmt, want.req)
+		} else if can {
+			st.busy++
+		} else {
+			st.idle++
+		}
 		var cols [pP]uint32
 		for i, row := range want.req {
 			st.requests += bits.OnesCount32(row)
@@ -398,13 +431,13 @@ func compareAllSwitches(t *testing.T, n *Network, st *voqStats) {
 				cols[bits.TrailingZeros32(row)] |= 1 << i
 			}
 		}
-		for _, c := range cols {
+		for j, c := range cols {
 			if c&(c-1) != 0 {
 				st.contended++
 			}
-		}
-		for i, row := range node.voq.dataRows {
-			st.blocked += bits.OnesCount32(row &^ want.req[i])
+			if j < node.voq.r {
+				st.blocked += bits.OnesCount32(node.voq.dataCols[j] &^ c)
+			}
 		}
 		for _, i := range want.mgmt {
 			if i >= 0 {
@@ -549,8 +582,9 @@ func TestVOQIndexMatchesScan(t *testing.T) {
 					}
 				}
 				audit.check(t)
-				if st.requests == 0 || st.contended == 0 || st.blocked == 0 || st.mgmt == 0 {
-					t.Fatalf("run too quiet to prove anything: %+v", st)
+				if st.requests == 0 || st.contended == 0 || st.blocked == 0 || st.mgmt == 0 ||
+					st.idle == 0 || st.busy == 0 || n.VOQIdleKicks() == 0 {
+					t.Fatalf("run too quiet to prove anything: %+v, %d idle kicks", st, n.VOQIdleKicks())
 				}
 			})
 		}
@@ -580,8 +614,8 @@ func TestVOQIndexParallelShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	audit.check(t)
-	if st.blocked == 0 {
-		t.Fatalf("run too quiet to prove anything: %+v", st)
+	if st.blocked == 0 || st.idle == 0 || n.VOQIdleKicks() == 0 {
+		t.Fatalf("run too quiet to prove anything: %+v, %d idle kicks", st, n.VOQIdleKicks())
 	}
 }
 

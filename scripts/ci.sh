@@ -74,6 +74,19 @@ echo "==> go test -race -run TestVOQIndex ./internal/fabric (VOQ occupancy-word 
 # parallel run whose OnMatch replay executes on the shard goroutines.
 go test -race -run 'TestVOQIndex' -count=1 ./internal/fabric
 
+echo "==> go test -race -run 'TestVOQIdle|TestVOQDeliveryDigest' ./internal/fabric (no crossbar pass that cannot match)"
+# A kick at an input-queued switch posts a scheduling pass only when a
+# free output has a VL 15 candidate or a remembered request from a free
+# input.  TestVOQIndex above holds that predicate, the remembered request
+# columns and the lazily cleared busy masks to the retired scans after
+# every event; TestVOQIdle runs a pass directly on every switch the
+# predicate calls idle and requires that nothing changed — on one engine
+# and on a two-shard run, where kicks evaluate the predicate on the shard
+# goroutines and in the barrier's credit flush; TestVOQDeliveryDigest
+# pins every delivery's (flow, tag, byte-times) to constants recorded
+# before the change.
+go test -race -run 'TestVOQIdle|TestVOQDeliveryDigest' -count=1 ./internal/fabric
+
 echo "==> go test -race -run TestArbiterIndex ./internal/arbtable (high-table slot-mask differential)"
 # Arbiter.Pick finds the next serving high-table entry on per-VL slot
 # masks (one rotate and one count-trailing-zeros) instead of walking 64
@@ -212,8 +225,8 @@ rm -f /tmp/ci_ctl_base.out /tmp/ci_ctl_n.out
 echo "==> bench correctness smoke (one short repetition per gated workload)"
 # Not a timing gate: each repetition runs the benchmark's own checks
 # (conservation, CheckBuffers — which audits the arbiter slot masks,
-# the WRR candidate index and the VOQ occupancy words — control-plane
-# audits) and must report
+# the WRR candidate index and the VOQ occupancy words, remembered
+# request columns and busy masks — control-plane audits) and must report
 # "correct":true.
 for w in wrr-k8 voq-islip-k8 admit-k8 churn-inband-k8; do
     RESULT="$(bash bench/run.sh -workload "$w" -seed 7 -seconds 1 -trace 0 | tail -n 1)"
