@@ -7,6 +7,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -16,6 +17,8 @@ import (
 	"repro/internal/arbtable"
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/routing"
+	"repro/internal/routing/cdg"
 	"repro/internal/sim"
 	"repro/internal/sl"
 	"repro/internal/subnet"
@@ -575,4 +578,83 @@ func BenchmarkChurnLifecycleK8(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	l.run(b.N)
+}
+
+// fatTreeRoutes builds a k-ary fat-tree and its routes.
+func fatTreeRoutes(t testing.TB, k int) (*topology.Topology, *routing.Routes) {
+	topo, err := topology.GenerateFatTree(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := routing.ComputeFor(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo, r
+}
+
+// The heap a k=8 CDG proof may cost: a dozen slices (destinations, the
+// dense channel index, the done bits, the walk, the recorded edges and
+// their growth, CSR offsets and successors, colours, the DFS stack), at
+// most 0.6 MB in all.  The map-based walker cost 11 205 objects and
+// 2.79 MB, one adjacency slice per channel.
+const (
+	cdgVerifyAllocBudget = 16
+	cdgVerifyByteBudget  = 600_000
+	// cdgVerifyGrowth bounds how many more objects k=8 may cost than
+	// k=4: only growing slices add objects as the fabric grows.
+	cdgVerifyGrowth = 4
+)
+
+// TestAllocBudgetCDGVerify gates the deadlock-freedom proof every
+// workload set-up, -exp scale point and failover repair runs.
+func TestAllocBudgetCDGVerify(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budgets hold only without race instrumentation")
+	}
+	perProof := func(k int) (allocs float64, bytes uint64) {
+		topo, r := fatTreeRoutes(t, k)
+		proof := func() {
+			if _, err := cdg.Verify(topo, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(20, proof)
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			proof()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	allocs4, _ := perProof(4)
+	allocs8, bytes8 := perProof(8)
+	t.Logf("k=4: %.0f objects; k=8: %.0f objects, %d bytes per proof", allocs4, allocs8, bytes8)
+	if allocs8 > cdgVerifyAllocBudget {
+		t.Errorf("a k=8 proof allocates %.0f objects, budget %d", allocs8, cdgVerifyAllocBudget)
+	}
+	if bytes8 > cdgVerifyByteBudget {
+		t.Errorf("a k=8 proof allocates %d bytes, budget %d", bytes8, cdgVerifyByteBudget)
+	}
+	if allocs8-allocs4 > cdgVerifyGrowth {
+		t.Errorf("k=8 proof allocates %.0f objects, k=4 %.0f: more than slice growth", allocs8, allocs4)
+	}
+}
+
+// BenchmarkCDGVerify times the proof on the k=8 fat-tree every gated
+// workload sets up and on the k=16 one of the routing.cdg_verify_s probe.
+func BenchmarkCDGVerify(b *testing.B) {
+	for _, k := range []int{8, 16} {
+		topo, r := fatTreeRoutes(b, k)
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cdg.Verify(topo, r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/routing"
@@ -24,42 +26,57 @@ import (
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the flag set printed the usage
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ibtopo:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses the command line and writes the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ibtopo", flag.ContinueOnError)
 	var (
-		class     = flag.String("class", "irregular", "topology class: irregular|fattree|dragonfly")
-		switches  = flag.Int("switches", 16, "number of switches (irregular)")
-		seed      = flag.Int64("seed", 42, "random seed (irregular)")
-		k         = flag.Int("k", 4, "fat-tree arity")
-		a         = flag.Int("a", 4, "dragonfly switches per group")
-		p         = flag.Int("p", 2, "dragonfly hosts per switch")
-		h         = flag.Int("h", 2, "dragonfly global links per switch")
-		adjacency = flag.Bool("adjacency", false, "print the full adjacency list")
+		class     = fs.String("class", "irregular", "topology class: irregular|fattree|dragonfly")
+		switches  = fs.Int("switches", 16, "number of switches (irregular)")
+		seed      = fs.Int64("seed", 42, "random seed (irregular)")
+		k         = fs.Int("k", 4, "fat-tree arity")
+		a         = fs.Int("a", 4, "dragonfly switches per group")
+		p         = fs.Int("p", 2, "dragonfly hosts per switch")
+		h         = fs.Int("h", 2, "dragonfly global links per switch")
+		adjacency = fs.Bool("adjacency", false, "print the full adjacency list")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cls, err := topology.ParseClass(*class)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	spec := topology.Spec{Class: cls, Switches: *switches, Seed: *seed, K: *k, A: *a, P: *p, H: *h}
 	topo, err := spec.Generate()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := topo.Validate(); err != nil {
-		fatal(err)
+		return err
 	}
 	routes, err := routing.ComputeFor(topo)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if cls == topology.Irregular {
 		// The legality check is specific to up*/down* ordering.
 		if err := routes.CheckLegal(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
-	fmt.Printf("topology: %s — %d switches, %d hosts\n", spec.Label(), topo.NumSwitches, topo.NumHosts())
+	fmt.Fprintf(stdout, "topology: %s — %d switches, %d hosts\n", spec.Label(), topo.NumSwitches, topo.NumHosts())
 
 	links := 0
 	maxLevel := 0
@@ -69,30 +86,30 @@ func main() {
 			maxLevel = routes.Level(s)
 		}
 	}
-	fmt.Printf("inter-switch links: %d (directed port pairs: %d)\n", links/2, links)
+	fmt.Fprintf(stdout, "inter-switch links: %d (directed port pairs: %d)\n", links/2, links)
 	if cls != topology.Dragonfly {
 		// Level is tree depth for up*/down* and fat-tree routing; the
 		// dragonfly engine does not use levels.
-		fmt.Printf("routing tree depth: %d\n", maxLevel)
+		fmt.Fprintf(stdout, "routing tree depth: %d\n", maxLevel)
 	}
-	fmt.Printf("VL planes: %d (%d base data VLs)\n", routes.Planes(), routes.BaseVLs())
+	fmt.Fprintf(stdout, "VL planes: %d (%d base data VLs)\n", routes.Planes(), routes.BaseVLs())
 
 	// Deadlock-freedom proof: walk the channel-dependency graph of
 	// every route on every base VL and verify it is acyclic.
 	st, err := cdg.Verify(topo, routes)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("channel-dependency graph: %d channels, %d dependencies over %d routes — acyclic\n",
+	fmt.Fprintf(stdout, "channel-dependency graph: %d channels, %d dependencies over %d routes — acyclic\n",
 		st.Channels, st.Deps, st.Routes)
 
 	if *adjacency {
 		for s := 0; s < topo.NumSwitches; s++ {
-			fmt.Printf("switch %2d (level %d):", s, routes.Level(s))
+			fmt.Fprintf(stdout, "switch %2d (level %d):", s, routes.Level(s))
 			for _, nb := range topo.Neighbors(s) {
-				fmt.Printf(" %d(p%d)", nb.Switch, nb.Port)
+				fmt.Fprintf(stdout, " %d(p%d)", nb.Switch, nb.Port)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
 
@@ -106,24 +123,20 @@ func main() {
 			}
 			path, err := routes.PathSwitches(src, dst)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			hist[len(path)]++
 			total++
 			sum += len(path)
 		}
 	}
-	fmt.Println("route length histogram (switches on path):")
+	fmt.Fprintln(stdout, "route length histogram (switches on path):")
 	for l := 1; l <= topo.NumSwitches; l++ {
 		if hist[l] == 0 {
 			continue
 		}
-		fmt.Printf("  %2d: %6d (%.1f%%)\n", l, hist[l], 100*float64(hist[l])/float64(total))
+		fmt.Fprintf(stdout, "  %2d: %6d (%.1f%%)\n", l, hist[l], 100*float64(hist[l])/float64(total))
 	}
-	fmt.Printf("mean route length: %.2f switches\n", float64(sum)/float64(total))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ibtopo:", err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "mean route length: %.2f switches\n", float64(sum)/float64(total))
+	return nil
 }

@@ -10,7 +10,9 @@ package cdg
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/arbtable"
 	"repro/internal/topology"
 )
 
@@ -94,50 +96,61 @@ func VerifyPartial(topo *topology.Topology, eng Engine) (Stats, error) {
 	return verify(topo, eng, true)
 }
 
+// numVLs bounds the hop VLs a route may use — the data VLs — and is the
+// VL stride of the dense channel index.
+const numVLs = arbtable.NumDataVLs
+
+// verify walks the routes in (source, destination, base VL) order.
+// Forwarding is destination-based and the hop VL a function of
+// (switch, destination, base VL), so the routes toward one (destination,
+// base VL) form a tree: once a walk from switch s has reached the
+// destination, every later walk entering s repeats it hop for hop.  A
+// done bit per (destination, base VL, switch) records that; a walk
+// entering a done switch adds its one edge into the switch's channel
+// and stops, since every later edge is already in the graph.  Every hop
+// that is walked gets the full checks, so channel numbering, edge order,
+// Stats, the first error and the cycle witness are those of walking
+// every route to its end (DESIGN.md §10).
 func verify(topo *topology.Topology, eng Engine, allowPartial bool) (Stats, error) {
 	var st Stats
+	n := topo.NumSwitches
 
 	// Host-bearing switches are the only legal route endpoints.
-	var dests []int
-	for s := 0; s < topo.NumSwitches; s++ {
+	dests := make([]int, 0, n)
+	for s := 0; s < n; s++ {
 		if topo.SwitchHosts(s) > 0 {
 			dests = append(dests, s)
 		}
 	}
 
-	// Dense channel ids: (sw*SwitchPorts + port)*NumVLs' with VL folded
-	// in via a map keyed on the triple — routes touch few VLs, so a map
-	// stays small while supporting any VL numbering the engine emits.
-	ids := make(map[Channel]int)
-	chans := []Channel{}
-	adj := [][]int{} // adjacency by channel id, deduped via edge set
-	edge := make(map[[2]int]bool)
-	chanID := func(c Channel) int {
-		if id, ok := ids[c]; ok {
-			return id
-		}
-		id := len(chans)
-		ids[c] = id
-		chans = append(chans, c)
-		adj = append(adj, nil)
-		return id
+	baseVLs := max(eng.BaseVLs(), 0)
+	routes := len(dests) * (len(dests) - 1) * baseVLs
+	g := graph{
+		ports: topo.Ports(),
+		index: make([]int32, n*topo.Ports()*numVLs),
+		raw:   make([]uint64, 0, routes),
 	}
-
-	baseVLs := eng.BaseVLs()
+	done := make([]uint64, (len(dests)*baseVLs*n+63)/64)
+	walked := make([]int, 0, n+1) // switches of the current walk
 	for _, src := range dests {
-		for _, dst := range dests {
+		for di, dst := range dests {
 			if src == dst {
 				continue
 			}
 			for base := 0; base < baseVLs; base++ {
 				st.Routes++
-				prev := -1
-				sw := src
-				for steps := 0; sw != dst; steps++ {
-					if steps > topo.NumSwitches {
+				tree := (di*baseVLs + base) * n
+				prev := int32(-1)
+				walked = walked[:0]
+				for sw, steps := src, 0; sw != dst; steps++ {
+					if steps > n {
 						return st, fmt.Errorf("cdg: route %d->%d (base vl %d) does not terminate", src, dst, base)
 					}
 					p := eng.NextPortToSwitch(sw, dst)
+					if b := tree + sw; done[b/64]&(1<<(b%64)) != 0 {
+						g.edge(prev, g.channel(sw, p, eng.HopVLToSwitch(sw, dst, uint8(base))))
+						break
+					}
 					if p < 0 {
 						if allowPartial && sw == src {
 							st.Unroutable++
@@ -149,66 +162,176 @@ func verify(topo *topology.Topology, eng Engine, allowPartial bool) (Stats, erro
 					if e.Switch < 0 {
 						return st, fmt.Errorf("cdg: route %d->%d uses dead port %d:%d", src, dst, sw, p)
 					}
-					cur := chanID(Channel{Switch: sw, Port: p, VL: eng.HopVLToSwitch(sw, dst, uint8(base))})
-					if prev >= 0 && prev != cur {
-						if k := [2]int{prev, cur}; !edge[k] {
-							edge[k] = true
-							adj[prev] = append(adj[prev], cur)
-						}
+					vl := eng.HopVLToSwitch(sw, dst, uint8(base))
+					if vl >= numVLs {
+						return st, fmt.Errorf("cdg: route %d->%d (base vl %d) leaves switch %d on vl %d, outside data VLs 0-%d",
+							src, dst, base, sw, vl, numVLs-1)
 					}
+					cur := g.channel(sw, p, vl)
+					g.edge(prev, cur)
 					prev = cur
+					walked = append(walked, sw)
 					sw = e.Switch
 				}
+				// The walk reached dst (an unroutable source walked nothing).
+				for _, sw := range walked {
+					b := tree + sw
+					done[b/64] |= 1 << (b % 64)
+				}
 			}
 		}
 	}
-	st.Channels = len(chans)
-	st.Deps = len(edge)
-
-	// Iterative DFS cycle detection with a parent chain for the witness.
-	const (
-		white = 0 // unvisited
-		grey  = 1 // on the current DFS path
-		black = 2 // fully explored
-	)
-	color := make([]int, len(chans))
-	parent := make([]int, len(chans))
-	for i := range parent {
-		parent[i] = -1
-	}
-	var visit func(int) *CycleError
-	visit = func(u int) *CycleError {
-		color[u] = grey
-		for _, v := range adj[u] {
-			switch color[v] {
-			case white:
-				parent[v] = u
-				if err := visit(v); err != nil {
-					return err
-				}
-			case grey:
-				// Back edge u -> v closes a cycle v -> ... -> u -> v.
-				cyc := []Channel{chans[v]}
-				for x := u; x != v; x = parent[x] {
-					cyc = append(cyc, chans[x])
-				}
-				cyc = append(cyc, chans[v])
-				// Reverse into forward order.
-				for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
-					cyc[i], cyc[j] = cyc[j], cyc[i]
-				}
-				return &CycleError{Cycle: cyc}
-			}
-		}
-		color[u] = black
-		return nil
-	}
-	for u := range chans {
-		if color[u] == white {
-			if err := visit(u); err != nil {
-				return st, err
-			}
-		}
+	st.Channels = int(g.channels)
+	succ, off, color := g.adjacency()
+	st.Deps = len(succ)
+	if cyc := g.findCycle(succ, off, color); cyc != nil {
+		return st, cyc
 	}
 	return st, nil
+}
+
+// graph is the channel-dependency graph under construction.  Channels
+// get ids in first-seen order through a dense index; edges are recorded
+// as walked, duplicates included, and deduplicated when adjacency is
+// built.
+type graph struct {
+	ports int
+	// index[(sw*ports+port)*numVLs+vl] is the channel's id+1, 0 if unseen.
+	index    []int32
+	channels int32
+	// raw holds every dependency as prev<<32|cur in the order walked.
+	raw []uint64
+}
+
+// channel returns the id of channel (sw, port, vl), numbering it if new.
+func (g *graph) channel(sw, port int, vl uint8) int32 {
+	k := (sw*g.ports+port)*numVLs + int(vl)
+	if g.index[k] == 0 {
+		g.channels++
+		g.index[k] = g.channels
+	}
+	return g.index[k] - 1
+}
+
+// edge records the dependency prev -> cur (none from the first hop of a
+// route, prev < 0, nor from a channel to itself).
+func (g *graph) edge(prev, cur int32) {
+	if prev < 0 || prev == cur {
+		return
+	}
+	if len(g.raw) == cap(g.raw) {
+		// 1.5x: the initial capacity, one edge per route, is usually close.
+		g.raw = slices.Grow(g.raw, max(len(g.raw)/2, 64))
+	}
+	g.raw = append(g.raw, uint64(prev)<<32|uint64(cur))
+}
+
+// adjacency returns the distinct dependencies in compressed sparse row
+// form — channel u's successors are succ[off[u]:off[u+1]], in the order
+// first recorded — and a zeroed per-channel scratch array for the DFS.
+func (g *graph) adjacency() (succ, off, scratch []int32) {
+	c := g.channels
+	// A stable counting sort by source channel: off[u+2] counts, then
+	// off[u+1] is u's write cursor, ending at the start of u+1.
+	off = make([]int32, c+2)
+	for _, e := range g.raw {
+		off[e>>32+2]++
+	}
+	for u := 2; u < len(off); u++ {
+		off[u] += off[u-1]
+	}
+	succ = make([]int32, len(g.raw))
+	for _, e := range g.raw {
+		u := e >> 32
+		succ[off[u+1]] = int32(e)
+		off[u+1]++
+	}
+	off = off[:c+1]
+
+	// Keep each successor's first occurrence, compacting in place;
+	// seen[v] == u+1 marks v as already a successor of u.
+	seen := make([]int32, c)
+	w, lo := int32(0), int32(0)
+	for u := range c {
+		hi := off[u+1]
+		off[u] = w
+		for _, v := range succ[lo:hi] {
+			if seen[v] != u+1 {
+				seen[v] = u + 1
+				succ[w] = v
+				w++
+			}
+		}
+		lo = hi
+	}
+	off[c] = w
+	clear(seen)
+	return succ[:w], off, seen
+}
+
+// findCycle searches the graph depth-first from every channel in id
+// order and returns the first cycle closed by a back edge, nil if there
+// is none.  The search is iterative: the stack is the grey path, each
+// frame a channel and the offset of its next successor, so successors
+// are taken in insertion order, as the recursive search took them.
+// color must be zeroed, one entry per channel.
+func (g *graph) findCycle(succ, off, color []int32) *CycleError {
+	const (
+		white = 0 // unvisited
+		grey  = 1 // on the stack
+		black = 2 // fully explored
+	)
+	type frame struct{ u, next int32 }
+	var stack []frame
+	for root := range g.channels {
+		if color[root] != white {
+			continue
+		}
+		color[root] = grey
+		stack = append(stack[:0], frame{root, off[root]})
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			if f.next == off[f.u+1] {
+				color[f.u] = black
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			v := succ[f.next]
+			f.next++
+			switch color[v] {
+			case white:
+				color[v] = grey
+				stack = append(stack, frame{v, off[v]})
+			case grey:
+				// The back edge closes the cycle v -> ... -> top -> v.
+				j := len(stack) - 1
+				for stack[j].u != v {
+					j--
+				}
+				ids := make([]int32, 0, len(stack)-j+1)
+				for _, f := range stack[j:] {
+					ids = append(ids, f.u)
+				}
+				return &CycleError{Cycle: g.decode(append(ids, v))}
+			}
+		}
+	}
+	return nil
+}
+
+// decode turns channel ids back into channels.  Only a cycle witness
+// needs it, so the index is inverted on demand.
+func (g *graph) decode(ids []int32) []Channel {
+	key := make([]int, g.channels)
+	for k, id := range g.index {
+		if id > 0 {
+			key[id-1] = k
+		}
+	}
+	out := make([]Channel, len(ids))
+	for i, id := range ids {
+		k := key[id]
+		out[i] = Channel{Switch: k / numVLs / g.ports, Port: k / numVLs % g.ports, VL: uint8(k % numVLs)}
+	}
+	return out
 }

@@ -56,9 +56,12 @@ func TestAcyclicFatTree(t *testing.T) {
 	}
 }
 
+// dragonflyShapes are the (a, p, h) shapes of the dragonfly property
+// pass and the differential test.
+var dragonflyShapes = [][3]int{{1, 1, 1}, {2, 1, 1}, {2, 2, 2}, {3, 2, 2}, {4, 2, 2}, {4, 1, 3}, {2, 4, 3}}
+
 func TestAcyclicDragonfly(t *testing.T) {
-	shapes := [][3]int{{1, 1, 1}, {2, 1, 1}, {2, 2, 2}, {3, 2, 2}, {4, 2, 2}, {4, 1, 3}, {2, 4, 3}}
-	for _, s := range shapes {
+	for _, s := range dragonflyShapes {
 		a, p, h := s[0], s[1], s[2]
 		topo, err := topology.GenerateDragonfly(a, p, h)
 		if err != nil {
@@ -81,10 +84,9 @@ func TestAcyclicDragonfly(t *testing.T) {
 	}
 }
 
-// ringEngine routes every packet clockwise around a 4-switch ring on a
-// single VL — the textbook deadlocking routing function.  Every switch
-// wires port 5 to the next switch and port 4 to the previous one.
-type ringEngine struct{ n int }
+// ringEngine routes every packet clockwise around a ring on a single VL
+// — the textbook deadlocking routing function.
+type ringEngine struct{}
 
 func (e ringEngine) NextPortToSwitch(sw, dsw int) int {
 	if sw == dsw {
@@ -99,23 +101,8 @@ func (e ringEngine) BaseVLs() int                                { return 1 }
 // clockwise ring's channel dependencies (0:5)->(1:5)->(2:5)->(3:5)->
 // (0:5) form a cycle, and Verify must find it and name its channels.
 func TestVerifierRejectsCycle(t *testing.T) {
-	const n = 4
-	topo := topology.NewManual(n)
-	for s := 0; s < n; s++ {
-		if _, err := topo.AttachHost(s, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for s := 0; s < n; s++ {
-		if err := topo.Connect(s, 5, (s+1)%n, 4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := topo.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err := cdg.Verify(topo, ringEngine{n: n})
+	const n = ringSwitches
+	_, err := cdg.Verify(ringTopology(t), ringEngine{})
 	if err == nil {
 		t.Fatal("verifier accepted a deadlocking ring routing")
 	}
@@ -134,6 +121,30 @@ func TestVerifierRejectsCycle(t *testing.T) {
 			t.Fatalf("cycle uses unexpected port: %v", cyc.Cycle)
 		}
 	}
+}
+
+// ringSwitches is the size of the ring fixture.
+const ringSwitches = 4
+
+// ringTopology is the ring fixture: one host per switch, every switch
+// wiring port 5 to the next switch and port 4 to the previous one.
+func ringTopology(t testing.TB) *topology.Topology {
+	t.Helper()
+	topo := topology.NewManual(ringSwitches)
+	for s := 0; s < ringSwitches; s++ {
+		if _, err := topo.AttachHost(s, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for s := 0; s < ringSwitches; s++ {
+		if err := topo.Connect(s, 5, (s+1)%ringSwitches, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return topo
 }
 
 // TestEscapePlaneNecessary documents WHY the dragonfly needs the

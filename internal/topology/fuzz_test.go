@@ -16,9 +16,9 @@ import (
 //
 // The seed corpus pins the degenerate shapes: the 1-switch irregular
 // network (must error: the paper's generator needs two), odd fat-tree
-// arities (must error: ports split evenly up/down), and the a=1
-// dragonfly (must succeed: groups of a single switch have no local
-// links at all).
+// arities (must error: ports split evenly up/down), the a=1 dragonfly
+// (must succeed: groups of a single switch have no local links at all)
+// and the first irregular size past MaxIrregularSwitches (must error).
 func FuzzTopologyGenerate(f *testing.F) {
 	f.Add(uint8(0), 1, 0, 0, int64(1))  // 1-switch irregular: error
 	f.Add(uint8(0), 2, 0, 0, int64(1))  // minimal irregular
@@ -30,6 +30,8 @@ func FuzzTopologyGenerate(f *testing.F) {
 	f.Add(uint8(2), 2, 1, 1, int64(0))
 	f.Add(uint8(2), 4, 2, 2, int64(0)) // radix-filling dragonfly
 	f.Add(uint8(2), 7, 1, 1, int64(0)) // a too large for the radix: error
+	// Past the irregular size cap: error.
+	f.Add(uint8(0), topology.MaxIrregularSwitches+1, 0, 0, int64(1))
 
 	f.Fuzz(func(t *testing.T, class uint8, x, y, z int, seed int64) {
 		var spec topology.Spec
@@ -37,7 +39,12 @@ func FuzzTopologyGenerate(f *testing.F) {
 		case 0:
 			// Bound the size: the generator is quadratic-ish and the
 			// fuzzer does not need big networks to find structure bugs.
+			// Sizes past the cap are passed through: refusing them is
+			// cheap and must happen.
 			spec = topology.Spec{Class: topology.Irregular, Switches: x % 33, Seed: seed}
+			if x > topology.MaxIrregularSwitches {
+				spec.Switches = x
+			}
 		case 1:
 			spec = topology.Spec{Class: topology.FatTree, K: x % 11}
 		case 2:
@@ -46,6 +53,9 @@ func FuzzTopologyGenerate(f *testing.F) {
 		topo, err := spec.Generate()
 		if err != nil {
 			return // clean rejection of a bad shape
+		}
+		if spec.Switches > topology.MaxIrregularSwitches {
+			t.Fatalf("%v: accepted past the %d-switch cap", spec, topology.MaxIrregularSwitches)
 		}
 		if err := topo.Validate(); err != nil {
 			t.Fatalf("%v: generated invalid topology: %v", spec, err)

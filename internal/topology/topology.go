@@ -44,6 +44,13 @@ const (
 	// InterPorts is the number of switch-to-switch ports of an
 	// irregular-class switch.
 	InterPorts = IrregularPorts - HostsPerSwitch
+	// MaxIrregularSwitches is the largest irregular network Generate
+	// builds: the size of the largest structured shape, the k =
+	// SwitchPorts fat-tree (5k²/4 = 1 280 switches).  Routing keeps an
+	// n × n next-hop table and proves all n² routes, so far larger sizes
+	// do not come back (2 000 switches took 5 s to route, 8 000 did not
+	// finish); they are refused instead.
+	MaxIrregularSwitches = 5 * SwitchPorts * SwitchPorts / 4
 )
 
 // End identifies one side of a switch-to-switch link.
@@ -250,6 +257,9 @@ func (t *Topology) linked(a, b int) bool {
 func Generate(numSwitches int, seed int64) (*Topology, error) {
 	if numSwitches < 2 {
 		return nil, fmt.Errorf("topology: need at least 2 switches, got %d", numSwitches)
+	}
+	if numSwitches > MaxIrregularSwitches {
+		return nil, fmt.Errorf("topology: %d switches exceeds the irregular maximum of %d", numSwitches, MaxIrregularSwitches)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	t := NewManual(numSwitches)

@@ -83,6 +83,23 @@ func TestGenerateRejectsTiny(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsHuge: the irregular size cap is the largest
+// structured shape, and sizes past it are refused at once.
+func TestGenerateRejectsHuge(t *testing.T) {
+	l, err := NewFatTreeLayout(SwitchPorts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.NumSwitches() != MaxIrregularSwitches {
+		t.Errorf("MaxIrregularSwitches = %d, the k=%d fat-tree has %d switches", MaxIrregularSwitches, SwitchPorts, l.NumSwitches())
+	}
+	for _, n := range []int{MaxIrregularSwitches + 1, 100_000} {
+		if _, err := Generate(n, 1); err == nil {
+			t.Errorf("%d-switch topology accepted", n)
+		}
+	}
+}
+
 func TestHostMapping(t *testing.T) {
 	topo, _ := Generate(4, 3)
 	for h := 0; h < topo.NumHosts(); h++ {

@@ -47,11 +47,15 @@ echo "==> go test -race -shuffle=on ./..."
 # default 10m budget.
 go test -race -shuffle=on -timeout=60m ./...
 
-echo "==> go test -run Acyclic ./internal/routing/cdg (deadlock-freedom gate)"
+echo "==> go test -run 'Acyclic|TestVerifyDifferential' ./internal/routing/cdg (deadlock-freedom gate)"
 # Every shipped routing engine must stay provably deadlock-free: the
 # channel-dependency graphs of the irregular, fat-tree and dragonfly
-# engines are re-verified acyclic across the seeded shape grid.
-go test -run 'Acyclic' -count=1 ./internal/routing/cdg
+# engines are re-verified acyclic across the seeded shape grid.  The
+# proof itself walks each (destination, base VL) route tree once; the
+# differential test holds it to the retired walk-every-route verifier —
+# Stats, error text and cycle witness — on every class, degraded
+# fabrics, the escape plane stripped and the cyclic ring.
+go test -run 'Acyclic|TestVerifyDifferential' -count=1 ./internal/routing/cdg
 
 echo "==> go test -race -run TestParallelShard ./internal/fabric (sharded-core race gate)"
 # The conservative-lookahead window protocol is only correct if shards
@@ -154,8 +158,9 @@ echo "==> go test -run AllocBudget . (zero-alloc hot-path gate)"
 # of one to four blocks — BeginProgram, every SMP rendered to its wire
 # bytes, flown, parsed and delivered; and the ceilings on a whole
 # Admit + Release transaction and on a whole connection lifecycle of
-# the in-band churn loop.  Must run without -race (the detector's
-# instrumentation allocates).
+# the in-band churn loop; and a dozen slices, at most 0.6 MB, per k=8
+# CDG proof.  Must run without -race (the detector's instrumentation
+# allocates).
 go test -run 'AllocBudget' -count=1 .
 
 echo "==> go test -bench 'BenchmarkVOQForward|BenchmarkPerHopForwarding' -benchtime 1x . (forwarding benchmarks smoke)"
@@ -178,6 +183,7 @@ if [[ "$RUN_FUZZ" -eq 1 ]]; then
 ./internal/faults FuzzFaultSchedule
 ./internal/faults FuzzFailureSchedule
 ./internal/topology FuzzTopologyGenerate
+./internal/routing/cdg FuzzVerify
 ./internal/fabric FuzzISLIPSchedule
 ./internal/plan FuzzPlanSpec
 ./internal/sim FuzzEngineTrace
