@@ -204,6 +204,54 @@ func TestAllocBudgetVOQForwarding(t *testing.T) {
 	}
 }
 
+// Heap a fresh k=8 fat-tree network may hold per switch, everything it
+// retains included: routes, arbitration tables, admission state, the
+// switches' port slices, and under the input-queued model 1 024 virtual
+// output queues per switch.  Switches with 32 ports whatever their
+// radix and ring-buffer queues held 59.7 kB (WRR) and 100.9 kB
+// (VOQ-iSLIP).
+const (
+	fabricBytesPerSwitchWRR = 30_000
+	fabricBytesPerSwitchVOQ = 60_000
+)
+
+// TestAllocBudgetFabricBytes gates the memory a switch costs: the heap a
+// freshly built k=8 network holds after a GC, divided by its switches.
+func TestAllocBudgetFabricBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budgets hold only without race instrumentation")
+	}
+	topo, err := topology.Spec{Class: topology.FatTree, K: 8}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		model  fabric.SwitchModel
+		budget int64
+	}{
+		{fabric.ModelWRR, fabricBytesPerSwitchWRR},
+		{fabric.ModelVOQISLIP, fabricBytesPerSwitchVOQ},
+	} {
+		cfg := fabric.DefaultConfig(topo.NumSwitches, 256, 7)
+		cfg.SwitchModel = tc.model
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		net, err := fabric.NewWithTopology(cfg, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perSwitch := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(topo.NumSwitches)
+		runtime.KeepAlive(net)
+		t.Logf("%s: %d bytes per switch", tc.model, perSwitch)
+		if perSwitch > tc.budget {
+			t.Errorf("a fresh k=8 %s network holds %d bytes per switch, budget %d", tc.model, perSwitch, tc.budget)
+		}
+	}
+}
+
 // TestAllocBudgetFillIn gates the control-plane writer of the table:
 // joining and leaving a shared sequence, defragmentation, the capacity
 // queries, the audit and a programming transaction (its Delta is a

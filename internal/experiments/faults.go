@@ -138,11 +138,10 @@ func drawFlapSchedule(p FaultParams, topo *topology.Topology, inj *faults.Inject
 		links = append(links, faults.HostKey(h))
 	}
 	for s := 0; s < topo.NumSwitches; s++ {
-		for q := 0; q < topology.SwitchPorts; q++ {
-			if q >= topology.HostsPerSwitch && topo.Peer(s, q).Switch < 0 {
-				continue // unwired
+		for q := 0; q < topo.Ports(); q++ {
+			if topo.Wired(s, q) {
+				links = append(links, faults.SwitchPortKey(s, q))
 			}
-			links = append(links, faults.SwitchPortKey(s, q))
 		}
 	}
 	for i := 0; i < p.Flaps; i++ {

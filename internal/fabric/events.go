@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"fmt"
+
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -52,15 +54,28 @@ const (
 
 // portCode encodes an arbitration point in one int32: host h is
 // -(h+1), switch s's output port p is s*SwitchPorts+p.
+//
+// A switch's ports are radix-length slices (see NewWithTopology); the
+// code keeps the SwitchPorts stride because a constant power of two
+// makes the decode on every transmit, credit and arrival event a shift
+// and a mask.  Besides the iSLIP pointer and matching arrays, which the
+// benchmark's probes compile against, this stride and the uint32
+// port-set width are the cap's only remaining uses in the fabric.
 func hostCode(h int) int32      { return int32(-(h + 1)) }
 func switchCode(s, p int) int32 { return int32(s*topology.SwitchPorts + p) }
+
+// switchPort decodes a switch port code (code >= 0).
+func switchPort(code int32) (s, p int) {
+	return int(code) / topology.SwitchPorts, int(code) % topology.SwitchPorts
+}
 
 // outPortByCode resolves a port code to its outPort.
 func (n *Network) outPortByCode(code int32) *outPort {
 	if code < 0 {
 		return &n.hosts[-code-1].out
 	}
-	return &n.switches[code/topology.SwitchPorts].out[code%topology.SwitchPorts]
+	s, p := switchPort(code)
+	return &n.switches[s].out[p]
 }
 
 // HandleEvent dispatches the fabric's typed events.  It implements
@@ -108,7 +123,7 @@ func (sh *shard) HandleEvent(ev sim.Event) {
 func (sh *shard) xmitDone(outCode, srcCode int32, vl, wire int) {
 	n := sh.n
 	if srcCode >= 0 {
-		s := int(srcCode) / topology.SwitchPorts
+		s, i := switchPort(srcCode)
 		if n.rec != nil && n.rec.crashedSwitch(s) {
 			// The source buffer belongs to a crashed switch whose credit
 			// state was wiped at drain time; decrementing now would drive
@@ -116,7 +131,7 @@ func (sh *shard) xmitDone(outCode, srcCode int32, vl, wire int) {
 			// credit.
 			return
 		}
-		src := &n.switches[s].in[srcCode%topology.SwitchPorts]
+		src := &n.switches[s].in[i]
 		src.occ[vl] -= wire
 		switch {
 		case src.upSwitch >= 0:
@@ -134,7 +149,7 @@ func (sh *shard) xmitDone(outCode, srcCode int32, vl, wire int) {
 	if outCode < 0 {
 		sh.kickHost(int(-outCode) - 1)
 	} else {
-		sh.kickSwitch(int(outCode)/topology.SwitchPorts, int(outCode)%topology.SwitchPorts)
+		sh.kickSwitch(switchPort(outCode))
 	}
 }
 
@@ -194,48 +209,70 @@ func (sh *shard) freePacket(pkt *Packet) {
 	sh.pktFree = append(sh.pktFree, pkt)
 }
 
-// pktQueue is a growable FIFO ring of packets.  Push and pop move head
-// and length over a power-of-two buffer, so a steady-state queue never
-// allocates — unlike the append/reslice idiom, whose backing array
-// walks forward and reallocates every capacity's worth of packets.
+// pktQueue is an intrusive FIFO of packets linked through Packet.next:
+// 24 bytes whether empty or not, and no buffer to grow, so a switch's
+// thousand-odd virtual output queues cost nothing while they are empty
+// and a steady-state queue never allocates.  A packet sits in at most
+// one queue at a time — queued, in flight and free are disjoint states,
+// and every move between queues (forwarding, failover's drain and
+// filter passes) pops before it pushes — so one link field suffices.
+// A packet outside every queue holds no link: push and pop both clear
+// it.
 type pktQueue struct {
-	buf  []*Packet // power-of-two capacity
-	head int
-	n    int
+	head, tail *Packet
+	n          int
 }
 
 func (q *pktQueue) len() int       { return q.n }
-func (q *pktQueue) front() *Packet { return q.buf[q.head] }
-
-// at returns the i-th queued packet (0 = front) without removing it.
-func (q *pktQueue) at(i int) *Packet {
-	return q.buf[(q.head+i)&(len(q.buf)-1)]
-}
+func (q *pktQueue) front() *Packet { return q.head }
 
 func (q *pktQueue) push(p *Packet) {
-	if q.n == len(q.buf) {
-		q.grow()
+	p.next = nil
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
+	q.tail = p
 	q.n++
 }
 
 func (q *pktQueue) pop() *Packet {
-	p := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & (len(q.buf) - 1)
+	p := q.head
+	q.head = p.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	p.next = nil
 	q.n--
 	return p
 }
 
-func (q *pktQueue) grow() {
-	c := 2 * len(q.buf)
-	if c == 0 {
-		c = 8
+// wireBytes walks the chain and returns the wire bytes it holds, for
+// CheckBuffers.  It fails unless the chain is well formed: a walk from
+// head reaches tail in exactly n steps, tail ends the chain, and an
+// empty queue holds neither end.
+func (q *pktQueue) wireBytes() (int, error) {
+	if q.n == 0 {
+		if q.head != nil || q.tail != nil {
+			return 0, fmt.Errorf("empty queue still holds head %p, tail %p", q.head, q.tail)
+		}
+		return 0, nil
 	}
-	nb := make([]*Packet, c)
-	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+	wire := 0
+	p := q.head
+	for k := 1; k < q.n; k++ {
+		if p == nil || p == q.tail {
+			return 0, fmt.Errorf("a walk from head ends after %d of %d packets", k, q.n)
+		}
+		wire += p.Wire
+		p = p.next
 	}
-	q.buf, q.head = nb, 0
+	if p == nil || p != q.tail {
+		return 0, fmt.Errorf("a walk of %d packets does not end at tail", q.n)
+	}
+	if p.next != nil {
+		return 0, fmt.Errorf("tail links on to another packet")
+	}
+	return wire + p.Wire, nil
 }

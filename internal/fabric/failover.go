@@ -179,7 +179,7 @@ func (n *Network) EnableRecovery(cfg RecoveryConfig) (*Recovery, error) {
 		rec.watch = append(rec.watch, faults.HostKey(h))
 	}
 	for s := 0; s < n.Topo.NumSwitches; s++ {
-		for p := 0; p < topology.SwitchPorts; p++ {
+		for p := 0; p < n.Topo.Ports(); p++ {
 			if n.Topo.Wired(s, p) {
 				rec.watch = append(rec.watch, faults.SwitchPortKey(s, p))
 			}
@@ -213,7 +213,7 @@ func (rec *Recovery) ApplySchedule(s faults.Schedule) error {
 		}
 		switch ev.Kind {
 		case faults.FailLink:
-			if ev.Port < 0 || ev.Port >= topology.SwitchPorts || !n.Topo.Wired(ev.Switch, ev.Port) {
+			if !n.Topo.Wired(ev.Switch, ev.Port) {
 				return fmt.Errorf("fabric: failure %d: switch %d port %d not wired", i, ev.Switch, ev.Port)
 			}
 			n.Faults.AddLinkDown(faults.SwitchPortKey(ev.Switch, ev.Port), ev.At, end)
@@ -224,7 +224,7 @@ func (rec *Recovery) ApplySchedule(s faults.Schedule) error {
 				n.Faults.AddLinkDown(faults.SwitchPortKey(peer.Switch, peer.Port), ev.At, end)
 			}
 		case faults.FailSwitch:
-			for p := 0; p < topology.SwitchPorts; p++ {
+			for p := 0; p < n.Topo.Ports(); p++ {
 				if !n.Topo.Wired(ev.Switch, p) {
 					continue
 				}
@@ -411,7 +411,7 @@ func (rec *Recovery) reclassify() {
 func (rec *Recovery) crashedCalc(s int) bool {
 	topo := rec.n.Topo
 	wired := 0
-	for p := 0; p < topology.SwitchPorts; p++ {
+	for p := 0; p < topo.Ports(); p++ {
 		if !topo.Wired(s, p) {
 			continue
 		}
@@ -848,7 +848,7 @@ func (rec *Recovery) dropArrival(sh *shard, out *outPort, pkt *Packet) bool {
 	if out.code < 0 {
 		sh.kickHost(int(-out.code) - 1)
 	} else {
-		sh.kickSwitch(int(out.code)/topology.SwitchPorts, int(out.code)%topology.SwitchPorts)
+		sh.kickSwitch(switchPort(out.code))
 	}
 	return true
 }

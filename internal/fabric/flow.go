@@ -110,4 +110,8 @@ type Packet struct {
 	// disagree at dispatch the packet was recycled and the event is
 	// dropped (see events.go).
 	gen uint32
+
+	// next links the packet to the one behind it in the pktQueue that
+	// holds it; nil at a queue's tail and outside every queue.
+	next *Packet
 }

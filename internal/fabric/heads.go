@@ -35,7 +35,7 @@ const _ = uint(32 - topology.SwitchPorts)
 const dataVLMask = uint16(1)<<arbtable.NumDataVLs - 1
 
 // headIndex is one WRR switch's candidate index, sized from the
-// topology's radix rather than the SwitchPorts array cap.
+// topology's radix like the switch's port slices.
 type headIndex struct {
 	// cand[p*NumVLs+vl] is the set of input ports whose head packet on
 	// queueing VL vl routes to output port p.
@@ -126,7 +126,7 @@ func (n *Network) rebuildHeads() {
 // from an unwired port or by a head without a route.
 func (n *Network) checkHeads(node *swNode) error {
 	hx := node.heads
-	ports := len(hx.vls)
+	ports := len(node.out)
 	want := make([]uint32, len(hx.cand))
 	for i := range node.in {
 		var queued uint16
@@ -134,10 +134,6 @@ func (n *Network) checkHeads(node *swNode) error {
 			q := &node.in[i].queues[vl]
 			if q.len() == 0 {
 				continue
-			}
-			if i >= ports {
-				return fmt.Errorf("fabric: switch %d input %d VL %d holds packets beyond radix %d",
-					node.id, i, vl, ports)
 			}
 			queued |= 1 << uint(vl)
 			p := n.Routes.NextPort(node.id, q.front().Dst)
@@ -150,7 +146,7 @@ func (n *Network) checkHeads(node *swNode) error {
 			}
 			want[p*arbtable.NumVLs+vl] |= 1 << uint(i)
 		}
-		if i < ports && hx.queued[i] != queued {
+		if hx.queued[i] != queued {
 			return fmt.Errorf("fabric: switch %d input %d non-empty VL set %#04x, queues say %#04x",
 				node.id, i, hx.queued[i], queued)
 		}
@@ -177,7 +173,7 @@ func (n *Network) checkHeads(node *swNode) error {
 
 // cyclicFrom splits an input set at a round-robin cursor: visiting the
 // set bits of the first word in ascending order and then those of the
-// second reproduces the order (rr+k) mod SwitchPorts, k = 0, 1, ...,
+// second reproduces the order (rr+k) mod radix, k = 0, 1, ...,
 // restricted to the members of set — so the first member that passes a
 // predicate is the one a full scan from the cursor would have found.
 func cyclicFrom(set uint32, rr int) [2]uint32 {

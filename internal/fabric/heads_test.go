@@ -24,9 +24,9 @@ type candidates struct {
 }
 
 // scanReady is the candidate search trySwitch used before the head
-// index replaced it, kept verbatim as the reference: probe every
-// (input, VL) queue head of the switch in round-robin input order and
-// look its output port up.
+// index replaced it, kept as the reference: probe every (input, VL)
+// queue head of the switch in round-robin input order and look its
+// output port up.
 func scanReady(n *Network, s, p int) candidates {
 	node := n.switches[s]
 	out := &node.out[p]
@@ -34,11 +34,12 @@ func scanReady(n *Network, s, p int) candidates {
 	down := n.occView(out)
 	capacity := n.bufferCapacity()
 
+	P := len(node.out)
 	c := candidates{mgmt: -1}
 	{
 		vl := arbtable.MgmtVL
-		for k := 0; k < topology.SwitchPorts; k++ {
-			i := (out.rr[vl] + k) % topology.SwitchPorts
+		for k := 0; k < P; k++ {
+			i := (out.rr[vl] + k) % P
 			in := &node.in[i]
 			q := &in.queues[vl]
 			if q.len() == 0 || in.busyUntil > now {
@@ -56,8 +57,8 @@ func scanReady(n *Network, s, p int) candidates {
 		}
 	}
 	for invl := 0; invl < arbtable.NumDataVLs; invl++ {
-		for k := 0; k < topology.SwitchPorts; k++ {
-			i := (out.rr[invl] + k) % topology.SwitchPorts
+		for k := 0; k < P; k++ {
+			i := (out.rr[invl] + k) % P
 			in := &node.in[i]
 			q := &in.queues[invl]
 			if q.len() == 0 || in.busyUntil > now {
@@ -135,14 +136,12 @@ func compareAllPorts(t *testing.T, n *Network, st *stepStats) {
 						n.Now(), s, p, vl, got.src[vl], got.srcVL[vl], want.src[vl], want.srcVL[vl])
 				}
 			}
-			if p < len(node.heads.vls) {
-				for vl := 0; vl < arbtable.NumDataVLs; vl++ {
-					set := node.heads.cand[p*arbtable.NumVLs+vl]
-					if set&(set-1) != 0 {
-						st.contended++
-					}
-					members += bits.OnesCount32(set)
+			for vl := 0; vl < arbtable.NumDataVLs; vl++ {
+				set := node.heads.cand[p*arbtable.NumVLs+vl]
+				if set&(set-1) != 0 {
+					st.contended++
 				}
+				members += bits.OnesCount32(set)
 			}
 		}
 	}

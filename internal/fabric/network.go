@@ -270,8 +270,8 @@ func (n *Network) EnableTrace(events int) *metrics.TraceBuffer {
 func HostTraceID(h int) int32 { return int32(-(h + 1)) }
 
 // switchTraceID encodes switch s's output port p for trace events.
-// The stride is the topology's radix, not the SwitchPorts array cap,
-// so 8-port fabrics keep the trace numbering they always had.
+// The stride is the topology's radix, not the port code's SwitchPorts
+// stride, so 8-port fabrics keep the trace numbering they always had.
 func (n *Network) switchTraceID(s, p int) int32 { return int32(s*n.traceStride + p) }
 
 // Validate checks a configuration for values that would corrupt the
@@ -419,19 +419,21 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 		n.hosts[h] = node
 	}
 
-	// Switches.
+	// Switches, each with one input and one output port per port of the
+	// radix, carved from three slabs so construction costs a handful of
+	// allocations whatever the switch count.
+	radix := topo.Ports()
+	nodes := make([]swNode, topo.NumSwitches)
+	ins := make([]inPort, topo.NumSwitches*radix)
+	outs := make([]outPort, topo.NumSwitches*radix)
 	n.switches = make([]*swNode, topo.NumSwitches)
 	for s := range n.switches {
-		node := &swNode{id: s}
-		for p := 0; p < topology.SwitchPorts; p++ {
-			// Tables exist up to the radix; the ports past it are never
-			// wired and keep a nil table.
-			var pt *core.PortTable
-			if p < len(ports.Switch[s]) {
-				pt = ports.Switch[s][p]
-			}
+		node := &nodes[s]
+		lo, hi := s*radix, (s+1)*radix
+		node.id, node.in, node.out = s, ins[lo:hi:hi], outs[lo:hi:hi]
+		for p := range node.out {
 			op := &node.out[p]
-			op.pt = pt
+			op.pt = ports.Switch[s][p]
 			op.code = switchCode(s, p)
 			op.downSwitch, op.downPort, op.downHost = -1, -1, -1
 			ip := &node.in[p]
@@ -449,7 +451,7 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 			// Only wired ports arbitrate (trySwitch and voqFreePorts
 			// skip the rest), so only they carry an arbiter.
 			if op.wired {
-				op.arb = arbtable.NewArbiter(pt.Active())
+				op.arb = arbtable.NewArbiter(op.pt.Active())
 			}
 		}
 		n.switches[s] = node
@@ -461,7 +463,7 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 	if parallel {
 		for s, node := range n.switches {
 			own := part.ShardOfSwitch(s)
-			for p := 0; p < topology.SwitchPorts; p++ {
+			for p := range node.out {
 				op := &node.out[p]
 				if op.downSwitch >= 0 {
 					if dsh := part.ShardOfSwitch(op.downSwitch); dsh != own {
@@ -866,7 +868,8 @@ func (sh *shard) faultBlocked(out *outPort, key int32, now int64) bool {
 		out.wakeAt = until
 		wake := sim.Event{Kind: evKickHost, A: -out.code - 1}
 		if out.code >= 0 {
-			wake = sim.Event{Kind: evKickSwitch, A: out.code / topology.SwitchPorts, B: out.code % topology.SwitchPorts}
+			s, p := switchPort(out.code)
+			wake = sim.Event{Kind: evKickSwitch, A: int32(s), B: int32(p)}
 		}
 		sh.eng.Post(until, sh, wake)
 	}
@@ -1013,7 +1016,7 @@ func (sh *shard) takeHead(node *swNode, out *outPort, p, i, vl int, now int64) *
 	q := &in.queues[vl]
 	pkt := q.pop()
 	n.headPopped(node, q, p, vl, i)
-	out.rr[vl] = (i + 1) % topology.SwitchPorts
+	out.rr[vl] = (i + 1) % len(node.out)
 	xfer := int64(pkt.Wire) / int64(n.Cfg.CrossbarSpeedup)
 	if xfer < 1 {
 		xfer = 1
@@ -1257,7 +1260,7 @@ func (n *Network) MeanSwitchPortUtilization() float64 {
 	}
 	sum, cnt := 0.0, 0
 	for _, s := range n.switches {
-		for p := 0; p < topology.SwitchPorts; p++ {
+		for p := range s.out {
 			// Structured generators place switch-to-switch links on
 			// arbitrary ports, so select on the peer kind rather than
 			// the irregular generator's port split.
@@ -1296,6 +1299,8 @@ func (n *Network) ReconfigStats() core.ReconfigStats {
 // buffer: per-VL occupancy stays within [0, capacity] and covers at
 // least the bytes of the packets actually queued (the rest being
 // space reserved for packets still on the wire or in the crossbar).
+// Every packet queue it walks — host send queues, input queues, VOQs —
+// must be a well-formed chain (see pktQueue.wireBytes).
 // It also audits what the scheduling passes read instead of scanning
 // queues or tables, against a full scan: every arbiter's high-table
 // slot masks (arbtable.Arbiter.CheckIndex), every WRR switch's
@@ -1306,6 +1311,11 @@ func (n *Network) CheckBuffers() error {
 	for _, h := range n.hosts {
 		if err := h.out.arb.CheckIndex(); err != nil {
 			return fmt.Errorf("fabric: host %d: %w", h.id, err)
+		}
+		for vl := range h.queues {
+			if _, err := h.queues[vl].wireBytes(); err != nil {
+				return fmt.Errorf("fabric: host %d VL %d send queue: %w", h.id, vl, err)
+			}
 		}
 	}
 	for _, s := range n.switches {
@@ -1337,23 +1347,21 @@ func (n *Network) CheckBuffers() error {
 					return fmt.Errorf("fabric: switch %d port %d VL %d occupancy %d > capacity %d",
 						s.id, p, vl, occ, capacity)
 				}
-				queued := 0
+				queued, err := in.queues[vl].wireBytes()
+				if err != nil {
+					return fmt.Errorf("fabric: switch %d port %d VL %d input queue: %w", s.id, p, vl, err)
+				}
 				if v := s.voq; v != nil {
 					// Input-queued model: port p's packets live in its
-					// VOQ row, still accounted against the same per-VL
-					// credit the upstream sender reserved.  Ports past
-					// the radix have no row (checkVOQ proved them empty).
-					if p < v.r {
-						for j := 0; j < v.r; j++ {
-							vq := v.queue(p, j, vl)
-							for k := 0; k < vq.len(); k++ {
-								queued += vq.at(k).Wire
-							}
+					// VOQ row (its input queues are empty, see checkVOQ),
+					// still accounted against the same per-VL credit the
+					// upstream sender reserved.
+					for j := range s.out {
+						wire, err := v.queue(p, j, vl).wireBytes()
+						if err != nil {
+							return fmt.Errorf("fabric: switch %d VOQ (%d,%d) VL %d: %w", s.id, p, j, vl, err)
 						}
-					}
-				} else {
-					for k := 0; k < in.queues[vl].len(); k++ {
-						queued += in.queues[vl].at(k).Wire
+						queued += wire
 					}
 				}
 				if queued > occ {

@@ -4,7 +4,6 @@ import (
 	"repro/internal/arbtable"
 	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/topology"
 )
 
 // inPort is one switch input port: a FIFO queue per data VL plus the
@@ -81,11 +80,12 @@ type outPort struct {
 	meter stats.Meter
 }
 
-// swNode is one switch.
+// swNode is one switch.  in and out hold one entry per port of the
+// topology's radix, carved from per-network slabs (NewWithTopology).
 type swNode struct {
 	id  int
-	in  [topology.SwitchPorts]inPort
-	out [topology.SwitchPorts]outPort
+	in  []inPort
+	out []outPort
 
 	// heads is the WRR model's candidate index over the input queue
 	// heads (see heads.go); nil under the input-queued models.

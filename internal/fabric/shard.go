@@ -4,7 +4,6 @@ import (
 	"repro/internal/arbtable"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 // This file is the sharded half of the simulation core.  A network is
@@ -158,8 +157,8 @@ func (n *Network) flushBoundary() {
 		for _, cr := range sh.credits {
 			out := n.outPortByCode(cr.code)
 			out.bOcc[cr.vl] -= int(cr.wire)
-			s := int(cr.code) / topology.SwitchPorts
-			n.shardForSwitch(s).creditSwitch(s, int(cr.code)%topology.SwitchPorts)
+			s, p := switchPort(cr.code)
+			n.shardForSwitch(s).creditSwitch(s, p)
 		}
 		sh.credits = sh.credits[:0]
 	}

@@ -614,7 +614,7 @@ func (sh *shard) voqSched(s int) {
 			continue
 		}
 		pkt := v.voqPop(i, j, arbtable.MgmtVL)
-		node.out[j].rr[arbtable.MgmtVL] = (i + 1) % topology.SwitchPorts
+		node.out[j].rr[arbtable.MgmtVL] = (i + 1) % v.r
 		inFree &^= 1 << i
 		outFree &^= 1 << j
 		sh.voqTransmit(node, pkt, i, j, arbtable.MgmtVL, now)
@@ -754,15 +754,14 @@ func (sh *shard) voqTransmit(node *swNode, pkt *Packet, i, j, srcVL int, now int
 // output), every remembered request column against a fresh computation
 // from the heads and the current credit view, and the busy masks
 // against the port timestamps.  Nothing may sit in the per-input VL
-// queues the WRR model uses (at any port up to the array cap, so a
-// packet parked beyond the radix is found too).
+// queues the WRR model uses.
 func (n *Network) checkVOQ(node *swNode) error {
 	v := node.voq
 	for p := range node.in {
 		for vl := range node.in[p].queues {
 			if k := node.in[p].queues[vl].len(); k != 0 {
-				return fmt.Errorf("fabric: VOQ switch %d holds %d packets in the input queue of port %d VL %d (radix %d)",
-					node.id, k, p, vl, v.r)
+				return fmt.Errorf("fabric: VOQ switch %d holds %d packets in the input queue of port %d VL %d",
+					node.id, k, p, vl)
 			}
 		}
 	}

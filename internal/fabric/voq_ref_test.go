@@ -239,18 +239,18 @@ type voqPass struct {
 
 // scanRequests is the candidate search voqSched ran before the
 // occupancy words replaced it, kept as the reference: availability
-// over all SwitchPorts ports, a round-robin probe of every input per
+// over every port of the switch, a round-robin probe of every input per
 // free output for VL 15, and a probe of every (input, output, VL)
 // queue for the request matrix.  It reads queue lengths only — none of
 // the maintained sets — and changes nothing.
 func scanRequests(n *Network, s int) voqPass {
-	const P = topology.SwitchPorts
 	node := n.switches[s]
+	P := len(node.out)
 	v := node.voq
 	now := n.shardForSwitch(s).eng.Now()
 	capacity := n.bufferCapacity()
 	head := func(i, j, vl int) *Packet {
-		if i >= v.r || j >= v.r || v.queue(i, j, vl).len() == 0 {
+		if v.queue(i, j, vl).len() == 0 {
 			return nil
 		}
 		return v.queue(i, j, vl).front()

@@ -70,13 +70,18 @@ echo "==> go test -race -run TestHeadIndex ./internal/fabric (WRR candidate-inde
 # the gate above, does the same at the barriers of a two-shard run).
 go test -race -run 'TestHeadIndex' -count=1 ./internal/fabric
 
-echo "==> go test -race -run TestVOQIndex ./internal/fabric (VOQ occupancy-word differential)"
+echo "==> go test -race -run 'TestVOQIndex|TestPacketQueueDifferential' ./internal/fabric (VOQ occupancy-word and packet-FIFO differentials)"
 # The crossbar scheduling pass reads push-maintained occupancy words and
-# a word-wide iSLIP instead of scanning 32x32 queue groups; the
+# a word-wide iSLIP instead of scanning every queue group; the
 # differential tests compare every VL 15 pick, request matrix and
 # matching with the retired scans, single-stepped and on a two-shard
 # parallel run whose OnMatch replay executes on the shard goroutines.
-go test -race -run 'TestVOQIndex' -count=1 ./internal/fabric
+# Every queue — host, input, VOQ — is an intrusive FIFO linked through
+# the packets it holds; TestPacketQueueDifferential drives several
+# sharing one packet pool against slice FIFOs (push, pop, moves between
+# queues, failover's pop-and-push-back filter) and checks order, length
+# and the chain after every operation.
+go test -race -run 'TestVOQIndex|TestPacketQueueDifferential' -count=1 ./internal/fabric
 
 echo "==> go test -race -run 'TestVOQIdle|TestVOQDeliveryDigest' ./internal/fabric (no crossbar pass that cannot match)"
 # A kick at an input-queued switch posts a scheduling pass only when a
@@ -149,7 +154,8 @@ echo "==> go test -race -run TestParallelControl ./internal/experiments (control
 # proves the control lane never touches shard state inside a window.
 go test -race -run 'TestParallelControl' -count=1 ./internal/experiments
 
-echo "==> go test -run AllocBudget . (zero-alloc hot-path gate)"
+echo "==> go test -run AllocBudget . (zero-alloc hot-path and memory gate)"
+# The heap a fresh k=8 network holds per switch (WRR and VOQ-iSLIP);
 # testing.AllocsPerRun budgets: 0 allocs/op on arbiter pick, on the
 # event queue's Post + Step (near, far, timer + Cancel) and on a full
 # per-hop packet forwarding step with metrics disabled; the
