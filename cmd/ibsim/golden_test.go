@@ -4,65 +4,134 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/runner"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from current output")
 
-// TestJSONGolden pins the full -json document — including the
-// metrics and trace dump — against a checked-in golden file.  The
-// simulation is deterministic, so any diff is a real behavior or
-// format change; regenerate deliberately with
+// TestJSONGolden walks the registry.  Every entry with a deterministic
+// JSON report runs at its tiny preset, and its report, wall-clock
+// fields left out, must match testdata/<name>.golden.json.  The report
+// must also encode byte-identically on one sweep worker and on four
+// and, for entries that read -shard-det, at -shards 1, 2, 4 and 8
+// under it.  The simulations are pure functions of their seeds, so any
+// diff is a real behavior or format change; regenerate deliberately
+// with
 //
-//	go test ./cmd/ibsim -run JSONGolden -update
+//	go test ./cmd/ibsim -run TestJSONGolden -update
+//
+// runner.SetDefaultWorkers is process-global, so no subtest is
+// parallel.
 func TestJSONGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	p := experiments.Tiny()
-	p.Metrics = true
-	p.TraceEvents = 4
-
-	var buf bytes.Buffer
-	if err := emitJSON(&buf, p, "tiny"); err != nil {
-		t.Fatal(err)
-	}
-
-	golden := filepath.Join("testdata", "tiny.golden.json")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
+	t.Cleanup(func() { runner.SetDefaultWorkers(0) })
+	identityChecked := map[string]bool{}
+	for _, e := range registry {
+		if !slices.Contains(e.flags, "json") || slices.Contains(e.wallClock, "runs") {
+			continue // no report, or one made of timings alone
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("JSON output diverged from %s (rerun with -update if intended)\ngot %d bytes, want %d",
-			golden, buf.Len(), len(want))
+		t.Run(e.name, func(t *testing.T) {
+			args := []string{"-exp", e.name, "-scale", "tiny", "-json"}
+			golden := filepath.Join("testdata", e.name+".golden.json")
+			if slices.Contains(e.flags, "trace") {
+				// The evaluation views share one document, pinned with
+				// its metrics and a four-event trace.
+				args = append(args, "-trace", "4")
+				golden = filepath.Join("testdata", "tiny.golden.json")
+			}
+			got := encodeReport(t, args, "-parallel", "1")
+			if *update {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("report diverged from %s (rerun with -update if intended)\ngot %d bytes, want %d",
+					golden, len(got), len(want))
+			}
+			if identityChecked[golden] {
+				return // the evaluation views share one run
+			}
+			identityChecked[golden] = true
+			if !bytes.Equal(got, encodeReport(t, args, "-parallel", "4")) {
+				t.Error("report differs between 1 and 4 sweep workers")
+			}
+			if !slices.Contains(e.flags, "shard-det") {
+				return
+			}
+			one := encodeReport(t, args, "-shards", "1", "-shard-det")
+			for _, n := range []string{"2", "4", "8"} {
+				if !bytes.Equal(one, encodeReport(t, args, "-shards", n, "-shard-det")) {
+					t.Errorf("-shards %s -shard-det differs from -shards 1", n)
+				}
+			}
+		})
 	}
 }
 
-// TestJSONShape decodes the emitted document and checks the fields
-// scripts depend on, independent of formatting.
+// encodeReport parses args plus extra, runs the entry and encodes its
+// report with the wall-clock fields zeroed.
+func encodeReport(t *testing.T, args []string, extra ...string) []byte {
+	t.Helper()
+	e, c, err := parse(append(append([]string(nil), args...), extra...), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner.SetDefaultWorkers(c.parallel)
+	res, err := e.run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := reflect.New(reflect.TypeOf(res.report)).Elem()
+	report.Set(reflect.ValueOf(res.report))
+	for i := 0; i < report.NumField(); i++ {
+		name, _, _ := strings.Cut(report.Type().Field(i).Tag.Get("json"), ",")
+		if slices.Contains(e.wallClock, name) {
+			report.Field(i).SetZero()
+		}
+	}
+	var buf bytes.Buffer
+	if err := encodeIndented(&buf, report.Interface()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// decodeGolden unmarshals the checked-in report of an experiment.
+func decodeGolden(t *testing.T, name string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name+".golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("%s golden does not parse: %v", name, err)
+	}
+}
+
+// TestJSONShape checks the fields scripts read from the evaluation
+// document, independent of formatting.
 func TestJSONShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	p := experiments.Tiny()
-	p.Metrics = true
-	p.TraceEvents = 4
-
 	var buf bytes.Buffer
-	if err := emitJSON(&buf, p, "tiny"); err != nil {
+	if err := run([]string{"-exp", "all", "-scale", "tiny", "-json", "-metrics", "-trace", "4"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var rep struct {
@@ -111,7 +180,7 @@ func TestJSONMetricsOmittedWhenDisabled(t *testing.T) {
 		t.Skip("simulation run in -short mode")
 	}
 	var buf bytes.Buffer
-	if err := emitJSON(&buf, experiments.Tiny(), "tiny"); err != nil {
+	if err := run([]string{"-scale", "tiny", "-json"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var rep map[string]json.RawMessage
@@ -120,5 +189,248 @@ func TestJSONMetricsOmittedWhenDisabled(t *testing.T) {
 	}
 	if _, present := rep["metrics"]; present {
 		t.Error("metrics key present without -metrics")
+	}
+}
+
+// TestFailoverJSONShape: every point of the failover golden injected a
+// schedule, repaired it with a CDG proof, and closed its packet
+// accounting.
+func TestFailoverJSONShape(t *testing.T) {
+	var rep struct {
+		Runs []struct {
+			Schedule string `json:"schedule"`
+			Control  struct {
+				RepairsStarted   int64 `json:"repairsStarted"`
+				RepairsCompleted int64 `json:"repairsCompleted"`
+			} `json:"control"`
+			RepairCDG struct {
+				Channels int `json:"channels"`
+			} `json:"repairCDG"`
+			Injected  int64 `json:"injected"`
+			Delivered int64 `json:"delivered"`
+			Dropped   int64 `json:"dropped"`
+			Lost      int64 `json:"lost"`
+		} `json:"runs"`
+	}
+	decodeGolden(t, "failover", &rep)
+	if len(rep.Runs) != 3 {
+		t.Fatalf("sweep has %d runs, want one per topology class", len(rep.Runs))
+	}
+	for i, r := range rep.Runs {
+		if r.Schedule == "" {
+			t.Errorf("run %d: no failure schedule", i)
+		}
+		if r.Control.RepairsCompleted < 2 || r.Control.RepairsStarted != r.Control.RepairsCompleted {
+			t.Errorf("run %d: repairs %d/%d", i, r.Control.RepairsCompleted, r.Control.RepairsStarted)
+		}
+		if r.RepairCDG.Channels == 0 {
+			t.Errorf("run %d: no post-repair CDG proof", i)
+		}
+		if r.Injected != r.Delivered+r.Dropped+r.Lost {
+			t.Errorf("run %d: conservation hole: %d != %d+%d+%d",
+				i, r.Injected, r.Delivered, r.Dropped, r.Lost)
+		}
+	}
+}
+
+// TestFaultsJSONShape: the faults golden covers the fault grid, its
+// first point is fault-free with a clean control block, and the faulty
+// points terminated every transaction.
+func TestFaultsJSONShape(t *testing.T) {
+	var rep struct {
+		Runs []struct {
+			Drop    float64 `json:"drop"`
+			Control struct {
+				SMPsDropped int64 `json:"smpsDropped"`
+				Retransmits int64 `json:"retransmits"`
+			} `json:"control"`
+			UnterminatedTxns int `json:"unterminatedTxns"`
+			DirtySurvivors   int `json:"dirtySurvivors"`
+		} `json:"runs"`
+	}
+	decodeGolden(t, "faults", &rep)
+	if len(rep.Runs) < 3 {
+		t.Fatalf("sweep has %d runs, want the full fault grid", len(rep.Runs))
+	}
+	if r := rep.Runs[0]; r.Drop != 0 || r.Control.SMPsDropped != 0 || r.Control.Retransmits != 0 {
+		t.Errorf("control point not fault-free: %+v", r)
+	}
+	last := rep.Runs[len(rep.Runs)-1]
+	if last.Drop == 0 || last.Control.SMPsDropped == 0 {
+		t.Errorf("heaviest point dealt no faults: %+v", last)
+	}
+	for i, r := range rep.Runs {
+		if r.UnterminatedTxns != 0 || r.DirtySurvivors != 0 {
+			t.Errorf("run %d: termination audit nonzero: %+v", i, r)
+		}
+	}
+}
+
+// TestHOLJSONShape: the hol golden covers every (spec, load, model)
+// point of the grid in order, the models of a cell share one seed and
+// offer the same admitted load, and WRR rows carry no VOQ block while
+// the input-queued rows do.
+func TestHOLJSONShape(t *testing.T) {
+	var rep struct {
+		Runs []struct {
+			Label    string  `json:"label"`
+			Model    string  `json:"model"`
+			Load     float64 `json:"load"`
+			Seed     int64   `json:"seed"`
+			Admitted int     `json:"admitted"`
+			VOQ      *struct {
+				SchedPasses int64 `json:"schedPasses"`
+			} `json:"voq"`
+		} `json:"runs"`
+	}
+	decodeGolden(t, "hol", &rep)
+	base := experiments.HOLTiny()
+	if want := len(base.Specs) * len(base.Loads) * len(base.Models); len(rep.Runs) != want {
+		t.Fatalf("sweep has %d runs, want %d", len(rep.Runs), want)
+	}
+	i := 0
+	for _, spec := range base.Specs {
+		for _, load := range base.Loads {
+			cellSeed := rep.Runs[i].Seed
+			cellAdmitted := rep.Runs[i].Admitted
+			for _, model := range base.Models {
+				r := rep.Runs[i]
+				if r.Label != spec.Label() || r.Load != load || r.Model != model.String() {
+					t.Errorf("run %d is (%s, %s, %g), want (%s, %s, %g)",
+						i, r.Label, r.Model, r.Load, spec.Label(), model, load)
+				}
+				if r.Seed != cellSeed {
+					t.Errorf("run %d: seed %d differs within its cell (want %d) — models must see identical traffic",
+						i, r.Seed, cellSeed)
+				}
+				if r.Admitted != cellAdmitted {
+					t.Errorf("run %d: admitted %d differs within its cell (want %d)",
+						i, r.Admitted, cellAdmitted)
+				}
+				isVOQ := model.String() != "wrr"
+				if isVOQ && (r.VOQ == nil || r.VOQ.SchedPasses == 0) {
+					t.Errorf("run %d (%s): missing or empty VOQ counters", i, r.Model)
+				}
+				if !isVOQ && r.VOQ != nil {
+					t.Errorf("run %d (wrr): unexpected VOQ counters", i)
+				}
+				i++
+			}
+		}
+	}
+}
+
+// TestPlanJSONShape: the plan golden covers every (spec, load) point of
+// the grid in order, every point admitted connections and evaluated
+// lanes, the heavy load level is flagged unstable on every topology
+// class, the hot-lane list is bounded and utilization-sorted, and the
+// wall-clock timing section is left out.
+func TestPlanJSONShape(t *testing.T) {
+	var rep struct {
+		Runs []struct {
+			Label          string  `json:"label"`
+			Load           float64 `json:"load"`
+			Admitted       int     `json:"admitted"`
+			Lanes          int     `json:"lanes"`
+			SaturatedLanes int     `json:"saturatedLanes"`
+			Stable         bool    `json:"stable"`
+			HotLanes       []struct {
+				Port        string  `json:"port"`
+				Utilization float64 `json:"utilization"`
+			} `json:"hotLanes"`
+			HeadroomLimit string `json:"headroomLimit"`
+		} `json:"runs"`
+		Timing any `json:"timing"`
+	}
+	decodeGolden(t, "plan", &rep)
+	if rep.Timing != nil {
+		t.Error("golden contains the wall-clock timing section")
+	}
+	base := experiments.PlanTiny()
+	if want := len(base.Specs) * len(base.Loads); len(rep.Runs) != want {
+		t.Fatalf("sweep has %d runs, want %d", len(rep.Runs), want)
+	}
+	i := 0
+	for _, spec := range base.Specs {
+		for _, load := range base.Loads {
+			r := rep.Runs[i]
+			if r.Label != spec.Label() || r.Load != load {
+				t.Errorf("run %d is (%s, %g), want (%s, %g)", i, r.Label, r.Load, spec.Label(), load)
+			}
+			if r.Admitted == 0 {
+				t.Errorf("run %d admitted no connections", i)
+			}
+			if r.Lanes == 0 {
+				t.Errorf("run %d evaluated no lanes", i)
+			}
+			if load >= 1000 && r.Stable {
+				t.Errorf("run %d (%s, load %g): heavy load reported stable", i, r.Label, load)
+			}
+			if r.Stable != (r.SaturatedLanes == 0) {
+				t.Errorf("run %d: stable=%v with %d saturated lanes", i, r.Stable, r.SaturatedLanes)
+			}
+			if len(r.HotLanes) == 0 || len(r.HotLanes) > 8 {
+				t.Errorf("run %d: %d hot lanes, want 1..8", i, len(r.HotLanes))
+			}
+			for j := 1; j < len(r.HotLanes); j++ {
+				if r.HotLanes[j].Utilization > r.HotLanes[j-1].Utilization {
+					t.Errorf("run %d: hot lanes not utilization-sorted at %d", i, j)
+				}
+			}
+			for _, h := range r.HotLanes {
+				if !strings.HasPrefix(h.Port, "host ") && !strings.HasPrefix(h.Port, "switch ") {
+					t.Errorf("run %d: hot lane port label %q", i, h.Port)
+				}
+			}
+			if r.HeadroomLimit == "" {
+				t.Errorf("run %d: empty headroom limit", i)
+			}
+			i++
+		}
+	}
+}
+
+// TestScaleJSONShape: the scale golden covers every (spec, load) point
+// of the grid in order, every point carries a non-trivial acyclic
+// channel-dependency graph, and the multi-plane dragonfly engine
+// reports its escape plane.
+func TestScaleJSONShape(t *testing.T) {
+	var rep struct {
+		Runs []struct {
+			Label  string  `json:"label"`
+			Load   float64 `json:"load"`
+			Planes int     `json:"planes"`
+			CDG    struct {
+				Channels int `json:"Channels"`
+				Routes   int `json:"Routes"`
+			} `json:"cdg"`
+			Admitted int `json:"admitted"`
+		} `json:"runs"`
+	}
+	decodeGolden(t, "scale", &rep)
+	base := experiments.ScaleTiny()
+	if want := len(base.Specs) * len(base.Loads); len(rep.Runs) != want {
+		t.Fatalf("sweep has %d runs, want %d", len(rep.Runs), want)
+	}
+	i := 0
+	for _, spec := range base.Specs {
+		for _, load := range base.Loads {
+			r := rep.Runs[i]
+			if r.Label != spec.Label() || r.Load != load {
+				t.Errorf("run %d is (%s, %g), want (%s, %g)", i, r.Label, r.Load, spec.Label(), load)
+			}
+			if r.CDG.Channels == 0 || r.CDG.Routes == 0 {
+				t.Errorf("run %d: empty channel-dependency graph: %+v", i, r.CDG)
+			}
+			if r.Admitted == 0 {
+				t.Errorf("run %d admitted no connections", i)
+			}
+			i++
+		}
+	}
+	for _, r := range rep.Runs {
+		if r.Label == "dragonfly-a2p1h1" && r.Planes != 2 {
+			t.Errorf("dragonfly reports %d planes, want 2", r.Planes)
+		}
 	}
 }

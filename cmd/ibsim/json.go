@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -12,7 +11,7 @@ import (
 )
 
 // jsonReport is the machine-readable form of a full evaluation,
-// emitted by ibsim -json.
+// emitted by ibsim -json for every evaluation view.
 type jsonReport struct {
 	Scale      string                        `json:"scale"`
 	Switches   int                           `json:"switches"`
@@ -71,14 +70,9 @@ func dumpEvaluation(ev *experiments.Evaluation) *metricsDump {
 	return &metricsDump{Small: small, Large: large}
 }
 
-// emitJSON runs the paired evaluation and writes one JSON document to
-// w.
-func emitJSON(w io.Writer, p experiments.Params, scale string) error {
-	ev, err := experiments.Evaluate(p)
-	if err != nil {
-		return err
-	}
-	rep := jsonReport{
+// newEvaluationReport is the -json document of an executed evaluation.
+func newEvaluationReport(ev *experiments.Evaluation, p experiments.Params, scale string) jsonReport {
+	return jsonReport{
 		Scale:      scale,
 		Switches:   p.Switches,
 		Seed:       p.Seed,
@@ -92,174 +86,6 @@ func emitJSON(w io.Writer, p experiments.Params, scale string) error {
 		BySL:       ev.Small.SLBreakdown(),
 		Metrics:    dumpEvaluation(ev),
 	}
-	return encodeIndented(w, rep)
-}
-
-// emitMetrics writes just the metrics dump of an executed evaluation.
-func emitMetrics(w io.Writer, ev *experiments.Evaluation) error {
-	return encodeIndented(w, dumpEvaluation(ev))
-}
-
-// churnReport is the machine-readable form of a churn sweep.
-type churnReport struct {
-	Switches int                       `json:"switches"`
-	BaseSeed int64                     `json:"baseSeed"`
-	Arrivals int                       `json:"arrivals"`
-	Runs     []experiments.ChurnResult `json:"runs"`
-}
-
-func emitChurnJSON(w io.Writer, base experiments.ChurnParams, res []experiments.ChurnResult) error {
-	return encodeIndented(w, churnReport{
-		Switches: base.Switches,
-		BaseSeed: base.Seed,
-		Arrivals: base.Arrivals,
-		Runs:     res,
-	})
-}
-
-// faultsReport is the machine-readable form of a fault sweep.
-type faultsReport struct {
-	Switches int                        `json:"switches"`
-	BaseSeed int64                      `json:"baseSeed"`
-	Arrivals int                        `json:"arrivals"`
-	Runs     []experiments.FaultsResult `json:"runs"`
-}
-
-func emitFaultsJSON(w io.Writer, base experiments.FaultParams, res []experiments.FaultsResult) error {
-	return encodeIndented(w, faultsReport{
-		Switches: base.Churn.Switches,
-		BaseSeed: base.Churn.Seed,
-		Arrivals: base.Churn.Arrivals,
-		Runs:     res,
-	})
-}
-
-// failoverReport is the machine-readable form of a live-failure
-// recovery sweep.
-type failoverReport struct {
-	BaseSeed int64                        `json:"baseSeed"`
-	Payload  int                          `json:"payload"`
-	Conns    int                          `json:"conns"`
-	FailAtBT int64                        `json:"failAtBT"`
-	Runs     []experiments.FailoverResult `json:"runs"`
-}
-
-func emitFailoverJSON(w io.Writer, base experiments.FailoverParams, res []experiments.FailoverResult) error {
-	return encodeIndented(w, failoverReport{
-		BaseSeed: base.Seed,
-		Payload:  base.Payload,
-		Conns:    base.Conns,
-		FailAtBT: base.FailAtBT,
-		Runs:     res,
-	})
-}
-
-// scaleReport is the machine-readable form of a structured-fabric
-// scale sweep.
-type scaleReport struct {
-	BaseSeed int64                     `json:"baseSeed"`
-	Loads    []float64                 `json:"loads"`
-	Payload  int                       `json:"payload"`
-	Runs     []experiments.ScaleResult `json:"runs"`
-}
-
-func emitScaleJSON(w io.Writer, base experiments.ScaleParams, res []experiments.ScaleResult) error {
-	return encodeIndented(w, scaleReport{
-		BaseSeed: base.Seed,
-		Loads:    base.Loads,
-		Payload:  base.Payload,
-		Runs:     res,
-	})
-}
-
-// planReport is the machine-readable form of an analytical
-// capacity-planning sweep.
-type planReport struct {
-	BaseSeed    int64                    `json:"baseSeed"`
-	Loads       []float64                `json:"loads"`
-	Payload     int                      `json:"payload"`
-	HeadroomSL  uint8                    `json:"headroomSL"`
-	HeadroomMax int                      `json:"headroomMax"`
-	Runs        []experiments.PlanResult `json:"runs"`
-
-	// Timing is wall-clock and therefore nondeterministic; the golden
-	// files and the worker-identity test omit it (withTiming=false).
-	Timing *planTiming `json:"timing,omitempty"`
-}
-
-// planTiming logs the model's evaluation wall-clock per grid point —
-// the evidence behind the paper-reproduction claim that the plan
-// answers in microseconds what the simulator answers in minutes.
-type planTiming struct {
-	PointMicros []int64 `json:"pointMicros"`
-	TotalMicros int64   `json:"totalMicros"`
-}
-
-func emitPlanJSON(w io.Writer, base experiments.PlanParams, res []experiments.PlanResult, withTiming bool) error {
-	rep := planReport{
-		BaseSeed:    base.Seed,
-		Loads:       base.Loads,
-		Payload:     base.Payload,
-		HeadroomSL:  base.HeadroomSL,
-		HeadroomMax: base.HeadroomMax,
-		Runs:        res,
-	}
-	if withTiming {
-		t := &planTiming{PointMicros: make([]int64, len(res))}
-		for i, r := range res {
-			t.PointMicros[i] = r.ModelMicros
-			t.TotalMicros += r.ModelMicros
-		}
-		rep.Timing = t
-	}
-	return encodeIndented(w, rep)
-}
-
-// holReport is the machine-readable form of a HOL-blocking
-// switch-model sweep.
-type holReport struct {
-	BaseSeed   int64                   `json:"baseSeed"`
-	Loads      []float64               `json:"loads"`
-	Payload    int                     `json:"payload"`
-	ISLIPIters int                     `json:"islipIters"`
-	Runs       []experiments.HOLResult `json:"runs"`
-}
-
-func emitHOLJSON(w io.Writer, base experiments.HOLParams, res []experiments.HOLResult) error {
-	return encodeIndented(w, holReport{
-		BaseSeed:   base.Seed,
-		Loads:      base.Loads,
-		Payload:    base.Payload,
-		ISLIPIters: base.ISLIPIters,
-		Runs:       res,
-	})
-}
-
-// shardBenchReport is the machine-readable form of the sharded-core
-// throughput benchmark (scripts/bench.sh assembles BENCH_PR7.json from
-// it).
-type shardBenchReport struct {
-	Topology  string  `json:"topology"`
-	Load      float64 `json:"load"`
-	Seed      int64   `json:"seed"`
-	Payload   int     `json:"payload"`
-	HorizonBT int64   `json:"horizonBT"`
-	// CPUs bounds the achievable speedup at min(shards, CPUs): rows
-	// measured on a single-core host show sync overhead, not speedup.
-	CPUs int                            `json:"cpus"`
-	Runs []experiments.ShardBenchResult `json:"runs"`
-}
-
-func emitShardBenchJSON(w io.Writer, base experiments.ShardBenchParams, res []experiments.ShardBenchResult) error {
-	return encodeIndented(w, shardBenchReport{
-		Topology:  base.Spec.Label(),
-		Load:      base.Load,
-		Seed:      base.Seed,
-		Payload:   base.Payload,
-		HorizonBT: base.HorizonBT,
-		CPUs:      runtime.NumCPU(),
-		Runs:      res,
-	})
 }
 
 func encodeIndented(w io.Writer, v any) error {

@@ -1,439 +1,221 @@
 // Command ibsim runs the paper's evaluation experiments and prints the
-// tables and figures of Alfaro, Sánchez and Duato (ICPP 2003).
+// tables and figures of Alfaro, Sánchez and Duato (ICPP 2003), plus
+// the ablations, control-plane and fabric studies built on them.
 //
 // Usage:
 //
 //	ibsim -exp all                  # every table and figure, full scale
 //	ibsim -exp table2 -scale quick  # one experiment, reduced scale
 //	ibsim -exp scaling -sizes 8,16,32,64
+//	ibsim -exp hol -scale tiny -json  # one experiment's JSON report
 //
-// Experiments: table1, table2, figure4, figure5, figure6,
-// ablation-priority, ablation-fill, ablation-vl, ablation-switch,
-// scaling, churn, all.
-//
-//	ibsim -exp churn -churn-seeds 8   # connection churn with in-band
-//	                                  # table reprogramming (JSON)
-//	ibsim -exp scale -scale tiny      # structured fabrics (fat-tree,
-//	                                  # dragonfly, irregular) under load
-//	ibsim -exp hol -islip-iters 2     # WRR vs iSLIP vs MWM switch models
-//	                                  # (head-of-line-blocking audit)
-//	ibsim -exp failover -scale tiny   # live link/switch failure with
-//	                                  # verified deadlock-free repair
-//	ibsim -exp plan -scale tiny       # analytical WRR capacity plan
-//	                                  # (model-predicted, no simulation)
+// ibsim -h lists every experiment and the flags each one reads; a flag
+// the chosen experiment does not read is refused.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/runner"
-	"repro/internal/topology"
-	"repro/internal/viz"
+	"repro/internal/sl"
 )
 
 func main() {
-	var (
-		exp         = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, "|"))
-		scale       = flag.String("scale", "full", "scale preset: tiny|quick|full")
-		seed        = flag.Int64("seed", 0, "override random seed (0 keeps the preset's)")
-		switches    = flag.Int("switches", 0, "override network size (0 keeps the preset's)")
-		sizes       = flag.String("sizes", "8,16,32", "network sizes for -exp scaling")
-		traces      = flag.Int("traces", 50, "request traces for -exp ablation-fill")
-		asJSON      = flag.Bool("json", false, "emit the full evaluation as one JSON document (ignores -exp)")
-		withViz     = flag.Bool("viz", false, "render figures 4 and 5 as terminal charts too")
-		parallel    = flag.Int("parallel", 0, "worker goroutines for sweeps (0 = GOMAXPROCS)")
-		withMetrics = flag.Bool("metrics", false, "collect per-port arbitration metrics and append a JSON dump")
-		traceEvents = flag.Int("trace", 0, "record the last N arbitration decisions per run (implies -metrics)")
-		churnSeeds  = flag.Int("churn-seeds", 4, "independent seeds for -exp churn")
-		islipIters  = flag.Int("islip-iters", 0, "iSLIP iteration depth for -exp hol (0 = default)")
-		shards      = flag.Int("shards", 0, "partition each fabric into N shards simulated in conservative-lookahead windows (0/1 = classic single engine)")
-		shardDet    = flag.Bool("shard-det", false, "keep all shards on one engine: bit-identical output at any -shards count, no parallel speedup")
-		benchClass  = flag.String("bench-class", "fattree", "topology class for -exp shardbench: fattree|dragonfly")
-		benchK      = flag.Int("bench-k", 8, "fat-tree arity for -exp shardbench")
-		benchA      = flag.Int("bench-a", 16, "dragonfly switches per group for -exp shardbench")
-		benchP      = flag.Int("bench-p", 8, "dragonfly hosts per switch for -exp shardbench")
-		benchH      = flag.Int("bench-h", 8, "dragonfly global links per switch for -exp shardbench")
-		benchShards = flag.String("bench-shards", "1,2,4,8", "shard counts for -exp shardbench")
-		benchBT     = flag.Int64("bench-horizon", 0, "simulated horizon for -exp shardbench, byte times (0 = preset)")
-		headroomSL  = flag.Int("plan-headroom-sl", 4, "service level the -exp plan headroom bisection probes")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
-	)
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the flag set printed the usage
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ibsim:", err)
+		os.Exit(1)
+	}
+}
 
-	runner.SetDefaultWorkers(*parallel)
+// run parses the command line, runs the chosen experiment and writes
+// its table (or, under -json, its report) to stdout.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	e, c, err := parse(args, stderr)
+	if err != nil {
+		return err
+	}
+	runner.SetDefaultWorkers(c.parallel)
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if c.cpuProfile != "" {
+		f, err := os.Create(c.cpuProfile)
 		if err != nil {
-			fatal(fmt.Errorf("creating -cpuprofile: %w", err))
+			return fmt.Errorf("creating -cpuprofile: %w", err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(fmt.Errorf("starting CPU profile: %w", err))
+			return fmt.Errorf("starting CPU profile: %w", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
+	if c.memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fatal(fmt.Errorf("creating -memprofile: %w", err))
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(fmt.Errorf("writing heap profile: %w", err))
+			if err == nil {
+				err = writeHeapProfile(c.memProfile)
 			}
 		}()
 	}
 
-	p, err := params(*scale)
-	if err != nil {
-		fatal(err)
-	}
-	if *seed != 0 {
-		p.Seed = *seed
-	}
-	if *switches != 0 {
-		p.Switches = *switches
-	}
-	p.Metrics = *withMetrics || *traceEvents > 0
-	p.TraceEvents = *traceEvents
-	p.Shards = *shards
-	p.ShardDet = *shardDet
-
 	start := time.Now()
-	if *asJSON {
-		if err := emitJSON(os.Stdout, p, *scale); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "\n[json in %v]\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-	switch *exp {
-	case "table1":
-		experiments.PrintTable1(os.Stdout)
-	case "table2", "figure4", "figure5", "figure6", "all":
-		ev := runEvaluation(p, *exp, *withViz)
-		if p.Metrics {
-			fmt.Println("Arbitration metrics (JSON):")
-			if err := emitMetrics(os.Stdout, ev); err != nil {
-				fatal(err)
-			}
-		}
-	case "ablation-priority":
-		res, err := experiments.AblationPrioritySplit(p.Seed)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintPrioritySplit(os.Stdout, res)
-	case "ablation-fill":
-		experiments.PrintFillPolicies(os.Stdout, experiments.AblationFillPolicies(*traces, p.Seed))
-	case "ablation-vl":
-		experiments.PrintVLCollapse(os.Stdout, experiments.AblationVLCollapse(p, []int{15, 8, 4}))
-	case "ablation-switch":
-		experiments.PrintSwitchModels(os.Stdout, experiments.AblationSwitchModels(p, []int{1, 2, 4}))
-	case "vbr":
-		experiments.PrintVBR(os.Stdout, experiments.AblationVBR(p.Seed, 4, 8, 4, 60))
-	case "reconfig":
-		res, err := experiments.Reconfiguration(p.Switches, p.Seed, 40*p.Switches)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintReconfig(os.Stdout, res)
-	case "churn":
-		base := churnParams(*scale)
-		if *seed != 0 {
-			base.Seed = *seed
-		}
-		if *switches != 0 {
-			base.Switches = *switches
-		}
-		base.Shards = *shards
-		base.ShardDet = *shardDet
-		res, err := experiments.ChurnSweep(base, *churnSeeds, *parallel)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintChurn(os.Stdout, res)
-		fmt.Println()
-		if err := emitChurnJSON(os.Stdout, base, res); err != nil {
-			fatal(err)
-		}
-	case "faults":
-		base := faultParams(*scale)
-		if *seed != 0 {
-			base.Churn.Seed = *seed
-		}
-		if *switches != 0 {
-			base.Churn.Switches = *switches
-		}
-		base.Churn.Shards = *shards
-		base.Churn.ShardDet = *shardDet
-		res, err := experiments.FaultsSweep(base, *parallel)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintFaults(os.Stdout, res)
-		fmt.Println()
-		if err := emitFaultsJSON(os.Stdout, base, res); err != nil {
-			fatal(err)
-		}
-	case "failover":
-		base := failoverParams(*scale)
-		if *seed != 0 {
-			base.Seed = *seed
-		}
-		base.Shards = *shards
-		res, err := experiments.FailoverSweep(base, *parallel)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintFailover(os.Stdout, res)
-		fmt.Println()
-		if err := emitFailoverJSON(os.Stdout, base, res); err != nil {
-			fatal(err)
-		}
-	case "scale":
-		base := scaleParams(*scale)
-		if *seed != 0 {
-			base.Seed = *seed
-		}
-		base.Shards = *shards
-		base.ShardDet = *shardDet
-		res, err := experiments.ScaleSweep(base, *parallel)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintScale(os.Stdout, res)
-		fmt.Println()
-		if err := emitScaleJSON(os.Stdout, base, res); err != nil {
-			fatal(err)
-		}
-	case "plan":
-		base := planParams(*scale)
-		if *seed != 0 {
-			base.Seed = *seed
-		}
-		if *headroomSL >= 0 && *headroomSL <= 255 {
-			base.HeadroomSL = uint8(*headroomSL)
-		}
-		res, err := experiments.PlanSweep(base, *parallel)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintPlan(os.Stdout, res)
-		fmt.Println()
-		if err := emitPlanJSON(os.Stdout, base, res, true); err != nil {
-			fatal(err)
-		}
-	case "hol":
-		base := holParams(*scale)
-		if *seed != 0 {
-			base.Seed = *seed
-		}
-		base.ISLIPIters = *islipIters
-		base.Shards = *shards
-		base.ShardDet = *shardDet
-		res, err := experiments.HOLSweep(base, *parallel)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintHOL(os.Stdout, res)
-		fmt.Println()
-		if err := emitHOLJSON(os.Stdout, base, res); err != nil {
-			fatal(err)
-		}
-	case "shardbench":
-		bp := experiments.ShardBenchDefault()
-		if *seed != 0 {
-			bp.Seed = *seed
-		}
-		switch *benchClass {
-		case "fattree":
-			bp.Spec = topology.Spec{Class: topology.FatTree, K: *benchK}
-		case "dragonfly":
-			bp.Spec = topology.Spec{Class: topology.Dragonfly, A: *benchA, P: *benchP, H: *benchH}
-		default:
-			fatal(fmt.Errorf("unknown -bench-class %q (want fattree or dragonfly)", *benchClass))
-		}
-		if counts, err := parseSizes(*benchShards); err != nil {
-			fatal(err)
-		} else {
-			bp.Shards = counts
-		}
-		if *benchBT > 0 {
-			bp.HorizonBT = *benchBT
-		}
-		res, err := experiments.ShardBench(bp)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintShardBench(os.Stdout, bp, res)
-		fmt.Println()
-		if err := emitShardBenchJSON(os.Stdout, bp, res); err != nil {
-			fatal(err)
-		}
-	case "scaling":
-		ns, err := parseSizes(*sizes)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintScaling(os.Stdout, experiments.Scaling(p, ns))
-	default:
-		fatal(unknownExperimentError(*exp))
-	}
-	fmt.Fprintf(os.Stderr, "\n[%s in %v]\n", *exp, time.Since(start).Round(time.Millisecond))
-}
-
-// experimentNames enumerates every value -exp accepts, in the order
-// the usage string and the unknown-experiment error present them.
-var experimentNames = []string{
-	"table1", "table2", "figure4", "figure5", "figure6",
-	"ablation-priority", "ablation-fill", "ablation-vl", "ablation-switch",
-	"vbr", "reconfig", "scaling", "churn", "faults", "failover",
-	"scale", "plan", "hol", "shardbench", "all",
-}
-
-// unknownExperimentError names the valid experiments, so a typo'd -exp
-// tells the user what the tool can actually run.
-func unknownExperimentError(exp string) error {
-	return fmt.Errorf("unknown experiment %q (valid: %s)", exp, strings.Join(experimentNames, ", "))
-}
-
-// runEvaluation executes the paired small/large-packet simulation,
-// prints the requested artifacts (or all of them), and returns the
-// evaluation for optional metrics dumping.
-func runEvaluation(p experiments.Params, which string, withViz bool) *experiments.Evaluation {
-	ev, err := experiments.Evaluate(p)
+	res, err := e.run(c)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	printAll := which == "all"
-	if printAll {
-		experiments.PrintTable1(os.Stdout)
-		fmt.Println()
+	label := c.exp
+	if c.asJSON {
+		label = "json"
+		err = encodeIndented(stdout, res.report)
+	} else {
+		err = res.table(stdout)
 	}
-	if printAll || which == "table2" {
-		experiments.PrintTable2(os.Stdout, ev.Table2())
-		fmt.Println()
-		experiments.PrintSLBreakdown(os.Stdout, "Small packets", ev.Small.SLBreakdown())
-		fmt.Println()
+	if err != nil {
+		return err
 	}
-	if printAll || which == "figure4" {
-		f4 := ev.Figure4()
-		experiments.PrintFigure4(os.Stdout, "Figure 4a (small packets)", f4.Small)
-		fmt.Println()
-		experiments.PrintFigure4(os.Stdout, "Figure 4b (large packets)", f4.Large)
-		fmt.Println()
-		if withViz {
-			fmt.Println("Figure 4b as CDF sparklines (thresholds D/32 .. D):")
-			for _, s := range f4.Large {
-				fmt.Println("  " + viz.CDFRow(fmt.Sprintf("SL %d", s.SL), s.Percent))
-			}
-			fmt.Println()
+	fmt.Fprintf(stderr, "\n[%s in %v]\n", label, time.Since(start).Round(time.Millisecond))
+	return nil
+}
+
+// config is one parsed command line: the value of every flag, and the
+// chosen experiment's parameters at -scale.
+type config struct {
+	exp, scale string
+	preset     any // nil for an experiment without scale presets
+
+	seed, benchHorizon             int64
+	switches, traces, trace        int
+	churnSeeds, islipIters, shards int
+	benchK, benchA, benchP, benchH int
+	headroomSL, parallel           int
+	sizes, benchClass, benchShards string
+	asJSON, viz, metrics, shardDet bool
+	cpuProfile, memProfile         string
+}
+
+// commonFlags are read by every experiment; any other flag set on the
+// command line must be one the chosen experiment lists.
+var commonFlags = []string{"exp", "scale", "parallel", "cpuprofile", "memprofile"}
+
+// parse reads args into a config and resolves the experiment it names.
+// A flag the experiment does not read, a value out of its range and an
+// unknown -exp or -scale are all errors.
+func parse(args []string, stderr io.Writer) (*experiment, *config, error) {
+	fs := flag.NewFlagSet("ibsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	c := &config{}
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	fs.StringVar(&c.exp, "exp", "all", "experiment: "+strings.Join(names, "|"))
+	fs.StringVar(&c.scale, "scale", "full", "scale preset: "+strings.Join(scales, "|"))
+	fs.Int64Var(&c.seed, "seed", 0, "override random seed (0 keeps the preset's)")
+	fs.IntVar(&c.switches, "switches", 0, "override network size (0 keeps the preset's)")
+	fs.StringVar(&c.sizes, "sizes", "8,16,32", "network sizes for -exp scaling")
+	fs.IntVar(&c.traces, "traces", 50, "request traces for -exp ablation-fill")
+	fs.BoolVar(&c.asJSON, "json", false, "print the experiment's JSON report instead of its tables")
+	fs.BoolVar(&c.viz, "viz", false, "render figures 4 and 5 as terminal charts too")
+	fs.IntVar(&c.parallel, "parallel", 0, "worker goroutines for sweeps (0 = GOMAXPROCS)")
+	fs.BoolVar(&c.metrics, "metrics", false, "collect per-port arbitration metrics and append a JSON dump")
+	fs.IntVar(&c.trace, "trace", 0, "record the last N arbitration decisions per run (implies -metrics)")
+	fs.IntVar(&c.churnSeeds, "churn-seeds", 4, "independent seeds for -exp churn")
+	fs.IntVar(&c.islipIters, "islip-iters", 0, "iSLIP iteration depth for -exp hol (0 = default)")
+	fs.IntVar(&c.shards, "shards", 0, "partition each fabric into N shards simulated in conservative-lookahead windows (0/1 = classic single engine)")
+	fs.BoolVar(&c.shardDet, "shard-det", false, "keep all shards on one engine: bit-identical output at any -shards count, no parallel speedup")
+	fs.StringVar(&c.benchClass, "bench-class", "fattree", "topology class for -exp shardbench: fattree|dragonfly")
+	fs.IntVar(&c.benchK, "bench-k", 8, "fat-tree arity for -exp shardbench")
+	fs.IntVar(&c.benchA, "bench-a", 16, "dragonfly switches per group for -exp shardbench")
+	fs.IntVar(&c.benchP, "bench-p", 8, "dragonfly hosts per switch for -exp shardbench")
+	fs.IntVar(&c.benchH, "bench-h", 8, "dragonfly global links per switch for -exp shardbench")
+	fs.StringVar(&c.benchShards, "bench-shards", "1,2,4,8", "shard counts for -exp shardbench")
+	fs.Int64Var(&c.benchHorizon, "bench-horizon", 0, "simulated horizon for -exp shardbench, byte times (0 = preset)")
+	fs.IntVar(&c.headroomSL, "plan-headroom-sl", 4, "service level the -exp plan headroom bisection probes")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile (after the run) to this file")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "Usage of ibsim:\n")
+		fs.PrintDefaults()
+		fmt.Fprintf(stderr, "\nExperiments and the flags each reads besides -%s:\n", strings.Join(commonFlags, " -"))
+		for _, e := range registry {
+			fmt.Fprintf(stderr, "  %-18s %s\n", e.name, dashed(e.flags))
 		}
 	}
-	if printAll || which == "figure5" {
-		experiments.PrintFigure5(os.Stdout, "Figure 5 (small packets)", ev.Figure5())
-		fmt.Println()
-		experiments.PrintFigure5(os.Stdout, "Figure 5 (large packets)", experiments.Figure5For(ev.Large))
-		fmt.Println()
-		if withViz {
-			fmt.Println("Figure 5 jitter histograms (buckets -IAT .. +IAT):")
-			for _, s := range ev.Figure5() {
-				fmt.Printf("  SL %d %s\n", s.SL, viz.Spark(s.Percent[:], 100))
-			}
-			fmt.Println()
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+
+	var e *experiment
+	for i := range registry {
+		if registry[i].name == c.exp {
+			e = &registry[i]
 		}
 	}
-	if printAll || which == "figure6" {
-		experiments.PrintFigure6(os.Stdout, ev.Figure6())
-		fmt.Println()
+	if e == nil {
+		return nil, nil, fmt.Errorf("unknown experiment %q (valid: %s)", c.exp, strings.Join(names, ", "))
 	}
-	if printAll {
-		res, err := experiments.AblationPrioritySplit(p.Seed)
-		if err != nil {
-			fatal(err)
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(commonFlags, f.Name) && !slices.Contains(e.flags, f.Name) {
+			unread = append(unread, f.Name)
 		}
-		experiments.PrintPrioritySplit(os.Stdout, res)
-		fmt.Println()
-		experiments.PrintFillPolicies(os.Stdout, experiments.AblationFillPolicies(50, p.Seed))
+	})
+	if len(unread) > 0 {
+		return nil, nil, fmt.Errorf("-exp %s does not read %s (it reads %s)", e.name, dashed(unread), dashed(e.flags))
 	}
-	return ev
+	if !slices.Contains(scales, c.scale) {
+		return nil, nil, fmt.Errorf("unknown -scale %q (valid: %s)", c.scale, strings.Join(scales, ", "))
+	}
+	if e.preset != nil {
+		c.preset = e.preset(c.scale)
+	}
+	switch {
+	case c.churnSeeds < 1:
+		return nil, nil, fmt.Errorf("-churn-seeds %d: need at least one seed", c.churnSeeds)
+	case c.traces < 1:
+		return nil, nil, fmt.Errorf("-traces %d: need at least one trace", c.traces)
+	case c.trace < 0:
+		return nil, nil, fmt.Errorf("-trace %d: the event tail cannot be negative", c.trace)
+	}
+	if _, err := sl.ByID(sl.DefaultLevels, uint8(c.headroomSL)); err != nil || c.headroomSL != int(uint8(c.headroomSL)) {
+		return nil, nil, fmt.Errorf("-plan-headroom-sl %d: not a service level of the evaluation", c.headroomSL)
+	}
+	return e, c, nil
 }
 
-func params(scale string) (experiments.Params, error) {
-	switch scale {
-	case "tiny":
-		return experiments.Tiny(), nil
-	case "quick":
-		return experiments.Quick(), nil
-	case "full":
-		return experiments.Full(), nil
+// dashed renders flag names as the command line spells them.
+func dashed(flags []string) string {
+	if len(flags) == 0 {
+		return "no other flag"
 	}
-	return experiments.Params{}, fmt.Errorf("unknown scale %q", scale)
+	return "-" + strings.Join(flags, " -")
 }
 
-// churnParams maps a scale preset onto the churn experiment.
-func churnParams(scale string) experiments.ChurnParams {
-	if scale == "tiny" {
-		return experiments.ChurnTiny()
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("creating -memprofile: %w", err)
 	}
-	return experiments.ChurnQuick()
-}
-
-// failoverParams maps a scale preset onto the live-failure recovery
-// experiment.
-func failoverParams(scale string) experiments.FailoverParams {
-	if scale == "tiny" {
-		return experiments.FailoverTiny()
+	defer f.Close()
+	runtime.GC() // settle the heap so the profile shows live objects
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		return fmt.Errorf("writing heap profile: %w", err)
 	}
-	return experiments.FailoverQuick()
-}
-
-// faultParams maps a scale preset onto the fault-injection experiment.
-func faultParams(scale string) experiments.FaultParams {
-	if scale == "tiny" {
-		return experiments.FaultsTiny()
-	}
-	return experiments.FaultsQuick()
-}
-
-// scaleParams maps a scale preset onto the structured-fabric
-// experiment.
-func scaleParams(scale string) experiments.ScaleParams {
-	if scale == "tiny" {
-		return experiments.ScaleTiny()
-	}
-	return experiments.ScaleQuick()
-}
-
-// planParams maps a scale preset onto the analytical capacity-planning
-// experiment.
-func planParams(scale string) experiments.PlanParams {
-	if scale == "tiny" {
-		return experiments.PlanTiny()
-	}
-	return experiments.PlanQuick()
-}
-
-// holParams maps a scale preset onto the HOL-blocking switch-model
-// experiment.
-func holParams(scale string) experiments.HOLParams {
-	if scale == "tiny" {
-		return experiments.HOLTiny()
-	}
-	return experiments.HOLQuick()
+	return nil
 }
 
 func parseSizes(s string) ([]int, error) {
@@ -446,9 +228,4 @@ func parseSizes(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ibsim:", err)
-	os.Exit(1)
 }

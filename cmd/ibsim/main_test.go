@@ -1,8 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func TestParseSizes(t *testing.T) {
@@ -21,58 +27,103 @@ func TestParseSizes(t *testing.T) {
 	}
 }
 
+// TestParamsPresets: every entry resolves every scale to parameters of
+// one type, and an unknown -scale is refused before anything runs.
 func TestParamsPresets(t *testing.T) {
-	for _, scale := range []string{"tiny", "quick", "full"} {
-		p, err := params(scale)
-		if err != nil {
-			t.Fatalf("%s: %v", scale, err)
-		}
-		if p.Switches < 2 {
-			t.Errorf("%s: switches = %d", scale, p.Switches)
-		}
-	}
-	if _, err := params("huge"); err == nil {
-		t.Error("unknown scale accepted")
+	for _, e := range registry {
+		t.Run(e.name, func(t *testing.T) {
+			err := run([]string{"-exp", e.name, "-scale", "huge"}, io.Discard, io.Discard)
+			if err == nil || !strings.Contains(err.Error(), "-scale") {
+				t.Errorf("-scale huge: err = %v, want one naming -scale", err)
+			}
+			if e.preset == nil {
+				return
+			}
+			tiny := e.preset("tiny")
+			for _, scale := range scales {
+				p := e.preset(scale)
+				if reflect.TypeOf(p) != reflect.TypeOf(tiny) || reflect.ValueOf(p).IsZero() {
+					t.Errorf("%s: preset %#v", scale, p)
+				}
+				if ev, ok := p.(experiments.Params); ok && ev.Switches < 2 {
+					t.Errorf("%s: switches = %d", scale, ev.Switches)
+				}
+			}
+			if tiny, ok := tiny.(experiments.PlanParams); ok {
+				if quick := e.preset("quick").(experiments.PlanParams); quick.HeadroomMax <= tiny.HeadroomMax {
+					t.Errorf("quick plan preset should probe more headroom than tiny (%d vs %d)",
+						quick.HeadroomMax, tiny.HeadroomMax)
+				}
+			}
+		})
 	}
 }
 
 // TestUnknownExperimentErrorListsNames: a typo'd -exp must name every
 // experiment the tool can run, not just reject the input.
 func TestUnknownExperimentErrorListsNames(t *testing.T) {
-	err := unknownExperimentError("scael")
+	err := run([]string{"-exp", "bogus"}, io.Discard, io.Discard)
 	if err == nil {
 		t.Fatal("no error for unknown experiment")
 	}
 	msg := err.Error()
-	if !strings.Contains(msg, `"scael"`) {
+	if !strings.Contains(msg, `"bogus"`) {
 		t.Errorf("error %q does not echo the bad experiment name", msg)
 	}
-	for _, name := range experimentNames {
-		if !strings.Contains(msg, name) {
-			t.Errorf("error %q does not list experiment %q", msg, name)
-		}
-	}
-	for _, required := range []string{"scale", "plan", "churn", "failover", "hol", "all", "table2"} {
-		found := false
-		for _, name := range experimentNames {
-			if name == required {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("experimentNames is missing %q", required)
+	for _, e := range registry {
+		if !strings.Contains(msg, e.name) {
+			t.Errorf("error %q does not list experiment %q", msg, e.name)
 		}
 	}
 }
 
-func TestPlanParamsPresets(t *testing.T) {
-	tiny, quick := planParams("tiny"), planParams("quick")
-	if len(tiny.Specs) == 0 || len(tiny.Loads) == 0 {
-		t.Fatal("tiny plan preset is empty")
+// TestRunRejectsBadFlags: a value out of range, or a flag the chosen
+// experiment does not read, is an error naming the flag, returned
+// before anything runs.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-churn-seeds", []string{"-exp", "churn", "-churn-seeds", "-1"}},
+		{"-churn-seeds", []string{"-exp", "churn", "-churn-seeds", "0"}},
+		{"-traces", []string{"-exp", "ablation-fill", "-traces", "-1"}},
+		{"-plan-headroom-sl", []string{"-exp", "plan", "-plan-headroom-sl", "999"}},
+		{"-plan-headroom-sl", []string{"-exp", "plan", "-plan-headroom-sl", "77"}},
+		{"-trace", []string{"-trace", "-1"}},
+		{"-switches", []string{"-exp", "failover", "-switches", "8"}},
+		{"-switches", []string{"-exp", "scale", "-switches", "8"}},
+		{"-switches", []string{"-exp", "hol", "-switches", "8"}},
+		{"-switches", []string{"-exp", "plan", "-switches", "8"}},
+		{"-shards", []string{"-exp", "plan", "-shards", "2"}},
+		{"-shard-det", []string{"-exp", "failover", "-shard-det"}},
+		{"-shard-det", []string{"-exp", "plan", "-shard-det"}},
+		{"-json", []string{"-exp", "table1", "-json"}},
+		{"-json", []string{"-exp", "scaling", "-json"}},
+		{"-viz", []string{"-exp", "table2", "-viz"}},
+		{"-viz", []string{"-json", "-viz", "-scale", "tiny"}},
+	} {
+		err := run(tc.args, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: err = %v, want one naming %s", tc.args, err, tc.flag)
+		}
 	}
-	if len(quick.Specs) == 0 || quick.HeadroomMax <= tiny.HeadroomMax {
-		t.Errorf("quick plan preset should probe more headroom than tiny (%d vs %d)",
-			quick.HeadroomMax, tiny.HeadroomMax)
+}
+
+// TestJSONPrintsChosenReport: -json prints the chosen experiment's
+// report alone, not the evaluation document and not the table.
+func TestJSONPrintsChosenReport(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-exp", "plan", "-scale", "tiny", "-json"}, &buf, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var rep map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+		t.Fatalf("output is not one JSON document: %v", err)
+	}
+	for _, key := range []string{"headroomSL", "runs", "timing"} {
+		if _, ok := rep[key]; !ok {
+			t.Errorf("plan report lacks %q", key)
+		}
 	}
 }

@@ -393,15 +393,7 @@ func ChurnSweep(base ChurnParams, seeds, workers int) ([]ChurnResult, error) {
 			},
 		}
 	}
-	results := runner.Sweep(context.Background(), jobs, runner.Options{Workers: workers})
-	out := make([]ChurnResult, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.Name, r.Err)
-		}
-		out[r.Index] = r.Value
-	}
-	return out, nil
+	return sweep(jobs, workers)
 }
 
 // PrintChurn renders a churn sweep as a table, one row per seed.

@@ -17,6 +17,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sl"
 	"repro/internal/stats"
+	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
@@ -265,6 +266,40 @@ func Evaluate(p Params) (*Evaluation, error) {
 		return nil, err
 	}
 	return &Evaluation{Small: results[0].Value, Large: results[1].Value}, nil
+}
+
+// sweep runs the jobs of a parameter sweep on workers goroutines and
+// returns their values in input order, so the sweep's JSON encoding is
+// bit-identical at any parallelism; the first failed job fails it.
+func sweep[T any](jobs []runner.Job[T], workers int) ([]T, error) {
+	results := runner.Sweep(context.Background(), jobs, runner.Options{Workers: workers})
+	out := make([]T, len(results))
+	for _, r := range results {
+		if r.Err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", r.Name, r.Err)
+		}
+		out[r.Index] = r.Value
+	}
+	return out, nil
+}
+
+// gridSweep runs point at every (spec, load) of the grid, spec-major,
+// each with a seed derived from base and the point's index.
+func gridSweep[T any](specs []topology.Spec, loads []float64, base int64, workers int,
+	point func(spec topology.Spec, load float64, seed int64) (T, error)) ([]T, error) {
+	var jobs []runner.Job[T]
+	for _, spec := range specs {
+		for _, load := range loads {
+			jobs = append(jobs, runner.Job[T]{
+				Name: fmt.Sprintf("%s-load%g", spec.Label(), load),
+				Seed: runner.DeriveSeed(base, len(jobs)),
+				Run: func(_ context.Context, seed int64) (T, error) {
+					return point(spec, load, seed)
+				},
+			})
+		}
+	}
+	return sweep(jobs, workers)
 }
 
 // setupAndExecute is the unit of work every sweep job runs: build the

@@ -394,15 +394,7 @@ func FailoverSweep(p FailoverParams, workers int) ([]FailoverResult, error) {
 			},
 		}
 	}
-	results := runner.Sweep(context.Background(), jobs, runner.Options{Workers: workers})
-	out := make([]FailoverResult, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.Name, r.Err)
-		}
-		out[r.Index] = r.Value
-	}
-	return out, nil
+	return sweep(jobs, workers)
 }
 
 // PrintFailover renders a failover sweep as a table, one row per

@@ -397,15 +397,7 @@ func FaultsSweep(base FaultParams, workers int) ([]FaultsResult, error) {
 			},
 		}
 	}
-	results := runner.Sweep(context.Background(), jobs, runner.Options{Workers: workers})
-	out := make([]FaultsResult, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.Name, r.Err)
-		}
-		out[r.Index] = r.Value
-	}
-	return out, nil
+	return sweep(jobs, workers)
 }
 
 // PrintFaults renders a fault sweep as a table, one row per fault

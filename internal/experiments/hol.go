@@ -244,15 +244,7 @@ func HOLSweep(p HOLParams, workers int) ([]HOLResult, error) {
 			},
 		}
 	}
-	results := runner.Sweep(context.Background(), jobs, runner.Options{Workers: workers})
-	out := make([]HOLResult, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.Name, r.Err)
-		}
-		out[r.Index] = r.Value
-	}
-	return out, nil
+	return sweep(jobs, workers)
 }
 
 // PrintHOL renders a HOL sweep, one row per (spec, model, load) point,

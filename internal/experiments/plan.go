@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/plan"
-	"repro/internal/runner"
 	"repro/internal/topology"
 )
 
@@ -198,36 +196,9 @@ func hotLanes(m *plan.Result) []HotLane {
 // come back in input order regardless of worker count, so the sweep's
 // JSON encoding is bit-identical at any parallelism.
 func PlanSweep(p PlanParams, workers int) ([]PlanResult, error) {
-	type point struct {
-		spec topology.Spec
-		load float64
-	}
-	var grid []point
-	for _, spec := range p.Specs {
-		for _, load := range p.Loads {
-			grid = append(grid, point{spec, load})
-		}
-	}
-	jobs := make([]runner.Job[PlanResult], len(grid))
-	for i := range jobs {
-		pt := grid[i]
-		jobs[i] = runner.Job[PlanResult]{
-			Name: fmt.Sprintf("%s-load%g", pt.spec.Label(), pt.load),
-			Seed: runner.DeriveSeed(p.Seed, i),
-			Run: func(_ context.Context, seed int64) (PlanResult, error) {
-				return PlanPoint(p, pt.spec, pt.load, seed)
-			},
-		}
-	}
-	results := runner.Sweep(context.Background(), jobs, runner.Options{Workers: workers})
-	out := make([]PlanResult, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.Name, r.Err)
-		}
-		out[r.Index] = r.Value
-	}
-	return out, nil
+	return gridSweep(p.Specs, p.Loads, p.Seed, workers, func(spec topology.Spec, load float64, seed int64) (PlanResult, error) {
+		return PlanPoint(p, spec, load, seed)
+	})
 }
 
 // PrintPlan renders a plan sweep as a table, one row per point.

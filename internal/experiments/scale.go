@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -9,7 +8,6 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/routing/cdg"
-	"repro/internal/runner"
 	"repro/internal/sl"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -211,36 +209,9 @@ func ScalePoint(p ScaleParams, spec topology.Spec, load float64, seed int64) (Sc
 // back in input order regardless of worker count, so the sweep's JSON
 // encoding is bit-identical at any parallelism.
 func ScaleSweep(p ScaleParams, workers int) ([]ScaleResult, error) {
-	type point struct {
-		spec topology.Spec
-		load float64
-	}
-	var grid []point
-	for _, spec := range p.Specs {
-		for _, load := range p.Loads {
-			grid = append(grid, point{spec, load})
-		}
-	}
-	jobs := make([]runner.Job[ScaleResult], len(grid))
-	for i := range jobs {
-		pt := grid[i]
-		jobs[i] = runner.Job[ScaleResult]{
-			Name: fmt.Sprintf("%s-load%g", pt.spec.Label(), pt.load),
-			Seed: runner.DeriveSeed(p.Seed, i),
-			Run: func(_ context.Context, seed int64) (ScaleResult, error) {
-				return ScalePoint(p, pt.spec, pt.load, seed)
-			},
-		}
-	}
-	results := runner.Sweep(context.Background(), jobs, runner.Options{Workers: workers})
-	out := make([]ScaleResult, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.Name, r.Err)
-		}
-		out[r.Index] = r.Value
-	}
-	return out, nil
+	return gridSweep(p.Specs, p.Loads, p.Seed, workers, func(spec topology.Spec, load float64, seed int64) (ScaleResult, error) {
+		return ScalePoint(p, spec, load, seed)
+	})
 }
 
 // PrintScale renders a scale sweep as a table, one row per point.

@@ -7,7 +7,10 @@
 #   race tests the whole suite under the race detector with shuffled
 #              test order (the parallel sweep runner makes this the
 #              load-bearing pass; shuffling flushes out inter-test
-#              state)
+#              state).  It includes cmd/ibsim's TestJSONGolden, which
+#              runs every ibsim experiment with a JSON report at the
+#              tiny scale against its golden, on 1 and 4 sweep workers
+#              and at -shards 1/2/4/8 -shard-det
 #   alloc gate the zero-alloc budgets of the data-plane hot paths,
 #              run WITHOUT the race detector (race instrumentation
 #              allocates, so the budgets only hold in a plain build)
@@ -15,6 +18,8 @@
 #              of the checked-in seed corpus
 #   bench smoke one short repetition of every gated benchmark workload,
 #              failing unless it reports "correct":true (no timing gate)
+#   shardbench one short sharded-core benchmark run: its rows are
+#              wall-clock, so it has no golden
 #
 # Usage: scripts/ci.sh [--no-fuzz]
 #   FUZZTIME=30s scripts/ci.sh   # longer fuzz smoke
@@ -195,44 +200,6 @@ if [[ "$RUN_FUZZ" -eq 1 ]]; then
 ./internal/sim FuzzEngineTrace
 EOF
 fi
-
-echo "==> ibsim -exp faults -scale tiny (smoke)"
-go run ./cmd/ibsim -exp faults -scale tiny >/dev/null
-
-echo "==> ibsim -exp failover -scale tiny (live-failure recovery smoke, -race)"
-# Failure recovery rewires routes, drains buffers and reprograms
-# tables mid-run; the smoke runs it under the race detector so the
-# engine-confined design stays honest.
-go run -race ./cmd/ibsim -exp failover -scale tiny >/dev/null
-
-echo "==> ibsim -exp scale -scale tiny (smoke)"
-go run ./cmd/ibsim -exp scale -scale tiny >/dev/null
-
-echo "==> ibsim -exp hol -scale tiny (smoke)"
-go run ./cmd/ibsim -exp hol -scale tiny >/dev/null
-
-echo "==> ibsim -exp plan -scale tiny (analytical capacity-plan smoke)"
-go run ./cmd/ibsim -exp plan -scale tiny >/dev/null
-
-echo "==> ibsim -shards 4 golden smoke (det mode must match -shards 1)"
-# The deterministic shard mode pins every shard to one engine, so the
-# scale goldens must be byte-identical at any shard count.
-go run ./cmd/ibsim -exp scale -scale tiny -shards 1 -shard-det > /tmp/ci_shards1.out
-go run ./cmd/ibsim -exp scale -scale tiny -shards 4 -shard-det > /tmp/ci_shards4.out
-diff /tmp/ci_shards1.out /tmp/ci_shards4.out
-rm -f /tmp/ci_shards1.out /tmp/ci_shards4.out
-
-echo "==> ibsim churn/faults -shard-det sweep (det mode must match -shards 1)"
-# Churn and faults no longer force the single-engine mode; under
-# -shard-det their JSON must stay byte-identical at every shard count.
-for exp in churn faults; do
-    go run ./cmd/ibsim -exp "$exp" -scale tiny -shards 1 -shard-det > /tmp/ci_ctl_base.out
-    for n in 2 4 8; do
-        go run ./cmd/ibsim -exp "$exp" -scale tiny -shards "$n" -shard-det > /tmp/ci_ctl_n.out
-        diff /tmp/ci_ctl_base.out /tmp/ci_ctl_n.out
-    done
-done
-rm -f /tmp/ci_ctl_base.out /tmp/ci_ctl_n.out
 
 echo "==> bench correctness smoke (one short repetition per gated workload)"
 # Not a timing gate: each repetition runs the benchmark's own checks
