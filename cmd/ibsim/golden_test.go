@@ -27,61 +27,129 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 // diff is a real behavior or format change; regenerate deliberately
 // with
 //
-//	go test ./cmd/ibsim -run TestJSONGolden -update
+//	go test ./cmd/ibsim -run JSONGolden -update
 //
-// runner.SetDefaultWorkers is process-global, so no subtest is
-// parallel.
+// The entries in ownGoldenTests are checked by their own named tests
+// below instead.  runner.SetDefaultWorkers is process-global, so no
+// subtest is parallel.
 func TestJSONGolden(t *testing.T) {
+	identityChecked := map[string]bool{}
+	for _, e := range registry {
+		if !hasGolden(e) || slices.Contains(ownGoldenTests, e.name) {
+			continue
+		}
+		t.Run(e.name, func(t *testing.T) {
+			goldenTest(t)
+			got := checkGolden(t, e)
+			if _, golden := goldenArgs(e); !identityChecked[golden] {
+				identityChecked[golden] = true // the evaluation views share one run
+				checkIdentity(t, e, got)
+			}
+		})
+	}
+}
+
+// ownGoldenTests keep a named golden and identity test each.
+var ownGoldenTests = []string{"hol", "plan", "scale"}
+
+func TestHOLJSONGolden(t *testing.T)              { checkGolden(t, goldenEntry(t, "hol")) }
+func TestHOLJSONParallelIdentical(t *testing.T)   { checkIdentityAlone(t, goldenEntry(t, "hol")) }
+func TestPlanJSONGolden(t *testing.T)             { checkGolden(t, goldenEntry(t, "plan")) }
+func TestPlanJSONParallelIdentical(t *testing.T)  { checkIdentityAlone(t, goldenEntry(t, "plan")) }
+func TestScaleJSONGolden(t *testing.T)            { checkGolden(t, goldenEntry(t, "scale")) }
+func TestScaleJSONParallelIdentical(t *testing.T) { checkIdentityAlone(t, goldenEntry(t, "scale")) }
+
+// hasGolden reports whether e has a deterministic report: it has one,
+// and it is not made of timings alone.
+func hasGolden(e experiment) bool {
+	return slices.Contains(e.flags, "json") && !slices.Contains(e.wallClock, "runs")
+}
+
+// goldenTest skips simulation runs in -short mode and restores the
+// default sweep worker count afterwards.
+func goldenTest(t *testing.T) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
 	t.Cleanup(func() { runner.SetDefaultWorkers(0) })
-	identityChecked := map[string]bool{}
+}
+
+// goldenEntry prepares a golden test and returns the named entry.
+func goldenEntry(t *testing.T, name string) experiment {
+	t.Helper()
+	goldenTest(t)
 	for _, e := range registry {
-		if !slices.Contains(e.flags, "json") || slices.Contains(e.wallClock, "runs") {
-			continue // no report, or one made of timings alone
+		if e.name == name && hasGolden(e) {
+			return e
 		}
-		t.Run(e.name, func(t *testing.T) {
-			args := []string{"-exp", e.name, "-scale", "tiny", "-json"}
-			golden := filepath.Join("testdata", e.name+".golden.json")
-			if slices.Contains(e.flags, "trace") {
-				// The evaluation views share one document, pinned with
-				// its metrics and a four-event trace.
-				args = append(args, "-trace", "4")
-				golden = filepath.Join("testdata", "tiny.golden.json")
-			}
-			got := encodeReport(t, args, "-parallel", "1")
-			if *update {
-				if err := os.WriteFile(golden, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create it)", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("report diverged from %s (rerun with -update if intended)\ngot %d bytes, want %d",
-					golden, len(got), len(want))
-			}
-			if identityChecked[golden] {
-				return // the evaluation views share one run
-			}
-			identityChecked[golden] = true
-			if !bytes.Equal(got, encodeReport(t, args, "-parallel", "4")) {
-				t.Error("report differs between 1 and 4 sweep workers")
-			}
-			if !slices.Contains(e.flags, "shard-det") {
-				return
-			}
-			one := encodeReport(t, args, "-shards", "1", "-shard-det")
-			for _, n := range []string{"2", "4", "8"} {
-				if !bytes.Equal(one, encodeReport(t, args, "-shards", n, "-shard-det")) {
-					t.Errorf("-shards %s -shard-det differs from -shards 1", n)
-				}
-			}
-		})
 	}
+	t.Fatalf("no registry entry %q with a golden", name)
+	return experiment{}
+}
+
+// goldenArgs returns the command line that produces e's golden report
+// and the golden file it is compared with.
+func goldenArgs(e experiment) (args []string, golden string) {
+	args = []string{"-exp", e.name, "-scale", "tiny", "-json"}
+	golden = filepath.Join("testdata", e.name+".golden.json")
+	if slices.Contains(e.flags, "trace") {
+		// The evaluation views share one document, pinned with its
+		// metrics and a four-event trace.
+		args = append(args, "-trace", "4")
+		golden = filepath.Join("testdata", "tiny.golden.json")
+	}
+	return args, golden
+}
+
+// checkGolden runs e on one sweep worker, compares its report with the
+// golden file (rewriting it first under -update) and returns it.
+func checkGolden(t *testing.T, e experiment) []byte {
+	t.Helper()
+	args, golden := goldenArgs(e)
+	got := encodeReport(t, args, "-parallel", "1")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("report diverged from %s (rerun with -update if intended)\ngot %d bytes, want %d",
+			golden, len(got), len(want))
+	}
+	return got
+}
+
+// checkIdentity checks that e's report, one as encoded on one sweep
+// worker, is the same on four and, if e reads -shard-det, at -shards
+// 1, 2, 4 and 8 under it.
+func checkIdentity(t *testing.T, e experiment, one []byte) {
+	t.Helper()
+	args, _ := goldenArgs(e)
+	if !bytes.Equal(one, encodeReport(t, args, "-parallel", "4")) {
+		t.Error("report differs between 1 and 4 sweep workers")
+	}
+	if !slices.Contains(e.flags, "shard-det") {
+		return
+	}
+	shard1 := encodeReport(t, args, "-shards", "1", "-shard-det")
+	for _, n := range []string{"2", "4", "8"} {
+		if !bytes.Equal(shard1, encodeReport(t, args, "-shards", n, "-shard-det")) {
+			t.Errorf("-shards %s -shard-det differs from -shards 1", n)
+		}
+	}
+}
+
+// checkIdentityAlone is checkIdentity with its own one-worker run, for
+// tests that do not also check the golden.
+func checkIdentityAlone(t *testing.T, e experiment) {
+	t.Helper()
+	args, _ := goldenArgs(e)
+	checkIdentity(t, e, encodeReport(t, args, "-parallel", "1"))
 }
 
 // encodeReport parses args plus extra, runs the entry and encodes its

@@ -7,10 +7,11 @@
 #   race tests the whole suite under the race detector with shuffled
 #              test order (the parallel sweep runner makes this the
 #              load-bearing pass; shuffling flushes out inter-test
-#              state).  It includes cmd/ibsim's TestJSONGolden, which
-#              runs every ibsim experiment with a JSON report at the
-#              tiny scale against its golden, on 1 and 4 sweep workers
-#              and at -shards 1/2/4/8 -shard-det
+#              state).  It includes cmd/ibsim's *JSONGolden and
+#              *JSONParallelIdentical tests, which run every ibsim
+#              experiment with a JSON report at the tiny scale against
+#              its golden, on 1 and 4 sweep workers and at
+#              -shards 1/2/4/8 -shard-det
 #   alloc gate the zero-alloc budgets of the data-plane hot paths,
 #              run WITHOUT the race detector (race instrumentation
 #              allocates, so the budgets only hold in a plain build)
