@@ -7,8 +7,10 @@
 package repro_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -474,12 +476,14 @@ func (l *admitLoopK8) step(t testing.TB) {
 // admitLoopAllocBudget is the heap allocations one offered request of
 // the closed loop may cost, releases included (0.8 of them per request
 // near the cap): the connection with its hop list (one object), a
-// Sequence per fresh placement, and the error of a refusal.  It was 57
-// with the array/map allocator and 15 while the route walk, the hop
-// list, every Delta and the refusal's text were objects of their own;
-// the ceiling sits just above what the loop measures (3.0) so that it
-// cannot creep back.
-const admitLoopAllocBudget = 4
+// Sequence per fresh placement, and the error of a refusal — one
+// object, the refusal's text being rendered only on demand
+// (TestAllocBudgetAdmitRefused).  It was 57 with the array/map
+// allocator, 15 while the route walk, the hop list and every Delta were
+// objects of their own, and 3.0 while a refusal for lack of entries
+// still formatted its text; the ceiling sits just above what the loop
+// measures (2.0) so that it cannot creep back.
+const admitLoopAllocBudget = 3
 
 // TestAllocBudgetAdmitRelease gates a whole admission transaction.
 func TestAllocBudgetAdmitRelease(t *testing.T) {
@@ -499,6 +503,75 @@ func TestAllocBudgetAdmitRelease(t *testing.T) {
 		t.Errorf("closed admission loop allocates %.2f objects per offered request, budget %d", allocs, admitLoopAllocBudget)
 	}
 	if err := l.adm.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestAllocBudgetAdmitRefused gates a refusal: on the closed loop's
+// control state, settled at the cap, a request that every hop but the
+// last can take — the last one out of table entries — costs at most its
+// hopError, and leaves every table as it was.
+func TestAllocBudgetAdmitRefused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budgets hold only without race instrumentation")
+	}
+	if testing.Short() {
+		t.Skip("fills a k=8 control state")
+	}
+	l := newAdmitLoopK8(t)
+	for i := 0; i < 2000; i++ {
+		l.step(t)
+	}
+	adm := l.adm
+	// lastHop draws requests until one is refused for lack of entries at
+	// the last hop of its path; admitted ones are released again.
+	lastHop := func() traffic.Request {
+		for i := 0; i < 100_000; i++ {
+			req := l.src.Next()
+			conn, err := adm.Admit(req)
+			if err == nil {
+				if err := adm.Release(conn); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			var hop, of int
+			if _, serr := fmt.Sscanf(err.Error(), "admission: hop %d/%d", &hop, &of); serr == nil && hop == of && errors.Is(err, core.ErrNoSpace) {
+				return req
+			}
+		}
+		t.Fatal("no request refused for lack of entries at its last hop")
+		return traffic.Request{}
+	}
+	tables := func() (out [][2][core.TableSize]arbtable.Entry) {
+		add := func(pt *core.PortTable) {
+			out = append(out, [2][core.TableSize]arbtable.Entry{pt.Allocator().Table().High, pt.Active().High})
+		}
+		for _, pt := range adm.Ports().Host {
+			add(pt)
+		}
+		for _, row := range adm.Ports().Switch {
+			for _, pt := range row {
+				add(pt)
+			}
+		}
+		return out
+	}
+	req := lastHop()
+	before := tables()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := adm.Admit(req); !errors.Is(err, core.ErrNoSpace) {
+			t.Fatalf("Admit(%+v) = %v, want a refusal for lack of entries", req, err)
+		}
+	})
+	t.Logf("%.2f allocs per refusal at the last hop", allocs)
+	if allocs > 1 {
+		t.Errorf("a refusal at the last hop allocates %.2f objects, budget 1 (its hopError)", allocs)
+	}
+	if after := tables(); !reflect.DeepEqual(after, before) {
+		t.Error("a refusal at the last hop changed a table")
+	}
+	if err := adm.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 }
@@ -584,11 +657,11 @@ func (l *churnLoopK8) run(n int) {
 // churnLifecycleAllocBudget is the heap allocations one connection
 // lifecycle of the churn loop may cost, everything included: the
 // arrival and retry events, the connection, its flow and statistics,
-// a Sequence per fresh placement on ≈ 5 hops (rolled-back attempts
-// included), ≈ 30 SMPs out and back, the release.  It was 248 when
-// every SMP cost seven objects; the ceiling sits just above what the
-// loop measures (19.2).
-const churnLifecycleAllocBudget = 22
+// a Sequence per fresh placement on ≈ 5 hops, ≈ 30 SMPs out and back,
+// the release.  It was 248 when every SMP cost seven objects, and 18.9
+// while refused attempts placed sequences and rolled them back; the
+// ceiling sits just above what the loop measures (17.6).
+const churnLifecycleAllocBudget = 20
 
 // TestAllocBudgetChurnLifecycle gates the in-band control transaction
 // end to end.

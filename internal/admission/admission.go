@@ -6,15 +6,18 @@
 //
 // Admission is a two-phase transaction across the path:
 //
+//   - Decide: every hop is checked read-only.  A hop that is
+//     quarantined (ErrHopDown), currently mid-reprogram (ErrHopBusy),
+//     over budget (ErrOverBudget) or out of table space
+//     (core.ErrNoSpace) refuses the request before any table is
+//     written.
 //   - Prepare: every hop reserves the weight on its shadow
-//     (control-plane) table.  A hop that is over budget
-//     (ErrOverBudget), out of table space (core.ErrNoSpace), currently
-//     mid-reprogram (ErrHopBusy) or quarantined (ErrHopDown) fails the
-//     transaction.
-//   - Abort: on failure the hops already reserved are rolled back in
-//     reverse order of acquisition, without defragmentation, restoring
-//     each shadow table byte-identically; invariants are re-checked at
-//     every rolled-back hop.
+//     (control-plane) table.
+//   - Abort: should a prepare fail after its hop said yes — a bug — the
+//     hops already reserved are rolled back in reverse order of
+//     acquisition, without defragmentation, restoring each shadow table
+//     byte-identically; invariants are re-checked at every rolled-back
+//     hop.
 //   - Commit: on success each hop's shadow/active difference is turned
 //     into a Delta of changed 16-entry blocks and handed to the
 //     controller's Programmer, which delivers it to the data plane —
@@ -253,7 +256,7 @@ type Controller struct {
 	live   map[int]*Conn
 
 	// Scratch of the Admit in progress, kept across calls: the route and
-	// the hops reserved so far.  A refused request allocates neither.
+	// its hops.  A refused request allocates neither.
 	path []routing.Hop
 	held []hop
 
@@ -338,12 +341,12 @@ func (c *Controller) site(src int, h routing.Hop) (PortID, *core.PortTable) {
 }
 
 // Admit runs the two-phase admission transaction: every arbitration
-// point on the path prepares the reservation on its shadow table, and
-// only when all of them succeed are the resulting table deltas
-// committed to the data plane through the controller's Programmer.  On
-// any prepare failure the transaction aborts and all tables are left
-// byte-identical to their pre-Admit state.  A hop whose previous delta
-// is still in flight fails prepare with an error wrapping ErrHopBusy.
+// point on the path is asked, read-only, whether it can take the
+// reservation; only when all of them can does each prepare it on its
+// shadow table, and the resulting table deltas are committed to the
+// data plane through the controller's Programmer.  A refused request
+// leaves every table untouched.  A hop whose previous delta is still in
+// flight refuses with an error wrapping ErrHopBusy.
 func (c *Controller) Admit(req traffic.Request) (*Conn, error) {
 	if err := req.Validate(c.topo.NumHosts()); err != nil {
 		return nil, err
@@ -363,7 +366,10 @@ func (c *Controller) Admit(req traffic.Request) (*Conn, error) {
 	}
 	c.path = path
 
-	// Phase 1: prepare on the shadow tables.
+	// Phase 1: decide.  Routes visit every site once, so each hop is a
+	// distinct table and no hop's answer depends on a reservation at
+	// another: the checks run read-only in path order, and the first
+	// refusal returns with nothing written.
 	c.held = c.held[:0]
 	for i, h := range path {
 		id, tb := c.site(req.Src, h)
@@ -376,17 +382,30 @@ func (c *Controller) Admit(req traffic.Request) (*Conn, error) {
 			cause = ErrHopBusy
 		case reserved+weight > c.Budget:
 			cause = ErrOverBudget
-		default:
-			res, err := tb.Reserve(h.WireVL, distance, weight)
-			if err == nil {
-				c.held = append(c.held, hop{id: id, table: tb, res: res})
-				continue
+		case !tb.CanReserve(h.WireVL, distance, weight):
+			// Reserve names the refusal, and writes nothing when it fails.
+			if _, cause = tb.Reserve(h.WireVL, distance, weight); cause == nil {
+				panic(fmt.Sprintf("admission: %v reserved what CanReserve refused", id))
 			}
-			cause = err
+		default:
+			c.held = append(c.held, hop{id: id, table: tb})
+			continue
 		}
-		c.abort()
 		return nil, &hopError{cause: cause, hop: i + 1, of: len(path), id: id,
 			reserved: reserved, weight: weight, budget: c.Budget}
+	}
+
+	// Phase 2: prepare on the shadow tables.  Every hop said yes, so a
+	// refusal here is a bug; abort still restores the hops reserved.
+	for i := range c.held {
+		h := &c.held[i]
+		res, err := h.table.Reserve(path[i].WireVL, distance, weight)
+		if err != nil {
+			c.held = c.held[:i]
+			c.abort()
+			return nil, &hopError{cause: err, hop: i + 1, of: len(path), id: h.id}
+		}
+		h.res = res
 	}
 
 	conn := newConn(c.held)
@@ -396,7 +415,7 @@ func (c *Controller) Admit(req traffic.Request) (*Conn, error) {
 	conn.Hops = len(path)
 	conn.Deadline = int64(conn.Hops) * sl.HopDeadlineByteTimes(req.Level.Distance, c.PacketWire)
 
-	// Phase 2: commit — emit one delta per hop to the data plane.
+	// Phase 3: commit — emit one delta per hop to the data plane.
 	for _, h := range conn.hops {
 		c.commitHop(h.id, h.table)
 	}
@@ -425,7 +444,7 @@ func (c *Controller) commitHop(id PortID, tb *core.PortTable) {
 	}
 }
 
-// abort rolls back the hops reserved so far for a failed admission, in
+// abort rolls back the hops reserved so far for a failed prepare, in
 // reverse order of acquisition, and re-checks every touched hop's
 // allocator invariants.  Rollback never defragments, so each shadow
 // table is restored byte-identically to its pre-Admit state.

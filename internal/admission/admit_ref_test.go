@@ -1,0 +1,68 @@
+package admission
+
+import (
+	"repro/internal/sl"
+	"repro/internal/traffic"
+)
+
+// refAdmit is Admit as it stood before the read-only decide pass: each
+// hop reserves in turn, and the first refusal rolls back every hop
+// reserved before it (abort).  It is kept as the reference
+// TestAdmitDecideDifferential drives in lock-step with Admit.  Unlike
+// Admit it spends the SeqID of every sequence it places and then rolls
+// back, so the two agree on table bytes and on the relative order of
+// IDs, not on the IDs themselves.
+func (c *Controller) refAdmit(req traffic.Request) (*Conn, error) {
+	if err := req.Validate(c.topo.NumHosts()); err != nil {
+		return nil, err
+	}
+	weight := sl.WeightForBandwidth(req.Mbps * c.WireFactor)
+	base := c.maping.VLFor(req.Level.SL)
+	distance := req.Level.Distance
+	if d, ok := c.Distances[req.Level.SL]; ok {
+		distance = d
+	}
+	path, err := c.routes.AppendPathHops(c.path[:0], req.Src, req.Dst, base)
+	if err != nil {
+		return nil, err
+	}
+	c.path = path
+
+	c.held = c.held[:0]
+	for i, h := range path {
+		id, tb := c.site(req.Src, h)
+		var cause error
+		reserved := tb.ReservedWeight()
+		switch {
+		case c.Down != nil && c.Down(id):
+			cause = ErrHopDown
+		case tb.Programming():
+			cause = ErrHopBusy
+		case reserved+weight > c.Budget:
+			cause = ErrOverBudget
+		default:
+			res, err := tb.Reserve(h.WireVL, distance, weight)
+			if err == nil {
+				c.held = append(c.held, hop{id: id, table: tb, res: res})
+				continue
+			}
+			cause = err
+		}
+		c.abort()
+		return nil, &hopError{cause: cause, hop: i + 1, of: len(path), id: id,
+			reserved: reserved, weight: weight, budget: c.Budget}
+	}
+
+	conn := newConn(c.held)
+	conn.ID = c.nextID
+	conn.Req = req
+	conn.Weight = weight
+	conn.Hops = len(path)
+	conn.Deadline = int64(conn.Hops) * sl.HopDeadlineByteTimes(req.Level.Distance, c.PacketWire)
+	for _, h := range conn.hops {
+		c.commitHop(h.id, h.table)
+	}
+	c.nextID++
+	c.live[conn.ID] = conn
+	return conn, nil
+}

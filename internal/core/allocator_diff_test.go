@@ -22,20 +22,20 @@ type maskDiff struct {
 }
 
 func newMaskDiff(t testing.TB, p Policy) *maskDiff {
-	table := arbtable.New(arbtable.UnlimitedHigh)
-	a := NewAllocatorWithPolicy(table, p)
+	pt := NewPortTableWithPolicy(arbtable.New(arbtable.UnlimitedHigh), p)
 	return &maskDiff{
 		t:   t,
-		pt:  &PortTable{alloc: a, active: arbtable.New(arbtable.UnlimitedHigh)},
-		a:   a,
+		pt:  pt,
+		a:   pt.Allocator(),
 		ref: newRefAllocator(p),
 	}
 }
 
-// outcome fails the test unless both sides agree on success.
+// outcome fails the test unless both sides agree on success and on the
+// text of a failure.
 func (d *maskDiff) outcome(op string, got, want error) {
 	d.t.Helper()
-	if (got == nil) != (want == nil) {
+	if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
 		d.t.Fatalf("%s: mask allocator error %v, reference error %v", op, got, want)
 	}
 }
@@ -43,9 +43,13 @@ func (d *maskDiff) outcome(op string, got, want error) {
 func (d *maskDiff) reserve(vl uint8, distance, weight int) {
 	d.t.Helper()
 	op := fmt.Sprintf("Reserve(vl=%d, d=%d, w=%d)", vl, distance, weight)
+	can := d.pt.CanReserve(vl, distance, weight)
 	got, gerr := d.pt.Reserve(vl, distance, weight)
 	want, werr := d.ref.reserve(vl, distance, weight)
 	d.outcome(op, gerr, werr)
+	if can != (werr == nil) {
+		d.t.Fatalf("%s: CanReserve = %v, reference error %v", op, can, werr)
+	}
 	if got != want {
 		d.t.Fatalf("%s: reservation %+v, reference %+v", op, got, want)
 	}

@@ -96,6 +96,29 @@ var (
 	ErrUnknownSeq  = errors.New("core: unknown sequence")
 )
 
+// noSpaceError is Allocate's refusal: the request's shape and the
+// free-slot count, rendered only when Error is called.  It unwraps to
+// ErrNoSpace.
+type noSpaceError struct{ need, stride, free int }
+
+func (e *noSpaceError) Error() string {
+	return fmt.Sprintf("%v (need %d slots at stride %d, %d free)", ErrNoSpace, e.need, e.stride, e.free)
+}
+
+func (e *noSpaceError) Unwrap() error { return ErrNoSpace }
+
+// noSpaceErrs interns one refusal per (log2 stride, free slots) pair —
+// every refusal Allocate can report — so that refusing allocates
+// nothing.  Entries are never modified after initialization.
+var noSpaceErrs = func() (t [numStrides][TableSize + 1]noSpaceError) {
+	for i := range t {
+		for free := range t[i] {
+			t[i][free] = noSpaceError{need: TableSize >> uint(i), stride: 1 << uint(i), free: free}
+		}
+	}
+	return t
+}()
+
 // SeqID identifies an allocated sequence.  IDs are never reused within
 // one Allocator.
 type SeqID int64
@@ -342,8 +365,7 @@ func (a *Allocator) Allocate(vl uint8, distance, weight int) (*Sequence, error) 
 	}
 	j, ok := a.firstFree(stride)
 	if !ok {
-		return nil, fmt.Errorf("%w (need %d slots at stride %d, %d free)",
-			ErrNoSpace, count, stride, a.FreeSlots())
+		return nil, &noSpaceErrs[bits.TrailingZeros(uint(stride))][a.FreeSlots()]
 	}
 	s := &Sequence{
 		ID: a.nextID, VL: vl,
@@ -545,8 +567,8 @@ func (a *Allocator) CanAllocate(distance, weight int) bool {
 
 // CheckInvariants verifies the allocator's internal consistency and
 // the paper's allocation theorem.  It is used by tests and by the
-// simulator's self-checks, including after every rolled-back hop of a
-// refused admission, so it does not allocate.
+// simulator's self-checks, including after every rolled-back hop of an
+// aborted admission, so it does not allocate.
 func (a *Allocator) CheckInvariants() error {
 	// 1. The table agrees with the sequence records, and the derived
 	// state — the ID order of the live list, the occupancy word, the

@@ -12,8 +12,8 @@ import (
 // accepted sequence) and a weight byte — and checks the allocation
 // theorem and all structural invariants after every step.  The retired
 // array/map allocator runs the same stream in lock-step and every
-// observable (table bytes, sequences, moves, free slots, weight) must
-// match it after every operation.  Run with
+// observable (table bytes, sequences, moves, free slots, weight, error
+// text) must match it after every operation.  Run with
 // `go test -fuzz FuzzAllocatorTrace ./internal/core` to explore; the
 // seed corpus keeps it active as a regular test.
 func FuzzAllocatorTrace(f *testing.F) {
@@ -41,7 +41,7 @@ func FuzzAllocatorTrace(f *testing.F) {
 				}
 				free := a.FreeSlots()
 				s, err := a.Allocate(uint8(i%14), d, w)
-				if _, rerr := ref.allocate(uint8(i%14), d, w); (rerr == nil) != (err == nil) {
+				if _, rerr := ref.allocate(uint8(i%14), d, w); (rerr == nil) != (err == nil) || err != nil && err.Error() != rerr.Error() {
 					t.Fatalf("allocate(%d,%d): error %v, reference error %v", d, w, err, rerr)
 				}
 				switch {
@@ -68,6 +68,76 @@ func FuzzAllocatorTrace(f *testing.F) {
 			}
 			if err := diffWithRef(a, ref); err != nil {
 				t.Fatalf("after op %d (%d,%d): %v", i/2, op, arg, err)
+			}
+		}
+	})
+}
+
+// FuzzCanReserve interprets fuzz input as a stream of operations on one
+// PortTable, run once under each policy — three bytes per op: the low
+// two bits of the first pick a reservation (0, 1), a release (2) or a
+// rollback of the latest reservation still held (3), its next four bits
+// the VL (15 is not a data VL); the second byte picks the distance (one
+// index in seven is not a valid distance) and a weight scale, the third
+// the weight (0 is invalid).  Before every reservation CanReserve must
+// predict whether Reserve succeeds, and a Reserve that fails must leave
+// the table bytes, the occupancy word, the live list, the total weight
+// and the next SeqID untouched.
+func FuzzCanReserve(f *testing.F) {
+	f.Add([]byte{0, 2, 10, 0, 2, 10, 4, 9, 200, 3, 0, 0, 2, 0, 0, 60, 0, 1})
+	f.Add([]byte{0, 0, 255, 4, 0, 255, 8, 40, 255, 12, 40, 255, 60, 6, 1, 2, 1, 0})
+	f.Add([]byte{0, 40, 255, 4, 40, 255, 8, 40, 255, 2, 0, 0, 8, 40, 255, 3, 0, 0, 1, 32, 200})
+
+	distances := append(append([]int(nil), Distances...), 5)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, p := range []Policy{BitReversal, NaturalOrder} {
+			pt := NewPortTableWithPolicy(arbtable.New(arbtable.UnlimitedHigh), p)
+			a := pt.Allocator()
+			type state struct {
+				high        [TableSize]arbtable.Entry
+				occ         uint64
+				live, total int
+				next        SeqID
+			}
+			snap := func() state {
+				return state{a.Table().High, a.occ, len(a.live), a.total, a.nextID}
+			}
+			var held []Reservation
+			for i := 0; i+2 < len(data); i += 3 {
+				op, x, y := data[i], data[i+1], data[i+2]
+				switch op & 3 {
+				case 0, 1:
+					vl := op >> 2 & 15
+					d := distances[int(x)%len(distances)]
+					w := int(y) << (x >> 3 % 6)
+					can, before := pt.CanReserve(vl, d, w), snap()
+					r, err := pt.Reserve(vl, d, w)
+					if can != (err == nil) {
+						t.Fatalf("%s op %d: CanReserve(%d, %d, %d) = %v, Reserve error %v", p.Name, i/3, vl, d, w, can, err)
+					}
+					if err != nil {
+						if after := snap(); after != before {
+							t.Fatalf("%s op %d: failed Reserve(%d, %d, %d) changed the table: %+v -> %+v", p.Name, i/3, vl, d, w, before, after)
+						}
+						continue
+					}
+					held = append(held, r)
+				case 2:
+					if len(held) > 0 {
+						k := int(x) % len(held)
+						if err := pt.Release(held[k]); err != nil {
+							t.Fatalf("%s op %d: release: %v", p.Name, i/3, err)
+						}
+						held = append(held[:k], held[k+1:]...)
+					}
+				case 3:
+					if n := len(held); n > 0 {
+						if err := pt.Rollback(held[n-1]); err != nil {
+							t.Fatalf("%s op %d: rollback: %v", p.Name, i/3, err)
+						}
+						held = held[:n-1]
+					}
+				}
 			}
 		}
 	})

@@ -72,10 +72,17 @@ func (s *ReconfigStats) Add(o ReconfigStats) {
 // active (data-plane) table starts as a copy of t; arbiters must read
 // it via Active.
 func NewPortTable(t *arbtable.Table) *PortTable {
+	return NewPortTableWithPolicy(t, BitReversal)
+}
+
+// NewPortTableWithPolicy returns a PortTable whose allocator uses an
+// alternative placement policy; used by the ablations' differential
+// tests.
+func NewPortTableWithPolicy(t *arbtable.Table, p Policy) *PortTable {
 	active := arbtable.New(t.Limit)
 	active.High = t.High
 	active.Low = append([]arbtable.Entry(nil), t.Low...)
-	return &PortTable{alloc: NewAllocator(t), active: active}
+	return &PortTable{alloc: NewAllocatorWithPolicy(t, p), active: active}
 }
 
 // Allocator exposes the underlying allocator (read-mostly: inspection,
@@ -106,13 +113,7 @@ func (p *PortTable) Reserve(vl uint8, distance, weight int) (Reservation, error)
 	if _, _, err := Shape(distance, weight); err != nil {
 		return Reservation{}, err
 	}
-	// Deterministic sharing: the live sequence with the lowest ID that
-	// fits.  Sequences of the same VL always come from the same service
-	// level, but the stride check keeps the latency guarantee explicit.
-	for _, s := range p.alloc.SequencesForVL(vl) {
-		if s.Stride > distance || s.Spare() < weight {
-			continue
-		}
+	if s := p.joinable(vl, distance, weight); s != nil {
 		if err := p.alloc.AddWeight(s.ID, weight); err != nil {
 			return Reservation{}, fmt.Errorf("core: joining sequence %d: %w", s.ID, err)
 		}
@@ -123,6 +124,32 @@ func (p *PortTable) Reserve(vl uint8, distance, weight int) (Reservation, error)
 		return Reservation{}, err
 	}
 	return Reservation{Seq: s.ID, Weight: weight}, nil
+}
+
+// CanReserve reports whether Reserve would succeed, without changing
+// anything: the same join scan, then Allocator.CanAllocate.
+func (p *PortTable) CanReserve(vl uint8, distance, weight int) bool {
+	if _, _, err := Shape(distance, weight); err != nil {
+		return false
+	}
+	if p.joinable(vl, distance, weight) != nil {
+		return true
+	}
+	return vl < arbtable.NumDataVLs && p.alloc.CanAllocate(distance, weight)
+}
+
+// joinable returns the sequence a well-formed request joins, or nil.
+// Sharing is deterministic: the live sequence of the VL with the lowest
+// ID that fits.  Sequences of the same VL always come from the same
+// service level, but the stride check keeps the latency guarantee
+// explicit.
+func (p *PortTable) joinable(vl uint8, distance, weight int) *Sequence {
+	for _, s := range p.alloc.SequencesForVL(vl) {
+		if s.Stride <= distance && s.Spare() >= weight {
+			return s
+		}
+	}
+	return nil
 }
 
 // Release returns a reservation's weight to the shadow table.  When

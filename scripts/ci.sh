@@ -147,10 +147,13 @@ echo "==> go test -race ./internal/subnet ./internal/admission (delivery-record 
 # duplicating/corrupting/reordering management networks — with records
 # poisoned as they are recycled, so that transactions chained from
 # inside a delivery would trip over a record returned too early; the
-# admission tests hold the typed refusals to the old text and the
-# one-object connection to its copy.  -count=1 so the gate always
-# re-runs; the detector sees the pool from the control lane of the
-# parallel runs in the gate below.
+# admission tests hold the typed refusals to the old text, the
+# one-object connection to its copy, and Admit's read-only decide pass
+# to the retired reserve-then-rollback Admit (TestAdmitDecideDifferential:
+# three topology classes, both placement policies, quarantined and
+# mid-reprogram hops; decision, error text, table bytes and moves after
+# every call).  -count=1 so the gate always re-runs; the detector sees
+# the pool from the control lane of the parallel runs in the gate below.
 go test -race -count=1 ./internal/subnet ./internal/admission
 
 echo "==> go test -race -run TestParallelControl ./internal/experiments (control-lane race gate)"
@@ -168,9 +171,10 @@ echo "==> go test -run AllocBudget . (zero-alloc hot-path and memory gate)"
 # fill-in budgets (0 on join/leave, defragment, the audit and a
 # programmed delta, 1 per fresh sequence); 0 on an in-band transaction
 # of one to four blocks — BeginProgram, every SMP rendered to its wire
-# bytes, flown, parsed and delivered; and the ceilings on a whole
-# Admit + Release transaction and on a whole connection lifecycle of
-# the in-band churn loop; and a dozen slices, at most 0.6 MB, per k=8
+# bytes, flown, parsed and delivered; 1 (its error) on a refusal at
+# the last hop of a saturated k=8 path, which changes no table; the
+# ceilings on a whole Admit + Release transaction and on a whole
+# connection lifecycle of the in-band churn loop; and a dozen slices, at most 0.6 MB, per k=8
 # CDG proof.  Must run without -race (the detector's instrumentation
 # allocates).
 go test -run 'AllocBudget' -count=1 .
@@ -188,6 +192,7 @@ if [[ "$RUN_FUZZ" -eq 1 ]]; then
         go test "$pkg" -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME"
     done <<'EOF'
 ./internal/core FuzzAllocatorTrace
+./internal/core FuzzCanReserve
 ./internal/core FuzzShape
 ./internal/arbtable FuzzArbiterPick
 ./internal/mad FuzzHighTableDecode
