@@ -215,12 +215,23 @@ func TestVOQDeliversAndMeters(t *testing.T) {
 
 // voqDeliveryDigest runs a loaded input-queued fabric (loadDifferential:
 // credit-blocked best effort plus VL 15) for 120 000 byte-times and
-// returns an FNV-1a digest over (flow, packet tag, injection byte-time,
-// delivery byte-time) of every delivery.  Deliveries are digested per
-// destination host, in delivery order — a host belongs to one shard, so
-// the hook is safe on shard goroutines — and the host digests folded in
-// host order.
+// returns its deliveryDigest.
 func voqDeliveryDigest(t *testing.T, spec topology.Spec, model SwitchModel, seed int64, shards int) uint64 {
+	t.Helper()
+	n := buildVOQSharded(t, spec, model, seed, shards)
+	if n.Parallel() != (shards > 1) {
+		t.Fatalf("Parallel() = %v at %d shards", n.Parallel(), shards)
+	}
+	loadDifferential(t, n, seed+22)
+	return deliveryDigest(t, n, 120_000)
+}
+
+// deliveryDigest starts a loaded fabric, runs it to until and returns an
+// FNV-1a digest over (flow, packet tag, injection byte-time, delivery
+// byte-time) of every delivery.  Deliveries are digested per destination
+// host, in delivery order — a host belongs to one shard, so the hook is
+// safe on shard goroutines — and the host digests folded in host order.
+func deliveryDigest(t *testing.T, n *Network, until int64) uint64 {
 	t.Helper()
 	const offset, prime = 14695981039346656037, 1099511628211
 	fold := func(d uint64, x int64) uint64 {
@@ -229,11 +240,6 @@ func voqDeliveryDigest(t *testing.T, spec topology.Spec, model SwitchModel, seed
 		}
 		return d
 	}
-	n := buildVOQSharded(t, spec, model, seed, shards)
-	if n.Parallel() != (shards > 1) {
-		t.Fatalf("Parallel() = %v at %d shards", n.Parallel(), shards)
-	}
-	loadDifferential(t, n, seed+22)
 	perHost := make([]uint64, n.Topo.NumHosts())
 	for h := range perHost {
 		perHost[h] = offset
@@ -247,7 +253,7 @@ func voqDeliveryDigest(t *testing.T, spec topology.Spec, model SwitchModel, seed
 		perHost[pkt.Dst] = d
 	}
 	n.Start()
-	n.Run(120_000)
+	n.Run(until)
 	if err := n.CheckBuffers(); err != nil {
 		t.Fatal(err)
 	}
