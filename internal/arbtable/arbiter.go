@@ -143,6 +143,10 @@ func (a *Arbiter) Reanchors() int64 { return a.reanchors }
 //  4. Weight is always rounded up to a whole packet: an entry with any
 //     residual allowance may send one packet even if the packet is
 //     larger than the residual.
+//
+// By rule 1 a high-table entry within the allowance serves whatever the
+// low table holds, so the low table is scanned only when the high scan
+// finds nothing or the allowance is used up.
 func (a *Arbiter) Pick(ready *Ready) (vl int, high bool, ok bool) {
 	if v := a.table.Version(); v != a.seen {
 		// The control plane swapped in a new high table since the last
@@ -156,14 +160,26 @@ func (a *Arbiter) Pick(ready *Ready) (vl int, high bool, ok bool) {
 		a.reanchors++
 		a.hiSlots = a.table.HighSlotMasks()
 	}
-	hiCh, hiN, hiOK := a.peekHigh(ready)
-	loCh, loN, loOK := peek(a.table.Low, &a.lo, ready)
+	if n := len(a.table.Low); n > 0 && a.lo.idx >= n {
+		// The low table shrank since the last pick (dynamic low
+		// tables): its scan restarts from the top, whether or not this
+		// pick reads it.
+		a.lo.idx, a.lo.active = 0, false
+	}
+	hiCh, visited, hiOK := a.peekHigh(ready)
+	var loCh choice
+	loOK := false
+	if !hiOK || a.limitExceeded() {
+		var loN int
+		loCh, loN, loOK = peek(a.table.Low, &a.lo, ready)
+		visited += loN
+	}
 	if m := a.m; m != nil {
-		m.EntriesVisited += int64(hiN + loN)
+		m.EntriesVisited += int64(visited)
 	}
 
 	switch {
-	case hiOK && (!loOK || !a.limitExceeded()):
+	case hiOK && !loOK:
 		size := ready[hiCh.vl]
 		commit(a.table.High[:], &a.hi, hiCh, size)
 		a.hiSinceLow += size
@@ -186,6 +202,18 @@ func (a *Arbiter) Pick(ready *Ready) (vl int, high bool, ok bool) {
 			m.Stalls++
 		}
 		return -1, false, false
+	}
+}
+
+// Stall counts a scheduling pass whose caller found nothing eligible and
+// so does not call Pick: one stall, and the entries Pick on an empty
+// Ready visits — the whole of both tables.  It leaves the round-robin
+// state alone; a table swap it passes over is re-anchored by the next
+// Pick, which leaves the state a re-anchor here would have.
+func (a *Arbiter) Stall() {
+	if m := a.m; m != nil {
+		m.Stalls++
+		m.EntriesVisited += int64(TableSize + len(a.table.Low))
 	}
 }
 
@@ -253,14 +281,12 @@ func (a *Arbiter) peekHigh(ready *Ready) (ch choice, visited int, ok bool) {
 // advances cyclically to the next entry whose VL is eligible.  Skipped
 // entries forfeit their allowance for this cycle, exactly as a hardware
 // arbiter would move past VLs with nothing to send.  visited reports
-// how many entries were examined, for scan-length instrumentation.
+// how many entries were examined, for scan-length instrumentation.  The
+// cursor must lie inside the table (Pick restarts it when the table
+// shrinks).
 func peek(entries []Entry, st *wrrState, ready *Ready) (ch choice, visited int, ok bool) {
 	if len(entries) == 0 {
 		return choice{}, 0, false
-	}
-	if st.idx >= len(entries) {
-		// The table shrank since the last pick (dynamic low tables).
-		st.idx, st.active = 0, false
 	}
 	ch, start, ok := st.hold(entries, ready)
 	if ok {

@@ -97,3 +97,61 @@ func TestPickCounters(t *testing.T) {
 		t.Fatalf("entries visited = %d, want %d", c.EntriesVisited, 1+32+TableSize)
 	}
 }
+
+// TestPickScansLowOnlyWhenNeeded: a high entry within the allowance
+// serves without a low-table scan; once LimitOfHighPriority 0 is used
+// up by one high packet, the next pick scans the low table and serves
+// it, and the pick after that is the high table's again.
+func TestPickScansLowOnlyWhenNeeded(t *testing.T) {
+	tab := New(0)
+	tab.High[0] = Entry{VL: 0, Weight: 1}
+	tab.High[32] = Entry{VL: 1, Weight: 1}
+	tab.Low = []Entry{{VL: 10, Weight: 8}, {VL: 11, Weight: 4}}
+	arb := NewArbiter(tab)
+	var c metrics.ArbCounters
+	arb.SetMetrics(&c)
+	ready := readyFor(WeightUnit, 0, 1, 10)
+
+	for i, want := range []struct {
+		vl      int
+		high    bool
+		visited int64 // cumulative
+	}{
+		{0, true, 1},            // slot 0; the low table is not read
+		{10, false, 1 + 32 + 1}, // allowance used up: high walk to slot 32, low entry 0 serves
+		{1, true, 34 + 32},      // allowance reset: slots 1..32, no low scan
+	} {
+		vl, high, ok := arb.Pick(ready)
+		if !ok || vl != want.vl || high != want.high || c.EntriesVisited != want.visited {
+			t.Fatalf("pick %d: vl=%d high=%v ok=%v visited=%d, want vl=%d high=%v visited=%d",
+				i+1, vl, high, ok, c.EntriesVisited, want.vl, want.high, want.visited)
+		}
+	}
+}
+
+// TestStallCountsAnEmptyPick: Stall counts exactly what Pick on an empty
+// Ready counts, and changes no round-robin state.  Both arbiters share
+// one table and are a few picks into it.
+func TestStallCountsAnEmptyPick(t *testing.T) {
+	picked, ready := loadedArbiter()
+	stalled := NewArbiter(picked.table)
+	for i := 0; i < 5; i++ {
+		picked.Pick(ready)
+		stalled.Pick(ready)
+	}
+	var pc, sc metrics.ArbCounters
+	picked.SetMetrics(&pc)
+	stalled.SetMetrics(&sc)
+	before := *stalled
+	var idle Ready
+	if _, _, ok := picked.Pick(&idle); ok {
+		t.Fatal("picked from an idle port")
+	}
+	stalled.Stall()
+	if pc != sc {
+		t.Fatalf("Stall counted %+v, an empty Pick %+v", sc, pc)
+	}
+	if *stalled != before {
+		t.Fatalf("Stall changed the arbiter: %+v, was %+v", *stalled, before)
+	}
+}

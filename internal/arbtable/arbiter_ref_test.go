@@ -44,7 +44,10 @@ func peekReference(entries []Entry, st *wrrState, ready *Ready) (ch choice, visi
 }
 
 // pickReference is Arbiter.Pick with both tables walked by
-// peekReference.
+// peekReference.  It keeps Pick's rule for when the low table is read —
+// only when the high walk finds nothing or the high allowance is used
+// up, with a shrunken low table's cursor restarted on every pick — so
+// that EntriesVisited and the low cursor compare exactly.
 func pickReference(a *Arbiter, ready *Ready) (vl int, high bool, ok bool) {
 	if v := a.table.Version(); v != a.seen {
 		a.seen = v
@@ -52,8 +55,15 @@ func pickReference(a *Arbiter, ready *Ready) (vl int, high bool, ok bool) {
 		a.hi.residual = 0
 		a.reanchors++
 	}
+	if n := len(a.table.Low); n > 0 && a.lo.idx >= n {
+		a.lo.idx, a.lo.active = 0, false
+	}
 	hiCh, hiN, hiOK := peekReference(a.table.High[:], &a.hi, ready)
-	loCh, loN, loOK := peekReference(a.table.Low, &a.lo, ready)
+	var loCh choice
+	loN, loOK := 0, false
+	if !hiOK || a.limitExceeded() {
+		loCh, loN, loOK = peekReference(a.table.Low, &a.lo, ready)
+	}
 	if m := a.m; m != nil {
 		m.EntriesVisited += int64(hiN + loN)
 	}
@@ -219,6 +229,15 @@ func benchProbeScript() []byte {
 	return data
 }
 
+// limitedProbeScript is benchProbeScript with LimitOfHighPriority 0 set
+// before the picks: every high-table packet uses the allowance up, so a
+// pick with a low lane ready must scan the low table and serve it.
+func limitedProbeScript() []byte {
+	s := benchProbeScript()
+	head := 2*TableSize + 6 // the high table and the two low entries
+	return append(append(s[:head:head], 5, 0), s[head:]...)
+}
+
 func TestBenchProbeScriptTable(t *testing.T) {
 	s := &script{data: benchProbeScript()}
 	tb := &Table{High: s.highTable()}
@@ -240,6 +259,7 @@ func TestBenchProbeScriptTable(t *testing.T) {
 // masks as on the 64-entry walk.
 func TestArbiterIndexDifferential(t *testing.T) {
 	runArbiterDifferential(t, benchProbeScript())
+	runArbiterDifferential(t, limitedProbeScript())
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 300; trial++ {
 		data := make([]byte, 2*TableSize+rng.Intn(4096))
@@ -260,6 +280,7 @@ func TestArbiterIndexDifferential(t *testing.T) {
 // FuzzArbiterPick is the same comparison over fuzzer-chosen scripts.
 func FuzzArbiterPick(f *testing.F) {
 	f.Add(benchProbeScript())
+	f.Add(limitedProbeScript())
 	f.Add([]byte{})
 	f.Add(append(make([]byte, 2*TableSize), 8, 0xff, 0x7f, 3, 0, 6, 5, 0, 1, 3, 9, 8, 1, 0, 200))
 	f.Fuzz(func(t *testing.T, data []byte) {

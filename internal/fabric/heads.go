@@ -216,10 +216,11 @@ func (n *Network) mgmtCandidate(node *swNode, out *outPort, p int, now int64,
 // a packet into its escape plane here, so the arbiter sees — and the
 // downstream credit check guards — the lane the packet will actually
 // occupy on the next link.  Per queueing VL the candidate is the first
-// eligible input in round-robin order from out.rr.
+// eligible input in round-robin order from out.rr.  It reports whether
+// it found any candidate.
 func (n *Network) dataCandidates(node *swNode, out *outPort, p int, now int64,
 	down *[arbtable.NumVLs]int, capacity int,
-	ready *arbtable.Ready, src *[arbtable.NumDataVLs]int, srcVL *[arbtable.NumDataVLs]uint8) {
+	ready *arbtable.Ready, src *[arbtable.NumDataVLs]int, srcVL *[arbtable.NumDataVLs]uint8) (found bool) {
 	hx := node.heads
 	s := node.id
 nextVL:
@@ -246,8 +247,10 @@ nextVL:
 				ready[outvl] = pkt.Wire
 				src[outvl] = i
 				srcVL[outvl] = uint8(invl)
+				found = true
 				continue nextVL
 			}
 		}
 	}
+	return found
 }

@@ -788,10 +788,13 @@ func (sh *shard) generate(f *Flow) {
 	sh.eng.PostAfter(gap, sh, sim.Event{Kind: evGenerate, P: f})
 }
 
-// kickHost schedules a scheduling pass at the host interface.
+// kickHost schedules a scheduling pass at the host interface, unless
+// one is pending or the interface is transmitting: a pass at a busy
+// port returns at once, and the port's own evXmitDone at busyUntil
+// kicks it again (busyUntil is written only by transmit).
 func (sh *shard) kickHost(h int) {
 	host := sh.n.hosts[h]
-	if host.out.pending {
+	if host.out.pending || host.out.busyUntil > sh.eng.Now() {
 		return
 	}
 	host.out.pending = true
@@ -891,7 +894,17 @@ func (sh *shard) faultFree(node *swNode, outs uint32, now int64) uint32 {
 	return outs
 }
 
-// kickSwitch schedules a scheduling pass at a switch output port.
+// kickSwitch schedules a scheduling pass at a switch output port — if
+// the pass could send.  It posts nothing while a pass is pending, while
+// the port transmits (the port's own evXmitDone at busyUntil kicks it
+// again, as for hosts), and, without a fault schedule, while no input
+// head requests the port, VL 15 included.  Such a pass would run at
+// this same byte-time, after deferred passes that take heads only from
+// inputs they leave busy, so it would find no candidate: it would change
+// nothing but the stall counter.  Under a fault schedule the pass is
+// also what arms the wake-up at the end of a fault window, so there an
+// unrequested port is still kicked.
+//
 // Under the input-queued models the whole switch is one scheduling
 // point, so every per-port kick folds into one crossbar pass.
 func (sh *shard) kickSwitch(s, p int) {
@@ -905,12 +918,20 @@ func (sh *shard) kickSwitch(s, p int) {
 		// unroutable (NextPort -1) until the sweep removes it.
 		return
 	}
-	out := &n.switches[s].out[p]
-	if !out.wired || out.pending {
+	node := n.switches[s]
+	out := &node.out[p]
+	if !out.wired || out.pending || n.wrrPassIdle(node, out, p, sh.eng.Now()) {
 		return
 	}
 	out.pending = true
 	sh.eng.DeferEvent(sh, sim.Event{Kind: evTrySwitch, A: int32(s), B: int32(p)})
+}
+
+// wrrPassIdle is kickSwitch's test of a pass that could not send: output
+// port p of node (out) is transmitting at now, or — without a fault
+// schedule — no input head requests it.
+func (n *Network) wrrPassIdle(node *swNode, out *outPort, p int, now int64) bool {
+	return out.busyUntil > now || n.Faults == nil && node.heads.vls[p] == 0
 }
 
 // creditSwitch re-arms switch s's output port p after its downstream
@@ -973,11 +994,14 @@ func (sh *shard) trySwitch(s, p int) {
 	}
 
 	// Candidates are indexed by their OUTGOING wire VL (see
-	// dataCandidates).
+	// dataCandidates).  With none the arbiter has nothing to scan.
 	var ready arbtable.Ready
 	var src [arbtable.NumDataVLs]int
 	var srcVL [arbtable.NumDataVLs]uint8
-	n.dataCandidates(node, out, p, now, down, capacity, &ready, &src, &srcVL)
+	if !n.dataCandidates(node, out, p, now, down, capacity, &ready, &src, &srcVL) {
+		out.arb.Stall()
+		return
+	}
 	vl, _, ok := out.arb.Pick(&ready)
 	if !ok {
 		return

@@ -27,13 +27,14 @@ const NumVLs = 16
 type ArbCounters struct {
 	// Picks is the number of scheduling decisions that selected a VL.
 	Picks int64
-	// EntriesVisited is the total number of table entries examined
-	// across all picks (both tables); EntriesVisited/Picks is the mean
-	// scan length, the hot-path cost the fill-in algorithm's placement
-	// quality controls.
+	// EntriesVisited is the total number of table entries a walk from
+	// the cursors examines across all passes: the high table, plus the
+	// low table when the pick reads it, and both whole tables for a
+	// stall.  EntriesVisited/Picks is the mean scan length, the
+	// hot-path cost the fill-in algorithm's placement quality controls.
 	EntriesVisited int64
-	// Stalls counts arbitration passes that walked the tables and
-	// found nothing schedulable (no eligible packet, or no credit).
+	// Stalls counts arbitration passes that found nothing schedulable
+	// (no eligible packet, or no credit).
 	Stalls int64
 }
 

@@ -89,7 +89,7 @@ echo "==> go test -race -run 'TestVOQIndex|TestPacketQueueDifferential' ./intern
 # and the chain after every operation.
 go test -race -run 'TestVOQIndex|TestPacketQueueDifferential' -count=1 ./internal/fabric
 
-echo "==> go test -race -run 'TestVOQIdle|TestVOQDeliveryDigest' ./internal/fabric (no crossbar pass that cannot match)"
+echo "==> go test -race -run 'TestVOQIdle|TestVOQDeliveryDigest|TestWRRIdle|TestWRRDeliveryDigest|TestWRREventsPerHop' ./internal/fabric (no scheduling pass that cannot send)"
 # A kick at an input-queued switch posts a scheduling pass only when a
 # free output has a VL 15 candidate or a remembered request from a free
 # input.  TestVOQIndex above holds that predicate, the remembered request
@@ -99,16 +99,24 @@ echo "==> go test -race -run 'TestVOQIdle|TestVOQDeliveryDigest' ./internal/fabr
 # and on a two-shard run, where kicks evaluate the predicate on the shard
 # goroutines and in the barrier's credit flush; TestVOQDeliveryDigest
 # pins every delivery's (flow, tag, byte-times) to constants recorded
-# before the change.
-go test -race -run 'TestVOQIdle|TestVOQDeliveryDigest' -count=1 ./internal/fabric
+# before the change.  The WRR twins: a kick at a WRR port posts no pass
+# while the port transmits or, without a fault schedule, while no input
+# head requests it; TestWRRIdle runs a pass directly at every port so
+# declined, after every event and at two-shard barriers, and requires
+# that nothing changed; TestWRRDeliveryDigest pins deliveries on every
+# routing class, under fault windows, at crossbar speedup 1 and at
+# LimitOfHighPriority 0; TestWRREventsPerHop budgets events per forward
+# and arbiter stalls on a fixed run.
+go test -race -run 'TestVOQIdle|TestVOQDeliveryDigest|TestWRRIdle|TestWRRDeliveryDigest|TestWRREventsPerHop' -count=1 ./internal/fabric
 
 echo "==> go test -race -run TestArbiterIndex ./internal/arbtable (high-table slot-mask differential)"
 # Arbiter.Pick finds the next serving high-table entry on per-VL slot
 # masks (one rotate and one count-trailing-zeros) instead of walking 64
-# entries; the differential test drives it and the retired walk over one
-# table with random scripts — swaps mid-allowance, shrinking low tables,
-# every Limit class, idle passes — and compares every pick, cursor and
-# counter.  Network.CheckBuffers audits the masks of every wired port,
+# entries, and reads the low table only when the high table cannot serve
+# or its allowance is used up; the differential test drives it and the
+# retired walk, taught the same low-table rule, over one table with
+# random scripts — swaps mid-allowance, shrinking low tables, every Limit
+# class, idle passes — and compares every pick, cursor and counter.  Network.CheckBuffers audits the masks of every wired port,
 # so the fabric gates above and the bench smoke below cover them too.
 go test -race -run 'TestArbiterIndex' -count=1 ./internal/arbtable
 
