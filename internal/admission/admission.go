@@ -18,11 +18,12 @@
 //     acquisition, without defragmentation, restoring each shadow table
 //     byte-identically; invariants are re-checked at every rolled-back
 //     hop.
-//   - Commit: on success each hop's shadow/active difference is turned
-//     into a Delta of changed 16-entry blocks and handed to the
-//     controller's Programmer, which delivers it to the data plane —
-//     synchronously (DirectProgrammer) or as simulated SMPs with MAD
-//     latency (subnet.InbandProgrammer).
+//   - Commit: on success each hop's shadow table is programmed into its
+//     data plane.  With no Programmer set, the default, that is one swap
+//     at every hop (core.PortTable.Apply).  With one, each hop's
+//     shadow/active difference becomes a Delta of changed 16-entry blocks
+//     that the Programmer delivers — as simulated SMPs with MAD latency,
+//     in subnet.InbandProgrammer.
 package admission
 
 import (
@@ -83,27 +84,12 @@ func (id PortID) String() string {
 // port's data plane.  Implementations must eventually deliver every
 // block of the delta to pt.DeliverBlock (in any order), and — when the
 // port's shadow table changed again in the meantime — chain a new
-// BeginProgram once the delta has been applied.
+// BeginProgram once the delta has been applied.  A controller without
+// one programs synchronously, at no cost: the batch experiments'
+// semantics, where the data plane matches the control plane as soon as
+// Admit or Release returns.
 type Programmer interface {
 	Program(id PortID, pt *core.PortTable, d core.Delta) error
-}
-
-// DirectProgrammer applies deltas synchronously: every block is
-// delivered the moment the transaction commits, modeling free,
-// instantaneous reconfiguration.  It is the default, and keeps the
-// batch experiments' semantics: after Admit returns, the data plane
-// already matches the control plane.
-type DirectProgrammer struct{}
-
-// Program implements Programmer.
-func (DirectProgrammer) Program(id PortID, pt *core.PortTable, d core.Delta) error {
-	total := len(d.Blocks())
-	for _, b := range d.Blocks() {
-		if _, err := pt.DeliverBlock(d.Version, b.Index, total, b.Entries); err != nil {
-			return fmt.Errorf("programming %v: %w", id, err)
-		}
-	}
-	return nil
 }
 
 // Ports owns one arbitration table per output port of the network:
@@ -260,8 +246,8 @@ type Controller struct {
 	path []routing.Hop
 	held []hop
 
-	// prog delivers committed deltas to the data plane; defaults to
-	// DirectProgrammer (synchronous, free reconfiguration).
+	// prog delivers committed deltas to the data plane; nil, the
+	// default, applies them synchronously (free reconfiguration).
 	prog Programmer
 
 	// Down, when set, reports whether a port is quarantined by the
@@ -292,19 +278,13 @@ func NewController(topo *topology.Topology, routes *routing.Routes, mapping sl.M
 		WireFactor: 1.0,
 		PacketWire: 4096 + sl.HeaderBytes, // conservative: largest IBA MTU
 		live:       make(map[int]*Conn),
-		prog:       DirectProgrammer{},
 	}
 }
 
 // SetProgrammer replaces the delta programmer (nil restores the
 // synchronous default).  Use subnet.NewInbandProgrammer to make
 // reconfiguration cost simulated MAD traffic instead of being free.
-func (c *Controller) SetProgrammer(p Programmer) {
-	if p == nil {
-		p = DirectProgrammer{}
-	}
-	c.prog = p
-}
+func (c *Controller) SetProgrammer(p Programmer) { c.prog = p }
 
 // SetRoutes swaps the forwarding tables the controller paths requests
 // over.  The failure-recovery subsystem calls this when a repaired
@@ -424,11 +404,16 @@ func (c *Controller) Admit(req traffic.Request) (*Conn, error) {
 	return conn, nil
 }
 
-// commitHop turns a hop's shadow/active difference into a delta and
-// hands it to the programmer.  A port already mid-reprogram is left
-// alone: its in-flight programmer observes the still-dirty shadow when
-// the current delta lands and chains the next transaction itself.
+// commitHop programs a hop's shadow table into its data plane: at once
+// without a programmer, else as a delta of the changed blocks handed to
+// it.  A port already mid-reprogram is left alone: its in-flight
+// programmer observes the still-dirty shadow when the current delta
+// lands and chains the next transaction itself.
 func (c *Controller) commitHop(id PortID, tb *core.PortTable) {
+	if c.prog == nil {
+		tb.Apply()
+		return
+	}
 	if tb.Programming() {
 		return
 	}
@@ -494,9 +479,6 @@ func (c *Controller) Release(conn *Conn) error {
 // after every activation.  Ports with agreeing tables or an in-flight
 // program are untouched, so the call is idempotent.
 func (c *Controller) ReprogramStale() {
-	if c.prog == nil {
-		return
-	}
 	skip := func(id PortID) bool { return c.DeadHop != nil && c.DeadHop(id) }
 	for h, tb := range c.ports.Host {
 		if id := HostPortID(h); !skip(id) {

@@ -22,9 +22,9 @@ var diffFabrics = []topology.Spec{
 	{Class: topology.Dragonfly, A: 3, P: 2, H: 1},
 }
 
-// gateProgrammer delivers deltas at once, as DirectProgrammer does,
-// while open; while closed it holds them, leaving their ports
-// mid-reprogram until the gate opens again.
+// gateProgrammer delivers every block of a delta at once while open;
+// while closed it holds them, leaving their ports mid-reprogram until
+// the gate opens again.
 type gateProgrammer struct {
 	captureProgrammer
 	closed bool
@@ -34,7 +34,7 @@ func (p *gateProgrammer) Program(id PortID, pt *core.PortTable, d core.Delta) er
 	if p.closed {
 		return p.captureProgrammer.Program(id, pt, d)
 	}
-	return DirectProgrammer{}.Program(id, pt, d)
+	return deliver(pt, d)
 }
 
 // open delivers the held deltas, then programs what changed on their

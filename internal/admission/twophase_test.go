@@ -192,13 +192,21 @@ func (p *captureProgrammer) Program(id PortID, pt *core.PortTable, d core.Delta)
 
 func (p *captureProgrammer) release() error {
 	for _, h := range p.held {
-		for _, b := range h.d.Blocks() {
-			if _, err := h.pt.DeliverBlock(h.d.Version, b.Index, len(h.d.Blocks()), b.Entries); err != nil {
-				return err
-			}
+		if err := deliver(h.pt, h.d); err != nil {
+			return err
 		}
 	}
 	p.held = nil
+	return nil
+}
+
+// deliver hands every block of a delta to its port, in order.
+func deliver(pt *core.PortTable, d core.Delta) error {
+	for _, b := range d.Blocks() {
+		if _, err := pt.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -415,11 +415,16 @@ func (a *Allocator) AddWeight(id SeqID, weight int) error {
 	if s == nil {
 		return ErrUnknownSeq
 	}
+	return a.addWeight(s, weight)
+}
+
+// addWeight is AddWeight on a live sequence the caller already holds.
+func (a *Allocator) addWeight(s *Sequence, weight int) error {
 	if weight < 1 {
 		return ErrBadWeight
 	}
 	if weight > s.Spare() {
-		return fmt.Errorf("core: sequence %d has spare %d, need %d", id, s.Spare(), weight)
+		return fmt.Errorf("core: sequence %d has spare %d, need %d", s.ID, s.Spare(), weight)
 	}
 	s.Weight += weight
 	s.Conns++
@@ -566,7 +571,8 @@ func (a *Allocator) CanAllocate(distance, weight int) bool {
 }
 
 // CheckInvariants verifies the allocator's internal consistency and
-// the paper's allocation theorem.  It is used by tests and by the
+// the paper's two guarantees: its allocation theorem and the distance
+// bound of every live sequence.  It is used by tests and by the
 // simulator's self-checks, including after every rolled-back hop of an
 // aborted admission, so it does not allocate.
 func (a *Allocator) CheckInvariants() error {
@@ -648,13 +654,27 @@ func (a *Allocator) CheckInvariants() error {
 	// 3. The allocation theorem: for every power-of-two size up to the
 	// free-slot count there is a fully free candidate set.  Only the
 	// paper's policy provides it.
-	if a.policy.Name != BitReversal.Name {
-		return nil
+	if a.policy.Name == BitReversal.Name {
+		free := a.FreeSlots()
+		for n := 1; n <= free && n <= MaxSeqSlots; n *= 2 {
+			if _, found := a.firstFree(TableSize / n); !found {
+				return fmt.Errorf("theorem violated: %d slots free but no free set of size %d", free, n)
+			}
+		}
 	}
-	free := a.FreeSlots()
-	for n := 1; n <= free && n <= MaxSeqSlots; n *= 2 {
-		if _, found := a.firstFree(TableSize / n); !found {
-			return fmt.Errorf("theorem violated: %d slots free but no free set of size %d", free, n)
+	// 4. The distance guarantee, read off the table as the arbiter
+	// sees it: a lane's consecutive entries are never further apart than
+	// the stride of any live sequence on it.  Check 1 implies it; it is
+	// stated here so that no caller has to re-derive it.
+	for vl, seqs := range a.byVL {
+		if len(seqs) == 0 {
+			continue
+		}
+		gap := a.table.MaxGap(uint8(vl))
+		for _, s := range seqs {
+			if gap > s.Stride {
+				return fmt.Errorf("VL %d max gap %d exceeds stride %d of sequence %d", vl, gap, s.Stride, s.ID)
+			}
 		}
 	}
 	return nil

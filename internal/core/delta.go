@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/arbtable"
 )
@@ -76,7 +77,38 @@ func (p *PortTable) Dirty() bool {
 // Programming reports whether a table program is in flight: a delta
 // has been emitted but its blocks have not all arrived.  Admission
 // treats such a port as busy.
-func (p *PortTable) Programming() bool { return p.programming }
+func (p *PortTable) Programming() bool { return p.delta != 0 }
+
+// changedBlocks returns the blocks in which the shadow high table
+// differs from the active one, bit b for block b.
+func (p *PortTable) changedBlocks() (mask uint8) {
+	shadow := &p.alloc.Table().High
+	for b := 0; b < NumHighBlocks; b++ {
+		if *highBlock(shadow, b) != *highBlock(&p.active.High, b) {
+			mask |= 1 << b
+		}
+	}
+	return mask
+}
+
+// Apply programs the shadow high table into the active one at once, as
+// a control plane with nothing between it and the port does: one swap,
+// and the counters of a BeginProgram whose changed blocks all arrived.
+// It does nothing when the tables agree, or while a transaction is in
+// flight — that transaction's programmer chains the next one itself.
+func (p *PortTable) Apply() {
+	if p.Programming() {
+		return
+	}
+	changed := p.changedBlocks()
+	if changed == 0 {
+		return
+	}
+	p.stats.Programs++
+	p.stats.Blocks += int64(bits.OnesCount8(changed))
+	p.stats.Swaps++
+	p.active.Swap(p.alloc.Table().High)
+}
 
 // BeginProgram opens a programming transaction: it diffs the shadow
 // high table against the active one and returns the changed blocks as
@@ -86,25 +118,25 @@ func (p *PortTable) Programming() bool { return p.programming }
 // with ErrProgramInFlight; the control plane must deliver the delta's
 // blocks (DeliverBlock) before programming this port again.
 func (p *PortTable) BeginProgram() (Delta, error) {
-	if p.programming {
+	if p.Programming() {
 		return Delta{}, ErrProgramInFlight
 	}
-	shadow := p.alloc.Table()
-	var d Delta
-	for b := 0; b < NumHighBlocks; b++ {
-		if blk := highBlock(&shadow.High, b); *blk != *highBlock(&p.active.High, b) {
-			d.Append(BlockDelta{Index: b, Entries: *blk})
-		}
-	}
-	if d.n == 0 {
+	changed := p.changedBlocks()
+	if changed == 0 {
 		return Delta{}, nil
 	}
+	shadow := &p.alloc.Table().High
+	var d Delta
+	for m := changed; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros8(m)
+		d.Append(BlockDelta{Index: b, Entries: *highBlock(shadow, b)})
+	}
 	d.Version = p.active.Version() + 1
-	p.programming = true
+	p.delta = changed
+	p.staged = 0
+	p.mismatch = false
 	p.targetVer = d.Version
-	p.target = shadow.High
-	p.expectTotal = d.n
-	p.staged = [NumHighBlocks]bool{}
+	p.target = *shadow
 	p.stats.Programs++
 	return d, nil
 }
@@ -125,6 +157,14 @@ func (p *PortTable) BeginProgram() (Delta, error) {
 // counts a torn-update abort, and returns ErrTornUpdate.  The control
 // plane then re-issues BeginProgram.  applied reports whether this
 // delivery completed the transaction.
+//
+// A set completes when as many blocks as the delta has are staged.  It
+// is swapped in only if they are exactly the delta's blocks and each
+// equals the same block of the target; otherwise the control plane
+// interleaved incompatible updates, and the set aborts.  That is the
+// verdict of overlaying the staged blocks on the active table and
+// comparing the result with the target, because outside the delta the
+// active table equals the target by construction of the diff.
 func (p *PortTable) DeliverBlock(version uint64, index, total int, entries [BlockEntries]arbtable.Entry) (applied bool, err error) {
 	p.stats.Blocks++
 	abort := func(form string, args ...any) (bool, error) {
@@ -134,11 +174,11 @@ func (p *PortTable) DeliverBlock(version uint64, index, total int, entries [Bloc
 	if index < 0 || index >= NumHighBlocks {
 		return abort("block index %d out of range", index)
 	}
-	if !p.programming {
+	if !p.Programming() {
 		if version < p.active.Version() {
 			return false, nil // stale straggler of a long-retired version
 		}
-		if version == p.active.Version() && p.activeBlockMatches(index, entries) {
+		if version == p.active.Version() && *highBlock(&p.active.High, index) == entries {
 			// A retransmitted or duplicated SMP of the transaction that
 			// just committed: the content is already live.  Idempotent.
 			return false, nil
@@ -151,44 +191,30 @@ func (p *PortTable) DeliverBlock(version uint64, index, total int, entries [Bloc
 	if version > p.targetVer {
 		return abort("version %d, expected %d", version, p.targetVer)
 	}
-	if total != p.expectTotal {
-		return abort("claims %d blocks, transaction has %d", total, p.expectTotal)
+	if total != bits.OnesCount8(p.delta) {
+		return abort("claims %d blocks, transaction has %d", total, bits.OnesCount8(p.delta))
 	}
-	if p.staged[index] {
+	bit := uint8(1) << index
+	if p.staged&bit != 0 {
 		if p.stagedEnt[index] == entries {
 			return false, nil // duplicate delivery, identical content
 		}
 		return abort("duplicate block %d with different content", index)
 	}
-	p.staged[index] = true
+	p.staged |= bit
 	p.stagedEnt[index] = entries
-	seen := 0
-	for _, s := range p.staged {
-		if s {
-			seen++
-		}
+	if entries != *highBlock(&p.target, index) {
+		p.mismatch = true
 	}
-	if seen < p.expectTotal {
+	if bits.OnesCount8(p.staged) < total {
 		return false, nil
 	}
-	// Complete set: overlay the staged blocks on the current active
-	// table and swap the whole new version in.
-	next := p.active.High
-	for b := 0; b < NumHighBlocks; b++ {
-		if !p.staged[b] {
-			continue
-		}
-		copy(next[b*BlockEntries:(b+1)*BlockEntries], p.stagedEnt[b][:])
-	}
-	if next != p.target {
-		// The delta no longer reproduces the state it was diffed from —
-		// the control plane interleaved incompatible updates.
+	if p.mismatch || p.staged != p.delta {
 		return abort("assembled table does not match transaction target")
 	}
-	p.active.Swap(next)
+	p.active.Swap(p.target)
 	p.stats.Swaps++
-	p.programming = false
-	p.staged = [NumHighBlocks]bool{}
+	p.delta = 0
 	return true, nil
 }
 
@@ -196,15 +222,8 @@ func (p *PortTable) DeliverBlock(version uint64, index, total int, entries [Bloc
 // update.  The shadow table is untouched (it is the source of truth);
 // the control plane recovers by re-issuing BeginProgram.
 func (p *PortTable) abortProgram() {
-	p.programming = false
-	p.staged = [NumHighBlocks]bool{}
+	p.delta = 0
 	p.stats.TornAborts++
-}
-
-// activeBlockMatches reports whether the active table already carries
-// exactly these entries at the given block.
-func (p *PortTable) activeBlockMatches(index int, entries [BlockEntries]arbtable.Entry) bool {
-	return *highBlock(&p.active.High, index) == entries
 }
 
 // highBlock returns block b of a high table in place.
@@ -221,10 +240,9 @@ func highBlock(high *[TableSize]arbtable.Entry, b int) *[BlockEntries]arbtable.E
 // down) is left untouched, so a coordinator that lost the completing
 // ack cannot destroy a successor transaction.
 func (p *PortTable) CancelProgram(version uint64) bool {
-	if !p.programming || p.targetVer != version {
+	if !p.Programming() || p.targetVer != version {
 		return false
 	}
-	p.programming = false
-	p.staged = [NumHighBlocks]bool{}
+	p.delta = 0
 	return true
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/arbtable"
@@ -345,6 +346,99 @@ func TestCancelProgram(t *testing.T) {
 	}
 	if p.Active().High != p.Allocator().Table().High {
 		t.Error("active != shadow after cancel + reprogram")
+	}
+}
+
+// TestApplyMatchesDelivery: Apply is BeginProgram with every block of
+// its delta delivered, in one step.  Twin ports run one random history
+// of joins, fresh placements, releases with their defragmentation,
+// rollbacks and explicit defragmentation; one is programmed with Apply,
+// the other through the protocol, and after every programming both must
+// agree on the active table bytes and version and on ReconfigStats.
+// Apply on a port with a transaction in flight must change nothing.
+func TestApplyMatchesDelivery(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, b := newPort(), newPort()
+		same := func(op string) {
+			t.Helper()
+			switch {
+			case a.Active().High != b.Active().High:
+				t.Fatalf("seed %d, %s: active tables differ", seed, op)
+			case a.Active().Version() != b.Active().Version():
+				t.Fatalf("seed %d, %s: version %d, delivered %d", seed, op, a.Active().Version(), b.Active().Version())
+			case a.Stats() != b.Stats():
+				t.Fatalf("seed %d, %s: stats %+v, delivered %+v", seed, op, a.Stats(), b.Stats())
+			case a.Programming() || b.Programming():
+				t.Fatalf("seed %d, %s: a port is still programming", seed, op)
+			}
+		}
+		var held [][2]Reservation
+		applied := 0
+		for i := 0; i < 3000; i++ {
+			switch k := rng.Intn(100); {
+			case k < 45:
+				vl, d, w := uint8(rng.Intn(6)), Distances[rng.Intn(len(Distances))], 1+rng.Intn(3*arbtable.MaxWeight)
+				ra, erra := a.Reserve(vl, d, w)
+				rb, errb := b.Reserve(vl, d, w)
+				if (erra == nil) != (errb == nil) || ra != rb {
+					t.Fatalf("seed %d: twins diverged on Reserve: %v / %v", seed, erra, errb)
+				}
+				if erra == nil {
+					held = append(held, [2]Reservation{ra, rb})
+				}
+			case k < 70:
+				if len(held) > 0 {
+					j := rng.Intn(len(held))
+					if a.Release(held[j][0]) != nil || b.Release(held[j][1]) != nil {
+						t.Fatalf("seed %d: release failed", seed)
+					}
+					held = append(held[:j], held[j+1:]...)
+				}
+			case k < 75:
+				if n := len(held); n > 0 {
+					if a.Rollback(held[n-1][0]) != nil || b.Rollback(held[n-1][1]) != nil {
+						t.Fatalf("seed %d: rollback failed", seed)
+					}
+					held = held[:n-1]
+				}
+			case k < 78:
+				a.Allocator().Defragment()
+				b.Allocator().Defragment()
+			case k < 95:
+				if a.Dirty() {
+					applied++
+				}
+				a.Apply()
+				if d, err := b.BeginProgram(); err != nil {
+					t.Fatal(err)
+				} else if len(d.Blocks()) > 0 {
+					deliverAll(t, b, d)
+				}
+				same("Apply")
+				if a.Dirty() {
+					t.Fatalf("seed %d: Apply left the port dirty", seed)
+				}
+			default:
+				// A transaction in flight on both: Apply must not touch it.
+				da, err := a.BeginProgram()
+				if err != nil || len(da.Blocks()) == 0 {
+					continue
+				}
+				db, _ := b.BeginProgram()
+				active, version, stats := a.Active().High, a.Active().Version(), a.Stats()
+				a.Apply()
+				if a.Active().High != active || a.Active().Version() != version || a.Stats() != stats || !a.Programming() {
+					t.Fatalf("seed %d: Apply changed a port mid-reprogram", seed)
+				}
+				deliverAll(t, a, da)
+				deliverAll(t, b, db)
+				same("delivery after Apply mid-reprogram")
+			}
+		}
+		if applied == 0 {
+			t.Errorf("seed %d: the history never applied a change", seed)
+		}
 	}
 }
 

@@ -23,12 +23,13 @@ type Reservation struct {
 //     defragmentation mutate it immediately and cheaply.
 //   - The active table (Active) is the data-plane view the port's
 //     arbiter schedules from.  It changes only through whole-version
-//     Swap calls fed by Delta blocks, so the arbiter never observes a
-//     half-written table.
+//     Swap calls, so the arbiter never observes a half-written table.
 //
-// BeginProgram diffs shadow against active into a Delta of changed
-// 16-entry blocks; DeliverBlock stages arriving blocks and swaps the
-// active table exactly when a complete new-version set is present.
+// Apply swaps the shadow in at once, as a synchronous control plane
+// does.  BeginProgram diffs shadow against active into a Delta of
+// changed 16-entry blocks for a programmer that sends them; DeliverBlock
+// stages arriving blocks and swaps the active table exactly when a
+// complete new-version set is present.
 // Connections of the same service level (same VL, same distance)
 // accumulate their weights on one sequence while it has spare
 // capacity, and only when it fills up is a new sequence allocated;
@@ -38,13 +39,17 @@ type PortTable struct {
 	alloc  *Allocator
 	active *arbtable.Table
 
-	// In-flight programming transaction (at most one per port).
-	programming bool
-	targetVer   uint64
-	target      [TableSize]arbtable.Entry // shadow.High at BeginProgram
-	expectTotal int
-	staged      [NumHighBlocks]bool
-	stagedEnt   [NumHighBlocks][BlockEntries]arbtable.Entry
+	// In-flight programming transaction (at most one per port).  delta
+	// is its block mask, zero when none is open.  The rest is reset by
+	// BeginProgram and read only while delta is set: staged holds the
+	// blocks arrived so far, and mismatch records that one of them
+	// differs from the same block of target.
+	delta     uint8
+	staged    uint8
+	mismatch  bool
+	targetVer uint64
+	target    [TableSize]arbtable.Entry // shadow.High at BeginProgram
+	stagedEnt [NumHighBlocks][BlockEntries]arbtable.Entry
 
 	stats ReconfigStats
 }
@@ -107,14 +112,14 @@ func (p *PortTable) SetLow(entries []arbtable.Entry) {
 // sequence of the same VL whose stride honors the distance and whose
 // spare capacity covers the weight; otherwise it allocates a new
 // sequence.  On failure the table is unchanged.  The active table is
-// untouched until the change is programmed (BeginProgram +
-// DeliverBlock, usually via an admission.Programmer).
+// untouched until the change is programmed (Apply, or BeginProgram +
+// DeliverBlock through an admission.Programmer).
 func (p *PortTable) Reserve(vl uint8, distance, weight int) (Reservation, error) {
 	if _, _, err := Shape(distance, weight); err != nil {
 		return Reservation{}, err
 	}
 	if s := p.joinable(vl, distance, weight); s != nil {
-		if err := p.alloc.AddWeight(s.ID, weight); err != nil {
+		if err := p.alloc.addWeight(s, weight); err != nil {
 			return Reservation{}, fmt.Errorf("core: joining sequence %d: %w", s.ID, err)
 		}
 		return Reservation{Seq: s.ID, Weight: weight}, nil

@@ -289,8 +289,8 @@ func FailoverPoint(p FailoverParams, spec topology.Spec, seed int64) (FailoverRe
 		return res, fmt.Errorf("failover %s: %d table transactions never terminated", res.Label, open)
 	}
 
-	// Convergence and distance-guarantee audit: every port idle with
-	// active == shadow, every surviving sequence within its stride.
+	// The allocator audit, the distance guarantee included, then
+	// convergence: every live port idle with active == shadow.
 	if err := net.Adm.CheckInvariants(); err != nil {
 		return res, fmt.Errorf("failover %s: %w", res.Label, err)
 	}
@@ -301,12 +301,6 @@ func FailoverPoint(p FailoverParams, spec topology.Spec, seed int64) (FailoverRe
 		}
 		if tb.Programming() || tb.Dirty() {
 			return fmt.Errorf("port %v not converged after drain", id)
-		}
-		shadow := tb.Allocator().Table()
-		for _, sq := range tb.Allocator().Sequences() {
-			if g := shadow.MaxGap(sq.VL); g > sq.Stride {
-				return fmt.Errorf("port %v: VL %d max gap %d exceeds stride %d", id, sq.VL, g, sq.Stride)
-			}
 		}
 		return nil
 	}

@@ -221,21 +221,7 @@ func Faults(p FaultParams) (FaultsResult, error) {
 		}
 		if err := net.Adm.CheckInvariants(); err != nil {
 			auditErr = fmt.Errorf("faults %s @%d: %w", stage, eng.Now(), err)
-			return
 		}
-		forEachPortTable(net.Adm.Ports(), func(tb *core.PortTable) {
-			if auditErr != nil {
-				return
-			}
-			shadow := tb.Allocator().Table()
-			for _, s := range tb.Allocator().Sequences() {
-				if g := shadow.MaxGap(s.VL); g > s.Stride {
-					auditErr = fmt.Errorf("faults %s @%d: VL %d max gap %d exceeds stride %d",
-						stage, eng.Now(), s.VL, g, s.Stride)
-					return
-				}
-			}
-		})
 	}
 
 	outstanding := len(arrivals)

@@ -120,7 +120,7 @@ echo "==> go test -race -run TestArbiterIndex ./internal/arbtable (high-table sl
 # so the fabric gates above and the bench smoke below cover them too.
 go test -race -run 'TestArbiterIndex' -count=1 ./internal/arbtable
 
-echo "==> go test -race -run TestAllocatorMask ./internal/core (fill-in occupancy-mask differential)"
+echo "==> go test -race -run 'TestAllocatorMask|TestDeliverBlock|TestApply' ./internal/core (fill-in occupancy-mask and delta-completion differentials)"
 # The allocator keeps slot ownership as one 64-bit word, the live
 # sequences as an ID-ordered list and the reserved weight as a running
 # total instead of walking an owner array and a map; the differential
@@ -129,9 +129,17 @@ echo "==> go test -race -run TestAllocatorMask ./internal/core (fill-in occupanc
 # distance, releases with their defragmentation, rollbacks, malformed
 # requests — and compares table bytes, sequences, move counts and
 # outcomes after every operation.  Allocator.CheckInvariants re-derives
-# the word, the total and the order, so every admission abort, the
-# churn/faults/failover audits and the bench smoke below cover them too.
-go test -race -run 'TestAllocatorMask' -count=1 ./internal/core
+# the word, the total and the order and states the distance guarantee,
+# so every admission abort, the churn/faults/failover audits and the
+# bench smoke below cover them too.  A port completes a delta against
+# its recorded target instead of reassembling a table:
+# TestDeliverBlockDifferential drives it and the retired reassembly
+# through random block scripts — shuffled, duplicated, stale, future,
+# wrong totals, off-delta and altered blocks, cancels — and compares
+# every outcome, error text, active table, version and counter;
+# TestApplyMatchesDelivery holds the synchronous Apply to BeginProgram
+# plus delivery of every block over random histories.
+go test -race -run 'TestAllocatorMask|TestDeliverBlock|TestApply' -count=1 ./internal/core
 
 echo "==> go test -race -run TestEngineWheel ./internal/sim (timing-wheel event-queue differential)"
 # The engine finds its next event in a ring of per-byte-time FIFO
@@ -176,8 +184,8 @@ echo "==> go test -run AllocBudget . (zero-alloc hot-path and memory gate)"
 # testing.AllocsPerRun budgets: 0 allocs/op on arbiter pick, on the
 # event queue's Post + Step (near, far, timer + Cancel) and on a full
 # per-hop packet forwarding step with metrics disabled; the
-# fill-in budgets (0 on join/leave, defragment, the audit and a
-# programmed delta, 1 per fresh sequence); 0 on an in-band transaction
+# fill-in budgets (0 on join/leave, defragment, the audit, a
+# programmed delta and a synchronous Apply, 1 per fresh sequence); 0 on an in-band transaction
 # of one to four blocks — BeginProgram, every SMP rendered to its wire
 # bytes, flown, parsed and delivered; 1 (its error) on a refusal at
 # the last hop of a saturated k=8 path, which changes no table; the
@@ -201,6 +209,7 @@ if [[ "$RUN_FUZZ" -eq 1 ]]; then
     done <<'EOF'
 ./internal/core FuzzAllocatorTrace
 ./internal/core FuzzCanReserve
+./internal/core FuzzDeliverBlock
 ./internal/core FuzzShape
 ./internal/arbtable FuzzArbiterPick
 ./internal/mad FuzzHighTableDecode
