@@ -106,8 +106,27 @@ func (p *PortTable) Apply() {
 	}
 	p.stats.Programs++
 	p.stats.Blocks += int64(bits.OnesCount8(changed))
+	p.swap(&p.alloc.Table().High)
+}
+
+// OnSwap registers fn to be called with code after every swap of the
+// active table, by Apply or by the DeliverBlock that completes a
+// transaction.  A swap can give a lane entries it lacked, so a port
+// whose arbiter found nothing to send under the old table must be
+// scheduled again; the data plane hooks that here.  One fn may serve
+// every port, told apart by code, so registering allocates nothing.
+func (p *PortTable) OnSwap(fn func(code int32), code int32) {
+	p.onSwap, p.code = fn, code
+}
+
+// swap installs high as the active table's next version and tells the
+// OnSwap listener.
+func (p *PortTable) swap(high *[TableSize]arbtable.Entry) {
+	p.active.Swap(*high)
 	p.stats.Swaps++
-	p.active.Swap(p.alloc.Table().High)
+	if p.onSwap != nil {
+		p.onSwap(p.code)
+	}
 }
 
 // BeginProgram opens a programming transaction: it diffs the shadow
@@ -212,9 +231,8 @@ func (p *PortTable) DeliverBlock(version uint64, index, total int, entries [Bloc
 	if p.mismatch || p.staged != p.delta {
 		return abort("assembled table does not match transaction target")
 	}
-	p.active.Swap(p.target)
-	p.stats.Swaps++
 	p.delta = 0
+	p.swap(&p.target)
 	return true, nil
 }
 

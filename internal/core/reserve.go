@@ -39,6 +39,12 @@ type PortTable struct {
 	alloc  *Allocator
 	active *arbtable.Table
 
+	// onSwap, when set, is called with code after every swap of the
+	// active table (see OnSwap).  The code sits in the padding before
+	// the transaction's small fields.
+	onSwap func(code int32)
+	code   int32
+
 	// In-flight programming transaction (at most one per port).  delta
 	// is its block mask, zero when none is open.  The rest is reset by
 	// BeginProgram and read only while delta is set: staged holds the

@@ -3,6 +3,8 @@ package experiments
 import (
 	"encoding/json"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 // TestChurnRuns is the smoke test: the tiny churn scenario must
@@ -32,6 +34,37 @@ func TestChurnRuns(t *testing.T) {
 	}
 	if res.EndTimeBT <= 0 {
 		t.Error("simulation did not advance")
+	}
+}
+
+// TestChurnTerminates: churn and fault runs on the irregular 8-switch
+// fabric at seeds that once never finished.  A packet generated while
+// its lane's table program was in flight found no entry, the port went
+// idle, and nothing re-armed it when the table swapped, so the release
+// waited for that packet forever.  A run that hangs again fails with
+// the stuck flows named instead of growing without bound.  Each run
+// also goes on two parallel shards, where the swap re-arms the port
+// from the control lane at a barrier.
+func TestChurnTerminates(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, seed := range []int64{runner.DeriveSeed(5, 0), runner.DeriveSeed(8, 0)} {
+			p := ChurnQuick()
+			p.Switches, p.Seed, p.Shards = 8, seed, shards
+			res, err := Churn(p)
+			if err != nil {
+				t.Fatalf("churn seed %d shards %d: %v", seed, shards, err)
+			}
+			if res.Released != res.Admitted {
+				t.Errorf("churn seed %d shards %d: released %d != admitted %d", seed, shards, res.Released, res.Admitted)
+			}
+		}
+		for _, seed := range []int64{3, 4} {
+			p := FaultsQuick()
+			p.Churn.Switches, p.Churn.Seed, p.Churn.Shards = 8, seed, shards
+			if _, err := Faults(p); err != nil {
+				t.Fatalf("faults seed %d shards %d: %v", seed, shards, err)
+			}
+		}
 	}
 }
 

@@ -294,27 +294,16 @@ func FailoverPoint(p FailoverParams, spec topology.Spec, seed int64) (FailoverRe
 	if err := net.Adm.CheckInvariants(); err != nil {
 		return res, fmt.Errorf("failover %s: %w", res.Label, err)
 	}
-	ports := net.Adm.Ports()
-	auditPort := func(id admission.PortID, tb *core.PortTable) error {
-		if net.Adm.DeadHop != nil && net.Adm.DeadHop(id) {
-			return nil // dead ports can never be reprogrammed; their tables are moot
+	// Dead ports can never be reprogrammed; their tables are moot.
+	var portErr error
+	forEachPortTable(net.Adm.Ports(), func(id admission.PortID, tb *core.PortTable) {
+		dead := net.Adm.DeadHop != nil && net.Adm.DeadHop(id)
+		if portErr == nil && !dead && (tb.Programming() || tb.Dirty()) {
+			portErr = fmt.Errorf("failover %s: port %v not converged after drain", res.Label, id)
 		}
-		if tb.Programming() || tb.Dirty() {
-			return fmt.Errorf("port %v not converged after drain", id)
-		}
-		return nil
-	}
-	for h, tb := range ports.Host {
-		if err := auditPort(admission.HostPortID(h), tb); err != nil {
-			return res, fmt.Errorf("failover %s: %w", res.Label, err)
-		}
-	}
-	for sw, row := range ports.Switch {
-		for q, tb := range row {
-			if err := auditPort(admission.SwitchPortID(sw, q), tb); err != nil {
-				return res, fmt.Errorf("failover %s: %w", res.Label, err)
-			}
-		}
+	})
+	if portErr != nil {
+		return res, portErr
 	}
 
 	// Packet conservation (including failure losses) and credit audit.

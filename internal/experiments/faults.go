@@ -2,16 +2,12 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"text/tabwriter"
 
-	"repro/internal/admission"
-	"repro/internal/arbtable"
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/runner"
@@ -104,13 +100,13 @@ type FaultsResult struct {
 	// Injected-fault tallies as the injector dealt them.
 	Injected faults.Stats `json:"injected"`
 
-	// Termination and integrity audit results; all must be zero for a
-	// run to return without error, except QuarantinedAtEnd (a port the
-	// control plane deliberately took out of service).
-	UnterminatedTxns    int `json:"unterminatedTxns"`
-	DirtySurvivors      int `json:"dirtySurvivors"`
-	GuaranteeViolations int `json:"guaranteeViolations"`
-	QuarantinedAtEnd    int `json:"quarantinedAtEnd"`
+	// End-state audit: transactions or audit rounds left open and
+	// surviving ports with active != shadow are zero in every result a
+	// run returns (a nonzero count is the run's error); QuarantinedAtEnd
+	// counts ports the control plane deliberately took out of service.
+	UnterminatedTxns int `json:"unterminatedTxns"`
+	DirtySurvivors   int `json:"dirtySurvivors"`
+	QuarantinedAtEnd int `json:"quarantinedAtEnd"`
 
 	MeanVLRateCoV float64 `json:"meanVLRateCoV"`
 	MaxVLRateCoV  float64 `json:"maxVLRateCoV"`
@@ -152,195 +148,27 @@ func drawFlapSchedule(p FaultParams, topo *topology.Topology, inj *faults.Inject
 	}
 }
 
-// Faults runs one fault-injection experiment.  The same audits as
-// Churn run after every admission outcome and release; the end-state
-// audit additionally proves termination (no open transactions, no
-// pending audit rounds) and convergence (active == shadow) on every
-// hop the control plane did not deliberately quarantine.
+// Faults runs one fault-injection experiment: the churn lifecycles of
+// p.Churn on the lifecycle driver (see runLifecycles) with p's fault
+// rig.  The same audits as Churn's run after every admission outcome
+// and release, and at the end every transaction and audit round must
+// have terminated and every hop the control plane did not deliberately
+// quarantine must have converged (active == shadow).
 func Faults(p FaultParams) (FaultsResult, error) {
-	var res FaultsResult
-	c := p.Churn
-	if c.Switches < 2 || c.Arrivals < 1 || c.MeanGapBT < 1 || c.MeanHoldBT < 1 {
-		return res, fmt.Errorf("experiments: fault parameters %+v out of range", p)
-	}
-	if c.SampleBT < 1 {
-		c.SampleBT = 8192
-	}
-
-	cfg := fabric.DefaultConfig(c.Switches, c.Payload, c.Seed)
-	cfg.Shards = c.Shards
-	cfg.ShardDeterministic = c.ShardDet
-	net, err := fabric.New(cfg)
+	lc, err := runLifecycles(p.Churn, &p)
 	if err != nil {
-		return res, err
+		return FaultsResult{}, err
 	}
-	net.EnableMetrics()
-	res.Switches = c.Switches
-	res.Hosts = net.Topo.NumHosts()
-	res.Seed = c.Seed
-	res.Drop = p.Drop
-	res.Corrupt = p.Corrupt
-	res.Flaps = p.Flaps
-	res.Offered = c.Arrivals
-
-	inj := faults.New(faults.Config{
-		Seed:         c.Seed,
-		Drop:         p.Drop,
-		Duplicate:    p.Duplicate,
-		Corrupt:      p.Corrupt,
-		Reorder:      p.Reorder,
-		MaxReorderBT: p.MaxReorderBT,
-	})
-	net.SetFaults(inj)
-
-	// The hardened control plane: reliable in-band programming plus the
-	// self-healing auditor, all metered into the network's counters and
-	// running as typed events on the control lane.
-	m := subnet.NewManager(net.Topo)
-	m.Routes = net.Routes
-	prog := subnet.NewInbandProgrammer(net.Ctrl, m)
-	prog.Faults = inj
-	prog.Retry = p.Retry
-	prog.Counters = net.ControlCounters()
-	aud := subnet.NewAuditor(net.Ctrl, prog, p.Audit)
-	net.Adm.SetProgrammer(prog)
-	net.Adm.Down = aud.Quarantined
-	if net.Parallel() {
-		prog.ShardOf = net.PortShard
-		prog.HomeShard = net.PortShard(admission.SwitchPortID(m.HomeSwitch, 0))
-	}
-
-	arrivals := drawChurnArrivals(c, net.Topo.NumHosts())
-	drawFlapSchedule(p, net.Topo, inj, arrivals[len(arrivals)-1].at)
-
-	eng := net.Ctrl
-	var auditErr error
-	audit := func(stage string) {
-		if auditErr != nil {
-			return
-		}
-		if err := net.Adm.CheckInvariants(); err != nil {
-			auditErr = fmt.Errorf("faults %s @%d: %w", stage, eng.Now(), err)
-		}
-	}
-
-	outstanding := len(arrivals)
-	for _, arr := range arrivals {
-		arr := arr
-		eng.At(arr.at, func() {
-			net.Adm.AdmitWithRetry(eng, arr.req, c.Retry, func(conn *admission.Conn, err error) {
-				if err != nil {
-					switch {
-					case errors.Is(err, admission.ErrHopDown):
-						res.RejectedDown++
-					case errors.Is(err, admission.ErrHopBusy):
-						res.RejectedBusy++
-					default:
-						res.RejectedCapacity++
-					}
-					outstanding--
-					audit("abort")
-					return
-				}
-				res.Admitted++
-				audit("commit")
-				fl := net.AddConnection(conn)
-				net.StartFlow(fl)
-				eng.After(arr.hold, func() {
-					net.ReleaseConnection(conn, fl, func() {
-						res.Released++
-						outstanding--
-						audit("release")
-					})
-				})
-			})
-		})
-	}
-
-	// Per-VL byte-rate sampling, as in Churn.
-	var prev [arbtable.NumVLs]int64
-	var samples [][arbtable.NumVLs]int64
-	var sample func()
-	sample = func() {
-		var rates [arbtable.NumVLs]int64
-		for vl := 0; vl < arbtable.NumVLs; vl++ {
-			cur := net.VLBytes(vl)
-			rates[vl] = cur - prev[vl]
-			prev[vl] = cur
-		}
-		samples = append(samples, rates)
-		if outstanding > 0 {
-			eng.After(c.SampleBT, sample)
-		}
-	}
-	eng.After(c.SampleBT, sample)
-
-	net.RunWhile(func() bool { return auditErr == nil })
-	if auditErr != nil {
-		return res, auditErr
-	}
-
-	// Termination: every transaction settled, every audit round done.
-	res.UnterminatedTxns = prog.OpenTransactions()
-	if aud.AuditsPending() {
-		res.UnterminatedTxns++
-	}
-
-	// Convergence on surviving hops: every port the control plane still
-	// serves must have its active table byte-identical to its shadow.
-	// Quarantined hops are the deliberate exception — their shadow holds
-	// state the management network never managed to deliver.
-	checkPort := func(id admission.PortID, tb *core.PortTable) {
-		if aud.Quarantined(id) {
-			res.QuarantinedAtEnd++
-			return
-		}
-		if tb.Programming() || tb.Dirty() {
-			res.DirtySurvivors++
-		}
-		shadow := tb.Allocator().Table()
-		for _, s := range tb.Allocator().Sequences() {
-			if g := shadow.MaxGap(s.VL); g > s.Stride {
-				res.GuaranteeViolations++
-			}
-		}
-	}
-	ports := net.Adm.Ports()
-	for h, tb := range ports.Host {
-		checkPort(admission.HostPortID(h), tb)
-	}
-	for s := range ports.Switch {
-		for q, tb := range ports.Switch[s] {
-			checkPort(admission.SwitchPortID(s, q), tb)
-		}
-	}
-	audit("final")
-	if auditErr != nil {
-		return res, auditErr
-	}
-	if res.UnterminatedTxns != 0 {
-		return res, fmt.Errorf("faults end: %d transactions or audits unterminated", res.UnterminatedTxns)
-	}
-	if res.DirtySurvivors != 0 {
-		return res, fmt.Errorf("faults end: %d surviving ports with active != shadow", res.DirtySurvivors)
-	}
-	if res.GuaranteeViolations != 0 {
-		return res, fmt.Errorf("faults end: %d distance-guarantee violations", res.GuaranteeViolations)
-	}
-	if net.Adm.Live() != 0 {
-		return res, fmt.Errorf("faults end: %d connections still live", net.Adm.Live())
-	}
-
-	res.Control = net.Metrics.Control
-	res.Reconfig = net.ReconfigStats()
-	res.Injected = inj.Stats()
-	res.MeanVLRateCoV, res.MaxVLRateCoV = vlRateCoV(samples)
-	res.EndTimeBT = eng.Now()
-	if net.Parallel() {
-		res.Parallel = true
-		res.Windows = net.Windows()
-	}
-	return res, nil
+	return FaultsResult{
+		Switches: lc.Switches, Hosts: lc.Hosts, Seed: lc.Seed,
+		Drop: p.Drop, Corrupt: p.Corrupt, Flaps: p.Flaps,
+		Offered: lc.Offered, Admitted: lc.Admitted, Released: lc.Released,
+		RejectedCapacity: lc.RejectedCapacity, RejectedBusy: lc.RejectedBusy, RejectedDown: lc.rejectedDown,
+		Control: lc.net.Metrics.Control, Reconfig: lc.Reconfig, Injected: lc.inj.Stats(),
+		QuarantinedAtEnd: lc.quarantined, EndTimeBT: lc.EndTimeBT,
+		MeanVLRateCoV: lc.MeanVLRateCoV, MaxVLRateCoV: lc.MaxVLRateCoV,
+		Parallel: lc.Parallel, Windows: lc.Windows,
+	}, nil
 }
 
 // faultPoint is one sweep coordinate of the fault grid; scale

@@ -21,7 +21,7 @@ func TestFaultsTinyRecoveryWork(t *testing.T) {
 	if c.SMPsDropped == 0 || c.Retransmits == 0 {
 		t.Errorf("no loss/recovery work metered under 5%% drop: %+v", c)
 	}
-	if res.UnterminatedTxns != 0 || res.DirtySurvivors != 0 || res.GuaranteeViolations != 0 {
+	if res.UnterminatedTxns != 0 || res.DirtySurvivors != 0 {
 		t.Errorf("integrity audit nonzero: %+v", res)
 	}
 	if res.Injected.Queries == 0 {
@@ -45,7 +45,7 @@ func TestFaultsEveryTransactionTerminates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if res.UnterminatedTxns != 0 || res.DirtySurvivors != 0 || res.GuaranteeViolations != 0 {
+		if res.UnterminatedTxns != 0 || res.DirtySurvivors != 0 {
 			t.Fatalf("seed %d: integrity audit nonzero: %+v", seed, res)
 		}
 	}

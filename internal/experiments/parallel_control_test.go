@@ -142,7 +142,7 @@ func runControlScript(t *testing.T, spec topology.Spec, shards int) (controlDige
 	net.RunWhile(func() bool { return true })
 
 	var d controlDigest
-	forEachPortTable(net.Adm.Ports(), func(tb *core.PortTable) {
+	forEachPortTable(net.Adm.Ports(), func(_ admission.PortID, tb *core.PortTable) {
 		d.Active = append(d.Active, tb.Active().High)
 		d.Shadow = append(d.Shadow, tb.Allocator().Table().High)
 	})

@@ -400,11 +400,14 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 		n.shards[k] = sh
 	}
 	// Hosts.  The arbiters schedule from the ACTIVE (data-plane) table
-	// of each port; admission writes the shadow and commits deltas.
-	// BuildControl already seeded every port's low-priority table.
+	// of each port; admission writes the shadow and commits deltas, and
+	// every swap re-arms the port (tableSwapped).  BuildControl already
+	// seeded every port's low-priority table.
+	swapped := n.tableSwapped
 	n.hosts = make([]*hostNode, topo.NumHosts())
 	for h := range n.hosts {
 		pt := ports.Host[h]
+		pt.OnSwap(swapped, hostCode(h))
 		sw, port := topo.HostSwitch(h)
 		node := &hostNode{
 			id: h,
@@ -435,6 +438,7 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 			op := &node.out[p]
 			op.pt = ports.Switch[s][p]
 			op.code = switchCode(s, p)
+			op.pt.OnSwap(swapped, op.code)
 			op.downSwitch, op.downPort, op.downHost = -1, -1, -1
 			ip := &node.in[p]
 			ip.upSwitch, ip.upPort, ip.upHost = -1, -1, -1
@@ -869,14 +873,48 @@ func (sh *shard) faultBlocked(out *outPort, key int32, now int64) bool {
 	}
 	if until < faults.Forever && out.wakeAt != until {
 		out.wakeAt = until
-		wake := sim.Event{Kind: evKickHost, A: -out.code - 1}
-		if out.code >= 0 {
-			s, p := switchPort(out.code)
-			wake = sim.Event{Kind: evKickSwitch, A: int32(s), B: int32(p)}
-		}
-		sh.eng.Post(until, sh, wake)
+		sh.eng.Post(until, sh, kickEvent(out.code))
 	}
 	return true
+}
+
+// kickEvent is the event that re-arms the port with the given code.
+func kickEvent(code int32) sim.Event {
+	if code < 0 {
+		return sim.Event{Kind: evKickHost, A: -code - 1}
+	}
+	s, p := switchPort(code)
+	return sim.Event{Kind: evKickSwitch, A: int32(s), B: int32(p)}
+}
+
+// tableSwapped re-arms the port with the given code after its active
+// table was swapped (see core.PortTable.OnSwap).  A pass that found no
+// table entry for a queued lane returned without sending, and nothing
+// else may ever schedule the port again — the lane's packets were
+// generated while the program was in flight and wait for no credit.
+//
+// A host is kicked only when a data lane holds a packet, and
+// kickSwitch posts nothing at a port no head requests, so swaps at set
+// up post nothing.  A swap runs on the control lane; in parallel mode
+// that is a barrier, where the port's shard clock can lag the control
+// clock, so the kick is posted at the control time, as StartFlow posts
+// a flow's first packet.
+func (n *Network) tableSwapped(code int32) {
+	ev := kickEvent(code)
+	var sh *shard
+	if code < 0 {
+		if !n.hosts[ev.A].hasData() {
+			return
+		}
+		sh = n.shardForHost(int(ev.A))
+	} else {
+		sh = n.shardForSwitch(int(ev.A))
+	}
+	if at := n.Ctrl.Now(); at > sh.eng.Now() {
+		sh.eng.Post(at, sh, ev)
+		return
+	}
+	sh.HandleEvent(ev)
 }
 
 // faultFree returns the members of outs, a set of output ports of node,

@@ -106,6 +106,16 @@ type hostNode struct {
 	out    outPort
 }
 
+// hasData reports whether a data lane's send queue holds a packet.
+func (h *hostNode) hasData() bool {
+	for vl := 0; vl < arbtable.NumDataVLs; vl++ {
+		if h.queues[vl].len() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // queueCap bounds a host send queue.  QoS queues are sized generously
 // (admission keeps them short; overflowing one indicates a broken
 // reservation and is counted as a drop), best-effort queues small.

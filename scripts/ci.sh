@@ -172,12 +172,15 @@ echo "==> go test -race ./internal/subnet ./internal/admission (delivery-record 
 # the pool from the control lane of the parallel runs in the gate below.
 go test -race -count=1 ./internal/subnet ./internal/admission
 
-echo "==> go test -race -run TestParallelControl ./internal/experiments (control-lane race gate)"
+echo "==> go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChurnTerminates' (control-lane race gate)"
 # Churn and faults run their control planes — mid-run table programs,
 # retransmission, audits — as typed events serialized at window
 # barriers; the multi-shard churn/faults smoke under the race detector
 # proves the control lane never touches shard state inside a window.
-go test -race -run 'TestParallelControl' -count=1 ./internal/experiments
+# A table swap also posts from the control lane into a shard engine:
+# it re-arms the swapped port at the barrier, so the swap-wake and
+# termination tests (both run at two parallel shards) join the gate.
+go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChurnTerminates' -count=1 ./internal/fabric ./internal/experiments
 
 echo "==> go test -run AllocBudget . (zero-alloc hot-path and memory gate)"
 # The heap a fresh k=8 network holds per switch (WRR and VOQ-iSLIP);
