@@ -103,7 +103,7 @@ func main() {
 		default:
 			complain(fmt.Errorf("unknown command %q", fields[0]))
 		}
-		if err := alloc.CheckInvariants(); err != nil {
+		if err := port.CheckInvariants(); err != nil {
 			fmt.Fprintln(os.Stderr, "INVARIANT VIOLATION:", err)
 			os.Exit(1)
 		}

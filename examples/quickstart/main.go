@@ -81,7 +81,7 @@ func main() {
 	fmt.Printf("\nafter releases: %d free slots, table empty: %v\n",
 		port.Allocator().FreeSlots(), table.HighWeight() == 0)
 
-	if err := port.Allocator().CheckInvariants(); err != nil {
+	if err := port.CheckInvariants(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("allocator invariants hold")

@@ -29,6 +29,7 @@ package admission
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/arbtable"
 	"repro/internal/core"
@@ -111,16 +112,29 @@ func NewPorts(topo *topology.Topology, limit uint8) *Ports {
 		Host:   make([]*core.PortTable, topo.NumHosts()),
 		Switch: make([][]*core.PortTable, topo.NumSwitches),
 	}
-	for h := range p.Host {
-		p.Host[h] = core.NewPortTable(arbtable.New(limit))
-	}
 	for s := range p.Switch {
 		p.Switch[s] = make([]*core.PortTable, topo.Ports())
-		for q := range p.Switch[s] {
-			p.Switch[s][q] = core.NewPortTable(arbtable.New(limit))
+	}
+	p.each(func(_ PortID, tb **core.PortTable) { *tb = core.NewPortTable(arbtable.New(limit)) })
+	return p
+}
+
+// Each calls fn for every output-port table: the host interfaces in
+// host order, then the switch ports by (switch, port).
+func (p *Ports) Each(fn func(PortID, *core.PortTable)) {
+	p.each(func(id PortID, tb **core.PortTable) { fn(id, *tb) })
+}
+
+// each is Each over the slots, so NewPorts can fill them.
+func (p *Ports) each(fn func(PortID, **core.PortTable)) {
+	for h := range p.Host {
+		fn(HostPortID(h), &p.Host[h])
+	}
+	for s, row := range p.Switch {
+		for q := range row {
+			fn(SwitchPortID(s, q), &row[q])
 		}
 	}
-	return p
 }
 
 // hop identifies one arbitration point on a path.
@@ -431,8 +445,9 @@ func (c *Controller) commitHop(id PortID, tb *core.PortTable) {
 
 // abort rolls back the hops reserved so far for a failed prepare, in
 // reverse order of acquisition, and re-checks every touched hop's
-// allocator invariants.  Rollback never defragments, so each shadow
-// table is restored byte-identically to its pre-Admit state.
+// invariants (core.PortTable.CheckInvariants).  Rollback never
+// defragments, so each shadow table is restored byte-identically to its
+// pre-Admit state.
 func (c *Controller) abort() {
 	for i := len(c.held) - 1; i >= 0; i-- {
 		h := c.held[i]
@@ -440,7 +455,7 @@ func (c *Controller) abort() {
 		if err := h.table.Rollback(h.res); err != nil {
 			panic(fmt.Sprintf("admission: rollback at %v failed: %v", h.id, err))
 		}
-		if err := h.table.Allocator().CheckInvariants(); err != nil {
+		if err := h.table.CheckInvariants(); err != nil {
 			panic(fmt.Sprintf("admission: invariants broken after rollback at %v: %v", h.id, err))
 		}
 	}
@@ -479,20 +494,15 @@ func (c *Controller) Release(conn *Conn) error {
 // after every activation.  Ports with agreeing tables or an in-flight
 // program are untouched, so the call is idempotent.
 func (c *Controller) ReprogramStale() {
-	skip := func(id PortID) bool { return c.DeadHop != nil && c.DeadHop(id) }
-	for h, tb := range c.ports.Host {
-		if id := HostPortID(h); !skip(id) {
+	c.ports.Each(func(id PortID, tb *core.PortTable) {
+		if !c.dead(id) {
 			c.commitHop(id, tb)
 		}
-	}
-	for s, row := range c.ports.Switch {
-		for q, tb := range row {
-			if id := SwitchPortID(s, q); !skip(id) {
-				c.commitHop(id, tb)
-			}
-		}
-	}
+	})
 }
+
+// dead reports whether a port belongs to a failed topology element.
+func (c *Controller) dead(id PortID) bool { return c.DeadHop != nil && c.DeadHop(id) }
 
 // FillResult summarizes a Fill run.
 type FillResult struct {
@@ -502,16 +512,15 @@ type FillResult struct {
 }
 
 // Fill draws requests from the source and admits them until
-// maxConsecutiveRejects requests in a row fail (the paper establishes
-// connections "until no more can be established").  It returns the
-// admitted connections in admission order.
-func (c *Controller) Fill(src *traffic.Source, maxConsecutiveRejects int) FillResult {
+// maxAttempts requests have been offered or maxConsecutiveRejects in a
+// row fail (the paper establishes connections "until no more can be
+// established"); a caller without an attempt cap passes math.MaxInt.
+// It returns the admitted connections in admission order.
+func (c *Controller) Fill(src *traffic.Source, maxAttempts, maxConsecutiveRejects int) FillResult {
 	var res FillResult
-	consecutive := 0
-	for consecutive < maxConsecutiveRejects {
-		req := src.Next()
+	for consecutive := 0; res.Attempts < maxAttempts && consecutive < maxConsecutiveRejects; {
 		res.Attempts++
-		conn, err := c.Admit(req)
+		conn, err := c.Admit(src.Next())
 		if err != nil {
 			res.Rejected++
 			consecutive++
@@ -521,6 +530,33 @@ func (c *Controller) Fill(src *traffic.Source, maxConsecutiveRejects int) FillRe
 		res.Admitted = append(res.Admitted, conn)
 	}
 	return res
+}
+
+// MaxLoadFactor bounds the offered-load factor FillLoad accepts; beyond
+// it the fill would spin on astronomically many attempts for a fabric
+// that is pinned at saturation anyway.
+const MaxLoadFactor = 1e6
+
+// FillLoad offers the QoS connections of an offered-load factor: up to
+// max(1, ceil(load·hosts)) requests from the seed+1 source over the
+// default service levels (load < 1 underfills the fabric, load > 1
+// pushes into rejection), stopping early after maxConsecutiveRejects
+// refusals in a row.  Equal (topology, load, seed) admit the same
+// connections into the same tables, which is what lets the planner
+// model exactly the connection set the simulator runs.  A load outside
+// (0, MaxLoadFactor], NaN included, or a fill that admits nothing, is
+// an error.
+func (c *Controller) FillLoad(load float64, seed int64, maxConsecutiveRejects int) (FillResult, error) {
+	if !(load > 0 && load <= MaxLoadFactor) {
+		return FillResult{}, fmt.Errorf("admission: offered load factor %g out of range (need 0 < load <= %g)", load, MaxLoadFactor)
+	}
+	hosts := c.topo.NumHosts()
+	attempts := max(1, int(math.Ceil(load*float64(hosts))))
+	res := c.Fill(traffic.NewSource(sl.DefaultLevels, hosts, seed+1), attempts, maxConsecutiveRejects)
+	if len(res.Admitted) == 0 {
+		return res, fmt.Errorf("admission: load %g admitted no connections in %d attempts", load, res.Attempts)
+	}
+	return res, nil
 }
 
 // MeanHostReservation returns the average reserved bandwidth (Mbps)
@@ -540,34 +576,60 @@ func (c *Controller) MeanHostReservation() float64 {
 // (Mbps) over inter-switch ports that are actually wired.
 func (c *Controller) MeanSwitchPortReservation() float64 {
 	sum, n := 0.0, 0
-	for s := range c.ports.Switch {
-		for q, p := range c.ports.Switch[s] {
-			if c.topo.Peer(s, q).Switch < 0 {
-				continue // host port or unwired
-			}
+	c.ports.Each(func(id PortID, p *core.PortTable) {
+		if id.Switch >= 0 && c.topo.Peer(id.Switch, id.Port).Switch >= 0 { // not a host port, not unwired
 			sum += sl.BandwidthForWeight(p.ReservedWeight())
 			n++
 		}
-	}
+	})
 	if n == 0 {
 		return 0
 	}
 	return sum / float64(n)
 }
 
-// CheckInvariants verifies every port table's allocator invariants.
+// CheckInvariants verifies every port table (core.PortTable.CheckInvariants:
+// the allocator, the paper's theorem and distance bound, the open
+// transaction) and the controller's ledger: each port's reserved weight
+// is the sum of the live connections' reservations there, so a
+// reservation no connection owns is caught.  An error names the port.
 func (c *Controller) CheckInvariants() error {
-	for h, p := range c.ports.Host {
-		if err := p.Allocator().CheckInvariants(); err != nil {
-			return fmt.Errorf("host %d: %w", h, err)
+	held := make(map[*core.PortTable]int)
+	for _, conn := range c.live {
+		for _, h := range conn.hops {
+			held[h.table] += h.res.Weight
 		}
 	}
-	for s := range c.ports.Switch {
-		for q, p := range c.ports.Switch[s] {
-			if err := p.Allocator().CheckInvariants(); err != nil {
-				return fmt.Errorf("switch %d port %d: %w", s, q, err)
-			}
+	var err error
+	c.ports.Each(func(id PortID, tb *core.PortTable) {
+		if err != nil {
+			return
 		}
+		if e := tb.CheckInvariants(); e != nil {
+			err = fmt.Errorf("%v: %w", id, e)
+		} else if got := tb.ReservedWeight(); got != held[tb] {
+			err = fmt.Errorf("%v: reserved weight %d, live connections hold %d", id, got, held[tb])
+		}
+	})
+	return err
+}
+
+// CheckConverged verifies that the controller has settled: no
+// connection is live, and every port that is neither quarantined
+// (Down) nor dead (DeadHop) has no program in flight and an active
+// table equal to its shadow.  The lifecycle drivers call it at the end
+// of a run, after every release has completed.
+func (c *Controller) CheckConverged() error {
+	if n := len(c.live); n != 0 {
+		return fmt.Errorf("admission: %d connections still live", n)
 	}
-	return nil
+	var err error
+	c.ports.Each(func(id PortID, tb *core.PortTable) {
+		down := c.Down != nil && c.Down(id)
+		if err == nil && !down && !c.dead(id) && (tb.Programming() || tb.Dirty()) {
+			err = fmt.Errorf("admission: %v not converged (programming %v, active != shadow %v)",
+				id, tb.Programming(), tb.Dirty())
+		}
+	})
+	return err
 }

@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -210,7 +211,7 @@ func TestSharingAcrossConnections(t *testing.T) {
 func TestFillStopsAndReports(t *testing.T) {
 	c, topo := newController(t, 4, 8)
 	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), 8)
-	res := c.Fill(src, 30)
+	res := c.Fill(src, math.MaxInt, 30)
 	if len(res.Admitted) == 0 {
 		t.Fatal("fill admitted nothing")
 	}
@@ -229,6 +230,115 @@ func TestFillStopsAndReports(t *testing.T) {
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFillLoad: a load factor offers max(1, ceil(load·hosts)) attempts
+// from the seed+1 source, the same requests Fill draws from that
+// source under the same caps, and loads outside (0, MaxLoadFactor] are
+// refused before any request is drawn.
+func TestFillLoad(t *testing.T) {
+	c, topo := newController(t, 4, 8)
+	for _, load := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), MaxLoadFactor * 2} {
+		if _, err := c.FillLoad(load, 3, 20); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("load %g: err = %v, want out of range", load, err)
+		}
+	}
+	if c.Live() != 0 {
+		t.Fatalf("refused loads admitted %d connections", c.Live())
+	}
+	res, err := c.FillLoad(0.01, 3, 20)
+	if err != nil || res.Attempts != 1 {
+		t.Fatalf("load 0.01: %d attempts, err %v; want exactly one attempt", res.Attempts, err)
+	}
+	want := int(math.Ceil(1.5 * float64(topo.NumHosts())))
+	c2, _ := newController(t, 4, 8)
+	got, err := c2.FillLoad(1.5, 3, math.MaxInt)
+	if err != nil || got.Attempts != want {
+		t.Fatalf("load 1.5: %d attempts, err %v; want %d", got.Attempts, err, want)
+	}
+	c3, _ := newController(t, 4, 8)
+	ref := c3.Fill(traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), 4), want, math.MaxInt)
+	if len(ref.Admitted) != len(got.Admitted) || ref.Rejected != got.Rejected {
+		t.Fatalf("FillLoad admitted %d/%d, Fill from the seed+1 source %d/%d",
+			len(got.Admitted), got.Attempts, len(ref.Admitted), ref.Attempts)
+	}
+	for i := range ref.Admitted {
+		if ref.Admitted[i].Req != got.Admitted[i].Req {
+			t.Fatalf("connection %d: FillLoad %+v, Fill %+v", i, got.Admitted[i].Req, ref.Admitted[i].Req)
+		}
+	}
+}
+
+// TestCheckInvariantsLedger: a reservation no live connection owns — a
+// leaked connection — fails the controller's audit with an error naming
+// the port, and releasing it heals the ledger.
+func TestCheckInvariantsLedger(t *testing.T) {
+	c, topo := newController(t, 4, 1)
+	conn, err := c.Admit(req(0, topo.NumHosts()-1, 9, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	leak, err := c.Ports().Host[2].Reserve(0, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "host 2: reserved weight 3, live connections hold 0") {
+		t.Fatalf("leaked reservation: CheckInvariants = %v, want the ledger error naming host 2", err)
+	}
+	if err := c.Ports().Host[2].Release(leak); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Release(conn); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckConverged: a live connection, or a port whose shadow the data
+// plane has not been given, is not converged — unless the port is
+// quarantined or dead.
+func TestCheckConverged(t *testing.T) {
+	c, topo := newController(t, 4, 1)
+	conn, err := c.Admit(req(0, topo.NumHosts()-1, 9, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckConverged(); err == nil || !strings.Contains(err.Error(), "1 connections still live") {
+		t.Fatalf("live connection: CheckConverged = %v", err)
+	}
+	if err := c.Release(conn); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckConverged(); err != nil {
+		t.Fatal(err)
+	}
+	// A shadow change nobody programmed: dirty until the port is excused.
+	r, err := c.Ports().Switch[1][0].Reserve(0, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckConverged(); err == nil || !strings.Contains(err.Error(), "switch 1 port 0 not converged") {
+		t.Fatalf("dirty port: CheckConverged = %v", err)
+	}
+	port := SwitchPortID(1, 0)
+	for _, excuse := range []*func(PortID) bool{&c.Down, &c.DeadHop} {
+		*excuse = func(id PortID) bool { return id == port }
+		if err := c.CheckConverged(); err != nil {
+			t.Errorf("excused port: %v", err)
+		}
+		*excuse = nil
+	}
+	if err := c.Ports().Switch[1][0].Rollback(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckConverged(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -236,6 +236,44 @@ func (p *PortTable) DeliverBlock(version uint64, index, total int, entries [Bloc
 	return true, nil
 }
 
+// CheckInvariants verifies the port: its allocator
+// (Allocator.CheckInvariants), and the open transaction's state that
+// DeliverBlock's completion rule relies on — outside the delta the
+// target equals the active table, fewer blocks are staged than the
+// delta has (the delivery that reaches the count swaps or aborts), the
+// target version is the active table's next one, and mismatch is set
+// exactly when a staged block differs from the same block of the
+// target.  A staged block may lie outside the delta: it is refused only
+// when the set completes.  Like the allocator's check it does not
+// allocate.
+func (p *PortTable) CheckInvariants() error {
+	if err := p.alloc.CheckInvariants(); err != nil {
+		return err
+	}
+	if !p.Programming() {
+		return nil
+	}
+	if bits.OnesCount8(p.staged) >= bits.OnesCount8(p.delta) {
+		return fmt.Errorf("staged blocks %04b complete delta %04b but the transaction is open", p.staged, p.delta)
+	}
+	if p.targetVer != p.active.Version()+1 {
+		return fmt.Errorf("transaction targets version %d, active table is at %d", p.targetVer, p.active.Version())
+	}
+	mismatch := false
+	for b := 0; b < NumHighBlocks; b++ {
+		if p.delta>>b&1 == 0 && *highBlock(&p.target, b) != *highBlock(&p.active.High, b) {
+			return fmt.Errorf("block %d outside the delta differs between target and active table", b)
+		}
+		if p.staged>>b&1 != 0 && p.stagedEnt[b] != *highBlock(&p.target, b) {
+			mismatch = true
+		}
+	}
+	if mismatch != p.mismatch {
+		return fmt.Errorf("mismatch flag %v, staged blocks say %v", p.mismatch, mismatch)
+	}
+	return nil
+}
+
 // abortProgram discards all staged transaction state and counts a torn
 // update.  The shadow table is untouched (it is the source of truth);
 // the control plane recovers by re-issuing BeginProgram.

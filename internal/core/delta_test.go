@@ -63,6 +63,51 @@ func TestActiveLagsShadowUntilDelivered(t *testing.T) {
 	}
 }
 
+// TestPortTableCheckInvariants: an open transaction satisfies the state
+// DeliverBlock's completion rule relies on, and breaking any one part of
+// it — a complete staged set left open, the target version, the target
+// outside the delta, the mismatch flag either way — fails the check.
+func TestPortTableCheckInvariants(t *testing.T) {
+	p := newPort()
+	// Distance 32 -> two slots, in blocks 0 and 2.
+	if _, err := p.Reserve(1, 32, 10); err != nil {
+		t.Fatal(err)
+	}
+	d, err := p.BeginProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Blocks()) != 2 || p.delta != 0b0101 {
+		t.Fatalf("delta blocks %+v, mask %04b; want blocks 0 and 2", d.Blocks(), p.delta)
+	}
+	b := d.Blocks()[0]
+	if _, err := p.DeliverBlock(d.Version, b.Index, 2, b.Entries); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatalf("open transaction: %v", err)
+	}
+	for name, mutate := range map[string]func(q *PortTable){
+		"complete set left open": func(q *PortTable) { q.staged |= 0b0100 },
+		"target version":         func(q *PortTable) { q.targetVer++ },
+		"target outside delta":   func(q *PortTable) { q.target[3*BlockEntries] = arbtable.Entry{VL: 4, Weight: 1} },
+		"mismatch flag set":      func(q *PortTable) { q.mismatch = true },
+		"staged block unflagged": func(q *PortTable) { q.stagedEnt[0][1] = arbtable.Entry{VL: 4, Weight: 1} },
+	} {
+		q := *p
+		mutate(&q)
+		if err := q.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants passed", name)
+		}
+	}
+	if !deliverAll(t, p, d) {
+		t.Fatal("delta did not apply")
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatalf("after the swap: %v", err)
+	}
+}
+
 func TestBeginProgramDiffsChangedBlocksOnly(t *testing.T) {
 	p := newPort()
 	// Distance 64 -> a single slot in block 0.

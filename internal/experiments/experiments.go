@@ -10,6 +10,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/admission"
@@ -101,10 +102,9 @@ type Run struct {
 	P       Params
 	Payload int
 	Net     *fabric.Network
-	Conns   []*admission.Conn
-	Flows   []*fabric.Flow // QoS flows, aligned with Conns
+	Fill    admission.FillResult // the admitted connections and the fill's counts
+	Flows   []*fabric.Flow       // QoS flows, aligned with Fill.Admitted
 	BEFlows []*fabric.Flow
-	Fill    admission.FillResult
 }
 
 // Setup builds the network, loads it with connections until admission
@@ -133,49 +133,62 @@ func SetupWith(p Params, payload int, mutate func(*fabric.Config)) (*Run, error)
 		net.EnableTrace(p.TraceEvents)
 	}
 	src := traffic.NewSource(sl.DefaultLevels, net.Topo.NumHosts(), p.Seed+1)
-	fill := net.Adm.Fill(src, p.MaxConsecutiveRejects)
+	fill := net.Adm.Fill(src, math.MaxInt, p.MaxConsecutiveRejects)
 	if len(fill.Admitted) == 0 {
 		return nil, fmt.Errorf("experiments: no connections admitted")
 	}
-	r := &Run{P: p, Payload: payload, Net: net, Fill: fill}
-	for _, conn := range fill.Admitted {
-		r.Conns = append(r.Conns, conn)
-		r.Flows = append(r.Flows, net.AddConnection(conn))
-	}
+	r := &Run{P: p, Payload: payload, Net: net, Fill: fill, Flows: addConnections(net, fill.Admitted)}
 	for _, be := range traffic.BestEffortBackground(net.Topo.NumHosts(), p.BEPerHostMbps, p.Seed+2) {
 		r.BEFlows = append(r.BEFlows, net.AddBestEffort(be))
 	}
 	return r, nil
 }
 
-// slowestFlow returns the QoS flow with the largest interarrival time.
-func (r *Run) slowestFlow() *fabric.Flow {
-	var slowest *fabric.Flow
-	for _, f := range r.Flows {
-		if slowest == nil || f.IAT > slowest.IAT {
+// Execute runs the transient period and then the steady-state window
+// (measure).
+func (r *Run) Execute() { measure(r.Net, r.Flows, r.P.WarmupIATs, r.P.MinPacketsSlowest) }
+
+// addConnections attaches one CBR flow per admitted connection, in
+// order.
+func addConnections(net *fabric.Network, conns []*admission.Conn) []*fabric.Flow {
+	flows := make([]*fabric.Flow, len(conns))
+	for i, conn := range conns {
+		flows[i] = net.AddConnection(conn)
+	}
+	return flows
+}
+
+// measure is the steady-state protocol of every fabric run that
+// measures until a quota: start the flows, warm up for warmupIATs
+// interarrival periods of the slowest QoS flow, open the measurement
+// window, and run until that flow has received minPackets packets —
+// with a generous time cap so a defect cannot hang the harness.
+// qosFlows must not be empty.
+func measure(net *fabric.Network, qosFlows []*fabric.Flow, warmupIATs int64, minPackets int) {
+	slowest := qosFlows[0]
+	for _, f := range qosFlows[1:] {
+		if f.IAT > slowest.IAT {
 			slowest = f
 		}
 	}
-	return slowest
-}
-
-// Execute runs the transient period and then the steady-state window:
-// measurement continues until the slowest connection has received
-// MinPacketsSlowest packets (with a generous time cap so a defect
-// cannot hang the harness).
-func (r *Run) Execute() {
-	slowest := r.slowestFlow()
-	net := r.Net
 	net.Start()
-	warmup := r.P.WarmupIATs * slowest.IAT
+	warmup := warmupIATs * slowest.IAT
 	net.Run(warmup)
 	net.StartMeasurement()
-
-	target := int64(r.P.MinPacketsSlowest)
+	target := int64(minPackets)
 	timeCap := warmup + (target+8)*slowest.IAT*2
 	net.RunWhile(func() bool {
 		return slowest.Delivered.Packets < target && net.Now() < timeCap
 	})
+}
+
+// mergedDelay merges the delay distributions of flows, in order.
+func mergedDelay(flows []*fabric.Flow) *stats.DelayCDF {
+	all := stats.NewDelayCDF()
+	for _, f := range flows {
+		all.Merge(f.Delay)
+	}
+	return all
 }
 
 // DelayBySL merges the per-connection delay distributions of each

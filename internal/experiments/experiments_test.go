@@ -2,8 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/admission"
+	"repro/internal/fabric"
+	"repro/internal/topology"
 )
 
 func TestTable1Config(t *testing.T) {
@@ -38,13 +45,67 @@ func TestSetupLoadsNetwork(t *testing.T) {
 		t.Fatal("no best-effort flows")
 	}
 	// Admission control must have left the tables self-consistent.
-	if err := run.Net.Adm.CheckInvariants(); err != nil {
+	if err := run.Net.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// The fill must have pushed some port to (near) its budget;
 	// otherwise the run does not exercise a loaded network.
 	if run.Net.Adm.MeanHostReservation() <= 0 {
 		t.Error("network not loaded")
+	}
+}
+
+// TestPointsRefuseBadLoads: every fabric run that takes an offered-load
+// factor refuses one that is NaN, infinite, not positive or above
+// admission.MaxLoadFactor with an error — never a panic, never a hang
+// (a NaN load used to schedule events in the past, an infinite or huge
+// one to spin on zero-interval best-effort sources).  Each call runs
+// under a deadline drawn from the test's own, so a hang fails the test.
+func TestPointsRefuseBadLoads(t *testing.T) {
+	spec := topology.Spec{Class: topology.FatTree, K: 2}
+	runs := []struct {
+		name string
+		run  func(load float64) error
+	}{
+		{"scale", func(load float64) error {
+			_, err := ScalePoint(ScaleTiny(), spec, load, 1)
+			return err
+		}},
+		{"hol", func(load float64) error {
+			_, err := HOLPoint(HOLTiny(), spec, fabric.ModelVOQISLIP, load, 1)
+			return err
+		}},
+		{"shardbench", func(load float64) error {
+			p := ShardBenchDefault()
+			p.Spec, p.Load, p.Shards = spec, load, []int{1}
+			_, err := ShardBench(p)
+			return err
+		}},
+	}
+	wait := 20 * time.Second
+	if dl, ok := t.Deadline(); ok {
+		wait = min(wait, time.Until(dl)/4)
+	}
+	for _, r := range runs {
+		for _, load := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1, 10 * admission.MaxLoadFactor} {
+			done := make(chan error, 1)
+			go func() {
+				defer func() {
+					if p := recover(); p != nil {
+						done <- fmt.Errorf("panic: %v", p)
+					}
+				}()
+				done <- r.run(load)
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "out of range") {
+					t.Errorf("%s at load %g: err = %v, want an out-of-range error", r.name, load, err)
+				}
+			case <-time.After(wait):
+				t.Fatalf("%s at load %g: no answer within %v", r.name, load, wait)
+			}
+		}
 	}
 }
 

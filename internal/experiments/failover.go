@@ -8,7 +8,6 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/admission"
-	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/metrics"
@@ -282,35 +281,22 @@ func FailoverPoint(p FailoverParams, spec topology.Spec, seed int64) (FailoverRe
 	if released != len(conns) {
 		return res, fmt.Errorf("failover %s: released %d of %d survivors", res.Label, released, len(conns))
 	}
-	if live := net.Adm.Live(); live != 0 {
-		return res, fmt.Errorf("failover %s: %d connections still live after release", res.Label, live)
-	}
 	if open := prog.OpenTransactions(); open != 0 {
 		return res, fmt.Errorf("failover %s: %d table transactions never terminated", res.Label, open)
 	}
 
-	// The allocator audit, the distance guarantee included, then
-	// convergence: every live port idle with active == shadow.
-	if err := net.Adm.CheckInvariants(); err != nil {
+	// Convergence: no connection live, every port idle with active ==
+	// shadow — dead ports excepted, which can never be reprogrammed.
+	// Then packet conservation (including failure losses) and the
+	// fabric audit: credits, scheduling indexes, every port table (the
+	// distance guarantee included) and the reservation ledger.
+	if err := net.Adm.CheckConverged(); err != nil {
 		return res, fmt.Errorf("failover %s: %w", res.Label, err)
 	}
-	// Dead ports can never be reprogrammed; their tables are moot.
-	var portErr error
-	forEachPortTable(net.Adm.Ports(), func(id admission.PortID, tb *core.PortTable) {
-		dead := net.Adm.DeadHop != nil && net.Adm.DeadHop(id)
-		if portErr == nil && !dead && (tb.Programming() || tb.Dirty()) {
-			portErr = fmt.Errorf("failover %s: port %v not converged after drain", res.Label, id)
-		}
-	})
-	if portErr != nil {
-		return res, portErr
-	}
-
-	// Packet conservation (including failure losses) and credit audit.
 	if err := net.CheckConservation(); err != nil {
 		return res, fmt.Errorf("failover %s: %w", res.Label, err)
 	}
-	if err := net.CheckBuffers(); err != nil {
+	if err := net.CheckInvariants(); err != nil {
 		return res, fmt.Errorf("failover %s: %w", res.Label, err)
 	}
 

@@ -4,14 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"text/tabwriter"
 
 	"repro/internal/fabric"
 	"repro/internal/metrics"
 	"repro/internal/runner"
-	"repro/internal/sl"
-	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -53,11 +50,7 @@ type HOLParams struct {
 // load.
 func HOLTiny() HOLParams {
 	return HOLParams{
-		Specs: []topology.Spec{
-			{Class: topology.Irregular, Switches: 4, Seed: 42},
-			{Class: topology.FatTree, K: 2},
-			{Class: topology.Dragonfly, A: 2, P: 1, H: 1},
-		},
+		Specs: ScaleTiny().Specs,
 		Models: []fabric.SwitchModel{
 			fabric.ModelWRR, fabric.ModelVOQISLIP, fabric.ModelVOQMWM,
 		},
@@ -70,14 +63,11 @@ func HOLTiny() HOLParams {
 	}
 }
 
-// HOLQuick is the CLI default: mid-size instances of each class.
+// HOLQuick is the CLI default: the scale experiment's mid-size
+// instances of each class.
 func HOLQuick() HOLParams {
 	p := HOLTiny()
-	p.Specs = []topology.Spec{
-		{Class: topology.Irregular, Switches: 8, Seed: 42},
-		{Class: topology.FatTree, K: 4},
-		{Class: topology.Dragonfly, A: 4, P: 2, H: 2},
-	}
+	p.Specs = ScaleQuick().Specs
 	p.Loads = []float64{0.5, 1, 2}
 	p.MinPacketsSlowest = 60
 	return p
@@ -118,7 +108,7 @@ type HOLResult struct {
 // HOLPoint runs one (spec, model, load) point.
 func HOLPoint(p HOLParams, spec topology.Spec, model fabric.SwitchModel, load float64, seed int64) (HOLResult, error) {
 	var res HOLResult
-	if load <= 0 || p.Payload < 1 || p.MinPacketsSlowest < 1 {
+	if p.Payload < 1 || p.MinPacketsSlowest < 1 {
 		return res, fmt.Errorf("experiments: hol point (%v, %v, load %g) out of range", spec, model, load)
 	}
 	topo, err := spec.Generate()
@@ -146,50 +136,19 @@ func HOLPoint(p HOLParams, spec topology.Spec, model fabric.SwitchModel, load fl
 	// The offered traffic depends only on (topo, seed), never on the
 	// model: all models of a point admit the same connections and
 	// carry the same best-effort background.
-	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), seed+1)
-	attempts := int(math.Ceil(load * float64(topo.NumHosts())))
-	if attempts < 1 {
-		attempts = 1
+	fill, err := net.Adm.FillLoad(load, seed, p.MaxConsecutiveRejects)
+	if err != nil {
+		return res, fmt.Errorf("experiments: hol point %s/%s: %w", res.Label, res.Model, err)
 	}
-	var flows []*fabric.Flow
-	consecutive := 0
-	for i := 0; i < attempts && consecutive < p.MaxConsecutiveRejects; i++ {
-		res.Attempts++
-		conn, err := net.Adm.Admit(src.Next())
-		if err != nil {
-			consecutive++
-			continue
-		}
-		consecutive = 0
-		res.Admitted++
-		flows = append(flows, net.AddConnection(conn))
-	}
-	if res.Admitted == 0 {
-		return res, fmt.Errorf("experiments: hol point %s/%s load %g admitted no connections",
-			res.Label, res.Model, load)
-	}
+	res.Attempts, res.Admitted = fill.Attempts, len(fill.Admitted)
+	flows := addConnections(net, fill.Admitted)
 	for _, be := range traffic.BestEffortBackground(topo.NumHosts(), load, seed+2) {
 		net.AddBestEffort(be)
 		res.BEFlows++
 	}
 
-	slowest := flows[0]
-	for _, f := range flows[1:] {
-		if f.IAT > slowest.IAT {
-			slowest = f
-		}
-	}
-	net.Start()
-	warmup := p.WarmupIATs * slowest.IAT
-	net.Run(warmup)
-	net.StartMeasurement()
-	target := int64(p.MinPacketsSlowest)
-	timeCap := warmup + (target+8)*slowest.IAT*2
-	net.RunWhile(func() bool {
-		return slowest.Delivered.Packets < target && net.Now() < timeCap
-	})
-
-	if err := net.CheckBuffers(); err != nil {
+	measure(net, flows, p.WarmupIATs, p.MinPacketsSlowest)
+	if err := net.CheckInvariants(); err != nil {
 		return res, err
 	}
 	_, _, dropped := net.Totals()
@@ -197,10 +156,7 @@ func HOLPoint(p HOLParams, spec topology.Spec, model fabric.SwitchModel, load fl
 	res.DeliveredBPCNode = net.DeliveredBytesPerCyclePerNode()
 	res.SwitchUtil = net.MeanSwitchPortUtilization()
 
-	delay := stats.NewDelayCDF()
-	for _, f := range flows {
-		delay.Merge(f.Delay)
-	}
+	delay := mergedDelay(flows)
 	if delay.Total() > 0 {
 		res.MeanDelayRatio = delay.MeanRatio()
 		res.WorstDelayRatio = delay.MaxRatio()

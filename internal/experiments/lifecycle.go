@@ -49,11 +49,11 @@ type churnArrival struct {
 // its flow and is released after its hold, and every table delta
 // travels in-band as SMPs on the control lane.  After every admission
 // outcome and every completed release it audits the admission
-// invariants, and at the end it proves termination (no open
-// transaction or audit round, no live connection) and convergence
-// (active == shadow on every port not quarantined).  Any violation,
-// and any lifecycle unresolved past the lifecycleHoldCap bound, is an
-// error.
+// invariants, and at the end it audits the whole fabric
+// (Network.CheckInvariants) and proves termination (no open
+// transaction or audit round) and convergence
+// (Controller.CheckConverged).  Any violation, and any lifecycle
+// unresolved past the lifecycleHoldCap bound, is an error.
 //
 // rig, when non-nil, is a fault rig: an injector dealing SMP fates and
 // link flaps to the control and data planes, the programmer's retry
@@ -193,33 +193,29 @@ func runLifecycles(p ChurnParams, rig *FaultParams) (*lifecycles, error) {
 	}
 
 	// Termination: every transaction settled, every audit round done.
-	// Convergence: every port the control plane still serves has its
-	// active table byte-identical to its shadow.  Quarantined ports are
-	// the deliberate exception — their shadow holds state the management
-	// network never managed to deliver.
-	unterminated, dirty := prog.OpenTransactions(), 0
+	// Convergence (Controller.CheckConverged): no connection live, and
+	// every port the control plane still serves has its active table
+	// byte-identical to its shadow.  Quarantined ports are the deliberate
+	// exception — their shadow holds state the management network never
+	// managed to deliver.
+	unterminated := prog.OpenTransactions()
 	if aud != nil && aud.AuditsPending() {
 		unterminated++
 	}
-	forEachPortTable(net.Adm.Ports(), func(id admission.PortID, tb *core.PortTable) {
-		switch {
-		case aud != nil && aud.Quarantined(id):
+	net.Adm.Ports().Each(func(id admission.PortID, tb *core.PortTable) {
+		if aud != nil && aud.Quarantined(id) {
 			lc.quarantined++
-		case tb.Programming() || tb.Dirty():
-			dirty++
 		}
 		lc.TableMoves += tb.Allocator().TotalMoves()
 	})
-	audit("final")
-	switch {
-	case auditErr != nil:
-		return nil, auditErr
-	case unterminated != 0:
+	if err := net.CheckInvariants(); err != nil {
+		return nil, fmt.Errorf("lifecycle final @%d: %w", eng.Now(), err)
+	}
+	if unterminated != 0 {
 		return nil, fmt.Errorf("lifecycle end: %d transactions or audits unterminated", unterminated)
-	case dirty != 0:
-		return nil, fmt.Errorf("lifecycle end: %d surviving ports with active != shadow", dirty)
-	case net.Adm.Live() != 0:
-		return nil, fmt.Errorf("lifecycle end: %d connections still live", net.Adm.Live())
+	}
+	if err := net.Adm.CheckConverged(); err != nil {
+		return nil, fmt.Errorf("lifecycle end: %w", err)
 	}
 
 	if lc.Admitted > 0 {
@@ -231,18 +227,6 @@ func runLifecycles(p ChurnParams, rig *FaultParams) (*lifecycles, error) {
 	lc.EndTimeBT = eng.Now()
 	lc.Parallel, lc.Windows = net.Parallel(), net.Windows()
 	return lc, nil
-}
-
-// forEachPortTable visits every output-port table of the fabric.
-func forEachPortTable(ports *admission.Ports, fn func(admission.PortID, *core.PortTable)) {
-	for h, pt := range ports.Host {
-		fn(admission.HostPortID(h), pt)
-	}
-	for s, row := range ports.Switch {
-		for q, pt := range row {
-			fn(admission.SwitchPortID(s, q), pt)
-		}
-	}
 }
 
 // drawChurnArrivals pre-draws every arrival time, hold time and

@@ -32,11 +32,7 @@ type PlanParams struct {
 // saturated.
 func PlanTiny() PlanParams {
 	return PlanParams{
-		Specs: []topology.Spec{
-			{Class: topology.Irregular, Switches: 4, Seed: 42},
-			{Class: topology.FatTree, K: 2},
-			{Class: topology.Dragonfly, A: 2, P: 1, H: 1},
-		},
+		Specs:                 ScaleTiny().Specs,
 		Loads:                 []float64{0.5, 2, 1500},
 		Seed:                  1,
 		Payload:               512,
@@ -49,11 +45,7 @@ func PlanTiny() PlanParams {
 // PlanQuick is the CLI default: the scale experiment's mid-size specs.
 func PlanQuick() PlanParams {
 	p := PlanTiny()
-	p.Specs = []topology.Spec{
-		{Class: topology.Irregular, Switches: 8, Seed: 42},
-		{Class: topology.FatTree, K: 4},
-		{Class: topology.Dragonfly, A: 4, P: 2, H: 2},
-	}
+	p.Specs = ScaleQuick().Specs
 	p.Loads = []float64{0.5, 1, 2, 1500}
 	p.HeadroomMax = 256
 	return p

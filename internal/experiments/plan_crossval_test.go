@@ -9,7 +9,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/plan"
 	"repro/internal/runner"
-	"repro/internal/sl"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -291,8 +290,9 @@ func TestPlanFlagsSimStarvedFlows(t *testing.T) {
 	t.Logf("sim-saturated VLs: %d (all model-flagged); sim starved %d flows, model flagged %d", simSaturatedVLs, starved, flagged)
 }
 
-// simulateFlows mirrors ScalePoint's fill and measurement loop but
-// hands back the flow objects for per-flow inspection.
+// simulateFlows runs ScalePoint's fill and measurement window but
+// hands back the flow objects, QoS then best-effort, for per-flow
+// inspection.
 func simulateFlows(t *testing.T, spec topology.Spec, load float64, seed int64) ([]*fabric.Flow, *fabric.Network) {
 	t.Helper()
 	topo, err := spec.Generate()
@@ -304,42 +304,15 @@ func simulateFlows(t *testing.T, spec topology.Spec, load float64, seed int64) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), seed+1)
-	attempts := int(math.Ceil(load * float64(topo.NumHosts())))
-	if attempts < 1 {
-		attempts = 1
+	fill, err := net.Adm.FillLoad(load, seed, 20)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var flows []*fabric.Flow
-	consecutive := 0
-	for i := 0; i < attempts && consecutive < 20; i++ {
-		conn, err := net.Adm.Admit(src.Next())
-		if err != nil {
-			consecutive++
-			continue
-		}
-		consecutive = 0
-		flows = append(flows, net.AddConnection(conn))
-	}
-	if len(flows) == 0 {
-		t.Fatal("no connections admitted")
-	}
+	qos := addConnections(net, fill.Admitted)
+	flows := qos
 	for _, be := range traffic.BestEffortBackground(topo.NumHosts(), load, seed+2) {
 		flows = append(flows, net.AddBestEffort(be))
 	}
-
-	qos := flows[0]
-	for _, f := range flows {
-		if f.QoS && f.IAT > qos.IAT {
-			qos = f
-		}
-	}
-	net.Start()
-	net.Run(qos.IAT)
-	net.StartMeasurement()
-	target := int64(10)
-	timeCap := qos.IAT + (target+8)*qos.IAT*2
-	net.RunWhile(func() bool {
-		return qos.Delivered.Packets < target && net.Now() < timeCap
-	})
+	measure(net, qos, 1, 10)
 	return flows, net
 }

@@ -3,13 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 	"text/tabwriter"
 
 	"repro/internal/fabric"
 	"repro/internal/routing/cdg"
-	"repro/internal/sl"
-	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -103,7 +100,7 @@ type ScaleResult struct {
 // ScalePoint runs one (spec, load) point.
 func ScalePoint(p ScaleParams, spec topology.Spec, load float64, seed int64) (ScaleResult, error) {
 	var res ScaleResult
-	if load <= 0 || p.Payload < 1 || p.MinPacketsSlowest < 1 {
+	if p.Payload < 1 || p.MinPacketsSlowest < 1 {
 		return res, fmt.Errorf("experiments: scale point (%v, load %g) out of range", spec, load)
 	}
 	topo, err := spec.Generate()
@@ -134,56 +131,19 @@ func ScalePoint(p ScaleParams, spec topology.Spec, load float64, seed int64) (Sc
 		return res, err
 	}
 
-	// QoS connections: up to ceil(load * hosts) admission attempts from
-	// the seeded source (load < 1 underfills the fabric, load > 1
-	// pushes into rejection), stopping early if the admission control
-	// saturates.
-	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), seed+1)
-	attempts := int(math.Ceil(load * float64(topo.NumHosts())))
-	if attempts < 1 {
-		attempts = 1
+	fill, err := net.Adm.FillLoad(load, seed, p.MaxConsecutiveRejects)
+	if err != nil {
+		return res, fmt.Errorf("experiments: scale point %s: %w", res.Label, err)
 	}
-	var flows []*fabric.Flow
-	consecutive := 0
-	for i := 0; i < attempts && consecutive < p.MaxConsecutiveRejects; i++ {
-		res.Attempts++
-		conn, err := net.Adm.Admit(src.Next())
-		if err != nil {
-			res.Rejected++
-			consecutive++
-			continue
-		}
-		consecutive = 0
-		res.Admitted++
-		flows = append(flows, net.AddConnection(conn))
-	}
-	if res.Admitted == 0 {
-		return res, fmt.Errorf("experiments: scale point %s load %g admitted no connections", res.Label, load)
-	}
+	res.Attempts, res.Admitted, res.Rejected = fill.Attempts, len(fill.Admitted), fill.Rejected
+	flows := addConnections(net, fill.Admitted)
 	for _, be := range traffic.BestEffortBackground(topo.NumHosts(), load, seed+2) {
 		net.AddBestEffort(be)
 		res.BEFlows++
 	}
 
-	// Warmup, then measure until the slowest QoS connection has its
-	// packet quota (with a time cap so a defect cannot hang the run).
-	slowest := flows[0]
-	for _, f := range flows[1:] {
-		if f.IAT > slowest.IAT {
-			slowest = f
-		}
-	}
-	net.Start()
-	warmup := p.WarmupIATs * slowest.IAT
-	net.Run(warmup)
-	net.StartMeasurement()
-	target := int64(p.MinPacketsSlowest)
-	timeCap := warmup + (target+8)*slowest.IAT*2
-	net.RunWhile(func() bool {
-		return slowest.Delivered.Packets < target && net.Now() < timeCap
-	})
-
-	if err := net.CheckBuffers(); err != nil {
+	measure(net, flows, p.WarmupIATs, p.MinPacketsSlowest)
+	if err := net.CheckInvariants(); err != nil {
 		return res, err
 	}
 	_, _, dropped := net.Totals()
@@ -193,10 +153,7 @@ func ScalePoint(p ScaleParams, spec topology.Spec, load float64, seed int64) (Sc
 	res.HostUtil = net.MeanHostUtilization()
 	res.SwitchUtil = net.MeanSwitchPortUtilization()
 
-	delay := stats.NewDelayCDF()
-	for _, f := range flows {
-		delay.Merge(f.Delay)
-	}
+	delay := mergedDelay(flows)
 	if delay.Total() > 0 {
 		res.MeanDelayRatio = delay.MeanRatio()
 		res.DeadlineMetPct = delay.PercentMeetingDeadline()

@@ -3,13 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"text/tabwriter"
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/sl"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -78,7 +76,7 @@ type ShardBenchResult struct {
 // the Events column is exact and the simulated work per row is
 // identical by construction.
 func ShardBench(p ShardBenchParams) ([]ShardBenchResult, error) {
-	if p.Load <= 0 || p.Payload < 1 || p.HorizonBT < 1 || len(p.Shards) == 0 {
+	if p.Payload < 1 || p.HorizonBT < 1 || len(p.Shards) == 0 {
 		return nil, fmt.Errorf("experiments: shard bench parameters %+v out of range", p)
 	}
 	var out []ShardBenchResult
@@ -98,6 +96,10 @@ func ShardBench(p ShardBenchParams) ([]ShardBenchResult, error) {
 	}
 	return out, nil
 }
+
+// shardBenchMaxRejects stops the benchmark's QoS fill after this many
+// refusals in a row.
+const shardBenchMaxRejects = 40
 
 // shardBenchRun builds, loads and times one run at the given shard
 // count.
@@ -120,22 +122,11 @@ func shardBenchRun(p ShardBenchParams, shards int) (ShardBenchResult, error) {
 	// The offered traffic is a pure function of (topo, seed): QoS
 	// attempts scaled by load, then best-effort background, exactly as
 	// ScalePoint offers them.
-	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), p.Seed+1)
-	attempts := int(math.Ceil(p.Load * float64(topo.NumHosts())))
-	admitted, consecutive := 0, 0
-	for i := 0; i < attempts && consecutive < 40; i++ {
-		conn, err := net.Adm.Admit(src.Next())
-		if err != nil {
-			consecutive++
-			continue
-		}
-		consecutive = 0
-		admitted++
-		net.AddConnection(conn)
+	fill, err := net.Adm.FillLoad(p.Load, p.Seed, shardBenchMaxRejects)
+	if err != nil {
+		return res, fmt.Errorf("experiments: shard bench: %w", err)
 	}
-	if admitted == 0 {
-		return res, fmt.Errorf("experiments: shard bench admitted no connections")
-	}
+	addConnections(net, fill.Admitted)
 	for _, be := range traffic.BestEffortBackground(topo.NumHosts(), p.BEMbps, p.Seed+2) {
 		net.AddBestEffort(be)
 	}
@@ -145,7 +136,7 @@ func shardBenchRun(p ShardBenchParams, shards int) (ShardBenchResult, error) {
 	net.Run(p.HorizonBT)
 	wall := time.Since(start)
 
-	if err := net.CheckBuffers(); err != nil {
+	if err := net.CheckInvariants(); err != nil {
 		return res, err
 	}
 	_, delivered, _ := net.Totals()

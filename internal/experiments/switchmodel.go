@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/runner"
-	"repro/internal/stats"
 )
 
 // SwitchModelRow summarizes one switch architecture of the
@@ -42,10 +41,7 @@ func AblationSwitchModels(p Params, speedups []int) []SwitchModelRow {
 				if err != nil {
 					return SwitchModelRow{}, err
 				}
-				all := stats.NewDelayCDF()
-				for _, f := range run.Flows {
-					all.Merge(f.Delay)
-				}
+				all := mergedDelay(run.Flows)
 				return SwitchModelRow{
 					Speedup:            su,
 					DeadlineMetPercent: all.PercentMeetingDeadline(),

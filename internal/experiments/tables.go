@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/sl"
-	"repro/internal/stats"
 )
 
 // Table1Row describes one service level as configured (paper Table 1),
@@ -70,10 +69,7 @@ type Table2Row struct {
 // Table2 extracts the Table 2 rows from an executed evaluation.
 func (e *Evaluation) Table2() [2]Table2Row {
 	row := func(r *Run) Table2Row {
-		all := stats.NewDelayCDF()
-		for _, f := range r.Flows {
-			all.Merge(f.Delay)
-		}
+		all := mergedDelay(r.Flows)
 		return Table2Row{
 			Payload:            r.Payload,
 			InjectedPerNode:    r.Net.InjectedBytesPerCyclePerNode(),

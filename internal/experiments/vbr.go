@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"text/tabwriter"
 
 	"repro/internal/fabric"
 	"repro/internal/runner"
 	"repro/internal/sl"
-	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
@@ -83,9 +83,7 @@ func vbrScenario(seed int64, peakFactor, burst, switches int, windowIATs int64, 
 	// Saturating CBR background: fills the remaining budget so the
 	// VBR bursts have to share loaded links.
 	src := traffic.NewSource(sl.DefaultLevels, hosts, seed+1)
-	for _, conn := range net.Adm.Fill(src, 200).Admitted {
-		net.AddConnection(conn)
-	}
+	addConnections(net, net.Adm.Fill(src, math.MaxInt, 200).Admitted)
 
 	slowest := flows[0]
 	for _, f := range flows {
@@ -98,10 +96,7 @@ func vbrScenario(seed int64, peakFactor, burst, switches int, windowIATs int64, 
 	net.StartMeasurement()
 	net.Run(net.Now() + windowIATs*slowest.IAT)
 
-	all := stats.NewDelayCDF()
-	for _, f := range flows {
-		all.Merge(f.Delay)
-	}
+	all := mergedDelay(flows)
 	return VBRScenario{
 		DeadlineMetPercent: all.PercentMeetingDeadline(),
 		WorstDelayRatio:    all.MaxRatio(),

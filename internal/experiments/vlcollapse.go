@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/runner"
-	"repro/internal/stats"
 )
 
 // VLCollapseRow summarizes one lane budget of the VL-collapse
@@ -41,10 +40,7 @@ func AblationVLCollapse(p Params, lanes []int) []VLCollapseRow {
 				if err != nil {
 					return VLCollapseRow{}, err
 				}
-				all := stats.NewDelayCDF()
-				for _, f := range run.Flows {
-					all.Merge(f.Delay)
-				}
+				all := mergedDelay(run.Flows)
 				return VLCollapseRow{
 					DataVLs:            v,
 					Connections:        len(run.Flows),

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/arbtable"
+	"repro/internal/sl"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 // TestUnwiredPortsCarryNoArbiter: switch ports the topology leaves
@@ -74,34 +76,81 @@ func TestUnwiredPortsCarryNoArbiter(t *testing.T) {
 	}
 }
 
-// TestCheckBuffersAuditsArbiterIndex: a high-table entry written into a
-// running port's active table without Swap is invisible to that port's
-// arbiter; CheckBuffers names the port instead of letting the lane
-// starve silently.
+// TestCheckBuffersAuditsArbiterIndex mutation-checks the fabric audit
+// through its one entry point, Network.CheckInvariants.  Each row breaks
+// one invariant of one port of an idle, lightly loaded k=4 fat-tree and
+// requires an error naming that port, then undoes the break and
+// requires a clean audit:
+//   - a high-table entry written into a running port's active table
+//     without Swap, invisible to that port's arbiter (CheckBuffers, at a
+//     switch port and at a host);
+//   - a shadow slot overwritten, as by a defragmenter that skipped a
+//     relocation (the port table's allocator check);
+//   - a PortTable.Reserve no connection owns, as by a leaked connection
+//     (the admission ledger).
 func TestCheckBuffersAuditsArbiterIndex(t *testing.T) {
-	n := buildStructured(t, topology.Spec{Class: topology.FatTree, K: 4}, 9)
-	if err := n.CheckBuffers(); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, port string
+		// mutate breaks the invariant and returns what restores it.
+		mutate func(t *testing.T, n *Network) (undo func())
+	}{
+		{"arbiter index", "switch 3 port 0", func(t *testing.T, n *Network) func() {
+			out := &n.switches[3].out[0]
+			if !out.wired {
+				t.Fatal("switch 3 port 0 should be wired in a k=4 fat-tree")
+			}
+			active := out.pt.Active()
+			saved := active.High[17]
+			active.High[17] = arbtable.Entry{VL: 5, Weight: 3}
+			return func() { active.High[17] = saved }
+		}},
+		{"arbiter index at a host", "host 5", func(t *testing.T, n *Network) func() {
+			active := n.hosts[5].out.pt.Active()
+			saved := active.High[40]
+			active.High[40] = arbtable.Entry{VL: 1, Weight: 1}
+			return func() { active.High[40] = saved }
+		}},
+		{"shadow slot overwritten", "host 2", func(t *testing.T, n *Network) func() {
+			alloc := n.Adm.Ports().Host[2].Allocator()
+			seq := alloc.Sequences()[0]
+			shadow := &alloc.Table().High
+			from, to := seq.Start, seq.Start+1 // slot start+1 is free: the connection alone is on this port
+			if !shadow[to].IsFree() {
+				t.Fatalf("slot %d of host 2 is not free", to)
+			}
+			shadow[from], shadow[to] = shadow[to], shadow[from]
+			return func() { shadow[from], shadow[to] = shadow[to], shadow[from] }
+		}},
+		{"leaked reservation", "switch 3 port 0", func(t *testing.T, n *Network) func() {
+			tb := n.Adm.Ports().Switch[3][0]
+			leak, err := tb.Reserve(0, 8, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() {
+				if err := tb.Release(leak); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
 	}
-	out := &n.switches[3].out[0]
-	if !out.wired {
-		t.Fatal("switch 3 port 0 should be wired in a k=4 fat-tree")
-	}
-	active := out.pt.Active()
-	saved := active.High[17]
-	active.High[17] = arbtable.Entry{VL: 5, Weight: 3}
-	err := n.CheckBuffers()
-	if err == nil || !strings.Contains(err.Error(), "switch 3 port 0") {
-		t.Fatalf("direct write to an attached high table: CheckBuffers = %v, want an error naming switch 3 port 0", err)
-	}
-	active.High[17] = saved
-	if err := n.CheckBuffers(); err != nil {
-		t.Fatalf("after restoring the entry: %v", err)
-	}
-
-	host := n.hosts[2].out.pt.Active()
-	host.High[40] = arbtable.Entry{VL: 1, Weight: 1}
-	if err := n.CheckBuffers(); err == nil || !strings.Contains(err.Error(), "host 2") {
-		t.Fatalf("direct write to a host's high table: CheckBuffers = %v, want an error naming host 2", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := buildStructured(t, topology.Spec{Class: topology.FatTree, K: 4}, 9)
+			if _, err := n.Adm.Admit(traffic.Request{Src: 2, Dst: 9, Level: sl.DefaultLevels[2], Mbps: 2}); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			undo := tc.mutate(t, n)
+			if err := n.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.port+":") {
+				t.Fatalf("CheckInvariants = %v, want an error naming %s", err, tc.port)
+			}
+			undo()
+			if err := n.CheckInvariants(); err != nil {
+				t.Fatalf("after undoing the mutation: %v", err)
+			}
+		})
 	}
 }

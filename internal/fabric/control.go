@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/arbtable"
+	"repro/internal/core"
 	"repro/internal/routing"
 	"repro/internal/sl"
 	"repro/internal/topology"
@@ -68,14 +69,7 @@ func BuildControl(cfg Config, topo *topology.Topology) (*ControlState, error) {
 	}
 
 	low := cfg.lowEntries(mapping, routes.Planes())
-	for _, pt := range ports.Host {
-		pt.SetLow(low)
-	}
-	for s := range ports.Switch {
-		for _, pt := range ports.Switch[s] {
-			pt.SetLow(low)
-		}
-	}
+	ports.Each(func(_ admission.PortID, pt *core.PortTable) { pt.SetLow(low) })
 
 	return &ControlState{
 		Cfg:     cfg,

@@ -1344,16 +1344,7 @@ func (n *Network) MeanSwitchPortUtilization() float64 {
 // torn-update aborts, and packets scheduled under a stale epoch.
 func (n *Network) ReconfigStats() core.ReconfigStats {
 	var sum core.ReconfigStats
-	for _, h := range n.hosts {
-		sum.Add(h.out.pt.Stats())
-	}
-	for _, s := range n.switches {
-		for p := range s.out {
-			if s.out[p].pt != nil {
-				sum.Add(s.out[p].pt.Stats())
-			}
-		}
-	}
+	n.Adm.Ports().Each(func(_ admission.PortID, pt *core.PortTable) { sum.Add(pt.Stats()) })
 	return sum
 }
 
@@ -1451,6 +1442,23 @@ func (n *Network) CheckBuffers() error {
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// CheckInvariants audits the fabric at any instant through one entry
+// point: the data plane's credits, queues and scheduling indexes
+// (CheckBuffers), then, through admission, every port table and the
+// reservation ledger (admission.Controller.CheckInvariants).  Packet
+// conservation is not among them: it holds only once the network has
+// drained, because QueuedPackets counts nothing on the wire, so
+// CheckConservation stays a separate end-of-drain check.
+func (n *Network) CheckInvariants() error {
+	if err := n.CheckBuffers(); err != nil {
+		return err
+	}
+	if err := n.Adm.CheckInvariants(); err != nil {
+		return fmt.Errorf("fabric: %w", err)
 	}
 	return nil
 }

@@ -63,10 +63,11 @@ func Headroom(spec topology.Spec, load float64, seed int64, opt Options, slID ui
 		if err != nil {
 			return false, "", err
 		}
-		conns, _, _, err := fillQoS(cs, load, seed, opt.MaxConsecutiveRejects)
+		fill, err := cs.Adm.FillLoad(load, seed, opt.MaxConsecutiveRejects)
 		if err != nil {
-			return false, "", err
+			return false, "", fmt.Errorf("plan: %w", err)
 		}
+		conns := fill.Admitted
 		for _, r := range extras[:n] {
 			conn, err := cs.Adm.Admit(r)
 			if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/admission"
 	"repro/internal/arbtable"
 	"repro/internal/fabric"
 	"repro/internal/sl"
@@ -72,7 +73,7 @@ func checkFinite(t *testing.T, res *Result) {
 
 func TestEvaluateRejectsBadLoad(t *testing.T) {
 	spec := topology.Spec{Class: topology.FatTree, K: 2}
-	for _, load := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), MaxLoadFactor * 2} {
+	for _, load := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), admission.MaxLoadFactor * 2} {
 		if _, err := Evaluate(spec, load, 1, Options{}); err == nil {
 			t.Errorf("load %g: accepted, want out-of-range error", load)
 		}

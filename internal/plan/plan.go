@@ -35,11 +35,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// MaxLoadFactor bounds the offered-load factor Evaluate accepts;
-// beyond it the admission fill loop would spin on astronomically many
-// attempts for a model that is pinned at saturation anyway.
-const MaxLoadFactor = 1e6
-
 // Demand is one offered flow: endpoints, service level, its base VL
 // under the SLtoVL mapping, and the CBR rate expressed as wire bytes
 // per interarrival period (exactly the quantities the simulator's
@@ -148,18 +143,13 @@ func (o Options) withDefaults() Options {
 
 // Evaluate builds the control state for a topology spec — the same
 // fabric.BuildControl the simulator constructs its network from — runs
-// the scale experiment's admission fill at the given load factor, and
-// evaluates the analytical model over the resulting tables and offered
-// flows.  The whole evaluation is pure arithmetic over the control
-// plane: no packet is ever simulated.
+// the simulator's admission fill at the given load factor
+// (admission.Controller.FillLoad, which refuses a load outside
+// (0, admission.MaxLoadFactor]), and evaluates the analytical model over
+// the resulting tables and offered flows.  The whole evaluation is pure
+// arithmetic over the control plane: no packet is ever simulated.
 func Evaluate(spec topology.Spec, load float64, seed int64, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	if math.IsNaN(load) || math.IsInf(load, 0) || load <= 0 {
-		return nil, fmt.Errorf("plan: offered load factor %g out of range (need 0 < load <= %g)", load, MaxLoadFactor)
-	}
-	if load > MaxLoadFactor {
-		return nil, fmt.Errorf("plan: offered load factor %g out of range (need 0 < load <= %g)", load, MaxLoadFactor)
-	}
 	topo, err := spec.Generate()
 	if err != nil {
 		return nil, err
@@ -169,12 +159,12 @@ func Evaluate(spec topology.Spec, load float64, seed int64, opt Options) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	conns, attempts, rejected, err := fillQoS(cs, load, seed, opt.MaxConsecutiveRejects)
+	fill, err := cs.Adm.FillLoad(load, seed, opt.MaxConsecutiveRejects)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("plan: %w", err)
 	}
 	bes := traffic.BestEffortBackground(topo.NumHosts(), load, seed+2)
-	demands := demandsFor(cs, conns, bes, opt.Payload)
+	demands := demandsFor(cs, fill.Admitted, bes, opt.Payload)
 
 	res, err := EvaluateState(cs, demands)
 	if err != nil {
@@ -183,42 +173,11 @@ func Evaluate(spec topology.Spec, load float64, seed int64, opt Options) (*Resul
 	res.Spec = spec
 	res.Load = load
 	res.Seed = seed
-	res.Attempts = attempts
-	res.Admitted = len(conns)
-	res.Rejected = rejected
+	res.Attempts = fill.Attempts
+	res.Admitted = len(fill.Admitted)
+	res.Rejected = fill.Rejected
 	res.BEFlows = len(bes)
 	return res, nil
-}
-
-// fillQoS replicates the scale experiment's QoS admission loop over a
-// control state: up to ceil(load*hosts) attempts from the seeded
-// source, stopping early after maxConsecutiveRejects rejections in a
-// row.  Identical seeds produce the identical admitted set — and thus
-// identical tables — the simulator runs with.
-func fillQoS(cs *fabric.ControlState, load float64, seed int64, maxConsecutiveRejects int) ([]*admission.Conn, int, int, error) {
-	hosts := cs.Topo.NumHosts()
-	src := traffic.NewSource(sl.DefaultLevels, hosts, seed+1)
-	attemptCap := int(math.Ceil(load * float64(hosts)))
-	if attemptCap < 1 {
-		attemptCap = 1
-	}
-	var conns []*admission.Conn
-	attempts, rejected, consecutive := 0, 0, 0
-	for i := 0; i < attemptCap && consecutive < maxConsecutiveRejects; i++ {
-		attempts++
-		conn, err := cs.Adm.Admit(src.Next())
-		if err != nil {
-			rejected++
-			consecutive++
-			continue
-		}
-		consecutive = 0
-		conns = append(conns, conn)
-	}
-	if len(conns) == 0 {
-		return nil, attempts, rejected, fmt.Errorf("plan: point admitted no connections")
-	}
-	return conns, attempts, rejected, nil
 }
 
 // demandsFor converts admitted connections and best-effort background

@@ -69,12 +69,16 @@ echo "==> go test -race -run TestParallelShard ./internal/fabric (sharded-core r
 # detector is the proof obligation (-count=1 so it always re-runs).
 go test -race -run 'TestParallelShard' -count=1 ./internal/fabric
 
-echo "==> go test -race -run TestHeadIndex ./internal/fabric (WRR candidate-index differential)"
+echo "==> go test -race -run 'TestHeadIndex|TestCheckBuffersAuditsArbiterIndex' ./internal/fabric (WRR candidate-index differential, fabric audit mutations)"
 # The WRR pick reads a push-maintained candidate index instead of
 # scanning queue heads; the differential tests compare it against the
 # retired scan after every event (TestParallelShardHeadIndex, matched by
 # the gate above, does the same at the barriers of a two-shard run).
-go test -race -run 'TestHeadIndex' -count=1 ./internal/fabric
+# TestCheckBuffersAuditsArbiterIndex breaks one invariant per row — an
+# active-table write behind the arbiter, a shadow slot a defragmenter
+# skipped, a reservation no connection owns — and requires
+# Network.CheckInvariants to name the port.
+go test -race -run 'TestHeadIndex|TestCheckBuffersAuditsArbiterIndex' -count=1 ./internal/fabric
 
 echo "==> go test -race -run 'TestVOQIndex|TestPacketQueueDifferential' ./internal/fabric (VOQ occupancy-word and packet-FIFO differentials)"
 # The crossbar scheduling pass reads push-maintained occupancy words and
@@ -116,8 +120,10 @@ echo "==> go test -race -run TestArbiterIndex ./internal/arbtable (high-table sl
 # or its allowance is used up; the differential test drives it and the
 # retired walk, taught the same low-table rule, over one table with
 # random scripts — swaps mid-allowance, shrinking low tables, every Limit
-# class, idle passes — and compares every pick, cursor and counter.  Network.CheckBuffers audits the masks of every wired port,
-# so the fabric gates above and the bench smoke below cover them too.
+# class, idle passes — and compares every pick, cursor and counter.
+# Network.CheckInvariants (through CheckBuffers) audits the masks of
+# every wired port, so the fabric gates above, every experiment's end
+# audit and the bench smoke below cover them too.
 go test -race -run 'TestArbiterIndex' -count=1 ./internal/arbtable
 
 echo "==> go test -race -run 'TestAllocatorMask|TestDeliverBlock|TestApply' ./internal/core (fill-in occupancy-mask and delta-completion differentials)"
@@ -129,9 +135,12 @@ echo "==> go test -race -run 'TestAllocatorMask|TestDeliverBlock|TestApply' ./in
 # distance, releases with their defragmentation, rollbacks, malformed
 # requests — and compares table bytes, sequences, move counts and
 # outcomes after every operation.  Allocator.CheckInvariants re-derives
-# the word, the total and the order and states the distance guarantee,
-# so every admission abort, the churn/faults/failover audits and the
-# bench smoke below cover them too.  A port completes a delta against
+# the word, the total and the order and states the distance guarantee;
+# PortTable.CheckInvariants adds the open transaction's state and runs
+# on every admission abort and after every step of the delivery
+# differential, and Network.CheckInvariants runs it on every port with
+# the reservation ledger, so the experiment end audits and the bench
+# smoke below cover them too.  A port completes a delta against
 # its recorded target instead of reassembling a table:
 # TestDeliverBlockDifferential drives it and the retired reassembly
 # through random block scripts — shuffled, duplicated, stale, future,
@@ -229,7 +238,8 @@ fi
 
 echo "==> bench correctness smoke (one short repetition per gated workload)"
 # Not a timing gate: each repetition runs the benchmark's own checks
-# (conservation, CheckBuffers — which audits the arbiter slot masks,
+# (conservation, CheckBuffers — the data-plane half of
+# Network.CheckInvariants, which audits the arbiter slot masks,
 # the WRR candidate index and the VOQ occupancy words, remembered
 # request columns and busy masks — control-plane audits) and must report
 # "correct":true.
