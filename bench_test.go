@@ -24,7 +24,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/traffic"
-	"repro/internal/transport"
 )
 
 // --- Experiment benchmarks: one per table/figure (DESIGN.md T1-A3) ---
@@ -504,32 +503,6 @@ func BenchmarkExtensionVBR(b *testing.B) {
 	}
 	b.ReportMetric(res.MeanReserved.WorstDelayRatio, "worst-mean-reserved")
 	b.ReportMetric(res.PeakReserved.WorstDelayRatio, "worst-peak-reserved")
-}
-
-// BenchmarkTransportMessages measures message segmentation,
-// transmission and reassembly throughput end to end.
-func BenchmarkTransportMessages(b *testing.B) {
-	net, err := fabric.New(fabric.DefaultConfig(2, 256, 41))
-	if err != nil {
-		b.Fatal(err)
-	}
-	conn, err := net.Adm.Admit(traffic.Request{Src: 0, Dst: 7, Level: sl.DefaultLevels[9], Mbps: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := net.AddConnection(conn)
-	f.IAT = 1 << 40
-	m := transport.NewMessenger(net)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Send(f, 4096); err != nil {
-			b.Fatal(err)
-		}
-		net.Engine.Run(net.Engine.Now() + 1<<19)
-		if m.Inflight() != 0 {
-			b.Fatal("message stuck")
-		}
-	}
 }
 
 // BenchmarkReconfiguration regenerates the control-plane study:

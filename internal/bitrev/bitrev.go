@@ -43,21 +43,3 @@ func Order(bits int) []int {
 	}
 	return out
 }
-
-// Rank returns the position of offset j in the bit-reversal inspection
-// order for the given number of bits.  Because bit reversal is an
-// involution, Rank(j,bits) == Reverse(j,bits).
-//
-// Lower rank means the offset is inspected (and therefore filled)
-// earlier; the defragmentation pass relocates sequences toward lower
-// ranks.
-func Rank(j, bits int) int {
-	return Reverse(j, bits)
-}
-
-// IsInvolution reports whether applying Reverse twice yields the
-// identity for the value j with the given width.  Exposed for tests and
-// documentation; it is always true.
-func IsInvolution(j, bits int) bool {
-	return Reverse(Reverse(j, bits), bits) == j
-}

@@ -69,7 +69,7 @@ func TestReverseIsInvolutionQuick(t *testing.T) {
 	f := func(j uint16, bits uint8) bool {
 		b := int(bits % 7) // 0..6, the widths used by the 64-entry table
 		v := int(j) % (1 << uint(b))
-		return IsInvolution(v, b)
+		return Reverse(Reverse(v, b), b) == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -98,13 +98,14 @@ func TestEvenBeforeOdd(t *testing.T) {
 // TestChildRankRelation verifies the buddy-tree relation used by the
 // defragmenter: the rank of a child set E(i+1, j) is twice the rank of
 // its parent E(i, j), and the rank of E(i+1, j+2^i) is twice the parent
-// rank plus one.
+// rank plus one.  An offset's rank in the inspection order is its bit
+// reversal, because bit reversal is an involution.
 func TestChildRankRelation(t *testing.T) {
 	for bits := 0; bits < 6; bits++ {
 		for j := 0; j < 1<<uint(bits); j++ {
-			parent := Rank(j, bits)
-			left := Rank(j, bits+1)
-			right := Rank(j+1<<uint(bits), bits+1)
+			parent := Reverse(j, bits)
+			left := Reverse(j, bits+1)
+			right := Reverse(j+1<<uint(bits), bits+1)
 			if left != 2*parent {
 				t.Errorf("bits=%d j=%d: left child rank %d, want %d", bits, j, left, 2*parent)
 			}

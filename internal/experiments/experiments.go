@@ -107,13 +107,9 @@ type Run struct {
 	BEFlows []*fabric.Flow
 }
 
-// Setup builds the network, loads it with connections until admission
-// control refuses more, and attaches the best-effort background.
-func Setup(p Params, payload int) (*Run, error) {
-	return SetupWith(p, payload, nil)
-}
-
-// SetupWith is Setup with a hook to adjust the fabric configuration
+// SetupWith builds the network, loads it with connections until
+// admission control refuses more, and attaches the best-effort
+// background.  A non-nil mutate adjusts the fabric configuration first
 // (used by the VL-collapse ablation and custom scenarios).
 func SetupWith(p Params, payload int, mutate func(*fabric.Config)) (*Run, error) {
 	cfg := fabric.DefaultConfig(p.Switches, payload, p.Seed)

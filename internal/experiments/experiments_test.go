@@ -34,7 +34,7 @@ func TestTable1Config(t *testing.T) {
 }
 
 func TestSetupLoadsNetwork(t *testing.T) {
-	run, err := Setup(Tiny(), SmallPayload)
+	run, err := SetupWith(Tiny(), SmallPayload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestEvaluateDeterministic(t *testing.T) {
 }
 
 func TestSLBreakdown(t *testing.T) {
-	run, err := Setup(Tiny(), SmallPayload)
+	run, err := SetupWith(Tiny(), SmallPayload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,9 +88,9 @@ func BuildControl(cfg Config, topo *topology.Topology) (*ControlState, error) {
 // weight-1 entries keeping every remaining data lane draining.
 func (cfg Config) lowEntries(mapping sl.Mapping, planes int) []arbtable.Entry {
 	low := []arbtable.Entry{
-		{VL: mapping.VLFor(sl.PBESL), Weight: cfg.LowWeights[0]},
-		{VL: mapping.VLFor(sl.BESL), Weight: cfg.LowWeights[1]},
-		{VL: mapping.VLFor(sl.CHSL), Weight: cfg.LowWeights[2]},
+		{VL: mapping.VLFor(sl.PBESL), Weight: lowWeightPBE},
+		{VL: mapping.VLFor(sl.BESL), Weight: lowWeightBE},
+		{VL: mapping.VLFor(sl.CHSL), Weight: lowWeightCH},
 	}
 	// Multi-plane engines carry best-effort traffic on the escape
 	// copies of the base VLs too; without low-table entries for them

@@ -157,7 +157,7 @@ func (n *Network) EnableRecovery(cfg RecoveryConfig) (*Recovery, error) {
 	if cfg.PollBT < 1 || cfg.TimeoutBT < 1 {
 		return nil, fmt.Errorf("fabric: recovery poll %d / timeout %d must be positive", cfg.PollBT, cfg.TimeoutBT)
 	}
-	if flight := int64(n.Cfg.PayloadBytes+sl.HeaderBytes) + n.Cfg.LinkLatency; cfg.TimeoutBT <= flight {
+	if flight := int64(n.Cfg.PayloadBytes+sl.HeaderBytes) + LinkLatency; cfg.TimeoutBT <= flight {
 		return nil, fmt.Errorf("fabric: recovery timeout %d within one packet flight time %d", cfg.TimeoutBT, flight)
 	}
 	if n.Faults == nil {

@@ -100,9 +100,8 @@ type Packet struct {
 
 	Injected int64 // generation time at the source host
 
-	// Tag carries upper-layer context through the fabric untouched;
-	// the transport package uses it for message reassembly.  Zero for
-	// plain flow packets.
+	// Tag carries upper-layer context through the fabric untouched
+	// (InjectPacket's tag).  Zero for plain flow packets.
 	Tag int64
 
 	// gen counts the record's lives through the packet free-list.  An

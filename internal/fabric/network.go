@@ -19,15 +19,16 @@ import (
 
 // Config parameterizes a simulated network.
 type Config struct {
-	Switches      int   // number of switches
-	Seed          int64 // topology wiring and traffic phases
-	PayloadBytes  int   // MTU payload per packet (paper: small=256, large=2048)
-	BufferPackets int   // input buffer per VL, in whole packets (paper: 4)
-	LinkLatency   int64 // wire + forwarding latency per hop, byte times
-	Limit         uint8 // LimitOfHighPriority for every port
+	Switches     int   // number of switches
+	Seed         int64 // topology wiring and traffic phases
+	PayloadBytes int   // MTU payload per packet (paper: small=256, large=2048)
+	Limit        uint8 // LimitOfHighPriority for every port
 
-	HostQueueCap       int // per-VL host send-queue bound for QoS flows, packets
-	BestEffortQueueCap int // per-VL bound for best-effort flows, packets
+	// HostQueueCap is the per-VL host send-queue bound for QoS flows,
+	// in packets.  It stays a field because a test that blocks a host
+	// raises it (TestFaultWindowPostsOneWakeup queues for a whole fault
+	// window and pins the byte-times that depth produces).
+	HostQueueCap int
 
 	// DataVLs restricts the number of data virtual lanes the fabric
 	// implements.  Zero (or 15) keeps the identity SLtoVL mapping of
@@ -54,10 +55,6 @@ type Config struct {
 	// iSLIP crossbar scheduler; zero selects DefaultISLIPIters.
 	// Ignored by the other models.
 	ISLIPIters int
-
-	// Low-priority table weights for the best-effort service levels
-	// (PBE, BE, CH); zero selects the defaults.
-	LowWeights [3]uint8
 
 	// Engine, when non-nil, is reused for this network after a Reset
 	// instead of allocating a fresh engine — sweep harnesses keep one
@@ -93,20 +90,32 @@ type Config struct {
 	FailoverEscape bool
 }
 
+// Fabric parameters no configuration varies (the paper's section 4.1
+// gives the buffer depth).
+const (
+	// bufferPackets is the input buffer per VL, in whole packets.
+	bufferPackets = 4
+	// LinkLatency is the wire plus forwarding latency of one hop, in
+	// byte times.
+	LinkLatency int64 = 20
+	// bestEffortQueueCap is the per-VL host send-queue bound for
+	// best-effort flows, in packets.
+	bestEffortQueueCap = 8
+	// The low-priority table weights of the best-effort service levels
+	// PBE, BE and CH.
+	lowWeightPBE, lowWeightBE, lowWeightCH = 8, 4, 1
+)
+
 // DefaultConfig returns the evaluation configuration of the paper's
 // section 4.1 for the given packet payload.
 func DefaultConfig(switches int, payload int, seed int64) Config {
 	return Config{
-		Switches:           switches,
-		Seed:               seed,
-		PayloadBytes:       payload,
-		BufferPackets:      4,
-		LinkLatency:        20,
-		Limit:              arbtable.UnlimitedHigh,
-		HostQueueCap:       512,
-		BestEffortQueueCap: 8,
-		CrossbarSpeedup:    2,
-		LowWeights:         [3]uint8{8, 4, 1},
+		Switches:        switches,
+		Seed:            seed,
+		PayloadBytes:    payload,
+		Limit:           arbtable.UnlimitedHigh,
+		HostQueueCap:    512,
+		CrossbarSpeedup: 2,
 	}
 }
 
@@ -177,8 +186,8 @@ type Network struct {
 	islipIters int
 
 	// OnDeliver, when set, observes every packet reaching its
-	// destination host (after the flow statistics update).  The
-	// transport layer hooks message reassembly here.
+	// destination host (after the flow statistics update); the
+	// delivery-digest tests hook here.
 	OnDeliver func(*Packet)
 
 	// OnForward, when set, observes every switch forwarding decision:
@@ -257,8 +266,9 @@ func (n *Network) EnableMetrics() *metrics.Metrics {
 
 // EnableTrace attaches a ring buffer holding the last events
 // arbitration decisions to the engine, returning it.  Each pick
-// records (time, port, VL, entry, weight-left); ports are encoded per
-// HostTraceID and switchTraceID.
+// records (time, port, VL, entry, weight-left); a port is -(h+1) for
+// host h's interface and s*radix+p for port p of switch s (hostTraceID,
+// switchTraceID).
 func (n *Network) EnableTrace(events int) *metrics.TraceBuffer {
 	if n.Engine.Trace == nil {
 		n.Engine.Trace = metrics.NewTraceBuffer(events)
@@ -266,8 +276,8 @@ func (n *Network) EnableTrace(events int) *metrics.TraceBuffer {
 	return n.Engine.Trace
 }
 
-// HostTraceID encodes host h's output interface for trace events.
-func HostTraceID(h int) int32 { return int32(-(h + 1)) }
+// hostTraceID encodes host h's output interface for trace events.
+func hostTraceID(h int) int32 { return int32(-(h + 1)) }
 
 // switchTraceID encodes switch s's output port p for trace events.
 // The stride is the topology's radix, not the port code's SwitchPorts
@@ -275,21 +285,17 @@ func HostTraceID(h int) int32 { return int32(-(h + 1)) }
 func (n *Network) switchTraceID(s, p int) int32 { return int32(s*n.traceStride + p) }
 
 // Validate checks a configuration for values that would corrupt the
-// simulation (zero payload, zero buffers, non-positive speedup, ...).
+// simulation (zero payload, non-positive speedup, ...).
 func (cfg Config) Validate() error {
 	switch {
 	case cfg.Switches < 2:
 		return fmt.Errorf("fabric: need at least 2 switches, got %d", cfg.Switches)
 	case cfg.PayloadBytes < 1 || cfg.PayloadBytes > 4096:
 		return fmt.Errorf("fabric: payload %d outside IBA MTU range [1,4096]", cfg.PayloadBytes)
-	case cfg.BufferPackets < 1:
-		return fmt.Errorf("fabric: buffer of %d packets", cfg.BufferPackets)
-	case cfg.LinkLatency < 0:
-		return fmt.Errorf("fabric: negative link latency")
 	case cfg.CrossbarSpeedup < 1:
 		return fmt.Errorf("fabric: crossbar speedup %d", cfg.CrossbarSpeedup)
-	case cfg.HostQueueCap < 1 || cfg.BestEffortQueueCap < 1:
-		return fmt.Errorf("fabric: queue caps must be positive")
+	case cfg.HostQueueCap < 1:
+		return fmt.Errorf("fabric: host queue cap %d", cfg.HostQueueCap)
 	case cfg.DataVLs != 0 && (cfg.DataVLs < 3 || cfg.DataVLs > 15):
 		return fmt.Errorf("fabric: DataVLs %d outside [3,15]", cfg.DataVLs)
 	case cfg.SwitchModel < ModelWRR || cfg.SwitchModel > ModelVOQMWM:
@@ -527,7 +533,7 @@ func (n *Network) Model() SwitchModel { return n.model }
 
 // bufferCapacity is the per-VL input buffer size in bytes.
 func (n *Network) bufferCapacity() int {
-	return n.Cfg.BufferPackets * (n.Cfg.PayloadBytes + sl.HeaderBytes)
+	return bufferPackets * (n.Cfg.PayloadBytes + sl.HeaderBytes)
 }
 
 // bindVL fixes a freshly built flow's injection VL: the base VL the
@@ -639,8 +645,7 @@ func (n *Network) Start() {
 // InjectPacket enqueues one upper-layer packet of the given payload
 // size on a flow's virtual lane at its source host, bypassing the CBR
 // generator.  It reports false when the host queue is full (the packet
-// is dropped and counted).  The transport layer uses it to send
-// message segments.
+// is dropped and counted).
 func (n *Network) InjectPacket(f *Flow, payload int, tag int64) bool {
 	sh := n.shardForHost(f.Src)
 	host := n.hosts[f.Src]
@@ -852,7 +857,7 @@ func (sh *shard) tryHost(h int) {
 	if t := sh.eng.Trace; t != nil {
 		lp := host.out.arb.Last()
 		t.Record(metrics.TraceEvent{
-			Time: now, Port: HostTraceID(h), VL: uint8(vl),
+			Time: now, Port: hostTraceID(h), VL: uint8(vl),
 			High: lp.High, Entry: int16(lp.Entry), WeightLeft: int32(lp.Residual),
 		})
 	}
@@ -1130,10 +1135,10 @@ func (sh *shard) transmit(out *outPort, pkt *Packet, srcCode int32, srcVL uint8)
 		// Its timestamp is at least one lookahead away, so it always
 		// lands in a future window.
 		sh.outbox = append(sh.outbox, boundaryEvent{
-			shard: out.downShard, at: now + dur + n.Cfg.LinkLatency, ev: arrival,
+			shard: out.downShard, at: now + dur + LinkLatency, ev: arrival,
 		})
 	} else {
-		sh.eng.Post(now+dur+n.Cfg.LinkLatency, sh, arrival)
+		sh.eng.Post(now+dur+LinkLatency, sh, arrival)
 	}
 }
 

@@ -273,8 +273,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Switches = 1 },
 		func(c *Config) { c.PayloadBytes = 0 },
 		func(c *Config) { c.PayloadBytes = 5000 },
-		func(c *Config) { c.BufferPackets = 0 },
-		func(c *Config) { c.LinkLatency = -1 },
 		func(c *Config) { c.CrossbarSpeedup = 0 },
 		func(c *Config) { c.HostQueueCap = 0 },
 		func(c *Config) { c.DataVLs = 2 },

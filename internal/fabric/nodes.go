@@ -123,5 +123,5 @@ func (n *Network) queueCap(f *Flow) int {
 	if f.QoS {
 		return n.Cfg.HostQueueCap
 	}
-	return n.Cfg.BestEffortQueueCap
+	return bestEffortQueueCap
 }

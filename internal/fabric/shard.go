@@ -175,11 +175,7 @@ func (n *Network) lookaheadBound() int64 {
 	if minWire == 0 {
 		minWire = 1
 	}
-	la := n.Cfg.LinkLatency + minWire
-	if la < 1 {
-		la = 1
-	}
-	return la
+	return LinkLatency + minWire
 }
 
 // coordinator returns the window coordinator, building it on first

@@ -68,20 +68,6 @@ func (m SwitchModel) String() string {
 	return fmt.Sprintf("model(%d)", int(m))
 }
 
-// ParseSwitchModel parses a switch model name as accepted by the
-// -switch-model flags.
-func ParseSwitchModel(s string) (SwitchModel, error) {
-	switch s {
-	case "wrr":
-		return ModelWRR, nil
-	case "voq-islip", "islip":
-		return ModelVOQISLIP, nil
-	case "voq-mwm", "mwm":
-		return ModelVOQMWM, nil
-	}
-	return ModelWRR, fmt.Errorf("fabric: unknown switch model %q (want wrr|voq-islip|voq-mwm)", s)
-}
-
 // ISLIPState is the round-robin pointer state of one iSLIP crossbar
 // scheduler: a grant pointer per output and an accept pointer per
 // input.  The zero value (all pointers at slot 0) is the reset state;

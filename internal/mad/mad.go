@@ -3,8 +3,9 @@
 // fabric and program the tables the paper's proposal fills in.  It
 // covers the subset of IBA 1.0 chapter 13/14 the control plane of this
 // repository needs: the common MAD header, subnet-management methods,
-// and the attributes NodeInfo, PortInfo, SLtoVLMappingTable,
-// VLArbitrationTable and LinearForwardingTable.
+// and the attributes NodeInfo, PortInfo, SLtoVLMappingTable and
+// VLArbitrationTable.  Linear forwarding tables are costed in MADs
+// (subnet.ProgramForwarding), not encoded.
 //
 // All encodings are big endian (network order) at the offsets the
 // specification assigns; every encode has a decode and the pair round
@@ -22,26 +23,19 @@ import (
 // Size is the fixed size of every MAD in bytes.
 const Size = 256
 
-// Management classes.
-const (
-	ClassSubnLID      = 0x01 // LID-routed subnet management
-	ClassSubnDirected = 0x81 // directed-route subnet management
-)
+// ClassSubnLID is the LID-routed subnet management class.
+const ClassSubnLID = 0x01
 
 // Methods.
 const (
-	MethodGet     = 0x01
 	MethodSet     = 0x02
 	MethodGetResp = 0x81
 )
 
 // Attribute IDs (IBA 1.0 table 104).
 const (
-	AttrNodeInfo         = 0x0011
-	AttrPortInfo         = 0x0015
-	AttrVLArbitration    = 0x0016
-	AttrSLtoVLMapping    = 0x0017
-	AttrLinearForwarding = 0x0019
+	AttrVLArbitration = 0x0016
+	AttrSLtoVLMapping = 0x0017
 )
 
 // smpDataOffset is where SMP attribute data starts within the MAD.
@@ -207,14 +201,12 @@ func DecodeSLtoVL(data []byte) (sl.Mapping, error) {
 // attribute modifier carries the block number in its low byte
 // (ArbModHighBase+index) and the transaction's total block count in
 // the next byte, so a receiving port can tell a complete new-version
-// set from a torn one.  Low-table blocks start at ArbModLowBase.  Each
-// entry is two bytes: VL in the low nibble of the first, weight in the
-// second.
+// set from a torn one.  Each entry is two bytes: VL in the low nibble
+// of the first, weight in the second.
 const (
 	ArbBlockEntries = 16
 	NumHighBlocks   = arbtable.TableSize / ArbBlockEntries
 	ArbModHighBase  = 1
-	ArbModLowBase   = ArbModHighBase + NumHighBlocks
 )
 
 // ArbModifier packs a high-table block index and the transaction's
@@ -421,22 +413,10 @@ func DecodeHighTable(pkts []*Packet) (*arbtable.Table, error) {
 	return t, nil
 }
 
-// LinearForwardingBlock packs one block of 64 destination LIDs'
-// output ports.
-func LinearForwardingBlock(ports []uint8) ([]byte, error) {
-	if len(ports) > smpDataSize {
-		return nil, fmt.Errorf("mad: %d LFT entries exceed block size %d", len(ports), smpDataSize)
-	}
-	buf := make([]byte, smpDataSize)
-	copy(buf, ports)
-	return buf, nil
-}
-
-// Port states (PortInfo.PortState).
+// Port states (PortInfo.PortState): the bounds of the specification's
+// range, whose Init (2) and Armed (3) states the model never sets.
 const (
 	PortStateDown   = 1
-	PortStateInit   = 2
-	PortStateArmed  = 3
 	PortStateActive = 4
 )
 

@@ -15,7 +15,7 @@ func TestPacketRoundTrip(t *testing.T) {
 		Header: Header{
 			BaseVersion: 1, MgmtClass: ClassSubnLID, ClassVersion: 1,
 			Method: MethodSet, Status: 0, HopInfo: 0x0102,
-			TID: 0xdeadbeefcafe, AttrID: AttrPortInfo, AttrModifier: 7,
+			TID: 0xdeadbeefcafe, AttrID: AttrSLtoVLMapping, AttrModifier: 7,
 		},
 		Data: []byte{1, 2, 3, 4},
 	}
@@ -183,25 +183,6 @@ func TestDecodeHighTableNeedsAllBlocks(t *testing.T) {
 	}
 	if _, err := DecodeHighTable(pkts[:NumHighBlocks-1]); err == nil {
 		t.Error("partial table accepted")
-	}
-}
-
-func TestLinearForwardingBlock(t *testing.T) {
-	ports := []uint8{1, 2, 3, 7}
-	wire, err := LinearForwardingBlock(ports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wire) != 64 {
-		t.Fatalf("block size = %d", len(wire))
-	}
-	for i, p := range ports {
-		if wire[i] != p {
-			t.Errorf("entry %d = %d, want %d", i, wire[i], p)
-		}
-	}
-	if _, err := LinearForwardingBlock(make([]uint8, 65)); err == nil {
-		t.Error("oversized LFT block accepted")
 	}
 }
 

@@ -416,7 +416,6 @@ const satEps = 1e-9
 func EvaluateState(cs *fabric.ControlState, demands []Demand) (*Result, error) {
 	topo := cs.Topo
 	hosts := topo.NumHosts()
-	cfg := cs.Cfg
 
 	ports := make(map[admission.PortID]*portModel)
 	portFor := func(id admission.PortID, tbl *arbtable.Table) *portModel {
@@ -481,7 +480,7 @@ func EvaluateState(cs *fabric.ControlState, demands []Demand) (*Result, error) {
 			ln.hiW = float64(pm.tbl.HighWeightForVL(ln.vl))
 			ln.loW = float64(pm.tbl.LowWeightForVL(ln.vl))
 		}
-		pm.solve(cfg.LinkLatency)
+		pm.solve(fabric.LinkLatency)
 		for _, ln := range pm.lanes {
 			if ln.dem <= 0 {
 				continue
@@ -529,7 +528,7 @@ func EvaluateState(cs *fabric.ControlState, demands []Demand) (*Result, error) {
 					pred.Scale = s
 				}
 			}
-			pred.LatencyBT += ln.wait + float64(d.Wire) + float64(cfg.LinkLatency)
+			pred.LatencyBT += ln.wait + float64(d.Wire) + float64(fabric.LinkLatency)
 		}
 		if d.Deadline > 0 {
 			pred.RatioToDeadline = pred.LatencyBT / float64(d.Deadline)

@@ -55,9 +55,8 @@ func (c Class) String() string {
 
 // Link parameters of a 1x IBA link.
 const (
-	// SignalingMbps is the 1x link signaling rate (2.5 GHz).
-	SignalingMbps = 2500
-	// LinkMbps is the usable data rate after 8b/10b coding.
+	// LinkMbps is the usable data rate of the 2.5 GHz signaling after
+	// 8b/10b coding.
 	LinkMbps = 2000
 	// ByteTimeNs is the duration of one byte time on the data link;
 	// the simulator's clock counts byte times.

@@ -4,11 +4,6 @@
 // utilization and throughput accounting (Table 2).
 package stats
 
-import (
-	"fmt"
-	"math"
-)
-
 // DelayFractions are the deadline fractions at which the delay CDF is
 // reported, matching the threshold axis of the paper's Figures 4 and 6
 // (thresholds from a small fraction of the deadline D up to D).
@@ -195,45 +190,4 @@ func (m *Meter) Utilization(elapsed int64) float64 {
 		return 0
 	}
 	return float64(m.Bytes) / float64(elapsed)
-}
-
-// Accum is a simple running accumulator for scalar observations.
-type Accum struct {
-	N        int64
-	Sum      float64
-	Min, Max float64
-}
-
-// Add records one observation.
-func (a *Accum) Add(v float64) {
-	if a.N == 0 || v < a.Min {
-		a.Min = v
-	}
-	if a.N == 0 || v > a.Max {
-		a.Max = v
-	}
-	a.N++
-	a.Sum += v
-}
-
-// Mean returns the mean of the observations (0 when empty).
-func (a *Accum) Mean() float64 {
-	if a.N == 0 {
-		return 0
-	}
-	return a.Sum / float64(a.N)
-}
-
-// String implements fmt.Stringer.
-func (a *Accum) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g min=%.4g max=%.4g", a.N, a.Mean(), a.Min, a.Max)
-}
-
-// NearlyEqual reports whether two floats agree within tol, treating
-// NaNs as never equal.  Shared helper for experiment code and tests.
-func NearlyEqual(a, b, tol float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return false
-	}
-	return math.Abs(a-b) <= tol
 }

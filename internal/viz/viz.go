@@ -1,7 +1,7 @@
 // Package viz renders simple terminal charts for the experiment
-// output: sparklines for the delay CDFs of Figure 4 and percentage
-// bars for the jitter histograms of Figure 5, so `ibsim -viz` shows
-// figure-shaped output rather than only tables.
+// output: sparklines for the delay CDFs of Figure 4 and the jitter
+// histograms of Figure 5, so `ibsim -viz` shows figure-shaped output
+// rather than only tables.
 package viz
 
 import (
@@ -29,34 +29,6 @@ func Spark(values []float64, max float64) string {
 		}
 		idx := int(v / max * float64(len(blocks)-1))
 		b.WriteRune(blocks[idx])
-	}
-	return b.String()
-}
-
-// Bar renders a horizontal bar for a percentage in [0, 100] using
-// width cells, with partial cells for sub-cell precision.
-func Bar(pct float64, width int) string {
-	if width < 1 {
-		width = 1
-	}
-	if pct < 0 {
-		pct = 0
-	}
-	if pct > 100 {
-		pct = 100
-	}
-	cells := pct / 100 * float64(width)
-	full := int(cells)
-	var b strings.Builder
-	for i := 0; i < full; i++ {
-		b.WriteRune('█')
-	}
-	if frac := cells - float64(full); full < width && frac > 0 {
-		b.WriteRune(blocks[1+int(frac*float64(len(blocks)-2))])
-		full++
-	}
-	for i := full; i < width; i++ {
-		b.WriteRune(' ')
 	}
 	return b.String()
 }

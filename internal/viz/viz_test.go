@@ -3,7 +3,6 @@ package viz
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 	"unicode/utf8"
 )
 
@@ -29,32 +28,6 @@ func TestSparkClampsAndHandlesBadMax(t *testing.T) {
 	}
 	if got := Spark([]float64{1}, 0); utf8.RuneCountInString(got) != 1 {
 		t.Errorf("zero max mishandled: %q", got)
-	}
-}
-
-func TestBarWidths(t *testing.T) {
-	if got := Bar(100, 10); got != strings.Repeat("█", 10) {
-		t.Errorf("full bar = %q", got)
-	}
-	if got := Bar(0, 10); got != strings.Repeat(" ", 10) {
-		t.Errorf("empty bar = %q", got)
-	}
-	half := Bar(50, 10)
-	if utf8.RuneCountInString(half) != 10 {
-		t.Errorf("bar width = %d runes", utf8.RuneCountInString(half))
-	}
-	if !strings.HasPrefix(half, "█████") {
-		t.Errorf("half bar = %q", half)
-	}
-}
-
-func TestBarAlwaysFixedWidthQuick(t *testing.T) {
-	f := func(pct float64, w uint8) bool {
-		width := 1 + int(w%40)
-		return utf8.RuneCountInString(Bar(pct, width)) == width
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -4,6 +4,8 @@
 #   fmt        gofmt -l must be empty (formatting is part of the gate)
 #   vet        static checks
 #   build      every package compiles
+#   examples   every program under examples/ runs to exit 0 (output
+#              discarded), so an example that no longer works fails here
 #   race tests the whole suite under the race detector with shuffled
 #              test order (the parallel sweep runner makes this the
 #              load-bearing pass; shuffling flushes out inter-test
@@ -46,6 +48,11 @@ go vet ./...
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> go run ./examples/... (every example runs to exit 0)"
+for e in examples/*/; do
+    go run "./$e" >/dev/null
+done
 
 echo "==> go test -race -shuffle=on ./..."
 # The experiments suite runs whole simulation sweeps; under the race
