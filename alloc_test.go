@@ -274,11 +274,13 @@ const portTableMaxBytes = 344
 // TestAllocBudgetFillIn gates the control-plane writer of the table:
 // joining and leaving a shared sequence, defragmentation, the capacity
 // queries, the audit, a programming transaction (its Delta is a value)
-// and a synchronous Apply allocate nothing; a fresh allocation costs its
-// Sequence record, nothing else; an Allocator stays within the size the
-// occupancy word and the ID-ordered live list brought it to (it was 936
-// bytes plus a map with an owner array per slot, times one allocator per
-// port), and a PortTable within portTableMaxBytes.
+// and a synchronous Apply allocate nothing; nor does a fresh allocation
+// whose sequence is then freed, the allocator reusing the record (it
+// cost one, the Sequence record, until records were recycled); an
+// Allocator stays within the size the occupancy word and the
+// ID-ordered live list brought it to (it was 936 bytes plus a map with
+// an owner array per slot, times one allocator per port), and a
+// PortTable within portTableMaxBytes.
 func TestAllocBudgetFillIn(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budgets hold only without race instrumentation")
@@ -325,8 +327,9 @@ func TestAllocBudgetFillIn(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		// The release empties the sequence and defragments.
-		{"Allocate + RemoveWeight", 1, func() {
+		// The release empties the sequence and defragments; the next
+		// Allocate reuses its record.
+		{"Allocate + RemoveWeight", 0, func() {
 			s, err := a.Allocate(9, 32, 300)
 			if err != nil {
 				t.Fatal(err)
@@ -510,15 +513,18 @@ func (l *admitLoopK8) step(t testing.TB) {
 
 // admitLoopAllocBudget is the heap allocations one offered request of
 // the closed loop may cost, releases included (0.8 of them per request
-// near the cap): the connection with its hop list (one object), a
-// Sequence per fresh placement, and the error of a refusal — one
-// object, the refusal's text being rendered only on demand
-// (TestAllocBudgetAdmitRefused).  It was 57 with the array/map
-// allocator, 15 while the route walk, the hop list and every Delta were
-// objects of their own, and 3.0 while a refusal for lack of entries
-// still formatted its text; the ceiling sits just above what the loop
-// measures (2.0) so that it cannot creep back.
-const admitLoopAllocBudget = 3
+// near the cap): the connection with its hop list (one object) when it
+// is admitted, and the error of a refusal — one object, the refusal's
+// text being rendered only on demand (TestAllocBudgetAdmitRefused).
+// Sequence records are recycled per port, the live ledger is a slice,
+// and a release finds its sequence through the token's record, so
+// nothing else allocates once the ports hold as many records as they
+// ever need.  It was 57 with the array/map allocator, 15 while the
+// route walk, the hop list and every Delta were objects of their own,
+// 3.0 while a refusal for lack of entries still formatted its text, and
+// 2.0 while every fresh placement allocated its Sequence; the loop
+// measures 1.04 (AllocsPerRun reports 1), and the ceiling is that.
+const admitLoopAllocBudget = 1
 
 // TestAllocBudgetAdmitRelease gates a whole admission transaction.
 func TestAllocBudgetAdmitRelease(t *testing.T) {

@@ -10,15 +10,13 @@
 //     quarantined (ErrHopDown), currently mid-reprogram (ErrHopBusy),
 //     over budget (ErrOverBudget) or out of table space
 //     (core.ErrNoSpace) refuses the request before any table is
-//     written.
-//   - Prepare: every hop reserves the weight on its shadow
-//     (control-plane) table.
-//   - Abort: should a prepare fail after its hop said yes — a bug — the
-//     hops already reserved are rolled back in reverse order of
-//     acquisition, without defragmentation, restoring each shadow table
-//     byte-identically; invariants are re-checked at every rolled-back
-//     hop.
-//   - Commit: on success each hop's shadow table is programmed into its
+//     written.  A hop that can take it answers with a core.Decision:
+//     the sequence the weight joins, or where a fresh one goes.
+//   - Prepare: every hop carries out its Decision on its shadow
+//     (control-plane) table (core.PortTable.Prepare).  No path crosses
+//     a port twice, so no hop's decision is stale by then, and a
+//     prepare cannot fail.
+//   - Commit: each hop's shadow table is programmed into its
 //     data plane.  With no Programmer set, the default, that is one swap
 //     at every hop (core.PortTable.Apply).  With one, each hop's
 //     shadow/active difference becomes a Delta of changed 16-entry blocks
@@ -137,11 +135,29 @@ func (p *Ports) each(fn func(PortID, **core.PortTable)) {
 	}
 }
 
-// hop identifies one arbitration point on a path.
+// hop identifies one arbitration point on a path: its table, the
+// reservation made there, and its PortID packed into two int32s so that
+// a connection's hop list stays small.
 type hop struct {
-	id    PortID
 	table *core.PortTable
 	res   core.Reservation
+	sw, n int32 // switch and output port, or -1 and the host index
+}
+
+// newHop returns the hop of port id, whose table is tb.
+func newHop(id PortID, tb *core.PortTable) hop {
+	if id.Host >= 0 {
+		return hop{table: tb, sw: -1, n: int32(id.Host)}
+	}
+	return hop{table: tb, sw: int32(id.Switch), n: int32(id.Port)}
+}
+
+// id returns the hop's PortID.
+func (h *hop) id() PortID {
+	if h.sw < 0 {
+		return HostPortID(int(h.n))
+	}
+	return SwitchPortID(int(h.sw), int(h.n))
 }
 
 // Conn is an admitted connection: the request plus everything derived
@@ -156,6 +172,7 @@ type Conn struct {
 	Deadline int64 // end-to-end guarantee in byte times
 
 	hops []hop
+	slot int // index in the controller's live ledger while admitted
 }
 
 // newConn returns a connection holding a copy of the reserved hops.
@@ -253,12 +270,16 @@ type Controller struct {
 	Distances map[uint8]int
 
 	nextID int
-	live   map[int]*Conn
+	// live is the ledger of admitted connections, each at its slot;
+	// Release swaps the last one into the slot it vacates.
+	live []*Conn
 
-	// Scratch of the Admit in progress, kept across calls: the route and
-	// its hops.  A refused request allocates neither.
-	path []routing.Hop
-	held []hop
+	// Scratch of the Admit in progress, kept across calls: the route,
+	// its hops and each hop's decision.  A refused request allocates
+	// none of them.
+	path    []routing.Hop
+	held    []hop
+	decided []core.Decision
 
 	// prog delivers committed deltas to the data plane; nil, the
 	// default, applies them synchronously (free reconfiguration).
@@ -291,7 +312,6 @@ func NewController(topo *topology.Topology, routes *routing.Routes, mapping sl.M
 		Budget:     sl.MaxReservableWeight,
 		WireFactor: 1.0,
 		PacketWire: 4096 + sl.HeaderBytes, // conservative: largest IBA MTU
-		live:       make(map[int]*Conn),
 	}
 }
 
@@ -312,8 +332,8 @@ func (c *Controller) SetRoutes(r *routing.Routes) { c.routes = r }
 // route set to find displaced connections.
 func (conn *Conn) Sites() []PortID {
 	ids := make([]PortID, len(conn.hops))
-	for i, h := range conn.hops {
-		ids[i] = h.id
+	for i := range conn.hops {
+		ids[i] = conn.hops[i].id()
 	}
 	return ids
 }
@@ -364,7 +384,7 @@ func (c *Controller) Admit(req traffic.Request) (*Conn, error) {
 	// distinct table and no hop's answer depends on a reservation at
 	// another: the checks run read-only in path order, and the first
 	// refusal returns with nothing written.
-	c.held = c.held[:0]
+	c.held, c.decided = c.held[:0], c.decided[:0]
 	for i, h := range path {
 		id, tb := c.site(req.Src, h)
 		var cause error
@@ -376,30 +396,22 @@ func (c *Controller) Admit(req traffic.Request) (*Conn, error) {
 			cause = ErrHopBusy
 		case reserved+weight > c.Budget:
 			cause = ErrOverBudget
-		case !tb.CanReserve(h.WireVL, distance, weight):
-			// Reserve names the refusal, and writes nothing when it fails.
-			if _, cause = tb.Reserve(h.WireVL, distance, weight); cause == nil {
-				panic(fmt.Sprintf("admission: %v reserved what CanReserve refused", id))
-			}
 		default:
-			c.held = append(c.held, hop{id: id, table: tb})
-			continue
+			d, err := tb.Decide(h.WireVL, distance, weight)
+			if err == nil {
+				c.held = append(c.held, newHop(id, tb))
+				c.decided = append(c.decided, d)
+				continue
+			}
+			cause = err
 		}
 		return nil, &hopError{cause: cause, hop: i + 1, of: len(path), id: id,
 			reserved: reserved, weight: weight, budget: c.Budget}
 	}
 
-	// Phase 2: prepare on the shadow tables.  Every hop said yes, so a
-	// refusal here is a bug; abort still restores the hops reserved.
+	// Phase 2: prepare on the shadow tables what every hop decided.
 	for i := range c.held {
-		h := &c.held[i]
-		res, err := h.table.Reserve(path[i].WireVL, distance, weight)
-		if err != nil {
-			c.held = c.held[:i]
-			c.abort()
-			return nil, &hopError{cause: err, hop: i + 1, of: len(path), id: h.id}
-		}
-		h.res = res
+		c.held[i].res = c.held[i].table.Prepare(c.decided[i])
 	}
 
 	conn := newConn(c.held)
@@ -410,12 +422,19 @@ func (c *Controller) Admit(req traffic.Request) (*Conn, error) {
 	conn.Deadline = int64(conn.Hops) * sl.HopDeadlineByteTimes(req.Level.Distance, c.PacketWire)
 
 	// Phase 3: commit — emit one delta per hop to the data plane.
-	for _, h := range conn.hops {
-		c.commitHop(h.id, h.table)
+	for i := range conn.hops {
+		h := &conn.hops[i]
+		c.commitHop(h.id(), h.table)
 	}
 	c.nextID++
-	c.live[conn.ID] = conn
+	c.track(conn)
 	return conn, nil
+}
+
+// track enters an admitted connection in the live ledger.
+func (c *Controller) track(conn *Conn) {
+	conn.slot = len(c.live)
+	c.live = append(c.live, conn)
 }
 
 // commitHop programs a hop's shadow table into its data plane: at once
@@ -443,46 +462,33 @@ func (c *Controller) commitHop(id PortID, tb *core.PortTable) {
 	}
 }
 
-// abort rolls back the hops reserved so far for a failed prepare, in
-// reverse order of acquisition, and re-checks every touched hop's
-// invariants (core.PortTable.CheckInvariants).  Rollback never
-// defragments, so each shadow table is restored byte-identically to its
-// pre-Admit state.
-func (c *Controller) abort() {
-	for i := len(c.held) - 1; i >= 0; i-- {
-		h := c.held[i]
-		// Rollback cannot fail for reservations we just made.
-		if err := h.table.Rollback(h.res); err != nil {
-			panic(fmt.Sprintf("admission: rollback at %v failed: %v", h.id, err))
-		}
-		if err := h.table.CheckInvariants(); err != nil {
-			panic(fmt.Sprintf("admission: invariants broken after rollback at %v: %v", h.id, err))
-		}
-	}
-	c.held = c.held[:0]
-}
-
 // Release tears down an admitted connection as a committed
 // transaction: its weight is deducted from every hop's shadow table
 // (entries whose accumulated weight reaches zero are freed and the
 // shadow defragmented), then each hop's delta is programmed to the
 // data plane.
 func (c *Controller) Release(conn *Conn) error {
-	if _, ok := c.live[conn.ID]; !ok {
+	slot := conn.slot
+	if slot >= len(c.live) || c.live[slot] != conn {
 		return fmt.Errorf("admission: connection %d not live", conn.ID)
 	}
-	for _, h := range conn.hops {
+	for i := range conn.hops {
+		h := &conn.hops[i]
 		if err := h.table.Release(h.res); err != nil {
 			return fmt.Errorf("admission: releasing connection %d: %w", conn.ID, err)
 		}
 	}
-	for _, h := range conn.hops {
-		if c.DeadHop != nil && c.DeadHop(h.id) {
+	for i := range conn.hops {
+		h := &conn.hops[i]
+		if c.dead(h.id()) {
 			continue // shadow freed above; no data plane left to program
 		}
-		c.commitHop(h.id, h.table)
+		c.commitHop(h.id(), h.table)
 	}
-	delete(c.live, conn.ID)
+	last := c.live[len(c.live)-1]
+	c.live[slot], last.slot = last, slot
+	c.live[len(c.live)-1] = nil
+	c.live = c.live[:len(c.live)-1]
 	return nil
 }
 
@@ -589,13 +595,18 @@ func (c *Controller) MeanSwitchPortReservation() float64 {
 }
 
 // CheckInvariants verifies every port table (core.PortTable.CheckInvariants:
-// the allocator, the paper's theorem and distance bound, the open
-// transaction) and the controller's ledger: each port's reserved weight
-// is the sum of the live connections' reservations there, so a
-// reservation no connection owns is caught.  An error names the port.
+// the allocator, the paper's theorem and distance bound, the
+// changed-block mask, the open transaction) and the controller's
+// ledger: every live connection sits at its own slot, and each port's
+// reserved weight is the sum of the live connections' reservations
+// there, so a reservation no connection owns is caught.  An error names
+// the port.
 func (c *Controller) CheckInvariants() error {
 	held := make(map[*core.PortTable]int)
-	for _, conn := range c.live {
+	for i, conn := range c.live {
+		if conn.slot != i {
+			return fmt.Errorf("admission: connection %d at ledger slot %d says it is at %d", conn.ID, i, conn.slot)
+		}
 		for _, h := range conn.hops {
 			held[h.table] += h.res.Weight
 		}

@@ -2,10 +2,12 @@ package admission
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/arbtable"
+	"repro/internal/core"
 	"repro/internal/routing"
 	"repro/internal/sl"
 	"repro/internal/topology"
@@ -186,6 +188,64 @@ func TestRelease(t *testing.T) {
 		t.Error("double release succeeded")
 	}
 	if err := c.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestReleaseStale releases connections the ledger no longer holds: a
+// double release whose ledger slot another connection has since taken,
+// one whose slot is past the ledger's end, and a connection of another
+// controller.  Each must fail as "not live" and leave every table, the
+// ledger and the audit as they were.
+func TestReleaseStale(t *testing.T) {
+	c, _ := newController(t, 4, 6)
+	var conns []*Conn
+	for _, dst := range []int{15, 14, 13} {
+		conn, err := c.Admit(req(0, dst, 5, 40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, conn)
+	}
+	other, _ := newController(t, 4, 6)
+	foreign, err := other.Admit(req(0, 15, 5, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := func() (out []portSnapshot) {
+		c.Ports().Each(func(_ PortID, pt *core.PortTable) { out = append(out, snap(pt)) })
+		return out
+	}
+	stale := func(what string, conn *Conn) {
+		t.Helper()
+		before, live := tables(), c.Live()
+		if err := c.Release(conn); err == nil || !strings.Contains(err.Error(), "not live") {
+			t.Fatalf("%s: Release = %v, want a \"not live\" error", what, err)
+		}
+		if !reflect.DeepEqual(tables(), before) {
+			t.Errorf("%s changed a table", what)
+		}
+		if c.Live() != live {
+			t.Errorf("%s: %d connections live, was %d", what, c.Live(), live)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", what, err)
+		}
+	}
+	// The first release moves the last connection into slot 0.
+	if err := c.Release(conns[0]); err != nil {
+		t.Fatal(err)
+	}
+	stale("double release over a reused slot", conns[0])
+	if err := c.Release(conns[2]); err != nil {
+		t.Fatal(err)
+	}
+	stale("double release past the ledger's end", conns[2])
+	stale("connection of another controller", foreign)
+	if err := c.Release(conns[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckConverged(); err != nil {
 		t.Error(err)
 	}
 }

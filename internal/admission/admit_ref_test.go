@@ -1,6 +1,8 @@
 package admission
 
 import (
+	"fmt"
+
 	"repro/internal/sl"
 	"repro/internal/traffic"
 )
@@ -43,7 +45,9 @@ func (c *Controller) refAdmit(req traffic.Request) (*Conn, error) {
 		default:
 			res, err := tb.Reserve(h.WireVL, distance, weight)
 			if err == nil {
-				c.held = append(c.held, hop{id: id, table: tb, res: res})
+				h := newHop(id, tb)
+				h.res = res
+				c.held = append(c.held, h)
 				continue
 			}
 			cause = err
@@ -59,10 +63,29 @@ func (c *Controller) refAdmit(req traffic.Request) (*Conn, error) {
 	conn.Weight = weight
 	conn.Hops = len(path)
 	conn.Deadline = int64(conn.Hops) * sl.HopDeadlineByteTimes(req.Level.Distance, c.PacketWire)
-	for _, h := range conn.hops {
-		c.commitHop(h.id, h.table)
+	for i := range conn.hops {
+		c.commitHop(conn.hops[i].id(), conn.hops[i].table)
 	}
 	c.nextID++
-	c.live[conn.ID] = conn
+	c.track(conn)
 	return conn, nil
+}
+
+// abort rolls back the hops reserved so far for a failed prepare, in
+// reverse order of acquisition, and re-checks every touched hop's
+// invariants (core.PortTable.CheckInvariants).  Rollback never
+// defragments, so each shadow table is restored byte-identically to its
+// pre-Admit state.
+func (c *Controller) abort() {
+	for i := len(c.held) - 1; i >= 0; i-- {
+		h := c.held[i]
+		// Rollback cannot fail for reservations we just made.
+		if err := h.table.Rollback(h.res); err != nil {
+			panic(fmt.Sprintf("admission: rollback at %v failed: %v", h.id(), err))
+		}
+		if err := h.table.CheckInvariants(); err != nil {
+			panic(fmt.Sprintf("admission: invariants broken after rollback at %v: %v", h.id(), err))
+		}
+	}
+	c.held = c.held[:0]
 }

@@ -44,7 +44,7 @@ func pathTables(t *testing.T, c *Controller, src, dst int, base uint8) []hop {
 	}
 	hops := make([]hop, len(path))
 	for i, h := range path {
-		hops[i].id, hops[i].table = c.site(src, h)
+		hops[i] = newHop(c.site(src, h))
 	}
 	return hops
 }
@@ -102,12 +102,12 @@ func TestAbortAtLastHopLeavesEarlierHopsUntouched(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, func(_ *Controller, last hop, _ error) string {
-			return fmt.Sprintf("admission: hop 3/3 (%v): admission: hop mid-reprogram", last.id)
+			return fmt.Sprintf("admission: hop 3/3 (%v): admission: hop mid-reprogram", last.id())
 		}},
 		{"down", ErrHopDown, func(t *testing.T, c *Controller, _ int, last PortID) {
 			c.Down = func(id PortID) bool { return id == last }
 		}, func(_ *Controller, last hop, _ error) string {
-			return fmt.Sprintf("admission: hop 3/3 (%v): admission: hop down (quarantined)", last.id)
+			return fmt.Sprintf("admission: hop 3/3 (%v): admission: hop down (quarantined)", last.id())
 		}},
 	} {
 		tc := tc
@@ -118,7 +118,7 @@ func TestAbortAtLastHopLeavesEarlierHopsUntouched(t *testing.T) {
 			if len(sites) != 3 {
 				t.Fatalf("path 0->%d has %d arbitration points, want 3", dst, len(sites))
 			}
-			tc.setup(t, c, dst, sites[2].id)
+			tc.setup(t, c, dst, sites[2].id())
 
 			before := make([]portSnapshot, len(sites))
 			for i, s := range sites {
@@ -141,28 +141,28 @@ func TestAbortAtLastHopLeavesEarlierHopsUntouched(t *testing.T) {
 			for i, s := range sites {
 				after := snap(s.table)
 				if after.shadow != before[i].shadow {
-					t.Errorf("hop %d (%v): shadow table changed across aborted admission", i, s.id)
+					t.Errorf("hop %d (%v): shadow table changed across aborted admission", i, s.id())
 				}
 				if after.active != before[i].active {
-					t.Errorf("hop %d (%v): active table changed across aborted admission", i, s.id)
+					t.Errorf("hop %d (%v): active table changed across aborted admission", i, s.id())
 				}
 				if after.low != before[i].low {
-					t.Errorf("hop %d (%v): low table changed across aborted admission", i, s.id)
+					t.Errorf("hop %d (%v): low table changed across aborted admission", i, s.id())
 				}
 				if after.reserved != before[i].reserved {
-					t.Errorf("hop %d (%v): reserved weight %d, want %d", i, s.id, after.reserved, before[i].reserved)
+					t.Errorf("hop %d (%v): reserved weight %d, want %d", i, s.id(), after.reserved, before[i].reserved)
 				}
 				if len(after.seqs) != len(before[i].seqs) {
-					t.Errorf("hop %d (%v): %d sequences, want %d", i, s.id, len(after.seqs), len(before[i].seqs))
+					t.Errorf("hop %d (%v): %d sequences, want %d", i, s.id(), len(after.seqs), len(before[i].seqs))
 					continue
 				}
 				for k := range after.seqs {
 					if after.seqs[k] != before[i].seqs[k] {
-						t.Errorf("hop %d (%v): sequence %d = %s, want %s", i, s.id, k, after.seqs[k], before[i].seqs[k])
+						t.Errorf("hop %d (%v): sequence %d = %s, want %s", i, s.id(), k, after.seqs[k], before[i].seqs[k])
 					}
 				}
 				if err := s.table.Allocator().CheckInvariants(); err != nil {
-					t.Errorf("hop %d (%v): %v", i, s.id, err)
+					t.Errorf("hop %d (%v): %v", i, s.id(), err)
 				}
 			}
 			if err := c.CheckInvariants(); err != nil {
@@ -272,7 +272,8 @@ func TestAdmitWithRetrySucceedsAfterProgramLands(t *testing.T) {
 func TestNewConnIsOneObject(t *testing.T) {
 	scratch := make([]hop, 12)
 	for i := range scratch {
-		scratch[i] = hop{id: SwitchPortID(i, i+1), res: core.Reservation{Weight: 10 + i}}
+		scratch[i] = newHop(SwitchPortID(i, i+1), nil)
+		scratch[i].res = core.Reservation{Weight: 10 + i}
 	}
 	for n := 1; n <= len(scratch); n++ {
 		conn := newConn(scratch[:n])

@@ -50,7 +50,9 @@ func (d *maskDiff) reserve(vl uint8, distance, weight int) {
 	if can != (werr == nil) {
 		d.t.Fatalf("%s: CanReserve = %v, reference error %v", op, can, werr)
 	}
-	if got != want {
+	// The reference issues no record handles: the tokens agree on what
+	// they name.
+	if got.Seq != want.Seq || got.Weight != want.Weight {
 		d.t.Fatalf("%s: reservation %+v, reference %+v", op, got, want)
 	}
 	if gerr == nil {
@@ -115,7 +117,10 @@ func diffWithRef(a *Allocator, ref *refAllocator) error {
 			return fmt.Errorf("%d sequences, reference %d", len(got), len(want))
 		}
 		for i := range got {
-			if *got[i] != *want[i] {
+			// The record's owner is the mask allocator's own bookkeeping.
+			g := *got[i]
+			g.owner = nil
+			if g != *want[i] {
 				return fmt.Errorf("[%d] = %v, reference %v", i, got[i], want[i])
 			}
 		}

@@ -57,13 +57,20 @@
 // AND-NOT, the free-slot count a population count, and the bit-reversal
 // scan reads a precomputed order table.  The live sequences sit in one
 // list in ascending ID order (IDs only grow, so appending keeps it
-// sorted), which makes "largest first, ties by ID" six passes over the
-// list, one per size class, with no sorting; the reserved weight is a
-// running total.  Nothing on the reserve/release/defragment path
-// allocates except the Sequence record of a fresh placement.  The word,
-// the list order and the total are derived state: CheckInvariants
-// recomputes each from the sequence records and the table and reports
-// any disagreement.
+// sorted); one pass over it buckets the positions into one 64-bit word
+// per size class, which makes "largest first, ties by ID" a walk over
+// six words with no sorting.  The reserved weight is a running total.
+// Sequence records are recycled within an allocator, and a Reservation
+// carries its sequence's record, so a release reaches its sequence
+// without a search.  Every write to the table also records the 16-entry
+// blocks it touched, from the stride alone, so that programming the
+// port compares only those blocks.  Nothing on the
+// reserve/release/defragment path allocates once the allocator has made
+// as many records as it ever holds at once.  The word, the list order,
+// the total, the lane index, the records and the written blocks are
+// derived state: CheckInvariants (and, for the blocks,
+// PortTable.CheckInvariants) recomputes each and reports any
+// disagreement.
 package core
 
 import (
@@ -126,6 +133,11 @@ type SeqID int64
 // Sequence is a set of equally spaced high-priority table slots
 // assigned to one virtual lane, shared by the connections of one
 // service level.
+//
+// An allocator recycles its Sequence records: once a sequence is freed
+// its record may be handed out again, under a new ID, by a later
+// placement.  A *Sequence obtained from an Allocator therefore
+// describes that sequence only while it is live.
 type Sequence struct {
 	ID     SeqID
 	VL     uint8
@@ -134,6 +146,8 @@ type Sequence struct {
 	Count  int // number of slots: TableSize / Stride
 	Weight int // accumulated weight of the sharing connections
 	Conns  int // number of connections sharing the sequence
+
+	owner *Allocator // the allocator the sequence is live in; nil while the record is free
 }
 
 // TableWeight is the weight actually written to the table slots.  A
@@ -231,13 +245,31 @@ func setMask(stride, start int) uint64 {
 // mask returns the slots the sequence occupies.
 func (s *Sequence) mask() uint64 { return setMask(s.Stride, s.Start) }
 
+// strideBlocks[i] is the set of 16-entry blocks the candidate set
+// E(i,0) meets, bit b for block b.  A set of stride 16 or less meets
+// every block; E(i,j) meets strideBlocks[i] shifted left by j/16, since
+// j < stride.
+var strideBlocks = func() (b [numStrides]uint8) {
+	for i := range b {
+		for pos := 0; pos < TableSize; pos += 1 << uint(i) {
+			b[i] |= 1 << uint(pos/BlockEntries)
+		}
+	}
+	return b
+}()
+
+// blocks returns the 16-entry blocks the sequence's slots fall in.
+func (s *Sequence) blocks() uint8 {
+	return strideBlocks[bits.TrailingZeros(uint(s.Stride))] << uint(s.Start/BlockEntries)
+}
+
 // Allocator manages the high-priority table of one output port.  It is
 // not safe for concurrent use; in the simulator each port is owned by
 // the single simulation goroutine.
 //
-// Besides the table it keeps three pieces of derived state, all
-// re-derived and compared by CheckInvariants: occ, live's order, and
-// total.
+// Besides the table it keeps derived state, all re-derived and
+// compared by CheckInvariants: occ, live's order, total, the lane index
+// and the record pool.  written is audited by PortTable.CheckInvariants.
 type Allocator struct {
 	table  *arbtable.Table
 	policy Policy
@@ -255,15 +287,28 @@ type Allocator struct {
 	// total is the aggregate weight of the live sequences.
 	total int
 
-	// byVL indexes the live sequences by virtual lane, each list in
-	// ascending ID order like live.  It lets the sequence-sharing scan
+	// byVL indexes the live sequences by virtual lane: the lanes'
+	// runs back to back in lane order, each in ascending ID order like
+	// live.  Lane vl's run ends at vlEnd[vl] and starts where lane
+	// vl-1's ends (at 0 for lane 0).  It lets the sequence-sharing scan
 	// of PortTable.Reserve visit one lane's sequences only.
-	byVL [arbtable.NumDataVLs][]*Sequence
+	byVL  []*Sequence
+	vlEnd [arbtable.NumDataVLs]uint8
+
+	// written holds the 16-entry blocks of the table that place and
+	// unplace wrote since the owning PortTable last took them (see
+	// PortTable.changedBlocks).
+	written uint8
 
 	// moves counts sequences relocated by defragmentation over the
 	// allocator's lifetime — the table-update cost the subnet manager
 	// would pay for the paper's release discipline.
 	moves int
+
+	// free holds the records of freed sequences for later placements
+	// to reuse.  A record is made only when none is free, so live and
+	// free records together never outnumber the table's slots.
+	free []*Sequence
 }
 
 // NewAllocator returns an allocator managing the high-priority table
@@ -292,7 +337,9 @@ func (a *Allocator) FreeSlots() int { return TableSize - bits.OnesCount64(a.occ)
 func (a *Allocator) TotalWeight() int { return a.total }
 
 // Sequences returns the live sequences sorted by ID, in a fresh slice
-// the caller owns.
+// the caller owns.  The records are the allocator's own: each describes
+// its sequence until that sequence is freed, after which the record may
+// be reused for another one.
 func (a *Allocator) Sequences() []*Sequence {
 	out := make([]*Sequence, len(a.live))
 	copy(out, a.live)
@@ -308,10 +355,22 @@ func (a *Allocator) SequencesForVL(vl uint8) []*Sequence {
 	if vl >= arbtable.NumDataVLs {
 		return nil
 	}
-	return a.byVL[vl]
+	lo, hi := a.laneRun(vl)
+	return a.byVL[lo:hi:hi]
 }
 
-// Lookup returns the sequence with the given ID, or nil.
+// laneRun returns the bounds of lane vl's run in byVL.
+func (a *Allocator) laneRun(vl uint8) (lo, hi int) {
+	if vl > 0 {
+		lo = int(a.vlEnd[vl-1])
+	}
+	return lo, int(a.vlEnd[vl])
+}
+
+// Lookup returns the live sequence with the given ID, or nil.  The
+// record describes the sequence until it is freed (RemoveWeight
+// reporting freed); after that the allocator may reuse it for another
+// sequence, so callers must not hold it across that release.
 func (a *Allocator) Lookup(id SeqID) *Sequence {
 	if i := a.find(id); i >= 0 {
 		return a.live[i]
@@ -349,36 +408,82 @@ func (a *Allocator) firstFree(stride int) (start int, ok bool) {
 	return 0, false
 }
 
+// fit is firstFree with Allocate's refusal.
+func (a *Allocator) fit(stride int) (start int, err error) {
+	j, ok := a.firstFree(stride)
+	if !ok {
+		return 0, &noSpaceErrs[bits.TrailingZeros(uint(stride))][a.FreeSlots()]
+	}
+	return j, nil
+}
+
+// errNotDataVL is the refusal of a placement on a lane that carries no
+// data.
+func errNotDataVL(vl uint8) error { return fmt.Errorf("core: VL %d is not a data VL", vl) }
+
 // Allocate places a new sequence for a connection of virtual lane vl
 // requesting a maximum distance and a weight.  Candidate offsets are
 // inspected in bit-reversal order and the first fully free set is
 // taken.  It returns ErrNoSpace when no candidate set is free — which,
 // as long as releases run the defragmenter, happens exactly when fewer
-// slots are free than the request needs.
+// slots are free than the request needs.  The record returned is the
+// allocator's (see Lookup for how long it describes the sequence).
 func (a *Allocator) Allocate(vl uint8, distance, weight int) (*Sequence, error) {
 	if vl >= arbtable.NumDataVLs {
-		return nil, fmt.Errorf("core: VL %d is not a data VL", vl)
+		return nil, errNotDataVL(vl)
 	}
-	stride, count, err := Shape(distance, weight)
+	stride, _, err := Shape(distance, weight)
 	if err != nil {
 		return nil, err
 	}
-	j, ok := a.firstFree(stride)
-	if !ok {
-		return nil, &noSpaceErrs[bits.TrailingZeros(uint(stride))][a.FreeSlots()]
+	j, err := a.fit(stride)
+	if err != nil {
+		return nil, err
 	}
-	s := &Sequence{
+	return a.add(vl, stride, j, weight), nil
+}
+
+// add places a fresh sequence at a start offset whose candidate set is
+// free, in a recycled record when one is free.
+func (a *Allocator) add(vl uint8, stride, start, weight int) *Sequence {
+	var s *Sequence
+	if n := len(a.free); n > 0 {
+		s = a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
+	} else {
+		s = new(Sequence)
+	}
+	*s = Sequence{
 		ID: a.nextID, VL: vl,
-		Stride: stride, Start: j, Count: count,
-		Weight: weight, Conns: 1,
+		Stride: stride, Start: start, Count: TableSize / stride,
+		Weight: weight, Conns: 1, owner: a,
 	}
 	a.nextID++
-	// IDs ascend, so both lists stay sorted.
+	// IDs ascend, so appending keeps live sorted, and the end of its
+	// lane's run is where the sequence goes in byVL.
 	a.live = append(a.live, s)
-	a.byVL[vl] = append(a.byVL[vl], s)
+	_, hi := a.laneRun(vl)
+	a.byVL = append(a.byVL, nil)
+	copy(a.byVL[hi+1:], a.byVL[hi:])
+	a.byVL[hi] = s
+	for v := vl; v < arbtable.NumDataVLs; v++ {
+		a.vlEnd[v]++
+	}
 	a.total += weight
 	a.place(s)
-	return s, nil
+	return s
+}
+
+// held returns the live sequence a reservation names: the record it
+// carries when that record is still the sequence's, live here under the
+// same ID, else the sequence found by ID.  It returns nil when the
+// sequence is not live.
+func (a *Allocator) held(r Reservation) *Sequence {
+	if s := r.seq; s != nil && s.owner == a && s.ID == r.Seq {
+		return s
+	}
+	return a.Lookup(r.Seq)
 }
 
 // place claims the sequence's slots in the occupancy word and writes
@@ -386,6 +491,7 @@ func (a *Allocator) Allocate(vl uint8, distance, weight int) (*Sequence, error) 
 // evenly as possible (every slot gets at least one unit).
 func (a *Allocator) place(s *Sequence) {
 	a.occ |= s.mask()
+	a.written |= s.blocks()
 	w := s.TableWeight()
 	base := w / s.Count
 	extra := w % s.Count
@@ -402,6 +508,7 @@ func (a *Allocator) place(s *Sequence) {
 // table.
 func (a *Allocator) unplace(s *Sequence) {
 	a.occ &^= s.mask()
+	a.written |= s.blocks()
 	for pos := s.Start; pos < TableSize; pos += s.Stride {
 		a.table.High[pos] = arbtable.Entry{}
 	}
@@ -437,26 +544,17 @@ func (a *Allocator) addWeight(s *Sequence, weight int) error {
 // When the accumulated weight reaches zero the slots are freed and the
 // table defragmented.  It reports whether the sequence was freed.
 func (a *Allocator) RemoveWeight(id SeqID, weight int) (freed bool, err error) {
-	return a.removeWeight(id, weight, a.policy.Defrag)
-}
-
-// RemoveWeightNoDefrag deducts weight like RemoveWeight but never runs
-// the defragmenter, even when the sequence empties.  It exists for
-// transaction rollback: undoing a reservation that was just made must
-// restore the table byte-identically, and skipping defragmentation is
-// what guarantees no unrelated sequence moves.  The allocation theorem
-// still holds afterwards because the pre-reservation state satisfied
-// it.
-func (a *Allocator) RemoveWeightNoDefrag(id SeqID, weight int) (freed bool, err error) {
-	return a.removeWeight(id, weight, false)
-}
-
-func (a *Allocator) removeWeight(id SeqID, weight int, defrag bool) (freed bool, err error) {
-	i := a.find(id)
-	if i < 0 {
+	s := a.Lookup(id)
+	if s == nil {
 		return false, ErrUnknownSeq
 	}
-	s := a.live[i]
+	return a.removeWeight(s, weight, a.policy.Defrag)
+}
+
+// removeWeight is RemoveWeight on a live sequence the caller already
+// holds.  Only a release that empties the sequence searches, for its
+// position in the live list.
+func (a *Allocator) removeWeight(s *Sequence, weight int, defrag bool) (freed bool, err error) {
 	if weight < 1 || weight > s.Weight {
 		return false, fmt.Errorf("core: cannot remove weight %d from sequence with weight %d", weight, s.Weight)
 	}
@@ -467,8 +565,10 @@ func (a *Allocator) removeWeight(id SeqID, weight int, defrag bool) (freed bool,
 	}
 	if s.Weight == 0 {
 		a.unplace(s)
-		a.live = removeAt(a.live, i)
+		a.live = removeAt(a.live, a.find(s.ID))
 		a.dropFromIndex(s)
+		s.owner = nil
+		a.free = append(a.free, s)
 		if defrag {
 			a.Defragment()
 		}
@@ -488,10 +588,13 @@ func removeAt(list []*Sequence, i int) []*Sequence {
 
 // dropFromIndex splices a freed sequence out of the per-VL index.
 func (a *Allocator) dropFromIndex(s *Sequence) {
-	idx := a.byVL[s.VL]
-	for i, cand := range idx {
-		if cand.ID == s.ID {
-			a.byVL[s.VL] = removeAt(idx, i)
+	lo, hi := a.laneRun(s.VL)
+	for i := lo; i < hi; i++ {
+		if a.byVL[i] == s {
+			a.byVL = removeAt(a.byVL, i)
+			for v := s.VL; v < arbtable.NumDataVLs; v++ {
+				a.vlEnd[v]--
+			}
 			return
 		}
 	}
@@ -512,21 +615,27 @@ func (a *Allocator) dropFromIndex(s *Sequence) {
 // 2^k <= F.
 //
 // The placement order is produced without sorting: one pass over the
-// ID-ordered live list per size class, 32 slots down to 1.  Within a
-// class the shadow occupancy only grows, so a candidate set found
-// taken stays taken and each pass resumes its bit-reversal scan where
-// the previous sequence of the class stopped.
+// ID-ordered live list sets, for each sequence, its position's bit in
+// the word of its size class; walking the words from 32 slots down to
+// 1, each in ascending bit order, visits the sequences largest first,
+// ties by ID.  Within a class the shadow occupancy only grows, so a
+// candidate set found taken stays taken and each class's bit-reversal
+// scan resumes where the previous sequence of the class stopped.  Only
+// the sequences that moved are rewritten: their old slots cleared
+// first, then their new ones written.
 func (a *Allocator) Defragment() (moves int) {
-	var shadow uint64
+	var class [numStrides]uint64 // bit i: live[i] is of that stride class
+	for i, s := range a.live {
+		class[bits.TrailingZeros(uint(s.Stride))] |= 1 << uint(i)
+	}
+	var shadow, moved uint64
 	var newStart [TableSize]int8 // by position in live
 	// Strides 2 up to 64: sequences of 32 slots down to 1.
-	for class := 1; class < numStrides; class++ {
-		m, order := strideMask[class], bitrevOrder[class]
+	for c := 1; c < numStrides; c++ {
+		m, order := strideMask[c], bitrevOrder[c]
 		rank := 0
-		for i, s := range a.live {
-			if s.Stride != 1<<uint(class) {
-				continue
-			}
+		for w := class[c]; w != 0; w &= w - 1 {
+			i := bits.TrailingZeros64(w)
 			for rank < len(order) && shadow&(m<<uint(order[rank])) != 0 {
 				rank++
 			}
@@ -536,22 +645,25 @@ func (a *Allocator) Defragment() (moves int) {
 			}
 			j := order[rank]
 			shadow |= m << uint(j)
-			newStart[i] = int8(j)
-			if j != s.Start {
-				moves++
+			if j != a.live[i].Start {
+				newStart[i] = int8(j)
+				moved |= 1 << uint(i)
 			}
 		}
 	}
-	if moves == 0 {
+	if moved == 0 {
 		return 0
 	}
-	a.moves += moves
-	a.occ = shadow
-	a.table.High = [TableSize]arbtable.Entry{}
-	for i, s := range a.live {
-		s.Start = int(newStart[i])
-		a.place(s)
+	for w := moved; w != 0; w &= w - 1 {
+		a.unplace(a.live[bits.TrailingZeros64(w)])
 	}
+	for w := moved; w != 0; w &= w - 1 {
+		i := bits.TrailingZeros64(w)
+		a.live[i].Start = int(newStart[i])
+		a.place(a.live[i])
+	}
+	moves = bits.OnesCount64(moved)
+	a.moves += moves
 	return moves
 }
 
@@ -629,12 +741,32 @@ func (a *Allocator) CheckInvariants() error {
 	if a.total != weight {
 		return fmt.Errorf("running weight total %d, live sequences sum to %d", a.total, weight)
 	}
-	// 2. The per-VL index holds exactly the live sequences, in
-	// ascending ID order.
+	// The record pool: a live sequence's record names this allocator,
+	// a free record names none, and there are never more records than
+	// slots.
+	for _, s := range a.live {
+		if s.owner != a {
+			return fmt.Errorf("sequence %d: record not owned by this allocator", s.ID)
+		}
+	}
+	for _, s := range a.free {
+		if s.owner != nil {
+			return fmt.Errorf("free record holds live sequence %d", s.ID)
+		}
+	}
+	if n := len(a.live) + len(a.free); n > TableSize {
+		return fmt.Errorf("%d sequence records, more than %d", n, TableSize)
+	}
+	// 2. The per-VL index holds exactly the live sequences, each lane's
+	// run in ascending ID order.
 	indexed := 0
-	for vl := range a.byVL {
+	for vl := range a.vlEnd {
 		var prev SeqID
-		for _, s := range a.byVL[vl] {
+		lo, hi := a.laneRun(uint8(vl))
+		if hi < lo || hi > len(a.byVL) {
+			return fmt.Errorf("VL %d run [%d, %d) outside the index of %d", vl, lo, hi, len(a.byVL))
+		}
+		for _, s := range a.byVL[lo:hi] {
 			indexed++
 			if a.Lookup(s.ID) != s {
 				return fmt.Errorf("VL %d index holds stale sequence %d", vl, s.ID)
@@ -648,8 +780,8 @@ func (a *Allocator) CheckInvariants() error {
 			prev = s.ID
 		}
 	}
-	if indexed != len(a.live) {
-		return fmt.Errorf("VL index holds %d sequences, allocator has %d", indexed, len(a.live))
+	if indexed != len(a.live) || len(a.byVL) != len(a.live) {
+		return fmt.Errorf("VL index holds %d sequences in %d cells, allocator has %d", indexed, len(a.byVL), len(a.live))
 	}
 	// 3. The allocation theorem: for every power-of-two size up to the
 	// free-slot count there is a fully free candidate set.  Only the
@@ -666,7 +798,8 @@ func (a *Allocator) CheckInvariants() error {
 	// sees it: a lane's consecutive entries are never further apart than
 	// the stride of any live sequence on it.  Check 1 implies it; it is
 	// stated here so that no caller has to re-derive it.
-	for vl, seqs := range a.byVL {
+	for vl := range a.vlEnd {
+		seqs := a.SequencesForVL(uint8(vl))
 		if len(seqs) == 0 {
 			continue
 		}

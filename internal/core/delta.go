@@ -68,7 +68,8 @@ var (
 )
 
 // Dirty reports whether the shadow table has changes the active table
-// has not been programmed with yet.
+// has not been programmed with yet.  It compares the whole tables, so
+// it does not rely on the changed-block mask.
 func (p *PortTable) Dirty() bool {
 	shadow := &p.alloc.Table().High
 	return *shadow != p.active.High
@@ -80,14 +81,20 @@ func (p *PortTable) Dirty() bool {
 func (p *PortTable) Programming() bool { return p.delta != 0 }
 
 // changedBlocks returns the blocks in which the shadow high table
-// differs from the active one, bit b for block b.
+// differs from the active one, bit b for block b, and takes the
+// allocator's written blocks.  Outside them the tables agree (the
+// changed-block mask invariant, see CheckInvariants), so only they are
+// compared.  The caller makes the active table the shadow's — at once,
+// or through the transaction it opens — so nothing is left to track.
 func (p *PortTable) changedBlocks() (mask uint8) {
 	shadow := &p.alloc.Table().High
-	for b := 0; b < NumHighBlocks; b++ {
+	for m := p.alloc.written; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros8(m)
 		if *highBlock(shadow, b) != *highBlock(&p.active.High, b) {
 			mask |= 1 << b
 		}
 	}
+	p.alloc.written = 0
 	return mask
 }
 
@@ -130,7 +137,8 @@ func (p *PortTable) swap(high *[TableSize]arbtable.Entry) {
 }
 
 // BeginProgram opens a programming transaction: it diffs the shadow
-// high table against the active one and returns the changed blocks as
+// high table against the active one, in the blocks the allocator wrote
+// since the port was last programmed, and returns the changed blocks as
 // a Delta carrying the active table's next version.  An empty delta
 // (no blocks) means the tables already agree and no transaction was
 // opened.  While a transaction is open further BeginProgram calls fail
@@ -236,7 +244,10 @@ func (p *PortTable) DeliverBlock(version uint64, index, total int, entries [Bloc
 	return true, nil
 }
 
-// CheckInvariants verifies the port: its allocator
+// CheckInvariants verifies the port: the changed-block mask — outside
+// the blocks the allocator wrote since the port was last programmed,
+// the shadow equals the table it was programmed into (the active table,
+// or the open transaction's target) — its allocator
 // (Allocator.CheckInvariants), and the open transaction's state that
 // DeliverBlock's completion rule relies on — outside the delta the
 // target equals the active table, fewer blocks are staged than the
@@ -247,6 +258,15 @@ func (p *PortTable) DeliverBlock(version uint64, index, total int, entries [Bloc
 // when the set completes.  Like the allocator's check it does not
 // allocate.
 func (p *PortTable) CheckInvariants() error {
+	shadow, programmed, what := &p.alloc.Table().High, &p.active.High, "active table"
+	if p.Programming() {
+		programmed, what = &p.target, "transaction target"
+	}
+	for b := 0; b < NumHighBlocks; b++ {
+		if p.alloc.written>>b&1 == 0 && *highBlock(shadow, b) != *highBlock(programmed, b) {
+			return fmt.Errorf("block %d differs between shadow and %s outside the changed-block mask %04b", b, what, p.alloc.written)
+		}
+	}
 	if err := p.alloc.CheckInvariants(); err != nil {
 		return err
 	}
@@ -278,8 +298,16 @@ func (p *PortTable) CheckInvariants() error {
 // update.  The shadow table is untouched (it is the source of truth);
 // the control plane recovers by re-issuing BeginProgram.
 func (p *PortTable) abortProgram() {
-	p.delta = 0
+	p.dropProgram()
 	p.stats.TornAborts++
+}
+
+// dropProgram closes the open transaction without a swap.  The active
+// table keeps its old version, so the delta's blocks differ from the
+// shadow again and go back into the changed-block mask.
+func (p *PortTable) dropProgram() {
+	p.alloc.written |= p.delta
+	p.delta = 0
 }
 
 // highBlock returns block b of a high table in place.
@@ -299,6 +327,6 @@ func (p *PortTable) CancelProgram(version uint64) bool {
 	if !p.Programming() || p.targetVer != version {
 		return false
 	}
-	p.delta = 0
+	p.dropProgram()
 	return true
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/arbtable"
@@ -105,6 +106,27 @@ func TestPortTableCheckInvariants(t *testing.T) {
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatalf("after the swap: %v", err)
+	}
+	// The changed-block mask, with no program in flight: a write to the
+	// shadow behind the allocator's back moves one unit of the
+	// sequence's weight from its slot in block 2 to its slot in block 0.
+	// The slots still sum to the sequence's weight, so the allocator's
+	// own audit passes; the port's must name block 0, which differs from
+	// the active table although the allocator never wrote it.
+	shadow := &p.Allocator().Table().High
+	saved := *shadow
+	s := p.Allocator().Sequences()[0]
+	shadow[s.Start].Weight++
+	shadow[s.Start+2*BlockEntries].Weight--
+	if err := p.Allocator().CheckInvariants(); err != nil {
+		t.Fatalf("shadow written behind the allocator's back: allocator audit %v, want it blind to the write", err)
+	}
+	if err := p.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "block 0 ") {
+		t.Errorf("shadow written behind the allocator's back: CheckInvariants = %v, want it to name block 0", err)
+	}
+	*shadow = saved
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatalf("shadow restored: %v", err)
 	}
 }
 
@@ -426,7 +448,7 @@ func TestApplyMatchesDelivery(t *testing.T) {
 				vl, d, w := uint8(rng.Intn(6)), Distances[rng.Intn(len(Distances))], 1+rng.Intn(3*arbtable.MaxWeight)
 				ra, erra := a.Reserve(vl, d, w)
 				rb, errb := b.Reserve(vl, d, w)
-				if (erra == nil) != (errb == nil) || ra != rb {
+				if (erra == nil) != (errb == nil) || ra.Seq != rb.Seq || ra.Weight != rb.Weight {
 					t.Fatalf("seed %d: twins diverged on Reserve: %v / %v", seed, erra, errb)
 				}
 				if erra == nil {

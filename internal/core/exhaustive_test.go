@@ -21,8 +21,8 @@ import (
 // A state is the set of live (stride, start) pairs.  That abstraction
 // is exact: placement depends only on slot occupancy, and the
 // defragmenter's canonical layout depends only on the multiset of
-// sequence sizes, so two histories reaching the same pair set behave
-// identically ever after.
+// sequence sizes (TestDefragmentCanonicalLayout checks it), so two
+// histories reaching the same pair set behave identically ever after.
 
 // seqDesc is one live sequence's placement.
 type seqDesc struct{ stride, start int }
@@ -44,25 +44,10 @@ func exKey(descs []seqDesc) string {
 func materialize(descs []seqDesc) *Allocator {
 	a := NewAllocator(arbtable.New(arbtable.UnlimitedHigh))
 	for i, d := range descs {
-		s := &Sequence{
-			ID: SeqID(i + 1), VL: uint8(i % arbtable.NumDataVLs),
-			Stride: d.stride, Start: d.start, Count: TableSize / d.stride,
-			Weight: TableSize / d.stride, Conns: 1,
-		}
-		a.insert(s)
+		// add places at the given start, bypassing the policy's scan.
+		a.add(uint8(i%arbtable.NumDataVLs), d.stride, d.start, TableSize/d.stride)
 	}
 	return a
-}
-
-// insert adds a sequence at the placement its record names, bypassing
-// the policy's scan, and keeps every piece of derived allocator state
-// in step.  Records must arrive in ascending ID order with free slots.
-func (a *Allocator) insert(s *Sequence) {
-	a.live = append(a.live, s)
-	a.byVL[s.VL] = append(a.byVL[s.VL], s)
-	a.total += s.Weight
-	a.nextID = s.ID + 1
-	a.place(s)
 }
 
 // snapshot reads the allocator's state back as descriptors.

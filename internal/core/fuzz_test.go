@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/arbtable"
@@ -10,24 +11,29 @@ import (
 // against one allocator — two bytes per op: an opcode byte (even =
 // allocate with distance chosen by value, odd = release the op/2-th
 // accepted sequence) and a weight byte — and checks the allocation
-// theorem and all structural invariants after every step.  The retired
-// array/map allocator runs the same stream in lock-step and every
-// observable (table bytes, sequences, moves, free slots, weight, error
-// text) must match it after every operation.  Run with
-// `go test -fuzz FuzzAllocatorTrace ./internal/core` to explore; the
-// seed corpus keeps it active as a regular test.
+// theorem and all structural invariants after every step.  Releases go
+// through the allocator's PortTable with the token Reserve would have
+// handed out, record handle included.  Releasing a sequence already
+// released is the stale-token op: the token's record may since have
+// been reused for another sequence, and the release must fail with
+// ErrUnknownSeq and change nothing.  The retired array/map allocator
+// runs the same stream in lock-step and every observable (table bytes,
+// sequences, moves, free slots, weight, error text) must match it after
+// every operation.  Run with `go test -fuzz FuzzAllocatorTrace
+// ./internal/core` to explore; the seed corpus keeps it active as a
+// regular test.
 func FuzzAllocatorTrace(f *testing.F) {
 	f.Add([]byte{0, 10, 2, 200, 1, 0, 4, 255, 3, 0})
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 5, 0})
 	f.Add([]byte{10, 255, 8, 128, 6, 64, 4, 32, 2, 16, 0, 8})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a := NewAllocator(arbtable.New(arbtable.UnlimitedHigh))
+		pt := NewPortTable(arbtable.New(arbtable.UnlimitedHigh))
+		a := pt.Allocator()
 		ref := newRefAllocator(BitReversal)
 		type live struct {
-			id     SeqID
-			weight int
-			freed  bool
+			tok   Reservation
+			freed bool
 		}
 		var accepted []live
 		for i := 0; i+1 < len(data); i += 2 {
@@ -51,22 +57,25 @@ func FuzzAllocatorTrace(f *testing.F) {
 					t.Fatalf("rejected %d slots with %d free: %v", need, free, err)
 				}
 				if err == nil {
-					accepted = append(accepted, live{id: s.ID, weight: w})
+					accepted = append(accepted, live{tok: Reservation{Seq: s.ID, Weight: w, seq: s}})
 				}
 			} else if len(accepted) > 0 {
 				idx := int(op/2) % len(accepted)
 				l := &accepted[idx]
-				if !l.freed {
-					if _, err := a.RemoveWeight(l.id, l.weight); err != nil {
-						t.Fatalf("release: %v", err)
-					}
-					if _, err := ref.removeWeight(l.id, l.weight, true); err != nil {
-						t.Fatalf("reference release: %v", err)
-					}
-					l.freed = true
+				err := pt.Release(l.tok)
+				_, rerr := ref.removeWeight(l.tok.Seq, l.tok.Weight, true)
+				switch {
+				case !l.freed && (err != nil || rerr != nil):
+					t.Fatalf("release %+v: %v, reference %v", l.tok, err, rerr)
+				case l.freed && (!errors.Is(err, ErrUnknownSeq) || !errors.Is(rerr, ErrUnknownSeq)):
+					t.Fatalf("stale release %+v: %v, reference %v; want ErrUnknownSeq", l.tok, err, rerr)
 				}
+				l.freed = true
 			}
 			if err := diffWithRef(a, ref); err != nil {
+				t.Fatalf("after op %d (%d,%d): %v", i/2, op, arg, err)
+			}
+			if err := pt.CheckInvariants(); err != nil {
 				t.Fatalf("after op %d (%d,%d): %v", i/2, op, arg, err)
 			}
 		}

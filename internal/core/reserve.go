@@ -9,9 +9,25 @@ import (
 // Reservation records one connection's hold on a port's arbitration
 // table: the sequence it shares and the weight it contributed.  It is
 // the token needed to release the resources when the connection ends.
+// It also carries the sequence's record, so that a release finds the
+// sequence without a search; a token whose record has since been freed
+// or reused (checked by owner and ID) falls back to searching by Seq.
 type Reservation struct {
 	Seq    SeqID
 	Weight int
+	seq    *Sequence
+}
+
+// Decision is a request a port table has decided to take, read-only:
+// the live sequence it joins, or the start offset of the fresh sequence
+// it places.  Prepare carries it out.
+type Decision struct {
+	join   *Sequence // nil for a fresh placement
+	id     SeqID     // join's ID, checked when the decision is carried out
+	vl     uint8
+	stride int // of the fresh placement; 0 in the zero Decision
+	start  int
+	weight int
 }
 
 // PortTable couples an Allocator with the sequence-sharing policy of
@@ -119,34 +135,69 @@ func (p *PortTable) SetLow(entries []arbtable.Entry) {
 // spare capacity covers the weight; otherwise it allocates a new
 // sequence.  On failure the table is unchanged.  The active table is
 // untouched until the change is programmed (Apply, or BeginProgram +
-// DeliverBlock through an admission.Programmer).
+// DeliverBlock through an admission.Programmer).  It is Decide, then
+// Prepare.
 func (p *PortTable) Reserve(vl uint8, distance, weight int) (Reservation, error) {
-	if _, _, err := Shape(distance, weight); err != nil {
-		return Reservation{}, err
-	}
-	if s := p.joinable(vl, distance, weight); s != nil {
-		if err := p.alloc.addWeight(s, weight); err != nil {
-			return Reservation{}, fmt.Errorf("core: joining sequence %d: %w", s.ID, err)
-		}
-		return Reservation{Seq: s.ID, Weight: weight}, nil
-	}
-	s, err := p.alloc.Allocate(vl, distance, weight)
+	d, err := p.Decide(vl, distance, weight)
 	if err != nil {
 		return Reservation{}, err
 	}
-	return Reservation{Seq: s.ID, Weight: weight}, nil
+	return p.Prepare(d), nil
 }
 
 // CanReserve reports whether Reserve would succeed, without changing
-// anything: the same join scan, then Allocator.CanAllocate.
+// anything.
 func (p *PortTable) CanReserve(vl uint8, distance, weight int) bool {
-	if _, _, err := Shape(distance, weight); err != nil {
-		return false
+	_, err := p.Decide(vl, distance, weight)
+	return err == nil
+}
+
+// Decide answers a request without changing anything: the sequence it
+// would join (the join scan), else where a fresh sequence would go (the
+// policy's scan), else the error Reserve returns.  The Decision stays
+// valid until the shadow table next changes; admission decides at every
+// hop of a path before it prepares at any, and no path crosses a port
+// twice.
+func (p *PortTable) Decide(vl uint8, distance, weight int) (Decision, error) {
+	stride, _, err := Shape(distance, weight)
+	if err != nil {
+		return Decision{}, err
 	}
-	if p.joinable(vl, distance, weight) != nil {
-		return true
+	if s := p.joinable(vl, distance, weight); s != nil {
+		return Decision{join: s, id: s.ID, weight: weight}, nil
 	}
-	return vl < arbtable.NumDataVLs && p.alloc.CanAllocate(distance, weight)
+	if vl >= arbtable.NumDataVLs {
+		return Decision{}, errNotDataVL(vl)
+	}
+	start, err := p.alloc.fit(stride)
+	if err != nil {
+		return Decision{}, err
+	}
+	return Decision{vl: vl, stride: stride, start: start, weight: weight}, nil
+}
+
+// Prepare carries out a Decision on the shadow table: the weight joins
+// the decided sequence, or a fresh sequence is placed at the decided
+// start.  The Decision must come from Decide on this port with nothing
+// changed since; a stale or foreign one panics rather than corrupt the
+// table.
+func (p *PortTable) Prepare(d Decision) Reservation {
+	a := p.alloc
+	s := d.join
+	switch {
+	case s != nil:
+		if s.owner != a || s.ID != d.id {
+			panic(fmt.Sprintf("core: Prepare joins sequence %d, which is not live here", d.id))
+		}
+		if err := a.addWeight(s, d.weight); err != nil {
+			panic(fmt.Sprintf("core: Prepare of a stale decision: %v", err))
+		}
+	case d.stride == 0 || a.occ&setMask(d.stride, d.start) != 0:
+		panic(fmt.Sprintf("core: Prepare places stride %d at %d, which is not free", d.stride, d.start))
+	default:
+		s = a.add(d.vl, d.stride, d.start, d.weight)
+	}
+	return Reservation{Seq: s.ID, Weight: d.weight, seq: s}
 }
 
 // joinable returns the sequence a well-formed request joins, or nil.
@@ -167,16 +218,27 @@ func (p *PortTable) joinable(vl uint8, distance, weight int) *Sequence {
 // the owning sequence's accumulated weight reaches zero its slots are
 // freed and the table defragmented.
 func (p *PortTable) Release(r Reservation) error {
-	_, err := p.alloc.RemoveWeight(r.Seq, r.Weight)
-	return err
+	return p.remove(r, p.alloc.policy.Defrag)
 }
 
 // Rollback undoes a reservation made earlier in a failed transaction.
 // Unlike Release it never defragments, so the shadow table is restored
 // byte-identically to its pre-Reserve state (a just-added sequence
-// vanishes; a joined sequence just loses the added weight).
+// vanishes; a joined sequence just loses the added weight) and no
+// unrelated sequence moves.  The allocation theorem still holds
+// afterwards because the pre-reservation state satisfied it.
 func (p *PortTable) Rollback(r Reservation) error {
-	_, err := p.alloc.RemoveWeightNoDefrag(r.Seq, r.Weight)
+	return p.remove(r, false)
+}
+
+// remove deducts a reservation's weight from the sequence its token
+// names.
+func (p *PortTable) remove(r Reservation, defrag bool) error {
+	s := p.alloc.held(r)
+	if s == nil {
+		return ErrUnknownSeq
+	}
+	_, err := p.alloc.removeWeight(s, r.Weight, defrag)
 	return err
 }
 

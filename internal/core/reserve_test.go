@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -112,6 +113,107 @@ func TestReleaseUnknown(t *testing.T) {
 	p := newPort()
 	if err := p.Release(Reservation{Seq: 12, Weight: 5}); err == nil {
 		t.Error("release of unknown reservation succeeded")
+	}
+}
+
+// TestReleaseStaleHandle releases tokens whose sequence is gone: a
+// double release, and a release after the sequence's record was reused
+// for another one.  Each must fail with ErrUnknownSeq and leave the
+// shadow table, the active table, the reserved weight and the port's
+// audit as they were — the handle a token carries is checked, never
+// trusted.  Rollback takes the same path.
+func TestReleaseStaleHandle(t *testing.T) {
+	p := newPort()
+	keep, err := p.Reserve(0, 8, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, err := p.Reserve(1, 16, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Release(gone); err != nil {
+		t.Fatal(err)
+	}
+	p.Apply()
+	stale := func(what string, r Reservation) {
+		t.Helper()
+		shadow, active, weight := p.Allocator().Table().High, p.Active().High, p.ReservedWeight()
+		for _, release := range []func(Reservation) error{p.Release, p.Rollback} {
+			if err := release(r); !errors.Is(err, ErrUnknownSeq) {
+				t.Fatalf("%s: %v, want ErrUnknownSeq", what, err)
+			}
+		}
+		switch {
+		case p.Allocator().Table().High != shadow:
+			t.Errorf("%s changed the shadow table", what)
+		case p.Active().High != active:
+			t.Errorf("%s changed the active table", what)
+		case p.ReservedWeight() != weight:
+			t.Errorf("%s: reserved weight %d, was %d", what, p.ReservedWeight(), weight)
+		}
+		if err := p.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", what, err)
+		}
+	}
+	stale("double release", gone)
+	// The next placement reuses the freed record under a new ID.
+	reuse, err := p.Reserve(2, 16, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reuse.seq != gone.seq || reuse.Seq == gone.Seq {
+		t.Fatalf("placement after a free did not reuse its record: %+v after %+v", reuse, gone)
+	}
+	p.Apply()
+	stale("release after the record was reused", gone)
+	for _, r := range []Reservation{reuse, keep} {
+		if err := p.Release(r); err != nil {
+			t.Fatalf("release of live %+v: %v", r, err)
+		}
+	}
+	if p.ReservedWeight() != 0 {
+		t.Errorf("reserved weight %d after every live reservation was released", p.ReservedWeight())
+	}
+}
+
+// TestPrepareRefusesStaleDecision carries out decisions the table has
+// moved on from — a fresh placement whose candidate set was taken
+// since, and a join whose sequence was freed and its record reused —
+// and expects a panic, not a write.
+func TestPrepareRefusesStaleDecision(t *testing.T) {
+	p := newPort()
+	fresh, err := p.Decide(0, 2, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := p.Reserve(1, 2, 100) // takes the set fresh decided on
+	if err != nil {
+		t.Fatal(err)
+	}
+	join, err := p.Decide(1, 2, 100)
+	if err != nil || join.join == nil {
+		t.Fatalf("Decide = %+v, %v; want a join", join, err)
+	}
+	if err := p.Release(r); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Reserve(2, 2, 100); err != nil { // reuses the joined record
+		t.Fatal(err)
+	}
+	for name, d := range map[string]Decision{"fresh": fresh, "join": join, "zero": {}} {
+		shadow := p.Allocator().Table().High
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Prepare of a stale decision did not panic", name)
+				}
+			}()
+			p.Prepare(d)
+		}()
+		if p.Allocator().Table().High != shadow {
+			t.Errorf("%s: a refused Prepare changed the table", name)
+		}
 	}
 }
 

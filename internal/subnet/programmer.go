@@ -216,9 +216,11 @@ func (p *InbandProgrammer) arrive(id admission.PortID, pt *core.PortTable, wire 
 }
 
 // chain opens the next transaction for a port whose shadow and active
-// tables still disagree (nothing to do when they match).
+// tables still disagree (nothing to do when they match: BeginProgram
+// then compares the blocks written since the delta was opened and
+// returns an empty one).
 func (p *InbandProgrammer) chain(id admission.PortID, pt *core.PortTable) {
-	if pt.Programming() || !pt.Dirty() {
+	if pt.Programming() {
 		return
 	}
 	d, err := pt.BeginProgram()

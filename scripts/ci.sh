@@ -133,7 +133,7 @@ echo "==> go test -race -run TestArbiterIndex ./internal/arbtable (high-table sl
 # audit and the bench smoke below cover them too.
 go test -race -run 'TestArbiterIndex' -count=1 ./internal/arbtable
 
-echo "==> go test -race -run 'TestAllocatorMask|TestDeliverBlock|TestApply' ./internal/core (fill-in occupancy-mask and delta-completion differentials)"
+echo "==> go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestReleaseStale|TestDeliverBlock|TestApply' ./internal/core (fill-in occupancy-mask, canonical-layout, stale-token and delta-completion differentials)"
 # The allocator keeps slot ownership as one 64-bit word, the live
 # sequences as an ID-ordered list and the reserved weight as a running
 # total instead of walking an owner array and a map; the differential
@@ -141,11 +141,15 @@ echo "==> go test -race -run 'TestAllocatorMask|TestDeliverBlock|TestApply' ./in
 # script per seed and policy — joins, fresh placements at every
 # distance, releases with their defragmentation, rollbacks, malformed
 # requests — and compares table bytes, sequences, move counts and
-# outcomes after every operation.  Allocator.CheckInvariants re-derives
-# the word, the total and the order and states the distance guarantee;
-# PortTable.CheckInvariants adds the open transaction's state and runs
-# on every admission abort and after every step of the delivery
-# differential, and Network.CheckInvariants runs it on every port with
+# outcomes after every operation.  TestDefragmentCanonicalLayout holds
+# the one-pass defragmenter to the canonical layout of the live
+# multiset and to the retired per-class loop after every emptying
+# release; TestReleaseStaleHandle releases tokens whose sequence is gone
+# or whose record was reused.  Allocator.CheckInvariants re-derives
+# the word, the total, the order, the lane index and the record pool and
+# states the distance guarantee; PortTable.CheckInvariants adds the
+# changed-block mask and the open transaction's state and runs
+# after every step of the delivery differential, and Network.CheckInvariants runs it on every port with
 # the reservation ledger, so the experiment end audits and the bench
 # smoke below cover them too.  A port completes a delta against
 # its recorded target instead of reassembling a table:
@@ -155,7 +159,7 @@ echo "==> go test -race -run 'TestAllocatorMask|TestDeliverBlock|TestApply' ./in
 # every outcome, error text, active table, version and counter;
 # TestApplyMatchesDelivery holds the synchronous Apply to BeginProgram
 # plus delivery of every block over random histories.
-go test -race -run 'TestAllocatorMask|TestDeliverBlock|TestApply' -count=1 ./internal/core
+go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestReleaseStale|TestDeliverBlock|TestApply' -count=1 ./internal/core
 
 echo "==> go test -race -run TestEngineWheel ./internal/sim (timing-wheel event-queue differential)"
 # The engine finds its next event in a ring of per-byte-time FIFO
@@ -204,11 +208,13 @@ echo "==> go test -run AllocBudget . (zero-alloc hot-path and memory gate)"
 # event queue's Post + Step (near, far, timer + Cancel) and on a full
 # per-hop packet forwarding step with metrics disabled; the
 # fill-in budgets (0 on join/leave, defragment, the audit, a
-# programmed delta and a synchronous Apply, 1 per fresh sequence); 0 on an in-band transaction
+# programmed delta and a synchronous Apply, and 0 on a fresh sequence
+# placed and freed, its record recycled); 0 on an in-band transaction
 # of one to four blocks — BeginProgram, every SMP rendered to its wire
 # bytes, flown, parsed and delivered; 1 (its error) on a refusal at
 # the last hop of a saturated k=8 path, which changes no table; the
-# ceilings on a whole Admit + Release transaction and on a whole
+# ceilings on a whole Admit + Release transaction (1 per offered
+# request: the connection, or a refusal's error) and on a whole
 # connection lifecycle of the in-band churn loop; and a dozen slices, at most 0.6 MB, per k=8
 # CDG proof.  Must run without -race (the detector's instrumentation
 # allocates).
