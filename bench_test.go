@@ -506,19 +506,19 @@ func BenchmarkExtensionVBR(b *testing.B) {
 }
 
 // BenchmarkReconfiguration regenerates the control-plane study:
-// subnet-manager bring-up plus recovery from every single-link
-// failure.
+// subnet-manager bring-up plus one live failover run per non-cut
+// inter-switch link, on one worker.
 func BenchmarkReconfiguration(b *testing.B) {
 	var res experiments.ReconfigResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.Reconfiguration(8, 7, 100)
+		res, err = experiments.Reconfiguration(8, 7, 100, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(100*res.MeanSurvival, "%mean-survival")
-	b.ReportMetric(res.MeanReconfMADs, "reconf-MADs")
+	b.ReportMetric(res.MeanRepairMADs, "repair-MADs")
 }
 
 // sweepBenchJobs builds the 16-config sweep (two fabric sizes, eight

@@ -98,12 +98,12 @@ var registry = []experiment{
 	},
 	{
 		name:   "reconfig",
-		flags:  []string{"seed", "switches"},
-		preset: paramsPresets,
+		flags:  []string{"seed", "switches", "json"},
+		preset: presets(reconfigTiny, experiments.Quick, experiments.Full),
 		run: func(c *config) (result, error) {
 			p := c.params()
-			res, err := experiments.Reconfiguration(p.Switches, p.Seed, 40*p.Switches)
-			return text(func(w io.Writer) { experiments.PrintReconfig(w, res) }), err
+			res, err := experiments.Reconfiguration(p.Switches, p.Seed, 40*p.Switches, c.parallel)
+			return withReport(func(w io.Writer) { experiments.PrintReconfig(w, res) }, res), err
 		},
 	},
 	{
@@ -366,6 +366,14 @@ func printEvaluation(w io.Writer, ev *experiments.Evaluation, p experiments.Para
 // paramsPresets are the evaluation's parameters, which the ablations
 // built on it share.
 var paramsPresets = presets(experiments.Tiny, experiments.Quick, experiments.Full)
+
+// reconfigTiny is the evaluation's tiny preset on the smallest
+// irregular fabric with a link that is not a cut edge: three switches.
+func reconfigTiny() experiments.Params {
+	p := experiments.Tiny()
+	p.Switches = 3
+	return p
+}
 
 // presets maps each of scales onto a parameter constructor.
 func presets[P any](tiny, quick, full func() P) func(string) any {

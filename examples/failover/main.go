@@ -7,11 +7,13 @@
 //  1. a subnet manager discovers a 16-switch fabric and programs the
 //     forwarding tables and QoS state (byte-exact management
 //     datagrams, costs in MADs);
-//  2. connection admission loads the fabric with guaranteed
-//     connections;
-//  3. every single inter-switch link is failed in turn; after each
-//     failure the SM re-sweeps, reroutes, reprograms, and re-admits
-//     the live connections over the surviving paths.
+//  2. for every inter-switch link that is not a cut edge, a live run
+//     loads the fabric with guaranteed connections and fails that link
+//     for good;
+//  3. recovery detects the failure, repairs the routes with a fresh
+//     deadlock-freedom proof, re-admits the displaced connections and
+//     reprograms, in-band, only the arbitration tables they touch.
+//     Each row is one link's run.
 //
 // Run with: go run ./examples/failover
 package main
@@ -20,72 +22,22 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/admission"
-	"repro/internal/arbtable"
-	"repro/internal/routing"
-	"repro/internal/sl"
-	"repro/internal/subnet"
-	"repro/internal/topology"
-	"repro/internal/traffic"
+	"repro/internal/experiments"
 )
 
 func main() {
-	topo, err := topology.Generate(16, 2026)
+	res, err := experiments.Reconfiguration(16, 2026, 500, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("bring-up: %d devices swept (%d MADs), forwarding %d MADs, QoS %d MADs\n\n",
+		res.Sweep.Devices, res.Sweep.MADs, res.Forwarding.MADs, res.QoS.MADs)
 
-	// Bring-up: discovery, forwarding tables, QoS state.
-	sm := subnet.NewManager(topo)
-	sweep, err := sm.Discover()
-	if err != nil {
-		log.Fatal(err)
+	fmt.Println("link failure   admitted  displaced  lost  survival  repair MADs")
+	for _, l := range res.Links {
+		fmt.Printf("%-13s  %8d  %9d  %4d  %7.1f%%  %11d\n",
+			l.Link, l.Admitted, l.Displaced, l.Stopped, 100*l.Survival, l.RepairMADs)
 	}
-	fw, err := sm.ProgramForwarding()
-	if err != nil {
-		log.Fatal(err)
-	}
-	ports := admission.NewPorts(topo, arbtable.UnlimitedHigh)
-	qos, err := sm.ProgramQoS(ports, sl.IdentityMapping())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("bring-up: %d devices swept (%d MADs), forwarding %d MADs, QoS %d MADs\n",
-		sweep.Devices, sweep.MADs, fw.MADs, qos.MADs)
-
-	// Load the fabric.
-	routes, err := routing.Compute(topo)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ctrl := admission.NewController(topo, routes, sl.IdentityMapping(), ports)
-	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), 5)
-	var live []traffic.Request
-	for attempts := 0; len(live) < 500 && attempts < 20000; attempts++ {
-		req := src.Next()
-		if _, err := ctrl.Admit(req); err == nil {
-			live = append(live, req)
-		}
-	}
-	fmt.Printf("loaded: %d guaranteed connections\n\n", len(live))
-
-	// Fail every link in turn.
-	fmt.Println("link failure        survival   reconfig MADs")
-	worst := 1.0
-	for _, l := range topo.Links() {
-		rec, _, err := subnet.HandleLinkFailure(topo, l.A.Switch, l.A.Port, live, arbtable.UnlimitedHigh)
-		if err != nil {
-			fmt.Printf("sw%02d:p%d <-> sw%02d:p%d   PARTITION (cut edge)\n",
-				l.A.Switch, l.A.Port, l.B.Switch, l.B.Port)
-			continue
-		}
-		survival := float64(rec.Reestablished) / float64(len(live))
-		if survival < worst {
-			worst = survival
-		}
-		fmt.Printf("sw%02d:p%d <-> sw%02d:p%d   %6.1f%%    %d\n",
-			l.A.Switch, l.A.Port, l.B.Switch, l.B.Port,
-			100*survival, rec.Sweep.MADs+rec.Forwarding.MADs+rec.QoS.MADs)
-	}
-	fmt.Printf("\nworst-case survival across all single-link failures: %.1f%%\n", 100*worst)
+	fmt.Printf("\n%d cut edges not failed; worst-case survival across all single-link failures: %.1f%%\n",
+		res.CutEdges, 100*res.WorstSurvival)
 }

@@ -335,16 +335,29 @@ func TestAblationVBR(t *testing.T) {
 	}
 }
 
+// TestReconfigurationStudy checks each live run's accounting: one
+// permanent failure of a non-cut link stops no connection outright,
+// so every displaced connection is either re-admitted or stopped, and
+// survival is 1 - stopped/admitted.
 func TestReconfigurationStudy(t *testing.T) {
-	res, err := Reconfiguration(8, 7, 50)
+	res, err := Reconfiguration(8, 7, 50, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Sweep.MADs == 0 || res.Forwarding.MADs == 0 || res.QoS.MADs == 0 {
 		t.Errorf("bring-up costs incomplete: %+v", res)
 	}
-	if res.FailuresTried == 0 {
-		t.Skip("all links were cut edges")
+	if len(res.Links) == 0 {
+		t.Fatal("no link failures run")
+	}
+	for _, l := range res.Links {
+		if l.Admitted < 3 || int64(l.Stopped)+l.Readmitted != l.Displaced {
+			t.Errorf("%s: admitted %d, displaced %d = readmitted %d + stopped %d does not add up",
+				l.Link, l.Admitted, l.Displaced, l.Readmitted, l.Stopped)
+		}
+		if want := 1 - float64(l.Stopped)/float64(l.Admitted); l.Survival != want {
+			t.Errorf("%s: survival %v, want %v", l.Link, l.Survival, want)
+		}
 	}
 	if res.MeanSurvival < 0.5 {
 		t.Errorf("mean survival %.2f unexpectedly low at moderate load", res.MeanSurvival)

@@ -37,7 +37,7 @@ type FailoverParams struct {
 	Retry admission.RetryPolicy
 
 	FailAtBT  int64 // first failure time; the link revives at 3x, the switch crashes at 2x
-	HorizonBT int64 // run length; must clear the last detection window
+	HorizonBT int64 // run length; must clear the schedule's last detection window
 	PollBT    int64 // failure-detection poll period
 	TimeoutBT int64 // blocked time before a port is declared dead
 
@@ -119,6 +119,9 @@ type FailoverResult struct {
 	// drain and displacement counts.
 	Control     metrics.ControlCounters `json:"control"`
 	ProgramMADs int                     `json:"programMADs"`
+	// RepairMADs is the part of ProgramMADs sent from FailAtBT to the
+	// end of the drain: reconfig's per-link cost, not in this report.
+	RepairMADs int `json:"-"`
 
 	Injected  int64 `json:"injected"`
 	Delivered int64 `json:"delivered"`
@@ -136,14 +139,25 @@ type FailoverResult struct {
 	ShardDet        bool `json:"shardDet,omitempty"`
 }
 
+// admitGapBT spaces a failover run's QoS admission attempts.
+const admitGapBT = 277
+
 // FailoverPoint runs one topology point of the failover experiment.
 func FailoverPoint(p FailoverParams, spec topology.Spec, seed int64) (FailoverResult, error) {
+	return failoverRun(p, spec, seed, func(net *fabric.Network, flows []*fabric.Flow) (faults.Schedule, error) {
+		return drawFailoverSchedule(net, flows, p, seed)
+	})
+}
+
+// failoverRun runs one live failover point: QoS admissions, then the
+// failure schedule that schedule draws at p.FailAtBT/2 from the
+// admitted flows (its first failure at p.FailAtBT), recovery, a drain
+// and the end audits.
+func failoverRun(p FailoverParams, spec topology.Spec, seed int64,
+	schedule func(net *fabric.Network, flows []*fabric.Flow) (faults.Schedule, error)) (FailoverResult, error) {
 	var res FailoverResult
 	if p.Conns < 3 || p.Payload < 1 || p.FailAtBT < 1 || p.PollBT < 1 || p.TimeoutBT < 1 {
 		return res, fmt.Errorf("experiments: failover point %v out of range", spec)
-	}
-	if p.HorizonBT <= 3*p.FailAtBT+p.TimeoutBT+2*p.PollBT {
-		return res, fmt.Errorf("experiments: failover horizon %d inside the last detection window", p.HorizonBT)
 	}
 	topo, err := spec.Generate()
 	if err != nil {
@@ -205,7 +219,7 @@ func FailoverPoint(p FailoverParams, spec topology.Spec, seed int64) (FailoverRe
 	var flows []*fabric.Flow
 	for i := 0; i < p.Conns; i++ {
 		req := src.Next()
-		eng.At(int64(i)*277+1, func() {
+		eng.At(int64(i)*admitGapBT+1, func() {
 			res.Attempts++
 			net.Adm.AdmitWithRetry(eng, req, p.Retry, func(conn *admission.Conn, err error) {
 				if err != nil {
@@ -221,16 +235,31 @@ func FailoverPoint(p FailoverParams, spec topology.Spec, seed int64) (FailoverRe
 	}
 
 	// Draw the failure schedule once traffic is established, encode it
-	// to text and apply the re-parsed form.
+	// to text and apply the re-parsed form.  Every distinct failure
+	// time changes the dead set, so each must end in a repair; a
+	// revival may leave the classification alone.
 	var runErr error
+	var failures map[int64]bool
+	madsAtFailure := 0
+	eng.At(p.FailAtBT, func() { madsAtFailure = prog.Costs.MADs })
 	eng.At(p.FailAtBT/2, func() {
 		if len(flows) < 3 {
 			runErr = fmt.Errorf("failover %s: only %d connections admitted", res.Label, len(flows))
 			return
 		}
-		sched, err := drawFailoverSchedule(net, flows, p, seed)
+		sched, err := schedule(net, flows)
 		if err != nil {
 			runErr = fmt.Errorf("failover %s: %w", res.Label, err)
+			return
+		}
+		failures = make(map[int64]bool, len(sched))
+		last := int64(0)
+		for _, ev := range sched {
+			failures[ev.At] = true
+			last = max(last, ev.At, ev.Revive)
+		}
+		if p.HorizonBT <= last+p.TimeoutBT+2*p.PollBT {
+			runErr = fmt.Errorf("failover %s: horizon %d inside the last detection window", res.Label, p.HorizonBT)
 			return
 		}
 		res.Schedule = sched.String()
@@ -252,9 +281,9 @@ func FailoverPoint(p FailoverParams, spec topology.Spec, seed int64) (FailoverRe
 		return res, fmt.Errorf("failover %s: %w", res.Label, err)
 	}
 	c := rec.Counters()
-	if c.RepairsStarted != c.RepairsCompleted || c.RepairsCompleted < 2 {
-		return res, fmt.Errorf("failover %s: repairs started %d completed %d, want >= 2 completed",
-			res.Label, c.RepairsStarted, c.RepairsCompleted)
+	if c.RepairsStarted != c.RepairsCompleted || c.RepairsCompleted < int64(len(failures)) {
+		return res, fmt.Errorf("failover %s: repairs started %d completed %d, want >= %d completed",
+			res.Label, c.RepairsStarted, c.RepairsCompleted, len(failures))
 	}
 
 	// Drain: stop generation and run until nothing is queued and no
@@ -268,6 +297,7 @@ func FailoverPoint(p FailoverParams, spec topology.Spec, seed int64) (FailoverRe
 	if q := net.QueuedPackets(); q != 0 {
 		return res, fmt.Errorf("failover %s: %d packets stuck after drain", res.Label, q)
 	}
+	res.RepairMADs = prog.Costs.MADs - madsAtFailure
 
 	// Release every surviving reservation and run the engine dry so the
 	// last table programs land.

@@ -3,6 +3,9 @@ package experiments
 import (
 	"encoding/json"
 	"testing"
+
+	"repro/internal/runner"
+	"repro/internal/topology"
 )
 
 // TestFailoverTinyConverges runs the tiny failover sweep and checks
@@ -67,5 +70,37 @@ func TestFailoverWorkerIdentity(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Fatalf("sweep diverges across worker counts:\n1 worker: %s\n4 workers: %s", a, b)
+	}
+}
+
+// TestFailoverRevivedPortHeals: a revived link whose other end sits on
+// a crashed switch changes the dead set but not the classification.
+// The port must still be healed (its active table carries the releases
+// it skipped while dead), or the end audit finds it not converged.
+// The grid is the tiny irregular point at 6 to 12 switches, each at the
+// point seeds of ten base seeds.
+func TestFailoverRevivedPortHeals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run in -short mode")
+	}
+	p := FailoverTiny()
+	for _, n := range []int{6, 8, 10, 12} {
+		spec := topology.Spec{Class: topology.Irregular, Switches: n, Seed: 42}
+		for s := int64(1); s <= 10; s++ {
+			if _, err := FailoverPoint(p, spec, runner.DeriveSeed(s, 0)); err != nil {
+				t.Errorf("%s base seed %d: %v", spec.Label(), s, err)
+			}
+		}
+	}
+}
+
+// TestFailoverQuickConverges runs the CLI's default failover sweep,
+// whose irregular point revives a link into a crashed switch.
+func TestFailoverQuickConverges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run in -short mode")
+	}
+	if _, err := FailoverSweep(FailoverQuick(), 0); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,33 +2,38 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/topology"
 )
 
 // TestReconfigurationTable runs the control-plane study across fabric
-// sizes and checks the invariants that hold at any size: bring-up
-// costs grow with the fabric, survival fractions stay in [0,1], and
-// every recovery spends MADs.
+// sizes and checks what holds at any size: bring-up costs grow with
+// the fabric, every non-cut link gets its own live run under the same
+// load while cut edges are only counted, survival stays in [0,1] with
+// the worst at most the mean, and every repair that displaced a
+// connection spends MADs.  Each run's own end audits (convergence,
+// conservation, fabric invariants) error the study out on violation.
 func TestReconfigurationTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
 	cases := []struct {
-		name      string
-		switches  int
-		seed      int64
-		liveConns int
+		name     string
+		switches int
+		seed     int64
+		conns    int
 	}{
-		{"4-switches", 4, 7, 30},
-		{"8-switches", 8, 7, 50},
-		{"8-switches-alt-seed", 8, 21, 50},
+		{"4-switches", 4, 7, 160},
+		{"8-switches", 8, 7, 320},
+		{"8-switches-alt-seed", 8, 21, 320},
 	}
 	var prevQoSMADs int
 	for _, c := range cases {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
-			res, err := Reconfiguration(c.switches, c.seed, c.liveConns)
+			res, err := Reconfiguration(c.switches, c.seed, c.conns, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,8 +44,32 @@ func TestReconfigurationTable(t *testing.T) {
 				t.Errorf("bring-up costs incomplete: sweep %d, fwd %d, qos %d",
 					res.Sweep.MADs, res.Forwarding.MADs, res.QoS.MADs)
 			}
-			if res.FailuresTried == 0 {
-				t.Error("no link failures exercised")
+
+			topo, _ := topology.Generate(c.switches, c.seed)
+			var want []string
+			for _, l := range topo.Links() {
+				after := topo.Clone()
+				if after.RemoveLink(l.A.Switch, l.A.Port) == nil && after.Connected() {
+					want = append(want, fmt.Sprintf("%d:%d-%d:%d", l.A.Switch, l.A.Port, l.B.Switch, l.B.Port))
+				}
+			}
+			if len(res.Links) != len(want) || res.CutEdges != len(topo.Links())-len(want) {
+				t.Fatalf("ran %d links with %d cut edges, want %d of %d links run", len(res.Links), res.CutEdges, len(want), len(topo.Links()))
+			}
+			for i, l := range res.Links {
+				if l.Link != want[i] {
+					t.Errorf("row %d failed %s, want %s", i, l.Link, want[i])
+				}
+				if l.Admitted != res.Links[0].Admitted {
+					t.Errorf("%s: admitted %d, row 0 admitted %d: the load differs between links",
+						l.Link, l.Admitted, res.Links[0].Admitted)
+				}
+				if l.Survival < 0 || l.Survival > 1 || l.Survival < res.WorstSurvival {
+					t.Errorf("%s: survival %.3f out of [worst %.3f, 1]", l.Link, l.Survival, res.WorstSurvival)
+				}
+				if l.Displaced > 0 && l.RepairMADs <= 0 {
+					t.Errorf("%s: displaced %d connections and repaired for free", l.Link, l.Displaced)
+				}
 			}
 			if res.MeanSurvival < 0 || res.MeanSurvival > 1 ||
 				res.WorstSurvival < 0 || res.WorstSurvival > 1 {
@@ -49,7 +78,7 @@ func TestReconfigurationTable(t *testing.T) {
 			if res.WorstSurvival > res.MeanSurvival {
 				t.Errorf("worst survival %.3f above mean %.3f", res.WorstSurvival, res.MeanSurvival)
 			}
-			if res.FailuresTried > 0 && res.MeanReconfMADs <= 0 {
+			if res.MeanRepairMADs <= 0 {
 				t.Errorf("recovered from failures for free: %+v", res)
 			}
 			// QoS programming cost grows (weakly) with the fabric: same
@@ -71,9 +100,15 @@ func TestReconfigurationTable(t *testing.T) {
 }
 
 // TestReconfigurationRejectsDegenerateFabric: a single-switch fabric
-// cannot be generated, and the error must surface, not panic.
+// cannot be generated, and a two-switch fabric has only its one cut
+// edge to fail.  Both errors must surface, not panic or print a
+// study of nothing.
 func TestReconfigurationRejectsDegenerateFabric(t *testing.T) {
-	if _, err := Reconfiguration(1, 7, 10); err == nil {
+	if _, err := Reconfiguration(1, 7, 10, 1); err == nil {
 		t.Fatal("1-switch fabric accepted")
+	}
+	_, err := Reconfiguration(2, 7, 10, 1)
+	if err == nil || !strings.Contains(err.Error(), "cut edge") {
+		t.Fatalf("2-switch fabric: got %v, want an error naming the missing non-cut link", err)
 	}
 }

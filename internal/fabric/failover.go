@@ -378,7 +378,10 @@ func linkID(l topology.Link) int64 {
 
 // reclassify rebuilds the desired degraded view from the dead set —
 // from scratch, so failure and revival are the same computation — and
-// activates when it differs from the last activated view.
+// activates when it differs from the last activated view.  A dead-set
+// change that leaves the view alone (a link revived into a crashed
+// switch) still heals the revived port, as activation's last step
+// would.
 func (rec *Recovery) reclassify() {
 	n := rec.n
 	crashed := make([]bool, n.Topo.NumSwitches)
@@ -400,6 +403,7 @@ func (rec *Recovery) reclassify() {
 			rec.dead[faults.SwitchPortKey(s, p)]
 	}
 	if rec.sameClassification(crashed, removed, hostDead) {
+		n.Adm.ReprogramStale()
 		return
 	}
 	rec.activate(crashed, removed, hostDead)

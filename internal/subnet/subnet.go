@@ -4,9 +4,8 @@
 // distributes the SLtoVL mappings and VL arbitration tables to every
 // port.  The paper assumes this machinery ("the number of VLs used by
 // a port is configured by the subnet manager", section 2.1); this
-// package makes its cost explicit and handles the reconfiguration a
-// link failure forces — the fault-tolerance story InfiniBand's
-// disaggregated architecture is sold on in the paper's introduction.
+// package makes its cost explicit, and its in-band programmer carries
+// the table changes of live link-failure repair (internal/fabric).
 //
 // Costs are accounted in subnet management packets (SMPs, one MAD
 // each): real SMs are bounded by MAD round trips, so the counts are
@@ -24,7 +23,6 @@ import (
 	"repro/internal/routing"
 	"repro/internal/sl"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // MAD cost model: a subnet management packet is one 256-byte MAD; a
@@ -37,10 +35,10 @@ const (
 
 // Costs accumulates control-plane effort.
 type Costs struct {
-	MADs        int
-	TimeBT      int64 // total serialized MAD round-trip time, byte times
-	Devices     int
-	SwitchPorts int
+	MADs        int   `json:"mads"`
+	TimeBT      int64 `json:"timeBT"` // total serialized MAD round-trip time, byte times
+	Devices     int   `json:"devices"`
+	SwitchPorts int   `json:"switchPorts"`
 }
 
 // addMAD accounts one SMP round trip to a device at the given hop
@@ -342,57 +340,4 @@ func (m *Manager) ProgramQoS(ports *admission.Ports, mapping sl.Mapping) (Costs,
 		}
 	}
 	return c, nil
-}
-
-// ReconfigureResult describes a link-failure recovery.
-type ReconfigureResult struct {
-	Sweep      Costs
-	Forwarding Costs
-	QoS        Costs
-
-	// Connection recovery over the new routes.
-	Reestablished int
-	Lost          int
-}
-
-// HandleLinkFailure models the full recovery story: the topology loses
-// a link, the SM re-sweeps and re-programs the fabric, and every live
-// connection is re-admitted over the new routes into fresh arbitration
-// tables (the paper's admission machinery runs unchanged).  It returns
-// the new controller holding the surviving connections.
-//
-// Connections whose new paths no longer have capacity are lost — the
-// price of a failure on a loaded network.
-func HandleLinkFailure(topo *topology.Topology, failSwitch, failPort int, live []traffic.Request, limit uint8) (*ReconfigureResult, *admission.Controller, error) {
-	after := topo.Clone()
-	if err := after.RemoveLink(failSwitch, failPort); err != nil {
-		return nil, nil, err
-	}
-	if !after.Connected() {
-		return nil, nil, fmt.Errorf("subnet: link %d:%d was a cut edge; fabric partitioned", failSwitch, failPort)
-	}
-
-	m := NewManager(after)
-	res := &ReconfigureResult{}
-	var err error
-	if res.Sweep, err = m.Discover(); err != nil {
-		return nil, nil, err
-	}
-	if res.Forwarding, err = m.ProgramForwarding(); err != nil {
-		return nil, nil, err
-	}
-	ports := admission.NewPorts(after, limit)
-	if res.QoS, err = m.ProgramQoS(ports, sl.IdentityMapping()); err != nil {
-		return nil, nil, err
-	}
-
-	ctrl := admission.NewController(after, m.Routes, sl.IdentityMapping(), ports)
-	for _, req := range live {
-		if _, err := ctrl.Admit(req); err != nil {
-			res.Lost++
-			continue
-		}
-		res.Reestablished++
-	}
-	return res, ctrl, nil
 }

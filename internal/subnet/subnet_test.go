@@ -6,10 +6,8 @@ import (
 	"repro/internal/admission"
 	"repro/internal/arbtable"
 	"repro/internal/mad"
-	"repro/internal/routing"
 	"repro/internal/sl"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 func TestDiscoverCoversFabric(t *testing.T) {
@@ -95,70 +93,5 @@ func TestProgrammingCosts(t *testing.T) {
 	want := (1 + mad.NumHighBlocks) * (wired + topo.NumHosts())
 	if qos.MADs != want {
 		t.Errorf("QoS MADs = %d, want %d", qos.MADs, want)
-	}
-}
-
-func TestHandleLinkFailureRecovers(t *testing.T) {
-	topo, err := topology.Generate(8, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	routes, err := routing.Compute(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ports := admission.NewPorts(topo, arbtable.UnlimitedHigh)
-	ctrl := admission.NewController(topo, routes, sl.IdentityMapping(), ports)
-
-	// Load the fabric moderately so re-admission has headroom.
-	var live []traffic.Request
-	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), 7)
-	for len(live) < 60 {
-		req := src.Next()
-		if _, err := ctrl.Admit(req); err == nil {
-			live = append(live, req)
-		}
-	}
-
-	// Fail a non-cut link (try until one is found).
-	var res *ReconfigureResult
-	var after *admission.Controller
-	for _, l := range topo.Links() {
-		r, c, err := HandleLinkFailure(topo, l.A.Switch, l.A.Port, live, arbtable.UnlimitedHigh)
-		if err == nil {
-			res, after = r, c
-			break
-		}
-	}
-	if res == nil {
-		t.Skip("every link was a cut edge on this topology")
-	}
-	if res.Reestablished == 0 {
-		t.Fatal("no connections re-established after failure")
-	}
-	if res.Reestablished+res.Lost != len(live) {
-		t.Errorf("reestablished %d + lost %d != %d live", res.Reestablished, res.Lost, len(live))
-	}
-	// At moderate load the vast majority must survive.
-	if res.Lost > len(live)/4 {
-		t.Errorf("lost %d of %d connections at moderate load", res.Lost, len(live))
-	}
-	if res.Sweep.MADs == 0 || res.Forwarding.MADs == 0 || res.QoS.MADs == 0 {
-		t.Errorf("reconfiguration costs incomplete: %+v", res)
-	}
-	if err := after.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHandleLinkFailurePartition(t *testing.T) {
-	topo, _ := topology.Generate(2, 1)
-	links := topo.Links()
-	if len(links) != 1 {
-		t.Skip("seed produced parallel links")
-	}
-	_, _, err := HandleLinkFailure(topo, links[0].A.Switch, links[0].A.Port, nil, arbtable.UnlimitedHigh)
-	if err == nil {
-		t.Error("partitioning failure handled without error")
 	}
 }

@@ -17,6 +17,9 @@
 #   alloc gate the zero-alloc budgets of the data-plane hot paths,
 #              run WITHOUT the race detector (race instrumentation
 #              allocates, so the budgets only hold in a plain build)
+#   root bench one iteration of the two forwarding benchmarks and of
+#              BenchmarkReconfiguration (a live failover run per
+#              non-cut link), so they keep building and running
 #   fuzz smoke a short coverage-guided run of each fuzz target on top
 #              of the checked-in seed corpus
 #   bench smoke one short repetition of every gated benchmark workload,
@@ -220,10 +223,11 @@ echo "==> go test -run AllocBudget . (zero-alloc hot-path and memory gate)"
 # allocates).
 go test -run 'AllocBudget' -count=1 .
 
-echo "==> go test -bench 'BenchmarkVOQForward|BenchmarkPerHopForwarding' -benchtime 1x . (forwarding benchmarks smoke)"
+echo "==> go test -bench 'BenchmarkVOQForward|BenchmarkPerHopForwarding|BenchmarkReconfiguration' -benchtime 1x . (root benchmarks smoke)"
 # One iteration each, so the benchmarks behind the 0 allocs/op reports of
-# both forwarding paths at least build and run.
-go test -run '^$' -bench 'BenchmarkVOQForward|BenchmarkPerHopForwarding' -benchtime 1x .
+# both forwarding paths, and the control-plane study's live failover
+# runs, at least build and run.
+go test -run '^$' -bench 'BenchmarkVOQForward|BenchmarkPerHopForwarding|BenchmarkReconfiguration' -benchtime 1x .
 
 if [[ "$RUN_FUZZ" -eq 1 ]]; then
     # -fuzz takes one target per invocation; -run='^$' skips the unit
