@@ -6,7 +6,6 @@
 package repro_test
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -40,7 +39,7 @@ func BenchmarkTable1SLConfig(b *testing.B) {
 // evaluate runs the paired small/large simulation once per iteration.
 func evaluate(b *testing.B) *experiments.Evaluation {
 	b.Helper()
-	ev, err := experiments.Evaluate(experiments.Tiny())
+	ev, err := experiments.Evaluate(experiments.Tiny(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -116,7 +115,7 @@ func BenchmarkAblationPrioritySplit(b *testing.B) {
 	var res experiments.PrioritySplitResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.AblationPrioritySplit(7)
+		res, err = experiments.AblationPrioritySplit(7, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -128,9 +127,12 @@ func BenchmarkAblationPrioritySplit(b *testing.B) {
 // BenchmarkAblationFillStrategies regenerates the fill-policy ablation
 // (bit-reversal vs natural first fit).
 func BenchmarkAblationFillStrategies(b *testing.B) {
-	var rows [2]experiments.FillPolicyResult
+	var rows []experiments.FillPolicyResult
 	for i := 0; i < b.N; i++ {
-		rows = experiments.AblationFillPolicies(20, 3)
+		var err error
+		if rows, err = experiments.AblationFillPolicies(20, 3, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(rows[0].MeanFillUntilReject, "fills-bitrev")
 	b.ReportMetric(rows[1].MeanFillUntilReject, "fills-natural")
@@ -142,13 +144,13 @@ func BenchmarkAblationFillStrategies(b *testing.B) {
 func BenchmarkScalingNetworkSize(b *testing.B) {
 	var rows []experiments.ScalingRow
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Scaling(experiments.Tiny(), []int{2, 4})
+		var err error
+		if rows, err = experiments.Scaling(experiments.Tiny(), []int{2, 4}, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 	worst := 100.0
 	for _, r := range rows {
-		if r.Err != nil {
-			b.Fatal(r.Err)
-		}
 		if r.DeadlineMetPercent < worst {
 			worst = r.DeadlineMetPercent
 		}
@@ -466,11 +468,9 @@ func BenchmarkDelayCDF(b *testing.B) {
 func BenchmarkAblationVLCollapse(b *testing.B) {
 	var rows []experiments.VLCollapseRow
 	for i := 0; i < b.N; i++ {
-		rows = experiments.AblationVLCollapse(experiments.Tiny(), []int{15, 4})
-	}
-	for _, r := range rows {
-		if r.Err != nil {
-			b.Fatal(r.Err)
+		var err error
+		if rows, err = experiments.AblationVLCollapse(experiments.Tiny(), []int{15, 4}, 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(rows[0].Connections), "conns-15vl")
@@ -481,11 +481,9 @@ func BenchmarkAblationVLCollapse(b *testing.B) {
 func BenchmarkAblationSwitchModels(b *testing.B) {
 	var rows []experiments.SwitchModelRow
 	for i := 0; i < b.N; i++ {
-		rows = experiments.AblationSwitchModels(experiments.Tiny(), []int{1, 2})
-	}
-	for _, r := range rows {
-		if r.Err != nil {
-			b.Fatal(r.Err)
+		var err error
+		if rows, err = experiments.AblationSwitchModels(experiments.Tiny(), []int{1, 2}, 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(rows[0].WorstDelayRatio, "worst-delay-speedup1")
@@ -496,10 +494,10 @@ func BenchmarkAblationSwitchModels(b *testing.B) {
 func BenchmarkExtensionVBR(b *testing.B) {
 	var res experiments.VBRResult
 	for i := 0; i < b.N; i++ {
-		res = experiments.AblationVBR(11, 4, 8, 2, 10)
-	}
-	if res.MeanReserved.Err != nil || res.PeakReserved.Err != nil {
-		b.Fatal(res.MeanReserved.Err, res.PeakReserved.Err)
+		var err error
+		if res, err = experiments.AblationVBR(11, 4, 8, 2, 10, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(res.MeanReserved.WorstDelayRatio, "worst-mean-reserved")
 	b.ReportMetric(res.PeakReserved.WorstDelayRatio, "worst-peak-reserved")
@@ -530,11 +528,10 @@ func sweepBenchJobs() []runner.Job[int64] {
 	var jobs []runner.Job[int64]
 	for _, sw := range []int{2, 3} {
 		for seed := int64(42); seed < 50; seed++ {
-			sw, seed := sw, seed
 			jobs = append(jobs, runner.Job[int64]{
 				Name: fmt.Sprintf("bench-%dsw-seed%d", sw, seed),
 				Seed: seed,
-				Run: func(context.Context, int64) (int64, error) {
+				Run: func(int64) (int64, error) {
 					p := experiments.Tiny()
 					p.Switches = sw
 					p.Seed = seed
@@ -564,14 +561,13 @@ func BenchmarkSweepWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var checksum int64
 			for i := 0; i < b.N; i++ {
-				results := runner.Sweep(context.Background(), sweepBenchJobs(),
-					runner.Options{Workers: workers})
-				if err := runner.FirstError(results); err != nil {
+				delivered, err := runner.Sweep(sweepBenchJobs(), workers)
+				if err != nil {
 					b.Fatal(err)
 				}
 				sum := int64(0)
-				for _, r := range results {
-					sum += r.Value
+				for _, d := range delivered {
+					sum += d
 				}
 				if checksum == 0 {
 					checksum = sum

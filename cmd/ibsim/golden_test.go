@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/runner"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from current output")
@@ -30,8 +29,7 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 //	go test ./cmd/ibsim -run JSONGolden -update
 //
 // The entries in ownGoldenTests are checked by their own named tests
-// below instead.  runner.SetDefaultWorkers is process-global, so no
-// subtest is parallel.
+// below instead.
 func TestJSONGolden(t *testing.T) {
 	identityChecked := map[string]bool{}
 	for _, e := range registry {
@@ -65,14 +63,12 @@ func hasGolden(e experiment) bool {
 	return slices.Contains(e.flags, "json") && !slices.Contains(e.wallClock, "runs")
 }
 
-// goldenTest skips simulation runs in -short mode and restores the
-// default sweep worker count afterwards.
+// goldenTest skips simulation runs in -short mode.
 func goldenTest(t *testing.T) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	t.Cleanup(func() { runner.SetDefaultWorkers(0) })
 }
 
 // goldenEntry prepares a golden test and returns the named entry.
@@ -160,7 +156,6 @@ func encodeReport(t *testing.T, args []string, extra ...string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner.SetDefaultWorkers(c.parallel)
 	res, err := e.run(c)
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/runner"
 	"repro/internal/sl"
 )
 
@@ -48,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	runner.SetDefaultWorkers(c.parallel)
 
 	if c.cpuProfile != "" {
 		f, err := os.Create(c.cpuProfile)

@@ -79,10 +79,11 @@ func TestUnknownExperimentErrorListsNames(t *testing.T) {
 
 // TestRunRejectsBadFlags: a value out of range, or a flag the chosen
 // experiment does not read, is an error naming the flag, returned
-// before anything runs.
+// before anything runs.  A sweep point the fabric refuses fails the
+// run with an error naming the point.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
-		flag string
+		want string
 		args []string
 	}{
 		{"-churn-seeds", []string{"-exp", "churn", "-churn-seeds", "-1"}},
@@ -102,10 +103,15 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-json", []string{"-exp", "scaling", "-json"}},
 		{"-viz", []string{"-exp", "table2", "-viz"}},
 		{"-viz", []string{"-json", "-viz", "-scale", "tiny"}},
+		// A sweep point that fails fails the run and is named.
+		{"scaling-1sw", []string{"-exp", "scaling", "-scale", "tiny", "-sizes", "1"}},
+		{"vlcollapse-15vl", []string{"-exp", "ablation-vl", "-scale", "tiny", "-switches", "1"}},
+		{"switchmodel-x1", []string{"-exp", "ablation-switch", "-scale", "tiny", "-switches", "1"}},
+		{"-bench-shards", []string{"-exp", "shardbench", "-bench-k", "4", "-bench-shards", "200"}},
 	} {
 		err := run(tc.args, io.Discard, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), tc.flag) {
-			t.Errorf("%v: err = %v, want one naming %s", tc.args, err, tc.flag)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one naming %s", tc.args, err, tc.want)
 		}
 	}
 }

@@ -56,7 +56,7 @@ var registry = []experiment{
 		flags:  []string{"seed"},
 		preset: paramsPresets,
 		run: func(c *config) (result, error) {
-			res, err := experiments.AblationPrioritySplit(c.params().Seed)
+			res, err := experiments.AblationPrioritySplit(c.params().Seed, c.parallel)
 			return text(func(w io.Writer) { experiments.PrintPrioritySplit(w, res) }), err
 		},
 	},
@@ -65,8 +65,8 @@ var registry = []experiment{
 		flags:  []string{"seed", "traces"},
 		preset: paramsPresets,
 		run: func(c *config) (result, error) {
-			res := experiments.AblationFillPolicies(c.traces, c.params().Seed)
-			return text(func(w io.Writer) { experiments.PrintFillPolicies(w, res) }), nil
+			res, err := experiments.AblationFillPolicies(c.traces, c.params().Seed, c.parallel)
+			return text(func(w io.Writer) { experiments.PrintFillPolicies(w, res) }), err
 		},
 	},
 	{
@@ -74,8 +74,8 @@ var registry = []experiment{
 		flags:  []string{"seed", "switches", "shards", "shard-det"},
 		preset: paramsPresets,
 		run: func(c *config) (result, error) {
-			rows := experiments.AblationVLCollapse(c.params(), []int{15, 8, 4})
-			return text(func(w io.Writer) { experiments.PrintVLCollapse(w, rows) }), nil
+			rows, err := experiments.AblationVLCollapse(c.params(), []int{15, 8, 4}, c.parallel)
+			return text(func(w io.Writer) { experiments.PrintVLCollapse(w, rows) }), err
 		},
 	},
 	{
@@ -83,8 +83,8 @@ var registry = []experiment{
 		flags:  []string{"seed", "switches", "shards", "shard-det"},
 		preset: paramsPresets,
 		run: func(c *config) (result, error) {
-			rows := experiments.AblationSwitchModels(c.params(), []int{1, 2, 4})
-			return text(func(w io.Writer) { experiments.PrintSwitchModels(w, rows) }), nil
+			rows, err := experiments.AblationSwitchModels(c.params(), []int{1, 2, 4}, c.parallel)
+			return text(func(w io.Writer) { experiments.PrintSwitchModels(w, rows) }), err
 		},
 	},
 	{
@@ -92,8 +92,8 @@ var registry = []experiment{
 		flags:  []string{"seed"},
 		preset: paramsPresets,
 		run: func(c *config) (result, error) {
-			res := experiments.AblationVBR(c.params().Seed, 4, 8, 4, 60)
-			return text(func(w io.Writer) { experiments.PrintVBR(w, res) }), nil
+			res, err := experiments.AblationVBR(c.params().Seed, 4, 8, 4, 60, c.parallel)
+			return text(func(w io.Writer) { experiments.PrintVBR(w, res) }), err
 		},
 	},
 	{
@@ -115,8 +115,8 @@ var registry = []experiment{
 			if err != nil {
 				return result{}, fmt.Errorf("-sizes: %w", err)
 			}
-			rows := experiments.Scaling(c.params(), ns)
-			return text(func(w io.Writer) { experiments.PrintScaling(w, rows) }), nil
+			rows, err := experiments.Scaling(c.params(), ns, c.parallel)
+			return text(func(w io.Writer) { experiments.PrintScaling(w, rows) }), err
 		},
 	},
 	{
@@ -290,12 +290,12 @@ func evaluation(name string) experiment {
 				return result{}, errors.New("-viz draws terminal charts, which -json does not print")
 			}
 			p := c.params()
-			ev, err := experiments.Evaluate(p)
+			ev, err := experiments.Evaluate(p, c.parallel)
 			if err != nil {
 				return result{}, err
 			}
 			return result{
-				table:  func(w io.Writer) error { return printEvaluation(w, ev, p, name, c.viz) },
+				table:  func(w io.Writer) error { return printEvaluation(w, ev, name, c) },
 				report: newEvaluationReport(ev, p, c.scale),
 			}, nil
 		},
@@ -304,7 +304,8 @@ func evaluation(name string) experiment {
 
 // printEvaluation prints the tables of one evaluation view, then the
 // metrics dump when the runs were instrumented.
-func printEvaluation(w io.Writer, ev *experiments.Evaluation, p experiments.Params, which string, withViz bool) error {
+func printEvaluation(w io.Writer, ev *experiments.Evaluation, which string, c *config) error {
+	p := c.params()
 	all := which == "all"
 	if all {
 		experiments.PrintTable1(w)
@@ -322,7 +323,7 @@ func printEvaluation(w io.Writer, ev *experiments.Evaluation, p experiments.Para
 		fmt.Fprintln(w)
 		experiments.PrintFigure4(w, "Figure 4b (large packets)", f4.Large)
 		fmt.Fprintln(w)
-		if withViz {
+		if c.viz {
 			fmt.Fprintln(w, "Figure 4b as CDF sparklines (thresholds D/32 .. D):")
 			for _, s := range f4.Large {
 				fmt.Fprintln(w, "  "+viz.CDFRow(fmt.Sprintf("SL %d", s.SL), s.Percent))
@@ -335,7 +336,7 @@ func printEvaluation(w io.Writer, ev *experiments.Evaluation, p experiments.Para
 		fmt.Fprintln(w)
 		experiments.PrintFigure5(w, "Figure 5 (large packets)", experiments.Figure5For(ev.Large))
 		fmt.Fprintln(w)
-		if withViz {
+		if c.viz {
 			fmt.Fprintln(w, "Figure 5 jitter histograms (buckets -IAT .. +IAT):")
 			for _, s := range ev.Figure5() {
 				fmt.Fprintf(w, "  SL %d %s\n", s.SL, viz.Spark(s.Percent[:], 100))
@@ -348,13 +349,17 @@ func printEvaluation(w io.Writer, ev *experiments.Evaluation, p experiments.Para
 		fmt.Fprintln(w)
 	}
 	if all {
-		res, err := experiments.AblationPrioritySplit(p.Seed)
+		res, err := experiments.AblationPrioritySplit(p.Seed, c.parallel)
 		if err != nil {
 			return err
 		}
 		experiments.PrintPrioritySplit(w, res)
 		fmt.Fprintln(w)
-		experiments.PrintFillPolicies(w, experiments.AblationFillPolicies(50, p.Seed))
+		fill, err := experiments.AblationFillPolicies(50, p.Seed, c.parallel)
+		if err != nil {
+			return err
+		}
+		experiments.PrintFillPolicies(w, fill)
 	}
 	if p.Metrics {
 		fmt.Fprintln(w, "Arbitration metrics (JSON):")

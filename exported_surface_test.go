@@ -227,7 +227,6 @@ var exportedAllowlist = map[string]string{
 	"mad.Unmarshal":                 "bench/ probe, frozen until ROADMAP 3(b)",
 	"plan.EvaluateState":            "model entry point over a caller-built control state; Evaluate and Headroom wrap it",
 	"routing/cdg.CycleError":        "error type, matched with errors.As",
-	"runner.DefaultWorkers":         "read side of SetDefaultWorkers",
 	"sl.BE":                         "Class value of the paper's traffic taxonomy",
 	"sl.ByteTimeNs":                 "byte time in ns, for reading results in wall time (examples/quickstart)",
 	"sl.CH":                         "Class value of the paper's traffic taxonomy",

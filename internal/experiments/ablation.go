@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -79,28 +78,27 @@ func prioritySplitScenario(seed int64, oldScheme bool) (float64, error) {
 	return float64(victim.Delivered.Packets) / expected, nil
 }
 
-// AblationPrioritySplit runs the two scenarios through the shared
-// worker pool and reports both goodputs.  The paper's scheme keeps the
-// victim's goodput near 1; the old scheme starves it.
-func AblationPrioritySplit(seed int64) (PrioritySplitResult, error) {
+// AblationPrioritySplit runs the two scenarios on workers goroutines
+// and reports both goodputs.  The paper's scheme keeps the victim's
+// goodput near 1; the old scheme starves it.
+func AblationPrioritySplit(seed int64, workers int) (PrioritySplitResult, error) {
 	job := func(name string, oldScheme bool) runner.Job[float64] {
 		return runner.Job[float64]{
 			Name: name,
 			Seed: seed,
-			Run: func(context.Context, int64) (float64, error) {
+			Run: func(int64) (float64, error) {
 				return prioritySplitScenario(seed, oldScheme)
 			},
 		}
 	}
-	results := runner.Sweep(context.Background(), []runner.Job[float64]{
+	goodputs, err := runner.Sweep([]runner.Job[float64]{
 		job("priority-split-new", false),
 		job("priority-split-old", true),
-	}, runner.Options{})
-	res := PrioritySplitResult{
-		NewSchemeGoodput: results[0].Value,
-		OldSchemeGoodput: results[1].Value,
+	}, workers)
+	if err != nil {
+		return PrioritySplitResult{}, err
 	}
-	return res, runner.FirstError(results)
+	return PrioritySplitResult{NewSchemeGoodput: goodputs[0], OldSchemeGoodput: goodputs[1]}, nil
 }
 
 // PrintPrioritySplit renders the ablation result.
@@ -125,16 +123,15 @@ type FillPolicyResult struct {
 
 // AblationFillPolicies compares the bit-reversal policy with the naive
 // natural-order policy over the given number of random traces, one
-// pool job per policy.
-func AblationFillPolicies(traces int, seed int64) [2]FillPolicyResult {
-	policies := [2]core.Policy{core.BitReversal, core.NaturalOrder}
+// job per policy on workers goroutines.
+func AblationFillPolicies(traces int, seed int64, workers int) ([]FillPolicyResult, error) {
+	policies := []core.Policy{core.BitReversal, core.NaturalOrder}
 	jobs := make([]runner.Job[FillPolicyResult], len(policies))
 	for pi, pol := range policies {
-		pol := pol
 		jobs[pi] = runner.Job[FillPolicyResult]{
 			Name: "fill-" + pol.Name,
 			Seed: seed,
-			Run: func(context.Context, int64) (FillPolicyResult, error) {
+			Run: func(int64) (FillPolicyResult, error) {
 				r := FillPolicyResult{Policy: pol.Name}
 				sumFill, sumServ := 0.0, 0.0
 				for i := 0; i < traces; i++ {
@@ -150,15 +147,11 @@ func AblationFillPolicies(traces int, seed int64) [2]FillPolicyResult {
 			},
 		}
 	}
-	var out [2]FillPolicyResult
-	for _, res := range runner.Sweep(context.Background(), jobs, runner.Options{}) {
-		out[res.Index] = res.Value
-	}
-	return out
+	return runner.Sweep(jobs, workers)
 }
 
 // PrintFillPolicies renders the fill-policy ablation.
-func PrintFillPolicies(w io.Writer, rows [2]FillPolicyResult) {
+func PrintFillPolicies(w io.Writer, rows []FillPolicyResult) {
 	fmt.Fprintln(w, "Ablation — table fill-in policies")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "policy\tmean fills before 1st reject\tserviceable steps\tfalse rejects")

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -131,18 +130,17 @@ func Churn(p ChurnParams) (ChurnResult, error) {
 func ChurnSweep(base ChurnParams, seeds, workers int) ([]ChurnResult, error) {
 	jobs := make([]runner.Job[ChurnResult], seeds)
 	for i := range jobs {
-		i := i
 		jobs[i] = runner.Job[ChurnResult]{
 			Name: fmt.Sprintf("churn-%02d", i),
 			Seed: runner.DeriveSeed(base.Seed, i),
-			Run: func(_ context.Context, seed int64) (ChurnResult, error) {
+			Run: func(seed int64) (ChurnResult, error) {
 				p := base
 				p.Seed = seed
 				return Churn(p)
 			},
 		}
 	}
-	return sweep(jobs, workers)
+	return runner.Sweep(jobs, workers)
 }
 
 // PrintChurn renders a churn sweep as a table, one row per seed.

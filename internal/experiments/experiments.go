@@ -8,7 +8,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -258,38 +257,22 @@ type Evaluation struct {
 	Small, Large *Run
 }
 
-// Evaluate sets up and executes the small- and large-packet runs
-// through the shared worker pool (each run is single-goroutine;
-// independent runs fan out).
-func Evaluate(p Params) (*Evaluation, error) {
-	jobs := []runner.Job[*Run]{
-		{Name: "small-packets", Seed: p.Seed, Run: func(context.Context, int64) (*Run, error) {
+// Evaluate sets up and executes the small- and large-packet runs on
+// workers goroutines (each run is single-goroutine; independent runs
+// fan out).
+func Evaluate(p Params, workers int) (*Evaluation, error) {
+	runs, err := runner.Sweep([]runner.Job[*Run]{
+		{Name: "small-packets", Seed: p.Seed, Run: func(int64) (*Run, error) {
 			return setupAndExecute(p, SmallPayload, nil)
 		}},
-		{Name: "large-packets", Seed: p.Seed, Run: func(context.Context, int64) (*Run, error) {
+		{Name: "large-packets", Seed: p.Seed, Run: func(int64) (*Run, error) {
 			return setupAndExecute(p, LargePayload, nil)
 		}},
-	}
-	results := runner.Sweep(context.Background(), jobs, runner.Options{})
-	if err := runner.FirstError(results); err != nil {
+	}, workers)
+	if err != nil {
 		return nil, err
 	}
-	return &Evaluation{Small: results[0].Value, Large: results[1].Value}, nil
-}
-
-// sweep runs the jobs of a parameter sweep on workers goroutines and
-// returns their values in input order, so the sweep's JSON encoding is
-// bit-identical at any parallelism; the first failed job fails it.
-func sweep[T any](jobs []runner.Job[T], workers int) ([]T, error) {
-	results := runner.Sweep(context.Background(), jobs, runner.Options{Workers: workers})
-	out := make([]T, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.Name, r.Err)
-		}
-		out[r.Index] = r.Value
-	}
-	return out, nil
+	return &Evaluation{Small: runs[0], Large: runs[1]}, nil
 }
 
 // gridSweep runs point at every (spec, load) of the grid, spec-major,
@@ -302,13 +285,13 @@ func gridSweep[T any](specs []topology.Spec, loads []float64, base int64, worker
 			jobs = append(jobs, runner.Job[T]{
 				Name: fmt.Sprintf("%s-load%g", spec.Label(), load),
 				Seed: runner.DeriveSeed(base, len(jobs)),
-				Run: func(_ context.Context, seed int64) (T, error) {
+				Run: func(seed int64) (T, error) {
 					return point(spec, load, seed)
 				},
 			})
 		}
 	}
-	return sweep(jobs, workers)
+	return runner.Sweep(jobs, workers)
 }
 
 // setupAndExecute is the unit of work every sweep job runs: build the

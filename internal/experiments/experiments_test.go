@@ -120,7 +120,7 @@ func TestTinyEvaluationShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	ev, err := Evaluate(Tiny())
+	ev, err := Evaluate(Tiny(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestAblationPrioritySplit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	res, err := AblationPrioritySplit(7)
+	res, err := AblationPrioritySplit(7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,10 @@ func TestAblationPrioritySplit(t *testing.T) {
 }
 
 func TestAblationFillPolicies(t *testing.T) {
-	rows := AblationFillPolicies(10, 3)
+	rows, err := AblationFillPolicies(10, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	br, nat := rows[0], rows[1]
 	if br.Policy != "bit-reversal" || nat.Policy != "natural" {
 		t.Fatalf("unexpected policies %q, %q", br.Policy, nat.Policy)
@@ -241,11 +244,11 @@ func TestScalingTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	rows := Scaling(Tiny(), []int{2, 4})
+	rows, err := Scaling(Tiny(), []int{2, 4}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range rows {
-		if r.Err != nil {
-			t.Fatalf("%d switches: %v", r.Switches, r.Err)
-		}
 		if r.DeadlineMetPercent < 100 {
 			t.Errorf("%d switches: deadline met %.2f%%", r.Switches, r.DeadlineMetPercent)
 		}
@@ -264,11 +267,11 @@ func TestAblationVLCollapse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	rows := AblationVLCollapse(Tiny(), []int{15, 4})
-	full, collapsed := rows[0], rows[1]
-	if full.Err != nil || collapsed.Err != nil {
-		t.Fatalf("errors: %v / %v", full.Err, collapsed.Err)
+	rows, err := AblationVLCollapse(Tiny(), []int{15, 4}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	full, collapsed := rows[0], rows[1]
 	// Fewer lanes force stricter placement distances, so fewer
 	// connections fit; the guarantees themselves must survive.
 	if collapsed.Connections >= full.Connections {
@@ -290,11 +293,9 @@ func TestAblationSwitchModels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	rows := AblationSwitchModels(Tiny(), []int{1, 2})
-	for _, r := range rows {
-		if r.Err != nil {
-			t.Fatalf("speedup %d: %v", r.Speedup, r.Err)
-		}
+	rows, err := AblationSwitchModels(Tiny(), []int{1, 2}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Higher speedup must not make the delay tail worse.
 	if rows[1].WorstDelayRatio > rows[0].WorstDelayRatio+1e-9 {
@@ -312,9 +313,9 @@ func TestAblationVBR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	res := AblationVBR(11, 4, 8, 2, 15)
-	if res.MeanReserved.Err != nil || res.PeakReserved.Err != nil {
-		t.Fatalf("errors: %v / %v", res.MeanReserved.Err, res.PeakReserved.Err)
+	res, err := AblationVBR(11, 4, 8, 2, 15, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Reserving the peak restores (or preserves) the guarantees; at
 	// this tiny scale the delay tails are within noise of each other,
@@ -370,17 +371,18 @@ func TestReconfigurationStudy(t *testing.T) {
 }
 
 // TestEvaluateDeterministic: the whole paired evaluation is
-// reproducible — identical parameters give identical Table 2 rows even
-// though the two runs execute on concurrent goroutines.
+// reproducible — identical parameters give identical Table 2 rows
+// whether the two runs execute one after the other or on concurrent
+// goroutines.
 func TestEvaluateDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	a, err := Evaluate(Tiny())
+	a, err := Evaluate(Tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Evaluate(Tiny())
+	b, err := Evaluate(Tiny(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -388,12 +387,12 @@ func FailoverSweep(p FailoverParams, workers int) ([]FailoverResult, error) {
 		jobs[i] = runner.Job[FailoverResult]{
 			Name: spec.Label(),
 			Seed: runner.DeriveSeed(p.Seed, i),
-			Run: func(_ context.Context, seed int64) (FailoverResult, error) {
+			Run: func(seed int64) (FailoverResult, error) {
 				return FailoverPoint(p, spec, seed)
 			},
 		}
 	}
-	return sweep(jobs, workers)
+	return runner.Sweep(jobs, workers)
 }
 
 // PrintFailover renders a failover sweep as a table, one row per

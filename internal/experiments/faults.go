@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -199,7 +198,7 @@ func FaultsSweep(base FaultParams, workers int) ([]FaultsResult, error) {
 		jobs[i] = runner.Job[FaultsResult]{
 			Name: fmt.Sprintf("faults-d%g-c%g-f%d", pt.drop, pt.corrupt, pt.flaps),
 			Seed: base.Churn.Seed,
-			Run: func(_ context.Context, seed int64) (FaultsResult, error) {
+			Run: func(seed int64) (FaultsResult, error) {
 				p := base
 				p.Churn.Seed = seed
 				p.Drop = pt.drop
@@ -211,7 +210,7 @@ func FaultsSweep(base FaultParams, workers int) ([]FaultsResult, error) {
 			},
 		}
 	}
-	return sweep(jobs, workers)
+	return runner.Sweep(jobs, workers)
 }
 
 // PrintFaults renders a fault sweep as a table, one row per fault

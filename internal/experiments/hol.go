@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // HOLParams sizes the head-of-line-blocking experiment: the paper's
@@ -25,41 +23,22 @@ import (
 // with the VOQ counters (HOL stalls, matching sizes) explaining any
 // erosion.
 type HOLParams struct {
-	Specs   []topology.Spec
-	Models  []fabric.SwitchModel
-	Loads   []float64 // offered-load factors, as in ScaleParams
-	Seed    int64
-	Payload int // packet payload bytes
+	ScaleParams
+	Models []fabric.SwitchModel
 
 	// ISLIPIters is the iteration depth of the iSLIP points; zero
 	// selects fabric.DefaultISLIPIters.
 	ISLIPIters int
-
-	MaxConsecutiveRejects int
-	MinPacketsSlowest     int
-	WarmupIATs            int64
-
-	// Shards and ShardDet select the sharded simulation core for every
-	// point, exactly as Params.Shards / Params.ShardDet do.
-	Shards   int
-	ShardDet bool
 }
 
-// HOLTiny is the unit-test and golden-file scale: the smallest member
-// of each topology class, all three switch models, a light and a heavy
-// load.
+// HOLTiny is the unit-test and golden-file scale: the scale
+// experiment's tiny grid under all three switch models.
 func HOLTiny() HOLParams {
 	return HOLParams{
-		Specs: ScaleTiny().Specs,
+		ScaleParams: ScaleTiny(),
 		Models: []fabric.SwitchModel{
 			fabric.ModelWRR, fabric.ModelVOQISLIP, fabric.ModelVOQMWM,
 		},
-		Loads:                 []float64{0.5, 2},
-		Seed:                  1,
-		Payload:               512,
-		MaxConsecutiveRejects: 20,
-		MinPacketsSlowest:     30,
-		WarmupIATs:            1,
 	}
 }
 
@@ -67,9 +46,7 @@ func HOLTiny() HOLParams {
 // instances of each class.
 func HOLQuick() HOLParams {
 	p := HOLTiny()
-	p.Specs = ScaleQuick().Specs
-	p.Loads = []float64{0.5, 1, 2}
-	p.MinPacketsSlowest = 60
+	p.ScaleParams = ScaleQuick()
 	return p
 }
 
@@ -107,63 +84,35 @@ type HOLResult struct {
 
 // HOLPoint runs one (spec, model, load) point.
 func HOLPoint(p HOLParams, spec topology.Spec, model fabric.SwitchModel, load float64, seed int64) (HOLResult, error) {
-	var res HOLResult
-	if p.Payload < 1 || p.MinPacketsSlowest < 1 {
-		return res, fmt.Errorf("experiments: hol point (%v, %v, load %g) out of range", spec, model, load)
-	}
-	topo, err := spec.Generate()
+	pt, err := runLoadedPoint(p, model, spec, load, seed)
 	if err != nil {
-		return res, err
+		return HOLResult{}, err
 	}
-	cfg := fabric.DefaultConfig(topo.NumSwitches, p.Payload, seed)
-	cfg.SwitchModel = model
-	cfg.ISLIPIters = p.ISLIPIters
-	cfg.Shards = p.Shards
-	cfg.ShardDeterministic = p.ShardDet
-	net, err := fabric.NewWithTopology(cfg, topo)
-	if err != nil {
-		return res, err
-	}
-	m := net.EnableMetrics()
+	net := pt.net
+	res := HOLResult{
+		Label:    spec.Label(),
+		Model:    model.String(),
+		Switches: net.Topo.NumSwitches,
+		Hosts:    net.Topo.NumHosts(),
+		Seed:     seed,
+		Load:     load,
 
-	res.Label = spec.Label()
-	res.Model = model.String()
-	res.Switches = topo.NumSwitches
-	res.Hosts = topo.NumHosts()
-	res.Seed = seed
-	res.Load = load
+		Attempts: pt.fill.Attempts,
+		Admitted: len(pt.fill.Admitted),
+		BEFlows:  pt.beFlows,
 
-	// The offered traffic depends only on (topo, seed), never on the
-	// model: all models of a point admit the same connections and
-	// carry the same best-effort background.
-	fill, err := net.Adm.FillLoad(load, seed, p.MaxConsecutiveRejects)
-	if err != nil {
-		return res, fmt.Errorf("experiments: hol point %s/%s: %w", res.Label, res.Model, err)
-	}
-	res.Attempts, res.Admitted = fill.Attempts, len(fill.Admitted)
-	flows := addConnections(net, fill.Admitted)
-	for _, be := range traffic.BestEffortBackground(topo.NumHosts(), load, seed+2) {
-		net.AddBestEffort(be)
-		res.BEFlows++
-	}
+		DeliveredBPCNode: net.DeliveredBytesPerCyclePerNode(),
+		SwitchUtil:       net.MeanSwitchPortUtilization(),
 
-	measure(net, flows, p.WarmupIATs, p.MinPacketsSlowest)
-	if err := net.CheckInvariants(); err != nil {
-		return res, err
+		DroppedPackets: pt.dropped,
+		EndTimeBT:      net.Now(),
+		VOQ:            pt.metrics.Snapshot().VOQ,
 	}
-	_, _, dropped := net.Totals()
-	res.DroppedPackets = dropped
-	res.DeliveredBPCNode = net.DeliveredBytesPerCyclePerNode()
-	res.SwitchUtil = net.MeanSwitchPortUtilization()
-
-	delay := mergedDelay(flows)
-	if delay.Total() > 0 {
-		res.MeanDelayRatio = delay.MeanRatio()
-		res.WorstDelayRatio = delay.MaxRatio()
-		res.DeadlineMetPct = delay.PercentMeetingDeadline()
+	if pt.delay.Total() > 0 {
+		res.MeanDelayRatio = pt.delay.MeanRatio()
+		res.WorstDelayRatio = pt.delay.MaxRatio()
+		res.DeadlineMetPct = pt.delay.PercentMeetingDeadline()
 	}
-	res.EndTimeBT = net.Now()
-	res.VOQ = m.Snapshot().VOQ
 	return res, nil
 }
 
@@ -195,12 +144,12 @@ func HOLSweep(p HOLParams, workers int) ([]HOLResult, error) {
 		jobs[i] = runner.Job[HOLResult]{
 			Name: fmt.Sprintf("%s-%s-load%g", pt.spec.Label(), pt.model, pt.load),
 			Seed: runner.DeriveSeed(p.Seed, pt.cell),
-			Run: func(_ context.Context, seed int64) (HOLResult, error) {
+			Run: func(seed int64) (HOLResult, error) {
 				return HOLPoint(p, pt.spec, pt.model, pt.load, seed)
 			},
 		}
 	}
-	return sweep(jobs, workers)
+	return runner.Sweep(jobs, workers)
 }
 
 // PrintHOL renders a HOL sweep, one row per (spec, model, load) point,

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -36,11 +35,10 @@ type configDigest struct {
 func digestJobs(configs []sweepConfig) []runner.Job[configDigest] {
 	jobs := make([]runner.Job[configDigest], len(configs))
 	for i, c := range configs {
-		c := c
 		jobs[i] = runner.Job[configDigest]{
 			Name: fmt.Sprintf("det-%dsw-seed%d", c.Switches, c.Seed),
 			Seed: c.Seed,
-			Run: func(context.Context, int64) (configDigest, error) {
+			Run: func(int64) (configDigest, error) {
 				p := Tiny()
 				p.Switches = c.Switches
 				p.Seed = c.Seed
@@ -100,13 +98,9 @@ func TestParallelRunnerDeterminism(t *testing.T) {
 	}
 
 	digest := func(workers int) []configDigest {
-		results := runner.Sweep(context.Background(), digestJobs(configs), runner.Options{Workers: workers})
-		out := make([]configDigest, len(results))
-		for i, r := range results {
-			if r.Err != nil {
-				t.Fatalf("workers=%d config %v: %v", workers, configs[i], r.Err)
-			}
-			out[i] = r.Value
+		out, err := runner.Sweep(digestJobs(configs), workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return out
 	}
@@ -124,17 +118,19 @@ func TestParallelRunnerDeterminism(t *testing.T) {
 }
 
 // TestScalingDeterministicAcrossWorkers covers the public sweep API:
-// the Scaling rows must not depend on the pool's default worker count.
+// the Scaling rows must not depend on the worker count.
 func TestScalingDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	defer runner.SetDefaultWorkers(0)
-
-	runner.SetDefaultWorkers(1)
-	seq := Scaling(Tiny(), []int{2, 3, 4})
-	runner.SetDefaultWorkers(4)
-	par := Scaling(Tiny(), []int{2, 3, 4})
+	seq, err := Scaling(Tiny(), []int{2, 3, 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := Scaling(Tiny(), []int{2, 3, 4}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("Scaling diverged across worker counts:\nseq: %+v\npar: %+v", seq, par)
 	}

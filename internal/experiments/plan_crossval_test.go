@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -92,7 +91,7 @@ func TestPlanCrossValidationGrid(t *testing.T) {
 		jobs[i] = runner.Job[crossPoint]{
 			Name: fmt.Sprintf("%s-load%g-seed%d", g.spec.Label(), g.load, g.seed),
 			Seed: g.seed,
-			Run: func(_ context.Context, seed int64) (crossPoint, error) {
+			Run: func(seed int64) (crossPoint, error) {
 				cp := crossPoint{spec: g.spec, load: g.load, seed: seed}
 				var err error
 				if cp.mdl, err = PlanPoint(pp, g.spec, g.load, seed); err != nil {
@@ -114,13 +113,9 @@ func TestPlanCrossValidationGrid(t *testing.T) {
 			},
 		}
 	}
-	results := runner.Sweep(context.Background(), jobs, runner.Options{Workers: 8})
-	points := make([]crossPoint, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.Name, r.Err)
-		}
-		points[r.Index] = r.Value
+	points, err := runner.Sweep(jobs, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	saturatedByClass := map[string]int{}

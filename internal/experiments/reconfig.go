@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -99,7 +98,7 @@ func Reconfiguration(switches int, seed int64, conns, workers int) (ReconfigResu
 		jobs = append(jobs, runner.Job[LinkFailure]{
 			Name: name,
 			Seed: seed,
-			Run: func(_ context.Context, seed int64) (LinkFailure, error) {
+			Run: func(seed int64) (LinkFailure, error) {
 				r, err := failoverRun(p, spec, seed, func(*fabric.Network, []*fabric.Flow) (faults.Schedule, error) {
 					return fail, nil
 				})
@@ -115,7 +114,7 @@ func Reconfiguration(switches int, seed int64, conns, workers int) (ReconfigResu
 	if len(jobs) == 0 {
 		return res, fmt.Errorf("experiments: reconfiguration: the %d-switch fabric has no inter-switch link that is not a cut edge", switches)
 	}
-	if res.Links, err = sweep(jobs, workers); err != nil {
+	if res.Links, err = runner.Sweep(jobs, workers); err != nil {
 		return res, err
 	}
 	res.WorstSurvival = 1

@@ -5,8 +5,11 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"repro/internal/admission"
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/routing/cdg"
+	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -99,67 +102,96 @@ type ScaleResult struct {
 
 // ScalePoint runs one (spec, load) point.
 func ScalePoint(p ScaleParams, spec topology.Spec, load float64, seed int64) (ScaleResult, error) {
-	var res ScaleResult
+	pt, err := runLoadedPoint(HOLParams{ScaleParams: p}, fabric.ModelWRR, spec, load, seed)
+	if err != nil {
+		return ScaleResult{}, err
+	}
+	net := pt.net
+	res := ScaleResult{
+		Class:    spec.Class.String(),
+		Label:    spec.Label(),
+		Switches: net.Topo.NumSwitches,
+		Hosts:    net.Topo.NumHosts(),
+		Planes:   net.Routes.Planes(),
+		Seed:     seed,
+		Load:     load,
+		CDG:      pt.cdg,
+
+		Attempts: pt.fill.Attempts,
+		Admitted: len(pt.fill.Admitted),
+		Rejected: pt.fill.Rejected,
+		BEFlows:  pt.beFlows,
+
+		InjectedBPCNode:  net.InjectedBytesPerCyclePerNode(),
+		DeliveredBPCNode: net.DeliveredBytesPerCyclePerNode(),
+		HostUtil:         net.MeanHostUtilization(),
+		SwitchUtil:       net.MeanSwitchPortUtilization(),
+
+		DroppedPackets: pt.dropped,
+		EndTimeBT:      net.Now(),
+	}
+	if pt.delay.Total() > 0 {
+		res.MeanDelayRatio = pt.delay.MeanRatio()
+		res.DeadlineMetPct = pt.delay.PercentMeetingDeadline()
+	}
+	return res, nil
+}
+
+// loadedPoint is one structured-fabric point after its measurement
+// window.
+type loadedPoint struct {
+	net     *fabric.Network
+	metrics *metrics.Metrics
+	cdg     cdg.Stats // the deadlock-freedom proof of the point's routing
+	fill    admission.FillResult
+	beFlows int
+	dropped int64
+	delay   *stats.DelayCDF // merged over the admitted QoS flows
+}
+
+// runLoadedPoint is the run every scale and hol point makes: generate
+// spec's fabric with the given switch model, prove its routing engine
+// deadlock-free on this exact instance before offering any traffic,
+// fill it with QoS connections and best-effort background scaled by
+// load, measure the steady state and audit the invariants.  The
+// offered traffic depends only on (spec, load, seed), never on the
+// switch model.
+func runLoadedPoint(p HOLParams, model fabric.SwitchModel, spec topology.Spec, load float64, seed int64) (*loadedPoint, error) {
 	if p.Payload < 1 || p.MinPacketsSlowest < 1 {
-		return res, fmt.Errorf("experiments: scale point (%v, load %g) out of range", spec, load)
+		return nil, fmt.Errorf("experiments: point (%v, %v, load %g) out of range", spec, model, load)
 	}
 	topo, err := spec.Generate()
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	cfg := fabric.DefaultConfig(topo.NumSwitches, p.Payload, seed)
+	cfg.SwitchModel = model
+	cfg.ISLIPIters = p.ISLIPIters
 	cfg.Shards = p.Shards
 	cfg.ShardDeterministic = p.ShardDet
 	net, err := fabric.NewWithTopology(cfg, topo)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	net.EnableMetrics()
-
-	res.Class = spec.Class.String()
-	res.Label = spec.Label()
-	res.Switches = topo.NumSwitches
-	res.Hosts = topo.NumHosts()
-	res.Planes = net.Routes.Planes()
-	res.Seed = seed
-	res.Load = load
-
-	// Prove the engine deadlock-free on this exact instance before
-	// offering any traffic.
-	res.CDG, err = cdg.Verify(topo, net.Routes)
-	if err != nil {
-		return res, err
+	pt := &loadedPoint{net: net, metrics: net.EnableMetrics()}
+	if pt.cdg, err = cdg.Verify(topo, net.Routes); err != nil {
+		return nil, err
 	}
-
-	fill, err := net.Adm.FillLoad(load, seed, p.MaxConsecutiveRejects)
-	if err != nil {
-		return res, fmt.Errorf("experiments: scale point %s: %w", res.Label, err)
+	if pt.fill, err = net.Adm.FillLoad(load, seed, p.MaxConsecutiveRejects); err != nil {
+		return nil, fmt.Errorf("experiments: point %s/%v: %w", spec.Label(), model, err)
 	}
-	res.Attempts, res.Admitted, res.Rejected = fill.Attempts, len(fill.Admitted), fill.Rejected
-	flows := addConnections(net, fill.Admitted)
+	flows := addConnections(net, pt.fill.Admitted)
 	for _, be := range traffic.BestEffortBackground(topo.NumHosts(), load, seed+2) {
 		net.AddBestEffort(be)
-		res.BEFlows++
+		pt.beFlows++
 	}
-
 	measure(net, flows, p.WarmupIATs, p.MinPacketsSlowest)
 	if err := net.CheckInvariants(); err != nil {
-		return res, err
+		return nil, err
 	}
-	_, _, dropped := net.Totals()
-	res.DroppedPackets = dropped
-	res.InjectedBPCNode = net.InjectedBytesPerCyclePerNode()
-	res.DeliveredBPCNode = net.DeliveredBytesPerCyclePerNode()
-	res.HostUtil = net.MeanHostUtilization()
-	res.SwitchUtil = net.MeanSwitchPortUtilization()
-
-	delay := mergedDelay(flows)
-	if delay.Total() > 0 {
-		res.MeanDelayRatio = delay.MeanRatio()
-		res.DeadlineMetPct = delay.PercentMeetingDeadline()
-	}
-	res.EndTimeBT = net.Now()
-	return res, nil
+	_, _, pt.dropped = net.Totals()
+	pt.delay = mergedDelay(flows)
+	return pt, nil
 }
 
 // ScaleSweep runs every (spec, load) point of the grid.  Results come

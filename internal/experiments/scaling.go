@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
 
-	"repro/internal/fabric"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -23,29 +20,20 @@ type ScalingRow struct {
 	CentralJitter      float64 // % of packets in the central interval
 	HostUtilization    float64
 	DeliveredPerNode   float64
-	Err                error
 }
 
 // Scaling runs the small-packet evaluation across the given network
-// sizes through the shared worker pool.  Each worker owns one
-// simulation engine reused (via Reset) across the sweep points it
-// executes, so consecutive points share a warmed event-record slab and
-// heap instead of re-growing them from zero.  Reuse is behavior-
-// neutral; results are bit-identical to fresh-engine runs.
-func Scaling(p Params, sizes []int) []ScalingRow {
+// sizes on workers goroutines, one job per size.
+func Scaling(p Params, sizes []int, workers int) ([]ScalingRow, error) {
 	jobs := make([]runner.Job[ScalingRow], len(sizes))
 	for i, size := range sizes {
-		size := size
 		jobs[i] = runner.Job[ScalingRow]{
 			Name: fmt.Sprintf("scaling-%dsw", size),
 			Seed: p.Seed,
-			RunState: func(_ context.Context, _ int64, state any) (ScalingRow, error) {
+			Run: func(int64) (ScalingRow, error) {
 				ps := p
 				ps.Switches = size
-				eng, _ := state.(*sim.Engine)
-				run, err := setupAndExecute(ps, SmallPayload, func(cfg *fabric.Config) {
-					cfg.Engine = eng
-				})
+				run, err := setupAndExecute(ps, SmallPayload, nil)
 				if err != nil {
 					return ScalingRow{}, err
 				}
@@ -67,15 +55,7 @@ func Scaling(p Params, sizes []int) []ScalingRow {
 			},
 		}
 	}
-	rows := make([]ScalingRow, len(sizes))
-	opt := runner.Options{WorkerState: func() any { return &sim.Engine{} }}
-	for _, res := range runner.Sweep(context.Background(), jobs, opt) {
-		rows[res.Index] = res.Value
-		if res.Err != nil {
-			rows[res.Index] = ScalingRow{Switches: sizes[res.Index], Err: res.Err}
-		}
-	}
-	return rows
+	return runner.Sweep(jobs, workers)
 }
 
 // PrintScaling renders the scaling sweep.
@@ -84,10 +64,6 @@ func PrintScaling(w io.Writer, rows []ScalingRow) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "switches\thosts\tconns\tdeadline met (%)\tcentral jitter (%)\thost util (%)\tdelivered (B/cycle/node)")
 	for _, r := range rows {
-		if r.Err != nil {
-			fmt.Fprintf(tw, "%d\terror: %v\n", r.Switches, r.Err)
-			continue
-		}
 		fmt.Fprintf(tw, "%d\t%d\t%d\t%.2f\t%.1f\t%.2f\t%.4f\n",
 			r.Switches, r.Hosts, r.Connections, r.DeadlineMetPercent,
 			r.CentralJitter, r.HostUtilization, r.DeliveredPerNode)

@@ -26,7 +26,7 @@ type ShardBenchParams struct {
 	Seed      int64
 	Payload   int   // packet payload bytes
 	HorizonBT int64 // simulated run length, byte times
-	Shards    []int // shard counts to benchmark, in order
+	Shards    []int // shard counts to benchmark, in order (-bench-shards)
 }
 
 // ShardBenchDefault is the PR benchmark configuration: a k=8 fat-tree
@@ -45,14 +45,9 @@ func ShardBenchDefault() ShardBenchParams {
 
 // ShardBenchResult is one shard count's row.
 type ShardBenchResult struct {
-	Shards int `json:"shards"` // requested shard count
-	// Effective is the shard count the fabric actually simulated with:
-	// the partitioner silently clamps requests above the switch count,
-	// so a row with Effective < Shards measured a smaller partition
-	// than its label suggests.
-	Effective int    `json:"effectiveShards"`
-	Parallel  bool   `json:"parallel"`
-	Windows   uint64 `json:"windows"`
+	Shards   int    `json:"shards"`
+	Parallel bool   `json:"parallel"`
+	Windows  uint64 `json:"windows"`
 	// Synchronization work of the conservative protocol: barrier
 	// passes, barriers that ran serialized control events, and the
 	// control events so serialized.  All zero in single-engine rows.
@@ -78,6 +73,11 @@ type ShardBenchResult struct {
 func ShardBench(p ShardBenchParams) ([]ShardBenchResult, error) {
 	if p.Payload < 1 || p.HorizonBT < 1 || len(p.Shards) == 0 {
 		return nil, fmt.Errorf("experiments: shard bench parameters %+v out of range", p)
+	}
+	for _, shards := range p.Shards {
+		if shards < 1 {
+			return nil, fmt.Errorf("experiments: shard bench: -bench-shards %d: need at least one shard", shards)
+		}
 	}
 	var out []ShardBenchResult
 	baseline := 0.0
@@ -115,8 +115,13 @@ func shardBenchRun(p ShardBenchParams, shards int) (ShardBenchResult, error) {
 	if err != nil {
 		return res, err
 	}
+	// The partitioner clamps a count above what the fabric can be cut
+	// into; a row must measure the count it is labeled with.
+	if net.Shards() != shards {
+		return res, fmt.Errorf("experiments: shard bench: -bench-shards %d: %s partitions into at most %d shards",
+			shards, p.Spec.Label(), net.Shards())
+	}
 	res.Shards = shards
-	res.Effective = net.Shards()
 	res.Parallel = net.Parallel()
 
 	// The offered traffic is a pure function of (topo, seed): QoS
@@ -164,17 +169,11 @@ func PrintShardBench(w io.Writer, p ShardBenchParams, res []ShardBenchResult) {
 	fmt.Fprintf(w, "Sharded-core throughput: %s load %g horizon %d BT (%d CPUs)\n",
 		p.Spec.Label(), p.Load, p.HorizonBT, runtime.NumCPU())
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "shards\teff\tparallel\twindows\tevents\tdelivered\twall ms\tevents/s\tspeedup")
+	fmt.Fprintln(tw, "shards\tparallel\twindows\tevents\tdelivered\twall ms\tevents/s\tspeedup")
 	for _, r := range res {
-		fmt.Fprintf(tw, "%d\t%d\t%v\t%d\t%d\t%d\t%.1f\t%.3g\t%.2f\n",
-			r.Shards, r.Effective, r.Parallel, r.Windows, r.Events, r.Delivered,
+		fmt.Fprintf(tw, "%d\t%v\t%d\t%d\t%d\t%.1f\t%.3g\t%.2f\n",
+			r.Shards, r.Parallel, r.Windows, r.Events, r.Delivered,
 			r.WallMS, r.EventsPerSec, r.Speedup)
 	}
 	tw.Flush()
-	for _, r := range res {
-		if r.Effective != r.Shards {
-			fmt.Fprintf(w, "warning: %d shards requested but the fabric has only %d partitionable switches; row measured %d shards\n",
-				r.Shards, r.Effective, r.Effective)
-		}
-	}
 }

@@ -7,14 +7,12 @@ import (
 	"repro/internal/topology"
 )
 
-// TestShardBenchReportsEffectiveShards: requesting more shards than
-// the fabric has switches used to be silently clamped with the row
-// still labeled by the request; the result must now carry the
-// effective count and the printer must warn about the clamp.
-func TestShardBenchReportsEffectiveShards(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation run in -short mode")
-	}
+// TestShardBenchRefusesUnmeasurableCounts: a shard count below one, or
+// one the partitioner would clamp (more shards than the 4-switch
+// fabric can be cut into), is refused with an error naming
+// -bench-shards, instead of a row that measured fewer shards than its
+// label says.
+func TestShardBenchRefusesUnmeasurableCounts(t *testing.T) {
 	p := ShardBenchParams{
 		Spec:      topology.Spec{Class: topology.Irregular, Switches: 4, Seed: 42},
 		Load:      1,
@@ -22,21 +20,12 @@ func TestShardBenchReportsEffectiveShards(t *testing.T) {
 		Seed:      7,
 		Payload:   256,
 		HorizonBT: 100_000,
-		Shards:    []int{1, 16}, // 16 > 4 switches: clamped to 4
 	}
-	res, err := ShardBench(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Effective != 1 {
-		t.Errorf("baseline row effective %d, want 1", res[0].Effective)
-	}
-	if res[1].Shards != 16 || res[1].Effective != 4 {
-		t.Errorf("clamped row requested/effective = %d/%d, want 16/4", res[1].Shards, res[1].Effective)
-	}
-	var b strings.Builder
-	PrintShardBench(&b, p, res)
-	if !strings.Contains(b.String(), "warning: 16 shards requested") {
-		t.Errorf("printer did not warn about the clamp:\n%s", b.String())
+	for _, shards := range []int{0, -1, 16} {
+		p.Shards = []int{shards}
+		res, err := ShardBench(p)
+		if err == nil || !strings.Contains(err.Error(), "-bench-shards") {
+			t.Errorf("%d shards: err = %v, rows %+v; want a refusal naming -bench-shards", shards, err, res)
+		}
 	}
 }

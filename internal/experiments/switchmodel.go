@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -22,19 +21,17 @@ type SwitchModelRow struct {
 	DeadlineMetPercent float64
 	WorstDelayRatio    float64 // max delay/deadline over all packets
 	MeanDelayRatio     float64
-	Err                error
 }
 
 // AblationSwitchModels runs the large-packet evaluation across
-// crossbar speedups through the shared worker pool, one job per model.
-func AblationSwitchModels(p Params, speedups []int) []SwitchModelRow {
+// crossbar speedups on workers goroutines, one job per model.
+func AblationSwitchModels(p Params, speedups []int, workers int) ([]SwitchModelRow, error) {
 	jobs := make([]runner.Job[SwitchModelRow], len(speedups))
 	for i, su := range speedups {
-		su := su
 		jobs[i] = runner.Job[SwitchModelRow]{
 			Name: fmt.Sprintf("switchmodel-x%d", su),
 			Seed: p.Seed,
-			Run: func(context.Context, int64) (SwitchModelRow, error) {
+			Run: func(int64) (SwitchModelRow, error) {
 				run, err := setupAndExecute(p, LargePayload, func(cfg *fabric.Config) {
 					cfg.CrossbarSpeedup = su
 				})
@@ -51,14 +48,7 @@ func AblationSwitchModels(p Params, speedups []int) []SwitchModelRow {
 			},
 		}
 	}
-	rows := make([]SwitchModelRow, len(speedups))
-	for _, res := range runner.Sweep(context.Background(), jobs, runner.Options{}) {
-		rows[res.Index] = res.Value
-		if res.Err != nil {
-			rows[res.Index] = SwitchModelRow{Speedup: speedups[res.Index], Err: res.Err}
-		}
-	}
-	return rows
+	return runner.Sweep(jobs, workers)
 }
 
 // PrintSwitchModels renders the switch-model ablation.
@@ -67,10 +57,6 @@ func PrintSwitchModels(w io.Writer, rows []SwitchModelRow) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "speedup\tdeadline met (%)\tworst delay/D\tmean delay/D")
 	for _, r := range rows {
-		if r.Err != nil {
-			fmt.Fprintf(tw, "%d\terror: %v\n", r.Speedup, r.Err)
-			continue
-		}
 		fmt.Fprintf(tw, "%d\t%.3f\t%.3f\t%.4f\n",
 			r.Speedup, r.DeadlineMetPercent, r.WorstDelayRatio, r.MeanDelayRatio)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -33,17 +32,16 @@ type VBRScenario struct {
 	DeadlineMetPercent float64
 	WorstDelayRatio    float64
 	Connections        int
-	Err                error
 }
 
 // vbrScenario loads a 4-switch network with on/off VBR connections on
 // SLs 2-5 plus a saturating CBR background (bursts only contend when
 // the links carry real load).  reservePeak selects whether admission
 // reserves the peak rate or only the mean.
-func vbrScenario(seed int64, peakFactor, burst, switches int, windowIATs int64, reservePeak bool) VBRScenario {
+func vbrScenario(seed int64, peakFactor, burst, switches int, windowIATs int64, reservePeak bool) (VBRScenario, error) {
 	net, err := fabric.New(fabric.DefaultConfig(switches, SmallPayload, seed))
 	if err != nil {
-		return VBRScenario{Err: err}
+		return VBRScenario{}, err
 	}
 	// Means chosen so that mean*peakFactor stays inside each SL's
 	// bandwidth range, letting both scenarios use valid requests.
@@ -70,7 +68,7 @@ func vbrScenario(seed int64, peakFactor, burst, switches int, windowIATs int64, 
 		}
 		conn, err := net.Adm.Admit(req)
 		if err != nil {
-			return VBRScenario{Err: fmt.Errorf("admitting VBR connection %d: %w", i, err)}
+			return VBRScenario{}, fmt.Errorf("admitting VBR connection %d: %w", i, err)
 		}
 		// The source's actual behavior is identical in both scenarios:
 		// bursts at peakFactor times the mean.  Build the flow from the
@@ -101,40 +99,36 @@ func vbrScenario(seed int64, peakFactor, burst, switches int, windowIATs int64, 
 		DeadlineMetPercent: all.PercentMeetingDeadline(),
 		WorstDelayRatio:    all.MaxRatio(),
 		Connections:        len(flows),
-	}
+	}, nil
 }
 
 // AblationVBR runs both reservation policies for on/off VBR sources on
 // a network of the given size, measuring windowIATs periods of the
-// slowest VBR source.  The two scenarios fan out through the shared
-// worker pool.
-func AblationVBR(seed int64, peakFactor, burst, switches int, windowIATs int64) VBRResult {
+// slowest VBR source.  The two scenarios fan out on workers
+// goroutines.
+func AblationVBR(seed int64, peakFactor, burst, switches int, windowIATs int64, workers int) (VBRResult, error) {
 	job := func(name string, reservePeak bool) runner.Job[VBRScenario] {
 		return runner.Job[VBRScenario]{
 			Name: name,
 			Seed: seed,
-			Run: func(context.Context, int64) (VBRScenario, error) {
-				return vbrScenario(seed, peakFactor, burst, switches, windowIATs, reservePeak), nil
+			Run: func(int64) (VBRScenario, error) {
+				return vbrScenario(seed, peakFactor, burst, switches, windowIATs, reservePeak)
 			},
 		}
 	}
-	results := runner.Sweep(context.Background(), []runner.Job[VBRScenario]{
+	scenarios, err := runner.Sweep([]runner.Job[VBRScenario]{
 		job("vbr-mean-reserved", false),
 		job("vbr-peak-reserved", true),
-	}, runner.Options{})
-	for i := range results {
-		// Scenario errors travel inside VBRScenario; surface pool-level
-		// failures (a panicking job) the same way.
-		if results[i].Err != nil && results[i].Value.Err == nil {
-			results[i].Value.Err = results[i].Err
-		}
+	}, workers)
+	if err != nil {
+		return VBRResult{}, err
 	}
 	return VBRResult{
 		PeakFactor:   peakFactor,
 		Burst:        burst,
-		MeanReserved: results[0].Value,
-		PeakReserved: results[1].Value,
-	}
+		MeanReserved: scenarios[0],
+		PeakReserved: scenarios[1],
+	}, nil
 }
 
 // PrintVBR renders the VBR extension experiment.
@@ -143,10 +137,6 @@ func PrintVBR(w io.Writer, r VBRResult) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "reservation\tdeadline met (%)\tworst delay/D")
 	row := func(name string, s VBRScenario) {
-		if s.Err != nil {
-			fmt.Fprintf(tw, "%s\terror: %v\n", name, s.Err)
-			return
-		}
 		fmt.Fprintf(tw, "%s\t%.2f\t%.3f\n", name, s.DeadlineMetPercent, s.WorstDelayRatio)
 	}
 	row("mean rate", r.MeanReserved)

@@ -28,9 +28,9 @@ func TestVBRScenarioTable(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			s := vbrScenario(11, c.peakFactor, c.burst, c.switches, c.windowIATs, c.reservePeak)
-			if s.Err != nil {
-				t.Fatal(s.Err)
+			s, err := vbrScenario(11, c.peakFactor, c.burst, c.switches, c.windowIATs, c.reservePeak)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if s.Connections != 24 {
 				t.Errorf("connections = %d, want 24", s.Connections)
@@ -51,26 +51,32 @@ func TestVBRScenarioDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	a := vbrScenario(11, 4, 8, 2, 8, false)
-	b := vbrScenario(11, 4, 8, 2, 8, false)
+	a, errA := vbrScenario(11, 4, 8, 2, 8, false)
+	b, errB := vbrScenario(11, 4, 8, 2, 8, false)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
 	if a != b {
 		t.Fatalf("scenario diverged:\n%+v\n%+v", a, b)
 	}
 }
 
-// TestVBRPanicSurfaced: a pool-level failure must land in the
-// scenario's Err field rather than vanish (AblationVBR reports errors
-// through VBRScenario, not through a separate error return).
+// TestVBRResultShape: the ablation echoes its parameters and renders
+// both scenarios; a scenario that cannot be built fails the ablation
+// and names the scenario.
 func TestVBRResultShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	res := AblationVBR(11, 2, 4, 2, 6)
+	if _, err := AblationVBR(11, 2, 4, 1, 6, 1); err == nil || !strings.Contains(err.Error(), "vbr-mean-reserved") {
+		t.Errorf("1-switch network: err = %v, want one naming the failed scenario", err)
+	}
+	res, err := AblationVBR(11, 2, 4, 2, 6, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.PeakFactor != 2 || res.Burst != 4 {
 		t.Fatalf("parameters not echoed: %+v", res)
-	}
-	if res.MeanReserved.Err != nil || res.PeakReserved.Err != nil {
-		t.Fatalf("scenario errors: %v / %v", res.MeanReserved.Err, res.PeakReserved.Err)
 	}
 	var buf bytes.Buffer
 	PrintVBR(&buf, res)

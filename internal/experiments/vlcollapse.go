@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -20,20 +19,18 @@ type VLCollapseRow struct {
 	Connections        int
 	HostReservation    float64 // Mbps
 	DeadlineMetPercent float64
-	Err                error
 }
 
 // AblationVLCollapse runs the small-packet evaluation with the
-// identity mapping (15 data VLs) and with collapsed mappings through
-// the shared worker pool, one job per lane budget.
-func AblationVLCollapse(p Params, lanes []int) []VLCollapseRow {
+// identity mapping (15 data VLs) and with collapsed mappings on
+// workers goroutines, one job per lane budget.
+func AblationVLCollapse(p Params, lanes []int, workers int) ([]VLCollapseRow, error) {
 	jobs := make([]runner.Job[VLCollapseRow], len(lanes))
 	for i, v := range lanes {
-		v := v
 		jobs[i] = runner.Job[VLCollapseRow]{
 			Name: fmt.Sprintf("vlcollapse-%dvl", v),
 			Seed: p.Seed,
-			Run: func(context.Context, int64) (VLCollapseRow, error) {
+			Run: func(int64) (VLCollapseRow, error) {
 				run, err := setupAndExecute(p, SmallPayload, func(cfg *fabric.Config) {
 					cfg.DataVLs = v
 				})
@@ -50,14 +47,7 @@ func AblationVLCollapse(p Params, lanes []int) []VLCollapseRow {
 			},
 		}
 	}
-	rows := make([]VLCollapseRow, len(lanes))
-	for _, res := range runner.Sweep(context.Background(), jobs, runner.Options{}) {
-		rows[res.Index] = res.Value
-		if res.Err != nil {
-			rows[res.Index] = VLCollapseRow{DataVLs: lanes[res.Index], Err: res.Err}
-		}
-	}
-	return rows
+	return runner.Sweep(jobs, workers)
 }
 
 // PrintVLCollapse renders the VL-collapse ablation.
@@ -66,10 +56,6 @@ func PrintVLCollapse(w io.Writer, rows []VLCollapseRow) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "data VLs\tconns admitted\tmean host reservation (Mbps)\tdeadline met (%)")
 	for _, r := range rows {
-		if r.Err != nil {
-			fmt.Fprintf(tw, "%d\terror: %v\n", r.DataVLs, r.Err)
-			continue
-		}
 		fmt.Fprintf(tw, "%d\t%d\t%.0f\t%.2f\n", r.DataVLs, r.Connections, r.HostReservation, r.DeadlineMetPercent)
 	}
 	tw.Flush()

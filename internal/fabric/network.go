@@ -56,14 +56,6 @@ type Config struct {
 	// Ignored by the other models.
 	ISLIPIters int
 
-	// Engine, when non-nil, is reused for this network after a Reset
-	// instead of allocating a fresh engine — sweep harnesses keep one
-	// engine per worker so consecutive sweep points share its warmed
-	// event-record pool and heap.  Reuse is behavior-neutral: a Reset
-	// engine is indistinguishable from a zero one.  In a parallel
-	// sharded run it becomes shard 0's engine.
-	Engine *sim.Engine
-
 	// Shards splits the fabric into that many topology-local
 	// partitions (pods, dragonfly groups, or BFS-carved subtrees; see
 	// topology.PartitionFabric), each owning its own engine, packet
@@ -354,12 +346,7 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 	}
 	parallel := part.Shards > 1 && !cfg.ShardDeterministic
 
-	eng := cfg.Engine
-	if eng == nil {
-		eng = &sim.Engine{}
-	} else {
-		eng.Reset()
-	}
+	eng := &sim.Engine{}
 	if !parallel {
 		// Preallocate the event core for the steady-state event
 		// population.

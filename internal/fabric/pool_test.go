@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/sl"
 	"repro/internal/traffic"
 )
@@ -15,12 +14,10 @@ import (
 // the clock, the executed-event count, the stale-arrival audit counter
 // and the full metrics snapshot (per-VL bytes, scan lengths, queue-
 // depth histogram, deadline misses).  Two runs with the same seed must
-// produce the same signature regardless of pooling or engine reuse.
-func poolFingerprint(t *testing.T, seed int64, disablePools bool, eng *sim.Engine) string {
+// produce the same signature regardless of pooling.
+func poolFingerprint(t *testing.T, seed int64, disablePools bool) string {
 	t.Helper()
-	cfg := DefaultConfig(4, 256, seed)
-	cfg.Engine = eng
-	n, err := New(cfg)
+	n, err := New(DefaultConfig(4, 256, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,30 +48,12 @@ func poolFingerprint(t *testing.T, seed int64, disablePools bool, eng *sim.Engin
 // pooling changes only where records live, never what the model sees.
 func TestPooledRunsBitIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		pooled := poolFingerprint(t, seed, false, nil)
-		plain := poolFingerprint(t, seed, true, nil)
+		pooled := poolFingerprint(t, seed, false)
+		plain := poolFingerprint(t, seed, true)
 		if pooled != plain {
 			t.Errorf("seed %d: pooled and pool-disabled runs diverged:\n  pooled: %s\n  plain:  %s",
 				seed, pooled, plain)
 		}
-	}
-}
-
-// TestEngineReuseAcrossRuns drives the same configuration through one
-// engine three times (as a sweep worker does via Config.Engine and
-// Reset) and checks every run matches a fresh-engine run byte for
-// byte.  A Reset engine must be indistinguishable from a zero one.
-func TestEngineReuseAcrossRuns(t *testing.T) {
-	const seed = 11
-	fresh := poolFingerprint(t, seed, false, nil)
-	eng := &sim.Engine{}
-	for k := 0; k < 3; k++ {
-		if got := poolFingerprint(t, seed, false, eng); got != fresh {
-			t.Fatalf("reuse %d diverged from fresh engine:\n  reused: %s\n  fresh:  %s", k, got, fresh)
-		}
-	}
-	if s := eng.Stats(); s.Resets != 3 {
-		t.Errorf("Resets = %d, want 3", s.Resets)
 	}
 }
 

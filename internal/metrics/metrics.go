@@ -161,9 +161,8 @@ func (c *VOQCounters) Add(o VOQCounters) {
 
 // EngineCounters meters the typed-event core of one simulation engine:
 // how much work went through the heap, how deep it got, and how well
-// the event-record pool recycled.  The engine maintains them itself
-// (sim.Engine.Stats exports a copy); they live here so the metrics
-// layer can aggregate them alongside the model counters.
+// the event-record pool recycled.  The engine maintains them itself;
+// sim.Engine.Stats exports a copy.
 type EngineCounters struct {
 	Scheduled    int64 `json:"scheduled"`    // events posted (typed + closure)
 	Executed     int64 `json:"executed"`     // events executed (incl. deferred)
@@ -172,28 +171,6 @@ type EngineCounters struct {
 	MaxDeferred  int64 `json:"maxDeferred"`  // high-water same-instant queue
 	PoolReuse    int64 `json:"poolReuse"`    // event records recycled from the free-list
 	PoolGrow     int64 `json:"poolGrow"`     // event records newly allocated
-	Resets       int64 `json:"resets"`       // engine reuses via Reset
-}
-
-// Zero reports whether the counters recorded no engine activity.
-func (c *EngineCounters) Zero() bool {
-	return c == nil || *c == EngineCounters{}
-}
-
-// Add accumulates o into c; high-water marks take the maximum.
-func (c *EngineCounters) Add(o EngineCounters) {
-	c.Scheduled += o.Scheduled
-	c.Executed += o.Executed
-	c.Canceled += o.Canceled
-	if o.MaxHeapDepth > c.MaxHeapDepth {
-		c.MaxHeapDepth = o.MaxHeapDepth
-	}
-	if o.MaxDeferred > c.MaxDeferred {
-		c.MaxDeferred = o.MaxDeferred
-	}
-	c.PoolReuse += o.PoolReuse
-	c.PoolGrow += o.PoolGrow
-	c.Resets += o.Resets
 }
 
 // Hist is a power-of-two-bucket histogram for small non-negative

@@ -4,27 +4,25 @@
 // the harness comes from running many independent engines at once, one
 // per configuration.  The runner guarantees:
 //
-//   - results return in input order, regardless of completion order,
+//   - values return in input order, regardless of completion order,
 //     so a parallel sweep is a drop-in replacement for a sequential
 //     loop and produces bit-identical aggregates;
 //   - deterministic seeding: DeriveSeed gives every configuration a
 //     stable pseudo-independent seed from a base seed and its index,
 //     independent of worker count and scheduling;
-//   - panic isolation: a panicking configuration is reported in its
-//     Result (with the stack) instead of killing the sweep;
-//   - bounded concurrency and context cancellation: at most Workers
-//     jobs run at once, and jobs not yet started when the context is
-//     canceled return the context error without running.
+//   - one error rule: a job that fails or panics fails the sweep, and
+//     the sweep's error is the first failure in input order, naming
+//     the job (a panic's error carries the stack), so it is the same
+//     at any worker count;
+//   - bounded concurrency: at most workers jobs run at once.
 package runner
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Job is one configuration of a sweep.  Run receives the job's seed so
@@ -32,60 +30,7 @@ import (
 type Job[T any] struct {
 	Name string
 	Seed int64
-	Run  func(ctx context.Context, seed int64) (T, error)
-
-	// RunState, when non-nil, takes precedence over Run and additionally
-	// receives the per-worker state built by Options.WorkerState (nil
-	// when no WorkerState is configured).  Sweeps use it to reuse
-	// expensive warm structures — e.g. one simulation engine per worker,
-	// Reset between jobs — without coupling results to worker identity:
-	// the state must be behavior-neutral, so results stay bit-identical
-	// to a stateless run.
-	RunState func(ctx context.Context, seed int64, state any) (T, error)
-}
-
-// Result is the outcome of one job, reported at the job's input index.
-type Result[T any] struct {
-	Index   int
-	Name    string
-	Seed    int64
-	Value   T
-	Err     error
-	Panic   string // non-empty when the job panicked; Err is set too
-	Elapsed time.Duration
-}
-
-// Options tunes a sweep.
-type Options struct {
-	// Workers bounds concurrency; <= 0 selects the package default
-	// (SetDefaultWorkers, falling back to GOMAXPROCS).
-	Workers int
-
-	// WorkerState, when non-nil, runs once per worker goroutine before
-	// its first job; every job the worker executes receives the value
-	// through Job.RunState.  The state is confined to one goroutine for
-	// the sweep's lifetime, so it needs no locking.
-	WorkerState func() any
-}
-
-// defaultWorkers holds the -parallel override; 0 means GOMAXPROCS.
-var defaultWorkers atomic.Int64
-
-// SetDefaultWorkers sets the pool size used when Options.Workers is
-// unset.  n <= 0 restores the GOMAXPROCS default.
-func SetDefaultWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers.Store(int64(n))
-}
-
-// DefaultWorkers returns the effective default pool size.
-func DefaultWorkers() int {
-	if n := int(defaultWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
+	Run  func(seed int64) (T, error)
 }
 
 // DeriveSeed maps (base, index) to a stable, well-mixed seed via a
@@ -98,86 +43,60 @@ func DeriveSeed(base int64, index int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// Sweep runs every job and returns their results in input order.  It
-// blocks until all started jobs have finished; jobs that had not
-// started when ctx was canceled are reported with ctx.Err() and never
-// run.
-func Sweep[T any](ctx context.Context, jobs []Job[T], opt Options) []Result[T] {
-	results := make([]Result[T], len(jobs))
-	if len(jobs) == 0 {
-		return results
-	}
-	workers := opt.Workers
+// Sweep runs every job on at most workers goroutines (GOMAXPROCS when
+// workers <= 0) and returns their values in input order.  A failed or
+// panicking job fails the sweep: no job is started after the first
+// failure, and the error returned is that of the first failed job in
+// input order.  Jobs are handed out in input order, so every job
+// before that one has run, whatever the worker count.
+func Sweep[T any](jobs []Job[T], workers int) ([]T, error) {
 	if workers <= 0 {
-		workers = DefaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
+	workers = min(workers, len(jobs))
+	values := make([]T, len(jobs))
+	errs := make([]error, len(jobs))
+	var failed atomic.Bool
 	indices := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			var state any
-			if opt.WorkerState != nil {
-				state = opt.WorkerState()
-			}
 			for i := range indices {
-				results[i] = execute(ctx, i, jobs[i], state)
+				values[i], errs[i] = execute(jobs[i])
+				if errs[i] != nil {
+					failed.Store(true)
+				}
 			}
 		}()
 	}
-feed:
 	for i := range jobs {
-		select {
-		case indices <- i:
-		case <-ctx.Done():
-			// Mark everything not yet handed out as canceled.  i was
-			// not handed out either.
-			for k := i; k < len(jobs); k++ {
-				results[k] = Result[T]{Index: k, Name: jobs[k].Name, Seed: jobs[k].Seed, Err: ctx.Err()}
-			}
-			break feed
+		if failed.Load() {
+			break
 		}
+		indices <- i
 	}
 	close(indices)
 	wg.Wait()
-	return results
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return values, nil
 }
 
-// execute runs one job with panic capture.
-func execute[T any](ctx context.Context, i int, job Job[T], state any) (res Result[T]) {
-	res = Result[T]{Index: i, Name: job.Name, Seed: job.Seed}
-	if err := ctx.Err(); err != nil {
-		res.Err = err
-		return res
-	}
-	start := time.Now()
+// execute runs one job, turning a panic into an error that names the
+// job and carries the stack.
+func execute[T any](job Job[T]) (v T, err error) {
 	defer func() {
-		res.Elapsed = time.Since(start)
 		if r := recover(); r != nil {
-			res.Panic = fmt.Sprintf("%v\n%s", r, debug.Stack())
-			res.Err = fmt.Errorf("runner: job %d (%s) panicked: %v", i, job.Name, r)
+			err = fmt.Errorf("%s: panic: %v\n%s", job.Name, r, debug.Stack())
 		}
 	}()
-	if job.RunState != nil {
-		res.Value, res.Err = job.RunState(ctx, job.Seed, state)
-	} else {
-		res.Value, res.Err = job.Run(ctx, job.Seed)
+	if v, err = job.Run(job.Seed); err != nil {
+		err = fmt.Errorf("%s: %w", job.Name, err)
 	}
-	return res
-}
-
-// FirstError returns the first non-nil job error, in input order, or
-// nil when the whole sweep succeeded.
-func FirstError[T any](results []Result[T]) error {
-	for i := range results {
-		if results[i].Err != nil {
-			return results[i].Err
-		}
-	}
-	return nil
+	return v, err
 }

@@ -1,11 +1,9 @@
 package runner
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,7 +13,7 @@ func jobN(i int) Job[int] {
 	return Job[int]{
 		Name: fmt.Sprintf("job-%d", i),
 		Seed: int64(i),
-		Run: func(_ context.Context, seed int64) (int, error) {
+		Run: func(seed int64) (int, error) {
 			return int(seed) * 10, nil
 		},
 	}
@@ -26,46 +24,104 @@ func TestSweepOrderAndValues(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		jobs = append(jobs, jobN(i))
 	}
-	for _, workers := range []int{1, 2, 7, 100} {
-		results := Sweep(context.Background(), jobs, Options{Workers: workers})
-		if len(results) != len(jobs) {
-			t.Fatalf("workers=%d: %d results", workers, len(results))
+	for _, workers := range []int{0, 1, 2, 7, 100} {
+		values, err := Sweep(jobs, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for i, r := range results {
-			if r.Index != i || r.Value != i*10 || r.Err != nil || r.Name != jobs[i].Name {
-				t.Fatalf("workers=%d result %d: %+v", workers, i, r)
+		if len(values) != len(jobs) {
+			t.Fatalf("workers=%d: %d values", workers, len(values))
+		}
+		for i, v := range values {
+			if v != i*10 {
+				t.Fatalf("workers=%d value %d = %d, want %d", workers, i, v, i*10)
 			}
 		}
 	}
 }
 
 func TestSweepEmpty(t *testing.T) {
-	if got := Sweep[int](context.Background(), nil, Options{}); len(got) != 0 {
-		t.Fatalf("empty sweep returned %d results", len(got))
+	got, err := Sweep[int](nil, 4)
+	if err != nil || len(got) != 0 {
+		t.Fatalf("empty sweep returned %d values, err %v", len(got), err)
 	}
 }
 
+// errBad is the failing job's error; the sweep must wrap it, not
+// replace it.
+var errBad = errors.New("bad point")
+
+// failingJobs is a sweep whose job 3 fails and job 5 panics, among
+// healthy jobs on both sides.
+func failingJobs() []Job[int] {
+	var jobs []Job[int]
+	for i := 0; i < 12; i++ {
+		jobs = append(jobs, jobN(i))
+	}
+	jobs[3] = Job[int]{Name: "fails", Run: func(int64) (int, error) { return 0, errBad }}
+	jobs[5] = Job[int]{Name: "boom", Run: func(int64) (int, error) { panic("exploded mid-run") }}
+	return jobs
+}
+
+// TestSweepFailureIsFirstInInputOrder: a failing and a panicking job
+// fail the sweep with the error of the first one in input order, the
+// same at one worker and at eight.
+func TestSweepFailureIsFirstInInputOrder(t *testing.T) {
+	var want string
+	for _, workers := range []int{1, 8} {
+		for rep := 0; rep < 20; rep++ {
+			values, err := Sweep(failingJobs(), workers)
+			if values != nil {
+				t.Fatalf("workers=%d: failed sweep returned values", workers)
+			}
+			if err == nil || !errors.Is(err, errBad) || !strings.HasPrefix(err.Error(), "fails: ") {
+				t.Fatalf("workers=%d: err = %v, want the failing job's error naming it", workers, err)
+			}
+			if want == "" {
+				want = err.Error()
+			} else if err.Error() != want {
+				t.Fatalf("workers=%d: err = %q, want %q", workers, err, want)
+			}
+		}
+	}
+}
+
+// TestPanicCapture: a panicking job fails the sweep instead of the
+// process, with an error that names the job and carries the stack,
+// the same at one worker and at eight.
 func TestPanicCapture(t *testing.T) {
-	jobs := []Job[int]{
-		jobN(0),
-		{Name: "boom", Run: func(context.Context, int64) (int, error) {
-			panic("exploded mid-run")
-		}},
-		jobN(2),
+	jobs := failingJobs()
+	jobs[3] = jobN(3)
+	for _, workers := range []int{1, 8} {
+		_, err := Sweep(jobs, workers)
+		if err == nil {
+			t.Fatalf("workers=%d: panic not converted to error", workers)
+		}
+		msg := err.Error()
+		for _, want := range []string{"boom: panic: exploded mid-run", "runner_test.go"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("workers=%d: error lacks %q:\n%s", workers, want, msg)
+			}
+		}
 	}
-	results := Sweep(context.Background(), jobs, Options{Workers: 2})
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Fatalf("healthy jobs failed: %v / %v", results[0].Err, results[2].Err)
+}
+
+// TestSweepStopsAfterFailure: no job starts once a failure is seen,
+// so a sweep that fails early does not run its tail.
+func TestSweepStopsAfterFailure(t *testing.T) {
+	var ran atomic.Int64
+	jobs := []Job[int]{{Name: "first", Run: func(int64) (int, error) { return 0, errBad }}}
+	for i := 0; i < 50; i++ {
+		jobs = append(jobs, Job[int]{Run: func(int64) (int, error) {
+			ran.Add(1)
+			return 0, nil
+		}})
 	}
-	r := results[1]
-	if r.Err == nil || !strings.Contains(r.Err.Error(), "panicked") {
-		t.Fatalf("panic not converted to error: %v", r.Err)
+	if _, err := Sweep(jobs, 1); !errors.Is(err, errBad) {
+		t.Fatalf("err = %v", err)
 	}
-	if !strings.Contains(r.Panic, "exploded mid-run") || !strings.Contains(r.Panic, "runner_test.go") {
-		t.Fatalf("panic record lacks message or stack:\n%s", r.Panic)
-	}
-	if err := FirstError(results); err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("FirstError = %v", err)
+	if n := ran.Load(); n > 1 {
+		t.Fatalf("%d jobs ran after the failure", n)
 	}
 }
 
@@ -75,7 +131,7 @@ func TestBoundedConcurrency(t *testing.T) {
 	var jobs []Job[struct{}]
 	for i := 0; i < 24; i++ {
 		jobs = append(jobs, Job[struct{}]{
-			Run: func(context.Context, int64) (struct{}, error) {
+			Run: func(int64) (struct{}, error) {
 				n := cur.Add(1)
 				for {
 					p := peak.Load()
@@ -89,48 +145,11 @@ func TestBoundedConcurrency(t *testing.T) {
 			},
 		})
 	}
-	Sweep(context.Background(), jobs, Options{Workers: workers})
+	if _, err := Sweep(jobs, workers); err != nil {
+		t.Fatal(err)
+	}
 	if p := peak.Load(); p > workers {
 		t.Fatalf("observed %d concurrent jobs with %d workers", p, workers)
-	}
-}
-
-func TestCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var ran atomic.Int64
-	var once sync.Once
-	var jobs []Job[int]
-	for i := 0; i < 50; i++ {
-		jobs = append(jobs, Job[int]{
-			Name: fmt.Sprintf("c%d", i),
-			Run: func(context.Context, int64) (int, error) {
-				ran.Add(1)
-				once.Do(cancel)
-				return 1, nil
-			},
-		})
-	}
-	results := Sweep(ctx, jobs, Options{Workers: 2})
-	var canceled, completed int
-	for _, r := range results {
-		switch {
-		case errors.Is(r.Err, context.Canceled):
-			canceled++
-		case r.Err == nil && r.Value == 1:
-			completed++
-		default:
-			t.Fatalf("unexpected result: %+v", r)
-		}
-	}
-	if canceled == 0 {
-		t.Fatal("no jobs were canceled")
-	}
-	if completed == 0 {
-		t.Fatal("no jobs completed")
-	}
-	if int(ran.Load()) != completed {
-		t.Fatalf("ran %d jobs but %d reported success", ran.Load(), completed)
 	}
 }
 
@@ -149,21 +168,5 @@ func TestDeriveSeedStableAndDistinct(t *testing.T) {
 			}
 			seen[s] = i
 		}
-	}
-}
-
-func TestDefaultWorkers(t *testing.T) {
-	defer SetDefaultWorkers(0)
-	SetDefaultWorkers(5)
-	if got := DefaultWorkers(); got != 5 {
-		t.Fatalf("DefaultWorkers = %d, want 5", got)
-	}
-	SetDefaultWorkers(0)
-	if got := DefaultWorkers(); got < 1 {
-		t.Fatalf("DefaultWorkers = %d, want >= 1", got)
-	}
-	SetDefaultWorkers(-3)
-	if got := DefaultWorkers(); got < 1 {
-		t.Fatalf("DefaultWorkers after negative = %d", got)
 	}
 }

@@ -31,7 +31,6 @@ type refEngine struct {
 	poolGrow    uint64
 	maxHeap     int
 	maxDeferred int
-	resets      uint64
 }
 
 func (e *refEngine) Now() int64       { return e.now }
@@ -49,10 +48,10 @@ func (e *refEngine) NextTime() int64 {
 }
 
 func (e *refEngine) Grow(n int) {
-	if c := cap(e.records); c < n {
-		r := make([]record, n)
-		copy(r, e.records[:c])
-		e.records = r[:len(e.records)]
+	if cap(e.records) < n {
+		r := make([]record, len(e.records), n)
+		copy(r, e.records)
+		e.records = r
 	}
 	if cap(e.heap) < n {
 		h := make([]int32, len(e.heap), n)
@@ -70,24 +69,7 @@ func (e *refEngine) Stats() metrics.EngineCounters {
 		MaxDeferred:  int64(e.maxDeferred),
 		PoolReuse:    int64(e.poolReuse),
 		PoolGrow:     int64(e.poolGrow),
-		Resets:       int64(e.resets),
 	}
-}
-
-func (e *refEngine) Reset() {
-	e.now, e.nextID, e.count = 0, 0, 0
-	for i := range e.deferred {
-		e.deferred[i] = deferredWork{}
-	}
-	e.deferred = e.deferred[:0]
-	for i := range e.records {
-		gen := e.records[i].gen
-		e.records[i] = record{gen: gen + 1}
-	}
-	e.records = e.records[:0]
-	e.heap = e.heap[:0]
-	e.free = 0
-	e.resets++
 }
 
 func (e *refEngine) At(t int64, fn func())    { e.schedule(t, funcHandler{}, Event{P: fn}) }
@@ -149,11 +131,7 @@ func (e *refEngine) alloc() int32 {
 		e.poolReuse++
 		return slot
 	}
-	if n := len(e.records); n < cap(e.records) {
-		e.records = e.records[:n+1]
-	} else {
-		e.records = append(e.records, record{})
-	}
+	e.records = append(e.records, record{})
 	e.poolGrow++
 	return int32(len(e.records) - 1)
 }

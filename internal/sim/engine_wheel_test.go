@@ -20,7 +20,6 @@ type scriptEngine interface {
 	Pending() int
 	Stats() metrics.EngineCounters
 	Grow(n int)
-	Reset()
 	At(t int64, fn func())
 	After(d int64, fn func())
 	Post(t int64, h Handler, ev Event)
@@ -84,9 +83,8 @@ const (
 	covWrapped             // near events whose bucket index lies below Now's
 	covCancelNear          // timers canceled in the wheel
 	covCancelFar           // timers canceled in the overflow heap
-	covCancelStale         // Cancel of a fired, canceled, recycled or pre-Reset handle
-	covResets              // Reset mid-script
-	covPoolDisabled        // runs with PoolDisabled set
+	covCancelStale         // Cancel of a fired, canceled or recycled handle
+	covPoolDisabled        // PoolDisabled set mid-script
 	covSameInstant         // handler posts at Now, into the bucket being drained
 	covOverflow            // calls made with a non-empty overflow heap
 	covSparse              // calls after which the next bucket is found through the summary
@@ -99,8 +97,7 @@ var coverNames = [numCover]string{
 	"near timers canceled",
 	"far timers canceled",
 	"stale handles canceled",
-	"Resets",
-	"PoolDisabled runs",
+	"PoolDisabled set mid-script",
 	"same-instant posts from a handler",
 	"calls made with a non-empty overflow heap",
 	"next-bucket searches over the summary",
@@ -292,12 +289,10 @@ func (s *scriptRun) run() {
 				e.DeferEvent(s, s.event(Event{Kind: Kind(x) % numKinds, N: int64(1 + y)}, 0))
 			}
 		case 16:
-			if k%4 != 0 { // Resets are rarer than the other calls
+			if k%4 != 0 { // pool toggles are rarer than the other calls
 				ok = e.Step()
 				break
 			}
-			e.Reset()
-			s.cover[covResets]++
 			e.setPoolDisabled(x&1 != 0)
 			if x&1 != 0 {
 				s.cover[covPoolDisabled]++

@@ -37,8 +37,8 @@
 // its bucket in O(1), or removes it from the overflow heap in
 // O(log n), and recycles its record — no tombstone stays behind, so
 // NextTime is always exact.  Generation counters on the records make
-// stale handles (fired, canceled, recycled, or pre-Reset events)
-// harmless — Cancel on one is a no-op returning false.
+// stale handles (fired, canceled or recycled events) harmless — Cancel
+// on one is a no-op returning false.
 package sim
 
 import (
@@ -193,7 +193,6 @@ type Engine struct {
 	poolGrow    uint64
 	maxPending  int
 	maxDeferred int
-	resets      uint64
 
 	// Trace, when non-nil, is the event-trace ring the models driven
 	// by this engine record their scheduling decisions into (the
@@ -242,12 +241,10 @@ func (e *Engine) Pending() int { return e.wheelN + len(e.heap) }
 // Grow preallocates capacity for n in-flight events, so a simulation
 // sized in advance never grows the record slab or heap mid-run.
 func (e *Engine) Grow(n int) {
-	if c := cap(e.records); c < n {
-		// The whole old capacity moves, not just the live prefix: the
-		// slots a Reset emptied still carry their generations.
-		r := make([]record, n)
-		copy(r, e.records[:c])
-		e.records = r[:len(e.records)]
+	if cap(e.records) < n {
+		r := make([]record, len(e.records), n)
+		copy(r, e.records)
+		e.records = r
 	}
 	if cap(e.heap) < n {
 		h := make([]int32, len(e.heap), n)
@@ -273,37 +270,7 @@ func (e *Engine) Stats() metrics.EngineCounters {
 		MaxDeferred:  int64(e.maxDeferred),
 		PoolReuse:    int64(e.poolReuse),
 		PoolGrow:     int64(e.poolGrow),
-		Resets:       int64(e.resets),
 	}
-}
-
-// Reset returns the engine to its zero state while keeping the
-// capacity of the record slab, wheel, heap and deferred queue, so one
-// engine can be reused across the points of a sweep without
-// reallocating its working set.  Record generations survive (bumped;
-// alloc and Grow keep them when the slab regrows), so Timers from
-// before the Reset can never cancel events of the next run.  The
-// trace buffer is detached; cumulative pool/heap statistics persist
-// across resets (Resets counts them).
-func (e *Engine) Reset() {
-	e.now, e.nextID, e.count = 0, 0, 0
-	for i := range e.deferred {
-		e.deferred[i] = deferredWork{}
-	}
-	e.deferred = e.deferred[:0]
-	for i := range e.records {
-		gen := e.records[i].gen
-		e.records[i] = record{gen: gen + 1}
-	}
-	e.records = e.records[:0]
-	if e.wheelN > 0 {
-		*e.wheel = wheel{}
-		e.wheelN = 0
-	}
-	e.heap = e.heap[:0]
-	e.free = 0
-	e.Trace = nil
-	e.resets++
 }
 
 // --- scheduling ---
@@ -342,8 +309,7 @@ func (e *Engine) PostTimerAfter(d int64, h Handler, ev Event) Timer {
 
 // Cancel removes a scheduled typed event before it fires.  It reports
 // false — and does nothing — when the handle is zero, already fired,
-// already canceled, or from before a Reset, so settling code can
-// cancel unconditionally.
+// or already canceled, so settling code can cancel unconditionally.
 func (e *Engine) Cancel(t Timer) bool {
 	if t.slot == 0 {
 		return false
@@ -354,7 +320,7 @@ func (e *Engine) Cancel(t Timer) bool {
 	}
 	r := &e.records[slot]
 	if r.gen != t.gen {
-		return false // fired, canceled, recycled, or pre-Reset
+		return false // fired, canceled or recycled
 	}
 	if r.at-e.now < wheelSize {
 		e.unlink(slot)
@@ -414,11 +380,7 @@ func (e *Engine) alloc() int32 {
 		e.poolReuse++
 		return slot
 	}
-	if n := len(e.records); n < cap(e.records) {
-		e.records = e.records[:n+1] // keeps the slot's generation across a Reset
-	} else {
-		e.records = append(e.records, record{})
-	}
+	e.records = append(e.records, record{})
 	e.poolGrow++
 	return int32(len(e.records) - 1)
 }

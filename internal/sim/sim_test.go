@@ -260,69 +260,6 @@ func TestZeroTimerCancelIsNoop(t *testing.T) {
 	}
 }
 
-// TestEngineReset: a Reset engine must behave exactly like a zero one,
-// and handles from before the Reset must be inert.
-func TestEngineReset(t *testing.T) {
-	runWorkload := func(e *Engine) []int32 {
-		r := &recorder{}
-		e.Post(3, r, Event{A: 1})
-		e.Post(1, r, Event{A: 2})
-		e.At(2, func() { e.PostAfter(2, r, Event{A: 3}) })
-		e.Run(10)
-		return r.got
-	}
-	var fresh Engine
-	want := runWorkload(&fresh)
-
-	var e Engine
-	r := &recorder{}
-	e.Post(4, r, Event{A: 9})
-	stale := e.PostTimer(100, r, Event{A: 10})
-	e.Run(5) // leaves the t=100 timer pending
-	e.Reset()
-
-	if e.Now() != 0 || e.Pending() != 0 || e.Executed() != 0 {
-		t.Fatalf("Reset engine not pristine: now=%d pending=%d executed=%d",
-			e.Now(), e.Pending(), e.Executed())
-	}
-	if e.Cancel(stale) {
-		t.Fatal("a pre-Reset timer canceled a post-Reset slot")
-	}
-	if got := runWorkload(&e); len(got) != len(want) {
-		t.Fatalf("post-Reset run = %v, want %v", got, want)
-	} else {
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("post-Reset run = %v, want %v", got, want)
-			}
-		}
-	}
-	if s := e.Stats(); s.Resets != 1 {
-		t.Errorf("Resets = %d, want 1", s.Resets)
-	}
-
-	// The slot of a pre-Reset timer, taken again by the next run: the
-	// slab regrows over it — directly, or after a Grow moved it — and
-	// the old handle must not match the new event.
-	for _, grow := range []int{0, 64} {
-		var e Engine
-		r := &recorder{}
-		stale := e.PostTimer(100, r, Event{A: 1})
-		e.Reset()
-		if grow > 0 {
-			e.Grow(grow)
-		}
-		e.PostTimer(50, r, Event{A: 2})
-		if e.Cancel(stale) {
-			t.Fatalf("Grow(%d): a pre-Reset timer canceled the event that reused its slot", grow)
-		}
-		e.Run(200)
-		if len(r.got) != 1 || r.got[0] != 2 {
-			t.Fatalf("Grow(%d): post-Reset run = %v, want [2]", grow, r.got)
-		}
-	}
-}
-
 // TestPoolDisabledBitIdentical: the engine's own record pooling is
 // invisible — a run with PoolDisabled executes the same events at the
 // same times in the same order.

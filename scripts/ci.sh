@@ -7,19 +7,22 @@
 #   examples   every program under examples/ runs to exit 0 (output
 #              discarded), so an example that no longer works fails here
 #   race tests the whole suite under the race detector with shuffled
-#              test order (the parallel sweep runner makes this the
-#              load-bearing pass; shuffling flushes out inter-test
-#              state).  It includes cmd/ibsim's *JSONGolden and
-#              *JSONParallelIdentical tests, which run every ibsim
-#              experiment with a JSON report at the tiny scale against
-#              its golden, on 1 and 4 sweep workers and at
-#              -shards 1/2/4/8 -shard-det
+#              test order (every experiment fans out through
+#              runner.Sweep's worker pool, which makes this the
+#              load-bearing pass; shuffling flushes out any state one
+#              test leaves for another).  It includes cmd/ibsim's
+#              *JSONGolden and *JSONParallelIdentical tests, which run
+#              every ibsim experiment with a JSON report at the tiny
+#              scale against its golden, on 1 and 4 sweep workers and
+#              at -shards 1/2/4/8 -shard-det
 #   alloc gate the zero-alloc budgets of the data-plane hot paths,
 #              run WITHOUT the race detector (race instrumentation
 #              allocates, so the budgets only hold in a plain build)
-#   root bench one iteration of the two forwarding benchmarks and of
+#   root bench one iteration of the two forwarding benchmarks, of
 #              BenchmarkReconfiguration (a live failover run per
-#              non-cut link), so they keep building and running
+#              non-cut link) and of BenchmarkSweepWorkers at two
+#              workers (16 simulations through runner.Sweep), so they
+#              keep building and running
 #   fuzz smoke a short coverage-guided run of each fuzz target on top
 #              of the checked-in seed corpus
 #   bench smoke one short repetition of every gated benchmark workload,
@@ -172,11 +175,11 @@ echo "==> go test -race -run TestEngineWheel ./internal/sim (timing-wheel event-
 # queue with one random script per seed — every delay class around the
 # horizon, timers canceled near, far, fired and recycled, handlers that
 # defer and re-post into the bucket being drained, Run stopping short
-# of, at and past far events, Reset, PoolDisabled — and compares the
-# executed sequence and Now/NextTime/Pending/Executed/Stats after every
-# call, re-deriving bitmap, links and the window/overflow split from
-# the records each time.  Every simulation above and the bench smoke
-# below run on the same queue.
+# of, at and past far events, PoolDisabled toggled mid-script — and
+# compares the executed sequence and Now/NextTime/Pending/Executed/Stats
+# after every call, re-deriving bitmap, links and the window/overflow
+# split from the records each time.  Every simulation above and the
+# bench smoke below run on the same queue.
 go test -race -run 'TestEngineWheel' -count=1 ./internal/sim
 
 echo "==> go test -race ./internal/subnet ./internal/admission (delivery-record lifetime gate)"
@@ -223,11 +226,14 @@ echo "==> go test -run AllocBudget . (zero-alloc hot-path and memory gate)"
 # allocates).
 go test -run 'AllocBudget' -count=1 .
 
-echo "==> go test -bench 'BenchmarkVOQForward|BenchmarkPerHopForwarding|BenchmarkReconfiguration' -benchtime 1x . (root benchmarks smoke)"
+echo "==> go test -bench 'BenchmarkVOQForward|BenchmarkPerHopForwarding|BenchmarkReconfiguration|BenchmarkSweepWorkers/workers=2' -benchtime 1x . (root benchmarks smoke)"
 # One iteration each, so the benchmarks behind the 0 allocs/op reports of
-# both forwarding paths, and the control-plane study's live failover
-# runs, at least build and run.
+# both forwarding paths, the control-plane study's live failover runs
+# and the sweep harness's only benchmark at least build and run.  The
+# sweep benchmark gets its own invocation: a sub-benchmark filter would
+# also filter the forwarding benchmark's sub-benchmarks.
 go test -run '^$' -bench 'BenchmarkVOQForward|BenchmarkPerHopForwarding|BenchmarkReconfiguration' -benchtime 1x .
+go test -run '^$' -bench 'BenchmarkSweepWorkers/workers=2$' -benchtime 1x .
 
 if [[ "$RUN_FUZZ" -eq 1 ]]; then
     # -fuzz takes one target per invocation; -run='^$' skips the unit
