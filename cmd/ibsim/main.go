@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/sl"
+	"repro/internal/topology"
 )
 
 func main() {
@@ -69,6 +70,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 
 	start := time.Now()
 	res, err := e.run(c)
+	if errors.Is(err, topology.ErrShardCount) && slices.Contains(e.flags, "shards") {
+		return fmt.Errorf("-shards %d: %w", c.shards, err)
+	}
 	if err != nil {
 		return err
 	}
@@ -98,7 +102,7 @@ type config struct {
 	benchK, benchA, benchP, benchH int
 	headroomSL, parallel           int
 	sizes, benchClass, benchShards string
-	asJSON, viz, metrics, shardDet bool
+	asJSON, viz, metrics           bool
 	cpuProfile, memProfile         string
 }
 
@@ -130,8 +134,7 @@ func parse(args []string, stderr io.Writer) (*experiment, *config, error) {
 	fs.IntVar(&c.trace, "trace", 0, "record the last N arbitration decisions per run (implies -metrics)")
 	fs.IntVar(&c.churnSeeds, "churn-seeds", 4, "independent seeds for -exp churn")
 	fs.IntVar(&c.islipIters, "islip-iters", 0, "iSLIP iteration depth for -exp hol (0 = default)")
-	fs.IntVar(&c.shards, "shards", 0, "partition each fabric into N shards simulated in conservative-lookahead windows (0/1 = classic single engine)")
-	fs.BoolVar(&c.shardDet, "shard-det", false, "keep all shards on one engine: bit-identical output at any -shards count, no parallel speedup")
+	fs.IntVar(&c.shards, "shards", 0, "partition each fabric into N shards simulated in conservative-lookahead windows (0/1 = classic single engine; more shards than switches is refused)")
 	fs.StringVar(&c.benchClass, "bench-class", "fattree", "topology class for -exp shardbench: fattree|dragonfly")
 	fs.IntVar(&c.benchK, "bench-k", 8, "fat-tree arity for -exp shardbench")
 	fs.IntVar(&c.benchA, "bench-a", 16, "dragonfly switches per group for -exp shardbench")
@@ -188,6 +191,10 @@ func parse(args []string, stderr io.Writer) (*experiment, *config, error) {
 		return nil, nil, fmt.Errorf("-traces %d: need at least one trace", c.traces)
 	case c.trace < 0:
 		return nil, nil, fmt.Errorf("-trace %d: the event tail cannot be negative", c.trace)
+	case c.shards < 0:
+		return nil, nil, fmt.Errorf("-shards %d: the shard count cannot be negative", c.shards)
+	case c.parallel < 0:
+		return nil, nil, fmt.Errorf("-parallel %d: the worker count cannot be negative", c.parallel)
 	}
 	if _, err := sl.ByID(sl.DefaultLevels, uint8(c.headroomSL)); err != nil || c.headroomSL != int(uint8(c.headroomSL)) {
 		return nil, nil, fmt.Errorf("-plan-headroom-sl %d: not a service level of the evaluation", c.headroomSL)

@@ -97,8 +97,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-switches", []string{"-exp", "hol", "-switches", "8"}},
 		{"-switches", []string{"-exp", "plan", "-switches", "8"}},
 		{"-shards", []string{"-exp", "plan", "-shards", "2"}},
-		{"-shard-det", []string{"-exp", "failover", "-shard-det"}},
-		{"-shard-det", []string{"-exp", "plan", "-shard-det"}},
+		{"-shards", []string{"-exp", "failover", "-scale", "tiny", "-shards", "2"}},
+		{"-shards", []string{"-exp", "scale", "-scale", "tiny", "-shards", "-3"}},
+		{"-parallel", []string{"-exp", "table2", "-scale", "tiny", "-parallel", "-3"}},
+		{"-shard-det", []string{"-exp", "failover", "-shard-det"}}, // no such flag
+		{"-shard-det", []string{"-exp", "plan", "-shard-det"}},     // no such flag
 		{"-json", []string{"-exp", "table1", "-json"}},
 		{"-json", []string{"-exp", "scaling", "-json"}},
 		{"-viz", []string{"-exp", "table2", "-viz"}},
@@ -108,6 +111,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"vlcollapse-15vl", []string{"-exp", "ablation-vl", "-scale", "tiny", "-switches", "1"}},
 		{"switchmodel-x1", []string{"-exp", "ablation-switch", "-scale", "tiny", "-switches", "1"}},
 		{"-bench-shards", []string{"-exp", "shardbench", "-bench-k", "4", "-bench-shards", "200"}},
+		// More shards than a fabric has switches, and a trace of one
+		// engine under several, are refused naming the flags.
+		{"-shards", []string{"-exp", "churn", "-scale", "tiny", "-shards", "8"}},
+		{"-shards", []string{"-exp", "scale", "-scale", "tiny", "-shards", "8"}},
+		{"-trace", []string{"-exp", "table2", "-scale", "tiny", "-shards", "2", "-trace", "4"}},
+		{"-shards 2", []string{"-exp", "table2", "-scale", "tiny", "-shards", "2", "-trace", "4"}},
 	} {
 		err := run(tc.args, io.Discard, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -71,7 +71,7 @@ var registry = []experiment{
 	},
 	{
 		name:   "ablation-vl",
-		flags:  []string{"seed", "switches", "shards", "shard-det"},
+		flags:  []string{"seed", "switches", "shards"},
 		preset: paramsPresets,
 		run: func(c *config) (result, error) {
 			rows, err := experiments.AblationVLCollapse(c.params(), []int{15, 8, 4}, c.parallel)
@@ -80,7 +80,7 @@ var registry = []experiment{
 	},
 	{
 		name:   "ablation-switch",
-		flags:  []string{"seed", "switches", "shards", "shard-det"},
+		flags:  []string{"seed", "switches", "shards"},
 		preset: paramsPresets,
 		run: func(c *config) (result, error) {
 			rows, err := experiments.AblationSwitchModels(c.params(), []int{1, 2, 4}, c.parallel)
@@ -108,7 +108,7 @@ var registry = []experiment{
 	},
 	{
 		name:   "scaling",
-		flags:  []string{"seed", "sizes", "shards", "shard-det"},
+		flags:  []string{"seed", "sizes", "shards"},
 		preset: paramsPresets,
 		run: func(c *config) (result, error) {
 			ns, err := parseSizes(c.sizes)
@@ -121,13 +121,13 @@ var registry = []experiment{
 	},
 	{
 		name:   "churn",
-		flags:  []string{"seed", "switches", "shards", "shard-det", "churn-seeds", "json"},
+		flags:  []string{"seed", "switches", "shards", "churn-seeds", "json"},
 		preset: presets(experiments.ChurnTiny, experiments.ChurnQuick, experiments.ChurnQuick),
 		run: func(c *config) (result, error) {
 			base := c.preset.(experiments.ChurnParams)
 			override(&base.Seed, c.seed)
 			override(&base.Switches, c.switches)
-			base.Shards, base.ShardDet = c.shards, c.shardDet
+			base.Shards = c.shards
 			res, err := experiments.ChurnSweep(base, c.churnSeeds, c.parallel)
 			return withReport(func(w io.Writer) { experiments.PrintChurn(w, res) },
 				controlReport[experiments.ChurnResult]{base.Switches, base.Seed, base.Arrivals, res}), err
@@ -135,13 +135,13 @@ var registry = []experiment{
 	},
 	{
 		name:   "faults",
-		flags:  []string{"seed", "switches", "shards", "shard-det", "json"},
+		flags:  []string{"seed", "switches", "shards", "json"},
 		preset: presets(experiments.FaultsTiny, experiments.FaultsQuick, experiments.FaultsQuick),
 		run: func(c *config) (result, error) {
 			base := c.preset.(experiments.FaultParams)
 			override(&base.Churn.Seed, c.seed)
 			override(&base.Churn.Switches, c.switches)
-			base.Churn.Shards, base.Churn.ShardDet = c.shards, c.shardDet
+			base.Churn.Shards = c.shards
 			res, err := experiments.FaultsSweep(base, c.parallel)
 			return withReport(func(w io.Writer) { experiments.PrintFaults(w, res) },
 				controlReport[experiments.FaultsResult]{base.Churn.Switches, base.Churn.Seed, base.Churn.Arrivals, res}), err
@@ -149,12 +149,11 @@ var registry = []experiment{
 	},
 	{
 		name:   "failover",
-		flags:  []string{"seed", "shards", "json"},
+		flags:  []string{"seed", "json"},
 		preset: presets(experiments.FailoverTiny, experiments.FailoverQuick, experiments.FailoverQuick),
 		run: func(c *config) (result, error) {
 			base := c.preset.(experiments.FailoverParams)
 			override(&base.Seed, c.seed)
-			base.Shards = c.shards
 			res, err := experiments.FailoverSweep(base, c.parallel)
 			return withReport(func(w io.Writer) { experiments.PrintFailover(w, res) }, struct {
 				BaseSeed int64                        `json:"baseSeed"`
@@ -167,12 +166,12 @@ var registry = []experiment{
 	},
 	{
 		name:   "scale",
-		flags:  []string{"seed", "shards", "shard-det", "json"},
+		flags:  []string{"seed", "shards", "json"},
 		preset: presets(experiments.ScaleTiny, experiments.ScaleQuick, experiments.ScaleQuick),
 		run: func(c *config) (result, error) {
 			base := c.preset.(experiments.ScaleParams)
 			override(&base.Seed, c.seed)
-			base.Shards, base.ShardDet = c.shards, c.shardDet
+			base.Shards = c.shards
 			res, err := experiments.ScaleSweep(base, c.parallel)
 			return withReport(func(w io.Writer) { experiments.PrintScale(w, res) }, struct {
 				BaseSeed int64                     `json:"baseSeed"`
@@ -216,13 +215,13 @@ var registry = []experiment{
 	},
 	{
 		name:   "hol",
-		flags:  []string{"seed", "islip-iters", "shards", "shard-det", "json"},
+		flags:  []string{"seed", "islip-iters", "shards", "json"},
 		preset: presets(experiments.HOLTiny, experiments.HOLQuick, experiments.HOLQuick),
 		run: func(c *config) (result, error) {
 			base := c.preset.(experiments.HOLParams)
 			override(&base.Seed, c.seed)
 			base.ISLIPIters = c.islipIters
-			base.Shards, base.ShardDet = c.shards, c.shardDet
+			base.Shards = c.shards
 			res, err := experiments.HOLSweep(base, c.parallel)
 			return withReport(func(w io.Writer) { experiments.PrintHOL(w, res) }, struct {
 				BaseSeed   int64                   `json:"baseSeed"`
@@ -277,7 +276,7 @@ var registry = []experiment{
 // -json document; they differ in the tables they print, and all prints
 // every table and figure followed by the priority and fill ablations.
 func evaluation(name string) experiment {
-	flags := []string{"seed", "switches", "shards", "shard-det", "metrics", "trace", "json"}
+	flags := []string{"seed", "switches", "shards", "metrics", "trace", "json"}
 	if name == "figure4" || name == "figure5" || name == "all" {
 		flags = append(flags, "viz")
 	}
@@ -394,7 +393,7 @@ func presets[P any](tiny, quick, full func() P) func(string) any {
 }
 
 // params is the evaluation preset with the -seed, -switches, -metrics,
-// -trace, -shards and -shard-det overrides applied.  A flag the entry
+// -trace and -shards overrides applied.  A flag the entry
 // does not read is at its default, which changes nothing.
 func (c *config) params() experiments.Params {
 	p := c.preset.(experiments.Params)
@@ -402,7 +401,7 @@ func (c *config) params() experiments.Params {
 	override(&p.Switches, c.switches)
 	p.Metrics = c.metrics || c.trace > 0
 	p.TraceEvents = c.trace
-	p.Shards, p.ShardDet = c.shards, c.shardDet
+	p.Shards = c.shards
 	return p
 }
 

@@ -35,12 +35,6 @@ type ChurnParams struct {
 	// at any shard count: serialized at window barriers when the
 	// shards run in parallel, on the shared engine otherwise.
 	Shards int
-
-	// ShardDet forces the deterministic single-engine mode
-	// (fabric.Config.ShardDeterministic): all shards on one engine,
-	// bit-identical output for every shard count.  Off, Shards > 1
-	// runs the parallel coordinator.
-	ShardDet bool
 }
 
 // ChurnTiny is the unit-test scale: a 2-switch fabric with enough

@@ -42,16 +42,15 @@ type Params struct {
 	Metrics bool
 
 	// TraceEvents, when positive, attaches a ring buffer recording the
-	// last TraceEvents arbitration decisions of each run.
+	// last TraceEvents arbitration decisions of each run.  The ring
+	// hangs on one engine, so it requires Shards 0 or 1.
 	TraceEvents int
 
 	// Shards splits each run's fabric into that many topology-local
 	// partitions simulated in conservative-lookahead windows
 	// (fabric.Config.Shards); 0 and 1 keep the classic single-engine
-	// core.  ShardDet pins all shards to one engine so results stay
-	// bit-identical across shard counts (fabric.Config.ShardDeterministic).
-	Shards   int
-	ShardDet bool
+	// core.
+	Shards int
 }
 
 // Full returns the paper-scale parameters: 16 switches and 64 hosts,
@@ -111,9 +110,11 @@ type Run struct {
 // background.  A non-nil mutate adjusts the fabric configuration first
 // (used by the VL-collapse ablation and custom scenarios).
 func SetupWith(p Params, payload int, mutate func(*fabric.Config)) (*Run, error) {
+	if p.TraceEvents > 0 && p.Shards > 1 {
+		return nil, fmt.Errorf("experiments: -trace records one engine's arbitration decisions and cannot run with -shards %d", p.Shards)
+	}
 	cfg := fabric.DefaultConfig(p.Switches, payload, p.Seed)
 	cfg.Shards = p.Shards
-	cfg.ShardDeterministic = p.ShardDet
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -39,16 +39,6 @@ type FailoverParams struct {
 	HorizonBT int64 // run length; must clear the schedule's last detection window
 	PollBT    int64 // failure-detection poll period
 	TimeoutBT int64 // blocked time before a port is declared dead
-
-	// Shards partitions the fabric (fabric.Config.Shards).  Unlike
-	// churn and faults — whose control planes run as typed events on
-	// the control lane at any shard count — recovery repairs boundary
-	// credit mirrors in place, which is only sound with every shard on
-	// one engine, so this experiment always forces the deterministic
-	// single-engine mode.  The run surfaces that choice in its JSON
-	// (requestedShards/effectiveShards/shardDet) instead of silently
-	// ignoring the request.
-	Shards int
 }
 
 // FailoverTiny is the unit-test and golden-file scale: the smallest
@@ -128,14 +118,6 @@ type FailoverResult struct {
 	Lost      int64 `json:"lost"`
 
 	EndTimeBT int64 `json:"endTimeBT"`
-
-	// Sharding provenance: recovery requires the single-engine
-	// deterministic mode, so multi-shard requests run det-forced.
-	// Set only when more than one shard was requested, keeping the
-	// golden outputs' byte shape.
-	RequestedShards int  `json:"requestedShards,omitempty"`
-	EffectiveShards int  `json:"effectiveShards,omitempty"`
-	ShardDet        bool `json:"shardDet,omitempty"`
 }
 
 // admitGapBT spaces a failover run's QoS admission attempts.
@@ -163,19 +145,12 @@ func failoverRun(p FailoverParams, spec topology.Spec, seed int64,
 		return res, err
 	}
 	cfg := fabric.DefaultConfig(topo.NumSwitches, p.Payload, seed)
-	cfg.Shards = p.Shards
-	cfg.ShardDeterministic = true // recovery repairs boundary credit mirrors; one engine
 	cfg.FailoverEscape = true
 	net, err := fabric.NewWithTopology(cfg, topo)
 	if err != nil {
 		return res, err
 	}
 	net.EnableMetrics()
-	if p.Shards > 1 {
-		res.RequestedShards = p.Shards
-		res.EffectiveShards = net.Shards()
-		res.ShardDet = true
-	}
 
 	res.Class = spec.Class.String()
 	res.Label = spec.Label()
@@ -214,7 +189,7 @@ func failoverRun(p FailoverParams, spec topology.Spec, seed int64,
 	// QoS admissions, spread out in time so in-flight table programs
 	// do not reject their successors.
 	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), seed+1)
-	eng := net.Ctrl // == net.Engine in the forced det mode
+	eng := net.Ctrl // == net.Engine on the single engine recovery requires
 	var flows []*fabric.Flow
 	for i := 0; i < p.Conns; i++ {
 		req := src.Next()

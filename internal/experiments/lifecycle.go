@@ -68,7 +68,6 @@ func runLifecycles(p ChurnParams, rig *FaultParams) (*lifecycles, error) {
 	}
 	cfg := fabric.DefaultConfig(p.Switches, p.Payload, p.Seed)
 	cfg.Shards = p.Shards
-	cfg.ShardDeterministic = p.ShardDet
 	net, err := fabric.New(cfg)
 	if err != nil {
 		return nil, err
@@ -77,7 +76,7 @@ func runLifecycles(p ChurnParams, rig *FaultParams) (*lifecycles, error) {
 
 	// Table programs travel in-band through the subnet manager, as
 	// typed events on the control lane (the shared engine in
-	// single-engine modes, the serialized barrier lane in parallel).
+	// single-engine runs, the serialized barrier lane in parallel).
 	m := subnet.NewManager(net.Topo)
 	m.Routes = net.Routes
 	prog := subnet.NewInbandProgrammer(net.Ctrl, m)

@@ -31,10 +31,9 @@ type ScaleParams struct {
 	MinPacketsSlowest     int
 	WarmupIATs            int64
 
-	// Shards and ShardDet select the sharded simulation core for every
-	// point, exactly as Params.Shards / Params.ShardDet do.
-	Shards   int
-	ShardDet bool
+	// Shards selects the sharded simulation core for every point,
+	// exactly as Params.Shards does.
+	Shards int
 }
 
 // ScaleTiny is the unit-test and golden-file scale: the smallest
@@ -168,7 +167,6 @@ func runLoadedPoint(p HOLParams, model fabric.SwitchModel, spec topology.Spec, l
 	cfg.SwitchModel = model
 	cfg.ISLIPIters = p.ISLIPIters
 	cfg.Shards = p.Shards
-	cfg.ShardDeterministic = p.ShardDet
 	net, err := fabric.NewWithTopology(cfg, topo)
 	if err != nil {
 		return nil, err

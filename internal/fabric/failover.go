@@ -28,12 +28,11 @@
 // healthier topology, and the next activation restores routes and
 // restarts the stopped flows.
 //
-// Recovery requires the single-engine modes (one shard, or
-// ShardDeterministic — shard-boundary link death then needs no mirror
-// surgery), the output-driven WRR switch model (VOQ models bind the
-// output port at enqueue time, which a route swap would invalidate),
-// and Config.FailoverEscape (so packets stranded on a lane whose
-// reservation was released still drain at weight 1).
+// Recovery requires a single-shard network (shard-boundary link death
+// would need mirror surgery), the output-driven WRR switch model (VOQ
+// models bind the output port at enqueue time, which a route swap
+// would invalidate), and Config.FailoverEscape (so packets stranded on
+// a lane whose reservation was released still drain at weight 1).
 package fabric
 
 import (
@@ -140,15 +139,14 @@ type Recovery struct {
 
 // EnableRecovery attaches a failure-recovery subsystem to the network.
 // Call after NewWithTopology and before Start; the network must use
-// the WRR switch model, a single-engine shard mode, and
-// Config.FailoverEscape.  A nil Faults injector is created on demand
+// the WRR switch model, a single shard, and Config.FailoverEscape.  A nil Faults injector is created on demand
 // (ApplySchedule needs one to carry the failure windows).
 func (n *Network) EnableRecovery(cfg RecoveryConfig) (*Recovery, error) {
 	switch {
 	case n.rec != nil:
 		return nil, fmt.Errorf("fabric: recovery already enabled")
-	case n.parallel:
-		return nil, fmt.Errorf("fabric: recovery requires a single-engine shard mode (use ShardDeterministic)")
+	case n.Parallel():
+		return nil, fmt.Errorf("fabric: recovery requires a single shard, the network has %d", n.Shards())
 	case n.model != ModelWRR:
 		return nil, fmt.Errorf("fabric: recovery requires the WRR switch model")
 	case !n.Cfg.FailoverEscape:

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -83,6 +84,21 @@ func pathLink(t *testing.T, n *Network, flows []*Flow) (sw, port int) {
 	}
 	t.Fatal("no multi-switch flow path")
 	return -1, -1
+}
+
+// TestRecoveryRefusesShards: recovery repairs one engine's state in
+// place, so a multi-shard network refuses it and names its shard count.
+func TestRecoveryRefusesShards(t *testing.T) {
+	cfg := DefaultConfig(8, 256, 1)
+	cfg.FailoverEscape = true
+	cfg.Shards = 2
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.EnableRecovery(DefaultRecoveryConfig()); err == nil || !strings.Contains(err.Error(), "has 2") {
+		t.Errorf("EnableRecovery on 2 shards: err = %v, want a refusal naming the shard count", err)
+	}
 }
 
 func TestRecoveryLinkFailure(t *testing.T) {

@@ -223,7 +223,7 @@ func TestHeadIndexMatchesScan(t *testing.T) {
 // comparison.  ci.sh runs it under -race with the other
 // TestParallelShard gates.
 func TestParallelShardHeadIndex(t *testing.T) {
-	n := buildSharded(t, topology.Spec{Class: topology.FatTree, K: 4}, 3, 2, false)
+	n := buildSharded(t, topology.Spec{Class: topology.FatTree, K: 4}, 3, 2)
 	if !n.Parallel() {
 		t.Fatal("2-shard fat-tree should run parallel")
 	}

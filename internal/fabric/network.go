@@ -61,16 +61,8 @@ type Config struct {
 	// topology.PartitionFabric), each owning its own engine, packet
 	// pool and counters, synchronized in conservative-lookahead
 	// windows.  0 and 1 select the classic single-engine simulation;
-	// counts above the switch count are capped.
+	// a count above the switch count is refused.
 	Shards int
-
-	// ShardDeterministic keeps every shard on ONE engine: the event
-	// interleaving is then exactly the unsharded one, so the output is
-	// bit-identical across shard counts (the determinism regression
-	// tests rely on this).  It also keeps mid-run control-plane
-	// mutation safe — the churn and fault experiments force it — at
-	// the price of no parallel speedup.
-	ShardDeterministic bool
 
 	// FailoverEscape seeds every data VL with a weight-1 low-priority
 	// table entry (in addition to the best-effort weights above).  A
@@ -122,7 +114,7 @@ type Network struct {
 	Engine  *sim.Engine
 	// Ctrl is the engine control-plane work runs on: MAD block flights
 	// and acks, retransmit timers, audit probes, admission transactions
-	// and connection-release polls.  In single-engine modes it aliases
+	// and connection-release polls.  In single-engine runs it aliases
 	// Engine, so control events interleave with data events exactly as
 	// they always did; in parallel mode it is the coordinator's
 	// serialized control lane (see sim.Coordinator), executed only at
@@ -143,11 +135,10 @@ type Network struct {
 	// Sharded core (see shard.go): the partition, one shard per part
 	// owning its engine, packet pool and counters, and — in parallel
 	// mode only — the window coordinator.  Single-engine runs have one
-	// shard (or several sharing Engine under ShardDeterministic).
-	part     *topology.Partition
-	shards   []*shard
-	parallel bool
-	coord    *sim.Coordinator
+	// shard.
+	part   *topology.Partition
+	shards []*shard
+	coord  *sim.Coordinator
 
 	// minWire is the smallest packet wire time over all flows ever
 	// attached (0 until the first one); the coordinator lookahead is
@@ -157,7 +148,7 @@ type Network struct {
 	// ctrlMetrics is the control lane's private counter set in
 	// parallel mode (syncMetrics rebuilds the merged Network.Metrics
 	// from the per-shard sets, which would wipe counters written there
-	// directly); nil in single-engine modes, where the control plane
+	// directly); nil in single-engine runs, where the control plane
 	// writes straight into Network.Metrics.
 	ctrlMetrics *metrics.Metrics
 
@@ -233,13 +224,13 @@ func (n *Network) EnableMetrics() *metrics.Metrics {
 	if n.Metrics == nil {
 		n.Metrics = metrics.New()
 		for _, sh := range n.shards {
-			if n.parallel {
+			if n.Parallel() {
 				sh.metrics = metrics.New()
 			} else {
 				sh.metrics = n.Metrics
 			}
 		}
-		if n.parallel {
+		if n.Parallel() {
 			n.ctrlMetrics = metrics.New()
 		}
 		for h, node := range n.hosts {
@@ -344,14 +335,7 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	parallel := part.Shards > 1 && !cfg.ShardDeterministic
-
 	eng := &sim.Engine{}
-	if !parallel {
-		// Preallocate the event core for the steady-state event
-		// population.
-		eng.Grow(eventPoolSize(topo.NumHosts(), topo.NumSwitches, topo.Ports()))
-	}
 
 	n := &Network{
 		Cfg:     cfg,
@@ -365,31 +349,26 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 
 		traceStride: topo.Ports(),
 		part:        part,
-		parallel:    parallel,
 	}
-	// The control lane: the shared engine itself in single-engine
-	// modes (exactly the old interleaving), a separate serialized
-	// engine in parallel mode.  Control populations are small — a few
+	// The control lane: the shared engine itself in a single-engine
+	// run (exactly the old interleaving), a separate serialized engine
+	// in parallel mode.  Control populations are small — a few
 	// in-flight MADs and timers per open transaction.
 	n.Ctrl = eng
-	if parallel {
+	if part.Shards > 1 {
 		n.Ctrl = &sim.Engine{}
 		n.Ctrl.Grow(256)
 	}
-	// One shard per partition part.  Single-engine modes (one shard,
-	// or ShardDeterministic) share Engine across all shards, so the
-	// event interleaving is exactly the unsharded one; parallel mode
-	// gives every shard its own engine, sized for its own partition
-	// (satellite of this PR: no shard pool may reallocate mid-run).
+	// One shard per partition part, each with its own engine (shard 0
+	// runs on Engine) preallocated for its part's steady-state event
+	// population, so no shard pool reallocates mid-run.
 	n.shards = make([]*shard, part.Shards)
 	for k := range n.shards {
 		sh := &shard{n: n, id: int32(k), eng: eng}
-		if parallel && k > 0 {
+		if k > 0 {
 			sh.eng = &sim.Engine{}
 		}
-		if parallel {
-			sh.eng.Grow(eventPoolSize(len(part.Hosts(k)), len(part.Switches(k)), topo.Ports()))
-		}
+		sh.eng.Grow(eventPoolSize(len(part.Hosts(k)), len(part.Switches(k)), topo.Ports()))
 		n.shards[k] = sh
 	}
 	// Hosts.  The arbiters schedule from the ACTIVE (data-plane) table
@@ -454,24 +433,22 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 		n.switches[s] = node
 	}
 
-	// Parallel mode: mark the boundary ends of every cross-shard link.
-	// Only switch-to-switch links can cross (hosts follow their
-	// attachment switch), so host paths never consult the mirrors.
-	if parallel {
-		for s, node := range n.switches {
-			own := part.ShardOfSwitch(s)
-			for p := range node.out {
-				op := &node.out[p]
-				if op.downSwitch >= 0 {
-					if dsh := part.ShardOfSwitch(op.downSwitch); dsh != own {
-						op.boundary = true
-						op.downShard = int32(dsh)
-					}
+	// Mark the boundary ends of every cross-shard link.  Only
+	// switch-to-switch links can cross (hosts follow their attachment
+	// switch), so host paths never consult the mirrors.
+	for s, node := range n.switches {
+		own := part.ShardOfSwitch(s)
+		for p := range node.out {
+			op := &node.out[p]
+			if op.downSwitch >= 0 {
+				if dsh := part.ShardOfSwitch(op.downSwitch); dsh != own {
+					op.boundary = true
+					op.downShard = int32(dsh)
 				}
-				ip := &node.in[p]
-				if ip.upSwitch >= 0 && part.ShardOfSwitch(ip.upSwitch) != own {
-					ip.upBoundary = true
-				}
+			}
+			ip := &node.in[p]
+			if ip.upSwitch >= 0 && part.ShardOfSwitch(ip.upSwitch) != own {
+				ip.upBoundary = true
 			}
 		}
 	}
@@ -500,15 +477,8 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 			if topo.Ports() > 16 {
 				return nil, fmt.Errorf("fabric: the MWM oracle supports radix <= 16 switches, topology has radix %d (use wrr or voq-islip)", topo.Ports())
 			}
-			if parallel {
-				for _, sh := range n.shards {
-					sh.mwm = newMWMScratch(topo.Ports())
-				}
-			} else {
-				sc := newMWMScratch(topo.Ports())
-				for _, sh := range n.shards {
-					sh.mwm = sc
-				}
+			for _, sh := range n.shards {
+				sh.mwm = newMWMScratch(topo.Ports())
 			}
 		}
 	}
@@ -663,7 +633,7 @@ func (n *Network) StartFlow(f *Flow) {
 	}
 	sh := n.shardForHost(f.Src)
 	at := sh.eng.Now()
-	if n.parallel && n.Ctrl.Now() > at {
+	if n.Parallel() && n.Ctrl.Now() > at {
 		// Called from a control event: the shard clock is the barrier
 		// time, which lags the control clock when the shard was idle.
 		// Start no earlier than the admission that triggered us.
@@ -694,7 +664,7 @@ type releaseWait struct {
 }
 
 // HandleEvent executes the Network's control-lane events.  They run on
-// Ctrl: interleaved with everything else in single-engine modes, only
+// Ctrl: interleaved with everything else in single-engine runs, only
 // at window barriers in parallel mode — where reading the flow's
 // source- and destination-shard counters and mutating the admission
 // tables is race-free because every shard is quiescent.
@@ -731,13 +701,13 @@ func (n *Network) ReleaseConnection(conn *admission.Conn, f *Flow, onDone func()
 
 // ControlCounters returns the counter set the control plane — the
 // subnet programmer, the auditor, failure recovery — should write
-// into: the shared Metrics.Control in single-engine modes (the exact
+// into: the shared Metrics.Control in single-engine runs (the exact
 // pointer callers always used), or the control lane's private set in
 // parallel mode, which syncMetrics folds into the merged view.
 // Enables metrics on first use.
 func (n *Network) ControlCounters() *metrics.ControlCounters {
 	n.EnableMetrics()
-	if n.parallel {
+	if n.Parallel() {
 		return &n.ctrlMetrics.Control
 	}
 	return &n.Metrics.Control

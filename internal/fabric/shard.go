@@ -37,11 +37,8 @@ import (
 //     them to the sender's mirror and re-kicks the sender port.
 //
 // Determinism: single-shard runs are byte-identical to the unsharded
-// engine (one shard, no boundaries).  ShardDeterministic runs place
-// all shards on ONE engine — no boundaries, no coordinator, the exact
-// unsharded event order — so their output is bit-identical for every
-// shard count; the determinism regression tests compare them.
-// Parallel runs are deterministic for a fixed shard count (outboxes
+// engine (one shard, no boundaries).  Parallel runs are deterministic
+// for a fixed shard count (outboxes
 // flush in shard order, engines merge boundary batches by (time,
 // seq)), but exchange credits at barrier granularity, so their timing
 // differs from the unsharded schedule by design.
@@ -96,13 +93,12 @@ type shard struct {
 	credits []creditReturn
 
 	// metrics is where this shard's hot path counts: the shared
-	// Network.Metrics in single-engine modes, a private set merged at
+	// Network.Metrics in single-engine runs, a private set merged at
 	// run end in parallel mode.  Nil until EnableMetrics.
 	metrics *metrics.Metrics
 
 	// mwm is the MWM solver scratch of this shard's input-queued
-	// switches (shared across shards in single-engine modes, private
-	// in parallel mode; nil unless the oracle model is selected).
+	// switches (nil unless the oracle model is selected).
 	mwm *mwmScratch
 
 	// voqIdleKicks counts the kicks at input-queued switches that posted
@@ -119,10 +115,10 @@ func (n *Network) shardForSwitch(s int) *shard { return n.shards[n.part.ShardOfS
 // Shards returns the number of shards the fabric simulates with.
 func (n *Network) Shards() int { return len(n.shards) }
 
-// Parallel reports whether the shards run concurrently under the
-// conservative-lookahead coordinator (as opposed to sharing one
-// engine).
-func (n *Network) Parallel() bool { return n.parallel }
+// Parallel reports whether the fabric runs several shards
+// concurrently under the conservative-lookahead coordinator (as
+// opposed to one shard on one engine).
+func (n *Network) Parallel() bool { return len(n.shards) > 1 }
 
 // occView returns the per-VL occupancy array that credit checks for
 // out's downstream buffer must consult: the receiver's real occupancy
@@ -193,12 +189,12 @@ func (n *Network) coordinator() *sim.Coordinator {
 }
 
 // Run advances the fabric to the given time: directly on the engine
-// for single-engine modes, in conservative-lookahead windows across
+// for single-engine runs, in conservative-lookahead windows across
 // the shard engines in parallel mode.  Callers drive a network through
 // Run/RunWhile/Now instead of Network.Engine so the same experiment
 // code works at any shard count.
 func (n *Network) Run(until int64) {
-	if !n.parallel {
+	if !n.Parallel() {
 		n.Engine.Run(until)
 		return
 	}
@@ -211,7 +207,7 @@ func (n *Network) Run(until int64) {
 // cross-shard state is consistent), so the run can overshoot by up to
 // one lookahead window.
 func (n *Network) RunWhile(cond func() bool) {
-	if !n.parallel {
+	if !n.Parallel() {
 		n.Engine.RunWhile(cond)
 		return
 	}
@@ -224,7 +220,7 @@ func (n *Network) RunWhile(cond func() bool) {
 func (n *Network) Now() int64 { return n.Engine.Now() }
 
 // Windows returns the number of synchronization windows executed so
-// far (0 in single-engine modes).
+// far (0 in single-engine runs).
 func (n *Network) Windows() uint64 {
 	if n.coord == nil {
 		return 0
@@ -252,7 +248,7 @@ func (n *Network) ExecutedEvents() uint64 {
 	for _, sh := range n.shards {
 		total += sh.eng.Executed()
 	}
-	if n.parallel {
+	if n.Parallel() {
 		total += n.Ctrl.Executed()
 	}
 	return total
@@ -272,7 +268,7 @@ func (n *Network) VOQIdleKicks() int64 {
 // SyncCounters reports the coordinator's synchronization work:
 // barrier passes, control turns (barriers that executed control
 // events) and control events serialized to barriers.  All zero in
-// single-engine modes.
+// single-engine runs.
 func (n *Network) SyncCounters() (barriers, controlTurns, controlEvents uint64) {
 	if n.coord == nil {
 		return 0, 0, 0
@@ -285,7 +281,7 @@ func (n *Network) SyncCounters() (barriers, controlTurns, controlEvents uint64) 
 // rebuilt only after a Run, so a mid-run sampler on the control lane
 // would otherwise read stale values.  Requires EnableMetrics.
 func (n *Network) VLBytes(vl int) int64 {
-	if !n.parallel {
+	if !n.Parallel() {
 		return n.Metrics.VL[vl].Bytes
 	}
 	var b int64

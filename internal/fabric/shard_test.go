@@ -1,9 +1,7 @@
 package fabric
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/sl"
@@ -12,8 +10,8 @@ import (
 )
 
 // buildSharded creates a network over a generated structured topology
-// with the given shard configuration.
-func buildSharded(t *testing.T, spec topology.Spec, seed int64, shards int, det bool) *Network {
+// with the given shard count.
+func buildSharded(t *testing.T, spec topology.Spec, seed int64, shards int) *Network {
 	t.Helper()
 	topo, err := spec.Generate()
 	if err != nil {
@@ -21,7 +19,6 @@ func buildSharded(t *testing.T, spec topology.Spec, seed int64, shards int, det 
 	}
 	cfg := DefaultConfig(topo.NumSwitches, 256, seed)
 	cfg.Shards = shards
-	cfg.ShardDeterministic = det
 	n, err := NewWithTopology(cfg, topo)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +62,7 @@ func loadSharded(t *testing.T, n *Network, seed int64) {
 // boundary-mirror credit bounds, and no stale arrivals.  Run it under
 // -race to check the window protocol really keeps shards disjoint.
 func TestParallelShardSmoke(t *testing.T) {
-	n := buildSharded(t, topology.Spec{Class: topology.FatTree, K: 4}, 3, 4, false)
+	n := buildSharded(t, topology.Spec{Class: topology.FatTree, K: 4}, 3, 4)
 	if !n.Parallel() {
 		t.Fatal("4-shard fat-tree should run parallel")
 	}
@@ -110,7 +107,7 @@ func TestParallelShardSmoke(t *testing.T) {
 // RunWhile must stop within one window of the condition turning false
 // and leave the fabric consistent.
 func TestParallelShardRunWhile(t *testing.T) {
-	n := buildSharded(t, topology.Spec{Class: topology.FatTree, K: 4}, 5, 2, false)
+	n := buildSharded(t, topology.Spec{Class: topology.FatTree, K: 4}, 5, 2)
 	loadSharded(t, n, 23)
 	n.Start()
 
@@ -130,48 +127,6 @@ func TestParallelShardRunWhile(t *testing.T) {
 	}
 }
 
-// shardDigest flattens every observable statistic of a run into one
-// string: conservation totals plus each flow's measurement-window
-// meters, delay CDF, jitter histogram and drop count.
-func shardDigest(n *Network) string {
-	var b strings.Builder
-	inj, del, drop := n.Totals()
-	fmt.Fprintf(&b, "totals %d %d %d stale %d\n", inj, del, drop, n.StaleArrivals())
-	for _, f := range n.Flows() {
-		fmt.Fprintf(&b, "flow %d: inj %+v del %+v drops %d delay %+v jitter %+v\n",
-			f.ID, f.Injected, f.Delivered, f.Drops, *f.Delay, *f.Jitter)
-	}
-	return b.String()
-}
-
-// TestShardDeterministicIdenticalAcrossCounts is the determinism
-// regression at the fabric layer: with ShardDeterministic set, every
-// shard count shares one engine and must produce bit-identical
-// statistics — the partition changes who owns which counter, never
-// what is counted.
-func TestShardDeterministicIdenticalAcrossCounts(t *testing.T) {
-	var want string
-	for _, shards := range []int{1, 2, 4, 8} {
-		n := buildSharded(t, topology.Spec{Class: topology.FatTree, K: 4}, 3, shards, true)
-		if n.Parallel() {
-			t.Fatalf("shards=%d: det mode must not run parallel", shards)
-		}
-		loadSharded(t, n, 17)
-		n.Start()
-		n.StartMeasurement()
-		n.Run(300_000)
-		got := shardDigest(n)
-		if shards == 1 {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Errorf("shards=%d: digest differs from single-shard run\n got: %.200s\nwant: %.200s",
-				shards, got, want)
-		}
-	}
-}
-
 // TestShardPoolsDoNotReallocateMidRun is the sizing regression for
 // per-shard Grow: on the scale-grid fabrics, every shard engine's
 // event-record pool must be pre-sized large enough that a loaded run
@@ -185,10 +140,7 @@ func TestShardPoolsDoNotReallocateMidRun(t *testing.T) {
 	for _, spec := range specs {
 		spec := spec
 		t.Run(spec.Label(), func(t *testing.T) {
-			n := buildSharded(t, spec, 7, 4, false)
-			if !n.Parallel() {
-				t.Skipf("%s does not shard to 4", spec.Label())
-			}
+			n := buildSharded(t, spec, 7, 4)
 			loadSharded(t, n, 29)
 			before := n.ShardRecordCapacities()
 			n.Start()

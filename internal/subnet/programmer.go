@@ -59,7 +59,7 @@ type InbandProgrammer struct {
 	// ShardOf, when set (parallel sharded fabrics), maps a port to the
 	// shard owning it; every SMP sent toward a port whose shard
 	// differs from HomeShard counts into Counters.CrossShardSent.  Nil
-	// — the single-engine modes — leaves the counter untouched, so
+	// — single-engine runs — leaves the counter untouched, so
 	// existing snapshots keep their byte shape.
 	ShardOf func(admission.PortID) int
 	// HomeShard is the shard hosting the subnet manager's switch.

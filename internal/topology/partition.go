@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -43,15 +44,19 @@ func (p *Partition) Switches(shard int) []int { return p.switches[shard] }
 // returned slice is shared — don't mutate it.
 func (p *Partition) Hosts(shard int) []int { return p.hosts[shard] }
 
+// ErrShardCount is the refusal of a shard count above the switch
+// count: every shard must own at least one switch.
+var ErrShardCount = errors.New("topology: more shards than switches")
+
 // PartitionFabric splits a topology into the given number of shards.
-// shards below 1 is an error; shards above the switch count is capped
-// (every shard must own at least one switch).
+// shards below 1 is an error, and so is shards above the switch count
+// (ErrShardCount).
 func PartitionFabric(t *Topology, shards int) (*Partition, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("topology: partition into %d shards", shards)
 	}
 	if shards > t.NumSwitches {
-		shards = t.NumSwitches
+		return nil, fmt.Errorf("%w: %d shards, %d switches", ErrShardCount, shards, t.NumSwitches)
 	}
 	var shardOf []int
 	switch {

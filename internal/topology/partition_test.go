@@ -1,6 +1,7 @@
 package topology_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -102,15 +103,17 @@ func TestPartitionInvariants(t *testing.T) {
 		for _, shards := range []int{1, 2, 3, 4, 5, 8, 16} {
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
 				p, err := topology.PartitionFabric(topo, shards)
+				if shards > topo.NumSwitches {
+					if !errors.Is(err, topology.ErrShardCount) {
+						t.Fatalf("%d shards on %d switches: err = %v, want ErrShardCount", shards, topo.NumSwitches, err)
+					}
+					return
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := shards
-				if want > topo.NumSwitches {
-					want = topo.NumSwitches
-				}
-				if p.Shards != want {
-					t.Fatalf("partitioned into %d shards, want %d", p.Shards, want)
+				if p.Shards != shards {
+					t.Fatalf("partitioned into %d shards, want %d", p.Shards, shards)
 				}
 				checkPartitionInvariants(t, topo, p)
 			})
@@ -181,8 +184,8 @@ func TestPartitionDragonflyGroupBoundaries(t *testing.T) {
 }
 
 // TestPartitionDeterministicAndBounded: same inputs give the same
-// partition, shard counts above the switch count are capped, and
-// counts below 1 are rejected.
+// partition, and shard counts below 1 or above the switch count are
+// rejected.
 func TestPartitionDeterministicAndBounded(t *testing.T) {
 	topo, err := topology.Generate(24, 7)
 	if err != nil {
@@ -204,14 +207,14 @@ func TestPartitionDeterministicAndBounded(t *testing.T) {
 	if _, err := topology.PartitionFabric(topo, 0); err == nil {
 		t.Error("0 shards accepted")
 	}
-	capped, err := topology.PartitionFabric(topo, 1000)
+	if _, err := topology.PartitionFabric(topo, topo.NumSwitches+1); !errors.Is(err, topology.ErrShardCount) {
+		t.Errorf("%d shards on %d switches: err = %v, want ErrShardCount", topo.NumSwitches+1, topo.NumSwitches, err)
+	}
+	all, err := topology.PartitionFabric(topo, topo.NumSwitches)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if capped.Shards != topo.NumSwitches {
-		t.Fatalf("1000 shards on %d switches gave %d shards", topo.NumSwitches, capped.Shards)
-	}
-	checkPartitionInvariants(t, topo, capped)
+	checkPartitionInvariants(t, topo, all)
 	if p, err := topology.PartitionFabric(topo, 1); err != nil || p.Shards != 1 {
 		t.Fatalf("single shard: %v, %+v", err, p)
 	}

@@ -13,8 +13,10 @@
 #              test leaves for another).  It includes cmd/ibsim's
 #              *JSONGolden and *JSONParallelIdentical tests, which run
 #              every ibsim experiment with a JSON report at the tiny
-#              scale against its golden, on 1 and 4 sweep workers and
-#              at -shards 1/2/4/8 -shard-det
+#              scale against its golden on 1 and 4 sweep workers, and
+#              check that every one reading -shards reports the same at
+#              -shards 2 on 1 and 4 workers (the parallel core is
+#              deterministic at a fixed shard count)
 #   alloc gate the zero-alloc budgets of the data-plane hot paths,
 #              run WITHOUT the race detector (race instrumentation
 #              allocates, so the budgets only hold in a plain build)
