@@ -220,18 +220,25 @@ func TestAllocBudgetVOQForwarding(t *testing.T) {
 
 // Heap a fresh k=8 fat-tree network may hold per switch, everything it
 // retains included: routes, arbitration tables, admission state, the
-// switches' port slices, and under the input-queued model 1 024 virtual
-// output queues per switch.  Switches with 32 ports whatever their
-// radix and ring-buffer queues held 59.7 kB (WRR) and 100.9 kB
-// (VOQ-iSLIP).
+// switches' port slices and input buffers, and under the input-queued
+// model the occupancy words and request columns of the VOQs, which
+// index the input buffers instead of holding packets of their own.
+// Switches with 32 ports whatever their radix and ring-buffer queues
+// held 59.7 kB (WRR) and 100.9 kB (VOQ-iSLIP); a 24-byte header per
+// (input, output, VL) queue held about 50 kB (VOQ-iSLIP).
 const (
 	fabricBytesPerSwitchWRR = 30_000
-	fabricBytesPerSwitchVOQ = 60_000
+	fabricBytesPerSwitchVOQ = 30_000
 )
 
 // TestAllocBudgetFabricBytes gates the memory a switch costs: the heap a
 // freshly built k=8 network holds after a GC, divided by its switches.
+// A Packet, which every buffered, queued and in-flight packet costs,
+// must fit one 64-byte cache line.
 func TestAllocBudgetFabricBytes(t *testing.T) {
+	if size := unsafe.Sizeof(fabric.Packet{}); size > 64 {
+		t.Errorf("fabric.Packet is %d bytes, want <= 64", size)
+	}
 	if raceEnabled {
 		t.Skip("alloc budgets hold only without race instrumentation")
 	}

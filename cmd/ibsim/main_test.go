@@ -100,6 +100,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-shards", []string{"-exp", "failover", "-scale", "tiny", "-shards", "2"}},
 		{"-shards", []string{"-exp", "scale", "-scale", "tiny", "-shards", "-3"}},
 		{"-parallel", []string{"-exp", "table2", "-scale", "tiny", "-parallel", "-3"}},
+		{"-islip-iters", []string{"-exp", "hol", "-scale", "tiny", "-islip-iters", "-1"}},
 		{"-shard-det", []string{"-exp", "failover", "-shard-det"}}, // no such flag
 		{"-shard-det", []string{"-exp", "plan", "-shard-det"}},     // no such flag
 		{"-json", []string{"-exp", "table1", "-json"}},

@@ -210,14 +210,19 @@ func (sh *shard) freePacket(pkt *Packet) {
 }
 
 // pktQueue is an intrusive FIFO of packets linked through Packet.next:
-// 24 bytes whether empty or not, and no buffer to grow, so a switch's
-// thousand-odd virtual output queues cost nothing while they are empty
-// and a steady-state queue never allocates.  A packet sits in at most
-// one queue at a time — queued, in flight and free are disjoint states,
-// and every move between queues (forwarding, failover's drain and
-// filter passes) pops before it pushes — so one link field suffices.
-// A packet outside every queue holds no link: push and pop both clear
-// it.
+// 24 bytes whether empty or not, and no buffer to grow, so an empty
+// queue costs nothing beyond its header and a steady-state queue never
+// allocates.  A packet sits in at most one queue at a time — queued, in
+// flight and free are disjoint states, and every move between queues
+// (forwarding, failover's drain and filter passes) pops or unlinks
+// before it pushes — so one link field suffices.  A packet outside
+// every queue holds no link: push, pop and unlinkFirst all clear it.
+//
+// Under the input-queued models a switch input buffer is also read by
+// output port (Packet.out): the first packet bound for output j is the
+// head of that buffer's VOQ toward j, and unlinkFirst takes it out of
+// the middle of the chain.  Those walks visit at most the packets the
+// buffer holds, which credit bounds (see voqState).
 type pktQueue struct {
 	head, tail *Packet
 	n          int
@@ -242,6 +247,49 @@ func (q *pktQueue) pop() *Packet {
 	q.head = p.next
 	if q.head == nil {
 		q.tail = nil
+	}
+	p.next = nil
+	q.n--
+	return p
+}
+
+// firstFor returns the first packet in q bound for output port out, nil
+// when none is.
+func (q *pktQueue) firstFor(out uint8) *Packet {
+	for p := q.head; p != nil; p = p.next {
+		if p.out == out {
+			return p
+		}
+	}
+	return nil
+}
+
+// countFor returns the number of packets in q bound for output port out.
+func (q *pktQueue) countFor(out uint8) int {
+	k := 0
+	for p := q.head; p != nil; p = p.next {
+		if p.out == out {
+			k++
+		}
+	}
+	return k
+}
+
+// unlinkFirst removes and returns the first packet in q bound for output
+// port out; q must hold one.  The packets around it keep their order.
+func (q *pktQueue) unlinkFirst(out uint8) *Packet {
+	var prev *Packet
+	p := q.head
+	for p.out != out {
+		prev, p = p, p.next
+	}
+	if prev == nil {
+		q.head = p.next
+	} else {
+		prev.next = p.next
+	}
+	if q.tail == p {
+		q.tail = prev
 	}
 	p.next = nil
 	q.n--

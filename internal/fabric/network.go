@@ -1223,11 +1223,6 @@ func (n *Network) QueuedPackets() int64 {
 				q += int64(s.in[p].queues[vl].len())
 			}
 		}
-		if v := s.voq; v != nil {
-			for k := range v.q {
-				q += int64(v.q[k].len())
-			}
-		}
 	}
 	return q
 }
@@ -1314,8 +1309,9 @@ func (n *Network) ReconfigStats() core.ReconfigStats {
 // buffer: per-VL occupancy stays within [0, capacity] and covers at
 // least the bytes of the packets actually queued (the rest being
 // space reserved for packets still on the wire or in the crossbar).
-// Every packet queue it walks — host send queues, input queues, VOQs —
-// must be a well-formed chain (see pktQueue.wireBytes).
+// Every packet queue it walks — host send queues and the input buffers,
+// which hold the VOQs' packets too — must be a well-formed chain (see
+// pktQueue.wireBytes).
 // It also audits what the scheduling passes read instead of scanning
 // queues or tables, against a full scan: every arbiter's high-table
 // slot masks (arbtable.Arbiter.CheckIndex), every WRR switch's
@@ -1346,11 +1342,6 @@ func (n *Network) CheckBuffers() error {
 				return err
 			}
 		}
-		if s.voq != nil {
-			if err := n.checkVOQ(s); err != nil {
-				return err
-			}
-		}
 		for p := range s.in {
 			in := &s.in[p]
 			for vl := 0; vl < arbtable.NumVLs; vl++ {
@@ -1366,23 +1357,17 @@ func (n *Network) CheckBuffers() error {
 				if err != nil {
 					return fmt.Errorf("fabric: switch %d port %d VL %d input queue: %w", s.id, p, vl, err)
 				}
-				if v := s.voq; v != nil {
-					// Input-queued model: port p's packets live in its
-					// VOQ row (its input queues are empty, see checkVOQ),
-					// still accounted against the same per-VL credit the
-					// upstream sender reserved.
-					for j := range s.out {
-						wire, err := v.queue(p, j, vl).wireBytes()
-						if err != nil {
-							return fmt.Errorf("fabric: switch %d VOQ (%d,%d) VL %d: %w", s.id, p, j, vl, err)
-						}
-						queued += wire
-					}
-				}
 				if queued > occ {
 					return fmt.Errorf("fabric: switch %d port %d VL %d queued %d bytes > occupancy %d",
 						s.id, p, vl, queued, occ)
 				}
+			}
+		}
+		// checkVOQ follows the buffers' links, so it runs only once the
+		// loop above has found every chain well formed.
+		if s.voq != nil {
+			if err := n.checkVOQ(s); err != nil {
+				return err
 			}
 		}
 		// Boundary mirrors obey the same bounds as real occupancy: the

@@ -91,9 +91,9 @@ type swNode struct {
 	// heads (see heads.go); nil under the input-queued models.
 	heads *headIndex
 
-	// voq is the input-queued half of the switch (virtual output
-	// queues plus the crossbar scheduler state, see voq.go); nil under
-	// the default output-driven WRR model.
+	// voq is the input-queued half of the switch (the virtual output
+	// queues' index over the input buffers plus the crossbar scheduler
+	// state, see voq.go); nil under the default output-driven WRR model.
 	voq *voqState
 }
 

@@ -2,23 +2,28 @@ package fabric
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // TestPacketQueueDifferential drives several intrusive queues that
 // share one packet pool against slice FIFOs with random scripts: pushes
 // from the pool, pops back into it, moves from one queue to another (a
-// forward), and in-place filter passes that pop every packet and push
+// forward), unlinks of the first packet bound for an output port (an
+// input-queued switch serving a VOQ head from the middle of an input
+// buffer), and in-place filter passes that pop every packet and push
 // the survivors back, as failover's sweep does.  After every operation
 // each queue must hold the reference's packets in the reference's order
-// with the reference's length, and be a well-formed chain (wireBytes).
+// with the reference's length, be a well-formed chain (wireBytes), and
+// agree with the reference on the first packet and the packet count
+// bound for every output.
 //
-// Packets leave the pool with a stale link, because push may not rely on
-// how a packet left its previous queue; and every popped packet must
-// come out with no link, because a packet outside every queue holds
-// none.
+// Packets leave the pool with a stale link and a fresh output port,
+// because push may not rely on how a packet left its previous queue;
+// and every popped or unlinked packet must come out with no link,
+// because a packet outside every queue holds none.
 func TestPacketQueueDifferential(t *testing.T) {
-	const queues, poolSize, steps = 4, 40, 20_000
+	const queues, outs, poolSize, steps = 4, 4, 40, 20_000
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		pool := make([]*Packet, poolSize)
@@ -34,6 +39,7 @@ func TestPacketQueueDifferential(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				p.next = pool[rng.Intn(poolSize)] // stale link
 			}
+			p.out = uint8(rng.Intn(outs))
 			return p
 		}
 		var q [queues]pktQueue
@@ -49,6 +55,18 @@ func TestPacketQueueDifferential(t *testing.T) {
 			ref[i] = ref[i][1:]
 			return p
 		}
+		unlink := func(i int, out uint8) *Packet {
+			k := slices.IndexFunc(ref[i], func(r *Packet) bool { return r.out == out })
+			p := q[i].unlinkFirst(out)
+			if p != ref[i][k] {
+				t.Fatalf("seed %d: queue %d unlinks packet %d for output %d, reference %d", seed, i, p.Wire, out, ref[i][k].Wire)
+			}
+			if p.next != nil {
+				t.Fatalf("seed %d: packet %d unlinked from queue %d still links to packet %d", seed, p.Wire, i, p.next.Wire)
+			}
+			ref[i] = slices.Delete(ref[i], k, k+1)
+			return p
+		}
 		push := func(i int, p *Packet) {
 			q[i].push(p)
 			ref[i] = append(ref[i], p)
@@ -57,17 +75,27 @@ func TestPacketQueueDifferential(t *testing.T) {
 		ops := map[string]int{}
 		for step := 0; step < steps; step++ {
 			i := rng.Intn(queues)
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(12); {
 			case op < 4 && len(free) > 0:
 				ops["push"]++
 				push(i, take())
-			case op < 7 && q[i].len() > 0:
+			case op < 6 && q[i].len() > 0:
 				ops["pop"]++
 				free = append(free, pop(i))
-			case op < 9 && q[i].len() > 0:
+			case op < 8 && q[i].len() > 0:
 				ops["move"]++
 				push(rng.Intn(queues), pop(i))
-			case op == 9:
+			case op < 11 && q[i].len() > 0:
+				// Any packet's output names one the queue holds; half
+				// the unlinked packets return to the pool, half move.
+				ops["unlink"]++
+				p := unlink(i, ref[i][rng.Intn(len(ref[i]))].out)
+				if rng.Intn(2) == 0 {
+					free = append(free, p)
+				} else {
+					push(rng.Intn(queues), p)
+				}
+			case op == 11:
 				ops["filter"]++
 				drop := rng.Intn(3) // 0 keeps everything
 				for k, cnt := 0, q[i].len(); k < cnt; k++ {
@@ -100,13 +128,31 @@ func TestPacketQueueDifferential(t *testing.T) {
 				if wire != want {
 					t.Fatalf("seed %d step %d: queue %d walks to %d wire bytes, reference %d", seed, step, i, wire, want)
 				}
+				for out := uint8(0); out < outs; out++ {
+					var first *Packet
+					count := 0
+					for _, r := range ref[i] {
+						if r.out == out {
+							if count == 0 {
+								first = r
+							}
+							count++
+						}
+					}
+					if got := q[i].firstFor(out); got != first {
+						t.Fatalf("seed %d step %d: queue %d's first packet for output %d is %v, reference %v", seed, step, i, out, got, first)
+					}
+					if got := q[i].countFor(out); got != count {
+						t.Fatalf("seed %d step %d: queue %d holds %d packets for output %d, reference %d", seed, step, i, got, out, count)
+					}
+				}
 				queued += len(ref[i])
 			}
 			if queued+len(free) != poolSize {
 				t.Fatalf("seed %d step %d: %d queued + %d free packets, pool of %d", seed, step, queued, len(free), poolSize)
 			}
 		}
-		for _, op := range []string{"push", "pop", "move", "filter"} {
+		for _, op := range []string{"push", "pop", "move", "unlink", "filter"} {
 			if ops[op] < steps/20 {
 				t.Fatalf("seed %d: only %d %s operations in %d steps: %v", seed, ops[op], op, steps, ops)
 			}

@@ -11,22 +11,24 @@ import (
 )
 
 // This file is the input-queued switch model: per-input virtual output
-// queues (one FIFO per output port × VL), a crossbar scheduled per
-// pass by an iSLIP arbiter with per-port round-robin grant/accept
-// pointers, and an exact maximum-weight-matching reference arbiter
-// that doubles as the correctness oracle in tests and is selectable at
-// runtime for small fabrics.  The output-port arbitration tables keep
-// their paper role unchanged: the matching decides WHICH input feeds
-// an output, the output's WRR table decides which VL of that pair's
-// VOQ group is served — so the fill-in algorithm's distance guarantee
-// can be audited under head-of-line dynamics (the -exp hol
-// experiment).
+// queues (one per output port × VL, an index over the input VL
+// buffers), a crossbar scheduled per pass by an iSLIP arbiter with
+// per-port round-robin grant/accept pointers, and an exact
+// maximum-weight-matching reference arbiter that doubles as the
+// correctness oracle in tests and is selectable at runtime for small
+// fabrics.  The output-port arbitration tables keep their paper role
+// unchanged: the matching decides WHICH input feeds an output, the
+// output's WRR table decides which VL of that pair's VOQ group is
+// served — so the fill-in algorithm's distance guarantee can be
+// audited under head-of-line dynamics (the -exp hol experiment).
 //
 // Where this diverges from the xbar_router exemplar (SNIPPETS.md
-// Snippet 1): queues are per (input, output, VL) instead of per input,
-// scheduling is event-driven on packet boundaries instead of a fixed
-// Advance() clock, grants respect downstream per-VL credits, and the
-// iSLIP pointers update only on accepted first-iteration grants (the
+// Snippet 1): packets are buffered per (input, VL) rather than per
+// input, each tagged with its output as there, and scheduled per
+// (input, output, VL) through occupancy words; scheduling is
+// event-driven on packet boundaries instead of a fixed Advance()
+// clock, grants respect downstream per-VL credits, and the iSLIP
+// pointers update only on accepted first-iteration grants (the
 // published algorithm; the exemplar advances its single pointer
 // unconditionally).
 
@@ -39,8 +41,8 @@ const (
 	// per-input-VL FIFOs, every output port scheduling independently
 	// over the head packets routed to it (the default).
 	ModelWRR SwitchModel = iota
-	// ModelVOQISLIP is the input-queued model: per-input VOQs and a
-	// crossbar matched per pass by iterative SLIP.
+	// ModelVOQISLIP is the input-queued model: per-input VOQs over the
+	// input VL buffers and a crossbar matched per pass by iterative SLIP.
 	ModelVOQISLIP
 	// ModelVOQMWM is the input-queued model scheduled by the exact
 	// maximum-weight-matching oracle (weights = VOQ occupancy).  The
@@ -286,29 +288,33 @@ func (sc *mwmScratch) solve(match *[topology.SwitchPorts]int8) (size int, weight
 }
 
 // voqState is the input-queued half of one switch, sized at the
-// topology's radix r: the virtual output queues (one FIFO per input ×
-// output × VL), occupancy words at three grains so a scheduling pass
-// touches only what is queued, the request matrix a pass matches on —
-// remembered between passes, column by column — and the iSLIP pointer
-// state.
+// topology's radix r: occupancy words at three grains over the virtual
+// output queues so a scheduling pass touches only what is queued, the
+// request matrix a pass matches on — remembered between passes, column
+// by column — and the iSLIP pointer state.
+//
+// The packets themselves stay in the input VL buffers the WRR model
+// uses (inPort.queues), each recording its output port (Packet.out).
+// Virtual output queue (i, j, vl) is the subsequence of input i's VL-vl
+// buffer bound for output j, in arrival order; its head is the first
+// such packet.  Reading a head walks the buffer, which credit holds to
+// bufferCapacity bytes: bufferPackets packets of the configured size,
+// more only when smaller packets are injected.  No per-(i, j, vl)
+// storage is kept.
 //
 // The occupancy words are written in exactly two places, voqPush and
 // voqPop; CheckBuffers recomputes every derived word below from the
-// queues, the credit view and the port timestamps (checkVOQ).
+// buffers, the credit view and the port timestamps (checkVOQ).
 type voqState struct {
 	r int
-	// q[(i*r+j)*NumVLs+vl] queues the packets of input i bound for
-	// output j on VL vl.
-	q []pktQueue
-	// nonEmpty[i*r+j] is the set of VLs with a non-empty queue at
-	// (i, j).
+	// nonEmpty[i*r+j] is the set of VLs whose buffer at input i holds a
+	// packet bound for output j.
 	nonEmpty []uint16
-	// dataCols[j] is the set of inputs i holding a non-empty data-VL
-	// queue for output j — column j of the widest request matrix a pass
-	// could build; mgmtCols[j] is the set of inputs holding a VL 15
-	// packet for output j.  dataOuts and mgmtOuts are the outputs whose
-	// word is not zero, so a pass visits only outputs that hold
-	// something.
+	// dataCols[j] is the set of inputs i holding a data-VL packet for
+	// output j — column j of the widest request matrix a pass could
+	// build; mgmtCols[j] is the set of inputs holding a VL 15 packet for
+	// output j.  dataOuts and mgmtOuts are the outputs whose word is not
+	// zero, so a pass visits only outputs that hold something.
 	dataCols, mgmtCols []uint32
 	dataOuts, mgmtOuts uint32
 
@@ -316,11 +322,11 @@ type voqState struct {
 	// is applied: the inputs whose group (i, j) holds a data head with
 	// downstream credit (voqEligible).  It is meaningful only while bit
 	// j of reqValid is set; the bit is cleared wherever the column can
-	// change — voqPush onto an empty data queue of column j, voqPop from
-	// column j (which precedes every transmit on j, so the credit the
-	// transmit consumes is covered) and a credit return to output j
-	// (creditSwitch) — and voqColumn recomputes an invalid column the
-	// next time a pass or a kick asks for it.
+	// change — voqPush of the first data packet for output j into a
+	// buffer, voqPop from column j (which precedes every transmit on j,
+	// so the credit the transmit consumes is covered) and a credit
+	// return to output j (creditSwitch) — and voqColumn recomputes an
+	// invalid column the next time a pass or a kick asks for it.
 	req      []uint32
 	reqValid uint32
 
@@ -345,7 +351,6 @@ type voqState struct {
 func newVOQState(r int) *voqState {
 	return &voqState{
 		r:        r,
-		q:        make([]pktQueue, r*r*arbtable.NumVLs),
 		nonEmpty: make([]uint16, r*r),
 		dataCols: make([]uint32, r),
 		mgmtCols: make([]uint32, r),
@@ -353,21 +358,25 @@ func newVOQState(r int) *voqState {
 	}
 }
 
-// queue returns the (input, output, vl) queue.
-func (v *voqState) queue(i, j, vl int) *pktQueue {
-	return &v.q[(i*v.r+j)*arbtable.NumVLs+vl]
+// voqHead returns the head of VOQ (i, j, vl): the first packet in input
+// i's VL-vl buffer bound for output j, nil when there is none.
+func (node *swNode) voqHead(i, j, vl int) *Packet {
+	return node.in[i].queues[vl].firstFor(uint8(j))
 }
 
-// voqPush enqueues pkt on the (input, output, vl) queue and maintains
-// the occupancy words.  Only a push onto an empty queue changes a head,
-// so only that can change column j of the request matrix.
-func (v *voqState) voqPush(i, j, vl int, pkt *Packet) {
-	q := v.queue(i, j, vl)
-	q.push(pkt)
-	if q.len() > 1 {
+// voqPush buffers pkt, bound for output j, at input i on VL vl and
+// maintains the occupancy words.  Only the first packet for j in the
+// buffer becomes a VOQ head, so only that can change column j of the
+// request matrix.
+func (node *swNode) voqPush(i, j, vl int, pkt *Packet) {
+	v := node.voq
+	pkt.out = uint8(j)
+	node.in[i].queues[vl].push(pkt)
+	ne := &v.nonEmpty[i*v.r+j]
+	if *ne&(1<<vl) != 0 {
 		return
 	}
-	v.nonEmpty[i*v.r+j] |= 1 << vl
+	*ne |= 1 << vl
 	if vl == arbtable.MgmtVL {
 		v.mgmtCols[j] |= 1 << i
 		v.mgmtOuts |= 1 << j
@@ -378,14 +387,17 @@ func (v *voqState) voqPush(i, j, vl int, pkt *Packet) {
 	}
 }
 
-// voqPop dequeues the head of the (input, output, vl) queue.  The head
-// of column j changes and the transmit that follows consumes output j's
-// downstream credit, so the remembered column is dropped.
-func (v *voqState) voqPop(i, j, vl int) *Packet {
-	q := v.queue(i, j, vl)
-	pkt := q.pop()
+// voqPop unlinks the head of VOQ (i, j, vl) from input i's VL-vl
+// buffer.  The head of column j changes and the transmit that follows
+// consumes output j's downstream credit, so the remembered column is
+// dropped; the occupancy bits go when the last packet for j leaves the
+// buffer.
+func (node *swNode) voqPop(i, j, vl int) *Packet {
+	v := node.voq
+	q := &node.in[i].queues[vl]
+	pkt := q.unlinkFirst(uint8(j))
 	v.reqValid &^= 1 << j
-	if q.len() == 0 {
+	if q.firstFor(uint8(j)) == nil {
 		ne := &v.nonEmpty[i*v.r+j]
 		*ne &^= 1 << vl
 		if vl == arbtable.MgmtVL {
@@ -401,12 +413,12 @@ func (v *voqState) voqPop(i, j, vl int) *Packet {
 	return pkt
 }
 
-// voqOccupancy counts the packets queued in the (input, output) VOQ
-// group across all VLs — the weight the MWM oracle maximizes.
-func (v *voqState) voqOccupancy(i, j int) int32 {
+// voqOccupancy counts the packets input i buffers for output j across
+// all VLs — the weight the MWM oracle maximizes.
+func (node *swNode) voqOccupancy(i, j int) int32 {
 	var n int32
-	for vls := v.nonEmpty[i*v.r+j]; vls != 0; vls &= vls - 1 {
-		n += int32(v.queue(i, j, bits.TrailingZeros16(vls)).len())
+	for vls := node.voq.nonEmpty[i*node.voq.r+j]; vls != 0; vls &= vls - 1 {
+		n += int32(node.in[i].queues[bits.TrailingZeros16(vls)].countFor(uint8(j)))
 	}
 	return n
 }
@@ -435,14 +447,14 @@ func (sh *shard) kickVOQ(s int) {
 	}
 }
 
-// voqEnqueue lands an arriving packet in its virtual output queue: the
-// output port is resolved from the routing tables at enqueue time, so
-// a packet can never block a packet bound for a different output —
-// the HOL-blocking remedy VOQs exist for.
+// voqEnqueue lands an arriving packet in its input VL buffer and its
+// virtual output queue: the output port is resolved from the routing
+// tables at enqueue time, so a packet can never block a packet bound
+// for a different output — the HOL-blocking remedy VOQs exist for.
 func (sh *shard) voqEnqueue(s, in int, pkt *Packet) {
 	n := sh.n
 	j := n.Routes.NextPort(s, pkt.Dst)
-	n.switches[s].voq.voqPush(in, j, int(pkt.VL), pkt)
+	n.switches[s].voqPush(in, j, int(pkt.VL), pkt)
 	sh.kickVOQ(s)
 }
 
@@ -461,7 +473,7 @@ func (n *Network) voqEligible(node *swNode, down *[arbtable.NumVLs]int, i, j, ca
 	}
 	for ; vls != 0; vls &= vls - 1 {
 		vl := bits.TrailingZeros16(vls)
-		pkt := v.queue(i, j, vl).front()
+		pkt := node.voqHead(i, j, vl)
 		outvl := vl
 		if n.planes > 1 {
 			outvl = int(n.Routes.HopVL(node.id, pkt.Dst, pkt.Base))
@@ -564,7 +576,7 @@ func (n *Network) voqMgmtCandidate(node *swNode, j int, inFree uint32, capacity 
 	for _, w := range cyclicFrom(set, out.rr[vl]) {
 		for ; w != 0; w &= w - 1 {
 			i := bits.TrailingZeros32(w)
-			if down == nil || down[vl]+v.queue(i, j, vl).front().Wire <= capacity {
+			if down == nil || down[vl]+node.voqHead(i, j, vl).Wire <= capacity {
 				return i
 			}
 		}
@@ -599,7 +611,7 @@ func (sh *shard) voqSched(s int) {
 		if i < 0 {
 			continue
 		}
-		pkt := v.voqPop(i, j, arbtable.MgmtVL)
+		pkt := node.voqPop(i, j, arbtable.MgmtVL)
 		node.out[j].rr[arbtable.MgmtVL] = (i + 1) % v.r
 		inFree &^= 1 << i
 		outFree &^= 1 << j
@@ -633,7 +645,7 @@ func (sh *shard) voqSched(s int) {
 			j := bits.TrailingZeros32(w)
 			for c := cols[j]; c != 0; c &= c - 1 {
 				i := bits.TrailingZeros32(c)
-				sc.w[i*sc.n+j] = v.voqOccupancy(i, j)
+				sc.w[i*sc.n+j] = node.voqOccupancy(i, j)
 			}
 		}
 		size, _ = sc.solve(match)
@@ -673,7 +685,7 @@ func (sh *shard) voqServe(node *swNode, i, j, capacity int, now int64) {
 	var srcVL [arbtable.NumDataVLs]uint8
 	for vls := v.nonEmpty[i*v.r+j] & dataVLMask; vls != 0; vls &= vls - 1 {
 		vl := bits.TrailingZeros16(vls)
-		pkt := v.queue(i, j, vl).front()
+		pkt := node.voqHead(i, j, vl)
 		outvl := vl
 		if n.planes > 1 {
 			outvl = int(n.Routes.HopVL(node.id, pkt.Dst, pkt.Base))
@@ -695,11 +707,11 @@ func (sh *shard) voqServe(node *swNode, i, j, capacity int, now int64) {
 		out.pt.NoteStalePick()
 	}
 	invl := int(srcVL[vl])
-	pkt := v.voqPop(i, j, invl)
+	pkt := node.voqPop(i, j, invl)
 	pkt.VL = uint8(vl)
 	if m := sh.metrics; m != nil {
 		m.AddVLBytes(vl, pkt.Wire)
-		m.ObserveVOQDepth(int64(v.queue(i, j, invl).len()))
+		m.ObserveVOQDepth(int64(node.in[i].queues[invl].countFor(uint8(j))))
 	}
 	if t := sh.eng.Trace; t != nil {
 		lp := out.arb.Last()
@@ -735,38 +747,35 @@ func (sh *shard) voqTransmit(node *swNode, pkt *Packet, i, j, srcVL int, now int
 }
 
 // checkVOQ audits everything a scheduling pass at one input-queued
-// switch reads instead of scanning, against a full scan: the occupancy
-// words (no stale bit, no missing bit, nothing queued toward an unwired
-// output), every remembered request column against a fresh computation
-// from the heads and the current credit view, and the busy masks
-// against the port timestamps.  Nothing may sit in the per-input VL
-// queues the WRR model uses.
+// switch reads instead of scanning, against a full scan: every buffered
+// packet's recorded output against the routing tables, the occupancy
+// words recomputed from the buffers (no stale bit, no missing bit,
+// nothing buffered toward an unwired output), every remembered request
+// column against a fresh computation from the heads and the current
+// credit view, and the busy masks against the port timestamps.
 func (n *Network) checkVOQ(node *swNode) error {
 	v := node.voq
-	for p := range node.in {
-		for vl := range node.in[p].queues {
-			if k := node.in[p].queues[vl].len(); k != 0 {
-				return fmt.Errorf("fabric: VOQ switch %d holds %d packets in the input queue of port %d VL %d",
-					node.id, k, p, vl)
-			}
-		}
-	}
 	var dataCols, mgmtCols [topology.SwitchPorts]uint32
 	var dataOuts, mgmtOuts uint32
 	for i := 0; i < v.r; i++ {
-		for j := 0; j < v.r; j++ {
-			var vls uint16
-			for vl := 0; vl < arbtable.NumVLs; vl++ {
-				if v.queue(i, j, vl).len() != 0 {
-					vls |= 1 << vl
+		var row [topology.SwitchPorts]uint16 // row[j]: VLs buffering a packet for j
+		for vl := range node.in[i].queues {
+			for pkt := node.in[i].queues[vl].front(); pkt != nil; pkt = pkt.next {
+				j := int(pkt.out)
+				if route := n.Routes.NextPort(node.id, pkt.Dst); j != route {
+					return fmt.Errorf("fabric: switch %d input %d VL %d buffers a packet to host %d for output %d, routes say %d",
+						node.id, i, vl, pkt.Dst, j, route)
 				}
+				if j >= v.r || !node.out[j].wired {
+					return fmt.Errorf("fabric: switch %d input %d VL %d buffers a packet toward unwired port %d",
+						node.id, i, vl, j)
+				}
+				row[j] |= 1 << vl
 			}
-			if vls != 0 && !node.out[j].wired {
-				return fmt.Errorf("fabric: switch %d input %d queues VLs %#04x toward unwired port %d",
-					node.id, i, vls, j)
-			}
+		}
+		for j, vls := range row[:v.r] {
 			if got := v.nonEmpty[i*v.r+j]; got != vls {
-				return fmt.Errorf("fabric: switch %d VOQ (%d,%d) non-empty VL set %#04x, queues say %#04x",
+				return fmt.Errorf("fabric: switch %d VOQ (%d,%d) non-empty VL set %#04x, buffers say %#04x",
 					node.id, i, j, got, vls)
 			}
 			if vls&dataVLMask != 0 {
@@ -780,7 +789,7 @@ func (n *Network) checkVOQ(node *swNode) error {
 		}
 	}
 	if v.dataOuts != dataOuts || v.mgmtOuts != mgmtOuts {
-		return fmt.Errorf("fabric: switch %d output summaries data %#08x VL 15 %#08x, queues say %#08x and %#08x",
+		return fmt.Errorf("fabric: switch %d output summaries data %#08x VL 15 %#08x, buffers say %#08x and %#08x",
 			node.id, v.dataOuts, v.mgmtOuts, dataOuts, mgmtOuts)
 	}
 	if v.reqValid>>v.r != 0 {
@@ -790,11 +799,11 @@ func (n *Network) checkVOQ(node *swNode) error {
 	capacity := n.bufferCapacity()
 	for j := 0; j < v.r; j++ {
 		if v.dataCols[j] != dataCols[j] {
-			return fmt.Errorf("fabric: switch %d output %d data input set %#08x, queues say %#08x",
+			return fmt.Errorf("fabric: switch %d output %d data input set %#08x, buffers say %#08x",
 				node.id, j, v.dataCols[j], dataCols[j])
 		}
 		if v.mgmtCols[j] != mgmtCols[j] {
-			return fmt.Errorf("fabric: switch %d output %d VL 15 input set %#08x, queues say %#08x",
+			return fmt.Errorf("fabric: switch %d output %d VL 15 input set %#08x, buffers say %#08x",
 				node.id, j, v.mgmtCols[j], mgmtCols[j])
 		}
 		if v.reqValid&(1<<j) != 0 {

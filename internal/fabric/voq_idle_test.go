@@ -3,6 +3,7 @@ package fabric
 import (
 	"math/bits"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/arbtable"
@@ -51,8 +52,12 @@ func snapshotVOQSwitch(n *Network, s int, qlen []int) (voqSwitchState, []int) {
 		}
 	}
 	qlen = qlen[:0]
-	for k := range v.q {
-		qlen = append(qlen, v.q[k].len())
+	for i := 0; i < v.r; i++ {
+		for vl := range node.in[i].queues {
+			for j := 0; j < v.r; j++ {
+				qlen = append(qlen, node.in[i].queues[vl].countFor(uint8(j)))
+			}
+		}
 	}
 	return st, qlen
 }
@@ -246,9 +251,10 @@ func TestFaultWindowPostsOneWakeup(t *testing.T) {
 
 // TestCheckBuffersAuditsVOQState corrupts, one word at a time, each
 // piece of state a scheduling pass reads instead of scanning queues,
-// credit or port structs — occupancy words and their summaries, the
-// remembered request columns and their valid bits, the busy masks — and
-// expects CheckBuffers to notice.
+// credit or port structs — a buffered packet's recorded output, the
+// occupancy words and their summaries, the remembered request columns
+// and their valid bits, the busy masks — and expects CheckBuffers to
+// name what broke.
 func TestCheckBuffersAuditsVOQState(t *testing.T) {
 	// find returns the first (switch, port) the predicate accepts.
 	find := func(t *testing.T, n *Network, what string, ok func(node *swNode, p int) bool) (*swNode, int) {
@@ -267,61 +273,95 @@ func TestCheckBuffersAuditsVOQState(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		corrupt func(t *testing.T, n *Network)
+		want    string // the report names this
 	}{
+		{"a buffered packet's output changed behind the index", func(t *testing.T, n *Network) {
+			node, i := find(t, n, "a buffered packet", func(node *swNode, i int) bool {
+				for vl := range node.in[i].queues {
+					if node.in[i].queues[vl].len() != 0 {
+						return true
+					}
+				}
+				return false
+			})
+			for vl := range node.in[i].queues {
+				if pkt := node.in[i].queues[vl].front(); pkt != nil {
+					pkt.out = uint8((int(pkt.out) + 1) % node.voq.r)
+					return
+				}
+			}
+		}, "routes say"},
+		{"nonEmpty drops a VL still buffering a packet for the output", func(t *testing.T, n *Network) {
+			node, g := find(t, n, "a non-empty VOQ group", func(node *swNode, i int) bool {
+				for j := 0; j < node.voq.r; j++ {
+					if node.voq.nonEmpty[i*node.voq.r+j] != 0 {
+						return true
+					}
+				}
+				return false
+			})
+			row := node.voq.nonEmpty[g*node.voq.r : (g+1)*node.voq.r]
+			for j := range row {
+				if row[j] != 0 {
+					row[j] &= row[j] - 1
+					return
+				}
+			}
+		}, "non-empty VL set"},
 		{"dataCols names an input that queues nothing", func(t *testing.T, n *Network) {
 			node, j := find(t, n, "a data column short of full", func(node *swNode, j int) bool {
 				return queued(node, j) && node.voq.dataCols[j] != 1<<node.voq.r-1
 			})
 			node.voq.dataCols[j] |= ^node.voq.dataCols[j] & (1<<node.voq.r - 1)
-		}},
+		}, "data input set"},
 		{"dataCols misses a queued input", func(t *testing.T, n *Network) {
 			node, j := find(t, n, "queued data", queued)
 			node.voq.dataCols[j] &= node.voq.dataCols[j] - 1
-		}},
+		}, "data input set"},
 		{"mgmtCols names an input that queues nothing", func(t *testing.T, n *Network) {
 			node, j := find(t, n, "no VL 15 packet", func(node *swNode, j int) bool { return node.voq.mgmtCols[j] == 0 })
 			node.voq.mgmtCols[j] = 1
-		}},
+		}, "VL 15 input set"},
 		{"dataOuts misses an output that holds data", func(t *testing.T, n *Network) {
 			node, j := find(t, n, "queued data", queued)
 			node.voq.dataOuts &^= 1 << j
-		}},
+		}, "output summaries"},
 		{"dataOuts names an output that holds none", func(t *testing.T, n *Network) {
 			node, j := find(t, n, "no queued data", func(node *swNode, j int) bool { return !queued(node, j) })
 			node.voq.dataOuts |= 1 << j
-		}},
+		}, "output summaries"},
 		{"mgmtOuts names an output that holds no VL 15 packet", func(t *testing.T, n *Network) {
 			node, j := find(t, n, "no VL 15 packet", func(node *swNode, j int) bool { return node.voq.mgmtCols[j] == 0 })
 			node.voq.mgmtOuts |= 1 << j
-		}},
+		}, "output summaries"},
 		{"a valid request column changed", func(t *testing.T, n *Network) {
 			node, j := find(t, n, "a valid request column", func(node *swNode, j int) bool {
 				return node.voq.reqValid&(1<<j) != 0
 			})
 			node.voq.req[j] ^= 1
-		}},
+		}, "remembers request column"},
 		{"a stale request column is marked valid", func(t *testing.T, n *Network) {
 			node, j := find(t, n, "queued data", queued)
 			node.voq.req[j] = ^n.voqBuildColumn(node, j, n.bufferCapacity()) & node.voq.dataCols[j]
 			node.voq.req[j] ^= 1 << bits.TrailingZeros32(node.voq.dataCols[j]) // differs whatever the credit says
 			node.voq.reqValid |= 1 << j
-		}},
+		}, "remembers request column"},
 		{"reqValid marks a column beyond the radix", func(t *testing.T, n *Network) {
 			node := n.switches[0]
 			node.voq.reqValid |= 1 << node.voq.r
-		}},
+		}, "valid beyond radix"},
 		{"busyOut misses a transmitting output", func(t *testing.T, n *Network) {
 			node, j := find(t, n, "an output mid-transmission", func(node *swNode, j int) bool {
 				return node.out[j].busyUntil > n.Now()
 			})
 			node.voq.busyOut &^= 1 << j
-		}},
+		}, "not marked busy"},
 		{"busyIn misses an input mid-transfer", func(t *testing.T, n *Network) {
 			node, i := find(t, n, "an input mid-transfer", func(node *swNode, i int) bool {
 				return node.in[i].busyUntil > n.Now()
 			})
 			node.voq.busyIn &^= 1 << i
-		}},
+		}, "not marked busy"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -335,6 +375,8 @@ func TestCheckBuffersAuditsVOQState(t *testing.T) {
 			tc.corrupt(t, n)
 			if err := n.CheckBuffers(); err == nil {
 				t.Error("CheckBuffers reported nothing")
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("CheckBuffers reported %q, want it to name %q", err, tc.want)
 			}
 		})
 	}

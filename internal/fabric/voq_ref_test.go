@@ -241,19 +241,22 @@ type voqPass struct {
 // occupancy words replaced it, kept as the reference: availability
 // over every port of the switch, a round-robin probe of every input per
 // free output for VL 15, and a probe of every (input, output, VL)
-// queue for the request matrix.  It reads queue lengths only — none of
-// the maintained sets — and changes nothing.
+// queue for the request matrix.  A queue's head is found by walking the
+// input buffer for the first packet the routing tables send to the
+// output — not through the packet's recorded output, nor any of the
+// maintained sets — and nothing is changed.
 func scanRequests(n *Network, s int) voqPass {
 	node := n.switches[s]
 	P := len(node.out)
-	v := node.voq
 	now := n.shardForSwitch(s).eng.Now()
 	capacity := n.bufferCapacity()
 	head := func(i, j, vl int) *Packet {
-		if v.queue(i, j, vl).len() == 0 {
-			return nil
+		for pkt := node.in[i].queues[vl].front(); pkt != nil; pkt = pkt.next {
+			if n.Routes.NextPort(s, pkt.Dst) == j {
+				return pkt
+			}
 		}
-		return v.queue(i, j, vl).front()
+		return nil
 	}
 
 	var pass voqPass
@@ -475,7 +478,8 @@ func auditMatches(t *testing.T, n *Network) *matchAuditor {
 		}
 	}
 	n.OnMatch = func(sw int, match *[pP]int8, size int) {
-		v := n.switches[sw].voq
+		node := n.switches[sw]
+		v := node.voq
 		scan := scanRequests(n, sw)
 		var want [pP]int8
 		var wantSize int
@@ -485,7 +489,11 @@ func auditMatches(t *testing.T, n *Network) *matchAuditor {
 				for ; row != 0; row &= row - 1 {
 					j := bits.TrailingZeros32(row)
 					for vl := 0; vl < arbtable.NumVLs; vl++ {
-						w[i][j] += int32(v.queue(i, j, vl).len())
+						for pkt := node.in[i].queues[vl].front(); pkt != nil; pkt = pkt.next {
+							if n.Routes.NextPort(sw, pkt.Dst) == j {
+								w[i][j]++
+							}
+						}
 					}
 				}
 			}
@@ -682,32 +690,45 @@ func TestVOQPermanentFaultPostsNoEvents(t *testing.T) {
 }
 
 // TestVOQStateSizedByRadix is the memory gate of the radix-sized VOQ
-// state: building the k=8 fat-tree under the input-queued model must
-// stay within 20 MB of heap (63 MB when every switch carried
-// 32x32x16 queues for its 8 ports).
+// state: the VOQs are an index over the input VL buffers, so an
+// input-queued switch of the k=8 and k=16 fat-trees (radix 8 and 16)
+// may hold at most voqExtraBytesPerSwitch more heap than its WRR twin.
+// Storing every (input, output, VL) queue header cost r·r·16·24 bytes
+// on top: 24.6 kB at radix 8, 98 kB at radix 16.
 func TestVOQStateSizedByRadix(t *testing.T) {
-	topo, err := (topology.Spec{Class: topology.FatTree, K: 8}).Generate()
-	if err != nil {
-		t.Fatal(err)
+	const voqExtraBytesPerSwitch = 4 << 10
+	for _, k := range []int{8, 16} {
+		topo, err := (topology.Spec{Class: topology.FatTree, K: k}).Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var held [2]int64
+		for m, model := range []SwitchModel{ModelWRR, ModelVOQISLIP} {
+			cfg := DefaultConfig(topo.NumSwitches, 256, 7)
+			cfg.SwitchModel = model
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			n, err := NewWithTopology(cfg, topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			held[m] = int64(after.HeapAlloc) - int64(before.HeapAlloc)
+			if v := n.switches[0].voq; v != nil {
+				if r := topo.Ports(); v.r != r || len(v.nonEmpty) != r*r {
+					t.Errorf("k=%d: VOQ state sized r=%d, %d groups; topology radix %d", k, v.r, len(v.nonEmpty), r)
+				}
+			}
+			runtime.KeepAlive(n)
+		}
+		extra := (held[1] - held[0]) / int64(topo.NumSwitches)
+		t.Logf("k=%d: WRR %d B, VOQ-iSLIP %d B per switch (%+d)", k,
+			held[0]/int64(topo.NumSwitches), held[1]/int64(topo.NumSwitches), extra)
+		if extra > voqExtraBytesPerSwitch {
+			t.Errorf("k=%d: a VOQ-iSLIP switch holds %d bytes more than its WRR twin, budget %d",
+				k, extra, voqExtraBytesPerSwitch)
+		}
 	}
-	cfg := DefaultConfig(topo.NumSwitches, 256, 7)
-	cfg.SwitchModel = ModelVOQISLIP
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	n, err := NewWithTopology(cfg, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	const budget = 20 << 20
-	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > budget {
-		t.Errorf("k=8 VOQ fabric holds %.1f MB of heap, budget %d MB", float64(grew)/(1<<20), budget>>20)
-	}
-	v := n.switches[0].voq
-	if r := topo.Ports(); v.r != r || len(v.q) != r*r*arbtable.NumVLs || len(v.nonEmpty) != r*r {
-		t.Errorf("VOQ state sized r=%d, %d queues, %d groups; topology radix %d", v.r, len(v.q), len(v.nonEmpty), r)
-	}
-	runtime.KeepAlive(n)
 }

@@ -101,11 +101,17 @@ echo "==> go test -race -run 'TestVOQIndex|TestPacketQueueDifferential' ./intern
 # differential tests compare every VL 15 pick, request matrix and
 # matching with the retired scans, single-stepped and on a two-shard
 # parallel run whose OnMatch replay executes on the shard goroutines.
-# Every queue — host, input, VOQ — is an intrusive FIFO linked through
-# the packets it holds; TestPacketQueueDifferential drives several
-# sharing one packet pool against slice FIFOs (push, pop, moves between
-# queues, failover's pop-and-push-back filter) and checks order, length
-# and the chain after every operation.
+# Both switch models buffer packets in the same per-(input, VL) input
+# queues, intrusive FIFOs linked through the packets they hold; under
+# the input-queued models each packet records its output and a VOQ head
+# is the first packet for that output in the buffer, read by a walk and
+# unlinked from the middle of the chain, and the reference scan finds it
+# through the routing tables instead.  TestPacketQueueDifferential
+# drives several queues sharing one packet pool against slice FIFOs
+# (push, pop, moves between queues, unlinks of the first packet for an
+# output, failover's pop-and-push-back filter) and checks order, length,
+# the chain and the first packet and count per output after every
+# operation.
 go test -race -run 'TestVOQIndex|TestPacketQueueDifferential' -count=1 ./internal/fabric
 
 echo "==> go test -race -run 'TestVOQIdle|TestVOQDeliveryDigest|TestWRRIdle|TestWRRDeliveryDigest|TestWRREventsPerHop' ./internal/fabric (no scheduling pass that cannot send)"
@@ -210,8 +216,12 @@ echo "==> go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChu
 # termination tests (both run at two parallel shards) join the gate.
 go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChurnTerminates' -count=1 ./internal/fabric ./internal/experiments
 
-echo "==> go test -run AllocBudget . (zero-alloc hot-path and memory gate)"
-# The heap a fresh k=8 network holds per switch (WRR and VOQ-iSLIP);
+echo "==> go test -run AllocBudget . and TestVOQStateSizedByRadix ./internal/fabric (zero-alloc hot-path and memory gate)"
+# The heap a fresh k=8 network holds per switch, at most 30 000 B under
+# either switch model (the VOQs index the input buffers and hold no
+# packets of their own), and a Packet of at most 64 bytes;
+# TestVOQStateSizedByRadix holds a VOQ-iSLIP switch of the k=8 and k=16
+# fat-trees to at most 4 kB more heap than its WRR twin;
 # testing.AllocsPerRun budgets: 0 allocs/op on arbiter pick, on the
 # event queue's Post + Step (near, far, timer + Cancel) and on a full
 # per-hop packet forwarding step with metrics disabled; the
@@ -227,6 +237,7 @@ echo "==> go test -run AllocBudget . (zero-alloc hot-path and memory gate)"
 # CDG proof.  Must run without -race (the detector's instrumentation
 # allocates).
 go test -run 'AllocBudget' -count=1 .
+go test -run 'TestVOQStateSizedByRadix' -count=1 ./internal/fabric
 
 echo "==> go test -bench 'BenchmarkVOQForward|BenchmarkPerHopForwarding|BenchmarkReconfiguration|BenchmarkSweepWorkers/workers=2' -benchtime 1x . (root benchmarks smoke)"
 # One iteration each, so the benchmarks behind the 0 allocs/op reports of
