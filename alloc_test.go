@@ -765,11 +765,13 @@ func fatTreeRoutes(t testing.TB, k int) (*topology.Topology, *routing.Routes) {
 // The heap a k=8 CDG proof may cost: a dozen slices (destinations, the
 // dense channel index, the done bits, the walk, the recorded edges and
 // their growth, CSR offsets and successors, colours, the DFS stack), at
-// most 0.6 MB in all.  The map-based walker cost 11 205 objects and
-// 2.79 MB, one adjacency slice per channel.
+// most 150 kB in all.  The fat-tree's hop VLs are plane-separable, so
+// the proof walks base VL 0 alone (75 kB); walking all 15 base VLs costs
+// 0.49 MB and fails the gate.  The map-based walker cost 11 205 objects
+// and 2.79 MB, one adjacency slice per channel.
 const (
 	cdgVerifyAllocBudget = 16
-	cdgVerifyByteBudget  = 600_000
+	cdgVerifyByteBudget  = 150_000
 	// cdgVerifyGrowth bounds how many more objects k=8 may cost than
 	// k=4: only growing slices add objects as the fabric grows.
 	cdgVerifyGrowth = 4

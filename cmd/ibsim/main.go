@@ -193,6 +193,8 @@ func parse(args []string, stderr io.Writer) (*experiment, *config, error) {
 		return nil, nil, fmt.Errorf("-trace %d: the event tail cannot be negative", c.trace)
 	case c.islipIters < 0:
 		return nil, nil, fmt.Errorf("-islip-iters %d: the iteration depth cannot be negative", c.islipIters)
+	case c.benchHorizon < 0:
+		return nil, nil, fmt.Errorf("-bench-horizon %d: the simulated horizon cannot be negative", c.benchHorizon)
 	case c.shards < 0:
 		return nil, nil, fmt.Errorf("-shards %d: the shard count cannot be negative", c.shards)
 	case c.parallel < 0:

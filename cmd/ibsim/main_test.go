@@ -112,6 +112,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"vlcollapse-15vl", []string{"-exp", "ablation-vl", "-scale", "tiny", "-switches", "1"}},
 		{"switchmodel-x1", []string{"-exp", "ablation-switch", "-scale", "tiny", "-switches", "1"}},
 		{"-bench-shards", []string{"-exp", "shardbench", "-bench-k", "4", "-bench-shards", "200"}},
+		{"-bench-horizon", []string{"-exp", "shardbench", "-scale", "tiny", "-bench-horizon", "-5"}},
 		// More shards than a fabric has switches, and a trace of one
 		// engine under several, are refused naming the flags.
 		{"-shards", []string{"-exp", "churn", "-scale", "tiny", "-shards", "8"}},

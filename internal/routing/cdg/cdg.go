@@ -9,6 +9,7 @@
 package cdg
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -28,7 +29,7 @@ type Engine interface {
 	// with base VL base toward destination switch dsw.
 	HopVLToSwitch(sw, dsw int, base uint8) uint8
 	// BaseVLs returns how many base data VLs the engine's SLtoVL
-	// mapping may use; the verifier checks every base VL independently.
+	// mapping may use; the proof covers every one of them.
 	BaseVLs() int
 }
 
@@ -76,14 +77,15 @@ func (e *CycleError) Error() string {
 	return s
 }
 
-// Verify walks every route between host-bearing switches on every base
-// VL, accumulates the channel-dependency graph, and checks it for
-// cycles.  It returns the graph's statistics and a *CycleError holding
+// Verify builds the channel-dependency graph of every route between
+// host-bearing switches on every base VL and checks it for cycles.
+// It returns the graph's statistics and a *CycleError holding
 // a witness cycle if one exists.  Routes that do not terminate within
 // the switch count are reported as errors too (a forwarding loop is a
 // routing bug even before it deadlocks).
 func Verify(topo *topology.Topology, eng Engine) (Stats, error) {
-	return verify(topo, eng, false)
+	st, _, err := verify(topo, eng, false)
+	return st, err
 }
 
 // VerifyPartial is Verify for degraded fabrics: a route whose SOURCE
@@ -93,14 +95,58 @@ func Verify(topo *topology.Topology, eng Engine) (Stats, error) {
 // path.  A route that starts but dies mid-walk is still an error — a
 // repair must never forward a packet toward a dead end.
 func VerifyPartial(topo *topology.Topology, eng Engine) (Stats, error) {
-	return verify(topo, eng, true)
+	st, _, err := verify(topo, eng, true)
+	return st, err
 }
 
 // numVLs bounds the hop VLs a route may use — the data VLs — and is the
 // VL stride of the dense channel index.
 const numVLs = arbtable.NumDataVLs
 
-// verify walks the routes in (source, destination, base VL) order.
+// errNotSeparable stops a one-base walk at a hop whose VLs are not
+// plane-separable; verify then walks every base VL.
+var errNotSeparable = errors.New("cdg: hop VLs not plane-separable")
+
+// verify proves eng deadlock-free and returns how many base VLs it
+// walked.  It first walks base VL 0 alone.  If every walked hop is
+// plane-separable (see separable), base VL b's graph is base VL 0's
+// with every VL shifted by b, and no two bases share a channel: the
+// full graph is B disjoint copies of the base-0 graph, acyclic iff that
+// one is, with B times its Stats.  On a hop that is not separable, on
+// any walk error and on a cycle, verify walks every base VL, so errors
+// and cycle witnesses are always those of the full walk (DESIGN.md §10).
+func verify(topo *topology.Topology, eng Engine, allowPartial bool) (Stats, int, error) {
+	baseVLs := max(eng.BaseVLs(), 0)
+	if baseVLs > 1 {
+		if st, err := walk(topo, eng, allowPartial, baseVLs, true); err == nil {
+			return st, 1, nil
+		}
+	}
+	st, err := walk(topo, eng, allowPartial, baseVLs, false)
+	return st, baseVLs, err
+}
+
+// separable reports whether hop (sw, dst), which carries base VL 0 on
+// v0, carries every base VL b < baseVLs on v0 + b, with v0 a multiple of
+// baseVLs and v0 + baseVLs − 1 a data VL.  Then VL mod baseVLs is the
+// base VL on the hop's channels.
+func separable(eng Engine, sw, dst int, v0 uint8, baseVLs int) bool {
+	if int(v0)%baseVLs != 0 || int(v0)+baseVLs-1 >= numVLs {
+		return false
+	}
+	for b := 1; b < baseVLs; b++ {
+		if eng.HopVLToSwitch(sw, dst, uint8(b)) != v0+uint8(b) {
+			return false
+		}
+	}
+	return true
+}
+
+// walk builds the graph in (source, destination, base VL) order and
+// checks it for cycles.  With oneBase it walks base VL 0 only, checks
+// every walked hop with separable and scales the Stats by baseVLs; a
+// hop that fails returns errNotSeparable.
+//
 // Forwarding is destination-based and the hop VL a function of
 // (switch, destination, base VL), so the routes toward one (destination,
 // base VL) form a tree: once a walk from switch s has reached the
@@ -111,7 +157,7 @@ const numVLs = arbtable.NumDataVLs
 // that is walked gets the full checks, so channel numbering, edge order,
 // Stats, the first error and the cycle witness are those of walking
 // every route to its end (DESIGN.md §10).
-func verify(topo *topology.Topology, eng Engine, allowPartial bool) (Stats, error) {
+func walk(topo *topology.Topology, eng Engine, allowPartial bool, baseVLs int, oneBase bool) (Stats, error) {
 	var st Stats
 	n := topo.NumSwitches
 
@@ -123,23 +169,26 @@ func verify(topo *topology.Topology, eng Engine, allowPartial bool) (Stats, erro
 		}
 	}
 
-	baseVLs := max(eng.BaseVLs(), 0)
-	routes := len(dests) * (len(dests) - 1) * baseVLs
+	bases := baseVLs
+	if oneBase {
+		bases = 1
+	}
+	routes := len(dests) * (len(dests) - 1) * bases
 	g := graph{
 		ports: topo.Ports(),
 		index: make([]int32, n*topo.Ports()*numVLs),
 		raw:   make([]uint64, 0, routes),
 	}
-	done := make([]uint64, (len(dests)*baseVLs*n+63)/64)
+	done := make([]uint64, (len(dests)*bases*n+63)/64)
 	walked := make([]int, 0, n+1) // switches of the current walk
 	for _, src := range dests {
 		for di, dst := range dests {
 			if src == dst {
 				continue
 			}
-			for base := 0; base < baseVLs; base++ {
+			for base := 0; base < bases; base++ {
 				st.Routes++
-				tree := (di*baseVLs + base) * n
+				tree := (di*bases + base) * n
 				prev := int32(-1)
 				walked = walked[:0]
 				for sw, steps := src, 0; sw != dst; steps++ {
@@ -167,6 +216,9 @@ func verify(topo *topology.Topology, eng Engine, allowPartial bool) (Stats, erro
 						return st, fmt.Errorf("cdg: route %d->%d (base vl %d) leaves switch %d on vl %d, outside data VLs 0-%d",
 							src, dst, base, sw, vl, numVLs-1)
 					}
+					if oneBase && !separable(eng, sw, dst, vl, baseVLs) {
+						return st, errNotSeparable
+					}
 					cur := g.channel(sw, p, vl)
 					g.edge(prev, cur)
 					prev = cur
@@ -186,6 +238,12 @@ func verify(topo *topology.Topology, eng Engine, allowPartial bool) (Stats, erro
 	st.Deps = len(succ)
 	if cyc := g.findCycle(succ, off, color); cyc != nil {
 		return st, cyc
+	}
+	if oneBase {
+		st.Channels *= baseVLs
+		st.Deps *= baseVLs
+		st.Routes *= baseVLs
+		st.Unroutable *= baseVLs
 	}
 	return st, nil
 }

@@ -241,6 +241,8 @@ func FuzzVerify(f *testing.F) {
 	f.Add(uint8(2), int64(9), []byte{0, 1, 5, 1, 0, 4, 5, 3})       // irregular: possible loop
 	f.Add(uint8(3), int64(0), []byte{4, 0, 1, 3, 0, 1, 0, 1})       // bad VL, rerouted hop
 	f.Add(uint8(6), int64(0), []byte{0, 3, 7, 2, 2, 4, 7, 0, 1, 5}) // mixed, trailing bytes
+	f.Add(uint8(4), int64(0), []byte{3, 0, 1, 0})                   // fat-tree: plane flip, not separable
+	f.Add(uint8(6), int64(0), []byte{3, 0, 4, 0})                   // dragonfly: plane flip, still separable
 	f.Fuzz(func(t *testing.T, shape uint8, seed int64, ops []byte) {
 		sp := fuzzShapes[int(shape)%len(fuzzShapes)]
 		if sp.Class == topology.Irregular {
@@ -267,5 +269,132 @@ func FuzzVerify(f *testing.F) {
 			}
 		}
 		requireSameAsRef(t, sp.Label(), topo, e)
+	})
+}
+
+// requireBases holds eng's proof to the retired walker and requires it
+// to have walked want base VLs, through Verify and VerifyPartial.  It
+// returns the Verify error.
+func requireBases(t *testing.T, label string, topo *topology.Topology, eng cdg.Engine, want int) error {
+	t.Helper()
+	err := requireSameAsRef(t, label, topo, eng)
+	for _, partial := range []bool{false, true} {
+		if _, got, _ := cdg.VerifyBases(topo, eng, partial); got != want {
+			t.Fatalf("%s (partial %v): the proof walked %d base VLs, want %d", label, partial, got, want)
+		}
+	}
+	return err
+}
+
+// shiftEngine raises the hop VLs toward destination dsw by shift, at
+// switch sw alone or at every switch when sw < 0, modulo the data VLs
+// when wrap is set.
+type shiftEngine struct {
+	*routing.Routes
+	sw, dsw int
+	shift   uint8
+	wrap    bool
+}
+
+func (e shiftEngine) HopVLToSwitch(sw, dsw int, base uint8) uint8 {
+	vl := e.Routes.HopVLToSwitch(sw, dsw, base)
+	if dsw != e.dsw || (e.sw >= 0 && sw != e.sw) {
+		return vl
+	}
+	if vl += e.shift; e.wrap {
+		vl %= 15
+	}
+	return vl
+}
+
+// ring15Engine is the clockwise ring on all 15 base VLs: separable,
+// but cyclic on every one of them.
+type ring15Engine struct{ ringEngine }
+
+func (ring15Engine) BaseVLs() int { return 15 }
+
+// TestVerifySeparable: the proof walks base VL 0 alone exactly when
+// every hop VL is plane-separable and the base-0 graph is acyclic, and
+// walks every base VL otherwise; either way Stats, error text and cycle
+// witness are the retired walker's.
+func TestVerifySeparable(t *testing.T) {
+	t.Run("shipped", func(t *testing.T) {
+		for seed := int64(1); seed <= 50; seed++ {
+			sp := topology.Spec{Class: topology.Irregular, Switches: 2 + int(seed-1)%31, Seed: seed}
+			topo, r := routed(t, sp)
+			requireBases(t, fmt.Sprintf("%s seed %d", sp.Label(), seed), topo, r, 1)
+		}
+		for k := 2; k <= 12; k += 2 {
+			topo, r := routed(t, topology.Spec{Class: topology.FatTree, K: k})
+			requireBases(t, topo.Spec.Label(), topo, r, 1)
+		}
+		for _, s := range dragonflyShapes {
+			topo, r := routed(t, topology.Spec{Class: topology.Dragonfly, A: s[0], P: s[1], H: s[2]})
+			requireBases(t, topo.Spec.Label(), topo, r, 1)
+		}
+	})
+	t.Run("repair fallback", func(t *testing.T) {
+		// A dragonfly (3,2,1) joins each pair of groups by one global
+		// link; losing one strands minimal routing, so Repair falls back
+		// to up*/down* on two planes with the identity hop VL.
+		base, err := topology.Spec{Class: topology.Dragonfly, A: 3, P: 2, H: 1}.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fellBack := 0
+		for _, l := range base.Links() {
+			topo := base.Clone()
+			if err := topo.RemoveLink(l.A.Switch, l.A.Port); err != nil {
+				t.Fatal(err)
+			}
+			r, rep, err := routing.Repair(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.FellBack {
+				continue
+			}
+			fellBack++
+			if r.Planes() != 2 || r.HopVLToSwitch(0, 1, 3) != 3 {
+				t.Fatalf("link %v: fallback has %d planes, hop VL %d for base 3", l, r.Planes(), r.HopVLToSwitch(0, 1, 3))
+			}
+			requireBases(t, fmt.Sprintf("link %v", l), topo, r, 1)
+		}
+		if fellBack == 0 {
+			t.Fatal("no link failure made Repair fall back")
+		}
+	})
+	t.Run("one hop shifted", func(t *testing.T) {
+		topo, r := routed(t, topology.Spec{Class: topology.FatTree, K: 4})
+		requireBases(t, "shift 0->1 by 7", topo, shiftEngine{Routes: r, sw: 0, dsw: 1, shift: 7, wrap: true}, 15)
+	})
+	t.Run("one destination plus one", func(t *testing.T) {
+		topo, r := routed(t, topology.Spec{Class: topology.FatTree, K: 4})
+		eng := shiftEngine{Routes: r, sw: -1, dsw: 1, shift: 1}
+		err := requireBases(t, "toward 1 plus one", topo, eng, 15)
+		const want = "cdg: route 0->1 (base vl 14) leaves switch 0 on vl 15, outside data VLs 0-14"
+		if err == nil || err.Error() != want {
+			t.Fatalf("error %v, want %q", err, want)
+		}
+	})
+	t.Run("plane flip", func(t *testing.T) {
+		// The fat-tree has one plane, so a flipped hop moves base b to
+		// b ± 7: not separable.  The dragonfly's flip swaps its two
+		// planes, which keeps every hop separable, and this one closes
+		// no cycle.
+		topo, r := routed(t, topology.Spec{Class: topology.FatTree, K: 4})
+		e := newCorruptEngine(topo, r)
+		e.flip[0][1] = true
+		requireBases(t, "fat-tree flip", topo, e, 15)
+		topo, r = routed(t, topology.Spec{Class: topology.Dragonfly, A: 3, P: 2, H: 1})
+		e = newCorruptEngine(topo, r)
+		e.flip[0][4] = true
+		requireBases(t, "dragonfly flip", topo, e, 1)
+	})
+	t.Run("ring", func(t *testing.T) {
+		err := requireBases(t, "ring 15", ringTopology(t), ring15Engine{}, 15)
+		if _, ok := err.(*cdg.CycleError); !ok {
+			t.Fatalf("want a cycle witness, got %T: %v", err, err)
+		}
 	})
 }

@@ -68,15 +68,18 @@ echo "==> go test -race -shuffle=on ./..."
 # default 10m budget.
 go test -race -shuffle=on -timeout=60m ./...
 
-echo "==> go test -run 'Acyclic|TestVerifyDifferential' ./internal/routing/cdg (deadlock-freedom gate)"
+echo "==> go test -run 'Acyclic|TestVerifyDifferential|TestVerifySeparable' ./internal/routing/cdg (deadlock-freedom gate)"
 # Every shipped routing engine must stay provably deadlock-free: the
 # channel-dependency graphs of the irregular, fat-tree and dragonfly
 # engines are re-verified acyclic across the seeded shape grid.  The
-# proof itself walks each (destination, base VL) route tree once; the
-# differential test holds it to the retired walk-every-route verifier —
-# Stats, error text and cycle witness — on every class, degraded
-# fabrics, the escape plane stripped and the cyclic ring.
-go test -run 'Acyclic|TestVerifyDifferential' -count=1 ./internal/routing/cdg
+# proof walks each (destination, base VL) route tree once, and walks
+# base VL 0 alone when the hop VLs are plane-separable (every other base
+# VL's graph is then a disjoint relabelled copy), every base VL
+# otherwise.  The differential tests hold both paths to the retired
+# walk-every-route verifier — Stats, error text and cycle witness — on
+# every class, degraded fabrics, the escape plane stripped, engines
+# that break separability and the cyclic ring.
+go test -run 'Acyclic|TestVerifyDifferential|TestVerifySeparable' -count=1 ./internal/routing/cdg
 
 echo "==> go test -race -run TestParallelShard ./internal/fabric (sharded-core race gate)"
 # The conservative-lookahead window protocol is only correct if shards
