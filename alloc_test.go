@@ -273,6 +273,99 @@ func TestAllocBudgetFabricBytes(t *testing.T) {
 	}
 }
 
+// The objects a k=8 fabric costs to set up.  NewWithTopology carves its
+// hosts, switches, arbiters and candidate or VOQ indexes from
+// per-network slabs, and admission.NewPorts every port's table,
+// allocator, shadow and active tables and low lists from three more, so
+// what is left is mostly the routes: 133 objects under the WRR model and
+// 132 under VOQ-iSLIP, against 6 029 and 6 108 when every port cost
+// about eight objects.  A set-up like the benchmark's wrr-k8 (the
+// fabric, its CDG proof, 2 admission attempts per host, best-effort
+// background, Start) cost 12 315 objects then and 3 429 now, most of
+// them the Sequence records of fresh placements, the connections and
+// their flows.  A Flow is one record, its statistics inline, and must
+// stay in the 384-byte size class: its four objects totalled 400 bytes.
+const (
+	networkSetupAllocBudget = 200
+	wrrSetupAllocBudget     = 4_000
+	flowRecordMaxBytes      = 384
+)
+
+// TestAllocBudgetNetworkSetup gates the cost of building a fabric:
+// NewWithTopology under both switch models, a whole wrr-k8-like set-up,
+// and AddConnection at one object (its Flow) besides the flows slice's
+// amortized growth.  Every object a set-up allocates is one more the
+// collector marks whenever it runs during a later set-up.
+func TestAllocBudgetNetworkSetup(t *testing.T) {
+	if size := unsafe.Sizeof(fabric.Flow{}); size > flowRecordMaxBytes {
+		t.Errorf("fabric.Flow is %d bytes, want <= %d", size, flowRecordMaxBytes)
+	}
+	if raceEnabled {
+		t.Skip("alloc budgets hold only without race instrumentation")
+	}
+	topo, err := topology.Spec{Class: topology.FatTree, K: 8}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const payload, seed = 512, 7
+	for _, model := range []fabric.SwitchModel{fabric.ModelWRR, fabric.ModelVOQISLIP} {
+		cfg := fabric.DefaultConfig(topo.NumSwitches, payload, seed)
+		cfg.SwitchModel = model
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := fabric.NewWithTopology(cfg, topo); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: NewWithTopology allocates %.0f objects", model, allocs)
+		if allocs > networkSetupAllocBudget {
+			t.Errorf("%s: NewWithTopology at k=8 allocates %.0f objects, budget %d", model, allocs, networkSetupAllocBudget)
+		}
+	}
+
+	cfg := fabric.DefaultConfig(topo.NumSwitches, payload, seed)
+	var net *fabric.Network
+	allocs := testing.AllocsPerRun(10, func() {
+		if net, err = fabric.NewWithTopology(cfg, topo); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cdg.Verify(topo, net.Routes); err != nil {
+			t.Fatal(err)
+		}
+		src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), seed+1)
+		for offered, refused := 0, 0; offered < 2*topo.NumHosts() && refused < 40; offered++ {
+			conn, err := net.Adm.Admit(src.Next())
+			if err != nil {
+				refused++
+				continue
+			}
+			refused = 0
+			net.AddConnection(conn)
+		}
+		for _, be := range traffic.BestEffortBackground(topo.NumHosts(), 600, seed+2) {
+			net.AddBestEffort(be)
+		}
+		net.Start()
+	})
+	t.Logf("wrr-k8 set-up allocates %.0f objects (%d flows)", allocs, len(net.Flows()))
+	if allocs > wrrSetupAllocBudget {
+		t.Errorf("a wrr-k8 set-up allocates %.0f objects, budget %d", allocs, wrrSetupAllocBudget)
+	}
+
+	net, err = fabric.NewWithTopology(cfg, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Adm.Admit(traffic.Request{Src: 0, Dst: 7, Level: sl.DefaultLevels[9], Mbps: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun truncates the mean, so the slice's few doublings over
+	// 1 000 calls do not count.
+	if allocs := testing.AllocsPerRun(1000, func() { net.AddConnection(conn) }); allocs != 1 {
+		t.Errorf("AddConnection allocates %.0f objects, want 1 (its Flow)", allocs)
+	}
+}
+
 // portTableMaxBytes is the size of a core.PortTable when it reassembled
 // every completed delta, a staging flag per block; recording the
 // delta's block mask instead must not grow it.
@@ -704,12 +797,14 @@ func (l *churnLoopK8) run(n int) {
 
 // churnLifecycleAllocBudget is the heap allocations one connection
 // lifecycle of the churn loop may cost, everything included: the
-// arrival and retry events, the connection, its flow and statistics,
-// a Sequence per fresh placement on ≈ 5 hops, ≈ 30 SMPs out and back,
-// the release.  It was 248 when every SMP cost seven objects, and 18.9
-// while refused attempts placed sequences and rolled them back; the
-// ceiling sits just above what the loop measures (17.6).
-const churnLifecycleAllocBudget = 20
+// arrival and retry events, the connection, its flow (one record, its
+// statistics inline), a Sequence per fresh placement on ≈ 5 hops, ≈ 30
+// SMPs out and back, the release.  It was 248 when every SMP cost seven
+// objects, 18.9 while refused attempts placed sequences and rolled them
+// back, and 12.7 while a flow cost four objects and an allocator grew
+// its two sequence lists separately; the ceiling sits just above what
+// the loop measures (9.7).
+const churnLifecycleAllocBudget = 11
 
 // TestAllocBudgetChurnLifecycle gates the in-band control transaction
 // end to end.

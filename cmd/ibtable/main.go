@@ -21,7 +21,9 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -31,11 +33,22 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdin, os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "ibtable:", err)
+		os.Exit(1)
+	}
+}
+
+// run executes the commands read from stdin, writing tables and replies
+// to stdout.  A malformed or refused command is reported on stderr and
+// skipped; run fails only when the table breaks an invariant.
+func run(stdin io.Reader, stdout, stderr io.Writer) error {
 	table := arbtable.New(arbtable.UnlimitedHigh)
 	port := core.NewPortTable(table)
 	alloc := port.Allocator()
+	complain := func(err error) { fmt.Fprintln(stderr, "ibtable:", err) }
 
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(stdin)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if i := strings.IndexByte(line, '#'); i >= 0 {
@@ -53,30 +66,30 @@ func main() {
 				continue
 			}
 			if fields[0] == "alloc" {
-				s, err := alloc.Allocate(uint8(vl), d, w)
+				s, err := alloc.Allocate(vl, d, w)
 				if err != nil {
 					complain(err)
 					continue
 				}
-				fmt.Printf("allocated %v\n", s)
+				fmt.Fprintf(stdout, "allocated %v\n", s)
 			} else {
-				r, err := port.Reserve(uint8(vl), d, w)
+				r, err := port.Reserve(vl, d, w)
 				if err != nil {
 					complain(err)
 					continue
 				}
-				fmt.Printf("reserved seq=%d weight=%d\n", r.Seq, r.Weight)
+				fmt.Fprintf(stdout, "reserved seq=%d weight=%d\n", r.Seq, r.Weight)
 			}
-			render(alloc)
+			render(stdout, alloc)
 		case "free":
 			if len(fields) != 3 {
-				complain(fmt.Errorf("usage: free <seq> <weight>"))
+				complain(errors.New("usage: free <seq> <weight>"))
 				continue
 			}
 			id, err1 := strconv.Atoi(fields[1])
 			w, err2 := strconv.Atoi(fields[2])
 			if err1 != nil || err2 != nil {
-				complain(fmt.Errorf("free: numeric arguments required"))
+				complain(errors.New("free: numeric arguments required"))
 				continue
 			}
 			freed, err := alloc.RemoveWeight(core.SeqID(id), w)
@@ -85,47 +98,52 @@ func main() {
 				continue
 			}
 			if freed {
-				fmt.Printf("sequence %d freed; table defragmented\n", id)
+				fmt.Fprintf(stdout, "sequence %d freed; table defragmented\n", id)
 			} else {
-				fmt.Printf("sequence %d keeps %d weight\n", id, alloc.Lookup(core.SeqID(id)).Weight)
+				fmt.Fprintf(stdout, "sequence %d keeps %d weight\n", id, alloc.Lookup(core.SeqID(id)).Weight)
 			}
-			render(alloc)
+			render(stdout, alloc)
 		case "show":
-			render(alloc)
+			render(stdout, alloc)
 		case "stats":
-			fmt.Printf("free slots: %d  total weight: %d  sequences: %d\n",
+			fmt.Fprintf(stdout, "free slots: %d  total weight: %d  sequences: %d\n",
 				alloc.FreeSlots(), alloc.TotalWeight(), len(alloc.Sequences()))
 			for _, s := range alloc.Sequences() {
-				fmt.Printf("  %v\n", s)
+				fmt.Fprintf(stdout, "  %v\n", s)
 			}
 		case "quit", "exit":
-			return
+			return nil
 		default:
 			complain(fmt.Errorf("unknown command %q", fields[0]))
 		}
 		if err := port.CheckInvariants(); err != nil {
-			fmt.Fprintln(os.Stderr, "INVARIANT VIOLATION:", err)
-			os.Exit(1)
+			return fmt.Errorf("INVARIANT VIOLATION: %w", err)
 		}
 	}
+	return sc.Err()
 }
 
-func parse3(fields []string) (vl, d, w int, err error) {
+// parse3 parses the arguments of alloc and reserve.  The VL must be a
+// data VL, 0-14: it is refused rather than wrapped into one.
+func parse3(fields []string) (vl uint8, d, w int, err error) {
 	if len(fields) != 4 {
 		return 0, 0, 0, fmt.Errorf("usage: %s <vl> <distance> <weight>", fields[0])
 	}
-	vl, err1 := strconv.Atoi(fields[1])
+	v, err1 := strconv.Atoi(fields[1])
 	d, err2 := strconv.Atoi(fields[2])
 	w, err3 := strconv.Atoi(fields[3])
 	if err1 != nil || err2 != nil || err3 != nil {
 		return 0, 0, 0, fmt.Errorf("%s: numeric arguments required", fields[0])
 	}
-	return vl, d, w, nil
+	if v < 0 || v >= arbtable.NumDataVLs {
+		return 0, 0, 0, fmt.Errorf("%s: VL %d is not a data VL (0-%d)", fields[0], v, arbtable.NumDataVLs-1)
+	}
+	return uint8(v), d, w, nil
 }
 
 // render draws the 64 slots as VL letters ('.' = free), eight groups of
 // eight, plus slot weights on a second line scaled to 0-9.
-func render(alloc *core.Allocator) {
+func render(out io.Writer, alloc *core.Allocator) {
 	t := alloc.Table()
 	var vls, ws strings.Builder
 	for i, e := range t.High {
@@ -142,7 +160,5 @@ func render(alloc *core.Allocator) {
 			ws.WriteByte("0123456789"[d])
 		}
 	}
-	fmt.Printf("VL     %s\nweight %s\n", vls.String(), ws.String())
+	fmt.Fprintf(out, "VL     %s\nweight %s\n", vls.String(), ws.String())
 }
-
-func complain(err error) { fmt.Fprintln(os.Stderr, "ibtable:", err) }

@@ -37,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 	ctrl := admission.NewController(topo, routes, sl.IdentityMapping(),
-		admission.NewPorts(topo, arbtable.UnlimitedHigh))
+		admission.NewPorts(topo, arbtable.UnlimitedHigh, nil))
 
 	rng := rand.New(rand.NewSource(7))
 	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), 7)

@@ -191,6 +191,7 @@ var exportedAllowlist = map[string]string{
 	"admission.ErrOverBudget":       "sentinel error an admission refusal unwraps to, beside ErrHopDown and ErrHopBusy",
 	"admission.MaxLoadFactor":       "FillLoad's documented load bound; the plan and experiments tests probe it",
 	"arbtable.LimitUnit":            "IBA unit of LimitOfHighPriority, the scale of the exported Table.Limit",
+	"arbtable.NewArbiter":           "bench/ probe, frozen until ROADMAP 3(b); the one-element case of Arbiter.Init, which the fabric's arbiter slab calls",
 	"bitrev.Reverse":                "the paper's bit-reversal permutation; Order is its table form",
 	"core.ErrBadDistance":           "sentinel error Reserve wraps, for errors.Is",
 	"core.ErrBadWeight":             "sentinel error Reserve wraps, for errors.Is",

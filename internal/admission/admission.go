@@ -102,35 +102,34 @@ type Ports struct {
 	Switch [][]*core.PortTable // [switch][port], port < Topo.Ports()
 }
 
-// NewPorts builds empty tables for every output port of the topology.
-// All tables use an unlimited high-priority allowance except where the
-// caller overrides Limit afterwards.
-func NewPorts(topo *topology.Topology, limit uint8) *Ports {
+// NewPorts builds empty tables for every output port of the topology,
+// each with LimitOfHighPriority limit and low as its low-priority table.
+// The tables come from core.NewPortTables' slabs and the rows of Switch
+// from one slice of pointers into them, so the ports cost a handful of
+// allocations whatever the fabric's size.
+func NewPorts(topo *topology.Topology, limit uint8, low []arbtable.Entry) *Ports {
+	hosts, radix := topo.NumHosts(), topo.Ports()
+	tables := core.NewPortTables(hosts+topo.NumSwitches*radix, limit, low)
 	p := &Ports{
-		Host:   make([]*core.PortTable, topo.NumHosts()),
+		Host:   tables[:hosts:hosts],
 		Switch: make([][]*core.PortTable, topo.NumSwitches),
 	}
 	for s := range p.Switch {
-		p.Switch[s] = make([]*core.PortTable, topo.Ports())
+		lo := hosts + s*radix
+		p.Switch[s] = tables[lo : lo+radix : lo+radix]
 	}
-	p.each(func(_ PortID, tb **core.PortTable) { *tb = core.NewPortTable(arbtable.New(limit)) })
 	return p
 }
 
 // Each calls fn for every output-port table: the host interfaces in
 // host order, then the switch ports by (switch, port).
 func (p *Ports) Each(fn func(PortID, *core.PortTable)) {
-	p.each(func(id PortID, tb **core.PortTable) { fn(id, *tb) })
-}
-
-// each is Each over the slots, so NewPorts can fill them.
-func (p *Ports) each(fn func(PortID, **core.PortTable)) {
-	for h := range p.Host {
-		fn(HostPortID(h), &p.Host[h])
+	for h, tb := range p.Host {
+		fn(HostPortID(h), tb)
 	}
 	for s, row := range p.Switch {
-		for q := range row {
-			fn(SwitchPortID(s, q), &row[q])
+		for q, tb := range row {
+			fn(SwitchPortID(s, q), tb)
 		}
 	}
 }

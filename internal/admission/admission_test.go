@@ -24,7 +24,7 @@ func newController(t *testing.T, switches int, seed int64) (*Controller, *topolo
 	if err != nil {
 		t.Fatal(err)
 	}
-	ports := NewPorts(topo, arbtable.UnlimitedHigh)
+	ports := NewPorts(topo, arbtable.UnlimitedHigh, nil)
 	return NewController(topo, routes, sl.IdentityMapping(), ports), topo
 }
 
@@ -426,7 +426,7 @@ func TestPortsSizedToRadix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ports := NewPorts(topo, arbtable.UnlimitedHigh)
+			ports := NewPorts(topo, arbtable.UnlimitedHigh, nil)
 			for s, row := range ports.Switch {
 				if len(row) != topo.Ports() {
 					t.Fatalf("switch %d has %d tables, want the radix %d", s, len(row), topo.Ports())

@@ -65,7 +65,7 @@ func newPolicyController(t *testing.T, spec topology.Spec, p core.Policy) *Contr
 	if err != nil {
 		t.Fatal(err)
 	}
-	ports := NewPorts(topo, arbtable.UnlimitedHigh)
+	ports := NewPorts(topo, arbtable.UnlimitedHigh, nil)
 	for h := range ports.Host {
 		ports.Host[h] = core.NewPortTableWithPolicy(arbtable.New(arbtable.UnlimitedHigh), p)
 	}
@@ -293,7 +293,7 @@ func TestRoutedPathsVisitEachSiteOnce(t *testing.T) {
 			}
 			distinct := func(what string, r *routing.Routes) {
 				t.Helper()
-				c := NewController(r.Topo(), r, sl.IdentityMapping(), NewPorts(r.Topo(), arbtable.UnlimitedHigh))
+				c := NewController(r.Topo(), r, sl.IdentityMapping(), NewPorts(r.Topo(), arbtable.UnlimitedHigh, nil))
 				seen := make(map[PortID]bool)
 				paths := 0
 				for src := 0; src < topo.NumHosts(); src++ {

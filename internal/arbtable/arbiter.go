@@ -46,7 +46,7 @@ type choice struct {
 // the byte allowance of the current entry in each and the number of
 // high-priority bytes sent since the last low-priority opportunity.
 //
-// The zero Arbiter is not usable; construct with NewArbiter.  An
+// The zero Arbiter is not usable; construct with NewArbiter or Init.  An
 // Arbiter is not safe for concurrent use; in the simulator each output
 // port owns one and all events run on a single goroutine.
 type Arbiter struct {
@@ -92,15 +92,23 @@ func (a *Arbiter) SetMetrics(c *metrics.ArbCounters) { a.m = c }
 // is only meaningful directly after a Pick that returned ok.
 func (a *Arbiter) Last() LastPick { return a.last }
 
-// NewArbiter returns an arbiter over t.  The low table may be mutated
+// NewArbiter returns an arbiter over t: Init on a fresh Arbiter.
+func NewArbiter(t *Table) *Arbiter {
+	a := new(Arbiter)
+	a.Init(t)
+	return a
+}
+
+// Init makes a, in place, a fresh arbiter over t, so that a fabric can
+// carve all its arbiters from one slab.  The low table may be mutated
 // in place between Pick calls (weights are re-read on every entry
 // visit); high-table changes arrive through Table.Swap, which the
 // arbiter observes at its next Pick — a packet boundary — and answers
 // with a deterministic re-anchor of its round-robin state.  Writing
 // t.High directly is only valid before this call: the arbiter indexes
 // the high table here and again at every re-anchor, nowhere else.
-func NewArbiter(t *Table) *Arbiter {
-	return &Arbiter{table: t, hiSlots: t.HighSlotMasks(), seen: t.Version()}
+func (a *Arbiter) Init(t *Table) {
+	*a = Arbiter{table: t, hiSlots: t.HighSlotMasks(), seen: t.Version()}
 }
 
 // CheckIndex verifies that the slot masks the arbiter schedules from

@@ -460,6 +460,9 @@ func (a *Allocator) add(vl uint8, stride, start, weight int) *Sequence {
 		Weight: weight, Conns: 1, owner: a,
 	}
 	a.nextID++
+	if len(a.live) == cap(a.live) {
+		a.grow()
+	}
 	// IDs ascend, so appending keeps live sorted, and the end of its
 	// lane's run is where the sequence goes in byVL.
 	a.live = append(a.live, s)
@@ -473,6 +476,18 @@ func (a *Allocator) add(vl uint8, stride, start, weight int) *Sequence {
 	a.total += weight
 	a.place(s)
 	return s
+}
+
+// grow doubles the capacity of live and byVL.  The two lists always
+// hold the same sequences, so they share one backing array, live in its
+// first half and byVL in its second, each capped at its half: one
+// allocation per doubling instead of two.
+func (a *Allocator) grow() {
+	n, c := len(a.live), max(1, 2*cap(a.live))
+	buf := make([]*Sequence, 2*c)
+	copy(buf, a.live)
+	copy(buf[c:], a.byVL)
+	a.live, a.byVL = buf[:n:c], buf[c:c+n:2*c]
 }
 
 // held returns the live sequence a reservation names: the record it

@@ -34,9 +34,10 @@ type Decision struct {
 // the paper, and splits the port's arbitration state into a control
 // plane and a data plane:
 //
-//   - The shadow table (the table passed to NewPortTable, owned by the
-//     allocator) is the control-plane view.  Reserve, Release and
-//     defragmentation mutate it immediately and cheaply.
+//   - The shadow table (the table passed to NewPortTable, or carved by
+//     NewPortTables; owned by the allocator) is the control-plane view.
+//     Reserve, Release and defragmentation mutate it immediately and
+//     cheaply.
 //   - The active table (Active) is the data-plane view the port's
 //     arbiter schedules from.  It changes only through whole-version
 //     Swap calls, so the arbiter never observes a half-written table.
@@ -104,12 +105,62 @@ func NewPortTable(t *arbtable.Table) *PortTable {
 
 // NewPortTableWithPolicy returns a PortTable whose allocator uses an
 // alternative placement policy; used by the ablations' differential
-// tests.
+// tests.  The port table, its allocator and its active table are one
+// object: the one-element case of NewPortTables, with the caller's
+// shadow table.
 func NewPortTableWithPolicy(t *arbtable.Table, p Policy) *PortTable {
-	active := arbtable.New(t.Limit)
-	active.High = t.High
-	active.Low = append([]arbtable.Entry(nil), t.Low...)
-	return &PortTable{alloc: NewAllocatorWithPolicy(t, p), active: active}
+	s := new(portSlot)
+	s.init(t, p, append([]arbtable.Entry(nil), t.Low...))
+	return &s.pt
+}
+
+// NewPortTables returns n empty port tables with the paper's
+// bit-reversal policy, carved from per-call slabs instead of allocated
+// one by one: each port's PortTable, allocator and active table lie
+// together in one slab, the shadow tables in a second, and both low
+// lists of every port — each a copy of low — in a third.  Every low
+// list is a full slice expression capped at len(low), so an append to
+// one port's list reallocates it instead of writing into its
+// neighbour's.  The tables have LimitOfHighPriority limit.
+func NewPortTables(n int, limit uint8, low []arbtable.Entry) []*PortTable {
+	slots := make([]portSlot, n)
+	shadows := make([]arbtable.Table, n)
+	lows := make([]arbtable.Entry, 2*n*len(low))
+	out := make([]*PortTable, n)
+	carve := func() []arbtable.Entry {
+		if len(low) == 0 {
+			return nil
+		}
+		l := lows[:len(low):len(low)]
+		lows = lows[len(low):]
+		copy(l, low)
+		return l
+	}
+	for i := range slots {
+		sh := &shadows[i]
+		sh.Limit, sh.Low = limit, carve()
+		slots[i].init(sh, BitReversal, carve())
+		out[i] = &slots[i].pt
+	}
+	return out
+}
+
+// portSlot is the storage of one port table besides its shadow: the
+// PortTable, its allocator and its active table, laid out together.
+type portSlot struct {
+	pt     PortTable
+	alloc  Allocator
+	active arbtable.Table
+}
+
+// init makes the slot a port table over shadow with the given policy.
+// The active table starts as a copy of shadow's high table and limit,
+// with activeLow — which must hold a copy of shadow's low list — as its
+// low list.
+func (s *portSlot) init(shadow *arbtable.Table, p Policy, activeLow []arbtable.Entry) {
+	s.alloc = Allocator{table: shadow, policy: p, nextID: 1}
+	s.active = arbtable.Table{High: shadow.High, Low: activeLow, Limit: shadow.Limit}
+	s.pt.alloc, s.pt.active = &s.alloc, &s.active
 }
 
 // Allocator exposes the underlying allocator (read-mostly: inspection,

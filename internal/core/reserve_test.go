@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -279,5 +280,54 @@ func TestReserveReleaseChurnQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNewPortTablesKeepNeighboursApart: the port tables NewPortTables
+// carves from shared slabs behave as separate objects.  An append to
+// one port's shadow or active low list reallocates it rather than
+// writing into the next port's list, and a reservation at one port
+// changes no other port's tables.
+func TestNewPortTablesKeepNeighboursApart(t *testing.T) {
+	low := []arbtable.Entry{{VL: 11, Weight: 8}, {VL: 12, Weight: 4}, {VL: 13, Weight: 1}}
+	pts := NewPortTables(3, 7, low)
+	lows := func(p *PortTable) [][]arbtable.Entry {
+		return [][]arbtable.Entry{p.Allocator().Table().Low, p.Active().Low}
+	}
+	for i, p := range pts {
+		for _, l := range lows(p) {
+			if !slices.Equal(l, low) {
+				t.Fatalf("port %d low list %v, want %v", i, l, low)
+			}
+		}
+		if p.Allocator().Table().Limit != 7 || p.Active().Limit != 7 {
+			t.Fatalf("port %d limits %d/%d, want 7", i, p.Allocator().Table().Limit, p.Active().Limit)
+		}
+	}
+	extra := arbtable.Entry{VL: 3, Weight: 9}
+	shadow := pts[0].Allocator().Table()
+	shadow.Low = append(shadow.Low, extra)
+	pts[0].Active().Low = append(pts[0].Active().Low, extra)
+	for i, p := range pts[1:] {
+		for _, l := range lows(p) {
+			if !slices.Equal(l, low) {
+				t.Errorf("an append at port 0 changed port %d's low list to %v", i+1, l)
+			}
+		}
+	}
+	if _, err := pts[1].Reserve(2, 8, 100); err != nil {
+		t.Fatal(err)
+	}
+	pts[1].Apply()
+	for _, i := range []int{0, 2} {
+		if w := pts[i].ReservedWeight(); w != 0 {
+			t.Errorf("a reservation at port 1 reserved %d at port %d", w, i)
+		}
+		if pts[i].Allocator().Table().FreeHighSlots() != TableSize || pts[i].Active().FreeHighSlots() != TableSize {
+			t.Errorf("a reservation at port 1 wrote port %d's tables", i)
+		}
+	}
+	if got := NewPortTables(1, 0, nil)[0]; got.Allocator().Table().Low != nil || got.Active().Low != nil {
+		t.Error("an empty low list is not nil, as NewPortTable's is")
 	}
 }

@@ -71,7 +71,7 @@ func Reconfiguration(switches int, seed int64, conns, workers int) (ReconfigResu
 	if res.Forwarding, err = m.ProgramForwarding(); err != nil {
 		return res, err
 	}
-	ports := admission.NewPorts(topo, arbtable.UnlimitedHigh)
+	ports := admission.NewPorts(topo, arbtable.UnlimitedHigh, nil)
 	if res.QoS, err = m.ProgramQoS(ports, sl.IdentityMapping()); err != nil {
 		return res, err
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/arbtable"
-	"repro/internal/core"
 	"repro/internal/routing"
 	"repro/internal/sl"
 	"repro/internal/topology"
@@ -57,7 +56,7 @@ func BuildControl(cfg Config, topo *topology.Topology) (*ControlState, error) {
 	if err != nil {
 		return nil, err
 	}
-	ports := admission.NewPorts(topo, cfg.Limit)
+	ports := admission.NewPorts(topo, cfg.Limit, cfg.lowEntries(mapping, routes.Planes()))
 
 	adm := admission.NewController(topo, routes, mapping, ports)
 	// Reservations must cover wire bytes, not just payload, so that
@@ -67,9 +66,6 @@ func BuildControl(cfg Config, topo *topology.Topology) (*ControlState, error) {
 	if dataVLs > 0 && dataVLs < arbtable.NumDataVLs {
 		adm.Distances = sl.EffectiveDistances(sl.DefaultLevels, mapping)
 	}
-
-	low := cfg.lowEntries(mapping, routes.Planes())
-	ports.Each(func(_ admission.PortID, pt *core.PortTable) { pt.SetLow(low) })
 
 	return &ControlState{
 		Cfg:     cfg,

@@ -175,21 +175,36 @@ func (n *Network) DisablePools() {
 	}
 }
 
-// newPacket takes a packet from the shard's free-list (or allocates
-// one) and stamps it with the given identity.  The generation survives
-// from the record's previous life — stale events still in flight carry
-// the old generation and are dropped on arrival.  A packet is created
-// by the source shard and retired by the destination's, so records
-// migrate between free-lists along the traffic matrix; each list only
-// ever mutates under its own shard's events.
+// packetChunk is how many packet records an empty free-list is refilled
+// with at once: one object instead of 63 small ones.  63 64-byte records
+// plus the 8-byte header the runtime gives a pointer-holding object of
+// this size fill the 4 096-byte size class; 64 records would spill into
+// the next class and waste an eighth of it.
+const packetChunk = 63
+
+// newPacket takes a packet from the shard's free-list (refilling an
+// empty list with a chunk of fresh records) and stamps it with the
+// given identity.  The generation survives from the record's previous
+// life — stale events still in flight carry the old generation and are
+// dropped on arrival.  A packet is created by the source shard and
+// retired by the destination's, so records migrate between free-lists
+// along the traffic matrix; each list only ever mutates under its own
+// shard's events.  With pools disabled every packet is a fresh object.
 func (sh *shard) newPacket(f *Flow, vl uint8, dst, wire int, injected, tag int64) *Packet {
 	var pkt *Packet
-	if k := len(sh.pktFree); k > 0 && !sh.n.poolDisabled {
+	if sh.n.poolDisabled {
+		pkt = &Packet{}
+	} else {
+		if len(sh.pktFree) == 0 {
+			chunk := make([]Packet, packetChunk)
+			for i := len(chunk) - 1; i >= 0; i-- {
+				sh.pktFree = append(sh.pktFree, &chunk[i])
+			}
+		}
+		k := len(sh.pktFree)
 		pkt = sh.pktFree[k-1]
 		sh.pktFree[k-1] = nil
 		sh.pktFree = sh.pktFree[:k-1]
-	} else {
-		pkt = &Packet{}
 	}
 	pkt.Flow, pkt.VL, pkt.Base, pkt.Dst, pkt.Wire = f, vl, f.Base, dst, wire
 	pkt.Injected, pkt.Tag = injected, tag

@@ -36,7 +36,8 @@ type Flow struct {
 	Deadline int64 // end-to-end guarantee in byte times; 0 = best effort
 	QoS      bool
 
-	// Measurement-window statistics.
+	// Measurement-window statistics.  Delay and Jitter point into the
+	// record itself (delay, jitter), so that a flow is one heap object.
 	Injected  stats.Meter
 	Delivered stats.Meter
 	Delay     *stats.DelayCDF
@@ -57,11 +58,14 @@ type Flow struct {
 	// generation; nil means constant-bit-rate spacing at IAT.  Used by
 	// the VBR extension.
 	pacing func() int64
+
+	delay  stats.DelayCDF // Delay's storage
+	jitter stats.JitterHist
 }
 
 // newFlow builds the runtime state shared by both flow kinds.
 func newFlow(id, src, dst int, slv, vl uint8, mbps float64, payload int, deadline int64, qos bool) *Flow {
-	return &Flow{
+	f := &Flow{
 		ID: id, Src: src, Dst: dst, SL: slv, VL: vl, Base: vl,
 		Mbps:        mbps,
 		Payload:     payload,
@@ -69,10 +73,10 @@ func newFlow(id, src, dst int, slv, vl uint8, mbps float64, payload int, deadlin
 		IAT:         traffic.IATByteTimes(payload, mbps),
 		Deadline:    deadline,
 		QoS:         qos,
-		Delay:       stats.NewDelayCDF(),
-		Jitter:      &stats.JitterHist{},
 		lastArrival: -1,
 	}
+	f.Delay, f.Jitter = &f.delay, &f.jitter
+	return f
 }
 
 // resetMeasurement clears the per-flow statistics at the start of the

@@ -47,12 +47,21 @@ type headIndex struct {
 	queued []uint16
 }
 
-func newHeadIndex(ports int) *headIndex {
-	return &headIndex{
-		cand:   make([]uint32, ports*arbtable.NumVLs),
-		vls:    make([]uint16, ports),
-		queued: make([]uint16, ports),
+// newHeadIndexes returns the candidate indexes of n switches of the
+// given port count, their words carved from three per-network slabs.
+func newHeadIndexes(n, ports int) []headIndex {
+	hx := make([]headIndex, n)
+	cand := make([]uint32, n*ports*arbtable.NumVLs)
+	vls := make([]uint16, n*ports)
+	queued := make([]uint16, n*ports)
+	for i := range hx {
+		hx[i] = headIndex{
+			cand:   carve(&cand, ports*arbtable.NumVLs),
+			vls:    carve(&vls, ports),
+			queued: carve(&queued, ports),
+		}
 	}
+	return hx
 }
 
 // request records that input i's head on VL vl routes to output p.  A

@@ -371,33 +371,50 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 		sh.eng.Grow(eventPoolSize(len(part.Hosts(k)), len(part.Switches(k)), topo.Ports()))
 		n.shards[k] = sh
 	}
-	// Hosts.  The arbiters schedule from the ACTIVE (data-plane) table
-	// of each port; admission writes the shadow and commits deltas, and
-	// every swap re-arms the port (tableSwapped).  BuildControl already
-	// seeded every port's low-priority table.
+	// Hosts, and switches with one input and one output port per port
+	// of the radix, are carved from per-network slabs, as are the
+	// arbiters: one per host and one per wired switch port.  Together
+	// with the port tables' own slabs (admission.NewPorts) that keeps
+	// construction at about a hundred and thirty objects on a k=8
+	// fat-tree, most of them the routes.
+	// The arbiters schedule from the ACTIVE (data-plane) table of each
+	// port; admission writes the shadow and commits deltas, and every
+	// swap re-arms the port (tableSwapped).  BuildControl already seeded
+	// every port's low-priority table.
+	radix := topo.Ports()
+	arbiters := topo.NumHosts()
+	for s := 0; s < topo.NumSwitches; s++ {
+		for p := 0; p < radix; p++ {
+			if topo.Wired(s, p) {
+				arbiters++
+			}
+		}
+	}
+	arbs := make([]arbtable.Arbiter, arbiters)
+	newArbiter := func(t *arbtable.Table) *arbtable.Arbiter {
+		a := &carve(&arbs, 1)[0]
+		a.Init(t)
+		return a
+	}
 	swapped := n.tableSwapped
+	hosts := make([]hostNode, topo.NumHosts())
 	n.hosts = make([]*hostNode, topo.NumHosts())
 	for h := range n.hosts {
 		pt := ports.Host[h]
 		pt.OnSwap(swapped, hostCode(h))
 		sw, port := topo.HostSwitch(h)
-		node := &hostNode{
-			id: h,
-			out: outPort{
-				arb:        arbtable.NewArbiter(pt.Active()),
-				pt:         pt,
-				code:       hostCode(h),
-				downSwitch: sw, downPort: port, downHost: -1,
-				wired: true,
-			},
+		node := &hosts[h]
+		node.id = h
+		node.out = outPort{
+			arb:        newArbiter(pt.Active()),
+			pt:         pt,
+			code:       hostCode(h),
+			downSwitch: sw, downPort: port, downHost: -1,
+			wired: true,
 		}
 		n.hosts[h] = node
 	}
 
-	// Switches, each with one input and one output port per port of the
-	// radix, carved from three slabs so construction costs a handful of
-	// allocations whatever the switch count.
-	radix := topo.Ports()
 	nodes := make([]swNode, topo.NumSwitches)
 	ins := make([]inPort, topo.NumSwitches*radix)
 	outs := make([]outPort, topo.NumSwitches*radix)
@@ -427,7 +444,7 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 			// Only wired ports arbitrate (trySwitch and voqFreePorts
 			// skip the rest), so only they carry an arbiter.
 			if op.wired {
-				op.arb = arbtable.NewArbiter(op.pt.Active())
+				op.arb = newArbiter(op.pt.Active())
 			}
 		}
 		n.switches[s] = node
@@ -459,16 +476,18 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 	// none of it.
 	n.model = cfg.SwitchModel
 	if n.model == ModelWRR {
-		for _, s := range n.switches {
-			s.heads = newHeadIndex(topo.Ports())
+		heads := newHeadIndexes(topo.NumSwitches, radix)
+		for i, s := range n.switches {
+			s.heads = &heads[i]
 		}
 	} else {
 		n.islipIters = cfg.ISLIPIters
 		if n.islipIters == 0 {
 			n.islipIters = DefaultISLIPIters
 		}
-		for _, s := range n.switches {
-			s.voq = newVOQState(topo.Ports())
+		voqs := newVOQStates(topo.NumSwitches, radix)
+		for i, s := range n.switches {
+			s.voq = &voqs[i]
 		}
 		if n.model == ModelVOQMWM {
 			// The oracle's subset DP is O(P²·2^P); past 16 ports the

@@ -116,6 +116,15 @@ func (h *hostNode) hasData() bool {
 	return false
 }
 
+// carve returns the next n elements of *slab, capped at n so that an
+// append cannot reach the elements after them, and advances *slab past
+// them.
+func carve[T any](slab *[]T, n int) []T {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
 // queueCap bounds a host send queue.  QoS queues are sized generously
 // (admission keeps them short; overflowing one indicates a broken
 // reservation and is counted as a drop), best-effort queues small.

@@ -347,15 +347,22 @@ type voqState struct {
 	match [topology.SwitchPorts]int8
 }
 
-// newVOQState allocates the VOQ state of one r-port switch.
-func newVOQState(r int) *voqState {
-	return &voqState{
-		r:        r,
-		nonEmpty: make([]uint16, r*r),
-		dataCols: make([]uint32, r),
-		mgmtCols: make([]uint32, r),
-		req:      make([]uint32, r),
+// newVOQStates returns the VOQ state of n r-port switches, their words
+// carved from two per-network slabs.
+func newVOQStates(n, r int) []voqState {
+	vs := make([]voqState, n)
+	nonEmpty := make([]uint16, n*r*r)
+	cols := make([]uint32, 3*n*r)
+	for i := range vs {
+		vs[i] = voqState{
+			r:        r,
+			nonEmpty: carve(&nonEmpty, r*r),
+			dataCols: carve(&cols, r),
+			mgmtCols: carve(&cols, r),
+			req:      carve(&cols, r),
+		}
 	}
+	return vs
 }
 
 // voqHead returns the head of VOQ (i, j, vl): the first packet in input

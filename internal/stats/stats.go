@@ -9,29 +9,30 @@ package stats
 // (thresholds from a small fraction of the deadline D up to D).
 var DelayFractions = []float64{1.0 / 32, 1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 3.0 / 4, 1.0}
 
+// delayBuckets is the number of delay buckets, len(DelayFractions)+1.
+const delayBuckets = 8
+
 // DelayCDF accumulates packet delays normalized by a per-connection
 // deadline and reports the fraction of packets below each threshold.
+// The zero value is an empty distribution, and its buckets are a fixed
+// array, so a DelayCDF embedded in a larger record costs no object of
+// its own.
 type DelayCDF struct {
 	// counts[i] counts delays in bucket i: bucket 0 holds ratios
 	// <= DelayFractions[0], bucket i ratios in
 	// (DelayFractions[i-1], DelayFractions[i]], and the final bucket
 	// ratios beyond the deadline.
-	counts []int64
+	counts [delayBuckets]int64
 	total  int64
 	sum    float64 // sum of ratios, for the mean
 	max    float64
 }
 
 // NewDelayCDF returns an empty delay distribution.
-func NewDelayCDF() *DelayCDF {
-	return &DelayCDF{counts: make([]int64, len(DelayFractions)+1)}
-}
+func NewDelayCDF() *DelayCDF { return &DelayCDF{} }
 
-// Reset empties the distribution in place, keeping its storage.
-func (d *DelayCDF) Reset() {
-	clear(d.counts)
-	d.total, d.sum, d.max = 0, 0, 0
-}
+// Reset empties the distribution in place.
+func (d *DelayCDF) Reset() { *d = DelayCDF{} }
 
 // Add records one packet whose delay is the given fraction of its
 // deadline (delay/deadline).

@@ -152,6 +152,12 @@ func TestJitterLabelsMatchBuckets(t *testing.T) {
 	}
 }
 
+func TestDelayBucketsMatchFractions(t *testing.T) {
+	if len(DelayFractions)+1 != delayBuckets {
+		t.Fatalf("%d fractions for %d buckets", len(DelayFractions), delayBuckets)
+	}
+}
+
 func TestJitterMerge(t *testing.T) {
 	var a, b JitterHist
 	a.Add(0)

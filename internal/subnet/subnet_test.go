@@ -80,7 +80,7 @@ func TestProgrammingCosts(t *testing.T) {
 	if fw.MADs != 16*2 {
 		t.Errorf("forwarding MADs = %d, want 32", fw.MADs)
 	}
-	qos, err := m.ProgramQoS(admission.NewPorts(topo, arbtable.UnlimitedHigh), sl.IdentityMapping())
+	qos, err := m.ProgramQoS(admission.NewPorts(topo, arbtable.UnlimitedHigh, nil), sl.IdentityMapping())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,9 +236,13 @@ echo "==> go test -run AllocBudget . and TestVOQStateSizedByRadix ./internal/fab
 # the last hop of a saturated k=8 path, which changes no table; the
 # ceilings on a whole Admit + Release transaction (1 per offered
 # request: the connection, or a refusal's error) and on a whole
-# connection lifecycle of the in-band churn loop; and a dozen slices, at most 0.6 MB, per k=8
-# CDG proof.  Must run without -race (the detector's instrumentation
-# allocates).
+# connection lifecycle of the in-band churn loop; the set-up ceilings
+# (TestAllocBudgetNetworkSetup: at most 200 objects for a k=8
+# NewWithTopology under either switch model, whose ports, hosts,
+# arbiters and indexes come from per-network slabs; 4 000 for a whole
+# wrr-k8-like set-up; 1 per AddConnection, its one-record Flow); and a
+# dozen slices, at most 150 kB, per k=8 CDG proof.  Must run without
+# -race (the detector's instrumentation allocates).
 go test -run 'AllocBudget' -count=1 .
 go test -run 'TestVOQStateSizedByRadix' -count=1 ./internal/fabric
 
