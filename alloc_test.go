@@ -225,10 +225,15 @@ func TestAllocBudgetVOQForwarding(t *testing.T) {
 // index the input buffers instead of holding packets of their own.
 // Switches with 32 ports whatever their radix and ring-buffer queues
 // held 59.7 kB (WRR) and 100.9 kB (VOQ-iSLIP); a 24-byte header per
-// (input, output, VL) queue held about 50 kB (VOQ-iSLIP).
+// (input, output, VL) queue held about 50 kB (VOQ-iSLIP).  With every
+// port table carrying its in-band transaction staging and every output
+// port a boundary-credit mirror, used or not, a switch held 22.4 kB
+// (WRR) and 22.7 kB (VOQ-iSLIP); without them, and with narrower
+// counters, cursors and queue headers, 15.5 and 15.8 kB.  The budgets
+// are those plus about 10 %.
 const (
-	fabricBytesPerSwitchWRR = 30_000
-	fabricBytesPerSwitchVOQ = 30_000
+	fabricBytesPerSwitchWRR = 17_000
+	fabricBytesPerSwitchVOQ = 17_400
 )
 
 // TestAllocBudgetFabricBytes gates the memory a switch costs: the heap a
@@ -276,12 +281,13 @@ func TestAllocBudgetFabricBytes(t *testing.T) {
 // The objects a k=8 fabric costs to set up.  NewWithTopology carves its
 // hosts, switches, arbiters and candidate or VOQ indexes from
 // per-network slabs, and admission.NewPorts every port's table,
-// allocator, shadow and active tables and low lists from three more, so
-// what is left is mostly the routes: 133 objects under the WRR model and
-// 132 under VOQ-iSLIP, against 6 029 and 6 108 when every port cost
+// allocator, shadow and active tables and low lists from three more
+// (and their shared transaction staging free list, one object), so
+// what is left is mostly the routes: 134 objects under the WRR model and
+// 133 under VOQ-iSLIP, against 6 029 and 6 108 when every port cost
 // about eight objects.  A set-up like the benchmark's wrr-k8 (the
 // fabric, its CDG proof, 2 admission attempts per host, best-effort
-// background, Start) cost 12 315 objects then and 3 429 now, most of
+// background, Start) cost 12 315 objects then and 3 430 now, most of
 // them the Sequence records of fresh placements, the connections and
 // their flows.  A Flow is one record, its statistics inline, and must
 // stay in the 384-byte size class: its four objects totalled 400 bytes.
@@ -366,10 +372,12 @@ func TestAllocBudgetNetworkSetup(t *testing.T) {
 	}
 }
 
-// portTableMaxBytes is the size of a core.PortTable when it reassembled
-// every completed delta, a staging flag per block; recording the
-// delta's block mask instead must not grow it.
-const portTableMaxBytes = 344
+// portTableMaxBytes is the size of a core.PortTable whose in-band
+// transaction staging — target table, staged blocks, target version —
+// lives in a record taken from its slab's free list only while a
+// transaction is open.  Inline, the staging made it 336 bytes, and 344
+// when it reassembled every completed delta with a flag per block.
+const portTableMaxBytes = 88
 
 // TestAllocBudgetFillIn gates the control-plane writer of the table:
 // joining and leaving a shared sequence, defragmentation, the capacity

@@ -102,6 +102,7 @@ type config struct {
 	benchK, benchA, benchP, benchH int
 	headroomSL, parallel           int
 	sizes, benchClass, benchShards string
+	sizeList                       []int // -sizes, parsed and range-checked by parse
 	asJSON, viz, metrics           bool
 	cpuProfile, memProfile         string
 }
@@ -203,7 +204,30 @@ func parse(args []string, stderr io.Writer) (*experiment, *config, error) {
 	if _, err := sl.ByID(sl.DefaultLevels, uint8(c.headroomSL)); err != nil || c.headroomSL != int(uint8(c.headroomSL)) {
 		return nil, nil, fmt.Errorf("-plan-headroom-sl %d: not a service level of the evaluation", c.headroomSL)
 	}
+	if c.switches != 0 {
+		if err := checkSwitchCount(c.switches); err != nil {
+			return nil, nil, fmt.Errorf("-switches %d: %w", c.switches, err)
+		}
+	}
+	sizes, err := parseSizes(c.sizes)
+	for i := 0; err == nil && i < len(sizes); i++ {
+		err = checkSwitchCount(sizes[i])
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("-sizes %s: %w", c.sizes, err)
+	}
+	c.sizeList = sizes
 	return e, c, nil
+}
+
+// checkSwitchCount refuses a network size no topology can be generated
+// at: fewer than two switches, or more than the largest irregular
+// network topology.Generate builds.
+func checkSwitchCount(n int) error {
+	if n < 2 || n > topology.MaxIrregularSwitches {
+		return fmt.Errorf("network size %d outside [2, %d]", n, topology.MaxIrregularSwitches)
+	}
+	return nil
 }
 
 // dashed renders flag names as the command line spells them.

@@ -107,10 +107,18 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-json", []string{"-exp", "scaling", "-json"}},
 		{"-viz", []string{"-exp", "table2", "-viz"}},
 		{"-viz", []string{"-json", "-viz", "-scale", "tiny"}},
-		// A sweep point that fails fails the run and is named.
-		{"scaling-1sw", []string{"-exp", "scaling", "-scale", "tiny", "-sizes", "1"}},
-		{"vlcollapse-15vl", []string{"-exp", "ablation-vl", "-scale", "tiny", "-switches", "1"}},
-		{"switchmodel-x1", []string{"-exp", "ablation-switch", "-scale", "tiny", "-switches", "1"}},
+		// A network size no topology can be generated at is refused
+		// before any sweep point runs, naming the flag.
+		{"-sizes", []string{"-exp", "scaling", "-scale", "tiny", "-sizes", "1"}},
+		{"-sizes", []string{"-exp", "scaling", "-scale", "tiny", "-sizes", "0"}},
+		{"-sizes", []string{"-exp", "scaling", "-scale", "tiny", "-sizes", "8,-4"}},
+		{"-sizes", []string{"-exp", "scaling", "-scale", "tiny", "-sizes", "8,1281"}},
+		{"-sizes", []string{"-exp", "scaling", "-scale", "tiny", "-sizes", "8,x"}},
+		{"-switches", []string{"-exp", "table2", "-scale", "tiny", "-switches", "-5"}},
+		{"-switches", []string{"-exp", "table2", "-scale", "tiny", "-switches", "1281"}},
+		{"-switches", []string{"-exp", "ablation-vl", "-scale", "tiny", "-switches", "1"}},
+		{"-switches", []string{"-exp", "ablation-switch", "-scale", "tiny", "-switches", "1"}},
+		{"-switches", []string{"-exp", "churn", "-scale", "tiny", "-switches", "1"}},
 		{"-bench-shards", []string{"-exp", "shardbench", "-bench-k", "4", "-bench-shards", "200"}},
 		{"-bench-horizon", []string{"-exp", "shardbench", "-scale", "tiny", "-bench-horizon", "-5"}},
 		// More shards than a fabric has switches, and a trace of one

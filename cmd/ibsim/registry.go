@@ -111,11 +111,7 @@ var registry = []experiment{
 		flags:  []string{"seed", "sizes", "shards"},
 		preset: paramsPresets,
 		run: func(c *config) (result, error) {
-			ns, err := parseSizes(c.sizes)
-			if err != nil {
-				return result{}, fmt.Errorf("-sizes: %w", err)
-			}
-			rows, err := experiments.Scaling(c.params(), ns, c.parallel)
+			rows, err := experiments.Scaling(c.params(), c.sizeList, c.parallel)
 			return text(func(w io.Writer) { experiments.PrintScaling(w, rows) }), err
 		},
 	},

@@ -188,60 +188,59 @@ func exportedReceiver(typ ast.Expr) bool {
 // exportedAllowlist names each exported identifier under internal/ that
 // nothing outside its package reaches, with the reason it stays.
 var exportedAllowlist = map[string]string{
-	"admission.ErrOverBudget":       "sentinel error an admission refusal unwraps to, beside ErrHopDown and ErrHopBusy",
-	"admission.MaxLoadFactor":       "FillLoad's documented load bound; the plan and experiments tests probe it",
-	"arbtable.LimitUnit":            "IBA unit of LimitOfHighPriority, the scale of the exported Table.Limit",
-	"arbtable.NewArbiter":           "bench/ probe, frozen until ROADMAP 3(b); the one-element case of Arbiter.Init, which the fabric's arbiter slab calls",
-	"bitrev.Reverse":                "the paper's bit-reversal permutation; Order is its table form",
-	"core.ErrBadDistance":           "sentinel error Reserve wraps, for errors.Is",
-	"core.ErrBadWeight":             "sentinel error Reserve wraps, for errors.Is",
-	"core.ErrNoSpace":               "sentinel error, matched with errors.Is",
-	"core.ErrProgramInFlight":       "sentinel error, matched with errors.Is",
-	"core.ErrTornUpdate":            "sentinel error, matched with errors.Is",
-	"core.ErrUnknownSeq":            "sentinel error, matched with errors.Is",
-	"core.MaxSeqWeight":             "bound of the exported Reserve weight argument",
-	"core.NewAllocator":             "bench/ probe, frozen until ROADMAP 3(b); the mad and ibtable tests build tables with it",
-	"core.NewPortTableWithPolicy":   "test hook: NaturalOrder differential (admission's TestAdmitDecideDifferential)",
-	"experiments.Churn":             "one point of ChurnSweep; bench/churnrun.go calls it, frozen until ROADMAP 3(d)",
-	"experiments.FailoverPoint":     "one point of FailoverSweep, in the form of ScalePoint and HOLPoint",
-	"experiments.Faults":            "one point of FaultsSweep, the unit its tests run",
-	"experiments.HOLPoint":          "one point of the HOL sweep, the unit its tests run",
-	"experiments.LargePayload":      "the paper's large payload, beside SmallPayload",
-	"experiments.PlanPoint":         "one point of the plan sweep, the unit its tests run",
-	"experiments.ScalePoint":        "one point of the scale sweep, the unit its tests run",
-	"experiments.SetupWith":         "root bench_test.go harness, frozen until ROADMAP 3(a)",
-	"experiments.SmallPayload":      "the paper's small payload; root bench_test.go harness",
-	"fabric.DefaultISLIPIters":      "bench/ probe, frozen until ROADMAP 3(b); the default of Config.ISLIPIters",
-	"fabric.ISLIPState":             "bench/ probe, frozen until ROADMAP 3(b)",
-	"mad.ArbModHighBase":            "IBA wire constant of the exported ArbModifier encoding",
-	"mad.ArbModifier":               "codec half the tests check SplitArbModifier against",
-	"mad.AttrVLArbitration":         "IBA wire constant the codec writes and checks",
-	"mad.DecodeArbBlock":            "bench/ probe, frozen until ROADMAP 3(b)",
-	"mad.DecodeHighTable":           "test oracle: reference decoder of FuzzHighTableDecode (DESIGN.md §7)",
-	"mad.DecodeSLtoVL":              "test oracle: round-trip check of EncodeSLtoVL",
-	"mad.EncodeArbBlock":            "codec half of DecodeArbBlock",
-	"mad.HighBlockSMP":              "bench/ probe, frozen until ROADMAP 3(b)",
-	"mad.MTUBytes":                  "inverse of MTUCode",
-	"mad.NumHighBlocks":             "blocks per high table, the bound of the exported block index",
-	"mad.PortStateDown":             "lower bound of the exported PortInfo.PortState",
-	"mad.SplitArbModifier":          "inverse of ArbModifier",
-	"mad.Unmarshal":                 "bench/ probe, frozen until ROADMAP 3(b)",
-	"plan.EvaluateState":            "model entry point over a caller-built control state; Evaluate and Headroom wrap it",
-	"routing/cdg.CycleError":        "error type, matched with errors.As",
-	"sl.BE":                         "Class value of the paper's traffic taxonomy",
-	"sl.ByteTimeNs":                 "byte time in ns, for reading results in wall time (examples/quickstart)",
-	"sl.CH":                         "Class value of the paper's traffic taxonomy",
-	"sl.CollapsedMapping":           "SLtoVL mapping behind Config.DataVLs",
-	"sl.DBTS":                       "Class value of the paper's traffic taxonomy",
-	"sl.DistanceForHopDeadline":     "the paper's deadline-to-distance rule (examples/quickstart)",
-	"sl.PBE":                        "Class value of the paper's traffic taxonomy",
-	"sl.QoSFraction":                "the paper's 80 % reservable share behind MaxReservableWeight",
-	"sl.Validate":                   "test oracle: the check on the Table 1 levels",
-	"stats.JitterEdges":             "Figure 5's bucket edges, behind the exported JitterHist",
-	"topology.GenerateDragonfly":    "generator behind the dragonfly Spec; cdg and topology tests call it",
-	"topology.GenerateFatTree":      "generator behind the fat-tree Spec; cdg, topology and alloc tests call it",
-	"topology.InterPorts":           "switch-to-switch ports of an irregular switch, beside IrregularPorts",
-	"topology.IrregularPorts":       "radix of the paper's irregular class",
-	"topology.MaxIrregularSwitches": "largest network Generate accepts",
-	"topology.NewManual":            "builds hand-wired topologies; cdg and topology tests call it",
+	"admission.ErrOverBudget":     "sentinel error an admission refusal unwraps to, beside ErrHopDown and ErrHopBusy",
+	"admission.MaxLoadFactor":     "FillLoad's documented load bound; the plan and experiments tests probe it",
+	"arbtable.LimitUnit":          "IBA unit of LimitOfHighPriority, the scale of the exported Table.Limit",
+	"arbtable.NewArbiter":         "bench/ probe, frozen until ROADMAP 3(b); the one-element case of Arbiter.Init, which the fabric's arbiter slab calls",
+	"bitrev.Reverse":              "the paper's bit-reversal permutation; Order is its table form",
+	"core.ErrBadDistance":         "sentinel error Reserve wraps, for errors.Is",
+	"core.ErrBadWeight":           "sentinel error Reserve wraps, for errors.Is",
+	"core.ErrNoSpace":             "sentinel error, matched with errors.Is",
+	"core.ErrProgramInFlight":     "sentinel error, matched with errors.Is",
+	"core.ErrTornUpdate":          "sentinel error, matched with errors.Is",
+	"core.ErrUnknownSeq":          "sentinel error, matched with errors.Is",
+	"core.MaxSeqWeight":           "bound of the exported Reserve weight argument",
+	"core.NewAllocator":           "bench/ probe, frozen until ROADMAP 3(b); the mad and ibtable tests build tables with it",
+	"core.NewPortTableWithPolicy": "test hook: NaturalOrder differential (admission's TestAdmitDecideDifferential)",
+	"experiments.Churn":           "one point of ChurnSweep; bench/churnrun.go calls it, frozen until ROADMAP 3(d)",
+	"experiments.FailoverPoint":   "one point of FailoverSweep, in the form of ScalePoint and HOLPoint",
+	"experiments.Faults":          "one point of FaultsSweep, the unit its tests run",
+	"experiments.HOLPoint":        "one point of the HOL sweep, the unit its tests run",
+	"experiments.LargePayload":    "the paper's large payload, beside SmallPayload",
+	"experiments.PlanPoint":       "one point of the plan sweep, the unit its tests run",
+	"experiments.ScalePoint":      "one point of the scale sweep, the unit its tests run",
+	"experiments.SetupWith":       "root bench_test.go harness, frozen until ROADMAP 3(a)",
+	"experiments.SmallPayload":    "the paper's small payload; root bench_test.go harness",
+	"fabric.DefaultISLIPIters":    "bench/ probe, frozen until ROADMAP 3(b); the default of Config.ISLIPIters",
+	"fabric.ISLIPState":           "bench/ probe, frozen until ROADMAP 3(b)",
+	"mad.ArbModHighBase":          "IBA wire constant of the exported ArbModifier encoding",
+	"mad.ArbModifier":             "codec half the tests check SplitArbModifier against",
+	"mad.AttrVLArbitration":       "IBA wire constant the codec writes and checks",
+	"mad.DecodeArbBlock":          "bench/ probe, frozen until ROADMAP 3(b)",
+	"mad.DecodeHighTable":         "test oracle: reference decoder of FuzzHighTableDecode (DESIGN.md §7)",
+	"mad.DecodeSLtoVL":            "test oracle: round-trip check of EncodeSLtoVL",
+	"mad.EncodeArbBlock":          "codec half of DecodeArbBlock",
+	"mad.HighBlockSMP":            "bench/ probe, frozen until ROADMAP 3(b)",
+	"mad.MTUBytes":                "inverse of MTUCode",
+	"mad.NumHighBlocks":           "blocks per high table, the bound of the exported block index",
+	"mad.PortStateDown":           "lower bound of the exported PortInfo.PortState",
+	"mad.SplitArbModifier":        "inverse of ArbModifier",
+	"mad.Unmarshal":               "bench/ probe, frozen until ROADMAP 3(b)",
+	"plan.EvaluateState":          "model entry point over a caller-built control state; Evaluate and Headroom wrap it",
+	"routing/cdg.CycleError":      "error type, matched with errors.As",
+	"sl.BE":                       "Class value of the paper's traffic taxonomy",
+	"sl.ByteTimeNs":               "byte time in ns, for reading results in wall time (examples/quickstart)",
+	"sl.CH":                       "Class value of the paper's traffic taxonomy",
+	"sl.CollapsedMapping":         "SLtoVL mapping behind Config.DataVLs",
+	"sl.DBTS":                     "Class value of the paper's traffic taxonomy",
+	"sl.DistanceForHopDeadline":   "the paper's deadline-to-distance rule (examples/quickstart)",
+	"sl.PBE":                      "Class value of the paper's traffic taxonomy",
+	"sl.QoSFraction":              "the paper's 80 % reservable share behind MaxReservableWeight",
+	"sl.Validate":                 "test oracle: the check on the Table 1 levels",
+	"stats.JitterEdges":           "Figure 5's bucket edges, behind the exported JitterHist",
+	"topology.GenerateDragonfly":  "generator behind the dragonfly Spec; cdg and topology tests call it",
+	"topology.GenerateFatTree":    "generator behind the fat-tree Spec; cdg, topology and alloc tests call it",
+	"topology.InterPorts":         "switch-to-switch ports of an irregular switch, beside IrregularPorts",
+	"topology.IrregularPorts":     "radix of the paper's irregular class",
+	"topology.NewManual":          "builds hand-wired topologies; cdg and topology tests call it",
 }

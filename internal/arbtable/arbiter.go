@@ -26,10 +26,12 @@ func (r *Ready) Any() bool {
 
 // wrrState is the weighted round-robin position within one table: the
 // current entry, the byte allowance it has left, and whether the
-// position is live (false until the first packet is scheduled).
+// position is live (false until the first packet is scheduled).  An
+// allowance is at most one entry's weight in bytes (255 × WeightUnit)
+// and falls at most one packet below zero, so 32 bits hold it.
 type wrrState struct {
-	idx      int
-	residual int
+	idx      int32
+	residual int32
 	active   bool
 }
 
@@ -79,8 +81,8 @@ type Arbiter struct {
 // allowance the entry has left.
 type LastPick struct {
 	High     bool
-	Entry    int
-	Residual int
+	Entry    int32
+	Residual int32
 }
 
 // SetMetrics attaches (or, with nil, detaches) a counter block.  With
@@ -168,7 +170,7 @@ func (a *Arbiter) Pick(ready *Ready) (vl int, high bool, ok bool) {
 		a.reanchors++
 		a.hiSlots = a.table.HighSlotMasks()
 	}
-	if n := len(a.table.Low); n > 0 && a.lo.idx >= n {
+	if n := len(a.table.Low); n > 0 && int(a.lo.idx) >= n {
 		// The low table shrank since the last pick (dynamic low
 		// tables): its scan restarts from the top, whether or not this
 		// pick reads it.
@@ -191,7 +193,7 @@ func (a *Arbiter) Pick(ready *Ready) (vl int, high bool, ok bool) {
 		size := ready[hiCh.vl]
 		commit(a.table.High[:], &a.hi, hiCh, size)
 		a.hiSinceLow += size
-		a.last = LastPick{High: true, Entry: hiCh.entry, Residual: a.hi.residual}
+		a.last = LastPick{High: true, Entry: int32(hiCh.entry), Residual: a.hi.residual}
 		if m := a.m; m != nil {
 			m.Picks++
 		}
@@ -200,7 +202,7 @@ func (a *Arbiter) Pick(ready *Ready) (vl int, high bool, ok bool) {
 		size := ready[loCh.vl]
 		commit(a.table.Low, &a.lo, loCh, size)
 		a.hiSinceLow = 0
-		a.last = LastPick{High: false, Entry: loCh.entry, Residual: a.lo.residual}
+		a.last = LastPick{High: false, Entry: int32(loCh.entry), Residual: a.lo.residual}
 		if m := a.m; m != nil {
 			m.Picks++
 		}
@@ -246,15 +248,15 @@ func (a *Arbiter) limitExceeded() bool {
 // beginning.
 func (st *wrrState) hold(entries []Entry, ready *Ready) (ch choice, start int, ok bool) {
 	if !st.active {
-		return choice{}, st.idx, false
+		return choice{}, int(st.idx), false
 	}
 	if st.residual > 0 {
 		e := entries[st.idx]
 		if !e.IsFree() && e.VL < NumDataVLs && ready[e.VL] > 0 {
-			return choice{entry: st.idx, vl: int(e.VL), fresh: false}, 0, true
+			return choice{entry: int(st.idx), vl: int(e.VL), fresh: false}, 0, true
 		}
 	}
-	return choice{}, st.idx + 1, false
+	return choice{}, int(st.idx) + 1, false
 }
 
 // peekHigh is peek for the high table, with the cyclic scan done on the
@@ -317,11 +319,11 @@ func peek(entries []Entry, st *wrrState, ready *Ready) (ch choice, visited int, 
 // visit first grants the entry its full weight allowance.
 func commit(entries []Entry, st *wrrState, ch choice, size int) {
 	if ch.fresh {
-		st.idx = ch.entry
+		st.idx = int32(ch.entry)
 		st.active = true
-		st.residual = int(entries[ch.entry].Weight) * WeightUnit
+		st.residual = int32(entries[ch.entry].Weight) * WeightUnit
 	}
-	st.residual -= size
+	st.residual -= int32(size)
 }
 
 // HighBytesSinceLow exposes the allowance counter for tests and

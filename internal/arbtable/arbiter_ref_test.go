@@ -19,18 +19,18 @@ func peekReference(entries []Entry, st *wrrState, ready *Ready) (ch choice, visi
 	if len(entries) == 0 {
 		return choice{}, 0, false
 	}
-	if st.idx >= len(entries) {
+	if int(st.idx) >= len(entries) {
 		st.idx, st.active = 0, false
 	}
 	if st.active && st.residual > 0 {
 		e := entries[st.idx]
 		if !e.IsFree() && ready[e.VL] > 0 {
-			return choice{entry: st.idx, vl: int(e.VL), fresh: false}, 1, true
+			return choice{entry: int(st.idx), vl: int(e.VL), fresh: false}, 1, true
 		}
 	}
-	start := st.idx
+	start := int(st.idx)
 	if st.active {
-		start = st.idx + 1
+		start++
 	}
 	for step := 0; step < len(entries); step++ {
 		i := (start + step) % len(entries)
@@ -55,7 +55,7 @@ func pickReference(a *Arbiter, ready *Ready) (vl int, high bool, ok bool) {
 		a.hi.residual = 0
 		a.reanchors++
 	}
-	if n := len(a.table.Low); n > 0 && a.lo.idx >= n {
+	if n := len(a.table.Low); n > 0 && int(a.lo.idx) >= n {
 		a.lo.idx, a.lo.active = 0, false
 	}
 	hiCh, hiN, hiOK := peekReference(a.table.High[:], &a.hi, ready)
@@ -72,7 +72,7 @@ func pickReference(a *Arbiter, ready *Ready) (vl int, high bool, ok bool) {
 		size := ready[hiCh.vl]
 		commit(a.table.High[:], &a.hi, hiCh, size)
 		a.hiSinceLow += size
-		a.last = LastPick{High: true, Entry: hiCh.entry, Residual: a.hi.residual}
+		a.last = LastPick{High: true, Entry: int32(hiCh.entry), Residual: a.hi.residual}
 		if m := a.m; m != nil {
 			m.Picks++
 		}
@@ -81,7 +81,7 @@ func pickReference(a *Arbiter, ready *Ready) (vl int, high bool, ok bool) {
 		size := ready[loCh.vl]
 		commit(a.table.Low, &a.lo, loCh, size)
 		a.hiSinceLow = 0
-		a.last = LastPick{High: false, Entry: loCh.entry, Residual: a.lo.residual}
+		a.last = LastPick{High: false, Entry: int32(loCh.entry), Residual: a.lo.residual}
 		if m := a.m; m != nil {
 			m.Picks++
 		}

@@ -67,6 +67,61 @@ var (
 	ErrTornUpdate = errors.New("core: torn table update rejected")
 )
 
+// staging is the port-side state of one open programming transaction
+// besides its block masks: the version it targets, the shadow high
+// table at BeginProgram (its target), and the blocks staged so far.  A
+// port holds one only while its transaction is open; it comes from the
+// port's stagingPool and goes back when the transaction commits, aborts
+// or is cancelled.
+type staging struct {
+	ver    uint64
+	target [TableSize]arbtable.Entry
+	ent    [NumHighBlocks][BlockEntries]arbtable.Entry
+	next   *staging // free-list link, nil while the record is in use
+}
+
+// stagingPool is a free list of staging records shared by the port
+// tables of one slab (NewPortTables), or owned by a port table made
+// alone.  It grows to the number of transactions ever open at once
+// and never shrinks, so a warm pool allocates nothing.  It is not safe
+// for concurrent use: the tables sharing it are programmed from one
+// goroutine at a time (in a sharded run, the control lane).
+type stagingPool struct {
+	free *staging
+	// poison, set by tests, overwrites a record as it is returned, so
+	// that a port still reading a returned record sees garbage at once.
+	poison bool
+}
+
+// get takes a record off the free list, or allocates one.  Its contents
+// are whatever the last transaction left; BeginProgram sets what it
+// reads.
+func (sp *stagingPool) get() *staging {
+	r := sp.free
+	if r == nil {
+		return new(staging)
+	}
+	sp.free, r.next = r.next, nil
+	return r
+}
+
+// put returns a record to the free list.
+func (sp *stagingPool) put(r *staging) {
+	if sp.poison {
+		bad := arbtable.Entry{VL: 0xff, Weight: 0xff}
+		r.ver = ^uint64(0)
+		for i := range r.target {
+			r.target[i] = bad
+		}
+		for b := range r.ent {
+			for i := range r.ent[b] {
+				r.ent[b][i] = bad
+			}
+		}
+	}
+	r.next, sp.free = sp.free, r
+}
+
 // Dirty reports whether the shadow table has changes the active table
 // has not been programmed with yet.  It compares the whole tables, so
 // it does not rely on the changed-block mask.
@@ -162,8 +217,9 @@ func (p *PortTable) BeginProgram() (Delta, error) {
 	p.delta = changed
 	p.staged = 0
 	p.mismatch = false
-	p.targetVer = d.Version
-	p.target = *shadow
+	p.txn = p.pool.get()
+	p.txn.ver = d.Version
+	p.txn.target = *shadow
 	p.stats.Programs++
 	return d, nil
 }
@@ -212,25 +268,26 @@ func (p *PortTable) DeliverBlock(version uint64, index, total int, entries [Bloc
 		}
 		return abort("no transaction open for version %d block %d", version, index)
 	}
-	if version < p.targetVer {
+	txn := p.txn
+	if version < txn.ver {
 		return false, nil // late retransmission of an earlier transaction
 	}
-	if version > p.targetVer {
-		return abort("version %d, expected %d", version, p.targetVer)
+	if version > txn.ver {
+		return abort("version %d, expected %d", version, txn.ver)
 	}
 	if total != bits.OnesCount8(p.delta) {
 		return abort("claims %d blocks, transaction has %d", total, bits.OnesCount8(p.delta))
 	}
 	bit := uint8(1) << index
 	if p.staged&bit != 0 {
-		if p.stagedEnt[index] == entries {
+		if txn.ent[index] == entries {
 			return false, nil // duplicate delivery, identical content
 		}
 		return abort("duplicate block %d with different content", index)
 	}
 	p.staged |= bit
-	p.stagedEnt[index] = entries
-	if entries != *highBlock(&p.target, index) {
+	txn.ent[index] = entries
+	if entries != *highBlock(&txn.target, index) {
 		p.mismatch = true
 	}
 	if bits.OnesCount8(p.staged) < total {
@@ -239,8 +296,9 @@ func (p *PortTable) DeliverBlock(version uint64, index, total int, entries [Bloc
 	if p.mismatch || p.staged != p.delta {
 		return abort("assembled table does not match transaction target")
 	}
-	p.delta = 0
-	p.swap(&p.target)
+	p.delta, p.txn = 0, nil
+	p.swap(&txn.target)
+	p.pool.put(txn)
 	return true, nil
 }
 
@@ -255,12 +313,16 @@ func (p *PortTable) DeliverBlock(version uint64, index, total int, entries [Bloc
 // target version is the active table's next one, and mismatch is set
 // exactly when a staged block differs from the same block of the
 // target.  A staged block may lie outside the delta: it is refused only
-// when the set completes.  Like the allocator's check it does not
-// allocate.
+// when the set completes.  The port holds a staging record exactly
+// while the transaction is open, and reads it only then.  Like the
+// allocator's check it does not allocate.
 func (p *PortTable) CheckInvariants() error {
+	if p.Programming() != (p.txn != nil) {
+		return fmt.Errorf("port holds staging %v with delta %04b", p.txn != nil, p.delta)
+	}
 	shadow, programmed, what := &p.alloc.Table().High, &p.active.High, "active table"
 	if p.Programming() {
-		programmed, what = &p.target, "transaction target"
+		programmed, what = &p.txn.target, "transaction target"
 	}
 	for b := 0; b < NumHighBlocks; b++ {
 		if p.alloc.written>>b&1 == 0 && *highBlock(shadow, b) != *highBlock(programmed, b) {
@@ -276,15 +338,19 @@ func (p *PortTable) CheckInvariants() error {
 	if bits.OnesCount8(p.staged) >= bits.OnesCount8(p.delta) {
 		return fmt.Errorf("staged blocks %04b complete delta %04b but the transaction is open", p.staged, p.delta)
 	}
-	if p.targetVer != p.active.Version()+1 {
-		return fmt.Errorf("transaction targets version %d, active table is at %d", p.targetVer, p.active.Version())
+	txn := p.txn
+	if txn.next != nil {
+		return fmt.Errorf("open transaction's staging is still linked into the free list")
+	}
+	if txn.ver != p.active.Version()+1 {
+		return fmt.Errorf("transaction targets version %d, active table is at %d", txn.ver, p.active.Version())
 	}
 	mismatch := false
 	for b := 0; b < NumHighBlocks; b++ {
-		if p.delta>>b&1 == 0 && *highBlock(&p.target, b) != *highBlock(&p.active.High, b) {
+		if p.delta>>b&1 == 0 && *highBlock(&txn.target, b) != *highBlock(&p.active.High, b) {
 			return fmt.Errorf("block %d outside the delta differs between target and active table", b)
 		}
-		if p.staged>>b&1 != 0 && p.stagedEnt[b] != *highBlock(&p.target, b) {
+		if p.staged>>b&1 != 0 && txn.ent[b] != *highBlock(&txn.target, b) {
 			mismatch = true
 		}
 	}
@@ -294,20 +360,26 @@ func (p *PortTable) CheckInvariants() error {
 	return nil
 }
 
-// abortProgram discards all staged transaction state and counts a torn
-// update.  The shadow table is untouched (it is the source of truth);
-// the control plane recovers by re-issuing BeginProgram.
+// abortProgram discards all staged transaction state, if any is open,
+// and counts a torn update.  The shadow table is untouched (it is the
+// source of truth); the control plane recovers by re-issuing
+// BeginProgram.
 func (p *PortTable) abortProgram() {
 	p.dropProgram()
 	p.stats.TornAborts++
 }
 
-// dropProgram closes the open transaction without a swap.  The active
-// table keeps its old version, so the delta's blocks differ from the
-// shadow again and go back into the changed-block mask.
+// dropProgram closes the open transaction, if any, without a swap and
+// returns its staging to the pool.  The active table keeps its old
+// version, so the delta's blocks differ from the shadow again and go
+// back into the changed-block mask.
 func (p *PortTable) dropProgram() {
 	p.alloc.written |= p.delta
 	p.delta = 0
+	if p.txn != nil {
+		p.pool.put(p.txn)
+		p.txn = nil
+	}
 }
 
 // highBlock returns block b of a high table in place.
@@ -324,7 +396,7 @@ func highBlock(high *[TableSize]arbtable.Entry, b int) *[BlockEntries]arbtable.E
 // down) is left untouched, so a coordinator that lost the completing
 // ack cannot destroy a successor transaction.
 func (p *PortTable) CancelProgram(version uint64) bool {
-	if !p.Programming() || p.targetVer != version {
+	if !p.Programming() || p.txn.ver != version {
 		return false
 	}
 	p.dropProgram()

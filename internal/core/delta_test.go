@@ -67,7 +67,8 @@ func TestActiveLagsShadowUntilDelivered(t *testing.T) {
 // TestPortTableCheckInvariants: an open transaction satisfies the state
 // DeliverBlock's completion rule relies on, and breaking any one part of
 // it — a complete staged set left open, the target version, the target
-// outside the delta, the mismatch flag either way — fails the check.
+// outside the delta, the mismatch flag either way, the staging record
+// dropped or still linked into the free list — fails the check.
 func TestPortTableCheckInvariants(t *testing.T) {
 	p := newPort()
 	// Distance 32 -> two slots, in blocks 0 and 2.
@@ -90,12 +91,15 @@ func TestPortTableCheckInvariants(t *testing.T) {
 	}
 	for name, mutate := range map[string]func(q *PortTable){
 		"complete set left open": func(q *PortTable) { q.staged |= 0b0100 },
-		"target version":         func(q *PortTable) { q.targetVer++ },
-		"target outside delta":   func(q *PortTable) { q.target[3*BlockEntries] = arbtable.Entry{VL: 4, Weight: 1} },
+		"target version":         func(q *PortTable) { q.txn.ver++ },
+		"target outside delta":   func(q *PortTable) { q.txn.target[3*BlockEntries] = arbtable.Entry{VL: 4, Weight: 1} },
 		"mismatch flag set":      func(q *PortTable) { q.mismatch = true },
-		"staged block unflagged": func(q *PortTable) { q.stagedEnt[0][1] = arbtable.Entry{VL: 4, Weight: 1} },
+		"staged block unflagged": func(q *PortTable) { q.txn.ent[0][1] = arbtable.Entry{VL: 4, Weight: 1} },
+		"staging dropped":        func(q *PortTable) { q.txn = nil },
+		"staging on free list":   func(q *PortTable) { q.txn.next = new(staging) },
 	} {
-		q := *p
+		q, txn := *p, *p.txn
+		q.txn = &txn
 		mutate(&q)
 		if err := q.CheckInvariants(); err == nil {
 			t.Errorf("%s: CheckInvariants passed", name)
@@ -106,6 +110,11 @@ func TestPortTableCheckInvariants(t *testing.T) {
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatalf("after the swap: %v", err)
+	}
+	held := *p
+	held.txn = new(staging)
+	if err := held.CheckInvariants(); err == nil {
+		t.Error("staging held with no transaction open: CheckInvariants passed")
 	}
 	// The changed-block mask, with no program in flight: a write to the
 	// shadow behind the allocator's back moves one unit of the

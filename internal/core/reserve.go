@@ -57,22 +57,24 @@ type PortTable struct {
 	active *arbtable.Table
 
 	// onSwap, when set, is called with code after every swap of the
-	// active table (see OnSwap).  The code sits in the padding before
-	// the transaction's small fields.
+	// active table (see OnSwap).  The code shares a word with the
+	// transaction's small fields.
 	onSwap func(code int32)
 	code   int32
 
 	// In-flight programming transaction (at most one per port).  delta
-	// is its block mask, zero when none is open.  The rest is reset by
-	// BeginProgram and read only while delta is set: staged holds the
+	// is its block mask, zero when none is open.  staged holds the
 	// blocks arrived so far, and mismatch records that one of them
-	// differs from the same block of target.
-	delta     uint8
-	staged    uint8
-	mismatch  bool
-	targetVer uint64
-	target    [TableSize]arbtable.Entry // shadow.High at BeginProgram
-	stagedEnt [NumHighBlocks][BlockEntries]arbtable.Entry
+	// differs from the same block of the target; both are reset by
+	// BeginProgram and read only while delta is set.  txn is the rest of
+	// the transaction, taken from pool by BeginProgram and given back
+	// when the transaction closes: nil exactly while delta is zero, so a
+	// port that is never programmed in-band holds no staging at all.
+	delta    uint8
+	staged   uint8
+	mismatch bool
+	txn      *staging
+	pool     *stagingPool
 
 	stats ReconfigStats
 }
@@ -105,12 +107,15 @@ func NewPortTable(t *arbtable.Table) *PortTable {
 
 // NewPortTableWithPolicy returns a PortTable whose allocator uses an
 // alternative placement policy; used by the ablations' differential
-// tests.  The port table, its allocator and its active table are one
-// object: the one-element case of NewPortTables, with the caller's
-// shadow table.
+// tests.  The port table, its allocator, its active table and its
+// one-port staging free list are one object: the one-element case of
+// NewPortTables, with the caller's shadow table.
 func NewPortTableWithPolicy(t *arbtable.Table, p Policy) *PortTable {
-	s := new(portSlot)
-	s.init(t, p, append([]arbtable.Entry(nil), t.Low...))
+	s := new(struct {
+		portSlot
+		pool stagingPool
+	})
+	s.init(t, p, append([]arbtable.Entry(nil), t.Low...), &s.pool)
 	return &s.pt
 }
 
@@ -121,8 +126,11 @@ func NewPortTableWithPolicy(t *arbtable.Table, p Policy) *PortTable {
 // lists of every port — each a copy of low — in a third.  Every low
 // list is a full slice expression capped at len(low), so an append to
 // one port's list reallocates it instead of writing into its
-// neighbour's.  The tables have LimitOfHighPriority limit.
+// neighbour's.  The tables have LimitOfHighPriority limit.  They share
+// one free list of transaction staging records, which holds as many as
+// were ever open at once: none for tables that are only Applied.
 func NewPortTables(n int, limit uint8, low []arbtable.Entry) []*PortTable {
+	pool := new(stagingPool)
 	slots := make([]portSlot, n)
 	shadows := make([]arbtable.Table, n)
 	lows := make([]arbtable.Entry, 2*n*len(low))
@@ -139,7 +147,7 @@ func NewPortTables(n int, limit uint8, low []arbtable.Entry) []*PortTable {
 	for i := range slots {
 		sh := &shadows[i]
 		sh.Limit, sh.Low = limit, carve()
-		slots[i].init(sh, BitReversal, carve())
+		slots[i].init(sh, BitReversal, carve(), pool)
 		out[i] = &slots[i].pt
 	}
 	return out
@@ -153,14 +161,14 @@ type portSlot struct {
 	active arbtable.Table
 }
 
-// init makes the slot a port table over shadow with the given policy.
-// The active table starts as a copy of shadow's high table and limit,
-// with activeLow — which must hold a copy of shadow's low list — as its
-// low list.
-func (s *portSlot) init(shadow *arbtable.Table, p Policy, activeLow []arbtable.Entry) {
+// init makes the slot a port table over shadow with the given policy,
+// taking its transaction staging from pool.  The active table starts as
+// a copy of shadow's high table and limit, with activeLow — which must
+// hold a copy of shadow's low list — as its low list.
+func (s *portSlot) init(shadow *arbtable.Table, p Policy, activeLow []arbtable.Entry, pool *stagingPool) {
 	s.alloc = Allocator{table: shadow, policy: p, nextID: 1}
 	s.active = arbtable.Table{High: shadow.High, Low: activeLow, Limit: shadow.Limit}
-	s.pt.alloc, s.pt.active = &s.alloc, &s.active
+	s.pt.alloc, s.pt.active, s.pt.pool = &s.alloc, &s.active, pool
 }
 
 // Allocator exposes the underlying allocator (read-mostly: inspection,

@@ -132,7 +132,7 @@ func (sh *shard) xmitDone(outCode, srcCode int32, vl, wire int) {
 			return
 		}
 		src := &n.switches[s].in[i]
-		src.occ[vl] -= wire
+		src.occ[vl] -= int32(wire)
 		switch {
 		case src.upSwitch >= 0:
 			if src.upBoundary {
@@ -224,14 +224,17 @@ func (sh *shard) freePacket(pkt *Packet) {
 	sh.pktFree = append(sh.pktFree, pkt)
 }
 
-// pktQueue is an intrusive FIFO of packets linked through Packet.next:
-// 24 bytes whether empty or not, and no buffer to grow, so an empty
-// queue costs nothing beyond its header and a steady-state queue never
-// allocates.  A packet sits in at most one queue at a time — queued, in
-// flight and free are disjoint states, and every move between queues
-// (forwarding, failover's drain and filter passes) pops or unlinks
-// before it pushes — so one link field suffices.  A packet outside
-// every queue holds no link: push, pop and unlinkFirst all clear it.
+// pktQueue is an intrusive FIFO of packets linked through Packet.next
+// into a ring: the queue keeps only its tail, whose link is the head,
+// so a header is 16 bytes whether the queue is empty or not, and there
+// is no buffer to grow, so an empty queue costs nothing beyond its
+// header and a steady-state queue never allocates.  A packet sits in at
+// most one queue at a time — queued, in flight and free are disjoint
+// states, and every move between queues (forwarding, failover's drain
+// and filter passes) pops or unlinks before it pushes — so one link
+// field suffices.  A packet outside every queue holds no link: pop and
+// unlinkFirst clear it.  Walks go from front to tail through after,
+// never through the raw links, which close the ring.
 //
 // Under the input-queued models a switch input buffer is also read by
 // output port (Packet.out): the first packet bound for output j is the
@@ -239,18 +242,33 @@ func (sh *shard) freePacket(pkt *Packet) {
 // the middle of the chain.  Those walks visit at most the packets the
 // buffer holds, which credit bounds (see voqState).
 type pktQueue struct {
-	head, tail *Packet
-	n          int
+	tail *Packet // nil when empty; tail.next is the head
+	n    int
 }
 
-func (q *pktQueue) len() int       { return q.n }
-func (q *pktQueue) front() *Packet { return q.head }
+func (q *pktQueue) len() int { return q.n }
+
+// front returns the head packet, nil when the queue is empty.
+func (q *pktQueue) front() *Packet {
+	if q.tail == nil {
+		return nil
+	}
+	return q.tail.next
+}
+
+// after returns the packet behind p in q, nil when p is the tail.
+func (q *pktQueue) after(p *Packet) *Packet {
+	if p == q.tail {
+		return nil
+	}
+	return p.next
+}
 
 func (q *pktQueue) push(p *Packet) {
-	p.next = nil
 	if q.tail == nil {
-		q.head = p
+		p.next = p
 	} else {
+		p.next = q.tail.next
 		q.tail.next = p
 	}
 	q.tail = p
@@ -258,10 +276,11 @@ func (q *pktQueue) push(p *Packet) {
 }
 
 func (q *pktQueue) pop() *Packet {
-	p := q.head
-	q.head = p.next
-	if q.head == nil {
+	p := q.tail.next
+	if p == q.tail {
 		q.tail = nil
+	} else {
+		q.tail.next = p.next
 	}
 	p.next = nil
 	q.n--
@@ -271,59 +290,76 @@ func (q *pktQueue) pop() *Packet {
 // firstFor returns the first packet in q bound for output port out, nil
 // when none is.
 func (q *pktQueue) firstFor(out uint8) *Packet {
-	for p := q.head; p != nil; p = p.next {
+	t := q.tail
+	if t == nil {
+		return nil
+	}
+	for p := t.next; ; p = p.next {
 		if p.out == out {
 			return p
 		}
+		if p == t {
+			return nil
+		}
 	}
-	return nil
 }
 
 // countFor returns the number of packets in q bound for output port out.
 func (q *pktQueue) countFor(out uint8) int {
+	t := q.tail
+	if t == nil {
+		return 0
+	}
 	k := 0
-	for p := q.head; p != nil; p = p.next {
+	for p := t.next; ; p = p.next {
 		if p.out == out {
 			k++
 		}
+		if p == t {
+			return k
+		}
 	}
-	return k
 }
 
 // unlinkFirst removes and returns the first packet in q bound for output
 // port out; q must hold one.  The packets around it keep their order.
 func (q *pktQueue) unlinkFirst(out uint8) *Packet {
-	var prev *Packet
-	p := q.head
+	prev := q.tail
+	p := prev.next
 	for p.out != out {
 		prev, p = p, p.next
 	}
-	if prev == nil {
-		q.head = p.next
-	} else {
+	switch {
+	case p == prev: // the only packet
+		q.tail = nil
+	case p == q.tail:
 		prev.next = p.next
-	}
-	if q.tail == p {
 		q.tail = prev
+	default:
+		prev.next = p.next
 	}
 	p.next = nil
 	q.n--
 	return p
 }
 
-// wireBytes walks the chain and returns the wire bytes it holds, for
-// CheckBuffers.  It fails unless the chain is well formed: a walk from
-// head reaches tail in exactly n steps, tail ends the chain, and an
-// empty queue holds neither end.
+// wireBytes walks the ring and returns the wire bytes it holds, for
+// CheckBuffers.  It fails unless the ring is well formed: n steps from
+// the head reach the tail and close the ring, no earlier step meets
+// the tail, and an empty queue holds no tail.
 func (q *pktQueue) wireBytes() (int, error) {
 	if q.n == 0 {
-		if q.head != nil || q.tail != nil {
-			return 0, fmt.Errorf("empty queue still holds head %p, tail %p", q.head, q.tail)
+		if q.tail != nil {
+			return 0, fmt.Errorf("empty queue still holds tail %p", q.tail)
 		}
 		return 0, nil
 	}
+	if q.tail == nil {
+		return 0, fmt.Errorf("queue of %d packets holds no tail", q.n)
+	}
+	head := q.tail.next
 	wire := 0
-	p := q.head
+	p := head
 	for k := 1; k < q.n; k++ {
 		if p == nil || p == q.tail {
 			return 0, fmt.Errorf("a walk from head ends after %d of %d packets", k, q.n)
@@ -331,11 +367,8 @@ func (q *pktQueue) wireBytes() (int, error) {
 		wire += p.Wire
 		p = p.next
 	}
-	if p == nil || p != q.tail {
+	if p != q.tail {
 		return 0, fmt.Errorf("a walk of %d packets does not end at tail", q.n)
-	}
-	if p.next != nil {
-		return 0, fmt.Errorf("tail links on to another packet")
 	}
 	return wire + p.Wire, nil
 }

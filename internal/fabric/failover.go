@@ -722,7 +722,7 @@ func (rec *Recovery) drainDead() {
 					rec.reinjectOrLose(sh, in.queues[vl].pop())
 				}
 			}
-			in.occ = [arbtable.NumVLs]int{}
+			in.occ = [arbtable.NumVLs]int32{}
 		}
 	}
 	for h, node := range n.hosts {
@@ -775,7 +775,7 @@ func (rec *Recovery) sweepSurvivors() {
 				for k, cnt := 0, q.len(); k < cnt; k++ {
 					pkt := q.pop()
 					if rec.hostDead[pkt.Dst] || !rec.routableSw(s, pkt.Dst) {
-						in.occ[vl] -= pkt.Wire
+						in.occ[vl] -= int32(pkt.Wire)
 						rec.counters.PacketsDrained++
 						rec.lose(sh, pkt)
 						continue
@@ -845,7 +845,7 @@ func (rec *Recovery) dropArrival(sh *shard, out *outPort, pkt *Packet) bool {
 	// Unreachable destination at a surviving switch: return the credit
 	// its transmit consumed and re-kick the sender, then account the
 	// loss.
-	n.switches[s].in[out.downPort].occ[pkt.VL] -= pkt.Wire
+	n.switches[s].in[out.downPort].occ[pkt.VL] -= int32(pkt.Wire)
 	rec.lose(sh, pkt)
 	if out.code < 0 {
 		sh.kickHost(int(-out.code) - 1)

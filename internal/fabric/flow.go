@@ -120,6 +120,7 @@ type Packet struct {
 	gen uint32
 
 	// next links the packet to the one behind it in the pktQueue that
-	// holds it; nil at a queue's tail and outside every queue.
+	// holds it — the tail's links back to the head — and is nil outside
+	// every queue.
 	next *Packet
 }

@@ -195,20 +195,20 @@ func cyclicFrom(set uint32, rr int) [2]uint32 {
 // order — or -1.  down is the credit view of the downstream buffer
 // (nil for hosts).
 func (n *Network) mgmtCandidate(node *swNode, out *outPort, p int, now int64,
-	down *[arbtable.NumVLs]int, capacity int) int {
+	down *[arbtable.NumVLs]int32, capacity int) int {
 	const vl = arbtable.MgmtVL
 	set := node.heads.cand[p*arbtable.NumVLs+vl]
 	if set == 0 {
 		return -1
 	}
-	for _, w := range cyclicFrom(set, out.rr[vl]) {
+	for _, w := range cyclicFrom(set, int(out.rr[vl])) {
 		for ; w != 0; w &= w - 1 {
 			i := bits.TrailingZeros32(w)
 			in := &node.in[i]
 			if in.busyUntil > now {
 				continue
 			}
-			if down != nil && down[vl]+in.queues[vl].front().Wire > capacity {
+			if down != nil && int(down[vl])+in.queues[vl].front().Wire > capacity {
 				continue
 			}
 			return i
@@ -228,14 +228,14 @@ func (n *Network) mgmtCandidate(node *swNode, out *outPort, p int, now int64,
 // eligible input in round-robin order from out.rr.  It reports whether
 // it found any candidate.
 func (n *Network) dataCandidates(node *swNode, out *outPort, p int, now int64,
-	down *[arbtable.NumVLs]int, capacity int,
+	down *[arbtable.NumVLs]int32, capacity int,
 	ready *arbtable.Ready, src *[arbtable.NumDataVLs]int, srcVL *[arbtable.NumDataVLs]uint8) (found bool) {
 	hx := node.heads
 	s := node.id
 nextVL:
 	for vls := hx.vls[p] & dataVLMask; vls != 0; vls &= vls - 1 {
 		invl := bits.TrailingZeros16(vls)
-		for _, w := range cyclicFrom(hx.cand[p*arbtable.NumVLs+invl], out.rr[invl]) {
+		for _, w := range cyclicFrom(hx.cand[p*arbtable.NumVLs+invl], int(out.rr[invl])) {
 			for ; w != 0; w &= w - 1 {
 				i := bits.TrailingZeros32(w)
 				in := &node.in[i]
@@ -250,7 +250,7 @@ nextVL:
 						continue // lane claimed by an earlier input VL
 					}
 				}
-				if down != nil && down[outvl]+pkt.Wire > capacity {
+				if down != nil && int(down[outvl])+pkt.Wire > capacity {
 					continue // no credit toward the next switch
 				}
 				ready[outvl] = pkt.Wire

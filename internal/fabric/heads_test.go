@@ -39,7 +39,7 @@ func scanReady(n *Network, s, p int) candidates {
 	{
 		vl := arbtable.MgmtVL
 		for k := 0; k < P; k++ {
-			i := (out.rr[vl] + k) % P
+			i := (int(out.rr[vl]) + k) % P
 			in := &node.in[i]
 			q := &in.queues[vl]
 			if q.len() == 0 || in.busyUntil > now {
@@ -49,7 +49,7 @@ func scanReady(n *Network, s, p int) candidates {
 			if n.Routes.NextPort(s, pkt.Dst) != p {
 				continue
 			}
-			if down != nil && down[vl]+pkt.Wire > capacity {
+			if down != nil && int(down[vl])+pkt.Wire > capacity {
 				continue
 			}
 			c.mgmt = i
@@ -58,7 +58,7 @@ func scanReady(n *Network, s, p int) candidates {
 	}
 	for invl := 0; invl < arbtable.NumDataVLs; invl++ {
 		for k := 0; k < P; k++ {
-			i := (out.rr[invl] + k) % P
+			i := (int(out.rr[invl]) + k) % P
 			in := &node.in[i]
 			q := &in.queues[invl]
 			if q.len() == 0 || in.busyUntil > now {
@@ -75,7 +75,7 @@ func scanReady(n *Network, s, p int) candidates {
 					continue // lane claimed by an earlier input VL
 				}
 			}
-			if down != nil && down[outvl]+pkt.Wire > capacity {
+			if down != nil && int(down[outvl])+pkt.Wire > capacity {
 				continue // no credit toward the next switch
 			}
 			c.ready[outvl] = pkt.Wire

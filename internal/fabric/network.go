@@ -453,6 +453,7 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 	// Mark the boundary ends of every cross-shard link.  Only
 	// switch-to-switch links can cross (hosts follow their attachment
 	// switch), so host paths never consult the mirrors.
+	crossing := 0
 	for s, node := range n.switches {
 		own := part.ShardOfSwitch(s)
 		for p := range node.out {
@@ -461,11 +462,22 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 				if dsh := part.ShardOfSwitch(op.downSwitch); dsh != own {
 					op.boundary = true
 					op.downShard = int32(dsh)
+					crossing++
 				}
 			}
 			ip := &node.in[p]
 			if ip.upSwitch >= 0 && part.ShardOfSwitch(ip.upSwitch) != own {
 				ip.upBoundary = true
+			}
+		}
+	}
+	// Only the sending end of a boundary link keeps a credit mirror,
+	// carved from one slab; a run on one shard carves none.
+	mirrors := make([][arbtable.NumVLs]int32, crossing)
+	for _, node := range n.switches {
+		for p := range node.out {
+			if op := &node.out[p]; op.boundary {
+				op.bOcc = &carve(&mirrors, 1)[0]
 			}
 		}
 	}
@@ -802,7 +814,7 @@ func (sh *shard) tryHost(h int) {
 
 	// Subnet management (VL 15) preempts all data lanes.
 	if q := &host.queues[arbtable.MgmtVL]; q.len() > 0 &&
-		down.occ[arbtable.MgmtVL]+q.front().Wire <= capacity {
+		int(down.occ[arbtable.MgmtVL])+q.front().Wire <= capacity {
 		sh.transmit(&host.out, q.pop(), -1, arbtable.MgmtVL)
 		return
 	}
@@ -813,7 +825,7 @@ func (sh *shard) tryHost(h int) {
 		if q.len() == 0 {
 			continue
 		}
-		if down.occ[vl]+q.front().Wire > capacity {
+		if int(down.occ[vl])+q.front().Wire > capacity {
 			continue // no credit
 		}
 		ready[vl] = q.front().Wire
@@ -834,7 +846,7 @@ func (sh *shard) tryHost(h int) {
 		lp := host.out.arb.Last()
 		t.Record(metrics.TraceEvent{
 			Time: now, Port: hostTraceID(h), VL: uint8(vl),
-			High: lp.High, Entry: int16(lp.Entry), WeightLeft: int32(lp.Residual),
+			High: lp.High, Entry: int16(lp.Entry), WeightLeft: lp.Residual,
 		})
 	}
 	sh.transmit(&host.out, pkt, -1, pkt.VL)
@@ -1040,7 +1052,7 @@ func (sh *shard) trySwitch(s, p int) {
 		lp := out.arb.Last()
 		t.Record(metrics.TraceEvent{
 			Time: now, Port: n.switchTraceID(s, p), VL: uint8(vl),
-			High: lp.High, Entry: int16(lp.Entry), WeightLeft: int32(lp.Residual),
+			High: lp.High, Entry: int16(lp.Entry), WeightLeft: lp.Residual,
 		})
 	}
 	if n.OnForward != nil {
@@ -1059,7 +1071,7 @@ func (sh *shard) takeHead(node *swNode, out *outPort, p, i, vl int, now int64) *
 	q := &in.queues[vl]
 	pkt := q.pop()
 	n.headPopped(node, q, p, vl, i)
-	out.rr[vl] = (i + 1) % len(node.out)
+	out.rr[vl] = uint8((i + 1) % len(node.out))
 	xfer := int64(pkt.Wire) / int64(n.Cfg.CrossbarSpeedup)
 	if xfer < 1 {
 		xfer = 1
@@ -1093,10 +1105,10 @@ func (sh *shard) transmit(out *outPort, pkt *Packet, srcCode int32, srcVL uint8)
 			// Cross-shard link: consume credit on the local mirror; the
 			// receiver accounts its real occupancy when the packet
 			// lands, and batched returns repay the mirror at barriers.
-			out.bOcc[pkt.VL] += pkt.Wire
+			out.bOcc[pkt.VL] += int32(pkt.Wire)
 		} else {
 			down := &n.switches[out.downSwitch].in[out.downPort]
-			down.occ[pkt.VL] += pkt.Wire // credit consumed at send time
+			down.occ[pkt.VL] += int32(pkt.Wire) // credit consumed at send time
 		}
 	}
 
@@ -1135,7 +1147,7 @@ func (sh *shard) arrive(out *outPort, pkt *Packet) {
 	node := n.switches[s]
 	in := &node.in[out.downPort]
 	if out.boundary {
-		in.occ[pkt.VL] += pkt.Wire
+		in.occ[pkt.VL] += int32(pkt.Wire)
 	}
 	if n.model != ModelWRR {
 		sh.voqEnqueue(s, out.downPort, pkt)
@@ -1364,7 +1376,7 @@ func (n *Network) CheckBuffers() error {
 		for p := range s.in {
 			in := &s.in[p]
 			for vl := 0; vl < arbtable.NumVLs; vl++ {
-				occ := in.occ[vl]
+				occ := int(in.occ[vl])
 				if occ < 0 {
 					return fmt.Errorf("fabric: switch %d port %d VL %d occupancy %d < 0", s.id, p, vl, occ)
 				}
@@ -1397,14 +1409,14 @@ func (n *Network) CheckBuffers() error {
 			if !out.boundary {
 				continue
 			}
-			for vl := 0; vl < arbtable.NumVLs; vl++ {
-				if out.bOcc[vl] < 0 {
+			for vl, occ := range out.bOcc {
+				if occ < 0 {
 					return fmt.Errorf("fabric: switch %d port %d VL %d boundary mirror %d < 0",
-						s.id, p, vl, out.bOcc[vl])
+						s.id, p, vl, occ)
 				}
-				if out.bOcc[vl] > capacity {
+				if int(occ) > capacity {
 					return fmt.Errorf("fabric: switch %d port %d VL %d boundary mirror %d > capacity %d",
-						s.id, p, vl, out.bOcc[vl], capacity)
+						s.id, p, vl, occ, capacity)
 				}
 			}
 		}

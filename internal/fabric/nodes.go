@@ -13,7 +13,7 @@ import (
 // overcommitted while a packet is on the wire.
 type inPort struct {
 	queues [arbtable.NumVLs]pktQueue
-	occ    [arbtable.NumVLs]int // reserved bytes per VL buffer
+	occ    [arbtable.NumVLs]int32 // reserved bytes per VL buffer
 	// busyUntil models the multiplexed crossbar: only one VL of an
 	// input port can be transmitting through the switch at a time.
 	busyUntil int64
@@ -38,7 +38,6 @@ type inPort struct {
 type outPort struct {
 	arb       *arbtable.Arbiter // nil on unwired switch ports, which never arbitrate
 	busyUntil int64
-	pending   bool // a kick event is already scheduled
 	// wakeAt is the end of the fault window the port last posted a
 	// wake-up for (see faultBlocked); 0 before the first.
 	wakeAt int64
@@ -51,11 +50,13 @@ type outPort struct {
 	// code is this port's typed-event operand (see portCode): the
 	// scheduling-pass and transmit-completion events name the port by
 	// it instead of capturing it in a closure.
-	code int32
+	code    int32
+	pending bool // a kick event is already scheduled
 
 	// Round-robin cursor among input ports, per VL, so equal-VL heads
-	// at different inputs share the output fairly.
-	rr [arbtable.NumVLs]int
+	// at different inputs share the output fairly.  A switch has at
+	// most topology.SwitchPorts inputs, so a byte holds it.
+	rr [arbtable.NumVLs]uint8
 
 	// Downstream end of the link: a switch input port (downSwitch >=
 	// 0) or a host (downHost >= 0); wired is false for unused ports.
@@ -71,9 +72,11 @@ type outPort struct {
 	// instead of reaching into the peer shard's memory.  The mirror
 	// is conservative (it still counts packets in flight and credits
 	// not yet returned), so boundary buffers cannot be overcommitted.
+	// Only boundary ports have one (NewWithTopology carves them); bOcc
+	// is nil everywhere else.
 	boundary  bool
 	downShard int32
-	bOcc      [arbtable.NumVLs]int
+	bOcc      *[arbtable.NumVLs]int32
 
 	// Meter counts bytes put on the wire during the measurement
 	// window (Table 2 utilization rows).

@@ -123,7 +123,7 @@ func TestPacketQueueDifferential(t *testing.T) {
 						t.Fatalf("seed %d step %d: queue %d position %d holds %v, reference packet %d", seed, step, i, k, p, r.Wire)
 					}
 					want += r.Wire
-					p = p.next
+					p = q[i].after(p)
 				}
 				if wire != want {
 					t.Fatalf("seed %d step %d: queue %d walks to %d wire bytes, reference %d", seed, step, i, wire, want)

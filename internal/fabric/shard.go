@@ -124,12 +124,12 @@ func (n *Network) Parallel() bool { return len(n.shards) > 1 }
 // out's downstream buffer must consult: the receiver's real occupancy
 // for intra-shard links, the sender-side mirror for boundary links,
 // nil when the downstream is a host (hosts consume at link rate).
-func (n *Network) occView(out *outPort) *[arbtable.NumVLs]int {
+func (n *Network) occView(out *outPort) *[arbtable.NumVLs]int32 {
 	if out.downSwitch < 0 {
 		return nil
 	}
 	if out.boundary {
-		return &out.bOcc
+		return out.bOcc
 	}
 	return &n.switches[out.downSwitch].in[out.downPort].occ
 }
@@ -152,7 +152,7 @@ func (n *Network) flushBoundary() {
 	for _, sh := range n.shards {
 		for _, cr := range sh.credits {
 			out := n.outPortByCode(cr.code)
-			out.bOcc[cr.vl] -= int(cr.wire)
+			out.bOcc[cr.vl] -= cr.wire
 			s, p := switchPort(cr.code)
 			n.shardForSwitch(s).creditSwitch(s, p)
 		}

@@ -73,7 +73,7 @@ func TestTableSwapWakesPort(t *testing.T) {
 						pkt := sh.newPacket(f, f.VL, f.Dst, f.Wire, 0, 0)
 						f.genPkts++
 						sh.totalInjected++
-						n.switches[host.downSwitch].in[host.downPort].occ[pkt.VL] += pkt.Wire
+						n.switches[host.downSwitch].in[host.downPort].occ[pkt.VL] += int32(pkt.Wire)
 						sh.arrive(host, pkt)
 					}
 

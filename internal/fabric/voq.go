@@ -469,7 +469,7 @@ func (sh *shard) voqEnqueue(s, in int, pkt *Packet) {
 // head packet with downstream credit on its outgoing lane.  down is the
 // occupancy view of output j's downstream buffer (see occView): nil for
 // a host, the boundary mirror for a cross-shard link.
-func (n *Network) voqEligible(node *swNode, down *[arbtable.NumVLs]int, i, j, capacity int) bool {
+func (n *Network) voqEligible(node *swNode, down *[arbtable.NumVLs]int32, i, j, capacity int) bool {
 	v := node.voq
 	vls := v.nonEmpty[i*v.r+j] & dataVLMask
 	if vls == 0 {
@@ -485,7 +485,7 @@ func (n *Network) voqEligible(node *swNode, down *[arbtable.NumVLs]int, i, j, ca
 		if n.planes > 1 {
 			outvl = int(n.Routes.HopVL(node.id, pkt.Dst, pkt.Base))
 		}
-		if down[outvl]+pkt.Wire <= capacity {
+		if int(down[outvl])+pkt.Wire <= capacity {
 			return true
 		}
 	}
@@ -580,10 +580,10 @@ func (n *Network) voqMgmtCandidate(node *swNode, j int, inFree uint32, capacity 
 	}
 	out := &node.out[j]
 	down := n.occView(out)
-	for _, w := range cyclicFrom(set, out.rr[vl]) {
+	for _, w := range cyclicFrom(set, int(out.rr[vl])) {
 		for ; w != 0; w &= w - 1 {
 			i := bits.TrailingZeros32(w)
-			if down == nil || down[vl]+node.voqHead(i, j, vl).Wire <= capacity {
+			if down == nil || int(down[vl])+node.voqHead(i, j, vl).Wire <= capacity {
 				return i
 			}
 		}
@@ -619,7 +619,7 @@ func (sh *shard) voqSched(s int) {
 			continue
 		}
 		pkt := node.voqPop(i, j, arbtable.MgmtVL)
-		node.out[j].rr[arbtable.MgmtVL] = (i + 1) % v.r
+		node.out[j].rr[arbtable.MgmtVL] = uint8((i + 1) % v.r)
 		inFree &^= 1 << i
 		outFree &^= 1 << j
 		sh.voqTransmit(node, pkt, i, j, arbtable.MgmtVL, now)
@@ -700,7 +700,7 @@ func (sh *shard) voqServe(node *swNode, i, j, capacity int, now int64) {
 				continue // lane claimed by an earlier input VL
 			}
 		}
-		if down != nil && down[outvl]+pkt.Wire > capacity {
+		if down != nil && int(down[outvl])+pkt.Wire > capacity {
 			continue
 		}
 		ready[outvl] = pkt.Wire
@@ -724,7 +724,7 @@ func (sh *shard) voqServe(node *swNode, i, j, capacity int, now int64) {
 		lp := out.arb.Last()
 		t.Record(metrics.TraceEvent{
 			Time: now, Port: n.switchTraceID(node.id, j), VL: uint8(vl),
-			High: lp.High, Entry: int16(lp.Entry), WeightLeft: int32(lp.Residual),
+			High: lp.High, Entry: int16(lp.Entry), WeightLeft: lp.Residual,
 		})
 	}
 	if n.OnVOQDequeue != nil {
@@ -767,7 +767,8 @@ func (n *Network) checkVOQ(node *swNode) error {
 	for i := 0; i < v.r; i++ {
 		var row [topology.SwitchPorts]uint16 // row[j]: VLs buffering a packet for j
 		for vl := range node.in[i].queues {
-			for pkt := node.in[i].queues[vl].front(); pkt != nil; pkt = pkt.next {
+			q := &node.in[i].queues[vl]
+			for pkt := q.front(); pkt != nil; pkt = q.after(pkt) {
 				j := int(pkt.out)
 				if route := n.Routes.NextPort(node.id, pkt.Dst); j != route {
 					return fmt.Errorf("fabric: switch %d input %d VL %d buffers a packet to host %d for output %d, routes say %d",

@@ -27,11 +27,11 @@ type voqSwitchState struct {
 	pending   int
 	delivered int64
 	islip     ISLIPState
-	rr        [pP][arbtable.NumVLs]int
+	rr        [pP][arbtable.NumVLs]uint8
 	arbs      [pP]arbtable.Arbiter
 	outBusy   [pP]int64
 	inBusy    [pP]int64
-	downOcc   [pP][arbtable.NumVLs]int
+	downOcc   [pP][arbtable.NumVLs]int32
 }
 
 func snapshotVOQSwitch(n *Network, s int, qlen []int) (voqSwitchState, []int) {

@@ -251,7 +251,8 @@ func scanRequests(n *Network, s int) voqPass {
 	now := n.shardForSwitch(s).eng.Now()
 	capacity := n.bufferCapacity()
 	head := func(i, j, vl int) *Packet {
-		for pkt := node.in[i].queues[vl].front(); pkt != nil; pkt = pkt.next {
+		q := &node.in[i].queues[vl]
+		for pkt := q.front(); pkt != nil; pkt = q.after(pkt) {
 			if n.Routes.NextPort(s, pkt.Dst) == j {
 				return pkt
 			}
@@ -291,7 +292,7 @@ func scanRequests(n *Network, s int) voqPass {
 		out := &node.out[j]
 		down := n.occView(out)
 		for k := 0; k < P; k++ {
-			i := (out.rr[arbtable.MgmtVL] + k) % P
+			i := (int(out.rr[arbtable.MgmtVL]) + k) % P
 			if inFree&(1<<i) == 0 {
 				continue
 			}
@@ -299,7 +300,7 @@ func scanRequests(n *Network, s int) voqPass {
 			if pkt == nil {
 				continue
 			}
-			if down != nil && down[arbtable.MgmtVL]+pkt.Wire > capacity {
+			if down != nil && int(down[arbtable.MgmtVL])+pkt.Wire > capacity {
 				continue
 			}
 			pass.mgmt[j] = int8(i)
@@ -327,7 +328,7 @@ func scanRequests(n *Network, s int) voqPass {
 				if n.planes > 1 {
 					outvl = int(n.Routes.HopVL(node.id, pkt.Dst, pkt.Base))
 				}
-				if down == nil || down[outvl]+pkt.Wire <= capacity {
+				if down == nil || int(down[outvl])+pkt.Wire <= capacity {
 					pass.req[i] |= 1 << j
 					break
 				}
@@ -489,7 +490,8 @@ func auditMatches(t *testing.T, n *Network) *matchAuditor {
 				for ; row != 0; row &= row - 1 {
 					j := bits.TrailingZeros32(row)
 					for vl := 0; vl < arbtable.NumVLs; vl++ {
-						for pkt := node.in[i].queues[vl].front(); pkt != nil; pkt = pkt.next {
+						q := &node.in[i].queues[vl]
+						for pkt := q.front(); pkt != nil; pkt = q.after(pkt) {
 							if n.Routes.NextPort(sw, pkt.Dst) == j {
 								w[i][j]++
 							}

@@ -185,7 +185,7 @@ type wrrPortState struct {
 	delivered int64
 	out       outPort
 	arb       arbtable.Arbiter
-	downOcc   [arbtable.NumVLs]int
+	downOcc   [arbtable.NumVLs]int32
 }
 
 func snapshotWRRPort(n *Network, sh *shard, out *outPort) wrrPortState {

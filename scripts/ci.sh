@@ -150,7 +150,7 @@ echo "==> go test -race -run TestArbiterIndex ./internal/arbtable (high-table sl
 # audit and the bench smoke below cover them too.
 go test -race -run 'TestArbiterIndex' -count=1 ./internal/arbtable
 
-echo "==> go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestReleaseStale|TestDeliverBlock|TestApply' ./internal/core (fill-in occupancy-mask, canonical-layout, stale-token and delta-completion differentials)"
+echo "==> go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestReleaseStale|TestDeliverBlock|TestApply|TestStagingPool' ./internal/core (fill-in occupancy-mask, canonical-layout, stale-token, delta-completion and staging-pool differentials)"
 # The allocator keeps slot ownership as one 64-bit word, the live
 # sequences as an ID-ordered list and the reserved weight as a running
 # total instead of walking an owner array and a map; the differential
@@ -175,8 +175,15 @@ echo "==> go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestRele
 # wrong totals, off-delta and altered blocks, cancels — and compares
 # every outcome, error text, active table, version and counter;
 # TestApplyMatchesDelivery holds the synchronous Apply to BeginProgram
-# plus delivery of every block over random histories.
-go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestReleaseStale|TestDeliverBlock|TestApply' -count=1 ./internal/core
+# plus delivery of every block over random histories.  A port holds its
+# transaction's staging (target, staged blocks, version) only while the
+# transaction is open, in a record from a free list its slab's ports
+# share: TestStagingPoolShared interleaves BeginProgram, deliveries,
+# torn aborts and cancels across such ports with records poisoned on
+# return, and requires after every step that no record backs two open
+# transactions or sits on the free list while open, and that the pool
+# holds as many records as transactions were ever open at once.
+go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestReleaseStale|TestDeliverBlock|TestApply|TestStagingPool' -count=1 ./internal/core
 
 echo "==> go test -race -run TestEngineWheel ./internal/sim (timing-wheel event-queue differential)"
 # The engine finds its next event in a ring of per-byte-time FIFO
@@ -219,12 +226,17 @@ echo "==> go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChu
 # termination tests (both run at two parallel shards) join the gate.
 go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChurnTerminates' -count=1 ./internal/fabric ./internal/experiments
 
-echo "==> go test -run AllocBudget . and TestVOQStateSizedByRadix ./internal/fabric (zero-alloc hot-path and memory gate)"
-# The heap a fresh k=8 network holds per switch, at most 30 000 B under
-# either switch model (the VOQs index the input buffers and hold no
-# packets of their own), and a Packet of at most 64 bytes;
-# TestVOQStateSizedByRadix holds a VOQ-iSLIP switch of the k=8 and k=16
-# fat-trees to at most 4 kB more heap than its WRR twin;
+echo "==> go test -run AllocBudget . and 'TestVOQStateSizedByRadix|TestPortRecordSizes' ./internal/fabric (zero-alloc hot-path and memory gate)"
+# The heap a fresh k=8 network holds per switch, at most 17 000 B (WRR)
+# and 17 400 B (VOQ-iSLIP) (the VOQs index the input buffers and hold
+# no packets of their own; transaction staging and boundary-credit
+# mirrors exist only where a port uses them), and a Packet of at most
+# 64 bytes; TestVOQStateSizedByRadix holds a VOQ-iSLIP switch of the k=8
+# and k=16 fat-trees to at most 4 kB more heap than its WRR twin; the
+# record-size gates hold a core.PortTable to 88 bytes
+# (TestAllocBudgetFillIn) and the fabric's per-port records — inPort,
+# outPort, hostNode, pktQueue — to 360, 112, 376 and 16 bytes
+# (TestPortRecordSizes);
 # testing.AllocsPerRun budgets: 0 allocs/op on arbiter pick, on the
 # event queue's Post + Step (near, far, timer + Cancel) and on a full
 # per-hop packet forwarding step with metrics disabled; the
@@ -244,7 +256,7 @@ echo "==> go test -run AllocBudget . and TestVOQStateSizedByRadix ./internal/fab
 # dozen slices, at most 150 kB, per k=8 CDG proof.  Must run without
 # -race (the detector's instrumentation allocates).
 go test -run 'AllocBudget' -count=1 .
-go test -run 'TestVOQStateSizedByRadix' -count=1 ./internal/fabric
+go test -run 'TestVOQStateSizedByRadix|TestPortRecordSizes' -count=1 ./internal/fabric
 
 echo "==> go test -bench 'BenchmarkVOQForward|BenchmarkPerHopForwarding|BenchmarkReconfiguration|BenchmarkSweepWorkers/workers=2' -benchtime 1x . (root benchmarks smoke)"
 # One iteration each, so the benchmarks behind the 0 allocs/op reports of
