@@ -220,9 +220,9 @@ func TestAllocBudgetVOQForwarding(t *testing.T) {
 
 // Heap a fresh k=8 fat-tree network may hold per switch, everything it
 // retains included: routes, arbitration tables, admission state, the
-// switches' port slices and input buffers, and under the input-queued
-// model the occupancy words and request columns of the VOQs, which
-// index the input buffers instead of holding packets of their own.
+// switches' port slices and input buffers, and the request index over
+// those buffers, whose any-packet view is the VOQs: they index the
+// input buffers instead of holding packets of their own.
 // Switches with 32 ports whatever their radix and ring-buffer queues
 // held 59.7 kB (WRR) and 100.9 kB (VOQ-iSLIP); a 24-byte header per
 // (input, output, VL) queue held about 50 kB (VOQ-iSLIP).  With every
@@ -230,7 +230,8 @@ func TestAllocBudgetVOQForwarding(t *testing.T) {
 // port a boundary-credit mirror, used or not, a switch held 22.4 kB
 // (WRR) and 22.7 kB (VOQ-iSLIP); without them, and with narrower
 // counters, cursors and queue headers, 15.5 and 15.8 kB.  The budgets
-// are those plus about 10 %.
+// are those plus about 10 %.  Since both models keep one request index
+// with both its views, a switch holds 15.9 and 16.5 kB.
 const (
 	fabricBytesPerSwitchWRR = 17_000
 	fabricBytesPerSwitchVOQ = 17_400
@@ -279,7 +280,7 @@ func TestAllocBudgetFabricBytes(t *testing.T) {
 }
 
 // The objects a k=8 fabric costs to set up.  NewWithTopology carves its
-// hosts, switches, arbiters and candidate or VOQ indexes from
+// hosts, switches, arbiters and request indexes from
 // per-network slabs, and admission.NewPorts every port's table,
 // allocator, shadow and active tables and low lists from three more
 // (and their shared transaction staging free list, one object), so

@@ -121,6 +121,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-switches", []string{"-exp", "churn", "-scale", "tiny", "-switches", "1"}},
 		{"-bench-shards", []string{"-exp", "shardbench", "-bench-k", "4", "-bench-shards", "200"}},
 		{"-bench-horizon", []string{"-exp", "shardbench", "-scale", "tiny", "-bench-horizon", "-5"}},
+		// A topology shape no generator builds is refused naming the
+		// shape's flags, not deep inside the first shard count.
+		{"-bench-k", []string{"-exp", "shardbench", "-scale", "tiny", "-bench-k", "0"}},
+		{"-bench-k", []string{"-exp", "shardbench", "-scale", "tiny", "-bench-k", "3"}},
+		{"-bench-k", []string{"-exp", "shardbench", "-scale", "tiny", "-bench-k", "64"}},
+		{"-bench-a", []string{"-exp", "shardbench", "-scale", "tiny", "-bench-class", "dragonfly", "-bench-a", "0"}},
+		{"-bench-h", []string{"-exp", "shardbench", "-scale", "tiny", "-bench-class", "dragonfly", "-bench-h", "0"}},
+		{"-bench-p", []string{"-exp", "shardbench", "-scale", "tiny", "-bench-class", "dragonfly", "-bench-p", "40"}},
 		// More shards than a fabric has switches, and a trace of one
 		// engine under several, are refused naming the flags.
 		{"-shards", []string{"-exp", "churn", "-scale", "tiny", "-shards", "8"}},

@@ -236,10 +236,18 @@ var registry = []experiment{
 			bp := experiments.ShardBenchDefault()
 			override(&bp.Seed, c.seed)
 			override(&bp.HorizonBT, c.benchHorizon)
+			// A shape no topology can be built at is refused naming its
+			// flags, before any shard count runs.
 			switch c.benchClass {
 			case "fattree":
+				if _, err := topology.NewFatTreeLayout(c.benchK); err != nil {
+					return result{}, fmt.Errorf("-bench-k %d: %w", c.benchK, err)
+				}
 				bp.Spec = topology.Spec{Class: topology.FatTree, K: c.benchK}
 			case "dragonfly":
+				if _, err := topology.NewDragonflyLayout(c.benchA, c.benchP, c.benchH); err != nil {
+					return result{}, fmt.Errorf("-bench-a %d -bench-p %d -bench-h %d: %w", c.benchA, c.benchP, c.benchH, err)
+				}
 				bp.Spec = topology.Spec{Class: topology.Dragonfly, A: c.benchA, P: c.benchP, H: c.benchH}
 			default:
 				return result{}, fmt.Errorf("unknown -bench-class %q (want fattree or dragonfly)", c.benchClass)

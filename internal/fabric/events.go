@@ -34,8 +34,8 @@ const (
 	// evKickSwitch re-arms switch A's output port B at a future time.
 	evKickSwitch
 	// evInputFree fires when input port B of switch A finishes its
-	// crossbar transfer: the output ports fed by its head packets get
-	// kicked.
+	// crossbar transfer: the switch rule re-arms what the freed slot
+	// may feed.
 	evInputFree
 	// evXmitDone fires when a packet has fully left its source buffer:
 	// A is the transmitting out-port code, B the source switch-input
@@ -97,11 +97,11 @@ func (sh *shard) HandleEvent(ev sim.Event) {
 	case evKickSwitch:
 		sh.kickSwitch(int(ev.A), int(ev.B))
 	case evInputFree:
-		sh.kickHeadsOfInput(int(ev.A), int(ev.B))
+		n.rule.inputFreed(sh, int(ev.A), int(ev.B))
 	case evXmitDone:
 		sh.xmitDone(ev.A, ev.B, int(ev.N>>32), int(int32(ev.N)))
 	case evVOQSched:
-		n.switches[ev.A].voq.pending = false
+		n.switches[ev.A].xbar.pending = false
 		sh.voqSched(int(ev.A))
 	case evArrive:
 		pkt := ev.P.(*Packet)
@@ -116,10 +116,9 @@ func (sh *shard) HandleEvent(ev sim.Event) {
 }
 
 // xmitDone completes a transmission: the packet has fully left its
-// source buffer, so the credit returns to whoever feeds that buffer,
-// and the transmitting port runs its next scheduling pass.  A credit
-// owed across a shard boundary is batched for the barrier flush
-// instead of kicking the remote port directly.
+// source buffer, so the credit returns to whoever feeds that buffer
+// (returnCredit), and the transmitting port runs its next scheduling
+// pass.
 func (sh *shard) xmitDone(outCode, srcCode int32, vl, wire int) {
 	n := sh.n
 	if srcCode >= 0 {
@@ -131,25 +130,31 @@ func (sh *shard) xmitDone(outCode, srcCode int32, vl, wire int) {
 			// credit.
 			return
 		}
-		src := &n.switches[s].in[i]
-		src.occ[vl] -= int32(wire)
-		switch {
-		case src.upSwitch >= 0:
-			if src.upBoundary {
-				sh.credits = append(sh.credits, creditReturn{
-					code: switchCode(src.upSwitch, src.upPort), vl: uint8(vl), wire: int32(wire),
-				})
-			} else {
-				sh.creditSwitch(src.upSwitch, src.upPort)
-			}
-		case src.upHost >= 0:
-			sh.kickHost(src.upHost)
-		}
+		sh.returnCredit(&n.switches[s].in[i], vl, wire)
 	}
 	if outCode < 0 {
 		sh.kickHost(int(-outCode) - 1)
 	} else {
 		sh.kickSwitch(switchPort(outCode))
+	}
+}
+
+// returnCredit frees wire bytes of input buffer in on VL vl and re-arms
+// whoever feeds it (creditSwitch, kickHost); a credit owed across a
+// shard boundary is batched for the barrier flush instead.
+func (sh *shard) returnCredit(in *inPort, vl, wire int) {
+	in.occ[vl] -= int32(wire)
+	switch {
+	case in.upSwitch >= 0:
+		if in.upBoundary {
+			sh.credits = append(sh.credits, creditReturn{
+				code: switchCode(in.upSwitch, in.upPort), vl: uint8(vl), wire: int32(wire),
+			})
+		} else {
+			sh.creditSwitch(in.upSwitch, in.upPort)
+		}
+	case in.upHost >= 0:
+		sh.kickHost(in.upHost)
 	}
 }
 
@@ -236,11 +241,11 @@ func (sh *shard) freePacket(pkt *Packet) {
 // unlinkFirst clear it.  Walks go from front to tail through after,
 // never through the raw links, which close the ring.
 //
-// Under the input-queued models a switch input buffer is also read by
-// output port (Packet.out): the first packet bound for output j is the
-// head of that buffer's VOQ toward j, and unlinkFirst takes it out of
-// the middle of the chain.  Those walks visit at most the packets the
-// buffer holds, which credit bounds (see voqState).
+// A switch input buffer is also read by output port (Packet.out): the
+// first packet bound for output j is the head of that buffer's VOQ
+// toward j, and unlinkFirst takes it out of the middle of the chain
+// under the input-queued rule.  Those walks visit at most the packets
+// the buffer holds, which credit bounds (see voqRule).
 type pktQueue struct {
 	tail *Packet // nil when empty; tail.next is the head
 	n    int
@@ -289,41 +294,28 @@ func (q *pktQueue) pop() *Packet {
 
 // firstFor returns the first packet in q bound for output port out, nil
 // when none is.
-func (q *pktQueue) firstFor(out uint8) *Packet {
-	t := q.tail
-	if t == nil {
-		return nil
-	}
-	for p := t.next; ; p = p.next {
+func (q *pktQueue) firstFor(out int8) *Packet {
+	for p := q.front(); p != nil; p = q.after(p) {
 		if p.out == out {
 			return p
 		}
-		if p == t {
-			return nil
-		}
 	}
+	return nil
 }
 
 // countFor returns the number of packets in q bound for output port out.
-func (q *pktQueue) countFor(out uint8) int {
-	t := q.tail
-	if t == nil {
-		return 0
-	}
-	k := 0
-	for p := t.next; ; p = p.next {
+func (q *pktQueue) countFor(out int8) (k int) {
+	for p := q.front(); p != nil; p = q.after(p) {
 		if p.out == out {
 			k++
 		}
-		if p == t {
-			return k
-		}
 	}
+	return k
 }
 
 // unlinkFirst removes and returns the first packet in q bound for output
 // port out; q must hold one.  The packets around it keep their order.
-func (q *pktQueue) unlinkFirst(out uint8) *Packet {
+func (q *pktQueue) unlinkFirst(out int8) *Packet {
 	prev := q.tail
 	p := prev.next
 	for p.out != out {

@@ -28,15 +28,18 @@
 // healthier topology, and the next activation restores routes and
 // restarts the stopped flows.
 //
-// Recovery requires a single-shard network (shard-boundary link death
-// would need mirror surgery), the output-driven WRR switch model (VOQ
-// models bind the output port at enqueue time, which a route swap
-// would invalidate), and Config.FailoverEscape (so packets stranded on
-// a lane whose reservation was released still drain at weight 1).
+// Recovery works under every switch model: the route swap re-stamps
+// every buffered packet's output and rebuilds the switches' request
+// indexes (rebuildIndex).  It requires a single-shard network
+// (shard-boundary link death would need mirror surgery) and
+// Config.FailoverEscape (so packets stranded on a lane whose
+// reservation was released still drain at weight 1).
 package fabric
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/admission"
 	"repro/internal/arbtable"
@@ -138,8 +141,9 @@ type Recovery struct {
 }
 
 // EnableRecovery attaches a failure-recovery subsystem to the network.
-// Call after NewWithTopology and before Start; the network must use
-// the WRR switch model, a single shard, and Config.FailoverEscape.  A nil Faults injector is created on demand
+// Call after NewWithTopology and before Start; the network may use any
+// switch model but must run on a single shard with
+// Config.FailoverEscape.  A nil Faults injector is created on demand
 // (ApplySchedule needs one to carry the failure windows).
 func (n *Network) EnableRecovery(cfg RecoveryConfig) (*Recovery, error) {
 	switch {
@@ -147,8 +151,6 @@ func (n *Network) EnableRecovery(cfg RecoveryConfig) (*Recovery, error) {
 		return nil, fmt.Errorf("fabric: recovery already enabled")
 	case n.Parallel():
 		return nil, fmt.Errorf("fabric: recovery requires a single shard, the network has %d", n.Shards())
-	case n.model != ModelWRR:
-		return nil, fmt.Errorf("fabric: recovery requires the WRR switch model")
 	case !n.Cfg.FailoverEscape:
 		return nil, fmt.Errorf("fabric: recovery requires Config.FailoverEscape")
 	}
@@ -428,40 +430,13 @@ func (rec *Recovery) crashedCalc(s int) bool {
 	return wired > 0
 }
 
+// sameClassification reports whether a classification equals the last
+// activated one — before the first activation, the pristine view.
 func (rec *Recovery) sameClassification(crashed []bool, removed map[int64]bool, hostDead []bool) bool {
 	if rec.crashed == nil {
-		// Nothing activated yet: equal only if the new view is pristine.
-		for _, c := range crashed {
-			if c {
-				return false
-			}
-		}
-		for _, d := range hostDead {
-			if d {
-				return false
-			}
-		}
-		return len(removed) == 0
+		return !slices.Contains(crashed, true) && !slices.Contains(hostDead, true) && len(removed) == 0
 	}
-	for s, c := range crashed {
-		if c != rec.crashed[s] {
-			return false
-		}
-	}
-	for h, d := range hostDead {
-		if d != rec.hostDead[h] {
-			return false
-		}
-	}
-	if len(removed) != len(rec.removed) {
-		return false
-	}
-	for id := range removed {
-		if !rec.removed[id] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(crashed, rec.crashed) && slices.Equal(hostDead, rec.hostDead) && maps.Equal(removed, rec.removed)
 }
 
 // routable reports whether dstHost is reachable from switch sw under
@@ -552,7 +527,7 @@ func (rec *Recovery) activate(crashed []bool, removed map[int64]bool, hostDead [
 			rec.stopTracked(tc)
 			continue
 		}
-		if rep.FellBack || tc.flow.VL != prevVL[tc.flow] || !samePath(tc.conn.Sites(), sites) {
+		if rep.FellBack || tc.flow.VL != prevVL[tc.flow] || !slices.Equal(tc.conn.Sites(), sites) {
 			displaced = append(displaced, tc)
 		}
 	}
@@ -593,8 +568,8 @@ func (rec *Recovery) activate(crashed []bool, removed map[int64]bool, hostDead [
 	// their destination.
 	rec.drainDead()
 	rec.sweepSurvivors()
-	// Routes changed and queues were edited behind the hot path's back.
-	n.rebuildHeads()
+	// Routes changed and buffers were edited behind push and pop's back.
+	n.rebuildIndex()
 
 	// Re-arm every surviving arbitration point: queues and credits
 	// changed under them, and dead ports stopped rescheduling.
@@ -648,18 +623,6 @@ func (rec *Recovery) sitesOf(f *Flow) ([]admission.PortID, error) {
 		ids = append(ids, admission.SwitchPortID(sw, n.Routes.NextPort(sw, f.Dst)))
 	}
 	return ids, nil
-}
-
-func samePath(a, b []admission.PortID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // stopTracked stops a tracked connection whose endpoints died or
@@ -751,16 +714,7 @@ func (rec *Recovery) sweepSurvivors() {
 		sh := n.shardForHost(h)
 		sw, _ := n.Topo.HostSwitch(h)
 		for vl := range node.queues {
-			q := &node.queues[vl]
-			for k, cnt := 0, q.len(); k < cnt; k++ {
-				pkt := q.pop()
-				if rec.hostDead[pkt.Dst] || !rec.routableSw(sw, pkt.Dst) {
-					rec.counters.PacketsDrained++
-					rec.lose(sh, pkt)
-					continue
-				}
-				q.push(pkt)
-			}
+			rec.sweep(sh, &node.queues[vl], sw)
 		}
 	}
 	for s, node := range n.switches {
@@ -771,20 +725,27 @@ func (rec *Recovery) sweepSurvivors() {
 		for p := range node.in {
 			in := &node.in[p]
 			for vl := range in.queues {
-				q := &in.queues[vl]
-				for k, cnt := 0, q.len(); k < cnt; k++ {
-					pkt := q.pop()
-					if rec.hostDead[pkt.Dst] || !rec.routableSw(s, pkt.Dst) {
-						in.occ[vl] -= int32(pkt.Wire)
-						rec.counters.PacketsDrained++
-						rec.lose(sh, pkt)
-						continue
-					}
-					q.push(pkt)
-				}
+				in.occ[vl] -= int32(rec.sweep(sh, &in.queues[vl], s))
 			}
 		}
 	}
+}
+
+// sweep removes from q, keeping the order of the rest, the packets whose
+// destination died or is unreachable from switch sw, and counts them
+// lost.  It returns the wire bytes it removed.
+func (rec *Recovery) sweep(sh *shard, q *pktQueue, sw int) (freed int) {
+	for k, cnt := 0, q.len(); k < cnt; k++ {
+		pkt := q.pop()
+		if !rec.hostDead[pkt.Dst] && rec.routableSw(sw, pkt.Dst) {
+			q.push(pkt)
+			continue
+		}
+		freed += pkt.Wire
+		rec.counters.PacketsDrained++
+		rec.lose(sh, pkt)
+	}
+	return freed
 }
 
 // reinjectOrLose returns a drained packet to its source host queue
@@ -843,14 +804,9 @@ func (rec *Recovery) dropArrival(sh *shard, out *outPort, pkt *Packet) bool {
 		return false
 	}
 	// Unreachable destination at a surviving switch: return the credit
-	// its transmit consumed and re-kick the sender, then account the
-	// loss.
-	n.switches[s].in[out.downPort].occ[pkt.VL] -= int32(pkt.Wire)
+	// its transmit consumed, as the packet leaving would have, then
+	// account the loss.
+	sh.returnCredit(&n.switches[s].in[out.downPort], int(pkt.VL), pkt.Wire)
 	rec.lose(sh, pkt)
-	if out.code < 0 {
-		sh.kickHost(int(-out.code) - 1)
-	} else {
-		sh.kickSwitch(switchPort(out.code))
-	}
 	return true
 }

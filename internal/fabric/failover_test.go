@@ -10,13 +10,14 @@ import (
 	"repro/internal/traffic"
 )
 
-// buildFailoverNet creates a small irregular network with the escape
-// entries and recovery subsystem enabled, plus a handful of tracked
-// QoS connections spanning the fabric.
-func buildFailoverNet(t *testing.T, switches int, seed int64) (*Network, *Recovery, []*Flow) {
+// buildFailoverNet creates a small irregular network of the given switch
+// model with the escape entries and recovery subsystem enabled, plus a
+// handful of tracked QoS connections spanning the fabric.
+func buildFailoverNet(t *testing.T, model SwitchModel, switches int, seed int64) (*Network, *Recovery, []*Flow) {
 	t.Helper()
 	cfg := DefaultConfig(switches, 256, seed)
 	cfg.FailoverEscape = true
+	cfg.SwitchModel = model
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +50,10 @@ func buildFailoverNet(t *testing.T, switches int, seed int64) (*Network, *Recove
 	return n, rec, flows
 }
 
-// drainAndCheck stops generation, drains the fabric and verifies the
-// conservation and credit invariants including lost packets.
+// drainAndCheck stops generation, drains the fabric and verifies
+// packet conservation including lost packets (injected == delivered +
+// lost once nothing is queued; a packet dropped at a full source queue
+// was never injected) and every fabric invariant (CheckInvariants).
 func drainAndCheck(t *testing.T, n *Network, rec *Recovery) {
 	t.Helper()
 	n.StopGeneration()
@@ -64,8 +67,18 @@ func drainAndCheck(t *testing.T, n *Network, rec *Recovery) {
 	if err := n.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.CheckBuffers(); err != nil {
+	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// forEachModel runs body as one subtest per switch model: recovery
+// repairs the shared input buffers and request index, whatever rule
+// schedules them.
+func forEachModel(t *testing.T, body func(t *testing.T, model SwitchModel)) {
+	for _, model := range allModels {
+		model := model
+		t.Run(model.String(), func(t *testing.T) { body(t, model) })
 	}
 }
 
@@ -102,114 +115,120 @@ func TestRecoveryRefusesShards(t *testing.T) {
 }
 
 func TestRecoveryLinkFailure(t *testing.T) {
-	n, rec, flows := buildFailoverNet(t, 8, 1)
-	s, p := pathLink(t, n, flows)
-	err := rec.ApplySchedule(faults.Schedule{
-		{Kind: faults.FailLink, Switch: s, Port: p, At: 100_000},
+	forEachModel(t, func(t *testing.T, model SwitchModel) {
+		n, rec, flows := buildFailoverNet(t, model, 8, 1)
+		s, p := pathLink(t, n, flows)
+		err := rec.ApplySchedule(faults.Schedule{
+			{Kind: faults.FailLink, Switch: s, Port: p, At: 100_000},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Start()
+		n.Run(400_000)
+		if err := rec.Err(); err != nil {
+			t.Fatal(err)
+		}
+		c := rec.Counters()
+		if c.RepairsStarted == 0 || c.RepairsStarted != c.RepairsCompleted {
+			t.Fatalf("repairs started %d completed %d", c.RepairsStarted, c.RepairsCompleted)
+		}
+		deg := rec.Degraded()
+		if deg == nil {
+			t.Fatal("no degraded topology recorded")
+		}
+		if deg.Peer(s, p).Switch >= 0 {
+			t.Fatalf("dead link %d:%d still present in degraded topology", s, p)
+		}
+		// The active tables must still carry the CDG proof over the
+		// degraded topology.
+		if _, err := cdg.VerifyPartial(deg, n.Routes); err != nil {
+			t.Fatalf("active routes lost their acyclicity proof: %v", err)
+		}
+		if c.RepairTime == nil || c.RepairTime.N == 0 {
+			t.Fatal("no time-to-repair observation")
+		}
+		drainAndCheck(t, n, rec)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	n.Run(400_000)
-	if err := rec.Err(); err != nil {
-		t.Fatal(err)
-	}
-	c := rec.Counters()
-	if c.RepairsStarted == 0 || c.RepairsStarted != c.RepairsCompleted {
-		t.Fatalf("repairs started %d completed %d", c.RepairsStarted, c.RepairsCompleted)
-	}
-	deg := rec.Degraded()
-	if deg == nil {
-		t.Fatal("no degraded topology recorded")
-	}
-	if deg.Peer(s, p).Switch >= 0 {
-		t.Fatalf("dead link %d:%d still present in degraded topology", s, p)
-	}
-	// The active tables must still carry the CDG proof over the
-	// degraded topology.
-	if _, err := cdg.VerifyPartial(deg, n.Routes); err != nil {
-		t.Fatalf("active routes lost their acyclicity proof: %v", err)
-	}
-	if c.RepairTime == nil || c.RepairTime.N == 0 {
-		t.Fatal("no time-to-repair observation")
-	}
-	drainAndCheck(t, n, rec)
 }
 
 func TestRecoverySwitchCrash(t *testing.T) {
-	n, rec, flows := buildFailoverNet(t, 8, 3)
-	victim := flows[0].Dst
-	sw, _ := n.Topo.HostSwitch(victim)
-	err := rec.ApplySchedule(faults.Schedule{
-		{Kind: faults.FailSwitch, Switch: sw, At: 100_000},
+	forEachModel(t, func(t *testing.T, model SwitchModel) {
+		n, rec, flows := buildFailoverNet(t, model, 8, 3)
+		victim := flows[0].Dst
+		sw, _ := n.Topo.HostSwitch(victim)
+		err := rec.ApplySchedule(faults.Schedule{
+			{Kind: faults.FailSwitch, Switch: sw, At: 100_000},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Start()
+		n.Run(500_000)
+		if err := rec.Err(); err != nil {
+			t.Fatal(err)
+		}
+		c := rec.Counters()
+		if c.RepairsCompleted == 0 {
+			t.Fatal("switch crash never repaired")
+		}
+		if !rec.HostDead(victim) {
+			t.Fatalf("host %d on crashed switch %d not classified dead", victim, sw)
+		}
+		if !flows[0].stopped {
+			t.Fatal("flow to a dead host kept generating")
+		}
+		if c.PacketsLost == 0 {
+			t.Fatal("a crashed host-bearing switch lost no packets — accounting hole")
+		}
+		if n.LostPackets() != c.PacketsLost {
+			t.Fatalf("shard lost %d != counter %d", n.LostPackets(), c.PacketsLost)
+		}
+		if _, err := cdg.VerifyPartial(rec.Degraded(), n.Routes); err != nil {
+			t.Fatalf("active routes lost their acyclicity proof: %v", err)
+		}
+		drainAndCheck(t, n, rec)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	n.Run(500_000)
-	if err := rec.Err(); err != nil {
-		t.Fatal(err)
-	}
-	c := rec.Counters()
-	if c.RepairsCompleted == 0 {
-		t.Fatal("switch crash never repaired")
-	}
-	if !rec.HostDead(victim) {
-		t.Fatalf("host %d on crashed switch %d not classified dead", victim, sw)
-	}
-	if !flows[0].stopped {
-		t.Fatal("flow to a dead host kept generating")
-	}
-	if c.PacketsLost == 0 {
-		t.Fatal("a crashed host-bearing switch lost no packets — accounting hole")
-	}
-	if n.LostPackets() != c.PacketsLost {
-		t.Fatalf("shard lost %d != counter %d", n.LostPackets(), c.PacketsLost)
-	}
-	if _, err := cdg.VerifyPartial(rec.Degraded(), n.Routes); err != nil {
-		t.Fatalf("active routes lost their acyclicity proof: %v", err)
-	}
-	drainAndCheck(t, n, rec)
 }
 
 func TestRecoveryRevival(t *testing.T) {
-	n, rec, flows := buildFailoverNet(t, 8, 5)
-	s, p := pathLink(t, n, flows)
-	baseLinks := len(n.Topo.Links())
-	err := rec.ApplySchedule(faults.Schedule{
-		{Kind: faults.FailLink, Switch: s, Port: p, At: 100_000, Revive: 300_000},
+	forEachModel(t, func(t *testing.T, model SwitchModel) {
+		n, rec, flows := buildFailoverNet(t, model, 8, 5)
+		s, p := pathLink(t, n, flows)
+		baseLinks := len(n.Topo.Links())
+		err := rec.ApplySchedule(faults.Schedule{
+			{Kind: faults.FailLink, Switch: s, Port: p, At: 100_000, Revive: 300_000},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Start()
+		n.Run(600_000)
+		if err := rec.Err(); err != nil {
+			t.Fatal(err)
+		}
+		c := rec.Counters()
+		if c.RepairsCompleted != 2 {
+			t.Fatalf("want 2 activations (failure + revival), got %d", c.RepairsCompleted)
+		}
+		if got := len(rec.Degraded().Links()); got != baseLinks {
+			t.Fatalf("revival restored %d links, want %d", got, baseLinks)
+		}
+		// The restored fabric must still deliver: every surviving flow
+		// makes progress after the revival activation.
+		before := make([]int64, len(flows))
+		for i, f := range flows {
+			before[i] = f.delPkts
+		}
+		n.Run(800_000)
+		for i, f := range flows {
+			if f.stopped {
+				t.Fatalf("flow %d still stopped after revival", i)
+			}
+			if f.delPkts == before[i] {
+				t.Fatalf("flow %d delivered nothing after revival", i)
+			}
+		}
+		drainAndCheck(t, n, rec)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	n.Run(600_000)
-	if err := rec.Err(); err != nil {
-		t.Fatal(err)
-	}
-	c := rec.Counters()
-	if c.RepairsCompleted != 2 {
-		t.Fatalf("want 2 activations (failure + revival), got %d", c.RepairsCompleted)
-	}
-	if got := len(rec.Degraded().Links()); got != baseLinks {
-		t.Fatalf("revival restored %d links, want %d", got, baseLinks)
-	}
-	// The restored fabric must still deliver: every surviving flow
-	// makes progress after the revival activation.
-	before := make([]int64, len(flows))
-	for i, f := range flows {
-		before[i] = f.delPkts
-	}
-	n.Run(800_000)
-	for i, f := range flows {
-		if f.stopped {
-			t.Fatalf("flow %d still stopped after revival", i)
-		}
-		if f.delPkts == before[i] {
-			t.Fatalf("flow %d delivered nothing after revival", i)
-		}
-	}
-	drainAndCheck(t, n, rec)
 }

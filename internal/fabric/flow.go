@@ -99,11 +99,11 @@ type Packet struct {
 	Flow *Flow
 	VL   uint8 // wire VL on the link currently carrying the packet
 	Base uint8 // VL assigned by the SLtoVL mapping (plane 0)
-	// out is the output port the packet leaves by at the input-queued
-	// switch whose input buffer holds it, resolved when it arrives
-	// (voqEnqueue); unused under the WRR model.  It fills padding, so
-	// a Packet stays 64 bytes.
-	out  uint8
+	// out is the output port the packet leaves by at the switch whose
+	// input buffer holds it (-1: no route), stamped when it arrives
+	// (swNode.push) and again after a route swap (rebuildIndex).  It
+	// fills padding, so a Packet stays 64 bytes.
+	out  int8
 	Dst  int
 	Wire int
 

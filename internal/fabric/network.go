@@ -162,10 +162,11 @@ type Network struct {
 	// traceStride caches Topo.Ports() for switchTraceID.
 	traceStride int
 
-	// Input-queued switch model state (see voq.go): the selected
-	// model and the iSLIP iteration depth.  The MWM solver scratch
+	// rule is the switch model's rule over the shared pipeline (see
+	// pipeline.go), chosen once by NewWithTopology.  islipIters is the
+	// iSLIP depth of the input-queued models; the MWM solver scratch
 	// lives on the shards.
-	model      SwitchModel
+	rule       switchRule
 	islipIters int
 
 	// OnDeliver, when set, observes every packet reaching its
@@ -179,17 +180,17 @@ type Network struct {
 	// the routing cross-check tests hook here.
 	OnForward func(pkt *Packet, sw, port int)
 
-	// OnMatch, when set, observes every crossbar scheduling pass at an
+	// onMatch, when set, observes every crossbar scheduling pass at an
 	// input-queued switch: the switch, the matching (match[j] = the
 	// input feeding output j, -1 idle) and its size.  The matching
 	// array is scratch owned by the caller — copy it, don't keep it.
-	OnMatch func(sw int, match *[topology.SwitchPorts]int8, size int)
+	onMatch func(sw int, match *[topology.SwitchPorts]int8, size int)
 
-	// OnVOQDequeue, when set, observes every data-VL VOQ head dequeue
-	// (switch, input port, output port, queueing VL) right before the
+	// onDequeue, when set, observes every data-VL dequeue at a switch
+	// (switch, input port, output port, buffered VL) right before the
 	// packet crosses the crossbar.  The oracle-driven tests pair it
-	// with OnMatch to prove forwards ⊆ matchings.
-	OnVOQDequeue func(sw, in, out, vl int)
+	// with onMatch to prove forwards ⊆ matchings.
+	onDequeue func(sw, in, out, vl int)
 
 	// Metrics, when non-nil, receives fabric-wide observability
 	// counters (per-VL bytes arbitrated, scan lengths, stalls, queue
@@ -482,26 +483,26 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 		}
 	}
 
-	// The WRR model indexes its arbitration candidates per switch (see
-	// heads.go).  Input-queued models: VOQ state per switch, iSLIP
-	// depth, and the MWM solver scratch; the default WRR model allocates
-	// none of it.
-	n.model = cfg.SwitchModel
-	if n.model == ModelWRR {
-		heads := newHeadIndexes(topo.NumSwitches, radix)
-		for i, s := range n.switches {
-			s.heads = &heads[i]
-		}
-	} else {
+	// Every switch indexes its input buffers (see pipeline.go); the
+	// switch model is a rule over that index.  The input-queued rule
+	// adds a crossbar per switch, the iSLIP depth and, for the MWM
+	// oracle, the solver scratch.
+	ixs := newIndexes(topo.NumSwitches, radix)
+	for s, node := range n.switches {
+		node.ix = ixs[s]
+	}
+	n.rule = wrrRule{}
+	if cfg.SwitchModel != ModelWRR {
+		n.rule = voqRule{}
 		n.islipIters = cfg.ISLIPIters
 		if n.islipIters == 0 {
 			n.islipIters = DefaultISLIPIters
 		}
-		voqs := newVOQStates(topo.NumSwitches, radix)
-		for i, s := range n.switches {
-			s.voq = &voqs[i]
+		xbars := make([]crossbar, topo.NumSwitches)
+		for s, node := range n.switches {
+			node.xbar = &xbars[s]
 		}
-		if n.model == ModelVOQMWM {
+		if cfg.SwitchModel == ModelVOQMWM {
 			// The oracle's subset DP is O(P²·2^P); past 16 ports the
 			// tables alone are gigabytes, so the full-radix shapes must
 			// use a practical scheduler.
@@ -516,9 +517,6 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 	return n, nil
 }
 
-// Model returns the switch model the network simulates.
-func (n *Network) Model() SwitchModel { return n.model }
-
 // bufferCapacity is the per-VL input buffer size in bytes.
 func (n *Network) bufferCapacity() int {
 	return bufferPackets * (n.Cfg.PayloadBytes + sl.HeaderBytes)
@@ -528,19 +526,20 @@ func (n *Network) bufferCapacity() int {
 // mapping assigned, shifted into the plane the routing engine uses on
 // the first hop.  Identity for single-plane engines (and for the
 // management VL, which no plane ever shifts).
-func (n *Network) bindVL(f *Flow) *Flow {
+func (n *Network) bindVL(f *Flow) {
 	if n.planes > 1 {
 		sw, _ := n.Topo.HostSwitch(f.Src)
 		f.VL = n.Routes.HopVL(sw, f.Dst, f.Base)
 	}
-	return f
 }
 
-// attach registers a freshly built flow and feeds its packet wire time
-// into the lookahead bound.  Flows attach before a run or from control
-// events at window barriers, never from data-plane events, so the
-// flows slice and the coordinator are safe to touch here.
+// attach binds a freshly built flow's injection VL (bindVL), registers
+// the flow and feeds its packet wire time into the lookahead bound.
+// Flows attach before a run or from control events at window barriers,
+// never from data-plane events, so the flows slice and the coordinator
+// are safe to touch here.
 func (n *Network) attach(f *Flow) *Flow {
+	n.bindVL(f)
 	n.flows = append(n.flows, f)
 	if n.minWire == 0 || f.Wire < n.minWire {
 		n.minWire = f.Wire
@@ -558,10 +557,9 @@ func (n *Network) attach(f *Flow) *Flow {
 // AddConnection attaches a CBR traffic flow for an admitted QoS
 // connection.
 func (n *Network) AddConnection(conn *admission.Conn) *Flow {
-	f := n.bindVL(newFlow(len(n.flows), conn.Req.Src, conn.Req.Dst,
+	return n.attach(newFlow(len(n.flows), conn.Req.Src, conn.Req.Dst,
 		conn.Req.Level.SL, n.Mapping.VLFor(conn.Req.Level.SL),
 		conn.Req.Mbps, n.Cfg.PayloadBytes, conn.Deadline, true))
-	return n.attach(f)
 }
 
 // AddMisbehavingConnection attaches a flow for an admitted connection
@@ -569,10 +567,9 @@ func (n *Network) AddConnection(conn *admission.Conn) *Flow {
 // the overshooting-source scenario of the paper's section 3.2
 // (misbehavior only hurts connections sharing the same VL).
 func (n *Network) AddMisbehavingConnection(conn *admission.Conn, actualMbps float64) *Flow {
-	f := n.bindVL(newFlow(len(n.flows), conn.Req.Src, conn.Req.Dst,
+	return n.attach(newFlow(len(n.flows), conn.Req.Src, conn.Req.Dst,
 		conn.Req.Level.SL, n.Mapping.VLFor(conn.Req.Level.SL),
 		actualMbps, n.Cfg.PayloadBytes, conn.Deadline, true))
-	return n.attach(f)
 }
 
 // AddVBRConnection attaches a variable-bit-rate flow for an admitted
@@ -607,16 +604,14 @@ func (n *Network) AddVBRConnection(conn *admission.Conn, peakFactor float64, bur
 // never listed in arbitration tables: it has absolute priority over
 // every data VL (IBA 1.0; paper section 2.1).
 func (n *Network) AddManagement(src, dst int, mbps float64) *Flow {
-	f := n.bindVL(newFlow(len(n.flows), src, dst, arbtable.MgmtVL, arbtable.MgmtVL,
+	return n.attach(newFlow(len(n.flows), src, dst, arbtable.MgmtVL, arbtable.MgmtVL,
 		mbps, n.Cfg.PayloadBytes, 0, false))
-	return n.attach(f)
 }
 
 // AddBestEffort attaches a best-effort background flow.
 func (n *Network) AddBestEffort(be traffic.BestEffort) *Flow {
-	f := n.bindVL(newFlow(len(n.flows), be.Src, be.Dst, be.SL, n.Mapping.VLFor(be.SL),
+	return n.attach(newFlow(len(n.flows), be.Src, be.Dst, be.SL, n.Mapping.VLFor(be.SL),
 		be.Mbps, n.Cfg.PayloadBytes, 0, false))
-	return n.attach(f)
 }
 
 // Flows returns all attached flows.
@@ -635,23 +630,7 @@ func (n *Network) Start() {
 // generator.  It reports false when the host queue is full (the packet
 // is dropped and counted).
 func (n *Network) InjectPacket(f *Flow, payload int, tag int64) bool {
-	sh := n.shardForHost(f.Src)
-	host := n.hosts[f.Src]
-	if host.queues[f.VL].len() >= n.queueCap(f) {
-		f.Drops++
-		sh.totalDropped++
-		return false
-	}
-	pkt := sh.newPacket(f, f.VL, f.Dst, payload+sl.HeaderBytes, sh.eng.Now(), tag)
-	host.queues[f.VL].push(pkt)
-	sh.totalInjected++
-	f.genPkts++
-	if n.measuring {
-		f.Injected.Add(pkt.Wire)
-		sh.injectedBytes += int64(pkt.Wire)
-	}
-	sh.kickHost(f.Src)
-	return true
+	return n.shardForHost(f.Src).enqueue(f, payload+sl.HeaderBytes, tag)
 }
 
 // StartFlow schedules one flow's first packet (at a random phase
@@ -759,30 +738,37 @@ func (n *Network) PortShard(id admission.PortID) int {
 // schedules the next generation.  Like every hot-path handler below it
 // runs on the shard owning the node it touches.
 func (sh *shard) generate(f *Flow) {
-	n := sh.n
-	if n.genStopped || f.stopped {
+	if sh.n.genStopped || f.stopped {
 		return
 	}
-	host := n.hosts[f.Src]
-	if host.queues[f.VL].len() >= n.queueCap(f) {
-		f.Drops++
-		sh.totalDropped++
-	} else {
-		pkt := sh.newPacket(f, f.VL, f.Dst, f.Wire, sh.eng.Now(), 0)
-		host.queues[f.VL].push(pkt)
-		sh.totalInjected++
-		f.genPkts++
-		if n.measuring {
-			f.Injected.Add(f.Wire)
-			sh.injectedBytes += int64(f.Wire)
-		}
-		sh.kickHost(f.Src)
-	}
+	sh.enqueue(f, f.Wire, 0)
 	gap := f.IAT
 	if f.pacing != nil {
 		gap = f.pacing()
 	}
 	sh.eng.PostAfter(gap, sh, sim.Event{Kind: evGenerate, P: f})
+}
+
+// enqueue puts a fresh packet of f, wire bytes long and carrying tag, on
+// its source host's send queue and kicks the host — or drops and counts
+// it when the queue is full.  It reports whether the packet was queued.
+func (sh *shard) enqueue(f *Flow, wire int, tag int64) bool {
+	n := sh.n
+	host := n.hosts[f.Src]
+	if host.queues[f.VL].len() >= n.queueCap(f) {
+		f.Drops++
+		sh.totalDropped++
+		return false
+	}
+	host.queues[f.VL].push(sh.newPacket(f, f.VL, f.Dst, wire, sh.eng.Now(), tag))
+	sh.totalInjected++
+	f.genPkts++
+	if n.measuring {
+		f.Injected.Add(wire)
+		sh.injectedBytes += int64(wire)
+	}
+	sh.kickHost(f.Src)
+	return true
 }
 
 // kickHost schedules a scheduling pass at the host interface, unless
@@ -830,26 +816,39 @@ func (sh *shard) tryHost(h int) {
 		}
 		ready[vl] = q.front().Wire
 	}
-	vl, _, ok := host.out.arb.Pick(&ready)
+	vl, ok := sh.pick(&host.out, &ready, hostTraceID(h), now)
 	if !ok {
 		return
-	}
-	if host.out.pt.Programming() {
-		host.out.pt.NoteStalePick()
 	}
 	pkt := host.queues[vl].pop()
 	if m := sh.metrics; m != nil {
 		m.AddVLBytes(vl, pkt.Wire)
 		m.ObserveQueueDepth(int64(host.queues[vl].len()))
 	}
+	sh.transmit(&host.out, pkt, -1, pkt.VL)
+}
+
+// pick runs the arbitration table of out over the offered lanes and
+// records a pick: a pick while a table program is in flight counts as
+// scheduled under a stale epoch, and the trace (when attached) gets the
+// decision under port id traceID.  It reports false when the table
+// picked nothing.
+func (sh *shard) pick(out *outPort, ready *arbtable.Ready, traceID int32, now int64) (int, bool) {
+	vl, _, ok := out.arb.Pick(ready)
+	if !ok {
+		return 0, false
+	}
+	if out.pt.Programming() {
+		out.pt.NoteStalePick()
+	}
 	if t := sh.eng.Trace; t != nil {
-		lp := host.out.arb.Last()
+		lp := out.arb.Last()
 		t.Record(metrics.TraceEvent{
-			Time: now, Port: hostTraceID(h), VL: uint8(vl),
+			Time: now, Port: traceID, VL: uint8(vl),
 			High: lp.High, Entry: int16(lp.Entry), WeightLeft: lp.Residual,
 		})
 	}
-	sh.transmit(&host.out, pkt, -1, pkt.VL)
+	return vl, true
 }
 
 // faultBlocked reports whether the scheduling point out (fault key key)
@@ -925,162 +924,6 @@ func (sh *shard) faultFree(node *swNode, outs uint32, now int64) uint32 {
 	return outs
 }
 
-// kickSwitch schedules a scheduling pass at a switch output port — if
-// the pass could send.  It posts nothing while a pass is pending, while
-// the port transmits (the port's own evXmitDone at busyUntil kicks it
-// again, as for hosts), and, without a fault schedule, while no input
-// head requests the port, VL 15 included.  Such a pass would run at
-// this same byte-time, after deferred passes that take heads only from
-// inputs they leave busy, so it would find no candidate: it would change
-// nothing but the stall counter.  Under a fault schedule the pass is
-// also what arms the wake-up at the end of a fault window, so there an
-// unrequested port is still kicked.
-//
-// Under the input-queued models the whole switch is one scheduling
-// point, so every per-port kick folds into one crossbar pass.
-func (sh *shard) kickSwitch(s, p int) {
-	n := sh.n
-	if n.model != ModelWRR {
-		sh.kickVOQ(s)
-		return
-	}
-	if p < 0 {
-		// A repaired route set may leave a queued packet's destination
-		// unroutable (NextPort -1) until the sweep removes it.
-		return
-	}
-	node := n.switches[s]
-	out := &node.out[p]
-	if !out.wired || out.pending || n.wrrPassIdle(node, out, p, sh.eng.Now()) {
-		return
-	}
-	out.pending = true
-	sh.eng.DeferEvent(sh, sim.Event{Kind: evTrySwitch, A: int32(s), B: int32(p)})
-}
-
-// wrrPassIdle is kickSwitch's test of a pass that could not send: output
-// port p of node (out) is transmitting at now, or — without a fault
-// schedule — no input head requests it.
-func (n *Network) wrrPassIdle(node *swNode, out *outPort, p int, now int64) bool {
-	return out.busyUntil > now || n.Faults == nil && node.heads.vls[p] == 0
-}
-
-// creditSwitch re-arms switch s's output port p after its downstream
-// buffer returned credit.  Under the input-queued models the credit may
-// make a blocked head of request column p eligible, so the remembered
-// column is dropped first (see voqState.req).
-func (sh *shard) creditSwitch(s, p int) {
-	if v := sh.n.switches[s].voq; v != nil {
-		v.reqValid &^= 1 << p
-	}
-	sh.kickSwitch(s, p)
-}
-
-// kickHeadsOfInput re-arms exactly the output ports that the head
-// packets of one input port are routed to — the ports whose candidates
-// changed when that input's crossbar slot freed.
-func (sh *shard) kickHeadsOfInput(s, i int) {
-	n := sh.n
-	if n.model != ModelWRR {
-		// A freed input slot re-opens the whole request matrix.
-		sh.kickVOQ(s)
-		return
-	}
-	node := n.switches[s]
-	in := &node.in[i]
-	for vls := node.heads.queued[i]; vls != 0; vls &= vls - 1 {
-		q := &in.queues[bits.TrailingZeros16(vls)]
-		sh.kickSwitch(s, n.Routes.NextPort(s, q.front().Dst))
-	}
-}
-
-// trySwitch runs one arbitration decision at a switch output port:
-// the candidates are the head packets of the input VL queues that
-// route to this port, whose input crossbar slot is free and whose
-// downstream buffer has room.
-func (sh *shard) trySwitch(s, p int) {
-	n := sh.n
-	node := n.switches[s]
-	out := &node.out[p]
-	now := sh.eng.Now()
-	if !out.wired || out.busyUntil > now {
-		return
-	}
-	if n.Faults != nil && sh.faultBlocked(out, faults.SwitchPortKey(s, p), now) {
-		return
-	}
-
-	// Credit view of the downstream buffer: the receiver's occupancy
-	// for intra-shard links, this port's mirror for boundary links,
-	// nil for host downstreams.
-	down := n.occView(out)
-	capacity := n.bufferCapacity()
-
-	// Subnet management (VL 15) preempts all data lanes: serve the
-	// first eligible VL 15 head in round-robin input order.
-	if i := n.mgmtCandidate(node, out, p, now, down, capacity); i >= 0 {
-		pkt := sh.takeHead(node, out, p, i, arbtable.MgmtVL, now)
-		sh.transmit(out, pkt, switchCode(s, i), arbtable.MgmtVL)
-		return
-	}
-
-	// Candidates are indexed by their OUTGOING wire VL (see
-	// dataCandidates).  With none the arbiter has nothing to scan.
-	var ready arbtable.Ready
-	var src [arbtable.NumDataVLs]int
-	var srcVL [arbtable.NumDataVLs]uint8
-	if !n.dataCandidates(node, out, p, now, down, capacity, &ready, &src, &srcVL) {
-		out.arb.Stall()
-		return
-	}
-	vl, _, ok := out.arb.Pick(&ready)
-	if !ok {
-		return
-	}
-	if out.pt.Programming() {
-		out.pt.NoteStalePick()
-	}
-	i := src[vl]
-	invl := srcVL[vl]
-	pkt := sh.takeHead(node, out, p, i, int(invl), now)
-	pkt.VL = uint8(vl)
-	if m := sh.metrics; m != nil {
-		m.AddVLBytes(vl, pkt.Wire)
-		m.ObserveQueueDepth(int64(node.in[i].queues[invl].len()))
-	}
-	if t := sh.eng.Trace; t != nil {
-		lp := out.arb.Last()
-		t.Record(metrics.TraceEvent{
-			Time: now, Port: n.switchTraceID(s, p), VL: uint8(vl),
-			High: lp.High, Entry: int16(lp.Entry), WeightLeft: lp.Residual,
-		})
-	}
-	if n.OnForward != nil {
-		n.OnForward(pkt, s, p)
-	}
-	sh.transmit(out, pkt, switchCode(s, i), invl)
-}
-
-// takeHead pops the head of input i's VL queue, which output port p of
-// node is about to transmit: the candidate index follows the queue, the
-// port's round-robin cursor for that VL moves past the input, and the
-// input's crossbar slot is held for the transfer.
-func (sh *shard) takeHead(node *swNode, out *outPort, p, i, vl int, now int64) *Packet {
-	n := sh.n
-	in := &node.in[i]
-	q := &in.queues[vl]
-	pkt := q.pop()
-	n.headPopped(node, q, p, vl, i)
-	out.rr[vl] = uint8((i + 1) % len(node.out))
-	xfer := int64(pkt.Wire) / int64(n.Cfg.CrossbarSpeedup)
-	if xfer < 1 {
-		xfer = 1
-	}
-	in.busyUntil = now + xfer
-	sh.eng.Post(now+xfer, sh, sim.Event{Kind: evInputFree, A: int32(node.id), B: int32(i)})
-	return pkt
-}
-
 // transmit puts pkt on out's wire: reserves downstream buffer space,
 // occupies the link for the packet duration, schedules the arrival and
 // the completion event that releases the source buffer (crediting its
@@ -1149,14 +992,8 @@ func (sh *shard) arrive(out *outPort, pkt *Packet) {
 	if out.boundary {
 		in.occ[pkt.VL] += int32(pkt.Wire)
 	}
-	if n.model != ModelWRR {
-		sh.voqEnqueue(s, out.downPort, pkt)
-		return
-	}
-	q := &in.queues[pkt.VL]
-	q.push(pkt)
 	p := n.Routes.NextPort(s, pkt.Dst)
-	node.heads.headPushed(q, p, int(pkt.VL), out.downPort)
+	node.push(out.downPort, int(pkt.VL), p, pkt)
 	sh.kickSwitch(s, p)
 }
 
@@ -1262,29 +1099,27 @@ func (n *Network) QueuedPackets() int64 {
 // the Table 2 traffic rows: bytes per byte time per host over the
 // measurement window.
 func (n *Network) InjectedBytesPerCyclePerNode() float64 {
-	el := n.MeasuredElapsed()
-	if el <= 0 {
-		return 0
-	}
-	var bytes int64
-	for _, sh := range n.shards {
-		bytes += sh.injectedBytes
-	}
-	return float64(bytes) / float64(el) / float64(len(n.hosts))
+	return n.perCyclePerNode(func(sh *shard) int64 { return sh.injectedBytes })
 }
 
 // DeliveredBytesPerCyclePerNode reports delivered traffic normalized
 // like InjectedBytesPerCyclePerNode.
 func (n *Network) DeliveredBytesPerCyclePerNode() float64 {
+	return n.perCyclePerNode(func(sh *shard) int64 { return sh.deliveredBytes })
+}
+
+// perCyclePerNode normalizes a per-shard byte count summed over the
+// shards by the measurement window and the host count.
+func (n *Network) perCyclePerNode(bytes func(*shard) int64) float64 {
 	el := n.MeasuredElapsed()
 	if el <= 0 {
 		return 0
 	}
-	var bytes int64
+	var sum int64
 	for _, sh := range n.shards {
-		bytes += sh.deliveredBytes
+		sum += bytes(sh)
 	}
-	return float64(bytes) / float64(el) / float64(len(n.hosts))
+	return float64(sum) / float64(el) / float64(len(n.hosts))
 }
 
 // MeanHostUtilization returns the average host-interface link
@@ -1345,9 +1180,8 @@ func (n *Network) ReconfigStats() core.ReconfigStats {
 // pktQueue.wireBytes).
 // It also audits what the scheduling passes read instead of scanning
 // queues or tables, against a full scan: every arbiter's high-table
-// slot masks (arbtable.Arbiter.CheckIndex), every WRR switch's
-// candidate index (see checkHeads) and every input-queued switch's
-// occupancy words (see checkVOQ).
+// slot masks (arbtable.Arbiter.CheckIndex) and every switch's request
+// index (see checkIndex).
 func (n *Network) CheckBuffers() error {
 	capacity := n.bufferCapacity()
 	for _, h := range n.hosts {
@@ -1366,11 +1200,6 @@ func (n *Network) CheckBuffers() error {
 				if err := arb.CheckIndex(); err != nil {
 					return fmt.Errorf("fabric: switch %d port %d: %w", s.id, p, err)
 				}
-			}
-		}
-		if s.heads != nil {
-			if err := n.checkHeads(s); err != nil {
-				return err
 			}
 		}
 		for p := range s.in {
@@ -1394,12 +1223,10 @@ func (n *Network) CheckBuffers() error {
 				}
 			}
 		}
-		// checkVOQ follows the buffers' links, so it runs only once the
+		// checkIndex follows the buffers' links, so it runs only once the
 		// loop above has found every chain well formed.
-		if s.voq != nil {
-			if err := n.checkVOQ(s); err != nil {
-				return err
-			}
+		if err := n.checkIndex(s); err != nil {
+			return err
 		}
 		// Boundary mirrors obey the same bounds as real occupancy: the
 		// sender never reserves past capacity and batched credit

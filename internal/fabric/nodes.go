@@ -90,14 +90,12 @@ type swNode struct {
 	in  []inPort
 	out []outPort
 
-	// heads is the WRR model's candidate index over the input queue
-	// heads (see heads.go); nil under the input-queued models.
-	heads *headIndex
+	// xbar is the input-queued rule's crossbar scheduler state (see
+	// voq.go); nil under the default output-driven WRR rule.
+	xbar *crossbar
 
-	// voq is the input-queued half of the switch (the virtual output
-	// queues' index over the input buffers plus the crossbar scheduler
-	// state, see voq.go); nil under the default output-driven WRR model.
-	voq *voqState
+	// ix is the request index over the input buffers (see pipeline.go).
+	ix reqIndex
 }
 
 // hostNode is one end node: its channel adapter has per-VL send queues

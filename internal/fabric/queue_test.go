@@ -39,7 +39,7 @@ func TestPacketQueueDifferential(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				p.next = pool[rng.Intn(poolSize)] // stale link
 			}
-			p.out = uint8(rng.Intn(outs))
+			p.out = int8(rng.Intn(outs))
 			return p
 		}
 		var q [queues]pktQueue
@@ -55,7 +55,7 @@ func TestPacketQueueDifferential(t *testing.T) {
 			ref[i] = ref[i][1:]
 			return p
 		}
-		unlink := func(i int, out uint8) *Packet {
+		unlink := func(i int, out int8) *Packet {
 			k := slices.IndexFunc(ref[i], func(r *Packet) bool { return r.out == out })
 			p := q[i].unlinkFirst(out)
 			if p != ref[i][k] {
@@ -128,7 +128,7 @@ func TestPacketQueueDifferential(t *testing.T) {
 				if wire != want {
 					t.Fatalf("seed %d step %d: queue %d walks to %d wire bytes, reference %d", seed, step, i, wire, want)
 				}
-				for out := uint8(0); out < outs; out++ {
+				for out := int8(0); out < outs; out++ {
 					var first *Packet
 					count := 0
 					for _, r := range ref[i] {

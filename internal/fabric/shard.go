@@ -6,41 +6,18 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the sharded half of the simulation core.  A network is
-// split by topology.PartitionFabric into topology-local shards — pods
-// of a fat-tree, groups of a dragonfly, BFS-carved subtrees of an
-// irregular fabric — and each shard owns every mutable hot-path
-// resource of its switches and hosts: an event engine, a packet
-// free-list, conservation counters, and (in parallel mode) a metrics
-// set.  The shards advance together in conservative-lookahead windows
-// under sim.Coordinator; everything that crosses a shard boundary is
-// batched and exchanged at the window barrier:
-//
-//   - Packet arrivals.  A boundary transmit does not post the arrival
-//     into the peer engine directly (engines run concurrently inside a
-//     window); it appends to the sender shard's outbox, and the flush
-//     callback posts the batch at the barrier.  The arrival timestamp
-//     t+wire+latency is at least one lookahead (link latency plus the
-//     minimum packet wire time) past the sending window, so it always
-//     lands in a future window — the protocol never delivers into the
-//     past.
-//   - Credit state.  The per-VL occupancy of a boundary link's
-//     downstream buffer lives on the RECEIVER; the sender schedules
-//     against a local mirror (outPort.bOcc) that it increments at
-//     transmit time and that credit returns decrement at the barrier.
-//     The mirror is conservative — it includes in-flight packets and
-//     credits not yet returned — so boundary buffers can never be
-//     overcommitted, only under-filled by at most one window.
-//   - Credit returns.  When a packet leaves a receiver's input buffer
-//     whose upstream port is in another shard, the freed bytes are
-//     appended to the receiver shard's credit batch; the flush applies
-//     them to the sender's mirror and re-kicks the sender port.
-//
-// Determinism: single-shard runs are byte-identical to the unsharded
-// engine (one shard, no boundaries).  Parallel runs are deterministic
-// for a fixed shard count (outboxes
-// flush in shard order, engines merge boundary batches by (time,
-// seq)), but exchange credits at barrier granularity, so their timing
+// This file is the sharded half of the simulation core (DESIGN.md §12).
+// A network is split by topology.PartitionFabric into topology-local
+// shards, each owning every mutable hot-path resource of its switches
+// and hosts: an event engine, a packet free-list, conservation counters
+// and (in parallel mode) a metrics set.  The shards advance together in
+// conservative-lookahead windows under sim.Coordinator; what crosses a
+// shard boundary — packet arrivals (the sender's outbox), credit state
+// (the sender's conservative mirror, outPort.bOcc) and credit returns
+// (the receiver's batch) — is batched and exchanged at the window
+// barrier (flushBoundary).  Single-shard runs are byte-identical to the
+// unsharded engine; parallel runs are deterministic for a fixed shard
+// count, but exchange credits at barrier granularity, so their timing
 // differs from the unsharded schedule by design.
 
 // boundaryEvent is one cross-shard packet arrival, buffered in the
@@ -254,10 +231,10 @@ func (n *Network) ExecutedEvents() uint64 {
 	return total
 }
 
-// VOQIdleKicks returns the number of kicks at input-queued switches
+// voqIdleKicks returns the number of kicks at input-queued switches
 // that posted no scheduling pass because the pass could not have
 // matched anything (0 under the WRR model and under a fault schedule).
-func (n *Network) VOQIdleKicks() int64 {
+func (n *Network) voqIdleKicks() int64 {
 	var total int64
 	for _, sh := range n.shards {
 		total += sh.voqIdleKicks

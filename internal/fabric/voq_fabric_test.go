@@ -21,7 +21,7 @@ func buildVOQ(t *testing.T, spec topology.Spec, model SwitchModel, seed int64) *
 // TestVOQForwardsGrantedByMatching is the oracle-driven crossbar
 // cross-check: on both input-queued models, every data-plane forward
 // at a VOQ switch must be granted by that switch's current crossbar
-// matching (OnMatch ∘ OnVOQDequeue ∘ OnForward agree), follow the
+// matching (onMatch ∘ onDequeue ∘ OnForward agree), follow the
 // routing tables, and after a full drain the per-VL credits must be
 // conserved across the crossbar — every input buffer occupancy back
 // to zero and every packet accounted for.
@@ -66,14 +66,14 @@ func TestVOQForwardsGrantedByMatching(t *testing.T) {
 				// crossbar with the matched data transfers.
 				n.AddManagement(0, hosts-1, 1)
 
-				// The current matching per switch, refreshed by OnMatch.
+				// The current matching per switch, refreshed by onMatch.
 				type matching struct {
 					m     [topology.SwitchPorts]int8
 					valid bool
 				}
 				cur := make([]matching, n.Topo.NumSwitches)
 				matches, dequeues, forwards := 0, 0, 0
-				n.OnMatch = func(sw int, m *[topology.SwitchPorts]int8, size int) {
+				n.onMatch = func(sw int, m *[topology.SwitchPorts]int8, size int) {
 					var inSeen [topology.SwitchPorts]bool
 					got := 0
 					for j := range m {
@@ -94,7 +94,7 @@ func TestVOQForwardsGrantedByMatching(t *testing.T) {
 					matches++
 				}
 				lastSw, lastOut := -1, -1
-				n.OnVOQDequeue = func(sw, in, out, vl int) {
+				n.onDequeue = func(sw, in, out, vl int) {
 					if !cur[sw].valid {
 						t.Fatalf("switch %d dequeues input %d -> output %d before any matching", sw, in, out)
 					}

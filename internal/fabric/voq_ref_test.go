@@ -349,27 +349,28 @@ func scanRequests(n *Network, s int) voqPass {
 // invalidating is read stale here, exactly as a pass would read it.
 func indexRequests(n *Network, s int) voqPass {
 	node := n.switches[s]
-	v := node.voq
+	x := &node.ix
 	sh := n.shardForSwitch(s)
+	now := sh.eng.Now()
 	capacity := n.bufferCapacity()
 	var pass voqPass
 	for j := range pass.mgmt {
 		pass.mgmt[j] = -1
 	}
-	outFree, inFree := sh.voqFreePorts(node, sh.eng.Now())
+	outFree, inFree := sh.voqFreePorts(node, now)
 	if outFree == 0 || inFree == 0 {
 		return pass
 	}
-	for w := outFree & v.mgmtOuts; w != 0; w &= w - 1 {
+	for w := outFree & x.mgmtOuts; w != 0; w &= w - 1 {
 		j := bits.TrailingZeros32(w)
-		if i := n.voqMgmtCandidate(node, j, inFree, capacity); i >= 0 {
+		if i := n.mgmtCandidate(node, j, x.mgmtCols[j]&inFree, now); i >= 0 {
 			pass.mgmt[j] = int8(i)
 			inFree &^= 1 << i
 			outFree &^= 1 << j
 		}
 	}
 	var cols [pP]uint32
-	for w := outFree & v.dataOuts; w != 0; w &= w - 1 {
+	for w := outFree & x.dataOuts; w != 0; w &= w - 1 {
 		j := bits.TrailingZeros32(w)
 		cols[j] = n.voqColumn(node, j, capacity) & inFree
 	}
@@ -439,8 +440,8 @@ func compareAllSwitches(t *testing.T, n *Network, st *voqStats) {
 			if c&(c-1) != 0 {
 				st.contended++
 			}
-			if j < node.voq.r {
-				st.blocked += bits.OnesCount32(node.voq.dataCols[j] &^ c)
+			if j < node.ix.r {
+				st.blocked += bits.OnesCount32(node.ix.dataCols[j] &^ c)
 			}
 		}
 		for _, i := range want.mgmt {
@@ -451,9 +452,9 @@ func compareAllSwitches(t *testing.T, n *Network, st *voqStats) {
 	}
 }
 
-// matchAuditor hooks Network.OnMatch and replays every scheduling pass
+// matchAuditor hooks Network.onMatch and replays every scheduling pass
 // through the references: the request matrix the pass matched must be
-// the scan's (at OnMatch time the VL 15 phase has already made its
+// the scan's (at onMatch time the VL 15 phase has already made its
 // inputs and outputs busy, so the scan sees the masks the data phase
 // saw), and the matching must be what the reference scheduler — the
 // probe-loop iSLIP from a shadow pointer state, or the oracle on
@@ -473,18 +474,17 @@ func auditMatches(t *testing.T, n *Network) *matchAuditor {
 		matches: make([]int, len(n.switches)),
 		edges:   make([]int, len(n.switches)),
 	}
-	if n.model == ModelVOQMWM {
+	if n.Cfg.SwitchModel == ModelVOQMWM {
 		for s := range a.oracle {
 			a.oracle[s] = newMWMScratch(n.Topo.Ports())
 		}
 	}
-	n.OnMatch = func(sw int, match *[pP]int8, size int) {
+	n.onMatch = func(sw int, match *[pP]int8, size int) {
 		node := n.switches[sw]
-		v := node.voq
 		scan := scanRequests(n, sw)
 		var want [pP]int8
 		var wantSize int
-		if n.model == ModelVOQMWM {
+		if n.Cfg.SwitchModel == ModelVOQMWM {
 			var w [pP][pP]int32
 			for i, row := range scan.req {
 				for ; row != 0; row &= row - 1 {
@@ -502,8 +502,8 @@ func auditMatches(t *testing.T, n *Network) *matchAuditor {
 			wantSize, _ = a.oracle[sw].match(&w, &want)
 		} else {
 			wantSize = a.shadow[sw].matchReference(&scan.req, n.islipIters, &want)
-			if a.shadow[sw] != v.islip {
-				t.Errorf("t=%d switch %d: iSLIP pointers %+v, reference %+v", n.Now(), sw, v.islip, a.shadow[sw])
+			if a.shadow[sw] != node.xbar.islip {
+				t.Errorf("t=%d switch %d: iSLIP pointers %+v, reference %+v", n.Now(), sw, node.xbar.islip, a.shadow[sw])
 			}
 		}
 		if size != wantSize || *match != want {
@@ -547,86 +547,6 @@ func buildVOQSharded(t *testing.T, spec topology.Spec, model SwitchModel, seed i
 		t.Fatal(err)
 	}
 	return n
-}
-
-// TestVOQIndexMatchesScan single-steps loaded input-queued fabrics of
-// every routing class under both schedulers and compares, after every
-// event, the VL 15 picks and request matrix the occupancy words yield
-// at every switch with the retired full scan's; every scheduling pass
-// is additionally replayed through the reference schedulers (see
-// matchAuditor).  Identical requests and matchings mean identical
-// forwards, pointer updates and events, which is what keeps
-// hol.golden.json byte-identical.
-func TestVOQIndexMatchesScan(t *testing.T) {
-	specs := []struct {
-		name   string
-		spec   topology.Spec
-		planes int
-	}{
-		{"irregular-8", topology.Spec{Class: topology.Irregular, Switches: 8, Seed: 11}, 1},
-		{"fattree-k4", topology.Spec{Class: topology.FatTree, K: 4}, 1},
-		{"dragonfly-2-2-1", topology.Spec{Class: topology.Dragonfly, A: 2, P: 2, H: 1}, 2},
-	}
-	for _, model := range []SwitchModel{ModelVOQISLIP, ModelVOQMWM} {
-		for _, tc := range specs {
-			model, tc := model, tc
-			t.Run(model.String()+"/"+tc.name, func(t *testing.T) {
-				n := buildVOQ(t, tc.spec, model, 9)
-				if n.planes != tc.planes {
-					t.Fatalf("planes = %d, want %d", n.planes, tc.planes)
-				}
-				loadDifferential(t, n, 31)
-				audit := auditMatches(t, n)
-				n.Start()
-				n.Run(20_000) // let the queues fill before comparing
-				var st voqStats
-				for step := 0; step < 4000; step++ {
-					if !n.Engine.Step() {
-						t.Fatal("engine ran dry")
-					}
-					compareAllSwitches(t, n, &st)
-					if step%500 == 0 {
-						if err := n.CheckBuffers(); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				audit.check(t)
-				if st.requests == 0 || st.contended == 0 || st.blocked == 0 || st.mgmt == 0 ||
-					st.idle == 0 || st.busy == 0 || n.VOQIdleKicks() == 0 {
-					t.Fatalf("run too quiet to prove anything: %+v, %d idle kicks", st, n.VOQIdleKicks())
-				}
-			})
-		}
-	}
-}
-
-// TestVOQIndexParallelShards is the same comparison on a two-shard
-// parallel run.  The matching replay runs inside the shard goroutines
-// and carries the proof; the per-switch comparison can only run at
-// window barriers — the only instants another goroutine may read shard
-// state — where every switch has already served what it could, so it
-// mostly agrees on blocked groups.  ci.sh runs it under -race.
-func TestVOQIndexParallelShards(t *testing.T) {
-	n := buildVOQSharded(t, topology.Spec{Class: topology.FatTree, K: 4}, ModelVOQISLIP, 3, 2)
-	if !n.Parallel() {
-		t.Fatal("2-shard fat-tree should run parallel")
-	}
-	loadDifferential(t, n, 17)
-	audit := auditMatches(t, n)
-	n.Start()
-	var st voqStats
-	for until := int64(20_000); until < 60_000; until += 97 {
-		n.Run(until)
-		compareAllSwitches(t, n, &st)
-	}
-	if err := n.CheckBuffers(); err != nil {
-		t.Fatal(err)
-	}
-	audit.check(t)
-	if st.blocked == 0 || st.idle == 0 || n.VOQIdleKicks() == 0 {
-		t.Fatalf("run too quiet to prove anything: %+v, %d idle kicks", st, n.VOQIdleKicks())
-	}
 }
 
 // TestVOQPermanentFaultPostsNoEvents is the regression for the event
@@ -718,10 +638,10 @@ func TestVOQStateSizedByRadix(t *testing.T) {
 			runtime.GC()
 			runtime.ReadMemStats(&after)
 			held[m] = int64(after.HeapAlloc) - int64(before.HeapAlloc)
-			if v := n.switches[0].voq; v != nil {
-				if r := topo.Ports(); v.r != r || len(v.nonEmpty) != r*r {
-					t.Errorf("k=%d: VOQ state sized r=%d, %d groups; topology radix %d", k, v.r, len(v.nonEmpty), r)
-				}
+			x := &n.switches[0].ix
+			if r := topo.Ports(); x.r != r || len(x.nonEmpty) != r*r || len(x.cand) != r*arbtable.NumVLs {
+				t.Errorf("k=%d: request index sized r=%d, %d groups, %d head sets; topology radix %d",
+					k, x.r, len(x.nonEmpty), len(x.cand), r)
 			}
 			runtime.KeepAlive(n)
 		}

@@ -2,10 +2,8 @@ package fabric
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
-	"repro/internal/arbtable"
 	"repro/internal/faults"
 	"repro/internal/sl"
 	"repro/internal/topology"
@@ -13,9 +11,9 @@ import (
 )
 
 // This file holds the tests of the WRR switch's scheduling passes as a
-// whole: what the fabric delivers and when, pinned to constants; that a
-// pass the kicks leave out would have changed nothing; and what a
-// forwarded packet costs in events.
+// whole: what the fabric delivers and when, pinned to constants, and
+// what a forwarded packet costs in events.  (That a pass the kicks leave
+// out would have changed nothing is idle_test.go's business.)
 
 // buildWRR creates a WRR network over a generated topology on the given
 // number of shards, with the default configuration adjusted by tweak
@@ -171,192 +169,6 @@ func TestWRRDeliveryDigest(t *testing.T) {
 			t.Errorf("two runs of one two-shard configuration digest %#016x and %#016x", a, b)
 		}
 	})
-}
-
-// wrrPortState is everything a scheduling pass at one output port can
-// write beside its node's queues: the events its shard posts (queued,
-// deferred or batched for a barrier), the deliveries, the port itself —
-// arbiter cursor and residual, round-robin cursors, timestamps, the
-// fault wake-up — and its downstream credit.
-type wrrPortState struct {
-	scheduled int64
-	next      int64
-	boundary  int
-	delivered int64
-	out       outPort
-	arb       arbtable.Arbiter
-	downOcc   [arbtable.NumVLs]int32
-}
-
-func snapshotWRRPort(n *Network, sh *shard, out *outPort) wrrPortState {
-	st := wrrPortState{
-		scheduled: sh.eng.Stats().Scheduled,
-		next:      sh.eng.NextTime(),
-		boundary:  len(sh.outbox) + len(sh.credits),
-		out:       *out,
-		arb:       *out.arb,
-	}
-	_, st.delivered, _ = n.Totals()
-	if down := n.occView(out); down != nil {
-		st.downOcc = *down
-	}
-	return st
-}
-
-// switchQueues appends what a pass at a switch can change in its input
-// ports to sig: every input's crossbar timestamp and queue lengths, and
-// the candidate index.
-func switchQueues(node *swNode, sig []int64) []int64 {
-	for i := range node.in {
-		in := &node.in[i]
-		sig = append(sig, in.busyUntil)
-		for vl := range in.queues {
-			sig = append(sig, int64(in.queues[vl].len()))
-		}
-	}
-	hx := node.heads
-	for _, c := range hx.cand {
-		sig = append(sig, int64(c))
-	}
-	for p := range hx.vls {
-		sig = append(sig, int64(hx.vls[p]), int64(hx.queued[p]))
-	}
-	return sig
-}
-
-// hostQueues appends a host's send-queue lengths to sig.
-func hostQueues(host *hostNode, sig []int64) []int64 {
-	for vl := range host.queues {
-		sig = append(sig, int64(host.queues[vl].len()))
-	}
-	return sig
-}
-
-// declinedPasses counts the ports passDeclinedPorts ran a pass at.
-type declinedPasses struct {
-	busyHosts, busySwitch, unrequested int
-}
-
-// passDeclinedPorts runs a scheduling pass directly at every port whose
-// kick would post nothing — a transmitting host interface, a switch port
-// wrrPassIdle calls idle — and fails unless the pass changed nothing.
-func passDeclinedPorts(t *testing.T, n *Network, c *declinedPasses) {
-	t.Helper()
-	var qBefore, qAfter []int64
-	check := func(what string, before, after wrrPortState) {
-		t.Helper()
-		if before != after || !slices.Equal(qBefore, qAfter) {
-			t.Fatalf("t=%d %s: a pass the kick would have skipped changed state\nbefore %+v %v\nafter  %+v %v",
-				n.Now(), what, before, qBefore, after, qAfter)
-		}
-	}
-	for h, host := range n.hosts {
-		sh := n.shardForHost(h)
-		if host.out.pending || host.out.busyUntil <= sh.eng.Now() {
-			continue
-		}
-		qBefore = hostQueues(host, qBefore[:0])
-		before := snapshotWRRPort(n, sh, &host.out)
-		sh.tryHost(h)
-		qAfter = hostQueues(host, qAfter[:0])
-		check(fmt.Sprintf("host %d", h), before, snapshotWRRPort(n, sh, &host.out))
-		c.busyHosts++
-	}
-	for s, node := range n.switches {
-		sh := n.shardForSwitch(s)
-		now := sh.eng.Now()
-		for p := range node.out {
-			out := &node.out[p]
-			if !out.wired || out.pending || !n.wrrPassIdle(node, out, p, now) {
-				continue
-			}
-			qBefore = switchQueues(node, qBefore[:0])
-			before := snapshotWRRPort(n, sh, out)
-			sh.trySwitch(s, p)
-			qAfter = switchQueues(node, qAfter[:0])
-			check(fmt.Sprintf("switch %d port %d", s, p), before, snapshotWRRPort(n, sh, out))
-			if out.busyUntil > now {
-				c.busySwitch++
-			} else {
-				c.unrequested++
-			}
-		}
-	}
-}
-
-// TestWRRIdlePassChangesNothing single-steps loaded WRR fabrics and,
-// after every event, runs a scheduling pass directly at every port whose
-// kick would have posted nothing: the events posted, the queues and
-// candidate index, the arbiter's cursor and residual, the round-robin
-// cursors, the port timestamps and the downstream credit must all come
-// out as they went in.  That is the exactness of the kick rules: what is
-// not posted would not have done anything.  The fault case starts just
-// before a stall window opens, where only busy ports are declined.
-func TestWRRIdlePassChangesNothing(t *testing.T) {
-	fatTree := topology.Spec{Class: topology.FatTree, K: 4}
-	for _, tc := range []struct {
-		name   string
-		spec   topology.Spec
-		faults bool
-	}{
-		{"irregular-8", topology.Spec{Class: topology.Irregular, Switches: 8, Seed: 11}, false},
-		{"fattree-k4", fatTree, false},
-		{"dragonfly-2-2-1", topology.Spec{Class: topology.Dragonfly, A: 2, P: 2, H: 1}, false},
-		{"fattree-k4/faults", fatTree, true},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			n := buildWRR(t, tc.spec, 9, 1, nil)
-			from := int64(20_000)
-			if tc.faults {
-				faultWindows(n)
-				from = 29_000
-			}
-			loadDifferential(t, n, 31)
-			n.Start()
-			n.Run(from)
-			var c declinedPasses
-			for step := 0; step < 3000; step++ {
-				if !n.Engine.Step() {
-					t.Fatal("engine ran dry")
-				}
-				passDeclinedPorts(t, n, &c)
-			}
-			if err := n.CheckBuffers(); err != nil {
-				t.Fatal(err)
-			}
-			if tc.faults && n.Now() < 30_000 {
-				t.Fatalf("stepped to t=%d only, short of the stall window", n.Now())
-			}
-			if c.busyHosts == 0 || c.busySwitch == 0 || (c.unrequested == 0) != tc.faults {
-				t.Fatalf("declined passes %+v: every class must occur (unrequested ports only without faults)", c)
-			}
-		})
-	}
-}
-
-// TestWRRIdleParallelShards is the same check on a two-shard parallel
-// run, where kicks also execute in the barrier's credit flush.  The
-// direct passes run at window barriers, the only instants another
-// goroutine may touch shard state.  ci.sh runs it under -race.
-func TestWRRIdleParallelShards(t *testing.T) {
-	n := buildWRR(t, topology.Spec{Class: topology.FatTree, K: 4}, 3, 2, nil)
-	if !n.Parallel() {
-		t.Fatal("2-shard fat-tree should run parallel")
-	}
-	loadDifferential(t, n, 17)
-	n.Start()
-	var c declinedPasses
-	for until := int64(20_000); until < 60_000; until += 97 {
-		n.Run(until)
-		passDeclinedPorts(t, n, &c)
-	}
-	if err := n.CheckBuffers(); err != nil {
-		t.Fatal(err)
-	}
-	if c.busyHosts == 0 || c.busySwitch == 0 || c.unrequested == 0 {
-		t.Fatalf("declined passes %+v: every class must occur", c)
-	}
 }
 
 // TestWRREventsPerHop gates, free of timing noise, what a forwarded

@@ -87,55 +87,60 @@ echo "==> go test -race -run TestParallelShard ./internal/fabric (sharded-core r
 # detector is the proof obligation (-count=1 so it always re-runs).
 go test -race -run 'TestParallelShard' -count=1 ./internal/fabric
 
-echo "==> go test -race -run 'TestHeadIndex|TestCheckBuffersAuditsArbiterIndex' ./internal/fabric (WRR candidate-index differential, fabric audit mutations)"
-# The WRR pick reads a push-maintained candidate index instead of
-# scanning queue heads; the differential tests compare it against the
-# retired scan after every event (TestParallelShardHeadIndex, matched by
-# the gate above, does the same at the barriers of a two-shard run).
-# TestCheckBuffersAuditsArbiterIndex breaks one invariant per row — an
-# active-table write behind the arbiter, a shadow slot a defragmenter
-# skipped, a reservation no connection owns — and requires
-# Network.CheckInvariants to name the port.
-go test -race -run 'TestHeadIndex|TestCheckBuffersAuditsArbiterIndex' -count=1 ./internal/fabric
+echo "==> go test -race -run 'TestHeadIndex|TestCheckBuffersAudits' ./internal/fabric (request index across failover, fabric audit mutations)"
+# Every switch model reads one push-maintained request index over the
+# input buffers (internal/fabric/pipeline.go).  TestHeadIndexAcrossFailover
+# audits it the instant each failure-recovery activation completes —
+# after the route swap, the drain, the sweep and the re-stamping of every
+# buffered packet's output — and compares it with the retired scans from
+# then on, under every switch model; TestHeadIndexIgnoresUnroutableHeads
+# covers a front packet with no route.  The TestCheckBuffersAudits rows
+# break one invariant each — an active-table write behind the arbiter, a
+# shadow slot a defragmenter skipped, a reservation no connection owns,
+# one word of either index view, a stamped output or a busy mask, a
+# route swap without a rebuild — and require Network.CheckBuffers or
+# CheckInvariants to name it.
+go test -race -run 'TestHeadIndex|TestCheckBuffersAudits' -count=1 ./internal/fabric
 
-echo "==> go test -race -run 'TestVOQIndex|TestPacketQueueDifferential' ./internal/fabric (VOQ occupancy-word and packet-FIFO differentials)"
-# The crossbar scheduling pass reads push-maintained occupancy words and
-# a word-wide iSLIP instead of scanning every queue group; the
-# differential tests compare every VL 15 pick, request matrix and
-# matching with the retired scans, single-stepped and on a two-shard
-# parallel run whose OnMatch replay executes on the shard goroutines.
-# Both switch models buffer packets in the same per-(input, VL) input
-# queues, intrusive FIFOs linked through the packets they hold; under
-# the input-queued models each packet records its output and a VOQ head
+echo "==> go test -race -run 'TestRequestIndex|TestPacketQueueDifferential' ./internal/fabric (request-index and packet-FIFO differentials)"
+# The scheduling passes read the request index and a word-wide iSLIP
+# instead of scanning queue heads and queue groups;
+# TestRequestIndexMatchesScan compares, after every event and under every
+# switch model, the WRR candidates at every port and every VL 15 pick,
+# request matrix and matching of the crossbar with the retired scans
+# (TestParallelShardRequestIndex, matched by the sharded-core gate above,
+# does the same at the barriers of two-shard runs, with the crossbar
+# replay on the shard goroutines).  Both switch models buffer packets in
+# the same per-(input, VL) input queues, intrusive FIFOs linked through
+# the packets they hold; each packet records its output, and a VOQ head
 # is the first packet for that output in the buffer, read by a walk and
-# unlinked from the middle of the chain, and the reference scan finds it
-# through the routing tables instead.  TestPacketQueueDifferential
+# unlinked from the middle of the chain, where the reference scan finds
+# it through the routing tables instead.  TestPacketQueueDifferential
 # drives several queues sharing one packet pool against slice FIFOs
 # (push, pop, moves between queues, unlinks of the first packet for an
 # output, failover's pop-and-push-back filter) and checks order, length,
 # the chain and the first packet and count per output after every
 # operation.
-go test -race -run 'TestVOQIndex|TestPacketQueueDifferential' -count=1 ./internal/fabric
+go test -race -run 'TestRequestIndex|TestPacketQueueDifferential' -count=1 ./internal/fabric
 
-echo "==> go test -race -run 'TestVOQIdle|TestVOQDeliveryDigest|TestWRRIdle|TestWRRDeliveryDigest|TestWRREventsPerHop' ./internal/fabric (no scheduling pass that cannot send)"
-# A kick at an input-queued switch posts a scheduling pass only when a
-# free output has a VL 15 candidate or a remembered request from a free
-# input.  TestVOQIndex above holds that predicate, the remembered request
+echo "==> go test -race -run 'TestIdle|TestVOQDeliveryDigest|TestWRRDeliveryDigest|TestWRREventsPerHop' ./internal/fabric (no scheduling pass that cannot send)"
+# A kick at a WRR port posts no pass while the port transmits or,
+# without a fault schedule, while no front packet requests it; a kick at
+# an input-queued switch posts a pass only when a free output has a
+# VL 15 candidate or a remembered request from a free input
+# (TestRequestIndex above holds that predicate, the remembered request
 # columns and the lazily cleared busy masks to the retired scans after
-# every event; TestVOQIdle runs a pass directly on every switch the
-# predicate calls idle and requires that nothing changed — on one engine
-# and on a two-shard run, where kicks evaluate the predicate on the shard
-# goroutines and in the barrier's credit flush; TestVOQDeliveryDigest
-# pins every delivery's (flow, tag, byte-times) to constants recorded
-# before the change.  The WRR twins: a kick at a WRR port posts no pass
-# while the port transmits or, without a fault schedule, while no input
-# head requests it; TestWRRIdle runs a pass directly at every port so
-# declined, after every event and at two-shard barriers, and requires
-# that nothing changed; TestWRRDeliveryDigest pins deliveries on every
-# routing class, under fault windows, at crossbar speedup 1 and at
+# every event).  TestIdlePassChangesNothing runs a pass directly wherever
+# a kick declined, under every switch model, after every event and under
+# WRR fault windows, and TestIdleParallelShards at the barriers of
+# two-shard runs, where kicks also execute in the barrier's credit
+# flush; both require that nothing changed.  TestWRRDeliveryDigest and
+# TestVOQDeliveryDigest pin every delivery's (flow, tag, byte-times) to
+# constants recorded before the kick rules, on every routing class, and
+# for WRR under fault windows, at crossbar speedup 1 and at
 # LimitOfHighPriority 0; TestWRREventsPerHop budgets events per forward
 # and arbiter stalls on a fixed run.
-go test -race -run 'TestVOQIdle|TestVOQDeliveryDigest|TestWRRIdle|TestWRRDeliveryDigest|TestWRREventsPerHop' -count=1 ./internal/fabric
+go test -race -run 'TestIdle|TestVOQDeliveryDigest|TestWRRDeliveryDigest|TestWRREventsPerHop' -count=1 ./internal/fabric
 
 echo "==> go test -race -run TestArbiterIndex ./internal/arbtable (high-table slot-mask differential)"
 # Arbiter.Pick finds the next serving high-table entry on per-VL slot
