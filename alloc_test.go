@@ -221,20 +221,13 @@ func TestAllocBudgetVOQForwarding(t *testing.T) {
 // Heap a fresh k=8 fat-tree network may hold per switch, everything it
 // retains included: routes, arbitration tables, admission state, the
 // switches' port slices and input buffers, and the request index over
-// those buffers, whose any-packet view is the VOQs: they index the
-// input buffers instead of holding packets of their own.
-// Switches with 32 ports whatever their radix and ring-buffer queues
-// held 59.7 kB (WRR) and 100.9 kB (VOQ-iSLIP); a 24-byte header per
-// (input, output, VL) queue held about 50 kB (VOQ-iSLIP).  With every
-// port table carrying its in-band transaction staging and every output
-// port a boundary-credit mirror, used or not, a switch held 22.4 kB
-// (WRR) and 22.7 kB (VOQ-iSLIP); without them, and with narrower
-// counters, cursors and queue headers, 15.5 and 15.8 kB.  The budgets
-// are those plus about 10 %.  Since both models keep one request index
-// with both its views, a switch holds 15.9 and 16.5 kB.
+// those buffers, which keeps only the view its switch rule reads — the
+// head view under WRR, the any-packet view, which is the VOQs, under
+// VOQ-iSLIP.  A switch holds 15.5 kB (WRR) and 15.8 kB (VOQ-iSLIP); the
+// budgets are those plus about 5 %.
 const (
-	fabricBytesPerSwitchWRR = 17_000
-	fabricBytesPerSwitchVOQ = 17_400
+	fabricBytesPerSwitchWRR = 16_300
+	fabricBytesPerSwitchVOQ = 16_600
 )
 
 // TestAllocBudgetFabricBytes gates the memory a switch costs: the heap a

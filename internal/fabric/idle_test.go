@@ -122,7 +122,7 @@ func snapshotWRRPort(n *Network, sh *shard, out *outPort) wrrPortState {
 
 // switchQueues appends what a pass at a switch can change in its input
 // ports to sig: every input's crossbar timestamp and queue lengths, and
-// the head view of the request index.
+// every word of the request index.
 func switchQueues(node *swNode, sig []int64) []int64 {
 	for i := range node.in {
 		in := &node.in[i]
@@ -131,12 +131,11 @@ func switchQueues(node *swNode, sig []int64) []int64 {
 			sig = append(sig, int64(in.queues[vl].len()))
 		}
 	}
-	x := &node.ix
-	for _, c := range x.cand {
-		sig = append(sig, int64(c))
+	for _, w := range node.ix.w32 {
+		sig = append(sig, int64(w))
 	}
-	for p := range x.vls {
-		sig = append(sig, int64(x.vls[p]), int64(x.queued[p]))
+	for _, w := range node.ix.w16 {
+		sig = append(sig, int64(w))
 	}
 	return sig
 }
@@ -426,8 +425,10 @@ func TestFaultWindowPostsOneWakeup(t *testing.T) {
 // any-packet view's words and summaries, the remembered request columns
 // and their valid bits and the busy masks on an input-queued fabric, the
 // head view's sets on a WRR one, and every stamped output at once by a
-// route swap that skips rebuildIndex — and expects CheckBuffers to name
-// what broke.
+// route swap that skips rebuildIndex — and the view a rule does not read,
+// which must be absent: a summary or valid bit on a WRR fabric, a
+// head-view word on an iSLIP one.  It expects CheckBuffers to name what
+// broke.
 func TestCheckBuffersAuditsVOQState(t *testing.T) {
 	// find returns the first (switch, port) the predicate accepts.
 	find := func(t *testing.T, n *Network, what string, ok func(node *swNode, p int) bool) (*swNode, int) {
@@ -442,13 +443,13 @@ func TestCheckBuffersAuditsVOQState(t *testing.T) {
 		t.Fatalf("no switch port with %s in the loaded fabric", what)
 		return nil, 0
 	}
-	queued := func(node *swNode, j int) bool { return node.ix.dataCols[j] != 0 }
+	queued := func(node *swNode, j int) bool { return node.ix.dataCols()[j] != 0 }
 	// findHeadSet returns the first (switch, head set index) whose
 	// candidate set the predicate accepts.
 	findHeadSet := func(t *testing.T, n *Network, ok func(c uint32) bool) (*swNode, int) {
 		t.Helper()
 		for _, node := range n.switches {
-			for k, c := range node.ix.cand {
+			for k, c := range node.ix.w32 {
 				if ok(c) {
 					return node, k
 				}
@@ -482,13 +483,13 @@ func TestCheckBuffersAuditsVOQState(t *testing.T) {
 		{"nonEmpty drops a VL still buffering a packet for the output", false, func(t *testing.T, n *Network) {
 			node, g := find(t, n, "a non-empty VOQ group", func(node *swNode, i int) bool {
 				for j := 0; j < node.ix.r; j++ {
-					if node.ix.nonEmpty[i*node.ix.r+j] != 0 {
+					if node.ix.nonEmpty()[i*node.ix.r+j] != 0 {
 						return true
 					}
 				}
 				return false
 			})
-			row := node.ix.nonEmpty[g*node.ix.r : (g+1)*node.ix.r]
+			row := node.ix.nonEmpty()[g*node.ix.r : (g+1)*node.ix.r]
 			for j := range row {
 				if row[j] != 0 {
 					row[j] &= row[j] - 1
@@ -498,17 +499,17 @@ func TestCheckBuffersAuditsVOQState(t *testing.T) {
 		}, "non-empty VL set"},
 		{"dataCols names an input that queues nothing", false, func(t *testing.T, n *Network) {
 			node, j := find(t, n, "a data column short of full", func(node *swNode, j int) bool {
-				return queued(node, j) && node.ix.dataCols[j] != 1<<node.ix.r-1
+				return queued(node, j) && node.ix.dataCols()[j] != 1<<node.ix.r-1
 			})
-			node.ix.dataCols[j] |= ^node.ix.dataCols[j] & (1<<node.ix.r - 1)
+			node.ix.dataCols()[j] |= ^node.ix.dataCols()[j] & (1<<node.ix.r - 1)
 		}, "data input set"},
 		{"dataCols misses a queued input", false, func(t *testing.T, n *Network) {
 			node, j := find(t, n, "queued data", queued)
-			node.ix.dataCols[j] &= node.ix.dataCols[j] - 1
+			node.ix.dataCols()[j] &= node.ix.dataCols()[j] - 1
 		}, "data input set"},
 		{"mgmtCols names an input that queues nothing", false, func(t *testing.T, n *Network) {
-			node, j := find(t, n, "no VL 15 packet", func(node *swNode, j int) bool { return node.ix.mgmtCols[j] == 0 })
-			node.ix.mgmtCols[j] = 1
+			node, j := find(t, n, "no VL 15 packet", func(node *swNode, j int) bool { return node.ix.mgmtCols()[j] == 0 })
+			node.ix.mgmtCols()[j] = 1
 		}, "VL 15 input set"},
 		{"dataOuts misses an output that holds data", false, func(t *testing.T, n *Network) {
 			node, j := find(t, n, "queued data", queued)
@@ -519,19 +520,19 @@ func TestCheckBuffersAuditsVOQState(t *testing.T) {
 			node.ix.dataOuts |= 1 << j
 		}, "output summaries"},
 		{"mgmtOuts names an output that holds no VL 15 packet", false, func(t *testing.T, n *Network) {
-			node, j := find(t, n, "no VL 15 packet", func(node *swNode, j int) bool { return node.ix.mgmtCols[j] == 0 })
+			node, j := find(t, n, "no VL 15 packet", func(node *swNode, j int) bool { return node.ix.mgmtCols()[j] == 0 })
 			node.ix.mgmtOuts |= 1 << j
 		}, "output summaries"},
 		{"a valid request column changed", false, func(t *testing.T, n *Network) {
 			node, j := find(t, n, "a valid request column", func(node *swNode, j int) bool {
 				return node.ix.reqValid&(1<<j) != 0
 			})
-			node.ix.req[j] ^= 1
+			node.ix.req()[j] ^= 1
 		}, "remembers request column"},
 		{"a stale request column is marked valid", false, func(t *testing.T, n *Network) {
 			node, j := find(t, n, "queued data", queued)
-			node.ix.req[j] = ^n.voqBuildColumn(node, j, n.bufferCapacity()) & node.ix.dataCols[j]
-			node.ix.req[j] ^= 1 << bits.TrailingZeros32(node.ix.dataCols[j]) // differs whatever the credit says
+			node.ix.req()[j] = ^n.voqBuildColumn(node, j, n.bufferCapacity()) & node.ix.dataCols()[j]
+			node.ix.req()[j] ^= 1 << bits.TrailingZeros32(node.ix.dataCols()[j]) // differs whatever the credit says
 			node.ix.reqValid |= 1 << j
 		}, "remembers request column"},
 		{"reqValid marks a column beyond the radix", false, func(t *testing.T, n *Network) {
@@ -552,24 +553,34 @@ func TestCheckBuffersAuditsVOQState(t *testing.T) {
 		}, "not marked busy"},
 		{"a head candidate set names an input whose front goes elsewhere", true, func(t *testing.T, n *Network) {
 			node, k := findHeadSet(t, n, func(c uint32) bool { return c != 0 && c != 1<<len(n.switches[0].in)-1 })
-			node.ix.cand[k] |= ^node.ix.cand[k] & (1<<node.ix.r - 1)
+			node.ix.w32[k] |= ^node.ix.w32[k] & (1<<node.ix.r - 1)
 		}, "head candidate set"},
 		{"a head candidate set misses a front packet", true, func(t *testing.T, n *Network) {
 			node, k := findHeadSet(t, n, func(c uint32) bool { return c != 0 })
-			node.ix.cand[k] &= node.ix.cand[k] - 1
+			node.ix.w32[k] &= node.ix.w32[k] - 1
 		}, "head candidate set"},
 		{"a head VL set names a VL no front requests", true, func(t *testing.T, n *Network) {
-			node, p := find(t, n, "a requested output", func(node *swNode, p int) bool { return node.ix.vls[p] != 0 })
-			free := ^node.ix.vls[p]
-			node.ix.vls[p] |= free & -free
+			node, p := find(t, n, "a requested output", func(node *swNode, p int) bool { return node.ix.vls()[p] != 0 })
+			free := ^node.ix.vls()[p]
+			node.ix.vls()[p] |= free & -free
 		}, "head VL set"},
 		{"queued drops a non-empty VL", true, func(t *testing.T, n *Network) {
-			node, i := find(t, n, "a non-empty input", func(node *swNode, i int) bool { return node.ix.queued[i] != 0 })
-			node.ix.queued[i] &= node.ix.queued[i] - 1
+			node, i := find(t, n, "a non-empty input", func(node *swNode, i int) bool { return node.ix.queued()[i] != 0 })
+			node.ix.queued()[i] &= node.ix.queued()[i] - 1
 		}, "queued VL set"},
+		{"a WRR index holds an any-packet summary", true, func(t *testing.T, n *Network) {
+			n.switches[0].ix.dataOuts |= 1
+		}, "keeps the head view but any-packet summaries"},
+		{"a WRR index marks a request column valid", true, func(t *testing.T, n *Network) {
+			n.switches[0].ix.reqValid |= 1
+		}, "keeps the head view but any-packet summaries"},
+		{"an iSLIP index carves a head-view word", false, func(t *testing.T, n *Network) {
+			x := &n.switches[0].ix
+			x.w32 = append(x.w32, 1) // input 0's front requests output 0 on VL 0
+		}, "the view its rule reads"},
 		{"routes swapped without rebuildIndex", true, func(t *testing.T, n *Network) {
 			node, p := find(t, n, "a packet queued toward another switch", func(node *swNode, p int) bool {
-				return node.out[p].downSwitch >= 0 && node.ix.vls[p] != 0
+				return node.out[p].downSwitch >= 0 && node.ix.vls()[p] != 0
 			})
 			degraded := n.Topo.Clone()
 			if err := degraded.RemoveLink(node.id, p); err != nil {

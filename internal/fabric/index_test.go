@@ -1,7 +1,9 @@
 package fabric
 
 import (
+	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/arbtable"
@@ -94,9 +96,9 @@ func scanReady(n *Network, s, p int) candidates {
 func indexReady(n *Network, s, p int) candidates {
 	node := n.switches[s]
 	now := n.shardForSwitch(s).eng.Now()
-	cand := node.ix.cand[p*arbtable.NumVLs : (p+1)*arbtable.NumVLs]
+	cand := node.ix.cand(p)
 	c := candidates{mgmt: n.mgmtCandidate(node, p, cand[arbtable.MgmtVL], now)}
-	n.dataCandidates(node, p, node.ix.vls[p]&dataVLMask, cand, now, &c.offer)
+	n.dataCandidates(node, p, node.ix.vls()[p]&dataVLMask, cand, now, &c.offer)
 	return c
 }
 
@@ -138,7 +140,7 @@ func compareAllPorts(t *testing.T, n *Network, st *stepStats) {
 				}
 			}
 			for vl := 0; vl < arbtable.NumDataVLs; vl++ {
-				set := node.ix.cand[p*arbtable.NumVLs+vl]
+				set := node.ix.cand(p)[vl]
 				if set&(set-1) != 0 {
 					st.contended++
 				}
@@ -224,17 +226,12 @@ func (d *indexDiff) quiet(t *testing.T, parallel bool) {
 // allModels lists every switch model the differential tests run under.
 var allModels = []SwitchModel{ModelWRR, ModelVOQISLIP, ModelVOQMWM}
 
-// TestRequestIndexMatchesScan single-steps loaded fabrics of every
-// routing class under every switch model and compares, after every
-// event, what the index yields with the retired full scans': under the
-// WRR rule the same VL 15 input, ready vector, and input and queueing
-// VL behind every lane at every wired output port; under the VOQ rule
-// the same VL 15 picks and request matrix at every switch, the kick
-// predicate saying "worth a pass" exactly when the scan finds something,
-// and every matching equal to the reference scheduler's.  Identical
-// candidates and matchings mean identical picks, forwards, pointer
-// updates and events, which is what keeps every golden byte-identical.
-func TestRequestIndexMatchesScan(t *testing.T) {
+// stepLoadedFabrics builds loaded fabrics of every routing class under
+// every switch model (loadDifferential) and hands each to run, which
+// sets up its probes and then calls steps: steps starts the fabric, lets
+// the queues fill and single-steps it 4000 events, calling each after
+// every event.
+func stepLoadedFabrics(t *testing.T, run func(t *testing.T, n *Network, steps func(each func(step int)))) {
 	cases := []struct {
 		name   string
 		spec   topology.Spec
@@ -255,24 +252,170 @@ func TestRequestIndexMatchesScan(t *testing.T) {
 						t.Fatalf("planes = %d, want %d", n.planes, tc.planes)
 					}
 					loadDifferential(t, n, 31)
-					d := newIndexDiff(t, n)
-					n.Start()
-					n.Run(20_000) // let the queues fill before comparing
-					for step := 0; step < 4000; step++ {
-						if !n.Engine.Step() {
-							t.Fatal("engine ran dry")
-						}
-						d.compare(t)
-						if step%500 == 0 {
-							if err := n.CheckBuffers(); err != nil {
-								t.Fatal(err)
+					run(t, n, func(each func(step int)) {
+						n.Start()
+						n.Run(20_000) // let the queues fill before comparing
+						for step := 0; step < 4000; step++ {
+							if !n.Engine.Step() {
+								t.Fatal("engine ran dry")
 							}
+							each(step)
 						}
-					}
-					d.quiet(t, false)
+					})
 				})
 			}
 		})
+	}
+}
+
+// TestRequestIndexMatchesScan single-steps loaded fabrics of every
+// routing class under every switch model and compares, after every
+// event, what the index yields with the retired full scans': under the
+// WRR rule the same VL 15 input, ready vector, and input and queueing
+// VL behind every lane at every wired output port; under the VOQ rule
+// the same VL 15 picks and request matrix at every switch, the kick
+// predicate saying "worth a pass" exactly when the scan finds something,
+// and every matching equal to the reference scheduler's.  Identical
+// candidates and matchings mean identical picks, forwards, pointer
+// updates and events, which is what keeps every golden byte-identical.
+func TestRequestIndexMatchesScan(t *testing.T) {
+	stepLoadedFabrics(t, func(t *testing.T, n *Network, steps func(func(int))) {
+		d := newIndexDiff(t, n)
+		steps(func(step int) {
+			d.compare(t)
+			if step%500 == 0 {
+				if err := n.CheckBuffers(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		d.quiet(t, false)
+	})
+}
+
+// wordWrites counts the index words a kind of call changed, split by
+// view: live words belong to the view the switch rule reads, dead words
+// to the other.
+type wordWrites struct{ calls, live, dead int }
+
+func (w wordWrites) String() string {
+	return fmt.Sprintf("%d calls, %.2f live and %.2f dead words each",
+		w.calls, float64(w.live)/float64(w.calls), float64(w.dead)/float64(w.calls))
+}
+
+// add counts one call that turned the views (head, anyPkt) into (head2,
+// anyPkt2), under the head view (headLive) or the any-packet view.
+func (w *wordWrites) add(headLive bool, head, anyPkt, head2, anyPkt2 []uint32) {
+	h, a := changedWords(head, head2), changedWords(anyPkt, anyPkt2)
+	if !headLive {
+		h, a = a, h
+	}
+	w.calls++
+	w.live += h
+	w.dead += a
+}
+
+func changedWords(a, b []uint32) (k int) {
+	for i := range a {
+		if a[i] != b[i] {
+			k++
+		}
+	}
+	return k
+}
+
+// indexViews copies the words of x's head view and of its any-packet
+// view, the summaries and valid bits included; a view x does not keep
+// has no words.
+func indexViews(x *reqIndex) (head, anyPkt []uint32) {
+	words := slices.Clone(x.w32)
+	for _, w := range x.w16 {
+		words = append(words, uint32(w))
+	}
+	sums := []uint32{x.dataOuts, x.mgmtOuts, x.reqValid}
+	if x.head {
+		return words, sums
+	}
+	return nil, append(words, sums...)
+}
+
+// cloneSwitch returns a copy of node's input buffers, every packet
+// copied, and of its request index, for push and pop to change without
+// touching the running fabric.
+func cloneSwitch(node *swNode) *swNode {
+	c := &swNode{id: node.id, in: make([]inPort, len(node.in)), ix: node.ix}
+	c.ix.w32, c.ix.w16 = slices.Clone(node.ix.w32), slices.Clone(node.ix.w16)
+	for i := range node.in {
+		for vl := range node.in[i].queues {
+			q := &node.in[i].queues[vl]
+			for pkt := q.front(); pkt != nil; pkt = q.after(pkt) {
+				cp := *pkt
+				c.in[i].queues[vl].push(&cp)
+			}
+		}
+	}
+	return c
+}
+
+// countWordWrites pops, from a copy of node, the packet each non-empty
+// input buffer could send — its front under the WRR rule, under the VOQ
+// rule the head of the virtual output queue its last packet belongs to —
+// and pushes it back onto the buffer's tail, diffing the index words
+// around every call.
+func countWordWrites(node *swNode, push, pop *wordWrites) {
+	c := cloneSwitch(node)
+	headLive := c.ix.head
+	for i := range c.in {
+		for vl := range c.in[i].queues {
+			q := &c.in[i].queues[vl]
+			if q.len() == 0 {
+				continue
+			}
+			p := int(q.front().out)
+			if !headLive {
+				p = int(q.tail.out)
+			}
+			h0, a0 := indexViews(&c.ix)
+			pkt := c.pop(i, vl, p)
+			h1, a1 := indexViews(&c.ix)
+			c.push(i, vl, p, pkt)
+			h2, a2 := indexViews(&c.ix)
+			pop.add(headLive, h0, a0, h1, a1)
+			push.add(headLive, h1, a1, h2, a2)
+		}
+	}
+}
+
+// TestRequestIndexWordWrites counts the request index words each push
+// and each pop changes, per switch model, over the fabrics and events of
+// TestRequestIndexMatchesScan: after every event it copies one switch
+// and diffs the index words around a pop and a push of every buffer's
+// sendable packet.  Every call must write the live view only.
+func TestRequestIndexWordWrites(t *testing.T) {
+	counts := map[SwitchModel]*[2]wordWrites{}
+	stepLoadedFabrics(t, func(t *testing.T, n *Network, steps func(func(int))) {
+		c := counts[n.Cfg.SwitchModel]
+		if c == nil {
+			c = new([2]wordWrites)
+			counts[n.Cfg.SwitchModel] = c
+		}
+		steps(func(step int) {
+			countWordWrites(n.switches[step%len(n.switches)], &c[0], &c[1])
+		})
+	})
+	for _, model := range allModels {
+		c := counts[model]
+		if c == nil {
+			continue // filtered out by -run
+		}
+		push, pop := c[0], c[1]
+		t.Logf("%s: push %v; pop %v", model, push, pop)
+		if push.calls == 0 || push.live == 0 || pop.live == 0 {
+			t.Errorf("%s: too quiet to prove anything: push %v, pop %v", model, push, pop)
+		}
+		if push.dead != 0 || pop.dead != 0 {
+			t.Errorf("%s: push wrote %d and pop %d words of the view the rule does not read", model, push.dead, pop.dead)
+		}
 	}
 }
 
@@ -437,11 +580,11 @@ func TestHeadIndexIgnoresUnroutableHeads(t *testing.T) {
 	if head.out != -1 {
 		t.Fatalf("unroutable head stamped with output %d", head.out)
 	}
-	if node.ix.queued[in]&(1<<uint(vl)) == 0 {
+	if node.ix.queued()[in]&(1<<uint(vl)) == 0 {
 		t.Fatal("unroutable head's queue not marked non-empty")
 	}
-	for p := range node.ix.vls {
-		if node.ix.cand[p*arbtable.NumVLs+vl]&(1<<uint(in)) != 0 {
+	for p := range node.ix.vls() {
+		if node.ix.cand(p)[vl]&(1<<uint(in)) != 0 {
 			t.Fatalf("unroutable head requests output port %d", p)
 		}
 	}

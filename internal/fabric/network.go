@@ -483,14 +483,9 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 		}
 	}
 
-	// Every switch indexes its input buffers (see pipeline.go); the
-	// switch model is a rule over that index.  The input-queued rule
-	// adds a crossbar per switch, the iSLIP depth and, for the MWM
-	// oracle, the solver scratch.
-	ixs := newIndexes(topo.NumSwitches, radix)
-	for s, node := range n.switches {
-		node.ix = ixs[s]
-	}
+	// The switch model is a rule over a request index that keeps the one
+	// view the rule reads (see pipeline.go).  The input-queued rule adds a
+	// crossbar per switch, the iSLIP depth and the MWM oracle's scratch.
 	n.rule = wrrRule{}
 	if cfg.SwitchModel != ModelWRR {
 		n.rule = voqRule{}
@@ -513,6 +508,10 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 				sh.mwm = newMWMScratch(topo.Ports())
 			}
 		}
+	}
+	ixs := newIndexes(topo.NumSwitches, radix, cfg.SwitchModel == ModelWRR)
+	for s, node := range n.switches {
+		node.ix = ixs[s]
 	}
 	return n, nil
 }

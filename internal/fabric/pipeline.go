@@ -15,20 +15,21 @@ import (
 // §9, "Switch pipeline").  Packets wait in per-(input, VL) buffers, each
 // stamped on arrival with the output port it leaves by (Packet.out), and
 // one request index per switch (reqIndex) tells the scheduling passes
-// what the buffers hold: a head view (which inputs' FRONT packets go to
-// each output) and an any-packet view (which inputs hold ANY packet for
-// each output).  A switch model is a rule over that index (switchRule),
-// chosen once by NewWithTopology: under WRR only a front packet may go
-// and every output port decides alone (trySwitch, reading the head
-// view); under VOQ the first packet for an output may go and one matcher
-// decides for the whole switch (voqSched, reading the any-packet view).
-// After the decision both rules share one VL 15 stage (mgmtCandidate),
-// one credit and plane-shift candidate loop (dataCandidates), one table
-// pick and forward (serve) and one way to hold an input (take).
+// what the buffers hold.  A switch model is a rule over that index
+// (switchRule), chosen once by NewWithTopology, and the rule fixes the
+// one view the index keeps: under WRR only a front packet may go and
+// every output decides alone (trySwitch, reading the head view: which
+// inputs' FRONT packets go to each output); under VOQ the first packet
+// for an output may go and one matcher decides for the whole switch
+// (voqSched, reading the any-packet view: which inputs hold ANY packet
+// for each output).  Both rules then share one VL 15 stage
+// (mgmtCandidate), one credit and plane-shift candidate loop
+// (dataCandidates), one table pick and forward (serve) and one way to
+// hold an input (take).
 //
-// The index is written in exactly two places, push and pop; whatever
-// else edits the buffers or replaces Network.Routes calls rebuildIndex,
-// and CheckBuffers audits the index against a full scan (checkIndex).
+// Only push and pop write the index; whatever else edits the buffers or
+// replaces Network.Routes calls rebuildIndex, and CheckBuffers audits
+// the index against a full scan (checkIndex).
 
 // The input and output sets are uint32 words, one bit per port.
 const _ = uint(32 - topology.SwitchPorts)
@@ -37,86 +38,93 @@ const _ = uint(32 - topology.SwitchPorts)
 const dataVLMask = uint16(1)<<arbtable.NumDataVLs - 1
 
 // reqIndex is one switch's request index over its input buffers, sized
-// from the topology's radix r like the switch's port slices.
+// from the topology's radix r like the switch's port slices.  It keeps
+// only the view its switch rule reads (head), in two word slices carved
+// from per-network slabs, each array at a fixed offset:
+//
+//	head view:        w32 = cand (r·NumVLs)           w16 = vls (r), queued (r)
+//	any-packet view:  w32 = dataCols, mgmtCols, req (r each)   w16 = nonEmpty (r·r)
+//
+// The any-packet view's summaries — the outputs whose dataCols /
+// mgmtCols word is not zero, and the req columns that are valid — stay
+// zero under the head view.
 type reqIndex struct {
-	r int
-
-	// The outputs whose dataCols / mgmtCols word is not zero, and the
-	// req columns that are valid (below): every pass reads them first.
+	w32                          []uint32
+	w16                          []uint16
+	r                            int
 	dataOuts, mgmtOuts, reqValid uint32
-
-	// Head view.  cand[p*NumVLs+vl] is the set of inputs whose front
-	// packet on VL vl goes to output p; vls[p] is the set of VLs with a
-	// non-empty cand set at output p; queued[i] is the set of VLs whose
-	// buffer at input i is non-empty (whatever its front goes to).
-	cand   []uint32
-	vls    []uint16
-	queued []uint16
-
-	// Any-packet view.  nonEmpty[i*r+j] is the set of VLs whose buffer
-	// at input i holds a packet for output j.  dataCols[j] is the set of
-	// inputs holding a data-VL packet for output j — column j of the
-	// widest request matrix a crossbar pass could build — and
-	// mgmtCols[j] the set holding a VL 15 packet for it.
-	nonEmpty           []uint16
-	dataCols, mgmtCols []uint32
-
-	// req[j] is column j of the request matrix before input
-	// availability is applied: the inputs whose group (i, j) holds a
-	// data packet with downstream credit (voqBuildColumn).  It is
-	// meaningful only while bit j of reqValid is set.  The bit is
-	// cleared wherever the column can change — add of the first data
-	// packet for j to a buffer, pop for j (which precedes every transmit
-	// on j, so the credit the transmit consumes is covered) and a credit
-	// return to output j (creditSwitch) — and voqColumn recomputes an
-	// invalid column the next time a crossbar pass or kick asks for it.
-	req []uint32
+	head                         bool
 }
 
-// newIndexes returns the request indexes of n switches of radix r, their
-// words carved from two per-network slabs.
-func newIndexes(n, r int) []reqIndex {
+// Head view.  cand(p)[vl] is the set of inputs whose front packet on VL
+// vl goes to output p; vls()[p] is the set of VLs with a non-empty cand
+// set at output p; queued()[i] is the set of VLs whose buffer at input i
+// is non-empty (whatever its front goes to).
+func (x *reqIndex) cand(p int) []uint32 { return x.w32[p*arbtable.NumVLs : (p+1)*arbtable.NumVLs] }
+func (x *reqIndex) vls() []uint16       { return x.w16[:x.r] }
+func (x *reqIndex) queued() []uint16    { return x.w16[x.r : 2*x.r] }
+
+// Any-packet view.  nonEmpty()[i*r+j] is the set of VLs whose buffer at
+// input i holds a packet for output j.  dataCols()[j] is the set of
+// inputs holding a data-VL packet for output j — column j of the widest
+// request matrix a crossbar pass could build — and mgmtCols()[j] the set
+// holding a VL 15 packet for it.  req()[j] is that column before input
+// availability is applied, restricted to the inputs whose group (i, j)
+// holds a data packet with downstream credit (voqBuildColumn); it is
+// meaningful only while bit j of reqValid is set.  The bit is cleared
+// wherever the column can change — add of the first data packet for j
+// to a buffer, pop for j (which precedes every transmit on j, so the
+// credit the transmit consumes is covered) and a credit return to output
+// j (creditSwitch) — and voqColumn recomputes an invalid column the next
+// time a crossbar pass or kick asks for it.
+func (x *reqIndex) nonEmpty() []uint16 { return x.w16 }
+func (x *reqIndex) dataCols() []uint32 { return x.w32[:x.r] }
+func (x *reqIndex) mgmtCols() []uint32 { return x.w32[x.r : 2*x.r] }
+func (x *reqIndex) req() []uint32      { return x.w32[2*x.r : 3*x.r] }
+
+// newIndexes returns the request indexes of n switches of radix r
+// keeping the head view (head) or the any-packet view, their words
+// carved from two per-network slabs.
+func newIndexes(n, r int, head bool) []reqIndex {
+	n32, n16 := 3*r, r*r
+	if head {
+		n32, n16 = r*arbtable.NumVLs, 2*r
+	}
 	xs := make([]reqIndex, n)
-	w32 := make([]uint32, n*r*(arbtable.NumVLs+3))
-	w16 := make([]uint16, n*r*(r+2))
+	w32 := make([]uint32, n*n32)
+	w16 := make([]uint16, n*n16)
 	for k := range xs {
-		xs[k] = reqIndex{
-			r:        r,
-			cand:     carve(&w32, r*arbtable.NumVLs),
-			dataCols: carve(&w32, r),
-			mgmtCols: carve(&w32, r),
-			req:      carve(&w32, r),
-			vls:      carve(&w16, r),
-			queued:   carve(&w16, r),
-			nonEmpty: carve(&w16, r*r),
-		}
+		xs[k] = reqIndex{w32: carve(&w32, n32), w16: carve(&w16, n16), r: r, head: head}
 	}
 	return xs
 }
 
 // add records a packet buffered at input i on VL vl and bound for
-// output p, which is (front) or is not its buffer's front packet.  A
-// packet with no route (p < 0: its destination became unreachable under
-// a repaired route set and the sweep has not removed it yet) requests
-// nothing.
+// output p, which is (front) or is not its buffer's front packet, in the
+// live view.  A packet with no route (p < 0: its destination became
+// unreachable under a repaired route set and the sweep has not removed
+// it yet) requests nothing.
 func (x *reqIndex) add(i, vl, p int, front bool) {
-	if front {
-		x.queued[i] |= 1 << vl
-		x.request(i, vl, p)
+	if x.head {
+		if front {
+			x.queued()[i] |= 1 << vl
+			x.request(i, vl, p)
+		}
+		return
 	}
 	if p < 0 {
 		return
 	}
-	ne := &x.nonEmpty[i*x.r+p]
+	ne := &x.nonEmpty()[i*x.r+p]
 	if *ne&(1<<vl) != 0 {
 		return // not the first packet for p: no group head changed
 	}
 	*ne |= 1 << vl
 	if vl == arbtable.MgmtVL {
-		x.mgmtCols[p] |= 1 << i
+		x.mgmtCols()[p] |= 1 << i
 		x.mgmtOuts |= 1 << p
 	} else {
-		x.dataCols[p] |= 1 << i
+		x.dataCols()[p] |= 1 << i
 		x.dataOuts |= 1 << p
 		x.reqValid &^= 1 << p
 	}
@@ -128,8 +136,8 @@ func (x *reqIndex) request(i, vl, p int) {
 	if p < 0 {
 		return
 	}
-	x.cand[p*arbtable.NumVLs+vl] |= 1 << i
-	x.vls[p] |= 1 << vl
+	x.cand(p)[vl] |= 1 << i
+	x.vls()[p] |= 1 << vl
 }
 
 // push buffers pkt at input i of node on VL vl, stamps it with its
@@ -142,52 +150,55 @@ func (node *swNode) push(i, vl, p int, pkt *Packet) {
 }
 
 // pop unlinks the first packet input i of node buffers on VL vl for
-// output p — the front packet under the WRR rule, a virtual output
-// queue's head under the VOQ rule — and withdraws it from the index: a
-// popped front's successor requests its own output, and the any-packet
-// bits go when the last packet for p leaves the buffer.  The transmit
-// that follows consumes p's downstream credit, so p's remembered request
-// column is dropped.
+// output p and withdraws it from the live view.  Under the head view it
+// is the front packet (the WRR rule sends nothing else), and its
+// successor requests its own output.  Under the any-packet view it is a
+// virtual output queue's head: the bits go when the last packet for p
+// leaves the buffer, and since the transmit that follows consumes p's
+// downstream credit, p's remembered request column is dropped.
 func (node *swNode) pop(i, vl, p int) *Packet {
 	x := &node.ix
 	q := &node.in[i].queues[vl]
-	front := q.front()
-	pkt := q.unlinkFirst(int8(p))
-	x.reqValid &^= 1 << p
-	if pkt == front {
-		c := &x.cand[p*arbtable.NumVLs+vl]
+	if x.head {
+		pkt := q.pop()
+		c := &x.cand(p)[vl]
 		if *c &^= 1 << i; *c == 0 {
-			x.vls[p] &^= 1 << vl
+			x.vls()[p] &^= 1 << vl
 		}
 		if next := q.front(); next != nil {
 			x.request(i, vl, int(next.out))
 		} else {
-			x.queued[i] &^= 1 << vl
+			x.queued()[i] &^= 1 << vl
 		}
+		return pkt
 	}
+	pkt := q.unlinkFirst(int8(p))
+	x.reqValid &^= 1 << p
 	if q.firstFor(int8(p)) != nil {
 		return pkt
 	}
-	ne := &x.nonEmpty[i*x.r+p]
+	ne := &x.nonEmpty()[i*x.r+p]
 	*ne &^= 1 << vl
 	if vl == arbtable.MgmtVL {
-		if x.mgmtCols[p] &^= 1 << i; x.mgmtCols[p] == 0 {
+		mc := x.mgmtCols()
+		if mc[p] &^= 1 << i; mc[p] == 0 {
 			x.mgmtOuts &^= 1 << p
 		}
 	} else if *ne&dataVLMask == 0 {
-		if x.dataCols[p] &^= 1 << i; x.dataCols[p] == 0 {
+		dc := x.dataCols()
+		if dc[p] &^= 1 << i; dc[p] == 0 {
 			x.dataOuts &^= 1 << p
 		}
 	}
 	return pkt
 }
 
-// indexOf builds a fresh request index of node from its buffers, every
-// packet bound for its output under the current Network.Routes.  each
-// sees every packet and that output before it is added, and may stop
-// the build with an error.
+// indexOf builds a fresh request index of node, keeping the same view,
+// from its buffers, every packet bound for its output under the current
+// Network.Routes.  each sees every packet and that output before it is
+// added, and may stop the build with an error.
 func (n *Network) indexOf(node *swNode, each func(pkt *Packet, i, vl, p int) error) (reqIndex, error) {
-	x := newIndexes(1, node.ix.r)[0]
+	x := newIndexes(1, node.ix.r, node.ix.head)[0]
 	for i := range node.in {
 		for vl := range node.in[i].queues {
 			q := &node.in[i].queues[vl]
@@ -231,12 +242,14 @@ func firstDiff[T comparable](got, want []T) int {
 // checkIndex audits everything a scheduling pass at one switch reads
 // instead of scanning, against a full scan of its buffers: every
 // buffered packet's stamped output against the routing tables (nothing
-// buffered toward an unwired port), both views of the index recomputed
-// from the buffers (no stale bit, no missing bit), every remembered
-// request column against a fresh computation from the packets and the
-// current credit view and, under the VOQ rule, the crossbar's busy masks
-// against the port timestamps.  It follows the buffers' links, so
-// CheckBuffers runs it only once every chain has been found well formed.
+// buffered toward an unwired port), the live view of the index
+// recomputed from the buffers (no stale bit, no missing bit) with the
+// other view absent (no word carved for it, no summary or valid bit
+// set), every remembered request column against a fresh computation
+// from the packets and the current credit view and, under the VOQ rule,
+// the crossbar's busy masks against the port timestamps.  It follows the
+// buffers' links, so CheckBuffers runs it only once every chain has been
+// found well formed.
 func (n *Network) checkIndex(node *swNode) error {
 	x := &node.ix
 	want, err := n.indexOf(node, func(pkt *Packet, i, vl, p int) error {
@@ -253,33 +266,44 @@ func (n *Network) checkIndex(node *swNode) error {
 	if err != nil {
 		return err
 	}
-	if k := firstDiff(x.queued, want.queued); k >= 0 {
-		return fmt.Errorf("fabric: switch %d input %d queued VL set %#04x, buffers say %#04x",
-			node.id, k, x.queued[k], want.queued[k])
+	if len(x.w32) != len(want.w32) || len(x.w16) != len(want.w16) {
+		return fmt.Errorf("fabric: switch %d request index holds %d uint32 and %d uint16 words, the view its rule reads %d and %d",
+			node.id, len(x.w32), len(x.w16), len(want.w32), len(want.w16))
 	}
-	if k := firstDiff(x.cand, want.cand); k >= 0 {
-		return fmt.Errorf("fabric: switch %d output %d VL %d head candidate set %#08x, buffers say %#08x",
-			node.id, k/arbtable.NumVLs, k%arbtable.NumVLs, x.cand[k], want.cand[k])
+	if x.head {
+		if x.dataOuts|x.mgmtOuts|x.reqValid != 0 {
+			return fmt.Errorf("fabric: switch %d keeps the head view but any-packet summaries data %#08x VL 15 %#08x valid %#08x",
+				node.id, x.dataOuts, x.mgmtOuts, x.reqValid)
+		}
+		if k := firstDiff(x.queued(), want.queued()); k >= 0 {
+			return fmt.Errorf("fabric: switch %d input %d queued VL set %#04x, buffers say %#04x",
+				node.id, k, x.queued()[k], want.queued()[k])
+		}
+		if k := firstDiff(x.w32, want.w32); k >= 0 {
+			return fmt.Errorf("fabric: switch %d output %d VL %d head candidate set %#08x, buffers say %#08x",
+				node.id, k/arbtable.NumVLs, k%arbtable.NumVLs, x.w32[k], want.w32[k])
+		}
+		if k := firstDiff(x.vls(), want.vls()); k >= 0 {
+			return fmt.Errorf("fabric: switch %d output %d head VL set %#04x, buffers say %#04x",
+				node.id, k, x.vls()[k], want.vls()[k])
+		}
+		return nil
 	}
-	if k := firstDiff(x.vls, want.vls); k >= 0 {
-		return fmt.Errorf("fabric: switch %d output %d head VL set %#04x, buffers say %#04x",
-			node.id, k, x.vls[k], want.vls[k])
-	}
-	if k := firstDiff(x.nonEmpty, want.nonEmpty); k >= 0 {
+	if k := firstDiff(x.nonEmpty(), want.nonEmpty()); k >= 0 {
 		return fmt.Errorf("fabric: switch %d VOQ (%d,%d) non-empty VL set %#04x, buffers say %#04x",
-			node.id, k/x.r, k%x.r, x.nonEmpty[k], want.nonEmpty[k])
+			node.id, k/x.r, k%x.r, x.nonEmpty()[k], want.nonEmpty()[k])
 	}
 	if x.dataOuts != want.dataOuts || x.mgmtOuts != want.mgmtOuts {
 		return fmt.Errorf("fabric: switch %d output summaries data %#08x VL 15 %#08x, buffers say %#08x and %#08x",
 			node.id, x.dataOuts, x.mgmtOuts, want.dataOuts, want.mgmtOuts)
 	}
-	if j := firstDiff(x.dataCols, want.dataCols); j >= 0 {
+	if j := firstDiff(x.dataCols(), want.dataCols()); j >= 0 {
 		return fmt.Errorf("fabric: switch %d output %d data input set %#08x, buffers say %#08x",
-			node.id, j, x.dataCols[j], want.dataCols[j])
+			node.id, j, x.dataCols()[j], want.dataCols()[j])
 	}
-	if j := firstDiff(x.mgmtCols, want.mgmtCols); j >= 0 {
+	if j := firstDiff(x.mgmtCols(), want.mgmtCols()); j >= 0 {
 		return fmt.Errorf("fabric: switch %d output %d VL 15 input set %#08x, buffers say %#08x",
-			node.id, j, x.mgmtCols[j], want.mgmtCols[j])
+			node.id, j, x.mgmtCols()[j], want.mgmtCols()[j])
 	}
 	if x.reqValid>>x.r != 0 {
 		return fmt.Errorf("fabric: switch %d marks request columns %#08x valid beyond radix %d", node.id, x.reqValid, x.r)
@@ -287,9 +311,9 @@ func (n *Network) checkIndex(node *swNode) error {
 	capacity := n.bufferCapacity()
 	for w := x.reqValid; w != 0; w &= w - 1 {
 		j := bits.TrailingZeros32(w)
-		if col := n.voqBuildColumn(node, j, capacity); x.req[j] != col {
+		if col := n.voqBuildColumn(node, j, capacity); x.req()[j] != col {
 			return fmt.Errorf("fabric: switch %d output %d remembers request column %#08x, heads and credit say %#08x",
-				node.id, j, x.req[j], col)
+				node.id, j, x.req()[j], col)
 		}
 	}
 	xb := node.xbar
@@ -331,9 +355,12 @@ func (sh *shard) kickSwitch(s, p int) { sh.n.rule.kick(sh, s, p) }
 
 // creditSwitch re-arms switch s's output port p after its downstream
 // buffer returned credit, which may make a blocked packet for p
-// eligible: the remembered request column p is dropped first.
+// eligible: under the any-packet view the remembered request column p
+// is dropped first.
 func (sh *shard) creditSwitch(s, p int) {
-	sh.n.switches[s].ix.reqValid &^= 1 << p
+	if x := &sh.n.switches[s].ix; !x.head {
+		x.reqValid &^= 1 << p
+	}
 	sh.kickSwitch(s, p)
 }
 
@@ -369,7 +396,7 @@ func (wrrRule) kick(sh *shard, s, p int) {
 // port p of node (out) is transmitting at now, or — without a fault
 // schedule — no front packet requests it.
 func (n *Network) wrrPassIdle(node *swNode, out *outPort, p int, now int64) bool {
-	return out.busyUntil > now || n.Faults == nil && node.ix.vls[p] == 0
+	return out.busyUntil > now || n.Faults == nil && node.ix.vls()[p] == 0
 }
 
 // inputFreed re-arms exactly the output ports the front packets of
@@ -377,7 +404,7 @@ func (n *Network) wrrPassIdle(node *swNode, out *outPort, p int, now int64) bool
 // slot freed.
 func (r wrrRule) inputFreed(sh *shard, s, i int) {
 	node := sh.n.switches[s]
-	for vls := node.ix.queued[i]; vls != 0; vls &= vls - 1 {
+	for vls := node.ix.queued()[i]; vls != 0; vls &= vls - 1 {
 		r.kick(sh, s, int(node.in[i].queues[bits.TrailingZeros16(vls)].front().out))
 	}
 }
@@ -402,13 +429,13 @@ func (sh *shard) trySwitch(s, p int) {
 		return
 	}
 	x := &node.ix
-	cand := x.cand[p*arbtable.NumVLs : (p+1)*arbtable.NumVLs]
+	cand := x.cand(p)
 	if i := n.mgmtCandidate(node, p, cand[arbtable.MgmtVL], now); i >= 0 {
 		sh.transmit(out, sh.take(node, i, p, arbtable.MgmtVL, now), switchCode(s, i), arbtable.MgmtVL)
 		return
 	}
 	var o offer
-	if !n.dataCandidates(node, p, x.vls[p]&dataVLMask, cand, now, &o) {
+	if !n.dataCandidates(node, p, x.vls()[p]&dataVLMask, cand, now, &o) {
 		out.arb.Stall()
 		return
 	}

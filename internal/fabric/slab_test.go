@@ -250,13 +250,15 @@ func testSlabNeighbours(t *testing.T, inband bool) {
 }
 
 // TestPortRecordSizes gates the records a fabric carves one of per
-// port: a k=8 fat-tree holds 640 switch inputs and outputs and 128
-// hosts, a k=32 one 40 960 and 8 192.  An input port was 552 bytes
+// port or switch: a k=8 fat-tree holds 640 switch inputs and outputs,
+// 128 hosts and 80 switches, a k=32 one 40 960, 8 192 and 1 280.  An input port was 552 bytes
 // while its credit counters were 64-bit and each VL queue kept a head
 // and a tail; an output port was 352 bytes while it carried a
 // 128-byte boundary-credit mirror whether or not its link crosses
 // shards and 64-bit round-robin cursors; a host, one output port and
-// sixteen send queues, was 744.
+// sixteen send queues, was 744.  A switch was 256 bytes and its request
+// index 192 while the index kept a slice header for every array of both
+// its views; it now keeps two, over the live view's words.
 func TestPortRecordSizes(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -266,6 +268,8 @@ func TestPortRecordSizes(t *testing.T) {
 		{"outPort", unsafe.Sizeof(outPort{}), 112},
 		{"hostNode", unsafe.Sizeof(hostNode{}), 376},
 		{"pktQueue", unsafe.Sizeof(pktQueue{}), 16},
+		{"swNode", unsafe.Sizeof(swNode{}), 136},
+		{"reqIndex", unsafe.Sizeof(reqIndex{}), 72},
 	} {
 		if tc.size > tc.ceil {
 			t.Errorf("%s is %d bytes, want <= %d", tc.name, tc.size, tc.ceil)

@@ -350,13 +350,13 @@ func (sh *shard) kickVOQ(s int) {
 func (n *Network) voqBuildColumn(node *swNode, j, capacity int) uint32 {
 	down := n.occView(&node.out[j])
 	var col uint32
-	for c := node.ix.dataCols[j]; c != 0; c &= c - 1 {
+	for c := node.ix.dataCols()[j]; c != 0; c &= c - 1 {
 		i := bits.TrailingZeros32(c)
 		if down == nil {
 			col |= 1 << i
 			continue
 		}
-		for vls := node.ix.nonEmpty[i*node.ix.r+j] & dataVLMask; vls != 0; vls &= vls - 1 {
+		for vls := node.ix.nonEmpty()[i*node.ix.r+j] & dataVLMask; vls != 0; vls &= vls - 1 {
 			vl := bits.TrailingZeros16(vls)
 			pkt := node.in[i].queues[vl].firstFor(int8(j))
 			outvl := vl
@@ -376,10 +376,10 @@ func (n *Network) voqBuildColumn(node *swNode, j, capacity int) uint32 {
 func (n *Network) voqColumn(node *swNode, j, capacity int) uint32 {
 	x := &node.ix
 	if x.reqValid&(1<<j) == 0 {
-		x.req[j] = n.voqBuildColumn(node, j, capacity)
+		x.req()[j] = n.voqBuildColumn(node, j, capacity)
 		x.reqValid |= 1 << j
 	}
-	return x.req[j]
+	return x.req()[j]
 }
 
 // voqFreePorts returns the crossbar slots a scheduling pass at node may
@@ -421,7 +421,7 @@ func (sh *shard) voqCanMatch(node *swNode, now int64) bool {
 	}
 	for w := outFree & x.mgmtOuts; w != 0; w &= w - 1 {
 		j := bits.TrailingZeros32(w)
-		if n.mgmtCandidate(node, j, x.mgmtCols[j]&inFree, now) >= 0 {
+		if n.mgmtCandidate(node, j, x.mgmtCols()[j]&inFree, now) >= 0 {
 			return true
 		}
 	}
@@ -455,7 +455,7 @@ func (sh *shard) voqSched(s int) {
 	// input and output crossbar slots the transfer uses.
 	for w := outFree & x.mgmtOuts; w != 0; w &= w - 1 {
 		j := bits.TrailingZeros32(w)
-		i := n.mgmtCandidate(node, j, x.mgmtCols[j]&inFree, now)
+		i := n.mgmtCandidate(node, j, x.mgmtCols()[j]&inFree, now)
 		if i < 0 {
 			continue
 		}
@@ -496,7 +496,7 @@ func (sh *shard) voqSched(s int) {
 			j := bits.TrailingZeros32(w)
 			for c := cols[j]; c != 0; c &= c - 1 {
 				i := bits.TrailingZeros32(c)
-				for vls := x.nonEmpty[i*x.r+j]; vls != 0; vls &= vls - 1 {
+				for vls := x.nonEmpty()[i*x.r+j]; vls != 0; vls &= vls - 1 {
 					sc.w[i*sc.n+j] += int32(node.in[i].queues[bits.TrailingZeros16(vls)].countFor(int8(j)))
 				}
 			}
@@ -526,7 +526,7 @@ func (sh *shard) voqSched(s int) {
 // arbitration table picks the lane, preserving the table-driven QoS of
 // the paper across the crossbar.
 func (sh *shard) voqServe(node *swNode, i, j int, now int64) {
-	vls := node.ix.nonEmpty[i*node.ix.r+j] & dataVLMask
+	vls := node.ix.nonEmpty()[i*node.ix.r+j] & dataVLMask
 	var sets [arbtable.NumVLs]uint32
 	for w := vls; w != 0; w &= w - 1 {
 		sets[bits.TrailingZeros16(w)] = 1 << i

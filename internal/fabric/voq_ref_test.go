@@ -363,7 +363,7 @@ func indexRequests(n *Network, s int) voqPass {
 	}
 	for w := outFree & x.mgmtOuts; w != 0; w &= w - 1 {
 		j := bits.TrailingZeros32(w)
-		if i := n.mgmtCandidate(node, j, x.mgmtCols[j]&inFree, now); i >= 0 {
+		if i := n.mgmtCandidate(node, j, x.mgmtCols()[j]&inFree, now); i >= 0 {
 			pass.mgmt[j] = int8(i)
 			inFree &^= 1 << i
 			outFree &^= 1 << j
@@ -441,7 +441,7 @@ func compareAllSwitches(t *testing.T, n *Network, st *voqStats) {
 				st.contended++
 			}
 			if j < node.ix.r {
-				st.blocked += bits.OnesCount32(node.ix.dataCols[j] &^ c)
+				st.blocked += bits.OnesCount32(node.ix.dataCols()[j] &^ c)
 			}
 		}
 		for _, i := range want.mgmt {
@@ -614,7 +614,8 @@ func TestVOQPermanentFaultPostsNoEvents(t *testing.T) {
 // TestVOQStateSizedByRadix is the memory gate of the radix-sized VOQ
 // state: the VOQs are an index over the input VL buffers, so an
 // input-queued switch of the k=8 and k=16 fat-trees (radix 8 and 16)
-// may hold at most voqExtraBytesPerSwitch more heap than its WRR twin.
+// may hold at most voqExtraBytesPerSwitch more heap than its WRR twin,
+// and each model's request index carves only the view its rule reads.
 // Storing every (input, output, VL) queue header cost r·r·16·24 bytes
 // on top: 24.6 kB at radix 8, 98 kB at radix 16.
 func TestVOQStateSizedByRadix(t *testing.T) {
@@ -638,10 +639,21 @@ func TestVOQStateSizedByRadix(t *testing.T) {
 			runtime.GC()
 			runtime.ReadMemStats(&after)
 			held[m] = int64(after.HeapAlloc) - int64(before.HeapAlloc)
-			x := &n.switches[0].ix
-			if r := topo.Ports(); x.r != r || len(x.nonEmpty) != r*r || len(x.cand) != r*arbtable.NumVLs {
-				t.Errorf("k=%d: request index sized r=%d, %d groups, %d head sets; topology radix %d",
-					k, x.r, len(x.nonEmpty), len(x.cand), r)
+			// Each model carves its own view's words and none of the
+			// other's: cand (r·NumVLs), vls and queued (r each) under
+			// WRR; dataCols, mgmtCols and req (r each) and nonEmpty (r·r)
+			// under VOQ-iSLIP.
+			r := topo.Ports()
+			n32, n16 := r*arbtable.NumVLs, 2*r
+			if model != ModelWRR {
+				n32, n16 = 3*r, r*r
+			}
+			for _, node := range n.switches {
+				x := &node.ix
+				if x.r != r || x.head != (model == ModelWRR) || cap(x.w32) != n32 || cap(x.w16) != n16 {
+					t.Fatalf("k=%d %s switch %d: request index r=%d head view %v, %d uint32 and %d uint16 words; want r=%d, %d and %d",
+						k, model, node.id, x.r, x.head, cap(x.w32), cap(x.w16), r, n32, n16)
+				}
 			}
 			runtime.KeepAlive(n)
 		}

@@ -97,9 +97,10 @@ echo "==> go test -race -run 'TestHeadIndex|TestCheckBuffersAudits' ./internal/f
 # covers a front packet with no route.  The TestCheckBuffersAudits rows
 # break one invariant each — an active-table write behind the arbiter, a
 # shadow slot a defragmenter skipped, a reservation no connection owns,
-# one word of either index view, a stamped output or a busy mask, a
-# route swap without a rebuild — and require Network.CheckBuffers or
-# CheckInvariants to name it.
+# one word of the live index view, a word of the view the switch rule
+# does not read, a stamped output or a busy mask, a route swap without a
+# rebuild — and require Network.CheckBuffers or CheckInvariants to name
+# it.
 go test -race -run 'TestHeadIndex|TestCheckBuffersAudits' -count=1 ./internal/fabric
 
 echo "==> go test -race -run 'TestRequestIndex|TestPacketQueueDifferential' ./internal/fabric (request-index and packet-FIFO differentials)"
@@ -110,7 +111,10 @@ echo "==> go test -race -run 'TestRequestIndex|TestPacketQueueDifferential' ./in
 # request matrix and matching of the crossbar with the retired scans
 # (TestParallelShardRequestIndex, matched by the sharded-core gate above,
 # does the same at the barriers of two-shard runs, with the crossbar
-# replay on the shard goroutines).  Both switch models buffer packets in
+# replay on the shard goroutines).  Each switch's index keeps only the
+# view its rule reads; TestRequestIndexWordWrites diffs the index words
+# around a pop and a push of every buffer's sendable packet over the same
+# runs, and fails on any word of the other view written.  Both switch models buffer packets in
 # the same per-(input, VL) input queues, intrusive FIFOs linked through
 # the packets they hold; each packet records its output, and a VOQ head
 # is the first packet for that output in the buffer, read by a walk and
@@ -232,15 +236,19 @@ echo "==> go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChu
 go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChurnTerminates' -count=1 ./internal/fabric ./internal/experiments
 
 echo "==> go test -run AllocBudget . and 'TestVOQStateSizedByRadix|TestPortRecordSizes' ./internal/fabric (zero-alloc hot-path and memory gate)"
-# The heap a fresh k=8 network holds per switch, at most 17 000 B (WRR)
-# and 17 400 B (VOQ-iSLIP) (the VOQs index the input buffers and hold
-# no packets of their own; transaction staging and boundary-credit
-# mirrors exist only where a port uses them), and a Packet of at most
-# 64 bytes; TestVOQStateSizedByRadix holds a VOQ-iSLIP switch of the k=8
-# and k=16 fat-trees to at most 4 kB more heap than its WRR twin; the
+# The heap a fresh k=8 network holds per switch, at most 16 300 B (WRR)
+# and 16 600 B (VOQ-iSLIP) (the VOQs index the input buffers and hold
+# no packets of their own; each switch carves only the index view its
+# rule reads; transaction staging and boundary-credit mirrors exist only
+# where a port uses them), and a Packet of at most 64 bytes;
+# TestVOQStateSizedByRadix holds a VOQ-iSLIP switch of the k=8 and k=16
+# fat-trees to at most 4 kB more heap than its WRR twin and each model's
+# index to its own view's words; the
 # record-size gates hold a core.PortTable to 88 bytes
-# (TestAllocBudgetFillIn) and the fabric's per-port records — inPort,
-# outPort, hostNode, pktQueue — to 360, 112, 376 and 16 bytes
+# (TestAllocBudgetFillIn), the fabric's per-port records — inPort,
+# outPort, hostNode, pktQueue — to 360, 112, 376 and 16 bytes, and a
+# switch (swNode) to 136 bytes with its request index (reqIndex, two
+# slab slices over the one view its rule reads) to 72
 # (TestPortRecordSizes);
 # testing.AllocsPerRun budgets: 0 allocs/op on arbiter pick, on the
 # event queue's Post + Step (near, far, timer + Cancel) and on a full
@@ -299,9 +307,9 @@ fi
 echo "==> bench correctness smoke (one short repetition per gated workload)"
 # Not a timing gate: each repetition runs the benchmark's own checks
 # (conservation, CheckBuffers — the data-plane half of
-# Network.CheckInvariants, which audits the arbiter slot masks,
-# the WRR candidate index and the VOQ occupancy words, remembered
-# request columns and busy masks — control-plane audits) and must report
+# Network.CheckInvariants, which audits the arbiter slot masks and the
+# request index: the WRR head view, or the VOQ occupancy words,
+# remembered request columns and busy masks — control-plane audits) and must report
 # "correct":true.
 for w in wrr-k8 voq-islip-k8 admit-k8 churn-inband-k8; do
     RESULT="$(bash bench/run.sh -workload "$w" -seed 7 -seconds 1 -trace 0 | tail -n 1)"
