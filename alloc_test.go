@@ -2,8 +2,8 @@
 // CI guards behind the zero-alloc contract of the typed-event engine:
 // with observability disabled (the default), an arbitration pick and a
 // full per-hop packet forwarding step must not allocate.  ci.sh runs
-// them explicitly; a regression here fails the build, not just a
-// benchmark report.
+// them explicitly; a regression here fails the build.  Timings are
+// bench/'s probes, not these tests'.
 package repro_test
 
 import (
@@ -35,9 +35,22 @@ func TestAllocBudgetArbiterPick(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budgets hold only without race instrumentation")
 	}
-	arb, ready := benchArbiter(t)
+	table := arbtable.New(2)
+	alloc := core.NewAllocator(table)
+	for i := 0; i < 8; i++ {
+		if _, err := alloc.Allocate(uint8(i), 8, 100+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	table.Low = []arbtable.Entry{{VL: 10, Weight: 8}, {VL: 11, Weight: 4}}
+	arb := arbtable.NewArbiter(table)
+	var ready arbtable.Ready
+	for vl := 0; vl < 8; vl++ {
+		ready[vl] = 282
+	}
+	ready[10], ready[11] = 282, 282
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, ok := arb.Pick(ready); !ok {
+		if _, _, ok := arb.Pick(&ready); !ok {
 			t.Fatal("nothing picked")
 		}
 	})
@@ -478,7 +491,7 @@ func TestAllocBudgetFillIn(t *testing.T) {
 
 // program opens a programming transaction on a dirty port and delivers
 // every block of it, as a programmer's SMPs would arrive.
-func program(t testing.TB, pt *core.PortTable) {
+func program(t *testing.T, pt *core.PortTable) {
 	d, err := pt.BeginProgram()
 	if err != nil || len(d.Blocks()) == 0 {
 		t.Fatalf("BeginProgram on a dirty port: %d blocks, error %v", len(d.Blocks()), err)
@@ -573,7 +586,7 @@ type admitLoopK8 struct {
 	live []*admission.Conn
 }
 
-func newAdmitLoopK8(t testing.TB) *admitLoopK8 {
+func newAdmitLoopK8(t *testing.T) *admitLoopK8 {
 	const payload, seed, fillPerHost = 256, 7, 128
 	topo, err := topology.Spec{Class: topology.FatTree, K: 8}.Generate()
 	if err != nil {
@@ -596,7 +609,7 @@ func newAdmitLoopK8(t testing.TB) *admitLoopK8 {
 	return l
 }
 
-func (l *admitLoopK8) step(t testing.TB) {
+func (l *admitLoopK8) step(t *testing.T) {
 	conn, err := l.adm.Admit(l.src.Next())
 	if err == nil {
 		l.live = append(l.live, conn)
@@ -719,20 +732,6 @@ func TestAllocBudgetAdmitRefused(t *testing.T) {
 	}
 }
 
-// BenchmarkAdmitReleaseK8 times the same closed loop, one offered
-// request per iteration.
-func BenchmarkAdmitReleaseK8(b *testing.B) {
-	l := newAdmitLoopK8(b)
-	for i := 0; i < 2000; i++ {
-		l.step(b)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.step(b)
-	}
-}
-
 // churnLoopK8 is the benchmark's churn-inband-k8 workload in miniature:
 // Poisson connection arrivals on a live k=8 fat-tree, every admission
 // through AdmitWithRetry, every table delta programmed in-band as SMPs
@@ -746,7 +745,7 @@ type churnLoopK8 struct {
 	arrivals, admitted, resolved int
 }
 
-func newChurnLoopK8(t testing.TB) *churnLoopK8 {
+func newChurnLoopK8(t *testing.T) *churnLoopK8 {
 	const payload, seed = 512, 7
 	topo, err := topology.Spec{Class: topology.FatTree, K: 8}.Generate()
 	if err != nil {
@@ -836,18 +835,8 @@ func TestAllocBudgetChurnLifecycle(t *testing.T) {
 	}
 }
 
-// BenchmarkChurnLifecycleK8 times the same loop, one connection
-// lifecycle per iteration.
-func BenchmarkChurnLifecycleK8(b *testing.B) {
-	l := newChurnLoopK8(b)
-	l.run(3000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	l.run(b.N)
-}
-
 // fatTreeRoutes builds a k-ary fat-tree and its routes.
-func fatTreeRoutes(t testing.TB, k int) (*topology.Topology, *routing.Routes) {
+func fatTreeRoutes(t *testing.T, k int) (*topology.Topology, *routing.Routes) {
 	topo, err := topology.GenerateFatTree(k)
 	if err != nil {
 		t.Fatal(err)
@@ -908,21 +897,5 @@ func TestAllocBudgetCDGVerify(t *testing.T) {
 	}
 	if allocs8-allocs4 > cdgVerifyGrowth {
 		t.Errorf("k=8 proof allocates %.0f objects, k=4 %.0f: more than slice growth", allocs8, allocs4)
-	}
-}
-
-// BenchmarkCDGVerify times the proof on the k=8 fat-tree every gated
-// workload sets up and on the k=16 one of the routing.cdg_verify_s probe.
-func BenchmarkCDGVerify(b *testing.B) {
-	for _, k := range []int{8, 16} {
-		topo, r := fatTreeRoutes(b, k)
-		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := cdg.Verify(topo, r); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -11,6 +11,8 @@
 //	ibtopo -switches 64 -seed 7 -adjacency
 //	ibtopo -class fattree -k 4
 //	ibtopo -class dragonfly -a 4 -p 2 -h 2
+//
+// A shape flag the chosen class does not read is an error naming it.
 package main
 
 import (
@@ -19,6 +21,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/routing"
 	"repro/internal/routing/cdg"
@@ -34,6 +38,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ibtopo:", err)
 		os.Exit(1)
 	}
+}
+
+// classFlags are the shape flags each class reads; a set flag its class
+// does not read is refused rather than silently ignored.
+var classFlags = map[topology.Class][]string{
+	topology.Irregular: {"switches", "seed"},
+	topology.FatTree:   {"k"},
+	topology.Dragonfly: {"a", "p", "h"},
 }
 
 // run parses the command line and writes the report to stdout.
@@ -56,6 +68,16 @@ func run(args []string, stdout io.Writer) error {
 	cls, err := topology.ParseClass(*class)
 	if err != nil {
 		return err
+	}
+	reads := classFlags[cls]
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name != "class" && f.Name != "adjacency" && !slices.Contains(reads, f.Name) {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		return fmt.Errorf("-class %s does not read %s (it reads -%s)", *class, strings.Join(unread, " "), strings.Join(reads, " -"))
 	}
 	spec := topology.Spec{Class: cls, Switches: *switches, Seed: *seed, K: *k, A: *a, P: *p, H: *h}
 	topo, err := spec.Generate()

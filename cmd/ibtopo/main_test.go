@@ -78,6 +78,9 @@ func TestRunRejectsHostileFlags(t *testing.T) {
 		{[]string{"-switches", "100000"}, "exceeds the irregular maximum"},
 		{[]string{"-class", "bogus"}, `unknown class "bogus"`},
 		{[]string{"-class", "dragonfly", "-a", "0"}, "must all be >= 1"},
+		{[]string{"-class", "fattree", "-k", "4", "-switches", "64", "-seed", "9"}, "-class fattree does not read -seed -switches (it reads -k)"},
+		{[]string{"-class", "dragonfly", "-k", "8"}, "-class dragonfly does not read -k (it reads -a -p -h)"},
+		{[]string{"-a", "4"}, "-class irregular does not read -a (it reads -switches -seed)"},
 	} {
 		var out bytes.Buffer
 		start := time.Now()

@@ -206,11 +206,8 @@ var exportedAllowlist = map[string]string{
 	"experiments.FailoverPoint":   "one point of FailoverSweep, in the form of ScalePoint and HOLPoint",
 	"experiments.Faults":          "one point of FaultsSweep, the unit its tests run",
 	"experiments.HOLPoint":        "one point of the HOL sweep, the unit its tests run",
-	"experiments.LargePayload":    "the paper's large payload, beside SmallPayload",
 	"experiments.PlanPoint":       "one point of the plan sweep, the unit its tests run",
 	"experiments.ScalePoint":      "one point of the scale sweep, the unit its tests run",
-	"experiments.SetupWith":       "root bench_test.go harness, frozen until ROADMAP 3(a)",
-	"experiments.SmallPayload":    "the paper's small payload; root bench_test.go harness",
 	"fabric.DefaultISLIPIters":    "bench/ probe, frozen until ROADMAP 3(b); the default of Config.ISLIPIters",
 	"fabric.ISLIPState":           "bench/ probe, frozen until ROADMAP 3(b)",
 	"mad.ArbModHighBase":          "IBA wire constant of the exported ArbModifier encoding",

@@ -205,8 +205,8 @@ func runArbiterDifferential(t *testing.T, data []byte) {
 	}
 }
 
-// benchProbeScript is the table of the arbiter probes in bench/ and the
-// root benchmarks — core.Allocator's layout for eight Allocate(i, 8,
+// benchProbeScript is the table of the arbiter probes in bench/ and of
+// TestAllocBudgetArbiterPick — core.Allocator's layout for eight Allocate(i, 8,
 // 100+i) sequences (VL i on the eight slots congruent to the 3-bit
 // reversal of i, its weight spread ceil-first) plus two low entries —
 // followed by picks.  core cannot be imported from here.

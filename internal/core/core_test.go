@@ -331,6 +331,34 @@ func TestTotalMovesAccounting(t *testing.T) {
 	if err := a.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
+
+	// The costliest release on a port: emptying a sequence moves the
+	// later arrival into its hole, exactly one relocation; releasing
+	// that arrival moves nothing.
+	p := newPort()
+	for vl, d := range []int{4, 8, 16, 32} {
+		if _, err := p.Reserve(uint8(vl), d, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 1; round <= 3; round++ {
+		first, err := p.Reserve(10, 64, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := p.Reserve(11, 64, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []Reservation{first, second} {
+			if err := p.Release(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := p.Allocator().TotalMoves(); got != round {
+			t.Errorf("after %d rounds of two placements and two releases: %d moves, want %d", round, got, round)
+		}
+	}
 }
 
 // TestCheckInvariantsAuditsDerivedState corrupts, one at a time, each

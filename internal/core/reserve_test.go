@@ -37,6 +37,33 @@ func TestReserveSharesSequence(t *testing.T) {
 	}
 }
 
+// The join path — a connection sharing an existing sequence of its VL
+// — is the hot path of admission under churn: it runs once per hop of
+// every arriving connection.  It must not allocate; the per-VL live
+// index exists so Reserve never builds the sorted all-VL snapshot
+// that Sequences() returns.
+func TestReserveJoinDoesNotAllocate(t *testing.T) {
+	p := newPort()
+	// Anchor sequences on several VLs so the index is non-trivial.
+	for vl := uint8(0); vl < 4; vl++ {
+		if _, err := p.Reserve(vl, 8, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		r, err := p.Reserve(2, 8, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Release(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("join path allocates %.1f objects per op, want 0", allocs)
+	}
+}
+
 func TestReserveSpillsToNewSequence(t *testing.T) {
 	p := newPort()
 	// Distance 64 -> 1 slot, capacity 255.

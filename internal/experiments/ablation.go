@@ -28,7 +28,7 @@ type PrioritySplitResult struct {
 // three DBTS sources (SL 5) that reserved 20 Mbps each but transmit
 // far above it.  oldScheme selects where the DB reservation lives.
 func prioritySplitScenario(seed int64, oldScheme bool) (float64, error) {
-	net, err := fabric.New(fabric.DefaultConfig(2, SmallPayload, seed))
+	net, err := fabric.New(fabric.DefaultConfig(2, smallPayload, seed))
 	if err != nil {
 		return 0, err
 	}

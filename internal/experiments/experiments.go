@@ -24,8 +24,8 @@ import (
 // Packet payloads of the evaluation: the paper contrasts a small and a
 // large packet size.
 const (
-	SmallPayload = 256
-	LargePayload = 2048
+	smallPayload = 256
+	largePayload = 2048
 )
 
 // Params sizes an experiment run.
@@ -105,11 +105,11 @@ type Run struct {
 	BEFlows []*fabric.Flow
 }
 
-// SetupWith builds the network, loads it with connections until
+// setupWith builds the network, loads it with connections until
 // admission control refuses more, and attaches the best-effort
 // background.  A non-nil mutate adjusts the fabric configuration first
 // (used by the VL-collapse ablation and custom scenarios).
-func SetupWith(p Params, payload int, mutate func(*fabric.Config)) (*Run, error) {
+func setupWith(p Params, payload int, mutate func(*fabric.Config)) (*Run, error) {
 	if p.TraceEvents > 0 && p.Shards > 1 {
 		return nil, fmt.Errorf("experiments: -trace records one engine's arbitration decisions and cannot run with -shards %d", p.Shards)
 	}
@@ -264,10 +264,10 @@ type Evaluation struct {
 func Evaluate(p Params, workers int) (*Evaluation, error) {
 	runs, err := runner.Sweep([]runner.Job[*Run]{
 		{Name: "small-packets", Seed: p.Seed, Run: func(int64) (*Run, error) {
-			return setupAndExecute(p, SmallPayload, nil)
+			return setupAndExecute(p, smallPayload, nil)
 		}},
 		{Name: "large-packets", Seed: p.Seed, Run: func(int64) (*Run, error) {
-			return setupAndExecute(p, LargePayload, nil)
+			return setupAndExecute(p, largePayload, nil)
 		}},
 	}, workers)
 	if err != nil {
@@ -298,7 +298,7 @@ func gridSweep[T any](specs []topology.Spec, loads []float64, base int64, worker
 // setupAndExecute is the unit of work every sweep job runs: build the
 // network, load it, and drive it through warm-up and measurement.
 func setupAndExecute(p Params, payload int, mutate func(*fabric.Config)) (*Run, error) {
-	run, err := SetupWith(p, payload, mutate)
+	run, err := setupWith(p, payload, mutate)
 	if err != nil {
 		return nil, err
 	}

@@ -34,7 +34,7 @@ func TestTable1Config(t *testing.T) {
 }
 
 func TestSetupLoadsNetwork(t *testing.T) {
-	run, err := SetupWith(Tiny(), SmallPayload, nil)
+	run, err := setupWith(Tiny(), smallPayload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestEvaluateDeterministic(t *testing.T) {
 }
 
 func TestSLBreakdown(t *testing.T) {
-	run, err := SetupWith(Tiny(), SmallPayload, nil)
+	run, err := setupWith(Tiny(), smallPayload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

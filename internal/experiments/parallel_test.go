@@ -43,7 +43,7 @@ func digestJobs(configs []sweepConfig) []runner.Job[configDigest] {
 				p.Switches = c.Switches
 				p.Seed = c.Seed
 				p.Metrics = true
-				run, err := setupAndExecute(p, SmallPayload, nil)
+				run, err := setupAndExecute(p, smallPayload, nil)
 				if err != nil {
 					return configDigest{}, err
 				}
@@ -143,7 +143,7 @@ func TestRunMetricsPopulated(t *testing.T) {
 	p := Tiny()
 	p.Metrics = true
 	p.TraceEvents = 32
-	run, err := setupAndExecute(p, SmallPayload, nil)
+	run, err := setupAndExecute(p, smallPayload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

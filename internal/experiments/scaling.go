@@ -33,7 +33,7 @@ func Scaling(p Params, sizes []int, workers int) ([]ScalingRow, error) {
 			Run: func(int64) (ScalingRow, error) {
 				ps := p
 				ps.Switches = size
-				run, err := setupAndExecute(ps, SmallPayload, nil)
+				run, err := setupAndExecute(ps, smallPayload, nil)
 				if err != nil {
 					return ScalingRow{}, err
 				}

@@ -32,7 +32,7 @@ func AblationSwitchModels(p Params, speedups []int, workers int) ([]SwitchModelR
 			Name: fmt.Sprintf("switchmodel-x%d", su),
 			Seed: p.Seed,
 			Run: func(int64) (SwitchModelRow, error) {
-				run, err := setupAndExecute(p, LargePayload, func(cfg *fabric.Config) {
+				run, err := setupAndExecute(p, largePayload, func(cfg *fabric.Config) {
 					cfg.CrossbarSpeedup = su
 				})
 				if err != nil {

@@ -34,7 +34,7 @@ func Table1() []Table1Row {
 				sl.WeightForBandwidth(l.MinMbps),
 				sl.WeightForBandwidth(l.MaxMbps),
 			},
-			HopDeadlineBT: sl.HopDeadlineByteTimes(l.Distance, SmallPayload+sl.HeaderBytes),
+			HopDeadlineBT: sl.HopDeadlineByteTimes(l.Distance, smallPayload+sl.HeaderBytes),
 		})
 	}
 	return rows

@@ -39,7 +39,7 @@ type VBRScenario struct {
 // the links carry real load).  reservePeak selects whether admission
 // reserves the peak rate or only the mean.
 func vbrScenario(seed int64, peakFactor, burst, switches int, windowIATs int64, reservePeak bool) (VBRScenario, error) {
-	net, err := fabric.New(fabric.DefaultConfig(switches, SmallPayload, seed))
+	net, err := fabric.New(fabric.DefaultConfig(switches, smallPayload, seed))
 	if err != nil {
 		return VBRScenario{}, err
 	}

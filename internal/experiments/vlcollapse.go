@@ -31,7 +31,7 @@ func AblationVLCollapse(p Params, lanes []int, workers int) ([]VLCollapseRow, er
 			Name: fmt.Sprintf("vlcollapse-%dvl", v),
 			Seed: p.Seed,
 			Run: func(int64) (VLCollapseRow, error) {
-				run, err := setupAndExecute(p, SmallPayload, func(cfg *fabric.Config) {
+				run, err := setupAndExecute(p, smallPayload, func(cfg *fabric.Config) {
 					cfg.DataVLs = v
 				})
 				if err != nil {

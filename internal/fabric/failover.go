@@ -129,7 +129,6 @@ type Recovery struct {
 	hostDead []bool         // by host
 	removed  map[int64]bool // severed links, by linkID
 	degraded *topology.Topology
-	report   routing.RepairReport
 
 	tracked         []*trackedConn
 	trackedFlows    map[*Flow]bool
@@ -279,9 +278,6 @@ func (rec *Recovery) Counters() *metrics.ControlCounters { return rec.counters }
 // Degraded returns the degraded topology of the last activation (nil
 // before the first).
 func (rec *Recovery) Degraded() *topology.Topology { return rec.degraded }
-
-// LastReport returns the repair report of the last activation.
-func (rec *Recovery) LastReport() routing.RepairReport { return rec.report }
 
 // DetectedKeys returns how many watched ports were ever declared dead.
 func (rec *Recovery) DetectedKeys() int64 { return rec.detected }
@@ -497,7 +493,7 @@ func (rec *Recovery) activate(crashed []bool, removed map[int64]bool, hostDead [
 	n.planes = newRoutes.Planes()
 	n.Adm.SetRoutes(newRoutes)
 	rec.crashed, rec.removed, rec.hostDead = crashed, removed, hostDead
-	rec.degraded, rec.report = degraded, rep
+	rec.degraded = degraded
 	if rec.cfg.OnSwap != nil {
 		rec.cfg.OnSwap(prev, newRoutes, rep)
 	}

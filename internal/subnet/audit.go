@@ -143,18 +143,6 @@ func (a *Auditor) Quarantined(id admission.PortID) bool {
 	return st != nil && st.quarantined
 }
 
-// QuarantinedCount returns the number of ports currently out of
-// service.
-func (a *Auditor) QuarantinedCount() int {
-	n := 0
-	for _, st := range a.state {
-		if st.quarantined {
-			n++
-		}
-	}
-	return n
-}
-
 // AuditsPending reports whether any audit round is still scheduled or
 // in flight (experiments assert the audit path, too, terminates).
 func (a *Auditor) AuditsPending() bool {

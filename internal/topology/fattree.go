@@ -65,21 +65,6 @@ func (l FatTreeLayout) IsAgg(sw int) (pod, a int, ok bool) {
 	return i / l.Half, i % l.Half, true
 }
 
-// IsCore reports whether sw is a core switch and returns its (a, c).
-func (l FatTreeLayout) IsCore(sw int) (a, c int, ok bool) {
-	i := sw - 2*l.K*l.Half
-	if i < 0 || i >= l.Half*l.Half {
-		return 0, 0, false
-	}
-	return i / l.Half, i % l.Half, true
-}
-
-// HostEdge returns the (pod, e, hostPort) location of a host.
-func (l FatTreeLayout) HostEdge(host int) (pod, e, hp int) {
-	perPod := l.Half * l.Half
-	return host / perPod, (host % perPod) / l.Half, host % l.Half
-}
-
 // GenerateFatTree builds the k-ary fat-tree.  The wiring is fully
 // deterministic — no seed.
 func GenerateFatTree(k int) (*Topology, error) {
@@ -89,8 +74,9 @@ func GenerateFatTree(k int) (*Topology, error) {
 	}
 	t := NewManual(l.NumSwitches())
 	t.Spec = Spec{Class: FatTree, K: k}
-	// Hosts on edge switches, ports 0..k/2-1, pod-major order so the
-	// host numbering matches HostEdge.
+	// Hosts on edge switches, ports 0..k/2-1, in pod-major order: host
+	// h sits on port h%(k/2) of edge switch h/(k/2), in pod
+	// h/(k/2)^2.
 	for pod := 0; pod < l.K; pod++ {
 		for e := 0; e < l.Half; e++ {
 			for hp := 0; hp < l.Half; hp++ {

@@ -3,11 +3,16 @@ package repro_test
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -146,5 +151,43 @@ func TestBenchLedger(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestNoBenchmarksOutsideBench keeps one measurement path.  bench/ times
+// every layer as a probe of a BENCHMARK.json workload, and a perf claim
+// is a number in a BENCH_PR<N>.json ledger; a `go test -bench` function
+// elsewhere measures beside that path and records nowhere.  The gate
+// parses every _test.go file the go tool builds outside bench/.
+func TestNoBenchmarksOutsideBench(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path == "bench" || name == "testdata" || path != "." && (name[0] == '.' || name[0] == '_') {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Benchmark") {
+				t.Errorf("%s: func %s: time it as a probe in bench/ and record it in the BENCH_PR<N>.json ledger (TestBenchLedger), not as a go test benchmark",
+					fset.Position(fn.Pos()), fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

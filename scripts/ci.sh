@@ -20,11 +20,6 @@
 #   alloc gate the zero-alloc budgets of the data-plane hot paths,
 #              run WITHOUT the race detector (race instrumentation
 #              allocates, so the budgets only hold in a plain build)
-#   root bench one iteration of the two forwarding benchmarks, of
-#              BenchmarkReconfiguration (a live failover run per
-#              non-cut link) and of BenchmarkSweepWorkers at two
-#              workers (16 simulations through runner.Sweep), so they
-#              keep building and running
 #   fuzz smoke a short coverage-guided run of each fuzz target on top
 #              of the checked-in seed corpus
 #   bench smoke one short repetition of every gated benchmark workload,
@@ -266,19 +261,12 @@ echo "==> go test -run AllocBudget . and 'TestVOQStateSizedByRadix|TestPortRecor
 # NewWithTopology under either switch model, whose ports, hosts,
 # arbiters and indexes come from per-network slabs; 4 000 for a whole
 # wrr-k8-like set-up; 1 per AddConnection, its one-record Flow); and a
-# dozen slices, at most 150 kB, per k=8 CDG proof.  Must run without
-# -race (the detector's instrumentation allocates).
+# dozen slices, at most 150 kB, per k=8 CDG proof.  These tests are the
+# zero-alloc contract itself, not a report beside one; the same paths'
+# timings are bench/'s per-layer probes (bash bench/run.sh -trace 1).
+# Must run without -race (the detector's instrumentation allocates).
 go test -run 'AllocBudget' -count=1 .
 go test -run 'TestVOQStateSizedByRadix|TestPortRecordSizes' -count=1 ./internal/fabric
-
-echo "==> go test -bench 'BenchmarkVOQForward|BenchmarkPerHopForwarding|BenchmarkReconfiguration|BenchmarkSweepWorkers/workers=2' -benchtime 1x . (root benchmarks smoke)"
-# One iteration each, so the benchmarks behind the 0 allocs/op reports of
-# both forwarding paths, the control-plane study's live failover runs
-# and the sweep harness's only benchmark at least build and run.  The
-# sweep benchmark gets its own invocation: a sub-benchmark filter would
-# also filter the forwarding benchmark's sub-benchmarks.
-go test -run '^$' -bench 'BenchmarkVOQForward|BenchmarkPerHopForwarding|BenchmarkReconfiguration' -benchtime 1x .
-go test -run '^$' -bench 'BenchmarkSweepWorkers/workers=2$' -benchtime 1x .
 
 if [[ "$RUN_FUZZ" -eq 1 ]]; then
     # -fuzz takes one target per invocation; -run='^$' skips the unit
