@@ -152,8 +152,8 @@ func TestAllocBudgetEngine(t *testing.T) {
 	for name, step := range map[string]func(){
 		"near":        func() { e.Post(e.Now()+700, h, sim.Event{}); e.Step() },
 		"far":         func() { e.Post(e.Now()+farDelay, h, sim.Event{}); e.Step() },
-		"cancel near": func() { e.Cancel(e.PostTimer(e.Now()+700, h, sim.Event{})) },
-		"cancel far":  func() { e.Cancel(e.PostTimer(e.Now()+farDelay, h, sim.Event{})) },
+		"cancel near": func() { e.Cancel(e.PostTimerAfter(700, h, sim.Event{})) },
+		"cancel far":  func() { e.Cancel(e.PostTimerAfter(farDelay, h, sim.Event{})) },
 	} {
 		if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
 			t.Errorf("engine %s step allocates %.2f allocs/op, want 0", name, allocs)
@@ -438,7 +438,7 @@ func TestAllocBudgetFillIn(t *testing.T) {
 			}
 		}},
 		{"CheckInvariants", 0, func() {
-			if err := a.CheckInvariants(); err != nil {
+			if err := pt.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -185,9 +185,12 @@ func parse(args []string, stderr io.Writer) (*experiment, *config, error) {
 	if e.preset != nil {
 		c.preset = e.preset(c.scale)
 	}
+	// ChurnSweep allocates a job, a name and a result per seed before
+	// the first seed runs, so a huge count must be refused here.
+	const maxChurnSeeds = 1024
 	switch {
-	case c.churnSeeds < 1:
-		return nil, nil, fmt.Errorf("-churn-seeds %d: need at least one seed", c.churnSeeds)
+	case c.churnSeeds < 1 || c.churnSeeds > maxChurnSeeds:
+		return nil, nil, fmt.Errorf("-churn-seeds %d outside [1, %d]", c.churnSeeds, maxChurnSeeds)
 	case c.traces < 1:
 		return nil, nil, fmt.Errorf("-traces %d: need at least one trace", c.traces)
 	case c.trace < 0:

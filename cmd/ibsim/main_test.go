@@ -88,6 +88,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}{
 		{"-churn-seeds", []string{"-exp", "churn", "-churn-seeds", "-1"}},
 		{"-churn-seeds", []string{"-exp", "churn", "-churn-seeds", "0"}},
+		{"-churn-seeds", []string{"-exp", "churn", "-churn-seeds", "1025"}},
+		{"-churn-seeds", []string{"-exp", "churn", "-churn-seeds", "100000000"}},
 		{"-traces", []string{"-exp", "ablation-fill", "-traces", "-1"}},
 		{"-plan-headroom-sl", []string{"-exp", "plan", "-plan-headroom-sl", "999"}},
 		{"-plan-headroom-sl", []string{"-exp", "plan", "-plan-headroom-sl", "77"}},

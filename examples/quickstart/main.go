@@ -79,7 +79,7 @@ func main() {
 		}
 	}
 	fmt.Printf("\nafter releases: %d free slots, table empty: %v\n",
-		port.Allocator().FreeSlots(), table.HighWeight() == 0)
+		port.Allocator().FreeSlots(), table.High == [arbtable.TableSize]arbtable.Entry{})
 
 	if err := port.CheckInvariants(); err != nil {
 		log.Fatal(err)

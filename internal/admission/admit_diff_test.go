@@ -291,13 +291,13 @@ func TestRoutedPathsVisitEachSiteOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			distinct := func(what string, r *routing.Routes) {
+			distinct := func(what string, tp *topology.Topology, r *routing.Routes) {
 				t.Helper()
-				c := NewController(r.Topo(), r, sl.IdentityMapping(), NewPorts(r.Topo(), arbtable.UnlimitedHigh, nil))
+				c := NewController(tp, r, sl.IdentityMapping(), NewPorts(tp, arbtable.UnlimitedHigh, nil))
 				seen := make(map[PortID]bool)
 				paths := 0
-				for src := 0; src < topo.NumHosts(); src++ {
-					for dst := 0; dst < topo.NumHosts(); dst++ {
+				for src := 0; src < tp.NumHosts(); src++ {
+					for dst := 0; dst < tp.NumHosts(); dst++ {
 						path, err := r.PathHops(src, dst, 0)
 						if src == dst || err != nil {
 							continue // unroutable after a failure
@@ -321,7 +321,7 @@ func TestRoutedPathsVisitEachSiteOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			distinct("whole", whole)
+			distinct("whole", topo, whole)
 			links := topo.Links()
 			for i := 0; i < len(links); i += 1 + len(links)/8 {
 				degraded := topo.Clone()
@@ -332,7 +332,7 @@ func TestRoutedPathsVisitEachSiteOnce(t *testing.T) {
 				if err != nil {
 					t.Fatalf("link %d: %v", i, err)
 				}
-				distinct("link lost", repaired)
+				distinct("link lost", degraded, repaired)
 			}
 			for s := 0; s < topo.NumSwitches; s += 1 + topo.NumSwitches/8 {
 				degraded := topo.Clone()
@@ -343,7 +343,7 @@ func TestRoutedPathsVisitEachSiteOnce(t *testing.T) {
 				if err != nil {
 					t.Fatalf("switch %d: %v", s, err)
 				}
-				distinct("switch lost", repaired)
+				distinct("switch lost", degraded, repaired)
 			}
 		})
 	}

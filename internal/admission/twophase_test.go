@@ -161,7 +161,7 @@ func TestAbortAtLastHopLeavesEarlierHopsUntouched(t *testing.T) {
 						t.Errorf("hop %d (%v): sequence %d = %s, want %s", i, s.id(), k, after.seqs[k], before[i].seqs[k])
 					}
 				}
-				if err := s.table.Allocator().CheckInvariants(); err != nil {
+				if err := s.table.CheckInvariants(); err != nil {
 					t.Errorf("hop %d (%v): %v", i, s.id(), err)
 				}
 			}

@@ -14,16 +14,6 @@ import (
 // implements the table scheduling rules.
 type Ready [NumDataVLs]int
 
-// Any reports whether at least one VL has an eligible packet.
-func (r *Ready) Any() bool {
-	for _, s := range r {
-		if s > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // wrrState is the weighted round-robin position within one table: the
 // current entry, the byte allowance it has left, and whether the
 // position is live (false until the first packet is scheduled).  An
@@ -110,7 +100,7 @@ func NewArbiter(t *Table) *Arbiter {
 // t.High directly is only valid before this call: the arbiter indexes
 // the high table here and again at every re-anchor, nowhere else.
 func (a *Arbiter) Init(t *Table) {
-	*a = Arbiter{table: t, hiSlots: t.HighSlotMasks(), seen: t.Version()}
+	*a = Arbiter{table: t, hiSlots: t.highSlotMasks(), seen: t.Version()}
 }
 
 // CheckIndex verifies that the slot masks the arbiter schedules from
@@ -122,7 +112,7 @@ func (a *Arbiter) CheckIndex() error {
 	if a.table.Version() != a.seen {
 		return nil
 	}
-	for vl, want := range a.table.HighSlotMasks() {
+	for vl, want := range a.table.highSlotMasks() {
 		if got := a.hiSlots[vl]; got != want {
 			return fmt.Errorf("arbtable: VL %d slot mask %#016x, high table has %#016x (written without Swap?)",
 				vl, got, want)
@@ -168,7 +158,7 @@ func (a *Arbiter) Pick(ready *Ready) (vl int, high bool, ok bool) {
 		a.hi.active = false
 		a.hi.residual = 0
 		a.reanchors++
-		a.hiSlots = a.table.HighSlotMasks()
+		a.hiSlots = a.table.highSlotMasks()
 	}
 	if n := len(a.table.Low); n > 0 && int(a.lo.idx) >= n {
 		// The low table shrank since the last pick (dynamic low
@@ -325,7 +315,3 @@ func commit(entries []Entry, st *wrrState, ch choice, size int) {
 	}
 	st.residual -= int32(size)
 }
-
-// HighBytesSinceLow exposes the allowance counter for tests and
-// instrumentation.
-func (a *Arbiter) HighBytesSinceLow() int { return a.hiSinceLow }

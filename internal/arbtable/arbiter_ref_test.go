@@ -189,9 +189,9 @@ func runArbiterDifferential(t *testing.T, data []byte) {
 		if ok && idx.Last() != ref.Last() {
 			t.Fatalf("call %d: Last = %+v, reference %+v", call, idx.Last(), ref.Last())
 		}
-		if idx.HighBytesSinceLow() != ref.HighBytesSinceLow() || idx.Reanchors() != ref.Reanchors() {
+		if idx.hiSinceLow != ref.hiSinceLow || idx.reanchors != ref.reanchors {
 			t.Fatalf("call %d: hiSinceLow/reanchors = %d/%d, reference %d/%d", call,
-				idx.HighBytesSinceLow(), idx.Reanchors(), ref.HighBytesSinceLow(), ref.Reanchors())
+				idx.hiSinceLow, idx.reanchors, ref.hiSinceLow, ref.reanchors)
 		}
 		if idx.hi != ref.hi || idx.lo != ref.lo {
 			t.Fatalf("call %d: state hi %+v lo %+v, reference hi %+v lo %+v", call, idx.hi, idx.lo, ref.hi, ref.lo)
@@ -246,8 +246,10 @@ func TestBenchProbeScriptTable(t *testing.T) {
 			t.Errorf("VL %d: max gap %d weight %d, want 8 and %d", vl, g, w, 100+vl)
 		}
 	}
-	if tb.FreeHighSlots() != 0 {
-		t.Errorf("%d free slots, want a full table", tb.FreeHighSlots())
+	for i, e := range tb.High {
+		if e.IsFree() {
+			t.Errorf("slot %d free, want a full table", i)
+		}
 	}
 }
 
@@ -292,8 +294,8 @@ func FuzzArbiterPick(f *testing.F) {
 }
 
 // TestArbiterIndexSkipsOutOfRangeVL: a high entry with weight naming a
-// VL outside the data range is Validate's to report; swapped in anyway
-// it must be passed over, not index Ready out of bounds.
+// VL outside the data range, swapped in, must be passed over, not index
+// Ready out of bounds.
 func TestArbiterIndexSkipsOutOfRangeVL(t *testing.T) {
 	tb := New(UnlimitedHigh)
 	tb.High[0] = Entry{VL: 1, Weight: 1}
@@ -307,9 +309,6 @@ func TestArbiterIndexSkipsOutOfRangeVL(t *testing.T) {
 	high[1] = Entry{VL: 200, Weight: 9}
 	high[5] = Entry{VL: 3, Weight: 1}
 	tb.Swap(high)
-	if err := tb.Validate(); err == nil {
-		t.Fatal("Validate accepted a high entry naming VL 15")
-	}
 	for i := 0; i < 3; i++ {
 		vl, hi, ok := a.Pick(readyFor(WeightUnit, 1, 3))
 		if !ok || vl != 3 || !hi || a.Last().Entry != 5 {

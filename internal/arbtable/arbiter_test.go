@@ -290,17 +290,6 @@ func TestLowTableShrinks(t *testing.T) {
 	}
 }
 
-func TestReadyAny(t *testing.T) {
-	var r Ready
-	if r.Any() {
-		t.Error("empty Ready reports Any")
-	}
-	r[7] = 128
-	if !r.Any() {
-		t.Error("non-empty Ready reports !Any")
-	}
-}
-
 // TestConservationOfService: over a long saturated run, per-VL service
 // bytes are proportional to per-VL total weight.
 func TestConservationOfService(t *testing.T) {

@@ -118,59 +118,13 @@ func New(limit uint8) *Table {
 	return &Table{Limit: limit}
 }
 
-// Validate checks structural well-formedness: no entry may name the
-// management VL or a VL outside the data range.
-func (t *Table) Validate() error {
-	check := func(kind string, i int, e Entry) error {
-		if e.IsFree() {
-			return nil
-		}
-		if e.VL >= NumDataVLs {
-			return fmt.Errorf("arbtable: %s[%d] names VL %d; data VLs are 0..%d", kind, i, e.VL, NumDataVLs-1)
-		}
-		return nil
-	}
-	for i, e := range t.High {
-		if err := check("high", i, e); err != nil {
-			return err
-		}
-	}
-	for i, e := range t.Low {
-		if err := check("low", i, e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// HighWeight returns the total weight currently allocated in the
-// high-priority table.
-func (t *Table) HighWeight() int {
-	w := 0
-	for _, e := range t.High {
-		w += int(e.Weight)
-	}
-	return w
-}
-
-// FreeHighSlots returns the number of unused high-priority slots.
-func (t *Table) FreeHighSlots() int {
-	n := 0
-	for _, e := range t.High {
-		if e.IsFree() {
-			n++
-		}
-	}
-	return n
-}
-
-// HighSlotMasks returns, for every data VL, the set of high-table
+// highSlotMasks returns, for every data VL, the set of high-table
 // slots that serve it: bit i of element vl is set when High[i] names vl
 // with weight > 0.  These are the paper's entry sets E(i,j) seen from
 // the arbiter's side — a sequence of 2^k equally spaced slots is one
 // strided 64-bit word.  Entries naming a VL outside the data range
-// (which Validate rejects) appear in no mask.
-func (t *Table) HighSlotMasks() (masks [NumDataVLs]uint64) {
+// appear in no mask.
+func (t *Table) highSlotMasks() (masks [NumDataVLs]uint64) {
 	for i, e := range t.High {
 		if !e.IsFree() && e.VL < NumDataVLs {
 			masks[e.VL] |= 1 << uint(i)
@@ -179,27 +133,13 @@ func (t *Table) HighSlotMasks() (masks [NumDataVLs]uint64) {
 	return masks
 }
 
-// highSlotMask returns the HighSlotMasks element of one VL, zero for
+// highSlotMask returns the highSlotMasks element of one VL, zero for
 // VLs outside the data range.
 func (t *Table) highSlotMask(vl uint8) uint64 {
 	if vl >= NumDataVLs {
 		return 0
 	}
-	return t.HighSlotMasks()[vl]
-}
-
-// HighSlotsForVL returns the high-table slot indices occupied by vl, in
-// ascending position order.
-func (t *Table) HighSlotsForVL(vl uint8) []int {
-	m := t.highSlotMask(vl)
-	if m == 0 {
-		return nil
-	}
-	out := make([]int, 0, bits.OnesCount64(m))
-	for ; m != 0; m &= m - 1 {
-		out = append(out, bits.TrailingZeros64(m))
-	}
-	return out
+	return t.highSlotMasks()[vl]
 }
 
 // MaxGap returns, for the given VL, the maximum cyclic distance between
@@ -224,23 +164,6 @@ func (t *Table) MaxGap(vl uint8) int {
 	return max(maxGap, TableSize-prev)
 }
 
-// ServiceShare returns the fraction of high-priority service a VL is
-// guaranteed when every lane is backlogged: its weight divided by the
-// table's total weight.  Zero when the table is empty or the VL absent.
-func (t *Table) ServiceShare(vl uint8) float64 {
-	total := t.HighWeight()
-	if total == 0 {
-		return 0
-	}
-	own := 0
-	for _, e := range t.High {
-		if !e.IsFree() && e.VL == vl {
-			own += int(e.Weight)
-		}
-	}
-	return float64(own) / float64(total)
-}
-
 // HighWeightForVL returns the total high-table weight allocated to a
 // VL (summing every slot that names it — collapsed mappings place
 // several reservations on one lane).  Zero for absent VLs.
@@ -250,15 +173,6 @@ func (t *Table) HighWeightForVL(vl uint8) int {
 		if !e.IsFree() && e.VL == vl {
 			w += int(e.Weight)
 		}
-	}
-	return w
-}
-
-// LowWeight returns the total weight of the low-priority table.
-func (t *Table) LowWeight() int {
-	w := 0
-	for _, e := range t.Low {
-		w += int(e.Weight)
 	}
 	return w
 }
@@ -274,17 +188,6 @@ func (t *Table) LowWeightForVL(vl uint8) int {
 		}
 	}
 	return w
-}
-
-// LowServiceShare returns the fraction of low-priority service a VL is
-// guaranteed when every low lane is backlogged, mirroring ServiceShare
-// for the low table.  Zero when the table is empty or the VL absent.
-func (t *Table) LowServiceShare(vl uint8) float64 {
-	total := t.LowWeight()
-	if total == 0 {
-		return 0
-	}
-	return float64(t.LowWeightForVL(vl)) / float64(total)
 }
 
 // HighLimitFraction returns the fraction of link bandwidth the

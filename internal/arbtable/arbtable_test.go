@@ -1,8 +1,8 @@
 package arbtable
 
 import (
+	"math/bits"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -17,67 +17,6 @@ func TestEntryIsFree(t *testing.T) {
 	// A zero-weight entry is unused even if it names a VL.
 	if !(Entry{VL: 3, Weight: 0}).IsFree() {
 		t.Error("zero-weight entry should be free")
-	}
-}
-
-func TestValidate(t *testing.T) {
-	tb := New(UnlimitedHigh)
-	tb.High[0] = Entry{VL: 0, Weight: 10}
-	tb.High[32] = Entry{VL: 14, Weight: 255}
-	tb.Low = []Entry{{VL: 9, Weight: 16}}
-	if err := tb.Validate(); err != nil {
-		t.Fatalf("valid table rejected: %v", err)
-	}
-
-	bad := New(UnlimitedHigh)
-	bad.High[0] = Entry{VL: MgmtVL, Weight: 1}
-	if err := bad.Validate(); err == nil {
-		t.Error("management VL in high table not rejected")
-	}
-
-	bad2 := New(UnlimitedHigh)
-	bad2.Low = []Entry{{VL: MgmtVL, Weight: 1}}
-	if err := bad2.Validate(); err == nil {
-		t.Error("management VL in low table not rejected")
-	}
-}
-
-func TestHighWeightAndFreeSlots(t *testing.T) {
-	tb := New(0)
-	if got := tb.HighWeight(); got != 0 {
-		t.Errorf("empty table weight = %d, want 0", got)
-	}
-	if got := tb.FreeHighSlots(); got != TableSize {
-		t.Errorf("empty table free slots = %d, want %d", got, TableSize)
-	}
-	tb.High[1] = Entry{VL: 2, Weight: 100}
-	tb.High[63] = Entry{VL: 2, Weight: 55}
-	if got := tb.HighWeight(); got != 155 {
-		t.Errorf("weight = %d, want 155", got)
-	}
-	if got := tb.FreeHighSlots(); got != TableSize-2 {
-		t.Errorf("free slots = %d, want %d", got, TableSize-2)
-	}
-}
-
-func TestHighSlotsForVL(t *testing.T) {
-	tb := New(0)
-	tb.High[5] = Entry{VL: 3, Weight: 1}
-	tb.High[37] = Entry{VL: 3, Weight: 1}
-	tb.High[21] = Entry{VL: 3, Weight: 1}
-	tb.High[10] = Entry{VL: 4, Weight: 1}
-	got := tb.HighSlotsForVL(3)
-	want := []int{5, 21, 37}
-	if len(got) != len(want) {
-		t.Fatalf("slots = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("slots = %v, want %v", got, want)
-		}
-	}
-	if s := tb.HighSlotsForVL(9); s != nil {
-		t.Errorf("unoccupied VL slots = %v, want nil", s)
 	}
 }
 
@@ -107,8 +46,8 @@ func TestMaxGap(t *testing.T) {
 	}
 }
 
-// highSlotsReference and maxGapReference are the slot walks
-// HighSlotsForVL and MaxGap were before they read the per-VL mask.
+// highSlotsReference and maxGapReference are the slot walks the slot
+// masks and MaxGap replaced.
 func highSlotsReference(t *Table, vl uint8) []int {
 	var out []int
 	for i, e := range t.High {
@@ -142,8 +81,8 @@ func maxGapReference(t *Table, vl uint8) int {
 
 // TestSlotMaskHelpersMatchSlotWalk: on random tables — lanes holding 0,
 // 1, 2, a random number of and all 64 slots, zero-weight entries that
-// name a lane without occupying it — the mask-based HighSlotMasks,
-// HighSlotsForVL and MaxGap agree with the entry walks they replaced.
+// name a lane without occupying it — the mask-based highSlotMasks and
+// MaxGap agree with the entry walks they replaced.
 func TestSlotMaskHelpersMatchSlotWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	for trial := 0; trial < 500; trial++ {
@@ -169,12 +108,9 @@ func TestSlotMaskHelpersMatchSlotWalk(t *testing.T) {
 				tb.High[slot] = Entry{VL: uint8(1 + rng.Intn(NumDataVLs-1)), Weight: uint8(rng.Intn(3))}
 			}
 		}
-		masks := tb.HighSlotMasks()
+		masks := tb.highSlotMasks()
 		for vl := uint8(0); vl < NumDataVLs; vl++ {
 			want := highSlotsReference(tb, vl)
-			if got := tb.HighSlotsForVL(vl); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d VL %d: slots %v, walk finds %v", trial, vl, got, want)
-			}
 			var mask uint64
 			for _, s := range want {
 				mask |= 1 << uint(s)
@@ -186,7 +122,7 @@ func TestSlotMaskHelpersMatchSlotWalk(t *testing.T) {
 				t.Fatalf("trial %d VL %d on %v: max gap %d, walk finds %d", trial, vl, tb, got, want)
 			}
 		}
-		if got := len(tb.HighSlotsForVL(0)); got != own {
+		if got := bits.OnesCount64(masks[0]); got != own {
 			t.Fatalf("trial %d: VL 0 holds %d slots, built with %d", trial, got, own)
 		}
 	}
@@ -217,23 +153,5 @@ func TestStringRendering(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q, missing %q", s, want)
 		}
-	}
-}
-
-func TestServiceShare(t *testing.T) {
-	tb := New(UnlimitedHigh)
-	if s := tb.ServiceShare(0); s != 0 {
-		t.Errorf("empty table share = %g", s)
-	}
-	tb.High[0] = Entry{VL: 0, Weight: 30}
-	tb.High[1] = Entry{VL: 1, Weight: 10}
-	if s := tb.ServiceShare(0); s != 0.75 {
-		t.Errorf("VL0 share = %g, want 0.75", s)
-	}
-	if s := tb.ServiceShare(1); s != 0.25 {
-		t.Errorf("VL1 share = %g, want 0.25", s)
-	}
-	if s := tb.ServiceShare(5); s != 0 {
-		t.Errorf("absent VL share = %g, want 0", s)
 	}
 }

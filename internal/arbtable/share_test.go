@@ -8,8 +8,8 @@ import (
 // TestWeightShareAccessors locks down the per-VL weight extraction the
 // analytical capacity planner (internal/plan) shares with the arbiter:
 // high- and low-table weights must sum over every slot naming the lane
-// (collapsed mappings place several reservations on one VL), zero
-// weights are unused slots, and shares normalize by the table total.
+// (collapsed mappings place several reservations on one VL), and zero
+// weights are unused slots.
 func TestWeightShareAccessors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -17,23 +17,18 @@ func TestWeightShareAccessors(t *testing.T) {
 		low  []Entry
 		vl   uint8
 
-		wantHighW    int
-		wantLowW     int
-		wantLowTotal int
-		wantShare    float64 // high ServiceShare
-		wantLowShare float64
+		wantHighW int
+		wantLowW  int
 	}{
 		{
 			name: "empty tables",
 			vl:   0,
 		},
 		{
-			name:         "single high entry",
-			high:         []Entry{{VL: 3, Weight: 10}},
-			vl:           3,
-			wantHighW:    10,
-			wantShare:    1,
-			wantLowShare: 0,
+			name:      "single high entry",
+			high:      []Entry{{VL: 3, Weight: 10}},
+			vl:        3,
+			wantHighW: 10,
 		},
 		{
 			name: "collapsed VL sums multiple high slots",
@@ -41,38 +36,30 @@ func TestWeightShareAccessors(t *testing.T) {
 			vl:   2,
 
 			wantHighW: 12,
-			wantShare: 12.0 / 15.0,
 		},
 		{
 			name:      "zero-weight slots are unused",
 			high:      []Entry{{VL: 4, Weight: 0}, {VL: 4, Weight: 6}, {VL: 5, Weight: 0}},
 			vl:        4,
 			wantHighW: 6,
-			wantShare: 1,
 		},
 		{
-			name:         "low table only",
-			low:          []Entry{{VL: 10, Weight: 8}, {VL: 11, Weight: 4}, {VL: 12, Weight: 1}},
-			vl:           11,
-			wantLowW:     4,
-			wantLowTotal: 13,
-			wantLowShare: 4.0 / 13.0,
+			name:     "low table only",
+			low:      []Entry{{VL: 10, Weight: 8}, {VL: 11, Weight: 4}, {VL: 12, Weight: 1}},
+			vl:       11,
+			wantLowW: 4,
 		},
 		{
-			name:         "plane copies sum in the low table",
-			low:          []Entry{{VL: 6, Weight: 8}, {VL: 13, Weight: 8}, {VL: 6, Weight: 8}},
-			vl:           6,
-			wantLowW:     16,
-			wantLowTotal: 24,
-			wantLowShare: 16.0 / 24.0,
+			name:     "plane copies sum in the low table",
+			low:      []Entry{{VL: 6, Weight: 8}, {VL: 13, Weight: 8}, {VL: 6, Weight: 8}},
+			vl:       6,
+			wantLowW: 16,
 		},
 		{
-			name:         "zero-weight low entries ignored",
-			low:          []Entry{{VL: 7, Weight: 0}, {VL: 8, Weight: 2}},
-			vl:           7,
-			wantLowW:     0,
-			wantLowTotal: 2,
-			wantLowShare: 0,
+			name:     "zero-weight low entries ignored",
+			low:      []Entry{{VL: 7, Weight: 0}, {VL: 8, Weight: 2}},
+			vl:       7,
+			wantLowW: 0,
 		},
 		{
 			name:      "absent VL",
@@ -80,8 +67,6 @@ func TestWeightShareAccessors(t *testing.T) {
 			low:       []Entry{{VL: 10, Weight: 3}},
 			vl:        5,
 			wantHighW: 0, wantLowW: 0,
-			wantLowTotal: 3,
-			wantShare:    0, wantLowShare: 0,
 		},
 	}
 	for _, tc := range cases {
@@ -94,15 +79,6 @@ func TestWeightShareAccessors(t *testing.T) {
 			}
 			if got := tb.LowWeightForVL(tc.vl); got != tc.wantLowW {
 				t.Errorf("LowWeightForVL(%d) = %d, want %d", tc.vl, got, tc.wantLowW)
-			}
-			if got := tb.LowWeight(); got != tc.wantLowTotal {
-				t.Errorf("LowWeight() = %d, want %d", got, tc.wantLowTotal)
-			}
-			if got := tb.ServiceShare(tc.vl); math.Abs(got-tc.wantShare) > 1e-12 {
-				t.Errorf("ServiceShare(%d) = %g, want %g", tc.vl, got, tc.wantShare)
-			}
-			if got := tb.LowServiceShare(tc.vl); math.Abs(got-tc.wantLowShare) > 1e-12 {
-				t.Errorf("LowServiceShare(%d) = %g, want %g", tc.vl, got, tc.wantLowShare)
 			}
 		})
 	}

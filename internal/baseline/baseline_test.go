@@ -55,7 +55,7 @@ func TestAdmitDBWritesLowTable(t *testing.T) {
 		t.Errorf("low-table DB weight = %d, want %d", found, sl.WeightForBandwidth(12))
 	}
 	// High table untouched.
-	if table.HighWeight() != 0 {
+	if table.High != [arbtable.TableSize]arbtable.Entry{} {
 		t.Error("AdmitDB touched the high-priority table")
 	}
 }

@@ -43,12 +43,12 @@ func (d *maskDiff) outcome(op string, got, want error) {
 func (d *maskDiff) reserve(vl uint8, distance, weight int) {
 	d.t.Helper()
 	op := fmt.Sprintf("Reserve(vl=%d, d=%d, w=%d)", vl, distance, weight)
-	can := d.pt.CanReserve(vl, distance, weight)
+	_, derr := d.pt.Decide(vl, distance, weight)
 	got, gerr := d.pt.Reserve(vl, distance, weight)
 	want, werr := d.ref.reserve(vl, distance, weight)
 	d.outcome(op, gerr, werr)
-	if can != (werr == nil) {
-		d.t.Fatalf("%s: CanReserve = %v, reference error %v", op, can, werr)
+	if (derr == nil) != (werr == nil) {
+		d.t.Fatalf("%s: Decide error %v, reference error %v", op, derr, werr)
 	}
 	// The reference issues no record handles: the tokens agree on what
 	// they name.
@@ -143,7 +143,7 @@ func diffWithRef(a *Allocator, ref *refAllocator) error {
 	if got, want := a.TotalWeight(), ref.totalWeight(); got != want {
 		return fmt.Errorf("TotalWeight = %d, reference %d", got, want)
 	}
-	return a.CheckInvariants()
+	return a.checkInvariants()
 }
 
 // TestAllocatorMaskDifferential runs one random script per seed and

@@ -118,7 +118,7 @@ func (a *refAllocator) allocate(vl uint8, distance, weight int) (*Sequence, erro
 }
 
 func (a *refAllocator) place(s *Sequence) {
-	w := s.TableWeight()
+	w := s.tableWeight()
 	base := w / s.Count
 	extra := w % s.Count
 	for k := 0; k < s.Count; k++ {

@@ -68,7 +68,7 @@
 // reserve/release/defragment path allocates once the allocator has made
 // as many records as it ever holds at once.  The word, the list order,
 // the total, the lane index, the records and the written blocks are
-// derived state: CheckInvariants (and, for the blocks,
+// derived state: checkInvariants (and, for the blocks,
 // PortTable.CheckInvariants) recomputes each and reports any
 // disagreement.
 package core
@@ -150,33 +150,23 @@ type Sequence struct {
 	owner *Allocator // the allocator the sequence is live in; nil while the record is free
 }
 
-// TableWeight is the weight actually written to the table slots.  A
+// tableWeight is the weight actually written to the table slots.  A
 // latency-bound sequence may accumulate less weight than it has slots,
 // but every slot must carry weight at least 1 or the arbiter would
 // skip it and the distance guarantee would be lost; so each slot gets
 // at least one unit and the table weight is max(Weight, Count).
-func (s *Sequence) TableWeight() int {
+func (s *Sequence) tableWeight() int {
 	if s.Weight < s.Count {
 		return s.Count
 	}
 	return s.Weight
 }
 
-// Slots returns the table slot indices of the sequence in ascending
-// order.
-func (s *Sequence) Slots() []int {
-	out := make([]int, s.Count)
-	for k := 0; k < s.Count; k++ {
-		out[k] = s.Start + k*s.Stride
-	}
-	return out
-}
-
-// Capacity returns the total weight the sequence can hold.
-func (s *Sequence) Capacity() int { return s.Count * arbtable.MaxWeight }
+// capacity returns the total weight the sequence can hold.
+func (s *Sequence) capacity() int { return s.Count * arbtable.MaxWeight }
 
 // Spare returns the weight still available on the sequence.
-func (s *Sequence) Spare() int { return s.Capacity() - s.Weight }
+func (s *Sequence) Spare() int { return s.capacity() - s.Weight }
 
 // String implements fmt.Stringer.
 func (s *Sequence) String() string {
@@ -268,7 +258,7 @@ func (s *Sequence) blocks() uint8 {
 // the single simulation goroutine.
 //
 // Besides the table it keeps derived state, all re-derived and
-// compared by CheckInvariants: occ, live's order, total, the lane index
+// compared by checkInvariants: occ, live's order, total, the lane index
 // and the record pool.  written is audited by PortTable.CheckInvariants.
 type Allocator struct {
 	table  *arbtable.Table
@@ -323,9 +313,6 @@ func NewAllocator(t *arbtable.Table) *Allocator {
 func NewAllocatorWithPolicy(t *arbtable.Table, p Policy) *Allocator {
 	return &Allocator{table: t, policy: p, nextID: 1}
 }
-
-// Policy returns the allocator's placement policy.
-func (a *Allocator) Policy() Policy { return a.policy }
 
 // Table returns the managed arbitration table.
 func (a *Allocator) Table() *arbtable.Table { return a.table }
@@ -507,7 +494,7 @@ func (a *Allocator) held(r Reservation) *Sequence {
 func (a *Allocator) place(s *Sequence) {
 	a.occ |= s.mask()
 	a.written |= s.blocks()
-	w := s.TableWeight()
+	w := s.tableWeight()
 	base := w / s.Count
 	extra := w % s.Count
 	for k := 0; k < s.Count; k++ {
@@ -529,18 +516,9 @@ func (a *Allocator) unplace(s *Sequence) {
 	}
 }
 
-// AddWeight accumulates the weight of an additional connection on an
-// existing sequence.  It fails without side effects when the sequence
-// lacks capacity.
-func (a *Allocator) AddWeight(id SeqID, weight int) error {
-	s := a.Lookup(id)
-	if s == nil {
-		return ErrUnknownSeq
-	}
-	return a.addWeight(s, weight)
-}
-
-// addWeight is AddWeight on a live sequence the caller already holds.
+// addWeight accumulates the weight of an additional connection on a
+// live sequence.  It fails without side effects when the sequence lacks
+// capacity.
 func (a *Allocator) addWeight(s *Sequence, weight int) error {
 	if weight < 1 {
 		return ErrBadWeight
@@ -697,12 +675,12 @@ func (a *Allocator) CanAllocate(distance, weight int) bool {
 	return ok
 }
 
-// CheckInvariants verifies the allocator's internal consistency and
+// checkInvariants verifies the allocator's internal consistency and
 // the paper's two guarantees: its allocation theorem and the distance
 // bound of every live sequence.  It is used by tests and by the
 // simulator's self-checks, including after every rolled-back hop of an
 // aborted admission, so it does not allocate.
-func (a *Allocator) CheckInvariants() error {
+func (a *Allocator) checkInvariants() error {
 	// 1. The table agrees with the sequence records, and the derived
 	// state — the ID order of the live list, the occupancy word, the
 	// running weight total — agrees with what the records imply.
@@ -720,7 +698,7 @@ func (a *Allocator) CheckInvariants() error {
 		if s.Start < 0 || s.Start >= s.Stride {
 			return fmt.Errorf("sequence %v: start outside [0,stride)", s)
 		}
-		if s.Weight < 1 || s.Weight > s.Capacity() {
+		if s.Weight < 1 || s.Weight > s.capacity() {
 			return fmt.Errorf("sequence %v: weight out of range", s)
 		}
 		weight += s.Weight
@@ -740,8 +718,8 @@ func (a *Allocator) CheckInvariants() error {
 			}
 			sum += int(e.Weight)
 		}
-		if sum != s.TableWeight() {
-			return fmt.Errorf("sequence %v: slot weights sum to %d, want %d", s, sum, s.TableWeight())
+		if sum != s.tableWeight() {
+			return fmt.Errorf("sequence %v: slot weights sum to %d, want %d", s, sum, s.tableWeight())
 		}
 	}
 	if diff := a.occ ^ owned; diff != 0 {

@@ -71,7 +71,7 @@ func TestAllocateFirstSequencePosition(t *testing.T) {
 	if s2.Start != 4 {
 		t.Errorf("second sequence start = %d, want 4 (bit-reversal order)", s2.Start)
 	}
-	if err := a.CheckInvariants(); err != nil {
+	if err := a.checkInvariants(); err != nil {
 		t.Error(err)
 	}
 }
@@ -106,7 +106,7 @@ func TestWeightDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []int
-	for _, pos := range s.Slots() {
+	for pos := s.Start; pos < TableSize; pos += s.Stride {
 		got = append(got, int(a.Table().High[pos].Weight))
 	}
 	want := []int{3, 3, 2, 2}
@@ -151,17 +151,17 @@ func TestAddRemoveWeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AddWeight(s.ID, 200); err != nil {
+	if err := a.addWeight(s, 200); err != nil {
 		t.Fatal(err)
 	}
 	if s.Weight != 300 || s.Conns != 2 {
 		t.Errorf("after add: weight=%d conns=%d, want 300, 2", s.Weight, s.Conns)
 	}
-	if err := a.CheckInvariants(); err != nil {
+	if err := a.checkInvariants(); err != nil {
 		t.Error(err)
 	}
 	// Capacity: 2 slots * 255 = 510; spare = 210; adding 211 must fail.
-	if err := a.AddWeight(s.ID, 211); err == nil {
+	if err := a.addWeight(s, 211); err == nil {
 		t.Error("overfill not rejected")
 	}
 	freed, err := a.RemoveWeight(s.ID, 200)
@@ -228,7 +228,7 @@ func TestDefragmentationMergesHoles(t *testing.T) {
 	if a.FreeSlots() != 32 {
 		t.Fatalf("free slots = %d, want 32", a.FreeSlots())
 	}
-	if err := a.CheckInvariants(); err != nil {
+	if err := a.checkInvariants(); err != nil {
 		t.Fatalf("invariants after frees: %v", err)
 	}
 	// The theorem: a 32-slot (distance 2) request must now succeed.
@@ -257,7 +257,7 @@ func TestDefragmentPreservesSequences(t *testing.T) {
 			t.Errorf("sequence %d changed: %v -> %v", id, want, got)
 		}
 	}
-	if err := a.CheckInvariants(); err != nil {
+	if err := a.checkInvariants(); err != nil {
 		t.Error(err)
 	}
 }
@@ -289,15 +289,8 @@ func TestCanAllocate(t *testing.T) {
 
 func TestSequenceAccessors(t *testing.T) {
 	s := &Sequence{ID: 7, VL: 3, Stride: 16, Start: 2, Count: 4, Weight: 100}
-	slots := s.Slots()
-	want := []int{2, 18, 34, 50}
-	for i := range want {
-		if slots[i] != want[i] {
-			t.Fatalf("Slots() = %v, want %v", slots, want)
-		}
-	}
-	if s.Capacity() != 4*255 {
-		t.Errorf("Capacity() = %d, want %d", s.Capacity(), 4*255)
+	if s.capacity() != 4*255 {
+		t.Errorf("capacity() = %d, want %d", s.capacity(), 4*255)
 	}
 	if s.Spare() != 4*255-100 {
 		t.Errorf("Spare() = %d, want %d", s.Spare(), 4*255-100)
@@ -328,7 +321,7 @@ func TestTotalMovesAccounting(t *testing.T) {
 	if a.TotalMoves() == 0 {
 		t.Error("no moves counted after a hole-creating release")
 	}
-	if err := a.CheckInvariants(); err != nil {
+	if err := a.checkInvariants(); err != nil {
 		t.Error(err)
 	}
 
@@ -384,12 +377,12 @@ func TestCheckInvariantsAuditsDerivedState(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := a.CheckInvariants(); err != nil {
+		if err := a.checkInvariants(); err != nil {
 			t.Fatalf("%s: before corruption: %v", tc.name, err)
 		}
 		tc.corrupt(a)
-		if err := a.CheckInvariants(); err == nil {
-			t.Errorf("%s: CheckInvariants reported nothing", tc.name)
+		if err := a.checkInvariants(); err == nil {
+			t.Errorf("%s: checkInvariants reported nothing", tc.name)
 		}
 	}
 }

@@ -306,7 +306,7 @@ func (p *PortTable) DeliverBlock(version uint64, index, total int, entries [Bloc
 // the blocks the allocator wrote since the port was last programmed,
 // the shadow equals the table it was programmed into (the active table,
 // or the open transaction's target) — its allocator
-// (Allocator.CheckInvariants), and the open transaction's state that
+// (Allocator.checkInvariants), and the open transaction's state that
 // DeliverBlock's completion rule relies on — outside the delta the
 // target equals the active table, fewer blocks are staged than the
 // delta has (the delivery that reaches the count swaps or aborts), the
@@ -329,7 +329,7 @@ func (p *PortTable) CheckInvariants() error {
 			return fmt.Errorf("block %d differs between shadow and %s outside the changed-block mask %04b", b, what, p.alloc.written)
 		}
 	}
-	if err := p.alloc.CheckInvariants(); err != nil {
+	if err := p.alloc.checkInvariants(); err != nil {
 		return err
 	}
 	if !p.Programming() {

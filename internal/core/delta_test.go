@@ -32,7 +32,7 @@ func TestActiveLagsShadowUntilDelivered(t *testing.T) {
 	if !p.Dirty() {
 		t.Fatal("reservation left shadow == active")
 	}
-	if p.Active().HighWeight() != 0 {
+	if p.Active().High != [TableSize]arbtable.Entry{} {
 		t.Error("active table changed before any delta was programmed")
 	}
 	v0 := p.Active().Version()
@@ -127,7 +127,7 @@ func TestPortTableCheckInvariants(t *testing.T) {
 	s := p.Allocator().Sequences()[0]
 	shadow[s.Start].Weight++
 	shadow[s.Start+2*BlockEntries].Weight--
-	if err := p.Allocator().CheckInvariants(); err != nil {
+	if err := p.Allocator().checkInvariants(); err != nil {
 		t.Fatalf("shadow written behind the allocator's back: allocator audit %v, want it blind to the write", err)
 	}
 	if err := p.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "block 0 ") {
@@ -541,7 +541,7 @@ func TestRollbackRestoresTableBytes(t *testing.T) {
 	if before.High != after.High {
 		t.Error("rollback did not restore the high table byte-identically")
 	}
-	if err := p.Allocator().CheckInvariants(); err != nil {
+	if err := p.Allocator().checkInvariants(); err != nil {
 		t.Error(err)
 	}
 	got := p.Allocator().Sequences()

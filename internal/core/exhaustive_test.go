@@ -88,7 +88,7 @@ func TestTheoremExhaustive(t *testing.T) {
 		st := cur.st
 
 		base := materialize(st)
-		if err := base.CheckInvariants(); err != nil {
+		if err := base.checkInvariants(); err != nil {
 			t.Fatalf("state %v: %v", st, err)
 		}
 		free := base.FreeSlots()
@@ -106,7 +106,7 @@ func TestTheoremExhaustive(t *testing.T) {
 					st, d, free, need, err)
 			}
 			if err == nil {
-				if ierr := a.CheckInvariants(); ierr != nil {
+				if ierr := a.checkInvariants(); ierr != nil {
 					t.Fatalf("state %v + alloc d=%d: %v", st, d, ierr)
 				}
 				if cur.depth+1 <= maxDepth {
@@ -141,7 +141,7 @@ func TestTheoremExhaustive(t *testing.T) {
 			if _, err := a.RemoveWeight(victim.ID, victim.Weight); err != nil {
 				t.Fatalf("state %v: releasing %v: %v", st, d, err)
 			}
-			if err := a.CheckInvariants(); err != nil {
+			if err := a.checkInvariants(); err != nil {
 				t.Fatalf("state %v - %v: %v", st, d, err)
 			}
 			if cur.depth+1 <= maxDepth {

@@ -82,17 +82,18 @@ func FuzzAllocatorTrace(f *testing.F) {
 	})
 }
 
-// FuzzCanReserve interprets fuzz input as a stream of operations on one
+// FuzzDecide interprets fuzz input as a stream of operations on one
 // PortTable, run once under each policy — three bytes per op: the low
 // two bits of the first pick a reservation (0, 1), a release (2) or a
 // rollback of the latest reservation still held (3), its next four bits
 // the VL (15 is not a data VL); the second byte picks the distance (one
 // index in seven is not a valid distance) and a weight scale, the third
-// the weight (0 is invalid).  Before every reservation CanReserve must
-// predict whether Reserve succeeds, and a Reserve that fails must leave
+// the weight (0 is invalid).  Before every reservation Decide must
+// return the error Reserve then returns, nil when it succeeds, and a
+// Reserve that fails must leave
 // the table bytes, the occupancy word, the live list, the total weight
 // and the next SeqID untouched.
-func FuzzCanReserve(f *testing.F) {
+func FuzzDecide(f *testing.F) {
 	f.Add([]byte{0, 2, 10, 0, 2, 10, 4, 9, 200, 3, 0, 0, 2, 0, 0, 60, 0, 1})
 	f.Add([]byte{0, 0, 255, 4, 0, 255, 8, 40, 255, 12, 40, 255, 60, 6, 1, 2, 1, 0})
 	f.Add([]byte{0, 40, 255, 4, 40, 255, 8, 40, 255, 2, 0, 0, 8, 40, 255, 3, 0, 0, 1, 32, 200})
@@ -119,10 +120,11 @@ func FuzzCanReserve(f *testing.F) {
 					vl := op >> 2 & 15
 					d := distances[int(x)%len(distances)]
 					w := int(y) << (x >> 3 % 6)
-					can, before := pt.CanReserve(vl, d, w), snap()
+					_, derr := pt.Decide(vl, d, w)
+					before := snap()
 					r, err := pt.Reserve(vl, d, w)
-					if can != (err == nil) {
-						t.Fatalf("%s op %d: CanReserve(%d, %d, %d) = %v, Reserve error %v", p.Name, i/3, vl, d, w, can, err)
+					if (derr == nil) != (err == nil) || err != nil && derr.Error() != err.Error() {
+						t.Fatalf("%s op %d: Decide(%d, %d, %d) error %v, Reserve error %v", p.Name, i/3, vl, d, w, derr, err)
 					}
 					if err != nil {
 						if after := snap(); after != before {

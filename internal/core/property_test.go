@@ -62,7 +62,7 @@ func (tr *trace) step() error {
 		tr.live[i] = tr.live[len(tr.live)-1]
 		tr.live = tr.live[:len(tr.live)-1]
 	}
-	if err := tr.a.CheckInvariants(); err != nil {
+	if err := tr.a.checkInvariants(); err != nil {
 		return fmt.Errorf("invariants: %v", err)
 	}
 	return nil
@@ -122,7 +122,7 @@ func TestSequencesNeverOverlapQuick(t *testing.T) {
 			w := 1 + rng.Intn(2000)
 			a.Allocate(uint8(rng.Intn(14)), d, w) // failures are fine
 		}
-		return a.CheckInvariants() == nil
+		return a.checkInvariants() == nil
 	}
 	cfg := &quick.Config{MaxCount: 50}
 	if testing.Short() {
@@ -188,7 +188,7 @@ func TestDefragmentIdempotent(t *testing.T) {
 			}
 		}
 		a.Defragment() // settle to the canonical layout
-		return a.Defragment() == 0 && a.CheckInvariants() == nil
+		return a.Defragment() == 0 && a.checkInvariants() == nil
 	}
 	cfg := &quick.Config{MaxCount: 30}
 	if testing.Short() {

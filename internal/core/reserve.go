@@ -204,13 +204,6 @@ func (p *PortTable) Reserve(vl uint8, distance, weight int) (Reservation, error)
 	return p.Prepare(d), nil
 }
 
-// CanReserve reports whether Reserve would succeed, without changing
-// anything.
-func (p *PortTable) CanReserve(vl uint8, distance, weight int) bool {
-	_, err := p.Decide(vl, distance, weight)
-	return err == nil
-}
-
 // Decide answers a request without changing anything: the sequence it
 // would join (the join scan), else where a fresh sequence would go (the
 // policy's scan), else the error Reserve returns.  The Decision stays

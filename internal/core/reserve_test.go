@@ -132,7 +132,7 @@ func TestReleaseFreesAndAllowsReuse(t *testing.T) {
 	if _, err := p.Reserve(3, 64, 1); err != nil {
 		t.Errorf("reservation after release failed: %v", err)
 	}
-	if err := p.Allocator().CheckInvariants(); err != nil {
+	if err := p.Allocator().checkInvariants(); err != nil {
 		t.Error(err)
 	}
 }
@@ -295,7 +295,7 @@ func TestReserveReleaseChurnQuick(t *testing.T) {
 			if p.ReservedWeight() != expected {
 				return false
 			}
-			if err := p.Allocator().CheckInvariants(); err != nil {
+			if err := p.Allocator().checkInvariants(); err != nil {
 				return false
 			}
 		}
@@ -350,7 +350,7 @@ func TestNewPortTablesKeepNeighboursApart(t *testing.T) {
 		if w := pts[i].ReservedWeight(); w != 0 {
 			t.Errorf("a reservation at port 1 reserved %d at port %d", w, i)
 		}
-		if pts[i].Allocator().Table().FreeHighSlots() != TableSize || pts[i].Active().FreeHighSlots() != TableSize {
+		if pts[i].Allocator().Table().High != [TableSize]arbtable.Entry{} || pts[i].Active().High != [TableSize]arbtable.Entry{} {
 			t.Errorf("a reservation at port 1 wrote port %d's tables", i)
 		}
 	}

@@ -140,9 +140,9 @@ func setupWith(p Params, payload int, mutate func(*fabric.Config)) (*Run, error)
 	return r, nil
 }
 
-// Execute runs the transient period and then the steady-state window
+// execute runs the transient period and then the steady-state window
 // (measure).
-func (r *Run) Execute() { measure(r.Net, r.Flows, r.P.WarmupIATs, r.P.MinPacketsSlowest) }
+func (r *Run) execute() { measure(r.Net, r.Flows, r.P.WarmupIATs, r.P.MinPacketsSlowest) }
 
 // addConnections attaches one CBR flow per admitted connection, in
 // order.
@@ -187,9 +187,9 @@ func mergedDelay(flows []*fabric.Flow) *stats.DelayCDF {
 	return all
 }
 
-// DelayBySL merges the per-connection delay distributions of each
+// delayBySL merges the per-connection delay distributions of each
 // service level.
-func (r *Run) DelayBySL() map[uint8]*stats.DelayCDF {
+func (r *Run) delayBySL() map[uint8]*stats.DelayCDF {
 	out := make(map[uint8]*stats.DelayCDF)
 	for _, f := range r.Flows {
 		d, ok := out[f.SL]
@@ -202,9 +202,9 @@ func (r *Run) DelayBySL() map[uint8]*stats.DelayCDF {
 	return out
 }
 
-// JitterBySL merges the per-connection jitter histograms of each
+// jitterBySL merges the per-connection jitter histograms of each
 // service level.
-func (r *Run) JitterBySL() map[uint8]*stats.JitterHist {
+func (r *Run) jitterBySL() map[uint8]*stats.JitterHist {
 	out := make(map[uint8]*stats.JitterHist)
 	for _, f := range r.Flows {
 		j, ok := out[f.SL]
@@ -217,11 +217,11 @@ func (r *Run) JitterBySL() map[uint8]*stats.JitterHist {
 	return out
 }
 
-// BestWorst returns the connections of a service level with the
+// bestWorst returns the connections of a service level with the
 // highest and lowest percentage of packets delivered before the
 // threshold with the given index into stats.DelayFractions.  Flows
 // without samples are skipped.
-func (r *Run) BestWorst(slID uint8, thresholdIdx int) (best, worst *fabric.Flow) {
+func (r *Run) bestWorst(slID uint8, thresholdIdx int) (best, worst *fabric.Flow) {
 	for _, f := range r.Flows {
 		if f.SL != slID || f.Delay.Total() == 0 {
 			continue
@@ -236,9 +236,9 @@ func (r *Run) BestWorst(slID uint8, thresholdIdx int) (best, worst *fabric.Flow)
 	return best, worst
 }
 
-// SLIDs returns the service levels present among the run's flows, in
+// slIDs returns the service levels present among the run's flows, in
 // ascending order.
-func (r *Run) SLIDs() []uint8 {
+func (r *Run) slIDs() []uint8 {
 	seen := make(map[uint8]bool)
 	for _, f := range r.Flows {
 		seen[f.SL] = true
@@ -302,6 +302,6 @@ func setupAndExecute(p Params, payload int, mutate func(*fabric.Config)) (*Run, 
 	if err != nil {
 		return nil, err
 	}
-	run.Execute()
+	run.execute()
 	return run, nil
 }

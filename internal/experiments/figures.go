@@ -26,9 +26,9 @@ type Figure4Result struct {
 // Figure4 extracts the packet-delay distributions per SL.
 func (e *Evaluation) Figure4() Figure4Result {
 	series := func(r *Run) []DelaySeries {
-		bySL := r.DelayBySL()
+		bySL := r.delayBySL()
 		var out []DelaySeries
-		for _, id := range r.SLIDs() {
+		for _, id := range r.slIDs() {
 			d := bySL[id]
 			s := DelaySeries{SL: id, Packets: d.Total()}
 			for i := range stats.DelayFractions {
@@ -75,9 +75,9 @@ func (e *Evaluation) Figure5() []JitterSeries { return Figure5For(e.Small) }
 
 // Figure5For extracts the jitter histograms of one run.
 func Figure5For(r *Run) []JitterSeries {
-	bySL := r.JitterBySL()
+	bySL := r.jitterBySL()
 	var out []JitterSeries
-	for _, id := range r.SLIDs() {
+	for _, id := range r.slIDs() {
 		j := bySL[id]
 		s := JitterSeries{SL: id, Samples: j.Total()}
 		for i := 0; i < stats.JitterBuckets; i++ {
@@ -125,7 +125,7 @@ func (e *Evaluation) Figure6() []BestWorstSeries {
 	const tightIdx = 0 // D/32, the tightest reported threshold
 	var out []BestWorstSeries
 	for _, id := range []uint8{0, 1, 2, 3} {
-		best, worst := e.Small.BestWorst(id, tightIdx)
+		best, worst := e.Small.bestWorst(id, tightIdx)
 		if best == nil || worst == nil {
 			continue
 		}

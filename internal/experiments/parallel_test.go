@@ -51,9 +51,9 @@ func digestJobs(configs []sweepConfig) []runner.Job[configDigest] {
 				// Aggregate in sorted SL order: float summation order must
 				// be deterministic for the bit-identity check to mean
 				// anything.
-				bySL := run.DelayBySL()
+				bySL := run.delayBySL()
 				met := 0.0
-				ids := run.SLIDs()
+				ids := run.slIDs()
 				for _, id := range ids {
 					met += bySL[id].PercentMeetingDeadline()
 				}
@@ -171,7 +171,7 @@ func TestRunMetricsPopulated(t *testing.T) {
 		t.Errorf("deadline misses %d at tiny scale (paper: all packets meet deadlines)", s.DeadlineMisses)
 	}
 	tb := run.Net.Engine.Trace
-	if tb == nil || tb.Len() == 0 {
+	if tb == nil || tb.Recorded() == 0 {
 		t.Fatal("trace not recorded")
 	}
 	events := tb.Events()

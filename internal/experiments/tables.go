@@ -123,7 +123,7 @@ func (r *Run) SLBreakdown() []SLBreakdownRow {
 		row.ReservedMbps += f.Mbps
 	}
 	var out []SLBreakdownRow
-	for _, id := range r.SLIDs() {
+	for _, id := range r.slIDs() {
 		out = append(out, *byID[id])
 	}
 	return out

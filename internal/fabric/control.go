@@ -38,7 +38,7 @@ type ControlState struct {
 // admission controller with its wire factor, packet size and collapsed
 // distances set.
 func BuildControl(cfg Config, topo *topology.Topology) (*ControlState, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if topo.NumSwitches != cfg.Switches {

@@ -3,6 +3,7 @@ package fabric
 import (
 	"testing"
 
+	"repro/internal/arbtable"
 	"repro/internal/sl"
 	"repro/internal/traffic"
 )
@@ -68,7 +69,7 @@ func TestManagementTrafficPreempts(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		qos = append(qos, admitFlow(t, n, i, 4+i, 5, 60)) // heavy SL5 load
 	}
-	mgmt := n.AddManagement(0, 7, 2)
+	mgmt := n.addManagement(0, 7, 2)
 	n.StartMeasurement()
 	n.Start()
 	n.Engine.Run(40 * mgmt.IAT)
@@ -121,8 +122,8 @@ func TestMidRunRelease(t *testing.T) {
 	}
 	// The released VL's table weight is gone from the source host.
 	table := n.Adm.Ports().Host[1].Allocator().Table()
-	if w := table.HighWeight(); w != 0 {
-		t.Errorf("host 1 table still holds weight %d", w)
+	if table.High != [arbtable.TableSize]arbtable.Entry{} {
+		t.Errorf("host 1 table still holds weight: %v", table)
 	}
 	if pct := keep.Delay.PercentMeetingDeadline(); pct != 100 {
 		t.Errorf("surviving connection met deadline only %.1f%%", pct)

@@ -169,17 +169,6 @@ func (n *Network) StaleArrivals() int64 {
 	return total
 }
 
-// DisablePools turns off packet and event-record recycling for this
-// network and its engines.  Pooled and pool-disabled runs are
-// bit-identical; the determinism property tests compare the two.
-// Call before Start.
-func (n *Network) DisablePools() {
-	n.poolDisabled = true
-	for _, sh := range n.shards {
-		sh.eng.PoolDisabled = true
-	}
-}
-
 // packetChunk is how many packet records an empty free-list is refilled
 // with at once: one object instead of 63 small ones.  63 64-byte records
 // plus the 8-byte header the runtime gives a pointer-holding object of

@@ -149,7 +149,7 @@ func (n *Network) EnableRecovery(cfg RecoveryConfig) (*Recovery, error) {
 	case n.rec != nil:
 		return nil, fmt.Errorf("fabric: recovery already enabled")
 	case n.Parallel():
-		return nil, fmt.Errorf("fabric: recovery requires a single shard, the network has %d", n.Shards())
+		return nil, fmt.Errorf("fabric: recovery requires a single shard, the network has %d", len(n.shards))
 	case !n.Cfg.FailoverEscape:
 		return nil, fmt.Errorf("fabric: recovery requires Config.FailoverEscape")
 	}
@@ -191,10 +191,6 @@ func (n *Network) EnableRecovery(cfg RecoveryConfig) (*Recovery, error) {
 	n.rec = rec
 	return rec, nil
 }
-
-// Recovery returns the attached failure-recovery subsystem (nil when
-// EnableRecovery was never called).
-func (n *Network) Recovery() *Recovery { return n.rec }
 
 // ApplySchedule injects a failure schedule: each event's injector
 // windows open at its failure time and close at its revival time (or

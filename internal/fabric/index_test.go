@@ -169,8 +169,8 @@ func loadDifferential(t *testing.T, n *Network, seed int64) {
 		n.AddBestEffort(traffic.BestEffort{Src: h, Dst: h % 2, SL: sl.BESL, Mbps: 600})
 	}
 	for h := 1; h < hosts; h++ {
-		n.AddManagement(h, (h*5+1)%hosts, 40)
-		n.AddManagement(h, 0, 120)
+		n.addManagement(h, (h*5+1)%hosts, 40)
+		n.addManagement(h, 0, 120)
 	}
 }
 
@@ -602,4 +602,12 @@ func TestHeadIndexIgnoresUnroutableHeads(t *testing.T) {
 	if err := n.CheckBuffers(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// addManagement attaches a subnet-management flow on VL 15.  VL 15 is
+// never listed in arbitration tables: it has absolute priority over
+// every data VL (IBA 1.0; paper section 2.1).
+func (n *Network) addManagement(src, dst int, mbps float64) *Flow {
+	return n.attach(newFlow(len(n.flows), src, dst, arbtable.MgmtVL, arbtable.MgmtVL,
+		mbps, n.Cfg.PayloadBytes, 0, false))
 }

@@ -268,9 +268,9 @@ func hostTraceID(h int) int32 { return int32(-(h + 1)) }
 // stride, so 8-port fabrics keep the trace numbering they always had.
 func (n *Network) switchTraceID(s, p int) int32 { return int32(s*n.traceStride + p) }
 
-// Validate checks a configuration for values that would corrupt the
+// validate checks a configuration for values that would corrupt the
 // simulation (zero payload, non-positive speedup, ...).
-func (cfg Config) Validate() error {
+func (cfg Config) validate() error {
 	switch {
 	case cfg.Switches < 2:
 		return fmt.Errorf("fabric: need at least 2 switches, got %d", cfg.Switches)
@@ -308,7 +308,7 @@ func eventPoolSize(hosts, switches, ports int) int {
 // creates the arbitration tables (seeding the low-priority tables for
 // best-effort VLs) and wires switch and host models together.
 func New(cfg Config) (*Network, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	topo, err := topology.Generate(cfg.Switches, cfg.Seed)
@@ -599,14 +599,6 @@ func (n *Network) AddVBRConnection(conn *admission.Conn, peakFactor float64, bur
 	return f
 }
 
-// AddManagement attaches a subnet-management flow on VL 15.  VL 15 is
-// never listed in arbitration tables: it has absolute priority over
-// every data VL (IBA 1.0; paper section 2.1).
-func (n *Network) AddManagement(src, dst int, mbps float64) *Flow {
-	return n.attach(newFlow(len(n.flows), src, dst, arbtable.MgmtVL, arbtable.MgmtVL,
-		mbps, n.Cfg.PayloadBytes, 0, false))
-}
-
 // AddBestEffort attaches a best-effort background flow.
 func (n *Network) AddBestEffort(be traffic.BestEffort) *Flow {
 	return n.attach(newFlow(len(n.flows), be.Src, be.Dst, be.SL, n.Mapping.VLFor(be.SL),
@@ -622,14 +614,6 @@ func (n *Network) Start() {
 	for _, f := range n.flows {
 		n.StartFlow(f)
 	}
-}
-
-// InjectPacket enqueues one upper-layer packet of the given payload
-// size on a flow's virtual lane at its source host, bypassing the CBR
-// generator.  It reports false when the host queue is full (the packet
-// is dropped and counted).
-func (n *Network) InjectPacket(f *Flow, payload int, tag int64) bool {
-	return n.shardForHost(f.Src).enqueue(f, payload+sl.HeaderBytes, tag)
 }
 
 // StartFlow schedules one flow's first packet (at a random phase

@@ -266,7 +266,7 @@ func TestLargePacketConfig(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	good := DefaultConfig(2, 256, 1)
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
 	}
 	mutations := []func(*Config){

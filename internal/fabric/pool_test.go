@@ -22,7 +22,7 @@ func poolFingerprint(t *testing.T, seed int64, disablePools bool) string {
 		t.Fatal(err)
 	}
 	if disablePools {
-		n.DisablePools()
+		n.disablePools()
 	}
 	n.EnableMetrics()
 	admitFlow(t, n, 0, 9, 5, 30)
@@ -67,5 +67,16 @@ func TestStaleArrivalsStayZero(t *testing.T) {
 	n.Engine.Run(500_000)
 	if s := n.StaleArrivals(); s != 0 {
 		t.Errorf("StaleArrivals = %d, want 0", s)
+	}
+}
+
+// disablePools turns off packet and event-record recycling for the
+// network and its engines.  Pooled and pool-disabled runs are
+// bit-identical; the determinism property tests compare the two.  Call
+// before Start.
+func (n *Network) disablePools() {
+	n.poolDisabled = true
+	for _, sh := range n.shards {
+		sh.eng.PoolDisabled = true
 	}
 }

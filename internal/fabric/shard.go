@@ -89,9 +89,6 @@ func (n *Network) shardForHost(h int) *shard { return n.shards[n.part.ShardOfHos
 // shardForSwitch returns the shard owning a switch.
 func (n *Network) shardForSwitch(s int) *shard { return n.shards[n.part.ShardOfSwitch(s)] }
 
-// Shards returns the number of shards the fabric simulates with.
-func (n *Network) Shards() int { return len(n.shards) }
-
 // Parallel reports whether the fabric runs several shards
 // concurrently under the conservative-lookahead coordinator (as
 // opposed to one shard on one engine).
@@ -203,18 +200,6 @@ func (n *Network) Windows() uint64 {
 		return 0
 	}
 	return n.coord.Windows
-}
-
-// ShardRecordCapacities returns each shard engine's event-record pool
-// capacity, index = shard id.  The sizing regression test snapshots it
-// before and after a run: per-shard Grow is meant to pre-size the pools
-// so the hot path never reallocates mid-run.
-func (n *Network) ShardRecordCapacities() []int {
-	caps := make([]int, len(n.shards))
-	for i, sh := range n.shards {
-		caps[i] = sh.eng.RecordCapacity()
-	}
-	return caps
 }
 
 // ExecutedEvents sums the executed-event counts of every shard engine

@@ -66,8 +66,8 @@ func TestParallelShardSmoke(t *testing.T) {
 	if !n.Parallel() {
 		t.Fatal("4-shard fat-tree should run parallel")
 	}
-	if n.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", n.Shards())
+	if len(n.shards) != 4 {
+		t.Fatalf("%d shards, want 4", len(n.shards))
 	}
 	loadSharded(t, n, 17)
 
@@ -142,10 +142,10 @@ func TestShardPoolsDoNotReallocateMidRun(t *testing.T) {
 		t.Run(spec.Label(), func(t *testing.T) {
 			n := buildSharded(t, spec, 7, 4)
 			loadSharded(t, n, 29)
-			before := n.ShardRecordCapacities()
+			before := n.shardRecordCapacities()
 			n.Start()
 			n.Run(400_000)
-			after := n.ShardRecordCapacities()
+			after := n.shardRecordCapacities()
 			for i := range before {
 				if after[i] != before[i] {
 					t.Errorf("shard %d record pool grew %d -> %d mid-run",
@@ -154,4 +154,16 @@ func TestShardPoolsDoNotReallocateMidRun(t *testing.T) {
 			}
 		})
 	}
+}
+
+// shardRecordCapacities returns each shard engine's event-record pool
+// capacity, index = shard id.  The sizing regression test snapshots it
+// before and after a run: per-shard Grow is meant to pre-size the pools
+// so the hot path never reallocates mid-run.
+func (n *Network) shardRecordCapacities() []int {
+	caps := make([]int, len(n.shards))
+	for i, sh := range n.shards {
+		caps[i] = sh.eng.RecordCapacity()
+	}
+	return caps
 }

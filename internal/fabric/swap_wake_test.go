@@ -63,7 +63,7 @@ func TestTableSwapWakesPort(t *testing.T) {
 					}
 					switch at {
 					case "host":
-						if !n.InjectPacket(f, 256, 0) {
+						if !n.injectPacket(f, 256, 0) {
 							t.Fatal("host queue refused the packet")
 						}
 					case "switch":
@@ -94,4 +94,12 @@ func TestTableSwapWakesPort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// injectPacket enqueues one upper-layer packet of the given payload size
+// on a flow's virtual lane at its source host, bypassing the CBR
+// generator.  It reports false when the host queue is full (the packet
+// is dropped and counted).
+func (n *Network) injectPacket(f *Flow, payload int, tag int64) bool {
+	return n.shardForHost(f.Src).enqueue(f, payload+sl.HeaderBytes, tag)
 }

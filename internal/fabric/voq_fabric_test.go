@@ -64,7 +64,7 @@ func TestVOQForwardsGrantedByMatching(t *testing.T) {
 				}
 				// One management flow so VL 15 preemption shares the
 				// crossbar with the matched data transfers.
-				n.AddManagement(0, hosts-1, 1)
+				n.addManagement(0, hosts-1, 1)
 
 				// The current matching per switch, refreshed by onMatch.
 				type matching struct {

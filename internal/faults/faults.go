@@ -102,14 +102,6 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg, seq: make(map[int32]uint64)}
 }
 
-// Seed returns the injector's seed (0 for nil).
-func (in *Injector) Seed() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.cfg.Seed
-}
-
 // Stats returns the dealt-fault counters (zero for nil).
 func (in *Injector) Stats() Stats {
 	if in == nil {
@@ -200,15 +192,6 @@ func (in *Injector) DownUntil(link int32, t int64) int64 {
 	return coveringEnd(in.downs, link, t)
 }
 
-// StalledUntil returns the end of the stall window covering time t on
-// the port, or 0 when the port runs freely.  Nil-safe.
-func (in *Injector) StalledUntil(link int32, t int64) int64 {
-	if in == nil {
-		return 0
-	}
-	return coveringEnd(in.stalls, link, t)
-}
-
 // BlockedUntil combines down and stall windows: the latest end of any
 // window covering t, or 0.  The fabric consults this once per
 // scheduling pass.  Nil-safe.
@@ -248,25 +231,4 @@ func coveringEnd(ws []window, link int32, t int64) int64 {
 			return end
 		}
 	}
-}
-
-// Horizon returns the latest end of any scheduled window (0 when no
-// schedules exist) — the time after which the fabric is permanently
-// fault-schedule-free.  Nil-safe.
-func (in *Injector) Horizon() int64 {
-	if in == nil {
-		return 0
-	}
-	var h int64
-	for _, w := range in.downs {
-		if w.to > h {
-			h = w.to
-		}
-	}
-	for _, w := range in.stalls {
-		if w.to > h {
-			h = w.to
-		}
-	}
-	return h
 }

@@ -1,6 +1,9 @@
 package faults
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestNilInjectorIsPerfect(t *testing.T) {
 	var in *Injector
@@ -8,11 +11,8 @@ func TestNilInjectorIsPerfect(t *testing.T) {
 	if f.Drop || f.Duplicate || f.Corrupt() || f.DelayBT != 0 {
 		t.Errorf("nil injector dealt a fault: %+v", f)
 	}
-	if in.DownUntil(7, 100) != 0 || in.StalledUntil(7, 100) != 0 || in.BlockedUntil(7, 100) != 0 {
+	if in.DownUntil(7, 100) != 0 || in.BlockedUntil(7, 100) != 0 {
 		t.Error("nil injector reported a window")
-	}
-	if in.Horizon() != 0 || in.Seed() != 0 {
-		t.Error("nil injector has state")
 	}
 	in.AddLinkDown(7, 1, 2) // must not panic
 	in.AddStall(7, 1, 2)
@@ -121,8 +121,8 @@ func TestWindows(t *testing.T) {
 		if got := in.DownUntil(c.link, c.t); got != c.down {
 			t.Errorf("DownUntil(%d, %d) = %d, want %d", c.link, c.t, got, c.down)
 		}
-		if got := in.StalledUntil(c.link, c.t); got != c.stall {
-			t.Errorf("StalledUntil(%d, %d) = %d, want %d", c.link, c.t, got, c.stall)
+		if got := coveringEnd(in.stalls, c.link, c.t); got != c.stall {
+			t.Errorf("stall window end (%d, %d) = %d, want %d", c.link, c.t, got, c.stall)
 		}
 		wantBlocked := c.down
 		if c.stall > wantBlocked {
@@ -132,9 +132,18 @@ func TestWindows(t *testing.T) {
 			t.Errorf("BlockedUntil(%d, %d) = %d, want %d", c.link, c.t, got, wantBlocked)
 		}
 	}
-	if h := in.Horizon(); h != 400 {
-		t.Errorf("Horizon = %d, want 400", h)
+	if h := horizon(in); h != 400 {
+		t.Errorf("horizon = %d, want 400", h)
 	}
+}
+
+// horizon returns the latest end of any scheduled window, 0 when none.
+func horizon(in *Injector) int64 {
+	var h int64
+	for _, w := range slices.Concat(in.downs, in.stalls) {
+		h = max(h, w.to)
+	}
+	return h
 }
 
 func TestCorruptFateAlwaysFlips(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 //     on a fresh injector yields bit-identical fates and stats;
 //   - soundness of window queries: an end is returned only when it
 //     lies strictly after the query time, and BlockedUntil is the max
-//     of the down and stall answers, never exceeding Horizon;
+//     of the down and stall answers, never exceeding the horizon;
 //   - fate sanity: corrupt fates always name a byte inside a MAD with
 //     a non-zero mask, delays are within the configured bound, and a
 //     dropped packet suffers no further fate.
@@ -51,7 +51,7 @@ func FuzzFaultSchedule(f *testing.F) {
 				link := int32(int8(script[i]))
 				at := int64(script[i+1]) * 7
 				fates = append(fates, in.SMPFate(link))
-				ends = append(ends, in.DownUntil(link, at), in.StalledUntil(link, at), in.BlockedUntil(link, at))
+				ends = append(ends, in.DownUntil(link, at), coveringEnd(in.stalls, link, at), in.BlockedUntil(link, at))
 			}
 			return in, fates, ends
 		}
@@ -72,7 +72,7 @@ func FuzzFaultSchedule(f *testing.F) {
 			}
 		}
 
-		horizon := in1.Horizon()
+		limit := horizon(in1)
 		qi := 0
 		for i := 0; i+2 <= len(script); i += 2 {
 			link := int32(int8(script[i]))
@@ -94,8 +94,8 @@ func FuzzFaultSchedule(f *testing.F) {
 				if end != 0 && end <= at {
 					t.Fatalf("link %d at %d: window end %d not after query time", link, at, end)
 				}
-				if end > horizon {
-					t.Fatalf("window end %d beyond horizon %d", end, horizon)
+				if end > limit {
+					t.Fatalf("window end %d beyond horizon %d", end, limit)
 				}
 			}
 			want := down

@@ -87,10 +87,10 @@ type ControlCounters struct {
 	CrossShardDeferred int64 `json:"crossShardDeferred,omitempty"`
 }
 
-// Zero reports whether no control-plane fault activity was counted.
+// zero reports whether no control-plane fault activity was counted.
 // (RepairTime is a pointer, so struct equality keeps working: a nil
 // histogram means no repair was ever timed.)
-func (c *ControlCounters) Zero() bool {
+func (c *ControlCounters) zero() bool {
 	return c == nil || *c == ControlCounters{}
 }
 
@@ -103,11 +103,11 @@ func (c *ControlCounters) ObserveRepairTime(bt int64) {
 	if c.RepairTime == nil {
 		c.RepairTime = &Hist{}
 	}
-	c.RepairTime.Observe(bt)
+	c.RepairTime.observe(bt)
 }
 
-// Add accumulates o into c.
-func (c *ControlCounters) Add(o ControlCounters) {
+// add accumulates o into c.
+func (c *ControlCounters) add(o ControlCounters) {
 	c.SMPsDropped += o.SMPsDropped
 	c.SMPsCorrupted += o.SMPsCorrupted
 	c.SMPsDuplicated += o.SMPsDuplicated
@@ -130,7 +130,7 @@ func (c *ControlCounters) Add(o ControlCounters) {
 		if c.RepairTime == nil {
 			c.RepairTime = &Hist{}
 		}
-		c.RepairTime.Add(o.RepairTime)
+		c.RepairTime.add(o.RepairTime)
 	}
 }
 
@@ -147,13 +147,13 @@ type VOQCounters struct {
 	HOLStalls   int64 `json:"holStalls"`
 }
 
-// Zero reports whether no VOQ scheduling activity was counted.
-func (c *VOQCounters) Zero() bool {
+// zero reports whether no VOQ scheduling activity was counted.
+func (c *VOQCounters) zero() bool {
 	return c == nil || *c == VOQCounters{}
 }
 
-// Add accumulates o into c.
-func (c *VOQCounters) Add(o VOQCounters) {
+// add accumulates o into c.
+func (c *VOQCounters) add(o VOQCounters) {
 	c.SchedPasses += o.SchedPasses
 	c.Matched += o.Matched
 	c.HOLStalls += o.HOLStalls
@@ -184,8 +184,8 @@ type Hist struct {
 	Max    int64     `json:"max"`
 }
 
-// Observe records one value.  Negative values clamp to zero.
-func (h *Hist) Observe(v int64) {
+// observe records one value.  Negative values clamp to zero.
+func (h *Hist) observe(v int64) {
 	if h == nil {
 		return
 	}
@@ -204,10 +204,10 @@ func (h *Hist) Observe(v int64) {
 	}
 }
 
-// Add accumulates o into h bucket-wise: counts, totals and N add, the
+// add accumulates o into h bucket-wise: counts, totals and N add, the
 // maxima take the maximum.  Integer-only, so merging per-shard
 // histograms loses nothing.
-func (h *Hist) Add(o *Hist) {
+func (h *Hist) add(o *Hist) {
 	for i := range h.Counts {
 		h.Counts[i] += o.Counts[i]
 	}
@@ -218,8 +218,8 @@ func (h *Hist) Add(o *Hist) {
 	}
 }
 
-// Mean returns the mean observation (0 when empty).
-func (h *Hist) Mean() float64 {
+// mean returns the mean observation (0 when empty).
+func (h *Hist) mean() float64 {
 	if h == nil || h.N == 0 {
 		return 0
 	}
@@ -276,7 +276,7 @@ func (m *Metrics) ObserveQueueDepth(depth int64) {
 	if m == nil {
 		return
 	}
-	m.QueueDepth.Observe(depth)
+	m.QueueDepth.observe(depth)
 }
 
 // CountVOQPass records one crossbar scheduling pass of an input-queued
@@ -290,7 +290,7 @@ func (m *Metrics) CountVOQPass(size, backlogged int) {
 	m.VOQ.SchedPasses++
 	m.VOQ.Matched += int64(size)
 	m.VOQ.HOLStalls += int64(backlogged - size)
-	m.MatchSize.Observe(int64(size))
+	m.MatchSize.observe(int64(size))
 }
 
 // ObserveVOQDepth records the residual depth of a virtual output queue
@@ -299,7 +299,7 @@ func (m *Metrics) ObserveVOQDepth(depth int64) {
 	if m == nil {
 		return
 	}
-	m.VOQDepth.Observe(depth)
+	m.VOQDepth.observe(depth)
 }
 
 // CountDelivery records a measured delivery and whether it missed its
@@ -329,11 +329,11 @@ func (m *Metrics) Merge(src *Metrics) {
 		m.VL[vl].Bytes += src.VL[vl].Bytes
 		m.VL[vl].Packets += src.VL[vl].Packets
 	}
-	m.Control.Add(src.Control)
-	m.QueueDepth.Add(&src.QueueDepth)
-	m.VOQ.Add(src.VOQ)
-	m.MatchSize.Add(&src.MatchSize)
-	m.VOQDepth.Add(&src.VOQDepth)
+	m.Control.add(src.Control)
+	m.QueueDepth.add(&src.QueueDepth)
+	m.VOQ.add(src.VOQ)
+	m.MatchSize.add(&src.MatchSize)
+	m.VOQDepth.add(&src.VOQDepth)
 	m.DeadlineMisses += src.DeadlineMisses
 	m.Deliveries += src.Deliveries
 }
@@ -405,7 +405,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		QueueDepth: HistSnapshot{
 			Counts: trimTail(m.QueueDepth.Counts[:]),
 			N:      m.QueueDepth.N,
-			Mean:   m.QueueDepth.Mean(),
+			Mean:   m.QueueDepth.mean(),
 			Max:    m.QueueDepth.Max,
 		},
 	}
@@ -415,11 +415,11 @@ func (m *Metrics) Snapshot() Snapshot {
 	if s.Deliveries > 0 {
 		s.MissPercent = 100 * float64(s.DeadlineMisses) / float64(s.Deliveries)
 	}
-	if !m.Control.Zero() {
+	if !m.Control.zero() {
 		ctl := m.Control
 		s.Control = &ctl
 	}
-	if !m.VOQ.Zero() {
+	if !m.VOQ.zero() {
 		v := &VOQSnapshot{
 			SchedPasses: m.VOQ.SchedPasses,
 			Matched:     m.VOQ.Matched,
@@ -427,13 +427,13 @@ func (m *Metrics) Snapshot() Snapshot {
 			MatchSize: HistSnapshot{
 				Counts: trimTail(m.MatchSize.Counts[:]),
 				N:      m.MatchSize.N,
-				Mean:   m.MatchSize.Mean(),
+				Mean:   m.MatchSize.mean(),
 				Max:    m.MatchSize.Max,
 			},
 			VOQDepth: HistSnapshot{
 				Counts: trimTail(m.VOQDepth.Counts[:]),
 				N:      m.VOQDepth.N,
-				Mean:   m.VOQDepth.Mean(),
+				Mean:   m.VOQDepth.mean(),
 				Max:    m.VOQDepth.Max,
 			},
 		}

@@ -18,14 +18,14 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var h *Hist
-	h.Observe(7)
-	if h.Mean() != 0 {
+	h.observe(7)
+	if h.mean() != 0 {
 		t.Error("nil hist mean not zero")
 	}
 
 	var tb *TraceBuffer
 	tb.Record(TraceEvent{Time: 1})
-	if tb.Len() != 0 || tb.Recorded() != 0 || tb.Dropped() != 0 || tb.Events() != nil {
+	if tb.held() != 0 || tb.Recorded() != 0 || tb.Dropped() != 0 || tb.Events() != nil {
 		t.Error("nil trace buffer not inert")
 	}
 }
@@ -33,7 +33,7 @@ func TestNilSafety(t *testing.T) {
 func TestHistBuckets(t *testing.T) {
 	var h Hist
 	for _, v := range []int64{0, 1, 2, 3, 4, 7, 8, 1 << 40, -5} {
-		h.Observe(v)
+		h.observe(v)
 	}
 	// buckets: 0 -> {0, -5}, 1 -> {1}, 2 -> {2,3}, 3 -> {4,7}, 4 -> {8},
 	// tail -> {1<<40}
@@ -78,8 +78,8 @@ func TestTraceRing(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tb.Record(TraceEvent{Time: int64(i)})
 	}
-	if tb.Len() != 4 || tb.Recorded() != 10 || tb.Dropped() != 6 {
-		t.Fatalf("len/recorded/dropped = %d/%d/%d", tb.Len(), tb.Recorded(), tb.Dropped())
+	if tb.held() != 4 || tb.Recorded() != 10 || tb.Dropped() != 6 {
+		t.Fatalf("len/recorded/dropped = %d/%d/%d", tb.held(), tb.Recorded(), tb.Dropped())
 	}
 	ev := tb.Events()
 	for i, e := range ev {

@@ -46,8 +46,8 @@ func (t *TraceBuffer) Record(ev TraceEvent) {
 	t.next++
 }
 
-// Len returns the number of events currently held.
-func (t *TraceBuffer) Len() int {
+// held returns the number of events currently held.
+func (t *TraceBuffer) held() int {
 	if t == nil {
 		return 0
 	}
@@ -79,7 +79,7 @@ func (t *TraceBuffer) Dropped() uint64 {
 
 // Events copies out the held events, oldest first.
 func (t *TraceBuffer) Events() []TraceEvent {
-	n := t.Len()
+	n := t.held()
 	if n == 0 {
 		return nil
 	}

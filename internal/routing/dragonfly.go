@@ -23,7 +23,7 @@ import (
 // and minimal routes use at most one channel of each stage, so the
 // channel-dependency graph is acyclic (cdg.Verify machine-checks
 // this).  The plane is a function of (current switch, destination
-// group) only, so forwarding stays destination-based: PlaneToSwitch
+// group) only, so forwarding stays destination-based: planeToSwitch
 // returns 1 exactly when the packet is already in the destination
 // group.
 func computeDragonfly(topo *topology.Topology) (*Routes, error) {

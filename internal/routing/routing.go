@@ -58,12 +58,6 @@ func ComputeFor(topo *topology.Topology) (*Routes, error) {
 	return nil, fmt.Errorf("routing: unknown topology class %v", topo.Spec.Class)
 }
 
-// Class returns the topology class the tables were built for.
-func (r *Routes) Class() topology.Class { return r.topo.Spec.Class }
-
-// Topo returns the topology the tables were built for.
-func (r *Routes) Topo() *topology.Topology { return r.topo }
-
 // Planes returns the number of VL-escape planes the engine requires.
 func (r *Routes) Planes() int {
 	if r.planes < 1 {
@@ -76,12 +70,12 @@ func (r *Routes) Planes() int {
 // use under this engine (sl.PlaneBaseVLs of Planes).
 func (r *Routes) BaseVLs() int { return sl.PlaneBaseVLs(r.Planes()) }
 
-// PlaneToSwitch returns the VL plane a packet headed for destination
+// planeToSwitch returns the VL plane a packet headed for destination
 // switch dsw travels on when transmitted by switch sw.  Single-plane
 // engines always return 0; the dragonfly returns 1 once the packet is
 // inside the destination group (the escape plane that breaks the
 // global/local dependency cycle).
-func (r *Routes) PlaneToSwitch(sw, dsw int) int {
+func (r *Routes) planeToSwitch(sw, dsw int) int {
 	if r.groupOf == nil {
 		return 0
 	}
@@ -94,7 +88,7 @@ func (r *Routes) PlaneToSwitch(sw, dsw int) int {
 // HopVLToSwitch returns the wire VL of a packet with base VL base when
 // transmitted by switch sw toward destination switch dsw.
 func (r *Routes) HopVLToSwitch(sw, dsw int, base uint8) uint8 {
-	return sl.PlaneVL(base, r.PlaneToSwitch(sw, dsw), r.Planes())
+	return sl.PlaneVL(base, r.planeToSwitch(sw, dsw), r.Planes())
 }
 
 // HopVL returns the wire VL of a packet with base VL base when

@@ -78,7 +78,6 @@ func (e *refEngine) After(d int64, fn func()) { e.At(e.now+d, fn) }
 func (e *refEngine) Post(t int64, h Handler, ev Event)      { e.schedule(t, h, ev) }
 func (e *refEngine) PostAfter(d int64, h Handler, ev Event) { e.schedule(e.now+d, h, ev) }
 
-func (e *refEngine) PostTimer(t int64, h Handler, ev Event) Timer { return e.schedule(t, h, ev) }
 func (e *refEngine) PostTimerAfter(d int64, h Handler, ev Event) Timer {
 	return e.schedule(e.now+d, h, ev)
 }
@@ -101,7 +100,7 @@ func (e *refEngine) Cancel(t Timer) bool {
 	return true
 }
 
-func (e *refEngine) Defer(fn func()) { e.DeferEvent(funcHandler{}, Event{P: fn}) }
+func (e *refEngine) deferFunc(fn func()) { e.DeferEvent(funcHandler{}, Event{P: fn}) }
 
 func (e *refEngine) DeferEvent(h Handler, ev Event) {
 	e.deferred = append(e.deferred, deferredWork{h: h, ev: ev})

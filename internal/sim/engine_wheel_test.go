@@ -10,9 +10,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// scriptEngine is the surface a byte script drives: everything Engine
-// exports, plus the PoolDisabled knob as a method so refEngine can
-// stand in.
+// scriptEngine is the surface a byte script drives: Engine's
+// scheduling and inspection methods, plus closure deferral and the
+// PoolDisabled knob as methods so refEngine can stand in.
 type scriptEngine interface {
 	Now() int64
 	Executed() uint64
@@ -24,10 +24,9 @@ type scriptEngine interface {
 	After(d int64, fn func())
 	Post(t int64, h Handler, ev Event)
 	PostAfter(d int64, h Handler, ev Event)
-	PostTimer(t int64, h Handler, ev Event) Timer
 	PostTimerAfter(d int64, h Handler, ev Event) Timer
 	Cancel(t Timer) bool
-	Defer(fn func())
+	deferFunc(fn func())
 	DeferEvent(h Handler, ev Event)
 	Step() bool
 	Run(until int64)
@@ -36,6 +35,7 @@ type scriptEngine interface {
 }
 
 func (e *Engine) setPoolDisabled(on bool)    { e.PoolDisabled = on }
+func (e *Engine) deferFunc(fn func())        { e.DeferEvent(funcHandler{}, Event{P: fn}) }
 func (e *refEngine) setPoolDisabled(on bool) { e.PoolDisabled = on }
 
 // Event kinds of the script's handler: what an event does when it
@@ -44,7 +44,7 @@ const (
 	kLeaf        Kind = iota // nothing
 	kSameInstant             // Post(now): lands in the bucket being drained
 	kDeferEvent              // DeferEvent
-	kDeferFunc               // Defer of a closure
+	kDeferFunc               // deferFunc of a closure
 	kChain                   // PostAfter(N) of itself, B more times
 	kCancel                  // Cancel of timer B
 	kTimer                   // PostTimerAfter(N) into timer B
@@ -133,7 +133,7 @@ func (s *scriptRun) HandleEvent(ev Event) {
 	case kDeferEvent:
 		e.DeferEvent(s, s.event(Event{Kind: kLeaf}, 0))
 	case kDeferFunc:
-		e.Defer(s.closure())
+		e.deferFunc(s.closure())
 	case kChain:
 		if b > 0 {
 			s.post(e.Now()+ev.N, Event{Kind: kChain, B: int32(b - 1), N: ev.N})
@@ -254,7 +254,7 @@ func (s *scriptRun) run() {
 			e.PostAfter(d, s, s.event(Event{Kind: Kind(k) % numKinds, B: int32(k >> 5), N: int64(y)}, d))
 		case 7:
 			i := int(k & 7)
-			s.timers[i] = e.PostTimer(e.Now()+d, s, s.event(Event{Kind: kLeaf}, d))
+			s.timers[i] = e.PostTimerAfter(d, s, s.event(Event{Kind: kLeaf}, d))
 			s.timerAt[i] = e.Now() + d
 		case 8:
 			ok = s.cancel(int(k & 7))
@@ -284,7 +284,7 @@ func (s *scriptRun) run() {
 			e.RunWhile(func() bool { return e.Executed() < stop })
 		case 15:
 			if k&1 == 0 {
-				e.Defer(s.closure())
+				e.deferFunc(s.closure())
 			} else {
 				e.DeferEvent(s, s.event(Event{Kind: Kind(x) % numKinds, N: int64(1 + y)}, 0))
 			}
@@ -303,7 +303,7 @@ func (s *scriptRun) run() {
 			// A burst at one timestamp, partly canceled: FIFO within a
 			// bucket across a Cancel of its head, middle or tail.
 			for j := 0; j < 4; j++ {
-				s.timers[j] = e.PostTimer(e.Now()+d, s, s.event(Event{Kind: kLeaf}, d))
+				s.timers[j] = e.PostTimerAfter(d, s, s.event(Event{Kind: kLeaf}, d))
 				s.timerAt[j] = e.Now() + d
 			}
 			ok = s.cancel(int(k % 4))

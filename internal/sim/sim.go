@@ -12,7 +12,7 @@
 // of a heap-allocated closure per hop.  Event records live in a pooled
 // slab, so steady-state scheduling allocates nothing: executed records
 // return to a free-list and are reused by the next Post.  The closure
-// API (At, After, Defer) remains for cold paths and tests; a closure is
+// API (At, After) remains for cold paths and tests; a closure is
 // a typed event whose handler calls it, so both kinds share one queue
 // and one sequence-number space and FIFO order among simultaneous
 // events holds regardless of which API scheduled them.
@@ -33,7 +33,7 @@
 // a bucket therefore arrives in (time, sequence) order and append
 // order is execution order.
 //
-// PostTimer returns a cancelable handle: Cancel unlinks the event from
+// PostTimerAfter returns a cancelable handle: Cancel unlinks the event from
 // its bucket in O(1), or removes it from the overflow heap in
 // O(log n), and recycles its record — no tombstone stays behind, so
 // NextTime is always exact.  Generation counters on the records make
@@ -99,9 +99,9 @@ type deferredWork struct {
 	ev Event
 }
 
-// funcHandler runs the closure API on the typed path: At, After and
-// Defer schedule an Event whose P is the func (a func value in an
-// interface does not allocate).
+// funcHandler runs the closure API on the typed path: At and After
+// schedule an Event whose P is the func (a func value in an interface
+// does not allocate).
 type funcHandler struct{}
 
 func (funcHandler) HandleEvent(ev Event) { ev.P.(func())() }
@@ -295,12 +295,6 @@ func (e *Engine) PostAfter(d int64, h Handler, ev Event) {
 	e.schedule(e.now+d, h, ev)
 }
 
-// PostTimer schedules a typed event at the absolute time t and returns
-// a handle that can cancel it.
-func (e *Engine) PostTimer(t int64, h Handler, ev Event) Timer {
-	return e.schedule(t, h, ev)
-}
-
 // PostTimerAfter schedules a cancelable typed event d byte times from
 // now.
 func (e *Engine) PostTimerAfter(d int64, h Handler, ev Event) Timer {
@@ -332,15 +326,10 @@ func (e *Engine) Cancel(t Timer) bool {
 	return true
 }
 
-// Defer schedules fn to run at the current timestamp, after the
-// currently executing event (and previously deferred work) finishes.
-// It is the cheap path for same-instant follow-ups — no queue insert.
-func (e *Engine) Defer(fn func()) {
-	e.DeferEvent(funcHandler{}, Event{P: fn})
-}
-
-// DeferEvent is Defer for a typed event: same-instant FIFO follow-up
-// with no queue insert and no closure.
+// DeferEvent schedules a typed event to run at the current timestamp,
+// after the currently executing event (and previously deferred work)
+// finishes: a same-instant FIFO follow-up with no queue insert and no
+// closure.
 func (e *Engine) DeferEvent(h Handler, ev Event) {
 	e.deferred = append(e.deferred, deferredWork{h: h, ev: ev})
 	if len(e.deferred) > e.maxDeferred {

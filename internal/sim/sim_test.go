@@ -150,7 +150,7 @@ func TestDeferRunsAtSameInstant(t *testing.T) {
 	var e Engine
 	var got []int
 	e.At(10, func() {
-		e.Defer(func() { got = append(got, 2) })
+		e.deferFunc(func() { got = append(got, 2) })
 		got = append(got, 1)
 	})
 	e.At(10, func() { got = append(got, 3) })
@@ -168,13 +168,13 @@ func TestDeferRunsAtSameInstant(t *testing.T) {
 func TestDeferOutsideEventContext(t *testing.T) {
 	var e Engine
 	ran := false
-	e.Defer(func() { ran = true })
+	e.deferFunc(func() { ran = true })
 	e.Run(0)
 	if !ran {
 		t.Error("deferred work outside an event never ran")
 	}
 	ran2 := false
-	e.Defer(func() { ran2 = true })
+	e.deferFunc(func() { ran2 = true })
 	if !e.Step() {
 		t.Error("Step ignored pending deferred work")
 	}
@@ -190,7 +190,7 @@ func TestDeferNested(t *testing.T) {
 	recurse = func() {
 		if depth < 50 {
 			depth++
-			e.Defer(recurse)
+			e.deferFunc(recurse)
 		}
 	}
 	e.At(0, recurse)

@@ -148,20 +148,6 @@ func (j *JitterHist) Percent(i int) float64 {
 // packets falling into.
 func (j *JitterHist) CentralPercent() float64 { return j.Percent(5) }
 
-// WithinIATPercent returns the percentage of deviations strictly
-// inside (-IAT, +IAT); the paper observes jitter never exceeding the
-// IAT for any service level.
-func (j *JitterHist) WithinIATPercent() float64 {
-	if j.total == 0 {
-		return 0
-	}
-	var c int64
-	for i := 1; i < JitterBuckets-1; i++ {
-		c += j.counts[i]
-	}
-	return 100 * float64(c) / float64(j.total)
-}
-
 // Merge adds the contents of other into j.
 func (j *JitterHist) Merge(other *JitterHist) {
 	for i := range j.counts {

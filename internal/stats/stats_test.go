@@ -138,9 +138,6 @@ func TestJitterHistBuckets(t *testing.T) {
 	if got := j.Percent(JitterBuckets - 1); math.Abs(got-100.0/6) > 1e-9 {
 		t.Errorf("late tail%% = %g", got)
 	}
-	if got := j.WithinIATPercent(); math.Abs(got-100.0*4/6) > 1e-9 {
-		t.Errorf("within-IAT%% = %g", got)
-	}
 }
 
 func TestJitterLabelsMatchBuckets(t *testing.T) {

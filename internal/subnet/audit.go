@@ -132,7 +132,7 @@ func (a *Auditor) HandleEvent(ev sim.Event) {
 // quarantine set.
 func NewAuditor(eng *sim.Engine, prog *InbandProgrammer, cfg AuditConfig) *Auditor {
 	a := &Auditor{Engine: eng, Prog: prog, Config: cfg, state: make(map[admission.PortID]*auditState)}
-	prog.OnGiveUp = a.PortGaveUp
+	prog.OnGiveUp = a.portGaveUp
 	return a
 }
 
@@ -154,9 +154,9 @@ func (a *Auditor) AuditsPending() bool {
 	return false
 }
 
-// PortGaveUp is the programmer's give-up hook: quarantine the port and
+// portGaveUp is the programmer's give-up hook: quarantine the port and
 // start (or continue) its audit.
-func (a *Auditor) PortGaveUp(id admission.PortID, pt *core.PortTable) {
+func (a *Auditor) portGaveUp(id admission.PortID, pt *core.PortTable) {
 	st := a.state[id]
 	if st == nil {
 		st = &auditState{id: id, pt: pt}

@@ -87,13 +87,13 @@ func TestHopsToPortMatchesPerCallSearch(t *testing.T) {
 			check := func(stage string) {
 				t.Helper()
 				for _, id := range ids {
-					if got, want := m.HopsToPort(id), refHopsToPort(m, id); got != want {
+					if got, want := m.hopsToPort(id), refHopsToPort(m, id); got != want {
 						t.Fatalf("%s: HopsToPort(%v) = %d, per-call search says %d", stage, id, got, want)
 					}
 				}
 				if allocs := testing.AllocsPerRun(10, func() {
 					for _, id := range ids {
-						m.HopsToPort(id)
+						m.hopsToPort(id)
 					}
 				}); allocs != 0 {
 					t.Errorf("%s: HopsToPort allocates %.1f objects per sweep once the tables exist", stage, allocs)

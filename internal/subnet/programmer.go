@@ -148,13 +148,13 @@ func encodeBlock(wire *[mad.Size]byte, id admission.PortID, version uint64, tota
 // NewInbandProgrammer returns a programmer injecting SMPs into eng,
 // with hop distances taken from the manager's view of the fabric.
 func NewInbandProgrammer(eng *sim.Engine, m *Manager) *InbandProgrammer {
-	return &InbandProgrammer{Engine: eng, Hops: m.HopsToPort}
+	return &InbandProgrammer{Engine: eng, Hops: m.hopsToPort}
 }
 
-// HopsToPort returns the SM's hop distance to an arbitration point: a
+// hopsToPort returns the SM's hop distance to an arbitration point: a
 // switch port is as far as its switch; a host interface is one hop
 // beyond its home switch.
-func (m *Manager) HopsToPort(id admission.PortID) int {
+func (m *Manager) hopsToPort(id admission.PortID) int {
 	if id.Host >= 0 {
 		sw, _ := m.Topo.HostSwitch(id.Host)
 		return 1 + m.depthTo(sw)
@@ -167,7 +167,7 @@ func (m *Manager) HopsToPort(id admission.PortID) int {
 // index or count out of range) leaves no event, no cost and no record
 // behind.
 func (p *InbandProgrammer) Program(id admission.PortID, pt *core.PortTable, d core.Delta) error {
-	if p.Retry.Enabled() {
+	if p.Retry.enabled() {
 		return p.programReliable(id, pt, d)
 	}
 	blocks := d.Blocks()

@@ -54,9 +54,9 @@ func DefaultRetryProfile() RetryProfile {
 	return RetryProfile{AckTimeoutBT: 2 * madWireBytes, MaxAttempts: 5, DeadlineBT: 1 << 18}
 }
 
-// Enabled reports whether the profile switches the programmer to
+// enabled reports whether the profile switches the programmer to
 // reliable delivery.
-func (r RetryProfile) Enabled() bool { return r.MaxAttempts > 0 }
+func (r RetryProfile) enabled() bool { return r.MaxAttempts > 0 }
 
 // Typed-event kinds of the programmer's control plane.  Every control
 // action — deliveries, acks, timers — is a typed event on the

@@ -39,11 +39,8 @@ func NewDragonflyLayout(a, p, h int) (DragonflyLayout, error) {
 // NumSwitches returns G*a.
 func (l DragonflyLayout) NumSwitches() int { return l.G * l.A }
 
-// NumHosts returns G*a*p.
-func (l DragonflyLayout) NumHosts() int { return l.G * l.A * l.P }
-
-// Switch returns the index of switch i in group g.
-func (l DragonflyLayout) Switch(g, i int) int { return g*l.A + i }
+// switchID returns the index of switch i in group g.
+func (l DragonflyLayout) switchID(g, i int) int { return g*l.A + i }
 
 // Group returns the group and in-group index of a switch.
 func (l DragonflyLayout) Group(sw int) (g, i int) { return sw / l.A, sw % l.A }
@@ -60,12 +57,12 @@ func (l DragonflyLayout) LocalPort(i, j int) int {
 // GlobalPort returns the port carrying global slot j (0 <= j < h).
 func (l DragonflyLayout) GlobalPort(j int) int { return l.P + l.A - 1 + j }
 
-// GlobalTarget returns the group reached by global channel c
+// globalTarget returns the group reached by global channel c
 // (c = i*h + j) of group g.
-func (l DragonflyLayout) GlobalTarget(g, c int) int { return (g + c + 1) % l.G }
+func (l DragonflyLayout) globalTarget(g, c int) int { return (g + c + 1) % l.G }
 
 // GlobalChannel returns the channel index of group g that reaches
-// group d (g != d): the inverse of GlobalTarget.
+// group d (g != d): the inverse of globalTarget.
 func (l DragonflyLayout) GlobalChannel(g, d int) int { return (d - g - 1 + l.G) % l.G }
 
 // GenerateDragonfly builds the canonical dragonfly.  Deterministic —
@@ -89,7 +86,7 @@ func GenerateDragonfly(a, p, h int) (*Topology, error) {
 	for g := 0; g < l.G; g++ {
 		for i := 0; i < a; i++ {
 			for j := i + 1; j < a; j++ {
-				if err := t.Connect(l.Switch(g, i), l.LocalPort(i, j), l.Switch(g, j), l.LocalPort(j, i)); err != nil {
+				if err := t.Connect(l.switchID(g, i), l.LocalPort(i, j), l.switchID(g, j), l.LocalPort(j, i)); err != nil {
 					return nil, err
 				}
 			}
@@ -100,14 +97,14 @@ func GenerateDragonfly(a, p, h int) (*Topology, error) {
 	// pair once, from the lower-numbered group.
 	for g := 0; g < l.G; g++ {
 		for c := 0; c < a*h; c++ {
-			d := l.GlobalTarget(g, c)
+			d := l.globalTarget(g, c)
 			if d < g {
 				continue // wired when d's side was processed
 			}
 			rc := l.GlobalChannel(d, g)
 			if err := t.Connect(
-				l.Switch(g, c/h), l.GlobalPort(c%h),
-				l.Switch(d, rc/h), l.GlobalPort(rc%h),
+				l.switchID(g, c/h), l.GlobalPort(c%h),
+				l.switchID(d, rc/h), l.GlobalPort(rc%h),
 			); err != nil {
 				return nil, err
 			}

@@ -7,13 +7,13 @@ import "fmt"
 // arithmetically:
 //
 //	edge switches:  Edge(pod, e) = pod*k/2 + e            (hosts below)
-//	agg switches:   Agg(pod, a)  = k*k/2 + pod*k/2 + a
-//	core switches:  Core(a, c)   = 2*k*k/2 + a*k/2 + c
+//	agg switches:   agg(pod, a)  = k*k/2 + pod*k/2 + a
+//	core switches:  core(a, c)   = 2*k*k/2 + a*k/2 + c
 //
 // Edge switch ports 0..k/2-1 carry hosts; port k/2+a goes up to
-// Agg(pod, a).  Agg switch port e goes down to Edge(pod, e); port
-// k/2+c goes up to Core(a, c).  Core switch port pod goes down to
-// Agg(pod, a).  Hosts are numbered pod-major, edge-minor, port-minor,
+// agg(pod, a).  Agg switch port e goes down to Edge(pod, e); port
+// k/2+c goes up to core(a, c).  Core switch port pod goes down to
+// agg(pod, a).  Hosts are numbered pod-major, edge-minor, port-minor,
 // so host = pod*(k/2)^2 + e*(k/2) + hp.
 type FatTreeLayout struct {
 	K    int // arity
@@ -34,18 +34,15 @@ func NewFatTreeLayout(k int) (FatTreeLayout, error) {
 // k/2 agg switches plus (k/2)^2 cores — 5k^2/4.
 func (l FatTreeLayout) NumSwitches() int { return 2*l.K*l.Half + l.Half*l.Half }
 
-// NumHosts returns the host count, k^3/4.
-func (l FatTreeLayout) NumHosts() int { return l.K * l.Half * l.Half }
-
 // Edge returns the switch index of edge switch e in pod.
 func (l FatTreeLayout) Edge(pod, e int) int { return pod*l.Half + e }
 
-// Agg returns the switch index of aggregation switch a in pod.
-func (l FatTreeLayout) Agg(pod, a int) int { return l.K*l.Half + pod*l.Half + a }
+// agg returns the switch index of aggregation switch a in pod.
+func (l FatTreeLayout) agg(pod, a int) int { return l.K*l.Half + pod*l.Half + a }
 
-// Core returns the switch index of core switch (a, c): the c-th core
+// core returns the switch index of core switch (a, c): the c-th core
 // reachable from aggregation position a of every pod.
-func (l FatTreeLayout) Core(a, c int) int { return 2*l.K*l.Half + a*l.Half + c }
+func (l FatTreeLayout) core(a, c int) int { return 2*l.K*l.Half + a*l.Half + c }
 
 // IsEdge reports whether sw is an edge switch and returns its (pod, e).
 func (l FatTreeLayout) IsEdge(sw int) (pod, e int, ok bool) {
@@ -90,7 +87,7 @@ func GenerateFatTree(k int) (*Topology, error) {
 	for pod := 0; pod < l.K; pod++ {
 		for e := 0; e < l.Half; e++ {
 			for a := 0; a < l.Half; a++ {
-				if err := t.Connect(l.Edge(pod, e), l.Half+a, l.Agg(pod, a), e); err != nil {
+				if err := t.Connect(l.Edge(pod, e), l.Half+a, l.agg(pod, a), e); err != nil {
 					return nil, err
 				}
 			}
@@ -100,7 +97,7 @@ func GenerateFatTree(k int) (*Topology, error) {
 	for pod := 0; pod < l.K; pod++ {
 		for a := 0; a < l.Half; a++ {
 			for c := 0; c < l.Half; c++ {
-				if err := t.Connect(l.Agg(pod, a), l.Half+c, l.Core(a, c), pod); err != nil {
+				if err := t.Connect(l.agg(pod, a), l.Half+c, l.core(a, c), pod); err != nil {
 					return nil, err
 				}
 			}

@@ -120,7 +120,7 @@ func partitionFatTree(k, shards int) []int {
 			shardOf[l.Edge(pod, e)] = sh
 		}
 		for a := 0; a < l.Half; a++ {
-			shardOf[l.Agg(pod, a)] = sh
+			shardOf[l.agg(pod, a)] = sh
 		}
 	}
 	cores := l.Half * l.Half
@@ -128,7 +128,7 @@ func partitionFatTree(k, shards int) []int {
 		// Contiguous blocks, same proportional split as the pods.
 		sh := c * shards / cores
 		a, cc := c/l.Half, c%l.Half
-		shardOf[l.Core(a, cc)] = sh
+		shardOf[l.core(a, cc)] = sh
 	}
 	return shardOf
 }
@@ -143,7 +143,7 @@ func partitionDragonfly(l DragonflyLayout, shards int) []int {
 	for g := 0; g < l.G; g++ {
 		sh := g / groupsPer
 		for i := 0; i < l.A; i++ {
-			shardOf[l.Switch(g, i)] = sh
+			shardOf[l.switchID(g, i)] = sh
 		}
 	}
 	return shardOf

@@ -276,7 +276,7 @@ if [[ "$RUN_FUZZ" -eq 1 ]]; then
         go test "$pkg" -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME"
     done <<'EOF'
 ./internal/core FuzzAllocatorTrace
-./internal/core FuzzCanReserve
+./internal/core FuzzDecide
 ./internal/core FuzzDeliverBlock
 ./internal/core FuzzShape
 ./internal/arbtable FuzzArbiterPick
