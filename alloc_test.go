@@ -104,16 +104,16 @@ type nopHandler struct{}
 
 func (nopHandler) HandleEvent(sim.Event) {}
 
-// farDelay lies beyond the engine's timing wheel (three times its 2^14
-// byte-time window), so an event posted that far ahead waits in the
-// overflow heap and migrates into the wheel before it runs.
+// farDelay lies beyond the engine's one-byte-time ring (level 0 ends at
+// most 2^12 byte times ahead), in its first coarse level, so an event
+// posted that far ahead cascades into the ring before it runs.
 const farDelay = 3 << 14
 
 // TestAllocBudgetEngine gates the event queue itself: in steady state
-// Post + Step allocates nothing for a near event (wheel bucket), for a
-// far one (overflow heap, migration, bucket) or for a timer armed and
-// canceled, and the wheel an engine's first near event allocates stays
-// within 160 kB — and is not allocated at all by far events alone.
+// Post + Step allocates nothing for a near event (level-0 bucket), for a
+// far one (coarse bucket, cascade, level-0 bucket) or for a timer armed
+// and canceled, and the ring an engine's first near event allocates
+// stays within 48 kB — and is not allocated at all by far events alone.
 //
 // The two heap gates read the process-wide TotalAlloc, which a stray
 // allocation on another goroutine can raise, so each takes the least of
@@ -142,8 +142,8 @@ func TestAllocBudgetEngine(t *testing.T) {
 	if farBytes != 0 {
 		t.Errorf("a far event on a sized engine allocated %d bytes, want 0 (no wheel)", farBytes)
 	}
-	if nearBytes == 0 || nearBytes > 160<<10 {
-		t.Errorf("the first near event allocated %d bytes, want the wheel, at most 160 kB", nearBytes)
+	if nearBytes == 0 || nearBytes > 48<<10 {
+		t.Errorf("the first near event allocated %d bytes, want the ring, at most 48 kB", nearBytes)
 	}
 	for i := int64(0); i < 64; i++ {
 		e.Post(i*37, h, sim.Event{})
@@ -159,8 +159,8 @@ func TestAllocBudgetEngine(t *testing.T) {
 			t.Errorf("engine %s step allocates %.2f allocs/op, want 0", name, allocs)
 		}
 	}
-	if s := e.Stats(); s.Canceled == 0 || s.PoolReuse == 0 {
-		t.Errorf("steady-state steps never canceled or recycled: %+v", s)
+	if s := e.Stats(); s.Canceled == 0 || s.PoolReuse == 0 || s.Placed[1] == 0 || s.Cascaded[1] == 0 {
+		t.Errorf("steady-state steps never canceled, recycled or cascaded from level 1: %+v", s)
 	}
 }
 

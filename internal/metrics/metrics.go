@@ -160,17 +160,22 @@ func (c *VOQCounters) add(o VOQCounters) {
 }
 
 // EngineCounters meters the typed-event core of one simulation engine:
-// how much work went through the heap, how deep it got, and how well
-// the event-record pool recycled.  The engine maintains them itself;
-// sim.Engine.Stats exports a copy.
+// how much work went through the queue, how deep it got, which levels
+// of the timing wheel held it, and how well the event-record pool
+// recycled.  The engine maintains them itself; sim.Engine.Stats exports
+// a copy.  Placed and Cascaded have one entry per wheel level: level 0
+// is the ring of one-byte-time buckets, level k > 0 the k-th coarse
+// level.
 type EngineCounters struct {
-	Scheduled    int64 `json:"scheduled"`    // events posted (typed + closure)
-	Executed     int64 `json:"executed"`     // events executed (incl. deferred)
-	Canceled     int64 `json:"canceled"`     // timers canceled before firing
-	MaxHeapDepth int64 `json:"maxHeapDepth"` // high-water pending-event count
-	MaxDeferred  int64 `json:"maxDeferred"`  // high-water same-instant queue
-	PoolReuse    int64 `json:"poolReuse"`    // event records recycled from the free-list
-	PoolGrow     int64 `json:"poolGrow"`     // event records newly allocated
+	Scheduled    int64     `json:"scheduled"`    // events posted (typed + closure)
+	Executed     int64     `json:"executed"`     // events executed (incl. deferred)
+	Canceled     int64     `json:"canceled"`     // timers canceled before firing
+	MaxHeapDepth int64     `json:"maxHeapDepth"` // high-water pending-event count
+	MaxDeferred  int64     `json:"maxDeferred"`  // high-water same-instant queue
+	PoolReuse    int64     `json:"poolReuse"`    // event records recycled from the free-list
+	PoolGrow     int64     `json:"poolGrow"`     // event records newly allocated
+	Placed       [12]int64 `json:"placed"`       // events a Post put in each level
+	Cascaded     [12]int64 `json:"cascaded"`     // events a cascade moved out of each level
 }
 
 // Hist is a power-of-two-bucket histogram for small non-negative

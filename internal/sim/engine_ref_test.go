@@ -10,14 +10,15 @@ import (
 // every event, near or far, on one 4-ary indexed heap ordered by
 // (at, seq).  It is the reference TestEngineWheelDifferential and
 // FuzzEngineTrace compare Engine against, call for call.  It shares the
-// package's data types with Engine (Event, Handler, Timer, record,
-// deferredWork, funcHandler) and none of its code.
+// package's API types with Engine (Event, Handler, Timer, deferredWork,
+// funcHandler) and none of its code; its records carry the sequence
+// number the heap orders by.
 type refEngine struct {
 	now    int64
 	nextID uint64
 	count  uint64
 
-	records []record
+	records []refRecord
 	heap    []int32
 	free    int32
 
@@ -31,6 +32,17 @@ type refEngine struct {
 	poolGrow    uint64
 	maxHeap     int
 	maxDeferred int
+}
+
+// refRecord is one heap-queued event: pos is its heap index, or the
+// free-list link of a released slot.
+type refRecord struct {
+	at  int64
+	seq uint64 // tie-break: FIFO among simultaneous events
+	gen uint32
+	pos int32
+	h   Handler
+	ev  Event
 }
 
 func (e *refEngine) Now() int64       { return e.now }
@@ -49,7 +61,7 @@ func (e *refEngine) NextTime() int64 {
 
 func (e *refEngine) Grow(n int) {
 	if cap(e.records) < n {
-		r := make([]record, len(e.records), n)
+		r := make([]refRecord, len(e.records), n)
 		copy(r, e.records)
 		e.records = r
 	}
@@ -130,7 +142,7 @@ func (e *refEngine) alloc() int32 {
 		e.poolReuse++
 		return slot
 	}
-	e.records = append(e.records, record{})
+	e.records = append(e.records, refRecord{})
 	e.poolGrow++
 	return int32(len(e.records) - 1)
 }

@@ -1,9 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation
 // engine.  Time is an integer count of byte times (the time one byte
-// needs on a 1x InfiniBand data link); all models in the fabric
-// schedule work on a single engine, so a run is single-goroutine and
-// fully reproducible.  Parallelism in the benchmark harness comes from
-// running independent engines concurrently, one per configuration.
+// needs on a 1x InfiniBand data link).  An Engine runs on one goroutine
+// and is fully reproducible.  A fabric runs either on one engine or,
+// sharded, on one engine per topology shard plus an optional control
+// lane, which a Coordinator (shard.go) advances in conservative-
+// lookahead windows: the shard engines of a window run in parallel, and
+// a run's results depend on its shard count, never on how the
+// goroutines were scheduled.  Independent configurations also run side
+// by side, one set of engines each.
 //
 // # Typed events
 //
@@ -14,31 +18,44 @@
 // return to a free-list and are reused by the next Post.  The closure
 // API (At, After) remains for cold paths and tests; a closure is
 // a typed event whose handler calls it, so both kinds share one queue
-// and one sequence-number space and FIFO order among simultaneous
-// events holds regardless of which API scheduled them.
+// and FIFO order among simultaneous events holds regardless of which
+// API scheduled them.
 //
 // # The event queue
 //
-// The slab is indexed by a timing wheel: a ring of wheelSize buckets,
-// one per byte time of the window [Now, Now+wheelSize), each a FIFO
-// list linked through the records, with an occupancy bitmap (and one
-// summary word per 64 bitmap words) over the buckets.  Nearly every
-// event a packet simulation schedules lands inside that window — a
-// packet's wire time plus the link latency — so Post is an append and
-// an OR, and the next event is the first set bit at or after Now's
-// bucket.  Events at or beyond the window wait in the overflow level,
-// a 4-ary indexed heap ordered by (time, sequence), and move into
-// their bucket the moment the clock advances far enough for the window
-// to cover them, before anything runs at the new time; every event of
-// a bucket therefore arrives in (time, sequence) order and append
-// order is execution order.
+// The slab is indexed by a hierarchical timing wheel (Varghese and
+// Lauck).  Level 0 is a ring of wheelSize = 2^12 buckets, one per byte
+// time, each a FIFO list linked through the records, with an occupancy
+// bitmap and a summary word over it.  It holds the events before the
+// fourth 1 024-byte-time boundary after Now, a window of 3 073 to 4 096
+// byte times.  Nearly every event a packet simulation schedules lands
+// there — a packet's wire time plus the link latency — so Post is an
+// append and an OR, and the next event is the first set bit at or after
+// Now's bucket.
 //
-// PostTimerAfter returns a cancelable handle: Cancel unlinks the event from
-// its bucket in O(1), or removes it from the overflow heap in
-// O(log n), and recycles its record — no tombstone stays behind, so
-// NextTime is always exact.  Generation counters on the records make
-// stale handles (fired, canceled or recycled events) harmless — Cancel
-// on one is a no-op returning false.
+// Later events wait in the coarse levels 1 to numCoarse.  Each is a
+// ring of 64 FIFO buckets with one occupancy word; a bucket of level 1
+// spans 1 024 byte times and one of level k+1 spans 32 buckets of level
+// k.  Level k holds the events before the second boundary of level
+// k+1's bucket width after the one at or below Now, beyond what the
+// levels below hold, so its events occupy at most 64 consecutive
+// buckets; the top level spans 2^60 byte times a bucket and holds
+// everything later, up to math.MaxInt64.  Which level
+// holds time t is a function of t and Now alone.  When the clock
+// advances, every coarse bucket whose span the level below now reaches
+// cascades, before anything runs at the new time: its events move, in
+// list order, to the levels their times now belong to.  All events of
+// one timestamp therefore always share one bucket, a cascade keeps their
+// order, and a direct Post appends behind them; so the events of a
+// level-0 bucket are in scheduling order and append order is execution
+// order.
+//
+// PostTimerAfter returns a cancelable handle: Cancel unlinks the event
+// from its bucket in O(1) at whichever level holds it, and recycles its
+// record — no tombstone stays behind, so NextTime is always exact.
+// Generation counters on the records make stale handles (fired,
+// canceled or recycled events) harmless — Cancel on one is a no-op
+// returning false.
 package sim
 
 import (
@@ -79,13 +96,11 @@ type Timer struct {
 	gen  uint32 // record generation at scheduling time
 }
 
-// record is one pooled event-record slot.  pos is the heap index of a
-// slot in the overflow heap and the next link (slot+1, 0 = end) of a
-// slot in a wheel bucket or on the free-list; prev is the bucket's
-// back link.
+// record is one pooled event-record slot.  pos is the next link
+// (slot+1, 0 = end) of a slot in a bucket or on the free-list; prev is
+// the bucket's back link.
 type record struct {
 	at   int64
-	seq  uint64 // tie-break in the overflow heap: FIFO among simultaneous events
 	gen  uint32 // bumped on every release; stale Timers can't match
 	pos  int32
 	prev int32
@@ -106,31 +121,118 @@ type funcHandler struct{}
 
 func (funcHandler) HandleEvent(ev Event) { ev.P.(func())() }
 
-// The wheel covers the wheelSize byte times from Now on.  Measured on
-// the k=8 fat-tree packet workload (2.56 M events, seed 7): 91.1 % of
-// events are scheduled less than 1 024 byte times ahead, 8.5 % between
-// 4 096 and 16 383 (flow inter-arrivals) and 0.3 % beyond; 2^14 keeps
-// all but those 0.3 % out of the overflow heap for 130 kB of ring per
-// engine; 2^13 sends 2.1 % through the heap for half the ring and
-// measures the same speed (DESIGN.md §9 has the runs).
+// Level 0 is a ring of wheelSize one-byte-time buckets.  Coarse level k
+// (1..numCoarse) is a ring of levelSize buckets of 2^shift(k) byte
+// times, shift(k) = firstShift + levelStep·(k−1): 10, 15, …, 60.  Level
+// k−1 ends at the reach(k−1)-th boundary of level k's bucket width
+// after the one at or below Now: reach is wheelSize>>firstShift = 4
+// for level 0 and levelSize>>levelStep = 2 above, so no level holds
+// more than its ring's worth of buckets, and 2^60-byte-time buckets
+// hold every time up to math.MaxInt64.  DESIGN.md §9 has the measured
+// share of each level.
 const (
-	wheelBits  = 14
+	wheelBits  = 12
 	wheelSize  = 1 << wheelBits
 	wheelMask  = wheelSize - 1
 	wheelWords = wheelSize / 64  // bitmap words
 	wheelSums  = wheelWords / 64 // summary words
+
+	levelSize  = 64 // buckets per coarse level: one occupancy word
+	firstShift = 10 // level 1 buckets span 1 024 byte times
+	levelStep  = 5  // a level's buckets are 32 times wider than the level below's
+	numCoarse  = 11
+	numLevels  = numCoarse + 1
 )
 
-// bucket is the FIFO list of the events of one byte time, as slot+1
-// links into the record slab (0 = empty).
+// shift returns log2 of the bucket width of coarse level k.
+func shift(k int) uint { return firstShift + levelStep*uint(k-1) }
+
+// reach returns how many of level k+1's bucket widths level k's range
+// extends to, counted from the boundary at or below Now.
+func reach(k int) int64 {
+	if k == 0 {
+		return wheelSize >> firstShift
+	}
+	return levelSize >> levelStep
+}
+
+// levelOf returns the level that holds time t at clock now (t >= now).
+func levelOf(t, now int64) int {
+	if t>>firstShift-now>>firstShift < reach(0) {
+		return 0
+	}
+	for k := 1; k < numCoarse; k++ {
+		s := shift(k + 1)
+		if t>>s-now>>s < reach(k) {
+			return k
+		}
+	}
+	return numCoarse
+}
+
+// bucket is the FIFO list of the events of one bucket, as slot+1 links
+// into the record slab (0 = empty).  A level-0 bucket holds one
+// timestamp at a time.
 type bucket struct{ head, tail int32 }
 
-// wheel is the ring of buckets with its occupancy bitmap: bit i of
-// occ is set iff bucket i is non-empty, bit w of sum iff occ[w] != 0.
+// push appends slot and reports whether the bucket was empty.
+func (b *bucket) push(recs []record, slot int32) bool {
+	r := &recs[slot]
+	r.pos, r.prev = 0, b.tail
+	empty := b.tail == 0
+	if empty {
+		b.head = slot + 1
+	} else {
+		recs[b.tail-1].pos = slot + 1
+	}
+	b.tail = slot + 1
+	return empty
+}
+
+// cut removes slot and reports whether the bucket is now empty.
+func (b *bucket) cut(recs []record, slot int32) bool {
+	r := &recs[slot]
+	if r.prev != 0 {
+		recs[r.prev-1].pos = r.pos
+	} else {
+		b.head = r.pos
+	}
+	if r.pos != 0 {
+		recs[r.pos-1].prev = r.prev
+	} else {
+		b.tail = r.prev
+	}
+	return b.head == 0
+}
+
+// wheel is level 0, the ring of one-byte-time buckets with its
+// occupancy bitmap: bit i of occ is set iff bucket i is non-empty, bit
+// w of sum iff occ[w] != 0.
 type wheel struct {
 	sum     [wheelSums]uint64
 	occ     [wheelWords]uint64
 	buckets [wheelSize]bucket
+}
+
+func (w *wheel) mark(i uint) {
+	w.occ[i>>6] |= 1 << (i & 63)
+	w.sum[i>>12] |= 1 << (i >> 6 & 63)
+}
+
+func (w *wheel) clear(i uint) {
+	w.occ[i>>6] &^= 1 << (i & 63)
+	if w.occ[i>>6] == 0 {
+		w.sum[i>>12] &^= 1 << (i >> 6 & 63)
+	}
+}
+
+func (w *wheel) empty() bool {
+	for _, s := range w.sum {
+		if s != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // next returns the first non-empty bucket at or after p, cyclically.
@@ -153,27 +255,32 @@ func (w *wheel) next(p uint) uint {
 	return wi<<6 + uint(bits.TrailingZeros64(w.occ[wi]))
 }
 
+// level is one coarse level: bit i of occ is set iff bucket i is
+// non-empty.
+type level struct {
+	occ     uint64
+	buckets [levelSize]bucket
+}
+
 // Engine is a discrete-event scheduler.  The zero value is ready to
 // use.  It is not safe for concurrent use.
 type Engine struct {
-	now    int64
-	nextID uint64
-	count  uint64 // events executed
+	now   int64
+	count uint64 // events executed
 
 	// Pooled event records.  Records never move, so Timers can address
 	// them while the queue reorders around them.
 	records []record
 	free    int32 // free-list head, encoded slot+1; 0 = empty
 
-	// The queue: events with at-now < wheelSize sit in wheel bucket
-	// at&wheelMask (so a bucket holds one timestamp at a time), all
-	// later ones in the 4-ary indexed heap of slot indices ordered by
-	// (at, seq).  advance is the only place the clock moves, and it
-	// restores that split before anything else runs.  The wheel is
-	// allocated by the first near event.
-	wheel  *wheel
-	wheelN int // events in the wheel
-	heap   []int32
+	// The queue: an event at t sits in the level levelOf(t, now), in
+	// bucket t&wheelMask of wheel or t>>shift(k)%levelSize of
+	// coarse[k-1] (the last field, away from the hot ones).  advance is
+	// the only place the clock moves, and it restores that placement
+	// before anything else runs.  The wheel is allocated by the first
+	// event level 0 receives.
+	wheel   *wheel
+	pending int // queued events, every level together
 
 	// deferred holds zero-delay work scheduled from within the current
 	// event; it runs FIFO at the same timestamp without touching the
@@ -186,13 +293,15 @@ type Engine struct {
 	// tests rely on this knob); it exists only for those tests.
 	PoolDisabled bool
 
-	// High-water and pool counters (see Stats).
+	// High-water, pool and level counters (see Stats).
 	scheduled   uint64
 	canceled    uint64
 	poolReuse   uint64
 	poolGrow    uint64
 	maxPending  int
 	maxDeferred int
+	placed      [numLevels]int64
+	cascaded    [numLevels]int64
 
 	// Trace, when non-nil, is the event-trace ring the models driven
 	// by this engine record their scheduling decisions into (the
@@ -200,6 +309,8 @@ type Engine struct {
 	// carries the buffer so every model sharing the engine shares one
 	// time-ordered trace; nil disables tracing at a single branch.
 	Trace *metrics.TraceBuffer
+
+	coarse [numCoarse]level
 }
 
 // Now returns the current simulation time in byte times.
@@ -216,40 +327,51 @@ func (e *Engine) NextTime() int64 {
 	if len(e.deferred) > 0 {
 		return e.now
 	}
-	if e.Pending() == 0 {
+	if e.pending == 0 {
 		return math.MaxInt64
 	}
 	return e.nextQueued()
 }
 
 // nextQueued returns the timestamp of the earliest queued event; the
-// queue must not be empty.  Every wheel event precedes every heap
-// event.
+// queue must not be empty.  Each level's times precede the next
+// level's, so the earliest event is level 0's first, or else lies in
+// the first non-empty bucket of the lowest non-empty coarse level,
+// whose events it scans.
 func (e *Engine) nextQueued() int64 {
-	if e.wheelN == 0 {
-		return e.records[e.heap[0]].at
+	if w := e.wheel; w != nil && !w.empty() {
+		p := uint(e.now) & wheelMask
+		return e.now + int64((w.next(p)-p)&wheelMask)
 	}
-	p := uint(e.now) & wheelMask
-	return e.now + int64((e.wheel.next(p)-p)&wheelMask)
+	for j := range e.coarse {
+		lv := &e.coarse[j]
+		if lv.occ == 0 {
+			continue
+		}
+		s := shift(j + 1)
+		first := int(uint64(e.now>>s+reach(j)) % levelSize)
+		i := (first + bits.TrailingZeros64(bits.RotateLeft64(lv.occ, -first))) % levelSize
+		t := int64(math.MaxInt64)
+		for slot := lv.buckets[i].head; slot != 0; slot = e.records[slot-1].pos {
+			t = min(t, e.records[slot-1].at)
+		}
+		return t
+	}
+	panic("sim: nextQueued on an empty queue")
 }
 
 // Pending returns the number of scheduled, unexecuted queue events
 // (deferred same-instant work is not counted, matching Step's notion
 // of "the queue").
-func (e *Engine) Pending() int { return e.wheelN + len(e.heap) }
+func (e *Engine) Pending() int { return e.pending }
 
 // Grow preallocates capacity for n in-flight events, so a simulation
-// sized in advance never grows the record slab or heap mid-run.
+// sized in advance never grows the record slab mid-run.
 func (e *Engine) Grow(n int) {
 	if cap(e.records) < n {
 		r := make([]record, len(e.records), n)
 		copy(r, e.records)
 		e.records = r
-	}
-	if cap(e.heap) < n {
-		h := make([]int32, len(e.heap), n)
-		copy(h, e.heap)
-		e.heap = h
 	}
 }
 
@@ -258,9 +380,9 @@ func (e *Engine) Grow(n int) {
 // it started with; the preallocation regression tests pin that here.
 func (e *Engine) RecordCapacity() int { return cap(e.records) }
 
-// Stats exports the engine's event-pool and queue-depth counters
-// (MaxHeapDepth is the high-water count of pending events, wheel and
-// overflow heap together).
+// Stats exports the engine's event-pool, queue-depth and level
+// counters (MaxHeapDepth is the high-water count of pending events,
+// every level together).
 func (e *Engine) Stats() metrics.EngineCounters {
 	return metrics.EngineCounters{
 		Scheduled:    int64(e.scheduled),
@@ -270,6 +392,8 @@ func (e *Engine) Stats() metrics.EngineCounters {
 		MaxDeferred:  int64(e.maxDeferred),
 		PoolReuse:    int64(e.poolReuse),
 		PoolGrow:     int64(e.poolGrow),
+		Placed:       e.placed,
+		Cascaded:     e.cascaded,
 	}
 }
 
@@ -316,12 +440,9 @@ func (e *Engine) Cancel(t Timer) bool {
 	if r.gen != t.gen {
 		return false // fired, canceled or recycled
 	}
-	if r.at-e.now < wheelSize {
-		e.unlink(slot)
-	} else {
-		e.removeAt(int(r.pos))
-	}
+	e.unlink(slot)
 	e.release(slot)
+	e.pending--
 	e.canceled++
 	return true
 }
@@ -337,26 +458,21 @@ func (e *Engine) DeferEvent(h Handler, ev Event) {
 	}
 }
 
-// schedule allocates a record for one event and queues it: in its
-// wheel bucket when the wheel's window covers t, else on the overflow
-// heap.
+// schedule allocates a record for one event and queues it in the level
+// that holds its time.
 func (e *Engine) schedule(t int64, h Handler, ev Event) Timer {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
 	slot := e.alloc()
 	r := &e.records[slot]
-	r.at, r.seq = t, e.nextID
+	r.at = t
 	r.h, r.ev = h, ev
-	e.nextID++
 	e.scheduled++
-	if t-e.now < wheelSize {
-		e.link(slot)
-	} else {
-		e.push(slot)
-	}
-	if n := e.Pending(); n > e.maxPending {
-		e.maxPending = n
+	e.placed[e.link(slot)]++
+	e.pending++
+	if e.pending > e.maxPending {
+		e.maxPending = e.pending
 	}
 	return Timer{slot: slot + 1, gen: r.gen}
 }
@@ -403,24 +519,62 @@ func (e *Engine) drainDeferred() {
 	e.deferred = e.deferred[:0]
 }
 
-// advance moves the clock to t and migrates every overflow event the
-// wheel's window now covers into its bucket, in (at, seq) order.  The
-// buckets they land in lie behind the old window's first event, so
-// they are empty, and no event can be scheduled directly into them
-// before advance returns: append order within a bucket stays (at, seq)
-// order.
+// advance moves the clock to t (no later than any queued event) and
+// cascades every coarse bucket the level below now reaches, lowest
+// level first: a moved event goes straight to the level that holds its
+// time at t, whose stale buckets are already gone, so a ring never
+// holds two spans in one bucket.  Direct inserts for a cascaded time
+// are possible only from now on, so they append behind it.
 func (e *Engine) advance(t int64) {
+	old := e.now
 	e.now = t
-	for len(e.heap) > 0 && e.records[e.heap[0]].at-t < wheelSize {
-		e.link(e.popMin())
+	for j := range e.coarse {
+		s := shift(j + 1)
+		d := uint64(t>>s - old>>s) // boundaries of level j+1's width crossed
+		if d == 0 {
+			return // and none of any wider level
+		}
+		lv := &e.coarse[j]
+		if lv.occ == 0 {
+			continue
+		}
+		// Level j's range grew by the d buckets of level j+1 after its
+		// old end.
+		m := lv.occ
+		if d < levelSize {
+			first := int(uint64(old>>s+reach(j)) % levelSize)
+			m &= bits.RotateLeft64(1<<d-1, first)
+		}
+		lv.occ &^= m
+		for ; m != 0; m &= m - 1 {
+			b := &lv.buckets[bits.TrailingZeros64(m)]
+			for slot := b.head; slot != 0; {
+				next := e.records[slot-1].pos
+				e.link(slot - 1)
+				e.cascaded[j+1]++
+				slot = next
+			}
+			*b = bucket{}
+		}
 	}
 }
 
-// fire executes the queued wheel event in slot, then the work it
-// deferred.
-func (e *Engine) fire(slot int32) {
-	e.unlink(slot)
+// fire executes the first event of Now's level-0 bucket, then the work
+// it deferred.
+func (e *Engine) fire() {
+	i := uint(e.now) & wheelMask
+	w := e.wheel
+	b := &w.buckets[i]
+	slot := b.head - 1
 	r := &e.records[slot]
+	b.head = r.pos
+	if r.pos != 0 {
+		e.records[r.pos-1].prev = 0
+	} else {
+		b.tail = 0
+		w.clear(i)
+	}
+	e.pending--
 	h, ev := r.h, r.ev
 	e.release(slot) // before dispatch: the handler may schedule into this slot
 	e.count++
@@ -436,13 +590,13 @@ func (e *Engine) Step() bool {
 		e.drainDeferred()
 		return true
 	}
-	if e.Pending() == 0 {
+	if e.pending == 0 {
 		return false
 	}
 	if t := e.nextQueued(); t != e.now {
 		e.advance(t)
 	}
-	e.fire(e.wheel.buckets[e.now&wheelMask].head - 1)
+	e.fire()
 	return true
 }
 
@@ -451,7 +605,7 @@ func (e *Engine) Step() bool {
 // time).  Events scheduled exactly at until are executed.
 func (e *Engine) Run(until int64) {
 	e.drainDeferred()
-	for e.Pending() > 0 {
+	for e.pending > 0 {
 		t := e.nextQueued()
 		if t > until {
 			break
@@ -462,7 +616,7 @@ func (e *Engine) Run(until int64) {
 		// Drain the bucket: events its handlers post at Now append
 		// behind the cursor and run in turn.
 		for b := &e.wheel.buckets[t&wheelMask]; b.head != 0; {
-			e.fire(b.head - 1)
+			e.fire()
 		}
 	}
 	if e.now < until {
@@ -477,145 +631,47 @@ func (e *Engine) RunWhile(cond func() bool) {
 	}
 }
 
-// --- the wheel: per-byte-time FIFO buckets linked through the records ---
+// --- placement: FIFO buckets linked through the records ---
 
-// link appends slot to the bucket of its timestamp, which the wheel's
-// window must cover.
-func (e *Engine) link(slot int32) {
-	w := e.wheel
-	if w == nil {
-		w = new(wheel)
-		e.wheel = w
+// link appends slot to its bucket in the level that holds its time,
+// and returns that level.
+func (e *Engine) link(slot int32) int {
+	t := e.records[slot].at
+	k := levelOf(t, e.now)
+	if k == 0 {
+		w := e.wheel
+		if w == nil {
+			w = new(wheel)
+			e.wheel = w
+		}
+		i := uint(t) & wheelMask
+		if w.buckets[i].push(e.records, slot) {
+			w.mark(i)
+		}
+		return 0
 	}
-	r := &e.records[slot]
-	i := uint(r.at) & wheelMask
-	b := &w.buckets[i]
-	r.pos, r.prev = 0, b.tail
-	if b.tail != 0 {
-		e.records[b.tail-1].pos = slot + 1
-	} else {
-		b.head = slot + 1
-		w.occ[i>>6] |= 1 << (i & 63)
-		w.sum[i>>12] |= 1 << (i >> 6 & 63)
+	lv := &e.coarse[k-1]
+	i := uint(t>>shift(k)) % levelSize
+	if lv.buckets[i].push(e.records, slot) {
+		lv.occ |= 1 << i
 	}
-	b.tail = slot + 1
-	e.wheelN++
+	return k
 }
 
 // unlink removes slot from its bucket.
 func (e *Engine) unlink(slot int32) {
-	w := e.wheel
-	r := &e.records[slot]
-	i := uint(r.at) & wheelMask
-	b := &w.buckets[i]
-	if r.prev != 0 {
-		e.records[r.prev-1].pos = r.pos
-	} else {
-		b.head = r.pos
-	}
-	if r.pos != 0 {
-		e.records[r.pos-1].prev = r.prev
-	} else {
-		b.tail = r.prev
-	}
-	if b.head == 0 {
-		w.occ[i>>6] &^= 1 << (i & 63)
-		if w.occ[i>>6] == 0 {
-			w.sum[i>>12] &^= 1 << (i >> 6 & 63)
+	t := e.records[slot].at
+	k := levelOf(t, e.now)
+	if k == 0 {
+		i := uint(t) & wheelMask
+		if e.wheel.buckets[i].cut(e.records, slot) {
+			e.wheel.clear(i)
 		}
+		return
 	}
-	e.wheelN--
-}
-
-// --- the overflow level: 4-ary indexed heap over record slots, ordered by (at, seq) ---
-
-// less orders two record slots by time, then by scheduling order.
-func (e *Engine) less(a, b int32) bool {
-	ra, rb := &e.records[a], &e.records[b]
-	if ra.at != rb.at {
-		return ra.at < rb.at
+	lv := &e.coarse[k-1]
+	i := uint(t>>shift(k)) % levelSize
+	if lv.buckets[i].cut(e.records, slot) {
+		lv.occ &^= 1 << i
 	}
-	return ra.seq < rb.seq
-}
-
-// push appends a slot and restores the heap property upward.
-func (e *Engine) push(slot int32) {
-	e.heap = append(e.heap, slot)
-	e.records[slot].pos = int32(len(e.heap) - 1)
-	e.siftUp(len(e.heap) - 1)
-}
-
-// popMin removes and returns the earliest slot.
-func (e *Engine) popMin() int32 {
-	root := e.heap[0]
-	last := len(e.heap) - 1
-	e.heap[0] = e.heap[last]
-	e.heap = e.heap[:last]
-	if last > 0 {
-		e.records[e.heap[0]].pos = 0
-		e.siftDown(0)
-	}
-	return root
-}
-
-// removeAt deletes the heap element at index i (for Cancel).
-func (e *Engine) removeAt(i int) {
-	last := len(e.heap) - 1
-	moved := e.heap[last]
-	e.heap[i] = moved
-	e.heap = e.heap[:last]
-	if i < last {
-		e.records[moved].pos = int32(i)
-		e.siftDown(i)
-		e.siftUp(int(e.records[moved].pos))
-	}
-}
-
-// siftUp moves the element at index i toward the root until its parent
-// is no later.
-func (e *Engine) siftUp(i int) {
-	slot := e.heap[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		ps := e.heap[p]
-		if !e.less(slot, ps) {
-			break
-		}
-		e.heap[i] = ps
-		e.records[ps].pos = int32(i)
-		i = p
-	}
-	e.heap[i] = slot
-	e.records[slot].pos = int32(i)
-}
-
-// siftDown moves the element at index i toward the leaves until no
-// child is earlier.
-func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
-	slot := e.heap[i]
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		best := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for k := c + 1; k < end; k++ {
-			if e.less(e.heap[k], e.heap[best]) {
-				best = k
-			}
-		}
-		if !e.less(e.heap[best], slot) {
-			break
-		}
-		e.heap[i] = e.heap[best]
-		e.records[e.heap[i]].pos = int32(i)
-		i = best
-	}
-	e.heap[i] = slot
-	e.records[slot].pos = int32(i)
 }

@@ -192,16 +192,19 @@ go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestReleaseStale|T
 echo "==> go test -race -run TestEngineWheel ./internal/sim (timing-wheel event-queue differential)"
 # The engine finds its next event in a ring of per-byte-time FIFO
 # buckets (one shift and one count-trailing-zeros on an occupancy
-# bitmap) and keeps the 4-ary heap only for events beyond the ring's
-# window; the differential test drives it and the retired heap-only
-# queue with one random script per seed — every delay class around the
-# horizon, timers canceled near, far, fired and recycled, handlers that
-# defer and re-post into the bucket being drained, Run stopping short
-# of, at and past far events, PoolDisabled toggled mid-script — and
-# compares the executed sequence and Now/NextTime/Pending/Executed/Stats
-# after every call, re-deriving bitmap, links and the window/overflow
-# split from the records each time.  Every simulation above and the
-# bench smoke below run on the same queue.
+# bitmap); later events wait in eleven coarse levels of 64 buckets,
+# each of which cascades into the levels below as soon as they reach
+# it.  The differential test drives it and the retired heap-only queue
+# with one random script per seed — every delay class of the ring and
+# around the end of every level's range up to math.MaxInt64, timers
+# canceled in the ring, in a coarse level, fired and recycled, handlers
+# that defer and re-post into the bucket being drained, Run stopping
+# just before, at and after a cascade and jumping across empty levels,
+# PoolDisabled toggled mid-script — and compares the executed sequence
+# and Now/NextTime/Pending/Executed/Stats after every call, re-deriving
+# every level's bitmaps, links and placement from the records each
+# time.  Every simulation above and the bench smoke below run on the
+# same queue.
 go test -race -run 'TestEngineWheel' -count=1 ./internal/sim
 
 echo "==> go test -race ./internal/subnet ./internal/admission (delivery-record lifetime gate)"
