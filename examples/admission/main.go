@@ -32,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	routes, err := routing.Compute(topo)
+	routes, err := routing.ComputeFor(topo)
 	if err != nil {
 		log.Fatal(err)
 	}

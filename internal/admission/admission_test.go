@@ -20,7 +20,7 @@ func newController(t *testing.T, switches int, seed int64) (*Controller, *topolo
 	if err != nil {
 		t.Fatal(err)
 	}
-	routes, err := routing.Compute(topo)
+	routes, err := routing.ComputeFor(topo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func newLow(t *testing.T) (*LowTables, *topology.Topology) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	routes, err := routing.Compute(topo)
+	routes, err := routing.ComputeFor(topo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,6 @@ func failoverRun(p FailoverParams, spec topology.Spec, seed int64,
 	m := subnet.NewManager(net.Topo)
 	m.Routes = net.Routes
 	prog := subnet.NewInbandProgrammer(net.Ctrl, m)
-	prog.Retry = subnet.DefaultRetryProfile()
 	prog.Counters = &net.Metrics.Control
 	net.Adm.SetProgrammer(prog)
 

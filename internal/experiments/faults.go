@@ -39,7 +39,6 @@ type FaultParams struct {
 	Flaps          int
 	MeanFlapDownBT int64
 
-	Retry subnet.RetryProfile
 	Audit subnet.AuditConfig
 }
 
@@ -58,7 +57,6 @@ func FaultsTiny() FaultParams {
 		MaxReorderBT:   256,
 		Flaps:          3,
 		MeanFlapDownBT: 16384,
-		Retry:          subnet.DefaultRetryProfile(),
 		Audit:          subnet.DefaultAuditConfig(),
 	}
 }

@@ -56,9 +56,10 @@ type churnArrival struct {
 // unresolved past the lifecycleHoldCap bound, is an error.
 //
 // rig, when non-nil, is a fault rig: an injector dealing SMP fates and
-// link flaps to the control and data planes, the programmer's retry
-// profile, and the self-healing auditor, whose quarantined ports
-// admission refuses (ErrHopDown) and the end audit skips.
+// link flaps to the control and data planes (attached to the
+// programmer, it selects reliable delivery), and the self-healing
+// auditor, whose quarantined ports admission refuses (ErrHopDown) and
+// the end audit skips.
 func runLifecycles(p ChurnParams, rig *FaultParams) (*lifecycles, error) {
 	if p.Switches < 2 || p.Arrivals < 1 || p.MeanGapBT < 1 || p.MeanHoldBT < 1 {
 		return nil, fmt.Errorf("experiments: churn parameters %+v out of range", p)
@@ -97,7 +98,6 @@ func runLifecycles(p ChurnParams, rig *FaultParams) (*lifecycles, error) {
 			Corrupt: rig.Corrupt, Reorder: rig.Reorder, MaxReorderBT: rig.MaxReorderBT})
 		net.SetFaults(lc.inj)
 		prog.Faults = lc.inj
-		prog.Retry = rig.Retry
 		aud = subnet.NewAuditor(net.Ctrl, prog, rig.Audit)
 		net.Adm.Down = aud.Quarantined
 		drawFlapSchedule(*rig, net.Topo, lc.inj, lastArrival)

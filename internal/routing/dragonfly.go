@@ -37,19 +37,10 @@ func computeDragonfly(topo *topology.Topology) (*Routes, error) {
 			sp.A, sp.P, sp.H, l.NumSwitches(), topo.NumSwitches)
 	}
 	n := topo.NumSwitches
-	r := &Routes{
-		topo:    topo,
-		level:   make([]int, n),
-		next:    make([][]int, n),
-		planes:  2,
-		groupOf: make([]int, n),
-	}
-	for s := 0; s < n; s++ {
+	r := newRoutes(topo, 2)
+	r.groupOf = make([]int, n)
+	for s := range r.groupOf {
 		r.groupOf[s], _ = l.Group(s)
-		r.next[s] = make([]int, n)
-		for d := range r.next[s] {
-			r.next[s][d] = -1
-		}
 	}
 
 	for s := 0; s < n; s++ {

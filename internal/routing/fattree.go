@@ -28,20 +28,14 @@ func computeFatTree(topo *topology.Topology) (*Routes, error) {
 			l.K, l.NumSwitches(), topo.NumSwitches)
 	}
 	n := topo.NumSwitches
-	r := &Routes{topo: topo, level: make([]int, n), next: make([][]int, n), planes: 1}
+	r := newRoutes(topo, 1)
 	for s := 0; s < n; s++ {
 		switch {
 		case s < l.K*l.Half:
 			r.level[s] = 2 // edge
 		case s < 2*l.K*l.Half:
 			r.level[s] = 1 // aggregation
-		default:
-			r.level[s] = 0 // core
-		}
-		r.next[s] = make([]int, n)
-		for d := range r.next[s] {
-			r.next[s][d] = -1
-		}
+		} // cores stay at level 0
 	}
 
 	for podD := 0; podD < l.K; podD++ {

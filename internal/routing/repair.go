@@ -66,7 +66,7 @@ func Repair(topo *topology.Topology) (*Routes, RepairReport, error) {
 		// groupOf stays nil, making HopVL the identity.
 		planes = 2
 	}
-	r, err := computeUpDownPartial(topo, planes)
+	r, err := computeUpDown(topo, planes)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -101,163 +101,17 @@ func repairDragonflyMinimal(topo *topology.Topology) *Routes {
 	return r
 }
 
-// computeUpDownPartial is Compute generalized to disconnected graphs:
-// BFS levels are assigned per component (rooted at each component's
-// lowest-index switch) and unreachable destinations leave their
-// forwarding entries at -1 instead of failing.  planes is carried into
-// the result so multi-plane fabrics keep their VL layout.
-func computeUpDownPartial(topo *topology.Topology, planes int) (*Routes, error) {
-	n := topo.NumSwitches
-	r := &Routes{topo: topo, level: make([]int, n), next: make([][]int, n), planes: planes}
-	for i := range r.level {
-		r.level[i] = -1
-	}
-	for root := 0; root < n; root++ {
-		if r.level[root] >= 0 {
-			continue
-		}
-		r.level[root] = 0
-		queue := []int{root}
-		for len(queue) > 0 {
-			s := queue[0]
-			queue = queue[1:]
-			for _, nb := range topo.Neighbors(s) {
-				if r.level[nb.Switch] < 0 {
-					r.level[nb.Switch] = r.level[s] + 1
-					queue = append(queue, nb.Switch)
-				}
-			}
-		}
-	}
-
-	for s := range r.next {
-		r.next[s] = make([]int, n)
-		for d := range r.next[s] {
-			r.next[s][d] = -1
-		}
-	}
-	for d := 0; d < n; d++ {
-		if err := r.computeDestPartial(d); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
-// computeDestPartial is computeDest with unreachable sources allowed:
-// a source with no legal path to d keeps next = -1.  A reachable
-// source without a usable port is still an error (it would mean the
-// relaxation and the port scan disagree — a bug, not a failure mode).
-func (r *Routes) computeDestPartial(d int) error {
-	n := r.topo.NumSwitches
-	const inf = int(^uint(0) >> 1)
-
-	downDist := make([]int, n)
-	for i := range downDist {
-		downDist[i] = inf
-	}
-	downDist[d] = 0
-	queue := []int{d}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, nb := range r.topo.Neighbors(x) {
-			y := nb.Switch
-			if downDist[y] == inf && !r.isUp(y, x) { // y -> x is down
-				downDist[y] = downDist[x] + 1
-				queue = append(queue, y)
-			}
-		}
-	}
-
-	legal := make([]int, n)
-	copy(legal, downDist)
-	for changed := true; changed; {
-		changed = false
-		for s := 0; s < n; s++ {
-			for _, nb := range r.topo.Neighbors(s) {
-				if !r.isUp(s, nb.Switch) {
-					continue
-				}
-				if legal[nb.Switch] != inf && legal[nb.Switch]+1 < legal[s] {
-					legal[s] = legal[nb.Switch] + 1
-					changed = true
-				}
-			}
-		}
-	}
-
-	for s := 0; s < n; s++ {
-		if s == d || legal[s] == inf {
-			continue // unreachable: leave next[s][d] = -1
-		}
-		best := -1
-		if downDist[s] != inf {
-			for _, nb := range r.topo.Neighbors(s) {
-				if !r.isUp(s, nb.Switch) && downDist[nb.Switch] == downDist[s]-1 {
-					best = nb.Port
-					break
-				}
-			}
-		}
-		if best < 0 {
-			bestDist := inf
-			for _, nb := range r.topo.Neighbors(s) {
-				if !r.isUp(s, nb.Switch) {
-					continue
-				}
-				if legal[nb.Switch] != inf && legal[nb.Switch]+1 < bestDist {
-					bestDist = legal[nb.Switch] + 1
-					best = nb.Port
-				}
-			}
-		}
-		if best < 0 {
-			return fmt.Errorf("routing: repair: switch %d has no usable port toward %d", s, d)
-		}
-		r.next[s][d] = best
-	}
-	return nil
-}
-
 // disconnectedRoutes counts the (source, destination, base VL) routes
 // between host-bearing switches that NO route set could serve, because
 // the switches sit in different components of the degraded graph.
 func disconnectedRoutes(topo *topology.Topology, baseVLs int) int {
-	n := topo.NumSwitches
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	c := 0
-	for root := 0; root < n; root++ {
-		if comp[root] >= 0 {
-			continue
-		}
-		comp[root] = c
-		queue := []int{root}
-		for len(queue) > 0 {
-			s := queue[0]
-			queue = queue[1:]
-			for _, nb := range topo.Neighbors(s) {
-				if comp[nb.Switch] < 0 {
-					comp[nb.Switch] = c
-					queue = append(queue, nb.Switch)
-				}
-			}
-		}
-		c++
-	}
 	count := 0
-	for s := 0; s < n; s++ {
+	for s := 0; s < topo.NumSwitches; s++ {
 		if topo.SwitchHosts(s) == 0 {
 			continue
 		}
-		for d := 0; d < n; d++ {
-			if d == s || topo.SwitchHosts(d) == 0 {
-				continue
-			}
-			if comp[s] != comp[d] {
+		for d, hops := range topo.Distances(s) {
+			if hops < 0 && topo.SwitchHosts(d) > 0 {
 				count += baseVLs
 			}
 		}

@@ -91,6 +91,42 @@ func TestRepairSingleFailureProperty(t *testing.T) {
 	}
 }
 
+// TestRepairIntactMatchesComputeFor: intact and degraded irregular
+// fabrics share one up*/down* engine, so repairing a fabric that lost
+// nothing must return exactly the tables ComputeFor builds, with no
+// unreachable pair and no fallback.
+func TestRepairIntactMatchesComputeFor(t *testing.T) {
+	for _, n := range []int{2, 8, 16, 32} {
+		for seed := int64(1); seed <= 5; seed++ {
+			topo, err := topology.Generate(n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ComputeFor(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, rep, err := Repair(topo)
+			if err != nil {
+				t.Fatalf("%d switches, seed %d: %v", n, seed, err)
+			}
+			if rep.UnreachablePairs != 0 || rep.FellBack {
+				t.Errorf("%d switches, seed %d: intact repair reports %+v", n, seed, rep)
+			}
+			for s := 0; s < n; s++ {
+				if got.Level(s) != want.Level(s) {
+					t.Fatalf("%d switches, seed %d: switch %d at level %d, ComputeFor %d", n, seed, s, got.Level(s), want.Level(s))
+				}
+				for d := 0; d < n; d++ {
+					if g, w := got.NextPortToSwitch(s, d), want.NextPortToSwitch(s, d); g != w {
+						t.Fatalf("%d switches, seed %d: %d->%d out of port %d, ComputeFor %d", n, seed, s, d, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 func checkRepair(t *testing.T, degraded *topology.Topology, seed int64, mode string) {
 	t.Helper()
 	r, rep, err := Repair(degraded)

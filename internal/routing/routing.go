@@ -1,7 +1,8 @@
 // Package routing implements up*/down* routing for irregular networks,
 // the standard deadlock-free routing for InfiniBand-era irregular
-// topologies.  A breadth-first spanning tree rooted at switch 0
-// assigns every link an "up" direction (toward the root); a legal
+// topologies.  A breadth-first spanning tree rooted at switch 0 (on a
+// degraded fabric, one per component, rooted at its lowest-numbered
+// switch) assigns every link an "up" direction (toward the root); a legal
 // route traverses zero or more up links followed by zero or more down
 // links, which breaks all channel-dependency cycles.
 //
@@ -24,8 +25,8 @@ import (
 // Routes holds the forwarding state for one topology.
 type Routes struct {
 	topo *topology.Topology
-	// level[s] is the BFS depth of switch s from the root (up*/down*
-	// and fat-tree; all zero for the dragonfly).
+	// level[s] is the BFS depth of switch s from its component's root
+	// (up*/down* and fat-tree; all zero for the dragonfly).
 	level []int
 	// next[s][d] is the output port switch s uses toward destination
 	// switch d (-1 when s == d or when no route is defined — structured
@@ -42,6 +43,21 @@ type Routes struct {
 	groupOf []int
 }
 
+// newRoutes returns a route set for topo on the given number of VL
+// planes with every level 0 and every forwarding entry -1, for an
+// engine to fill in.
+func newRoutes(topo *topology.Topology, planes int) *Routes {
+	n := topo.NumSwitches
+	r := &Routes{topo: topo, level: make([]int, n), next: make([][]int, n), planes: planes}
+	for s := range r.next {
+		r.next[s] = make([]int, n)
+		for d := range r.next[s] {
+			r.next[s][d] = -1
+		}
+	}
+	return r
+}
+
 // ComputeFor builds the deadlock-free forwarding tables matching the
 // topology's class: up*/down* for irregular networks,
 // destination-based up/down for fat-trees, minimal l-g-l with a VL
@@ -49,7 +65,10 @@ type Routes struct {
 func ComputeFor(topo *topology.Topology) (*Routes, error) {
 	switch topo.Spec.Class {
 	case topology.Irregular:
-		return Compute(topo)
+		if !topo.Connected() {
+			return nil, fmt.Errorf("routing: topology is not connected")
+		}
+		return computeUpDown(topo, 1)
 	case topology.FatTree:
 		return computeFatTree(topo)
 	case topology.Dragonfly:
@@ -106,38 +125,29 @@ func (r *Routes) HopVL(sw, dstHost int, base uint8) uint8 {
 // destination switch dsw (-1 when sw == dsw or no route is defined).
 func (r *Routes) NextPortToSwitch(sw, dsw int) int { return r.next[sw][dsw] }
 
-// Compute builds up*/down* forwarding tables for the topology.  The
-// topology must be connected.
-func Compute(topo *topology.Topology) (*Routes, error) {
-	if !topo.Connected() {
-		return nil, fmt.Errorf("routing: topology is not connected")
-	}
-	n := topo.NumSwitches
-	r := &Routes{topo: topo, level: make([]int, n), next: make([][]int, n)}
+// computeUpDown builds up*/down* forwarding tables over the topology's
+// surviving links.  It is the package's one up*/down* engine: intact
+// irregular fabrics reach it through ComputeFor, degraded fabrics of
+// every class through Repair.  Each connected component takes its BFS
+// levels from its lowest-numbered switch, and a destination in another
+// component leaves its forwarding entries at -1.  planes is carried
+// into the result so multi-plane fabrics keep their VL layout.
+func computeUpDown(topo *topology.Topology, planes int) (*Routes, error) {
+	r := newRoutes(topo, planes)
 	for i := range r.level {
 		r.level[i] = -1
 	}
-	// BFS levels from root switch 0.
-	r.level[0] = 0
-	queue := []int{0}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		for _, nb := range topo.Neighbors(s) {
-			if r.level[nb.Switch] < 0 {
-				r.level[nb.Switch] = r.level[s] + 1
-				queue = append(queue, nb.Switch)
+	for root := range r.level {
+		if r.level[root] >= 0 {
+			continue
+		}
+		for s, d := range topo.Distances(root) {
+			if d >= 0 {
+				r.level[s] = d
 			}
 		}
 	}
-
-	for s := range r.next {
-		r.next[s] = make([]int, n)
-		for d := range r.next[s] {
-			r.next[s][d] = -1
-		}
-	}
-	for d := 0; d < n; d++ {
+	for d := range r.next {
 		if err := r.computeDest(d); err != nil {
 			return nil, err
 		}
@@ -157,17 +167,21 @@ func (r *Routes) isUp(a, b int) bool {
 // computeDest fills the forwarding column for destination switch d.
 //
 // downDist[s] is the length of the shortest pure-down path s -> d
-// (infinite when none exists).  upDist[s] is the shortest legal path
-// length overall.  The forwarding rule at s:
+// (infinite when none exists).  legal[s] is the shortest legal path
+// length overall (infinite when s cannot reach d).  The forwarding
+// rule at s:
 //
 //   - if a down neighbor continues a shortest pure-down path, descend;
 //   - otherwise take the up link minimizing the remaining legal
 //     distance.
 //
-// Ties choose the lowest port, making the tables deterministic.
+// Ties choose the lowest port, making the tables deterministic.  A
+// source with no legal path to d keeps next = -1; a reachable source
+// without a usable port is an error (the relaxation and the port scan
+// would disagree — a bug, not a failure mode).
 func (r *Routes) computeDest(d int) error {
 	n := r.topo.NumSwitches
-	const inf = math.MaxInt32
+	const inf = math.MaxInt
 
 	// Pure-down distances: BFS from d expanding in reverse, i.e. from
 	// x to each neighbor y such that y -> x is a down move.
@@ -190,10 +204,10 @@ func (r *Routes) computeDest(d int) error {
 	}
 
 	// Legal distances: a path is up* then down*, so
-	// legal(s) = min over k of (up-distance from s to x) + downDist[x]
-	// where the up prefix climbs up links only.  BFS over the up graph
-	// seeded with the downDist values (multi-source Dijkstra with unit
-	// weights; a simple relaxation loop suffices at these sizes).
+	// legal(s) = min over x of (up-distance from s to x) + downDist[x]
+	// where the up prefix climbs up links only.  A relaxation over the
+	// up links seeded with the downDist values (multi-source shortest
+	// paths with unit weights) suffices at these sizes.
 	legal := make([]int, n)
 	copy(legal, downDist)
 	for changed := true; changed; {
@@ -212,11 +226,8 @@ func (r *Routes) computeDest(d int) error {
 	}
 
 	for s := 0; s < n; s++ {
-		if s == d {
-			continue
-		}
-		if legal[s] == inf {
-			return fmt.Errorf("routing: no legal path from switch %d to %d", s, d)
+		if s == d || legal[s] == inf {
+			continue // unreachable: leave next[s][d] = -1
 		}
 		best := -1
 		// Prefer descending: any down neighbor on a shortest pure-down
@@ -235,7 +246,7 @@ func (r *Routes) computeDest(d int) error {
 				if !r.isUp(s, nb.Switch) {
 					continue
 				}
-				if legal[nb.Switch]+1 < bestDist {
+				if legal[nb.Switch] != inf && legal[nb.Switch]+1 < bestDist {
 					bestDist = legal[nb.Switch] + 1
 					best = nb.Port
 				}

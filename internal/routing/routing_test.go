@@ -13,7 +13,7 @@ func mustRoutes(t *testing.T, switches int, seed int64) (*topology.Topology, *Ro
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Compute(topo)
+	r, err := ComputeFor(topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestUpDownLegalQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r, err := Compute(topo)
+		r, err := ComputeFor(topo)
 		if err != nil {
 			return false
 		}
@@ -105,11 +105,11 @@ func TestUpDownLegalQuick(t *testing.T) {
 func TestDeterministicForwarding(t *testing.T) {
 	topoA, _ := topology.Generate(16, 11)
 	topoB, _ := topology.Generate(16, 11)
-	ra, err := Compute(topoA)
+	ra, err := ComputeFor(topoA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Compute(topoB)
+	rb, err := ComputeFor(topoB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestChannelDependencyGraphAcyclic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Compute(topo)
+		r, err := ComputeFor(topo)
 		if err != nil {
 			t.Fatal(err)
 		}

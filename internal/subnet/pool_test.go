@@ -48,7 +48,6 @@ func TestProgramRejectsBadDeltaBeforePosting(t *testing.T) {
 		prog.poison = true
 		if reliable {
 			prog.Faults = faults.New(faults.Config{Seed: 1})
-			prog.Retry = DefaultRetryProfile()
 		}
 		var bad core.Delta
 		bad.Version = 1
@@ -128,7 +127,6 @@ func TestDeliveryPoolLifetime(t *testing.T) {
 			prog.poison = true
 			if tc.faults != nil {
 				prog.Faults = faults.New(*tc.faults)
-				prog.Retry = DefaultRetryProfile()
 				prog.OnGiveUp = func(id admission.PortID, _ *core.PortTable) {
 					t.Errorf("gave up on %v: no SMP is ever lost in this run", id)
 				}

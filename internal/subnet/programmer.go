@@ -36,15 +36,16 @@ type InbandProgrammer struct {
 	// comparable with the Manager's discovery/bring-up costs.
 	Costs Costs
 
-	// Faults subjects SMPs and their responses to a fault injector's
-	// fate draws and link-down windows.  Nil is the perfect management
-	// network (and the only faults the legacy path can survive).
+	// Faults selects the delivery mode.  An attached injector subjects
+	// SMPs and their responses to its fate draws and link-down windows,
+	// and Program delivers reliably (see reliable.go).  Nil is the
+	// perfect management network: SMPs are fired and forgotten, with
+	// no acknowledgements and no timers.
 	Faults *faults.Injector
 
-	// Retry enables reliable delivery (see reliable.go): response
-	// timeouts, bounded exponential-backoff retransmission and
-	// transaction deadlines.  The zero profile keeps the legacy
-	// fire-and-forget path with its exact event schedule.
+	// Retry tunes reliable delivery: response timeouts, bounded
+	// exponential-backoff retransmission and transaction deadlines.
+	// NewInbandProgrammer starts from defaultRetryProfile.
 	Retry RetryProfile
 
 	// Counters receives the control-plane fault/recovery counters;
@@ -148,7 +149,7 @@ func encodeBlock(wire *[mad.Size]byte, id admission.PortID, version uint64, tota
 // NewInbandProgrammer returns a programmer injecting SMPs into eng,
 // with hop distances taken from the manager's view of the fabric.
 func NewInbandProgrammer(eng *sim.Engine, m *Manager) *InbandProgrammer {
-	return &InbandProgrammer{Engine: eng, Hops: m.hopsToPort}
+	return &InbandProgrammer{Engine: eng, Hops: m.hopsToPort, Retry: defaultRetryProfile()}
 }
 
 // hopsToPort returns the SM's hop distance to an arbitration point: a
@@ -167,7 +168,7 @@ func (m *Manager) hopsToPort(id admission.PortID) int {
 // index or count out of range) leaves no event, no cost and no record
 // behind.
 func (p *InbandProgrammer) Program(id admission.PortID, pt *core.PortTable, d core.Delta) error {
-	if p.Retry.enabled() {
+	if p.Faults != nil {
 		return p.programReliable(id, pt, d)
 	}
 	blocks := d.Blocks()

@@ -12,8 +12,8 @@ import (
 
 // This file is the programmer's reliable delivery mode: the fault-
 // injection-aware control plane.  The fire-and-forget path in
-// programmer.go assumes a perfect management network; enabling a
-// RetryProfile switches Program to the machinery here, which
+// programmer.go assumes a perfect management network; attaching a
+// fault injector switches Program to the machinery here, which
 //
 //   - subjects every SMP and every response to the injector's per-link
 //     fate draws (drop, duplicate, corrupt, reorder) and down windows,
@@ -29,9 +29,7 @@ import (
 // of settled transactions are ignored; contradictions tear the staged
 // set down and the coordinator restarts from the authoritative shadow.
 
-// RetryProfile configures reliable delivery.  The zero profile
-// (MaxAttempts == 0) keeps the legacy fire-and-forget path — no ack
-// traffic, no timers, byte-identical event schedules.
+// RetryProfile configures reliable delivery.
 type RetryProfile struct {
 	// AckTimeoutBT is the backoff base: the k-th send of a block waits
 	// its serialization plus round-trip time plus AckTimeoutBT<<k before
@@ -47,16 +45,12 @@ type RetryProfile struct {
 	DeadlineBT int64
 }
 
-// DefaultRetryProfile tolerates several consecutive losses per block
+// defaultRetryProfile tolerates several consecutive losses per block
 // before giving a port up, with a deadline far beyond the worst-case
 // retransmission ladder of a healthy fabric.
-func DefaultRetryProfile() RetryProfile {
+func defaultRetryProfile() RetryProfile {
 	return RetryProfile{AckTimeoutBT: 2 * madWireBytes, MaxAttempts: 5, DeadlineBT: 1 << 18}
 }
-
-// enabled reports whether the profile switches the programmer to
-// reliable delivery.
-func (r RetryProfile) enabled() bool { return r.MaxAttempts > 0 }
 
 // Typed-event kinds of the programmer's control plane.  Every control
 // action — deliveries, acks, timers — is a typed event on the
@@ -73,7 +67,7 @@ const (
 	// evTxnDeadline aborts the still-open transaction in P at its
 	// wall-clock deadline.
 	evTxnDeadline
-	// evSMPArrive lands a legacy fire-and-forget SMP at its port; P is
+	// evSMPArrive lands a fire-and-forget SMP at its port; P is
 	// the *smpDelivery.
 	evSMPArrive
 	// evSMPDeliver lands a reliable-mode SMP at its port; P is the
@@ -204,7 +198,7 @@ func (p *InbandProgrammer) programReliable(id admission.PortID, pt *core.PortTab
 	p.txns[pt] = tx
 	for k := 0; k < n; k++ {
 		// The SM serializes the initial burst back to back, like the
-		// legacy path.
+		// fire-and-forget path.
 		p.sendBlock(pt, tx, k, 0, int64(k+1)*madWireBytes)
 	}
 	if p.Retry.DeadlineBT > 0 {

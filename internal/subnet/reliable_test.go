@@ -24,7 +24,6 @@ func newReliableFixture(t *testing.T, cfg faults.Config) (*sim.Engine, *InbandPr
 	eng := &sim.Engine{}
 	prog := NewInbandProgrammer(eng, m)
 	prog.Faults = faults.New(cfg)
-	prog.Retry = DefaultRetryProfile()
 	return eng, prog, core.NewPortTable(arbtable.New(arbtable.UnlimitedHigh))
 }
 

@@ -102,7 +102,12 @@ func NewManager(topo *topology.Topology) *Manager {
 func (m *Manager) tables() *distances {
 	d := &m.dist
 	if d.depth == nil || d.topo != m.Topo || d.home != m.HomeSwitch {
-		*d = distances{topo: m.Topo, home: m.HomeSwitch, depth: bfsDepths(m.Topo, m.HomeSwitch)}
+		*d = distances{topo: m.Topo, home: m.HomeSwitch, depth: m.Topo.Distances(m.HomeSwitch)}
+		for sw, h := range d.depth {
+			if h < 0 {
+				d.depth[sw] = m.Topo.NumSwitches
+			}
+		}
 	}
 	if m.Routes != nil && (d.routed == nil || d.routes != m.Routes) {
 		d.routes = m.Routes
@@ -142,19 +147,20 @@ func (m *Manager) hopsTo(sw int) int {
 	return m.tables().routed[sw]
 }
 
-// Discover sweeps the fabric like a real SM: starting from the home
-// switch it walks every device breadth first, reading node and port
-// state (one MAD per device plus one per active switch port), then
-// assigns LIDs and computes up*/down* routes.
+// Discover sweeps the fabric like a real SM: it reads every device's
+// node and port state (one MAD per device plus one per active switch
+// port), then assigns LIDs and computes the routes of the fabric's
+// class (routing.ComputeFor), the same tables the fabric forwards on.
 func (m *Manager) Discover() (Costs, error) {
 	var c Costs
 	if !m.Topo.Connected() {
 		return c, fmt.Errorf("subnet: fabric is not connected")
 	}
 
-	// Sweep: BFS from the home switch.  During discovery routes do not
-	// exist yet; direct-routed SMPs walk the BFS path, so the hop cost
-	// is the BFS depth.
+	// Sweep.  During discovery routes do not exist yet; direct-routed
+	// SMPs walk the breadth-first path from the home switch, so a
+	// device's hop cost is its depth.  The costs are sums, so the
+	// order devices are probed in does not matter.
 	// The sweep builds and parses byte-exact MADs: what a device
 	// "answers" is an encoded attribute that the SM decodes, so the
 	// control-plane state provably survives the wire format.
@@ -182,33 +188,21 @@ func (m *Manager) Discover() (Costs, error) {
 		return nil
 	}
 
-	type item struct{ sw, depth int }
-	seen := make([]bool, m.Topo.NumSwitches)
-	queue := []item{{m.HomeSwitch, 1}}
-	seen[m.HomeSwitch] = true
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
+	for sw := 0; sw < m.Topo.NumSwitches; sw++ {
+		depth := 1 + m.depthTo(sw)
 		if err := probeNode(mad.NodeInfo{
 			NodeType: mad.NodeTypeSwitch, NumPorts: uint8(m.Topo.Ports()),
-			GUID: uint64(it.sw) + 1, LID: uint16(it.sw) + 1,
-		}, it.depth); err != nil {
+			GUID: uint64(sw) + 1, LID: uint16(sw) + 1,
+		}, depth); err != nil {
 			return c, err
 		}
-		for _, nb := range m.Topo.Neighbors(it.sw) {
+		for range m.Topo.Neighbors(sw) {
 			c.SwitchPorts++
 			if err := probePort(mad.PortInfo{
-				LID: uint16(it.sw) + 1, PortState: mad.PortStateActive,
+				LID: uint16(sw) + 1, PortState: mad.PortStateActive,
 				NeighborMTU: mad.MTUCode(4096), VLCap: 15, OperationalVLs: 15,
-			}, it.depth); err != nil {
+			}, depth); err != nil {
 				return c, err
-			}
-			_ = nb
-		}
-		for _, nb := range m.Topo.Neighbors(it.sw) {
-			if !seen[nb.Switch] {
-				seen[nb.Switch] = true
-				queue = append(queue, item{nb.Switch, it.depth + 1})
 			}
 		}
 	}
@@ -237,34 +231,12 @@ func (m *Manager) Discover() (Costs, error) {
 		m.lids[i] = i + 1
 	}
 
-	routes, err := routing.Compute(m.Topo)
+	routes, err := routing.ComputeFor(m.Topo)
 	if err != nil {
 		return c, err
 	}
 	m.Routes = routes
 	return c, nil
-}
-
-// bfsDepths returns the unweighted distance from one switch to every
-// switch, NumSwitches for those it cannot reach.
-func bfsDepths(t *topology.Topology, from int) []int {
-	depth := make([]int, t.NumSwitches)
-	for i := range depth {
-		depth[i] = t.NumSwitches
-	}
-	depth[from] = 0
-	queue := []int{from}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		for _, nb := range t.Neighbors(s) {
-			if depth[nb.Switch] == t.NumSwitches {
-				depth[nb.Switch] = depth[s] + 1
-				queue = append(queue, nb.Switch)
-			}
-		}
-	}
-	return depth
 }
 
 // ProgramForwarding distributes the linear forwarding tables: each

@@ -6,6 +6,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/arbtable"
 	"repro/internal/mad"
+	"repro/internal/routing"
 	"repro/internal/sl"
 	"repro/internal/topology"
 )
@@ -37,6 +38,41 @@ func TestDiscoverCoversFabric(t *testing.T) {
 	}
 	if err := m.Routes.CheckLegal(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDiscoverRoutesLikeFabric: the subnet manager charges its MADs
+// along m.Routes, so Discover must compute the tables the fabric
+// forwards on — the class's own engine, entry for entry and plane for
+// plane — on every topology class.
+func TestDiscoverRoutesLikeFabric(t *testing.T) {
+	for _, sp := range []topology.Spec{
+		{Class: topology.Irregular, Switches: 16, Seed: 42},
+		{Class: topology.FatTree, K: 4},
+		{Class: topology.Dragonfly, A: 2, P: 1, H: 1},
+	} {
+		topo, err := sp.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewManager(topo)
+		if _, err := m.Discover(); err != nil {
+			t.Fatalf("%s: %v", sp.Label(), err)
+		}
+		want, err := routing.ComputeFor(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Routes.Planes(); got != want.Planes() {
+			t.Errorf("%s: Discover routes on %d planes, the fabric on %d", sp.Label(), got, want.Planes())
+		}
+		for s := 0; s < topo.NumSwitches; s++ {
+			for d := 0; d < topo.NumSwitches; d++ {
+				if got, w := m.Routes.NextPortToSwitch(s, d), want.NextPortToSwitch(s, d); got != w {
+					t.Fatalf("%s: Discover routes %d->%d out of port %d, the fabric out of %d", sp.Label(), s, d, got, w)
+				}
+			}
+		}
 	}
 }
 

@@ -362,22 +362,35 @@ func (t *Topology) Connected() bool {
 	if t.NumSwitches == 0 {
 		return false
 	}
-	seen := make([]bool, t.NumSwitches)
-	queue := []int{0}
-	seen[0] = true
-	count := 1
+	for _, d := range t.Distances(0) {
+		if d < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Distances returns the hop count of the shortest path from switch
+// from to every switch over the surviving links, -1 for switches it
+// cannot reach.
+func (t *Topology) Distances(from int) []int {
+	dist := make([]int, t.NumSwitches)
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[from] = 0
+	queue := []int{from}
 	for len(queue) > 0 {
 		s := queue[0]
 		queue = queue[1:]
 		for _, n := range t.Neighbors(s) {
-			if !seen[n.Switch] {
-				seen[n.Switch] = true
-				count++
+			if dist[n.Switch] < 0 {
+				dist[n.Switch] = dist[s] + 1
 				queue = append(queue, n.Switch)
 			}
 		}
 	}
-	return count == t.NumSwitches
+	return dist
 }
 
 // Link is one undirected inter-switch link.

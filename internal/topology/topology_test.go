@@ -219,3 +219,39 @@ func TestRemoveLinkErrors(t *testing.T) {
 		t.Error("double removal succeeded")
 	}
 }
+
+// TestDistances: hop counts are symmetric, zero only at the source, and
+// change by at most one across a link; a switch cut off from the rest
+// is -1 from every other switch and reaches only itself.
+func TestDistances(t *testing.T) {
+	topo, err := Generate(16, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []bool{false, true} {
+		if cut {
+			for _, nb := range topo.Neighbors(5) {
+				if err := topo.RemoveLink(5, nb.Port); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for s := 0; s < topo.NumSwitches; s++ {
+			ds := topo.Distances(s)
+			for d, h := range ds {
+				isolated := cut && (s == 5) != (d == 5)
+				if h != topo.Distances(d)[s] || (h == 0) != (s == d) || (h < 0) != isolated {
+					t.Fatalf("cut %v: distance %d->%d = %d (back %d)", cut, s, d, h, topo.Distances(d)[s])
+				}
+				for _, nb := range topo.Neighbors(d) {
+					if diff := ds[nb.Switch] - h; h >= 0 && (diff < -1 || diff > 1) {
+						t.Fatalf("cut %v: from %d, link %d-%d joins distances %d and %d", cut, s, d, nb.Switch, h, ds[nb.Switch])
+					}
+				}
+			}
+		}
+		if topo.Connected() == cut {
+			t.Errorf("cut %v: Connected() = %v", cut, !cut)
+		}
+	}
+}

@@ -63,7 +63,7 @@ echo "==> go test -race -shuffle=on ./..."
 # default 10m budget.
 go test -race -shuffle=on -timeout=60m ./...
 
-echo "==> go test -run 'Acyclic|TestVerifyDifferential|TestVerifySeparable' ./internal/routing/cdg (deadlock-freedom gate)"
+echo "==> go test -run 'Acyclic|TestVerifyDifferential|TestVerifySeparable' ./internal/routing/cdg and -run 'Acyclic|Legal|TestRepair' ./internal/routing (deadlock-freedom gate)"
 # Every shipped routing engine must stay provably deadlock-free: the
 # channel-dependency graphs of the irregular, fat-tree and dragonfly
 # engines are re-verified acyclic across the seeded shape grid.  The
@@ -73,8 +73,13 @@ echo "==> go test -run 'Acyclic|TestVerifyDifferential|TestVerifySeparable' ./in
 # otherwise.  The differential tests hold both paths to the retired
 # walk-every-route verifier — Stats, error text and cycle witness — on
 # every class, degraded fabrics, the escape plane stripped, engines
-# that break separability and the cyclic ring.
+# that break separability and the cyclic ring.  The routing package's
+# own proofs then re-check the tables its one up*/down* engine builds,
+# intact (channel-dependency acyclicity, up*/down* legality on random
+# fabrics) and repaired (every single link failure and switch crash,
+# and an intact fabric repaired to exactly ComputeFor's tables).
 go test -run 'Acyclic|TestVerifyDifferential|TestVerifySeparable' -count=1 ./internal/routing/cdg
+go test -run 'Acyclic|Legal|TestRepair' -count=1 ./internal/routing
 
 echo "==> go test -race -run TestParallelShard ./internal/fabric (sharded-core race gate)"
 # The conservative-lookahead window protocol is only correct if shards
