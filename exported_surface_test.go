@@ -403,7 +403,6 @@ var exportedAllowlist = map[string]string{
 	"fabric.ISLIPState":              "bench/ probe, frozen until ROADMAP 3(b)",
 	"fabric.ISLIPState.Match":        "bench/ probe, frozen until ROADMAP 3(b)",
 	"fabric.Network.CheckBuffers":    "bench/ probe, frozen until ROADMAP 3(b); Network.CheckInvariants runs it",
-	"fabric.Network.Flows":           "bench/ probe, frozen until ROADMAP 3(b)",
 	"fabric.Network.MeasuredElapsed": "test hook: experiments' TestPlanFlagsSimStarvedFlows reads the measurement window",
 	"fabric.Network.StaleArrivals":   "test hook: the root per-hop and VOQ alloc budgets check that no arrival went stale",
 	"faults.Injector.AddStall":       "test hook: fabric's TestWRRDeliveryDigest stalls switch ports",

@@ -33,12 +33,9 @@ type FailoverParams struct {
 	Payload int // packet payload bytes
 
 	Conns int // QoS admission attempts per point
-	Retry admission.RetryPolicy
 
 	FailAtBT  int64 // first failure time; the link revives at 3x, the switch crashes at 2x
 	HorizonBT int64 // run length; must clear the schedule's last detection window
-	PollBT    int64 // failure-detection poll period
-	TimeoutBT int64 // blocked time before a port is declared dead
 }
 
 // FailoverTiny is the unit-test and golden-file scale: the smallest
@@ -53,11 +50,8 @@ func FailoverTiny() FailoverParams {
 		Seed:      1,
 		Payload:   256,
 		Conns:     12,
-		Retry:     admission.DefaultRetryPolicy(),
 		FailAtBT:  100_000,
 		HorizonBT: 450_000,
-		PollBT:    1024,
-		TimeoutBT: 8192,
 	}
 }
 
@@ -137,7 +131,7 @@ func FailoverPoint(p FailoverParams, spec topology.Spec, seed int64) (FailoverRe
 func failoverRun(p FailoverParams, spec topology.Spec, seed int64,
 	schedule func(net *fabric.Network, flows []*fabric.Flow) (faults.Schedule, error)) (FailoverResult, error) {
 	var res FailoverResult
-	if p.Conns < 3 || p.Payload < 1 || p.FailAtBT < 1 || p.PollBT < 1 || p.TimeoutBT < 1 {
+	if p.Conns < 3 || p.Payload < 1 || p.FailAtBT < 1 {
 		return res, fmt.Errorf("experiments: failover point %v out of range", spec)
 	}
 	topo, err := spec.Generate()
@@ -171,15 +165,7 @@ func failoverRun(p FailoverParams, spec topology.Spec, seed int64,
 	prog.Counters = &net.Metrics.Control
 	net.Adm.SetProgrammer(prog)
 
-	rcfg := fabric.DefaultRecoveryConfig()
-	rcfg.PollBT, rcfg.TimeoutBT = p.PollBT, p.TimeoutBT
-	rcfg.Retry = p.Retry
-	rcfg.Counters = &net.Metrics.Control
-	rcfg.OnSwap = func(_, next *routing.Routes, rep routing.RepairReport) {
-		m.Routes = next // the subnet manager steers SMPs over the repaired routes
-		res.Repair = rep
-	}
-	rec, err := net.EnableRecovery(rcfg)
+	rec, err := m.EnableRecovery(net)
 	if err != nil {
 		return res, err
 	}
@@ -194,7 +180,7 @@ func failoverRun(p FailoverParams, spec topology.Spec, seed int64,
 		req := src.Next()
 		eng.At(int64(i)*admitGapBT+1, func() {
 			res.Attempts++
-			net.Adm.AdmitWithRetry(eng, req, p.Retry, func(conn *admission.Conn, err error) {
+			net.Adm.AdmitWithRetry(eng, req, admission.DefaultRetryPolicy(), func(conn *admission.Conn, err error) {
 				if err != nil {
 					return // rejection under load is legitimate
 				}
@@ -231,7 +217,7 @@ func failoverRun(p FailoverParams, spec topology.Spec, seed int64,
 			failures[ev.At] = true
 			last = max(last, ev.At, ev.Revive)
 		}
-		if p.HorizonBT <= last+p.TimeoutBT+2*p.PollBT {
+		if p.HorizonBT <= last+subnet.TimeoutBT+2*subnet.PollBT {
 			runErr = fmt.Errorf("failover %s: horizon %d inside the last detection window", res.Label, p.HorizonBT)
 			return
 		}
@@ -253,7 +239,7 @@ func failoverRun(p FailoverParams, spec topology.Spec, seed int64,
 	if err := rec.Err(); err != nil {
 		return res, fmt.Errorf("failover %s: %w", res.Label, err)
 	}
-	c := rec.Counters()
+	c := net.ControlCounters()
 	if c.RepairsStarted != c.RepairsCompleted || c.RepairsCompleted < int64(len(failures)) {
 		return res, fmt.Errorf("failover %s: repairs started %d completed %d, want >= %d completed",
 			res.Label, c.RepairsStarted, c.RepairsCompleted, len(failures))
@@ -309,6 +295,7 @@ func failoverRun(p FailoverParams, spec topology.Spec, seed int64,
 		return res, fmt.Errorf("failover %s: active routes lost their acyclicity proof: %w", res.Label, err)
 	}
 
+	res.Repair = rec.Report()
 	res.DetectedKeys = rec.DetectedKeys()
 	res.Readmitted = rec.Readmitted()
 	for h := 0; h < topo.NumHosts(); h++ {

@@ -123,7 +123,7 @@ func (sh *shard) xmitDone(outCode, srcCode int32, vl, wire int) {
 	n := sh.n
 	if srcCode >= 0 {
 		s, i := switchPort(srcCode)
-		if n.rec != nil && n.rec.crashedSwitch(s) {
+		if n.crashed != nil && n.crashed[s] {
 			// The source buffer belongs to a crashed switch whose credit
 			// state was wiped at drain time; decrementing now would drive
 			// the zeroed occupancy negative, and there is nobody left to

@@ -50,8 +50,8 @@ type Flow struct {
 	// Whole-run packet counters (independent of the measurement
 	// window), used to detect when a stopping flow has drained.  A
 	// stopping flow is drained when delPkts+lostPkts reaches genPkts:
-	// lostPkts counts packets the failure-recovery subsystem drained
-	// with no surviving route.
+	// lostPkts counts packets a Reroute drained with no surviving
+	// route.
 	genPkts, delPkts, lostPkts int64
 
 	// pacing, when non-nil, returns the gap to the next packet
@@ -62,6 +62,10 @@ type Flow struct {
 	delay  stats.DelayCDF // Delay's storage
 	jitter stats.JitterHist
 }
+
+// Stopped reports whether the flow's generation is stopped
+// (Network.StopFlow, ReleaseConnection).
+func (f *Flow) Stopped() bool { return f.stopped }
 
 // newFlow builds the runtime state shared by both flow kinds.
 func newFlow(id, src, dst int, slv, vl uint8, mbps float64, payload int, deadline int64, qos bool) *Flow {

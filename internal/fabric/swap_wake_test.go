@@ -4,11 +4,31 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/admission"
+	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/sl"
-	"repro/internal/subnet"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
+
+// delayedProgrammer delivers every committed delta whole, delayBT after
+// the commit, from an event on its engine: an in-band programmer
+// without the wire.
+type delayedProgrammer struct{ eng *sim.Engine }
+
+const delayBT = 1000
+
+func (p delayedProgrammer) Program(id admission.PortID, pt *core.PortTable, d core.Delta) error {
+	p.eng.After(delayBT, func() {
+		for _, b := range d.Blocks() {
+			if _, err := pt.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries); err != nil {
+				panic(fmt.Sprintf("%v: %v", id, err))
+			}
+		}
+	})
+	return nil
+}
 
 // TestTableSwapWakesPort: a packet queued on a lane whose table entries
 // are still travelling in-band finds no entry, and its port goes idle
@@ -47,9 +67,7 @@ func TestTableSwapWakesPort(t *testing.T) {
 					if n.Parallel() != (shards > 1) {
 						t.Fatalf("shards=%d: parallel=%v", shards, n.Parallel())
 					}
-					m := subnet.NewManager(n.Topo)
-					m.Routes = n.Routes
-					n.Adm.SetProgrammer(subnet.NewInbandProgrammer(n.Ctrl, m))
+					n.Adm.SetProgrammer(delayedProgrammer{n.Ctrl})
 
 					conn, err := n.Adm.Admit(traffic.Request{Src: src, Dst: dst, Level: sl.DefaultLevels[9], Mbps: 32})
 					if err != nil {
