@@ -60,7 +60,7 @@ func refHopsToPort(m *Manager, id admission.PortID) int {
 
 // TestHopsToPortMatchesPerCallSearch checks the distance tables against
 // the retired computation for every host interface and switch port of
-// three fabrics, and that reassigning Routes or HomeSwitch re-derives
+// three fabrics, and that reassigning Topo, Routes or HomeSwitch re-derives
 // them; once built, a lookup allocates nothing.
 func TestHopsToPortMatchesPerCallSearch(t *testing.T) {
 	for _, spec := range []topology.Spec{
@@ -106,8 +106,8 @@ func TestHopsToPortMatchesPerCallSearch(t *testing.T) {
 			}
 			check("routes")
 
-			// Routes repaired around a lost link, as failover hands them
-			// to the manager: the topology it holds stays whole.
+			// Routes repaired around a lost link, handed to the manager
+			// with the degraded topology, as recovery does.
 			degraded := topo.Clone()
 			cut := false
 			for s := 0; s < topo.NumSwitches && !cut; s++ {
@@ -124,13 +124,14 @@ func TestHopsToPortMatchesPerCallSearch(t *testing.T) {
 			if m.Routes, _, err = routing.Repair(degraded); err != nil {
 				t.Fatal(err)
 			}
+			m.Topo = degraded
 			check("repaired routes")
 
 			m.HomeSwitch = topo.NumSwitches - 1
 			check("moved home")
 
-			m.Routes = whole
-			check("moved home, whole routes")
+			m.Topo, m.Routes = topo, whole
+			check("moved home, whole fabric")
 
 			m.Routes = nil
 			check("routes dropped")
