@@ -5,7 +5,7 @@
 // tables (high and low weights, limit-of-high) that admission control
 // programmed — predicting per-VL/per-hop utilization, mean queue
 // depth and end-to-end latency/throughput in microseconds instead of
-// simulating for minutes (ROADMAP item 2, after Mandal et al.'s WRR
+// simulating for minutes (ROADMAP item 16, after Mandal et al.'s WRR
 // NoC analysis).
 //
 // The model is a fluid two-tier weighted max-min allocation per output

@@ -87,21 +87,26 @@ echo "==> go test -race -run TestParallelShard ./internal/fabric (sharded-core r
 # detector is the proof obligation (-count=1 so it always re-runs).
 go test -race -run 'TestParallelShard' -count=1 ./internal/fabric
 
-echo "==> go test -race -run 'TestHeadIndex|TestCheckBuffersAudits' ./internal/fabric (request index across failover, fabric audit mutations)"
+echo "==> go test -race -run 'TestHeadIndex|TestCheckBuffersAudits|TestRecovery' ./internal/fabric (failure recovery, request index across it, fabric audit mutations)"
 # Every switch model reads one push-maintained request index over the
-# input buffers (internal/fabric/pipeline.go).  TestHeadIndexAcrossFailover
-# audits it the instant each failure-recovery activation completes —
-# after the route swap, the drain, the sweep and the re-stamping of every
-# buffered packet's output — and compares it with the retired scans from
-# then on, under every switch model; TestHeadIndexIgnoresUnroutableHeads
-# covers a front packet with no route.  The TestCheckBuffersAudits rows
-# break one invariant each — an active-table write behind the arbiter, a
-# shadow slot a defragmenter skipped, a reservation no connection owns,
-# one word of the live index view, a word of the view the switch rule
-# does not read, a stamped output or a busy mask, a route swap without a
-# rebuild — and require Network.CheckBuffers or CheckInvariants to name
-# it.
-go test -race -run 'TestHeadIndex|TestCheckBuffersAudits' -count=1 ./internal/fabric
+# input buffers (internal/fabric/pipeline.go).  An activation of the
+# subnet manager's recovery (internal/subnet/recovery.go) repairs the
+# routes and handles the connections, then hands the data plane to
+# Network.Reroute: re-VL, drain, sweep, re-stamping of every buffered
+# packet's output and the index rebuild.  TestHeadIndexAcrossFailover
+# audits the index the instant each activation completes and compares
+# it with the retired scans from then on, under every switch model;
+# TestHeadIndexIgnoresUnroutableHeads covers a front packet with no
+# route.  The TestRecovery tests run the link-failure, switch-crash and
+# revival schedules under every switch model, with conservation, the
+# repaired routes' CDG proof and the manager's view checked after each
+# activation.  The TestCheckBuffersAudits rows break one invariant each
+# — an active-table write behind the arbiter, a shadow slot a
+# defragmenter skipped, a reservation no connection owns, one word of
+# the live index view, a word of the view the switch rule does not
+# read, a stamped output or a busy mask, a route swap without a rebuild
+# — and require Network.CheckBuffers or CheckInvariants to name it.
+go test -race -run 'TestHeadIndex|TestCheckBuffersAudits|TestRecovery' -count=1 ./internal/fabric
 
 echo "==> go test -race -run 'TestRequestIndex|TestPacketQueueDifferential' ./internal/fabric (request-index and packet-FIFO differentials)"
 # The scheduling passes read the request index and a word-wide iSLIP
