@@ -57,6 +57,46 @@ func TestPlanJSONParallelIdentical(t *testing.T)  { checkIdentityAlone(t, golden
 func TestScaleJSONGolden(t *testing.T)            { checkGolden(t, goldenEntry(t, "scale")) }
 func TestScaleJSONParallelIdentical(t *testing.T) { checkIdentityAlone(t, goldenEntry(t, "scale")) }
 
+// TestTextGolden walks the registry.  Every entry without a JSON report
+// runs at -scale tiny on one sweep worker, and its stdout must match
+// testdata/<name>.golden.txt.  The tables are pure functions of the
+// seeds, so any diff is a real behavior or format change; regenerate
+// deliberately with
+//
+//	go test ./cmd/ibsim -run TextGolden -update
+func TestTextGolden(t *testing.T) {
+	goldenTest(t)
+	for _, e := range registry {
+		if slices.Contains(e.flags, "json") {
+			continue
+		}
+		t.Run(e.name, func(t *testing.T) {
+			args := append([]string{"-exp", e.name, "-scale", "tiny", "-parallel", "1"}, textGoldenArgs[e.name]...)
+			var buf bytes.Buffer
+			if err := run(args, &buf, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			golden := filepath.Join("testdata", e.name+".golden.txt")
+			if *update {
+				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("output diverged from %s (rerun with -update if intended)\ngot:\n%s", golden, buf.Bytes())
+			}
+		})
+	}
+}
+
+// textGoldenArgs are the extra flags of a text golden's command line:
+// scaling is pinned at small sizes so the test stays quick.
+var textGoldenArgs = map[string][]string{"scaling": {"-sizes", "2,4"}}
+
 // hasGolden reports whether e has a deterministic report: it has one,
 // and it is not made of timings alone.
 func hasGolden(e experiment) bool {
