@@ -68,7 +68,11 @@ func TestAllocBudgetPerHopForwarding(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budgets hold only without race instrumentation")
 	}
-	net, err := fabric.New(fabric.DefaultConfig(2, 256, 41))
+	topo, err := topology.Generate(2, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := fabric.NewWithTopology(fabric.DefaultConfig(2, 256, 41), topo)
 	if err != nil {
 		t.Fatal(err)
 	}

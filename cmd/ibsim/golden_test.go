@@ -390,16 +390,16 @@ func TestHOLJSONShape(t *testing.T) {
 		} `json:"runs"`
 	}
 	decodeGolden(t, "hol", &rep)
-	base := experiments.HOLTiny()
-	if want := len(base.Specs) * len(base.Loads) * len(base.Models); len(rep.Runs) != want {
+	specs, loads := experiments.ScaleGrid(experiments.Tiny)
+	if want := len(specs) * len(loads) * len(holModels); len(rep.Runs) != want {
 		t.Fatalf("sweep has %d runs, want %d", len(rep.Runs), want)
 	}
 	i := 0
-	for _, spec := range base.Specs {
-		for _, load := range base.Loads {
+	for _, spec := range specs {
+		for _, load := range loads {
 			cellSeed := rep.Runs[i].Seed
 			cellAdmitted := rep.Runs[i].Admitted
-			for _, model := range base.Models {
+			for _, model := range holModels {
 				r := rep.Runs[i]
 				if r.Label != spec.Label() || r.Load != load || r.Model != model.String() {
 					t.Errorf("run %d is (%s, %s, %g), want (%s, %s, %g)",
@@ -452,13 +452,13 @@ func TestPlanJSONShape(t *testing.T) {
 	if rep.Timing != nil {
 		t.Error("golden contains the wall-clock timing section")
 	}
-	base := experiments.PlanTiny()
-	if want := len(base.Specs) * len(base.Loads); len(rep.Runs) != want {
+	specs, loads, _ := experiments.PlanGrid(experiments.Tiny)
+	if want := len(specs) * len(loads); len(rep.Runs) != want {
 		t.Fatalf("sweep has %d runs, want %d", len(rep.Runs), want)
 	}
 	i := 0
-	for _, spec := range base.Specs {
-		for _, load := range base.Loads {
+	for _, spec := range specs {
+		for _, load := range loads {
 			r := rep.Runs[i]
 			if r.Label != spec.Label() || r.Load != load {
 				t.Errorf("run %d is (%s, %g), want (%s, %g)", i, r.Label, r.Load, spec.Label(), load)
@@ -514,13 +514,13 @@ func TestScaleJSONShape(t *testing.T) {
 		} `json:"runs"`
 	}
 	decodeGolden(t, "scale", &rep)
-	base := experiments.ScaleTiny()
-	if want := len(base.Specs) * len(base.Loads); len(rep.Runs) != want {
+	specs, loads := experiments.ScaleGrid(experiments.Tiny)
+	if want := len(specs) * len(loads); len(rep.Runs) != want {
 		t.Fatalf("sweep has %d runs, want %d", len(rep.Runs), want)
 	}
 	i := 0
-	for _, spec := range base.Specs {
-		for _, load := range base.Loads {
+	for _, spec := range specs {
+		for _, load := range loads {
 			r := rep.Runs[i]
 			if r.Label != spec.Label() || r.Load != load {
 				t.Errorf("run %d is (%s, %g), want (%s, %g)", i, r.Label, r.Load, spec.Label(), load)

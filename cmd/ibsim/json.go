@@ -71,11 +71,11 @@ func dumpEvaluation(ev *experiments.Evaluation) *metricsDump {
 }
 
 // newEvaluationReport is the -json document of an executed evaluation.
-func newEvaluationReport(ev *experiments.Evaluation, p experiments.Params, scale string) jsonReport {
+func newEvaluationReport(ev *experiments.Evaluation, sc experiments.Scenario, scale string) jsonReport {
 	return jsonReport{
 		Scale:      scale,
-		Switches:   p.Switches,
-		Seed:       p.Seed,
+		Switches:   sc.Topology.Switches,
+		Seed:       sc.Seed,
 		Thresholds: stats.DelayFractions,
 		Table1:     experiments.Table1(),
 		Table2:     ev.Table2(),

@@ -26,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/sl"
 	"repro/internal/topology"
 )
@@ -91,10 +92,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 }
 
 // config is one parsed command line: the value of every flag, and the
-// chosen experiment's parameters at -scale.
+// chosen experiment's base scenario at -scale with the flags applied.
 type config struct {
 	exp, scale string
-	preset     any // nil for an experiment without scale presets
+	at         experiments.Scale    // -scale
+	sc         experiments.Scenario // zero for an experiment that runs none
 
 	seed, benchHorizon             int64
 	switches, traces, trace        int
@@ -122,8 +124,12 @@ func parse(args []string, stderr io.Writer) (*experiment, *config, error) {
 	for i, e := range registry {
 		names[i] = e.name
 	}
+	scaleNames := make([]string, len(scales))
+	for i, s := range scales {
+		scaleNames[i] = s.String()
+	}
 	fs.StringVar(&c.exp, "exp", "all", "experiment: "+strings.Join(names, "|"))
-	fs.StringVar(&c.scale, "scale", "full", "scale preset: "+strings.Join(scales, "|"))
+	fs.StringVar(&c.scale, "scale", "full", "scale preset: "+strings.Join(scaleNames, "|"))
 	fs.Int64Var(&c.seed, "seed", 0, "override random seed (0 keeps the preset's)")
 	fs.IntVar(&c.switches, "switches", 0, "override network size (0 keeps the preset's)")
 	fs.StringVar(&c.sizes, "sizes", "8,16,32", "network sizes for -exp scaling")
@@ -179,11 +185,13 @@ func parse(args []string, stderr io.Writer) (*experiment, *config, error) {
 	if len(unread) > 0 {
 		return nil, nil, fmt.Errorf("-exp %s does not read %s (it reads %s)", e.name, dashed(unread), dashed(e.flags))
 	}
-	if !slices.Contains(scales, c.scale) {
-		return nil, nil, fmt.Errorf("unknown -scale %q (valid: %s)", c.scale, strings.Join(scales, ", "))
+	i := slices.Index(scaleNames, c.scale)
+	if i < 0 {
+		return nil, nil, fmt.Errorf("unknown -scale %q (valid: %s)", c.scale, strings.Join(scaleNames, ", "))
 	}
-	if e.preset != nil {
-		c.preset = e.preset(c.scale)
+	c.at = scales[i]
+	if e.scenario != nil {
+		c.sc = c.applyFlags(e.scenario(c.at))
 	}
 	// ChurnSweep allocates a job, a name and a result per seed before
 	// the first seed runs, so a huge count must be refused here.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,8 +28,11 @@ func TestParseSizes(t *testing.T) {
 	}
 }
 
-// TestParamsPresets: every entry resolves every scale to parameters of
-// one type, and an unknown -scale is refused before anything runs.
+// TestParamsPresets: every entry resolves every scale to a non-zero
+// base scenario, on at least two switches where the entry's base wires
+// the fabric it runs, an unknown -scale is refused before anything
+// runs, and the plan's quick grid probes more headroom than its tiny
+// one.
 func TestParamsPresets(t *testing.T) {
 	for _, e := range registry {
 		t.Run(e.name, func(t *testing.T) {
@@ -36,26 +40,23 @@ func TestParamsPresets(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "-scale") {
 				t.Errorf("-scale huge: err = %v, want one naming -scale", err)
 			}
-			if e.preset == nil {
+			if e.scenario == nil {
 				return
 			}
-			tiny := e.preset("tiny")
-			for _, scale := range scales {
-				p := e.preset(scale)
-				if reflect.TypeOf(p) != reflect.TypeOf(tiny) || reflect.ValueOf(p).IsZero() {
-					t.Errorf("%s: preset %#v", scale, p)
+			for _, s := range scales {
+				sc := e.scenario(s)
+				if reflect.ValueOf(sc).IsZero() {
+					t.Errorf("%s: zero scenario", s)
 				}
-				if ev, ok := p.(experiments.Params); ok && ev.Switches < 2 {
-					t.Errorf("%s: switches = %d", scale, ev.Switches)
-				}
-			}
-			if tiny, ok := tiny.(experiments.PlanParams); ok {
-				if quick := e.preset("quick").(experiments.PlanParams); quick.HeadroomMax <= tiny.HeadroomMax {
-					t.Errorf("quick plan preset should probe more headroom than tiny (%d vs %d)",
-						quick.HeadroomMax, tiny.HeadroomMax)
+				if slices.Contains(e.flags, "switches") && sc.Topology.Switches < 2 {
+					t.Errorf("%s: switches = %d", s, sc.Topology.Switches)
 				}
 			}
 		})
+	}
+	_, _, tiny := experiments.PlanGrid(experiments.Tiny)
+	if _, _, quick := experiments.PlanGrid(experiments.Quick); quick <= tiny {
+		t.Errorf("quick plan grid should probe more headroom than tiny (%d vs %d)", quick, tiny)
 	}
 }
 

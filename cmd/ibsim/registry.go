@@ -7,21 +7,22 @@ import (
 	"runtime"
 
 	"repro/internal/experiments"
+	"repro/internal/fabric"
 	"repro/internal/topology"
 	"repro/internal/viz"
 )
 
-// experiment describes one value of -exp: the flags it reads, its
-// parameters at each -scale, and how to run it.
+// experiment describes one value of -exp: the flags it reads, its base
+// scenario at each -scale, and how to run it.
 type experiment struct {
 	name string
 	// flags names the flags the experiment reads besides commonFlags;
 	// "json" among them means run returns a JSON report.
 	flags []string
-	// preset returns the experiment's parameters at one of scales; nil
-	// when it has none.
-	preset func(scale string) any
-	run    func(c *config) (result, error)
+	// scenario returns the experiment's base scenario at a scale; nil
+	// when it runs none.  parse applies the flags to it (config.sc).
+	scenario func(experiments.Scale) experiments.Scenario
+	run      func(c *config) (result, error)
 	// wallClock names the report's top-level JSON fields that hold
 	// wall-clock measurements, which goldens leave out.
 	wallClock []string
@@ -36,7 +37,7 @@ type result struct {
 }
 
 // scales are the -scale presets, smallest first.
-var scales = []string{"tiny", "quick", "full"}
+var scales = []experiments.Scale{experiments.Tiny, experiments.Quick, experiments.Full}
 
 // registry is every experiment ibsim runs, in the order -h and the
 // unknown-experiment error list them.
@@ -52,140 +53,127 @@ var registry = []experiment{
 	evaluation("figure5"),
 	evaluation("figure6"),
 	{
-		name:   "ablation-priority",
-		flags:  []string{"seed"},
-		preset: paramsPresets,
+		name:     "ablation-priority",
+		flags:    []string{"seed"},
+		scenario: experiments.EvaluationScenario,
 		run: func(c *config) (result, error) {
-			res, err := experiments.AblationPrioritySplit(c.params().Seed, c.parallel)
+			res, err := experiments.AblationPrioritySplit(c.sc.Seed, c.parallel)
 			return text(func(w io.Writer) { experiments.PrintPrioritySplit(w, res) }), err
 		},
 	},
 	{
-		name:   "ablation-fill",
-		flags:  []string{"seed", "traces"},
-		preset: paramsPresets,
+		name:     "ablation-fill",
+		flags:    []string{"seed", "traces"},
+		scenario: experiments.EvaluationScenario,
 		run: func(c *config) (result, error) {
-			res, err := experiments.AblationFillPolicies(c.traces, c.params().Seed, c.parallel)
+			res, err := experiments.AblationFillPolicies(c.traces, c.sc.Seed, c.parallel)
 			return text(func(w io.Writer) { experiments.PrintFillPolicies(w, res) }), err
 		},
 	},
 	{
-		name:   "ablation-vl",
-		flags:  []string{"seed", "switches", "shards"},
-		preset: paramsPresets,
+		name:     "ablation-vl",
+		flags:    []string{"seed", "switches", "shards"},
+		scenario: experiments.EvaluationScenario,
 		run: func(c *config) (result, error) {
-			rows, err := experiments.AblationVLCollapse(c.params(), []int{15, 8, 4}, c.parallel)
+			rows, err := experiments.AblationVLCollapse(c.sc, []int{15, 8, 4}, c.parallel)
 			return text(func(w io.Writer) { experiments.PrintVLCollapse(w, rows) }), err
 		},
 	},
 	{
-		name:   "ablation-switch",
-		flags:  []string{"seed", "switches", "shards"},
-		preset: paramsPresets,
+		name:     "ablation-switch",
+		flags:    []string{"seed", "switches", "shards"},
+		scenario: experiments.EvaluationScenario,
 		run: func(c *config) (result, error) {
-			rows, err := experiments.AblationSwitchModels(c.params(), []int{1, 2, 4}, c.parallel)
+			rows, err := experiments.AblationSwitchModels(c.sc, []int{1, 2, 4}, c.parallel)
 			return text(func(w io.Writer) { experiments.PrintSwitchModels(w, rows) }), err
 		},
 	},
 	{
-		name:   "vbr",
-		flags:  []string{"seed"},
-		preset: paramsPresets,
+		name:     "vbr",
+		flags:    []string{"seed"},
+		scenario: experiments.EvaluationScenario,
 		run: func(c *config) (result, error) {
-			res, err := experiments.AblationVBR(c.params().Seed, 4, 8, 4, 60, c.parallel)
+			res, err := experiments.AblationVBR(c.sc.Seed, 4, 8, 4, 60, c.parallel)
 			return text(func(w io.Writer) { experiments.PrintVBR(w, res) }), err
 		},
 	},
 	{
-		name:   "reconfig",
-		flags:  []string{"seed", "switches", "json"},
-		preset: presets(reconfigTiny, experiments.Quick, experiments.Full),
+		name:     "reconfig",
+		flags:    []string{"seed", "switches", "json"},
+		scenario: reconfigScenario,
 		run: func(c *config) (result, error) {
-			p := c.params()
-			res, err := experiments.Reconfiguration(p.Switches, p.Seed, 40*p.Switches, c.parallel)
+			n := c.sc.Topology.Switches
+			res, err := experiments.Reconfiguration(n, c.sc.Seed, 40*n, c.parallel)
 			return withReport(func(w io.Writer) { experiments.PrintReconfig(w, res) }, res), err
 		},
 	},
 	{
-		name:   "scaling",
-		flags:  []string{"seed", "sizes", "shards"},
-		preset: paramsPresets,
+		name:     "scaling",
+		flags:    []string{"seed", "sizes", "shards"},
+		scenario: experiments.EvaluationScenario,
 		run: func(c *config) (result, error) {
-			rows, err := experiments.Scaling(c.params(), c.sizeList, c.parallel)
+			rows, err := experiments.Scaling(c.sc, c.sizeList, c.parallel)
 			return text(func(w io.Writer) { experiments.PrintScaling(w, rows) }), err
 		},
 	},
 	{
-		name:   "churn",
-		flags:  []string{"seed", "switches", "shards", "churn-seeds", "json"},
-		preset: presets(experiments.ChurnTiny, experiments.ChurnQuick, experiments.ChurnQuick),
+		name:     "churn",
+		flags:    []string{"seed", "switches", "shards", "churn-seeds", "json"},
+		scenario: experiments.ChurnScenario,
 		run: func(c *config) (result, error) {
-			base := c.preset.(experiments.ChurnParams)
-			override(&base.Seed, c.seed)
-			override(&base.Switches, c.switches)
-			base.Shards = c.shards
-			res, err := experiments.ChurnSweep(base, c.churnSeeds, c.parallel)
+			res, err := experiments.ChurnSweep(c.sc, c.churnSeeds, c.parallel)
 			return withReport(func(w io.Writer) { experiments.PrintChurn(w, res) },
-				controlReport[experiments.ChurnResult]{base.Switches, base.Seed, base.Arrivals, res}), err
+				controlReport[experiments.ChurnResult]{c.sc.Topology.Switches, c.sc.Seed, c.sc.Arrivals, res}), err
 		},
 	},
 	{
-		name:   "faults",
-		flags:  []string{"seed", "switches", "shards", "json"},
-		preset: presets(experiments.FaultsTiny, experiments.FaultsQuick, experiments.FaultsQuick),
+		name:     "faults",
+		flags:    []string{"seed", "switches", "shards", "json"},
+		scenario: experiments.FaultsScenario,
 		run: func(c *config) (result, error) {
-			base := c.preset.(experiments.FaultParams)
-			override(&base.Churn.Seed, c.seed)
-			override(&base.Churn.Switches, c.switches)
-			base.Churn.Shards = c.shards
-			res, err := experiments.FaultsSweep(base, c.parallel)
+			res, err := experiments.FaultsSweep(c.sc, c.parallel)
 			return withReport(func(w io.Writer) { experiments.PrintFaults(w, res) },
-				controlReport[experiments.FaultsResult]{base.Churn.Switches, base.Churn.Seed, base.Churn.Arrivals, res}), err
+				controlReport[experiments.FaultsResult]{c.sc.Topology.Switches, c.sc.Seed, c.sc.Arrivals, res}), err
 		},
 	},
 	{
-		name:   "failover",
-		flags:  []string{"seed", "json"},
-		preset: presets(experiments.FailoverTiny, experiments.FailoverQuick, experiments.FailoverQuick),
+		name:     "failover",
+		flags:    []string{"seed", "json"},
+		scenario: experiments.FailoverScenario,
 		run: func(c *config) (result, error) {
-			base := c.preset.(experiments.FailoverParams)
-			override(&base.Seed, c.seed)
-			res, err := experiments.FailoverSweep(base, c.parallel)
+			res, err := experiments.FailoverSweep(c.sc, experiments.FailoverSpecs(c.at), c.parallel)
 			return withReport(func(w io.Writer) { experiments.PrintFailover(w, res) }, struct {
 				BaseSeed int64                        `json:"baseSeed"`
 				Payload  int                          `json:"payload"`
 				Conns    int                          `json:"conns"`
 				FailAtBT int64                        `json:"failAtBT"`
 				Runs     []experiments.FailoverResult `json:"runs"`
-			}{base.Seed, base.Payload, base.Conns, base.FailAtBT, res}), err
+			}{c.sc.Seed, c.sc.Fabric.PayloadBytes, c.sc.Conns, c.sc.FailAtBT, res}), err
 		},
 	},
 	{
-		name:   "scale",
-		flags:  []string{"seed", "shards", "json"},
-		preset: presets(experiments.ScaleTiny, experiments.ScaleQuick, experiments.ScaleQuick),
+		name:     "scale",
+		flags:    []string{"seed", "shards", "json"},
+		scenario: experiments.ScaleScenario,
 		run: func(c *config) (result, error) {
-			base := c.preset.(experiments.ScaleParams)
-			override(&base.Seed, c.seed)
-			base.Shards = c.shards
-			res, err := experiments.ScaleSweep(base, c.parallel)
+			specs, loads := experiments.ScaleGrid(c.at)
+			res, err := experiments.ScaleSweep(c.sc, specs, loads, c.parallel)
 			return withReport(func(w io.Writer) { experiments.PrintScale(w, res) }, struct {
 				BaseSeed int64                     `json:"baseSeed"`
 				Loads    []float64                 `json:"loads"`
 				Payload  int                       `json:"payload"`
 				Runs     []experiments.ScaleResult `json:"runs"`
-			}{base.Seed, base.Loads, base.Payload, res}), err
+			}{c.sc.Seed, loads, c.sc.Fabric.PayloadBytes, res}), err
 		},
 	},
 	{
-		name:   "plan",
-		flags:  []string{"seed", "plan-headroom-sl", "json"},
-		preset: presets(experiments.PlanTiny, experiments.PlanQuick, experiments.PlanQuick),
+		name:     "plan",
+		flags:    []string{"seed", "plan-headroom-sl", "json"},
+		scenario: experiments.ScaleScenario,
 		run: func(c *config) (result, error) {
-			base := c.preset.(experiments.PlanParams)
-			override(&base.Seed, c.seed)
-			base.HeadroomSL = uint8(c.headroomSL)
-			res, err := experiments.PlanSweep(base, c.parallel)
+			specs, loads, headroomMax := experiments.PlanGrid(c.at)
+			headroomSL := uint8(c.headroomSL)
+			res, err := experiments.PlanSweep(c.sc, specs, loads, headroomSL, headroomMax, c.parallel)
 			// The model's evaluation time per grid point: the evidence
 			// that the plan answers in microseconds what the simulator
 			// answers in minutes.
@@ -205,37 +193,33 @@ var registry = []experiment{
 				HeadroomMax int                      `json:"headroomMax"`
 				Runs        []experiments.PlanResult `json:"runs"`
 				Timing      any                      `json:"timing,omitempty"`
-			}{base.Seed, base.Loads, base.Payload, base.HeadroomSL, base.HeadroomMax, res, timing}), err
+			}{c.sc.Seed, loads, c.sc.Fabric.PayloadBytes, headroomSL, headroomMax, res, timing}), err
 		},
 		wallClock: []string{"timing"},
 	},
 	{
-		name:   "hol",
-		flags:  []string{"seed", "islip-iters", "shards", "json"},
-		preset: presets(experiments.HOLTiny, experiments.HOLQuick, experiments.HOLQuick),
+		name:     "hol",
+		flags:    []string{"seed", "islip-iters", "shards", "json"},
+		scenario: experiments.ScaleScenario,
 		run: func(c *config) (result, error) {
-			base := c.preset.(experiments.HOLParams)
-			override(&base.Seed, c.seed)
-			base.ISLIPIters = c.islipIters
-			base.Shards = c.shards
-			res, err := experiments.HOLSweep(base, c.parallel)
+			specs, loads := experiments.ScaleGrid(c.at)
+			res, err := experiments.HOLSweep(c.sc, specs, loads, holModels, c.parallel)
 			return withReport(func(w io.Writer) { experiments.PrintHOL(w, res) }, struct {
 				BaseSeed   int64                   `json:"baseSeed"`
 				Loads      []float64               `json:"loads"`
 				Payload    int                     `json:"payload"`
 				ISLIPIters int                     `json:"islipIters"`
 				Runs       []experiments.HOLResult `json:"runs"`
-			}{base.Seed, base.Loads, base.Payload, base.ISLIPIters, res}), err
+			}{c.sc.Seed, loads, c.sc.Fabric.PayloadBytes, c.sc.Fabric.ISLIPIters, res}), err
 		},
 	},
 	{
 		name: "shardbench",
 		flags: []string{"seed", "bench-class", "bench-k", "bench-a", "bench-p", "bench-h",
 			"bench-shards", "bench-horizon", "json"},
+		scenario: func(experiments.Scale) experiments.Scenario { return experiments.ShardBenchScenario() },
 		run: func(c *config) (result, error) {
-			bp := experiments.ShardBenchDefault()
-			override(&bp.Seed, c.seed)
-			override(&bp.HorizonBT, c.benchHorizon)
+			sc := c.sc
 			// A shape no topology can be built at is refused naming its
 			// flags, before any shard count runs.
 			switch c.benchClass {
@@ -243,12 +227,12 @@ var registry = []experiment{
 				if _, err := topology.NewFatTreeLayout(c.benchK); err != nil {
 					return result{}, fmt.Errorf("-bench-k %d: %w", c.benchK, err)
 				}
-				bp.Spec = topology.Spec{Class: topology.FatTree, K: c.benchK}
+				sc.Topology = topology.Spec{Class: topology.FatTree, K: c.benchK}
 			case "dragonfly":
 				if _, err := topology.NewDragonflyLayout(c.benchA, c.benchP, c.benchH); err != nil {
 					return result{}, fmt.Errorf("-bench-a %d -bench-p %d -bench-h %d: %w", c.benchA, c.benchP, c.benchH, err)
 				}
-				bp.Spec = topology.Spec{Class: topology.Dragonfly, A: c.benchA, P: c.benchP, H: c.benchH}
+				sc.Topology = topology.Spec{Class: topology.Dragonfly, A: c.benchA, P: c.benchP, H: c.benchH}
 			default:
 				return result{}, fmt.Errorf("unknown -bench-class %q (want fattree or dragonfly)", c.benchClass)
 			}
@@ -256,9 +240,8 @@ var registry = []experiment{
 			if err != nil {
 				return result{}, fmt.Errorf("-bench-shards: %w", err)
 			}
-			bp.Shards = counts
-			res, err := experiments.ShardBench(bp)
-			return withReport(func(w io.Writer) { experiments.PrintShardBench(w, bp, res) }, struct {
+			res, err := experiments.ShardBench(sc, counts)
+			return withReport(func(w io.Writer) { experiments.PrintShardBench(w, sc, res) }, struct {
 				Topology  string  `json:"topology"`
 				Load      float64 `json:"load"`
 				Seed      int64   `json:"seed"`
@@ -268,7 +251,7 @@ var registry = []experiment{
 				// rows measured on a single-core host show sync overhead.
 				CPUs int                            `json:"cpus"`
 				Runs []experiments.ShardBenchResult `json:"runs"`
-			}{bp.Spec.Label(), bp.Load, bp.Seed, bp.Payload, bp.HorizonBT, runtime.NumCPU(), res}), err
+			}{sc.Topology.Label(), sc.Load, sc.Seed, sc.Fabric.PayloadBytes, sc.HorizonBT, runtime.NumCPU(), res}), err
 		},
 		wallClock: []string{"cpus", "runs"},
 	},
@@ -285,21 +268,20 @@ func evaluation(name string) experiment {
 		flags = append(flags, "viz")
 	}
 	return experiment{
-		name:   name,
-		flags:  flags,
-		preset: paramsPresets,
+		name:     name,
+		flags:    flags,
+		scenario: experiments.EvaluationScenario,
 		run: func(c *config) (result, error) {
 			if c.asJSON && c.viz {
 				return result{}, errors.New("-viz draws terminal charts, which -json does not print")
 			}
-			p := c.params()
-			ev, err := experiments.Evaluate(p, c.parallel)
+			ev, err := experiments.Evaluate(c.sc, c.parallel)
 			if err != nil {
 				return result{}, err
 			}
 			return result{
 				table:  func(w io.Writer) error { return printEvaluation(w, ev, name, c) },
-				report: newEvaluationReport(ev, p, c.scale),
+				report: newEvaluationReport(ev, c.sc, c.scale),
 			}, nil
 		},
 	}
@@ -308,7 +290,6 @@ func evaluation(name string) experiment {
 // printEvaluation prints the tables of one evaluation view, then the
 // metrics dump when the runs were instrumented.
 func printEvaluation(w io.Writer, ev *experiments.Evaluation, which string, c *config) error {
-	p := c.params()
 	all := which == "all"
 	if all {
 		experiments.PrintTable1(w)
@@ -352,70 +333,57 @@ func printEvaluation(w io.Writer, ev *experiments.Evaluation, which string, c *c
 		fmt.Fprintln(w)
 	}
 	if all {
-		res, err := experiments.AblationPrioritySplit(p.Seed, c.parallel)
+		res, err := experiments.AblationPrioritySplit(c.sc.Seed, c.parallel)
 		if err != nil {
 			return err
 		}
 		experiments.PrintPrioritySplit(w, res)
 		fmt.Fprintln(w)
-		fill, err := experiments.AblationFillPolicies(50, p.Seed, c.parallel)
+		fill, err := experiments.AblationFillPolicies(50, c.sc.Seed, c.parallel)
 		if err != nil {
 			return err
 		}
 		experiments.PrintFillPolicies(w, fill)
 	}
-	if p.Metrics {
+	if c.sc.Metrics {
 		fmt.Fprintln(w, "Arbitration metrics (JSON):")
 		return encodeIndented(w, dumpEvaluation(ev))
 	}
 	return nil
 }
 
-// paramsPresets are the evaluation's parameters, which the ablations
-// built on it share.
-var paramsPresets = presets(experiments.Tiny, experiments.Quick, experiments.Full)
+// holModels are the switch models the hol sweep runs every cell under.
+var holModels = []fabric.SwitchModel{fabric.ModelWRR, fabric.ModelVOQISLIP, fabric.ModelVOQMWM}
 
-// reconfigTiny is the evaluation's tiny preset on the smallest
-// irregular fabric with a link that is not a cut edge: three switches.
-func reconfigTiny() experiments.Params {
-	p := experiments.Tiny()
-	p.Switches = 3
-	return p
-}
-
-// presets maps each of scales onto a parameter constructor.
-func presets[P any](tiny, quick, full func() P) func(string) any {
-	return func(scale string) any {
-		switch scale {
-		case "tiny":
-			return tiny()
-		case "quick":
-			return quick()
-		}
-		return full()
+// reconfigScenario is the evaluation's scenario at s on the smallest
+// irregular fabric with a link that is not a cut edge at Tiny: three
+// switches.
+func reconfigScenario(s experiments.Scale) experiments.Scenario {
+	sc := experiments.EvaluationScenario(s)
+	if s == experiments.Tiny {
+		sc.Topology.Switches = 3
 	}
+	return sc
 }
 
-// params is the evaluation preset with the -seed, -switches, -metrics,
-// -trace and -shards overrides applied.  A flag the entry
-// does not read is at its default, which changes nothing.
-func (c *config) params() experiments.Params {
-	p := c.preset.(experiments.Params)
-	override(&p.Seed, c.seed)
-	override(&p.Switches, c.switches)
-	p.Metrics = c.metrics || c.trace > 0
-	p.TraceEvents = c.trace
-	p.Shards = c.shards
-	return p
-}
-
-// override replaces *dst with v unless v is zero, the "keep the
-// preset's" value of the overriding flags.
-func override[T comparable](dst *T, v T) {
-	var zero T
-	if v != zero {
-		*dst = v
+// applyFlags is the entry's base scenario with the overriding flags
+// applied: -seed, -switches and -bench-horizon when set, -shards,
+// -islip-iters and -trace as given, and -metrics or -trace turn the
+// metrics on.  A flag the entry does not read is at its default, which
+// changes nothing.
+func (c *config) applyFlags(sc experiments.Scenario) experiments.Scenario {
+	if c.seed != 0 {
+		sc.Seed = c.seed
 	}
+	if c.switches != 0 {
+		sc.Topology.Switches = c.switches
+	}
+	if c.benchHorizon != 0 {
+		sc.HorizonBT = c.benchHorizon
+	}
+	sc.Fabric.Shards, sc.Fabric.ISLIPIters, sc.Trace = c.shards, c.islipIters, c.trace
+	sc.Metrics = sc.Metrics || c.metrics || c.trace > 0
+	return sc
 }
 
 // text is the result of an experiment that prints a table and has no

@@ -27,11 +27,16 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/sl"
+	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
 func main() {
-	net, err := fabric.New(fabric.DefaultConfig(2, 512, 5))
+	topo, err := topology.Generate(2, 5)
+	if err != nil {
+		log.Fatal(err)
+	}
+	net, err := fabric.NewWithTopology(fabric.DefaultConfig(2, 512, 5), topo)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,11 +23,16 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/sl"
 	"repro/internal/stats"
+	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
 func main() {
-	net, err := fabric.New(fabric.DefaultConfig(8, 1024, 2026))
+	topo, err := topology.Generate(8, 2026)
+	if err != nil {
+		log.Fatal(err)
+	}
+	net, err := fabric.NewWithTopology(fabric.DefaultConfig(8, 1024, 2026), topo)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -393,12 +393,6 @@ var exportedAllowlist = map[string]string{
 	"core.NewPortTableWithPolicy":    "test hook: NaturalOrder differential (admission's TestAdmitDecideDifferential)",
 	"core.PortTable.Rollback":        "test hook: admission's refAdmit and rollback tests undo prepared hops without defragmenting",
 	"core.Sequence.Spare":            "bench/ probe, frozen until ROADMAP 3(b)",
-	"experiments.Churn":              "one point of ChurnSweep; bench/churnrun.go calls it, frozen until ROADMAP 3(d)",
-	"experiments.FailoverPoint":      "one point of FailoverSweep, in the form of ScalePoint and HOLPoint",
-	"experiments.Faults":             "one point of FaultsSweep, the unit its tests run",
-	"experiments.HOLPoint":           "one point of the HOL sweep, the unit its tests run",
-	"experiments.PlanPoint":          "one point of the plan sweep, the unit its tests run",
-	"experiments.ScalePoint":         "one point of the scale sweep, the unit its tests run",
 	"fabric.DefaultISLIPIters":       "bench/ probe, frozen until ROADMAP 3(b); the default of Config.ISLIPIters",
 	"fabric.ISLIPState":              "bench/ probe, frozen until ROADMAP 3(b)",
 	"fabric.ISLIPState.Match":        "bench/ probe, frozen until ROADMAP 3(b)",

@@ -28,10 +28,11 @@ type PrioritySplitResult struct {
 // three DBTS sources (SL 5) that reserved 20 Mbps each but transmit
 // far above it.  oldScheme selects where the DB reservation lives.
 func prioritySplitScenario(seed int64, oldScheme bool) (float64, error) {
-	net, err := fabric.New(fabric.DefaultConfig(2, smallPayload, seed))
+	r, err := build(Scenario{Seed: seed, Topology: irregular(2, seed), Fabric: fabric.DefaultConfig(0, smallPayload, 0)})
 	if err != nil {
 		return 0, err
 	}
+	net := r.Net
 	victimReq := traffic.Request{Src: 1, Dst: 7, Level: sl.DefaultLevels[8], Mbps: 12}
 
 	var victim *fabric.Flow

@@ -7,59 +7,32 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/runner"
 )
 
-// ChurnParams sizes the connection-churn experiment: connections
-// arrive with exponentially distributed gaps, hold their reservation
-// for an exponentially distributed time, and leave — all while the
-// fabric keeps forwarding traffic and every table change travels
-// in-band as SMPs.  This exercises the control/data-plane split end to
-// end: two-phase admission, versioned table swaps at packet
-// boundaries, retry-and-backoff on busy hops.
-type ChurnParams struct {
-	Switches int
-	Seed     int64
-	Payload  int // packet payload bytes
-
-	Arrivals   int   // connection arrival events
-	MeanGapBT  int64 // mean interarrival gap, byte times
-	MeanHoldBT int64 // mean connection hold time, byte times
-	SampleBT   int64 // VL bandwidth sampling window, byte times
-
-	Retry admission.RetryPolicy
-
-	// Shards partitions the fabric (fabric.Config.Shards).  Churn's
-	// control plane — admissions, releases, in-band table programs —
-	// runs as typed events on the fabric's control lane, so it works
-	// at any shard count: serialized at window barriers when the
-	// shards run in parallel, on the shared engine otherwise.
-	Shards int
-}
-
-// ChurnTiny is the unit-test scale: a 2-switch fabric with enough
-// overlap between arrivals and in-flight table programs to make
-// retries and chained reprogramming happen.
-func ChurnTiny() ChurnParams {
-	return ChurnParams{
-		Switches:   2,
-		Seed:       42,
-		Payload:    512,
-		Arrivals:   80,
-		MeanGapBT:  2048,
-		MeanHoldBT: 65536,
-		SampleBT:   8192,
-		Retry:      admission.DefaultRetryPolicy(),
+// ChurnScenario is the connection-churn experiment's base at scale s:
+// connections arrive with exponentially distributed gaps, hold their
+// reservation for an exponentially distributed time, and leave — all
+// while the fabric keeps forwarding traffic and every table change
+// travels in-band as SMPs.  This exercises the control/data-plane
+// split end to end: two-phase admission, versioned table swaps at
+// packet boundaries, retry-and-backoff on busy hops.  The control
+// plane runs as typed events on the fabric's control lane, so it works
+// at any shard count.  Tiny is a 2-switch fabric with enough overlap
+// between arrivals and in-flight table programs to make retries and
+// chained reprogramming happen; above it, a 4-switch fabric under
+// sustained churn.
+func ChurnScenario(s Scale) Scenario {
+	sc := Scenario{
+		Seed: 42, Topology: irregular(2, 42), Fabric: fabric.DefaultConfig(0, 512, 0),
+		Inband: true, Arrivals: 80, MeanGapBT: 2048, MeanHoldBT: 65536, SampleBT: 8192,
+		Retry: admission.DefaultRetryPolicy(), Metrics: true,
 	}
-}
-
-// ChurnQuick is the CLI default: a 4-switch fabric under sustained
-// churn.
-func ChurnQuick() ChurnParams {
-	p := ChurnTiny()
-	p.Switches = 4
-	p.Arrivals = 240
-	return p
+	if s != Tiny {
+		sc.Topology.Switches, sc.Arrivals = 4, 240
+	}
+	return sc
 }
 
 // ChurnResult is the outcome of one churn run.  Every field is
@@ -107,30 +80,28 @@ type ChurnResult struct {
 	Windows  uint64 `json:"windows,omitempty"`
 }
 
-// Churn runs one churn experiment on the lifecycle driver (see
+// runChurn runs one churn experiment on the lifecycle driver (see
 // runLifecycles).  Any audit violation, and any lifecycle that does not
 // resolve, aborts the run with an error.
-func Churn(p ChurnParams) (ChurnResult, error) {
-	lc, err := runLifecycles(p, nil)
+func runChurn(sc Scenario) (ChurnResult, error) {
+	lc, err := runLifecycles(sc)
 	if err != nil {
 		return ChurnResult{}, err
 	}
 	return lc.ChurnResult, nil
 }
 
-// ChurnSweep runs the churn experiment over derived seeds.  Results
-// come back in input order regardless of worker count, so the sweep's
-// JSON encoding is bit-identical at any parallelism.
-func ChurnSweep(base ChurnParams, seeds, workers int) ([]ChurnResult, error) {
+// ChurnSweep runs sc over derived seeds, each wiring its own fabric.
+// Results come back in input order regardless of worker count, so the
+// sweep's JSON encoding is bit-identical at any parallelism.
+func ChurnSweep(sc Scenario, seeds, workers int) ([]ChurnResult, error) {
 	jobs := make([]runner.Job[ChurnResult], seeds)
 	for i := range jobs {
 		jobs[i] = runner.Job[ChurnResult]{
 			Name: fmt.Sprintf("churn-%02d", i),
-			Seed: runner.DeriveSeed(base.Seed, i),
+			Seed: runner.DeriveSeed(sc.Seed, i),
 			Run: func(seed int64) (ChurnResult, error) {
-				p := base
-				p.Seed = seed
-				return Churn(p)
+				return runChurn(sc.seeded(seed))
 			},
 		}
 	}

@@ -12,7 +12,7 @@ import (
 // the offered connections, release everything it admitted, and spend
 // real control-plane work doing so.
 func TestChurnRuns(t *testing.T) {
-	res, err := Churn(ChurnTiny())
+	res, err := runChurn(ChurnScenario(Tiny))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +48,9 @@ func TestChurnRuns(t *testing.T) {
 func TestChurnTerminates(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		for _, seed := range []int64{runner.DeriveSeed(5, 0), runner.DeriveSeed(8, 0)} {
-			p := ChurnQuick()
-			p.Switches, p.Seed, p.Shards = 8, seed, shards
-			res, err := Churn(p)
+			sc := ChurnScenario(Quick).seeded(seed)
+			sc.Topology.Switches, sc.Fabric.Shards = 8, shards
+			res, err := runChurn(sc)
 			if err != nil {
 				t.Fatalf("churn seed %d shards %d: %v", seed, shards, err)
 			}
@@ -59,9 +59,9 @@ func TestChurnTerminates(t *testing.T) {
 			}
 		}
 		for _, seed := range []int64{3, 4} {
-			p := FaultsQuick()
-			p.Churn.Switches, p.Churn.Seed, p.Churn.Shards = 8, seed, shards
-			if _, err := Faults(p); err != nil {
+			sc := FaultsScenario(Quick).seeded(seed)
+			sc.Topology.Switches, sc.Fabric.Shards = 8, shards
+			if _, err := runFaults(sc); err != nil {
 				t.Fatalf("faults seed %d shards %d: %v", seed, shards, err)
 			}
 		}
@@ -76,7 +76,7 @@ func TestChurnSweepDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed churn sweep")
 	}
-	base := ChurnTiny()
+	base := ChurnScenario(Tiny)
 	const seeds = 3
 
 	encode := func(workers int) []byte {

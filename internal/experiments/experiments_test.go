@@ -34,7 +34,7 @@ func TestTable1Config(t *testing.T) {
 }
 
 func TestSetupLoadsNetwork(t *testing.T) {
-	run, err := setupWith(Tiny(), smallPayload, nil)
+	run, err := loaded(EvaluationScenario(Tiny))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,17 +68,19 @@ func TestPointsRefuseBadLoads(t *testing.T) {
 		run  func(load float64) error
 	}{
 		{"scale", func(load float64) error {
-			_, err := ScalePoint(ScaleTiny(), spec, load, 1)
+			_, err := scalePoint(ScaleScenario(Tiny).at(spec, load, 1))
 			return err
 		}},
 		{"hol", func(load float64) error {
-			_, err := HOLPoint(HOLTiny(), spec, fabric.ModelVOQISLIP, load, 1)
+			sc := ScaleScenario(Tiny).at(spec, load, 1)
+			sc.Fabric.SwitchModel = fabric.ModelVOQISLIP
+			_, err := holPoint(sc)
 			return err
 		}},
 		{"shardbench", func(load float64) error {
-			p := ShardBenchDefault()
-			p.Spec, p.Load, p.Shards = spec, load, []int{1}
-			_, err := ShardBench(p)
+			sc := ShardBenchScenario()
+			sc.Topology, sc.Load = spec, load
+			_, err := ShardBench(sc, []int{1})
 			return err
 		}},
 	}
@@ -120,7 +122,7 @@ func TestTinyEvaluationShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	ev, err := Evaluate(Tiny(), 0)
+	ev, err := Evaluate(EvaluationScenario(Tiny), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +246,7 @@ func TestScalingTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	rows, err := Scaling(Tiny(), []int{2, 4}, 0)
+	rows, err := Scaling(EvaluationScenario(Tiny), []int{2, 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +269,7 @@ func TestAblationVLCollapse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	rows, err := AblationVLCollapse(Tiny(), []int{15, 4}, 0)
+	rows, err := AblationVLCollapse(EvaluationScenario(Tiny), []int{15, 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +295,7 @@ func TestAblationSwitchModels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	rows, err := AblationSwitchModels(Tiny(), []int{1, 2}, 0)
+	rows, err := AblationSwitchModels(EvaluationScenario(Tiny), []int{1, 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,11 +380,11 @@ func TestEvaluateDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	a, err := Evaluate(Tiny(), 1)
+	a, err := Evaluate(EvaluationScenario(Tiny), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Evaluate(Tiny(), 2)
+	b, err := Evaluate(EvaluationScenario(Tiny), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +394,7 @@ func TestEvaluateDeterministic(t *testing.T) {
 }
 
 func TestSLBreakdown(t *testing.T) {
-	run, err := setupWith(Tiny(), smallPayload, nil)
+	run, err := loaded(EvaluationScenario(Tiny))
 	if err != nil {
 		t.Fatal(err)
 	}

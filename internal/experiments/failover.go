@@ -19,52 +19,44 @@ import (
 	"repro/internal/traffic"
 )
 
-// FailoverParams sizes the live-failure experiment: each topology
-// class carries admitted QoS traffic while the run kills one link on a
-// reserved path (revived later) and crashes one host-bearing switch.
-// The recovery subsystem must detect every failure, repair the routes
-// with a fresh channel-dependency-graph proof before activation,
-// reprogram the affected arbitration tables through the in-band
-// programmer, and account for every packet — the point errors out if
-// any of those audits fail.
-type FailoverParams struct {
-	Specs   []topology.Spec
-	Seed    int64
-	Payload int // packet payload bytes
-
-	Conns int // QoS admission attempts per point
-
-	FailAtBT  int64 // first failure time; the link revives at 3x, the switch crashes at 2x
-	HorizonBT int64 // run length; must clear the schedule's last detection window
+// FailoverScenario is the live-failure experiment's base at scale s:
+// each topology class of FailoverSpecs(s) carries admitted QoS traffic
+// while the run kills one link on a reserved path at FailAtBT (revived
+// at 3x) and crashes one host-bearing switch at 2x.  The subnet
+// manager's recovery must detect every failure, repair the routes with
+// a fresh channel-dependency-graph proof before activation, reprogram
+// the affected arbitration tables through the in-band programmer, and
+// account for every packet — the point errors out if any of those
+// audits fail.  HorizonBT must clear the schedule's last detection
+// window.
+func FailoverScenario(s Scale) Scenario {
+	sc := Scenario{
+		Seed: 1, Fabric: fabric.DefaultConfig(0, 256, 0), Inband: true, Metrics: true,
+		Conns: 12, FailAtBT: 100_000, HorizonBT: 450_000,
+	}
+	sc.Fabric.FailoverEscape = true
+	if s != Tiny {
+		sc.Conns = 24
+	}
+	return sc
 }
 
-// FailoverTiny is the unit-test and golden-file scale: the smallest
-// failure-worthy member of each topology class.
-func FailoverTiny() FailoverParams {
-	return FailoverParams{
-		Specs: []topology.Spec{
-			{Class: topology.Irregular, Switches: 6, Seed: 42},
+// FailoverSpecs is the failover sweep's axis at scale s: the smallest
+// failure-worthy member of each topology class at Tiny, mid-size
+// instances above it.
+func FailoverSpecs(s Scale) []topology.Spec {
+	if s == Tiny {
+		return []topology.Spec{
+			irregular(6, 42),
 			{Class: topology.FatTree, K: 4},
 			{Class: topology.Dragonfly, A: 2, P: 1, H: 1},
-		},
-		Seed:      1,
-		Payload:   256,
-		Conns:     12,
-		FailAtBT:  100_000,
-		HorizonBT: 450_000,
+		}
 	}
-}
-
-// FailoverQuick is the CLI default: mid-size instances of each class.
-func FailoverQuick() FailoverParams {
-	p := FailoverTiny()
-	p.Specs = []topology.Spec{
-		{Class: topology.Irregular, Switches: 10, Seed: 42},
+	return []topology.Spec{
+		irregular(10, 42),
 		{Class: topology.FatTree, K: 4},
 		{Class: topology.Dragonfly, A: 4, P: 2, H: 2},
 	}
-	p.Conns = 24
-	return p
 }
 
 // FailoverResult is the outcome of one topology point.  Every field is
@@ -117,66 +109,42 @@ type FailoverResult struct {
 // admitGapBT spaces a failover run's QoS admission attempts.
 const admitGapBT = 277
 
-// FailoverPoint runs one topology point of the failover experiment.
-func FailoverPoint(p FailoverParams, spec topology.Spec, seed int64) (FailoverResult, error) {
-	return failoverRun(p, spec, seed, func(net *fabric.Network, flows []*fabric.Flow) (faults.Schedule, error) {
-		return drawFailoverSchedule(net, flows, p, seed)
+// failoverPoint runs the failover point sc.
+func failoverPoint(sc Scenario) (FailoverResult, error) {
+	return failoverRun(sc, func(net *fabric.Network, flows []*fabric.Flow) (faults.Schedule, error) {
+		return drawFailoverSchedule(net, flows, sc)
 	})
 }
 
-// failoverRun runs one live failover point: QoS admissions, then the
-// failure schedule that schedule draws at p.FailAtBT/2 from the
-// admitted flows (its first failure at p.FailAtBT), recovery, a drain
+// failoverRun runs one live failover point: sc's QoS admissions, then
+// the failure schedule that schedule draws at sc.FailAtBT/2 from the
+// admitted flows (its first failure at sc.FailAtBT), recovery, a drain
 // and the end audits.
-func failoverRun(p FailoverParams, spec topology.Spec, seed int64,
-	schedule func(net *fabric.Network, flows []*fabric.Flow) (faults.Schedule, error)) (FailoverResult, error) {
+func failoverRun(sc Scenario, schedule func(net *fabric.Network, flows []*fabric.Flow) (faults.Schedule, error)) (FailoverResult, error) {
 	var res FailoverResult
-	if p.Conns < 3 || p.Payload < 1 || p.FailAtBT < 1 {
-		return res, fmt.Errorf("experiments: failover point %v out of range", spec)
+	if sc.Conns < 3 || sc.FailAtBT < 1 {
+		return res, fmt.Errorf("experiments: failover point %v out of range", sc.Topology)
 	}
-	topo, err := spec.Generate()
+	r, err := build(sc)
 	if err != nil {
 		return res, err
 	}
-	cfg := fabric.DefaultConfig(topo.NumSwitches, p.Payload, seed)
-	cfg.FailoverEscape = true
-	net, err := fabric.NewWithTopology(cfg, topo)
-	if err != nil {
-		return res, err
-	}
-	net.EnableMetrics()
+	net, prog, rec := r.Net, r.prog, r.rec
+	topo := net.Topo
 
-	res.Class = spec.Class.String()
-	res.Label = spec.Label()
+	res.Class = sc.Topology.Class.String()
+	res.Label = sc.Topology.Label()
 	res.Switches = topo.NumSwitches
 	res.Hosts = topo.NumHosts()
-	res.Seed = seed
-
-	if res.BaseCDG, err = cdg.Verify(topo, net.Routes); err != nil {
-		return res, err
-	}
-
-	// Table changes — admissions, displacement releases, re-admissions —
-	// travel in-band through the reliable programmer, against the same
-	// fault injector the failure windows live in.
-	m := subnet.NewManager(net.Topo)
-	m.Routes = net.Routes
-	prog := subnet.NewInbandProgrammer(net.Ctrl, m)
-	prog.Counters = &net.Metrics.Control
-	net.Adm.SetProgrammer(prog)
-
-	rec, err := m.EnableRecovery(net)
-	if err != nil {
-		return res, err
-	}
-	prog.Faults = net.Faults
+	res.Seed = sc.Seed
+	res.BaseCDG = r.proof
 
 	// QoS admissions, spread out in time so in-flight table programs
 	// do not reject their successors.
-	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), seed+1)
+	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), sc.Seed+1)
 	eng := net.Ctrl // == net.Engine on the single engine recovery requires
 	var flows []*fabric.Flow
-	for i := 0; i < p.Conns; i++ {
+	for i := 0; i < sc.Conns; i++ {
 		req := src.Next()
 		eng.At(int64(i)*admitGapBT+1, func() {
 			res.Attempts++
@@ -200,8 +168,8 @@ func failoverRun(p FailoverParams, spec topology.Spec, seed int64,
 	var runErr error
 	var failures map[int64]bool
 	madsAtFailure := 0
-	eng.At(p.FailAtBT, func() { madsAtFailure = prog.Costs.MADs })
-	eng.At(p.FailAtBT/2, func() {
+	eng.At(sc.FailAtBT, func() { madsAtFailure = prog.Costs.MADs })
+	eng.At(sc.FailAtBT/2, func() {
 		if len(flows) < 3 {
 			runErr = fmt.Errorf("failover %s: only %d connections admitted", res.Label, len(flows))
 			return
@@ -217,8 +185,8 @@ func failoverRun(p FailoverParams, spec topology.Spec, seed int64,
 			failures[ev.At] = true
 			last = max(last, ev.At, ev.Revive)
 		}
-		if p.HorizonBT <= last+subnet.TimeoutBT+2*subnet.PollBT {
-			runErr = fmt.Errorf("failover %s: horizon %d inside the last detection window", res.Label, p.HorizonBT)
+		if sc.HorizonBT <= last+subnet.TimeoutBT+2*subnet.PollBT {
+			runErr = fmt.Errorf("failover %s: horizon %d inside the last detection window", res.Label, sc.HorizonBT)
 			return
 		}
 		res.Schedule = sched.String()
@@ -232,7 +200,7 @@ func failoverRun(p FailoverParams, spec topology.Spec, seed int64,
 		}
 	})
 
-	net.Run(p.HorizonBT)
+	net.Run(sc.HorizonBT)
 	if runErr != nil {
 		return res, runErr
 	}
@@ -315,7 +283,7 @@ func failoverRun(p FailoverParams, spec topology.Spec, seed int64,
 // traffic: the first inter-switch hop of a reserved path (killed, then
 // revived at 3x the failure time) and the host-bearing switch of a
 // seed-chosen connection's destination (crashed for good at 2x).
-func drawFailoverSchedule(net *fabric.Network, flows []*fabric.Flow, p FailoverParams, seed int64) (faults.Schedule, error) {
+func drawFailoverSchedule(net *fabric.Network, flows []*fabric.Flow, sc Scenario) (faults.Schedule, error) {
 	var s faults.Schedule
 	for _, f := range flows {
 		path, err := net.Routes.PathSwitches(f.Src, f.Dst)
@@ -324,32 +292,34 @@ func drawFailoverSchedule(net *fabric.Network, flows []*fabric.Flow, p FailoverP
 		}
 		s = append(s, faults.FailureEvent{
 			Kind: faults.FailLink, Switch: path[0], Port: net.Routes.NextPort(path[0], f.Dst),
-			At: p.FailAtBT, Revive: 3 * p.FailAtBT,
+			At: sc.FailAtBT, Revive: 3 * sc.FailAtBT,
 		})
 		break
 	}
 	if len(s) == 0 {
 		return nil, fmt.Errorf("no reserved path crosses an inter-switch link")
 	}
-	rng := rand.New(rand.NewSource(seed + 7))
+	rng := rand.New(rand.NewSource(sc.Seed + 7))
 	victim := flows[rng.Intn(len(flows))]
 	sw, _ := net.Topo.HostSwitch(victim.Dst)
-	s = append(s, faults.FailureEvent{Kind: faults.FailSwitch, Switch: sw, At: 2 * p.FailAtBT})
+	s = append(s, faults.FailureEvent{Kind: faults.FailSwitch, Switch: sw, At: 2 * sc.FailAtBT})
 	return s, nil
 }
 
-// FailoverSweep runs every topology point of the grid.  Results come
-// back in input order regardless of worker count, so the sweep's JSON
-// encoding is bit-identical at any parallelism.
-func FailoverSweep(p FailoverParams, workers int) ([]FailoverResult, error) {
-	jobs := make([]runner.Job[FailoverResult], len(p.Specs))
-	for i := range jobs {
-		spec := p.Specs[i]
+// FailoverSweep runs sc on every topology of specs, each at a seed
+// derived from sc's and the point's index; the wiring stays the spec's.
+// Results come back in input order regardless of worker count, so the
+// sweep's JSON encoding is bit-identical at any parallelism.
+func FailoverSweep(sc Scenario, specs []topology.Spec, workers int) ([]FailoverResult, error) {
+	jobs := make([]runner.Job[FailoverResult], len(specs))
+	for i, spec := range specs {
 		jobs[i] = runner.Job[FailoverResult]{
 			Name: spec.Label(),
-			Seed: runner.DeriveSeed(p.Seed, i),
+			Seed: runner.DeriveSeed(sc.Seed, i),
 			Run: func(seed int64) (FailoverResult, error) {
-				return FailoverPoint(p, spec, seed)
+				p := sc
+				p.Topology, p.Seed = spec, seed
+				return failoverPoint(p)
 			},
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/runner"
-	"repro/internal/topology"
 )
 
 // TestFailoverTinyConverges runs the tiny failover sweep and checks
@@ -15,7 +14,7 @@ func TestFailoverTinyConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	res, err := FailoverSweep(FailoverTiny(), 0)
+	res, err := FailoverSweep(FailoverScenario(Tiny), FailoverSpecs(Tiny), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +50,12 @@ func TestFailoverWorkerIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	p := FailoverTiny()
-	serial, err := FailoverSweep(p, 1)
+	sc, specs := FailoverScenario(Tiny), FailoverSpecs(Tiny)
+	serial, err := FailoverSweep(sc, specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := FailoverSweep(p, 4)
+	parallel, err := FailoverSweep(sc, specs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +82,13 @@ func TestFailoverRevivedPortHeals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	p := FailoverTiny()
+	sc := FailoverScenario(Tiny)
 	for _, n := range []int{6, 8, 10, 12} {
-		spec := topology.Spec{Class: topology.Irregular, Switches: n, Seed: 42}
+		sc.Topology = irregular(n, 42)
 		for s := int64(1); s <= 10; s++ {
-			if _, err := FailoverPoint(p, spec, runner.DeriveSeed(s, 0)); err != nil {
-				t.Errorf("%s base seed %d: %v", spec.Label(), s, err)
+			sc.Seed = runner.DeriveSeed(s, 0)
+			if _, err := failoverPoint(sc); err != nil {
+				t.Errorf("%s base seed %d: %v", sc.Topology.Label(), s, err)
 			}
 		}
 	}
@@ -100,7 +100,7 @@ func TestFailoverQuickConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	if _, err := FailoverSweep(FailoverQuick(), 0); err != nil {
+	if _, err := FailoverSweep(FailoverScenario(Quick), FailoverSpecs(Quick), 0); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -14,61 +14,27 @@ import (
 	"repro/internal/topology"
 )
 
-// FaultParams sizes the fault-injection experiment: the churn workload
-// runs unchanged, but the management network loses, duplicates,
-// corrupts and reorders SMPs, and a flap schedule takes links down
-// while connections arrive and leave.  The hardened control plane —
-// retransmission, transaction deadlines, the self-healing audit — must
-// keep every guarantee the fault-free runs prove: admitted connections
-// keep their distance placement, every transaction terminates (commit
-// or byte-identical rollback), and the whole run is bit-identical
-// across worker counts.
-type FaultParams struct {
-	Churn ChurnParams
-
-	// Per-SMP fault probabilities (see faults.Config).
-	Drop         float64
-	Duplicate    float64
-	Corrupt      float64
-	Reorder      float64
-	MaxReorderBT int64
-
-	// Flaps is the number of link-down windows drawn from the seed;
-	// each takes one random link down for an exponentially distributed
-	// time with mean MeanFlapDownBT.
-	Flaps          int
-	MeanFlapDownBT int64
-
-	Audit subnet.AuditConfig
-}
-
-// FaultsTiny is the unit-test and golden scale: the churn-tiny workload
-// under moderate loss, occasional corruption and a few short flaps.
-func FaultsTiny() FaultParams {
-	c := ChurnTiny()
-	c.Seed = 1
-	c.Retry.DeadlineBT = 1 << 20 // cap total admission retry time too
-	return FaultParams{
-		Churn:          c,
-		Drop:           0.05,
-		Duplicate:      0.05,
-		Corrupt:        0.02,
-		Reorder:        0.05,
-		MaxReorderBT:   256,
-		Flaps:          3,
-		MeanFlapDownBT: 16384,
-		Audit:          subnet.DefaultAuditConfig(),
+// FaultsScenario is the fault-injection experiment's base at scale s:
+// the churn workload of ChurnScenario(s) runs unchanged, but the
+// management network loses, duplicates, corrupts and reorders SMPs, and
+// a flap schedule takes links down while connections arrive and leave.
+// The hardened control plane — retransmission, transaction deadlines,
+// the self-healing audit — must keep every guarantee the fault-free
+// runs prove: admitted connections keep their distance placement,
+// every transaction terminates (commit or byte-identical rollback), and
+// the whole run is bit-identical across worker counts.  Tiny runs
+// moderate loss, occasional corruption and a few short flaps.
+func FaultsScenario(s Scale) Scenario {
+	sc := ChurnScenario(s).seeded(1)
+	sc.Retry.DeadlineBT = 1 << 20 // cap total admission retry time too
+	sc.SMPFaults = true
+	sc.Faults = faults.Config{Drop: 0.05, Duplicate: 0.05, Corrupt: 0.02, Reorder: 0.05, MaxReorderBT: 256}
+	sc.Flaps, sc.MeanFlapDownBT = 3, 16384
+	if s != Tiny {
+		sc.Flaps = 6
 	}
-}
-
-// FaultsQuick is the CLI default: the churn-quick workload under the
-// same fault model.
-func FaultsQuick() FaultParams {
-	p := FaultsTiny()
-	p.Churn.Switches = 4
-	p.Churn.Arrivals = 240
-	p.Flaps = 6
-	return p
+	sc.Audit = subnet.DefaultAuditConfig()
+	return sc
 }
 
 // FaultsResult is the outcome of one faulty churn run.  Like
@@ -118,14 +84,14 @@ type FaultsResult struct {
 	Windows  uint64 `json:"windows,omitempty"`
 }
 
-// drawFlapSchedule pre-draws the link-down windows from the seed: the
+// drawFlapSchedule pre-draws sc's link-down windows from the seed: the
 // flapped links, start times across the arrival span, and hold times
 // are all fixed before the simulation starts, like the churn arrivals.
-func drawFlapSchedule(p FaultParams, topo *topology.Topology, inj *faults.Injector, span int64) {
-	if p.Flaps < 1 {
+func drawFlapSchedule(sc Scenario, topo *topology.Topology, inj *faults.Injector, span int64) {
+	if sc.Flaps < 1 {
 		return
 	}
-	rng := rand.New(rand.NewSource(p.Churn.Seed + 2))
+	rng := rand.New(rand.NewSource(sc.Seed + 2))
 	var links []int32
 	for h := 0; h < topo.NumHosts(); h++ {
 		links = append(links, faults.HostKey(h))
@@ -137,31 +103,31 @@ func drawFlapSchedule(p FaultParams, topo *topology.Topology, inj *faults.Inject
 			}
 		}
 	}
-	for i := 0; i < p.Flaps; i++ {
+	for i := 0; i < sc.Flaps; i++ {
 		link := links[rng.Intn(len(links))]
 		from := 1 + rng.Int63n(span)
-		down := 1 + int64(rng.ExpFloat64()*float64(p.MeanFlapDownBT))
+		down := 1 + int64(rng.ExpFloat64()*float64(sc.MeanFlapDownBT))
 		inj.AddLinkDown(link, from, from+down)
 	}
 }
 
-// Faults runs one fault-injection experiment: the churn lifecycles of
-// p.Churn on the lifecycle driver (see runLifecycles) with p's fault
-// rig.  The same audits as Churn's run after every admission outcome
+// runFaults runs one fault-injection experiment: the churn lifecycles
+// of sc on the lifecycle driver (see runLifecycles) with sc's fault
+// rig.  The same audits as runChurn's run after every admission outcome
 // and release, and at the end every transaction and audit round must
 // have terminated and every hop the control plane did not deliberately
 // quarantine must have converged (active == shadow).
-func Faults(p FaultParams) (FaultsResult, error) {
-	lc, err := runLifecycles(p.Churn, &p)
+func runFaults(sc Scenario) (FaultsResult, error) {
+	lc, err := runLifecycles(sc)
 	if err != nil {
 		return FaultsResult{}, err
 	}
 	return FaultsResult{
 		Switches: lc.Switches, Hosts: lc.Hosts, Seed: lc.Seed,
-		Drop: p.Drop, Corrupt: p.Corrupt, Flaps: p.Flaps,
+		Drop: sc.Faults.Drop, Corrupt: sc.Faults.Corrupt, Flaps: sc.Flaps,
 		Offered: lc.Offered, Admitted: lc.Admitted, Released: lc.Released,
 		RejectedCapacity: lc.RejectedCapacity, RejectedBusy: lc.RejectedBusy, RejectedDown: lc.rejectedDown,
-		Control: lc.net.Metrics.Control, Reconfig: lc.Reconfig, Injected: lc.inj.Stats(),
+		Control: lc.net.Metrics.Control, Reconfig: lc.Reconfig, Injected: lc.net.Faults.Stats(),
 		QuarantinedAtEnd: lc.quarantined, EndTimeBT: lc.EndTimeBT,
 		MeanVLRateCoV: lc.MeanVLRateCoV, MaxVLRateCoV: lc.MaxVLRateCoV,
 		Parallel: lc.Parallel, Windows: lc.Windows,
@@ -185,26 +151,25 @@ var faultGrid = []faultPoint{
 	{0.10, 0.04, 5, 1},
 }
 
-// FaultsSweep runs the experiment across the fault grid (drop and
-// corruption rates, flap counts), one job per point.  Results come back
-// in input order regardless of worker count, so the sweep's JSON is
-// bit-identical at any parallelism.
-func FaultsSweep(base FaultParams, workers int) ([]FaultsResult, error) {
+// FaultsSweep runs sc across the fault grid (drop and corruption
+// rates, flap counts), one job per point, every point at sc's seed,
+// which also wires the fabric.  Results come back in input order
+// regardless of worker count, so the sweep's JSON is bit-identical at
+// any parallelism.
+func FaultsSweep(sc Scenario, workers int) ([]FaultsResult, error) {
+	sc = sc.seeded(sc.Seed)
 	jobs := make([]runner.Job[FaultsResult], len(faultGrid))
 	for i := range jobs {
 		pt := faultGrid[i]
 		jobs[i] = runner.Job[FaultsResult]{
 			Name: fmt.Sprintf("faults-d%g-c%g-f%d", pt.drop, pt.corrupt, pt.flaps),
-			Seed: base.Churn.Seed,
-			Run: func(seed int64) (FaultsResult, error) {
-				p := base
-				p.Churn.Seed = seed
-				p.Drop = pt.drop
-				p.Corrupt = pt.corrupt
-				p.Flaps = pt.flaps
-				p.Duplicate *= pt.scale
-				p.Reorder *= pt.scale
-				return Faults(p)
+			Seed: sc.Seed,
+			Run: func(int64) (FaultsResult, error) {
+				p := sc
+				p.Faults.Drop, p.Faults.Corrupt, p.Flaps = pt.drop, pt.corrupt, pt.flaps
+				p.Faults.Duplicate *= pt.scale
+				p.Faults.Reorder *= pt.scale
+				return runFaults(p)
 			},
 		}
 	}

@@ -10,7 +10,7 @@ import (
 // still terminate with every surviving port converged (the run itself
 // errors otherwise).
 func TestFaultsTinyRecoveryWork(t *testing.T) {
-	res, err := Faults(FaultsTiny())
+	res, err := runFaults(FaultsScenario(Tiny))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,16 +32,15 @@ func TestFaultsTinyRecoveryWork(t *testing.T) {
 // TestFaultsEveryTransactionTerminates is the property test: for any
 // seed — and with it any injected fault sequence and flap schedule —
 // the run ends with every transaction settled and active == shadow on
-// all surviving hops.  Faults() returns an error on any violation, so
+// all surviving hops.  runFaults returns an error on any violation, so
 // the property is simply that the runs succeed.
 func TestFaultsEveryTransactionTerminates(t *testing.T) {
 	for _, seed := range []int64{2, 3, 5, 8, 13} {
-		p := FaultsTiny()
-		p.Churn.Seed = seed
-		p.Churn.Arrivals = 40
-		p.Drop = 0.08
-		p.Corrupt = 0.04
-		res, err := Faults(p)
+		sc := FaultsScenario(Tiny).seeded(seed)
+		sc.Arrivals = 40
+		sc.Faults.Drop = 0.08
+		sc.Faults.Corrupt = 0.04
+		res, err := runFaults(sc)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -54,8 +53,8 @@ func TestFaultsEveryTransactionTerminates(t *testing.T) {
 // TestFaultsSweepBitIdenticalAcrossWorkers: the fault sweep's entire
 // JSON encoding must not depend on how many workers ran it.
 func TestFaultsSweepBitIdenticalAcrossWorkers(t *testing.T) {
-	base := FaultsTiny()
-	base.Churn.Arrivals = 40
+	base := FaultsScenario(Tiny)
+	base.Arrivals = 40
 	one, err := FaultsSweep(base, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +80,10 @@ func TestFaultsSweepBitIdenticalAcrossWorkers(t *testing.T) {
 // rates, zero flaps) runs the reliable machinery with nothing to
 // recover from — no faults dealt, no retransmissions, no quarantines.
 func TestFaultsFaultFreePointStillAudits(t *testing.T) {
-	p := FaultsTiny()
-	p.Churn.Arrivals = 40
-	p.Drop, p.Duplicate, p.Corrupt, p.Reorder, p.Flaps = 0, 0, 0, 0, 0
-	res, err := Faults(p)
+	sc := FaultsScenario(Tiny)
+	sc.Arrivals = 40
+	sc.Faults.Drop, sc.Faults.Duplicate, sc.Faults.Corrupt, sc.Faults.Reorder, sc.Flaps = 0, 0, 0, 0, 0
+	res, err := runFaults(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

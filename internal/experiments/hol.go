@@ -11,45 +11,6 @@ import (
 	"repro/internal/topology"
 )
 
-// HOLParams sizes the head-of-line-blocking experiment: the paper's
-// table fill-in algorithm assumes output-driven WRR switches, and this
-// sweep audits whether its distance-based QoS guarantee survives on
-// input-queued hardware.  Every (spec, load) point runs once per
-// switch model — the WRR baseline, iSLIP, and the MWM oracle — with
-// the SAME derived seed, so the three rows of a point offer identical
-// traffic to identical fabrics and differ only in the switch
-// scheduler.  The audit is then a straight column comparison: deadline
-// satisfaction and worst delay/deadline ratio against the WRR row,
-// with the VOQ counters (HOL stalls, matching sizes) explaining any
-// erosion.
-type HOLParams struct {
-	ScaleParams
-	Models []fabric.SwitchModel
-
-	// ISLIPIters is the iteration depth of the iSLIP points; zero
-	// selects fabric.DefaultISLIPIters.
-	ISLIPIters int
-}
-
-// HOLTiny is the unit-test and golden-file scale: the scale
-// experiment's tiny grid under all three switch models.
-func HOLTiny() HOLParams {
-	return HOLParams{
-		ScaleParams: ScaleTiny(),
-		Models: []fabric.SwitchModel{
-			fabric.ModelWRR, fabric.ModelVOQISLIP, fabric.ModelVOQMWM,
-		},
-	}
-}
-
-// HOLQuick is the CLI default: the scale experiment's mid-size
-// instances of each class.
-func HOLQuick() HOLParams {
-	p := HOLTiny()
-	p.ScaleParams = ScaleQuick()
-	return p
-}
-
 // HOLResult is the outcome of one (spec, model, load) point.  Every
 // field is a pure function of the point's parameters and seed, so
 // equal inputs give byte-identical JSON at any worker count.
@@ -82,71 +43,69 @@ type HOLResult struct {
 	VOQ *metrics.VOQSnapshot `json:"voq,omitempty"`
 }
 
-// HOLPoint runs one (spec, model, load) point.
-func HOLPoint(p HOLParams, spec topology.Spec, model fabric.SwitchModel, load float64, seed int64) (HOLResult, error) {
-	pt, err := runLoadedPoint(p, model, spec, load, seed)
+// holPoint runs the point sc under its switch model.
+func holPoint(sc Scenario) (HOLResult, error) {
+	r, err := measured(sc)
 	if err != nil {
 		return HOLResult{}, err
 	}
-	net := pt.net
+	net := r.Net
+	_, _, dropped := net.Totals()
 	res := HOLResult{
-		Label:    spec.Label(),
-		Model:    model.String(),
+		Label:    sc.Topology.Label(),
+		Model:    sc.Fabric.SwitchModel.String(),
 		Switches: net.Topo.NumSwitches,
 		Hosts:    net.Topo.NumHosts(),
-		Seed:     seed,
-		Load:     load,
+		Seed:     sc.Seed,
+		Load:     sc.Load,
 
-		Attempts: pt.fill.Attempts,
-		Admitted: len(pt.fill.Admitted),
-		BEFlows:  pt.beFlows,
+		Attempts: r.Fill.Attempts,
+		Admitted: len(r.Fill.Admitted),
+		BEFlows:  len(r.BEFlows),
 
 		DeliveredBPCNode: net.DeliveredBytesPerCyclePerNode(),
 		SwitchUtil:       net.MeanSwitchPortUtilization(),
 
-		DroppedPackets: pt.dropped,
+		DroppedPackets: dropped,
 		EndTimeBT:      net.Now(),
-		VOQ:            pt.metrics.Snapshot().VOQ,
+		VOQ:            net.Metrics.Snapshot().VOQ,
 	}
-	if pt.delay.Total() > 0 {
-		res.MeanDelayRatio = pt.delay.MeanRatio()
-		res.WorstDelayRatio = pt.delay.MaxRatio()
-		res.DeadlineMetPct = pt.delay.PercentMeetingDeadline()
+	if delay := mergedDelay(r.Flows); delay.Total() > 0 {
+		res.MeanDelayRatio = delay.MeanRatio()
+		res.WorstDelayRatio = delay.MaxRatio()
+		res.DeadlineMetPct = delay.PercentMeetingDeadline()
 	}
 	return res, nil
 }
 
-// HOLSweep runs every (spec, load, model) point of the grid.  The
-// derived seed depends only on the (spec, load) cell, so the models of
-// a cell see identical traffic; results come back in input order
+// HOLSweep runs sc at every (spec, load, model) point of the grid: the
+// paper's table fill-in algorithm assumes output-driven WRR switches,
+// and this sweep audits whether its distance-based QoS guarantee
+// survives on input-queued hardware.  The derived seed depends only on
+// the (spec, load) cell, so the models of a cell offer identical
+// traffic to identical fabrics and differ only in the switch scheduler:
+// deadline satisfaction and worst delay/deadline ratio compare straight
+// against the WRR row, with the VOQ counters (HOL stalls, matching
+// sizes) explaining any erosion.  Results come back in input order
 // regardless of worker count, so the sweep's JSON encoding is
 // bit-identical at any parallelism.
-func HOLSweep(p HOLParams, workers int) ([]HOLResult, error) {
-	type point struct {
-		spec  topology.Spec
-		model fabric.SwitchModel
-		load  float64
-		cell  int // (spec, load) index shared by the cell's models
-	}
-	var grid []point
-	cell := 0
-	for _, spec := range p.Specs {
-		for _, load := range p.Loads {
-			for _, model := range p.Models {
-				grid = append(grid, point{spec, model, load, cell})
+func HOLSweep(sc Scenario, specs []topology.Spec, loads []float64, models []fabric.SwitchModel, workers int) ([]HOLResult, error) {
+	var jobs []runner.Job[HOLResult]
+	cell := 0 // (spec, load) index shared by the cell's models
+	for _, spec := range specs {
+		for _, load := range loads {
+			for _, model := range models {
+				jobs = append(jobs, runner.Job[HOLResult]{
+					Name: fmt.Sprintf("%s-%s-load%g", spec.Label(), model, load),
+					Seed: runner.DeriveSeed(sc.Seed, cell),
+					Run: func(seed int64) (HOLResult, error) {
+						p := sc.at(spec, load, seed)
+						p.Fabric.SwitchModel = model
+						return holPoint(p)
+					},
+				})
 			}
 			cell++
-		}
-	}
-	jobs := make([]runner.Job[HOLResult], len(grid))
-	for i := range jobs {
-		pt := grid[i]
-		jobs[i] = runner.Job[HOLResult]{
-			Name: fmt.Sprintf("%s-%s-load%g", pt.spec.Label(), pt.model, pt.load),
-			Seed: runner.DeriveSeed(p.Seed, pt.cell),
-			Run: func(seed int64) (HOLResult, error) {
-				return HOLPoint(p, pt.spec, pt.model, pt.load, seed)
-			},
 		}
 	}
 	return runner.Sweep(jobs, workers)

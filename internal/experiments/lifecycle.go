@@ -11,9 +11,7 @@ import (
 	"repro/internal/arbtable"
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/faults"
 	"repro/internal/sl"
-	"repro/internal/subnet"
 	"repro/internal/traffic"
 )
 
@@ -24,12 +22,11 @@ import (
 const lifecycleHoldCap = 20
 
 // lifecycles is the outcome of one lifecycle run: the churn report,
-// filled in full, and what a fault rig adds to it.  Churn returns the
-// report; Faults copies its fields from it.
+// filled in full, and what a fault rig adds to it.  runChurn returns
+// the report; runFaults copies its fields from it.
 type lifecycles struct {
 	ChurnResult
 	net *fabric.Network
-	inj *faults.Injector // nil without a fault rig
 
 	rejectedDown, quarantined int
 }
@@ -44,9 +41,9 @@ type churnArrival struct {
 	req  traffic.Request
 }
 
-// runLifecycles runs p's connection lifecycles on a live fabric: every
-// arrival goes through AdmitWithRetry, an admitted connection starts
-// its flow and is released after its hold, and every table delta
+// runLifecycles runs sc's connection lifecycles on a live fabric:
+// every arrival goes through AdmitWithRetry, an admitted connection
+// starts its flow and is released after its hold, and every table delta
 // travels in-band as SMPs on the control lane.  After every admission
 // outcome and every completed release it audits the admission
 // invariants, and at the end it audits the whole fabric
@@ -55,52 +52,28 @@ type churnArrival struct {
 // (Controller.CheckConverged).  Any violation, and any lifecycle
 // unresolved past the lifecycleHoldCap bound, is an error.
 //
-// rig, when non-nil, is a fault rig: an injector dealing SMP fates and
-// link flaps to the control and data planes (attached to the
+// With SMPFaults the run carries a fault rig: an injector dealing SMP
+// fates and link flaps to the control and data planes (attached to the
 // programmer, it selects reliable delivery), and the self-healing
 // auditor, whose quarantined ports admission refuses (ErrHopDown) and
 // the end audit skips.
-func runLifecycles(p ChurnParams, rig *FaultParams) (*lifecycles, error) {
-	if p.Switches < 2 || p.Arrivals < 1 || p.MeanGapBT < 1 || p.MeanHoldBT < 1 {
-		return nil, fmt.Errorf("experiments: churn parameters %+v out of range", p)
+func runLifecycles(sc Scenario) (*lifecycles, error) {
+	if sc.Arrivals < 1 || sc.MeanGapBT < 1 || sc.MeanHoldBT < 1 || sc.SampleBT < 1 || !sc.Inband {
+		return nil, fmt.Errorf("experiments: churn of %d arrivals (gap %d, hold %d, sample %d BT, in-band %v) out of range",
+			sc.Arrivals, sc.MeanGapBT, sc.MeanHoldBT, sc.SampleBT, sc.Inband)
 	}
-	if p.SampleBT < 1 {
-		p.SampleBT = 8192
-	}
-	cfg := fabric.DefaultConfig(p.Switches, p.Payload, p.Seed)
-	cfg.Shards = p.Shards
-	net, err := fabric.New(cfg)
+	r, err := build(sc)
 	if err != nil {
 		return nil, err
 	}
-	net.EnableMetrics()
+	net, prog, aud := r.Net, r.prog, r.aud
 
-	// Table programs travel in-band through the subnet manager, as
-	// typed events on the control lane (the shared engine in
-	// single-engine runs, the serialized barrier lane in parallel).
-	m := subnet.NewManager(net.Topo)
-	m.Routes = net.Routes
-	prog := subnet.NewInbandProgrammer(net.Ctrl, m)
-	prog.Counters = net.ControlCounters()
-	if net.Parallel() {
-		prog.ShardOf = net.PortShard
-		prog.HomeShard = net.PortShard(admission.SwitchPortID(m.HomeSwitch, 0))
-	}
-	net.Adm.SetProgrammer(prog)
-
-	arrivals := drawChurnArrivals(p, net.Topo.NumHosts())
+	arrivals := drawChurnArrivals(sc, net.Topo.NumHosts())
 	lastArrival := arrivals[len(arrivals)-1].at
 	lc := &lifecycles{net: net}
-	lc.Switches, lc.Hosts, lc.Seed, lc.Offered = p.Switches, net.Topo.NumHosts(), p.Seed, p.Arrivals
-	var aud *subnet.Auditor
-	if rig != nil {
-		lc.inj = faults.New(faults.Config{Seed: p.Seed, Drop: rig.Drop, Duplicate: rig.Duplicate,
-			Corrupt: rig.Corrupt, Reorder: rig.Reorder, MaxReorderBT: rig.MaxReorderBT})
-		net.SetFaults(lc.inj)
-		prog.Faults = lc.inj
-		aud = subnet.NewAuditor(net.Ctrl, prog, rig.Audit)
-		net.Adm.Down = aud.Quarantined
-		drawFlapSchedule(*rig, net.Topo, lc.inj, lastArrival)
+	lc.Switches, lc.Hosts, lc.Seed, lc.Offered = net.Topo.NumSwitches, net.Topo.NumHosts(), sc.Seed, sc.Arrivals
+	if sc.SMPFaults {
+		drawFlapSchedule(sc, net.Topo, net.Faults, lastArrival)
 	}
 
 	eng := net.Ctrl
@@ -122,7 +95,7 @@ func runLifecycles(p ChurnParams, rig *FaultParams) (*lifecycles, error) {
 	var latSum, slowestIAT int64
 	for i, arr := range arrivals {
 		eng.At(arr.at, func() {
-			net.Adm.AdmitWithRetry(eng, arr.req, p.Retry, func(conn *admission.Conn, err error) {
+			net.Adm.AdmitWithRetry(eng, arr.req, sc.Retry, func(conn *admission.Conn, err error) {
 				if err != nil {
 					switch {
 					case errors.Is(err, admission.ErrHopDown):
@@ -170,12 +143,12 @@ func runLifecycles(p ChurnParams, rig *FaultParams) (*lifecycles, error) {
 		}
 		samples = append(samples, rates)
 		if outstanding > 0 {
-			eng.After(p.SampleBT, sample)
+			eng.After(sc.SampleBT, sample)
 		}
 	}
-	eng.After(p.SampleBT, sample)
+	eng.After(sc.SampleBT, sample)
 
-	limit := func() int64 { return lastArrival + lifecycleHoldCap*p.MeanHoldBT + slowestIAT }
+	limit := func() int64 { return lastArrival + lifecycleHoldCap*sc.MeanHoldBT + slowestIAT }
 	net.RunWhile(func() bool { return auditErr == nil && (outstanding == 0 || eng.Now() <= limit()) })
 	if auditErr != nil {
 		return nil, auditErr
@@ -230,16 +203,16 @@ func runLifecycles(p ChurnParams, rig *FaultParams) (*lifecycles, error) {
 
 // drawChurnArrivals pre-draws every arrival time, hold time and
 // request from the run's seed.
-func drawChurnArrivals(p ChurnParams, numHosts int) []churnArrival {
-	rng := rand.New(rand.NewSource(p.Seed))
-	src := traffic.NewSource(sl.DefaultLevels, numHosts, p.Seed+1)
-	arrivals := make([]churnArrival, p.Arrivals)
+func drawChurnArrivals(sc Scenario, numHosts int) []churnArrival {
+	rng := rand.New(rand.NewSource(sc.Seed))
+	src := traffic.NewSource(sl.DefaultLevels, numHosts, sc.Seed+1)
+	arrivals := make([]churnArrival, sc.Arrivals)
 	t := int64(0)
 	for i := range arrivals {
-		t += 1 + int64(rng.ExpFloat64()*float64(p.MeanGapBT))
+		t += 1 + int64(rng.ExpFloat64()*float64(sc.MeanGapBT))
 		arrivals[i] = churnArrival{
 			at:   t,
-			hold: 1 + int64(rng.ExpFloat64()*float64(p.MeanHoldBT)),
+			hold: 1 + int64(rng.ExpFloat64()*float64(sc.MeanHoldBT)),
 			req:  src.Next(),
 		}
 	}

@@ -21,14 +21,14 @@ import (
 // (ci.sh re-runs this test under -race: the control lane must never
 // touch shard state while a window is in flight.)
 func TestParallelControlChurn(t *testing.T) {
-	p := ChurnTiny()
-	p.Shards = 2
-	res, err := Churn(p)
+	sc := ChurnScenario(Tiny)
+	sc.Fabric.Shards = 2
+	res, err := runChurn(sc)
 	if err != nil {
 		t.Fatalf("parallel churn: %v", err)
 	}
 	if !res.Parallel {
-		t.Fatalf("churn at %d shards did not run the parallel coordinator", p.Shards)
+		t.Fatalf("churn at %d shards did not run the parallel coordinator", sc.Fabric.Shards)
 	}
 	if res.Windows == 0 {
 		t.Error("parallel churn reports zero sync windows")
@@ -50,14 +50,14 @@ func TestParallelControlChurn(t *testing.T) {
 // counters must show cross-shard MAD traffic and barrier-serialized
 // control events.
 func TestParallelControlFaults(t *testing.T) {
-	p := FaultsTiny()
-	p.Churn.Shards = 2
-	res, err := Faults(p)
+	sc := FaultsScenario(Tiny)
+	sc.Fabric.Shards = 2
+	res, err := runFaults(sc)
 	if err != nil {
 		t.Fatalf("parallel faults: %v", err)
 	}
 	if !res.Parallel {
-		t.Fatalf("faults at %d shards did not run the parallel coordinator", p.Churn.Shards)
+		t.Fatalf("faults at %d shards did not run the parallel coordinator", sc.Fabric.Shards)
 	}
 	if res.Windows == 0 {
 		t.Error("parallel faults reports zero sync windows")
@@ -91,27 +91,13 @@ type controlDigest struct {
 // (no data traffic at all), and digests the final table state.
 func runControlScript(t *testing.T, spec topology.Spec, shards int) (controlDigest, int64) {
 	t.Helper()
-	topo, err := spec.Generate()
-	if err != nil {
-		t.Fatalf("%s: %v", spec.Label(), err)
-	}
-	cfg := fabric.DefaultConfig(topo.NumSwitches, 256, 7)
-	cfg.Shards = shards
-	net, err := fabric.NewWithTopology(cfg, topo)
+	sc := Scenario{Seed: 7, Topology: spec, Fabric: fabric.DefaultConfig(0, 256, 0), Inband: true, Metrics: true}
+	sc.Fabric.Shards = shards
+	r, err := build(sc)
 	if err != nil {
 		t.Fatalf("%s shards=%d: %v", spec.Label(), shards, err)
 	}
-	net.EnableMetrics()
-
-	m := subnet.NewManager(net.Topo)
-	m.Routes = net.Routes
-	prog := subnet.NewInbandProgrammer(net.Ctrl, m)
-	prog.Counters = net.ControlCounters()
-	if net.Parallel() {
-		prog.ShardOf = net.PortShard
-		prog.HomeShard = net.PortShard(admission.SwitchPortID(m.HomeSwitch, 0))
-	}
-	net.Adm.SetProgrammer(prog)
+	net, prog, topo := r.Net, r.prog, r.Net.Topo
 
 	// The script: admissions at fixed control times, every third
 	// connection released at a fixed later time.  With no data-plane

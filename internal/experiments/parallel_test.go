@@ -39,11 +39,10 @@ func digestJobs(configs []sweepConfig) []runner.Job[configDigest] {
 			Name: fmt.Sprintf("det-%dsw-seed%d", c.Switches, c.Seed),
 			Seed: c.Seed,
 			Run: func(int64) (configDigest, error) {
-				p := Tiny()
-				p.Switches = c.Switches
-				p.Seed = c.Seed
-				p.Metrics = true
-				run, err := setupAndExecute(p, smallPayload, nil)
+				sc := EvaluationScenario(Tiny).seeded(c.Seed)
+				sc.Topology.Switches = c.Switches
+				sc.Metrics = true
+				run, err := measured(sc)
 				if err != nil {
 					return configDigest{}, err
 				}
@@ -123,11 +122,11 @@ func TestScalingDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	seq, err := Scaling(Tiny(), []int{2, 3, 4}, 1)
+	seq, err := Scaling(EvaluationScenario(Tiny), []int{2, 3, 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Scaling(Tiny(), []int{2, 3, 4}, 4)
+	par, err := Scaling(EvaluationScenario(Tiny), []int{2, 3, 4}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +139,10 @@ func TestScalingDeterministicAcrossWorkers(t *testing.T) {
 // counters (picks happened, every pick visited at least one entry, VL
 // traffic adds up to delivered+queued wire bytes at the hosts).
 func TestRunMetricsPopulated(t *testing.T) {
-	p := Tiny()
-	p.Metrics = true
-	p.TraceEvents = 32
-	run, err := setupAndExecute(p, smallPayload, nil)
+	sc := EvaluationScenario(Tiny)
+	sc.Metrics = true
+	sc.Trace = 32
+	run, err := measured(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

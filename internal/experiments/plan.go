@@ -11,44 +11,17 @@ import (
 	"repro/internal/topology"
 )
 
-// PlanParams sizes the capacity-planning experiment: the analytical
-// WRR model evaluated over the same (spec, load) grid the scale
-// experiment simulates, plus a headroom bisection answering "how many
-// more flows at service level HeadroomSL does each point admit?".
-type PlanParams struct {
-	Specs   []topology.Spec
-	Loads   []float64 // offered-load factors, the scale experiment's axis
-	Seed    int64
-	Payload int // packet payload bytes
-
-	MaxConsecutiveRejects int
-
-	HeadroomSL  uint8 // service level the headroom bisection probes
-	HeadroomMax int   // probe ceiling per point
-}
-
-// PlanTiny is the unit-test and golden-file scale: the scale
-// experiment's tiny specs with a heavy third load the model must call
-// saturated.
-func PlanTiny() PlanParams {
-	return PlanParams{
-		Specs:                 ScaleTiny().Specs,
-		Loads:                 []float64{0.5, 2, 1500},
-		Seed:                  1,
-		Payload:               512,
-		MaxConsecutiveRejects: 20,
-		HeadroomSL:            4,
-		HeadroomMax:           128,
+// PlanGrid is the capacity-planning experiment's axis at scale s: the
+// scale experiment's grid plus a heavy load the model must call
+// saturated, and the ceiling of the headroom bisection, which answers
+// "how many more flows at one service level does each point admit?".
+func PlanGrid(s Scale) (specs []topology.Spec, loads []float64, headroomMax int) {
+	specs, loads = ScaleGrid(s)
+	headroomMax = 128
+	if s != Tiny {
+		headroomMax = 256
 	}
-}
-
-// PlanQuick is the CLI default: the scale experiment's mid-size specs.
-func PlanQuick() PlanParams {
-	p := PlanTiny()
-	p.Specs = ScaleQuick().Specs
-	p.Loads = []float64{0.5, 1, 2, 1500}
-	p.HeadroomMax = 256
-	return p
+	return specs, append(loads, 1500), headroomMax
 }
 
 // HotLane is one of a point's most-utilized arbitration lanes in the
@@ -111,10 +84,13 @@ type PlanResult struct {
 // reads only the hottest few.
 const hotLaneCount = 8
 
-// PlanPoint evaluates one (spec, load) point analytically.
-func PlanPoint(p PlanParams, spec topology.Spec, load float64, seed int64) (PlanResult, error) {
+// planPoint evaluates the point sc analytically, with a headroom
+// bisection at service level headroomSL up to headroomMax extra flows
+// when headroomMax is positive.
+func planPoint(sc Scenario, headroomSL uint8, headroomMax int) (PlanResult, error) {
 	var res PlanResult
-	opt := plan.Options{Payload: p.Payload, MaxConsecutiveRejects: p.MaxConsecutiveRejects}
+	spec, load, seed := sc.Topology, sc.Load, sc.Seed
+	opt := plan.Options{Payload: sc.Fabric.PayloadBytes, MaxConsecutiveRejects: sc.MaxRejects}
 
 	start := time.Now()
 	m, err := plan.Evaluate(spec, load, seed, opt)
@@ -144,8 +120,8 @@ func PlanPoint(p PlanParams, spec topology.Spec, load float64, seed int64) (Plan
 	res.MeanQueuePkts = m.MeanQueuePkts
 	res.HotLanes = hotLanes(m)
 
-	if p.HeadroomMax > 0 {
-		h, err := plan.Headroom(spec, load, seed, opt, p.HeadroomSL, p.HeadroomMax)
+	if headroomMax > 0 {
+		h, err := plan.Headroom(spec, load, seed, opt, headroomSL, headroomMax)
 		if err != nil {
 			return res, err
 		}
@@ -184,12 +160,13 @@ func hotLanes(m *plan.Result) []HotLane {
 	return out
 }
 
-// PlanSweep evaluates every (spec, load) point of the grid.  Results
-// come back in input order regardless of worker count, so the sweep's
-// JSON encoding is bit-identical at any parallelism.
-func PlanSweep(p PlanParams, workers int) ([]PlanResult, error) {
-	return gridSweep(p.Specs, p.Loads, p.Seed, workers, func(spec topology.Spec, load float64, seed int64) (PlanResult, error) {
-		return PlanPoint(p, spec, load, seed)
+// PlanSweep evaluates sc at every (spec, load) point of the grid, the
+// analytical WRR model over the grid the scale experiment simulates.
+// Results come back in input order regardless of worker count, so the
+// sweep's JSON encoding is bit-identical at any parallelism.
+func PlanSweep(sc Scenario, specs []topology.Spec, loads []float64, headroomSL uint8, headroomMax, workers int) ([]PlanResult, error) {
+	return gridSweep(sc, specs, loads, workers, func(sc Scenario) (PlanResult, error) {
+		return planPoint(sc, headroomSL, headroomMax)
 	})
 }
 

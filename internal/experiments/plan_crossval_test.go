@@ -9,7 +9,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/runner"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // crossValSpecs are the three topology classes of the validation grid,
@@ -67,10 +66,8 @@ type crossPoint struct {
 //     (spec, seed), the model never strongly inverts an ordering the
 //     simulator strongly establishes.
 func TestPlanCrossValidationGrid(t *testing.T) {
-	sp := ScaleTiny()
-	sp.MinPacketsSlowest = 10
-	pp := PlanTiny()
-	pp.HeadroomMax = 0 // the grid validates the model, not the bisection
+	sp := ScaleScenario(Tiny)
+	sp.MinPackets = 10
 
 	type job struct {
 		spec topology.Spec
@@ -94,7 +91,8 @@ func TestPlanCrossValidationGrid(t *testing.T) {
 			Run: func(seed int64) (crossPoint, error) {
 				cp := crossPoint{spec: g.spec, load: g.load, seed: seed}
 				var err error
-				if cp.mdl, err = PlanPoint(pp, g.spec, g.load, seed); err != nil {
+				// The grid validates the model, not the headroom bisection.
+				if cp.mdl, err = planPoint(sp.at(g.spec, g.load, seed), 0, 0); err != nil {
 					return cp, fmt.Errorf("model: %w", err)
 				}
 				// Light points are cheap to simulate, so buy a longer
@@ -104,9 +102,9 @@ func TestPlanCrossValidationGrid(t *testing.T) {
 				// the short window — they are excluded from the bound.
 				simP := sp
 				if g.load <= 2 {
-					simP.MinPacketsSlowest = 40
+					simP.MinPackets = 40
 				}
-				if cp.sim, err = ScalePoint(simP, g.spec, g.load, seed); err != nil {
+				if cp.sim, err = scalePoint(simP.at(g.spec, g.load, seed)); err != nil {
 					return cp, fmt.Errorf("sim: %w", err)
 				}
 				return cp, nil
@@ -205,8 +203,8 @@ func TestPlanFlagsSimStarvedFlows(t *testing.T) {
 	spec := topology.Spec{Class: topology.Irregular, Switches: 4, Seed: 42}
 	const load, seed = 1500.0, 1
 
-	pp := PlanTiny()
-	mdl, err := plan.Evaluate(spec, load, seed, plan.Options{Payload: pp.Payload, MaxConsecutiveRejects: pp.MaxConsecutiveRejects})
+	sc := ScaleScenario(Tiny)
+	mdl, err := plan.Evaluate(spec, load, seed, plan.Options{Payload: sc.Fabric.PayloadBytes, MaxConsecutiveRejects: sc.MaxRejects})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,29 +283,16 @@ func TestPlanFlagsSimStarvedFlows(t *testing.T) {
 	t.Logf("sim-saturated VLs: %d (all model-flagged); sim starved %d flows, model flagged %d", simSaturatedVLs, starved, flagged)
 }
 
-// simulateFlows runs ScalePoint's fill and measurement window but
+// simulateFlows runs scalePoint's fill and measurement window but
 // hands back the flow objects, QoS then best-effort, for per-flow
 // inspection.
 func simulateFlows(t *testing.T, spec topology.Spec, load float64, seed int64) ([]*fabric.Flow, *fabric.Network) {
 	t.Helper()
-	topo, err := spec.Generate()
+	sc := ScaleScenario(Tiny).at(spec, load, seed)
+	sc.MinPackets = 10
+	r, err := measured(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fabric.DefaultConfig(topo.NumSwitches, 512, seed)
-	net, err := fabric.NewWithTopology(cfg, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill, err := net.Adm.FillLoad(load, seed, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qos := addConnections(net, fill.Admitted)
-	flows := qos
-	for _, be := range traffic.BestEffortBackground(topo.NumHosts(), load, seed+2) {
-		flows = append(flows, net.AddBestEffort(be))
-	}
-	measure(net, qos, 1, 10)
-	return flows, net
+	return append(r.Flows, r.BEFlows...), r.Net
 }

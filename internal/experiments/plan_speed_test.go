@@ -40,9 +40,8 @@ func TestPlanSpeedupOverSimulation(t *testing.T) {
 		t.Fatal("model point admitted nothing")
 	}
 
-	sp := ScaleTiny()
 	start = time.Now()
-	sim, err := ScalePoint(sp, spec, load, seed)
+	sim, err := scalePoint(ScaleScenario(Tiny).at(spec, load, seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,8 +57,7 @@ type LinkFailure struct {
 // QoS admission attempts, fanned out over workers.  Every run uses the
 // same topology and seed, so the rows differ only in the failed link.
 func Reconfiguration(switches int, seed int64, conns, workers int) (ReconfigResult, error) {
-	spec := topology.Spec{Class: topology.Irregular, Switches: switches, Seed: seed}
-	topo, err := spec.Generate()
+	topo, err := topology.Generate(switches, seed)
 	if err != nil {
 		return ReconfigResult{}, err
 	}
@@ -76,13 +75,14 @@ func Reconfiguration(switches int, seed int64, conns, workers int) (ReconfigResu
 		return res, err
 	}
 
-	// The schedule is applied at FailAtBT/2, after the last admission
-	// attempt, so the repair cost counts repair traffic alone.  One
-	// permanent failure is repaired long before twice its time.
-	p := FailoverTiny()
-	p.Conns = conns
-	p.FailAtBT = max(p.FailAtBT, 2*int64(conns)*admitGapBT)
-	p.HorizonBT = 2 * p.FailAtBT
+	// The failover scenario on this fabric.  The schedule is applied at
+	// FailAtBT/2, after the last admission attempt, so the repair cost
+	// counts repair traffic alone.  One permanent failure is repaired
+	// long before twice its time.
+	sc := FailoverScenario(Tiny)
+	sc.Topology, sc.Seed, sc.Conns = irregular(switches, seed), seed, conns
+	sc.FailAtBT = max(sc.FailAtBT, 2*int64(conns)*admitGapBT)
+	sc.HorizonBT = 2 * sc.FailAtBT
 	var jobs []runner.Job[LinkFailure]
 	for _, l := range topo.Links() {
 		cut := topo.Clone()
@@ -93,13 +93,13 @@ func Reconfiguration(switches int, seed int64, conns, workers int) (ReconfigResu
 			res.CutEdges++
 			continue
 		}
-		fail := faults.Schedule{{Kind: faults.FailLink, Switch: l.A.Switch, Port: l.A.Port, At: p.FailAtBT}}
+		fail := faults.Schedule{{Kind: faults.FailLink, Switch: l.A.Switch, Port: l.A.Port, At: sc.FailAtBT}}
 		name := fmt.Sprintf("%d:%d-%d:%d", l.A.Switch, l.A.Port, l.B.Switch, l.B.Port)
 		jobs = append(jobs, runner.Job[LinkFailure]{
 			Name: name,
 			Seed: seed,
-			Run: func(seed int64) (LinkFailure, error) {
-				r, err := failoverRun(p, spec, seed, func(*fabric.Network, []*fabric.Flow) (faults.Schedule, error) {
+			Run: func(int64) (LinkFailure, error) {
+				r, err := failoverRun(sc, func(*fabric.Network, []*fabric.Flow) (faults.Schedule, error) {
 					return fail, nil
 				})
 				return LinkFailure{

@@ -5,66 +5,44 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"repro/internal/admission"
 	"repro/internal/fabric"
-	"repro/internal/metrics"
 	"repro/internal/routing/cdg"
-	"repro/internal/stats"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
-// ScaleParams sizes the structured-fabric experiment: a grid of
-// topology specs (fat-tree, dragonfly, irregular) crossed with offered
-// loads.  Every point re-proves deadlock freedom of its routing engine
-// with the channel-dependency-graph verifier before any packet moves,
-// then fills the fabric with QoS connections and best-effort
-// background scaled by the load factor and measures delivery under the
-// usual steady-state window.
-type ScaleParams struct {
-	Specs   []topology.Spec
-	Loads   []float64 // offered-load factors: QoS attempts and BE Mbps per host
-	Seed    int64
-	Payload int // packet payload bytes
-
-	MaxConsecutiveRejects int
-	MinPacketsSlowest     int
-	WarmupIATs            int64
-
-	// Shards selects the sharded simulation core for every point,
-	// exactly as Params.Shards does.
-	Shards int
+// ScaleScenario is the base of the structured-fabric experiments at
+// scale s: the scale and hol sweeps simulate it, and the plan models
+// it, at every (spec, load) point of ScaleGrid.  Every point re-proves
+// deadlock freedom of its routing engine with the
+// channel-dependency-graph verifier before any packet moves, then fills
+// the fabric with QoS connections and best-effort background scaled by
+// the load factor and measures delivery under the usual steady-state
+// window.
+func ScaleScenario(s Scale) Scenario {
+	sc := Scenario{Seed: 1, Fabric: fabric.DefaultConfig(0, 512, 0), MaxRejects: 20, WarmupIATs: 1, MinPackets: 30, Metrics: true}
+	if s != Tiny {
+		sc.MinPackets = 60
+	}
+	return sc
 }
 
-// ScaleTiny is the unit-test and golden-file scale: the smallest
-// member of each topology class under a light and a heavy load.
-func ScaleTiny() ScaleParams {
-	return ScaleParams{
-		Specs: []topology.Spec{
-			{Class: topology.Irregular, Switches: 4, Seed: 42},
+// ScaleGrid is the (spec, load) grid of the scale and hol sweeps at
+// scale s: the smallest member of each topology class under a light
+// and a heavy load at Tiny, mid-size instances under three loads above
+// it.
+func ScaleGrid(s Scale) (specs []topology.Spec, loads []float64) {
+	if s == Tiny {
+		return []topology.Spec{
+			irregular(4, 42),
 			{Class: topology.FatTree, K: 2},
 			{Class: topology.Dragonfly, A: 2, P: 1, H: 1},
-		},
-		Loads:                 []float64{0.5, 2},
-		Seed:                  1,
-		Payload:               512,
-		MaxConsecutiveRejects: 20,
-		MinPacketsSlowest:     30,
-		WarmupIATs:            1,
+		}, []float64{0.5, 2}
 	}
-}
-
-// ScaleQuick is the CLI default: mid-size instances of each class.
-func ScaleQuick() ScaleParams {
-	p := ScaleTiny()
-	p.Specs = []topology.Spec{
-		{Class: topology.Irregular, Switches: 8, Seed: 42},
+	return []topology.Spec{
+		irregular(8, 42),
 		{Class: topology.FatTree, K: 4},
 		{Class: topology.Dragonfly, A: 4, P: 2, H: 2},
-	}
-	p.Loads = []float64{0.5, 1, 2}
-	p.MinPacketsSlowest = 60
-	return p
+	}, []float64{0.5, 1, 2}
 }
 
 // ScaleResult is the outcome of one (spec, load) point.  Every field
@@ -99,106 +77,49 @@ type ScaleResult struct {
 	EndTimeBT      int64   `json:"endTimeBT"`
 }
 
-// ScalePoint runs one (spec, load) point.
-func ScalePoint(p ScaleParams, spec topology.Spec, load float64, seed int64) (ScaleResult, error) {
-	pt, err := runLoadedPoint(HOLParams{ScaleParams: p}, fabric.ModelWRR, spec, load, seed)
+// scalePoint runs the point sc.
+func scalePoint(sc Scenario) (ScaleResult, error) {
+	r, err := measured(sc)
 	if err != nil {
 		return ScaleResult{}, err
 	}
-	net := pt.net
+	net := r.Net
+	_, _, dropped := net.Totals()
 	res := ScaleResult{
-		Class:    spec.Class.String(),
-		Label:    spec.Label(),
+		Class:    sc.Topology.Class.String(),
+		Label:    sc.Topology.Label(),
 		Switches: net.Topo.NumSwitches,
 		Hosts:    net.Topo.NumHosts(),
 		Planes:   net.Routes.Planes(),
-		Seed:     seed,
-		Load:     load,
-		CDG:      pt.cdg,
+		Seed:     sc.Seed,
+		Load:     sc.Load,
+		CDG:      r.proof,
 
-		Attempts: pt.fill.Attempts,
-		Admitted: len(pt.fill.Admitted),
-		Rejected: pt.fill.Rejected,
-		BEFlows:  pt.beFlows,
+		Attempts: r.Fill.Attempts,
+		Admitted: len(r.Fill.Admitted),
+		Rejected: r.Fill.Rejected,
+		BEFlows:  len(r.BEFlows),
 
 		InjectedBPCNode:  net.InjectedBytesPerCyclePerNode(),
 		DeliveredBPCNode: net.DeliveredBytesPerCyclePerNode(),
 		HostUtil:         net.MeanHostUtilization(),
 		SwitchUtil:       net.MeanSwitchPortUtilization(),
 
-		DroppedPackets: pt.dropped,
+		DroppedPackets: dropped,
 		EndTimeBT:      net.Now(),
 	}
-	if pt.delay.Total() > 0 {
-		res.MeanDelayRatio = pt.delay.MeanRatio()
-		res.DeadlineMetPct = pt.delay.PercentMeetingDeadline()
+	if delay := mergedDelay(r.Flows); delay.Total() > 0 {
+		res.MeanDelayRatio = delay.MeanRatio()
+		res.DeadlineMetPct = delay.PercentMeetingDeadline()
 	}
 	return res, nil
 }
 
-// loadedPoint is one structured-fabric point after its measurement
-// window.
-type loadedPoint struct {
-	net     *fabric.Network
-	metrics *metrics.Metrics
-	cdg     cdg.Stats // the deadlock-freedom proof of the point's routing
-	fill    admission.FillResult
-	beFlows int
-	dropped int64
-	delay   *stats.DelayCDF // merged over the admitted QoS flows
-}
-
-// runLoadedPoint is the run every scale and hol point makes: generate
-// spec's fabric with the given switch model, prove its routing engine
-// deadlock-free on this exact instance before offering any traffic,
-// fill it with QoS connections and best-effort background scaled by
-// load, measure the steady state and audit the invariants.  The
-// offered traffic depends only on (spec, load, seed), never on the
-// switch model.
-func runLoadedPoint(p HOLParams, model fabric.SwitchModel, spec topology.Spec, load float64, seed int64) (*loadedPoint, error) {
-	if p.Payload < 1 || p.MinPacketsSlowest < 1 {
-		return nil, fmt.Errorf("experiments: point (%v, %v, load %g) out of range", spec, model, load)
-	}
-	topo, err := spec.Generate()
-	if err != nil {
-		return nil, err
-	}
-	cfg := fabric.DefaultConfig(topo.NumSwitches, p.Payload, seed)
-	cfg.SwitchModel = model
-	cfg.ISLIPIters = p.ISLIPIters
-	cfg.Shards = p.Shards
-	net, err := fabric.NewWithTopology(cfg, topo)
-	if err != nil {
-		return nil, err
-	}
-	pt := &loadedPoint{net: net, metrics: net.EnableMetrics()}
-	if pt.cdg, err = cdg.Verify(topo, net.Routes); err != nil {
-		return nil, err
-	}
-	if pt.fill, err = net.Adm.FillLoad(load, seed, p.MaxConsecutiveRejects); err != nil {
-		return nil, fmt.Errorf("experiments: point %s/%v: %w", spec.Label(), model, err)
-	}
-	flows := addConnections(net, pt.fill.Admitted)
-	for _, be := range traffic.BestEffortBackground(topo.NumHosts(), load, seed+2) {
-		net.AddBestEffort(be)
-		pt.beFlows++
-	}
-	measure(net, flows, p.WarmupIATs, p.MinPacketsSlowest)
-	if err := net.CheckInvariants(); err != nil {
-		return nil, err
-	}
-	_, _, pt.dropped = net.Totals()
-	pt.delay = mergedDelay(flows)
-	return pt, nil
-}
-
-// ScaleSweep runs every (spec, load) point of the grid.  Results come
-// back in input order regardless of worker count, so the sweep's JSON
-// encoding is bit-identical at any parallelism.
-func ScaleSweep(p ScaleParams, workers int) ([]ScaleResult, error) {
-	return gridSweep(p.Specs, p.Loads, p.Seed, workers, func(spec topology.Spec, load float64, seed int64) (ScaleResult, error) {
-		return ScalePoint(p, spec, load, seed)
-	})
+// ScaleSweep runs sc at every (spec, load) point of the grid.  Results
+// come back in input order regardless of worker count, so the sweep's
+// JSON encoding is bit-identical at any parallelism.
+func ScaleSweep(sc Scenario, specs []topology.Spec, loads []float64, workers int) ([]ScaleResult, error) {
+	return gridSweep(sc, specs, loads, workers, scalePoint)
 }
 
 // PrintScale renders a scale sweep as a table, one row per point.

@@ -5,7 +5,6 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"repro/internal/runner"
 	"repro/internal/stats"
 )
 
@@ -22,40 +21,35 @@ type ScalingRow struct {
 	DeliveredPerNode   float64
 }
 
-// Scaling runs the small-packet evaluation across the given network
-// sizes on workers goroutines, one job per size.
-func Scaling(p Params, sizes []int, workers int) ([]ScalingRow, error) {
-	jobs := make([]runner.Job[ScalingRow], len(sizes))
+// Scaling runs the small-packet evaluation of sc across the given
+// network sizes on workers goroutines, one job per size.
+func Scaling(sc Scenario, sizes []int, workers int) ([]ScalingRow, error) {
+	names := make([]string, len(sizes))
 	for i, size := range sizes {
-		jobs[i] = runner.Job[ScalingRow]{
-			Name: fmt.Sprintf("scaling-%dsw", size),
-			Seed: p.Seed,
-			Run: func(int64) (ScalingRow, error) {
-				ps := p
-				ps.Switches = size
-				run, err := setupAndExecute(ps, smallPayload, nil)
-				if err != nil {
-					return ScalingRow{}, err
-				}
-				all := stats.NewDelayCDF()
-				jit := &stats.JitterHist{}
-				for _, f := range run.Flows {
-					all.Merge(f.Delay)
-					jit.Merge(f.Jitter)
-				}
-				return ScalingRow{
-					Switches:           size,
-					Hosts:              run.Net.Topo.NumHosts(),
-					Connections:        len(run.Flows),
-					DeadlineMetPercent: all.PercentMeetingDeadline(),
-					CentralJitter:      jit.CentralPercent(),
-					HostUtilization:    run.Net.MeanHostUtilization(),
-					DeliveredPerNode:   run.Net.DeliveredBytesPerCyclePerNode(),
-				}, nil
-			},
-		}
+		names[i] = fmt.Sprintf("scaling-%dsw", size)
 	}
-	return runner.Sweep(jobs, workers)
+	return sameSeed(sc, names, workers, func(i int, sc Scenario) (ScalingRow, error) {
+		sc.Fabric.PayloadBytes, sc.Topology.Switches = smallPayload, sizes[i]
+		run, err := measured(sc)
+		if err != nil {
+			return ScalingRow{}, err
+		}
+		all := stats.NewDelayCDF()
+		jit := &stats.JitterHist{}
+		for _, f := range run.Flows {
+			all.Merge(f.Delay)
+			jit.Merge(f.Jitter)
+		}
+		return ScalingRow{
+			Switches:           sizes[i],
+			Hosts:              run.Net.Topo.NumHosts(),
+			Connections:        len(run.Flows),
+			DeadlineMetPercent: all.PercentMeetingDeadline(),
+			CentralJitter:      jit.CentralPercent(),
+			HostUtilization:    run.Net.MeanHostUtilization(),
+			DeliveredPerNode:   run.Net.DeliveredBytesPerCyclePerNode(),
+		}, nil
+	})
 }
 
 // PrintScaling renders the scaling sweep.

@@ -9,37 +9,22 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
-// ShardBenchParams sizes the sharded-core throughput benchmark: one
-// structured fabric under a fixed offered load, simulated to a fixed
-// horizon once per shard count.  Every run offers identical traffic
+// ShardBenchScenario is the sharded-core throughput benchmark's
+// scenario: a k=8 fat-tree at high load, simulated to a fixed horizon
+// once per shard count.  Every run offers identical traffic
 // (connections and background depend only on topology and seed), so
 // the rows differ only in how the event core is partitioned —
 // events/second against the single-engine baseline is the speedup of
 // the conservative-lookahead sync protocol.
-type ShardBenchParams struct {
-	Spec      topology.Spec
-	Load      float64 // QoS admission-attempt factor, as in ScaleParams
-	BEMbps    float64 // best-effort background per host, Mbps
-	Seed      int64
-	Payload   int   // packet payload bytes
-	HorizonBT int64 // simulated run length, byte times
-	Shards    []int // shard counts to benchmark, in order (-bench-shards)
-}
-
-// ShardBenchDefault is the PR benchmark configuration: a k=8 fat-tree
-// at high load, single-engine baseline against 2/4/8 shards.
-func ShardBenchDefault() ShardBenchParams {
-	return ShardBenchParams{
-		Spec:      topology.Spec{Class: topology.FatTree, K: 8},
-		Load:      2,
-		BEMbps:    600,
-		Seed:      7,
-		Payload:   512,
+func ShardBenchScenario() Scenario {
+	return Scenario{
+		Seed:     7,
+		Topology: topology.Spec{Class: topology.FatTree, K: 8},
+		Fabric:   fabric.DefaultConfig(0, 512, 0),
+		Load:     2, MaxRejects: 40, BEMbps: 600,
 		HorizonBT: 1_500_000,
-		Shards:    []int{1, 2, 4, 8},
 	}
 }
 
@@ -66,27 +51,28 @@ type ShardBenchResult struct {
 	Speedup float64 `json:"speedupVsSingle"`
 }
 
-// ShardBench runs the benchmark grid.  Rows come back in input order;
-// wall-clock timing makes the absolute numbers machine-dependent, but
-// the Events column is exact and the simulated work per row is
-// identical by construction.
-func ShardBench(p ShardBenchParams) ([]ShardBenchResult, error) {
-	if p.Payload < 1 || p.HorizonBT < 1 || len(p.Shards) == 0 {
-		return nil, fmt.Errorf("experiments: shard bench parameters %+v out of range", p)
+// ShardBench runs sc once per shard count, in order (-bench-shards).
+// Rows come back in input order; wall-clock timing makes the absolute
+// numbers machine-dependent, but the Events column is exact and the
+// simulated work per row is identical by construction.
+func ShardBench(sc Scenario, shards []int) ([]ShardBenchResult, error) {
+	if sc.HorizonBT < 1 || len(shards) == 0 {
+		return nil, fmt.Errorf("experiments: shard bench horizon %d BT over %d shard counts out of range", sc.HorizonBT, len(shards))
 	}
-	for _, shards := range p.Shards {
-		if shards < 1 {
-			return nil, fmt.Errorf("experiments: shard bench: -bench-shards %d: need at least one shard", shards)
+	for _, n := range shards {
+		if n < 1 {
+			return nil, fmt.Errorf("experiments: shard bench: -bench-shards %d: need at least one shard", n)
 		}
 	}
 	var out []ShardBenchResult
 	baseline := 0.0
-	for _, shards := range p.Shards {
-		res, err := shardBenchRun(p, shards)
+	for _, n := range shards {
+		sc.Fabric.Shards = n
+		res, err := shardBenchRun(sc)
 		if err != nil {
 			return nil, err
 		}
-		if shards == 1 {
+		if n == 1 {
 			baseline = res.EventsPerSec
 		}
 		if baseline > 0 {
@@ -97,42 +83,23 @@ func ShardBench(p ShardBenchParams) ([]ShardBenchResult, error) {
 	return out, nil
 }
 
-// shardBenchMaxRejects stops the benchmark's QoS fill after this many
-// refusals in a row.
-const shardBenchMaxRejects = 40
-
-// shardBenchRun builds, loads and times one run at the given shard
-// count.
-func shardBenchRun(p ShardBenchParams, shards int) (ShardBenchResult, error) {
-	var res ShardBenchResult
-	topo, err := p.Spec.Generate()
+// shardBenchRun builds, loads and times one run of sc.
+func shardBenchRun(sc Scenario) (ShardBenchResult, error) {
+	shards := sc.Fabric.Shards
+	res := ShardBenchResult{Shards: shards}
+	r, err := build(sc)
 	if err != nil {
-		return res, err
+		return res, fmt.Errorf("experiments: shard bench: -bench-shards %d on %s: %w", shards, sc.Topology.Label(), err)
 	}
-	cfg := fabric.DefaultConfig(topo.NumSwitches, p.Payload, p.Seed)
-	cfg.Shards = shards
-	net, err := fabric.NewWithTopology(cfg, topo)
-	if err != nil {
-		return res, fmt.Errorf("experiments: shard bench: -bench-shards %d on %s: %w", shards, p.Spec.Label(), err)
-	}
-	res.Shards = shards
+	net := r.Net
 	res.Parallel = net.Parallel()
-
-	// The offered traffic is a pure function of (topo, seed): QoS
-	// attempts scaled by load, then best-effort background, exactly as
-	// ScalePoint offers them.
-	fill, err := net.Adm.FillLoad(p.Load, p.Seed, shardBenchMaxRejects)
-	if err != nil {
-		return res, fmt.Errorf("experiments: shard bench: %w", err)
-	}
-	addConnections(net, fill.Admitted)
-	for _, be := range traffic.BestEffortBackground(topo.NumHosts(), p.BEMbps, p.Seed+2) {
-		net.AddBestEffort(be)
+	if err := r.offer(); err != nil {
+		return res, err
 	}
 
 	net.Start()
 	start := time.Now()
-	net.Run(p.HorizonBT)
+	net.Run(sc.HorizonBT)
 	wall := time.Since(start)
 
 	if err := net.CheckInvariants(); err != nil {
@@ -159,9 +126,9 @@ func shardBenchRun(p ShardBenchParams, shards int) (ShardBenchResult, error) {
 // relative to it: with C cores the ceiling is min(shards, C), so a
 // single-core host can at best show that the sync protocol's overhead
 // is small, never a wall-clock speedup.
-func PrintShardBench(w io.Writer, p ShardBenchParams, res []ShardBenchResult) {
+func PrintShardBench(w io.Writer, sc Scenario, res []ShardBenchResult) {
 	fmt.Fprintf(w, "Sharded-core throughput: %s load %g horizon %d BT (%d CPUs)\n",
-		p.Spec.Label(), p.Load, p.HorizonBT, runtime.NumCPU())
+		sc.Topology.Label(), sc.Load, sc.HorizonBT, runtime.NumCPU())
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "shards\tparallel\twindows\tevents\tdelivered\twall ms\tevents/s\tspeedup")
 	for _, r := range res {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/topology"
 )
 
@@ -13,17 +14,15 @@ import (
 // -bench-shards, instead of a row that measured fewer shards than its
 // label says.
 func TestShardBenchRefusesUnmeasurableCounts(t *testing.T) {
-	p := ShardBenchParams{
-		Spec:      topology.Spec{Class: topology.Irregular, Switches: 4, Seed: 42},
-		Load:      1,
-		BEMbps:    100,
-		Seed:      7,
-		Payload:   256,
+	sc := Scenario{
+		Seed:     7,
+		Topology: topology.Spec{Class: topology.Irregular, Switches: 4, Seed: 42},
+		Fabric:   fabric.DefaultConfig(0, 256, 0),
+		Load:     1, MaxRejects: 40, BEMbps: 100,
 		HorizonBT: 100_000,
 	}
 	for _, shards := range []int{0, -1, 16} {
-		p.Shards = []int{shards}
-		res, err := ShardBench(p)
+		res, err := ShardBench(sc, []int{shards})
 		if err == nil || !strings.Contains(err.Error(), "-bench-shards") {
 			t.Errorf("%d shards: err = %v, rows %+v; want a refusal naming -bench-shards", shards, err, res)
 		}

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
-
-	"repro/internal/fabric"
-	"repro/internal/runner"
 )
 
 // SwitchModelRow summarizes one switch architecture of the
@@ -23,32 +20,27 @@ type SwitchModelRow struct {
 	MeanDelayRatio     float64
 }
 
-// AblationSwitchModels runs the large-packet evaluation across
+// AblationSwitchModels runs the large-packet evaluation of sc across
 // crossbar speedups on workers goroutines, one job per model.
-func AblationSwitchModels(p Params, speedups []int, workers int) ([]SwitchModelRow, error) {
-	jobs := make([]runner.Job[SwitchModelRow], len(speedups))
+func AblationSwitchModels(sc Scenario, speedups []int, workers int) ([]SwitchModelRow, error) {
+	names := make([]string, len(speedups))
 	for i, su := range speedups {
-		jobs[i] = runner.Job[SwitchModelRow]{
-			Name: fmt.Sprintf("switchmodel-x%d", su),
-			Seed: p.Seed,
-			Run: func(int64) (SwitchModelRow, error) {
-				run, err := setupAndExecute(p, largePayload, func(cfg *fabric.Config) {
-					cfg.CrossbarSpeedup = su
-				})
-				if err != nil {
-					return SwitchModelRow{}, err
-				}
-				all := mergedDelay(run.Flows)
-				return SwitchModelRow{
-					Speedup:            su,
-					DeadlineMetPercent: all.PercentMeetingDeadline(),
-					WorstDelayRatio:    all.MaxRatio(),
-					MeanDelayRatio:     all.MeanRatio(),
-				}, nil
-			},
-		}
+		names[i] = fmt.Sprintf("switchmodel-x%d", su)
 	}
-	return runner.Sweep(jobs, workers)
+	return sameSeed(sc, names, workers, func(i int, sc Scenario) (SwitchModelRow, error) {
+		sc.Fabric.PayloadBytes, sc.Fabric.CrossbarSpeedup = largePayload, speedups[i]
+		run, err := measured(sc)
+		if err != nil {
+			return SwitchModelRow{}, err
+		}
+		all := mergedDelay(run.Flows)
+		return SwitchModelRow{
+			Speedup:            speedups[i],
+			DeadlineMetPercent: all.PercentMeetingDeadline(),
+			WorstDelayRatio:    all.MaxRatio(),
+			MeanDelayRatio:     all.MeanRatio(),
+		}, nil
+	})
 }
 
 // PrintSwitchModels renders the switch-model ablation.

@@ -71,7 +71,7 @@ func (e *Evaluation) Table2() [2]Table2Row {
 	row := func(r *Run) Table2Row {
 		all := mergedDelay(r.Flows)
 		return Table2Row{
-			Payload:            r.Payload,
+			Payload:            r.Net.Cfg.PayloadBytes,
 			InjectedPerNode:    r.Net.InjectedBytesPerCyclePerNode(),
 			DeliveredPerNode:   r.Net.DeliveredBytesPerCyclePerNode(),
 			HostUtilization:    r.Net.MeanHostUtilization(),

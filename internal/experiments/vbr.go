@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 	"text/tabwriter"
 
 	"repro/internal/fabric"
@@ -39,10 +38,14 @@ type VBRScenario struct {
 // the links carry real load).  reservePeak selects whether admission
 // reserves the peak rate or only the mean.
 func vbrScenario(seed int64, peakFactor, burst, switches int, windowIATs int64, reservePeak bool) (VBRScenario, error) {
-	net, err := fabric.New(fabric.DefaultConfig(switches, smallPayload, seed))
+	r, err := build(Scenario{
+		Seed: seed, Topology: irregular(switches, seed), Fabric: fabric.DefaultConfig(0, smallPayload, 0),
+		Saturate: true, MaxRejects: 200,
+	})
 	if err != nil {
 		return VBRScenario{}, err
 	}
+	net := r.Net
 	// Means chosen so that mean*peakFactor stays inside each SL's
 	// bandwidth range, letting both scenarios use valid requests.
 	plan := []struct {
@@ -80,8 +83,9 @@ func vbrScenario(seed int64, peakFactor, burst, switches int, windowIATs int64, 
 
 	// Saturating CBR background: fills the remaining budget so the
 	// VBR bursts have to share loaded links.
-	src := traffic.NewSource(sl.DefaultLevels, hosts, seed+1)
-	addConnections(net, net.Adm.Fill(src, math.MaxInt, 200).Admitted)
+	if err := r.offer(); err != nil {
+		return VBRScenario{}, err
+	}
 
 	slowest := flows[0]
 	for _, f := range flows {

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
-
-	"repro/internal/fabric"
-	"repro/internal/runner"
 )
 
 // VLCollapseRow summarizes one lane budget of the VL-collapse
@@ -21,33 +18,27 @@ type VLCollapseRow struct {
 	DeadlineMetPercent float64
 }
 
-// AblationVLCollapse runs the small-packet evaluation with the
+// AblationVLCollapse runs the small-packet evaluation of sc with the
 // identity mapping (15 data VLs) and with collapsed mappings on
 // workers goroutines, one job per lane budget.
-func AblationVLCollapse(p Params, lanes []int, workers int) ([]VLCollapseRow, error) {
-	jobs := make([]runner.Job[VLCollapseRow], len(lanes))
+func AblationVLCollapse(sc Scenario, lanes []int, workers int) ([]VLCollapseRow, error) {
+	names := make([]string, len(lanes))
 	for i, v := range lanes {
-		jobs[i] = runner.Job[VLCollapseRow]{
-			Name: fmt.Sprintf("vlcollapse-%dvl", v),
-			Seed: p.Seed,
-			Run: func(int64) (VLCollapseRow, error) {
-				run, err := setupAndExecute(p, smallPayload, func(cfg *fabric.Config) {
-					cfg.DataVLs = v
-				})
-				if err != nil {
-					return VLCollapseRow{}, err
-				}
-				all := mergedDelay(run.Flows)
-				return VLCollapseRow{
-					DataVLs:            v,
-					Connections:        len(run.Flows),
-					HostReservation:    run.Net.Adm.MeanHostReservation(),
-					DeadlineMetPercent: all.PercentMeetingDeadline(),
-				}, nil
-			},
-		}
+		names[i] = fmt.Sprintf("vlcollapse-%dvl", v)
 	}
-	return runner.Sweep(jobs, workers)
+	return sameSeed(sc, names, workers, func(i int, sc Scenario) (VLCollapseRow, error) {
+		sc.Fabric.PayloadBytes, sc.Fabric.DataVLs = smallPayload, lanes[i]
+		run, err := measured(sc)
+		if err != nil {
+			return VLCollapseRow{}, err
+		}
+		return VLCollapseRow{
+			DataVLs:            lanes[i],
+			Connections:        len(run.Flows),
+			HostReservation:    run.Net.Adm.MeanHostReservation(),
+			DeadlineMetPercent: mergedDelay(run.Flows).PercentMeetingDeadline(),
+		}, nil
+	})
 }
 
 // PrintVLCollapse renders the VL-collapse ablation.

@@ -13,7 +13,7 @@ func TestVLCollapseTable(t *testing.T) {
 		t.Skip("simulation run in -short mode")
 	}
 	lanes := []int{15, 8, 4}
-	rows, err := AblationVLCollapse(Tiny(), lanes, 0)
+	rows, err := AblationVLCollapse(EvaluationScenario(Tiny), lanes, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestVLCollapseTable(t *testing.T) {
 // error naming the budget, instead of printing an error row.
 func TestVLCollapseBadPointFailsSweep(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		rows, err := AblationVLCollapse(Tiny(), []int{2, 15}, workers)
+		rows, err := AblationVLCollapse(EvaluationScenario(Tiny), []int{2, 15}, workers)
 		if err == nil || rows != nil {
 			t.Fatalf("workers=%d: 2-lane budget accepted (rows %+v)", workers, rows)
 		}

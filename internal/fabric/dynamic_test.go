@@ -186,7 +186,7 @@ func TestVBRDegenerateParameters(t *testing.T) {
 // and traffic on the degraded fabric still meets every deadline.
 func TestTrafficSurvivesLinkFailure(t *testing.T) {
 	cfg := DefaultConfig(8, 256, 27)
-	before, err := New(cfg)
+	before, err := newIrregular(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

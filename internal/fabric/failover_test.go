@@ -25,7 +25,7 @@ func buildFailoverNet(t *testing.T, model fabric.SwitchModel, switches int, seed
 	cfg := fabric.DefaultConfig(switches, 256, seed)
 	cfg.FailoverEscape = true
 	cfg.SwitchModel = model
-	n, err := fabric.New(cfg)
+	n, err := fabric.NewIrregular(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRecoveryRefusesShards(t *testing.T) {
 	cfg := fabric.DefaultConfig(8, 256, 1)
 	cfg.FailoverEscape = true
 	cfg.Shards = 2
-	n, err := fabric.New(cfg)
+	n, err := fabric.NewIrregular(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

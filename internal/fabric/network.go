@@ -306,22 +306,9 @@ func eventPoolSize(hosts, switches, ports int) int {
 	return 64 + 4*hosts + 2*switches*ports
 }
 
-// New builds a network: generates the topology, computes routes,
-// creates the arbitration tables (seeding the low-priority tables for
+// NewWithTopology builds a network over topo: computes routes, creates
+// the arbitration tables (seeding the low-priority tables for
 // best-effort VLs) and wires switch and host models together.
-func New(cfg Config) (*Network, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	topo, err := topology.Generate(cfg.Switches, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return NewWithTopology(cfg, topo)
-}
-
-// NewWithTopology builds a network over an existing topology — e.g.
-// one degraded by a link failure — instead of generating a fresh one.
 // cfg.Switches must match the topology.
 func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 	cs, err := BuildControl(cfg, topo)

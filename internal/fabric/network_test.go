@@ -4,17 +4,28 @@ import (
 	"testing"
 
 	"repro/internal/sl"
+	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
 // buildNet creates a small network with the given payload.
 func buildNet(t *testing.T, switches, payload int, seed int64) *Network {
 	t.Helper()
-	n, err := New(DefaultConfig(switches, payload, seed))
+	n, err := newIrregular(DefaultConfig(switches, payload, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// newIrregular builds a network over the irregular topology of cfg's
+// switch count and seed.
+func newIrregular(cfg Config) (*Network, error) {
+	topo, err := topology.Generate(cfg.Switches, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return NewWithTopology(cfg, topo)
 }
 
 // admitFlow admits one QoS connection and attaches its flow.
@@ -281,7 +292,7 @@ func TestConfigValidation(t *testing.T) {
 	for i, mutate := range mutations {
 		cfg := DefaultConfig(2, 256, 1)
 		mutate(&cfg)
-		if _, err := New(cfg); err == nil {
+		if _, err := newIrregular(cfg); err == nil {
 			t.Errorf("mutation %d: invalid config accepted", i)
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // produce the same signature regardless of pooling.
 func poolFingerprint(t *testing.T, seed int64, disablePools bool) string {
 	t.Helper()
-	n, err := New(DefaultConfig(4, 256, seed))
+	n, err := newIrregular(DefaultConfig(4, 256, seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,9 @@
 #              scale against its golden on 1 and 4 sweep workers, and
 #              check that every one reading -shards reports the same at
 #              -shards 2 on 1 and 4 workers (the parallel core is
-#              deterministic at a fixed shard count)
+#              deterministic at a fixed shard count), and TestTextGolden,
+#              which runs every experiment without a JSON report at the
+#              tiny scale on one worker against its testdata/*.golden.txt
 #   alloc gate the zero-alloc budgets of the data-plane hot paths,
 #              run WITHOUT the race detector (race instrumentation
 #              allocates, so the budgets only hold in a plain build)
