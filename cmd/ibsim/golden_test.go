@@ -340,8 +340,8 @@ func TestFailoverJSONShape(t *testing.T) {
 }
 
 // TestFaultsJSONShape: the faults golden covers the fault grid, its
-// first point is fault-free with a clean control block, and the faulty
-// points terminated every transaction.
+// first point is fault-free with a clean control block, and its
+// heaviest point dealt faults.
 func TestFaultsJSONShape(t *testing.T) {
 	var rep struct {
 		Runs []struct {
@@ -350,8 +350,6 @@ func TestFaultsJSONShape(t *testing.T) {
 				SMPsDropped int64 `json:"smpsDropped"`
 				Retransmits int64 `json:"retransmits"`
 			} `json:"control"`
-			UnterminatedTxns int `json:"unterminatedTxns"`
-			DirtySurvivors   int `json:"dirtySurvivors"`
 		} `json:"runs"`
 	}
 	decodeGolden(t, "faults", &rep)
@@ -364,11 +362,6 @@ func TestFaultsJSONShape(t *testing.T) {
 	last := rep.Runs[len(rep.Runs)-1]
 	if last.Drop == 0 || last.Control.SMPsDropped == 0 {
 		t.Errorf("heaviest point dealt no faults: %+v", last)
-	}
-	for i, r := range rep.Runs {
-		if r.UnterminatedTxns != 0 || r.DirtySurvivors != 0 {
-			t.Errorf("run %d: termination audit nonzero: %+v", i, r)
-		}
 	}
 }
 

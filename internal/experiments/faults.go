@@ -63,12 +63,9 @@ type FaultsResult struct {
 	// Injected-fault tallies as the injector dealt them.
 	Injected faults.Stats `json:"injected"`
 
-	// End-state audit: transactions or audit rounds left open and
-	// surviving ports with active != shadow are zero in every result a
-	// run returns (a nonzero count is the run's error); QuarantinedAtEnd
-	// counts ports the control plane deliberately took out of service.
-	UnterminatedTxns int `json:"unterminatedTxns"`
-	DirtySurvivors   int `json:"dirtySurvivors"`
+	// QuarantinedAtEnd counts ports the control plane deliberately took
+	// out of service.  A transaction or audit round left open, or a
+	// surviving port with active != shadow, is the run's error instead.
 	QuarantinedAtEnd int `json:"quarantinedAtEnd"`
 
 	MeanVLRateCoV float64 `json:"meanVLRateCoV"`
