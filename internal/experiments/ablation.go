@@ -23,12 +23,13 @@ type PrioritySplitResult struct {
 	OldSchemeGoodput float64
 }
 
-// prioritySplitScenario runs the common scenario: a well-behaved DB
-// connection (SL 8, host 1 -> host 7) sharing a 2-switch network with
-// three DBTS sources (SL 5) that reserved 20 Mbps each but transmit
-// far above it.  oldScheme selects where the DB reservation lives.
-func prioritySplitScenario(seed int64, oldScheme bool) (float64, error) {
-	r, err := build(Scenario{Seed: seed, Topology: irregular(2, seed), Fabric: fabric.DefaultConfig(0, smallPayload, 0)})
+// prioritySplitScenario runs the common scenario on sc's fabric: a
+// well-behaved DB connection (SL 8, host 1 -> host 7) sharing a
+// 2-switch network with three DBTS sources (SL 5) that reserved
+// 20 Mbps each but transmit far above it.  oldScheme selects where the
+// DB reservation lives.
+func prioritySplitScenario(sc Scenario, oldScheme bool) (float64, error) {
+	r, err := build(sc)
 	if err != nil {
 		return 0, err
 	}
@@ -83,19 +84,9 @@ func prioritySplitScenario(seed int64, oldScheme bool) (float64, error) {
 // and reports both goodputs.  The paper's scheme keeps the victim's
 // goodput near 1; the old scheme starves it.
 func AblationPrioritySplit(seed int64, workers int) (PrioritySplitResult, error) {
-	job := func(name string, oldScheme bool) runner.Job[float64] {
-		return runner.Job[float64]{
-			Name: name,
-			Seed: seed,
-			Run: func(int64) (float64, error) {
-				return prioritySplitScenario(seed, oldScheme)
-			},
-		}
-	}
-	goodputs, err := runner.Sweep([]runner.Job[float64]{
-		job("priority-split-new", false),
-		job("priority-split-old", true),
-	}, workers)
+	sc := Scenario{Seed: seed, Topology: irregular(2, seed), Fabric: fabric.DefaultConfig(0, smallPayload, 0)}
+	goodputs, err := sameSeed(sc, []string{"priority-split-new", "priority-split-old"}, workers,
+		func(i int, sc Scenario) (float64, error) { return prioritySplitScenario(sc, i == 1) })
 	if err != nil {
 		return PrioritySplitResult{}, err
 	}

@@ -32,7 +32,7 @@ import (
 func FailoverScenario(s Scale) Scenario {
 	sc := Scenario{
 		Seed: 1, Fabric: fabric.DefaultConfig(0, 256, 0), Inband: true, Metrics: true,
-		Conns: 12, FailAtBT: 100_000, HorizonBT: 450_000,
+		Retry: admission.DefaultRetryPolicy(), Conns: 12, FailAtBT: 100_000, HorizonBT: 450_000,
 	}
 	sc.Fabric.FailoverEscape = true
 	if s != Tiny {
@@ -148,7 +148,7 @@ func failoverRun(sc Scenario, schedule func(net *fabric.Network, flows []*fabric
 		req := src.Next()
 		eng.At(int64(i)*admitGapBT+1, func() {
 			res.Attempts++
-			net.Adm.AdmitWithRetry(eng, req, admission.DefaultRetryPolicy(), func(conn *admission.Conn, err error) {
+			net.Adm.AdmitWithRetry(eng, req, sc.Retry, func(conn *admission.Conn, err error) {
 				if err != nil {
 					return // rejection under load is legitimate
 				}

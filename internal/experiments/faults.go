@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/subnet"
 	"repro/internal/topology"
 )
@@ -154,23 +153,17 @@ var faultGrid = []faultPoint{
 // regardless of worker count, so the sweep's JSON is bit-identical at
 // any parallelism.
 func FaultsSweep(sc Scenario, workers int) ([]FaultsResult, error) {
-	sc = sc.seeded(sc.Seed)
-	jobs := make([]runner.Job[FaultsResult], len(faultGrid))
-	for i := range jobs {
-		pt := faultGrid[i]
-		jobs[i] = runner.Job[FaultsResult]{
-			Name: fmt.Sprintf("faults-d%g-c%g-f%d", pt.drop, pt.corrupt, pt.flaps),
-			Seed: sc.Seed,
-			Run: func(int64) (FaultsResult, error) {
-				p := sc
-				p.Faults.Drop, p.Faults.Corrupt, p.Flaps = pt.drop, pt.corrupt, pt.flaps
-				p.Faults.Duplicate *= pt.scale
-				p.Faults.Reorder *= pt.scale
-				return runFaults(p)
-			},
-		}
+	names := make([]string, len(faultGrid))
+	for i, pt := range faultGrid {
+		names[i] = fmt.Sprintf("faults-d%g-c%g-f%d", pt.drop, pt.corrupt, pt.flaps)
 	}
-	return runner.Sweep(jobs, workers)
+	return sameSeed(sc, names, workers, func(i int, sc Scenario) (FaultsResult, error) {
+		pt := faultGrid[i]
+		sc.Faults.Drop, sc.Faults.Corrupt, sc.Flaps = pt.drop, pt.corrupt, pt.flaps
+		sc.Faults.Duplicate *= pt.scale
+		sc.Faults.Reorder *= pt.scale
+		return runFaults(sc)
+	})
 }
 
 // PrintFaults renders a fault sweep as a table, one row per fault

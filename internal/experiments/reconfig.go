@@ -9,7 +9,6 @@ import (
 	"repro/internal/arbtable"
 	"repro/internal/fabric"
 	"repro/internal/faults"
-	"repro/internal/runner"
 	"repro/internal/sl"
 	"repro/internal/subnet"
 	"repro/internal/topology"
@@ -83,7 +82,8 @@ func Reconfiguration(switches int, seed int64, conns, workers int) (ReconfigResu
 	sc.Topology, sc.Seed, sc.Conns = irregular(switches, seed), seed, conns
 	sc.FailAtBT = max(sc.FailAtBT, 2*int64(conns)*admitGapBT)
 	sc.HorizonBT = 2 * sc.FailAtBT
-	var jobs []runner.Job[LinkFailure]
+	var names []string
+	var fails []faults.Schedule
 	for _, l := range topo.Links() {
 		cut := topo.Clone()
 		if err := cut.RemoveLink(l.A.Switch, l.A.Port); err != nil {
@@ -93,28 +93,24 @@ func Reconfiguration(switches int, seed int64, conns, workers int) (ReconfigResu
 			res.CutEdges++
 			continue
 		}
-		fail := faults.Schedule{{Kind: faults.FailLink, Switch: l.A.Switch, Port: l.A.Port, At: sc.FailAtBT}}
-		name := fmt.Sprintf("%d:%d-%d:%d", l.A.Switch, l.A.Port, l.B.Switch, l.B.Port)
-		jobs = append(jobs, runner.Job[LinkFailure]{
-			Name: name,
-			Seed: seed,
-			Run: func(int64) (LinkFailure, error) {
-				r, err := failoverRun(sc, func(*fabric.Network, []*fabric.Flow) (faults.Schedule, error) {
-					return fail, nil
-				})
-				return LinkFailure{
-					Link: name, Admitted: r.Admitted,
-					Displaced: r.Control.FlowsDisplaced, Readmitted: r.Readmitted, Stopped: r.StoppedConns,
-					Survival:   1 - float64(r.StoppedConns)/float64(r.Admitted),
-					RepairMADs: r.RepairMADs,
-				}, err
-			},
-		})
+		names = append(names, fmt.Sprintf("%d:%d-%d:%d", l.A.Switch, l.A.Port, l.B.Switch, l.B.Port))
+		fails = append(fails, faults.Schedule{{Kind: faults.FailLink, Switch: l.A.Switch, Port: l.A.Port, At: sc.FailAtBT}})
 	}
-	if len(jobs) == 0 {
+	if len(names) == 0 {
 		return res, fmt.Errorf("experiments: reconfiguration: the %d-switch fabric has no inter-switch link that is not a cut edge", switches)
 	}
-	if res.Links, err = runner.Sweep(jobs, workers); err != nil {
+	res.Links, err = sameSeed(sc, names, workers, func(i int, sc Scenario) (LinkFailure, error) {
+		r, err := failoverRun(sc, func(*fabric.Network, []*fabric.Flow) (faults.Schedule, error) {
+			return fails[i], nil
+		})
+		return LinkFailure{
+			Link: names[i], Admitted: r.Admitted,
+			Displaced: r.Control.FlowsDisplaced, Readmitted: r.Readmitted, Stopped: r.StoppedConns,
+			Survival:   1 - float64(r.StoppedConns)/float64(r.Admitted),
+			RepairMADs: r.RepairMADs,
+		}, err
+	})
+	if err != nil {
 		return res, err
 	}
 	res.WorstSurvival = 1

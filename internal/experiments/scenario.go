@@ -71,15 +71,16 @@ type Scenario struct {
 	// Inband wires the subnet manager and its in-band programmer: every
 	// table delta travels as SMPs on the control lane.
 	Inband bool
+	// Retry is the busy-hop policy of in-band admissions.
+	Retry admission.RetryPolicy
 	// Connection churn (runLifecycles): Arrivals connections with
 	// exponential gaps of mean MeanGapBT each hold their reservation
 	// for an exponential time of mean MeanHoldBT; SampleBT is the VL
-	// bandwidth sampling window; Retry is the busy-hop policy.
+	// bandwidth sampling window.
 	Arrivals   int
 	MeanGapBT  int64
 	MeanHoldBT int64
 	SampleBT   int64
-	Retry      admission.RetryPolicy
 
 	// SMPFaults attaches a fault injector dealing Faults' per-SMP
 	// rates (its Seed is the scenario's) to the fabric and the in-band

@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/fabric"
-	"repro/internal/runner"
 	"repro/internal/sl"
 	"repro/internal/traffic"
 )
@@ -33,15 +32,22 @@ type VBRScenario struct {
 	Connections        int
 }
 
-// vbrScenario loads a 4-switch network with on/off VBR connections on
-// SLs 2-5 plus a saturating CBR background (bursts only contend when
-// the links carry real load).  reservePeak selects whether admission
-// reserves the peak rate or only the mean.
-func vbrScenario(seed int64, peakFactor, burst, switches int, windowIATs int64, reservePeak bool) (VBRScenario, error) {
-	r, err := build(Scenario{
+// vbrBase is the VBR extension's scenario on the irregular fabric of
+// the given size: small packets, a CBR fill that stops after 200
+// refusals in a row, no best effort.
+func vbrBase(seed int64, switches int) Scenario {
+	return Scenario{
 		Seed: seed, Topology: irregular(switches, seed), Fabric: fabric.DefaultConfig(0, smallPayload, 0),
 		Saturate: true, MaxRejects: 200,
-	})
+	}
+}
+
+// vbrScenario loads sc's network with on/off VBR connections on SLs
+// 2-5, then with sc's saturating CBR fill (bursts only contend when the
+// links carry real load).  reservePeak selects whether admission
+// reserves the peak rate or only the mean.
+func vbrScenario(sc Scenario, peakFactor, burst int, windowIATs int64, reservePeak bool) (VBRScenario, error) {
+	r, err := build(sc)
 	if err != nil {
 		return VBRScenario{}, err
 	}
@@ -111,19 +117,10 @@ func vbrScenario(seed int64, peakFactor, burst, switches int, windowIATs int64, 
 // slowest VBR source.  The two scenarios fan out on workers
 // goroutines.
 func AblationVBR(seed int64, peakFactor, burst, switches int, windowIATs int64, workers int) (VBRResult, error) {
-	job := func(name string, reservePeak bool) runner.Job[VBRScenario] {
-		return runner.Job[VBRScenario]{
-			Name: name,
-			Seed: seed,
-			Run: func(int64) (VBRScenario, error) {
-				return vbrScenario(seed, peakFactor, burst, switches, windowIATs, reservePeak)
-			},
-		}
-	}
-	scenarios, err := runner.Sweep([]runner.Job[VBRScenario]{
-		job("vbr-mean-reserved", false),
-		job("vbr-peak-reserved", true),
-	}, workers)
+	scenarios, err := sameSeed(vbrBase(seed, switches), []string{"vbr-mean-reserved", "vbr-peak-reserved"}, workers,
+		func(i int, sc Scenario) (VBRScenario, error) {
+			return vbrScenario(sc, peakFactor, burst, windowIATs, i == 1)
+		})
 	if err != nil {
 		return VBRResult{}, err
 	}

@@ -28,7 +28,7 @@ func TestVBRScenarioTable(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			s, err := vbrScenario(11, c.peakFactor, c.burst, c.switches, c.windowIATs, c.reservePeak)
+			s, err := vbrScenario(vbrBase(11, c.switches), c.peakFactor, c.burst, c.windowIATs, c.reservePeak)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,8 +51,8 @@ func TestVBRScenarioDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	a, errA := vbrScenario(11, 4, 8, 2, 8, false)
-	b, errB := vbrScenario(11, 4, 8, 2, 8, false)
+	a, errA := vbrScenario(vbrBase(11, 2), 4, 8, 8, false)
+	b, errB := vbrScenario(vbrBase(11, 2), 4, 8, 8, false)
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}
