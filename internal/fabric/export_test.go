@@ -7,8 +7,6 @@ import "testing"
 
 var AllModels = allModels
 
-var NewIrregular = newIrregular
-
 func (f *Flow) DelPkts() int64 { return f.delPkts }
 
 // IndexDiff starts index_test.go's request-index differential on n:

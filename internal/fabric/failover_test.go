@@ -25,7 +25,11 @@ func buildFailoverNet(t *testing.T, model fabric.SwitchModel, switches int, seed
 	cfg := fabric.DefaultConfig(switches, 256, seed)
 	cfg.FailoverEscape = true
 	cfg.SwitchModel = model
-	n, err := fabric.NewIrregular(cfg)
+	topo, err := topology.Generate(cfg.Switches, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := fabric.NewWithTopology(cfg, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +139,11 @@ func TestRecoveryRefusesShards(t *testing.T) {
 	cfg := fabric.DefaultConfig(8, 256, 1)
 	cfg.FailoverEscape = true
 	cfg.Shards = 2
-	n, err := fabric.NewIrregular(cfg)
+	topo, err := topology.Generate(cfg.Switches, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := fabric.NewWithTopology(cfg, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
