@@ -55,6 +55,19 @@ func TestSetupLoadsNetwork(t *testing.T) {
 	}
 }
 
+// TestBuildRefusesControlPlaneWithoutInband: SMP faults and failure
+// recovery ride the in-band programmer, so a scenario asking for
+// either without it is refused before anything is built.
+func TestBuildRefusesControlPlaneWithoutInband(t *testing.T) {
+	for _, sc := range []Scenario{FaultsScenario(Tiny), FailoverScenario(Tiny)} {
+		sc.Inband = false
+		if _, err := build(sc); err == nil || !strings.Contains(err.Error(), "in-band") {
+			t.Errorf("SMPFaults %v, FailAtBT %d without Inband: err = %v, want a refusal naming the in-band programmer",
+				sc.SMPFaults, sc.FailAtBT, err)
+		}
+	}
+}
+
 // TestPointsRefuseBadLoads: every fabric run that takes an offered-load
 // factor refuses one that is NaN, infinite, not positive or above
 // admission.MaxLoadFactor with an error — never a panic, never a hang
