@@ -235,7 +235,10 @@ func (r *Run) offer() error {
 			return fmt.Errorf("experiments: %s: %w", sc.Topology.Label(), err)
 		}
 	}
-	r.Flows = addConnections(net, r.Fill.Admitted)
+	r.Flows = make([]*fabric.Flow, len(r.Fill.Admitted))
+	for i, conn := range r.Fill.Admitted {
+		r.Flows[i] = net.AddConnection(conn)
+	}
 	if sc.BEMbps > 0 {
 		for _, be := range traffic.BestEffortBackground(hosts, sc.BEMbps, sc.Seed+2) {
 			r.BEFlows = append(r.BEFlows, net.AddBestEffort(be))
@@ -292,14 +295,4 @@ func (r *Run) execute() error {
 		return slowest.Delivered.Packets < target && net.Now() < timeCap
 	})
 	return net.CheckInvariants()
-}
-
-// addConnections attaches one CBR flow per admitted connection, in
-// order.
-func addConnections(net *fabric.Network, conns []*admission.Conn) []*fabric.Flow {
-	flows := make([]*fabric.Flow, len(conns))
-	for i, conn := range conns {
-		flows[i] = net.AddConnection(conn)
-	}
-	return flows
 }
