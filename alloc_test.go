@@ -300,12 +300,15 @@ func TestAllocBudgetFabricBytes(t *testing.T) {
 // fabric, its CDG proof, 2 admission attempts per host, best-effort
 // background, Start) cost 12 315 objects then and 3 430 now, most of
 // them the Sequence records of fresh placements, the connections and
-// their flows.  A Flow is one record, its statistics inline, and must
-// stay in the 384-byte size class: its four objects totalled 400 bytes.
+// their flows.  A Flow is one record, its delay distribution inline and
+// its jitter kept per service level on its delivering shard, and must
+// stay in the 240-byte size class: it was 368 bytes (384-byte class)
+// while it held its own jitter histogram, and its four objects totalled
+// 400 bytes before that.
 const (
 	networkSetupAllocBudget = 200
 	wrrSetupAllocBudget     = 4_000
-	flowRecordMaxBytes      = 384
+	flowRecordMaxBytes      = 240
 )
 
 // TestAllocBudgetNetworkSetup gates the cost of building a fabric:
@@ -803,13 +806,19 @@ func (l *churnLoopK8) run(n int) {
 // churnLifecycleAllocBudget is the heap allocations one connection
 // lifecycle of the churn loop may cost, everything included: the
 // arrival and retry events, the connection, its flow (one record, its
-// statistics inline), a Sequence per fresh placement on ≈ 5 hops, ≈ 30
+// delay statistics inline), a Sequence per fresh placement on ≈ 5 hops, ≈ 30
 // SMPs out and back, the release.  It was 248 when every SMP cost seven
 // objects, 18.9 while refused attempts placed sequences and rolled them
 // back, and 12.7 while a flow cost four objects and an allocator grew
 // its two sequence lists separately; the ceiling sits just above what
-// the loop measures (9.7).
-const churnLifecycleAllocBudget = 11
+// the loop measures (9.7).  The bytes are gated too, since churn keeps
+// every released flow: a lifecycle cost 1 151 bytes while a Flow was a
+// 368-byte record and costs 1 009 at 240 bytes, so a record that grows
+// back into the 384-byte class fails the ceiling.
+const (
+	churnLifecycleAllocBudget = 11
+	churnLifecycleByteBudget  = 1_060
+)
 
 // TestAllocBudgetChurnLifecycle gates the in-band control transaction
 // end to end.
@@ -828,11 +837,14 @@ func TestAllocBudgetChurnLifecycle(t *testing.T) {
 	l.run(lifecycles)
 	runtime.ReadMemStats(&after)
 	perLifecycle := float64(after.Mallocs-before.Mallocs) / lifecycles
+	bytesPerLifecycle := float64(after.TotalAlloc-before.TotalAlloc) / lifecycles
 	t.Logf("%.1f allocs, %.0f bytes per lifecycle; %d of %d admitted, %d MADs",
-		perLifecycle, float64(after.TotalAlloc-before.TotalAlloc)/lifecycles,
-		l.admitted, l.arrivals, l.prog.Costs.MADs)
+		perLifecycle, bytesPerLifecycle, l.admitted, l.arrivals, l.prog.Costs.MADs)
 	if perLifecycle > churnLifecycleAllocBudget {
 		t.Errorf("churn loop allocates %.1f objects per lifecycle, budget %d", perLifecycle, churnLifecycleAllocBudget)
+	}
+	if bytesPerLifecycle > churnLifecycleByteBudget {
+		t.Errorf("churn loop allocates %.0f bytes per lifecycle, budget %d", bytesPerLifecycle, churnLifecycleByteBudget)
 	}
 	if err := l.net.Adm.CheckInvariants(); err != nil {
 		t.Error(err)

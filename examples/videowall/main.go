@@ -79,11 +79,10 @@ func main() {
 	for _, name := range []string{"voice", "video", "storage"} {
 		flows := classes[name]
 		delay := stats.NewDelayCDF()
-		jitter := &stats.JitterHist{}
 		for _, f := range flows {
-			delay.Merge(f.Delay)
-			jitter.Merge(f.Jitter)
+			delay.Merge(&f.Delay)
 		}
+		jitter := net.Jitter(flows[0].SL) // one class, one SL
 		fmt.Printf("%-10s %5d  %7d  %11.2f%%  %13.3f  %15.1f%%\n",
 			name, len(flows), delay.Total(), delay.PercentMeetingDeadline(),
 			delay.MaxRatio(), jitter.CentralPercent())

@@ -56,7 +56,7 @@ func EvaluationScenario(s Scale) Scenario {
 func mergedDelay(flows []*fabric.Flow) *stats.DelayCDF {
 	all := stats.NewDelayCDF()
 	for _, f := range flows {
-		all.Merge(f.Delay)
+		all.Merge(&f.Delay)
 	}
 	return all
 }
@@ -71,22 +71,7 @@ func (r *Run) delayBySL() map[uint8]*stats.DelayCDF {
 			d = stats.NewDelayCDF()
 			out[f.SL] = d
 		}
-		d.Merge(f.Delay)
-	}
-	return out
-}
-
-// jitterBySL merges the per-connection jitter histograms of each
-// service level.
-func (r *Run) jitterBySL() map[uint8]*stats.JitterHist {
-	out := make(map[uint8]*stats.JitterHist)
-	for _, f := range r.Flows {
-		j, ok := out[f.SL]
-		if !ok {
-			j = &stats.JitterHist{}
-			out[f.SL] = j
-		}
-		j.Merge(f.Jitter)
+		d.Merge(&f.Delay)
 	}
 	return out
 }

@@ -75,10 +75,9 @@ func (e *Evaluation) Figure5() []JitterSeries { return Figure5For(e.Small) }
 
 // Figure5For extracts the jitter histograms of one run.
 func Figure5For(r *Run) []JitterSeries {
-	bySL := r.jitterBySL()
 	var out []JitterSeries
 	for _, id := range r.slIDs() {
-		j := bySL[id]
+		j := r.Net.Jitter(id)
 		s := JitterSeries{SL: id, Samples: j.Total()}
 		for i := 0; i < stats.JitterBuckets; i++ {
 			s.Percent[i] = j.Percent(i)

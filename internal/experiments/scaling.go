@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
-
-	"repro/internal/stats"
 )
 
 // ScalingRow summarizes one network size of the scaling sweep; the
@@ -34,12 +32,7 @@ func Scaling(sc Scenario, sizes []int, workers int) ([]ScalingRow, error) {
 		if err != nil {
 			return ScalingRow{}, err
 		}
-		all := stats.NewDelayCDF()
-		jit := &stats.JitterHist{}
-		for _, f := range run.Flows {
-			all.Merge(f.Delay)
-			jit.Merge(f.Jitter)
-		}
+		all, jit := mergedDelay(run.Flows), run.Net.Jitter(run.slIDs()...)
 		return ScalingRow{
 			Switches:           sizes[i],
 			Hosts:              run.Net.Topo.NumHosts(),

@@ -249,30 +249,29 @@ func TestTrafficSurvivesLinkFailure(t *testing.T) {
 }
 
 // TestStartMeasurementResetsInPlace: opening a measurement window
-// empties every flow's statistics without replacing the Delay and
-// Jitter objects (a caller may hold them) and without allocating.
+// empties every flow's statistics and its service level's jitter
+// without allocating, and both fill again after it.
 func TestStartMeasurementResetsInPlace(t *testing.T) {
 	n := buildNet(t, 2, 256, 23)
 	f := admitFlow(t, n, 0, 7, 2, 4)
 	n.StartMeasurement()
 	n.Start()
 	n.Engine.Run(20 * f.IAT)
-	if f.Delay.Total() == 0 || f.Jitter.Total() == 0 {
+	if j := n.Jitter(f.SL); f.Delay.Total() == 0 || j.Total() == 0 {
 		t.Fatal("warm-up recorded nothing")
 	}
-	delay, jitter := f.Delay, f.Jitter
 	if allocs := testing.AllocsPerRun(10, n.StartMeasurement); allocs != 0 {
 		t.Errorf("StartMeasurement allocates %.0f objects, want 0", allocs)
 	}
-	if f.Delay != delay || f.Jitter != jitter {
-		t.Error("StartMeasurement replaced the flow's statistics objects")
-	}
-	if f.Delay.Total() != 0 || f.Delay.MaxRatio() != 0 || f.Jitter.Total() != 0 || f.Delivered.Packets != 0 {
+	if j := n.Jitter(f.SL); f.Delay.Total() != 0 || f.Delay.MaxRatio() != 0 || j.Total() != 0 || f.Delivered.Packets != 0 {
 		t.Errorf("statistics survive the reset: delay %d (max %g), jitter %d, delivered %d",
-			f.Delay.Total(), f.Delay.MaxRatio(), f.Jitter.Total(), f.Delivered.Packets)
+			f.Delay.Total(), f.Delay.MaxRatio(), j.Total(), f.Delivered.Packets)
 	}
 	n.Engine.Run(n.Engine.Now() + 20*f.IAT)
 	if f.Delay.Total() == 0 || f.Delay.PercentMeetingDeadline() != 100 {
 		t.Errorf("after the reset: %d packets, %.1f%% on time", f.Delay.Total(), f.Delay.PercentMeetingDeadline())
+	}
+	if j := n.Jitter(f.SL); j.Total() == 0 {
+		t.Error("after the reset: no jitter samples")
 	}
 }

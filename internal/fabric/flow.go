@@ -12,6 +12,9 @@
 package fabric
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/sl"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -28,24 +31,26 @@ type Flow struct {
 	// wire VL, which differs from Base only under multi-plane routing
 	// engines (the source may already sit in the destination's
 	// dragonfly group, so injection happens on the escape plane).
-	Base     uint8
+	Base uint8
+	// The flags fill the padding after the three uint8s, which keeps
+	// the record in the 240-byte size class.
+	QoS     bool
+	stopped bool // generation stopped (Network.StopFlow)
+
 	Mbps     float64
 	Payload  int   // payload bytes per packet
 	Wire     int   // payload + header bytes
 	IAT      int64 // nominal packet interarrival, byte times
 	Deadline int64 // end-to-end guarantee in byte times; 0 = best effort
-	QoS      bool
 
-	// Measurement-window statistics.  Delay and Jitter point into the
-	// record itself (delay, jitter), so that a flow is one heap object.
+	// Measurement-window statistics.  Interarrival jitter is kept per
+	// service level, not per flow (Network.Jitter).
 	Injected  stats.Meter
 	Delivered stats.Meter
-	Delay     *stats.DelayCDF
-	Jitter    *stats.JitterHist
+	Delay     stats.DelayCDF
 	Drops     int64
 
 	lastArrival int64 // previous delivery time within the window, -1 if none
-	stopped     bool
 
 	// Whole-run packet counters (independent of the measurement
 	// window), used to detect when a stopping flow has drained.  A
@@ -58,18 +63,21 @@ type Flow struct {
 	// generation; nil means constant-bit-rate spacing at IAT.  Used by
 	// the VBR extension.
 	pacing func() int64
-
-	delay  stats.DelayCDF // Delay's storage
-	jitter stats.JitterHist
 }
 
 // Stopped reports whether the flow's generation is stopped
 // (Network.StopFlow, ReleaseConnection).
 func (f *Flow) Stopped() bool { return f.stopped }
 
-// newFlow builds the runtime state shared by both flow kinds.
+// newFlow builds the runtime state shared by both flow kinds.  It
+// panics on a rate that is not finite and positive: such a flow has no
+// interarrival time, and its first generation would be scheduled in the
+// past or never leave the current instant.
 func newFlow(id, src, dst int, slv, vl uint8, mbps float64, payload int, deadline int64, qos bool) *Flow {
-	f := &Flow{
+	if !(mbps > 0) || math.IsInf(mbps, 1) {
+		panic(fmt.Sprintf("fabric: flow %d -> %d: rate %v Mbps is not finite and positive", src, dst, mbps))
+	}
+	return &Flow{
 		ID: id, Src: src, Dst: dst, SL: slv, VL: vl, Base: vl,
 		Mbps:        mbps,
 		Payload:     payload,
@@ -79,17 +87,14 @@ func newFlow(id, src, dst int, slv, vl uint8, mbps float64, payload int, deadlin
 		QoS:         qos,
 		lastArrival: -1,
 	}
-	f.Delay, f.Jitter = &f.delay, &f.jitter
-	return f
 }
 
 // resetMeasurement clears the per-flow statistics at the start of the
-// measurement window, in place: Delay and Jitter keep their identity.
+// measurement window.
 func (f *Flow) resetMeasurement() {
 	f.Injected = stats.Meter{}
 	f.Delivered = stats.Meter{}
 	f.Delay.Reset()
-	f.Jitter.Reset()
 	f.lastArrival = -1
 	f.Drops = 0
 }

@@ -610,7 +610,9 @@ func (n *Network) Start() {
 // Start, e.g. connections admitted while the fabric is live, and to
 // restart a stopped flow.
 func (n *Network) StartFlow(f *Flow) {
-	f.stopped = false
+	// A restarted flow's first delivery opens a new interarrival
+	// sequence: the stop is not jitter.
+	f.stopped, f.lastArrival = false, -1
 	phase := int64(0)
 	if f.IAT > 1 {
 		phase = n.rng.Int63n(f.IAT)
@@ -973,8 +975,9 @@ func (sh *shard) arrive(out *outPort, pkt *Packet) {
 
 // deliver records a packet reaching its destination host and recycles
 // the packet record.  Runs on the destination's shard; the fields it
-// writes (delivery-side flow statistics, delivery counters, the packet
-// pool) are never touched by the source shard.
+// writes (delivery-side flow statistics, the shard's jitter histograms,
+// delivery counters, the packet pool) are never touched by the source
+// shard.
 func (sh *shard) deliver(pkt *Packet) {
 	n := sh.n
 	sh.totalDelivered++
@@ -991,7 +994,7 @@ func (sh *shard) deliver(pkt *Packet) {
 		}
 		if f.lastArrival >= 0 && f.IAT > 0 {
 			dev := float64(now-f.lastArrival-f.IAT) / float64(f.IAT)
-			f.Jitter.Add(dev)
+			sh.jitter[f.SL].Add(dev)
 		}
 		f.lastArrival = now
 	}
@@ -1001,13 +1004,14 @@ func (sh *shard) deliver(pkt *Packet) {
 	sh.freePacket(pkt)
 }
 
-// StartMeasurement begins the steady-state window: per-flow statistics
-// and port meters reset and deliveries start counting.
+// StartMeasurement begins the steady-state window: per-flow statistics,
+// per-SL jitter and port meters reset and deliveries start counting.
 func (n *Network) StartMeasurement() {
 	n.measuring = true
 	n.measureStart = n.Now()
 	for _, sh := range n.shards {
 		sh.injectedBytes, sh.deliveredBytes = 0, 0
+		clear(sh.jitter[:])
 	}
 	for _, f := range n.flows {
 		f.resetMeasurement()

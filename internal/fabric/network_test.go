@@ -137,10 +137,11 @@ func TestJitterTightUncontended(t *testing.T) {
 	n.Engine.Run(5 * f.IAT)
 	n.StartMeasurement()
 	n.Engine.Run(105 * f.IAT)
-	if f.Jitter.Total() < 50 {
-		t.Fatalf("only %d jitter samples", f.Jitter.Total())
+	j := n.Jitter(f.SL)
+	if j.Total() < 50 {
+		t.Fatalf("only %d jitter samples", j.Total())
 	}
-	if pct := f.Jitter.CentralPercent(); pct < 99 {
+	if pct := j.CentralPercent(); pct < 99 {
 		t.Errorf("central jitter %.1f%%, want ~100%% uncontended", pct)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"repro/internal/arbtable"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // This file is the sharded half of the simulation core (DESIGN.md §12).
@@ -65,6 +66,11 @@ type shard struct {
 	injectedBytes  int64
 	deliveredBytes int64
 
+	// jitter holds the measurement window's interarrival deviations of
+	// the flows this shard delivers, one histogram per service level;
+	// Network.Jitter merges the shards.
+	jitter [numSLs]stats.JitterHist
+
 	// Boundary batches, drained by Network.flushBoundary at barriers.
 	outbox  []boundaryEvent
 	credits []creditReturn
@@ -81,6 +87,21 @@ type shard struct {
 	// voqIdleKicks counts the kicks at input-queued switches that posted
 	// no scheduling pass because nothing could match (see kickVOQ).
 	voqIdleKicks int64
+}
+
+// numSLs is the number of InfiniBand service levels.
+const numSLs = 16
+
+// Jitter returns the measurement window's interarrival jitter of every
+// flow on the given service levels, merged over the shards.
+func (n *Network) Jitter(sls ...uint8) stats.JitterHist {
+	var j stats.JitterHist
+	for _, sh := range n.shards {
+		for _, slv := range sls {
+			j.Merge(&sh.jitter[slv])
+		}
+	}
+	return j
 }
 
 // shardForHost returns the shard owning a host.

@@ -118,9 +118,6 @@ type JitterHist struct {
 	total  int64
 }
 
-// Reset empties the histogram in place.
-func (j *JitterHist) Reset() { *j = JitterHist{} }
-
 // Add records one interarrival deviation, already normalized by the
 // IAT (e.g. 0 means exactly on schedule, -0.5 means half an IAT early).
 func (j *JitterHist) Add(norm float64) {

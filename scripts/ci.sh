@@ -134,7 +134,7 @@ echo "==> go test -race -run 'TestRequestIndex|TestPacketQueueDifferential' ./in
 # operation.
 go test -race -run 'TestRequestIndex|TestPacketQueueDifferential' -count=1 ./internal/fabric
 
-echo "==> go test -race -run 'TestIdle|TestVOQDeliveryDigest|TestWRRDeliveryDigest|TestWRREventsPerHop' ./internal/fabric (no scheduling pass that cannot send)"
+echo "==> go test -race -run 'TestIdle|TestVOQDeliveryDigest|TestWRRDeliveryDigest|TestWRREventsPerHop|TestJitterAggregateMatchesReplay' ./internal/fabric (no scheduling pass that cannot send)"
 # A kick at a WRR port posts no pass while the port transmits or,
 # without a fault schedule, while no front packet requests it; a kick at
 # an input-queued switch posts a pass only when a free output has a
@@ -150,8 +150,10 @@ echo "==> go test -race -run 'TestIdle|TestVOQDeliveryDigest|TestWRRDeliveryDige
 # constants recorded before the kick rules, on every routing class, and
 # for WRR under fault windows, at crossbar speedup 1 and at
 # LimitOfHighPriority 0; TestWRREventsPerHop budgets events per forward
-# and arbiter stalls on a fixed run.
-go test -race -run 'TestIdle|TestVOQDeliveryDigest|TestWRRDeliveryDigest|TestWRREventsPerHop' -count=1 ./internal/fabric
+# and arbiter stalls on a fixed run.  TestJitterAggregateMatchesReplay
+# holds the per-SL jitter the delivering shards keep to a per-flow
+# replay of every delivery, under WRR and VOQ-iSLIP.
+go test -race -run 'TestIdle|TestVOQDeliveryDigest|TestWRRDeliveryDigest|TestWRREventsPerHop|TestJitterAggregateMatchesReplay' -count=1 ./internal/fabric
 
 echo "==> go test -race -run TestArbiterIndex ./internal/arbtable (high-table slot-mask differential)"
 # Arbiter.Pick finds the next serving high-table entry on per-VL slot
