@@ -386,6 +386,106 @@ func TestAllocBudgetNetworkSetup(t *testing.T) {
 	}
 }
 
+// Admission's per-connection records.  A connection's weight is the
+// same at every hop, so a hop keeps only the sequence the connection
+// joined there (core.Hold) and its port as two int32s: 24 bytes, where
+// a hop holding its table pointer and a core.Reservation that copied the
+// weight was 40.  A six-hop connection — every cross-pod fat-tree route
+// — is then one object of at most 256 bytes with its hop list: it was
+// 368 bytes, in the 384-byte size class, while every hop was 40 bytes
+// and the header carried a hop count and an int-wide traffic class.  A
+// refusal's hopError, one per refused Admit, packs its port and operands
+// into int32s: 48 bytes, from 80.
+const (
+	hopRecordMaxBytes  = 24
+	connRecordMaxBytes = 256
+	hopErrorMaxBytes   = 48
+)
+
+// TestAllocBudgetAdmissionRecords gates those sizes: the hop and the
+// six-hop connection from admission.Conn's layout and, without race
+// instrumentation, from the bytes a six-hop Admit + Release on a k=8
+// fat-tree allocates (its connection, in the size class the runtime
+// chose); the hopError from a refusal Admit returns.
+func TestAllocBudgetAdmissionRecords(t *testing.T) {
+	hops, ok := reflect.TypeOf(admission.Conn{}).FieldByName("hops")
+	if !ok {
+		t.Fatal("admission.Conn has no hop list")
+	}
+	hopBytes := hops.Type.Elem().Size()
+	t.Logf("hop %d bytes, connection header %d bytes", hopBytes, unsafe.Sizeof(admission.Conn{}))
+	if hopBytes > hopRecordMaxBytes {
+		t.Errorf("an admission.Conn hop is %d bytes, want <= %d", hopBytes, hopRecordMaxBytes)
+	}
+	if size := unsafe.Sizeof(admission.Conn{}) + 6*hopBytes; size > connRecordMaxBytes {
+		t.Errorf("a six-hop admission.Conn is %d bytes, want <= %d", size, connRecordMaxBytes)
+	}
+
+	topo, err := topology.Spec{Class: topology.FatTree, K: 8}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := fabric.BuildControl(fabric.DefaultConfig(topo.NumSwitches, 256, 7), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adm := cs.Adm
+	// Host 0 and the last host sit in different pods: host interface,
+	// edge, aggregation and core uplinks, aggregation and edge downlinks.
+	req := traffic.Request{Src: 0, Dst: topo.NumHosts() - 1, Level: sl.DefaultLevels[6], Mbps: 1}
+	conn, err := adm.Admit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(conn.Sites()); n != 6 {
+		t.Fatalf("path %d -> %d has %d arbitration points, want 6", req.Src, req.Dst, n)
+	}
+	if err := adm.Release(conn); err != nil {
+		t.Fatal(err)
+	}
+
+	adm.Down = func(admission.PortID) bool { return true }
+	_, err = adm.Admit(req)
+	if !errors.Is(err, admission.ErrHopDown) {
+		t.Fatalf("Admit over a quarantined hop = %v, want ErrHopDown", err)
+	}
+	if rt := reflect.TypeOf(err); rt.Kind() != reflect.Pointer {
+		t.Errorf("the refusal is a %v, want a pointer to its record", rt)
+	} else if size := rt.Elem().Size(); size > hopErrorMaxBytes {
+		t.Errorf("a refusal (%v) is %d bytes, want <= %d", rt.Elem(), size, hopErrorMaxBytes)
+	}
+	adm.Down = nil
+
+	if raceEnabled {
+		t.Skip("alloc budgets hold only without race instrumentation")
+	}
+	const rounds = 1000
+	step := func() {
+		conn, err := adm.Admit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := adm.Release(conn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	if objs := (after.Mallocs - before.Mallocs) / rounds; objs != 1 {
+		t.Errorf("a six-hop Admit + Release allocates %d objects, want 1 (its connection)", objs)
+	}
+	bytes := (after.TotalAlloc - before.TotalAlloc) / rounds
+	t.Logf("a six-hop Admit + Release allocates %d bytes", bytes)
+	if bytes > connRecordMaxBytes {
+		t.Errorf("a six-hop Admit + Release allocates %d bytes, want <= %d (its connection)", bytes, connRecordMaxBytes)
+	}
+}
+
 // portTableMaxBytes is the size of a core.PortTable whose in-band
 // transaction staging — target table, staged blocks, target version —
 // lives in a record taken from its slab's free list only while a

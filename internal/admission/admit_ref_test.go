@@ -3,6 +3,7 @@ package admission
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/sl"
 	"repro/internal/traffic"
 )
@@ -45,45 +46,42 @@ func (c *Controller) refAdmit(req traffic.Request) (*Conn, error) {
 		default:
 			res, err := tb.Reserve(h.WireVL, distance, weight)
 			if err == nil {
-				h := newHop(id, tb)
-				h.res = res
-				c.held = append(c.held, h)
+				c.held = append(c.held, hop{hold: res.Hold, port: packPort(id)})
 				continue
 			}
 			cause = err
 		}
-		c.abort()
-		return nil, &hopError{cause: cause, hop: i + 1, of: len(path), id: id,
-			reserved: reserved, weight: weight, budget: c.Budget}
+		c.abort(weight)
+		return nil, newHopError(cause, i, len(path), id, reserved, weight, c.Budget)
 	}
 
 	conn := newConn(c.held)
 	conn.ID = c.nextID
 	conn.Req = req
 	conn.Weight = weight
-	conn.Hops = len(path)
-	conn.Deadline = int64(conn.Hops) * sl.HopDeadlineByteTimes(req.Level.Distance, c.PacketWire)
-	for i := range conn.hops {
-		c.commitHop(conn.hops[i].id(), conn.hops[i].table)
+	conn.Deadline = int64(len(path)) * sl.HopDeadlineByteTimes(req.Level.Distance, c.PacketWire)
+	for _, h := range conn.hops {
+		c.commitHop(h.id(), c.table(h.port))
 	}
 	c.nextID++
 	c.track(conn)
 	return conn, nil
 }
 
-// abort rolls back the hops reserved so far for a failed prepare, in
-// reverse order of acquisition, and re-checks every touched hop's
-// invariants (core.PortTable.CheckInvariants).  Rollback never
-// defragments, so each shadow table is restored byte-identically to its
-// pre-Admit state.
-func (c *Controller) abort() {
+// abort rolls back the hops reserved so far, each of the given weight,
+// for a failed prepare, in reverse order of acquisition, and re-checks
+// every touched hop's invariants (core.PortTable.CheckInvariants).
+// Rollback never defragments, so each shadow table is restored
+// byte-identically to its pre-Admit state.
+func (c *Controller) abort(weight int) {
 	for i := len(c.held) - 1; i >= 0; i-- {
 		h := c.held[i]
+		tb := c.table(h.port)
 		// Rollback cannot fail for reservations we just made.
-		if err := h.table.Rollback(h.res); err != nil {
+		if err := tb.Rollback(core.Reservation{Hold: h.hold, Weight: weight}); err != nil {
 			panic(fmt.Sprintf("admission: rollback at %v failed: %v", h.id(), err))
 		}
-		if err := h.table.CheckInvariants(); err != nil {
+		if err := tb.CheckInvariants(); err != nil {
 			panic(fmt.Sprintf("admission: invariants broken after rollback at %v: %v", h.id(), err))
 		}
 	}

@@ -34,19 +34,26 @@ func snap(pt *core.PortTable) portSnapshot {
 	return s
 }
 
+// pathSite is one arbitration point of a path and its table.
+type pathSite struct {
+	port
+	table *core.PortTable
+}
+
 // pathTables returns the arbitration points Admit visits for a request
 // from src to dst on the given base VL, in path order.
-func pathTables(t *testing.T, c *Controller, src, dst int, base uint8) []hop {
+func pathTables(t *testing.T, c *Controller, src, dst int, base uint8) []pathSite {
 	t.Helper()
 	path, err := c.routes.PathHops(src, dst, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hops := make([]hop, len(path))
+	sites := make([]pathSite, len(path))
 	for i, h := range path {
-		hops[i] = newHop(c.site(src, h))
+		id, tb := c.site(src, h)
+		sites[i] = pathSite{packPort(id), tb}
 	}
-	return hops
+	return sites
 }
 
 // TestAbortAtLastHopLeavesEarlierHopsUntouched drives the two-phase
@@ -76,13 +83,13 @@ func TestAbortAtLastHopLeavesEarlierHopsUntouched(t *testing.T) {
 		setup func(t *testing.T, c *Controller, dst int, last PortID)
 		// text is the refusal's message given the last hop's table and
 		// the error Admit returned.
-		text func(c *Controller, last hop, err error) string
+		text func(c *Controller, last pathSite, err error) string
 	}{
 		// 64 Mbps is weight 523: four slots each and no sharing, so the
 		// 64 entries run out at 16 connections, well inside the budget.
 		{"no space", core.ErrNoSpace, func(t *testing.T, c *Controller, dst int, _ PortID) {
 			saturate(t, c, dst, 64)
-		}, func(_ *Controller, _ hop, err error) string {
+		}, func(_ *Controller, _ pathSite, err error) string {
 			return fmt.Sprintf("admission: hop 3/3: %v", errors.Unwrap(err))
 		}},
 		// 30 Mbps fits one slot but not two to a sequence: the weight
@@ -92,7 +99,7 @@ func TestAbortAtLastHopLeavesEarlierHopsUntouched(t *testing.T) {
 			if free := c.ports.Switch[last.Switch][last.Port].Allocator().FreeSlots(); free == 0 {
 				t.Fatal("table filled before the budget did")
 			}
-		}, func(c *Controller, last hop, _ error) string {
+		}, func(c *Controller, last pathSite, _ error) string {
 			return fmt.Sprintf("admission: hop 3/3 over budget (%d + %d > %d)",
 				last.table.ReservedWeight(), sl.WeightForBandwidth(64*c.WireFactor), c.Budget)
 		}},
@@ -101,12 +108,12 @@ func TestAbortAtLastHopLeavesEarlierHopsUntouched(t *testing.T) {
 			if _, err := c.Admit(req(4, dst, 9, 32)); err != nil {
 				t.Fatal(err)
 			}
-		}, func(_ *Controller, last hop, _ error) string {
+		}, func(_ *Controller, last pathSite, _ error) string {
 			return fmt.Sprintf("admission: hop 3/3 (%v): admission: hop mid-reprogram", last.id())
 		}},
 		{"down", ErrHopDown, func(t *testing.T, c *Controller, _ int, last PortID) {
 			c.Down = func(id PortID) bool { return id == last }
-		}, func(_ *Controller, last hop, _ error) string {
+		}, func(_ *Controller, last pathSite, _ error) string {
 			return fmt.Sprintf("admission: hop 3/3 (%v): admission: hop down (quarantined)", last.id())
 		}},
 	} {
@@ -272,8 +279,7 @@ func TestAdmitWithRetrySucceedsAfterProgramLands(t *testing.T) {
 func TestNewConnIsOneObject(t *testing.T) {
 	scratch := make([]hop, 12)
 	for i := range scratch {
-		scratch[i] = newHop(SwitchPortID(i, i+1), nil)
-		scratch[i].res = core.Reservation{Weight: 10 + i}
+		scratch[i] = hop{hold: core.Hold{Seq: core.SeqID(10 + i)}, port: packPort(SwitchPortID(i, i+1))}
 	}
 	for n := 1; n <= len(scratch); n++ {
 		conn := newConn(scratch[:n])

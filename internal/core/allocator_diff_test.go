@@ -210,7 +210,7 @@ func TestAllocatorMaskDifferential(t *testing.T) {
 					case k < 99:
 						// A token nobody holds: unknown sequence, or more
 						// weight than the sequence carries.
-						d.release(Reservation{Seq: SeqID(1 + rng.Intn(int(d.a.nextID)+1)), Weight: 1 + MaxSeqWeight})
+						d.release(Reservation{Hold: Hold{Seq: SeqID(1 + rng.Intn(int(d.a.nextID)+1))}, Weight: 1 + MaxSeqWeight})
 					default:
 						// Drain, so the densest classes get room again.
 						for len(d.held) > 0 {

@@ -267,14 +267,14 @@ func (a *refAllocator) reserve(vl uint8, distance, weight int) (Reservation, err
 			if err := a.addWeight(s.ID, weight); err != nil {
 				return Reservation{}, err
 			}
-			return Reservation{Seq: s.ID, Weight: weight}, nil
+			return Reservation{Hold: Hold{Seq: s.ID}, Weight: weight}, nil
 		}
 	}
 	s, err := a.allocate(vl, distance, weight)
 	if err != nil {
 		return Reservation{}, err
 	}
-	return Reservation{Seq: s.ID, Weight: weight}, nil
+	return Reservation{Hold: Hold{Seq: s.ID}, Weight: weight}, nil
 }
 
 func (a *refAllocator) release(r Reservation) error {

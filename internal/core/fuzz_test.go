@@ -57,7 +57,7 @@ func FuzzAllocatorTrace(f *testing.F) {
 					t.Fatalf("rejected %d slots with %d free: %v", need, free, err)
 				}
 				if err == nil {
-					accepted = append(accepted, live{tok: Reservation{Seq: s.ID, Weight: w, seq: s}})
+					accepted = append(accepted, live{tok: Reservation{Hold: Hold{Seq: s.ID, seq: s}, Weight: w}})
 				}
 			} else if len(accepted) > 0 {
 				idx := int(op/2) % len(accepted)

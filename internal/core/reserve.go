@@ -6,16 +6,24 @@ import (
 	"repro/internal/arbtable"
 )
 
+// Hold names the sequence one connection shares on a port's
+// arbitration table: its ID, and its record, so that a release finds the
+// sequence without a search; a hold whose record has since been freed or
+// reused (checked by owner and ID) falls back to searching by Seq.  A
+// connection's weight is the same at every hop of its path, so a caller
+// holding many hops of one connection keeps the weight once and a Hold
+// per hop.
+type Hold struct {
+	Seq SeqID
+	seq *Sequence
+}
+
 // Reservation records one connection's hold on a port's arbitration
-// table: the sequence it shares and the weight it contributed.  It is
-// the token needed to release the resources when the connection ends.
-// It also carries the sequence's record, so that a release finds the
-// sequence without a search; a token whose record has since been freed
-// or reused (checked by owner and ID) falls back to searching by Seq.
+// table and the weight it contributed there.  It is the token needed to
+// release the resources when the connection ends.
 type Reservation struct {
-	Seq    SeqID
+	Hold
 	Weight int
-	seq    *Sequence
 }
 
 // Decision is a request a port table has decided to take, read-only:
@@ -249,7 +257,7 @@ func (p *PortTable) Prepare(d Decision) Reservation {
 	default:
 		s = a.add(d.vl, d.stride, d.start, d.weight)
 	}
-	return Reservation{Seq: s.ID, Weight: d.weight, seq: s}
+	return Reservation{Hold: Hold{Seq: s.ID, seq: s}, Weight: d.weight}
 }
 
 // joinable returns the sequence a well-formed request joins, or nil.

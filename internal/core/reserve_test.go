@@ -139,7 +139,7 @@ func TestReleaseFreesAndAllowsReuse(t *testing.T) {
 
 func TestReleaseUnknown(t *testing.T) {
 	p := newPort()
-	if err := p.Release(Reservation{Seq: 12, Weight: 5}); err == nil {
+	if err := p.Release(Reservation{Hold: Hold{Seq: 12}, Weight: 5}); err == nil {
 		t.Error("release of unknown reservation succeeded")
 	}
 }

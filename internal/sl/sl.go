@@ -18,8 +18,9 @@ import (
 )
 
 // Class is Pelissier's traffic taxonomy extended by the authors' PBE
-// class (preferential best effort).
-type Class int
+// class (preferential best effort).  It is a byte, so that it packs
+// beside the SL in a Level.
+type Class uint8
 
 const (
 	// DBTS is dedicated-bandwidth time-sensitive traffic: bandwidth

@@ -261,7 +261,11 @@ echo "==> go test -run AllocBudget . and 'TestVOQStateSizedByRadix|TestPortRecor
 # outPort, hostNode, pktQueue — to 360, 112, 376 and 16 bytes, and a
 # switch (swNode) to 136 bytes with its request index (reqIndex, two
 # slab slices over the one view its rule reads) to 72
-# (TestPortRecordSizes);
+# (TestPortRecordSizes), and admission's per-connection records — a
+# connection's hop (hopRecordMaxBytes, 24 bytes), a six-hop connection
+# with its hop list (connRecordMaxBytes, 256, also measured as the bytes
+# a six-hop Admit + Release allocates) and a refusal's hopError
+# (hopErrorMaxBytes, 48) — (TestAllocBudgetAdmissionRecords);
 # testing.AllocsPerRun budgets: 0 allocs/op on arbiter pick, on the
 # event queue's Post + Step (near, far, timer + Cancel) and on a full
 # per-hop packet forwarding step with metrics disabled; the
