@@ -300,16 +300,41 @@ func TestAllocBudgetFabricBytes(t *testing.T) {
 // fabric, its CDG proof, 2 admission attempts per host, best-effort
 // background, Start) cost 12 315 objects then and 3 430 now, most of
 // them the Sequence records of fresh placements, the connections and
-// their flows.  A Flow is one record, its delay distribution inline and
-// its jitter kept per service level on its delivering shard, and must
-// stay in the 240-byte size class: it was 368 bytes (384-byte class)
-// while it held its own jitter histogram, and its four objects totalled
-// 400 bytes before that.
+// their flows.  A Flow is one pointer-free record, its delay
+// distribution inline, its jitter kept per service level on its
+// delivering shard and a VBR flow's pacing in its network's side table,
+// and must stay in the 192-byte size class: it was 240 bytes while it
+// held byte meters, int-wide endpoints and a pacing closure, 368 bytes
+// (384-byte class) while it held its own jitter histogram, and its four
+// objects totalled 400 bytes before that.
 const (
 	networkSetupAllocBudget = 200
 	wrrSetupAllocBudget     = 4_000
-	flowRecordMaxBytes      = 240
+	flowRecordMaxBytes      = 192
 )
+
+// TestFlowRecordHoldsNoPointers gates what makes a churn run's kept
+// flows cheap to collect: fabric.Flow holds no pointer, func, map,
+// slice, string, interface or channel at any depth, so the allocator
+// puts it in a span the collector's mark phase never scans.
+func TestFlowRecordHoldsNoPointers(t *testing.T) {
+	var walk func(path string, rt reflect.Type)
+	walk = func(path string, rt reflect.Type) {
+		switch rt.Kind() {
+		case reflect.Struct:
+			for i := 0; i < rt.NumField(); i++ {
+				f := rt.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", rt.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Func, reflect.Map,
+			reflect.Slice, reflect.String, reflect.Interface, reflect.Chan:
+			t.Errorf("%s is a %s: fabric.Flow must hold no pointers", path, rt.Kind())
+		}
+	}
+	walk("Flow", reflect.TypeOf(fabric.Flow{}))
+}
 
 // TestAllocBudgetNetworkSetup gates the cost of building a fabric:
 // NewWithTopology under both switch models, a whole wrr-k8-like set-up,
@@ -912,12 +937,13 @@ func (l *churnLoopK8) run(n int) {
 // back, and 12.7 while a flow cost four objects and an allocator grew
 // its two sequence lists separately; the ceiling sits just above what
 // the loop measures (9.7).  The bytes are gated too, since churn keeps
-// every released flow: a lifecycle cost 1 151 bytes while a Flow was a
-// 368-byte record and costs 1 009 at 240 bytes, so a record that grows
-// back into the 384-byte class fails the ceiling.
+// every released flow: a lifecycle costs 804 bytes with a 192-byte
+// Flow.  It cost 1 151 while a Flow was a 368-byte record, and 851 with
+// a 240-byte one and today's connection record, so the ceiling fails a
+// record that grows back into the 240-byte class.
 const (
 	churnLifecycleAllocBudget = 11
-	churnLifecycleByteBudget  = 1_060
+	churnLifecycleByteBudget  = 840
 )
 
 // TestAllocBudgetChurnLifecycle gates the in-band control transaction

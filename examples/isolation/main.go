@@ -73,7 +73,7 @@ func main() {
 
 	report := func(name string, f *fabric.Flow, window int64) {
 		expected := float64(window) / float64(f.IAT)
-		goodput := float64(f.Delivered.Packets) / expected
+		goodput := float64(f.Delivered) / expected
 		fmt.Printf("%-22s VL%-2d  goodput %5.1f%%  deadline met %6.2f%%\n",
 			name, f.VL, 100*goodput, f.Delay.PercentMeetingDeadline())
 	}

@@ -77,7 +77,7 @@ func prioritySplitScenario(sc Scenario, oldScheme bool) (float64, error) {
 	net.Run(warmup + window)
 
 	expected := float64(window) / float64(victim.IAT)
-	return float64(victim.Delivered.Packets) / expected, nil
+	return float64(victim.Delivered) / expected, nil
 }
 
 // AblationPrioritySplit runs the two scenarios on workers goroutines

@@ -286,12 +286,12 @@ func failoverRun(sc Scenario, schedule func(net *fabric.Network, flows []*fabric
 func drawFailoverSchedule(net *fabric.Network, flows []*fabric.Flow, sc Scenario) (faults.Schedule, error) {
 	var s faults.Schedule
 	for _, f := range flows {
-		path, err := net.Routes.PathSwitches(f.Src, f.Dst)
+		path, err := net.Routes.PathSwitches(int(f.Src), int(f.Dst))
 		if err != nil || len(path) < 2 {
 			continue
 		}
 		s = append(s, faults.FailureEvent{
-			Kind: faults.FailLink, Switch: path[0], Port: net.Routes.NextPort(path[0], f.Dst),
+			Kind: faults.FailLink, Switch: path[0], Port: net.Routes.NextPort(path[0], int(f.Dst)),
 			At: sc.FailAtBT, Revive: 3 * sc.FailAtBT,
 		})
 		break
@@ -301,7 +301,7 @@ func drawFailoverSchedule(net *fabric.Network, flows []*fabric.Flow, sc Scenario
 	}
 	rng := rand.New(rand.NewSource(sc.Seed + 7))
 	victim := flows[rng.Intn(len(flows))]
-	sw, _ := net.Topo.HostSwitch(victim.Dst)
+	sw, _ := net.Topo.HostSwitch(int(victim.Dst))
 	s = append(s, faults.FailureEvent{Kind: faults.FailSwitch, Switch: sw, At: 2 * sc.FailAtBT})
 	return s, nil
 }

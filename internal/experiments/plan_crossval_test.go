@@ -226,15 +226,15 @@ func TestPlanFlagsSimStarvedFlows(t *testing.T) {
 	starved, flagged := 0, 0
 	for i, f := range flows {
 		m := mdl.Flows[i]
-		if f.Src != m.Src || f.Dst != m.Dst || f.SL != m.SL || f.Mbps != m.Mbps {
+		if int(f.Src) != m.Src || int(f.Dst) != m.Dst || f.SL != m.SL || f.Mbps != m.Mbps {
 			t.Fatalf("flow %d misaligned: sim (%d->%d SL%d %.3f), model (%d->%d SL%d %.3f)",
 				i, f.Src, f.Dst, f.SL, f.Mbps, m.Src, m.Dst, m.SL, m.Mbps)
 		}
-		if f.Injected.Packets < 20 {
+		if f.Injected < 20 {
 			continue // too few packets to judge starvation
 		}
 		offered := float64(f.Wire) / float64(f.IAT) // fraction of link
-		delivered := float64(f.Delivered.Bytes) / float64(window)
+		delivered := float64(f.Delivered) * float64(f.Wire) / float64(window)
 		agg, ok := simVL[f.Base]
 		if !ok {
 			agg = &vlAgg{}

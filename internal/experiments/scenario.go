@@ -292,7 +292,7 @@ func (r *Run) execute() error {
 	target := int64(r.sc.MinPackets)
 	timeCap := warmup + (target+8)*slowest.IAT*2
 	net.RunWhile(func() bool {
-		return slowest.Delivered.Packets < target && net.Now() < timeCap
+		return slowest.Delivered < target && net.Now() < timeCap
 	})
 	return net.CheckInvariants()
 }

@@ -27,7 +27,7 @@ func TestMidRunAdmission(t *testing.T) {
 	n.StartFlow(late)
 
 	n.Engine.Run(n.Engine.Now() + 30*late.IAT)
-	if late.Delivered.Packets == 0 {
+	if late.Delivered == 0 {
 		t.Fatal("mid-run connection delivered nothing")
 	}
 	if pct := late.Delay.PercentMeetingDeadline(); pct != 100 {
@@ -74,7 +74,7 @@ func TestManagementTrafficPreempts(t *testing.T) {
 	n.Start()
 	n.Engine.Run(40 * mgmt.IAT)
 
-	if mgmt.Delivered.Packets == 0 {
+	if mgmt.Delivered == 0 {
 		t.Fatal("management traffic starved")
 	}
 	// Management packets traverse a lightly-hopped path preemptively:
@@ -151,7 +151,7 @@ func TestVBRPacingPreservesMeanRate(t *testing.T) {
 	n.StartMeasurement()
 	n.Engine.Run(n.Engine.Now() + 400*cbr.IAT)
 
-	v, c := float64(vbr.Delivered.Packets), float64(cbr.Delivered.Packets)
+	v, c := float64(vbr.Delivered), float64(cbr.Delivered)
 	if c == 0 || v == 0 {
 		t.Fatalf("deliveries: vbr=%v cbr=%v", v, c)
 	}
@@ -175,8 +175,51 @@ func TestVBRDegenerateParameters(t *testing.T) {
 	n.StartMeasurement()
 	n.Start()
 	n.Engine.Run(5 * f.IAT)
-	if f.Delivered.Packets == 0 {
+	if f.Delivered == 0 {
 		t.Error("degenerate VBR flow delivered nothing")
+	}
+}
+
+// TestVBRGenerationGaps: a paced flow's packets are generated
+// burst-1 peak gaps apart, then one off gap later, over and over; the
+// gaps are read off the generation stamps of the delivered packets,
+// and a CBR flow on the same network keeps its IAT spacing.
+func TestVBRGenerationGaps(t *testing.T) {
+	const peakFactor, burst = 4, 8
+	n := buildNet(t, 2, 256, 25)
+	conn, err := n.Adm.Admit(traffic.Request{Src: 0, Dst: 7, Level: sl.DefaultLevels[5], Mbps: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vbr := n.AddVBRConnection(conn, peakFactor, burst)
+	cbr := admitFlow(t, n, 1, 6, 5, 20)
+	if !vbr.paced || cbr.paced || len(n.pacers) != 1 {
+		t.Fatalf("paced flags %v/%v with %d pacers, want only the VBR flow paced", vbr.paced, cbr.paced, len(n.pacers))
+	}
+	peakGap := int64(float64(vbr.IAT) / peakFactor)
+	offGap := burst*vbr.IAT - (burst-1)*peakGap
+	gen := map[*Flow][]int64{}
+	n.OnDeliver = func(pkt *Packet) { gen[pkt.Flow] = append(gen[pkt.Flow], pkt.Injected) }
+	n.Start()
+	n.Engine.Run(20 * burst * vbr.IAT)
+
+	stamps := gen[vbr]
+	if len(stamps) < 4*burst {
+		t.Fatalf("only %d VBR packets delivered", len(stamps))
+	}
+	for i := 1; i < len(stamps); i++ {
+		want := peakGap
+		if i%burst == 0 {
+			want = offGap
+		}
+		if gap := stamps[i] - stamps[i-1]; gap != want {
+			t.Fatalf("gap %d after generation %d is %d byte times, want %d (peak %d, off %d)", i, i, gap, want, peakGap, offGap)
+		}
+	}
+	for i, s := range gen[cbr][1:] {
+		if gap := s - gen[cbr][i]; gap != cbr.IAT {
+			t.Fatalf("CBR gap %d is %d byte times, want IAT %d", i+1, gap, cbr.IAT)
+		}
 	}
 }
 
@@ -263,9 +306,9 @@ func TestStartMeasurementResetsInPlace(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, n.StartMeasurement); allocs != 0 {
 		t.Errorf("StartMeasurement allocates %.0f objects, want 0", allocs)
 	}
-	if j := n.Jitter(f.SL); f.Delay.Total() != 0 || f.Delay.MaxRatio() != 0 || j.Total() != 0 || f.Delivered.Packets != 0 {
+	if j := n.Jitter(f.SL); f.Delay.Total() != 0 || f.Delay.MaxRatio() != 0 || j.Total() != 0 || f.Delivered != 0 {
 		t.Errorf("statistics survive the reset: delay %d (max %g), jitter %d, delivered %d",
-			f.Delay.Total(), f.Delay.MaxRatio(), j.Total(), f.Delivered.Packets)
+			f.Delay.Total(), f.Delay.MaxRatio(), j.Total(), f.Delivered)
 	}
 	n.Engine.Run(n.Engine.Now() + 20*f.IAT)
 	if f.Delay.Total() == 0 || f.Delay.PercentMeetingDeadline() != 100 {

@@ -77,8 +77,8 @@ func (n *Network) Reroute(routes *routing.Routes, crashed, hostDead []bool) {
 	n.Routes, n.planes = routes, routes.Planes()
 	n.crashed, n.hostDead = crashed, hostDead
 	for _, f := range n.flows {
-		sw, _ := n.Topo.HostSwitch(f.Src)
-		f.VL = routes.HopVL(sw, f.Dst, f.Base)
+		sw, _ := n.Topo.HostSwitch(int(f.Src))
+		f.VL = routes.HopVL(sw, int(f.Dst), f.Base)
 	}
 
 	n.drainDead()
@@ -194,11 +194,12 @@ func (sh *shard) sweep(q *pktQueue, sw int) (freed int) {
 func (sh *shard) reinjectOrLose(pkt *Packet) {
 	n := sh.n
 	f := pkt.Flow
-	if sw, _ := n.Topo.HostSwitch(f.Src); f.stopped || n.hostDead[f.Src] || n.hostDead[f.Dst] || n.Routes.NextPort(sw, f.Dst) < 0 {
+	src, dst := int(f.Src), int(f.Dst)
+	if sw, _ := n.Topo.HostSwitch(src); f.stopped || n.hostDead[src] || n.hostDead[dst] || n.Routes.NextPort(sw, dst) < 0 {
 		sh.lose(pkt)
 		return
 	}
-	host := n.hosts[f.Src]
+	host := n.hosts[src]
 	if host.queues[f.VL].len() >= n.queueCap(f) {
 		sh.lose(pkt)
 		return
@@ -206,7 +207,7 @@ func (sh *shard) reinjectOrLose(pkt *Packet) {
 	pkt.VL = f.VL // re-bound to the repaired route set's injection lane
 	host.queues[f.VL].push(pkt)
 	n.ControlCounters().PacketsReinjected++
-	n.shardForHost(f.Src).kickHost(f.Src)
+	n.shardForHost(src).kickHost(src)
 }
 
 // lose accounts one packet that no surviving route could deliver: the

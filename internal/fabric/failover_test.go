@@ -121,12 +121,12 @@ func forEachModel(t *testing.T, body func(t *testing.T, model fabric.SwitchModel
 func pathLink(t *testing.T, n *fabric.Network, flows []*fabric.Flow) (sw, port int) {
 	t.Helper()
 	for _, f := range flows {
-		path, err := n.Routes.PathSwitches(f.Src, f.Dst)
+		path, err := n.Routes.PathSwitches(int(f.Src), int(f.Dst))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(path) >= 2 {
-			return path[0], n.Routes.NextPort(path[0], f.Dst)
+			return path[0], n.Routes.NextPort(path[0], int(f.Dst))
 		}
 	}
 	t.Fatal("no multi-switch flow path")
@@ -193,7 +193,7 @@ func TestRecoveryLinkFailure(t *testing.T) {
 func TestRecoverySwitchCrash(t *testing.T) {
 	forEachModel(t, func(t *testing.T, model fabric.SwitchModel) {
 		n, m, rec, flows := buildFailoverNet(t, model, 8, 3)
-		victim := flows[0].Dst
+		victim := int(flows[0].Dst)
 		sw, _ := n.Topo.HostSwitch(victim)
 		err := rec.ApplySchedule(faults.Schedule{
 			{Kind: faults.FailSwitch, Switch: sw, At: 100_000},
@@ -334,7 +334,7 @@ func TestHeadIndexAcrossFailover(t *testing.T) {
 			return faults.Schedule{{Kind: faults.FailLink, Switch: s, Port: p, At: 100_000}}
 		}, 1},
 		{"switch-crash", 3, func(t *testing.T, n *fabric.Network, flows []*fabric.Flow) faults.Schedule {
-			sw, _ := n.Topo.HostSwitch(flows[0].Dst)
+			sw, _ := n.Topo.HostSwitch(int(flows[0].Dst))
 			return faults.Schedule{{Kind: faults.FailSwitch, Switch: sw, At: 100_000}}
 		}, 1},
 		{"revival", 5, func(t *testing.T, n *fabric.Network, flows []*fabric.Flow) faults.Schedule {

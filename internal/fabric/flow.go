@@ -23,30 +23,38 @@ import (
 // Flow is one traffic stream: either an admitted QoS connection (CBR
 // at its reserved mean bandwidth, with an end-to-end deadline) or a
 // best-effort background flow.
+//
+// A Flow holds no pointers, so the allocator places it in a span the
+// collector never scans: a churn run keeps every flow it ever attached
+// (Network.Flows), and each one is a 192-byte record the mark phase
+// skips.  The pacing of a VBR flow lives in its Network's side table
+// (Network.pacers), marked by the paced flag.
 type Flow struct {
-	ID       int
-	Src, Dst int
-	SL, VL   uint8
+	ID       int32
+	Src, Dst int32
+	// Payload and Wire are the payload and payload + header bytes of
+	// one packet; Config.validate keeps the payload within the IBA MTU
+	// range [1,4096], so both fit 16 bits.
+	Payload, Wire uint16
+	SL, VL        uint8
 	// Base is the VL the SLtoVL mapping assigned; VL is the injection
 	// wire VL, which differs from Base only under multi-plane routing
 	// engines (the source may already sit in the destination's
 	// dragonfly group, so injection happens on the escape plane).
-	Base uint8
-	// The flags fill the padding after the three uint8s, which keeps
-	// the record in the 240-byte size class.
+	Base    uint8
 	QoS     bool
 	stopped bool // generation stopped (Network.StopFlow)
+	paced   bool // generation gaps come from Network.pacers, not IAT
 
 	Mbps     float64
-	Payload  int   // payload bytes per packet
-	Wire     int   // payload + header bytes
 	IAT      int64 // nominal packet interarrival, byte times
 	Deadline int64 // end-to-end guarantee in byte times; 0 = best effort
 
-	// Measurement-window statistics.  Interarrival jitter is kept per
-	// service level, not per flow (Network.Jitter).
-	Injected  stats.Meter
-	Delivered stats.Meter
+	// Measurement-window statistics: packets injected and delivered,
+	// the delay distribution and source drops.  Interarrival jitter is
+	// kept per service level, not per flow (Network.Jitter).
+	Injected  int64
+	Delivered int64
 	Delay     stats.DelayCDF
 	Drops     int64
 
@@ -58,11 +66,6 @@ type Flow struct {
 	// lostPkts counts packets a Reroute drained with no surviving
 	// route.
 	genPkts, delPkts, lostPkts int64
-
-	// pacing, when non-nil, returns the gap to the next packet
-	// generation; nil means constant-bit-rate spacing at IAT.  Used by
-	// the VBR extension.
-	pacing func() int64
 }
 
 // Stopped reports whether the flow's generation is stopped
@@ -78,10 +81,10 @@ func newFlow(id, src, dst int, slv, vl uint8, mbps float64, payload int, deadlin
 		panic(fmt.Sprintf("fabric: flow %d -> %d: rate %v Mbps is not finite and positive", src, dst, mbps))
 	}
 	return &Flow{
-		ID: id, Src: src, Dst: dst, SL: slv, VL: vl, Base: vl,
+		ID: int32(id), Src: int32(src), Dst: int32(dst), SL: slv, VL: vl, Base: vl,
 		Mbps:        mbps,
-		Payload:     payload,
-		Wire:        payload + sl.HeaderBytes,
+		Payload:     uint16(payload),
+		Wire:        uint16(payload + sl.HeaderBytes),
 		IAT:         traffic.IATByteTimes(payload, mbps),
 		Deadline:    deadline,
 		QoS:         qos,
@@ -92,11 +95,43 @@ func newFlow(id, src, dst int, slv, vl uint8, mbps float64, payload int, deadlin
 // resetMeasurement clears the per-flow statistics at the start of the
 // measurement window.
 func (f *Flow) resetMeasurement() {
-	f.Injected = stats.Meter{}
-	f.Delivered = stats.Meter{}
+	f.Injected, f.Delivered = 0, 0
 	f.Delay.Reset()
 	f.lastArrival = -1
 	f.Drops = 0
+}
+
+// vbrPacer is the on/off schedule of a VBR flow (AddVBRConnection):
+// burst-1 gaps of peakGap, then one offGap that restores the mean rate.
+// Only the flow's source shard calls next.
+type vbrPacer struct {
+	peakGap, offGap int64
+	burst, k        int
+}
+
+// newVBRPacer builds the schedule of f bursting at peakFactor times its
+// mean rate.  It panics on a peak factor that is NaN or +Inf: the peak
+// gap would truncate to a negative or zero byte time and be clamped
+// without a word.
+func newVBRPacer(f *Flow, peakFactor float64, burst int) *vbrPacer {
+	if math.IsNaN(peakFactor) || math.IsInf(peakFactor, 1) {
+		panic(fmt.Sprintf("fabric: VBR flow %d -> %d: peak factor %v is not finite", f.Src, f.Dst, peakFactor))
+	}
+	peakGap := max(int64(float64(f.IAT)/peakFactor), 1)
+	return &vbrPacer{
+		peakGap: peakGap,
+		offGap:  int64(burst)*f.IAT - int64(burst-1)*peakGap,
+		burst:   burst,
+	}
+}
+
+// next returns the gap to the flow's next packet generation.
+func (p *vbrPacer) next() int64 {
+	p.k++
+	if p.k%p.burst == 0 {
+		return p.offGap
+	}
+	return p.peakGap
 }
 
 // Packet is one in-flight packet.  Under single-plane routing engines

@@ -43,6 +43,36 @@ func TestNewFlowRefusesBadRate(t *testing.T) {
 	}
 }
 
+// TestVBRRefusesNonFinitePeakFactor: a NaN or +Inf peak factor passes
+// the "<= 1 means CBR" test but has no peak gap (it truncates to a
+// negative or zero byte time), so AddVBRConnection panics, naming the
+// endpoints and the factor, before anything is attached.
+func TestVBRRefusesNonFinitePeakFactor(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		peakFactor float64
+	}{
+		{"NaN", math.NaN()},
+		{"+Inf", math.Inf(1)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := buildNet(t, 2, 256, 5)
+			conn, err := n.Adm.Admit(traffic.Request{Src: 0, Dst: 7, Level: sl.DefaultLevels[3], Mbps: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg := panicMessage(func() { n.AddVBRConnection(conn, c.peakFactor, 8) })
+			want := fmt.Sprintf("flow 0 -> 7: peak factor %v", c.peakFactor)
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic %q, want one containing %q", msg, want)
+			}
+			if len(n.Flows()) != 0 || len(n.pacers) != 0 {
+				t.Errorf("%d flows and %d pacers attached, want none", len(n.Flows()), len(n.pacers))
+			}
+		})
+	}
+}
+
 // panicMessage runs fn and returns what it panicked with, "" if it
 // returned.
 func panicMessage(fn func()) (msg string) {
@@ -69,11 +99,11 @@ func TestRestartedFlowJitterExcludesStop(t *testing.T) {
 	n.Run(n.Now() + 40*f.IAT)
 	n.StopFlow(f)
 	n.Run(n.Now() + 1_000_000)
-	before := f.Delivered.Packets
+	before := f.Delivered
 	n.StartFlow(f)
 	n.Run(n.Now() + 40*f.IAT)
-	if f.Delivered.Packets-before < 30 {
-		t.Fatalf("%d packets after the restart", f.Delivered.Packets-before)
+	if f.Delivered-before < 30 {
+		t.Fatalf("%d packets after the restart", f.Delivered-before)
 	}
 	j := n.Jitter(f.SL)
 	if late := j.Percent(stats.JitterBuckets - 1); late != 0 {
@@ -157,9 +187,9 @@ func TestJitterAggregateMatchesReplay(t *testing.T) {
 			n.Run(250_000)
 			n.StartFlow(stopped)
 			per[stopped.ID].last = -1
-			before := stopped.Delivered.Packets
+			before := stopped.Delivered
 			n.Run(400_000)
-			if stopped.Delivered.Packets == before {
+			if stopped.Delivered == before {
 				t.Fatal("the restarted flow delivered nothing")
 			}
 

@@ -127,7 +127,12 @@ type Network struct {
 	switches []*swNode
 	hosts    []*hostNode
 	flows    []*Flow
-	rng      *rand.Rand
+	// pacers holds the generation schedule of each paced (VBR) flow,
+	// keyed by flow ID.  It is written only when a flow attaches, so
+	// the shards read it concurrently; each pacer is advanced only by
+	// its flow's source shard.
+	pacers map[int32]*vbrPacer
+	rng    *rand.Rand
 
 	measuring    bool
 	measureStart int64
@@ -516,8 +521,8 @@ func (n *Network) bufferCapacity() int {
 // management VL, which no plane ever shifts).
 func (n *Network) bindVL(f *Flow) {
 	if n.planes > 1 {
-		sw, _ := n.Topo.HostSwitch(f.Src)
-		f.VL = n.Routes.HopVL(sw, f.Dst, f.Base)
+		sw, _ := n.Topo.HostSwitch(int(f.Src))
+		f.VL = n.Routes.HopVL(sw, int(f.Dst), f.Base)
 	}
 }
 
@@ -529,8 +534,8 @@ func (n *Network) bindVL(f *Flow) {
 func (n *Network) attach(f *Flow) *Flow {
 	n.bindVL(f)
 	n.flows = append(n.flows, f)
-	if n.minWire == 0 || f.Wire < n.minWire {
-		n.minWire = f.Wire
+	if wire := int(f.Wire); n.minWire == 0 || wire < n.minWire {
+		n.minWire = wire
 		if n.coord != nil {
 			// A smaller packet can cross a boundary sooner than the
 			// current window width assumes; shrink before it exists.
@@ -545,9 +550,7 @@ func (n *Network) attach(f *Flow) *Flow {
 // AddConnection attaches a CBR traffic flow for an admitted QoS
 // connection.
 func (n *Network) AddConnection(conn *admission.Conn) *Flow {
-	return n.attach(newFlow(len(n.flows), conn.Req.Src, conn.Req.Dst,
-		conn.Req.Level.SL, n.Mapping.VLFor(conn.Req.Level.SL),
-		conn.Req.Mbps, n.Cfg.PayloadBytes, conn.Deadline, true))
+	return n.attach(n.connFlow(conn, conn.Req.Mbps))
 }
 
 // AddMisbehavingConnection attaches a flow for an admitted connection
@@ -555,9 +558,15 @@ func (n *Network) AddConnection(conn *admission.Conn) *Flow {
 // the overshooting-source scenario of the paper's section 3.2
 // (misbehavior only hurts connections sharing the same VL).
 func (n *Network) AddMisbehavingConnection(conn *admission.Conn, actualMbps float64) *Flow {
-	return n.attach(newFlow(len(n.flows), conn.Req.Src, conn.Req.Dst,
+	return n.attach(n.connFlow(conn, actualMbps))
+}
+
+// connFlow builds, without attaching it, the flow of an admitted
+// connection sending at mbps.
+func (n *Network) connFlow(conn *admission.Conn, mbps float64) *Flow {
+	return newFlow(len(n.flows), conn.Req.Src, conn.Req.Dst,
 		conn.Req.Level.SL, n.Mapping.VLFor(conn.Req.Level.SL),
-		actualMbps, n.Cfg.PayloadBytes, conn.Deadline, true))
+		mbps, n.Cfg.PayloadBytes, conn.Deadline, true)
 }
 
 // AddVBRConnection attaches a variable-bit-rate flow for an admitted
@@ -566,26 +575,21 @@ func (n *Network) AddMisbehavingConnection(conn *admission.Conn, actualMbps floa
 // enough to preserve the mean.  The reservation itself is whatever the
 // connection was admitted with, so this models VBR sources whose
 // bursts exceed their (mean-rate) reservation — the scenario the
-// companion VBR evaluation of the authors studies.
+// companion VBR evaluation of the authors studies.  A peak factor <= 1
+// or a burst below 2 gives a plain CBR flow; a NaN or +Inf peak factor
+// panics before anything is attached.
 func (n *Network) AddVBRConnection(conn *admission.Conn, peakFactor float64, burst int) *Flow {
-	f := n.AddConnection(conn)
+	f := n.connFlow(conn, conn.Req.Mbps)
 	if peakFactor <= 1 || burst < 2 {
-		return f
+		return n.attach(f)
 	}
-	peakGap := int64(float64(f.IAT) / peakFactor)
-	if peakGap < 1 {
-		peakGap = 1
+	p := newVBRPacer(f, peakFactor, burst)
+	f.paced = true
+	if n.pacers == nil {
+		n.pacers = make(map[int32]*vbrPacer)
 	}
-	offGap := int64(burst)*f.IAT - int64(burst-1)*peakGap
-	k := 0
-	f.pacing = func() int64 {
-		k++
-		if k%burst == 0 {
-			return offGap
-		}
-		return peakGap
-	}
-	return f
+	n.pacers[f.ID] = p
+	return n.attach(f)
 }
 
 // AddBestEffort attaches a best-effort background flow.
@@ -617,7 +621,7 @@ func (n *Network) StartFlow(f *Flow) {
 	if f.IAT > 1 {
 		phase = n.rng.Int63n(f.IAT)
 	}
-	sh := n.shardForHost(f.Src)
+	sh := n.shardForHost(int(f.Src))
 	at := sh.eng.Now()
 	if n.Parallel() && n.Ctrl.Now() > at {
 		// Called from a control event: the shard clock is the barrier
@@ -717,10 +721,10 @@ func (sh *shard) generate(f *Flow) {
 	if sh.n.genStopped || f.stopped {
 		return
 	}
-	sh.enqueue(f, f.Wire, 0)
+	sh.enqueue(f, int(f.Wire), 0)
 	gap := f.IAT
-	if f.pacing != nil {
-		gap = f.pacing()
+	if f.paced {
+		gap = sh.n.pacers[f.ID].next()
 	}
 	sh.eng.PostAfter(gap, sh, sim.Event{Kind: evGenerate, P: f})
 }
@@ -736,14 +740,14 @@ func (sh *shard) enqueue(f *Flow, wire int, tag int64) bool {
 		sh.totalDropped++
 		return false
 	}
-	host.queues[f.VL].push(sh.newPacket(f, f.VL, f.Dst, wire, sh.eng.Now(), tag))
+	host.queues[f.VL].push(sh.newPacket(f, f.VL, int(f.Dst), wire, sh.eng.Now(), tag))
 	sh.totalInjected++
 	f.genPkts++
 	if n.measuring {
-		f.Injected.Add(wire)
+		f.Injected++
 		sh.injectedBytes += int64(wire)
 	}
-	sh.kickHost(f.Src)
+	sh.kickHost(int(f.Src))
 	return true
 }
 
@@ -985,7 +989,7 @@ func (sh *shard) deliver(pkt *Packet) {
 	if n.measuring {
 		f := pkt.Flow
 		now := sh.eng.Now()
-		f.Delivered.Add(pkt.Wire)
+		f.Delivered++
 		sh.deliveredBytes += int64(pkt.Wire)
 		if f.QoS && f.Deadline > 0 {
 			delay := now - pkt.Injected

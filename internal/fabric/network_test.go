@@ -47,7 +47,7 @@ func TestSinglePacketDelivery(t *testing.T) {
 	n.Start()
 	// One IAT plus slack delivers at least one packet.
 	n.Engine.Run(3 * f.IAT)
-	if f.Delivered.Packets == 0 {
+	if f.Delivered == 0 {
 		t.Fatal("no packet delivered")
 	}
 	inj, del, drop := n.Totals()
@@ -66,7 +66,7 @@ func TestDeliveryToCorrectHost(t *testing.T) {
 	n.Start()
 	n.Engine.Run(4 * f1.IAT)
 	for i, f := range []*Flow{f1, f2, f3} {
-		if f.Delivered.Packets == 0 {
+		if f.Delivered == 0 {
 			t.Errorf("flow %d delivered nothing", i)
 		}
 	}
@@ -106,7 +106,7 @@ func TestThroughputMatchesCBRRate(t *testing.T) {
 	window := 400 * f.IAT
 	n.Engine.Run(warm + window)
 	wantPkts := float64(window) / float64(f.IAT)
-	got := float64(f.Delivered.Packets)
+	got := float64(f.Delivered)
 	if got < wantPkts*0.95 || got > wantPkts*1.05 {
 		t.Errorf("delivered %.0f packets, want about %.0f", got, wantPkts)
 	}
@@ -158,7 +158,7 @@ func TestBestEffortFlowsDeliver(t *testing.T) {
 	n.Engine.Run(2_000_000)
 	delivered := int64(0)
 	for _, f := range befs {
-		delivered += f.Delivered.Packets
+		delivered += f.Delivered
 	}
 	if delivered == 0 {
 		t.Fatal("best-effort traffic starved on an idle network")
@@ -233,7 +233,7 @@ func TestBestEffortOverloadDropsAtSource(t *testing.T) {
 	if f.Drops+g.Drops == 0 {
 		t.Error("no drops under 2x oversubscription")
 	}
-	if f.Delivered.Packets == 0 || g.Delivered.Packets == 0 {
+	if f.Delivered == 0 || g.Delivered == 0 {
 		t.Error("oversubscribed flows starved completely")
 	}
 }
@@ -268,7 +268,7 @@ func TestLargePacketConfig(t *testing.T) {
 	n.StartMeasurement()
 	n.Start()
 	n.Engine.Run(10 * f.IAT)
-	if f.Delivered.Packets == 0 {
+	if f.Delivered == 0 {
 		t.Fatal("no large packets delivered")
 	}
 	if f.Wire != 2048+sl.HeaderBytes {

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/sl"
@@ -100,6 +101,44 @@ func TestParallelShardSmoke(t *testing.T) {
 	inj, del, drop := n.Totals()
 	if del+drop != inj {
 		t.Errorf("after drain: injected %d != delivered %d + dropped %d", inj, del, drop)
+	}
+}
+
+// TestParallelShardVBRPacing drives VBR flows from every host of a
+// four-shard fat-tree, so the shards read the network's pacer table at
+// once and each advances its own hosts' pacers (run it under -race).
+// Generation depends only on the flows' phases and schedules, so each
+// flow generates exactly as many packets as on one engine.
+func TestParallelShardVBRPacing(t *testing.T) {
+	generated := func(shards int) []int64 {
+		n := buildSharded(t, topology.Spec{Class: topology.FatTree, K: 4}, 3, shards)
+		if n.Parallel() != (shards > 1) {
+			t.Fatalf("%d shards: Parallel() = %v", shards, n.Parallel())
+		}
+		rng := rand.New(rand.NewSource(41))
+		hosts := n.Topo.NumHosts()
+		for src := 0; src < hosts; src++ {
+			dst := (src + 1 + rng.Intn(hosts-1)) % hosts
+			conn, err := n.Adm.Admit(traffic.Request{Src: src, Dst: dst, Level: sl.DefaultLevels[5], Mbps: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.AddVBRConnection(conn, 4, 8)
+		}
+		n.Start()
+		n.Run(1_000_000)
+		gen := make([]int64, len(n.Flows()))
+		for i, f := range n.Flows() {
+			gen[i] = f.genPkts
+		}
+		return gen
+	}
+	one, four := generated(1), generated(4)
+	if !slices.Equal(one, four) {
+		t.Errorf("packets generated per VBR flow: one engine %v, four shards %v", one, four)
+	}
+	if one[0] < 16 {
+		t.Errorf("flow 0 generated %d packets, want at least two bursts", one[0])
 	}
 }
 

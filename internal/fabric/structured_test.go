@@ -90,11 +90,11 @@ func TestStructuredHopSequencesMatchRoutes(t *testing.T) {
 			}
 			checked := 0
 			n.OnDeliver = func(pkt *Packet) {
-				if pkt.Dst != pkt.Flow.Dst {
+				if pkt.Dst != int(pkt.Flow.Dst) {
 					t.Fatalf("flow %d->%d packet delivered with dst %d",
 						pkt.Flow.Src, pkt.Flow.Dst, pkt.Dst)
 				}
-				want, err := n.Routes.PathSwitches(pkt.Flow.Src, pkt.Dst)
+				want, err := n.Routes.PathSwitches(int(pkt.Flow.Src), pkt.Dst)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -167,7 +167,7 @@ func TestDragonflyEscapePlaneObserved(t *testing.T) {
 	n.StartMeasurement()
 	n.Start()
 	n.Engine.Run(40 * cross.IAT)
-	if cross.Delivered.Packets == 0 || local.Delivered.Packets == 0 {
+	if cross.Delivered == 0 || local.Delivered == 0 {
 		t.Fatal("flows did not deliver")
 	}
 	if !sawPlane[0] || !sawPlane[1] {

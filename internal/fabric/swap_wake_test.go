@@ -88,7 +88,7 @@ func TestTableSwapWakesPort(t *testing.T) {
 						// As if src had sent it: the input's credit is taken
 						// and the packet lands in the input queue.
 						sh := n.shardForHost(src)
-						pkt := sh.newPacket(f, f.VL, f.Dst, f.Wire, 0, 0)
+						pkt := sh.newPacket(f, f.VL, int(f.Dst), int(f.Wire), 0, 0)
 						f.genPkts++
 						sh.totalInjected++
 						n.switches[host.downSwitch].in[host.downPort].occ[pkt.VL] += int32(pkt.Wire)
@@ -119,5 +119,5 @@ func TestTableSwapWakesPort(t *testing.T) {
 // generator.  It reports false when the host queue is full (the packet
 // is dropped and counted).
 func (n *Network) injectPacket(f *Flow, payload int, tag int64) bool {
-	return n.shardForHost(f.Src).enqueue(f, payload+sl.HeaderBytes, tag)
+	return n.shardForHost(int(f.Src)).enqueue(f, payload+sl.HeaderBytes, tag)
 }

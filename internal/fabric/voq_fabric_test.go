@@ -190,7 +190,7 @@ func TestVOQDeliversAndMeters(t *testing.T) {
 			n.StartMeasurement()
 			n.Start()
 			n.Engine.Run(200 * f.IAT)
-			if f.Delivered.Packets == 0 {
+			if f.Delivered == 0 {
 				t.Fatal("no packets delivered")
 			}
 			snap := m.Snapshot()

@@ -371,8 +371,8 @@ func (rec *Recovery) sameClassification(crashed []bool, removed map[int64]bool, 
 // under the activated view: the manager's routes, which the data plane
 // takes over only at the end of the activation.
 func (rec *Recovery) healthy(f *fabric.Flow) bool {
-	sw, _ := rec.n.Topo.HostSwitch(f.Src)
-	return !rec.hostDead[f.Src] && !rec.hostDead[f.Dst] && rec.m.Routes.NextPort(sw, f.Dst) >= 0
+	sw, _ := rec.n.Topo.HostSwitch(int(f.Src))
+	return !rec.hostDead[f.Src] && !rec.hostDead[f.Dst] && rec.m.Routes.NextPort(sw, int(f.Dst)) >= 0
 }
 
 // activate is the atomic repair step described at the top of the file.
@@ -438,8 +438,8 @@ func (rec *Recovery) activate(crashed []bool, removed map[int64]bool, hostDead [
 			continue
 		}
 		f := tc.flow
-		sw, _ := n.Topo.HostSwitch(f.Src)
-		if rep.FellBack || routes.HopVL(sw, f.Dst, f.Base) != f.VL || !slices.Equal(tc.conn.Sites(), sites) {
+		sw, _ := n.Topo.HostSwitch(int(f.Src))
+		if rep.FellBack || routes.HopVL(sw, int(f.Dst), f.Base) != f.VL || !slices.Equal(tc.conn.Sites(), sites) {
 			displaced = append(displaced, tc)
 		}
 	}
@@ -494,14 +494,15 @@ func (rec *Recovery) activate(crashed []bool, removed map[int64]bool, hostDead [
 // admission's pathSites).
 func (rec *Recovery) sitesOf(f *fabric.Flow) ([]admission.PortID, error) {
 	routes := rec.m.Routes
-	switches, err := routes.PathSwitches(f.Src, f.Dst)
+	src, dst := int(f.Src), int(f.Dst)
+	switches, err := routes.PathSwitches(src, dst)
 	if err != nil {
 		return nil, err
 	}
 	ids := make([]admission.PortID, 0, len(switches)+1)
-	ids = append(ids, admission.HostPortID(f.Src))
+	ids = append(ids, admission.HostPortID(src))
 	for _, sw := range switches {
-		ids = append(ids, admission.SwitchPortID(sw, routes.NextPort(sw, f.Dst)))
+		ids = append(ids, admission.SwitchPortID(sw, routes.NextPort(sw, dst)))
 	}
 	return ids, nil
 }

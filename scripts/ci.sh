@@ -281,8 +281,9 @@ echo "==> go test -run AllocBudget . and 'TestVOQStateSizedByRadix|TestPortRecor
 # (TestAllocBudgetNetworkSetup: at most 200 objects for a k=8
 # NewWithTopology under either switch model, whose ports, hosts,
 # arbiters and indexes come from per-network slabs; 4 000 for a whole
-# wrr-k8-like set-up; 1 per AddConnection, its one-record Flow); and a
-# dozen slices, at most 150 kB, per k=8 CDG proof.  These tests are the
+# wrr-k8-like set-up; 1 per AddConnection, its one-record Flow of at
+# most 192 bytes, which the full pass's TestFlowRecordHoldsNoPointers
+# keeps pointer-free); and a dozen slices, at most 150 kB, per k=8 CDG proof.  These tests are the
 # zero-alloc contract itself, not a report beside one; the same paths'
 # timings are bench/'s per-layer probes (bash bench/run.sh -trace 1).
 # Must run without -race (the detector's instrumentation allocates).
