@@ -17,25 +17,28 @@ import (
 
 // Event kinds of the data plane.  Operand conventions are documented
 // per kind; port codes follow portCode (hosts negative, switch ports
-// s*SwitchPorts+p).
+// s*SwitchPorts+p).  Scheduling passes are not events: a kick marks its
+// port (or, under the input-queued rule, its switch) in the shard's
+// dirty set, and the shard's end-of-instant phase passes every marked
+// point once (see endInstant in shard.go).
 const (
 	// evGenerate creates one packet of the flow in P and reschedules
 	// itself at the flow's pacing gap.
 	evGenerate sim.Kind = iota
-	// evTryHost is the deferred scheduling pass at host A's interface
-	// (clears the pending flag, then arbitrates).
-	evTryHost
-	// evTrySwitch is the deferred scheduling pass at switch A's output
-	// port B.
-	evTrySwitch
 	// evKickHost re-arms host A's interface at a future time (end of a
 	// fault window).
 	evKickHost
-	// evKickSwitch re-arms switch A's output port B at a future time.
+	// evKickSwitch re-arms switch A's output port B at a future time
+	// (the end of a fault window, a table swap posted from the control
+	// lane); B = -1 names the whole switch, whose crossbar pass left
+	// work for the next byte-time (voqWait).
 	evKickSwitch
-	// evInputFree fires when input port B of switch A finishes its
-	// crossbar transfer: the switch rule re-arms what the freed slot
-	// may feed.
+	// evInputFree fires when input port B of switch A finishes a
+	// crossbar transfer that a pass is waiting on: the switch rule
+	// re-arms what the freed slot may feed.  It is posted only where a
+	// pass waits (armInputFree), at most one at a time per input, and
+	// canceled when the output whose wait armed it starts transmitting
+	// (settleWait).
 	evInputFree
 	// evXmitDone fires when a packet has fully left its source buffer:
 	// A is the transmitting out-port code, B the source switch-input
@@ -45,11 +48,6 @@ const (
 	// link.  B carries the packet's generation at scheduling time; a
 	// mismatch means the packet was recycled and the event is stale.
 	evArrive
-	// evVOQSched is the deferred crossbar scheduling pass at
-	// input-queued switch A (clears the pending flag, then runs one
-	// matching; see voq.go).  The whole switch is one scheduling point
-	// under the VOQ models, unlike the WRR model's per-output passes.
-	evVOQSched
 )
 
 // portCode encodes an arbitration point in one int32: host h is
@@ -86,23 +84,17 @@ func (sh *shard) HandleEvent(ev sim.Event) {
 	switch ev.Kind {
 	case evGenerate:
 		sh.generate(ev.P.(*Flow))
-	case evTryHost:
-		n.hosts[ev.A].out.pending = false
-		sh.tryHost(int(ev.A))
-	case evTrySwitch:
-		n.switches[ev.A].out[ev.B].pending = false
-		sh.trySwitch(int(ev.A), int(ev.B))
 	case evKickHost:
 		sh.kickHost(int(ev.A))
 	case evKickSwitch:
 		sh.kickSwitch(int(ev.A), int(ev.B))
 	case evInputFree:
+		in := &n.switches[ev.A].in[ev.B]
+		in.freeArmed, in.waiter = false, 0
+		sh.inputWakes++
 		n.rule.inputFreed(sh, int(ev.A), int(ev.B))
 	case evXmitDone:
 		sh.xmitDone(ev.A, ev.B, int(ev.N>>32), int(int32(ev.N)))
-	case evVOQSched:
-		n.switches[ev.A].xbar.pending = false
-		sh.voqSched(int(ev.A))
 	case evArrive:
 		pkt := ev.P.(*Packet)
 		if pkt.gen != uint32(ev.B) {
@@ -117,8 +109,8 @@ func (sh *shard) HandleEvent(ev sim.Event) {
 
 // xmitDone completes a transmission: the packet has fully left its
 // source buffer, so the credit returns to whoever feeds that buffer
-// (returnCredit), and the transmitting port runs its next scheduling
-// pass.
+// (returnCredit), and the transmitting port is kicked for its next
+// scheduling pass.
 func (sh *shard) xmitDone(outCode, srcCode int32, vl, wire int) {
 	n := sh.n
 	if srcCode >= 0 {
@@ -148,13 +140,13 @@ func (sh *shard) returnCredit(in *inPort, vl, wire int) {
 	case in.upSwitch >= 0:
 		if in.upBoundary {
 			sh.credits = append(sh.credits, creditReturn{
-				code: switchCode(in.upSwitch, in.upPort), vl: uint8(vl), wire: int32(wire),
+				code: switchCode(int(in.upSwitch), int(in.upPort)), vl: uint8(vl), wire: int32(wire),
 			})
 		} else {
-			sh.creditSwitch(in.upSwitch, in.upPort)
+			sh.creditSwitch(int(in.upSwitch), int(in.upPort))
 		}
 	case in.upHost >= 0:
-		sh.kickHost(in.upHost)
+		sh.kickHost(int(in.upHost))
 	}
 }
 

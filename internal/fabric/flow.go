@@ -32,11 +32,11 @@ import (
 type Flow struct {
 	ID       int32
 	Src, Dst int32
-	// Payload and Wire are the payload and payload + header bytes of
-	// one packet; Config.validate keeps the payload within the IBA MTU
-	// range [1,4096], so both fit 16 bits.
-	Payload, Wire uint16
-	SL, VL        uint8
+	// Wire is the payload + header bytes of one packet; Config.validate
+	// keeps the payload within the IBA MTU range [1,4096], so it fits 16
+	// bits.
+	Wire   uint16
+	SL, VL uint8
 	// Base is the VL the SLtoVL mapping assigned; VL is the injection
 	// wire VL, which differs from Base only under multi-plane routing
 	// engines (the source may already sit in the destination's
@@ -51,12 +51,13 @@ type Flow struct {
 	Deadline int64 // end-to-end guarantee in byte times; 0 = best effort
 
 	// Measurement-window statistics: packets injected and delivered,
-	// the delay distribution and source drops.  Interarrival jitter is
-	// kept per service level, not per flow (Network.Jitter).
+	// the delay distribution and the packets the full source queue
+	// dropped.  Interarrival jitter is kept per service level, not per
+	// flow (Network.Jitter).
 	Injected  int64
 	Delivered int64
 	Delay     stats.DelayCDF
-	Drops     int64
+	drops     int64
 
 	lastArrival int64 // previous delivery time within the window, -1 if none
 
@@ -83,7 +84,6 @@ func newFlow(id, src, dst int, slv, vl uint8, mbps float64, payload int, deadlin
 	return &Flow{
 		ID: int32(id), Src: int32(src), Dst: int32(dst), SL: slv, VL: vl, Base: vl,
 		Mbps:        mbps,
-		Payload:     uint16(payload),
 		Wire:        uint16(payload + sl.HeaderBytes),
 		IAT:         traffic.IATByteTimes(payload, mbps),
 		Deadline:    deadline,
@@ -98,7 +98,7 @@ func (f *Flow) resetMeasurement() {
 	f.Injected, f.Delivered = 0, 0
 	f.Delay.Reset()
 	f.lastArrival = -1
-	f.Drops = 0
+	f.drops = 0
 }
 
 // vbrPacer is the on/off schedule of a VBR flow (AddVBRConnection):

@@ -216,9 +216,9 @@ func (d *indexDiff) quiet(t *testing.T, parallel bool) {
 		return
 	}
 	d.audit.check(t)
-	if st, idle := d.voq, d.n.voqIdleKicks(); st.blocked == 0 || st.idle == 0 || idle == 0 ||
+	if st, idle := d.voq, d.n.voqIdlePasses(); st.blocked == 0 || st.idle == 0 || idle == 0 ||
 		!parallel && (st.requests == 0 || st.contended == 0 || st.mgmt == 0 || st.busy == 0) {
-		t.Fatalf("run too quiet to prove anything: %+v, %d idle kicks", st, idle)
+		t.Fatalf("run too quiet to prove anything: %+v, %d idle passes", st, idle)
 	}
 }
 
@@ -517,7 +517,7 @@ func TestHeadIndexIgnoresUnroutableHeads(t *testing.T) {
 	sh := n.shardForSwitch(node.id)
 	n.rule.inputFreed(sh, node.id, in)
 	sh.kickSwitch(node.id, -1)
-	n.Engine.Step() // runs the deferred passes
+	n.Engine.Run(n.Now()) // ends the instant: the marked passes run
 	var st stepStats
 	compareAllPorts(t, n, &st)
 	if err := n.CheckBuffers(); err != nil {

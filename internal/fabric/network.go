@@ -302,7 +302,7 @@ func (cfg Config) validate() error {
 // eventPoolSize is the event population an engine serving the given
 // part of a fabric is preallocated for: one generator per eventual
 // flow plus a few events per switch port in use (transmit completion,
-// arrival, crossbar release, scheduling pass).  A loaded run on the
+// arrival, crossbar wake-up, fault wake-up).  A loaded run on the
 // fat-tree and dragonfly shapes stays within it (the high-water mark
 // under saturating load is 10-12 events per host at 4-5 ports per
 // host); the host-dense irregular shapes can exceed it by a tenth and
@@ -357,13 +357,16 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 	// One shard per partition part, each with its own engine (shard 0
 	// runs on Engine) preallocated for its part's steady-state event
 	// population, so no shard pool reallocates mid-run.
+	// Each engine ends every instant with its shard's scheduling passes
+	// (shard.endInstant).
 	n.shards = make([]*shard, part.Shards)
 	for k := range n.shards {
-		sh := &shard{n: n, id: int32(k), eng: eng}
+		sh := &shard{n: n, id: int32(k), eng: eng, dirty: newDirtySet(topo.NumSwitches, topo.NumHosts())}
 		if k > 0 {
 			sh.eng = &sim.Engine{}
 		}
 		sh.eng.Grow(eventPoolSize(len(part.Hosts(k)), len(part.Switches(k)), topo.Ports()))
+		sh.eng.SetInstantEnd(sh.endInstant)
 		n.shards[k] = sh
 	}
 	// Hosts, and switches with one input and one output port per port
@@ -430,11 +433,11 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 			if host := topo.HostAt(s, p); host >= 0 {
 				op.downHost = host
 				op.wired = true
-				ip.upHost = host
+				ip.upHost = int32(host)
 			} else if peer := topo.Peer(s, p); peer.Switch >= 0 {
 				op.downSwitch, op.downPort = peer.Switch, peer.Port
 				op.wired = true
-				ip.upSwitch, ip.upPort = peer.Switch, peer.Port
+				ip.upSwitch, ip.upPort = int32(peer.Switch), int32(peer.Port)
 			}
 			// Only wired ports arbitrate (trySwitch and voqFreePorts
 			// skip the rest), so only they carry an arbiter.
@@ -461,7 +464,7 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 				}
 			}
 			ip := &node.in[p]
-			if ip.upSwitch >= 0 && part.ShardOfSwitch(ip.upSwitch) != own {
+			if ip.upSwitch >= 0 && part.ShardOfSwitch(int(ip.upSwitch)) != own {
 				ip.upBoundary = true
 			}
 		}
@@ -684,7 +687,7 @@ func (n *Network) HandleEvent(ev sim.Event) {
 // nil, runs right after the tables are updated.
 func (n *Network) ReleaseConnection(conn *admission.Conn, f *Flow, onDone func()) {
 	n.StopFlow(f)
-	n.Ctrl.DeferEvent(n, sim.Event{
+	n.Ctrl.Post(n.Ctrl.Now(), n, sim.Event{
 		Kind: evCtrlReleasePoll, P: &releaseWait{conn: conn, f: f, onDone: onDone},
 	})
 }
@@ -736,7 +739,7 @@ func (sh *shard) enqueue(f *Flow, wire int, tag int64) bool {
 	n := sh.n
 	host := n.hosts[f.Src]
 	if host.queues[f.VL].len() >= n.queueCap(f) {
-		f.Drops++
+		f.drops++
 		sh.totalDropped++
 		return false
 	}
@@ -751,17 +754,15 @@ func (sh *shard) enqueue(f *Flow, wire int, tag int64) bool {
 	return true
 }
 
-// kickHost schedules a scheduling pass at the host interface, unless
-// one is pending or the interface is transmitting: a pass at a busy
+// kickHost marks the host interface for a scheduling pass at the end of
+// the instant, unless the interface is transmitting: a pass at a busy
 // port returns at once, and the port's own evXmitDone at busyUntil
-// kicks it again (busyUntil is written only by transmit).
+// kicks it again (busyUntil is written only by transmit, in a pass).
 func (sh *shard) kickHost(h int) {
-	host := sh.n.hosts[h]
-	if host.out.pending || host.out.busyUntil > sh.eng.Now() {
+	if sh.n.hosts[h].out.busyUntil > sh.eng.Now() {
 		return
 	}
-	host.out.pending = true
-	sh.eng.DeferEvent(sh, sim.Event{Kind: evTryHost, A: int32(h)})
+	sh.markDirty(sh.dirty.hostBase + h)
 }
 
 // tryHost runs one arbitration decision at a host interface.

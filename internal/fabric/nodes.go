@@ -3,6 +3,7 @@ package fabric
 import (
 	"repro/internal/arbtable"
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -15,14 +16,21 @@ type inPort struct {
 	queues [arbtable.NumVLs]pktQueue
 	occ    [arbtable.NumVLs]int32 // reserved bytes per VL buffer
 	// busyUntil models the multiplexed crossbar: only one VL of an
-	// input port can be transmitting through the switch at a time.
+	// input port can be transmitting through the switch at a time.  No
+	// event ends a transfer by default: a pass reads the timestamp.
+	// While an idle output waits on this input, an evInputFree is queued
+	// for busyUntil (armInputFree): wake is its handle, freeArmed says
+	// it is queued, and waiter is the output port whose wait armed it,
+	// plus one (0: none, or the whole switch under the input-queued
+	// rule).
 	busyUntil int64
+	wake      sim.Timer
 
 	// Upstream end of the link feeding this port, for credit kicks:
 	// either a switch output port (upSwitch >= 0) or a host (upHost
 	// >= 0); unused ports have both negative.
-	upSwitch, upPort int
-	upHost           int
+	upSwitch, upPort int32
+	upHost           int32
 
 	// upBoundary marks an upstream switch owned by another shard in a
 	// parallel sharded run: freed credits are then batched for the
@@ -30,6 +38,8 @@ type inPort struct {
 	// Never set for host upstreams (hosts share their attachment
 	// switch's shard) or outside parallel mode.
 	upBoundary bool
+	freeArmed  bool
+	waiter     uint8
 }
 
 // outPort is one scheduling point: a switch output port or a host
@@ -48,10 +58,13 @@ type outPort struct {
 	pt *core.PortTable
 
 	// code is this port's typed-event operand (see portCode): the
-	// scheduling-pass and transmit-completion events name the port by
-	// it instead of capturing it in a closure.
-	code    int32
-	pending bool // a kick event is already scheduled
+	// transmit-completion and wake-up events name the port by it
+	// instead of capturing it in a closure.
+	code int32
+	// waitsOn is the input whose evInputFree this port's wait last
+	// armed, plus one (0: none): a transmit here cancels it if the port
+	// still owns it (settleWait).
+	waitsOn uint8
 
 	// Round-robin cursor among input ports, per VL, so equal-VL heads
 	// at different inputs share the output fairly.  A switch has at

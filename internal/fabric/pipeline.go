@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/arbtable"
@@ -335,15 +336,21 @@ func (n *Network) checkIndex(node *swNode) error {
 }
 
 // switchRule is what a switch model decides about the shared pipeline:
-// what a change at a switch schedules, and which queue a forward's depth
-// sample measures.  NewWithTopology picks one per network.
+// what a change at a switch marks for the end-of-instant phase, what a
+// marked point's pass is, and which queue a forward's depth sample
+// measures.  NewWithTopology picks one per network.
 type switchRule interface {
-	// kick re-arms switch s after the candidates of its output port p
-	// may have changed (p < 0: a packet with no route, which requests
-	// nothing).
+	// kick marks switch s for a pass after the candidates of its output
+	// port p may have changed (p < 0: a packet with no route, which
+	// requests nothing).
 	kick(sh *shard, s, p int)
-	// inputFreed re-arms switch s after input i's crossbar slot freed.
+	// inputFreed re-arms switch s after input i's crossbar slot freed
+	// while a pass waited on it (evInputFree).
 	inputFreed(sh *shard, s, i int)
+	// pass runs the scheduling pass of the point the phase found marked:
+	// output port p of switch s, or the whole switch under a rule that
+	// marks switches (p = 0).
+	pass(sh *shard, s, p int)
 	// observeDepth samples the queue a forward from in's VL vl buffer
 	// toward output p left behind.
 	observeDepth(m *metrics.Metrics, in *inPort, p, vl int)
@@ -364,20 +371,62 @@ func (sh *shard) creditSwitch(s, p int) {
 	sh.kickSwitch(s, p)
 }
 
+// armInputFree queues the wake-up of input i of node at the end of its
+// crossbar transfer, for the pass of output port p (p < 0: of the whole
+// switch) that waits on it — unless one is queued already.  The input
+// must be busy.
+func (sh *shard) armInputFree(node *swNode, i, p int) {
+	in := &node.in[i]
+	if in.freeArmed {
+		return
+	}
+	in.freeArmed = true
+	if p >= 0 {
+		in.waiter = uint8(p + 1)
+		node.out[p].waitsOn = uint8(i + 1)
+	}
+	in.wake = sh.eng.PostTimerAfter(in.busyUntil-sh.eng.Now(), sh, sim.Event{Kind: evInputFree, A: int32(node.id), B: int32(i)})
+}
+
+// settleWait runs when WRR output port p of node starts transmitting: it
+// no longer waits, so the wake-up its wait armed is canceled if the port
+// still owns it.  The other idle ports the input's front packets request
+// may have counted on that wake-up, so each settles its wait again
+// (wrrWait) — those still to pass this instant do so themselves.
+func (sh *shard) settleWait(node *swNode, p int, now int64) {
+	out := &node.out[p]
+	k := int(out.waitsOn)
+	if k == 0 {
+		return
+	}
+	out.waitsOn = 0
+	in := &node.in[k-1]
+	if !in.freeArmed || int(in.waiter) != p+1 {
+		return
+	}
+	sh.eng.Cancel(in.wake)
+	in.freeArmed, in.waiter = false, 0
+	for vls := node.ix.queued()[k-1]; vls != 0; vls &= vls - 1 {
+		q := int(in.queues[bits.TrailingZeros16(vls)].front().out)
+		if q >= 0 && q != p && node.out[q].busyUntil <= now && !sh.dirty.has(int(switchCode(node.id, q))) {
+			sh.wrrWait(node, q, now)
+		}
+	}
+}
+
 // wrrRule is the paper's output-driven switch of section 4.1: only a
 // buffer's front packet may go, and every output port schedules alone
 // over the front packets routed to it.
 type wrrRule struct{}
 
-// kick schedules a scheduling pass at output port p — if the pass could
-// send.  It posts nothing while a pass is pending, while the port
-// transmits (its own evXmitDone at busyUntil kicks it again) and,
-// without a fault schedule, while no front packet requests the port,
-// VL 15 included: such a pass would run at this byte-time after
-// deferred passes that take packets only from inputs they leave busy,
-// and find nothing.  Under a fault schedule the pass is also what arms
-// the wake-up at the end of a fault window, so there an unrequested
-// port still posts.
+// kick marks output port p for a pass at the end of the instant — if
+// the pass could send.  It marks nothing while the port transmits (its
+// own evXmitDone at busyUntil kicks it again) and, without a fault
+// schedule, while no front packet requests the port, VL 15 included:
+// neither can change before the phase, since only a pass transmits and
+// every event that adds a request kicks the port it requests.  Under a
+// fault schedule the pass is also what arms the wake-up at the end of a
+// fault window, so there an unrequested port is still marked.
 func (wrrRule) kick(sh *shard, s, p int) {
 	if p < 0 {
 		return
@@ -385,11 +434,10 @@ func (wrrRule) kick(sh *shard, s, p int) {
 	n := sh.n
 	node := n.switches[s]
 	out := &node.out[p]
-	if !out.wired || out.pending || n.wrrPassIdle(node, out, p, sh.eng.Now()) {
+	if !out.wired || n.wrrPassIdle(node, out, p, sh.eng.Now()) {
 		return
 	}
-	out.pending = true
-	sh.eng.DeferEvent(sh, sim.Event{Kind: evTrySwitch, A: int32(s), B: int32(p)})
+	sh.markDirty(int(switchCode(s, p)))
 }
 
 // wrrPassIdle is the kick's test of a pass that could not send: output
@@ -409,6 +457,8 @@ func (r wrrRule) inputFreed(sh *shard, s, i int) {
 	}
 }
 
+func (wrrRule) pass(sh *shard, s, p int) { sh.trySwitch(s, p) }
+
 // observeDepth samples the input VL buffer the packet left.
 func (wrrRule) observeDepth(m *metrics.Metrics, in *inPort, _, vl int) {
 	m.ObserveQueueDepth(int64(in.queues[vl].len()))
@@ -416,7 +466,11 @@ func (wrrRule) observeDepth(m *metrics.Metrics, in *inPort, _, vl int) {
 
 // trySwitch runs one WRR arbitration decision at a switch output port:
 // the candidates are the front packets routed to this port whose input
-// crossbar slot is free and whose downstream buffer has room.
+// crossbar slot is free and whose downstream buffer has room.  A pass
+// that leaves the port idle arms the wake-up of a busy input whose front
+// packet requests it (wrrWait): nothing else would pass the port again
+// when that input's transfer ends.  A pass that sends drops the port's
+// claim on such a wake-up (settleWait).
 func (sh *shard) trySwitch(s, p int) {
 	n := sh.n
 	node := n.switches[s]
@@ -432,14 +486,61 @@ func (sh *shard) trySwitch(s, p int) {
 	cand := x.cand(p)
 	if i := n.mgmtCandidate(node, p, cand[arbtable.MgmtVL], now); i >= 0 {
 		sh.transmit(out, sh.take(node, i, p, arbtable.MgmtVL, now), switchCode(s, i), arbtable.MgmtVL)
+		sh.settleWait(node, p, now)
 		return
 	}
 	var o offer
 	if !n.dataCandidates(node, p, x.vls()[p]&dataVLMask, cand, now, &o) {
 		out.arb.Stall()
+	} else if sh.serve(node, p, &o, now) {
+		sh.settleWait(node, p, now)
 		return
 	}
-	sh.serve(node, p, &o, now)
+	sh.wrrWait(node, p, now)
+}
+
+// wrrWait arms, for output port p of node, idle at now, the wake-up of
+// the busy input whose front packet requests p with credit and frees
+// first — unless one that frees no later is armed already.  The pass the
+// wake-up runs arms the next one if the port is still waiting.  An
+// input without credit waits for the credit return, which kicks the
+// port.
+func (sh *shard) wrrWait(node *swNode, p int, now int64) {
+	n := sh.n
+	out := &node.out[p]
+	cand := node.ix.cand(p)
+	wake, at, armed := -1, int64(0), int64(math.MaxInt64)
+	for vls := node.ix.vls()[p]; vls != 0; vls &= vls - 1 {
+		vl := bits.TrailingZeros16(vls)
+		for c := cand[vl]; c != 0; c &= c - 1 {
+			i := bits.TrailingZeros32(c)
+			in := &node.in[i]
+			if in.busyUntil <= now || !n.hasCredit(node, out, vl, in.queues[vl].front()) {
+				continue
+			}
+			if in.freeArmed {
+				armed = min(armed, in.busyUntil)
+			} else if wake < 0 || in.busyUntil < at {
+				wake, at = i, in.busyUntil
+			}
+		}
+	}
+	if wake >= 0 && at < armed {
+		sh.armInputFree(node, wake, p)
+	}
+}
+
+// hasCredit reports whether pkt, buffered at node on VL vl, fits the
+// downstream buffer of out on the lane it would leave by.
+func (n *Network) hasCredit(node *swNode, out *outPort, vl int, pkt *Packet) bool {
+	down := n.occView(out)
+	if down == nil {
+		return true
+	}
+	if n.planes > 1 && vl != arbtable.MgmtVL {
+		vl = int(n.Routes.HopVL(node.id, pkt.Dst, pkt.Base))
+	}
+	return int(down[vl])+pkt.Wire <= n.bufferCapacity()
 }
 
 // cyclicFrom splits an input set at a round-robin cursor: visiting the
@@ -567,8 +668,14 @@ func (sh *shard) serve(node *swNode, p int, o *offer, now int64) bool {
 
 // take pops the packet input i of node holds for output p on VL vl (see
 // pop), moves p's round-robin cursor for vl past i and holds i's
-// crossbar slot for the transfer: wire/CrossbarSpeedup byte times, at
-// whose end evInputFree re-arms the switch.
+// crossbar slot for the transfer: wire/CrossbarSpeedup byte times.
+// Under the head view the pop may expose a new front packet, whose
+// output no kick announces: if that output is idle, the transfer's end
+// may be what it waits for, so the take settles its wait (wrrWait) —
+// unless the output's own pass is still to come this instant, which
+// finds the input busy and settles it if the port stays idle
+// (trySwitch).  The input-queued rule settles its waits at the end of
+// its whole-switch pass (voqWait).
 func (sh *shard) take(node *swNode, i, p, vl int, now int64) *Packet {
 	pkt := node.pop(i, vl, p)
 	node.out[p].rr[vl] = uint8((i + 1) % len(node.out))
@@ -577,6 +684,12 @@ func (sh *shard) take(node *swNode, i, p, vl int, now int64) *Packet {
 		xfer = 1
 	}
 	node.in[i].busyUntil = now + xfer
-	sh.eng.Post(now+xfer, sh, sim.Event{Kind: evInputFree, A: int32(node.id), B: int32(i)})
+	if node.ix.head {
+		if next := node.in[i].queues[vl].front(); next != nil && next.out >= 0 {
+			if r := int(next.out); node.out[r].busyUntil <= now && !sh.dirty.has(int(switchCode(node.id, r))) {
+				sh.wrrWait(node, r, now)
+			}
+		}
+	}
 	return pkt
 }

@@ -1,10 +1,13 @@
 package fabric
 
 import (
+	"math/bits"
+
 	"repro/internal/arbtable"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/topology"
 )
 
 // This file is the sharded half of the simulation core (DESIGN.md §12).
@@ -84,9 +87,79 @@ type shard struct {
 	// switches (nil unless the oracle model is selected).
 	mwm *mwmScratch
 
-	// voqIdleKicks counts the kicks at input-queued switches that posted
-	// no scheduling pass because nothing could match (see kickVOQ).
-	voqIdleKicks int64
+	// dirty is the set of this shard's scheduling points a kick marked
+	// during the current instant (see endInstant).
+	dirty dirtySet
+
+	// voqIdlePasses counts the crossbar passes that served nothing, and
+	// inputWakes the evInputFree wake-ups executed (armInputFree).
+	voqIdlePasses int64
+	inputWakes    int64
+}
+
+// dirtySet is a two-level bitmap over scheduling points: bit k of
+// words[w] marks point 64·w+k, and bit w of sum[w/64] says words[w] is
+// not zero.  A switch output port is its port code (switchCode; under
+// the input-queued rule the switch is its port 0), and host h follows
+// every switch code, at hostBase+h, so ascending order is (node, port)
+// order.
+type dirtySet struct {
+	sum, words []uint64
+	hostBase   int
+}
+
+func newDirtySet(switches, hosts int) dirtySet {
+	base := switches * topology.SwitchPorts
+	words := (base + hosts + 63) / 64
+	return dirtySet{sum: make([]uint64, (words+63)/64), words: make([]uint64, words), hostBase: base}
+}
+
+func (d *dirtySet) add(k int) {
+	d.words[k>>6] |= 1 << (k & 63)
+	d.sum[k>>12] |= 1 << (k >> 6 & 63)
+}
+
+// has reports whether point k is marked.
+func (d *dirtySet) has(k int) bool { return d.words[k>>6]&(1<<(k&63)) != 0 }
+
+// markDirty marks scheduling point k for a pass at the end of the
+// current instant.
+func (sh *shard) markDirty(k int) {
+	sh.dirty.add(k)
+	sh.eng.MarkInstant()
+}
+
+// endInstant is the shard engine's end-of-instant phase: one scheduling
+// pass at every point a kick marked during the instant, in ascending
+// (node, port) order, after every event of the instant has run.  What
+// a pass sees therefore does not depend on the order of the instant's
+// events, and a port or switch passes at most once per byte-time.
+// Everything a pass schedules lands at the next byte-time or later, and
+// a pass kicks nothing.  It returns the passes run, which the engine
+// counts as executed work.
+func (sh *shard) endInstant() int {
+	n, d := sh.n, &sh.dirty
+	passes := 0
+	for si := range d.sum {
+		for sum := d.sum[si]; sum != 0; sum &= sum - 1 {
+			wi := si<<6 | bits.TrailingZeros64(sum)
+			for w := d.words[wi]; w != 0; w &= w - 1 {
+				// The mark goes as its pass starts: the marks left are the
+				// passes still to come this instant (see take).
+				d.words[wi] &^= w & -w
+				k := wi<<6 | bits.TrailingZeros64(w)
+				if k >= d.hostBase {
+					sh.tryHost(k - d.hostBase)
+				} else {
+					s, p := switchPort(int32(k))
+					n.rule.pass(sh, s, p)
+				}
+				passes++
+			}
+		}
+		d.sum[si] = 0
+	}
+	return passes
 }
 
 // numSLs is the number of InfiniBand service levels.
@@ -237,13 +310,12 @@ func (n *Network) ExecutedEvents() uint64 {
 	return total
 }
 
-// voqIdleKicks returns the number of kicks at input-queued switches
-// that posted no scheduling pass because the pass could not have
-// matched anything (0 under the WRR model and under a fault schedule).
-func (n *Network) voqIdleKicks() int64 {
+// voqIdlePasses returns the number of crossbar passes that served
+// nothing (0 under the WRR model).
+func (n *Network) voqIdlePasses() int64 {
 	var total int64
 	for _, sh := range n.shards {
-		total += sh.voqIdleKicks
+		total += sh.voqIdlePasses
 	}
 	return total
 }

@@ -21,8 +21,10 @@ import (
 //
 // Where this diverges from the xbar_router exemplar (SNIPPETS.md
 // Snippet 1): packets are buffered per (input, VL) rather than per
-// input; scheduling is event-driven on packet boundaries instead of a
-// fixed Advance() clock; grants respect downstream per-VL credits; and
+// input; a switch passes only at the end of a byte-time in which a kick
+// marked it, instead of on every Advance() of a fixed clock, and a pass
+// that leaves work it could still do marks itself for the next
+// byte-time; grants respect downstream per-VL credits; and
 // the iSLIP pointers update only on accepted first-iteration grants (the
 // published algorithm; the exemplar advances its single pointer
 // unconditionally).
@@ -285,12 +287,11 @@ type crossbar struct {
 	// busyOut and busyIn are supersets of the outputs and inputs whose
 	// busyUntil lies in the future: set when a pass forwards, cleared
 	// lazily against the port's timestamp by voqFreePorts.  No event
-	// clears them — a pass at byte-time t that runs ahead of the
-	// completion event of t must already see the port free.
+	// clears them: a transfer's end is a timestamp, which the pass at
+	// the end of that byte-time reads after every event of it has run.
 	busyOut, busyIn uint32
 
-	islip   ISLIPState
-	pending bool // a scheduling-pass event is already queued
+	islip ISLIPState
 
 	// match is the current pass's matching scratch (match[j] = input
 	// feeding output j).  A field rather than a voqSched local so the
@@ -309,37 +310,40 @@ type crossbar struct {
 // no per-(i, j, vl) storage is kept.
 type voqRule struct{}
 
-// kick and inputFreed fold every change at the switch into one crossbar
-// pass: the whole switch is one scheduling point.
-func (voqRule) kick(sh *shard, s, _ int)       { sh.kickVOQ(s) }
+// kick folds a change at output port p into one crossbar pass of the
+// whole switch, the rule's one scheduling point.  Like the WRR kick it
+// marks nothing while p transmits (its own evXmitDone kicks again) or
+// while nothing requests p: no VL 15 packet, and no data packet — or a
+// remembered request column that holds no input, every head for p
+// lacking credit.  A change at p can let the pass serve p only, and
+// only when p is free and requested; what could make it requested
+// before the phase (a first packet for p, a credit return to p) kicks
+// p itself.  A kick that names no port (p < 0: an input freed, a pass
+// to repeat, a packet with no route) always marks.
+func (voqRule) kick(sh *shard, s, p int) {
+	if p >= 0 {
+		node := sh.n.switches[s]
+		x := &node.ix
+		if node.out[p].busyUntil > sh.eng.Now() || x.mgmtOuts&(1<<p) == 0 &&
+			(x.dataOuts&(1<<p) == 0 || x.reqValid&(1<<p) != 0 && x.req()[p] == 0) {
+			return
+		}
+	}
+	sh.kickVOQ(s)
+}
+
 func (voqRule) inputFreed(sh *shard, s, _ int) { sh.kickVOQ(s) }
+func (voqRule) pass(sh *shard, s, _ int)       { sh.voqSched(s) }
 
 // observeDepth samples the virtual output queue the packet left.
 func (voqRule) observeDepth(m *metrics.Metrics, in *inPort, p, vl int) {
 	m.ObserveVOQDepth(int64(in.queues[vl].countFor(int8(p))))
 }
 
-// kickVOQ schedules a crossbar scheduling pass at an input-queued
-// switch — if the pass could do anything.  Every kick follows the state
-// change it announces and the pass it would post runs at this same
-// byte-time, after deferred work that touches other switches only, so a
-// kick that finds nothing to match stands for a pass that would find
-// nothing either: one that changes no queue, pointer, cursor or arbiter
-// and posts no event.  Under a fault schedule the pass is also what arms
-// the wake-up at the end of a fault window, so there every kick posts.
-func (sh *shard) kickVOQ(s int) {
-	node := sh.n.switches[s]
-	xb := node.xbar
-	if xb.pending {
-		return
-	}
-	if sh.n.Faults != nil || sh.voqCanMatch(node, sh.eng.Now()) {
-		xb.pending = true
-		sh.eng.DeferEvent(sh, sim.Event{Kind: evVOQSched, A: int32(s)})
-	} else {
-		sh.voqIdleKicks++
-	}
-}
+// kickVOQ marks an input-queued switch for a crossbar pass at the end of
+// the instant.  It tests no matching: the pass itself finds out, once
+// per byte-time, whether anything can match.
+func (sh *shard) kickVOQ(s int) { sh.markDirty(int(switchCode(s, 0))) }
 
 // voqBuildColumn computes column j of the request matrix: the inputs
 // whose group (i, j) holds at least one data head packet with downstream
@@ -407,39 +411,13 @@ func (sh *shard) voqFreePorts(node *swNode, now int64) (outFree, inFree uint32) 
 	return outFree, inFree
 }
 
-// voqCanMatch reports whether a scheduling pass at node would serve
-// anything at time now: a free output with a VL 15 candidate, or with a
-// data request from a free input.  A VL 15 transfer takes an input and
-// an output away from the data phase, but then the answer is already
-// yes; without one, the data phase sees exactly these masks.
-func (sh *shard) voqCanMatch(node *swNode, now int64) bool {
-	n := sh.n
-	x := &node.ix
-	outFree, inFree := sh.voqFreePorts(node, now)
-	if outFree == 0 || inFree == 0 {
-		return false
-	}
-	for w := outFree & x.mgmtOuts; w != 0; w &= w - 1 {
-		j := bits.TrailingZeros32(w)
-		if n.mgmtCandidate(node, j, x.mgmtCols()[j]&inFree, now) >= 0 {
-			return true
-		}
-	}
-	capacity := n.bufferCapacity()
-	for w := outFree & x.dataOuts; w != 0; w &= w - 1 {
-		if n.voqColumn(node, bits.TrailingZeros32(w), capacity)&inFree != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // voqSched runs one crossbar scheduling pass at switch s: the VL 15
 // stage first, then the request matrix is taken from the remembered
 // columns (cols[j] = req[j] restricted to the free inputs), matched by
 // iSLIP or the MWM oracle, and each matched pair's lane is picked by the
-// output port's arbitration table.  Zero allocations: all scratch state
-// is fixed-size on the stack, the shard and the switch.
+// output port's arbitration table.  Then the pass settles what it
+// leaves waiting (voqWait).  Zero allocations: all scratch state is
+// fixed-size on the stack, the shard and the switch.
 func (sh *shard) voqSched(s int) {
 	n := sh.n
 	node := n.switches[s]
@@ -447,31 +425,41 @@ func (sh *shard) voqSched(s int) {
 	now := sh.eng.Now()
 
 	outFree, inFree := sh.voqFreePorts(node, now)
-	if outFree == 0 || inFree == 0 {
-		return
-	}
-
-	// Each free output serves its VL 15 candidate first, consuming the
-	// input and output crossbar slots the transfer uses.
-	for w := outFree & x.mgmtOuts; w != 0; w &= w - 1 {
-		j := bits.TrailingZeros32(w)
-		i := n.mgmtCandidate(node, j, x.mgmtCols()[j]&inFree, now)
-		if i < 0 {
-			continue
-		}
-		inFree &^= 1 << i
-		outFree &^= 1 << j
-		pkt := sh.take(node, i, j, arbtable.MgmtVL, now)
-		xb.busyIn |= 1 << i
-		xb.busyOut |= 1 << j
-		sh.transmit(&node.out[j], pkt, switchCode(s, i), arbtable.MgmtVL)
-	}
-
-	// Request matrix over the data VLs, in column form: bit i of cols[j]
-	// set = free input i holds a head with downstream credit for free
-	// output j.
-	capacity := n.bufferCapacity()
+	served := uint32(0)
 	var cols [topology.SwitchPorts]uint32
+	if outFree != 0 && inFree != 0 {
+		// Each free output serves its VL 15 candidate first, consuming
+		// the input and output crossbar slots the transfer uses.
+		for w := outFree & x.mgmtOuts; w != 0; w &= w - 1 {
+			j := bits.TrailingZeros32(w)
+			i := n.mgmtCandidate(node, j, x.mgmtCols()[j]&inFree, now)
+			if i < 0 {
+				continue
+			}
+			inFree &^= 1 << i
+			served |= 1 << j
+			pkt := sh.take(node, i, j, arbtable.MgmtVL, now)
+			xb.busyIn |= 1 << i
+			xb.busyOut |= 1 << j
+			sh.transmit(&node.out[j], pkt, switchCode(s, i), arbtable.MgmtVL)
+		}
+		served |= sh.voqMatch(node, outFree&^served, inFree, &cols, now)
+	}
+	if served == 0 {
+		sh.voqIdlePasses++
+	}
+	sh.voqWait(node, outFree&^served, &cols, now)
+}
+
+// voqMatch is the data phase of a crossbar pass over the free outputs
+// and inputs: it fills cols with the request matrix in column form (bit
+// i of cols[j] set = free input i holds a head with downstream credit
+// for free output j), matches it and serves every matched pair.  It
+// returns the outputs it served.
+func (sh *shard) voqMatch(node *swNode, outFree, inFree uint32, cols *[topology.SwitchPorts]uint32, now int64) (served uint32) {
+	n := sh.n
+	x, xb := &node.ix, node.xbar
+	capacity := n.bufferCapacity()
 	var outs, requesters uint32
 	for w := outFree & x.dataOuts; w != 0; w &= w - 1 {
 		j := bits.TrailingZeros32(w)
@@ -482,7 +470,7 @@ func (sh *shard) voqSched(s int) {
 		}
 	}
 	if outs == 0 {
-		return
+		return 0
 	}
 	backlogged := bits.OnesCount32(requesters)
 
@@ -503,29 +491,63 @@ func (sh *shard) voqSched(s int) {
 		}
 		size, _ = sc.solve(match)
 	} else {
-		size = xb.islip.matchColumns(&cols, outs, n.islipIters, match)
+		size = xb.islip.matchColumns(cols, outs, n.islipIters, match)
 	}
 	if m := sh.metrics; m != nil {
 		m.CountVOQPass(size, backlogged)
 	}
 	if n.onMatch != nil {
-		n.onMatch(s, match, size)
+		n.onMatch(node.id, match, size)
 	}
 
 	// Only a requested output can be matched.
 	for w := outs; w != 0; w &= w - 1 {
 		j := bits.TrailingZeros32(w)
-		if match[j] >= 0 {
-			sh.voqServe(node, int(match[j]), j, now)
+		if match[j] >= 0 && sh.voqServe(node, int(match[j]), j, now) {
+			served |= 1 << j
 		}
+	}
+	return served
+}
+
+// voqWait settles what a pass at node leaves waiting on the outputs it
+// left idle (idle: free at the pass, not served by it).  An idle output
+// requested by a busy input — the VL 15 sets, or the remembered request
+// columns, which hold credit — waits for that input's transfer to end,
+// so the input's wake-up is armed.  An idle output still requested by a
+// free input (cols, before the pass's own transfers) is work a pass at
+// the next byte-time can do: an iSLIP matching that is not maximal, or
+// a table that picked nothing; the switch is kicked again then, as a
+// pass at every byte-time would find it.
+func (sh *shard) voqWait(node *swNode, idle uint32, cols *[topology.SwitchPorts]uint32, now int64) {
+	n := sh.n
+	x, xb := &node.ix, node.xbar
+	var waiting uint32
+	for w := idle & x.mgmtOuts; w != 0; w &= w - 1 {
+		waiting |= x.mgmtCols()[bits.TrailingZeros32(w)]
+	}
+	again := false
+	capacity := n.bufferCapacity()
+	for w := idle & x.dataOuts; w != 0; w &= w - 1 {
+		j := bits.TrailingZeros32(w)
+		waiting |= n.voqColumn(node, j, capacity)
+		again = again || cols[j]&^xb.busyIn != 0
+	}
+	waiting &= xb.busyIn
+	for ; waiting != 0; waiting &= waiting - 1 {
+		sh.armInputFree(node, bits.TrailingZeros32(waiting), -1)
+	}
+	if again {
+		sh.eng.Post(now+1, sh, sim.Event{Kind: evKickSwitch, A: int32(node.id), B: -1})
 	}
 }
 
 // voqServe transfers one packet of the matched pair (input i → output
 // j): the pair's group heads are the candidates, so the output port's
 // arbitration table picks the lane, preserving the table-driven QoS of
-// the paper across the crossbar.
-func (sh *shard) voqServe(node *swNode, i, j int, now int64) {
+// the paper across the crossbar.  It reports whether the table picked
+// one.
+func (sh *shard) voqServe(node *swNode, i, j int, now int64) bool {
 	vls := node.ix.nonEmpty()[i*node.ix.r+j] & dataVLMask
 	var sets [arbtable.NumVLs]uint32
 	for w := vls; w != 0; w &= w - 1 {
@@ -533,8 +555,10 @@ func (sh *shard) voqServe(node *swNode, i, j int, now int64) {
 	}
 	var o offer
 	sh.n.dataCandidates(node, j, vls, sets[:], now, &o)
-	if sh.serve(node, j, &o, now) {
-		node.xbar.busyIn |= 1 << i
-		node.xbar.busyOut |= 1 << j
+	if !sh.serve(node, j, &o, now) {
+		return false
 	}
+	node.xbar.busyIn |= 1 << i
+	node.xbar.busyOut |= 1 << j
+	return true
 }

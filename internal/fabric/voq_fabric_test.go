@@ -218,12 +218,18 @@ func TestVOQDeliversAndMeters(t *testing.T) {
 // returns its deliveryDigest.
 func voqDeliveryDigest(t *testing.T, spec topology.Spec, model SwitchModel, seed int64, shards int) uint64 {
 	t.Helper()
+	return deliveryDigest(t, voqDigestNet(t, spec, model, seed, shards), 120_000)
+}
+
+// voqDigestNet builds and loads the network of one digest case.
+func voqDigestNet(t *testing.T, spec topology.Spec, model SwitchModel, seed int64, shards int) *Network {
+	t.Helper()
 	n := buildVOQSharded(t, spec, model, seed, shards)
 	if n.Parallel() != (shards > 1) {
 		t.Fatalf("Parallel() = %v at %d shards", n.Parallel(), shards)
 	}
 	loadDifferential(t, n, seed+22)
-	return deliveryDigest(t, n, 120_000)
+	return n
 }
 
 // deliveryDigest starts a loaded fabric, runs it to until and returns an
@@ -267,18 +273,17 @@ func deliveryDigest(t *testing.T, n *Network, until int64) uint64 {
 	return digest
 }
 
-// TestVOQDeliveryDigest pins what the input-queued fabric delivers and
-// when, on one engine, for every routing class under both schedulers.
-// The constants were recorded before the scheduling pass started caching
-// its request columns and the kick stopped posting passes that cannot
-// match; any change to a match, a forward or a timestamp moves them.
-//
-// A two-shard parallel run is held to repeatability only: its barriers
-// sit where Coordinator.run finds the earliest pending work, deferred
-// work posted at a barrier included, so the number of events — not only
-// what they do — places its windows, and credit crosses shards at
-// barriers.
-func TestVOQDeliveryDigest(t *testing.T) {
+// voqDigestCase is one configuration TestVOQDeliveryDigest pins.
+type voqDigestCase struct {
+	name  string
+	spec  topology.Spec
+	model SwitchModel
+	seed  int64
+}
+
+// voqDigestCases: every routing class at two seeds under both
+// schedulers, in the order model, topology, seed.
+func voqDigestCases() []voqDigestCase {
 	specs := []struct {
 		name string
 		spec topology.Spec
@@ -287,28 +292,52 @@ func TestVOQDeliveryDigest(t *testing.T) {
 		{"fattree-k4", topology.Spec{Class: topology.FatTree, K: 4}},
 		{"dragonfly-2-2-1", topology.Spec{Class: topology.Dragonfly, A: 2, P: 2, H: 1}},
 	}
-	// In the order of the loops below: model, topology, seed.
-	pinned := []uint64{
-		0x7af8ce9cb5246402, 0x4c198f015764693c, 0x01f677f2f150e4dd, 0xd39cec589aa3ff81,
-		0x2cb37d1ecf0fc1f8, 0x965cc9bee5c05d96, 0x1d8f67bebd1ffcad, 0x538ab9c50cc8f6cf,
-		0xf52c06fde8332379, 0xf1c91ecec71c00eb, 0x1e20732a72ebe862, 0x7a4f3ba476c88ed9,
-	}
+	var cases []voqDigestCase
 	for _, model := range []SwitchModel{ModelVOQISLIP, ModelVOQMWM} {
 		for _, tc := range specs {
 			for _, seed := range []int64{9, 23} {
-				model, tc, seed, want := model, tc, seed, pinned[0]
-				pinned = pinned[1:]
-				t.Run(fmt.Sprintf("%s/%s/seed%d", model, tc.name, seed), func(t *testing.T) {
-					if got := voqDeliveryDigest(t, tc.spec, model, seed, 1); got != want {
-						t.Errorf("digest %#016x, pinned %#016x", got, want)
-					}
-				})
+				cases = append(cases, voqDigestCase{fmt.Sprintf("%s/%s/seed%d", model, tc.name, seed), tc.spec, model, seed})
 			}
 		}
 	}
+	return cases
+}
+
+// voqPinnedDigests are the digests of voqDigestCases, in order.
+var voqPinnedDigests = []uint64{
+	0x4ef1737245fc02d4, 0xccc41c8c286a6af1, 0xba80f8b5020c891b, 0xc8595076bfa1ee78,
+	0x4a88b5868ecc4458, 0x9c23e05a195ed790, 0xb32833b25df06756, 0x371c67f3c955630a,
+	0x1723491635b292a1, 0xb2544bb6b4fdf43f, 0x9696c7543676e3f1, 0x1b79f2280b210971,
+}
+
+// TestVOQDeliveryDigest pins what the input-queued fabric delivers and
+// when, on one engine, for every routing class under both schedulers.
+// The constants were recorded when the scheduling passes moved to the
+// end-of-instant phase, and TestPhaseMatchesReferenceExecutor holds a
+// pass at every switch after every byte-time to them; any change to a
+// match, a forward or a timestamp moves them.
+//
+// A two-shard parallel run is held to repeatability only: its barriers
+// sit where Coordinator.run finds the earliest pending work, so the
+// events pending at a barrier — not only what they do — place its
+// windows, and credit crosses shards at barriers.
+func TestVOQDeliveryDigest(t *testing.T) {
+	cases := voqDigestCases()
+	if len(cases) != len(voqPinnedDigests) {
+		t.Fatalf("%d cases, %d pinned digests", len(cases), len(voqPinnedDigests))
+	}
+	for k, tc := range cases {
+		tc, want := tc, voqPinnedDigests[k]
+		t.Run(tc.name, func(t *testing.T) {
+			if got := voqDeliveryDigest(t, tc.spec, tc.model, tc.seed, 1); got != want {
+				t.Errorf("digest %#016x, pinned %#016x", got, want)
+			}
+		})
+	}
 	t.Run("two-shards-repeat", func(t *testing.T) {
-		a := voqDeliveryDigest(t, specs[1].spec, ModelVOQISLIP, 9, 2)
-		if b := voqDeliveryDigest(t, specs[1].spec, ModelVOQISLIP, 9, 2); a != b {
+		tc := cases[2] // voq-islip, fattree-k4, seed 9
+		a := voqDeliveryDigest(t, tc.spec, tc.model, tc.seed, 2)
+		if b := voqDeliveryDigest(t, tc.spec, tc.model, tc.seed, 2); a != b {
 			t.Errorf("two runs of one two-shard configuration digest %#016x and %#016x", a, b)
 		}
 	})

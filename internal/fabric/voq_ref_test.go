@@ -384,8 +384,8 @@ func indexRequests(n *Network, s int) voqPass {
 	return pass
 }
 
-// wantsPass is the kick predicate as the retired scans define it: a
-// pass would serve a VL 15 head or find a data request.
+// wantsPass is voqCanMatch as the retired scans define it: a pass would
+// serve a VL 15 head or find a data request.
 func (p *voqPass) wantsPass() bool {
 	for _, i := range p.mgmt {
 		if i >= 0 {
@@ -395,6 +395,34 @@ func (p *voqPass) wantsPass() bool {
 	return p.backlogged > 0
 }
 
+// voqCanMatch reports whether a scheduling pass at node would serve
+// anything at time now, from what a pass reads: a free output with a VL
+// 15 candidate, or with a remembered data request from a free input.  A
+// VL 15 transfer takes an input and an output away from the data phase,
+// but then the answer is already yes; without one, the data phase sees
+// exactly these masks.
+func (sh *shard) voqCanMatch(node *swNode, now int64) bool {
+	n := sh.n
+	x := &node.ix
+	outFree, inFree := sh.voqFreePorts(node, now)
+	if outFree == 0 || inFree == 0 {
+		return false
+	}
+	for w := outFree & x.mgmtOuts; w != 0; w &= w - 1 {
+		j := bits.TrailingZeros32(w)
+		if n.mgmtCandidate(node, j, x.mgmtCols()[j]&inFree, now) >= 0 {
+			return true
+		}
+	}
+	capacity := n.bufferCapacity()
+	for w := outFree & x.dataOuts; w != 0; w &= w - 1 {
+		if n.voqColumn(node, bits.TrailingZeros32(w), capacity)&inFree != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // voqStats counts how hard a differential run exercised the scheduling
 // pass, so a test that compared nothing but idle switches fails loudly.
 type voqStats struct {
@@ -402,16 +430,16 @@ type voqStats struct {
 	contended int // outputs requested by more than one input
 	blocked   int // non-empty data groups that raised no request
 	mgmt      int // VL 15 candidates seen
-	idle      int // switches the kick predicate called idle
+	idle      int // switches voqCanMatch called idle
 	busy      int // switches it called worth a pass
 }
 
 // compareAllSwitches checks, for every input-queued switch, that the
 // occupancy words, the remembered columns and the busy masks yield
 // exactly the VL 15 picks and the request matrix of the reference scan
-// (which reads queues, credit and port timestamps only), and that the
-// predicate a kick evaluates says "worth a pass" exactly when that scan
-// finds a VL 15 candidate or a request.
+// (which reads queues, credit and port timestamps only), and that
+// voqCanMatch, read from the same words, says "worth a pass" exactly
+// when that scan finds a VL 15 candidate or a request.
 func compareAllSwitches(t *testing.T, n *Network, st *voqStats) {
 	t.Helper()
 	for s, node := range n.switches {
@@ -422,7 +450,7 @@ func compareAllSwitches(t *testing.T, n *Network, st *voqStats) {
 		}
 		sh := n.shardForSwitch(s)
 		if can := sh.voqCanMatch(node, sh.eng.Now()); can != want.wantsPass() {
-			t.Fatalf("t=%d switch %d: kick predicate %v, scan gives mgmt %v req %x",
+			t.Fatalf("t=%d switch %d: voqCanMatch %v, scan gives mgmt %v req %x",
 				n.Now(), s, can, want.mgmt, want.req)
 		} else if can {
 			st.busy++

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/sl"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -97,6 +98,12 @@ func wrrDigestCases() []wrrDigestCase {
 // deliveryDigest.
 func wrrDeliveryDigest(t *testing.T, tc wrrDigestCase, shards int) uint64 {
 	t.Helper()
+	return deliveryDigest(t, wrrDigestNet(t, tc, shards), 120_000)
+}
+
+// wrrDigestNet builds and loads the network of one digest case.
+func wrrDigestNet(t *testing.T, tc wrrDigestCase, shards int) *Network {
+	t.Helper()
 	n := buildWRR(t, tc.spec, tc.seed, shards, tc.tweak)
 	if n.Parallel() != (shards > 1) {
 		t.Fatalf("Parallel() = %v at %d shards", n.Parallel(), shards)
@@ -108,7 +115,7 @@ func wrrDeliveryDigest(t *testing.T, tc wrrDigestCase, shards int) uint64 {
 	if tc.qos {
 		heavyQoS(t, n)
 	}
-	return deliveryDigest(t, n, 120_000)
+	return n
 }
 
 // heavyQoS admits four 64 Mbps connections from every host, so that
@@ -134,28 +141,30 @@ func heavyQoS(t *testing.T, n *Network) {
 	}
 }
 
+// wrrPinnedDigests are the digests of wrrDigestCases, in order.
+var wrrPinnedDigests = []uint64{
+	0x79a406871bb2096a, 0x5ffd0d3c2274184d, 0xabfc728e11e1f227,
+	0xd84ff73f3da6331b, 0x461573f814774c5f, 0x2658a209152a20af,
+	0x0d6b6a80755f1934, 0x2a3491eced2b6d8d, 0xb2b9b6581acd1e36,
+}
+
 // TestWRRDeliveryDigest pins what the WRR fabric delivers and when, on
 // one engine: every delivery's flow, tag, injection and delivery
-// byte-times, folded per host.  The constants were recorded before the
-// kicks stopped posting passes at busy and unrequested ports and the
-// arbiter stopped scanning the low table when the high table serves;
-// any change to a pick, a forward or a timestamp moves them.
+// byte-times, folded per host.  The constants were recorded when the
+// scheduling passes moved to the end-of-instant phase, and
+// TestPhaseMatchesReferenceExecutor holds a pass at every port after
+// every byte-time to them; any change to a pick, a forward or a
+// timestamp moves them.
 //
 // A two-shard parallel run is held to repeatability only, as in
 // TestVOQDeliveryDigest: its windows are placed by the pending events.
 func TestWRRDeliveryDigest(t *testing.T) {
-	// In the order of wrrDigestCases.
-	pinned := []uint64{
-		0x2091b59d2edfb02c, 0x523def0f057e75af, 0xc8fe23c6192f488a,
-		0x78f4032dc4777f54, 0xa2ffe65faf940276, 0xcd98fbcd63fa9d6d,
-		0x388de8916938ce15, 0x4c776cd1c0bd08db, 0x9f81f8a575b3f4ef,
-	}
 	cases := wrrDigestCases()
-	if len(cases) != len(pinned) {
-		t.Fatalf("%d cases, %d pinned digests", len(cases), len(pinned))
+	if len(cases) != len(wrrPinnedDigests) {
+		t.Fatalf("%d cases, %d pinned digests", len(cases), len(wrrPinnedDigests))
 	}
 	for k, tc := range cases {
-		tc, want := tc, pinned[k]
+		tc, want := tc, wrrPinnedDigests[k]
 		t.Run(tc.name, func(t *testing.T) {
 			if got := wrrDeliveryDigest(t, tc, 1); got != want {
 				t.Errorf("digest %#016x, pinned %#016x", got, want)
@@ -171,36 +180,82 @@ func TestWRRDeliveryDigest(t *testing.T) {
 	})
 }
 
-// TestWRREventsPerHop gates, free of timing noise, what a forwarded
-// packet costs the WRR fabric: events executed per switch forward and
-// arbiter stalls on one fixed loaded fat-tree run.  When every kick
-// posted a pass, this run executed 294 691 events for 27 461 forwards
-// (10.73 per hop) and counted 43 737 stalls; since busy and unrequested
-// ports are no longer kicked it executes 217 436 (7.92 per hop) and
-// counts 22 475, with the same forwards and 33 506 picks either way.
-// The budgets sit a little above the new values.
-func TestWRREventsPerHop(t *testing.T) {
-	const (
-		maxEventsPerHop = 8.0
-		maxStalls       = 23_000
-	)
-	n := buildWRR(t, topology.Spec{Class: topology.FatTree, K: 4}, 9, 1, nil)
+// hopCosts runs the fixed loaded k = 4 fat-tree run the events-per-hop
+// gates share under the given switch model — 400 000 byte-times of
+// loadDifferential at seed 9 — and returns per switch forward the
+// events executed (scheduling passes counted, one each), the passes
+// and the evInputFree wake-ups, with the forward count and the
+// arbiter's stalls and picks.
+func hopCosts(t *testing.T, model SwitchModel) (events, passes, wakes float64, hops int, arb metrics.ArbCounters) {
+	t.Helper()
+	n := buildVOQ(t, topology.Spec{Class: topology.FatTree, K: 4}, model, 9)
 	m := n.EnableMetrics()
 	loadDifferential(t, n, 31)
-	hops := 0
+	sh := n.shards[0]
+	var passCount int
+	sh.eng.SetInstantEnd(func() int {
+		k := sh.endInstant()
+		passCount += k
+		return k
+	})
 	n.OnForward = func(*Packet, int, int) { hops++ }
 	n.Start()
 	n.Run(400_000)
 	if hops < 20_000 {
 		t.Fatalf("only %d forwards", hops)
 	}
-	perHop := float64(n.ExecutedEvents()) / float64(hops)
-	t.Logf("%d events for %d forwards (%.3f per hop), %d stalls, %d picks",
-		n.ExecutedEvents(), hops, perHop, m.Arb.Stalls, m.Arb.Picks)
+	per := func(x float64) float64 { return x / float64(hops) }
+	events, passes, wakes = per(float64(n.ExecutedEvents())), per(float64(passCount)), per(float64(sh.inputWakes))
+	t.Logf("%d events for %d forwards (%.3f per hop), %.3f passes and %.4f evInputFree per hop, %d stalls, %d picks",
+		n.ExecutedEvents(), hops, events, passes, wakes, m.Arb.Stalls, m.Arb.Picks)
+	return events, passes, wakes, hops, m.Arb
+}
+
+// TestWRREventsPerHop gates, free of timing noise, what a forwarded
+// packet costs the WRR fabric: events executed per switch forward, the
+// scheduling passes counted, and arbiter stalls on one fixed loaded
+// fat-tree run.  With a deferred pass event per kick and an evInputFree
+// per crossbar transfer it executed 217 436 events for 27 461 forwards
+// (7.92 per hop) and counted 22 475 stalls; with the end-of-instant
+// phase and on-demand wake-ups it executes 176 658 (6.385 per hop, of
+// which 2.14 passes and 0.02 wake-ups) and counts 15 741 stalls.  The
+// budgets sit about 5 % above.
+func TestWRREventsPerHop(t *testing.T) {
+	const (
+		maxEventsPerHop = 6.70
+		maxStalls       = 16_500
+	)
+	perHop, _, _, _, arb := hopCosts(t, ModelWRR)
 	if perHop > maxEventsPerHop {
 		t.Errorf("%.3f events per forward, budget %.2f", perHop, maxEventsPerHop)
 	}
-	if m.Arb.Stalls > maxStalls {
-		t.Errorf("%d arbiter stalls, budget %d", m.Arb.Stalls, maxStalls)
+	if arb.Stalls > maxStalls {
+		t.Errorf("%d arbiter stalls, budget %d", arb.Stalls, maxStalls)
+	}
+}
+
+// TestVOQEventsPerHop is TestWRREventsPerHop's twin on the input-queued
+// switch under iSLIP: the same fat-tree run, with budgets on events,
+// scheduling passes (crossbar and host) and evInputFree wake-ups per
+// switch forward.  With a deferred pass per kick that could match and an
+// evInputFree per crossbar transfer the run executed 221 733 events for
+// 31 107 forwards (7.128 per hop: 1.854 passes and 1.254 wake-ups);
+// with the end-of-instant phase it executes 188 117 for 30 045 (6.261:
+// 2.148 passes and 0.0353 wake-ups).  The budgets sit about 5 % above.
+func TestVOQEventsPerHop(t *testing.T) {
+	const (
+		maxEventsPerHop = 6.57
+		maxPassesPerHop = 2.26
+		maxWakesPerHop  = 0.037
+	)
+	events, passes, wakes, _, _ := hopCosts(t, ModelVOQISLIP)
+	if events > maxEventsPerHop {
+		t.Errorf("%.3f events per forward, budget %.2f", events, maxEventsPerHop)
+	}
+	if passes > maxPassesPerHop {
+		t.Errorf("%.3f passes per forward, budget %.2f", passes, maxPassesPerHop)
+	}
+	if wakes > maxWakesPerHop {
+		t.Errorf("%.4f evInputFree per forward, budget %.3f", wakes, maxWakesPerHop)
 	}
 }

@@ -168,10 +168,9 @@ func (c *VOQCounters) add(o VOQCounters) {
 // level.
 type EngineCounters struct {
 	Scheduled    int64     `json:"scheduled"`    // events posted (typed + closure)
-	Executed     int64     `json:"executed"`     // events executed (incl. deferred)
+	Executed     int64     `json:"executed"`     // events executed, plus end-of-instant units
 	Canceled     int64     `json:"canceled"`     // timers canceled before firing
 	MaxHeapDepth int64     `json:"maxHeapDepth"` // high-water pending-event count
-	MaxDeferred  int64     `json:"maxDeferred"`  // high-water same-instant queue
 	PoolReuse    int64     `json:"poolReuse"`    // event records recycled from the free-list
 	PoolGrow     int64     `json:"poolGrow"`     // event records newly allocated
 	Placed       [12]int64 `json:"placed"`       // events a Post put in each level

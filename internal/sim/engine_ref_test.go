@@ -10,9 +10,10 @@ import (
 // every event, near or far, on one 4-ary indexed heap ordered by
 // (at, seq).  It is the reference TestEngineWheelDifferential and
 // FuzzEngineTrace compare Engine against, call for call.  It shares the
-// package's API types with Engine (Event, Handler, Timer, deferredWork,
-// funcHandler) and none of its code; its records carry the sequence
-// number the heap orders by.
+// package's API types with Engine (Event, Handler, Timer, funcHandler)
+// and none of its code; its records carry the sequence number the heap
+// orders by.  It ends an instant the way Engine does: a due
+// end-of-instant phase runs once no event at Now is left.
 type refEngine struct {
 	now    int64
 	nextID uint64
@@ -22,16 +23,16 @@ type refEngine struct {
 	heap    []int32
 	free    int32
 
-	deferred []deferredWork
+	instantEnd func() int
+	due        bool
 
 	PoolDisabled bool
 
-	scheduled   uint64
-	canceled    uint64
-	poolReuse   uint64
-	poolGrow    uint64
-	maxHeap     int
-	maxDeferred int
+	scheduled uint64
+	canceled  uint64
+	poolReuse uint64
+	poolGrow  uint64
+	maxHeap   int
 }
 
 // refRecord is one heap-queued event: pos is its heap index, or the
@@ -50,7 +51,7 @@ func (e *refEngine) Executed() uint64 { return e.count }
 func (e *refEngine) Pending() int     { return len(e.heap) }
 
 func (e *refEngine) NextTime() int64 {
-	if len(e.deferred) > 0 {
+	if e.due {
 		return e.now
 	}
 	if len(e.heap) == 0 {
@@ -78,7 +79,6 @@ func (e *refEngine) Stats() metrics.EngineCounters {
 		Executed:     int64(e.count),
 		Canceled:     int64(e.canceled),
 		MaxHeapDepth: int64(e.maxHeap),
-		MaxDeferred:  int64(e.maxDeferred),
 		PoolReuse:    int64(e.poolReuse),
 		PoolGrow:     int64(e.poolGrow),
 	}
@@ -112,14 +112,8 @@ func (e *refEngine) Cancel(t Timer) bool {
 	return true
 }
 
-func (e *refEngine) deferFunc(fn func()) { e.DeferEvent(funcHandler{}, Event{P: fn}) }
-
-func (e *refEngine) DeferEvent(h Handler, ev Event) {
-	e.deferred = append(e.deferred, deferredWork{h: h, ev: ev})
-	if len(e.deferred) > e.maxDeferred {
-		e.maxDeferred = len(e.deferred)
-	}
-}
+func (e *refEngine) SetInstantEnd(fn func() int) { e.instantEnd = fn }
+func (e *refEngine) MarkInstant()                { e.due = true }
 
 func (e *refEngine) schedule(t int64, h Handler, ev Event) Timer {
 	if t < e.now {
@@ -159,19 +153,25 @@ func (e *refEngine) release(slot int32) {
 	e.free = slot + 1
 }
 
-func (e *refEngine) drainDeferred() {
-	for i := 0; i < len(e.deferred); i++ {
-		d := e.deferred[i]
-		e.deferred[i] = deferredWork{}
-		e.count++
-		d.h.HandleEvent(d.ev)
+// drained reports whether no queued event is due at Now.
+func (e *refEngine) drained() bool {
+	return len(e.heap) == 0 || e.records[e.heap[0]].at != e.now
+}
+
+func (e *refEngine) endInstant() {
+	e.due = false
+	if e.instantEnd == nil {
+		return
 	}
-	e.deferred = e.deferred[:0]
+	e.count += uint64(e.instantEnd())
+	if e.due || !e.drained() {
+		panic("sim: the end-of-instant phase scheduled work at its own instant")
+	}
 }
 
 func (e *refEngine) Step() bool {
-	if len(e.deferred) > 0 {
-		e.drainDeferred()
+	if e.due && e.drained() {
+		e.endInstant()
 		return true
 	}
 	if len(e.heap) == 0 {
@@ -184,12 +184,16 @@ func (e *refEngine) Step() bool {
 	e.release(slot)
 	e.count++
 	h.HandleEvent(ev)
-	e.drainDeferred()
+	if e.due && e.drained() {
+		e.endInstant()
+	}
 	return true
 }
 
 func (e *refEngine) Run(until int64) {
-	e.drainDeferred()
+	if e.due && e.drained() {
+		e.endInstant()
+	}
 	for len(e.heap) > 0 && e.records[e.heap[0]].at <= until {
 		e.Step()
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // scriptEngine is the surface a byte script drives: Engine's
-// scheduling and inspection methods, plus closure deferral and the
-// PoolDisabled knob as methods so refEngine can stand in.
+// scheduling, end-of-instant and inspection methods, plus the
+// PoolDisabled knob as a method so refEngine can stand in.
 type scriptEngine interface {
 	Now() int64
 	Executed() uint64
@@ -26,8 +26,8 @@ type scriptEngine interface {
 	PostAfter(d int64, h Handler, ev Event)
 	PostTimerAfter(d int64, h Handler, ev Event) Timer
 	Cancel(t Timer) bool
-	deferFunc(fn func())
-	DeferEvent(h Handler, ev Event)
+	SetInstantEnd(fn func() int)
+	MarkInstant()
 	Step() bool
 	Run(until int64)
 	RunWhile(cond func() bool)
@@ -35,7 +35,6 @@ type scriptEngine interface {
 }
 
 func (e *Engine) setPoolDisabled(on bool)    { e.PoolDisabled = on }
-func (e *Engine) deferFunc(fn func())        { e.DeferEvent(funcHandler{}, Event{P: fn}) }
 func (e *refEngine) setPoolDisabled(on bool) { e.PoolDisabled = on }
 
 // Event kinds of the script's handler: what an event does when it
@@ -43,8 +42,8 @@ func (e *refEngine) setPoolDisabled(on bool) { e.PoolDisabled = on }
 const (
 	kLeaf        Kind = iota // nothing
 	kSameInstant             // Post(now): lands in the bucket being drained
-	kDeferEvent              // DeferEvent
-	kDeferFunc               // deferFunc of a closure
+	kMark                    // MarkInstant
+	kMarkPost                // MarkInstant, then Post(now) behind it
 	kChain                   // PostAfter(N) of itself, B more times
 	kCancel                  // Cancel of timer B
 	kTimer                   // PostTimerAfter(N) into timer B
@@ -54,12 +53,13 @@ const (
 )
 
 // A script call's opcode is its first byte mod numOps.  opExec tags the
-// trace row of an executed event, opDrain the state after the final
-// drain; every other row is the engine's state after the call with
-// that opcode.
+// trace row of an executed event, opPhase that of an end-of-instant
+// phase, opDrain the state after the final drain; every other row is
+// the engine's state after the call with that opcode.
 const (
 	numOps  = 20
 	opExec  = -1
+	opPhase = -2
 	opDrain = numOps
 )
 
@@ -87,6 +87,9 @@ const (
 	covCancelStale           // Cancel of a fired, canceled or recycled handle
 	covPoolDisabled          // PoolDisabled set mid-script
 	covSameInstant           // handler posts at Now, into the bucket being drained
+	covPhase                 // end-of-instant phases run
+	covPhaseOutside          // phases marked outside a run, served by the next call
+	covMarkBehind            // marks followed by an event at Now: the phase waits for it
 	covCoarse                // calls made with events in a coarse level
 	covCoarseOnly            // calls after which only coarse levels hold events
 	covSparse                // calls after which the next bucket is found through the summary
@@ -103,6 +106,9 @@ var coverNames = [covCascade]string{
 	"stale handles canceled",
 	"PoolDisabled set mid-script",
 	"same-instant posts from a handler",
+	"end-of-instant phases",
+	"phases marked outside a run",
+	"marks with an event still to run at Now",
 	"calls made with events in a coarse level",
 	"calls after which only coarse levels hold events (NextTime and Step scan a coarse bucket)",
 	"next-bucket searches over the summary",
@@ -132,6 +138,7 @@ type scriptRun struct {
 	hookFail error
 	seen     metrics.EngineCounters // the hook's previous Stats
 	empty    int                    // the hook's previous count of empty coarse levels from level 1 up
+	phases   int
 }
 
 // sat adds d to t, saturating at math.MaxInt64 (d may be negative).
@@ -153,10 +160,12 @@ func (s *scriptRun) HandleEvent(ev Event) {
 	case kSameInstant:
 		s.cover[covSameInstant]++
 		s.post(e.Now(), Event{Kind: kLeaf})
-	case kDeferEvent:
-		e.DeferEvent(s, s.event(Event{Kind: kLeaf}, 0))
-	case kDeferFunc:
-		e.deferFunc(s.closure())
+	case kMark:
+		e.MarkInstant()
+	case kMarkPost:
+		s.cover[covMarkBehind]++
+		e.MarkInstant()
+		s.post(e.Now(), Event{Kind: kLeaf})
 	case kChain:
 		if b > 0 {
 			s.post(sat(e.Now(), ev.N), Event{Kind: kChain, B: int32(b - 1), N: ev.N})
@@ -184,6 +193,20 @@ func (s *scriptRun) event(ev Event, delay int64) Event {
 		s.cover[covWrapped]++
 	}
 	return ev
+}
+
+// phase is the script's end-of-instant phase: it logs itself, posts a
+// leaf one to three byte-times ahead every other run, and reports one
+// to three units of work.
+func (s *scriptRun) phase() int {
+	s.phases++
+	s.cover[covPhase]++
+	now := s.eng.Now()
+	s.log = append(s.log, traceRow{op: opPhase, now: now, a: int32(s.phases)})
+	if s.phases%2 == 0 && now < math.MaxInt64-3 {
+		s.post(now+1+int64(s.phases%3), Event{Kind: kLeaf})
+	}
+	return 1 + s.phases%3
 }
 
 func (s *scriptRun) post(t int64, ev Event) {
@@ -288,6 +311,7 @@ func (s *scriptRun) state(op int, ok bool) {
 // run interprets the script: four bytes per call.
 func (s *scriptRun) run() {
 	e := s.eng
+	e.SetInstantEnd(s.phase)
 	for len(s.in) > 0 {
 		op, k, x, y := int(s.next()%numOps), s.next(), s.next(), s.next()
 		d := delayOf(e.Now(), x, y)
@@ -338,11 +362,9 @@ func (s *scriptRun) run() {
 			stop := e.Executed() + uint64(k%8)
 			e.RunWhile(func() bool { return e.Executed() < stop })
 		case 15:
-			if k&1 == 0 {
-				e.deferFunc(s.closure())
-			} else {
-				e.DeferEvent(s, s.event(Event{Kind: Kind(x) % numKinds, N: int64(1 + y)}, 0))
-			}
+			// A mark outside a run: the next Run or Step serves it at Now.
+			s.cover[covPhaseOutside]++
+			e.MarkInstant()
 		case 16:
 			if k%4 != 0 { // pool toggles are rarer than the other calls
 				ok = e.Step()
@@ -644,8 +666,5 @@ func TestLevelReach(t *testing.T) {
 func TestRecordSize(t *testing.T) {
 	if n := unsafe.Sizeof(record{}); n > 80 {
 		t.Errorf("record is %d bytes, want <= 80", n)
-	}
-	if n := unsafe.Sizeof(deferredWork{}); n > 56 {
-		t.Errorf("deferredWork is %d bytes, want <= 56", n)
 	}
 }

@@ -11,9 +11,9 @@
 //
 // # Typed events
 //
-// The hot path schedules typed events (Post, PostAfter, DeferEvent): a
-// small self-describing Event union dispatched to a Handler, instead
-// of a heap-allocated closure per hop.  Event records live in a pooled
+// The hot path schedules typed events (Post, PostAfter): a small
+// self-describing Event union dispatched to a Handler, instead of a
+// heap-allocated closure per hop.  Event records live in a pooled
 // slab, so steady-state scheduling allocates nothing: executed records
 // return to a free-list and are reused by the next Post.  The closure
 // API (At, After) remains for cold paths and tests; a closure is
@@ -56,6 +56,18 @@
 // Generation counters on the records make stale handles (fired,
 // canceled or recycled events) harmless — Cancel on one is a no-op
 // returning false.
+//
+// # The end of an instant
+//
+// An engine may carry one end-of-instant phase (SetInstantEnd): work
+// that must see every state change of a byte-time before it runs, such
+// as the fabric's scheduling passes.  A model asks for it with
+// MarkInstant; the phase then runs once Now's level-0 bucket has
+// drained and before the clock moves, under Run, Step and RunWhile
+// alike.  A mark made outside a run is served at Now when the next Run
+// or Step starts.  The phase may schedule nothing earlier than Now+1:
+// what it decides lands in a later instant, so it is the last work of
+// its instant.
 package sim
 
 import (
@@ -106,12 +118,6 @@ type record struct {
 	prev int32
 	h    Handler
 	ev   Event
-}
-
-// deferredWork is one same-instant follow-up.
-type deferredWork struct {
-	h  Handler
-	ev Event
 }
 
 // funcHandler runs the closure API on the typed path: At and After
@@ -282,10 +288,10 @@ type Engine struct {
 	wheel   *wheel
 	pending int // queued events, every level together
 
-	// deferred holds zero-delay work scheduled from within the current
-	// event; it runs FIFO at the same timestamp without touching the
-	// queue.
-	deferred []deferredWork
+	// instantEnd is the end-of-instant phase (SetInstantEnd); due says
+	// it has been asked for at Now and has not run since.
+	instantEnd func() int
+	due        bool
 
 	// PoolDisabled, when set before a run, stops record recycling:
 	// every Post takes a fresh slot from the slab.  Runs with and
@@ -294,14 +300,13 @@ type Engine struct {
 	PoolDisabled bool
 
 	// High-water, pool and level counters (see Stats).
-	scheduled   uint64
-	canceled    uint64
-	poolReuse   uint64
-	poolGrow    uint64
-	maxPending  int
-	maxDeferred int
-	placed      [numLevels]int64
-	cascaded    [numLevels]int64
+	scheduled  uint64
+	canceled   uint64
+	poolReuse  uint64
+	poolGrow   uint64
+	maxPending int
+	placed     [numLevels]int64
+	cascaded   [numLevels]int64
 
 	// Trace, when non-nil, is the event-trace ring the models driven
 	// by this engine record their scheduling decisions into (the
@@ -316,15 +321,16 @@ type Engine struct {
 // Now returns the current simulation time in byte times.
 func (e *Engine) Now() int64 { return e.now }
 
-// Executed returns the number of events processed so far.
+// Executed returns the number of units of work processed so far: every
+// executed event, plus what each end-of-instant phase reported.
 func (e *Engine) Executed() uint64 { return e.count }
 
 // NextTime returns the timestamp of the earliest pending work — Now()
-// when same-instant deferred work is queued — or math.MaxInt64 when
-// the engine is idle.  The shard coordinator computes its safe
-// execution horizon from the minimum across engines.
+// when the end-of-instant phase is due — or math.MaxInt64 when the
+// engine is idle.  The shard coordinator computes its safe execution
+// horizon from the minimum across engines.
 func (e *Engine) NextTime() int64 {
-	if len(e.deferred) > 0 {
+	if e.due {
 		return e.now
 	}
 	if e.pending == 0 {
@@ -360,9 +366,8 @@ func (e *Engine) nextQueued() int64 {
 	panic("sim: nextQueued on an empty queue")
 }
 
-// Pending returns the number of scheduled, unexecuted queue events
-// (deferred same-instant work is not counted, matching Step's notion
-// of "the queue").
+// Pending returns the number of scheduled, unexecuted queue events (a
+// due end-of-instant phase is not counted).
 func (e *Engine) Pending() int { return e.pending }
 
 // Grow preallocates capacity for n in-flight events, so a simulation
@@ -389,7 +394,6 @@ func (e *Engine) Stats() metrics.EngineCounters {
 		Executed:     int64(e.count),
 		Canceled:     int64(e.canceled),
 		MaxHeapDepth: int64(e.maxPending),
-		MaxDeferred:  int64(e.maxDeferred),
 		PoolReuse:    int64(e.poolReuse),
 		PoolGrow:     int64(e.poolGrow),
 		Placed:       e.placed,
@@ -447,16 +451,17 @@ func (e *Engine) Cancel(t Timer) bool {
 	return true
 }
 
-// DeferEvent schedules a typed event to run at the current timestamp,
-// after the currently executing event (and previously deferred work)
-// finishes: a same-instant FIFO follow-up with no queue insert and no
-// closure.
-func (e *Engine) DeferEvent(h Handler, ev Event) {
-	e.deferred = append(e.deferred, deferredWork{h: h, ev: ev})
-	if len(e.deferred) > e.maxDeferred {
-		e.maxDeferred = len(e.deferred)
-	}
-}
+// SetInstantEnd installs fn as the end-of-instant phase.  fn runs at
+// most once per instant, after Now's last event and only when
+// MarkInstant asked for it; it returns the units of work it did, which
+// Executed counts.  It must schedule nothing earlier than Now+1 and
+// mark nothing: the engine panics otherwise.
+func (e *Engine) SetInstantEnd(fn func() int) { e.instantEnd = fn }
+
+// MarkInstant asks for the end-of-instant phase at Now.  Marks made
+// during one instant are served by one phase; a mark made outside a run
+// is served at Now when the next Run or Step starts.
+func (e *Engine) MarkInstant() { e.due = true }
 
 // schedule allocates a record for one event and queues it in the level
 // that holds its time.
@@ -507,16 +512,22 @@ func (e *Engine) release(slot int32) {
 
 // --- execution ---
 
-// drainDeferred runs deferred work until none is left.  Deferred
-// functions may defer more work; it runs in FIFO order.
-func (e *Engine) drainDeferred() {
-	for i := 0; i < len(e.deferred); i++ {
-		d := e.deferred[i]
-		e.deferred[i] = deferredWork{}
-		e.count++
-		d.h.HandleEvent(d.ev)
+// drained reports whether Now's level-0 bucket holds no event.
+func (e *Engine) drained() bool {
+	return e.wheel == nil || e.wheel.buckets[uint(e.now)&wheelMask].head == 0
+}
+
+// endInstant runs the end-of-instant phase and holds it to its
+// contract: nothing it did may land at Now.
+func (e *Engine) endInstant() {
+	e.due = false
+	if e.instantEnd == nil {
+		return
 	}
-	e.deferred = e.deferred[:0]
+	e.count += uint64(e.instantEnd())
+	if e.due || !e.drained() {
+		panic("sim: the end-of-instant phase scheduled work at its own instant")
+	}
 }
 
 // advance moves the clock to t (no later than any queued event) and
@@ -559,8 +570,7 @@ func (e *Engine) advance(t int64) {
 	}
 }
 
-// fire executes the first event of Now's level-0 bucket, then the work
-// it deferred.
+// fire executes the first event of Now's level-0 bucket.
 func (e *Engine) fire() {
 	i := uint(e.now) & wheelMask
 	w := e.wheel
@@ -579,15 +589,16 @@ func (e *Engine) fire() {
 	e.release(slot) // before dispatch: the handler may schedule into this slot
 	e.count++
 	h.HandleEvent(ev)
-	e.drainDeferred()
 }
 
-// Step executes the earliest pending work — deferred same-instant
-// functions first, then the earliest queued event — advancing the
-// clock as needed.  It reports false when nothing remains.
+// Step executes the earliest pending work — a due end-of-instant phase
+// whose instant has no event left, else the earliest queued event —
+// advancing the clock as needed; the event that drains its instant's
+// bucket is followed by the phase, if due.  It reports false when
+// nothing remains.
 func (e *Engine) Step() bool {
-	if len(e.deferred) > 0 {
-		e.drainDeferred()
+	if e.due && e.drained() {
+		e.endInstant()
 		return true
 	}
 	if e.pending == 0 {
@@ -597,14 +608,20 @@ func (e *Engine) Step() bool {
 		e.advance(t)
 	}
 	e.fire()
+	if e.due && e.drained() {
+		e.endInstant()
+	}
 	return true
 }
 
 // Run executes events until the queue is empty or the next event lies
 // beyond the until timestamp; the clock ends at min(until, last event
-// time).  Events scheduled exactly at until are executed.
+// time).  Events scheduled exactly at until are executed, and every
+// instant executed ends with its due end-of-instant phase.
 func (e *Engine) Run(until int64) {
-	e.drainDeferred()
+	if e.due && e.drained() {
+		e.endInstant()
+	}
 	for e.pending > 0 {
 		t := e.nextQueued()
 		if t > until {
@@ -618,6 +635,9 @@ func (e *Engine) Run(until int64) {
 		for b := &e.wheel.buckets[t&wheelMask]; b.head != 0; {
 			e.fire()
 		}
+		if e.due {
+			e.endInstant()
+		}
 	}
 	if e.now < until {
 		e.advance(until)
@@ -625,7 +645,7 @@ func (e *Engine) Run(until int64) {
 }
 
 // RunWhile executes events while cond() holds and events remain.  The
-// condition is evaluated before every event.
+// condition is evaluated before every Step.
 func (e *Engine) RunWhile(cond func() bool) {
 	for cond() && e.Step() {
 	}

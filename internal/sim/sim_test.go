@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -146,57 +147,113 @@ func TestClockMonotonicQuick(t *testing.T) {
 	}
 }
 
-func TestDeferRunsAtSameInstant(t *testing.T) {
+// TestInstantEndRunsBeforeClockMoves: the end-of-instant phase runs
+// once, after every event of its instant — those posted at Now by the
+// instant's own handlers included — and before the clock moves; an
+// instant nobody marked has none.
+func TestInstantEndRunsBeforeClockMoves(t *testing.T) {
 	var e Engine
-	var got []int
-	e.At(10, func() {
-		e.deferFunc(func() { got = append(got, 2) })
-		got = append(got, 1)
+	var got []string
+	e.SetInstantEnd(func() int {
+		got = append(got, fmt.Sprintf("phase@%d", e.Now()))
+		return 2
 	})
-	e.At(10, func() { got = append(got, 3) })
-	e.Run(10)
-	// Deferred work runs right after the scheduling event, before the
-	// next heap event at the same timestamp.
-	want := []int{1, 2, 3}
-	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
+	e.At(10, func() {
+		e.MarkInstant()
+		got = append(got, "a")
+		e.At(10, func() { got = append(got, "c") })
+	})
+	e.At(10, func() {
+		e.MarkInstant()
+		got = append(got, "b")
+	})
+	e.At(11, func() { got = append(got, "d") })
+	e.At(12, func() {
+		e.MarkInstant()
+		got = append(got, "e")
+	})
+	e.Run(20)
+	want := "[a b c phase@10 d e phase@12]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("order = %v, want %s", got, want)
+	}
+	if e.Executed() != 5+2*2 {
+		t.Errorf("Executed = %d, want 5 events and 2 phases of 2 units", e.Executed())
 	}
 }
 
-func TestDeferOutsideEventContext(t *testing.T) {
+// TestInstantEndMarkedOutsideRunServedAtNow: a mark made between runs
+// is served at Now — by the next Run, whatever its horizon, or as the
+// next Step — before any later event, and NextTime reports it.
+func TestInstantEndMarkedOutsideRunServedAtNow(t *testing.T) {
+	var e Engine
+	var at []int64
+	e.SetInstantEnd(func() int {
+		at = append(at, e.Now())
+		return 1
+	})
+	e.Run(5)
+	e.At(9, func() {})
+	e.MarkInstant()
+	if nt := e.NextTime(); nt != 5 {
+		t.Fatalf("NextTime = %d with a phase due at 5", nt)
+	}
+	e.Run(5)
+	if len(at) != 1 || at[0] != 5 {
+		t.Fatalf("phase ran at %v, want [5]", at)
+	}
+	e.MarkInstant()
+	if !e.Step() || len(at) != 2 || at[1] != 5 || e.Now() != 5 {
+		t.Fatalf("Step: phase ran at %v, now %d; want a second phase at 5", at, e.Now())
+	}
+	if !e.Step() || e.Now() != 9 || len(at) != 2 {
+		t.Fatalf("the next Step ran to %d with phases %v", e.Now(), at)
+	}
+	// The zero engine has no phase: a mark costs nothing.
+	var z Engine
+	z.MarkInstant()
+	z.Run(3)
+	if z.Now() != 3 || z.Executed() != 0 {
+		t.Errorf("zero engine: now %d, executed %d", z.Now(), z.Executed())
+	}
+}
+
+// TestInstantEndPostingAtNowPanics: a phase that posts into its own
+// instant, or marks it again, breaks its contract and panics.
+func TestInstantEndPostingAtNowPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		phase func(e *Engine)
+	}{
+		{"post at now", func(e *Engine) { e.At(e.Now(), func() {}) }},
+		{"mark again", func(e *Engine) { e.MarkInstant() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var e Engine
+			e.SetInstantEnd(func() int {
+				tc.phase(&e)
+				return 1
+			})
+			e.At(4, e.MarkInstant)
+			defer func() {
+				if recover() == nil {
+					t.Error("no panic")
+				}
+			}()
+			e.Run(10)
+		})
+	}
+	// Posting one byte-time ahead is what a phase is for.
 	var e Engine
 	ran := false
-	e.deferFunc(func() { ran = true })
-	e.Run(0)
+	e.SetInstantEnd(func() int {
+		e.At(e.Now()+1, func() { ran = true })
+		return 1
+	})
+	e.At(4, e.MarkInstant)
+	e.Run(10)
 	if !ran {
-		t.Error("deferred work outside an event never ran")
-	}
-	ran2 := false
-	e.deferFunc(func() { ran2 = true })
-	if !e.Step() {
-		t.Error("Step ignored pending deferred work")
-	}
-	if !ran2 {
-		t.Error("Step did not drain deferred work")
-	}
-}
-
-func TestDeferNested(t *testing.T) {
-	var e Engine
-	depth := 0
-	var recurse func()
-	recurse = func() {
-		if depth < 50 {
-			depth++
-			e.deferFunc(recurse)
-		}
-	}
-	e.At(0, recurse)
-	e.Run(0)
-	if depth != 50 {
-		t.Errorf("nested deferred depth = %d, want 50", depth)
+		t.Error("the event a phase posted one byte-time ahead never ran")
 	}
 }
 
@@ -213,10 +270,10 @@ func TestTypedAndClosureEventsShareFIFO(t *testing.T) {
 	e.Post(5, r, Event{A: 1})
 	e.At(5, func() { order = append(order, -2) })
 	e.Post(5, r, Event{A: 3})
-	e.DeferEvent(r, Event{A: 0})
+	e.Post(0, r, Event{A: 0})
 	e.Run(10)
-	// The deferred event runs first (time 0), then the three
-	// simultaneous events at t=5 in posting order.
+	// The event at t=0 runs first, then the three simultaneous events
+	// at t=5 in posting order.
 	want := []int32{0, 1, 3}
 	if len(r.got) != 3 || r.got[0] != want[0] || r.got[1] != want[1] || r.got[2] != want[2] {
 		t.Fatalf("typed order = %v, want %v", r.got, want)

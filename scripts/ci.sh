@@ -4,6 +4,9 @@
 #   fmt        gofmt -l must be empty (formatting is part of the gate)
 #   vet        static checks
 #   build      every package compiles
+#   tier-1     the plain test suite (go test ./...) through go test -json,
+#              reporting its ten slowest tests; a report, not a gate on
+#              wall-clock time
 #   examples   every program under examples/ runs to exit 0 (output
 #              discarded), so an example that no longer works fails here
 #   race tests the whole suite under the race detector with shuffled
@@ -58,6 +61,38 @@ echo "==> go run ./examples/... (every example runs to exit 0)"
 for e in examples/*/; do
     go run "./$e" >/dev/null
 done
+
+echo "==> go test -count=1 -json ./... (tier-1, ten slowest tests)"
+# The tier-1 pass, timed per test.  Only a failing test fails this step;
+# the durations are printed for the record (a test that adds more than
+# 2 s is named in CHANGES.md) and gate nothing.
+TIER1_JSON="$(mktemp)"
+trap 'rm -f "$TIER1_JSON"' EXIT
+if ! go test -count=1 -json ./... > "$TIER1_JSON"; then
+    grep -E '"Action":"(fail|output)"' "$TIER1_JSON" | grep -E -- '--- FAIL|"Action":"fail"' >&2 || true
+    echo "tier-1 tests failed" >&2
+    exit 1
+fi
+# Top-level tests: seconds from start to finish, package, test.  A test
+# whose subtests run in parallel reports about 0 s of its own, so each
+# is charged its wall span, from its "run" event to its "pass" or "fail"
+# (a span that crosses midnight falls back to the reported time).
+awk 'function secs(line) {
+        match(line, /T[0-9][0-9]:[0-9][0-9]:[0-9.]+/)
+        split(substr(line, RSTART + 1, RLENGTH - 1), hms, ":")
+        return hms[1] * 3600 + hms[2] * 60 + hms[3]
+    }
+    /"Test":"[^"\/]*"/ {
+        match($0, /"Package":"[^"]*"/); pkg = substr($0, RSTART + 11, RLENGTH - 12)
+        match($0, /"Test":"[^"]*"/); key = pkg " " substr($0, RSTART + 8, RLENGTH - 9)
+        if ($0 ~ /"Action":"run"/) start[key] = secs($0)
+        if ($0 ~ /"Action":"(pass|fail)"/) {
+            match($0, /"Elapsed":[0-9.]+/); t = substr($0, RSTART + 10, RLENGTH - 10) + 0
+            span = secs($0) - start[key]
+            if (key in start && span > t) t = span
+            printf "%8.2f s  %s\n", t, key
+        }
+    }' "$TIER1_JSON" | sort -rn | sed -n '1,10p'
 
 echo "==> go test -race -shuffle=on ./..."
 # The experiments suite runs whole simulation sweeps; under the race
@@ -134,26 +169,29 @@ echo "==> go test -race -run 'TestRequestIndex|TestPacketQueueDifferential' ./in
 # operation.
 go test -race -run 'TestRequestIndex|TestPacketQueueDifferential' -count=1 ./internal/fabric
 
-echo "==> go test -race -run 'TestIdle|TestVOQDeliveryDigest|TestWRRDeliveryDigest|TestWRREventsPerHop|TestJitterAggregateMatchesReplay' ./internal/fabric (no scheduling pass that cannot send)"
-# A kick at a WRR port posts no pass while the port transmits or,
-# without a fault schedule, while no front packet requests it; a kick at
-# an input-queued switch posts a pass only when a free output has a
-# VL 15 candidate or a remembered request from a free input
-# (TestRequestIndex above holds that predicate, the remembered request
-# columns and the lazily cleared busy masks to the retired scans after
-# every event).  TestIdlePassChangesNothing runs a pass directly wherever
-# a kick declined, under every switch model, after every event and under
-# WRR fault windows, and TestIdleParallelShards at the barriers of
-# two-shard runs, where kicks also execute in the barrier's credit
-# flush; both require that nothing changed.  TestWRRDeliveryDigest and
-# TestVOQDeliveryDigest pin every delivery's (flow, tag, byte-times) to
-# constants recorded before the kick rules, on every routing class, and
+echo "==> go test -race -run 'TestIdle|TestVOQDeliveryDigest|TestWRRDeliveryDigest|EventsPerHop|TestJitterAggregateMatchesReplay' ./internal/fabric (no scheduling pass that cannot send)"
+# Scheduling passes run in one end-of-instant phase: a kick marks its
+# port or switch, and every marked point passes once per byte-time.  A
+# kick marks no WRR port or host while it transmits nor, without a fault
+# schedule, a WRR port no front packet requests; an input-queued kick
+# marks nothing for an output that transmits or holds no request.
+# TestIdlePassChangesNothing runs a pass directly wherever a kick
+# declined, and at every switch voqCanMatch (held to the retired scans
+# by TestRequestIndex above) calls idle, under every switch model, after
+# every event and under WRR fault windows, and TestIdleParallelShards at
+# the barriers of two-shard runs, where kicks also execute in the
+# barrier's credit flush; both require that nothing changed but a
+# wake-up armed.  TestWRRDeliveryDigest and TestVOQDeliveryDigest pin
+# every delivery's (flow, tag, byte-times), on every routing class, and
 # for WRR under fault windows, at crossbar speedup 1 and at
-# LimitOfHighPriority 0; TestWRREventsPerHop budgets events per forward
-# and arbiter stalls on a fixed run.  TestJitterAggregateMatchesReplay
-# holds the per-SL jitter the delivering shards keep to a per-flow
-# replay of every delivery, under WRR and VOQ-iSLIP.
-go test -race -run 'TestIdle|TestVOQDeliveryDigest|TestWRRDeliveryDigest|TestWRREventsPerHop|TestJitterAggregateMatchesReplay' -count=1 ./internal/fabric
+# LimitOfHighPriority 0 (TestPhaseMatchesReferenceExecutor, in the race
+# pass above, holds a pass at every port after every byte-time to the
+# same digests); TestWRREventsPerHop and TestVOQEventsPerHop budget
+# events, passes and wake-ups per forward and arbiter stalls on a fixed
+# run.  TestJitterAggregateMatchesReplay holds the per-SL jitter the
+# delivering shards keep to a per-flow replay of every delivery, under
+# WRR and VOQ-iSLIP.
+go test -race -run 'TestIdle|TestVOQDeliveryDigest|TestWRRDeliveryDigest|EventsPerHop|TestJitterAggregateMatchesReplay' -count=1 ./internal/fabric
 
 echo "==> go test -race -run TestArbiterIndex ./internal/arbtable (high-table slot-mask differential)"
 # Arbiter.Pick finds the next serving high-table entry on per-VL slot
@@ -212,7 +250,8 @@ echo "==> go test -race -run TestEngineWheel ./internal/sim (timing-wheel event-
 # with one random script per seed — every delay class of the ring and
 # around the end of every level's range up to math.MaxInt64, timers
 # canceled in the ring, in a coarse level, fired and recycled, handlers
-# that defer and re-post into the bucket being drained, Run stopping
+# that mark the end-of-instant phase and re-post into the bucket being
+# drained, a phase that posts ahead, marks made between runs, Run stopping
 # just before, at and after a cascade and jumping across empty levels,
 # PoolDisabled toggled mid-script — and compares the executed sequence
 # and Now/NextTime/Pending/Executed/Stats after every call, re-deriving
