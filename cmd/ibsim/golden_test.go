@@ -71,7 +71,7 @@ func TestTextGolden(t *testing.T) {
 			continue
 		}
 		t.Run(e.name, func(t *testing.T) {
-			args := append([]string{"-exp", e.name, "-scale", "tiny", "-parallel", "1"}, textGoldenArgs[e.name]...)
+			args := []string{"-exp", e.name, "-scale", "tiny", "-parallel", "1"}
 			var buf bytes.Buffer
 			if err := run(args, &buf, io.Discard); err != nil {
 				t.Fatal(err)
@@ -92,10 +92,6 @@ func TestTextGolden(t *testing.T) {
 		})
 	}
 }
-
-// textGoldenArgs are the extra flags of a text golden's command line:
-// scaling is pinned at small sizes so the test stays quick.
-var textGoldenArgs = map[string][]string{"scaling": {"-sizes", "2,4"}}
 
 // hasGolden reports whether e has a deterministic report: it has one,
 // and it is not made of timings alone.
@@ -531,5 +527,35 @@ func TestScaleJSONShape(t *testing.T) {
 		if r.Label == "dragonfly-a2p1h1" && r.Planes != 2 {
 			t.Errorf("dragonfly reports %d planes, want 2", r.Planes)
 		}
+	}
+}
+
+// TestReportReplays: a golden report's scenario block, written to a
+// file and run through the same entry with -scenario and no other
+// scenario flag, reproduces the report byte for byte.
+func TestReportReplays(t *testing.T) {
+	for _, name := range []string{"table2", "churn", "hol"} {
+		t.Run(name, func(t *testing.T) {
+			e := goldenEntry(t, name)
+			_, golden := goldenArgs(e)
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep struct {
+				Scenario json.RawMessage `json:"scenario"`
+			}
+			if err := json.Unmarshal(want, &rep); err != nil || rep.Scenario == nil {
+				t.Fatalf("%s has no scenario block (%v)", golden, err)
+			}
+			path := filepath.Join(t.TempDir(), "scenario.json")
+			if err := os.WriteFile(path, rep.Scenario, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got := encodeReport(t, []string{"-exp", name, "-scale", "tiny", "-json", "-scenario", path}, "-parallel", "1")
+			if !bytes.Equal(got, want) {
+				t.Errorf("replaying the scenario block of %s gives a different report", golden)
+			}
+		})
 	}
 }

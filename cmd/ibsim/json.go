@@ -14,8 +14,7 @@ import (
 // emitted by ibsim -json for every evaluation view.
 type jsonReport struct {
 	Scale      string                        `json:"scale"`
-	Switches   int                           `json:"switches"`
-	Seed       int64                         `json:"seed"`
+	Scenario   experiments.Scenario          `json:"scenario"`
 	Thresholds []float64                     `json:"delayThresholds"`
 	Table1     []experiments.Table1Row       `json:"table1"`
 	Table2     [2]experiments.Table2Row      `json:"table2"`
@@ -74,8 +73,7 @@ func dumpEvaluation(ev *experiments.Evaluation) *metricsDump {
 func newEvaluationReport(ev *experiments.Evaluation, sc experiments.Scenario, scale string) jsonReport {
 	return jsonReport{
 		Scale:      scale,
-		Switches:   sc.Topology.Switches,
-		Seed:       sc.Seed,
+		Scenario:   sc,
 		Thresholds: stats.DelayFractions,
 		Table1:     experiments.Table1(),
 		Table2:     ev.Table2(),

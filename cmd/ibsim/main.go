@@ -6,11 +6,14 @@
 //
 //	ibsim -exp all                  # every table and figure, full scale
 //	ibsim -exp table2 -scale quick  # one experiment, reduced scale
-//	ibsim -exp scaling -sizes 8,16,32,64
 //	ibsim -exp hol -scale tiny -json  # one experiment's JSON report
+//	ibsim -exp hol -scenario scenarios/hol-islip1.json  # edit its scenario
 //
 // ibsim -h lists every experiment and the flags each one reads; a flag
-// the chosen experiment does not read is refused.
+// the chosen experiment does not read is refused.  -scenario decodes a
+// JSON scenario document (experiments.DecodeScenario) over the
+// experiment's base at -scale; every JSON report carries the scenario
+// it ran in the same form, so a report's "scenario" block replays it.
 package main
 
 import (
@@ -22,13 +25,11 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/sl"
-	"repro/internal/topology"
 )
 
 func main() {
@@ -71,11 +72,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 
 	start := time.Now()
 	res, err := e.run(c)
-	if errors.Is(err, topology.ErrShardCount) && slices.Contains(e.flags, "shards") {
-		return fmt.Errorf("-shards %d: %w", c.shards, err)
-	}
 	if err != nil {
-		return err
+		return c.named(err)
 	}
 	label := c.exp
 	if c.asJSON {
@@ -92,21 +90,19 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 }
 
 // config is one parsed command line: the value of every flag, and the
-// chosen experiment's base scenario at -scale with the flags applied.
+// chosen experiment's base scenario at -scale with the -scenario file
+// and the flags applied.
 type config struct {
-	exp, scale string
-	at         experiments.Scale    // -scale
-	sc         experiments.Scenario // zero for an experiment that runs none
+	exp, scale, scenario string
+	at                   experiments.Scale    // -scale
+	sc                   experiments.Scenario // zero for an experiment that runs none
+	set                  map[string]string    // the flags the command line set, by name, with their values
 
-	seed, benchHorizon             int64
-	switches, traces, trace        int
-	churnSeeds, islipIters, shards int
-	benchK, benchA, benchP, benchH int
-	headroomSL, parallel           int
-	sizes, benchClass, benchShards string
-	sizeList                       []int // -sizes, parsed and range-checked by parse
-	asJSON, viz, metrics           bool
-	cpuProfile, memProfile         string
+	seed                         int64
+	switches, trace, churnSeeds  int
+	shards, headroomSL, parallel int
+	asJSON, viz, metrics         bool
+	cpuProfile, memProfile       string
 }
 
 // commonFlags are read by every experiment; any other flag set on the
@@ -114,12 +110,13 @@ type config struct {
 var commonFlags = []string{"exp", "scale", "parallel", "cpuprofile", "memprofile"}
 
 // parse reads args into a config and resolves the experiment it names.
-// A flag the experiment does not read, a value out of its range and an
-// unknown -exp or -scale are all errors.
+// A flag the experiment does not read, a value out of its range, a
+// scenario Validate refuses and an unknown -exp or -scale are all
+// errors.
 func parse(args []string, stderr io.Writer) (*experiment, *config, error) {
 	fs := flag.NewFlagSet("ibsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	c := &config{}
+	c := &config{set: map[string]string{}}
 	names := make([]string, len(registry))
 	for i, e := range registry {
 		names[i] = e.name
@@ -130,25 +127,16 @@ func parse(args []string, stderr io.Writer) (*experiment, *config, error) {
 	}
 	fs.StringVar(&c.exp, "exp", "all", "experiment: "+strings.Join(names, "|"))
 	fs.StringVar(&c.scale, "scale", "full", "scale preset: "+strings.Join(scaleNames, "|"))
-	fs.Int64Var(&c.seed, "seed", 0, "override random seed (0 keeps the preset's)")
-	fs.IntVar(&c.switches, "switches", 0, "override network size (0 keeps the preset's)")
-	fs.StringVar(&c.sizes, "sizes", "8,16,32", "network sizes for -exp scaling")
-	fs.IntVar(&c.traces, "traces", 50, "request traces for -exp ablation-fill")
+	fs.StringVar(&c.scenario, "scenario", "", "JSON scenario `file` decoded over the experiment's base at -scale (fields the experiment's axis sets are refused)")
+	fs.Int64Var(&c.seed, "seed", 0, "random seed (default: the scenario's)")
+	fs.IntVar(&c.switches, "switches", 0, "irregular network size (default: the scenario's)")
 	fs.BoolVar(&c.asJSON, "json", false, "print the experiment's JSON report instead of its tables")
 	fs.BoolVar(&c.viz, "viz", false, "render figures 4 and 5 as terminal charts too")
 	fs.IntVar(&c.parallel, "parallel", 0, "worker goroutines for sweeps (0 = GOMAXPROCS)")
 	fs.BoolVar(&c.metrics, "metrics", false, "collect per-port arbitration metrics and append a JSON dump")
 	fs.IntVar(&c.trace, "trace", 0, "record the last N arbitration decisions per run (implies -metrics)")
 	fs.IntVar(&c.churnSeeds, "churn-seeds", 4, "independent seeds for -exp churn")
-	fs.IntVar(&c.islipIters, "islip-iters", 0, "iSLIP iteration depth for -exp hol (0 = default)")
-	fs.IntVar(&c.shards, "shards", 0, "partition each fabric into N shards simulated in conservative-lookahead windows (0/1 = classic single engine; more shards than switches is refused)")
-	fs.StringVar(&c.benchClass, "bench-class", "fattree", "topology class for -exp shardbench: fattree|dragonfly")
-	fs.IntVar(&c.benchK, "bench-k", 8, "fat-tree arity for -exp shardbench")
-	fs.IntVar(&c.benchA, "bench-a", 16, "dragonfly switches per group for -exp shardbench")
-	fs.IntVar(&c.benchP, "bench-p", 8, "dragonfly hosts per switch for -exp shardbench")
-	fs.IntVar(&c.benchH, "bench-h", 8, "dragonfly global links per switch for -exp shardbench")
-	fs.StringVar(&c.benchShards, "bench-shards", "1,2,4,8", "shard counts for -exp shardbench")
-	fs.Int64Var(&c.benchHorizon, "bench-horizon", 0, "simulated horizon for -exp shardbench, byte times (0 = preset)")
+	fs.IntVar(&c.shards, "shards", 0, "partition each fabric into N shards simulated in conservative-lookahead windows (0/1 = classic single engine; more shards than switches is refused); -exp shardbench runs 1 and each doubling up to N (default 8)")
 	fs.IntVar(&c.headroomSL, "plan-headroom-sl", 4, "service level the -exp plan headroom bisection probes")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile (after the run) to this file")
@@ -178,6 +166,7 @@ func parse(args []string, stderr io.Writer) (*experiment, *config, error) {
 	}
 	var unread []string
 	fs.Visit(func(f *flag.Flag) {
+		c.set[f.Name] = f.Value.String()
 		if !slices.Contains(commonFlags, f.Name) && !slices.Contains(e.flags, f.Name) {
 			unread = append(unread, f.Name)
 		}
@@ -190,55 +179,82 @@ func parse(args []string, stderr io.Writer) (*experiment, *config, error) {
 		return nil, nil, fmt.Errorf("unknown -scale %q (valid: %s)", c.scale, strings.Join(scaleNames, ", "))
 	}
 	c.at = scales[i]
-	if e.scenario != nil {
-		c.sc = c.applyFlags(e.scenario(c.at))
-	}
 	// ChurnSweep allocates a job, a name and a result per seed before
 	// the first seed runs, so a huge count must be refused here.
 	const maxChurnSeeds = 1024
 	switch {
 	case c.churnSeeds < 1 || c.churnSeeds > maxChurnSeeds:
 		return nil, nil, fmt.Errorf("-churn-seeds %d outside [1, %d]", c.churnSeeds, maxChurnSeeds)
-	case c.traces < 1:
-		return nil, nil, fmt.Errorf("-traces %d: need at least one trace", c.traces)
-	case c.trace < 0:
-		return nil, nil, fmt.Errorf("-trace %d: the event tail cannot be negative", c.trace)
-	case c.islipIters < 0:
-		return nil, nil, fmt.Errorf("-islip-iters %d: the iteration depth cannot be negative", c.islipIters)
-	case c.benchHorizon < 0:
-		return nil, nil, fmt.Errorf("-bench-horizon %d: the simulated horizon cannot be negative", c.benchHorizon)
-	case c.shards < 0:
-		return nil, nil, fmt.Errorf("-shards %d: the shard count cannot be negative", c.shards)
 	case c.parallel < 0:
 		return nil, nil, fmt.Errorf("-parallel %d: the worker count cannot be negative", c.parallel)
 	}
 	if _, err := sl.ByID(sl.DefaultLevels, uint8(c.headroomSL)); err != nil || c.headroomSL != int(uint8(c.headroomSL)) {
 		return nil, nil, fmt.Errorf("-plan-headroom-sl %d: not a service level of the evaluation", c.headroomSL)
 	}
-	if c.switches != 0 {
-		if err := checkSwitchCount(c.switches); err != nil {
-			return nil, nil, fmt.Errorf("-switches %d: %w", c.switches, err)
+	if e.scenario == nil {
+		return e, c, nil
+	}
+	sc := e.scenario(c.at)
+	if c.scenario != "" {
+		data, err := os.ReadFile(c.scenario)
+		if err == nil {
+			sc, err = experiments.DecodeScenario(data, sc, e.axis...)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("-scenario %s: %w", c.scenario, err)
 		}
 	}
-	sizes, err := parseSizes(c.sizes)
-	for i := 0; err == nil && i < len(sizes); i++ {
-		err = checkSwitchCount(sizes[i])
+	c.sc = c.applyFlags(sc)
+	if err := c.sc.Validate(e.axis...); err != nil {
+		return nil, nil, c.named(err)
 	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("-sizes %s: %w", c.sizes, err)
-	}
-	c.sizeList = sizes
 	return e, c, nil
 }
 
-// checkSwitchCount refuses a network size no topology can be generated
-// at: fewer than two switches, or more than the largest irregular
-// network topology.Generate builds.
-func checkSwitchCount(n int) error {
-	if n < 2 || n > topology.MaxIrregularSwitches {
-		return fmt.Errorf("network size %d outside [2, %d]", n, topology.MaxIrregularSwitches)
+// applyFlags is sc with the scenario flags the command line set
+// applied: -seed, -switches, -shards and -trace set their fields, and
+// -metrics, or a positive -trace, turns the metrics on.
+func (c *config) applyFlags(sc experiments.Scenario) experiments.Scenario {
+	if _, ok := c.set["seed"]; ok {
+		sc.Seed = c.seed
 	}
-	return nil
+	if _, ok := c.set["switches"]; ok {
+		sc.Topology.Switches = c.switches
+	}
+	if _, ok := c.set["shards"]; ok {
+		sc.Fabric.Shards = c.shards
+	}
+	if _, ok := c.set["trace"]; ok {
+		sc.Trace = c.trace
+	}
+	sc.Metrics = sc.Metrics || c.metrics || c.trace > 0
+	return sc
+}
+
+// flagFields maps the scenario fields a flag sets, and Validate can
+// refuse, to the flag.
+var flagFields = map[string]string{"Topology.Switches": "switches", "Fabric.Shards": "shards", "Trace": "trace"}
+
+// named prefixes a scenario refusal with what set the refused fields:
+// the flags that set them, or else the -scenario file.
+func (c *config) named(err error) error {
+	var fe *experiments.FieldError
+	if !errors.As(err, &fe) {
+		return err
+	}
+	var by []string
+	for _, field := range fe.Fields {
+		if name := flagFields[field]; name != "" && c.set[name] != "" {
+			by = append(by, "-"+name+" "+c.set[name])
+		}
+	}
+	if len(by) == 0 && c.scenario != "" {
+		by = append(by, "-scenario "+c.scenario)
+	}
+	if len(by) == 0 {
+		return err
+	}
+	return fmt.Errorf("%s: %w", strings.Join(by, " "), err)
 }
 
 // dashed renders flag names as the command line spells them.
@@ -260,16 +276,4 @@ func writeHeapProfile(path string) error {
 		return fmt.Errorf("writing heap profile: %w", err)
 	}
 	return nil
-}
-
-func parseSizes(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad size %q: %v", part, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/fabric"
-	"repro/internal/topology"
 	"repro/internal/viz"
 )
 
@@ -20,9 +19,14 @@ type experiment struct {
 	// "json" among them means run returns a JSON report.
 	flags []string
 	// scenario returns the experiment's base scenario at a scale; nil
-	// when it runs none.  parse applies the flags to it (config.sc).
+	// when it runs none.  parse decodes -scenario over it and applies
+	// the flags (config.sc).
 	scenario func(experiments.Scale) experiments.Scenario
-	run      func(c *config) (result, error)
+	// axis names the scenario fields the experiment's sweep sets at
+	// every point, as experiments.DecodeScenario spells them: a
+	// -scenario file may not change them.
+	axis []string
+	run  func(c *config) (result, error)
 	// wallClock names the report's top-level JSON fields that hold
 	// wall-clock measurements, which goldens leave out.
 	wallClock []string
@@ -63,17 +67,18 @@ var registry = []experiment{
 	},
 	{
 		name:     "ablation-fill",
-		flags:    []string{"seed", "traces"},
+		flags:    []string{"seed"},
 		scenario: experiments.EvaluationScenario,
 		run: func(c *config) (result, error) {
-			res, err := experiments.AblationFillPolicies(c.traces, c.sc.Seed, c.parallel)
+			res, err := experiments.AblationFillPolicies(fillTraces, c.sc.Seed, c.parallel)
 			return text(func(w io.Writer) { experiments.PrintFillPolicies(w, res) }), err
 		},
 	},
 	{
 		name:     "ablation-vl",
-		flags:    []string{"seed", "switches", "shards"},
+		flags:    []string{"seed", "switches", "shards", "scenario"},
 		scenario: experiments.EvaluationScenario,
+		axis:     []string{"Topology.Seed", "Fabric.PayloadBytes", "Fabric.DataVLs"},
 		run: func(c *config) (result, error) {
 			rows, err := experiments.AblationVLCollapse(c.sc, []int{15, 8, 4}, c.parallel)
 			return text(func(w io.Writer) { experiments.PrintVLCollapse(w, rows) }), err
@@ -81,8 +86,9 @@ var registry = []experiment{
 	},
 	{
 		name:     "ablation-switch",
-		flags:    []string{"seed", "switches", "shards"},
+		flags:    []string{"seed", "switches", "shards", "scenario"},
 		scenario: experiments.EvaluationScenario,
+		axis:     []string{"Topology.Seed", "Fabric.PayloadBytes", "Fabric.CrossbarSpeedup"},
 		run: func(c *config) (result, error) {
 			rows, err := experiments.AblationSwitchModels(c.sc, []int{1, 2, 4}, c.parallel)
 			return text(func(w io.Writer) { experiments.PrintSwitchModels(w, rows) }), err
@@ -109,67 +115,60 @@ var registry = []experiment{
 	},
 	{
 		name:     "scaling",
-		flags:    []string{"seed", "sizes", "shards"},
+		flags:    []string{"seed", "shards", "scenario"},
 		scenario: experiments.EvaluationScenario,
+		axis:     []string{"Topology.Seed", "Topology.Switches", "Fabric.PayloadBytes"},
 		run: func(c *config) (result, error) {
-			rows, err := experiments.Scaling(c.sc, c.sizeList, c.parallel)
+			rows, err := experiments.Scaling(c.sc, experiments.ScalingSizes(c.at), c.parallel)
 			return text(func(w io.Writer) { experiments.PrintScaling(w, rows) }), err
 		},
 	},
 	{
 		name:     "churn",
-		flags:    []string{"seed", "switches", "shards", "churn-seeds", "json"},
+		flags:    []string{"seed", "switches", "shards", "churn-seeds", "scenario", "json"},
 		scenario: experiments.ChurnScenario,
+		axis:     []string{"Topology.Seed"},
 		run: func(c *config) (result, error) {
 			res, err := experiments.ChurnSweep(c.sc, c.churnSeeds, c.parallel)
-			return withReport(func(w io.Writer) { experiments.PrintChurn(w, res) },
-				controlReport[experiments.ChurnResult]{c.sc.Topology.Switches, c.sc.Seed, c.sc.Arrivals, res}), err
+			return withReport(func(w io.Writer) { experiments.PrintChurn(w, res) }, report[experiments.ChurnResult]{c.sc, nil, res}), err
 		},
 	},
 	{
 		name:     "faults",
-		flags:    []string{"seed", "switches", "shards", "json"},
+		flags:    []string{"seed", "switches", "shards", "scenario", "json"},
 		scenario: experiments.FaultsScenario,
+		axis:     []string{"Topology.Seed", "Faults.Drop", "Faults.Corrupt", "Flaps"},
 		run: func(c *config) (result, error) {
 			res, err := experiments.FaultsSweep(c.sc, c.parallel)
-			return withReport(func(w io.Writer) { experiments.PrintFaults(w, res) },
-				controlReport[experiments.FaultsResult]{c.sc.Topology.Switches, c.sc.Seed, c.sc.Arrivals, res}), err
+			return withReport(func(w io.Writer) { experiments.PrintFaults(w, res) }, report[experiments.FaultsResult]{c.sc, nil, res}), err
 		},
 	},
 	{
 		name:     "failover",
-		flags:    []string{"seed", "json"},
+		flags:    []string{"seed", "scenario", "json"},
 		scenario: experiments.FailoverScenario,
+		axis:     []string{"Topology"},
 		run: func(c *config) (result, error) {
 			res, err := experiments.FailoverSweep(c.sc, experiments.FailoverSpecs(c.at), c.parallel)
-			return withReport(func(w io.Writer) { experiments.PrintFailover(w, res) }, struct {
-				BaseSeed int64                        `json:"baseSeed"`
-				Payload  int                          `json:"payload"`
-				Conns    int                          `json:"conns"`
-				FailAtBT int64                        `json:"failAtBT"`
-				Runs     []experiments.FailoverResult `json:"runs"`
-			}{c.sc.Seed, c.sc.Fabric.PayloadBytes, c.sc.Conns, c.sc.FailAtBT, res}), err
+			return withReport(func(w io.Writer) { experiments.PrintFailover(w, res) }, report[experiments.FailoverResult]{c.sc, nil, res}), err
 		},
 	},
 	{
 		name:     "scale",
-		flags:    []string{"seed", "shards", "json"},
+		flags:    []string{"seed", "shards", "scenario", "json"},
 		scenario: experiments.ScaleScenario,
+		axis:     gridAxis,
 		run: func(c *config) (result, error) {
 			specs, loads := experiments.ScaleGrid(c.at)
 			res, err := experiments.ScaleSweep(c.sc, specs, loads, c.parallel)
-			return withReport(func(w io.Writer) { experiments.PrintScale(w, res) }, struct {
-				BaseSeed int64                     `json:"baseSeed"`
-				Loads    []float64                 `json:"loads"`
-				Payload  int                       `json:"payload"`
-				Runs     []experiments.ScaleResult `json:"runs"`
-			}{c.sc.Seed, loads, c.sc.Fabric.PayloadBytes, res}), err
+			return withReport(func(w io.Writer) { experiments.PrintScale(w, res) }, report[experiments.ScaleResult]{c.sc, loads, res}), err
 		},
 	},
 	{
 		name:     "plan",
-		flags:    []string{"seed", "plan-headroom-sl", "json"},
+		flags:    []string{"seed", "plan-headroom-sl", "scenario", "json"},
 		scenario: experiments.ScaleScenario,
+		axis:     gridAxis,
 		run: func(c *config) (result, error) {
 			specs, loads, headroomMax := experiments.PlanGrid(c.at)
 			headroomSL := uint8(c.headroomSL)
@@ -186,72 +185,40 @@ var registry = []experiment{
 				timing.TotalMicros += r.ModelMicros
 			}
 			return withReport(func(w io.Writer) { experiments.PrintPlan(w, res) }, struct {
-				BaseSeed    int64                    `json:"baseSeed"`
+				Scenario    experiments.Scenario     `json:"scenario"`
 				Loads       []float64                `json:"loads"`
-				Payload     int                      `json:"payload"`
 				HeadroomSL  uint8                    `json:"headroomSL"`
 				HeadroomMax int                      `json:"headroomMax"`
 				Runs        []experiments.PlanResult `json:"runs"`
 				Timing      any                      `json:"timing,omitempty"`
-			}{c.sc.Seed, loads, c.sc.Fabric.PayloadBytes, headroomSL, headroomMax, res, timing}), err
+			}{c.sc, loads, headroomSL, headroomMax, res, timing}), err
 		},
 		wallClock: []string{"timing"},
 	},
 	{
 		name:     "hol",
-		flags:    []string{"seed", "islip-iters", "shards", "json"},
+		flags:    []string{"seed", "shards", "scenario", "json"},
 		scenario: experiments.ScaleScenario,
+		axis:     append(gridAxis, "Fabric.SwitchModel"),
 		run: func(c *config) (result, error) {
 			specs, loads := experiments.ScaleGrid(c.at)
 			res, err := experiments.HOLSweep(c.sc, specs, loads, holModels, c.parallel)
-			return withReport(func(w io.Writer) { experiments.PrintHOL(w, res) }, struct {
-				BaseSeed   int64                   `json:"baseSeed"`
-				Loads      []float64               `json:"loads"`
-				Payload    int                     `json:"payload"`
-				ISLIPIters int                     `json:"islipIters"`
-				Runs       []experiments.HOLResult `json:"runs"`
-			}{c.sc.Seed, loads, c.sc.Fabric.PayloadBytes, c.sc.Fabric.ISLIPIters, res}), err
+			return withReport(func(w io.Writer) { experiments.PrintHOL(w, res) }, report[experiments.HOLResult]{c.sc, loads, res}), err
 		},
 	},
 	{
-		name: "shardbench",
-		flags: []string{"seed", "bench-class", "bench-k", "bench-a", "bench-p", "bench-h",
-			"bench-shards", "bench-horizon", "json"},
-		scenario: func(experiments.Scale) experiments.Scenario { return experiments.ShardBenchScenario() },
+		name:     "shardbench",
+		flags:    []string{"seed", "shards", "scenario", "json"},
+		scenario: experiments.ShardBenchScenario,
 		run: func(c *config) (result, error) {
-			sc := c.sc
-			// A shape no topology can be built at is refused naming its
-			// flags, before any shard count runs.
-			switch c.benchClass {
-			case "fattree":
-				if _, err := topology.NewFatTreeLayout(c.benchK); err != nil {
-					return result{}, fmt.Errorf("-bench-k %d: %w", c.benchK, err)
-				}
-				sc.Topology = topology.Spec{Class: topology.FatTree, K: c.benchK}
-			case "dragonfly":
-				if _, err := topology.NewDragonflyLayout(c.benchA, c.benchP, c.benchH); err != nil {
-					return result{}, fmt.Errorf("-bench-a %d -bench-p %d -bench-h %d: %w", c.benchA, c.benchP, c.benchH, err)
-				}
-				sc.Topology = topology.Spec{Class: topology.Dragonfly, A: c.benchA, P: c.benchP, H: c.benchH}
-			default:
-				return result{}, fmt.Errorf("unknown -bench-class %q (want fattree or dragonfly)", c.benchClass)
-			}
-			counts, err := parseSizes(c.benchShards)
-			if err != nil {
-				return result{}, fmt.Errorf("-bench-shards: %w", err)
-			}
-			res, err := experiments.ShardBench(sc, counts)
-			return withReport(func(w io.Writer) { experiments.PrintShardBench(w, sc, res) }, struct {
-				Topology  string  `json:"topology"`
-				Load      float64 `json:"load"`
-				Seed      int64   `json:"seed"`
-				Payload   int     `json:"payload"`
-				HorizonBT int64   `json:"horizonBT"`
+			res, err := experiments.ShardBench(c.sc)
+			return withReport(func(w io.Writer) { experiments.PrintShardBench(w, c.sc, res) }, struct {
+				Scenario experiments.Scenario `json:"scenario"`
 				// CPUs bounds the achievable speedup at min(shards, CPUs):
 				// rows measured on a single-core host show sync overhead.
 				CPUs int                            `json:"cpus"`
 				Runs []experiments.ShardBenchResult `json:"runs"`
-			}{sc.Topology.Label(), sc.Load, sc.Seed, sc.Fabric.PayloadBytes, sc.HorizonBT, runtime.NumCPU(), res}), err
+			}{c.sc, runtime.NumCPU(), res}), err
 		},
 		wallClock: []string{"cpus", "runs"},
 	},
@@ -263,7 +230,7 @@ var registry = []experiment{
 // -json document; they differ in the tables they print, and all prints
 // every table and figure followed by the priority and fill ablations.
 func evaluation(name string) experiment {
-	flags := []string{"seed", "switches", "shards", "metrics", "trace", "json"}
+	flags := []string{"seed", "switches", "shards", "metrics", "trace", "scenario", "json"}
 	if name == "figure4" || name == "figure5" || name == "all" {
 		flags = append(flags, "viz")
 	}
@@ -271,6 +238,7 @@ func evaluation(name string) experiment {
 		name:     name,
 		flags:    flags,
 		scenario: experiments.EvaluationScenario,
+		axis:     []string{"Topology.Seed", "Fabric.PayloadBytes"},
 		run: func(c *config) (result, error) {
 			if c.asJSON && c.viz {
 				return result{}, errors.New("-viz draws terminal charts, which -json does not print")
@@ -339,7 +307,7 @@ func printEvaluation(w io.Writer, ev *experiments.Evaluation, which string, c *c
 		}
 		experiments.PrintPrioritySplit(w, res)
 		fmt.Fprintln(w)
-		fill, err := experiments.AblationFillPolicies(50, c.sc.Seed, c.parallel)
+		fill, err := experiments.AblationFillPolicies(fillTraces, c.sc.Seed, c.parallel)
 		if err != nil {
 			return err
 		}
@@ -352,6 +320,15 @@ func printEvaluation(w io.Writer, ev *experiments.Evaluation, which string, c *c
 	return nil
 }
 
+// gridAxis is the axis of the structured-fabric grids (ScaleGrid): each
+// point sets the topology, the load and the best effort that scales
+// with it.
+var gridAxis = []string{"Topology", "Load", "BEMbps"}
+
+// fillTraces is the number of request traces the fill-policy ablation
+// replays.
+const fillTraces = 50
+
 // holModels are the switch models the hol sweep runs every cell under.
 var holModels = []fabric.SwitchModel{fabric.ModelWRR, fabric.ModelVOQISLIP, fabric.ModelVOQMWM}
 
@@ -363,26 +340,6 @@ func reconfigScenario(s experiments.Scale) experiments.Scenario {
 	if s == experiments.Tiny {
 		sc.Topology.Switches = 3
 	}
-	return sc
-}
-
-// applyFlags is the entry's base scenario with the overriding flags
-// applied: -seed, -switches and -bench-horizon when set, -shards,
-// -islip-iters and -trace as given, and -metrics or -trace turn the
-// metrics on.  A flag the entry does not read is at its default, which
-// changes nothing.
-func (c *config) applyFlags(sc experiments.Scenario) experiments.Scenario {
-	if c.seed != 0 {
-		sc.Seed = c.seed
-	}
-	if c.switches != 0 {
-		sc.Topology.Switches = c.switches
-	}
-	if c.benchHorizon != 0 {
-		sc.HorizonBT = c.benchHorizon
-	}
-	sc.Fabric.Shards, sc.Fabric.ISLIPIters, sc.Trace = c.shards, c.islipIters, c.trace
-	sc.Metrics = sc.Metrics || c.metrics || c.trace > 0
 	return sc
 }
 
@@ -405,10 +362,10 @@ func withReport(print func(io.Writer), report any) result {
 	}}
 }
 
-// controlReport is the JSON report of the churn and faults sweeps.
-type controlReport[R any] struct {
-	Switches int   `json:"switches"`
-	BaseSeed int64 `json:"baseSeed"`
-	Arrivals int   `json:"arrivals"`
-	Runs     []R   `json:"runs"`
+// report is the JSON report of a sweep: the scenario the entry ran,
+// the loads of its grid when it has one, and one row per point.
+type report[R any] struct {
+	Scenario experiments.Scenario `json:"scenario"`
+	Loads    []float64            `json:"loads,omitempty"`
+	Runs     []R                  `json:"runs"`
 }

@@ -374,7 +374,6 @@ func exportedReceiver(typ ast.Expr) bool {
 var exportedAllowlist = map[string]string{
 	"admission.Controller.Live":      "bench/ probe, frozen until ROADMAP 3(b)",
 	"admission.ErrOverBudget":        "sentinel error an admission refusal unwraps to, beside ErrHopDown and ErrHopBusy",
-	"admission.MaxLoadFactor":        "FillLoad's documented load bound; the plan and experiments tests probe it",
 	"arbtable.Arbiter.Reanchors":     "test hook: fabric's TestSlabNeighboursNeverAlias checks that a table swap re-anchors the arbiters reading that table",
 	"arbtable.LimitUnit":             "IBA unit of LimitOfHighPriority, the scale of the exported Table.Limit",
 	"arbtable.NewArbiter":            "bench/ probe, frozen until ROADMAP 3(b); the one-element case of Arbiter.Init, which the fabric's arbiter slab calls",

@@ -91,9 +91,9 @@ func TestPointsRefuseBadLoads(t *testing.T) {
 			return err
 		}},
 		{"shardbench", func(load float64) error {
-			sc := ShardBenchScenario()
-			sc.Topology, sc.Load = spec, load
-			_, err := ShardBench(sc, []int{1})
+			sc := ShardBenchScenario(Tiny)
+			sc.Topology, sc.Load, sc.Fabric.Shards = spec, load, 1
+			_, err := ShardBench(sc)
 			return err
 		}},
 	}

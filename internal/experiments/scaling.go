@@ -19,6 +19,18 @@ type ScalingRow struct {
 	DeliveredPerNode   float64
 }
 
+// ScalingSizes is the scaling sweep's axis at scale s: the network
+// sizes it evaluates, up to the paper's 64 switches at Full.
+func ScalingSizes(s Scale) []int {
+	switch s {
+	case Tiny:
+		return []int{2, 4}
+	case Quick:
+		return []int{8, 16, 32}
+	}
+	return []int{8, 16, 32, 64}
+}
+
 // Scaling runs the small-packet evaluation of sc across the given
 // network sizes on workers goroutines, one job per size.
 func Scaling(sc Scenario, sizes []int, workers int) ([]ScalingRow, error) {

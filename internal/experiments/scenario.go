@@ -159,11 +159,8 @@ type Run struct {
 // the QoS fill and the best effort, after whatever flows a driver adds
 // first.
 func build(sc Scenario) (*Run, error) {
-	switch {
-	case sc.Trace > 0 && sc.Fabric.Shards > 1:
-		return nil, fmt.Errorf("experiments: -trace records one engine's arbitration decisions and cannot run with -shards %d", sc.Fabric.Shards)
-	case !sc.Inband && (sc.SMPFaults || sc.FailAtBT > 0):
-		return nil, errors.New("experiments: SMP faults and failure recovery need the in-band programmer")
+	if err := sc.Validate(); err != nil {
+		return nil, err
 	}
 	topo, err := sc.Topology.Generate()
 	if err != nil {
@@ -277,7 +274,7 @@ func (r *Run) execute() error {
 		return errors.New("experiments: no connections admitted")
 	}
 	if r.sc.MinPackets < 1 {
-		return fmt.Errorf("experiments: a window of %d packets is out of range", r.sc.MinPackets)
+		return refuse("MinPackets", "a window of %d packets is out of range", r.sc.MinPackets)
 	}
 	slowest := flows[0]
 	for _, f := range flows[1:] {

@@ -12,20 +12,26 @@ import (
 )
 
 // ShardBenchScenario is the sharded-core throughput benchmark's
-// scenario: a k=8 fat-tree at high load, simulated to a fixed horizon
-// once per shard count.  Every run offers identical traffic
-// (connections and background depend only on topology and seed), so
-// the rows differ only in how the event core is partitioned —
-// events/second against the single-engine baseline is the speedup of
-// the conservative-lookahead sync protocol.
-func ShardBenchScenario() Scenario {
-	return Scenario{
+// scenario at scale s: a k=8 fat-tree at high load, simulated to a
+// fixed horizon once per shard count of its axis, up to Fabric.Shards.
+// Every run offers identical traffic (connections and background
+// depend only on topology and seed), so the rows differ only in how
+// the event core is partitioned — events/second against the
+// single-engine baseline is the speedup of the conservative-lookahead
+// sync protocol.  Tiny is a short horizon for smoke runs.
+func ShardBenchScenario(s Scale) Scenario {
+	sc := Scenario{
 		Seed:     7,
 		Topology: topology.Spec{Class: topology.FatTree, K: 8},
 		Fabric:   fabric.DefaultConfig(0, 512, 0),
 		Load:     2, MaxRejects: 40, BEMbps: 600,
 		HorizonBT: 1_500_000,
 	}
+	sc.Fabric.Shards = 8
+	if s == Tiny {
+		sc.HorizonBT = 200_000
+	}
+	return sc
 }
 
 // ShardBenchResult is one shard count's row.
@@ -51,22 +57,21 @@ type ShardBenchResult struct {
 	Speedup float64 `json:"speedupVsSingle"`
 }
 
-// ShardBench runs sc once per shard count, in order (-bench-shards).
-// Rows come back in input order; wall-clock timing makes the absolute
-// numbers machine-dependent, but the Events column is exact and the
-// simulated work per row is identical by construction.
-func ShardBench(sc Scenario, shards []int) ([]ShardBenchResult, error) {
-	if sc.HorizonBT < 1 || len(shards) == 0 {
-		return nil, fmt.Errorf("experiments: shard bench horizon %d BT over %d shard counts out of range", sc.HorizonBT, len(shards))
+// ShardBench runs sc once per shard count, in order: one engine, then
+// each doubling below sc.Fabric.Shards, then sc.Fabric.Shards itself.
+// Wall-clock timing makes the absolute numbers machine-dependent, but
+// the Events column is exact and the simulated work per row is
+// identical by construction.
+func ShardBench(sc Scenario) ([]ShardBenchResult, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
 	}
-	for _, n := range shards {
-		if n < 1 {
-			return nil, fmt.Errorf("experiments: shard bench: -bench-shards %d: need at least one shard", n)
-		}
+	if sc.HorizonBT < 1 {
+		return nil, refuse("HorizonBT", "the benchmark needs a positive horizon, not %d BT", sc.HorizonBT)
 	}
 	var out []ShardBenchResult
 	baseline := 0.0
-	for _, n := range shards {
+	for _, n := range shardCounts(sc.Fabric.Shards) {
 		sc.Fabric.Shards = n
 		res, err := shardBenchRun(sc)
 		if err != nil {
@@ -83,13 +88,26 @@ func ShardBench(sc Scenario, shards []int) ([]ShardBenchResult, error) {
 	return out, nil
 }
 
+// shardCounts is the benchmark's axis up to last shards: one engine,
+// each doubling below last, then last.
+func shardCounts(last int) []int {
+	counts := []int{1}
+	for n := 2; n < last; n *= 2 {
+		counts = append(counts, n)
+	}
+	if last > 1 {
+		counts = append(counts, last)
+	}
+	return counts
+}
+
 // shardBenchRun builds, loads and times one run of sc.
 func shardBenchRun(sc Scenario) (ShardBenchResult, error) {
 	shards := sc.Fabric.Shards
 	res := ShardBenchResult{Shards: shards}
 	r, err := build(sc)
 	if err != nil {
-		return res, fmt.Errorf("experiments: shard bench: -bench-shards %d on %s: %w", shards, sc.Topology.Label(), err)
+		return res, fmt.Errorf("experiments: shard bench at %d shards on %s: %w", shards, sc.Topology.Label(), err)
 	}
 	net := r.Net
 	res.Parallel = net.Parallel()

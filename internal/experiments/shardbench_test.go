@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,11 +9,12 @@ import (
 	"repro/internal/topology"
 )
 
-// TestShardBenchRefusesUnmeasurableCounts: a shard count below one, or
+// TestShardBenchRefusesUnmeasurableCounts: a negative shard count, or
 // one the partitioner would clamp (more shards than the 4-switch
 // fabric can be cut into), is refused with an error naming
-// -bench-shards, instead of a row that measured fewer shards than its
-// label says.
+// Fabric.Shards before any count runs, instead of a row that measured
+// fewer shards than its label says.  Its axis is one engine and each
+// doubling up to the count.
 func TestShardBenchRefusesUnmeasurableCounts(t *testing.T) {
 	sc := Scenario{
 		Seed:     7,
@@ -21,10 +23,16 @@ func TestShardBenchRefusesUnmeasurableCounts(t *testing.T) {
 		Load:     1, MaxRejects: 40, BEMbps: 100,
 		HorizonBT: 100_000,
 	}
-	for _, shards := range []int{0, -1, 16} {
-		res, err := ShardBench(sc, []int{shards})
-		if err == nil || !strings.Contains(err.Error(), "-bench-shards") {
-			t.Errorf("%d shards: err = %v, rows %+v; want a refusal naming -bench-shards", shards, err, res)
+	for _, shards := range []int{-1, 5, 16} {
+		sc.Fabric.Shards = shards
+		res, err := ShardBench(sc)
+		if err == nil || !strings.Contains(err.Error(), "Fabric.Shards") {
+			t.Errorf("%d shards: err = %v, rows %+v; want a refusal naming Fabric.Shards", shards, err, res)
+		}
+	}
+	for last, want := range map[int][]int{0: {1}, 1: {1}, 2: {1, 2}, 6: {1, 2, 4, 6}, 8: {1, 2, 4, 8}} {
+		if got := shardCounts(last); !slices.Equal(got, want) {
+			t.Errorf("shardCounts(%d) = %v, want %v", last, got, want)
 		}
 	}
 }

@@ -67,6 +67,26 @@ func (m SwitchModel) String() string {
 	return fmt.Sprintf("model(%d)", int(m))
 }
 
+// MarshalText spells the model by name, so a scenario document reads
+// "voq-islip", not 1.
+func (m SwitchModel) MarshalText() ([]byte, error) {
+	if m < ModelWRR || m > ModelVOQMWM {
+		return nil, fmt.Errorf("fabric: unknown switch model %d", int(m))
+	}
+	return []byte(m.String()), nil
+}
+
+// UnmarshalText parses a model name as String spells it.
+func (m *SwitchModel) UnmarshalText(text []byte) error {
+	for model := ModelWRR; model <= ModelVOQMWM; model++ {
+		if string(text) == model.String() {
+			*m = model
+			return nil
+		}
+	}
+	return fmt.Errorf("fabric: unknown switch model %q (want wrr|voq-islip|voq-mwm)", text)
+}
+
 // ISLIPState is the round-robin pointer state of one iSLIP crossbar
 // scheduler: a grant pointer per output and an accept pointer per
 // input.  The zero value (all pointers at slot 0) is the reset state;

@@ -3,6 +3,8 @@ package plan
 import (
 	"math"
 	"testing"
+
+	"repro/internal/arbtable"
 )
 
 func sum(xs []float64) float64 {
@@ -98,5 +100,28 @@ func TestWaterfillEdgeCases(t *testing.T) {
 		if tc.cap > 0 && total > tc.cap+1e-9 {
 			t.Errorf("%s: allocated %g beyond capacity %g", tc.name, total, tc.cap)
 		}
+	}
+}
+
+// TestLimitCapsHighTier: with a finite limit of high priority and a
+// low-only lane backlogged, the high tier keeps exactly
+// HighLimitFraction of the link at the lanes' mean wire sizes and the
+// low lane gets the rest; with no high lane loaded the limit caps
+// nothing and the low lane takes the whole link.
+func TestLimitCapsHighTier(t *testing.T) {
+	tbl := arbtable.New(0)
+	hi := &lane{vl: 0, dem: 2, wireSum: 2 * 300, hiW: 1}  // backlogged, 300-byte packets
+	lo := &lane{vl: 1, dem: 2, wireSum: 2 * 2100, loW: 1} // backlogged, 2100-byte packets
+	want := tbl.HighLimitFraction(300, 2100)
+	if want >= 1 {
+		t.Fatalf("limit %d keeps %g of the link; the test needs a cap", tbl.Limit, want)
+	}
+	alloc := (&portModel{tbl: tbl, lanes: []*lane{hi, lo}}).allocate(-1)
+	if math.Abs(alloc[0]-want) > 1e-9 || math.Abs(alloc[1]-(1-want)) > 1e-9 {
+		t.Errorf("alloc = %v, want [%g %g]", alloc, want, 1-want)
+	}
+	alloc = (&portModel{tbl: tbl, lanes: []*lane{lo}}).allocate(-1)
+	if math.Abs(alloc[0]-1) > 1e-9 {
+		t.Errorf("low lane alone: alloc = %v, want the whole link", alloc)
 	}
 }

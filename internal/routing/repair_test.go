@@ -182,3 +182,43 @@ func hostPort(t *topology.Topology, sw int) int {
 	}
 	return -1
 }
+
+// TestRepairDragonflyCrash: a host-bearing dragonfly switch that loses
+// every link strands its hosts, and no other pair.  With one switch
+// per group every route is a single global hop, so minimal l-g-l
+// survives the crash: the pairs to and from the crashed switch are its
+// only unroutable ones, which is exactly the disconnected set, and
+// repair keeps minimal routing.  With two switches per group the crash
+// also breaks minimal paths between surviving switches that a detour
+// through a third group covers, so repair falls back to up*/down*.
+func TestRepairDragonflyCrash(t *testing.T) {
+	for _, tc := range []struct {
+		spec        topology.Spec
+		fellBack    bool
+		unreachable int
+	}{
+		{topology.Spec{Class: topology.Dragonfly, A: 1, P: 2, H: 3}, false, 2 * 3},
+		{topology.Spec{Class: topology.Dragonfly, A: 2, P: 1, H: 1}, true, 2 * 5},
+	} {
+		topo, err := tc.spec.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		degraded := topo.Clone()
+		if err := degraded.RemoveSwitch(0); err != nil {
+			t.Fatal(err)
+		}
+		if got := disconnectedRoutes(degraded, 1); got != tc.unreachable {
+			t.Errorf("%s: %d disconnected routes per base VL, want %d", tc.spec.Label(), got, tc.unreachable)
+		}
+		_, rep, err := Repair(degraded)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec.Label(), err)
+		}
+		if rep.FellBack != tc.fellBack || rep.UnreachablePairs != tc.unreachable {
+			t.Errorf("%s: report %+v, want FellBack %v and %d unreachable pairs",
+				tc.spec.Label(), rep, tc.fellBack, tc.unreachable)
+		}
+		checkRepair(t, degraded, 0, "switch")
+	}
+}

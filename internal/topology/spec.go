@@ -47,6 +47,24 @@ func ParseClass(s string) (Class, error) {
 	return Irregular, fmt.Errorf("topology: unknown class %q (want irregular|fattree|dragonfly)", s)
 }
 
+// MarshalText spells the class by name, so a scenario document reads
+// "fattree", not 1.
+func (c Class) MarshalText() ([]byte, error) {
+	if c < Irregular || c > Dragonfly {
+		return nil, fmt.Errorf("topology: unknown class %d", int(c))
+	}
+	return []byte(c.String()), nil
+}
+
+// UnmarshalText parses a class name (ParseClass).
+func (c *Class) UnmarshalText(text []byte) error {
+	parsed, err := ParseClass(string(text))
+	if err == nil {
+		*c = parsed
+	}
+	return err
+}
+
 // Spec describes a topology to build: the class plus its shape
 // parameters.  Unused fields are ignored per class:
 //

@@ -350,6 +350,7 @@ if [[ "$RUN_FUZZ" -eq 1 ]]; then
 ./internal/fabric FuzzISLIPSchedule
 ./internal/plan FuzzPlanSpec
 ./internal/sim FuzzEngineTrace
+./internal/experiments FuzzScenarioCodec
 EOF
 fi
 
@@ -369,6 +370,6 @@ for w in wrr-k8 voq-islip-k8 admit-k8 churn-inband-k8; do
 done
 
 echo "==> ibsim -exp shardbench (parallel core smoke)"
-go run ./cmd/ibsim -exp shardbench -bench-shards 1,4 -bench-horizon 200000 >/dev/null
+go run ./cmd/ibsim -exp shardbench -scale tiny -shards 4 >/dev/null  # 1, 2 and 4 shards, 200 000 BT
 
 echo "==> ci.sh: all green"
