@@ -19,12 +19,13 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 
 // TestJSONGolden walks the registry.  Every entry with a deterministic
 // JSON report runs at its tiny preset, and its report, wall-clock
-// fields left out, must match testdata/<name>.golden.json.  The report
-// must also encode byte-identically on one sweep worker and on four
-// and, for entries that read -shards, so must its report at -shards 2.
-// The simulations are pure functions of their seeds and shard count,
-// so any diff is a real behavior or format change; regenerate
-// deliberately with
+// fields left out, must match testdata/<name>.golden.json; when the
+// report has no wall-clock field, the table the same run prints must
+// match testdata/<name>.golden.txt.  The report must also encode
+// byte-identically on one sweep worker and on four and, for entries
+// that read -shards, so must its report at -shards 2.  The simulations
+// are pure functions of their seeds and shard count, so any diff is a
+// real behavior or format change; regenerate deliberately with
 //
 //	go test ./cmd/ibsim -run JSONGolden -update
 //
@@ -58,38 +59,57 @@ func TestScaleJSONGolden(t *testing.T)            { checkGolden(t, goldenEntry(t
 func TestScaleJSONParallelIdentical(t *testing.T) { checkIdentityAlone(t, goldenEntry(t, "scale")) }
 
 // TestTextGolden walks the registry.  Every entry without a JSON report
-// runs at -scale tiny on one sweep worker, and its stdout must match
-// testdata/<name>.golden.txt.  The tables are pure functions of the
-// seeds, so any diff is a real behavior or format change; regenerate
-// deliberately with
+// runs at -scale tiny on one sweep worker, with its own tiny base
+// written to a -scenario file when it reads one, and its stdout must
+// match testdata/<name>.golden.txt: the tables are pure functions of
+// the seeds, and an entry's base replays its run.  Any diff is a real
+// behavior or format change; regenerate deliberately with
 //
 //	go test ./cmd/ibsim -run TextGolden -update
 func TestTextGolden(t *testing.T) {
 	goldenTest(t)
+	dir := t.TempDir()
 	for _, e := range registry {
 		if slices.Contains(e.flags, "json") {
 			continue
 		}
 		t.Run(e.name, func(t *testing.T) {
 			args := []string{"-exp", e.name, "-scale", "tiny", "-parallel", "1"}
+			if slices.Contains(e.flags, "scenario") {
+				data, err := json.Marshal(e.scenario(experiments.Tiny))
+				path := filepath.Join(dir, e.name+".json")
+				if err == nil {
+					err = os.WriteFile(path, data, 0o644)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				args = append(args, "-scenario", path)
+			}
 			var buf bytes.Buffer
 			if err := run(args, &buf, io.Discard); err != nil {
 				t.Fatal(err)
 			}
-			golden := filepath.Join("testdata", e.name+".golden.txt")
-			if *update {
-				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create it)", err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("output diverged from %s (rerun with -update if intended)\ngot:\n%s", golden, buf.Bytes())
-			}
+			compareGolden(t, filepath.Join("testdata", e.name+".golden.txt"), buf.Bytes())
 		})
+	}
+}
+
+// compareGolden compares got with the golden file, rewriting it first
+// under -update.
+func compareGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output diverged from %s (rerun with -update if intended)\ngot %d bytes, want %d", golden, len(got), len(want))
 	}
 }
 
@@ -112,11 +132,11 @@ func goldenEntry(t *testing.T, name string) experiment {
 	t.Helper()
 	goldenTest(t)
 	for _, e := range registry {
-		if e.name == name && hasGolden(e) {
+		if e.name == name {
 			return e
 		}
 	}
-	t.Fatalf("no registry entry %q with a golden", name)
+	t.Fatalf("no registry entry %q", name)
 	return experiment{}
 }
 
@@ -134,24 +154,20 @@ func goldenArgs(e experiment) (args []string, golden string) {
 	return args, golden
 }
 
-// checkGolden runs e on one sweep worker, compares its report with the
-// golden file (rewriting it first under -update) and returns it.
+// checkGolden runs e on one sweep worker, compares its report and,
+// when the report has no wall-clock field, its table with the golden
+// files (rewriting them first under -update) and returns the report.
 func checkGolden(t *testing.T, e experiment) []byte {
 	t.Helper()
 	args, golden := goldenArgs(e)
-	got := encodeReport(t, args, "-parallel", "1")
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
+	got, res := runReport(t, args, "-parallel", "1")
+	compareGolden(t, golden, got)
+	if len(e.wallClock) == 0 {
+		var table bytes.Buffer
+		if err := res.table(&table); err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("report diverged from %s (rerun with -update if intended)\ngot %d bytes, want %d",
-			golden, len(got), len(want))
+		compareGolden(t, filepath.Join("testdata", e.name+".golden.txt"), table.Bytes())
 	}
 	return got
 }
@@ -191,6 +207,14 @@ func checkIdentityAlone(t *testing.T, e experiment) {
 // report with the wall-clock fields zeroed.
 func encodeReport(t *testing.T, args []string, extra ...string) []byte {
 	t.Helper()
+	report, _ := runReport(t, args, extra...)
+	return report
+}
+
+// runReport parses args plus extra and runs the entry: it returns the
+// result and its report encoded with the wall-clock fields zeroed.
+func runReport(t *testing.T, args []string, extra ...string) ([]byte, result) {
+	t.Helper()
 	e, c, err := parse(append(append([]string(nil), args...), extra...), io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +235,7 @@ func encodeReport(t *testing.T, args []string, extra ...string) []byte {
 	if err := encodeIndented(&buf, report.Interface()); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), res
 }
 
 // decodeGolden unmarshals the checked-in report of an experiment.
@@ -534,7 +558,7 @@ func TestScaleJSONShape(t *testing.T) {
 // file and run through the same entry with -scenario and no other
 // scenario flag, reproduces the report byte for byte.
 func TestReportReplays(t *testing.T) {
-	for _, name := range []string{"table2", "churn", "hol"} {
+	for _, name := range []string{"table2", "churn", "hol", "reconfig", "failover"} {
 		t.Run(name, func(t *testing.T) {
 			e := goldenEntry(t, name)
 			_, golden := goldenArgs(e)

@@ -11,9 +11,9 @@
 //
 // ibsim -h lists every experiment and the flags each one reads; a flag
 // the chosen experiment does not read is refused.  -scenario decodes a
-// JSON scenario document (experiments.DecodeScenario) over the
-// experiment's base at -scale; every JSON report carries the scenario
-// it ran in the same form, so a report's "scenario" block replays it.
+// JSON scenario document over the base of any experiment but table1 and
+// ablation-fill at -scale (experiments.DecodeScenario); every JSON
+// report carries the scenario it ran, so its "scenario" block replays it.
 package main
 
 import (
@@ -79,8 +79,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if c.asJSON {
 		label = "json"
 		err = encodeIndented(stdout, res.report)
-	} else {
-		err = res.table(stdout)
+	} else if err = res.table(stdout); err == nil && res.report != nil {
+		fmt.Fprintln(stdout)
+		err = encodeIndented(stdout, res.report)
 	}
 	if err != nil {
 		return err
@@ -198,7 +199,7 @@ func parse(args []string, stderr io.Writer) (*experiment, *config, error) {
 	if c.scenario != "" {
 		data, err := os.ReadFile(c.scenario)
 		if err == nil {
-			sc, err = experiments.DecodeScenario(data, sc, e.axis...)
+			sc, err = experiments.DecodeScenario(data, sc, e.reads, e.axis...)
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("-scenario %s: %w", c.scenario, err)

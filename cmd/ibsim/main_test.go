@@ -20,9 +20,10 @@ import (
 // TestParamsPresets: every entry resolves every scale to a non-zero
 // base scenario, on at least two switches where the entry's base wires
 // the fabric it runs, that Validate accepts with the entry's axis and
-// that decodes from its own encoding unchanged; an unknown -scale is
-// refused before anything runs, and the plan's quick grid probes more
-// headroom than its tiny one.
+// that decodes from its own encoding unchanged; an entry that reads
+// -scenario declares the fields it reads; an unknown -scale is refused
+// before anything runs, and the plan's quick grid probes more headroom
+// than its tiny one.
 func TestParamsPresets(t *testing.T) {
 	for _, e := range registry {
 		t.Run(e.name, func(t *testing.T) {
@@ -32,6 +33,9 @@ func TestParamsPresets(t *testing.T) {
 			}
 			if e.scenario == nil {
 				return
+			}
+			if slices.Contains(e.flags, "scenario") && len(e.reads) == 0 {
+				t.Error("reads -scenario but declares no field it reads")
 			}
 			for _, s := range scales {
 				sc := e.scenario(s)
@@ -48,7 +52,7 @@ func TestParamsPresets(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, err := experiments.DecodeScenario(data, experiments.Scenario{}); err != nil || got != sc {
+				if got, err := experiments.DecodeScenario(data, experiments.Scenario{}, nil); err != nil || got != sc {
 					t.Errorf("%s: decode(encode(base)) = %+v, %v; want %+v", s, got, err, sc)
 				}
 			}
@@ -82,12 +86,13 @@ func TestUnknownExperimentErrorListsNames(t *testing.T) {
 // experiment does not read, is an error naming the flag, returned
 // before anything runs.  A -scenario file (a row's doc) with an unknown
 // field, a value of the wrong type or out of its range, a topology
-// shape no generator builds, or a change to a field the entry's axis
-// sets at every point, is refused before anything runs with an error
-// naming the field.  An entry that does not run its whole scenario
-// refuses -scenario as it refuses any flag it does not read.  A sweep
-// point the fabric refuses fails the run with an error naming the
-// point.
+// shape no generator builds, a change to a field the entry's axis sets
+// at every point or its run does not read, or a value its run cannot
+// start with, is refused before anything runs with an error naming the
+// field and the file.  An entry that does not run a scenario refuses
+// -scenario as it refuses any flag it does not read; every other entry
+// accepts the empty document.  A sweep point the fabric refuses fails
+// the run with an error naming the point.
 func TestRunRejectsBadFlags(t *testing.T) {
 	dir := t.TempDir()
 	tiny := func(exp string) []string { return []string{"-exp", exp, "-scale", "tiny"} }
@@ -157,12 +162,32 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"Topology.Seed", tiny("churn"), `{"Topology": {"Seed": 9}}`},
 		{"Faults.Drop", tiny("faults"), `{"Faults": {"Drop": 0.5}}`},
 		{"Fabric.Seed", tiny("table2"), `{"Fabric": {"Seed": 9}}`},
-		// Entries that do not run their whole scenario.
+		// Fields the entry's run does not read.
+		{"Load", tiny("churn"), `{"BEMbps": 500, "Load": 0.5}`},
+		{"BEMbps", tiny("failover"), `{"MinPackets": 3, "WarmupIATs": 9, "Arrivals": 5, "BEMbps": 7}`},
+		{"Fabric.DataVLs", tiny("plan"), `{"Fabric": {"ISLIPIters": 1, "DataVLs": 4}}`},
+		{"Load", tiny("ablation-priority"), `{"Load": 0.5}`},
+		{"MinPackets", tiny("ablation-priority"), `{"MinPackets": 5}`},
+		{"Inband", tiny("vbr"), `{"Inband": true}`},
+		{"MinPackets", tiny("reconfig"), `{"MinPackets": 5}`},
+		// Axis fields of priority, vbr and reconfig.
+		{"Topology.Seed", tiny("ablation-priority"), `{"Topology": {"Seed": 9}}`},
+		{"Topology.Seed", tiny("vbr"), `{"Topology": {"Seed": 9}}`},
+		{"Failures", tiny("reconfig"), `{"Failures": "link 0 4 @100000"}`},
+		// Values a run cannot start with, and failure schedules that do
+		// not parse, need recovery, or name what the fabric lacks.
+		{"Conns", tiny("failover"), `{"Conns": 2}`},
+		{"Arrivals", tiny("churn"), `{"Arrivals": 0}`},
+		{"WindowIATs", tiny("ablation-priority"), `{"WindowIATs": 0}`},
+		{"FailAtBT, Conns", tiny("reconfig"), `{"Conns": 1000}`},
+		{"Failures", tiny("failover"), `{"Failures": "link 0 @100000"}`},
+		{"Failures, FailAtBT", tiny("failover"), `{"Failures": "switch 1 @100000", "FailAtBT": 0}`},
+		{"Failures", tiny("failover"), `{"Failures": "switch 99 @100000"}`},
+		{"Failures", tiny("failover"), `{"Failures": "switch 1 @10"}`},
+		{"HorizonBT", tiny("failover"), `{"Failures": "switch 1 @445000"}`},
+		// Entries that run no scenario.
 		{"-scenario", tiny("table1"), `{}`},
-		{"-scenario", tiny("ablation-priority"), `{}`},
 		{"-scenario", tiny("ablation-fill"), `{}`},
-		{"-scenario", tiny("vbr"), `{}`},
-		{"-scenario", tiny("reconfig"), `{}`},
 		{"-scenario", []string{"-exp", "hol", "-scenario", filepath.Join(dir, "missing.json")}, ""},
 		// More shards than a fabric has switches, and a trace of one
 		// engine under several, are refused naming the flags, or the
@@ -184,6 +209,19 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		err := run(args, io.Discard, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v %s: err = %v, want one naming %s", args, tc.doc, err, tc.want)
+		} else if tc.doc != "" && tc.want != "-scenario" && !strings.HasPrefix(err.Error(), "-scenario "+args[len(args)-1]+": ") {
+			t.Errorf("%v %s: err = %v, want one naming the file", args, tc.doc, err)
+		}
+	}
+	empty := filepath.Join(dir, "empty.json")
+	if err := os.WriteFile(empty, []byte(`{}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range registry {
+		if slices.Contains(e.flags, "scenario") {
+			if _, _, err := parse(append(tiny(e.name), "-scenario", empty), io.Discard); err != nil {
+				t.Errorf("-exp %s -scenario {}: %v", e.name, err)
+			}
 		}
 	}
 }

@@ -22,22 +22,27 @@ type experiment struct {
 	// when it runs none.  parse decodes -scenario over it and applies
 	// the flags (config.sc).
 	scenario func(experiments.Scale) experiments.Scenario
-	// axis names the scenario fields the experiment's sweep sets at
-	// every point, as experiments.DecodeScenario spells them: a
-	// -scenario file may not change them.
-	axis []string
-	run  func(c *config) (result, error)
+	// reads names the scenario fields the run reads, axis those its
+	// sweep sets at every point (experiments.DecodeScenario's paths): a
+	// -scenario file may change a field only under reads, not axis.
+	reads, axis []string
+	run         func(c *config) (result, error)
 	// wallClock names the report's top-level JSON fields that hold
 	// wall-clock measurements, which goldens leave out.
 	wallClock []string
 }
 
-// result is what an experiment run prints: its table without -json,
-// its report with it.  A run that fails returns its error beside a
-// result that must not be used.
+// result is what an experiment run prints: its table, then its report
+// after a blank line if it has one; under -json its report alone.  A
+// run that fails returns its error beside a result not to be used.
 type result struct {
 	table  func(w io.Writer) error
 	report any
+}
+
+// printed is the result of a table printer that cannot fail.
+func printed(print func(io.Writer), report any) result {
+	return result{func(w io.Writer) error { print(w); return nil }, report}
 }
 
 // scales are the -scale presets, smallest first.
@@ -49,7 +54,7 @@ var registry = []experiment{
 	{
 		name: "table1",
 		run: func(*config) (result, error) {
-			return text(experiments.PrintTable1), nil
+			return printed(experiments.PrintTable1, nil), nil
 		},
 	},
 	evaluation("table2"),
@@ -58,11 +63,13 @@ var registry = []experiment{
 	evaluation("figure6"),
 	{
 		name:     "ablation-priority",
-		flags:    []string{"seed"},
-		scenario: experiments.EvaluationScenario,
+		flags:    []string{"seed", "scenario"},
+		scenario: experiments.PriorityScenario,
+		reads:    []string{"Seed", "Topology", "Fabric", "WarmupIATs", "WindowIATs"},
+		axis:     []string{"Topology.Seed"},
 		run: func(c *config) (result, error) {
-			res, err := experiments.AblationPrioritySplit(c.sc.Seed, c.parallel)
-			return text(func(w io.Writer) { experiments.PrintPrioritySplit(w, res) }), err
+			res, err := experiments.AblationPrioritySplit(c.sc, c.parallel)
+			return printed(func(w io.Writer) { experiments.PrintPrioritySplit(w, res) }, nil), err
 		},
 	},
 	{
@@ -71,103 +78,114 @@ var registry = []experiment{
 		scenario: experiments.EvaluationScenario,
 		run: func(c *config) (result, error) {
 			res, err := experiments.AblationFillPolicies(fillTraces, c.sc.Seed, c.parallel)
-			return text(func(w io.Writer) { experiments.PrintFillPolicies(w, res) }), err
+			return printed(func(w io.Writer) { experiments.PrintFillPolicies(w, res) }, nil), err
 		},
 	},
 	{
 		name:     "ablation-vl",
 		flags:    []string{"seed", "switches", "shards", "scenario"},
 		scenario: experiments.EvaluationScenario,
+		reads:    measuredReads,
 		axis:     []string{"Topology.Seed", "Fabric.PayloadBytes", "Fabric.DataVLs"},
 		run: func(c *config) (result, error) {
 			rows, err := experiments.AblationVLCollapse(c.sc, []int{15, 8, 4}, c.parallel)
-			return text(func(w io.Writer) { experiments.PrintVLCollapse(w, rows) }), err
+			return printed(func(w io.Writer) { experiments.PrintVLCollapse(w, rows) }, nil), err
 		},
 	},
 	{
 		name:     "ablation-switch",
 		flags:    []string{"seed", "switches", "shards", "scenario"},
 		scenario: experiments.EvaluationScenario,
+		reads:    measuredReads,
 		axis:     []string{"Topology.Seed", "Fabric.PayloadBytes", "Fabric.CrossbarSpeedup"},
 		run: func(c *config) (result, error) {
 			rows, err := experiments.AblationSwitchModels(c.sc, []int{1, 2, 4}, c.parallel)
-			return text(func(w io.Writer) { experiments.PrintSwitchModels(w, rows) }), err
+			return printed(func(w io.Writer) { experiments.PrintSwitchModels(w, rows) }, nil), err
 		},
 	},
 	{
 		name:     "vbr",
-		flags:    []string{"seed"},
-		scenario: experiments.EvaluationScenario,
+		flags:    []string{"seed", "scenario"},
+		scenario: experiments.VBRScenario,
+		reads:    measuredReads,
+		axis:     []string{"Topology.Seed"},
 		run: func(c *config) (result, error) {
-			res, err := experiments.AblationVBR(c.sc.Seed, 4, 8, 4, 60, c.parallel)
-			return text(func(w io.Writer) { experiments.PrintVBR(w, res) }), err
+			res, err := experiments.AblationVBR(c.sc, c.parallel)
+			return printed(func(w io.Writer) { experiments.PrintVBR(w, res) }, nil), err
 		},
 	},
 	{
 		name:     "reconfig",
-		flags:    []string{"seed", "switches", "json"},
-		scenario: reconfigScenario,
+		flags:    []string{"seed", "switches", "scenario", "json"},
+		scenario: experiments.ReconfigScenario,
+		reads:    []string{"Seed", "Topology.Switches", "Fabric", "Inband", "Retry", "Conns", "FailAtBT", "HorizonBT"},
+		axis:     []string{"Topology.Seed", "Failures"},
 		run: func(c *config) (result, error) {
-			n := c.sc.Topology.Switches
-			res, err := experiments.Reconfiguration(n, c.sc.Seed, 40*n, c.parallel)
-			return withReport(func(w io.Writer) { experiments.PrintReconfig(w, res) }, res), err
+			res, err := experiments.Reconfiguration(c.sc, c.parallel)
+			return printed(func(w io.Writer) { experiments.PrintReconfig(w, res) }, res), err
 		},
 	},
 	{
 		name:     "scaling",
 		flags:    []string{"seed", "shards", "scenario"},
 		scenario: experiments.EvaluationScenario,
+		reads:    measuredReads,
 		axis:     []string{"Topology.Seed", "Topology.Switches", "Fabric.PayloadBytes"},
 		run: func(c *config) (result, error) {
 			rows, err := experiments.Scaling(c.sc, experiments.ScalingSizes(c.at), c.parallel)
-			return text(func(w io.Writer) { experiments.PrintScaling(w, rows) }), err
+			return printed(func(w io.Writer) { experiments.PrintScaling(w, rows) }, nil), err
 		},
 	},
 	{
 		name:     "churn",
 		flags:    []string{"seed", "switches", "shards", "churn-seeds", "scenario", "json"},
 		scenario: experiments.ChurnScenario,
+		reads:    lifecycleReads,
 		axis:     []string{"Topology.Seed"},
 		run: func(c *config) (result, error) {
 			res, err := experiments.ChurnSweep(c.sc, c.churnSeeds, c.parallel)
-			return withReport(func(w io.Writer) { experiments.PrintChurn(w, res) }, report[experiments.ChurnResult]{c.sc, nil, res}), err
+			return printed(func(w io.Writer) { experiments.PrintChurn(w, res) }, report[experiments.ChurnResult]{c.sc, nil, res}), err
 		},
 	},
 	{
 		name:     "faults",
 		flags:    []string{"seed", "switches", "shards", "scenario", "json"},
 		scenario: experiments.FaultsScenario,
+		reads:    append(lifecycleReads, "SMPFaults", "Faults", "Flaps", "MeanFlapDownBT", "Audit"),
 		axis:     []string{"Topology.Seed", "Faults.Drop", "Faults.Corrupt", "Flaps"},
 		run: func(c *config) (result, error) {
 			res, err := experiments.FaultsSweep(c.sc, c.parallel)
-			return withReport(func(w io.Writer) { experiments.PrintFaults(w, res) }, report[experiments.FaultsResult]{c.sc, nil, res}), err
+			return printed(func(w io.Writer) { experiments.PrintFaults(w, res) }, report[experiments.FaultsResult]{c.sc, nil, res}), err
 		},
 	},
 	{
 		name:     "failover",
 		flags:    []string{"seed", "scenario", "json"},
 		scenario: experiments.FailoverScenario,
+		reads:    []string{"Seed", "Topology", "Fabric", "Inband", "Retry", "Conns", "FailAtBT", "HorizonBT", "Failures"},
 		axis:     []string{"Topology"},
 		run: func(c *config) (result, error) {
 			res, err := experiments.FailoverSweep(c.sc, experiments.FailoverSpecs(c.at), c.parallel)
-			return withReport(func(w io.Writer) { experiments.PrintFailover(w, res) }, report[experiments.FailoverResult]{c.sc, nil, res}), err
+			return printed(func(w io.Writer) { experiments.PrintFailover(w, res) }, report[experiments.FailoverResult]{c.sc, nil, res}), err
 		},
 	},
 	{
 		name:     "scale",
 		flags:    []string{"seed", "shards", "scenario", "json"},
 		scenario: experiments.ScaleScenario,
+		reads:    measuredReads,
 		axis:     gridAxis,
 		run: func(c *config) (result, error) {
 			specs, loads := experiments.ScaleGrid(c.at)
 			res, err := experiments.ScaleSweep(c.sc, specs, loads, c.parallel)
-			return withReport(func(w io.Writer) { experiments.PrintScale(w, res) }, report[experiments.ScaleResult]{c.sc, loads, res}), err
+			return printed(func(w io.Writer) { experiments.PrintScale(w, res) }, report[experiments.ScaleResult]{c.sc, loads, res}), err
 		},
 	},
 	{
 		name:     "plan",
 		flags:    []string{"seed", "plan-headroom-sl", "scenario", "json"},
 		scenario: experiments.ScaleScenario,
+		reads:    []string{"Seed", "Fabric.PayloadBytes", "MaxRejects"},
 		axis:     gridAxis,
 		run: func(c *config) (result, error) {
 			specs, loads, headroomMax := experiments.PlanGrid(c.at)
@@ -184,7 +202,7 @@ var registry = []experiment{
 				timing.PointMicros[i] = r.ModelMicros
 				timing.TotalMicros += r.ModelMicros
 			}
-			return withReport(func(w io.Writer) { experiments.PrintPlan(w, res) }, struct {
+			return printed(func(w io.Writer) { experiments.PrintPlan(w, res) }, struct {
 				Scenario    experiments.Scenario     `json:"scenario"`
 				Loads       []float64                `json:"loads"`
 				HeadroomSL  uint8                    `json:"headroomSL"`
@@ -199,20 +217,22 @@ var registry = []experiment{
 		name:     "hol",
 		flags:    []string{"seed", "shards", "scenario", "json"},
 		scenario: experiments.ScaleScenario,
+		reads:    append(measuredReads, "Metrics"), // the VOQ counters
 		axis:     append(gridAxis, "Fabric.SwitchModel"),
 		run: func(c *config) (result, error) {
 			specs, loads := experiments.ScaleGrid(c.at)
 			res, err := experiments.HOLSweep(c.sc, specs, loads, holModels, c.parallel)
-			return withReport(func(w io.Writer) { experiments.PrintHOL(w, res) }, report[experiments.HOLResult]{c.sc, loads, res}), err
+			return printed(func(w io.Writer) { experiments.PrintHOL(w, res) }, report[experiments.HOLResult]{c.sc, loads, res}), err
 		},
 	},
 	{
 		name:     "shardbench",
 		flags:    []string{"seed", "shards", "scenario", "json"},
 		scenario: experiments.ShardBenchScenario,
+		reads:    []string{"Seed", "Topology", "Fabric", "Load", "MaxRejects", "BEMbps", "HorizonBT"},
 		run: func(c *config) (result, error) {
 			res, err := experiments.ShardBench(c.sc)
-			return withReport(func(w io.Writer) { experiments.PrintShardBench(w, c.sc, res) }, struct {
+			return printed(func(w io.Writer) { experiments.PrintShardBench(w, c.sc, res) }, struct {
 				Scenario experiments.Scenario `json:"scenario"`
 				// CPUs bounds the achievable speedup at min(shards, CPUs):
 				// rows measured on a single-core host show sync overhead.
@@ -238,6 +258,7 @@ func evaluation(name string) experiment {
 		name:     name,
 		flags:    flags,
 		scenario: experiments.EvaluationScenario,
+		reads:    append(measuredReads, "Metrics", "Trace"),
 		axis:     []string{"Topology.Seed", "Fabric.PayloadBytes"},
 		run: func(c *config) (result, error) {
 			if c.asJSON && c.viz {
@@ -247,10 +268,11 @@ func evaluation(name string) experiment {
 			if err != nil {
 				return result{}, err
 			}
-			return result{
-				table:  func(w io.Writer) error { return printEvaluation(w, ev, name, c) },
-				report: newEvaluationReport(ev, c.sc, c.scale),
-			}, nil
+			res := result{table: func(w io.Writer) error { return printEvaluation(w, ev, name, c) }}
+			if c.asJSON { // the tables show every number of the report
+				res.report = newEvaluationReport(ev, c.sc, c.scale)
+			}
+			return res, nil
 		},
 	}
 }
@@ -301,7 +323,9 @@ func printEvaluation(w io.Writer, ev *experiments.Evaluation, which string, c *c
 		fmt.Fprintln(w)
 	}
 	if all {
-		res, err := experiments.AblationPrioritySplit(c.sc.Seed, c.parallel)
+		sc := experiments.PriorityScenario(c.at)
+		sc.Seed = c.sc.Seed
+		res, err := experiments.AblationPrioritySplit(sc, c.parallel)
 		if err != nil {
 			return err
 		}
@@ -320,6 +344,13 @@ func printEvaluation(w io.Writer, ev *experiments.Evaluation, which string, c *c
 	return nil
 }
 
+// The scenario fields a measured run (experiments' execute) and a
+// churn run read.
+var (
+	measuredReads  = []string{"Seed", "Topology", "Fabric", "MaxRejects", "BEMbps", "WarmupIATs", "WindowIATs", "MinPackets"}
+	lifecycleReads = []string{"Seed", "Topology", "Fabric", "Inband", "Retry", "Arrivals", "MeanGapBT", "MeanHoldBT", "SampleBT"}
+)
+
 // gridAxis is the axis of the structured-fabric grids (ScaleGrid): each
 // point sets the topology, the load and the best effort that scales
 // with it.
@@ -331,36 +362,6 @@ const fillTraces = 50
 
 // holModels are the switch models the hol sweep runs every cell under.
 var holModels = []fabric.SwitchModel{fabric.ModelWRR, fabric.ModelVOQISLIP, fabric.ModelVOQMWM}
-
-// reconfigScenario is the evaluation's scenario at s on the smallest
-// irregular fabric with a link that is not a cut edge at Tiny: three
-// switches.
-func reconfigScenario(s experiments.Scale) experiments.Scenario {
-	sc := experiments.EvaluationScenario(s)
-	if s == experiments.Tiny {
-		sc.Topology.Switches = 3
-	}
-	return sc
-}
-
-// text is the result of an experiment that prints a table and has no
-// JSON report.
-func text(print func(io.Writer)) result {
-	return result{table: func(w io.Writer) error {
-		print(w)
-		return nil
-	}}
-}
-
-// withReport is the result of a sweep: its table is followed by a
-// blank line and the report.
-func withReport(print func(io.Writer), report any) result {
-	return result{report: report, table: func(w io.Writer) error {
-		print(w)
-		fmt.Fprintln(w)
-		return encodeIndented(w, report)
-	}}
-}
 
 // report is the JSON report of a sweep: the scenario the entry ran,
 // the loads of its grid when it has one, and one row per point.

@@ -23,11 +23,18 @@ type PrioritySplitResult struct {
 	OldSchemeGoodput float64
 }
 
+// PriorityScenario is the priority-split ablation's base at every
+// scale: a 2-switch irregular fabric with small packets, measured for
+// 80 interarrival times of the victim after a warm-up of 4.
+func PriorityScenario(Scale) Scenario {
+	return Scenario{Seed: 42, Topology: irregular(2, 42), Fabric: fabric.DefaultConfig(0, smallPayload, 0), WarmupIATs: 4, WindowIATs: 80}
+}
+
 // prioritySplitScenario runs the common scenario on sc's fabric: a
-// well-behaved DB connection (SL 8, host 1 -> host 7) sharing a
-// 2-switch network with three DBTS sources (SL 5) that reserved
-// 20 Mbps each but transmit far above it.  oldScheme selects where the
-// DB reservation lives.
+// well-behaved DB connection (SL 8, host 1 -> host 7) sharing the
+// network with three DBTS sources (SL 5) that reserved 20 Mbps each but
+// transmit far above it, measured on the victim (execute).  oldScheme
+// selects where the DB reservation lives.
 func prioritySplitScenario(sc Scenario, oldScheme bool) (float64, error) {
 	r, err := build(sc)
 	if err != nil {
@@ -69,22 +76,16 @@ func prioritySplitScenario(sc Scenario, oldScheme bool) (float64, error) {
 		net.AddMisbehavingConnection(conn, 1800)
 	}
 
-	net.Start()
-	warmup := 4 * victim.IAT
-	net.Run(warmup)
-	net.StartMeasurement()
-	window := 80 * victim.IAT
-	net.Run(warmup + window)
-
-	expected := float64(window) / float64(victim.IAT)
-	return float64(victim.Delivered) / expected, nil
+	if err := r.execute([]*fabric.Flow{victim}); err != nil {
+		return 0, err
+	}
+	return float64(victim.Delivered) / float64(sc.WindowIATs), nil
 }
 
-// AblationPrioritySplit runs the two scenarios on workers goroutines
-// and reports both goodputs.  The paper's scheme keeps the victim's
-// goodput near 1; the old scheme starves it.
-func AblationPrioritySplit(seed int64, workers int) (PrioritySplitResult, error) {
-	sc := Scenario{Seed: seed, Topology: irregular(2, seed), Fabric: fabric.DefaultConfig(0, smallPayload, 0)}
+// AblationPrioritySplit runs the two schemes on sc, each at sc's seed,
+// on workers goroutines and reports both goodputs over the WindowIATs
+// window.  The paper's scheme keeps the victim's goodput near 1.
+func AblationPrioritySplit(sc Scenario, workers int) (PrioritySplitResult, error) {
 	goodputs, err := sameSeed(sc, []string{"priority-split-new", "priority-split-old"}, workers,
 		func(i int, sc Scenario) (float64, error) { return prioritySplitScenario(sc, i == 1) })
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/fabric"
+	"repro/internal/faults"
 	"repro/internal/topology"
 )
 
@@ -40,10 +41,11 @@ func refuse(fields, format string, args ...any) *FieldError {
 // keeps it, so a patch such as {"Fabric":{"ISLIPIters":1}} is a whole
 // document.  Keys are Scenario's field names, spelled exactly.  An
 // unknown field, a value of the wrong type, and a change to a field
-// under a path in axis (the fields the caller's sweep sets at every
-// point, such as "Topology" or "Fabric.PayloadBytes") are refused with
-// a *FieldError naming the field.  The result is not validated.
-func DecodeScenario(data []byte, base Scenario, axis ...string) (Scenario, error) {
+// under a path in axis (set at every point of the caller's sweep, such
+// as "Topology") or, unless reads is nil, under none in reads (read by
+// the caller's run) are refused with a *FieldError naming the field.
+// The result is not validated.
+func DecodeScenario(data []byte, base Scenario, reads []string, axis ...string) (Scenario, error) {
 	var doc map[string]json.RawMessage
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return base, fmt.Errorf("scenario document: %w", err)
@@ -52,12 +54,21 @@ func DecodeScenario(data []byte, base Scenario, axis ...string) (Scenario, error
 	if err := decodeFields(reflect.ValueOf(&sc).Elem(), doc, ""); err != nil {
 		return base, err
 	}
-	for _, path := range axis {
-		if fieldAt(sc, path).Interface() != fieldAt(base, path).Interface() {
-			return base, refuse(path, "the experiment's axis sets it at every point")
-		}
+	var v validator
+	walkFields(reflect.ValueOf(sc), "", func(path string, f reflect.Value) {
+		same := f.Interface() == fieldAt(base, path).Interface()
+		v.check(same || !covered(path, axis), path, "the experiment's axis sets it at every point")
+		v.check(same || reads == nil || covered(path, reads), path, "the experiment does not read it")
+	})
+	if v.err != nil {
+		return base, v.err
 	}
 	return sc, nil
+}
+
+// covered reports whether path is one of paths or lies under one.
+func covered(path string, paths []string) bool {
+	return slices.ContainsFunc(paths, func(p string) bool { return path == p || strings.HasPrefix(path, p+".") })
 }
 
 // decodeFields decodes the members of one JSON object into the struct
@@ -121,6 +132,9 @@ func (sc Scenario) Validate(axis ...string) error {
 	v.check(sc.Inband || sc.FailAtBT == 0, "FailAtBT, Inband", "failure recovery needs the in-band programmer")
 	v.check(sc.Fabric.FailoverEscape || sc.FailAtBT == 0, "FailAtBT, Fabric.FailoverEscape",
 		"failure recovery needs the escape weight on every data VL")
+	_, err := faults.ParseFailureSchedule(sc.Failures)
+	v.check(err == nil, "Failures", "%v", err)
+	v.check(sc.Failures == "" || sc.FailAtBT > 0, "Failures, FailAtBT", "a failure schedule needs the recovery a positive FailAtBT enables")
 
 	t := sc.Topology
 	switches, shape := 0, "Topology"
@@ -180,14 +194,9 @@ func (v *validator) check(ok bool, fields, format string, args ...any) bool {
 		return ok
 	}
 	e := refuse(fields, format, args...)
-	for _, field := range e.Fields {
-		for _, a := range v.axis {
-			if field == a || strings.HasPrefix(field, a+".") {
-				return ok
-			}
-		}
+	if !slices.ContainsFunc(e.Fields, func(field string) bool { return covered(field, v.axis) }) {
+		v.err = e
 	}
-	v.err = e
 	return ok
 }
 

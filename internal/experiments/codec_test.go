@@ -31,12 +31,14 @@ func FuzzScenarioCodec(f *testing.F) {
 		`{"Topology":{"Class":"dragonfly","A":16,"P":8,"H":8}}`,
 		`{"Fabric":{"SwitchModel":"voq-mwm","Shards":-2}}`,
 		`{"Trace":4,"Fabric":{"Shards":2}}`,
+		`{"Inband":true,"Fabric":{"FailoverEscape":true},"FailAtBT":100000,"Failures":"link 0 4 @100000 revive 300000\nswitch 1 @200000\n"}`,
+		`{"Failures":"link 0 @"}`,
 		`{"Load":1e400}`, `{"Bogus":1}`, `{"Topology":5}`, `null`, `[1]`, `{`,
 	} {
 		f.Add([]byte(doc))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sc, err := DecodeScenario(data, Scenario{})
+		sc, err := DecodeScenario(data, Scenario{}, nil)
 		decoded := err == nil
 		if decoded {
 			err = sc.Validate()
@@ -61,7 +63,7 @@ func FuzzScenarioCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded scenario does not encode: %v", err)
 		}
-		back, err := DecodeScenario(enc, Scenario{})
+		back, err := DecodeScenario(enc, Scenario{}, nil)
 		if err != nil || back != sc {
 			t.Fatalf("decode(encode(s)) = %+v, %v; want %+v", back, err, sc)
 		}
@@ -91,11 +93,11 @@ func isObject(data []byte) bool {
 
 // TestDecodeScenarioPatches: a document decodes over its base, fields
 // it leaves out keep the base's values, classes and switch models read
-// by name, and a change to an axis field is refused while restating the
-// base's value is not.
+// by name, and a change to an axis field or to a field under no read
+// path is refused while restating the base's value is not.
 func TestDecodeScenarioPatches(t *testing.T) {
 	base := ScaleScenario(Tiny)
-	sc, err := DecodeScenario([]byte(`{"Fabric": {"ISLIPIters": 1}, "Topology": {"Class": "fattree", "K": 4}}`), base)
+	sc, err := DecodeScenario([]byte(`{"Fabric": {"ISLIPIters": 1}, "Topology": {"Class": "fattree", "K": 4}}`), base, []string{"Fabric", "Topology"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +106,15 @@ func TestDecodeScenarioPatches(t *testing.T) {
 	if sc != want {
 		t.Errorf("decoded %+v, want %+v", sc, want)
 	}
-	if _, err := DecodeScenario([]byte(`{"Topology": {"K": 4}}`), base, "Topology"); err == nil || !strings.Contains(err.Error(), "Topology") {
+	if _, err := DecodeScenario([]byte(`{"Topology": {"K": 4}}`), base, nil, "Topology"); err == nil || !strings.Contains(err.Error(), "Topology") {
 		t.Errorf("axis change: err = %v, want a refusal naming Topology", err)
 	}
-	if _, err := DecodeScenario([]byte(`{"Topology": {"K": 0}, "Load": 0}`), base, "Topology", "Load"); err != nil {
-		t.Errorf("restating the base's axis values: %v", err)
+	reads := []string{"Seed", "Fabric.PayloadBytes"}
+	var fe *FieldError
+	if _, err := DecodeScenario([]byte(`{"Seed": 3, "Fabric": {"DataVLs": 4}}`), base, reads); !errors.As(err, &fe) || fe.Fields[0] != "Fabric.DataVLs" {
+		t.Errorf("unread change: err = %v, want a *FieldError naming Fabric.DataVLs", err)
+	}
+	if _, err := DecodeScenario([]byte(`{"Topology": {"K": 0}, "Load": 0, "MaxRejects": 20, "Seed": 3}`), base, reads, "Topology", "Load"); err != nil {
+		t.Errorf("restating the base's axis and unread values: %v", err)
 	}
 }

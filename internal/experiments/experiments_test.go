@@ -209,7 +209,9 @@ func TestAblationPrioritySplit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	res, err := AblationPrioritySplit(7, 0)
+	sc := PriorityScenario(Tiny)
+	sc.Seed = 7
+	res, err := AblationPrioritySplit(sc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +330,7 @@ func TestAblationVBR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	res, err := AblationVBR(11, 4, 8, 2, 15, 0)
+	res, err := AblationVBR(vbrAt(11, 2, 15), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +358,8 @@ func TestAblationVBR(t *testing.T) {
 // so every displaced connection is either re-admitted or stopped, and
 // survival is 1 - stopped/admitted.
 func TestReconfigurationStudy(t *testing.T) {
-	res, err := Reconfiguration(8, 7, 50, 0)
+	sc := reconfigAt(8, 7, 50)
+	res, err := Reconfiguration(sc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,4 +433,13 @@ func TestSLBreakdown(t *testing.T) {
 	if !strings.Contains(buf.String(), "SL 0") {
 		t.Error("rendering incomplete")
 	}
+}
+
+// loaded builds sc and offers its load.
+func loaded(sc Scenario) (*Run, error) {
+	r, err := build(sc)
+	if err != nil {
+		return nil, err
+	}
+	return r, r.offer()
 }

@@ -69,9 +69,8 @@ type FailoverResult struct {
 	Hosts    int    `json:"hosts"`
 	Seed     int64  `json:"seed"`
 
-	// Schedule is the injected failure schedule in its text encoding;
-	// the run round-trips it through ParseFailureSchedule before
-	// applying, so the decoder sits on the real path.
+	// Schedule is the injected failure schedule in its text encoding:
+	// given to the point as Failures, it replays the point.
 	Schedule string `json:"schedule"`
 
 	Attempts int `json:"attempts"`
@@ -109,21 +108,14 @@ type FailoverResult struct {
 // admitGapBT spaces a failover run's QoS admission attempts.
 const admitGapBT = 277
 
-// failoverPoint runs the failover point sc.
-func failoverPoint(sc Scenario) (FailoverResult, error) {
-	return failoverRun(sc, func(net *fabric.Network, flows []*fabric.Flow) (faults.Schedule, error) {
-		return drawFailoverSchedule(net, flows, sc)
-	})
-}
-
-// failoverRun runs one live failover point: sc's QoS admissions, then
-// the failure schedule that schedule draws at sc.FailAtBT/2 from the
-// admitted flows (its first failure at sc.FailAtBT), recovery, a drain
-// and the end audits.
-func failoverRun(sc Scenario, schedule func(net *fabric.Network, flows []*fabric.Flow) (faults.Schedule, error)) (FailoverResult, error) {
+// failoverRun runs one live failover point: sc's QoS admissions, then,
+// at sc.FailAtBT/2, sc's failure schedule, or, when sc.Failures is
+// empty, one drawn from the admitted flows (its first failure at
+// sc.FailAtBT), recovery, a drain and the end audits.
+func failoverRun(sc Scenario) (FailoverResult, error) {
 	var res FailoverResult
 	if sc.Conns < 3 || sc.FailAtBT < 1 {
-		return res, fmt.Errorf("experiments: failover point %v out of range", sc.Topology)
+		return res, refuse("Conns, FailAtBT", "a failover point needs at least 3 admission attempts and a failure time, not %d and %d BT", sc.Conns, sc.FailAtBT)
 	}
 	r, err := build(sc)
 	if err != nil {
@@ -131,13 +123,16 @@ func failoverRun(sc Scenario, schedule func(net *fabric.Network, flows []*fabric
 	}
 	net, prog, rec := r.Net, r.prog, r.rec
 	topo := net.Topo
+	// Validate (in build) refused a schedule that does not parse.
+	given, _ := faults.ParseFailureSchedule(sc.Failures)
+	for i, ev := range given {
+		if ev.Switch >= topo.NumSwitches || ev.Kind == faults.FailLink && !topo.Wired(ev.Switch, ev.Port) || ev.At < sc.FailAtBT/2 {
+			return res, refuse("Failures", "failure %d names an element the fabric lacks or precedes the schedule's application at FailAtBT/2", i+1)
+		}
+	}
 
-	res.Class = sc.Topology.Class.String()
-	res.Label = sc.Topology.Label()
-	res.Switches = topo.NumSwitches
-	res.Hosts = topo.NumHosts()
-	res.Seed = sc.Seed
-	res.BaseCDG = r.proof
+	res = FailoverResult{Class: sc.Topology.Class.String(), Label: sc.Topology.Label(),
+		Switches: topo.NumSwitches, Hosts: topo.NumHosts(), Seed: sc.Seed, BaseCDG: r.proof}
 
 	// QoS admissions, spread out in time so in-flight table programs
 	// do not reject their successors.
@@ -161,8 +156,8 @@ func failoverRun(sc Scenario, schedule func(net *fabric.Network, flows []*fabric
 		})
 	}
 
-	// Draw the failure schedule once traffic is established, encode it
-	// to text and apply the re-parsed form.  Every distinct failure
+	// Once traffic is established, apply the given failure schedule or
+	// one drawn from the admitted flows.  Every distinct failure
 	// time changes the dead set, so each must end in a repair; a
 	// revival may leave the classification alone.
 	var runErr error
@@ -174,10 +169,13 @@ func failoverRun(sc Scenario, schedule func(net *fabric.Network, flows []*fabric
 			runErr = fmt.Errorf("failover %s: only %d connections admitted", res.Label, len(flows))
 			return
 		}
-		sched, err := schedule(net, flows)
-		if err != nil {
-			runErr = fmt.Errorf("failover %s: %w", res.Label, err)
-			return
+		sched := given
+		if sc.Failures == "" {
+			var err error
+			if sched, err = drawFailoverSchedule(net, flows, sc); err != nil {
+				runErr = fmt.Errorf("failover %s: %w", res.Label, err)
+				return
+			}
 		}
 		failures = make(map[int64]bool, len(sched))
 		last := int64(0)
@@ -186,16 +184,11 @@ func failoverRun(sc Scenario, schedule func(net *fabric.Network, flows []*fabric
 			last = max(last, ev.At, ev.Revive)
 		}
 		if sc.HorizonBT <= last+subnet.TimeoutBT+2*subnet.PollBT {
-			runErr = fmt.Errorf("failover %s: horizon %d inside the last detection window", res.Label, sc.HorizonBT)
+			runErr = fmt.Errorf("failover %s: %w", res.Label, refuse("HorizonBT", "horizon %d inside the last detection window", sc.HorizonBT))
 			return
 		}
 		res.Schedule = sched.String()
-		parsed, err := faults.ParseFailureSchedule(res.Schedule)
-		if err != nil {
-			runErr = fmt.Errorf("failover %s: schedule did not round-trip: %w", res.Label, err)
-			return
-		}
-		if err := rec.ApplySchedule(parsed); err != nil {
+		if err := rec.ApplySchedule(sched); err != nil {
 			runErr = fmt.Errorf("failover %s: %w", res.Label, err)
 		}
 	})
@@ -319,7 +312,7 @@ func FailoverSweep(sc Scenario, specs []topology.Spec, workers int) ([]FailoverR
 			Run: func(seed int64) (FailoverResult, error) {
 				p := sc
 				p.Topology, p.Seed = spec, seed
-				return failoverPoint(p)
+				return failoverRun(p)
 			},
 		}
 	}

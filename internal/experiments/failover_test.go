@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/runner"
@@ -87,9 +88,35 @@ func TestFailoverRevivedPortHeals(t *testing.T) {
 		sc.Topology = irregular(n, 42)
 		for s := int64(1); s <= 10; s++ {
 			sc.Seed = runner.DeriveSeed(s, 0)
-			if _, err := failoverPoint(sc); err != nil {
+			if _, err := failoverRun(sc); err != nil {
 				t.Errorf("%s base seed %d: %v", sc.Topology.Label(), s, err)
 			}
+		}
+	}
+}
+
+// TestFailoverGivenScheduleReplays: a point given the schedule its own
+// run drew, as Failures, reproduces that run field for field, on every
+// tiny topology class.
+func TestFailoverGivenScheduleReplays(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run in -short mode")
+	}
+	sc := FailoverScenario(Tiny)
+	for _, spec := range FailoverSpecs(Tiny) {
+		sc.Topology = spec
+		drawn, err := failoverRun(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		given := sc
+		given.Failures = drawn.Schedule
+		replayed, err := failoverRun(given)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Label(), err)
+		}
+		if !reflect.DeepEqual(replayed, drawn) {
+			t.Errorf("%s: replaying %q gives\n%+v\nwant\n%+v", spec.Label(), drawn.Schedule, replayed, drawn)
 		}
 	}
 }

@@ -58,13 +58,14 @@ type churnArrival struct {
 // auditor, whose quarantined ports admission refuses (ErrHopDown) and
 // the end audit skips.
 func runLifecycles(sc Scenario) (*lifecycles, error) {
-	if sc.Arrivals < 1 || sc.MeanGapBT < 1 || sc.MeanHoldBT < 1 || sc.SampleBT < 1 || !sc.Inband {
-		return nil, fmt.Errorf("experiments: churn of %d arrivals (gap %d, hold %d, sample %d BT, in-band %v) out of range",
-			sc.Arrivals, sc.MeanGapBT, sc.MeanHoldBT, sc.SampleBT, sc.Inband)
-	}
-	r, err := build(sc)
+	r, err := build(sc) // Validate refuses a negative count or time
 	if err != nil {
 		return nil, err
+	}
+	for _, path := range []string{"Arrivals", "MeanGapBT", "MeanHoldBT", "SampleBT", "Inband"} {
+		if fieldAt(sc, path).IsZero() {
+			return nil, refuse(path, "unset: a churn run needs positive counts and times, and in-band programming")
+		}
 	}
 	net, prog, aud := r.Net, r.prog, r.aud
 

@@ -7,22 +7,35 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/arbtable"
-	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/sl"
 	"repro/internal/subnet"
 	"repro/internal/topology"
 )
 
+// ReconfigScenario is the control-plane study's base at scale s: the
+// failover scenario on the evaluation's irregular fabric at s, on at
+// least three switches (the fewest with a link that is not a cut edge),
+// with 40 QoS admission attempts per switch, all before the failures
+// are applied at FailAtBT/2 so that the repair cost counts repair
+// traffic alone.
+func ReconfigScenario(s Scale) Scenario {
+	sc := FailoverScenario(Tiny)
+	sc.Seed, sc.Topology = 42, EvaluationScenario(s).Topology
+	sc.Topology.Switches = max(3, sc.Topology.Switches)
+	sc.Conns = 40 * sc.Topology.Switches
+	sc.FailAtBT = max(sc.FailAtBT, 2*int64(sc.Conns)*admitGapBT)
+	sc.HorizonBT = 2 * sc.FailAtBT
+	return sc
+}
+
 // ReconfigResult reports the control-plane study: what it costs the
 // subnet manager to bring up the paper's QoS configuration, and what a
 // single-link failure costs the live fabric (the fault-granularity
 // story of the paper's introduction).
 type ReconfigResult struct {
-	Switches int   `json:"switches"`
-	Hosts    int   `json:"hosts"`
-	Seed     int64 `json:"seed"`
-	Conns    int   `json:"conns"` // QoS admission attempts per run
+	Scenario Scenario `json:"scenario"` // as given, before its wiring seed follows Seed
+	Hosts    int      `json:"hosts"`
 
 	// Initial bring-up.
 	Sweep      subnet.Costs `json:"sweep"`
@@ -50,17 +63,22 @@ type LinkFailure struct {
 	RepairMADs int     `json:"repairMADs"` // in-band MADs from the failure to the end of the drain
 }
 
-// Reconfiguration runs the control-plane study on the irregular fabric
-// topology.Generate(switches, seed): the subnet manager's bring-up,
-// then one live failover run per non-cut inter-switch link with conns
-// QoS admission attempts, fanned out over workers.  Every run uses the
-// same topology and seed, so the rows differ only in the failed link.
-func Reconfiguration(switches int, seed int64, conns, workers int) (ReconfigResult, error) {
-	topo, err := topology.Generate(switches, seed)
-	if err != nil {
-		return ReconfigResult{}, err
+// Reconfiguration runs the control-plane study on sc's irregular
+// fabric, wired from sc's seed: the subnet manager's bring-up, then one
+// live failover run of sc per non-cut inter-switch link, whose Failures
+// fail that link for good at FailAtBT, fanned out over workers.  The
+// rows differ only in the failed link.
+func Reconfiguration(sc Scenario, workers int) (ReconfigResult, error) {
+	res := ReconfigResult{Scenario: sc}
+	sc = sc.seeded(sc.Seed)
+	if last := int64(sc.Conns-1)*admitGapBT + 1; sc.FailAtBT/2 <= last {
+		return res, refuse("FailAtBT, Conns", "the failures applied at FailAtBT/2 = %d BT must follow the last admission attempt at %d BT", sc.FailAtBT/2, last)
 	}
-	res := ReconfigResult{Switches: switches, Hosts: topo.NumHosts(), Seed: seed, Conns: conns}
+	topo, err := topology.Generate(sc.Topology.Switches, sc.Seed)
+	if err != nil {
+		return res, err
+	}
+	res.Hosts = topo.NumHosts()
 
 	m := subnet.NewManager(topo)
 	if res.Sweep, err = m.Discover(); err != nil {
@@ -74,16 +92,7 @@ func Reconfiguration(switches int, seed int64, conns, workers int) (ReconfigResu
 		return res, err
 	}
 
-	// The failover scenario on this fabric.  The schedule is applied at
-	// FailAtBT/2, after the last admission attempt, so the repair cost
-	// counts repair traffic alone.  One permanent failure is repaired
-	// long before twice its time.
-	sc := FailoverScenario(Tiny)
-	sc.Topology, sc.Seed, sc.Conns = irregular(switches, seed), seed, conns
-	sc.FailAtBT = max(sc.FailAtBT, 2*int64(conns)*admitGapBT)
-	sc.HorizonBT = 2 * sc.FailAtBT
-	var names []string
-	var fails []faults.Schedule
+	var names, fails []string
 	for _, l := range topo.Links() {
 		cut := topo.Clone()
 		if err := cut.RemoveLink(l.A.Switch, l.A.Port); err != nil {
@@ -94,15 +103,14 @@ func Reconfiguration(switches int, seed int64, conns, workers int) (ReconfigResu
 			continue
 		}
 		names = append(names, fmt.Sprintf("%d:%d-%d:%d", l.A.Switch, l.A.Port, l.B.Switch, l.B.Port))
-		fails = append(fails, faults.Schedule{{Kind: faults.FailLink, Switch: l.A.Switch, Port: l.A.Port, At: sc.FailAtBT}})
+		fails = append(fails, faults.Schedule{{Kind: faults.FailLink, Switch: l.A.Switch, Port: l.A.Port, At: sc.FailAtBT}}.String())
 	}
 	if len(names) == 0 {
-		return res, fmt.Errorf("experiments: reconfiguration: the %d-switch fabric has no inter-switch link that is not a cut edge", switches)
+		return res, refuse("Topology.Switches", "the %d-switch fabric has no inter-switch link that is not a cut edge", topo.NumSwitches)
 	}
 	res.Links, err = sameSeed(sc, names, workers, func(i int, sc Scenario) (LinkFailure, error) {
-		r, err := failoverRun(sc, func(*fabric.Network, []*fabric.Flow) (faults.Schedule, error) {
-			return fails[i], nil
-		})
+		sc.Failures = fails[i]
+		r, err := failoverRun(sc)
 		return LinkFailure{
 			Link: names[i], Admitted: r.Admitted,
 			Displaced: r.Control.FlowsDisplaced, Readmitted: r.Readmitted, Stopped: r.StoppedConns,
@@ -128,7 +136,7 @@ func Reconfiguration(switches int, seed int64, conns, workers int) (ReconfigResu
 // link.
 func PrintReconfig(w io.Writer, r ReconfigResult) {
 	fmt.Fprintf(w, "Control plane — subnet manager bring-up and live link-failure repair (%d switches, %d hosts)\n",
-		r.Switches, r.Hosts)
+		r.Scenario.Topology.Switches, r.Hosts)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "discovery sweep\t%d MADs\t%d devices\n", r.Sweep.MADs, r.Sweep.Devices)
 	fmt.Fprintf(tw, "forwarding tables\t%d MADs\n", r.Forwarding.MADs)

@@ -33,12 +33,13 @@ func TestReconfigurationTable(t *testing.T) {
 	var prevQoSMADs int
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			res, err := Reconfiguration(c.switches, c.seed, c.conns, 0)
+			sc := reconfigAt(c.switches, c.seed, c.conns)
+			res, err := Reconfiguration(sc, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Switches != c.switches || res.Hosts <= 0 {
-				t.Fatalf("size not echoed: %+v", res)
+			if res.Hosts <= 0 {
+				t.Fatalf("no hosts: %+v", res)
 			}
 			if res.Sweep.MADs == 0 || res.Forwarding.MADs == 0 || res.QoS.MADs == 0 {
 				t.Errorf("bring-up costs incomplete: sweep %d, fwd %d, qos %d",
@@ -104,11 +105,22 @@ func TestReconfigurationTable(t *testing.T) {
 // edge to fail.  Both errors must surface, not panic or print a
 // study of nothing.
 func TestReconfigurationRejectsDegenerateFabric(t *testing.T) {
-	if _, err := Reconfiguration(1, 7, 10, 1); err == nil {
+	if _, err := Reconfiguration(reconfigAt(1, 7, 10), 1); err == nil {
 		t.Fatal("1-switch fabric accepted")
 	}
-	_, err := Reconfiguration(2, 7, 10, 1)
+	_, err := Reconfiguration(reconfigAt(2, 7, 10), 1)
 	if err == nil || !strings.Contains(err.Error(), "cut edge") {
 		t.Fatalf("2-switch fabric: got %v, want an error naming the missing non-cut link", err)
 	}
+}
+
+// reconfigAt is the control-plane study's base on the irregular fabric
+// of the given size wired from seed, with conns admission attempts and
+// its failures timed after the last of them.
+func reconfigAt(switches int, seed int64, conns int) Scenario {
+	sc := ReconfigScenario(Tiny)
+	sc.Seed, sc.Topology, sc.Conns = seed, irregular(switches, seed), conns
+	sc.FailAtBT = max(100_000, 2*int64(conns)*admitGapBT)
+	sc.HorizonBT = 2 * sc.FailAtBT
+	return sc
 }

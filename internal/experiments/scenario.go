@@ -94,17 +94,21 @@ type Scenario struct {
 	Audit          subnet.AuditConfig
 
 	// Link failures (failoverRun): Conns QoS admissions through the
-	// in-band programmer, then a failure schedule whose first failure
-	// falls at FailAtBT.  A positive FailAtBT enables the subnet
-	// manager's recovery, which needs Inband and Fabric.FailoverEscape.
+	// in-band programmer, then, applied at FailAtBT/2, the schedule in
+	// Failures (faults.ParseFailureSchedule's text) or else one drawn
+	// from the admitted flows with its first failure at FailAtBT.  A
+	// positive FailAtBT enables recovery (Inband, Fabric.FailoverEscape).
 	Conns    int
 	FailAtBT int64
+	Failures string `json:",omitempty"`
 
 	// WarmupIATs is the warm-up in interarrival times of the slowest
-	// QoS flow; the measurement window then closes when that flow has
+	// measured flow.  The measurement window then lasts WindowIATs of
+	// those times or, when WindowIATs is 0, closes when that flow has
 	// received MinPackets packets.  HorizonBT is the simulated length
 	// of the runs that stop at a fixed time, in byte times.
 	WarmupIATs int64
+	WindowIATs int64 `json:",omitempty"`
 	MinPackets int
 	HorizonBT  int64
 
@@ -244,37 +248,30 @@ func (r *Run) offer() error {
 	return nil
 }
 
-// loaded builds sc and offers its load.
-func loaded(sc Scenario) (*Run, error) {
-	r, err := build(sc)
-	if err != nil {
-		return nil, err
-	}
-	return r, r.offer()
-}
-
-// measured builds sc, offers its load and executes it.
+// measured builds sc, offers its load and executes it on its QoS flows.
 func measured(sc Scenario) (*Run, error) {
-	r, err := loaded(sc)
-	if err != nil {
-		return nil, err
+	r, err := build(sc)
+	if err == nil {
+		err = r.offer()
 	}
-	return r, r.execute()
+	if err == nil {
+		err = r.execute(r.Flows)
+	}
+	return r, err
 }
 
-// execute is the steady-state protocol of every run that measures until
-// a quota: start the flows, warm up for WarmupIATs interarrival periods
-// of the slowest QoS flow, open the measurement window, and run until
-// that flow has received MinPackets packets — with a generous time cap
-// so a defect cannot hang the harness.  The fabric is audited at the
-// end (Network.CheckInvariants).
-func (r *Run) execute() error {
-	net, flows := r.Net, r.Flows
+// execute is the steady-state protocol of every measured run: start the
+// flows, warm up for WarmupIATs interarrival periods of the slowest of
+// flows, measure for WindowIATs of them or, if that is 0, until it has
+// received MinPackets packets (under a time cap, so a defect cannot hang
+// the harness), then audit the fabric (Network.CheckInvariants).
+func (r *Run) execute(flows []*fabric.Flow) error {
+	net := r.Net
 	if len(flows) == 0 {
 		return errors.New("experiments: no connections admitted")
 	}
-	if r.sc.MinPackets < 1 {
-		return refuse("MinPackets", "a window of %d packets is out of range", r.sc.MinPackets)
+	if r.sc.WindowIATs == 0 && r.sc.MinPackets < 1 {
+		return refuse("MinPackets, WindowIATs", "a window of %d packets, or of 0 interarrival times, is out of range", r.sc.MinPackets)
 	}
 	slowest := flows[0]
 	for _, f := range flows[1:] {
@@ -286,10 +283,11 @@ func (r *Run) execute() error {
 	warmup := r.sc.WarmupIATs * slowest.IAT
 	net.Run(warmup)
 	net.StartMeasurement()
-	target := int64(r.sc.MinPackets)
-	timeCap := warmup + (target+8)*slowest.IAT*2
-	net.RunWhile(func() bool {
-		return slowest.Delivered < target && net.Now() < timeCap
-	})
+	if target := int64(r.sc.MinPackets); r.sc.WindowIATs == 0 {
+		timeCap := warmup + (target+8)*slowest.IAT*2
+		net.RunWhile(func() bool { return slowest.Delivered < target && net.Now() < timeCap })
+	} else {
+		net.Run(warmup + r.sc.WindowIATs*slowest.IAT)
+	}
 	return net.CheckInvariants()
 }

@@ -10,6 +10,10 @@ import (
 	"repro/internal/traffic"
 )
 
+// The extension's vbrFlows on/off sources each burst vbrBurst packets
+// at vbrPeakFactor times their mean rate.
+const vbrPeakFactor, vbrBurst, vbrFlows = 4, 8, 24
+
 // VBRResult compares how variable-bit-rate sources fare under the
 // paper's framework depending on what they reserve.  The authors'
 // companion work ("Performance Evaluation of VBR Traffic in
@@ -18,38 +22,37 @@ import (
 // queueing beyond their share, while reserving the peak rate restores
 // the CBR-grade guarantees.
 type VBRResult struct {
-	PeakFactor int
-	Burst      int
-
-	MeanReserved VBRScenario
-	PeakReserved VBRScenario
+	MeanReserved VBROutcome
+	PeakReserved VBROutcome
 }
 
-// VBRScenario is one reservation policy's outcome.
-type VBRScenario struct {
+// VBROutcome is one reservation policy's outcome.
+type VBROutcome struct {
 	DeadlineMetPercent float64
 	WorstDelayRatio    float64
 	Connections        int
 }
 
-// vbrBase is the VBR extension's scenario on the irregular fabric of
-// the given size: small packets, a CBR fill that stops after 200
-// refusals in a row, no best effort.
-func vbrBase(seed int64, switches int) Scenario {
+// VBRScenario is the VBR extension's base at every scale: the 4-switch
+// irregular fabric with small packets, a CBR fill that stops after 200
+// refusals in a row, no best effort, and a window of 60 interarrival
+// times of the slowest VBR source after a warm-up of 3.
+func VBRScenario(Scale) Scenario {
 	return Scenario{
-		Seed: seed, Topology: irregular(switches, seed), Fabric: fabric.DefaultConfig(0, smallPayload, 0),
-		Saturate: true, MaxRejects: 200,
+		Seed: 42, Topology: irregular(4, 42), Fabric: fabric.DefaultConfig(0, smallPayload, 0),
+		Saturate: true, MaxRejects: 200, WarmupIATs: 3, WindowIATs: 60,
 	}
 }
 
 // vbrScenario loads sc's network with on/off VBR connections on SLs
-// 2-5, then with sc's saturating CBR fill (bursts only contend when the
-// links carry real load).  reservePeak selects whether admission
-// reserves the peak rate or only the mean.
-func vbrScenario(sc Scenario, peakFactor, burst int, windowIATs int64, reservePeak bool) (VBRScenario, error) {
+// 2-5, then with sc's CBR fill (bursts only contend when the links
+// carry real load), and measures the VBR sources (execute).
+// reservePeak selects whether admission reserves the peak rate or only
+// the mean.
+func vbrScenario(sc Scenario, peakFactor, burst int, reservePeak bool) (VBROutcome, error) {
 	r, err := build(sc)
 	if err != nil {
-		return VBRScenario{}, err
+		return VBROutcome{}, err
 	}
 	net := r.Net
 	// Means chosen so that mean*peakFactor stays inside each SL's
@@ -62,7 +65,7 @@ func vbrScenario(sc Scenario, peakFactor, burst int, windowIATs int64, reservePe
 	}
 	hosts := net.Topo.NumHosts()
 	var flows []*fabric.Flow
-	for i := 0; i < 24; i++ {
+	for i := 0; i < vbrFlows; i++ {
 		pl := plan[i%len(plan)]
 		reserve := pl.mean
 		if reservePeak {
@@ -77,35 +80,25 @@ func vbrScenario(sc Scenario, peakFactor, burst int, windowIATs int64, reservePe
 		}
 		conn, err := net.Adm.Admit(req)
 		if err != nil {
-			return VBRScenario{}, fmt.Errorf("admitting VBR connection %d: %w", i, err)
+			return VBROutcome{}, fmt.Errorf("admitting VBR connection %d: %w", i, err)
 		}
 		// The source's actual behavior is identical in both scenarios:
 		// bursts at peakFactor times the mean.  Build the flow from the
 		// mean rate, then let AddVBRConnection shape it.
 		conn.Req.Mbps = pl.mean
-		f := net.AddVBRConnection(conn, float64(peakFactor), burst)
-		flows = append(flows, f)
+		flows = append(flows, net.AddVBRConnection(conn, float64(peakFactor), burst))
 	}
 
-	// Saturating CBR background: fills the remaining budget so the
-	// VBR bursts have to share loaded links.
+	// The CBR background fills the remaining budget so the VBR bursts
+	// have to share loaded links.
 	if err := r.offer(); err != nil {
-		return VBRScenario{}, err
+		return VBROutcome{}, err
 	}
-
-	slowest := flows[0]
-	for _, f := range flows {
-		if f.IAT > slowest.IAT {
-			slowest = f
-		}
+	if err := r.execute(flows); err != nil {
+		return VBROutcome{}, err
 	}
-	net.Start()
-	net.Run(3 * slowest.IAT)
-	net.StartMeasurement()
-	net.Run(net.Now() + windowIATs*slowest.IAT)
-
 	all := mergedDelay(flows)
-	return VBRScenario{
+	return VBROutcome{
 		DeadlineMetPercent: all.PercentMeetingDeadline(),
 		WorstDelayRatio:    all.MaxRatio(),
 		Connections:        len(flows),
@@ -113,31 +106,24 @@ func vbrScenario(sc Scenario, peakFactor, burst int, windowIATs int64, reservePe
 }
 
 // AblationVBR runs both reservation policies for on/off VBR sources on
-// a network of the given size, measuring windowIATs periods of the
-// slowest VBR source.  The two scenarios fan out on workers
-// goroutines.
-func AblationVBR(seed int64, peakFactor, burst, switches int, windowIATs int64, workers int) (VBRResult, error) {
-	scenarios, err := sameSeed(vbrBase(seed, switches), []string{"vbr-mean-reserved", "vbr-peak-reserved"}, workers,
-		func(i int, sc Scenario) (VBRScenario, error) {
-			return vbrScenario(sc, peakFactor, burst, windowIATs, i == 1)
+// sc, each at sc's seed, on workers goroutines.
+func AblationVBR(sc Scenario, workers int) (VBRResult, error) {
+	outcomes, err := sameSeed(sc, []string{"vbr-mean-reserved", "vbr-peak-reserved"}, workers,
+		func(i int, sc Scenario) (VBROutcome, error) {
+			return vbrScenario(sc, vbrPeakFactor, vbrBurst, i == 1)
 		})
 	if err != nil {
 		return VBRResult{}, err
 	}
-	return VBRResult{
-		PeakFactor:   peakFactor,
-		Burst:        burst,
-		MeanReserved: scenarios[0],
-		PeakReserved: scenarios[1],
-	}, nil
+	return VBRResult{MeanReserved: outcomes[0], PeakReserved: outcomes[1]}, nil
 }
 
 // PrintVBR renders the VBR extension experiment.
 func PrintVBR(w io.Writer, r VBRResult) {
-	fmt.Fprintf(w, "Extension — VBR sources (peak %dx mean, bursts of %d packets)\n", r.PeakFactor, r.Burst)
+	fmt.Fprintf(w, "Extension — VBR sources (peak %dx mean, bursts of %d packets)\n", vbrPeakFactor, vbrBurst)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "reservation\tdeadline met (%)\tworst delay/D")
-	row := func(name string, s VBRScenario) {
+	row := func(name string, s VBROutcome) {
 		fmt.Fprintf(tw, "%s\t%.2f\t%.3f\n", name, s.DeadlineMetPercent, s.WorstDelayRatio)
 	}
 	row("mean rate", r.MeanReserved)

@@ -16,8 +16,10 @@
 #              test leaves for another).  It includes cmd/ibsim's
 #              *JSONGolden and *JSONParallelIdentical tests, which run
 #              every ibsim experiment with a JSON report at the tiny
-#              scale against its golden on 1 and 4 sweep workers, and
-#              check that every one reading -shards reports the same at
+#              scale against its golden on 1 and 4 sweep workers (and,
+#              when the report has no wall-clock field, the table of the
+#              same run against its testdata/*.golden.txt), and check
+#              that every one reading -shards reports the same at
 #              -shards 2 on 1 and 4 workers (the parallel core is
 #              deterministic at a fixed shard count), and TestTextGolden,
 #              which runs every experiment without a JSON report at the
