@@ -629,7 +629,7 @@ func program(t *testing.T, pt *core.PortTable) {
 		t.Fatalf("BeginProgram on a dirty port: %d blocks, error %v", len(d.Blocks()), err)
 	}
 	for _, b := range d.Blocks() {
-		if _, err := pt.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries); err != nil {
+		if _, err := pt.DeliverBlock(d.Version, b.Index, len(d.Blocks()), &b.Entries); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -556,15 +557,26 @@ func TestScaleJSONShape(t *testing.T) {
 
 // TestReportReplays: a golden report's scenario block, written to a
 // file and run through the same entry with -scenario and no other
-// scenario flag, reproduces the report byte for byte.
+// scenario flag, reproduces the report byte for byte.  So does the block
+// of a report at another -seed, for entries whose runs wire the fabric
+// from the run seed; that block shows the seed as its wiring seed.
 func TestReportReplays(t *testing.T) {
-	for _, name := range []string{"table2", "churn", "hol", "reconfig", "failover"} {
-		t.Run(name, func(t *testing.T) {
-			e := goldenEntry(t, name)
-			_, golden := goldenArgs(e)
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct{ name, seed string }{
+		{"table2", ""}, {"churn", ""}, {"hol", ""}, {"reconfig", ""}, {"failover", ""},
+		{"table2", "2026"}, {"reconfig", "2026"},
+	} {
+		t.Run(strings.TrimSuffix(tc.name+"-seed"+tc.seed, "-seed"), func(t *testing.T) {
+			e := goldenEntry(t, tc.name)
+			args, golden := goldenArgs(e)
+			var want []byte
+			if tc.seed == "" {
+				var err error
+				if want, err = os.ReadFile(golden); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				golden = strings.Join(append(args, "-seed", tc.seed), " ")
+				want = encodeReport(t, args, "-seed", tc.seed, "-parallel", "1")
 			}
 			var rep struct {
 				Scenario json.RawMessage `json:"scenario"`
@@ -572,11 +584,20 @@ func TestReportReplays(t *testing.T) {
 			if err := json.Unmarshal(want, &rep); err != nil || rep.Scenario == nil {
 				t.Fatalf("%s has no scenario block (%v)", golden, err)
 			}
+			if tc.seed != "" {
+				var sc experiments.Scenario
+				if err := json.Unmarshal(rep.Scenario, &sc); err != nil {
+					t.Fatal(err)
+				}
+				if s := strconv.FormatInt(sc.Seed, 10); s != tc.seed || sc.Topology.Seed != sc.Seed {
+					t.Errorf("%s: scenario Seed %d, Topology.Seed %d, want both %s", golden, sc.Seed, sc.Topology.Seed, tc.seed)
+				}
+			}
 			path := filepath.Join(t.TempDir(), "scenario.json")
 			if err := os.WriteFile(path, rep.Scenario, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			got := encodeReport(t, []string{"-exp", name, "-scale", "tiny", "-json", "-scenario", path}, "-parallel", "1")
+			got := encodeReport(t, []string{"-exp", tc.name, "-scale", "tiny", "-json", "-scenario", path}, "-parallel", "1")
 			if !bytes.Equal(got, want) {
 				t.Errorf("replaying the scenario block of %s gives a different report", golden)
 			}

@@ -155,7 +155,7 @@ var registry = []experiment{
 		axis:     []string{"Topology.Seed", "Faults.Drop", "Faults.Corrupt", "Flaps"},
 		run: func(c *config) (result, error) {
 			res, err := experiments.FaultsSweep(c.sc, c.parallel)
-			return printed(func(w io.Writer) { experiments.PrintFaults(w, res) }, report[experiments.FaultsResult]{c.sc, nil, res}), err
+			return printed(func(w io.Writer) { experiments.PrintFaults(w, res) }, report[experiments.FaultsResult]{wiredBySeed(c.sc), nil, res}), err
 		},
 	},
 	{
@@ -270,7 +270,7 @@ func evaluation(name string) experiment {
 			}
 			res := result{table: func(w io.Writer) error { return printEvaluation(w, ev, name, c) }}
 			if c.asJSON { // the tables show every number of the report
-				res.report = newEvaluationReport(ev, c.sc, c.scale)
+				res.report = newEvaluationReport(ev, wiredBySeed(c.sc), c.scale)
 			}
 			return res, nil
 		},
@@ -362,6 +362,14 @@ const fillTraces = 50
 
 // holModels are the switch models the hol sweep runs every cell under.
 var holModels = []fabric.SwitchModel{fabric.ModelWRR, fabric.ModelVOQISLIP, fabric.ModelVOQMWM}
+
+// wiredBySeed is sc as the runs of an entry that wires its fabric from
+// the run seed use it (experiments.Evaluate, FaultsSweep): the wiring
+// seed its report shows is Seed.
+func wiredBySeed(sc experiments.Scenario) experiments.Scenario {
+	sc.Topology.Seed = sc.Seed
+	return sc
+}
 
 // report is the JSON report of a sweep: the scenario the entry ran,
 // the loads of its grid when it has one, and one row per point.

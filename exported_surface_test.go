@@ -377,7 +377,6 @@ var exportedAllowlist = map[string]string{
 	"arbtable.Arbiter.Reanchors":     "test hook: fabric's TestSlabNeighboursNeverAlias checks that a table swap re-anchors the arbiters reading that table",
 	"arbtable.LimitUnit":             "IBA unit of LimitOfHighPriority, the scale of the exported Table.Limit",
 	"arbtable.NewArbiter":            "bench/ probe, frozen until ROADMAP 3(b); the one-element case of Arbiter.Init, which the fabric's arbiter slab calls",
-	"bitrev.Reverse":                 "the paper's bit-reversal permutation; Order is its table form",
 	"core.Allocator.Defragment":      "bench/ probe, frozen until ROADMAP 3(b)",
 	"core.Allocator.SequencesForVL":  "bench/ probe, frozen until ROADMAP 3(b)",
 	"core.Delta.Append":              "test hook: subnet's TestProgramRejectsBadDeltaBeforePosting builds a delta naming a block out of range",

@@ -83,12 +83,15 @@ func (id PortID) String() string {
 // port's data plane.  Implementations must eventually deliver every
 // block of the delta to pt.DeliverBlock (in any order), and — when the
 // port's shadow table changed again in the meantime — chain a new
-// BeginProgram once the delta has been applied.  A controller without
-// one programs synchronously, at no cost: the batch experiments'
-// semantics, where the data plane matches the control plane as soon as
-// Admit or Release returns.
+// BeginProgram once the delta has been applied.  The delta is the
+// port's open transaction's (core.PortTable.BeginProgram): it is valid
+// while that transaction is open, so an implementation that needs its
+// blocks afterwards copies it.  A controller without one programs
+// synchronously, at no cost: the batch experiments' semantics, where
+// the data plane matches the control plane as soon as Admit or Release
+// returns.
 type Programmer interface {
-	Program(id PortID, pt *core.PortTable, d core.Delta) error
+	Program(id PortID, pt *core.PortTable, d *core.Delta) error
 }
 
 // Ports owns one arbitration table per output port of the network:
@@ -470,7 +473,7 @@ func (c *Controller) commitHop(id PortID, tb *core.PortTable) {
 		return
 	}
 	d, err := tb.BeginProgram()
-	if err != nil || len(d.Blocks()) == 0 {
+	if err != nil || d == nil {
 		return
 	}
 	if err := c.prog.Program(id, tb, d); err != nil {

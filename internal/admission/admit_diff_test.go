@@ -30,11 +30,11 @@ type gateProgrammer struct {
 	closed bool
 }
 
-func (p *gateProgrammer) Program(id PortID, pt *core.PortTable, d core.Delta) error {
+func (p *gateProgrammer) Program(id PortID, pt *core.PortTable, d *core.Delta) error {
 	if p.closed {
 		return p.captureProgrammer.Program(id, pt, d)
 	}
-	return deliver(pt, d)
+	return deliver(pt, *d)
 }
 
 // open delivers the held deltas, then programs what changed on their

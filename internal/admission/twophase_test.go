@@ -189,11 +189,11 @@ type captureProgrammer struct {
 	}
 }
 
-func (p *captureProgrammer) Program(id PortID, pt *core.PortTable, d core.Delta) error {
+func (p *captureProgrammer) Program(id PortID, pt *core.PortTable, d *core.Delta) error {
 	p.held = append(p.held, struct {
 		pt *core.PortTable
 		d  core.Delta
-	}{pt, d})
+	}{pt, *d})
 	return nil
 }
 
@@ -210,7 +210,7 @@ func (p *captureProgrammer) release() error {
 // deliver hands every block of a delta to its port, in order.
 func deliver(pt *core.PortTable, d core.Delta) error {
 	for _, b := range d.Blocks() {
-		if _, err := pt.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries); err != nil {
+		if _, err := pt.DeliverBlock(d.Version, b.Index, len(d.Blocks()), &b.Entries); err != nil {
 			return err
 		}
 	}

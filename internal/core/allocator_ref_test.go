@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/arbtable"
-	"repro/internal/bitrev"
 )
 
 // refAllocator is the allocator as it stood before occupancy became a
@@ -45,7 +44,7 @@ func refLog2(n int) int {
 
 func (a *refAllocator) order(stride int) []int {
 	if !a.natural {
-		return bitrev.Order(refLog2(stride))
+		return bitrevOrder(refLog2(stride))
 	}
 	out := make([]int, stride)
 	for i := range out {
@@ -205,7 +204,7 @@ func (a *refAllocator) defragment() (moves int) {
 	newStart := make(map[SeqID]int, len(seqs))
 	for _, s := range seqs {
 		placed := false
-		for _, j := range bitrev.Order(refLog2(s.Stride)) {
+		for _, j := range bitrevOrder(refLog2(s.Stride)) {
 			if !free(s.Stride, j) {
 				continue
 			}

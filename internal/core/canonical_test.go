@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/arbtable"
-	"repro/internal/bitrev"
 )
 
 // defragPerClass is the defragmenter's placement as it stood before one
@@ -26,7 +25,7 @@ func defragPerClass(live []Sequence) (starts []int, moves int) {
 		for pos := 0; pos < TableSize; pos += stride {
 			m |= 1 << uint(pos)
 		}
-		order := bitrev.Order(class)
+		order := bitrevOrder(class)
 		rank := 0
 		for i, s := range live {
 			if s.Stride != stride {

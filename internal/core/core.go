@@ -54,8 +54,10 @@
 // 0, 2^i, 2·2^i, ... set and E(i,j) is that word shifted left by j —
 // so the allocator keeps slot ownership as one occupancy word: "is
 // this set free" is an AND, placing and freeing a sequence an OR and an
-// AND-NOT, the free-slot count a population count, and the bit-reversal
-// scan reads a precomputed order table.  The live sequences sit in one
+// AND-NOT, the free-slot count a population count, and the first fit is
+// word-wide too: folding the word over the stride leaves one bit per
+// candidate start, and six masks, one per offset bit, pick the first
+// free start in bit-reversal order.  The live sequences sit in one
 // list in ascending ID order (IDs only grow, so appending keeps it
 // sorted); one pass over it buckets the positions into one 64-bit word
 // per size class, which makes "largest first, ties by ID" a walk over
@@ -386,13 +388,7 @@ func (a *Allocator) find(id SeqID) int {
 // firstFree returns the first start offset, in the policy's inspection
 // order, whose candidate set of the given stride is entirely free.
 func (a *Allocator) firstFree(stride int) (start int, ok bool) {
-	m := setMask(stride, 0)
-	for _, j := range a.policy.Order(stride) {
-		if a.occ&(m<<uint(j)) == 0 {
-			return j, true
-		}
-	}
-	return 0, false
+	return a.policy.firstFit(a.occ, bits.TrailingZeros(uint(stride)))
 }
 
 // fit is firstFree with Allocate's refusal.
@@ -611,11 +607,10 @@ func (a *Allocator) dropFromIndex(s *Sequence) {
 // ID-ordered live list sets, for each sequence, its position's bit in
 // the word of its size class; walking the words from 32 slots down to
 // 1, each in ascending bit order, visits the sequences largest first,
-// ties by ID.  Within a class the shadow occupancy only grows, so a
-// candidate set found taken stays taken and each class's bit-reversal
-// scan resumes where the previous sequence of the class stopped.  Only
-// the sequences that moved are rewritten: their old slots cleared
-// first, then their new ones written.
+// ties by ID.  Each takes the first free set of its stride, in
+// bit-reversal order, in the shadow occupancy: the allocator's own
+// word-wide fit.  Only the sequences that moved are rewritten: their
+// old slots cleared first, then their new ones written.
 func (a *Allocator) Defragment() (moves int) {
 	var class [numStrides]uint64 // bit i: live[i] is of that stride class
 	for i, s := range a.live {
@@ -625,19 +620,14 @@ func (a *Allocator) Defragment() (moves int) {
 	var newStart [TableSize]int8 // by position in live
 	// Strides 2 up to 64: sequences of 32 slots down to 1.
 	for c := 1; c < numStrides; c++ {
-		m, order := strideMask[c], bitrevOrder[c]
-		rank := 0
 		for w := class[c]; w != 0; w &= w - 1 {
 			i := bits.TrailingZeros64(w)
-			for rank < len(order) && shadow&(m<<uint(order[rank])) != 0 {
-				rank++
-			}
-			if rank == len(order) {
+			j, ok := BitReversal.firstFit(shadow, c)
+			if !ok {
 				// Cannot happen: the same sequences fit before.
 				panic("core: defragmentation failed to place a live sequence")
 			}
-			j := order[rank]
-			shadow |= m << uint(j)
+			shadow |= strideMask[c] << uint(j)
 			if j != a.live[i].Start {
 				newStart[i] = int8(j)
 				moved |= 1 << uint(i)

@@ -202,8 +202,8 @@ func (d *deliverDiff) compare(op string) {
 // deliver hands one block to both ports and compares the outcomes.
 func (d *deliverDiff) deliver(version uint64, index, total int, entries [BlockEntries]arbtable.Entry) {
 	d.t.Helper()
-	op := fmt.Sprintf("DeliverBlock(v%d, block %d, total %d)", version, index, total)
-	applied, err := d.pt.DeliverBlock(version, index, total, entries)
+	op := fmt.Sprintf("DeliverBlock(v%d, block %d, &total %d)", version, index, total)
+	applied, err := d.pt.DeliverBlock(version, index, total, &entries)
 	wantApplied, wantErr := d.ref.deliverBlock(version, index, total, entries)
 	if applied != wantApplied || (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 		d.t.Fatalf("%s = (%v, %v), reference (%v, %v)", op, applied, err, wantApplied, wantErr)
@@ -264,7 +264,7 @@ func (d *deliverDiff) run() {
 				d.held = d.held[:n-1]
 			}
 		case 4, 5:
-			got, err := d.pt.BeginProgram()
+			got, err := beginCopy(d.pt)
 			want, wantErr := d.ref.beginProgram()
 			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() ||
 				got.Version != want.Version || fmt.Sprint(got.Blocks()) != fmt.Sprint(want.Blocks()) {

@@ -30,10 +30,11 @@ type BlockDelta struct {
 // views, tagged with the version the active table will carry once all
 // of them are applied.  Unchanged blocks are not transmitted.
 //
-// The blocks live inside the Delta — at most NumHighBlocks of them —
-// so a Delta is a plain value: opening a transaction allocates
-// nothing, and a programmer that keeps one while its SMPs are in
-// flight shares no buffer with any other transaction.
+// The blocks live inside the Delta — at most NumHighBlocks of them.
+// BeginProgram writes the Delta into the open transaction's staging
+// record and hands it out by pointer, so opening a transaction neither
+// allocates nor copies it; a programmer that needs the blocks after the
+// transaction ends copies the Delta.
 type Delta struct {
 	Version uint64
 
@@ -42,8 +43,14 @@ type Delta struct {
 }
 
 // Blocks returns the changed blocks in ascending index order.  The
-// slice aliases the Delta's own storage.
-func (d *Delta) Blocks() []BlockDelta { return d.blocks[:d.n] }
+// slice aliases the Delta's own storage.  A nil Delta — BeginProgram's
+// answer when the tables agree — has none.
+func (d *Delta) Blocks() []BlockDelta {
+	if d == nil {
+		return nil
+	}
+	return d.blocks[:d.n]
+}
 
 // Append adds one changed block and reports whether it fit: a Delta
 // holds at most NumHighBlocks.
@@ -69,13 +76,14 @@ var (
 
 // staging is the port-side state of one open programming transaction
 // besides its block masks: the version it targets, the shadow high
-// table at BeginProgram (its target), and the blocks staged so far.  A
-// port holds one only while its transaction is open; it comes from the
-// port's stagingPool and goes back when the transaction commits, aborts
-// or is cancelled.
+// table at BeginProgram (its target), the Delta BeginProgram handed
+// out, and the blocks staged so far.  A port holds one only while its
+// transaction is open; it comes from the port's stagingPool and goes
+// back when the transaction commits, aborts or is cancelled.
 type staging struct {
 	ver    uint64
 	target [TableSize]arbtable.Entry
+	delta  Delta
 	ent    [NumHighBlocks][BlockEntries]arbtable.Entry
 	next   *staging // free-list link, nil while the record is in use
 }
@@ -112,6 +120,13 @@ func (sp *stagingPool) put(r *staging) {
 		r.ver = ^uint64(0)
 		for i := range r.target {
 			r.target[i] = bad
+		}
+		r.delta.Version, r.delta.n = ^uint64(0), len(r.delta.blocks)
+		for b := range r.delta.blocks {
+			r.delta.blocks[b].Index = 0xff
+			for i := range r.delta.blocks[b].Entries {
+				r.delta.blocks[b].Entries[i] = bad
+			}
 		}
 		for b := range r.ent {
 			for i := range r.ent[b] {
@@ -194,32 +209,41 @@ func (p *PortTable) swap(high *[TableSize]arbtable.Entry) {
 // BeginProgram opens a programming transaction: it diffs the shadow
 // high table against the active one, in the blocks the allocator wrote
 // since the port was last programmed, and returns the changed blocks as
-// a Delta carrying the active table's next version.  An empty delta
-// (no blocks) means the tables already agree and no transaction was
-// opened.  While a transaction is open further BeginProgram calls fail
-// with ErrProgramInFlight; the control plane must deliver the delta's
-// blocks (DeliverBlock) before programming this port again.
-func (p *PortTable) BeginProgram() (Delta, error) {
+// a Delta carrying the active table's next version.  A nil Delta means
+// the tables already agree and no transaction was opened.  While a
+// transaction is open further BeginProgram calls fail with
+// ErrProgramInFlight; the control plane must deliver the delta's blocks
+// (DeliverBlock) before programming this port again.
+//
+// The Delta is the transaction's own, in its staging record: it stays
+// valid only while the transaction is open.  The DeliverBlock that
+// completes or tears it, and CancelProgram, return the record to the
+// pool, after which the next BeginProgram may reuse it.
+func (p *PortTable) BeginProgram() (*Delta, error) {
 	if p.Programming() {
-		return Delta{}, ErrProgramInFlight
+		return nil, ErrProgramInFlight
 	}
 	changed := p.changedBlocks()
 	if changed == 0 {
-		return Delta{}, nil
+		return nil, nil
 	}
 	shadow := &p.alloc.Table().High
-	var d Delta
+	txn := p.pool.get()
+	d := &txn.delta
+	d.n = 0
 	for m := changed; m != 0; m &= m - 1 {
 		b := bits.TrailingZeros8(m)
-		d.Append(BlockDelta{Index: b, Entries: *highBlock(shadow, b)})
+		blk := &d.blocks[d.n]
+		blk.Index, blk.Entries = b, *highBlock(shadow, b)
+		d.n++
 	}
 	d.Version = p.active.Version() + 1
 	p.delta = changed
 	p.staged = 0
 	p.mismatch = false
-	p.txn = p.pool.get()
-	p.txn.ver = d.Version
-	p.txn.target = *shadow
+	p.txn = txn
+	txn.ver = d.Version
+	txn.target = *shadow
 	p.stats.Programs++
 	return d, nil
 }
@@ -248,7 +272,10 @@ func (p *PortTable) BeginProgram() (Delta, error) {
 // verdict of overlaying the staged blocks on the active table and
 // comparing the result with the target, because outside the delta the
 // active table equals the target by construction of the diff.
-func (p *PortTable) DeliverBlock(version uint64, index, total int, entries [BlockEntries]arbtable.Entry) (applied bool, err error) {
+//
+// The entries are read, and copied into the staging record, before the
+// call returns; the caller keeps them.
+func (p *PortTable) DeliverBlock(version uint64, index, total int, entries *[BlockEntries]arbtable.Entry) (applied bool, err error) {
 	p.stats.Blocks++
 	abort := func(form string, args ...any) (bool, error) {
 		p.abortProgram()
@@ -261,7 +288,7 @@ func (p *PortTable) DeliverBlock(version uint64, index, total int, entries [Bloc
 		if version < p.active.Version() {
 			return false, nil // stale straggler of a long-retired version
 		}
-		if version == p.active.Version() && *highBlock(&p.active.High, index) == entries {
+		if version == p.active.Version() && *highBlock(&p.active.High, index) == *entries {
 			// A retransmitted or duplicated SMP of the transaction that
 			// just committed: the content is already live.  Idempotent.
 			return false, nil
@@ -280,14 +307,14 @@ func (p *PortTable) DeliverBlock(version uint64, index, total int, entries [Bloc
 	}
 	bit := uint8(1) << index
 	if p.staged&bit != 0 {
-		if txn.ent[index] == entries {
+		if txn.ent[index] == *entries {
 			return false, nil // duplicate delivery, identical content
 		}
 		return abort("duplicate block %d with different content", index)
 	}
 	p.staged |= bit
-	txn.ent[index] = entries
-	if entries != *highBlock(&txn.target, index) {
+	txn.ent[index] = *entries
+	if *entries != *highBlock(&txn.target, index) {
 		p.mismatch = true
 	}
 	if bits.OnesCount8(p.staged) < total {

@@ -9,6 +9,16 @@ import (
 	"repro/internal/arbtable"
 )
 
+// beginCopy is BeginProgram with the delta copied out of the staging
+// record, so that a test may hold it past the transaction's end.
+func beginCopy(p *PortTable) (Delta, error) {
+	d, err := p.BeginProgram()
+	if d == nil {
+		return Delta{}, err
+	}
+	return *d, err
+}
+
 // deliverAll pushes every block of a delta into the port in order and
 // returns the final applied flag.
 func deliverAll(t *testing.T, p *PortTable, d Delta) bool {
@@ -16,7 +26,7 @@ func deliverAll(t *testing.T, p *PortTable, d Delta) bool {
 	applied := false
 	for _, b := range d.Blocks() {
 		var err error
-		applied, err = p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries)
+		applied, err = p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), &b.Entries)
 		if err != nil {
 			t.Fatalf("block %d: %v", b.Index, err)
 		}
@@ -37,7 +47,7 @@ func TestActiveLagsShadowUntilDelivered(t *testing.T) {
 	}
 	v0 := p.Active().Version()
 
-	d, err := p.BeginProgram()
+	d, err := beginCopy(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +85,7 @@ func TestPortTableCheckInvariants(t *testing.T) {
 	if _, err := p.Reserve(1, 32, 10); err != nil {
 		t.Fatal(err)
 	}
-	d, err := p.BeginProgram()
+	d, err := beginCopy(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +93,7 @@ func TestPortTableCheckInvariants(t *testing.T) {
 		t.Fatalf("delta blocks %+v, mask %04b; want blocks 0 and 2", d.Blocks(), p.delta)
 	}
 	b := d.Blocks()[0]
-	if _, err := p.DeliverBlock(d.Version, b.Index, 2, b.Entries); err != nil {
+	if _, err := p.DeliverBlock(d.Version, b.Index, 2, &b.Entries); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckInvariants(); err != nil {
@@ -145,7 +155,7 @@ func TestBeginProgramDiffsChangedBlocksOnly(t *testing.T) {
 	if _, err := p.Reserve(1, 64, 10); err != nil {
 		t.Fatal(err)
 	}
-	d, err := p.BeginProgram()
+	d, err := beginCopy(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +184,7 @@ func TestDeliverBlockOutOfOrderApplies(t *testing.T) {
 	if _, err := p.Reserve(2, 2, 800); err != nil {
 		t.Fatal(err)
 	}
-	d, err := p.BeginProgram()
+	d, err := beginCopy(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +196,7 @@ func TestDeliverBlockOutOfOrderApplies(t *testing.T) {
 	for i := len(d.Blocks()) - 1; i >= 0; i-- {
 		b := d.Blocks()[i]
 		var err error
-		applied, err = p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries)
+		applied, err = p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), &b.Entries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +216,7 @@ func TestDeliverBlockTornAborts(t *testing.T) {
 		if _, err := p.Reserve(2, 2, 800); err != nil {
 			t.Fatal(err)
 		}
-		d, err := p.BeginProgram()
+		d, err := beginCopy(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,14 +226,14 @@ func TestDeliverBlockTornAborts(t *testing.T) {
 	t.Run("no transaction", func(t *testing.T) {
 		p := newPort()
 		var blk [BlockEntries]arbtable.Entry
-		if _, err := p.DeliverBlock(1, 0, NumHighBlocks, blk); !errors.Is(err, ErrTornUpdate) {
+		if _, err := p.DeliverBlock(1, 0, NumHighBlocks, &blk); !errors.Is(err, ErrTornUpdate) {
 			t.Errorf("err = %v, want ErrTornUpdate", err)
 		}
 	})
 	t.Run("version mismatch", func(t *testing.T) {
 		p, d := reserveAndBegin(t)
 		b := d.Blocks()[0]
-		if _, err := p.DeliverBlock(d.Version+7, b.Index, len(d.Blocks()), b.Entries); !errors.Is(err, ErrTornUpdate) {
+		if _, err := p.DeliverBlock(d.Version+7, b.Index, len(d.Blocks()), &b.Entries); !errors.Is(err, ErrTornUpdate) {
 			t.Errorf("err = %v, want ErrTornUpdate", err)
 		}
 		if p.Programming() {
@@ -236,19 +246,19 @@ func TestDeliverBlockTornAborts(t *testing.T) {
 	t.Run("duplicate block with different content", func(t *testing.T) {
 		p, d := reserveAndBegin(t)
 		b := d.Blocks()[0]
-		if _, err := p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries); err != nil {
+		if _, err := p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), &b.Entries); err != nil {
 			t.Fatal(err)
 		}
 		mutated := b.Entries
 		mutated[0].Weight ^= 0x7f
-		if _, err := p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), mutated); !errors.Is(err, ErrTornUpdate) {
+		if _, err := p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), &mutated); !errors.Is(err, ErrTornUpdate) {
 			t.Errorf("err = %v, want ErrTornUpdate", err)
 		}
 	})
 	t.Run("total mismatch", func(t *testing.T) {
 		p, d := reserveAndBegin(t)
 		b := d.Blocks()[0]
-		if _, err := p.DeliverBlock(d.Version, b.Index, len(d.Blocks())+1, b.Entries); !errors.Is(err, ErrTornUpdate) {
+		if _, err := p.DeliverBlock(d.Version, b.Index, len(d.Blocks())+1, &b.Entries); !errors.Is(err, ErrTornUpdate) {
 			t.Errorf("err = %v, want ErrTornUpdate", err)
 		}
 	})
@@ -258,10 +268,10 @@ func TestDeliverBlockTornAborts(t *testing.T) {
 	t.Run("recovers", func(t *testing.T) {
 		p, d := reserveAndBegin(t)
 		b := d.Blocks()[0]
-		if _, err := p.DeliverBlock(d.Version+1, b.Index, len(d.Blocks()), b.Entries); err == nil {
+		if _, err := p.DeliverBlock(d.Version+1, b.Index, len(d.Blocks()), &b.Entries); err == nil {
 			t.Fatal("torn update accepted")
 		}
-		d2, err := p.BeginProgram()
+		d2, err := beginCopy(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +295,7 @@ func TestDeliverBlockDuplicateIdempotent(t *testing.T) {
 	if _, err := p.Reserve(2, 2, 800); err != nil {
 		t.Fatal(err)
 	}
-	d, err := p.BeginProgram()
+	d, err := beginCopy(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +305,10 @@ func TestDeliverBlockDuplicateIdempotent(t *testing.T) {
 
 	// Mid-transaction duplicate with identical content: ignored.
 	b0 := d.Blocks()[0]
-	if _, err := p.DeliverBlock(d.Version, b0.Index, len(d.Blocks()), b0.Entries); err != nil {
+	if _, err := p.DeliverBlock(d.Version, b0.Index, len(d.Blocks()), &b0.Entries); err != nil {
 		t.Fatal(err)
 	}
-	if applied, err := p.DeliverBlock(d.Version, b0.Index, len(d.Blocks()), b0.Entries); err != nil || applied {
+	if applied, err := p.DeliverBlock(d.Version, b0.Index, len(d.Blocks()), &b0.Entries); err != nil || applied {
 		t.Fatalf("mid-transaction duplicate: applied=%v err=%v, want no-op", applied, err)
 	}
 	if !p.Programming() {
@@ -308,7 +318,7 @@ func TestDeliverBlockDuplicateIdempotent(t *testing.T) {
 	// Complete the transaction.
 	applied := false
 	for _, b := range d.Blocks()[1:] {
-		if applied, err = p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries); err != nil {
+		if applied, err = p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), &b.Entries); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -320,7 +330,7 @@ func TestDeliverBlockDuplicateIdempotent(t *testing.T) {
 	// Post-commit duplicate of a committed block: the content is
 	// already live, so it must be ignored — no abort, no extra swap.
 	last := d.Blocks()[len(d.Blocks())-1]
-	if applied, err := p.DeliverBlock(d.Version, last.Index, len(d.Blocks()), last.Entries); err != nil || applied {
+	if applied, err := p.DeliverBlock(d.Version, last.Index, len(d.Blocks()), &last.Entries); err != nil || applied {
 		t.Fatalf("post-commit duplicate: applied=%v err=%v, want no-op", applied, err)
 	}
 	if p.Programming() || p.Stats().Swaps != swaps || p.Stats().TornAborts != 0 {
@@ -339,7 +349,7 @@ func TestDeliverBlockStaleVersionIgnored(t *testing.T) {
 	if _, err := p.Reserve(2, 2, 800); err != nil {
 		t.Fatal(err)
 	}
-	d1, err := p.BeginProgram()
+	d1, err := beginCopy(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,14 +361,14 @@ func TestDeliverBlockStaleVersionIgnored(t *testing.T) {
 	if _, err := p.Reserve(3, 4, 300); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := p.BeginProgram()
+	d2, err := beginCopy(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Straggler from transaction 1: ignored, transaction 2 survives.
 	old := d1.Blocks()[0]
-	if applied, err := p.DeliverBlock(d1.Version, old.Index, len(d1.Blocks()), old.Entries); err != nil || applied {
+	if applied, err := p.DeliverBlock(d1.Version, old.Index, len(d1.Blocks()), &old.Entries); err != nil || applied {
 		t.Fatalf("stale block: applied=%v err=%v, want no-op", applied, err)
 	}
 	if !p.Programming() {
@@ -379,13 +389,13 @@ func TestCancelProgram(t *testing.T) {
 	if _, err := p.Reserve(2, 2, 800); err != nil {
 		t.Fatal(err)
 	}
-	d, err := p.BeginProgram()
+	d, err := beginCopy(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	activeBefore := p.Active().High
 	b := d.Blocks()[0]
-	if _, err := p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries); err != nil {
+	if _, err := p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), &b.Entries); err != nil {
 		t.Fatal(err)
 	}
 
@@ -407,7 +417,7 @@ func TestCancelProgram(t *testing.T) {
 
 	// The shadow is untouched and authoritative: reprogramming after a
 	// cancel must converge.
-	d2, err := p.BeginProgram()
+	d2, err := beginCopy(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +496,7 @@ func TestApplyMatchesDelivery(t *testing.T) {
 					applied++
 				}
 				a.Apply()
-				if d, err := b.BeginProgram(); err != nil {
+				if d, err := beginCopy(b); err != nil {
 					t.Fatal(err)
 				} else if len(d.Blocks()) > 0 {
 					deliverAll(t, b, d)
@@ -497,11 +507,11 @@ func TestApplyMatchesDelivery(t *testing.T) {
 				}
 			default:
 				// A transaction in flight on both: Apply must not touch it.
-				da, err := a.BeginProgram()
+				da, err := beginCopy(a)
 				if err != nil || len(da.Blocks()) == 0 {
 					continue
 				}
-				db, _ := b.BeginProgram()
+				db, _ := beginCopy(b)
 				active, version, stats := a.Active().High, a.Active().Version(), a.Stats()
 				a.Apply()
 				if a.Active().High != active || a.Active().Version() != version || a.Stats() != stats || !a.Programming() {

@@ -41,7 +41,7 @@ func TestStagingPoolShared(t *testing.T) {
 				}
 			case op < 9:
 				busy := p.Programming()
-				d, err := p.BeginProgram()
+				d, err := beginCopy(p)
 				if busy && err != ErrProgramInFlight || !busy && err != nil {
 					t.Fatalf("seed %d step %d: BeginProgram on a port programming %v: %v", seed, step, busy, err)
 				}
@@ -57,7 +57,7 @@ func TestStagingPoolShared(t *testing.T) {
 					continue
 				}
 				b := d.Blocks()[rng.Intn(len(d.Blocks()))]
-				p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries)
+				p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), &b.Entries)
 			case op < 19:
 				d := open[i]
 				b := BlockDelta{Index: rng.Intn(NumHighBlocks)}
@@ -66,12 +66,12 @@ func TestStagingPoolShared(t *testing.T) {
 				}
 				switch rng.Intn(3) {
 				case 0:
-					p.DeliverBlock(d.Version+1, b.Index, len(d.Blocks()), b.Entries)
+					p.DeliverBlock(d.Version+1, b.Index, len(d.Blocks()), &b.Entries)
 				case 1:
-					p.DeliverBlock(d.Version, b.Index, len(d.Blocks())+1, b.Entries)
+					p.DeliverBlock(d.Version, b.Index, len(d.Blocks())+1, &b.Entries)
 				default:
 					b.Entries[rng.Intn(BlockEntries)].Weight++
-					p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries)
+					p.DeliverBlock(d.Version, b.Index, len(d.Blocks()), &b.Entries)
 				}
 			default:
 				v := open[i].Version

@@ -44,7 +44,10 @@ func refuse(fields, format string, args ...any) *FieldError {
 // under a path in axis (set at every point of the caller's sweep, such
 // as "Topology") or, unless reads is nil, under none in reads (read by
 // the caller's run) are refused with a *FieldError naming the field.
-// The result is not validated.
+// An axis field may also hold the value the seed rule gives it at the
+// document's Seed (Scenario.seeded): the wiring seed a report shows
+// when its runs wire the fabric from Seed.  The result is not
+// validated.
 func DecodeScenario(data []byte, base Scenario, reads []string, axis ...string) (Scenario, error) {
 	var doc map[string]json.RawMessage
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -55,10 +58,16 @@ func DecodeScenario(data []byte, base Scenario, reads []string, axis ...string) 
 		return base, err
 	}
 	var v validator
+	seeded := base.seeded(sc.Seed)
 	walkFields(reflect.ValueOf(sc), "", func(path string, f reflect.Value) {
-		same := f.Interface() == fieldAt(base, path).Interface()
-		v.check(same || !covered(path, axis), path, "the experiment's axis sets it at every point")
-		v.check(same || reads == nil || covered(path, reads), path, "the experiment does not read it")
+		if f.Interface() == fieldAt(base, path).Interface() {
+			return
+		}
+		if covered(path, axis) {
+			v.check(f.Interface() == fieldAt(seeded, path).Interface(), path, "the experiment's axis sets it at every point")
+			return
+		}
+		v.check(reads == nil || covered(path, reads), path, "the experiment does not read it")
 	})
 	if v.err != nil {
 		return base, v.err

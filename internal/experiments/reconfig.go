@@ -34,7 +34,7 @@ func ReconfigScenario(s Scale) Scenario {
 // single-link failure costs the live fabric (the fault-granularity
 // story of the paper's introduction).
 type ReconfigResult struct {
-	Scenario Scenario `json:"scenario"` // as given, before its wiring seed follows Seed
+	Scenario Scenario `json:"scenario"` // its wiring seed is Seed, which wires the fabric
 	Hosts    int      `json:"hosts"`
 
 	// Initial bring-up.
@@ -69,8 +69,8 @@ type LinkFailure struct {
 // fail that link for good at FailAtBT, fanned out over workers.  The
 // rows differ only in the failed link.
 func Reconfiguration(sc Scenario, workers int) (ReconfigResult, error) {
-	res := ReconfigResult{Scenario: sc}
 	sc = sc.seeded(sc.Seed)
+	res := ReconfigResult{Scenario: sc}
 	if last := int64(sc.Conns-1)*admitGapBT + 1; sc.FailAtBT/2 <= last {
 		return res, refuse("FailAtBT, Conns", "the failures applied at FailAtBT/2 = %d BT must follow the last admission attempt at %d BT", sc.FailAtBT/2, last)
 	}

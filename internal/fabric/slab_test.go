@@ -39,8 +39,8 @@ type heldProgram struct {
 // at once.
 type heldProgrammer struct{ open []heldProgram }
 
-func (h *heldProgrammer) Program(id admission.PortID, pt *core.PortTable, d core.Delta) error {
-	h.open = append(h.open, heldProgram{id: id, pt: pt, d: d})
+func (h *heldProgrammer) Program(id admission.PortID, pt *core.PortTable, d *core.Delta) error {
+	h.open = append(h.open, heldProgram{id: id, pt: pt, d: *d})
 	return nil
 }
 
@@ -57,7 +57,7 @@ func (h *heldProgrammer) deliver(t *testing.T, rng *rand.Rand, k int) {
 	switch coin := rng.Intn(16); {
 	case coin == 0:
 		b := blocks[rng.Intn(len(blocks))]
-		if _, err := hp.pt.DeliverBlock(hp.d.Version+1, b.Index, len(blocks), b.Entries); err == nil {
+		if _, err := hp.pt.DeliverBlock(hp.d.Version+1, b.Index, len(blocks), &b.Entries); err == nil {
 			t.Fatalf("%v: a block of a future version did not tear the transaction", hp.id)
 		}
 		done = true
@@ -68,7 +68,7 @@ func (h *heldProgrammer) deliver(t *testing.T, rng *rand.Rand, k int) {
 		done = true
 	default:
 		b := blocks[hp.sent]
-		applied, err := hp.pt.DeliverBlock(hp.d.Version, b.Index, len(blocks), b.Entries)
+		applied, err := hp.pt.DeliverBlock(hp.d.Version, b.Index, len(blocks), &b.Entries)
 		if err != nil {
 			t.Fatalf("%v: %v", hp.id, err)
 		}

@@ -19,10 +19,11 @@ type delayedProgrammer struct{ eng *sim.Engine }
 
 const delayBT = 1000
 
-func (p delayedProgrammer) Program(id admission.PortID, pt *core.PortTable, d core.Delta) error {
+func (p delayedProgrammer) Program(id admission.PortID, pt *core.PortTable, dp *core.Delta) error {
+	d := *dp
 	p.eng.After(delayBT, func() {
 		for _, b := range d.Blocks() {
-			if _, err := pt.DeliverBlock(d.Version, b.Index, len(d.Blocks()), b.Entries); err != nil {
+			if _, err := pt.DeliverBlock(d.Version, b.Index, len(d.Blocks()), &b.Entries); err != nil {
 				panic(fmt.Sprintf("%v: %v", id, err))
 			}
 		}

@@ -239,12 +239,15 @@ func checkArbBlock(entries []arbtable.Entry) error {
 
 // putArbBlock writes a checked entry list into a block's wire bytes;
 // dst holds at least arbBlockBytes, and the bytes of entries beyond
-// len(entries) stay as they are.
+// len(entries) stay as they are.  A checked list has at most
+// ArbBlockEntries entries, so masking the index changes nothing but
+// lets the compiler drop the bounds checks.
 func putArbBlock(dst []byte, entries []arbtable.Entry) {
-	_ = dst[arbBlockBytes-1]
+	d := (*[arbBlockBytes]byte)(dst)
 	for i, e := range entries {
-		dst[2*i] = e.VL & 0x0f
-		dst[2*i+1] = e.Weight
+		j := 2 * (i & (ArbBlockEntries - 1))
+		d[j] = e.VL & 0x0f
+		d[j+1] = e.Weight
 	}
 }
 
@@ -337,20 +340,21 @@ func EncodeHighBlock(wire *[Size]byte, method uint8, version uint64, index, tota
 // the attribute modifier; a wire that is not Size bytes or whose
 // modifier names no high-table block is an error.  Like the three
 // calls it replaces it does not look at the method or the attribute
-// ID: the caller knows what it asked for.
+// ID: the caller knows what it asked for.  Of the header it reads only
+// the TID and the modifier, at the offsets putHeader writes them.
 func DecodeHighBlock(wire []byte, out *[ArbBlockEntries]arbtable.Entry) (version uint64, index, total int, err error) {
-	h, err := parseHeader(wire)
-	if err != nil {
-		return 0, 0, 0, err
+	if len(wire) != Size {
+		return 0, 0, 0, fmt.Errorf("mad: packet is %d bytes, want %d", len(wire), Size)
 	}
-	index, total, ok := SplitArbModifier(h.AttrModifier)
+	mod := binary.BigEndian.Uint32(wire[20:24])
+	index, total, ok := SplitArbModifier(mod)
 	if !ok {
-		return 0, 0, 0, fmt.Errorf("mad: attribute modifier %#x names no high-table block", h.AttrModifier)
+		return 0, 0, 0, fmt.Errorf("mad: attribute modifier %#x names no high-table block", mod)
 	}
 	if err := parseArbBlock(wire[smpDataOffset:], out); err != nil {
 		return 0, 0, 0, err
 	}
-	return h.TID, index, total, nil
+	return binary.BigEndian.Uint64(wire[8:16]), index, total, nil
 }
 
 // HighTableSMPs builds the four Set(VLArbitrationTable) SMPs that

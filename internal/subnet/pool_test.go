@@ -28,9 +28,11 @@ func checkFreeList(t *testing.T, p *InbandProgrammer) int {
 		if d.flying || d.pt != nil || d.tx != nil {
 			t.Fatalf("record %d of the free list is still in use", n)
 		}
-		for i, b := range d.wire {
-			if b != 0xff {
-				t.Fatalf("record %d of the free list was written to after it was recycled (byte %d = %#x)", n, i, b)
+		for k, wire := range d.wires[:cap(d.wires)] {
+			for i, b := range wire {
+				if b != 0xff {
+					t.Fatalf("record %d of the free list was written to after it was recycled (SMP %d byte %d = %#x)", n, k, i, b)
+				}
 			}
 		}
 		n++
@@ -53,7 +55,7 @@ func TestProgramRejectsBadDeltaBeforePosting(t *testing.T) {
 		bad.Version = 1
 		bad.Append(core.BlockDelta{Index: 0})
 		bad.Append(core.BlockDelta{Index: core.NumHighBlocks})
-		if err := prog.Program(admission.HostPortID(5), pt, bad); err == nil {
+		if err := prog.Program(admission.HostPortID(5), pt, &bad); err == nil {
 			t.Fatalf("reliable=%v: delta naming block %d accepted", reliable, core.NumHighBlocks)
 		}
 		if n := eng.Pending(); n != 0 {
@@ -84,7 +86,7 @@ type countingProgrammer struct {
 	calls int
 }
 
-func (c *countingProgrammer) Program(id admission.PortID, pt *core.PortTable, d core.Delta) error {
+func (c *countingProgrammer) Program(id admission.PortID, pt *core.PortTable, d *core.Delta) error {
 	c.calls++
 	return c.InbandProgrammer.Program(id, pt, d)
 }

@@ -19,7 +19,10 @@ import (
 // and arrives at the port after the path's MAD latency, where it is
 // unmarshaled, decoded and staged.  The port swaps its active table
 // only when the whole new-version set has arrived, so reconfiguration
-// has a simulated cost and can never tear a table.
+// has a simulated cost and can never tear a table.  On a perfect
+// management network nothing can observe a block staged before the
+// last one arrives, so a transaction's SMPs fly together and land on
+// one event at the last one's arrival time.
 //
 // One transaction is outstanding per port at a time.  If the shadow
 // table changed again while a delta was in flight (e.g. a release
@@ -83,12 +86,13 @@ func (p *InbandProgrammer) noteSend(id admission.PortID) {
 	}
 }
 
-// smpDelivery is one SMP in flight toward a port: the payload of its
-// evSMPArrive (fire-and-forget) or evSMPDeliver (reliable, tx set)
-// event, with the SMP's wire bytes inline.  Records are recycled
-// through the programmer's free list, so the steady-state control
-// plane allocates nothing per SMP and the pool never holds more records
-// than SMPs were ever in flight at once.
+// smpDelivery is one flight toward a port, with its SMPs' wire bytes
+// inline: a whole fire-and-forget transaction, the payload of its
+// evSMPArrive event, or one reliable-mode SMP, the payload of its
+// evSMPDeliver event (tx set).  Records are recycled through the
+// programmer's free list, so the steady-state control plane allocates
+// nothing per transaction and the pool never holds more records than
+// flights were ever in the air at once.
 //
 // Lifetime: newDelivery hands a record out, exactly one event carries
 // it, and HandleEvent returns it with recycle only after the arrival
@@ -96,19 +100,21 @@ func (p *InbandProgrammer) noteSend(id admission.PortID) {
 // its own records — has returned.  A record is therefore never on the
 // free list while an event or a handler still refers to it.
 type smpDelivery struct {
-	id   admission.PortID
-	pt   *core.PortTable
-	tx   *txnState // reliable mode: the transaction the SMP belongs to
-	wire [mad.Size]byte
+	id    admission.PortID
+	pt    *core.PortTable
+	tx    *txnState        // reliable mode: the transaction the SMP belongs to
+	wires [][mad.Size]byte // one per SMP carried; the backing array only grows
 
 	next   *smpDelivery // free-list link
 	flying bool         // handed out and not yet recycled
 }
 
 // newDelivery takes a record off the free list, or allocates the
-// pool's next one.  The wire bytes are whatever the last flight left;
-// the caller overwrites all of them.
-func (p *InbandProgrammer) newDelivery(id admission.PortID, pt *core.PortTable, tx *txnState) *smpDelivery {
+// pool's next one, carrying n SMPs.  A record's wires grow to the most
+// SMPs it ever carried, so a reliable-mode record holds one.  The wire
+// bytes are whatever the last flight left; the caller overwrites all
+// of them.
+func (p *InbandProgrammer) newDelivery(id admission.PortID, pt *core.PortTable, tx *txnState, n int) *smpDelivery {
 	d := p.free
 	if d == nil {
 		d = new(smpDelivery)
@@ -118,7 +124,10 @@ func (p *InbandProgrammer) newDelivery(id admission.PortID, pt *core.PortTable, 
 	if d.flying {
 		panic("subnet: delivery record handed out while in flight")
 	}
-	d.id, d.pt, d.tx, d.next, d.flying = id, pt, tx, nil, true
+	if cap(d.wires) < n {
+		d.wires = make([][mad.Size]byte, n)
+	}
+	d.id, d.pt, d.tx, d.wires, d.next, d.flying = id, pt, tx, d.wires[:n], nil, true
 	return d
 }
 
@@ -129,8 +138,11 @@ func (p *InbandProgrammer) recycle(d *smpDelivery) {
 		panic("subnet: delivery record recycled twice")
 	}
 	if p.poison {
-		for i := range d.wire {
-			d.wire[i] = 0xff
+		all := d.wires[:cap(d.wires)]
+		for k := range all {
+			for i := range all[k] {
+				all[k][i] = 0xff
+			}
 		}
 	}
 	d.pt, d.tx, d.flying = nil, nil, false
@@ -139,7 +151,7 @@ func (p *InbandProgrammer) recycle(d *smpDelivery) {
 
 // encodeBlock renders block b of a total-block transaction as the
 // Set(VLArbitrationTable) SMP the subnet manager sends, into wire.
-func encodeBlock(wire *[mad.Size]byte, id admission.PortID, version uint64, total int, b core.BlockDelta) error {
+func encodeBlock(wire *[mad.Size]byte, id admission.PortID, version uint64, total int, b *core.BlockDelta) error {
 	if err := mad.EncodeHighBlock(wire, mad.MethodSet, version, b.Index, total, b.Entries[:]); err != nil {
 		return fmt.Errorf("subnet: block %d of %v: %w", b.Index, id, err)
 	}
@@ -163,23 +175,21 @@ func (m *Manager) hopsToPort(id admission.PortID) int {
 	return m.hopsTo(id.Switch)
 }
 
-// Program implements admission.Programmer.  The whole delta is encoded
-// before its first SMP is posted, so a delta the codec rejects (block
-// index or count out of range) leaves no event, no cost and no record
-// behind.
-func (p *InbandProgrammer) Program(id admission.PortID, pt *core.PortTable, d core.Delta) error {
+// Program implements admission.Programmer.  Every block is encoded to
+// its own SMP, and every SMP accounted, before the flight is posted, so
+// a delta the codec rejects (block index or count out of range) leaves
+// no event, no cost and no record behind.  The SM serializes the SMPs
+// back to back and each then needs the one-way path time to the port;
+// the flight lands when the last one arrives.
+func (p *InbandProgrammer) Program(id admission.PortID, pt *core.PortTable, d *core.Delta) error {
 	if p.Faults != nil {
 		return p.programReliable(id, pt, d)
 	}
 	blocks := d.Blocks()
-	var flights [core.NumHighBlocks]*smpDelivery
+	fl := p.newDelivery(id, pt, nil, len(blocks))
 	for k := range blocks {
-		fl := p.newDelivery(id, pt, nil)
-		flights[k] = fl
-		if err := encodeBlock(&fl.wire, id, d.Version, len(blocks), blocks[k]); err != nil {
-			for _, fl := range flights[:k+1] {
-				p.recycle(fl)
-			}
+		if err := encodeBlock(&fl.wires[k], id, d.Version, len(blocks), &blocks[k]); err != nil {
+			p.recycle(fl)
 			return err
 		}
 	}
@@ -187,32 +197,33 @@ func (p *InbandProgrammer) Program(id admission.PortID, pt *core.PortTable, d co
 	if p.Hops != nil {
 		hops = p.Hops(id)
 	}
-	for k, fl := range flights[:len(blocks)] {
+	for range blocks {
 		p.Costs.addMAD(hops)
 		p.noteSend(id)
-		// The SM serializes its SMPs back to back; each then needs the
-		// one-way path time to the port.
-		delay := int64(k+1)*madWireBytes + int64(hops)*(madWireBytes+hopLatencyBT)
-		p.Engine.PostAfter(delay, p, sim.Event{Kind: evSMPArrive, P: fl})
 	}
+	delay := int64(len(blocks))*madWireBytes + int64(hops)*(madWireBytes+hopLatencyBT)
+	p.Engine.PostAfter(delay, p, sim.Event{Kind: evSMPArrive, P: fl})
 	return nil
 }
 
-// arrive lands one SMP at its port: the wire bytes are parsed and the
-// block staged.  When the delivery completes a transaction and the
-// shadow table has moved on in the meantime, the next transaction is
-// chained immediately.
-func (p *InbandProgrammer) arrive(id admission.PortID, pt *core.PortTable, wire []byte) {
-	var blk [core.BlockEntries]arbtable.Entry
-	version, index, total, err := mad.DecodeHighBlock(wire, &blk)
-	if err != nil {
-		panic(fmt.Sprintf("subnet: SMP for %v corrupted on the wire: %v", id, err))
-	}
-	applied, err := pt.DeliverBlock(version, index, total, blk)
-	// An error means the port rejected the set as torn and dropped its
-	// staged state.  The shadow table is still authoritative: start over.
-	if applied || err != nil {
-		p.chain(id, pt)
+// arrive lands a fire-and-forget flight at its port: each SMP, in block
+// order, is parsed and its block staged.  When a delivery completes the
+// transaction and the shadow table has moved on in the meantime, the
+// next transaction is chained immediately.
+func (p *InbandProgrammer) arrive(fl *smpDelivery) {
+	for k := range fl.wires {
+		var blk [core.BlockEntries]arbtable.Entry
+		version, index, total, err := mad.DecodeHighBlock(fl.wires[k][:], &blk)
+		if err != nil {
+			panic(fmt.Sprintf("subnet: SMP for %v corrupted on the wire: %v", fl.id, err))
+		}
+		applied, err := fl.pt.DeliverBlock(version, index, total, &blk)
+		// An error means the port rejected the set as torn and dropped
+		// its staged state.  The shadow table is still authoritative:
+		// start over.
+		if applied || err != nil {
+			p.chain(fl.id, fl.pt)
+		}
 	}
 }
 
@@ -225,7 +236,7 @@ func (p *InbandProgrammer) chain(id admission.PortID, pt *core.PortTable) {
 		return
 	}
 	d, err := pt.BeginProgram()
-	if err != nil || len(d.Blocks()) == 0 {
+	if err != nil || d == nil {
 		return
 	}
 	if err := p.Program(id, pt, d); err != nil {

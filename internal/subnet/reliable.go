@@ -67,8 +67,8 @@ const (
 	// evTxnDeadline aborts the still-open transaction in P at its
 	// wall-clock deadline.
 	evTxnDeadline
-	// evSMPArrive lands a fire-and-forget SMP at its port; P is
-	// the *smpDelivery.
+	// evSMPArrive lands a fire-and-forget transaction's SMPs at their
+	// port; P is the *smpDelivery.
 	evSMPArrive
 	// evSMPDeliver lands a reliable-mode SMP at its port; P is the
 	// *smpDelivery, its tx set.
@@ -94,11 +94,11 @@ func (p *InbandProgrammer) HandleEvent(ev sim.Event) {
 		p.giveUp(tx.pt, tx)
 	case evSMPArrive:
 		fl := ev.P.(*smpDelivery)
-		p.arrive(fl.id, fl.pt, fl.wire[:])
+		p.arrive(fl)
 		p.recycle(fl)
 	case evSMPDeliver:
 		fl := ev.P.(*smpDelivery)
-		p.arriveReliable(fl.pt, fl.tx, fl.wire[:])
+		p.arriveReliable(fl.pt, fl.tx, fl.wires[0][:])
 		p.recycle(fl)
 	case evSMPAck:
 		tx := ev.P.(*txnState)
@@ -113,7 +113,7 @@ type txnState struct {
 	pt      *core.PortTable
 	version uint64
 	hops    int
-	delta   core.Delta // owns the blocks
+	delta   core.Delta // a copy: the port's ends with its transaction
 	wires   [core.NumHighBlocks][mad.Size]byte
 	acked   [core.NumHighBlocks]bool
 	attempt [core.NumHighBlocks]int // sends so far, per block; timeouts of superseded sends are stale
@@ -171,15 +171,16 @@ func (p *InbandProgrammer) OpenTransactions() int {
 // rendered to its wire form once — before anything else changes, so a
 // delta the codec rejects leaves no trace — then sent through the
 // injector and tracked until acknowledged.
-func (p *InbandProgrammer) programReliable(id admission.PortID, pt *core.PortTable, d core.Delta) error {
+func (p *InbandProgrammer) programReliable(id admission.PortID, pt *core.PortTable, d *core.Delta) error {
 	hops := 1
 	if p.Hops != nil {
 		hops = p.Hops(id)
 	}
 	n := len(d.Blocks())
-	tx := &txnState{id: id, pt: pt, version: d.Version, hops: hops, delta: d, pending: n}
-	for k, b := range tx.delta.Blocks() {
-		if err := encodeBlock(&tx.wires[k], id, d.Version, n, b); err != nil {
+	tx := &txnState{id: id, pt: pt, version: d.Version, hops: hops, delta: *d, pending: n}
+	blocks := tx.delta.Blocks()
+	for k := range blocks {
+		if err := encodeBlock(&tx.wires[k], id, d.Version, n, &blocks[k]); err != nil {
 			return err
 		}
 	}
@@ -232,18 +233,19 @@ func (p *InbandProgrammer) sendBlock(pt *core.PortTable, tx *txnState, k, attemp
 	}
 	// Every flight carries its own copy of the retained wire bytes, so
 	// corruption never reaches what a retransmission will send.
-	fl := p.newDelivery(tx.id, pt, tx)
-	fl.wire = tx.wires[k]
+	fl := p.newDelivery(tx.id, pt, tx, 1)
+	wire := &fl.wires[0]
+	*wire = tx.wires[k]
 	if fate.Corrupt() {
-		fl.wire[fate.CorruptByte%len(fl.wire)] ^= fate.CorruptMask
+		wire[fate.CorruptByte%len(wire)] ^= fate.CorruptMask
 		p.counters().SMPsCorrupted++
 	}
 	delay := serializeBT + oneWay + fate.DelayBT
 	p.Engine.PostAfter(delay, p, sim.Event{Kind: evSMPDeliver, P: fl})
 	if fate.Duplicate {
 		p.counters().SMPsDuplicated++
-		dup := p.newDelivery(tx.id, pt, tx)
-		dup.wire = fl.wire
+		dup := p.newDelivery(tx.id, pt, tx, 1)
+		dup.wires[0] = *wire
 		p.Engine.PostAfter(delay+madWireBytes, p, sim.Event{Kind: evSMPDeliver, P: dup})
 	}
 }
@@ -260,7 +262,7 @@ func (p *InbandProgrammer) arriveReliable(pt *core.PortTable, tx *txnState, wire
 	if err != nil {
 		return
 	}
-	_, derr := pt.DeliverBlock(version, index, total, blk)
+	_, derr := pt.DeliverBlock(version, index, total, &blk)
 	torn := derr != nil
 
 	link := linkKey(tx.id)

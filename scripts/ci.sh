@@ -263,8 +263,9 @@ echo "==> go test -race -run TestEngineWheel ./internal/sim (timing-wheel event-
 go test -race -run 'TestEngineWheel' -count=1 ./internal/sim
 
 echo "==> go test -race ./internal/subnet ./internal/admission (delivery-record lifetime gate)"
-# Every in-band SMP flies in a record recycled through the programmer's
-# free list, its 256 wire bytes inline.  TestDeliveryPoolLifetime runs
+# Every in-band flight — a fire-and-forget transaction's SMPs, or one
+# reliable-mode SMP — flies in a record recycled through the
+# programmer's free list, its 256-byte wires inline.  TestDeliveryPoolLifetime runs
 # 2 000 connection lifecycles over the k=8 control state — perfect and
 # duplicating/corrupting/reordering management networks — with records
 # poisoned as they are recycled, so that transactions chained from
@@ -278,7 +279,7 @@ echo "==> go test -race ./internal/subnet ./internal/admission (delivery-record 
 # the pool from the control lane of the parallel runs in the gate below.
 go test -race -count=1 ./internal/subnet ./internal/admission
 
-echo "==> go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChurnTerminates' (control-lane race gate)"
+echo "==> go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChurnTerminates|TestInbandEventsPerTransaction' (control-lane race gate)"
 # Churn and faults run their control planes — mid-run table programs,
 # retransmission, audits — as typed events serialized at window
 # barriers; the multi-shard churn/faults smoke under the race detector
@@ -286,7 +287,12 @@ echo "==> go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChu
 # A table swap also posts from the control lane into a shard engine:
 # it re-arms the swapped port at the barrier, so the swap-wake and
 # termination tests (both run at two parallel shards) join the gate.
-go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChurnTerminates' -count=1 ./internal/fabric ./internal/experiments
+# On a perfect management network a transaction's SMPs land on one
+# control event at the last one's arrival time:
+# TestInbandEventsPerTransaction budgets exactly one event per
+# transaction on a fire-and-forget churn run and holds its outcomes,
+# swap instants, ReconfigStats and MAD costs to a per-block reference.
+go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChurnTerminates|TestInbandEventsPerTransaction' -count=1 ./internal/fabric ./internal/experiments ./internal/subnet
 
 echo "==> go test -run AllocBudget . and 'TestVOQStateSizedByRadix|TestPortRecordSizes' ./internal/fabric (zero-alloc hot-path and memory gate)"
 # The heap a fresh k=8 network holds per switch, at most 16 300 B (WRR)
@@ -342,6 +348,7 @@ if [[ "$RUN_FUZZ" -eq 1 ]]; then
 ./internal/core FuzzDecide
 ./internal/core FuzzDeliverBlock
 ./internal/core FuzzShape
+./internal/core FuzzFirstFit
 ./internal/arbtable FuzzArbiterPick
 ./internal/mad FuzzHighTableDecode
 ./internal/mad FuzzHighBlockCodec
