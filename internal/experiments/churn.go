@@ -22,10 +22,11 @@ import (
 // at any shard count.  Tiny is a 2-switch fabric with enough overlap
 // between arrivals and in-flight table programs to make retries and
 // chained reprogramming happen; above it, a 4-switch fabric under
-// sustained churn.
+// sustained churn.  The base names no wiring seed: ChurnSweep wires run
+// i from runner.DeriveSeed(Seed, i).
 func ChurnScenario(s Scale) Scenario {
 	sc := Scenario{
-		Seed: 42, Topology: irregular(2, 42), Fabric: fabric.DefaultConfig(0, 512, 0),
+		Seed: 42, Topology: irregular(2, 0), Fabric: fabric.DefaultConfig(0, 512, 0),
 		Inband: true, Arrivals: 80, MeanGapBT: 2048, MeanHoldBT: 65536, SampleBT: 8192,
 		Retry: admission.DefaultRetryPolicy(), Metrics: true,
 	}
@@ -93,8 +94,12 @@ func runChurn(sc Scenario) (ChurnResult, error) {
 
 // ChurnSweep runs sc over derived seeds, each wiring its own fabric.
 // Results come back in input order regardless of worker count, so the
-// sweep's JSON encoding is bit-identical at any parallelism.
+// sweep's JSON encoding is bit-identical at any parallelism.  sc names
+// no wiring seed, since no run would use it.
 func ChurnSweep(sc Scenario, seeds, workers int) ([]ChurnResult, error) {
+	if sc.Topology.Seed != 0 {
+		return nil, refuse("Topology.Seed", "the sweep wires run i from runner.DeriveSeed(Seed, i)")
+	}
 	jobs := make([]runner.Job[ChurnResult], seeds)
 	for i := range jobs {
 		jobs[i] = runner.Job[ChurnResult]{

@@ -12,7 +12,7 @@ import (
 // the offered connections, release everything it admitted, and spend
 // real control-plane work doing so.
 func TestChurnRuns(t *testing.T) {
-	res, err := runChurn(ChurnScenario(Tiny))
+	res, err := runChurn(ChurnScenario(Tiny).seeded(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +97,31 @@ func TestChurnSweepDeterminism(t *testing.T) {
 		if got := encode(workers); string(got) != string(want) {
 			t.Errorf("churn sweep JSON differs at workers=%d\n 1: %s\n%2d: %s",
 				workers, want, workers, got)
+		}
+	}
+}
+
+// TestNilInjectorIsPerfect: a nil fault injector is the perfect one,
+// not another delivery mode.  Churn runs with no injector and with an
+// injector whose every rate is zero — attached to the programmer, the
+// fabric and an auditor — give identical results at every seed.
+func TestNilInjectorIsPerfect(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		sc := ChurnScenario(Tiny).seeded(seed)
+		want, err := runChurn(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.SMPFaults = true // Faults' rates are all zero
+		got, err := runLifecycles(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := got.net.Faults.Stats().Queries; q < int64(2*want.ProgramMADs) {
+			t.Errorf("seed %d: the injector dealt %d fates for %d SMPs and their responses", seed, q, want.ProgramMADs)
+		}
+		if got.ChurnResult != want {
+			t.Errorf("seed %d: a zero-rate injector changed the run\n got %+v\nwant %+v", seed, got.ChurnResult, want)
 		}
 	}
 }

@@ -53,10 +53,9 @@ type churnArrival struct {
 // unresolved past the lifecycleHoldCap bound, is an error.
 //
 // With SMPFaults the run carries a fault rig: an injector dealing SMP
-// fates and link flaps to the control and data planes (attached to the
-// programmer, it selects reliable delivery), and the self-healing
-// auditor, whose quarantined ports admission refuses (ErrHopDown) and
-// the end audit skips.
+// fates and link flaps to the control and data planes, and the
+// self-healing auditor, whose quarantined ports admission refuses
+// (ErrHopDown) and the end audit skips.
 func runLifecycles(sc Scenario) (*lifecycles, error) {
 	r, err := build(sc) // Validate refuses a negative count or time
 	if err != nil {

@@ -21,7 +21,7 @@ import (
 // (ci.sh re-runs this test under -race: the control lane must never
 // touch shard state while a window is in flight.)
 func TestParallelControlChurn(t *testing.T) {
-	sc := ChurnScenario(Tiny)
+	sc := ChurnScenario(Tiny).seeded(42)
 	sc.Fabric.Shards = 2
 	res, err := runChurn(sc)
 	if err != nil {

@@ -216,8 +216,7 @@ func build(sc Scenario) (*Run, error) {
 			return nil, err
 		}
 		// EnableRecovery creates the injector the failure windows live
-		// in when there is none; attached to the programmer, it selects
-		// reliable delivery.
+		// in when there is none; the programmer's SMPs cross them.
 		r.prog.Faults = net.Faults
 	}
 	return r, nil

@@ -146,18 +146,57 @@ func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 // a link's fault sequence is fixed by the seed alone.  Nil-safe: the
 // nil injector returns the intact fate.
 func (in *Injector) SMPFate(link int32) Fate {
-	f := Fate{CorruptByte: -1}
 	if in == nil {
-		return f
+		return Fate{CorruptByte: -1}
 	}
-	in.stats.Queries++
 	n := in.seq[link]
 	in.seq[link] = n + 1
+	f := in.fate(link, n)
+	in.stats.Queries++
+	if f.Drop {
+		in.stats.Drops++
+		return f
+	}
+	if f.Corrupt() {
+		in.stats.Corruptions++
+	}
+	if f.Duplicate {
+		in.stats.Duplicates++
+	}
+	if f.DelayBT > 0 {
+		in.stats.Reorders++
+	}
+	return f
+}
+
+// TakeIntact draws the link's next n fates if every one of them is
+// intact, and reports whether it did; otherwise it draws none, and the
+// packets draw their fates one by one as they cross.  Either way the
+// link's fault sequence is the one n SMPFate calls would have dealt.
+// Nil-safe: the nil injector's fates are all intact.
+func (in *Injector) TakeIntact(link int32, n int) bool {
+	if in == nil {
+		return true
+	}
+	first := in.seq[link]
+	for i := range uint64(n) {
+		if in.fate(link, first+i) != (Fate{CorruptByte: -1}) {
+			return false
+		}
+	}
+	in.seq[link] = first + uint64(n)
+	in.stats.Queries += int64(n)
+	return true
+}
+
+// fate is the n-th fate of link: a pure function of the seed, the link
+// and n.
+func (in *Injector) fate(link int32, n uint64) Fate {
+	f := Fate{CorruptByte: -1}
 	base := uint64(in.cfg.Seed)*0x9e3779b97f4a7c15 ^ uint64(uint32(link))<<32 ^ n
 	h0 := splitmix64(base)
 	if unit(h0) < in.cfg.Drop {
 		f.Drop = true
-		in.stats.Drops++
 		return f
 	}
 	h1 := splitmix64(base ^ 0xd1b54a32d192ed03)
@@ -165,18 +204,15 @@ func (in *Injector) SMPFate(link int32) Fate {
 		h := splitmix64(h1)
 		f.CorruptByte = int(h % 256)
 		f.CorruptMask = byte(h>>8) | 1 // at least one bit flips
-		in.stats.Corruptions++
 	}
 	h2 := splitmix64(base ^ 0x8cb92ba72f3d8dd7)
 	if unit(h2) < in.cfg.Duplicate {
 		f.Duplicate = true
-		in.stats.Duplicates++
 	}
 	if in.cfg.MaxReorderBT > 0 {
 		h3 := splitmix64(base ^ 0x52917d1b2b66b5f5)
 		if unit(h3) < in.cfg.Reorder {
 			f.DelayBT = 1 + int64(splitmix64(h3)%uint64(in.cfg.MaxReorderBT))
-			in.stats.Reorders++
 		}
 	}
 	return f

@@ -179,3 +179,38 @@ func TestKeysAreDistinct(t *testing.T) {
 		}
 	}
 }
+
+// TestTakeIntactDrawsWhatSMPFateWould: TakeIntact takes a run of fates
+// only when all are intact, and then leaves the link's sequence, and
+// the counters, exactly where that many SMPFate calls would; otherwise
+// it takes nothing.
+func TestTakeIntactDrawsWhatSMPFateWould(t *testing.T) {
+	cfg := Config{Seed: 5, Drop: 0.1, Duplicate: 0.05, Corrupt: 0.05, Reorder: 0.05, MaxReorderBT: 64}
+	taking, drawing := New(cfg), New(cfg)
+	took := 0
+	for i := 0; i < 2000; i++ {
+		n := 1 + i%8
+		if taking.TakeIntact(3, n) {
+			took++
+			for range n {
+				if f := drawing.SMPFate(3); f != (Fate{CorruptByte: -1}) {
+					t.Fatalf("run %d: TakeIntact took a run holding %+v", i, f)
+				}
+			}
+		}
+		// Both injectors then deal the next fate one by one.
+		if a, b := taking.SMPFate(3), drawing.SMPFate(3); a != b {
+			t.Fatalf("run %d: sequences diverged: %+v vs %+v", i, a, b)
+		}
+	}
+	if taking.Stats() != drawing.Stats() {
+		t.Errorf("stats diverged: %+v vs %+v", taking.Stats(), drawing.Stats())
+	}
+	if took == 0 || took == 2000 {
+		t.Errorf("TakeIntact took %d of 2000 runs: want some of each", took)
+	}
+	var nilInjector *Injector
+	if !nilInjector.TakeIntact(3, 8) {
+		t.Error("the nil injector dealt a fault")
+	}
+}

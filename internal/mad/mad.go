@@ -251,13 +251,21 @@ func putArbBlock(dst []byte, entries []arbtable.Entry) {
 	}
 }
 
-// parseArbBlock reads one arbitration block into out.
+// parseArbBlock reads one arbitration block into out.  An entry's VL
+// byte carries the VL in its low nibble; the high nibble is reserved,
+// and a block that sets it is refused rather than masked, so an
+// accepted block always re-encodes to its own bytes.  out is undefined
+// after an error.
 func parseArbBlock(data []byte, out *[ArbBlockEntries]arbtable.Entry) error {
 	if len(data) < arbBlockBytes {
 		return fmt.Errorf("mad: arbitration block too short (%d)", len(data))
 	}
 	for i := range out {
-		out[i] = arbtable.Entry{VL: data[2*i] & 0x0f, Weight: data[2*i+1]}
+		vl := data[2*i]
+		if vl > 0x0f {
+			return fmt.Errorf("mad: arbitration entry %d: VL byte %#02x sets reserved bits", i, vl)
+		}
+		out[i] = arbtable.Entry{VL: vl, Weight: data[2*i+1]}
 	}
 	return nil
 }
@@ -472,9 +480,14 @@ func DecodePortInfo(data []byte) (PortInfo, error) {
 	if len(data) < 35 {
 		return PortInfo{}, fmt.Errorf("mad: PortInfo payload too short (%d)", len(data))
 	}
+	// The high nibble of byte 32 and the low nibble of byte 34 are
+	// reserved: refused when set, never masked.
+	if data[32] > 0x0f || data[34]&0x0f != 0 {
+		return PortInfo{}, fmt.Errorf("mad: PortInfo bytes 32 and 34 (%#02x, %#02x) set reserved bits", data[32], data[34])
+	}
 	p := PortInfo{
 		LID:            binary.BigEndian.Uint16(data[16:18]),
-		PortState:      data[32] & 0x0f,
+		PortState:      data[32],
 		NeighborMTU:    data[33] >> 4,
 		VLCap:          data[33] & 0x0f,
 		OperationalVLs: data[34] >> 4,

@@ -203,6 +203,17 @@ func TestPortInfoRoundTrip(t *testing.T) {
 	if _, err := DecodePortInfo(bad); err == nil {
 		t.Error("invalid port state accepted")
 	}
+	// A reserved nibble is refused, not masked off.
+	for _, at := range []struct {
+		byte int
+		bits byte
+	}{{32, 0x10}, {34, 0x01}} {
+		bad := EncodePortInfo(p)
+		bad[at.byte] |= at.bits
+		if _, err := DecodePortInfo(bad); err == nil {
+			t.Errorf("PortInfo with reserved bits %#02x of byte %d set accepted", at.bits, at.byte)
+		}
+	}
 }
 
 func TestMTUCodes(t *testing.T) {

@@ -185,14 +185,8 @@ func (a *Auditor) round(st *auditState) {
 		return
 	}
 	a.Prog.counters().AuditRounds++
-	link := linkKey(st.id)
-	hops := 1
-	if a.Prog.Hops != nil {
-		hops = a.Prog.Hops(st.id)
-	}
-	oneWay := int64(hops) * (madWireBytes + hopLatencyBT)
-	now := a.Engine.Now()
-	inj := a.Prog.Faults
+	link, hops, now, inj := linkKey(st.id), a.Prog.hops(st.id), a.Engine.Now(), a.Prog.Faults
+	oneWay := oneWayBT(hops)
 	rnd := &auditRound{st: st, oneWay: oneWay}
 	var lastArrive int64
 	for b := 0; b < core.NumHighBlocks; b++ {
@@ -212,9 +206,7 @@ func (a *Auditor) round(st *auditState) {
 		arriveAt := serialize + oneWay
 		a.Engine.PostAfter(arriveAt, a,
 			sim.Event{Kind: evAuditProbe, A: int32(b), P: &auditProbe{rnd: rnd, rf: rf}})
-		if end := arriveAt + madWireBytes + oneWay + rf.DelayBT; end > lastArrive {
-			lastArrive = end
-		}
+		lastArrive = max(lastArrive, arriveAt+madWireBytes+oneWay+rf.DelayBT)
 	}
 	a.Engine.PostAfter(lastArrive+a.Config.ProbeTimeoutBT, a,
 		sim.Event{Kind: evAuditScore, P: rnd})

@@ -8,36 +8,46 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/faults"
+	"repro/internal/mad"
 	"repro/internal/sim"
 	"repro/internal/sl"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
-// checkFreeList audits the recycled delivery records of a programmer
-// running with poison set, and returns how many there are: none may
-// still be marked in use, and none may have been written to since it
-// was recycled.  A poisoned SMP names block 254, so an event or a
-// handler that reads a recycled record panics in arrive
-// (fire-and-forget) or is dropped and never acknowledged (reliable);
-// either fails the tests below.
-func checkFreeList(t *testing.T, p *InbandProgrammer) int {
+// checkFreeList audits the recycled delivery and transaction records
+// of a programmer running with poison set, and returns how many of
+// each there are: none may still be marked in use, and none may have
+// been written to since it was recycled.  A poisoned SMP names block
+// 254, so an event or a handler that reads a recycled record panics in
+// land or is dropped and never acknowledged; either fails the tests
+// below.
+func checkFreeList(t *testing.T, p *InbandProgrammer) (deliveries, txns int) {
 	t.Helper()
-	n := 0
-	for d := p.free; d != nil; d = d.next {
-		if d.flying || d.pt != nil || d.tx != nil {
-			t.Fatalf("record %d of the free list is still in use", n)
-		}
-		for k, wire := range d.wires[:cap(d.wires)] {
-			for i, b := range wire {
-				if b != 0xff {
-					t.Fatalf("record %d of the free list was written to after it was recycled (SMP %d byte %d = %#x)", n, k, i, b)
-				}
+	poisoned := func(what string, n int, wire *[mad.Size]byte) {
+		for i, b := range wire {
+			if b != 0xff {
+				t.Fatalf("%s %d of the free list was written to after it was recycled (byte %d = %#x)", what, n, i, b)
 			}
 		}
-		n++
 	}
-	return n
+	for _, d := range p.deliveries {
+		if d.used || d.ps != nil {
+			t.Fatalf("delivery record %d of the free list is still in use", deliveries)
+		}
+		poisoned("delivery record", deliveries, &d.wire)
+		deliveries++
+	}
+	for _, tx := range p.txns {
+		if tx.used {
+			t.Fatalf("transaction record %d of the free list is still open", txns)
+		}
+		for k := range tx.wires {
+			poisoned("transaction record", txns, &tx.wires[k])
+		}
+		txns++
+	}
+	return deliveries, txns
 }
 
 // TestProgramRejectsBadDeltaBeforePosting: a delta the codec refuses is
@@ -45,10 +55,10 @@ func checkFreeList(t *testing.T, p *InbandProgrammer) int {
 // encoded and posted block by block would have one SMP in flight, one
 // MAD accounted and the port waiting for a set that never completes.
 func TestProgramRejectsBadDeltaBeforePosting(t *testing.T) {
-	for _, reliable := range []bool{false, true} {
+	for _, injector := range []bool{false, true} {
 		eng, prog, pt := newProgrammerFixture(t)
 		prog.poison = true
-		if reliable {
+		if injector {
 			prog.Faults = faults.New(faults.Config{Seed: 1})
 		}
 		var bad core.Delta
@@ -56,16 +66,16 @@ func TestProgramRejectsBadDeltaBeforePosting(t *testing.T) {
 		bad.Append(core.BlockDelta{Index: 0})
 		bad.Append(core.BlockDelta{Index: core.NumHighBlocks})
 		if err := prog.Program(admission.HostPortID(5), pt, &bad); err == nil {
-			t.Fatalf("reliable=%v: delta naming block %d accepted", reliable, core.NumHighBlocks)
+			t.Fatalf("injector=%v: delta naming block %d accepted", injector, core.NumHighBlocks)
 		}
 		if n := eng.Pending(); n != 0 {
-			t.Errorf("reliable=%v: %d events posted for a refused delta", reliable, n)
+			t.Errorf("injector=%v: %d events posted for a refused delta", injector, n)
 		}
 		if prog.Costs != (Costs{}) {
-			t.Errorf("reliable=%v: refused delta accounted %+v", reliable, prog.Costs)
+			t.Errorf("injector=%v: refused delta accounted %+v", injector, prog.Costs)
 		}
 		if n := prog.OpenTransactions(); n != 0 {
-			t.Errorf("reliable=%v: refused delta left %d transactions open", reliable, n)
+			t.Errorf("injector=%v: refused delta left %d transactions open", injector, n)
 		}
 		// Whatever records the attempt drew are back, and the programmer
 		// still works.
@@ -73,7 +83,7 @@ func TestProgramRejectsBadDeltaBeforePosting(t *testing.T) {
 		programOnce(t, prog, pt)
 		eng.RunWhile(func() bool { return true })
 		if pt.Programming() || pt.Dirty() {
-			t.Errorf("reliable=%v: programmer unusable after a refused delta", reliable)
+			t.Errorf("injector=%v: programmer unusable after a refused delta", injector)
 		}
 	}
 }
@@ -94,20 +104,22 @@ func (c *countingProgrammer) Program(id admission.PortID, pt *core.PortTable, d 
 // TestDeliveryPoolLifetime drives connection churn over the k=8
 // control state with every delta programmed in-band, fast enough that
 // releases and admissions land on ports mid-reprogram and the
-// programmer chains their transactions from inside the delivery that
+// programmer chains their transactions from inside the response that
 // completes the previous one — the moment a record recycled too early
 // would be handed straight back out.  Records are poisoned as they are
-// recycled; newDelivery and recycle panic on a record handed out or
-// returned twice.  The run must end with every lifecycle resolved, the
-// allocators sound, every port idle with active == shadow, and a pool a
-// small fraction of the SMPs it carried.
+// recycled; the free lists panic on a record handed out or returned
+// twice.  The run must end with every
+// lifecycle resolved, the allocators sound, every port idle with
+// active == shadow, and pools a small fraction of the transactions and
+// lone SMPs they carried.  On a perfect network every transaction flies
+// whole, so no SMP flies alone.
 func TestDeliveryPoolLifetime(t *testing.T) {
 	const lifecycles, meanGapBT, meanHoldBT = 2000, 512, 16_384
 	for _, tc := range []struct {
 		name   string
 		faults *faults.Config
 	}{
-		{"fire-and-forget", nil},
+		{"perfect", nil},
 		// Duplicates fly in records of their own, corruption hits the
 		// flight's copy and never the retained wire, stragglers arrive
 		// after their transaction settled.
@@ -163,7 +175,7 @@ func TestDeliveryPoolLifetime(t *testing.T) {
 			eng.After(1, arrive)
 
 			eng.RunWhile(func() bool { return true })
-			pool := checkFreeList(t, prog.InbandProgrammer)
+			deliveries, txns := checkFreeList(t, prog.InbandProgrammer)
 
 			if resolved != lifecycles || cs.Adm.Live() != 0 {
 				t.Errorf("%d of %d lifecycles resolved, %d connections still live", resolved, lifecycles, cs.Adm.Live())
@@ -184,13 +196,19 @@ func TestDeliveryPoolLifetime(t *testing.T) {
 				t.Errorf("%d ports and %d transactions still open at the end", open, prog.OpenTransactions())
 			}
 			chained := programs - prog.calls
-			t.Logf("%d admitted, %d MADs in %d transactions (%d chained from a delivery), pool of %d records",
-				admitted, prog.Costs.MADs, programs, chained, pool)
+			t.Logf("%d admitted, %d MADs in %d transactions (%d chained from a response), pools of %d transaction and %d delivery records",
+				admitted, prog.Costs.MADs, programs, chained, txns, deliveries)
 			if chained < lifecycles/20 {
-				t.Errorf("only %d transactions were chained from inside a delivery; the run does not exercise reuse under chaining", chained)
+				t.Errorf("only %d transactions were chained from inside a response; the run does not exercise reuse under chaining", chained)
 			}
-			if pool == 0 || pool*50 > prog.Costs.MADs {
-				t.Errorf("pool holds %d records after %d SMPs: want every record back, and reused at least fifty-fold", pool, prog.Costs.MADs)
+			if txns == 0 || txns*50 > programs {
+				t.Errorf("pool holds %d transaction records after %d transactions: want every record back, and reused at least fifty-fold", txns, programs)
+			}
+			if tc.faults == nil && deliveries != 0 {
+				t.Errorf("%d SMPs flew alone on a perfect network", deliveries)
+			}
+			if tc.faults != nil && (deliveries == 0 || deliveries*50 > prog.Costs.MADs) {
+				t.Errorf("pool holds %d delivery records after %d SMPs: want every record back, and reused at least fifty-fold", deliveries, prog.Costs.MADs)
 			}
 		})
 	}

@@ -250,12 +250,7 @@ func (rec *Recovery) HostDead(h int) bool {
 // deadPort implements admission.Controller.DeadHop: a hop is dead when
 // its injector key is in the dead set — its data plane is gone, so
 // releases skip programming it.
-func (rec *Recovery) deadPort(id admission.PortID) bool {
-	if id.Host >= 0 {
-		return rec.dead[faults.HostKey(id.Host)]
-	}
-	return rec.dead[faults.SwitchPortKey(id.Switch, id.Port)]
-}
+func (rec *Recovery) deadPort(id admission.PortID) bool { return rec.dead[linkKey(id)] }
 
 // poll is the detection pass: every watched key's blocked state is
 // sampled, keys blocked past the timeout join the dead set, unblocked

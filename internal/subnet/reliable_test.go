@@ -151,24 +151,41 @@ func TestReliableDeadlineAbortsAndRollsBack(t *testing.T) {
 // typed-event conversion the closures lingered in the heap as armed
 // no-ops — a completed transaction kept its deadline event pending for
 // up to DeadlineBT byte times, and a retransmit timeout of a finished
-// transaction could still fire.
+// transaction could still fire.  On a perfect network the transaction
+// flies whole and arms no timer at all; on a duplicating one its blocks
+// fly alone, each with its timer, and the responses cancel them.
 func TestReliableTimersCanceledOnCompletion(t *testing.T) {
-	eng, prog, pt := newReliableFixture(t, faults.Config{Seed: 1})
-	programOnce(t, prog, pt)
-	eng.RunWhile(func() bool { return prog.OpenTransactions() > 0 })
+	for _, tc := range []struct {
+		cfg    faults.Config
+		timers bool
+	}{
+		{faults.Config{Seed: 1}, false},
+		{faults.Config{Seed: 1, Duplicate: 1}, true},
+	} {
+		eng, prog, pt := newReliableFixture(t, tc.cfg)
+		programOnce(t, prog, pt)
+		eng.RunWhile(func() bool { return prog.OpenTransactions() > 0 })
 
-	if n := prog.OpenTransactions(); n != 0 {
-		t.Fatalf("%d transactions still open", n)
-	}
-	if p := eng.Pending(); p != 0 {
-		t.Fatalf("%d events still pending after the transaction settled; orphaned timers", p)
-	}
-	if s := eng.Stats(); s.Canceled == 0 {
-		t.Error("expected the settle path to cancel timers, Canceled = 0")
-	}
-	c := prog.counters()
-	if c.Retransmits != 0 || c.DeadlineAborts != 0 {
-		t.Errorf("perfect network saw recovery activity: %+v", *c)
+		if n := prog.OpenTransactions(); n != 0 {
+			t.Fatalf("%+v: %d transactions still open", tc.cfg, n)
+		}
+		if p := eng.Pending(); !tc.timers && p != 0 {
+			t.Fatalf("%+v: %d events still pending after the transaction settled", tc.cfg, p)
+		}
+		// Every block's timer and the deadline are canceled, none fired;
+		// only the duplicates and their responses are left to land.
+		eng.RunWhile(func() bool { return true })
+		want := int64(0)
+		if tc.timers {
+			want = int64(prog.Costs.MADs) + 1
+		}
+		if s := eng.Stats(); s.Canceled != want {
+			t.Errorf("%+v: settling canceled %d timers, want %d", tc.cfg, s.Canceled, want)
+		}
+		c := prog.counters()
+		if c.Retransmits != 0 || c.DeadlineAborts != 0 {
+			t.Errorf("%+v: lossless network saw recovery activity: %+v", tc.cfg, *c)
+		}
 	}
 }
 

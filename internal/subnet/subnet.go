@@ -169,25 +169,12 @@ func (m *Manager) Discover() (Costs, error) {
 	probeNode := func(info mad.NodeInfo, depth int) error {
 		c.Devices++
 		c.addMAD(depth)
-		got, err := mad.DecodeNodeInfo(mad.EncodeNodeInfo(info))
-		if err != nil {
-			return err
-		}
-		if got != info {
-			return fmt.Errorf("subnet: NodeInfo corrupted on the wire: %+v != %+v", got, info)
-		}
-		return nil
+		return roundTrip("NodeInfo", info, mad.EncodeNodeInfo, mad.DecodeNodeInfo)
 	}
-	probePort := func(info mad.PortInfo, depth int) error {
+	probePort := func(lid uint16, depth int) error {
 		c.addMAD(depth)
-		got, err := mad.DecodePortInfo(mad.EncodePortInfo(info))
-		if err != nil {
-			return err
-		}
-		if got != info {
-			return fmt.Errorf("subnet: PortInfo corrupted on the wire: %+v != %+v", got, info)
-		}
-		return nil
+		info := mad.PortInfo{LID: lid, PortState: mad.PortStateActive, NeighborMTU: mad.MTUCode(4096), VLCap: 15, OperationalVLs: 15}
+		return roundTrip("PortInfo", info, mad.EncodePortInfo, mad.DecodePortInfo)
 	}
 
 	for sw := 0; sw < m.Topo.NumSwitches; sw++ {
@@ -200,10 +187,7 @@ func (m *Manager) Discover() (Costs, error) {
 		}
 		for range m.Topo.Neighbors(sw) {
 			c.SwitchPorts++
-			if err := probePort(mad.PortInfo{
-				LID: uint16(sw) + 1, PortState: mad.PortStateActive,
-				NeighborMTU: mad.MTUCode(4096), VLCap: 15, OperationalVLs: 15,
-			}, depth); err != nil {
+			if err := probePort(uint16(sw)+1, depth); err != nil {
 				return c, err
 			}
 		}
@@ -218,10 +202,7 @@ func (m *Manager) Discover() (Costs, error) {
 		}, depth); err != nil {
 			return c, err
 		}
-		if err := probePort(mad.PortInfo{
-			LID: uint16(m.Topo.NumSwitches + h + 1), PortState: mad.PortStateActive,
-			NeighborMTU: mad.MTUCode(4096), VLCap: 15, OperationalVLs: 15,
-		}, depth); err != nil {
+		if err := probePort(uint16(m.Topo.NumSwitches+h+1), depth); err != nil {
 			return c, err
 		}
 	}
@@ -239,6 +220,16 @@ func (m *Manager) Discover() (Costs, error) {
 	}
 	m.Routes = routes
 	return c, nil
+}
+
+// roundTrip holds an attribute a device answers to its wire encoding:
+// it must decode back to exactly what the device holds.
+func roundTrip[T comparable](what string, v T, encode func(T) []byte, decode func([]byte) (T, error)) error {
+	got, err := decode(encode(v))
+	if err == nil && got != v {
+		err = fmt.Errorf("subnet: %s corrupted on the wire: %+v != %+v", what, got, v)
+	}
+	return err
 }
 
 // ProgramForwarding distributes the linear forwarding tables: each

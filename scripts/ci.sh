@@ -263,13 +263,13 @@ echo "==> go test -race -run TestEngineWheel ./internal/sim (timing-wheel event-
 go test -race -run 'TestEngineWheel' -count=1 ./internal/sim
 
 echo "==> go test -race ./internal/subnet ./internal/admission (delivery-record lifetime gate)"
-# Every in-band flight — a fire-and-forget transaction's SMPs, or one
-# reliable-mode SMP — flies in a record recycled through the
-# programmer's free list, its 256-byte wires inline.  TestDeliveryPoolLifetime runs
+# Every in-band transaction, and every SMP that flies alone, lives in a
+# record recycled through the programmer's free lists, its 256-byte
+# wires inline.  TestDeliveryPoolLifetime runs
 # 2 000 connection lifecycles over the k=8 control state — perfect and
 # duplicating/corrupting/reordering management networks — with records
 # poisoned as they are recycled, so that transactions chained from
-# inside a delivery would trip over a record returned too early; the
+# inside a response would trip over a record returned too early; the
 # admission tests hold the typed refusals to the old text, the
 # one-object connection to its copy, and Admit's read-only decide pass
 # to the retired reserve-then-rollback Admit (TestAdmitDecideDifferential:
@@ -288,10 +288,11 @@ echo "==> go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChu
 # it re-arms the swapped port at the barrier, so the swap-wake and
 # termination tests (both run at two parallel shards) join the gate.
 # On a perfect management network a transaction's SMPs land on one
-# control event at the last one's arrival time:
-# TestInbandEventsPerTransaction budgets exactly one event per
-# transaction on a fire-and-forget churn run and holds its outcomes,
-# swap instants, ReconfigStats and MAD costs to a per-block reference.
+# control event at the last one's arrival time, and their responses on
+# one more only when they chain the next transaction:
+# TestInbandEventsPerTransaction budgets exactly that on a churn run and
+# holds its outcomes, swap instants, ReconfigStats and MAD costs to a
+# per-block reference.
 go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChurnTerminates|TestInbandEventsPerTransaction' -count=1 ./internal/fabric ./internal/experiments ./internal/subnet
 
 echo "==> go test -run AllocBudget . and 'TestVOQStateSizedByRadix|TestPortRecordSizes' ./internal/fabric (zero-alloc hot-path and memory gate)"
