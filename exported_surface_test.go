@@ -389,7 +389,6 @@ var exportedAllowlist = map[string]string{
 	"core.MaxSeqWeight":              "bound of the exported Reserve weight argument",
 	"core.NewAllocator":              "bench/ probe, frozen until ROADMAP 3(b); the mad and ibtable tests build tables with it",
 	"core.NewPortTableWithPolicy":    "test hook: NaturalOrder differential (admission's TestAdmitDecideDifferential)",
-	"core.PortTable.Rollback":        "test hook: admission's refAdmit and rollback tests undo prepared hops without defragmenting",
 	"core.Sequence.Spare":            "bench/ probe, frozen until ROADMAP 3(b)",
 	"fabric.DefaultISLIPIters":       "bench/ probe, frozen until ROADMAP 3(b); the default of Config.ISLIPIters",
 	"fabric.ISLIPState":              "bench/ probe, frozen until ROADMAP 3(b)",

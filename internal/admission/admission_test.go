@@ -394,7 +394,7 @@ func TestCheckConverged(t *testing.T) {
 		}
 		*excuse = nil
 	}
-	if err := c.Ports().Switch[1][0].Rollback(r); err != nil {
+	if err := c.Ports().Switch[1][0].Release(r); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CheckConverged(); err != nil {

@@ -96,6 +96,7 @@ type admitDiff struct {
 	down             map[PortID]bool
 
 	admitted, laterHop int
+	relocated          int // hops a refused refAdmit left relocated
 	refusals           map[error]int
 }
 
@@ -134,6 +135,7 @@ func (d *admitDiff) admit(req traffic.Request) {
 		if errors.As(gerr, &he) && he.hop > 1 {
 			d.laterHop++
 		}
+		d.relocateLikeRef(op)
 		d.compare(op)
 		return
 	}
@@ -144,6 +146,35 @@ func (d *admitDiff) admit(req traffic.Request) {
 	d.admitted++
 	d.gotLive, d.refLive = append(d.gotLive, got), append(d.refLive, want)
 	d.compare(op)
+}
+
+// relocateLikeRef follows a refusal.  refAdmit's abort releases the
+// hops it reserved, and a release only frees: a hop whose reservation
+// relocated keeps the canonical layout of its other sequences.  Admit
+// refuses before it prepares anything, so that hop of the decide side
+// is defragmented here — the same relocation, from the same layout —
+// and the tables and move counts agree again.
+func (d *admitDiff) relocateLikeRef(op string) {
+	d.t.Helper()
+	relocate := func(id PortID, g, r *core.PortTable) {
+		d.t.Helper()
+		want := r.Allocator().TotalMoves() - g.Allocator().TotalMoves()
+		if want == 0 {
+			return
+		}
+		d.relocated++
+		if got := g.Allocator().Defragment(); got != want {
+			d.t.Fatalf("after %s: %v: Defragment moved %d sequences, the reference's abort left %d moved", op, id, got, want)
+		}
+	}
+	for h, g := range d.got.ports.Host {
+		relocate(HostPortID(h), g, d.ref.ports.Host[h])
+	}
+	for s, row := range d.got.ports.Switch {
+		for q, g := range row {
+			relocate(SwitchPortID(s, q), g, d.ref.ports.Switch[s][q])
+		}
+	}
 }
 
 func (d *admitDiff) release(k int) {
@@ -267,7 +298,7 @@ func TestAdmitDecideDifferential(t *testing.T) {
 				if d.laterHop == 0 || d.admitted == 0 {
 					t.Errorf("%d admitted, %d refused past the first hop: the script missed a path", d.admitted, d.laterHop)
 				}
-				t.Logf("%d admitted, refusals %v, %d past the first hop", d.admitted, d.refusals, d.laterHop)
+				t.Logf("%d admitted, refusals %v, %d past the first hop, %d hops relocated by an aborted reference", d.admitted, d.refusals, d.laterHop, d.relocated)
 				if err := d.got.CheckInvariants(); err != nil {
 					t.Error(err)
 				}

@@ -71,14 +71,15 @@ func (c *Controller) refAdmit(req traffic.Request) (*Conn, error) {
 // abort rolls back the hops reserved so far, each of the given weight,
 // for a failed prepare, in reverse order of acquisition, and re-checks
 // every touched hop's invariants (core.PortTable.CheckInvariants).
-// Rollback never defragments, so each shadow table is restored
-// byte-identically to its pre-Admit state.
+// Release never relocates, so each shadow table is restored
+// byte-identically to its pre-Admit state unless its reservation
+// relocated the table (see admitDiff.admit).
 func (c *Controller) abort(weight int) {
 	for i := len(c.held) - 1; i >= 0; i-- {
 		h := c.held[i]
 		tb := c.table(h.port)
-		// Rollback cannot fail for reservations we just made.
-		if err := tb.Rollback(core.Reservation{Hold: h.hold, Weight: weight}); err != nil {
+		// Release cannot fail for reservations we just made.
+		if err := tb.Release(core.Reservation{Hold: h.hold, Weight: weight}); err != nil {
 			panic(fmt.Sprintf("admission: rollback at %v failed: %v", h.id(), err))
 		}
 		if err := tb.CheckInvariants(); err != nil {

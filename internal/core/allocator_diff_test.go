@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -9,25 +10,35 @@ import (
 )
 
 // maskDiff drives a PortTable (the mask allocator under its
-// sequence-sharing layer) and the retired array/map allocator with the
-// same operations and compares everything observable after each one.
+// sequence-sharing layer, relocating on demand) and the retired
+// array/map allocator (defragmenting on every emptying release) with
+// the same operations and compares, after each one, every decision and
+// every observable that does not depend on where the sequences sit.
+// The layouts are compared while they agree: from a relocation — the
+// reference is defragmented at the same instant, so both hold the
+// canonical layout before the request is placed — or an explicit
+// Defragment, until the reference's next release moves a sequence.
 // Sequence IDs are assigned identically on both sides, so one
 // reservation token addresses both.
 type maskDiff struct {
-	t    testing.TB
-	pt   *PortTable
-	a    *Allocator
-	ref  *refAllocator
-	held []Reservation
+	t      testing.TB
+	pt     *PortTable
+	a      *Allocator
+	ref    *refAllocator
+	held   []Reservation
+	synced bool // the layouts agree
+
+	relocations int
 }
 
 func newMaskDiff(t testing.TB, p Policy) *maskDiff {
 	pt := NewPortTableWithPolicy(arbtable.New(arbtable.UnlimitedHigh), p)
 	return &maskDiff{
-		t:   t,
-		pt:  pt,
-		a:   pt.Allocator(),
-		ref: newRefAllocator(p),
+		t:      t,
+		pt:     pt,
+		a:      pt.Allocator(),
+		ref:    newRefAllocator(p),
+		synced: true,
 	}
 }
 
@@ -40,10 +51,24 @@ func (d *maskDiff) outcome(op string, got, want error) {
 	}
 }
 
+// reserve offers one request to both sides.  Decide must answer as the
+// reference's Reserve does and write nothing.  A request Decide answers
+// with a relocation must leave the canonical layout of the sequences
+// live before it with the fresh sequence at its first fit there
+// (canonicalLayout), and TotalMoves grown by the sequences whose start
+// changed.
 func (d *maskDiff) reserve(vl uint8, distance, weight int) {
 	d.t.Helper()
 	op := fmt.Sprintf("Reserve(vl=%d, d=%d, w=%d)", vl, distance, weight)
-	_, derr := d.pt.Decide(vl, distance, weight)
+	shadow, moves := d.a.Table().High, d.a.TotalMoves()
+	before := liveValues(d.a)
+	dec, derr := d.pt.Decide(vl, distance, weight)
+	if d.a.Table().High != shadow || d.a.TotalMoves() != moves {
+		d.t.Fatalf("%s: Decide wrote the table", op)
+	}
+	if derr == nil && dec.relocate {
+		d.ref.defragment()
+	}
 	got, gerr := d.pt.Reserve(vl, distance, weight)
 	want, werr := d.ref.reserve(vl, distance, weight)
 	d.outcome(op, gerr, werr)
@@ -58,7 +83,85 @@ func (d *maskDiff) reserve(vl uint8, distance, weight int) {
 	if gerr == nil {
 		d.held = append(d.held, got)
 	}
+	if derr == nil && dec.relocate {
+		d.relocations++
+		d.synced = true
+		if err := relocatedLayout(d.t, d.a, before, got.Seq, moves); err != nil {
+			d.t.Fatalf("%s: %v", op, err)
+		}
+	} else if gerr == nil && d.a.TotalMoves() != moves {
+		d.t.Fatalf("%s: a request that needed no relocation moved %d sequences", op, d.a.TotalMoves()-moves)
+	}
 	d.compare(op)
+}
+
+// decide asks both sides without reserving: Decide must answer as the
+// reference would, write nothing, and relocate exactly when the request
+// needs a fresh set, enough slots are free and no set is.
+func (d *maskDiff) decide(vl uint8, distance, weight int) {
+	d.t.Helper()
+	op := fmt.Sprintf("Decide(vl=%d, d=%d, w=%d)", vl, distance, weight)
+	shadow, moves := d.a.Table().High, d.a.TotalMoves()
+	dec, err := d.pt.Decide(vl, distance, weight)
+	d.outcome(op, err, d.ref.decide(vl, distance, weight))
+	if d.a.Table().High != shadow || d.a.TotalMoves() != moves {
+		d.t.Fatalf("%s: Decide wrote the table", op)
+	}
+	if err != nil || dec.join != nil {
+		return
+	}
+	_, free := d.a.policy.firstFit(d.a.occ, bits.TrailingZeros(uint(dec.stride)))
+	if dec.relocate == free {
+		d.t.Fatalf("%s: relocate %v, but a free set exists: %v", op, dec.relocate, free)
+	}
+	if !dec.relocate && d.a.occ&setMask(dec.stride, dec.start) != 0 {
+		d.t.Fatalf("%s: decided start %d is taken", op, dec.start)
+	}
+}
+
+// liveValues returns copies of the live sequences in ID order.
+func liveValues(a *Allocator) []Sequence {
+	var out []Sequence
+	for _, s := range a.Sequences() {
+		out = append(out, *s)
+	}
+	return out
+}
+
+// relocatedLayout checks the table a relocating request left: the
+// sequences live before it (before, in ID order) where canonicalLayout
+// puts them, the fresh sequence fresh where the canonical layout's
+// first fit puts it, the table bytes equal to that layout's, and
+// TotalMoves grown from moves by the number of starts that changed.
+func relocatedLayout(t testing.TB, a *Allocator, before []Sequence, fresh SeqID, moves int) error {
+	canon, start := canonicalLayout(t, before)
+	s := a.Lookup(fresh)
+	if s == nil {
+		return fmt.Errorf("relocating request placed no sequence %d", fresh)
+	}
+	placed, err := canon.Allocate(s.VL, s.Stride, s.Weight)
+	if err != nil {
+		return fmt.Errorf("canonical layout cannot place %v: %v", s, err)
+	}
+	if placed.Start != s.Start {
+		return fmt.Errorf("fresh sequence %d starts at %d, canonical first fit %d", fresh, s.Start, placed.Start)
+	}
+	changed := 0
+	for _, b := range before {
+		if got := a.Lookup(b.ID).Start; got != start[b.ID] {
+			return fmt.Errorf("sequence %d starts at %d, canonical layout %d", b.ID, got, start[b.ID])
+		}
+		if start[b.ID] != b.Start {
+			changed++
+		}
+	}
+	if a.Table().High != canon.Table().High {
+		return fmt.Errorf("shadow table\n%v\ncanonical layout\n%v", a.Table().High, canon.Table().High)
+	}
+	if grew := a.TotalMoves() - moves; grew != changed || changed == 0 {
+		return fmt.Errorf("TotalMoves grew by %d, %d starts changed", grew, changed)
+	}
+	return nil
 }
 
 // take removes and returns the i-th held reservation.
@@ -69,25 +172,36 @@ func (d *maskDiff) take(i int) Reservation {
 	return r
 }
 
+// release frees on the mask side and defragments on the reference's;
+// the layouts part when the reference moves a sequence.
 func (d *maskDiff) release(r Reservation) {
 	d.t.Helper()
 	op := fmt.Sprintf("Release(%+v)", r)
+	moves, refMoves := d.a.TotalMoves(), d.ref.moves
 	d.outcome(op, d.pt.Release(r), d.ref.release(r))
+	if d.a.TotalMoves() != moves {
+		d.t.Fatalf("%s: a release moved %d sequences", op, d.a.TotalMoves()-moves)
+	}
+	if d.ref.moves != refMoves {
+		d.synced = false
+	}
 	d.compare(op)
 }
 
+// rollback undoes a reservation on both sides without defragmenting:
+// Release on the mask side, the reference's rollback.
 func (d *maskDiff) rollback(r Reservation) {
 	d.t.Helper()
 	op := fmt.Sprintf("Rollback(%+v)", r)
-	d.outcome(op, d.pt.Rollback(r), d.ref.rollback(r))
+	d.outcome(op, d.pt.Release(r), d.ref.rollback(r))
 	d.compare(op)
 }
 
 func (d *maskDiff) defragment() {
 	d.t.Helper()
-	if got, want := d.a.Defragment(), d.ref.defragment(); got != want {
-		d.t.Fatalf("Defragment moved %d sequences, reference %d", got, want)
-	}
+	d.a.Defragment()
+	d.ref.defragment()
+	d.synced = true
 	d.compare("Defragment")
 }
 
@@ -101,15 +215,16 @@ func (d *maskDiff) canAllocate(distance, weight int) {
 // compare fails the test unless the two allocators agree.
 func (d *maskDiff) compare(op string) {
 	d.t.Helper()
-	if err := diffWithRef(d.a, d.ref); err != nil {
+	if err := diffWithRef(d.a, d.ref, d.synced); err != nil {
 		d.t.Fatalf("after %s: %v", op, err)
 	}
 }
 
 // diffWithRef checks every observable of the mask allocator against
-// the reference, and the mask allocator's own audit.
-func diffWithRef(a *Allocator, ref *refAllocator) error {
-	if a.Table().High != ref.table.High {
+// the reference — the table bytes and the starts only when layout is
+// set — and the mask allocator's own audit.
+func diffWithRef(a *Allocator, ref *refAllocator, layout bool) error {
+	if layout && a.Table().High != ref.table.High {
 		return fmt.Errorf("high tables differ\nmask: %v\nref:  %v", a.Table().High, ref.table.High)
 	}
 	sameSeqs := func(got, want []*Sequence) error {
@@ -118,9 +233,12 @@ func diffWithRef(a *Allocator, ref *refAllocator) error {
 		}
 		for i := range got {
 			// The record's owner is the mask allocator's own bookkeeping.
-			g := *got[i]
+			g, w := *got[i], *want[i]
 			g.owner = nil
-			if g != *want[i] {
+			if !layout {
+				g.Start, w.Start = 0, 0
+			}
+			if g != w {
 				return fmt.Errorf("[%d] = %v, reference %v", i, got[i], want[i])
 			}
 		}
@@ -134,9 +252,6 @@ func diffWithRef(a *Allocator, ref *refAllocator) error {
 			return fmt.Errorf("SequencesForVL(%d): %w", vl, err)
 		}
 	}
-	if got, want := a.TotalMoves(), ref.moves; got != want {
-		return fmt.Errorf("TotalMoves = %d, reference %d", got, want)
-	}
 	if got, want := a.FreeSlots(), ref.freeSlots(); got != want {
 		return fmt.Errorf("FreeSlots = %d, reference %d", got, want)
 	}
@@ -148,9 +263,10 @@ func diffWithRef(a *Allocator, ref *refAllocator) error {
 
 // TestAllocatorMaskDifferential runs one random script per seed and
 // policy against both allocators: reservations on all 15 data VLs that
-// join sequences or allocate fresh ones at every distance, releases
-// (with the defragmentation they trigger), rollbacks, explicit
-// defragmentation, capacity queries and malformed requests.
+// join sequences or allocate fresh ones at every distance (relocating
+// ones included), releases (with the defragmentation they trigger on
+// the reference), rollbacks, explicit defragmentation, capacity
+// queries and malformed requests.
 func TestAllocatorMaskDifferential(t *testing.T) {
 	steps := 4000
 	if testing.Short() {
@@ -188,14 +304,16 @@ func TestAllocatorMaskDifferential(t *testing.T) {
 					case k < 82:
 						// An aborted transaction: a few reservations undone
 						// in reverse order leave the table as it was.
-						before, mark := d.a.Table().High, len(d.held)
+						// A relocating reservation leaves its relocation
+						// behind (relocatedLayout pins it).
+						before, mark, moves := d.a.Table().High, len(d.held), d.a.TotalMoves()
 						for n := 1 + rng.Intn(3); n > 0; n-- {
 							d.reserve(uint8(rng.Intn(arbtable.NumDataVLs)), Distances[rng.Intn(len(Distances))], weight())
 						}
 						for len(d.held) > mark {
 							d.rollback(d.take(len(d.held) - 1))
 						}
-						if d.a.Table().High != before {
+						if d.a.TotalMoves() == moves && d.a.Table().High != before {
 							t.Fatalf("step %d: rollback did not restore the table", i)
 						}
 					case k < 87:
@@ -222,6 +340,9 @@ func TestAllocatorMaskDifferential(t *testing.T) {
 					if fresh[stride] == 0 {
 						t.Errorf("script never allocated a fresh sequence at stride %d: %v", stride, fresh)
 					}
+				}
+				if p.Defrag && d.relocations == 0 {
+					t.Errorf("script never relocated")
 				}
 			})
 		}

@@ -8,11 +8,14 @@ import (
 )
 
 // refAllocator is the allocator as it stood before occupancy became a
-// 64-bit word: slot ownership in an array of sequence IDs walked entry
-// by entry, the live sequences in a map, a sort-based defragmenter and
-// a reserved weight summed over the map on every call.  It is kept as
-// the reference the differential tests (TestAllocatorMaskDifferential,
-// FuzzAllocatorTrace) drive in lock-step with Allocator; it computes
+// 64-bit word and before relocation moved from releases to the requests
+// that need it: slot ownership in an array of sequence IDs walked entry
+// by entry, the live sequences in a map, a sort-based defragmenter run
+// on every emptying release (the paper's eager discipline, under which
+// every state is canonical) and a reserved weight summed over the map
+// on every call.  It is kept as the reference the differential tests
+// (TestAllocatorMaskDifferential, FuzzAllocatorTrace,
+// FuzzRelocateOnDemand) drive in lock-step with Allocator; it computes
 // its inspection orders itself so it shares no table with the code
 // under test.
 type refAllocator struct {
@@ -239,6 +242,26 @@ func (a *refAllocator) defragment() (moves int) {
 	return moves
 }
 
+// decide is reserve without the write: the error reserve would return.
+func (a *refAllocator) decide(vl uint8, distance, weight int) error {
+	stride, count, err := Shape(distance, weight)
+	if err != nil {
+		return err
+	}
+	if vl >= arbtable.NumDataVLs {
+		return fmt.Errorf("core: VL %d is not a data VL", vl)
+	}
+	for _, s := range a.byVL[vl] {
+		if s.Stride <= distance && s.Spare() >= weight {
+			return nil
+		}
+	}
+	if !a.canAllocate(distance, weight) {
+		return fmt.Errorf("%w (need %d slots at stride %d, %d free)", ErrNoSpace, count, stride, a.freeSlots())
+	}
+	return nil
+}
+
 func (a *refAllocator) canAllocate(distance, weight int) bool {
 	stride, _, err := Shape(distance, weight)
 	if err != nil {
@@ -253,7 +276,9 @@ func (a *refAllocator) canAllocate(distance, weight int) bool {
 }
 
 // reserve, release and rollback are PortTable's sequence-sharing layer
-// over the reference allocator.
+// over the reference allocator, which defragments on every emptying
+// release — the paper's eager discipline; rollback undoes an aborted
+// transaction's reservation without defragmenting.
 func (a *refAllocator) reserve(vl uint8, distance, weight int) (Reservation, error) {
 	if _, _, err := Shape(distance, weight); err != nil {
 		return Reservation{}, err

@@ -24,8 +24,9 @@
 // offsets in bit-reversal order — and takes the first fully free one.
 // Scanning in this order fills even slots before odd slots at every
 // scale, which keeps the free slots positioned to satisfy the most
-// restrictive possible future request.  Together with defragmentation
-// on release this yields the paper's theorem:
+// restrictive possible future request.  Together with relocation on
+// demand (below) this yields the paper's theorem, a statement about
+// requests:
 //
 //	a request of n slots succeeds if and only if n slots are free.
 //
@@ -37,16 +38,30 @@
 // sequence allocated.  Reserve/Release implement this layer on top of
 // the raw Allocate/Free primitives.
 //
-// # Defragmentation
+// # Relocation on demand
 //
 // When a sequence's accumulated weight drops to zero its slots are
-// freed.  Freeing can leave equal-sized free sets that are not aligned
-// ("buddies" in different subtrees), which would break the theorem.
-// The defragmenter relocates live sequences to the lowest free
-// bit-reversal ranks, largest sequences first, which provably restores
-// the invariant (the companion technical report with the original
-// incremental procedure is unavailable; this re-derivation achieves
-// the same stated property and is verified by property tests).
+// freed, and nothing else moves.  Freeing can leave equal-sized free
+// sets that are not aligned ("buddies" in different subtrees), so a
+// later request can find n slots free but no free candidate set of n.
+// Only then does the table relocate: the defragmenter moves the live
+// sequences to the lowest free bit-reversal ranks, largest sequences
+// first, which provably leaves a free aligned set of every
+// power-of-two size up to the free-slot count, and the request takes
+// the first of its size.  The paper defragments on every release, so
+// that the table is canonical in every state; the theorem needs it only
+// when a request arrives, and deferring it spares the relocations of
+// releases no request needed (the companion technical report with the
+// original incremental procedure is unavailable; this re-derivation
+// achieves the same stated property and is verified by property tests).
+//
+// Deciding needs no relocation: the candidate sets are the aligned
+// blocks of a buddy system over the bit-reversal ranks, so placing
+// blocks largest first packs them into the lowest ranks, and the
+// canonical layout's occupancy is the first u ranks for u occupied
+// slots, whatever the sizes.  A request that finds no free set takes
+// its first fit in that word (canonOcc) and carries the relocation
+// with it to Prepare.
 //
 // # Representation
 //
@@ -294,7 +309,7 @@ type Allocator struct {
 
 	// moves counts sequences relocated by defragmentation over the
 	// allocator's lifetime — the table-update cost the subnet manager
-	// would pay for the paper's release discipline.
+	// pays for the relocations requests needed.
 	moves int
 
 	// free holds the records of freed sequences for later placements
@@ -385,19 +400,38 @@ func (a *Allocator) find(id SeqID) int {
 	return -1
 }
 
-// firstFree returns the first start offset, in the policy's inspection
-// order, whose candidate set of the given stride is entirely free.
-func (a *Allocator) firstFree(stride int) (start int, ok bool) {
-	return a.policy.firstFit(a.occ, bits.TrailingZeros(uint(stride)))
-}
-
-// fit is firstFree with Allocate's refusal.
-func (a *Allocator) fit(stride int) (start int, err error) {
-	j, ok := a.firstFree(stride)
-	if !ok {
-		return 0, &noSpaceErrs[bits.TrailingZeros(uint(stride))][a.FreeSlots()]
+// canonOcc[u] is the occupancy word of the canonical layout — the one
+// Defragment produces — of any live set covering u slots: the slots of
+// bit-reversal rank below u.  A candidate set of stride 2^i is the rank
+// block [rev_i(j)·n, (rev_i(j)+1)·n) of its n = 64/2^i slots, so the
+// sets are the aligned blocks of a buddy system over the ranks, and
+// placing them largest first, each at its first free block, fills the
+// ranks from 0 up without a gap.  checkInvariants holds it to
+// Defragment's own placement.
+var canonOcc = func() (m [TableSize + 1]uint64) {
+	for u := 1; u <= TableSize; u++ {
+		m[u] = m[u-1] | 1<<(bits.Reverse8(uint8(u-1))>>2)
 	}
-	return j, nil
+	return m
+}()
+
+// fit returns where a request of the given stride goes: the first free
+// candidate set in the policy's inspection order, else — when the
+// policy relocates and enough slots are free — the first free set of
+// the canonical layout, with relocate set: the request is granted after
+// Defragment runs.  It writes nothing.  The refusal is Allocate's.
+func (a *Allocator) fit(stride int) (start int, relocate bool, err error) {
+	c := bits.TrailingZeros(uint(stride))
+	if j, ok := a.policy.firstFit(a.occ, c); ok {
+		return j, false, nil
+	}
+	free := a.FreeSlots()
+	if a.policy.Defrag && TableSize/stride <= free {
+		if j, ok := a.policy.firstFit(canonOcc[TableSize-free], c); ok {
+			return j, true, nil
+		}
+	}
+	return 0, false, &noSpaceErrs[c][free]
 }
 
 // errNotDataVL is the refusal of a placement on a lane that carries no
@@ -407,10 +441,12 @@ func errNotDataVL(vl uint8) error { return fmt.Errorf("core: VL %d is not a data
 // Allocate places a new sequence for a connection of virtual lane vl
 // requesting a maximum distance and a weight.  Candidate offsets are
 // inspected in bit-reversal order and the first fully free set is
-// taken.  It returns ErrNoSpace when no candidate set is free — which,
-// as long as releases run the defragmenter, happens exactly when fewer
-// slots are free than the request needs.  The record returned is the
-// allocator's (see Lookup for how long it describes the sequence).
+// taken; when none is free but enough slots are, the table is
+// defragmented first and the request takes the first free set of the
+// canonical layout.  So, under the paper's policy, it returns
+// ErrNoSpace exactly when fewer slots are free than the request needs.
+// The record returned is the allocator's (see Lookup for how long it
+// describes the sequence).
 func (a *Allocator) Allocate(vl uint8, distance, weight int) (*Sequence, error) {
 	if vl >= arbtable.NumDataVLs {
 		return nil, errNotDataVL(vl)
@@ -419,11 +455,27 @@ func (a *Allocator) Allocate(vl uint8, distance, weight int) (*Sequence, error) 
 	if err != nil {
 		return nil, err
 	}
-	j, err := a.fit(stride)
+	j, relocate, err := a.fit(stride)
 	if err != nil {
 		return nil, err
 	}
-	return a.add(vl, stride, j, weight), nil
+	return a.placeFresh(vl, stride, j, relocate, weight), nil
+}
+
+// placeFresh carries out fit's answer: it defragments when the answer
+// needs relocation, then places a fresh sequence at start, which must be
+// free by then.
+func (a *Allocator) placeFresh(vl uint8, stride, start int, relocate bool, weight int) *Sequence {
+	if stride == 0 {
+		panic("core: placing a fresh sequence of no stride")
+	}
+	if relocate {
+		a.Defragment()
+	}
+	if a.occ&setMask(stride, start) != 0 {
+		panic(fmt.Sprintf("core: placing stride %d at %d, which is not free", stride, start))
+	}
+	return a.add(vl, stride, start, weight)
 }
 
 // add places a fresh sequence at a start offset whose candidate set is
@@ -530,20 +582,21 @@ func (a *Allocator) addWeight(s *Sequence, weight int) error {
 }
 
 // RemoveWeight deducts a finished connection's weight from a sequence.
-// When the accumulated weight reaches zero the slots are freed and the
-// table defragmented.  It reports whether the sequence was freed.
+// When the accumulated weight reaches zero the slots are freed; no
+// other sequence moves (a later request that needs an aligned set
+// relocates, see Allocate).  It reports whether the sequence was freed.
 func (a *Allocator) RemoveWeight(id SeqID, weight int) (freed bool, err error) {
 	s := a.Lookup(id)
 	if s == nil {
 		return false, ErrUnknownSeq
 	}
-	return a.removeWeight(s, weight, a.policy.Defrag)
+	return a.removeWeight(s, weight)
 }
 
 // removeWeight is RemoveWeight on a live sequence the caller already
 // holds.  Only a release that empties the sequence searches, for its
 // position in the live list.
-func (a *Allocator) removeWeight(s *Sequence, weight int, defrag bool) (freed bool, err error) {
+func (a *Allocator) removeWeight(s *Sequence, weight int) (freed bool, err error) {
 	if weight < 1 || weight > s.Weight {
 		return false, fmt.Errorf("core: cannot remove weight %d from sequence with weight %d", weight, s.Weight)
 	}
@@ -558,9 +611,6 @@ func (a *Allocator) removeWeight(s *Sequence, weight int, defrag bool) (freed bo
 		a.dropFromIndex(s)
 		s.owner = nil
 		a.free = append(a.free, s)
-		if defrag {
-			a.Defragment()
-		}
 		return true, nil
 	}
 	a.place(s)
@@ -591,10 +641,12 @@ func (a *Allocator) dropFromIndex(s *Sequence) {
 }
 
 // Defragment relocates live sequences to the lowest free bit-reversal
-// ranks, largest sequences first, ties by ID.  After it runs, the free
-// slots again contain a fully free aligned candidate set of every
-// power-of-two size up to the number of free slots, so the allocation
-// theorem holds.  It returns the number of sequences that moved.
+// ranks, largest sequences first, ties by ID: the canonical layout.
+// After it runs, the free slots contain a fully free aligned candidate
+// set of every power-of-two size up to the number of free slots, and
+// its occupancy word is canonOcc of the occupied count.  A request that
+// finds no free set runs it (Allocate, PortTable.Prepare).  It returns
+// the number of sequences that moved.
 //
 // Placing power-of-two-sized blocks in decreasing size order at the
 // first free candidate set (bit-reversal order = left-to-right in the
@@ -612,28 +664,8 @@ func (a *Allocator) dropFromIndex(s *Sequence) {
 // word-wide fit.  Only the sequences that moved are rewritten: their
 // old slots cleared first, then their new ones written.
 func (a *Allocator) Defragment() (moves int) {
-	var class [numStrides]uint64 // bit i: live[i] is of that stride class
-	for i, s := range a.live {
-		class[bits.TrailingZeros(uint(s.Stride))] |= 1 << uint(i)
-	}
-	var shadow, moved uint64
 	var newStart [TableSize]int8 // by position in live
-	// Strides 2 up to 64: sequences of 32 slots down to 1.
-	for c := 1; c < numStrides; c++ {
-		for w := class[c]; w != 0; w &= w - 1 {
-			i := bits.TrailingZeros64(w)
-			j, ok := BitReversal.firstFit(shadow, c)
-			if !ok {
-				// Cannot happen: the same sequences fit before.
-				panic("core: defragmentation failed to place a live sequence")
-			}
-			shadow |= strideMask[c] << uint(j)
-			if j != a.live[i].Start {
-				newStart[i] = int8(j)
-				moved |= 1 << uint(i)
-			}
-		}
-	}
+	_, moved := a.canonical(&newStart)
 	if moved == 0 {
 		return 0
 	}
@@ -650,19 +682,47 @@ func (a *Allocator) Defragment() (moves int) {
 	return moves
 }
 
+// canonical computes Defragment's placement without writing it: the
+// occupancy of the canonical layout, and the live sequences (bit i for
+// live[i]) whose start differs there, with each one's new start in
+// newStart.
+func (a *Allocator) canonical(newStart *[TableSize]int8) (occ, moved uint64) {
+	var class [numStrides]uint64 // bit i: live[i] is of that stride class
+	for i, s := range a.live {
+		class[bits.TrailingZeros(uint(s.Stride))] |= 1 << uint(i)
+	}
+	// Strides 2 up to 64: sequences of 32 slots down to 1.
+	for c := 1; c < numStrides; c++ {
+		for w := class[c]; w != 0; w &= w - 1 {
+			i := bits.TrailingZeros64(w)
+			j, ok := BitReversal.firstFit(occ, c)
+			if !ok {
+				// Cannot happen: the same sequences fit before.
+				panic("core: defragmentation failed to place a live sequence")
+			}
+			occ |= strideMask[c] << uint(j)
+			if j != a.live[i].Start {
+				newStart[i] = int8(j)
+				moved |= 1 << uint(i)
+			}
+		}
+	}
+	return occ, moved
+}
+
 // TotalMoves returns the cumulative number of sequence relocations
 // performed by defragmentation.
 func (a *Allocator) TotalMoves() int { return a.moves }
 
 // CanAllocate reports whether a request with the given distance and
-// weight would currently succeed.
+// weight would currently succeed, after relocation if it needs one.
 func (a *Allocator) CanAllocate(distance, weight int) bool {
 	stride, _, err := Shape(distance, weight)
 	if err != nil {
 		return false
 	}
-	_, ok := a.firstFree(stride)
-	return ok
+	_, _, err = a.fit(stride)
+	return err == nil
 }
 
 // checkInvariants verifies the allocator's internal consistency and
@@ -766,14 +826,26 @@ func (a *Allocator) checkInvariants() error {
 	if indexed != len(a.live) || len(a.byVL) != len(a.live) {
 		return fmt.Errorf("VL index holds %d sequences in %d cells, allocator has %d", indexed, len(a.byVL), len(a.live))
 	}
-	// 3. The allocation theorem: for every power-of-two size up to the
-	// free-slot count there is a fully free candidate set.  Only the
-	// paper's policy provides it.
+	// 3. The allocation theorem, a statement about requests: for every
+	// power-of-two size up to the free-slot count a request is granted,
+	// at once or after relocation, and the canonical layout that
+	// relocation produces — Defragment's placement, which must occupy
+	// canonOcc of the occupied count — holds a free aligned set of that
+	// size.  Only the paper's policy provides it.
 	if a.policy.Name == BitReversal.Name {
 		free := a.FreeSlots()
+		var newStart [TableSize]int8
+		canon, _ := a.canonical(&newStart)
+		if want := canonOcc[TableSize-free]; canon != want {
+			return fmt.Errorf("canonical layout occupies %016x, want %016x for %d occupied slots", canon, want, TableSize-free)
+		}
 		for n := 1; n <= free && n <= MaxSeqSlots; n *= 2 {
-			if _, found := a.firstFree(TableSize / n); !found {
-				return fmt.Errorf("theorem violated: %d slots free but no free set of size %d", free, n)
+			c := bits.TrailingZeros(uint(TableSize / n))
+			if _, _, err := a.fit(TableSize / n); err != nil {
+				return fmt.Errorf("theorem violated: %d slots free but a request of %d refused: %v", free, n, err)
+			}
+			if _, ok := BitReversal.firstFit(canon, c); !ok {
+				return fmt.Errorf("theorem violated: %d slots free but the canonical layout has no free set of size %d", free, n)
 			}
 		}
 	}

@@ -205,9 +205,9 @@ func TestAllocateRejectsBadVL(t *testing.T) {
 }
 
 // TestDefragmentationMergesHoles reproduces the scenario that motivates
-// defragmentation: allocate three 2-slot sequences, free the middle
-// one, and verify a 4-slot request still succeeds even though the naive
-// layout would have two non-buddy free 2-sets.
+// defragmentation: fill the table with 2-slot sequences, free every
+// other one, and verify a 32-slot request still succeeds — relocating
+// first — although the free slots hold no 32-slot set.
 func TestDefragmentationMergesHoles(t *testing.T) {
 	a := newAlloc()
 	var ids []SeqID
@@ -219,7 +219,7 @@ func TestDefragmentationMergesHoles(t *testing.T) {
 		ids = append(ids, s.ID)
 	}
 	// Free every other sequence: 32 slots free, fragmented as 16
-	// scattered 2-sets before defragmentation.
+	// scattered 2-sets, which releases leave as they are.
 	for i := 0; i < 32; i += 2 {
 		if _, err := a.RemoveWeight(ids[i], 256); err != nil {
 			t.Fatalf("free %d: %v", i, err)
@@ -233,7 +233,10 @@ func TestDefragmentationMergesHoles(t *testing.T) {
 	}
 	// The theorem: a 32-slot (distance 2) request must now succeed.
 	if _, err := a.Allocate(0, 2, 32); err != nil {
-		t.Errorf("distance-2 allocation after defrag failed: %v", err)
+		t.Errorf("distance-2 allocation failed: %v", err)
+	}
+	if a.TotalMoves() == 0 {
+		t.Error("the distance-2 allocation did not relocate")
 	}
 }
 
@@ -300,34 +303,47 @@ func TestSequenceAccessors(t *testing.T) {
 	}
 }
 
+// TestTotalMovesAccounting: releases move nothing; a request that
+// finds enough free slots but no aligned set relocates, and TotalMoves
+// counts the sequences that moved.
 func TestTotalMovesAccounting(t *testing.T) {
 	a := newAlloc()
 	var ids []SeqID
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 8; i++ { // eight 8-slot sequences fill the table
 		s, err := a.Allocate(uint8(i), 8, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, s.ID)
 	}
-	if a.TotalMoves() != 0 {
-		t.Errorf("moves before any release = %d", a.TotalMoves())
+	// Free two sets that are not buddies (starts 0 and 2): 16 slots
+	// free, no 16-slot set among them.
+	for _, k := range []int{0, 2} {
+		if _, err := a.RemoveWeight(ids[k], 10); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Free an early sequence: the canonical repack relocates later
-	// ones toward lower bit-reversal ranks.
-	if _, err := a.RemoveWeight(ids[0], 10); err != nil {
+	if a.TotalMoves() != 0 {
+		t.Errorf("releases moved %d sequences", a.TotalMoves())
+	}
+	if a.CanAllocate(4, 10) != true {
+		t.Fatal("16 slots free but a 16-slot request refused")
+	}
+	if _, err := a.Allocate(8, 4, 10); err != nil {
 		t.Fatal(err)
 	}
-	if a.TotalMoves() == 0 {
-		t.Error("no moves counted after a hole-creating release")
+	// The canonical repack moves all six survivors: starts 4, 6, 1, 5,
+	// 3, 7 become 0, 4, 2, 6, 1, 5, leaving the stride-4 set at 3.
+	if a.TotalMoves() != 6 {
+		t.Errorf("relocating request counted %d moves, want 6", a.TotalMoves())
 	}
 	if err := a.checkInvariants(); err != nil {
 		t.Error(err)
 	}
 
-	// The costliest release on a port: emptying a sequence moves the
-	// later arrival into its hole, exactly one relocation; releasing
-	// that arrival moves nothing.
+	// The costliest release under the paper's eager discipline emptied
+	// a sequence and moved the later arrival into its hole, one
+	// relocation per round; on demand, no request here needs one.
 	p := newPort()
 	for vl, d := range []int{4, 8, 16, 32} {
 		if _, err := p.Reserve(uint8(vl), d, 100); err != nil {
@@ -348,8 +364,8 @@ func TestTotalMovesAccounting(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := p.Allocator().TotalMoves(); got != round {
-			t.Errorf("after %d rounds of two placements and two releases: %d moves, want %d", round, got, round)
+		if got := p.Allocator().TotalMoves(); got != 0 {
+			t.Errorf("after %d rounds of two placements and two releases: %d moves, want 0", round, got)
 		}
 	}
 }

@@ -254,11 +254,10 @@ func (d *deliverDiff) run() {
 				d.held = append(d.held[:k], d.held[k+1:]...)
 			}
 		case 3:
-			// Rollback undoes only the reservation just made, as an
-			// aborting admission does; later it would leave a layout
-			// defragmentation never produces.
+			// Release of the reservation just made, as an aborting
+			// admission undoes it.
 			if n := len(d.held); reserved {
-				if err := d.pt.Rollback(d.held[n-1]); err != nil {
+				if err := d.pt.Release(d.held[n-1]); err != nil {
 					d.t.Fatal(err)
 				}
 				d.held = d.held[:n-1]

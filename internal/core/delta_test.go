@@ -437,8 +437,8 @@ func TestCancelProgram(t *testing.T) {
 
 // TestApplyMatchesDelivery: Apply is BeginProgram with every block of
 // its delta delivered, in one step.  Twin ports run one random history
-// of joins, fresh placements, releases with their defragmentation,
-// rollbacks and explicit defragmentation; one is programmed with Apply,
+// of joins, fresh placements (relocating ones included), releases and
+// explicit defragmentation; one is programmed with Apply,
 // the other through the protocol, and after every programming both must
 // agree on the active table bytes and version and on ReconfigStats.
 // Apply on a port with a transaction in flight must change nothing.
@@ -473,20 +473,13 @@ func TestApplyMatchesDelivery(t *testing.T) {
 				if erra == nil {
 					held = append(held, [2]Reservation{ra, rb})
 				}
-			case k < 70:
+			case k < 75:
 				if len(held) > 0 {
 					j := rng.Intn(len(held))
 					if a.Release(held[j][0]) != nil || b.Release(held[j][1]) != nil {
 						t.Fatalf("seed %d: release failed", seed)
 					}
 					held = append(held[:j], held[j+1:]...)
-				}
-			case k < 75:
-				if n := len(held); n > 0 {
-					if a.Rollback(held[n-1][0]) != nil || b.Rollback(held[n-1][1]) != nil {
-						t.Fatalf("seed %d: rollback failed", seed)
-					}
-					held = held[:n-1]
 				}
 			case k < 78:
 				a.Allocator().Defragment()
@@ -528,6 +521,9 @@ func TestApplyMatchesDelivery(t *testing.T) {
 	}
 }
 
+// TestRollbackRestoresTableBytes: releasing the reservation a Prepare
+// just made, one that did not relocate, restores the shadow table and
+// the sequences byte for byte, as an aborting admission relies on.
 func TestRollbackRestoresTableBytes(t *testing.T) {
 	p := newPort()
 	// Background load so defragmentation would have something to move.
@@ -540,11 +536,11 @@ func TestRollbackRestoresTableBytes(t *testing.T) {
 	before := *p.Allocator().Table() // snapshot the full shadow table
 	seqs := p.Allocator().Sequences()
 
-	r, err := p.Reserve(2, 4, 300)
-	if err != nil {
-		t.Fatal(err)
+	d, err := p.Decide(2, 4, 300)
+	if err != nil || d.relocate {
+		t.Fatalf("Decide = %+v, %v; want a placement without relocation", d, err)
 	}
-	if err := p.Rollback(r); err != nil {
+	if err := p.Release(p.Prepare(d)); err != nil {
 		t.Fatal(err)
 	}
 	after := *p.Allocator().Table()
@@ -562,5 +558,54 @@ func TestRollbackRestoresTableBytes(t *testing.T) {
 		if got[i].String() != seqs[i].String() {
 			t.Errorf("sequence %d = %v, want %v", i, got[i], seqs[i])
 		}
+	}
+}
+
+// TestRollbackAfterRelocatingPrepare pins what releasing the
+// reservation of a relocating Prepare leaves behind: the fresh sequence
+// is gone, and the others stay where the relocation put them — the
+// canonical layout of the sequences live before the Prepare, not the
+// table as it was.  Decide itself writes nothing.
+func TestRollbackAfterRelocatingPrepare(t *testing.T) {
+	p := newPort()
+	var held []Reservation
+	for i := 0; i < 32; i++ { // fill the table with 2-slot sequences
+		r, err := p.Reserve(uint8(i%14), 64, 256)
+		if err != nil {
+			t.Fatalf("reserve %d: %v", i, err)
+		}
+		held = append(held, r)
+	}
+	// Free every other one: 32 slots free, no 32-slot set among them.
+	for i := 0; i < len(held); i += 2 {
+		if err := p.Release(held[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := p.Allocator()
+	before, moves, survivors := a.Table().High, a.TotalMoves(), liveValues(a)
+	d, err := p.Decide(0, 2, 32)
+	if err != nil || !d.relocate {
+		t.Fatalf("Decide = %+v, %v; want a placement after relocation", d, err)
+	}
+	if a.Table().High != before || a.TotalMoves() != moves {
+		t.Fatal("Decide wrote the table")
+	}
+	r := p.Prepare(d)
+	if err := relocatedLayout(t, a, survivors, r.Seq, moves); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Release(r); err != nil {
+		t.Fatal(err)
+	}
+	canon, _ := canonicalLayout(t, survivors)
+	switch {
+	case a.Table().High == before:
+		t.Error("the relocation was undone")
+	case a.Table().High != canon.Table().High:
+		t.Errorf("shadow table\n%v\ncanonical layout of the survivors\n%v", a.Table().High, canon.Table().High)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 
@@ -18,16 +17,22 @@ import (
 //  1. an allocation succeeds if and only if enough slots are free, and
 //  2. all structural invariants hold.
 //
-// A state is the set of live (stride, start) pairs.  That abstraction
-// is exact: placement depends only on slot occupancy, and the
-// defragmenter's canonical layout depends only on the multiset of
-// sequence sizes (TestDefragmentCanonicalLayout checks it), so two
-// histories reaching the same pair set behave identically ever after.
+// The allocator relocates on demand: a release only frees, and an
+// allocation that finds enough free slots but no aligned set
+// defragments first.  A state is the set of live (stride, start) pairs.
+// That abstraction is exact: placement depends only on slot occupancy,
+// and the canonical layout a relocation produces depends only on the
+// multiset of sequence sizes (TestDefragmentCanonicalLayout checks it),
+// so two histories reaching the same pair set behave identically ever
+// after.  Releases that only free reach more layouts than the eager
+// discipline's canonical ones: 186 711 states at depth 8, against
+// 41 924.
 
 // seqDesc is one live sequence's placement.
 type seqDesc struct{ stride, start int }
 
-// exKey encodes a state canonically.
+// exKey encodes a state canonically: two bytes per sequence, its
+// stride and start, in ascending order.
 func exKey(descs []seqDesc) string {
 	sort.Slice(descs, func(i, j int) bool {
 		if descs[i].stride != descs[j].stride {
@@ -35,7 +40,11 @@ func exKey(descs []seqDesc) string {
 		}
 		return descs[i].start < descs[j].start
 	})
-	return fmt.Sprint(descs)
+	key := make([]byte, 0, 2*len(descs))
+	for _, d := range descs {
+		key = append(key, byte(d.stride), byte(d.start))
+	}
+	return string(key)
 }
 
 // materialize builds a real allocator holding exactly the given

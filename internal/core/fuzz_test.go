@@ -16,10 +16,14 @@ import (
 // handed out, record handle included.  Releasing a sequence already
 // released is the stale-token op: the token's record may since have
 // been reused for another sequence, and the release must fail with
-// ErrUnknownSeq and change nothing.  The retired array/map allocator
-// runs the same stream in lock-step and every observable (table bytes,
-// sequences, moves, free slots, weight, error text) must match it after
-// every operation.  Run with `go test -fuzz FuzzAllocatorTrace
+// ErrUnknownSeq and change nothing.  The retired array/map allocator,
+// which defragments on every emptying release, runs the same stream in
+// lock-step: every decision and every observable that does not depend
+// on where the sequences sit (sequences but their starts, free slots,
+// weight, error text) must match it after every operation, and the
+// table bytes and starts too while the layouts agree (see maskDiff): an
+// allocation that relocates defragments the reference at the same
+// instant.  Run with `go test -fuzz FuzzAllocatorTrace
 // ./internal/core` to explore; the seed corpus keeps it active as a
 // regular test.
 func FuzzAllocatorTrace(f *testing.F) {
@@ -36,6 +40,7 @@ func FuzzAllocatorTrace(f *testing.F) {
 			freed bool
 		}
 		var accepted []live
+		synced := true
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
 			if op%2 == 0 {
@@ -46,6 +51,10 @@ func FuzzAllocatorTrace(f *testing.F) {
 					t.Fatalf("shape(%d,%d): %v", d, w, err)
 				}
 				free := a.FreeSlots()
+				if _, relocate, err := a.fit(TableSize / need); err == nil && relocate {
+					ref.defragment()
+					synced = true
+				}
 				s, err := a.Allocate(uint8(i%14), d, w)
 				if _, rerr := ref.allocate(uint8(i%14), d, w); (rerr == nil) != (err == nil) || err != nil && err.Error() != rerr.Error() {
 					t.Fatalf("allocate(%d,%d): error %v, reference error %v", d, w, err, rerr)
@@ -62,8 +71,12 @@ func FuzzAllocatorTrace(f *testing.F) {
 			} else if len(accepted) > 0 {
 				idx := int(op/2) % len(accepted)
 				l := &accepted[idx]
+				refMoves := ref.moves
 				err := pt.Release(l.tok)
 				_, rerr := ref.removeWeight(l.tok.Seq, l.tok.Weight, true)
+				if ref.moves != refMoves {
+					synced = false
+				}
 				switch {
 				case !l.freed && (err != nil || rerr != nil):
 					t.Fatalf("release %+v: %v, reference %v", l.tok, err, rerr)
@@ -72,7 +85,7 @@ func FuzzAllocatorTrace(f *testing.F) {
 				}
 				l.freed = true
 			}
-			if err := diffWithRef(a, ref); err != nil {
+			if err := diffWithRef(a, ref, synced); err != nil {
 				t.Fatalf("after op %d (%d,%d): %v", i/2, op, arg, err)
 			}
 			if err := pt.CheckInvariants(); err != nil {
@@ -85,7 +98,7 @@ func FuzzAllocatorTrace(f *testing.F) {
 // FuzzDecide interprets fuzz input as a stream of operations on one
 // PortTable, run once under each policy — three bytes per op: the low
 // two bits of the first pick a reservation (0, 1), a release (2) or a
-// rollback of the latest reservation still held (3), its next four bits
+// release of the latest reservation still held (3), its next four bits
 // the VL (15 is not a data VL); the second byte picks the distance (one
 // index in seven is not a valid distance) and a weight scale, the third
 // the weight (0 is invalid).  Before every reservation Decide must
@@ -143,12 +156,57 @@ func FuzzDecide(f *testing.F) {
 					}
 				case 3:
 					if n := len(held); n > 0 {
-						if err := pt.Rollback(held[n-1]); err != nil {
-							t.Fatalf("%s op %d: rollback: %v", p.Name, i/3, err)
+						if err := pt.Release(held[n-1]); err != nil {
+							t.Fatalf("%s op %d: release of the latest: %v", p.Name, i/3, err)
 						}
 						held = held[:n-1]
 					}
 				}
+			}
+		}
+	})
+}
+
+// FuzzRelocateOnDemand holds relocation on demand to the paper's eager
+// discipline.  It interprets fuzz input as a stream of operations on one
+// PortTable and on the retired reference allocator, which defragments
+// on every emptying release — three bytes per op: the low two bits of
+// the first pick a reservation (0, 1), a release (2) or a Decide alone
+// (3), its next four bits the VL (15 is not a data VL); the second byte
+// picks the distance (one index in seven is not a valid distance) and a
+// weight scale, the third the weight (0 is invalid), or for a release
+// which reservation.  At every operation both sides must grant or
+// refuse alike, with the same error text and reservation token (maskDiff);
+// a Decide writes nothing; a relocating reservation leaves the
+// canonical layout (canonicalLayout) with the fresh sequence at its
+// first fit, and a release moves nothing; and PortTable.CheckInvariants,
+// whose theorem clause is stated about requests, passes.  Run with
+// `go test -fuzz FuzzRelocateOnDemand ./internal/core` to explore; the
+// committed seeds keep it active as a regular test.
+func FuzzRelocateOnDemand(f *testing.F) {
+	f.Add([]byte{0, 13, 128, 4, 13, 128, 8, 4, 200, 2, 0, 0, 3, 0, 32, 0, 0, 32})
+	f.Add([]byte{0, 40, 255, 4, 40, 255, 8, 40, 255, 12, 40, 255, 2, 1, 0, 2, 2, 0, 0, 32, 255})
+
+	distances := append(append([]int(nil), Distances...), 5)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := newMaskDiff(t, BitReversal)
+		for i := 0; i+2 < len(data); i += 3 {
+			op, x, y := data[i], data[i+1], data[i+2]
+			vl := op >> 2 & 15
+			dist := distances[int(x)%len(distances)]
+			w := int(y) << (x >> 3 % 6)
+			switch op & 3 {
+			case 0, 1:
+				d.reserve(vl, dist, w)
+			case 2:
+				if len(d.held) > 0 {
+					d.release(d.take(int(x) % len(d.held)))
+				}
+			case 3:
+				d.decide(vl, dist, w)
+			}
+			if err := d.pt.CheckInvariants(); err != nil {
+				t.Fatalf("after op %d (%d,%d,%d): %v", i/3, op, x, y, err)
 			}
 		}
 	})

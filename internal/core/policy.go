@@ -3,14 +3,16 @@ package core
 import "math/bits"
 
 // Policy selects which free candidate set the allocator takes for a
-// stride and whether it defragments on release.  The paper's algorithm
-// is BitReversal; NaturalOrder is the naive first-fit baseline used by
-// the ablation benchmarks to quantify what the bit-reversal order and
-// the defragmenter buy.
+// stride and whether a request that finds none defragments.  The
+// paper's algorithm is BitReversal; NaturalOrder is the naive first-fit
+// baseline used by the ablation benchmarks to quantify what the
+// bit-reversal order and the defragmenter buy.
 type Policy struct {
 	// Name labels the policy in reports.
 	Name string
-	// Defrag enables defragmentation when a sequence is freed.
+	// Defrag enables relocation: a request that finds enough free slots
+	// but no free candidate set defragments the table and takes the
+	// first free set of the canonical layout.
 	Defrag bool
 	// natural takes the lowest free start offset instead of the first
 	// one in bit-reversal order.
@@ -18,8 +20,8 @@ type Policy struct {
 }
 
 // BitReversal is the paper's policy: offsets in bit-reversal order and
-// defragmentation on release.  With it, an allocation of n slots
-// succeeds if and only if n slots are free.
+// defragmentation when a request needs it.  With it, an allocation of n
+// slots succeeds if and only if n slots are free.
 var BitReversal = Policy{Name: "bit-reversal", Defrag: true}
 
 // NaturalOrder is the naive baseline: offsets inspected in natural

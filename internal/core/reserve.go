@@ -28,14 +28,16 @@ type Reservation struct {
 
 // Decision is a request a port table has decided to take, read-only:
 // the live sequence it joins, or the start offset of the fresh sequence
-// it places.  Prepare carries it out.
+// it places, and whether the table must be defragmented first to free
+// that set.  Prepare carries it out.
 type Decision struct {
-	join   *Sequence // nil for a fresh placement
-	id     SeqID     // join's ID, checked when the decision is carried out
-	vl     uint8
-	stride int // of the fresh placement; 0 in the zero Decision
-	start  int
-	weight int
+	join     *Sequence // nil for a fresh placement
+	id       SeqID     // join's ID, checked when the decision is carried out
+	vl       uint8
+	relocate bool // defragment before placing: start is free only in the canonical layout
+	stride   int  // of the fresh placement; 0 in the zero Decision
+	start    int
+	weight   int
 }
 
 // PortTable couples an Allocator with the sequence-sharing policy of
@@ -214,7 +216,9 @@ func (p *PortTable) Reserve(vl uint8, distance, weight int) (Reservation, error)
 
 // Decide answers a request without changing anything: the sequence it
 // would join (the join scan), else where a fresh sequence would go (the
-// policy's scan), else the error Reserve returns.  The Decision stays
+// policy's scan, or, when no set is free but enough slots are, the
+// first free set of the canonical layout, relocation included), else
+// the error Reserve returns.  The Decision stays
 // valid until the shadow table next changes; admission decides at every
 // hop of a path before it prepares at any, and no path crosses a port
 // twice.
@@ -229,18 +233,18 @@ func (p *PortTable) Decide(vl uint8, distance, weight int) (Decision, error) {
 	if vl >= arbtable.NumDataVLs {
 		return Decision{}, errNotDataVL(vl)
 	}
-	start, err := p.alloc.fit(stride)
+	start, relocate, err := p.alloc.fit(stride)
 	if err != nil {
 		return Decision{}, err
 	}
-	return Decision{vl: vl, stride: stride, start: start, weight: weight}, nil
+	return Decision{vl: vl, relocate: relocate, stride: stride, start: start, weight: weight}, nil
 }
 
 // Prepare carries out a Decision on the shadow table: the weight joins
 // the decided sequence, or a fresh sequence is placed at the decided
-// start.  The Decision must come from Decide on this port with nothing
-// changed since; a stale or foreign one panics rather than corrupt the
-// table.
+// start, after defragmenting the table when the decision relocates.
+// The Decision must come from Decide on this port with nothing changed
+// since; a stale or foreign one panics rather than corrupt the table.
 func (p *PortTable) Prepare(d Decision) Reservation {
 	a := p.alloc
 	s := d.join
@@ -252,10 +256,8 @@ func (p *PortTable) Prepare(d Decision) Reservation {
 		if err := a.addWeight(s, d.weight); err != nil {
 			panic(fmt.Sprintf("core: Prepare of a stale decision: %v", err))
 		}
-	case d.stride == 0 || a.occ&setMask(d.stride, d.start) != 0:
-		panic(fmt.Sprintf("core: Prepare places stride %d at %d, which is not free", d.stride, d.start))
 	default:
-		s = a.add(d.vl, d.stride, d.start, d.weight)
+		s = a.placeFresh(d.vl, d.stride, d.start, d.relocate, d.weight)
 	}
 	return Reservation{Hold: Hold{Seq: s.ID, seq: s}, Weight: d.weight}
 }
@@ -276,29 +278,17 @@ func (p *PortTable) joinable(vl uint8, distance, weight int) *Sequence {
 
 // Release returns a reservation's weight to the shadow table.  When
 // the owning sequence's accumulated weight reaches zero its slots are
-// freed and the table defragmented.
+// freed; nothing else moves.  So releasing the reservation a Prepare
+// just made, one that did not relocate, restores the shadow table
+// byte-identically (a just-added sequence vanishes; a joined sequence
+// just loses the added weight); one that relocated leaves the other
+// sequences where the relocation put them.
 func (p *PortTable) Release(r Reservation) error {
-	return p.remove(r, p.alloc.policy.Defrag)
-}
-
-// Rollback undoes a reservation made earlier in a failed transaction.
-// Unlike Release it never defragments, so the shadow table is restored
-// byte-identically to its pre-Reserve state (a just-added sequence
-// vanishes; a joined sequence just loses the added weight) and no
-// unrelated sequence moves.  The allocation theorem still holds
-// afterwards because the pre-reservation state satisfied it.
-func (p *PortTable) Rollback(r Reservation) error {
-	return p.remove(r, false)
-}
-
-// remove deducts a reservation's weight from the sequence its token
-// names.
-func (p *PortTable) remove(r Reservation, defrag bool) error {
 	s := p.alloc.held(r)
 	if s == nil {
 		return ErrUnknownSeq
 	}
-	_, err := p.alloc.removeWeight(s, r.Weight, defrag)
+	_, err := p.alloc.removeWeight(s, r.Weight)
 	return err
 }
 

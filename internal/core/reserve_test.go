@@ -149,7 +149,7 @@ func TestReleaseUnknown(t *testing.T) {
 // for another one.  Each must fail with ErrUnknownSeq and leave the
 // shadow table, the active table, the reserved weight and the port's
 // audit as they were — the handle a token carries is checked, never
-// trusted.  Rollback takes the same path.
+// trusted.
 func TestReleaseStaleHandle(t *testing.T) {
 	p := newPort()
 	keep, err := p.Reserve(0, 8, 100)
@@ -167,10 +167,8 @@ func TestReleaseStaleHandle(t *testing.T) {
 	stale := func(what string, r Reservation) {
 		t.Helper()
 		shadow, active, weight := p.Allocator().Table().High, p.Active().High, p.ReservedWeight()
-		for _, release := range []func(Reservation) error{p.Release, p.Rollback} {
-			if err := release(r); !errors.Is(err, ErrUnknownSeq) {
-				t.Fatalf("%s: %v, want ErrUnknownSeq", what, err)
-			}
+		if err := p.Release(r); !errors.Is(err, ErrUnknownSeq) {
+			t.Fatalf("%s: %v, want ErrUnknownSeq", what, err)
 		}
 		switch {
 		case p.Allocator().Table().High != shadow:

@@ -347,6 +347,7 @@ if [[ "$RUN_FUZZ" -eq 1 ]]; then
     done <<'EOF'
 ./internal/core FuzzAllocatorTrace
 ./internal/core FuzzDecide
+./internal/core FuzzRelocateOnDemand
 ./internal/core FuzzDeliverBlock
 ./internal/core FuzzShape
 ./internal/core FuzzFirstFit
