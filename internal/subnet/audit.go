@@ -86,11 +86,12 @@ const (
 	evAuditScore
 )
 
-// auditRound is one in-flight read-back round: the score its probes
-// accumulate and the path cost they share.
+// auditRound is one in-flight read-back round: the blocks whose
+// responses read back right (a duplicate response counts once) and the
+// path cost its probes share.
 type auditRound struct {
 	st     *auditState
-	got    int
+	got    uint8 // bit b: block b read back
 	oneWay int64
 }
 
@@ -108,6 +109,9 @@ func (a *Auditor) HandleEvent(ev sim.Event) {
 	case evAuditRound:
 		a.round(ev.P.(*auditState))
 	case evAuditProbe:
+		// The GetResp leaves; a lost or corrupted one never scores (a
+		// corrupted one fails its check at the SM), a duplicated one
+		// lands twice.
 		pr := ev.P.(*auditProbe)
 		link := linkKey(pr.rnd.st.id)
 		now := a.Engine.Now()
@@ -115,12 +119,23 @@ func (a *Auditor) HandleEvent(ev sim.Event) {
 			a.Prog.counters().AcksLost++
 			return
 		}
-		a.Engine.PostAfter(madWireBytes+pr.rnd.oneWay+pr.rf.DelayBT, a,
-			sim.Event{Kind: evAuditResp, A: ev.A, P: pr})
+		if pr.rf.Duplicate {
+			a.Prog.counters().SMPsDuplicated++
+		}
+		if pr.rf.Corrupt() {
+			a.Prog.counters().SMPsCorrupted++
+			return
+		}
+		delay := madWireBytes + pr.rnd.oneWay + pr.rf.DelayBT
+		resp := sim.Event{Kind: evAuditResp, A: ev.A, P: pr}
+		a.Engine.PostAfter(delay, a, resp)
+		if pr.rf.Duplicate {
+			a.Engine.PostAfter(delay+madWireBytes, a, resp)
+		}
 	case evAuditResp:
 		pr := ev.P.(*auditProbe)
 		if a.readBack(pr.rnd.st, int(ev.A)) {
-			pr.rnd.got++
+			pr.rnd.got |= 1 << ev.A
 		}
 	case evAuditScore:
 		a.finishRound(ev.P.(*auditRound))
@@ -176,9 +191,12 @@ func (a *Auditor) portGaveUp(id admission.PortID, pt *core.PortTable) {
 
 // round sends one Get(VLArbitrationTable) read-back: every block of the
 // port's active high table is requested over the management path, each
-// probe and each response drawing its own fate from the injector.  The
-// round succeeds only when all blocks come back and decode to exactly
-// the port's active content — a reachable, untorn port.
+// probe and each response drawing its own fate from the injector.  A
+// lost or corrupted Get draws no response (the port cannot parse a
+// corrupted one); a duplicated Get lands twice, a MAD wire time apart,
+// and the port answers each copy.  The round succeeds only when all
+// blocks come back and decode to exactly the port's active content — a
+// reachable, untorn port.
 func (a *Auditor) round(st *auditState) {
 	if st.permanent {
 		st.active = false
@@ -198,15 +216,30 @@ func (a *Auditor) round(st *auditState) {
 			a.Prog.counters().SMPsDropped++
 			continue
 		}
-		// The Get reaches the port; its GetResp carries the active
-		// block back, subject to the return path's own fate.  Down
-		// windows are re-checked at response time — a flap can start
-		// mid-round trip.
-		rf := inj.SMPFate(link)
-		arriveAt := serialize + oneWay
-		a.Engine.PostAfter(arriveAt, a,
-			sim.Event{Kind: evAuditProbe, A: int32(b), P: &auditProbe{rnd: rnd, rf: rf}})
-		lastArrive = max(lastArrive, arriveAt+madWireBytes+oneWay+rf.DelayBT)
+		copies := 1
+		if ff.Duplicate {
+			a.Prog.counters().SMPsDuplicated++
+			copies = 2
+		}
+		if ff.Corrupt() {
+			a.Prog.counters().SMPsCorrupted++
+			continue
+		}
+		// The Get reaches the port (twice, when duplicated); each copy's
+		// GetResp carries the active block back, subject to the return
+		// path's own fate.  Down windows are re-checked at response time
+		// — a flap can start mid-round trip.
+		for c := range copies {
+			rf := inj.SMPFate(link)
+			arriveAt := serialize + oneWay + int64(c)*madWireBytes
+			a.Engine.PostAfter(arriveAt, a,
+				sim.Event{Kind: evAuditProbe, A: int32(b), P: &auditProbe{rnd: rnd, rf: rf}})
+			landAt := arriveAt + madWireBytes + oneWay + rf.DelayBT
+			if rf.Duplicate {
+				landAt += madWireBytes
+			}
+			lastArrive = max(lastArrive, landAt)
+		}
 	}
 	a.Engine.PostAfter(lastArrive+a.Config.ProbeTimeoutBT, a,
 		sim.Event{Kind: evAuditScore, P: rnd})
@@ -240,7 +273,7 @@ func (a *Auditor) readBack(st *auditState, block int) bool {
 func (a *Auditor) finishRound(rnd *auditRound) {
 	st := rnd.st
 	st.active = false
-	if rnd.got == core.NumHighBlocks {
+	if rnd.got == 1<<core.NumHighBlocks-1 {
 		if st.heals >= a.Config.MaxRounds {
 			// The port keeps bouncing between healed and abandoned; stop
 			// feeding it transactions and leave it out of service.

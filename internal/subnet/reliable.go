@@ -358,9 +358,12 @@ func (p *InbandProgrammer) sendBlock(ps *portState, tx *txnState, k, attempt int
 // arrive lands one lone SMP, possibly corrupted or a straggler, at its
 // port.  One that no longer parses is discarded (the sender's timeout
 // recovers); a parsed block goes through DeliverBlock, and the port
-// answers with the verdict, subject to the return path's fate.  A
-// response naming another version than its transaction's would be
-// ignored at the SM, so it is not posted.
+// answers with the verdict, subject to the return path's fate: a lost
+// or corrupted response never reaches the SM (a corrupted one fails its
+// check there and is discarded), so the block's timeout recovers it as
+// a lost one, and a duplicated one lands twice, a MAD wire time apart,
+// the second ignored by ack.  A response naming another version than
+// its transaction's would be ignored at the SM, so it is not posted.
 func (p *InbandProgrammer) arrive(fl *smpDelivery) {
 	ps := fl.ps
 	var blk [core.BlockEntries]arbtable.Entry
@@ -370,21 +373,37 @@ func (p *InbandProgrammer) arrive(fl *smpDelivery) {
 	}
 	_, derr := ps.pt.DeliverBlock(version, index, total, &blk)
 	now, link := p.Engine.Now(), linkKey(ps.id)
-	if rf := p.Faults.SMPFate(link); rf.Drop || p.Faults.DownUntil(link, now) > now {
+	rf := p.Faults.SMPFate(link)
+	if rf.Drop || p.Faults.DownUntil(link, now) > now {
 		p.counters().AcksLost++
-	} else if version == fl.version {
-		ack := sim.Event{Kind: evSMPAck, A: int32(index), N: fl.seq, P: ps}
-		if derr != nil {
-			ack.B = 1
-		}
-		p.Engine.PostAfter(madWireBytes+oneWayBT(fl.hops)+rf.DelayBT, p, ack)
+		return
+	}
+	if rf.Duplicate {
+		p.counters().SMPsDuplicated++
+	}
+	if rf.Corrupt() {
+		p.counters().SMPsCorrupted++
+		return
+	}
+	if version != fl.version {
+		return
+	}
+	ack := sim.Event{Kind: evSMPAck, A: int32(index), N: fl.seq, P: ps}
+	if derr != nil {
+		ack.B = 1
+	}
+	delay := madWireBytes + oneWayBT(fl.hops) + rf.DelayBT
+	p.Engine.PostAfter(delay, p, ack)
+	if rf.Duplicate {
+		p.Engine.PostAfter(delay+madWireBytes, p, ack)
 	}
 }
 
 // ack lands a response of the port's open transaction at the
 // coordinator.  A torn verdict restarts the transaction from the shadow
 // table (bounded, so a hostile link cannot loop the control plane
-// forever); the final outstanding response commits it.
+// forever); a second response for a block already answered (a
+// duplicate) is ignored; the final outstanding response commits it.
 func (p *InbandProgrammer) ack(ps *portState, tx *txnState, index int, torn bool) {
 	if torn {
 		if ps.restarts++; ps.restarts > p.Retry.withDefaults().MaxAttempts {
@@ -398,12 +417,16 @@ func (p *InbandProgrammer) ack(ps *portState, tx *txnState, index int, torn bool
 		return
 	}
 	for k := range tx.n {
-		if tx.index[k] == index && !tx.acked[k] {
-			tx.acked[k] = true
-			tx.pending--
-			p.Engine.Cancel(tx.timers[k])
-			break
+		if tx.index[k] != index {
+			continue
 		}
+		if tx.acked[k] {
+			return
+		}
+		tx.acked[k] = true
+		tx.pending--
+		p.Engine.Cancel(tx.timers[k])
+		break
 	}
 	if tx.pending == 0 { // every block was received, so the set applied
 		p.commit(ps)

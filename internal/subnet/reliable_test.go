@@ -278,3 +278,54 @@ func TestAuditorPermanentQuarantine(t *testing.T) {
 		t.Error("port should be permanently quarantined")
 	}
 }
+
+// TestEveryDealtFateActs: on a lossy link with no down window, every
+// fate the injector deals — to an SMP or to its response — acts, and the
+// control counters say so: each drop is a dropped SMP or a lost
+// response, each corruption a discarded or torn packet, each duplicate a
+// second copy.  The transactions still converge.
+func TestEveryDealtFateActs(t *testing.T) {
+	eng, prog, pt := newReliableFixture(t, faults.Config{Seed: 21, Drop: 0.1, Corrupt: 0.25, Duplicate: 0.3})
+	prog.Retry.MaxAttempts = 20
+	prog.Retry.DeadlineBT = 1 << 24
+	for range 6 {
+		programOnce(t, prog, pt)
+		eng.RunWhile(func() bool { return true })
+		if pt.Programming() || pt.Dirty() {
+			t.Fatalf("port did not converge (programming=%v dirty=%v)", pt.Programming(), pt.Dirty())
+		}
+	}
+	c, s := prog.counters(), prog.Faults.Stats()
+	switch {
+	case c.SMPsDropped+c.AcksLost != s.Drops:
+		t.Errorf("%d SMPs dropped and %d responses lost, injector dealt %d drops", c.SMPsDropped, c.AcksLost, s.Drops)
+	case c.SMPsCorrupted != s.Corruptions:
+		t.Errorf("%d packets corrupted, injector dealt %d corruptions", c.SMPsCorrupted, s.Corruptions)
+	case c.SMPsDuplicated != s.Duplicates:
+		t.Errorf("%d packets duplicated, injector dealt %d duplicates", c.SMPsDuplicated, s.Duplicates)
+	case c.AcksLost == 0 || c.SMPsCorrupted == 0 || c.SMPsDuplicated == 0:
+		t.Errorf("the link dealt too few faults to show anything: %+v", *c)
+	}
+}
+
+// TestAuditorCountsDuplicateResponsesOnce: on a link that duplicates
+// every packet, each Get of a read-back round lands twice and each
+// GetResp comes back twice; a round scores each block once, so the
+// quarantined port heals after the flap instead of failing every round.
+func TestAuditorCountsDuplicateResponsesOnce(t *testing.T) {
+	eng, prog, pt := newReliableFixture(t, faults.Config{Seed: 5, Duplicate: 1.0})
+	aud := NewAuditor(eng, prog, DefaultAuditConfig())
+	id := admission.HostPortID(5)
+	prog.Faults.AddLinkDown(linkKey(id), 0, 200_000)
+
+	programOnce(t, prog, pt)
+	eng.RunWhile(func() bool { return true })
+
+	c := prog.counters()
+	if c.QuarantinedHops != 1 || c.AuditRecoveries != 1 {
+		t.Fatalf("quarantines/recoveries = %d/%d, want 1/1 (counters %+v)", c.QuarantinedHops, c.AuditRecoveries, *c)
+	}
+	if aud.Quarantined(id) || pt.Programming() || pt.Dirty() {
+		t.Fatalf("port not healed: quarantined %v, programming %v, dirty %v", aud.Quarantined(id), pt.Programming(), pt.Dirty())
+	}
+}
