@@ -33,15 +33,21 @@ type VBROutcome struct {
 	Connections        int
 }
 
-// VBRScenario is the VBR extension's base at every scale: the 4-switch
-// irregular fabric with small packets, a CBR fill that stops after 200
-// refusals in a row, no best effort, and a window of 60 interarrival
-// times of the slowest VBR source after a warm-up of 3.
-func VBRScenario(Scale) Scenario {
-	return Scenario{
+// VBRScenario is the VBR extension's base: the 4-switch irregular
+// fabric with small packets, a CBR fill that stops after 200 refusals
+// in a row, no best effort, and a window of 60 interarrival times of
+// the slowest VBR source after a warm-up of 3.  At Tiny, the scale of
+// the unit tests and golden files, the fabric has 2 switches and the
+// window is 8 interarrival times.
+func VBRScenario(s Scale) Scenario {
+	sc := Scenario{
 		Seed: 42, Topology: irregular(4, 42), Fabric: fabric.DefaultConfig(0, smallPayload, 0),
 		Saturate: true, MaxRejects: 200, WarmupIATs: 3, WindowIATs: 60,
 	}
+	if s == Tiny {
+		sc.Topology, sc.WindowIATs = irregular(2, 42), 8
+	}
+	return sc
 }
 
 // vbrScenario loads sc's network with on/off VBR connections on SLs
