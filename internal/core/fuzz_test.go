@@ -184,7 +184,7 @@ func FuzzDecide(f *testing.F) {
 // `go test -fuzz FuzzRelocateOnDemand ./internal/core` to explore; the
 // committed seeds keep it active as a regular test.
 func FuzzRelocateOnDemand(f *testing.F) {
-	f.Add([]byte{0, 13, 128, 4, 13, 128, 8, 4, 200, 2, 0, 0, 3, 0, 32, 0, 0, 32})
+	f.Add([]byte{0, 12, 128, 4, 12, 128, 8, 4, 200, 2, 0, 0, 3, 0, 32, 0, 0, 32})
 	f.Add([]byte{0, 40, 255, 4, 40, 255, 8, 40, 255, 12, 40, 255, 2, 1, 0, 2, 2, 0, 0, 32, 255})
 
 	distances := append(append([]int(nil), Distances...), 5)
