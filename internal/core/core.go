@@ -79,9 +79,12 @@
 // six words with no sorting.  The reserved weight is a running total.
 // Sequence records are recycled within an allocator, and a Reservation
 // carries its sequence's record, so a release reaches its sequence
-// without a search.  Every write to the table also records the 16-entry
-// blocks it touched, from the stride alone, so that programming the
-// port compares only those blocks.  Nothing on the
+// without a search.  A join or leave that moves a sequence's table
+// weight by less than its slot count rewrites only the entries whose
+// share changed, and every write to the table records the 16-entry
+// blocks whose values it changed, so that programming the port knows
+// which blocks differ and compares only those a second write may have
+// reverted.  Nothing on the
 // reserve/release/defragment path allocates once the allocator has made
 // as many records as it ever holds at once.  The word, the list order,
 // the total, the lane index, the records and the written blocks are
@@ -302,10 +305,10 @@ type Allocator struct {
 	byVL  []*Sequence
 	vlEnd [arbtable.NumDataVLs]uint8
 
-	// written holds the 16-entry blocks of the table that place and
-	// unplace wrote since the owning PortTable last took them (see
-	// PortTable.changedBlocks).
-	written uint8
+	// written marks the 16-entry blocks of the table whose values
+	// place, unplace and reweight changed since the owning PortTable
+	// last took them (see PortTable.changedBlocks).
+	written blockMarks
 
 	// moves counts sequences relocated by defragmentation over the
 	// allocator's lifetime — the table-update cost the subnet manager
@@ -538,10 +541,12 @@ func (a *Allocator) held(r Reservation) *Sequence {
 
 // place claims the sequence's slots in the occupancy word and writes
 // them to the arbitration table, distributing its table weight as
-// evenly as possible (every slot gets at least one unit).
+// evenly as possible (every slot gets at least one unit).  Every slot
+// changes: it was free, or (from reweight) its share moves by a unit or
+// more.
 func (a *Allocator) place(s *Sequence) {
 	a.occ |= s.mask()
-	a.written |= s.blocks()
+	a.written.touch(s.blocks())
 	w := s.tableWeight()
 	base := w / s.Count
 	extra := w % s.Count
@@ -558,10 +563,49 @@ func (a *Allocator) place(s *Sequence) {
 // table.
 func (a *Allocator) unplace(s *Sequence) {
 	a.occ &^= s.mask()
-	a.written |= s.blocks()
+	a.written.touch(s.blocks())
 	for pos := s.Start; pos < TableSize; pos += s.Stride {
 		a.table.High[pos] = arbtable.Entry{}
 	}
+}
+
+// reweight rewrites the entries of a live sequence whose table weight
+// was old before its weight changed.  Entry k of a sequence of C slots
+// and table weight T holds ceil((T-k)/C), so moving T by one unit moves
+// exactly one entry by one: adding raises entry T mod C, removing lowers
+// entry (T-1) mod C.  A change of D < C units therefore moves the D
+// entries from min(old, T) mod C on, cyclically, each by one; a change
+// of C or more moves every entry, and the whole sequence is rewritten.
+// Only the blocks of the entries written are marked.
+func (a *Allocator) reweight(s *Sequence, old int) {
+	w := s.tableWeight()
+	d, lo := w-old, old
+	if d < 0 {
+		d, lo = -d, w
+	}
+	switch {
+	case d == 0:
+		return
+	case d >= s.Count:
+		a.place(s)
+		return
+	}
+	base, extra := w/s.Count, w%s.Count
+	var blocks uint8
+	k := lo % s.Count
+	for ; d > 0; d-- {
+		pos := s.Start + k*s.Stride
+		ew := base
+		if k < extra {
+			ew++
+		}
+		a.table.High[pos].Weight = uint8(ew)
+		blocks |= 1 << uint(pos/BlockEntries)
+		if k++; k == s.Count {
+			k = 0
+		}
+	}
+	a.written.touch(blocks)
 }
 
 // addWeight accumulates the weight of an additional connection on a
@@ -574,10 +618,11 @@ func (a *Allocator) addWeight(s *Sequence, weight int) error {
 	if weight > s.Spare() {
 		return fmt.Errorf("core: sequence %d has spare %d, need %d", s.ID, s.Spare(), weight)
 	}
+	old := s.tableWeight()
 	s.Weight += weight
 	s.Conns++
 	a.total += weight
-	a.place(s)
+	a.reweight(s, old)
 	return nil
 }
 
@@ -600,6 +645,7 @@ func (a *Allocator) removeWeight(s *Sequence, weight int) (freed bool, err error
 	if weight < 1 || weight > s.Weight {
 		return false, fmt.Errorf("core: cannot remove weight %d from sequence with weight %d", weight, s.Weight)
 	}
+	old := s.tableWeight()
 	s.Weight -= weight
 	a.total -= weight
 	if s.Conns > 0 {
@@ -613,7 +659,7 @@ func (a *Allocator) removeWeight(s *Sequence, weight int) (freed bool, err error
 		a.free = append(a.free, s)
 		return true, nil
 	}
-	a.place(s)
+	a.reweight(s, old)
 	return false, nil
 }
 

@@ -19,6 +19,40 @@ const (
 	NumHighBlocks = TableSize / BlockEntries
 )
 
+// blockMarks is the changed-block mask of a high table: which of its
+// blocks the allocator's writes changed since the port was last
+// programmed, and which more than one write changed.  A write changes
+// every block it marks — its entries move one way, from free to taken,
+// taken to free, or by a whole unit of weight — so a block one write
+// changed differs from the programmed table for certain, and only a
+// block a second write changed may have reverted.  The two masks of the
+// four blocks share one byte: bit b for a block changed once or more,
+// bit NumHighBlocks+b for one changed more than once.
+type blockMarks uint8
+
+// allBlocks has a bit for every block of the high table.
+const allBlocks = 1<<NumHighBlocks - 1
+
+// The two masks must fit in one byte.
+var _ [8 - 2*NumHighBlocks]struct{}
+
+// touch records one write that changed the given blocks.
+func (m *blockMarks) touch(blocks uint8) {
+	*m |= blockMarks(uint8(*m)&blocks)<<NumHighBlocks | blockMarks(blocks)
+}
+
+// touched returns the blocks changed at least once: outside them the
+// shadow equals the programmed table.
+func (m blockMarks) touched() uint8 { return uint8(m) & allBlocks }
+
+// differ returns the blocks changed exactly once, which differ from the
+// programmed table.
+func (m blockMarks) differ() uint8 { return uint8(m) & allBlocks &^ m.unsure() }
+
+// unsure returns the blocks changed more than once, which may equal the
+// programmed table again.
+func (m blockMarks) unsure() uint8 { return uint8(m >> NumHighBlocks) }
+
 // BlockDelta is one changed 16-entry block of the high table.
 type BlockDelta struct {
 	Index   int // block number, 0..NumHighBlocks-1
@@ -152,19 +186,22 @@ func (p *PortTable) Programming() bool { return p.delta != 0 }
 
 // changedBlocks returns the blocks in which the shadow high table
 // differs from the active one, bit b for block b, and takes the
-// allocator's written blocks.  Outside them the tables agree (the
-// changed-block mask invariant, see CheckInvariants), so only they are
+// allocator's changed-block mask.  The blocks one write changed differ
+// for certain, and outside the mask the tables agree (see
+// CheckInvariants), so only the blocks more than one write changed are
 // compared.  The caller makes the active table the shadow's — at once,
 // or through the transaction it opens — so nothing is left to track.
-func (p *PortTable) changedBlocks() (mask uint8) {
+func (p *PortTable) changedBlocks() uint8 {
+	w := p.alloc.written
+	p.alloc.written = 0
+	mask := w.differ()
 	shadow := &p.alloc.Table().High
-	for m := p.alloc.written; m != 0; m &= m - 1 {
+	for m := w.unsure(); m != 0; m &= m - 1 {
 		b := bits.TrailingZeros8(m)
 		if *highBlock(shadow, b) != *highBlock(&p.active.High, b) {
 			mask |= 1 << b
 		}
 	}
-	p.alloc.written = 0
 	return mask
 }
 
@@ -206,9 +243,9 @@ func (p *PortTable) swap(high *[TableSize]arbtable.Entry) {
 	}
 }
 
-// BeginProgram opens a programming transaction: it diffs the shadow
-// high table against the active one, in the blocks the allocator wrote
-// since the port was last programmed, and returns the changed blocks as
+// BeginProgram opens a programming transaction: it takes the blocks in
+// which the shadow high table differs from the active one from the
+// allocator's changed-block mask, and returns them as
 // a Delta carrying the active table's next version.  A nil Delta means
 // the tables already agree and no transaction was opened.  While a
 // transaction is open further BeginProgram calls fail with
@@ -329,10 +366,11 @@ func (p *PortTable) DeliverBlock(version uint64, index, total int, entries *[Blo
 	return true, nil
 }
 
-// CheckInvariants verifies the port: the changed-block mask — outside
-// the blocks the allocator wrote since the port was last programmed,
-// the shadow equals the table it was programmed into (the active table,
-// or the open transaction's target) — its allocator
+// CheckInvariants verifies the port: the changed-block mask, both ways —
+// outside the blocks the allocator changed since the port was last
+// programmed the shadow equals the table it was programmed into (the
+// active table, or the open transaction's target), and a block one
+// write changed differs from it — its allocator
 // (Allocator.checkInvariants), and the open transaction's state that
 // DeliverBlock's completion rule relies on — outside the delta the
 // target equals the active table, fewer blocks are staged than the
@@ -351,9 +389,14 @@ func (p *PortTable) CheckInvariants() error {
 	if p.Programming() {
 		programmed, what = &p.txn.target, "transaction target"
 	}
+	w := p.alloc.written
 	for b := 0; b < NumHighBlocks; b++ {
-		if p.alloc.written>>b&1 == 0 && *highBlock(shadow, b) != *highBlock(programmed, b) {
-			return fmt.Errorf("block %d differs between shadow and %s outside the changed-block mask %04b", b, what, p.alloc.written)
+		differs := *highBlock(shadow, b) != *highBlock(programmed, b)
+		if w.touched()>>b&1 == 0 && differs {
+			return fmt.Errorf("block %d differs between shadow and %s outside the changed-block mask %04b", b, what, w.touched())
+		}
+		if w.differ()>>b&1 != 0 && !differs {
+			return fmt.Errorf("block %d is marked changed once but equals the %s", b, what)
 		}
 	}
 	if err := p.alloc.checkInvariants(); err != nil {
@@ -398,10 +441,14 @@ func (p *PortTable) abortProgram() {
 
 // dropProgram closes the open transaction, if any, without a swap and
 // returns its staging to the pool.  The active table keeps its old
-// version, so the delta's blocks differ from the shadow again and go
-// back into the changed-block mask.
+// version, so the programmed table is the active one again.  Outside
+// the delta it equals the target; in each block of the delta it differs
+// from the target, as one more write would, so the delta goes into the
+// changed-block mask as one: a block no write changed since BeginProgram
+// differs from the active table, and one that a write changed may have
+// reverted to it and is compared.
 func (p *PortTable) dropProgram() {
-	p.alloc.written |= p.delta
+	p.alloc.written.touch(p.delta)
 	p.delta = 0
 	if p.txn != nil {
 		p.pool.put(p.txn)

@@ -78,7 +78,9 @@ func TestActiveLagsShadowUntilDelivered(t *testing.T) {
 // DeliverBlock's completion rule relies on, and breaking any one part of
 // it — a complete staged set left open, the target version, the target
 // outside the delta, the mismatch flag either way, the staging record
-// dropped or still linked into the free list — fails the check.
+// dropped or still linked into the free list — fails the check.  So
+// does the changed-block mask either way: a block that differs outside
+// it, or a block it calls changed that equals the active table.
 func TestPortTableCheckInvariants(t *testing.T) {
 	p := newPort()
 	// Distance 32 -> two slots, in blocks 0 and 2.
@@ -147,6 +149,19 @@ func TestPortTableCheckInvariants(t *testing.T) {
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatalf("shadow restored: %v", err)
 	}
+	// The other direction: a block the mask says one write changed must
+	// differ from the programmed table.  Block 1 holds none of the
+	// sequence's slots and equals the active table.
+	p.alloc.written.touch(1 << 1)
+	if err := p.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "block 1 ") {
+		t.Errorf("block 1 marked changed but equal to the active table: CheckInvariants = %v, want it to name block 1", err)
+	}
+	// Marked twice, it may have reverted, and equality is allowed.
+	p.alloc.written.touch(1 << 1)
+	if err := p.CheckInvariants(); err != nil {
+		t.Errorf("block 1 marked changed twice: %v", err)
+	}
+	p.alloc.written = 0
 }
 
 func TestBeginProgramDiffsChangedBlocksOnly(t *testing.T) {
