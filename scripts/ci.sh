@@ -28,7 +28,9 @@
 #              run WITHOUT the race detector (race instrumentation
 #              allocates, so the budgets only hold in a plain build)
 #   fuzz smoke a short coverage-guided run of each fuzz target on top
-#              of the checked-in seed corpus
+#              of the checked-in seed corpus, with no time spent
+#              minimizing the inputs it finds, printing each target's
+#              final exec count
 #   bench smoke one short repetition of every gated benchmark workload,
 #              failing unless it reports "correct":true (no timing gate)
 #   shardbench one short sharded-core benchmark run: its rows are
@@ -69,7 +71,8 @@ echo "==> go test -count=1 -json ./... (tier-1, ten slowest tests)"
 # the durations are printed for the record (a test that adds more than
 # 2 s is named in CHANGES.md) and gate nothing.
 TIER1_JSON="$(mktemp)"
-trap 'rm -f "$TIER1_JSON"' EXIT
+FUZZ_LOG="$(mktemp)"
+trap 'rm -f "$TIER1_JSON" "$FUZZ_LOG"' EXIT
 if ! go test -count=1 -json ./... > "$TIER1_JSON"; then
     grep -E '"Action":"(fail|output)"' "$TIER1_JSON" | grep -E -- '--- FAIL|"Action":"fail"' >&2 || true
     echo "tier-1 tests failed" >&2
@@ -208,7 +211,7 @@ echo "==> go test -race -run TestArbiterIndex ./internal/arbtable (high-table sl
 # audit and the bench smoke below cover them too.
 go test -race -run 'TestArbiterIndex' -count=1 ./internal/arbtable
 
-echo "==> go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestReleaseStale|TestDeliverBlock|TestApply|TestStagingPool' ./internal/core (fill-in occupancy-mask, canonical-layout, stale-token, delta-completion and staging-pool differentials)"
+echo "==> go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestReleaseStale|TestReweight|TestDeliverBlock|TestApply|TestStagingPool' ./internal/core (fill-in occupancy-mask, canonical-layout, stale-token, re-weighting, delta-completion and staging-pool differentials)"
 # The allocator keeps slot ownership as one 64-bit word, the live
 # sequences as an ID-ordered list and the reserved weight as a running
 # total instead of walking an owner array and a map; the differential
@@ -220,11 +223,21 @@ echo "==> go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestRele
 # the one-pass defragmenter to the canonical layout of the live
 # multiset and to the retired per-class loop after every emptying
 # release; TestReleaseStaleHandle releases tokens whose sequence is gone
-# or whose record was reused.  Allocator.CheckInvariants re-derives
-# the word, the total, the order, the lane index and the record pool and
-# states the distance guarantee; PortTable.CheckInvariants adds the
-# changed-block mask and the open transaction's state and runs
-# after every step of the delivery differential, and Network.CheckInvariants runs it on every port with
+# or whose record was reused.  A join or leave rewrites only the
+# entries whose share of the sequence's table weight moved, and every
+# write marks the 16-entry blocks it changed, once or more than once;
+# programming a port takes its changed blocks from those marks and
+# compares only the blocks more than one write changed.
+# TestReweightMatchesWholeSequence holds every entry to the retired
+# whole-sequence write over join/leave histories at every stride, and
+# the marks to the blocks each step really changed.
+# Allocator.CheckInvariants re-derives the word, the total, the order,
+# the lane index and the record pool and states the distance guarantee;
+# PortTable.CheckInvariants adds the changed-block mask, both ways
+# (outside it the shadow equals the programmed table, and a block one
+# write changed differs from it), and the open transaction's state, and
+# runs after every step of the delivery and re-weighting
+# differentials, and Network.CheckInvariants runs it on every port with
 # the reservation ledger, so the experiment end audits and the bench
 # smoke below cover them too.  A port completes a delta against
 # its recorded target instead of reassembling a table:
@@ -340,10 +353,20 @@ go test -run 'TestVOQStateSizedByRadix|TestPortRecordSizes' -count=1 ./internal/
 
 if [[ "$RUN_FUZZ" -eq 1 ]]; then
     # -fuzz takes one target per invocation; -run='^$' skips the unit
-    # tests already covered by the race pass.
+    # tests already covered by the race pass.  -fuzzminimizetime=0: at
+    # its 60 s default each worker spends the smoke minimizing the first
+    # new inputs it finds instead of running others (at 10 s on a 2-core
+    # host, FuzzArbiterPick ran 11 inputs with it and 236 631 without,
+    # FuzzAllocatorTrace 9 138 and 79 712); a failing input is still
+    # written to testdata/fuzz as found.  The last progress line gives
+    # the target's exec count.
     while read -r pkg target; do
         echo "==> fuzz smoke: $pkg $target ($FUZZTIME)"
-        go test "$pkg" -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME"
+        if ! go test "$pkg" -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" -fuzzminimizetime=0 > "$FUZZ_LOG" 2>&1; then
+            cat "$FUZZ_LOG" >&2
+            exit 1
+        fi
+        echo "    $(grep -o 'execs: [0-9]*' "$FUZZ_LOG" | tail -n 1 || echo 'execs: none reported')"
     done <<'EOF'
 ./internal/core FuzzAllocatorTrace
 ./internal/core FuzzDecide
