@@ -298,9 +298,9 @@ func TestAllocBudgetFabricBytes(t *testing.T) {
 // 133 under VOQ-iSLIP, against 6 029 and 6 108 when every port cost
 // about eight objects.  A set-up like the benchmark's wrr-k8 (the
 // fabric, its CDG proof, 2 admission attempts per host, best-effort
-// background, Start) cost 12 315 objects then and 3 430 now, most of
-// them the Sequence records of fresh placements, the connections and
-// their flows.  A Flow is one pointer-free record, its delay
+// background, Start) cost 12 315 objects then, 3 430 while every live
+// sequence was an object of its own, and 2 173 now, most of them the
+// connections and their flows.  A Flow is one pointer-free record, its delay
 // distribution inline, its jitter kept per service level on its
 // delivering shard and a VBR flow's pacing in its network's side table,
 // and must stay in the 192-byte size class: it was 240 bytes while it
@@ -309,7 +309,7 @@ func TestAllocBudgetFabricBytes(t *testing.T) {
 // objects totalled 400 bytes before that.
 const (
 	networkSetupAllocBudget = 200
-	wrrSetupAllocBudget     = 4_000
+	wrrSetupAllocBudget     = 2_500
 	flowRecordMaxBytes      = 192
 )
 
@@ -318,6 +318,13 @@ const (
 // slice, string, interface or channel at any depth, so the allocator
 // puts it in a span the collector's mark phase never scans.
 func TestFlowRecordHoldsNoPointers(t *testing.T) {
+	holdsNoPointers(t, "fabric.Flow", reflect.TypeOf(fabric.Flow{}))
+}
+
+// holdsNoPointers fails t for every pointer, func, map, slice, string,
+// interface or channel that rt holds at any depth.
+func holdsNoPointers(t *testing.T, name string, rt reflect.Type) {
+	t.Helper()
 	var walk func(path string, rt reflect.Type)
 	walk = func(path string, rt reflect.Type) {
 		switch rt.Kind() {
@@ -330,10 +337,10 @@ func TestFlowRecordHoldsNoPointers(t *testing.T) {
 			walk(path+"[]", rt.Elem())
 		case reflect.Pointer, reflect.UnsafePointer, reflect.Func, reflect.Map,
 			reflect.Slice, reflect.String, reflect.Interface, reflect.Chan:
-			t.Errorf("%s is a %s: fabric.Flow must hold no pointers", path, rt.Kind())
+			t.Errorf("%s is a %s: %s must hold no pointers", path, rt.Kind(), name)
 		}
 	}
-	walk("Flow", reflect.TypeOf(fabric.Flow{}))
+	walk(rt.Name(), rt)
 }
 
 // TestAllocBudgetNetworkSetup gates the cost of building a fabric:
@@ -412,18 +419,20 @@ func TestAllocBudgetNetworkSetup(t *testing.T) {
 }
 
 // Admission's per-connection records.  A connection's weight is the
-// same at every hop, so a hop keeps only the sequence the connection
-// joined there (core.Hold) and its port as two int32s: 24 bytes, where
-// a hop holding its table pointer and a core.Reservation that copied the
-// weight was 40.  A six-hop connection — every cross-pod fat-tree route
-// — is then one object of at most 256 bytes with its hop list: it was
-// 368 bytes, in the 384-byte size class, while every hop was 40 bytes
-// and the header carried a hop count and an int-wide traffic class.  A
-// refusal's hopError, one per refused Admit, packs its port and operands
-// into int32s: 48 bytes, from 80.
+// same at every hop, so a hop keeps only the ID of the sequence the
+// connection joined there (core.Hold) and its port as two int32s: 16
+// bytes.  It was 24 while a core.Hold also cached its sequence's record
+// pointer, and 40 while a hop held its table pointer and a
+// core.Reservation that copied the weight.  A six-hop connection — every
+// cross-pod fat-tree route — is then one object of at most 208 bytes
+// with its hop list: it was 256 bytes with 24-byte hops, and 368 bytes,
+// in the 384-byte size class, while every hop was 40 bytes and the
+// header carried a hop count and an int-wide traffic class.  A refusal's
+// hopError, one per refused Admit, packs its port and operands into
+// int32s: 48 bytes, from 80.
 const (
-	hopRecordMaxBytes  = 24
-	connRecordMaxBytes = 256
+	hopRecordMaxBytes  = 16
+	connRecordMaxBytes = 208
 	hopErrorMaxBytes   = 48
 )
 
@@ -518,22 +527,46 @@ func TestAllocBudgetAdmissionRecords(t *testing.T) {
 // when it reassembled every completed delta with a flag per block.
 const portTableMaxBytes = 88
 
+// The fill-in's records.  An allocator keeps its live sequences by
+// value in one ID-ordered list, so a core.Sequence is a 24-byte record
+// with no pointer: Start and Count fit a byte, Weight and Conns 16 bits.
+// It was 64 bytes, one heap object per sequence recycled through a free
+// list, while it named its owning allocator.  A core.Allocator is 96
+// bytes, one per port: it was 152 while it kept a record free list and
+// a per-lane index of record pointers beside the ID-ordered list, and
+// 936 bytes plus a map with an owner array per slot before the
+// occupancy word.
+const (
+	sequenceRecordMaxBytes  = 24
+	allocatorRecordMaxBytes = 96
+)
+
+// TestAllocBudgetFillInRecords gates those sizes, and keeps core.Sequence free
+// of pointers, so that an allocator's list is one object the
+// collector's mark phase never scans.
+func TestAllocBudgetFillInRecords(t *testing.T) {
+	if size := unsafe.Sizeof(core.Sequence{}); size > sequenceRecordMaxBytes {
+		t.Errorf("core.Sequence is %d bytes, want <= %d", size, sequenceRecordMaxBytes)
+	}
+	if size := unsafe.Sizeof(core.Allocator{}); size > allocatorRecordMaxBytes {
+		t.Errorf("core.Allocator is %d bytes, want <= %d", size, allocatorRecordMaxBytes)
+	}
+	holdsNoPointers(t, "core.Sequence", reflect.TypeOf(core.Sequence{}))
+}
+
 // TestAllocBudgetFillIn gates the control-plane writer of the table:
 // joining and leaving a shared sequence, defragmentation, the capacity
 // queries, the audit, a programming transaction (its Delta is a value)
 // and a synchronous Apply allocate nothing; nor does a fresh allocation
-// whose sequence is then freed, the allocator reusing the record (it
-// cost one, the Sequence record, until records were recycled); an
-// Allocator stays within the size the occupancy word and the
-// ID-ordered live list brought it to (it was 936 bytes plus a map with
-// an owner array per slot, times one allocator per port), and a
-// PortTable within portTableMaxBytes.
+// whose sequence is then freed, the allocator's list having room for it
+// (it cost one, the Sequence record, until records were recycled); and
+// a PortTable stays within portTableMaxBytes.
 func TestAllocBudgetFillIn(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budgets hold only without race instrumentation")
 	}
-	if size := unsafe.Sizeof(core.Allocator{}); size > 512 {
-		t.Errorf("core.Allocator is %d bytes, want <= 512", size)
+	if size := unsafe.Sizeof(core.Allocator{}); size > allocatorRecordMaxBytes {
+		t.Errorf("core.Allocator is %d bytes, want <= %d", size, allocatorRecordMaxBytes)
 	}
 	if size := unsafe.Sizeof(core.PortTable{}); size > portTableMaxBytes {
 		t.Errorf("core.PortTable is %d bytes, want <= %d", size, portTableMaxBytes)
@@ -574,8 +607,8 @@ func TestAllocBudgetFillIn(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		// The release empties the sequence and defragments; the next
-		// Allocate reuses its record.
+		// The release empties the sequence; the next Allocate takes its
+		// cell of the list.
 		{"Allocate + RemoveWeight", 0, func() {
 			s, err := a.Allocate(9, 32, 300)
 			if err != nil {
@@ -758,15 +791,80 @@ func (l *admitLoopK8) step(t *testing.T) {
 	}
 }
 
+// The heap a k=8 control state keeps, the live heap of the admit-k8
+// workload: the ports' tables and allocators, and per admitted
+// connection its record and the sequences it placed.  Built with the
+// benchmark's payload and seed, it is 617 bytes per port, and admit-k8's
+// set-up fill (128 requests per host) keeps 253 bytes per live
+// connection.  Those were 681 and 350 while every live sequence was a
+// 64-byte object of its own, recycled through a per-port free list and
+// reached through a per-lane index of pointers, and every hop's hold
+// cached its record's pointer.  The ceilings sit between the two.
+const (
+	controlStatePortMaxBytes = 650
+	controlStateConnMaxBytes = 290
+)
+
+// TestAllocBudgetControlState gates those bytes: HeapAlloc after a forced
+// collection, before and after fabric.BuildControl, and after admit-k8's
+// set-up fill, divided by the ports and by the connections admitted.
+func TestAllocBudgetControlState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budgets hold only without race instrumentation")
+	}
+	const payload, seed, fillPerHost = 512, 7, 128
+	topo, err := topology.Spec{Class: topology.FatTree, K: 8}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two collections: objects an earlier test left with a finalizer
+	// are freed by the second.
+	heap := func() float64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return float64(m.HeapAlloc)
+	}
+	h0 := heap()
+	cs, err := fabric.BuildControl(fabric.DefaultConfig(topo.NumSwitches, payload, seed), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1 := heap()
+	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), seed+1)
+	var live []*admission.Conn
+	for i := 0; i < fillPerHost*topo.NumHosts(); i++ {
+		if conn, err := cs.Adm.Admit(src.Next()); err == nil {
+			live = append(live, conn)
+		}
+	}
+	h2 := heap()
+	ports := 0
+	cs.Adm.Ports().Each(func(admission.PortID, *core.PortTable) { ports++ })
+	perPort, perConn := (h1-h0)/float64(ports), (h2-h1)/float64(len(live))
+	t.Logf("%.0f bytes per port (%d ports), %.1f bytes per live connection (%d)", perPort, ports, perConn, len(live))
+	if perPort > controlStatePortMaxBytes {
+		t.Errorf("a k=8 control state keeps %.0f bytes per port, want <= %d", perPort, controlStatePortMaxBytes)
+	}
+	if perConn > controlStateConnMaxBytes {
+		t.Errorf("admit-k8's set-up fill keeps %.1f bytes per live connection, want <= %d", perConn, controlStateConnMaxBytes)
+	}
+	if err := cs.Adm.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+	runtime.KeepAlive(live)
+}
+
 // admitLoopAllocBudget is the heap allocations one offered request of
 // the closed loop may cost, releases included (0.8 of them per request
 // near the cap): the connection with its hop list (one object) when it
 // is admitted, and the error of a refusal — one object, the refusal's
 // text being rendered only on demand (TestAllocBudgetAdmitRefused).
-// Sequence records are recycled per port, the live ledger is a slice,
-// and a release finds its sequence through the token's record, so
-// nothing else allocates once the ports hold as many records as they
-// ever need.  It was 57 with the array/map allocator, 15 while the
+// A port's sequences are values in one list that grows by append, the
+// live ledger is a slice, and a release finds its sequence by ID, so
+// nothing else allocates once every list has reached its high-water
+// mark.  It was 57 with the array/map allocator, 15 while the
 // route walk, the hop list and every Delta were objects of their own,
 // 3.0 while a refusal for lack of entries still formatted its text, and
 // 2.0 while every fresh placement allocated its Sequence; the loop
@@ -931,14 +1029,14 @@ func (l *churnLoopK8) run(n int) {
 // churnLifecycleAllocBudget is the heap allocations one connection
 // lifecycle of the churn loop may cost, everything included: the
 // arrival and retry events, the connection, its flow (one record, its
-// delay statistics inline), a Sequence per fresh placement on ≈ 5 hops, ≈ 30
-// SMPs out and back, the release.  It was 248 when every SMP cost seven
+// delay statistics inline), ≈ 30 SMPs out and back, the release.  It was 248 when every SMP cost seven
 // objects, 18.9 while refused attempts placed sequences and rolled them
 // back, and 12.7 while a flow cost four objects and an allocator grew
 // its two sequence lists separately; the ceiling sits just above what
-// the loop measures (9.7).  The bytes are gated too, since churn keeps
-// every released flow: a lifecycle costs 804 bytes with a 192-byte
-// Flow.  It cost 1 151 while a Flow was a 368-byte record, and 851 with
+// the loop measures (9.6; 9.7 while a fresh placement could allocate a
+// Sequence record).  The bytes are gated too, since churn keeps every
+// released flow: a lifecycle costs 752 bytes with a 192-byte Flow (804
+// with 24-byte hops and Sequence records).  It cost 1 151 while a Flow was a 368-byte record, and 851 with
 // a 240-byte one and today's connection record, so the ceiling fails a
 // record that grows back into the 240-byte class.
 const (

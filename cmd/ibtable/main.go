@@ -1,13 +1,13 @@
 // Command ibtable drives the arbitration-table fill-in algorithm
 // interactively: it reads simple commands from standard input and
 // renders the 64-slot high-priority table after each one, making the
-// bit-reversal placement and the defragmentation on release visible.
+// bit-reversal placement and the relocation on demand visible.
 //
 // Commands (one per line, '#' starts a comment):
 //
 //	alloc <vl> <distance> <weight>   place a new sequence
 //	reserve <vl> <distance> <weight> share an existing sequence if possible
-//	free <seq> <weight>              deduct weight (frees at zero + defrag)
+//	free <seq> <weight>              deduct weight (frees at zero)
 //	show                             render the table
 //	stats                            free slots, weight, live sequences
 //	quit
@@ -98,7 +98,7 @@ func run(stdin io.Reader, stdout, stderr io.Writer) error {
 				continue
 			}
 			if freed {
-				fmt.Fprintf(stdout, "sequence %d freed; table defragmented\n", id)
+				fmt.Fprintf(stdout, "sequence %d freed\n", id)
 			} else {
 				fmt.Fprintf(stdout, "sequence %d keeps %d weight\n", id, alloc.Lookup(core.SeqID(id)).Weight)
 			}

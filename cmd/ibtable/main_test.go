@@ -82,3 +82,21 @@ func TestRunAcceptsEveryDataVL(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFreeReply: freeing a sequence's last weight frees its slots and
+// moves nothing else, and the reply says only that.
+func TestRunFreeReply(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	in := "alloc 0 8 100\nalloc 1 8 100\nfree 1 40\nfree 1 60\nstats\n"
+	if err := run(strings.NewReader(in), &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	if stderr.Len() != 0 {
+		t.Errorf("stderr: %s", stderr.String())
+	}
+	for _, want := range []string{"sequence 1 keeps 60 weight\n", "sequence 1 freed\n", "VL1 stride=8 start=4", "sequences: 1\n"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout.String())
+		}
+	}
+}

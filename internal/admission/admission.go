@@ -157,10 +157,10 @@ func (p port) id() PortID {
 	return SwitchPortID(int(p.sw), int(p.n))
 }
 
-// hop is one arbitration point of an admitted path: the sequence the
-// connection joined there and the port, 24 bytes.  The weight is the
-// connection's (Conn.Weight), the same at every hop, and the table is
-// the controller's at that port (Controller.table).
+// hop is one arbitration point of an admitted path: the ID of the
+// sequence the connection joined there and the port, 16 bytes.  The
+// weight is the connection's (Conn.Weight), the same at every hop, and
+// the table is the controller's at that port (Controller.table).
 type hop struct {
 	hold core.Hold
 	port
@@ -185,7 +185,7 @@ type Conn struct {
 // newConn returns a connection holding a copy of the reserved hops.
 // The connection and its hop list are one heap object up to eight hops
 // — every fat-tree and dragonfly route — in steps of two so that a
-// short path does not pay for a long one: 160, 208, 256 and 304 bytes
+// short path does not pay for a long one: 144, 176, 208 and 240 bytes
 // for two, four, six and eight hops.
 func newConn(hops []hop) *Conn {
 	var conn *Conn
@@ -486,9 +486,8 @@ func (c *Controller) commitHop(id PortID, tb *core.PortTable) {
 
 // Release tears down an admitted connection as a committed
 // transaction: its weight is deducted from every hop's shadow table
-// (entries whose accumulated weight reaches zero are freed and the
-// shadow defragmented), then each hop's delta is programmed to the
-// data plane.
+// (a sequence whose accumulated weight reaches zero is freed; nothing
+// else moves), then each hop's delta is programmed to the data plane.
 func (c *Controller) Release(conn *Conn) error {
 	slot := conn.slot
 	if slot >= len(c.live) || c.live[slot] != conn {

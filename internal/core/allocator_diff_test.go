@@ -107,7 +107,7 @@ func (d *maskDiff) decide(vl uint8, distance, weight int) {
 	if d.a.Table().High != shadow || d.a.TotalMoves() != moves {
 		d.t.Fatalf("%s: Decide wrote the table", op)
 	}
-	if err != nil || dec.join != nil {
+	if err != nil || dec.join != 0 {
 		return
 	}
 	_, free := d.a.policy.firstFit(d.a.occ, bits.TrailingZeros(uint(dec.stride)))
@@ -121,11 +121,7 @@ func (d *maskDiff) decide(vl uint8, distance, weight int) {
 
 // liveValues returns copies of the live sequences in ID order.
 func liveValues(a *Allocator) []Sequence {
-	var out []Sequence
-	for _, s := range a.Sequences() {
-		out = append(out, *s)
-	}
-	return out
+	return append([]Sequence(nil), a.Sequences()...)
 }
 
 // relocatedLayout checks the table a relocating request left: the
@@ -139,7 +135,7 @@ func relocatedLayout(t testing.TB, a *Allocator, before []Sequence, fresh SeqID,
 	if s == nil {
 		return fmt.Errorf("relocating request placed no sequence %d", fresh)
 	}
-	placed, err := canon.Allocate(s.VL, s.Stride, s.Weight)
+	placed, err := canon.Allocate(s.VL, s.Stride, int(s.Weight))
 	if err != nil {
 		return fmt.Errorf("canonical layout cannot place %v: %v", s, err)
 	}
@@ -148,10 +144,10 @@ func relocatedLayout(t testing.TB, a *Allocator, before []Sequence, fresh SeqID,
 	}
 	changed := 0
 	for _, b := range before {
-		if got := a.Lookup(b.ID).Start; got != start[b.ID] {
+		if got := int(a.Lookup(b.ID).Start); got != start[b.ID] {
 			return fmt.Errorf("sequence %d starts at %d, canonical layout %d", b.ID, got, start[b.ID])
 		}
-		if start[b.ID] != b.Start {
+		if start[b.ID] != int(b.Start) {
 			changed++
 		}
 	}
@@ -227,14 +223,12 @@ func diffWithRef(a *Allocator, ref *refAllocator, layout bool) error {
 	if layout && a.Table().High != ref.table.High {
 		return fmt.Errorf("high tables differ\nmask: %v\nref:  %v", a.Table().High, ref.table.High)
 	}
-	sameSeqs := func(got, want []*Sequence) error {
+	sameSeqs := func(got []Sequence, want []*Sequence) error {
 		if len(got) != len(want) {
 			return fmt.Errorf("%d sequences, reference %d", len(got), len(want))
 		}
 		for i := range got {
-			// The record's owner is the mask allocator's own bookkeeping.
-			g, w := *got[i], *want[i]
-			g.owner = nil
+			g, w := got[i], *want[i]
 			if !layout {
 				g.Start, w.Start = 0, 0
 			}

@@ -69,7 +69,7 @@ func (a *refAllocator) freeSlots() int {
 func (a *refAllocator) totalWeight() int {
 	w := 0
 	for _, s := range a.seqs {
-		w += s.Weight
+		w += int(s.Weight)
 	}
 	return w
 }
@@ -106,8 +106,8 @@ func (a *refAllocator) allocate(vl uint8, distance, weight int) (*Sequence, erro
 		}
 		s := &Sequence{
 			ID: a.nextID, VL: vl,
-			Stride: stride, Start: j, Count: count,
-			Weight: weight, Conns: 1,
+			Stride: stride, Start: uint8(j), Count: uint8(count),
+			Weight: uint16(weight), Conns: 1,
 		}
 		a.nextID++
 		a.seqs[s.ID] = s
@@ -120,11 +120,11 @@ func (a *refAllocator) allocate(vl uint8, distance, weight int) (*Sequence, erro
 }
 
 func (a *refAllocator) place(s *Sequence) {
-	w := s.tableWeight()
-	base := w / s.Count
-	extra := w % s.Count
-	for k := 0; k < s.Count; k++ {
-		pos := s.Start + k*s.Stride
+	w, n := s.tableWeight(), int(s.Count)
+	base := w / n
+	extra := w % n
+	for k := 0; k < n; k++ {
+		pos := int(s.Start) + k*s.Stride
 		a.occupied[pos] = s.ID
 		ew := base
 		if k < extra {
@@ -135,8 +135,8 @@ func (a *refAllocator) place(s *Sequence) {
 }
 
 func (a *refAllocator) unplace(s *Sequence) {
-	for k := 0; k < s.Count; k++ {
-		pos := s.Start + k*s.Stride
+	for k := 0; k < int(s.Count); k++ {
+		pos := int(s.Start) + k*s.Stride
 		a.occupied[pos] = 0
 		a.table.High[pos] = arbtable.Entry{}
 	}
@@ -153,7 +153,7 @@ func (a *refAllocator) addWeight(id SeqID, weight int) error {
 	if weight > s.Spare() {
 		return fmt.Errorf("core: sequence %d has spare %d, need %d", id, s.Spare(), weight)
 	}
-	s.Weight += weight
+	s.Weight += uint16(weight)
 	s.Conns++
 	a.place(s)
 	return nil
@@ -164,10 +164,10 @@ func (a *refAllocator) removeWeight(id SeqID, weight int, defrag bool) (freed bo
 	if s == nil {
 		return false, ErrUnknownSeq
 	}
-	if weight < 1 || weight > s.Weight {
+	if weight < 1 || weight > int(s.Weight) {
 		return false, fmt.Errorf("core: cannot remove weight %d from sequence with weight %d", weight, s.Weight)
 	}
-	s.Weight -= weight
+	s.Weight -= uint16(weight)
 	if s.Conns > 0 {
 		s.Conns--
 	}
@@ -223,7 +223,7 @@ func (a *refAllocator) defragment() (moves int) {
 		}
 	}
 	for _, s := range seqs {
-		if newStart[s.ID] != s.Start {
+		if newStart[s.ID] != int(s.Start) {
 			moves++
 		}
 	}
@@ -236,7 +236,7 @@ func (a *refAllocator) defragment() (moves int) {
 		a.table.High[i] = arbtable.Entry{}
 	}
 	for _, s := range seqs {
-		s.Start = newStart[s.ID]
+		s.Start = uint8(newStart[s.ID])
 		a.place(s)
 	}
 	return moves

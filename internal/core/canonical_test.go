@@ -40,7 +40,7 @@ func defragPerClass(live []Sequence) (starts []int, moves int) {
 			j := order[rank]
 			shadow |= m << uint(j)
 			starts[i] = j
-			if j != s.Start {
+			if j != int(s.Start) {
 				moves++
 			}
 		}
@@ -64,11 +64,11 @@ func canonicalLayout(t testing.TB, live []Sequence) (*Allocator, map[SeqID]int) 
 	start := make(map[SeqID]int, len(order))
 	for _, s := range order {
 		// The stride is a valid distance, and the weight fits it.
-		placed, err := c.Allocate(s.VL, s.Stride, s.Weight)
+		placed, err := c.Allocate(s.VL, s.Stride, int(s.Weight))
 		if err != nil {
 			t.Fatalf("canonical layout: placing %v: %v", &s, err)
 		}
-		start[s.ID] = placed.Start
+		start[s.ID] = int(placed.Start)
 	}
 	return c, start
 }
@@ -126,7 +126,7 @@ func TestDefragmentCanonicalLayout(t *testing.T) {
 			}
 			starts, refMoves := defragPerClass(survivors)
 			for i, s := range survivors {
-				if got := a.Lookup(s.ID).Start; got != starts[i] {
+				if got := int(a.Lookup(s.ID).Start); got != starts[i] {
 					t.Fatalf("seed %d step %d: sequence %d starts at %d, per-class loop %d", seed, step, s.ID, got, starts[i])
 				}
 			}

@@ -72,24 +72,22 @@
 // AND-NOT, the free-slot count a population count, and the first fit is
 // word-wide too: folding the word over the stride leaves one bit per
 // candidate start, and six masks, one per offset bit, pick the first
-// free start in bit-reversal order.  The live sequences sit in one
-// list in ascending ID order (IDs only grow, so appending keeps it
-// sorted); one pass over it buckets the positions into one 64-bit word
-// per size class, which makes "largest first, ties by ID" a walk over
-// six words with no sorting.  The reserved weight is a running total.
-// Sequence records are recycled within an allocator, and a Reservation
-// carries its sequence's record, so a release reaches its sequence
-// without a search.  A join or leave that moves a sequence's table
-// weight by less than its slot count rewrites only the entries whose
-// share changed, and every write to the table records the 16-entry
-// blocks whose values it changed, so that programming the port knows
-// which blocks differ and compares only those a second write may have
-// reverted.  Nothing on the
-// reserve/release/defragment path allocates once the allocator has made
-// as many records as it ever holds at once.  The word, the list order,
-// the total, the lane index, the records and the written blocks are
-// derived state: checkInvariants (and, for the blocks,
-// PortTable.CheckInvariants) recomputes each and reports any
+// free start in bit-reversal order.  The live sequences sit by value
+// in one list of 24-byte records in ascending ID order (IDs only grow,
+// so appending keeps it sorted).  A release scans it for its sequence's
+// ID; a join scans it for its lane; and one pass over it buckets the
+// positions into one 64-bit word per size class, which makes "largest
+// first, ties by ID" a walk over six words with no sorting.  The
+// reserved weight is a running total.  A join or leave that moves a
+// sequence's table weight by less than its slot count rewrites only the
+// entries whose share changed, and every write to the table records the
+// 16-entry blocks whose values it changed, so that programming the port
+// knows which blocks differ and compares only those a second write may
+// have reverted.  Nothing on the reserve/release/defragment path
+// allocates once the list has grown to as many sequences as the port
+// ever holds at once.  The word, the list order, the total and the
+// written blocks are derived state: checkInvariants (and, for the
+// blocks, PortTable.CheckInvariants) recomputes each and reports any
 // disagreement.
 package core
 
@@ -154,20 +152,21 @@ type SeqID int64
 // assigned to one virtual lane, shared by the connections of one
 // service level.
 //
-// An allocator recycles its Sequence records: once a sequence is freed
-// its record may be handed out again, under a new ID, by a later
-// placement.  A *Sequence obtained from an Allocator therefore
-// describes that sequence only while it is live.
+// An allocator keeps its live sequences by value in one ID-ordered
+// list, so a *Sequence or a slice of them obtained from an Allocator
+// describes its sequences only until the allocator next changes: a
+// placement may move the list, and a free shifts the records after the
+// freed one.  A sequence holds at most TableSize slots of weight at most
+// arbtable.MaxWeight each, so Start and Count fit a byte and Weight and
+// Conns 16 bits: the record is 24 bytes and holds no pointer.
 type Sequence struct {
 	ID     SeqID
-	VL     uint8
 	Stride int // distance between consecutive slots (power of two)
-	Start  int // first slot offset, in [0, Stride)
-	Count  int // number of slots: TableSize / Stride
-	Weight int // accumulated weight of the sharing connections
-	Conns  int // number of connections sharing the sequence
-
-	owner *Allocator // the allocator the sequence is live in; nil while the record is free
+	VL     uint8
+	Start  uint8  // first slot offset, in [0, Stride)
+	Count  uint8  // number of slots: TableSize / Stride
+	Weight uint16 // accumulated weight of the sharing connections
+	Conns  uint16 // number of connections sharing the sequence
 }
 
 // tableWeight is the weight actually written to the table slots.  A
@@ -175,21 +174,19 @@ type Sequence struct {
 // but every slot must carry weight at least 1 or the arbiter would
 // skip it and the distance guarantee would be lost; so each slot gets
 // at least one unit and the table weight is max(Weight, Count).
-func (s *Sequence) tableWeight() int {
-	if s.Weight < s.Count {
-		return s.Count
-	}
-	return s.Weight
-}
+func (s *Sequence) tableWeight() int { return max(int(s.Weight), int(s.Count)) }
 
 // capacity returns the total weight the sequence can hold.
-func (s *Sequence) capacity() int { return s.Count * arbtable.MaxWeight }
+func (s *Sequence) capacity() int { return int(s.Count) * arbtable.MaxWeight }
 
 // Spare returns the weight still available on the sequence.
-func (s *Sequence) Spare() int { return s.capacity() - s.Weight }
+func (s *Sequence) Spare() int { return s.capacity() - int(s.Weight) }
 
-// String implements fmt.Stringer.
-func (s *Sequence) String() string {
+// String implements fmt.Stringer.  It takes a value, so that the values
+// Sequences returns print; the other methods take a pointer and read
+// only the fields they need of a record the allocator may just have
+// written.
+func (s Sequence) String() string {
 	return fmt.Sprintf("seq%d VL%d stride=%d start=%d count=%d weight=%d conns=%d",
 		s.ID, s.VL, s.Stride, s.Start, s.Count, s.Weight, s.Conns)
 }
@@ -253,7 +250,7 @@ func setMask(stride, start int) uint64 {
 }
 
 // mask returns the slots the sequence occupies.
-func (s *Sequence) mask() uint64 { return setMask(s.Stride, s.Start) }
+func (s *Sequence) mask() uint64 { return setMask(s.Stride, int(s.Start)) }
 
 // strideBlocks[i] is the set of 16-entry blocks the candidate set
 // E(i,0) meets, bit b for block b.  A set of stride 16 or less meets
@@ -270,7 +267,7 @@ var strideBlocks = func() (b [numStrides]uint8) {
 
 // blocks returns the 16-entry blocks the sequence's slots fall in.
 func (s *Sequence) blocks() uint8 {
-	return strideBlocks[bits.TrailingZeros(uint(s.Stride))] << uint(s.Start/BlockEntries)
+	return strideBlocks[bits.TrailingZeros(uint(s.Stride))] << (s.Start / BlockEntries)
 }
 
 // Allocator manages the high-priority table of one output port.  It is
@@ -278,8 +275,8 @@ func (s *Sequence) blocks() uint8 {
 // the single simulation goroutine.
 //
 // Besides the table it keeps derived state, all re-derived and
-// compared by checkInvariants: occ, live's order, total, the lane index
-// and the record pool.  written is audited by PortTable.CheckInvariants.
+// compared by checkInvariants: occ, live's order and total.  written is
+// audited by PortTable.CheckInvariants.
 type Allocator struct {
 	table  *arbtable.Table
 	policy Policy
@@ -289,36 +286,23 @@ type Allocator struct {
 	// live sequence.
 	occ uint64
 
-	// live holds the live sequences in ascending ID order.  IDs are
-	// assigned in increasing order, so appending on Allocate keeps it
+	// live holds the live sequences by value in ascending ID order.  IDs
+	// are assigned in increasing order, so appending on Allocate keeps it
 	// sorted; a table of 64 slots holds at most 64 of them.
-	live []*Sequence
+	live []Sequence
 
 	// total is the aggregate weight of the live sequences.
 	total int
-
-	// byVL indexes the live sequences by virtual lane: the lanes'
-	// runs back to back in lane order, each in ascending ID order like
-	// live.  Lane vl's run ends at vlEnd[vl] and starts where lane
-	// vl-1's ends (at 0 for lane 0).  It lets the sequence-sharing scan
-	// of PortTable.Reserve visit one lane's sequences only.
-	byVL  []*Sequence
-	vlEnd [arbtable.NumDataVLs]uint8
-
-	// written marks the 16-entry blocks of the table whose values
-	// place, unplace and reweight changed since the owning PortTable
-	// last took them (see PortTable.changedBlocks).
-	written blockMarks
 
 	// moves counts sequences relocated by defragmentation over the
 	// allocator's lifetime — the table-update cost the subnet manager
 	// pays for the relocations requests needed.
 	moves int
 
-	// free holds the records of freed sequences for later placements
-	// to reuse.  A record is made only when none is free, so live and
-	// free records together never outnumber the table's slots.
-	free []*Sequence
+	// written marks the 16-entry blocks of the table whose values
+	// place, unplace and reweight changed since the owning PortTable
+	// last took them (see PortTable.changedBlocks).
+	written blockMarks
 }
 
 // NewAllocator returns an allocator managing the high-priority table
@@ -343,62 +327,44 @@ func (a *Allocator) FreeSlots() int { return TableSize - bits.OnesCount64(a.occ)
 // TotalWeight returns the aggregate weight of all live sequences.
 func (a *Allocator) TotalWeight() int { return a.total }
 
-// Sequences returns the live sequences sorted by ID, in a fresh slice
-// the caller owns.  The records are the allocator's own: each describes
-// its sequence until that sequence is freed, after which the record may
-// be reused for another one.
-func (a *Allocator) Sequences() []*Sequence {
-	out := make([]*Sequence, len(a.live))
-	copy(out, a.live)
+// Sequences returns the live sequences in ascending ID order.  The
+// slice is the allocator's own list, read-only to the caller: it
+// describes the sequences until the allocator next changes.
+func (a *Allocator) Sequences() []Sequence { return a.live[:len(a.live):len(a.live)] }
+
+// SequencesForVL returns the live sequences of one virtual lane in
+// ascending ID order, in a fresh slice the caller owns, or nil when the
+// lane has none.  Like Sequences it describes them until the allocator
+// next changes.
+func (a *Allocator) SequencesForVL(vl uint8) []Sequence {
+	var out []Sequence
+	for _, s := range a.live {
+		if s.VL == vl {
+			out = append(out, s)
+		}
+	}
 	return out
 }
 
-// SequencesForVL returns the live sequences of one virtual lane in
-// ascending ID order.  The slice is the allocator's internal index —
-// callers must treat it as read-only and must not hold it across
-// Allocate/RemoveWeight calls.  Unlike Sequences it performs no
-// allocation, which keeps the admission hot path allocation-free.
-func (a *Allocator) SequencesForVL(vl uint8) []*Sequence {
-	if vl >= arbtable.NumDataVLs {
-		return nil
-	}
-	lo, hi := a.laneRun(vl)
-	return a.byVL[lo:hi:hi]
-}
-
-// laneRun returns the bounds of lane vl's run in byVL.
-func (a *Allocator) laneRun(vl uint8) (lo, hi int) {
-	if vl > 0 {
-		lo = int(a.vlEnd[vl-1])
-	}
-	return lo, int(a.vlEnd[vl])
-}
-
 // Lookup returns the live sequence with the given ID, or nil.  The
-// record describes the sequence until it is freed (RemoveWeight
-// reporting freed); after that the allocator may reuse it for another
-// sequence, so callers must not hold it across that release.
+// pointer is into the allocator's list: it describes the sequence until
+// the allocator next changes.
 func (a *Allocator) Lookup(id SeqID) *Sequence {
 	if i := a.find(id); i >= 0 {
-		return a.live[i]
+		return &a.live[i]
 	}
 	return nil
 }
 
 // find returns the position of the sequence with the given ID in the
-// ID-ordered live list, or -1.
+// ID-ordered live list, or -1.  The list is short — a port's sequences
+// share its 64 slots — so a scan that stops at the sequence beats a
+// binary search, whose probes each wait on the last.
 func (a *Allocator) find(id SeqID) int {
-	lo, hi := 0, len(a.live)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a.live[mid].ID < id {
-			lo = mid + 1
-		} else {
-			hi = mid
+	for i := range a.live {
+		if a.live[i].ID == id {
+			return i
 		}
-	}
-	if lo < len(a.live) && a.live[lo].ID == id {
-		return lo
 	}
 	return -1
 }
@@ -448,8 +414,8 @@ func errNotDataVL(vl uint8) error { return fmt.Errorf("core: VL %d is not a data
 // defragmented first and the request takes the first free set of the
 // canonical layout.  So, under the paper's policy, it returns
 // ErrNoSpace exactly when fewer slots are free than the request needs.
-// The record returned is the allocator's (see Lookup for how long it
-// describes the sequence).
+// The pointer returned is into the allocator's list (see Lookup for how
+// long it describes the sequence).
 func (a *Allocator) Allocate(vl uint8, distance, weight int) (*Sequence, error) {
 	if vl >= arbtable.NumDataVLs {
 		return nil, errNotDataVL(vl)
@@ -482,61 +448,17 @@ func (a *Allocator) placeFresh(vl uint8, stride, start int, relocate bool, weigh
 }
 
 // add places a fresh sequence at a start offset whose candidate set is
-// free, in a recycled record when one is free.
+// free.  IDs ascend, so appending keeps the list sorted.
 func (a *Allocator) add(vl uint8, stride, start, weight int) *Sequence {
-	var s *Sequence
-	if n := len(a.free); n > 0 {
-		s = a.free[n-1]
-		a.free[n-1] = nil
-		a.free = a.free[:n-1]
-	} else {
-		s = new(Sequence)
-	}
-	*s = Sequence{
-		ID: a.nextID, VL: vl,
-		Stride: stride, Start: start, Count: TableSize / stride,
-		Weight: weight, Conns: 1, owner: a,
-	}
+	a.live = append(a.live, Sequence{
+		ID: a.nextID, VL: vl, Stride: stride, Start: uint8(start),
+		Count: uint8(TableSize / stride), Weight: uint16(weight), Conns: 1,
+	})
 	a.nextID++
-	if len(a.live) == cap(a.live) {
-		a.grow()
-	}
-	// IDs ascend, so appending keeps live sorted, and the end of its
-	// lane's run is where the sequence goes in byVL.
-	a.live = append(a.live, s)
-	_, hi := a.laneRun(vl)
-	a.byVL = append(a.byVL, nil)
-	copy(a.byVL[hi+1:], a.byVL[hi:])
-	a.byVL[hi] = s
-	for v := vl; v < arbtable.NumDataVLs; v++ {
-		a.vlEnd[v]++
-	}
 	a.total += weight
+	s := &a.live[len(a.live)-1]
 	a.place(s)
 	return s
-}
-
-// grow doubles the capacity of live and byVL.  The two lists always
-// hold the same sequences, so they share one backing array, live in its
-// first half and byVL in its second, each capped at its half: one
-// allocation per doubling instead of two.
-func (a *Allocator) grow() {
-	n, c := len(a.live), max(1, 2*cap(a.live))
-	buf := make([]*Sequence, 2*c)
-	copy(buf, a.live)
-	copy(buf[c:], a.byVL)
-	a.live, a.byVL = buf[:n:c], buf[c:c+n:2*c]
-}
-
-// held returns the live sequence a reservation names: the record it
-// carries when that record is still the sequence's, live here under the
-// same ID, else the sequence found by ID.  It returns nil when the
-// sequence is not live.
-func (a *Allocator) held(r Reservation) *Sequence {
-	if s := r.seq; s != nil && s.owner == a && s.ID == r.Seq {
-		return s
-	}
-	return a.Lookup(r.Seq)
 }
 
 // place claims the sequence's slots in the occupancy word and writes
@@ -547,15 +469,15 @@ func (a *Allocator) held(r Reservation) *Sequence {
 func (a *Allocator) place(s *Sequence) {
 	a.occ |= s.mask()
 	a.written.touch(s.blocks())
-	w := s.tableWeight()
-	base := w / s.Count
-	extra := w % s.Count
-	for k := 0; k < s.Count; k++ {
+	w, n := s.tableWeight(), int(s.Count)
+	base := w / n
+	extra := w % n
+	for k := 0; k < n; k++ {
 		ew := base
 		if k < extra {
 			ew++
 		}
-		a.table.High[s.Start+k*s.Stride] = arbtable.Entry{VL: s.VL, Weight: uint8(ew)}
+		a.table.High[int(s.Start)+k*s.Stride] = arbtable.Entry{VL: s.VL, Weight: uint8(ew)}
 	}
 }
 
@@ -564,7 +486,7 @@ func (a *Allocator) place(s *Sequence) {
 func (a *Allocator) unplace(s *Sequence) {
 	a.occ &^= s.mask()
 	a.written.touch(s.blocks())
-	for pos := s.Start; pos < TableSize; pos += s.Stride {
+	for pos := int(s.Start); pos < TableSize; pos += s.Stride {
 		a.table.High[pos] = arbtable.Entry{}
 	}
 }
@@ -578,7 +500,7 @@ func (a *Allocator) unplace(s *Sequence) {
 // of C or more moves every entry, and the whole sequence is rewritten.
 // Only the blocks of the entries written are marked.
 func (a *Allocator) reweight(s *Sequence, old int) {
-	w := s.tableWeight()
+	w, n := s.tableWeight(), int(s.Count)
 	d, lo := w-old, old
 	if d < 0 {
 		d, lo = -d, w
@@ -586,22 +508,22 @@ func (a *Allocator) reweight(s *Sequence, old int) {
 	switch {
 	case d == 0:
 		return
-	case d >= s.Count:
+	case d >= n:
 		a.place(s)
 		return
 	}
-	base, extra := w/s.Count, w%s.Count
+	base, extra := w/n, w%n
 	var blocks uint8
-	k := lo % s.Count
+	k := lo % n
 	for ; d > 0; d-- {
-		pos := s.Start + k*s.Stride
+		pos := int(s.Start) + k*s.Stride
 		ew := base
 		if k < extra {
 			ew++
 		}
 		a.table.High[pos].Weight = uint8(ew)
 		blocks |= 1 << uint(pos/BlockEntries)
-		if k++; k == s.Count {
+		if k++; k == n {
 			k = 0
 		}
 	}
@@ -619,7 +541,7 @@ func (a *Allocator) addWeight(s *Sequence, weight int) error {
 		return fmt.Errorf("core: sequence %d has spare %d, need %d", s.ID, s.Spare(), weight)
 	}
 	old := s.tableWeight()
-	s.Weight += weight
+	s.Weight += uint16(weight)
 	s.Conns++
 	a.total += weight
 	a.reweight(s, old)
@@ -627,63 +549,32 @@ func (a *Allocator) addWeight(s *Sequence, weight int) error {
 }
 
 // RemoveWeight deducts a finished connection's weight from a sequence.
-// When the accumulated weight reaches zero the slots are freed; no
-// other sequence moves (a later request that needs an aligned set
+// When the accumulated weight reaches zero the slots are freed and the
+// sequence leaves the list, shifting the ones after it; no other
+// sequence moves in the table (a later request that needs an aligned set
 // relocates, see Allocate).  It reports whether the sequence was freed.
 func (a *Allocator) RemoveWeight(id SeqID, weight int) (freed bool, err error) {
-	s := a.Lookup(id)
-	if s == nil {
+	i := a.find(id)
+	if i < 0 {
 		return false, ErrUnknownSeq
 	}
-	return a.removeWeight(s, weight)
-}
-
-// removeWeight is RemoveWeight on a live sequence the caller already
-// holds.  Only a release that empties the sequence searches, for its
-// position in the live list.
-func (a *Allocator) removeWeight(s *Sequence, weight int) (freed bool, err error) {
-	if weight < 1 || weight > s.Weight {
+	s := &a.live[i]
+	if weight < 1 || weight > int(s.Weight) {
 		return false, fmt.Errorf("core: cannot remove weight %d from sequence with weight %d", weight, s.Weight)
 	}
 	old := s.tableWeight()
-	s.Weight -= weight
+	s.Weight -= uint16(weight)
 	a.total -= weight
 	if s.Conns > 0 {
 		s.Conns--
 	}
 	if s.Weight == 0 {
 		a.unplace(s)
-		a.live = removeAt(a.live, a.find(s.ID))
-		a.dropFromIndex(s)
-		s.owner = nil
-		a.free = append(a.free, s)
+		a.live = append(a.live[:i], a.live[i+1:]...)
 		return true, nil
 	}
 	a.reweight(s, old)
 	return false, nil
-}
-
-// removeAt splices element i out of an ordered sequence list, clearing
-// the vacated tail cell so the freed sequence is not kept alive.
-func removeAt(list []*Sequence, i int) []*Sequence {
-	copy(list[i:], list[i+1:])
-	list[len(list)-1] = nil
-	return list[:len(list)-1]
-}
-
-// dropFromIndex splices a freed sequence out of the per-VL index.
-func (a *Allocator) dropFromIndex(s *Sequence) {
-	lo, hi := a.laneRun(s.VL)
-	for i := lo; i < hi; i++ {
-		if a.byVL[i] == s {
-			a.byVL = removeAt(a.byVL, i)
-			for v := s.VL; v < arbtable.NumDataVLs; v++ {
-				a.vlEnd[v]--
-			}
-			return
-		}
-	}
-	panic(fmt.Sprintf("core: sequence %d missing from VL %d index", s.ID, s.VL))
 }
 
 // Defragment relocates live sequences to the lowest free bit-reversal
@@ -710,18 +601,18 @@ func (a *Allocator) dropFromIndex(s *Sequence) {
 // word-wide fit.  Only the sequences that moved are rewritten: their
 // old slots cleared first, then their new ones written.
 func (a *Allocator) Defragment() (moves int) {
-	var newStart [TableSize]int8 // by position in live
+	var newStart [TableSize]uint8 // by position in live
 	_, moved := a.canonical(&newStart)
 	if moved == 0 {
 		return 0
 	}
 	for w := moved; w != 0; w &= w - 1 {
-		a.unplace(a.live[bits.TrailingZeros64(w)])
+		a.unplace(&a.live[bits.TrailingZeros64(w)])
 	}
 	for w := moved; w != 0; w &= w - 1 {
 		i := bits.TrailingZeros64(w)
-		a.live[i].Start = int(newStart[i])
-		a.place(a.live[i])
+		a.live[i].Start = newStart[i]
+		a.place(&a.live[i])
 	}
 	moves = bits.OnesCount64(moved)
 	a.moves += moves
@@ -732,10 +623,10 @@ func (a *Allocator) Defragment() (moves int) {
 // occupancy of the canonical layout, and the live sequences (bit i for
 // live[i]) whose start differs there, with each one's new start in
 // newStart.
-func (a *Allocator) canonical(newStart *[TableSize]int8) (occ, moved uint64) {
+func (a *Allocator) canonical(newStart *[TableSize]uint8) (occ, moved uint64) {
 	var class [numStrides]uint64 // bit i: live[i] is of that stride class
-	for i, s := range a.live {
-		class[bits.TrailingZeros(uint(s.Stride))] |= 1 << uint(i)
+	for i := range a.live {
+		class[bits.TrailingZeros(uint(a.live[i].Stride))] |= 1 << uint(i)
 	}
 	// Strides 2 up to 64: sequences of 32 slots down to 1.
 	for c := 1; c < numStrides; c++ {
@@ -747,8 +638,8 @@ func (a *Allocator) canonical(newStart *[TableSize]int8) (occ, moved uint64) {
 				panic("core: defragmentation failed to place a live sequence")
 			}
 			occ |= strideMask[c] << uint(j)
-			if j != a.live[i].Start {
-				newStart[i] = int8(j)
+			if j != int(a.live[i].Start) {
+				newStart[i] = uint8(j)
 				moved |= 1 << uint(i)
 			}
 		}
@@ -779,32 +670,37 @@ func (a *Allocator) CanAllocate(distance, weight int) bool {
 func (a *Allocator) checkInvariants() error {
 	// 1. The table agrees with the sequence records, and the derived
 	// state — the ID order of the live list, the occupancy word, the
-	// running weight total — agrees with what the records imply.
+	// running weight total — agrees with what the records imply.  The
+	// distance guarantee, read off the table as the arbiter sees it: a
+	// lane's consecutive entries are never further apart than the stride
+	// of any live sequence on it.  The table check implies it; it is
+	// stated here so that no caller has to re-derive it.
 	var owned uint64
 	var prev SeqID
 	weight := 0
-	for _, s := range a.live {
+	for i := range a.live {
+		s := &a.live[i]
 		if s.ID <= prev {
 			return fmt.Errorf("live list out of ID order at sequence %d (after %d)", s.ID, prev)
 		}
 		prev = s.ID
-		if s.Count*s.Stride != TableSize {
+		if int(s.Count)*s.Stride != TableSize {
 			return fmt.Errorf("sequence %v: count*stride != %d", s, TableSize)
 		}
-		if s.Start < 0 || s.Start >= s.Stride {
+		if int(s.Start) >= s.Stride {
 			return fmt.Errorf("sequence %v: start outside [0,stride)", s)
 		}
-		if s.Weight < 1 || s.Weight > s.capacity() {
+		if s.Weight < 1 || int(s.Weight) > s.capacity() {
 			return fmt.Errorf("sequence %v: weight out of range", s)
 		}
-		weight += s.Weight
+		weight += int(s.Weight)
 		m := s.mask()
 		if both := owned & m; both != 0 {
 			return fmt.Errorf("slot %d claimed by two sequences", bits.TrailingZeros64(both))
 		}
 		owned |= m
 		sum := 0
-		for pos := s.Start; pos < TableSize; pos += s.Stride {
+		for pos := int(s.Start); pos < TableSize; pos += s.Stride {
 			e := a.table.High[pos]
 			if e.VL != s.VL {
 				return fmt.Errorf("slot %d: table VL %d, sequence VL %d", pos, e.VL, s.VL)
@@ -816,6 +712,9 @@ func (a *Allocator) checkInvariants() error {
 		}
 		if sum != s.tableWeight() {
 			return fmt.Errorf("sequence %v: slot weights sum to %d, want %d", s, sum, s.tableWeight())
+		}
+		if gap := a.table.MaxGap(s.VL); gap > s.Stride {
+			return fmt.Errorf("VL %d max gap %d exceeds stride %d of sequence %d", s.VL, gap, s.Stride, s.ID)
 		}
 	}
 	if diff := a.occ ^ owned; diff != 0 {
@@ -830,49 +729,7 @@ func (a *Allocator) checkInvariants() error {
 	if a.total != weight {
 		return fmt.Errorf("running weight total %d, live sequences sum to %d", a.total, weight)
 	}
-	// The record pool: a live sequence's record names this allocator,
-	// a free record names none, and there are never more records than
-	// slots.
-	for _, s := range a.live {
-		if s.owner != a {
-			return fmt.Errorf("sequence %d: record not owned by this allocator", s.ID)
-		}
-	}
-	for _, s := range a.free {
-		if s.owner != nil {
-			return fmt.Errorf("free record holds live sequence %d", s.ID)
-		}
-	}
-	if n := len(a.live) + len(a.free); n > TableSize {
-		return fmt.Errorf("%d sequence records, more than %d", n, TableSize)
-	}
-	// 2. The per-VL index holds exactly the live sequences, each lane's
-	// run in ascending ID order.
-	indexed := 0
-	for vl := range a.vlEnd {
-		var prev SeqID
-		lo, hi := a.laneRun(uint8(vl))
-		if hi < lo || hi > len(a.byVL) {
-			return fmt.Errorf("VL %d run [%d, %d) outside the index of %d", vl, lo, hi, len(a.byVL))
-		}
-		for _, s := range a.byVL[lo:hi] {
-			indexed++
-			if a.Lookup(s.ID) != s {
-				return fmt.Errorf("VL %d index holds stale sequence %d", vl, s.ID)
-			}
-			if int(s.VL) != vl {
-				return fmt.Errorf("sequence %d on VL %d indexed under VL %d", s.ID, s.VL, vl)
-			}
-			if s.ID <= prev {
-				return fmt.Errorf("VL %d index out of order at sequence %d", vl, s.ID)
-			}
-			prev = s.ID
-		}
-	}
-	if indexed != len(a.live) || len(a.byVL) != len(a.live) {
-		return fmt.Errorf("VL index holds %d sequences in %d cells, allocator has %d", indexed, len(a.byVL), len(a.live))
-	}
-	// 3. The allocation theorem, a statement about requests: for every
+	// 2. The allocation theorem, a statement about requests: for every
 	// power-of-two size up to the free-slot count a request is granted,
 	// at once or after relocation, and the canonical layout that
 	// relocation produces — Defragment's placement, which must occupy
@@ -880,7 +737,7 @@ func (a *Allocator) checkInvariants() error {
 	// size.  Only the paper's policy provides it.
 	if a.policy.Name == BitReversal.Name {
 		free := a.FreeSlots()
-		var newStart [TableSize]int8
+		var newStart [TableSize]uint8
 		canon, _ := a.canonical(&newStart)
 		if want := canonOcc[TableSize-free]; canon != want {
 			return fmt.Errorf("canonical layout occupies %016x, want %016x for %d occupied slots", canon, want, TableSize-free)
@@ -892,22 +749,6 @@ func (a *Allocator) checkInvariants() error {
 			}
 			if _, ok := BitReversal.firstFit(canon, c); !ok {
 				return fmt.Errorf("theorem violated: %d slots free but the canonical layout has no free set of size %d", free, n)
-			}
-		}
-	}
-	// 4. The distance guarantee, read off the table as the arbiter
-	// sees it: a lane's consecutive entries are never further apart than
-	// the stride of any live sequence on it.  Check 1 implies it; it is
-	// stated here so that no caller has to re-derive it.
-	for vl := range a.vlEnd {
-		seqs := a.SequencesForVL(uint8(vl))
-		if len(seqs) == 0 {
-			continue
-		}
-		gap := a.table.MaxGap(uint8(vl))
-		for _, s := range seqs {
-			if gap > s.Stride {
-				return fmt.Errorf("VL %d max gap %d exceeds stride %d of sequence %d", vl, gap, s.Stride, s.ID)
 			}
 		}
 	}

@@ -87,7 +87,7 @@ func TestPaperInspectionOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("alloc %d: %v", i, err)
 		}
-		if s.Start != w {
+		if int(s.Start) != w {
 			t.Errorf("alloc %d start = %d, want %d", i, s.Start, w)
 		}
 	}
@@ -106,7 +106,7 @@ func TestWeightDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []int
-	for pos := s.Start; pos < TableSize; pos += s.Stride {
+	for pos := int(s.Start); pos < TableSize; pos += s.Stride {
 		got = append(got, int(a.Table().High[pos].Weight))
 	}
 	want := []int{3, 3, 2, 2}
@@ -246,9 +246,9 @@ func TestDefragmentPreservesSequences(t *testing.T) {
 	s2, _ := a.Allocate(2, 16, 321)
 	s3, _ := a.Allocate(3, 64, 55)
 	before := map[SeqID][3]int{
-		s1.ID: {int(s1.VL), s1.Stride, s1.Weight},
-		s2.ID: {int(s2.VL), s2.Stride, s2.Weight},
-		s3.ID: {int(s3.VL), s3.Stride, s3.Weight},
+		s1.ID: {int(s1.VL), s1.Stride, int(s1.Weight)},
+		s2.ID: {int(s2.VL), s2.Stride, int(s2.Weight)},
+		s3.ID: {int(s3.VL), s3.Stride, int(s3.Weight)},
 	}
 	a.Defragment()
 	for id, want := range before {
@@ -256,7 +256,7 @@ func TestDefragmentPreservesSequences(t *testing.T) {
 		if s == nil {
 			t.Fatalf("sequence %d lost in defragmentation", id)
 		}
-		if got := [3]int{int(s.VL), s.Stride, s.Weight}; got != want {
+		if got := [3]int{int(s.VL), s.Stride, int(s.Weight)}; got != want {
 			t.Errorf("sequence %d changed: %v -> %v", id, want, got)
 		}
 	}

@@ -63,7 +63,7 @@ func materialize(descs []seqDesc) *Allocator {
 func snapshot(a *Allocator) []seqDesc {
 	var out []seqDesc
 	for _, s := range a.Sequences() {
-		out = append(out, seqDesc{stride: s.Stride, start: s.Start})
+		out = append(out, seqDesc{stride: s.Stride, start: int(s.Start)})
 	}
 	return out
 }
@@ -138,16 +138,16 @@ func TestTheoremExhaustive(t *testing.T) {
 			tried[d] = true
 			a := materialize(st)
 			var victim *Sequence
-			for _, s := range a.Sequences() {
-				if s.Stride == d.stride && s.Start == d.start {
-					victim = s
+			for i, s := range a.Sequences() {
+				if s.Stride == d.stride && int(s.Start) == d.start {
+					victim = &a.Sequences()[i]
 					break
 				}
 			}
 			if victim == nil {
 				t.Fatalf("state %v: cannot find sequence %v", st, d)
 			}
-			if _, err := a.RemoveWeight(victim.ID, victim.Weight); err != nil {
+			if _, err := a.RemoveWeight(victim.ID, int(victim.Weight)); err != nil {
 				t.Fatalf("state %v: releasing %v: %v", st, d, err)
 			}
 			if err := a.checkInvariants(); err != nil {

@@ -56,7 +56,7 @@ func (tr *trace) step() error {
 		if s == nil {
 			return fmt.Errorf("live sequence %d vanished", id)
 		}
-		if _, err := tr.a.RemoveWeight(id, s.Weight); err != nil {
+		if _, err := tr.a.RemoveWeight(id, int(s.Weight)); err != nil {
 			return fmt.Errorf("free %d: %v", id, err)
 		}
 		tr.live[i] = tr.live[len(tr.live)-1]
@@ -183,7 +183,7 @@ func TestDefragmentIdempotent(t *testing.T) {
 		for _, id := range ids {
 			if rng.Intn(2) == 0 {
 				if s := a.Lookup(id); s != nil {
-					a.RemoveWeight(id, s.Weight)
+					a.RemoveWeight(id, int(s.Weight))
 				}
 			}
 		}

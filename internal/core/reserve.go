@@ -7,15 +7,12 @@ import (
 )
 
 // Hold names the sequence one connection shares on a port's
-// arbitration table: its ID, and its record, so that a release finds the
-// sequence without a search; a hold whose record has since been freed or
-// reused (checked by owner and ID) falls back to searching by Seq.  A
-// connection's weight is the same at every hop of its path, so a caller
-// holding many hops of one connection keeps the weight once and a Hold
-// per hop.
+// arbitration table by its ID; a release scans the port's list for it.
+// A connection's weight is the same at every hop of its path, so a
+// caller holding many hops of one connection keeps the weight once and
+// a Hold per hop.
 type Hold struct {
 	Seq SeqID
-	seq *Sequence
 }
 
 // Reservation records one connection's hold on a port's arbitration
@@ -29,10 +26,12 @@ type Reservation struct {
 // Decision is a request a port table has decided to take, read-only:
 // the live sequence it joins, or the start offset of the fresh sequence
 // it places, and whether the table must be defragmented first to free
-// that set.  Prepare carries it out.
+// that set.  Prepare carries it out.  It describes the table until the
+// allocator next changes.
 type Decision struct {
-	join     *Sequence // nil for a fresh placement
-	id       SeqID     // join's ID, checked when the decision is carried out
+	alloc    *Allocator // the allocator decided on, checked by a join
+	join     SeqID      // the sequence joined; 0 for a fresh placement
+	at       int        // join's position in the live list when decided
 	vl       uint8
 	relocate bool // defragment before placing: start is free only in the canonical layout
 	stride   int  // of the fresh placement; 0 in the zero Decision
@@ -227,8 +226,8 @@ func (p *PortTable) Decide(vl uint8, distance, weight int) (Decision, error) {
 	if err != nil {
 		return Decision{}, err
 	}
-	if s := p.joinable(vl, distance, weight); s != nil {
-		return Decision{join: s, id: s.ID, weight: weight}, nil
+	if i := p.joinable(vl, distance, weight); i >= 0 {
+		return Decision{alloc: p.alloc, join: p.alloc.live[i].ID, at: i, weight: weight}, nil
 	}
 	if vl >= arbtable.NumDataVLs {
 		return Decision{}, errNotDataVL(vl)
@@ -247,33 +246,37 @@ func (p *PortTable) Decide(vl uint8, distance, weight int) (Decision, error) {
 // since; a stale or foreign one panics rather than corrupt the table.
 func (p *PortTable) Prepare(d Decision) Reservation {
 	a := p.alloc
-	s := d.join
-	switch {
-	case s != nil:
-		if s.owner != a || s.ID != d.id {
-			panic(fmt.Sprintf("core: Prepare joins sequence %d, which is not live here", d.id))
-		}
-		if err := a.addWeight(s, d.weight); err != nil {
-			panic(fmt.Sprintf("core: Prepare of a stale decision: %v", err))
-		}
-	default:
-		s = a.placeFresh(d.vl, d.stride, d.start, d.relocate, d.weight)
+	if d.join == 0 {
+		s := a.placeFresh(d.vl, d.stride, d.start, d.relocate, d.weight)
+		return Reservation{Hold: Hold{Seq: s.ID}, Weight: d.weight}
 	}
-	return Reservation{Hold: Hold{Seq: s.ID, seq: s}, Weight: d.weight}
+	i := d.at
+	if i >= len(a.live) || a.live[i].ID != d.join {
+		i = a.find(d.join) // the list changed since the decision
+	}
+	if d.alloc != a || i < 0 {
+		panic(fmt.Sprintf("core: Prepare joins sequence %d, which is not live here", d.join))
+	}
+	if err := a.addWeight(&a.live[i], d.weight); err != nil {
+		panic(fmt.Sprintf("core: Prepare of a stale decision: %v", err))
+	}
+	return Reservation{Hold: Hold{Seq: d.join}, Weight: d.weight}
 }
 
-// joinable returns the sequence a well-formed request joins, or nil.
-// Sharing is deterministic: the live sequence of the VL with the lowest
-// ID that fits.  Sequences of the same VL always come from the same
+// joinable returns the position in the live list of the sequence a
+// well-formed request joins, or -1.  Sharing is deterministic: the live
+// sequence of the VL with the lowest ID that fits, the first in the
+// ID-ordered list.  Sequences of the same VL always come from the same
 // service level, but the stride check keeps the latency guarantee
 // explicit.
-func (p *PortTable) joinable(vl uint8, distance, weight int) *Sequence {
-	for _, s := range p.alloc.SequencesForVL(vl) {
-		if s.Stride <= distance && s.Spare() >= weight {
-			return s
+func (p *PortTable) joinable(vl uint8, distance, weight int) int {
+	live := p.alloc.live
+	for i := range live {
+		if s := &live[i]; s.VL == vl && s.Stride <= distance && s.Spare() >= weight {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // Release returns a reservation's weight to the shadow table.  When
@@ -284,11 +287,7 @@ func (p *PortTable) joinable(vl uint8, distance, weight int) *Sequence {
 // just loses the added weight); one that relocated leaves the other
 // sequences where the relocation put them.
 func (p *PortTable) Release(r Reservation) error {
-	s := p.alloc.held(r)
-	if s == nil {
-		return ErrUnknownSeq
-	}
-	_, err := p.alloc.removeWeight(s, r.Weight)
+	_, err := p.alloc.RemoveWeight(r.Seq, r.Weight)
 	return err
 }
 

@@ -39,9 +39,8 @@ func TestReserveSharesSequence(t *testing.T) {
 
 // The join path — a connection sharing an existing sequence of its VL
 // — is the hot path of admission under churn: it runs once per hop of
-// every arriving connection.  It must not allocate; the per-VL live
-// index exists so Reserve never builds the sorted all-VL snapshot
-// that Sequences() returns.
+// every arriving connection.  It must not allocate: the join scan reads
+// the port's one list of sequences in place.
 func TestReserveJoinDoesNotAllocate(t *testing.T) {
 	p := newPort()
 	// Anchor sequences on several VLs so the index is non-trivial.
@@ -145,8 +144,8 @@ func TestReleaseUnknown(t *testing.T) {
 }
 
 // TestReleaseStaleHandle releases tokens whose sequence is gone: a
-// double release, and a release after the sequence's record was reused
-// for another one.  Each must fail with ErrUnknownSeq and leave the
+// double release, and a release after the sequence's cell of the list
+// was reused for another one.  Each must fail with ErrUnknownSeq and leave the
 // shadow table, the active table, the reserved weight and the port's
 // audit as they were — the handle a token carries is checked, never
 // trusted.
@@ -183,16 +182,17 @@ func TestReleaseStaleHandle(t *testing.T) {
 		}
 	}
 	stale("double release", gone)
-	// The next placement reuses the freed record under a new ID.
+	// The next placement takes the freed sequence's cell of the list,
+	// under a new ID.
 	reuse, err := p.Reserve(2, 16, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reuse.seq != gone.seq || reuse.Seq == gone.Seq {
-		t.Fatalf("placement after a free did not reuse its record: %+v after %+v", reuse, gone)
+	if reuse.Seq == gone.Seq || p.Allocator().find(reuse.Seq) != 1 {
+		t.Fatalf("placement after a free did not take its cell: %+v after %+v", reuse, gone)
 	}
 	p.Apply()
-	stale("release after the record was reused", gone)
+	stale("release after the cell was reused", gone)
 	for _, r := range []Reservation{reuse, keep} {
 		if err := p.Release(r); err != nil {
 			t.Fatalf("release of live %+v: %v", r, err)
@@ -205,7 +205,7 @@ func TestReleaseStaleHandle(t *testing.T) {
 
 // TestPrepareRefusesStaleDecision carries out decisions the table has
 // moved on from — a fresh placement whose candidate set was taken
-// since, and a join whose sequence was freed and its record reused —
+// since, and a join whose sequence was freed and its cell of the list reused —
 // and expects a panic, not a write.
 func TestPrepareRefusesStaleDecision(t *testing.T) {
 	p := newPort()
@@ -218,13 +218,13 @@ func TestPrepareRefusesStaleDecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	join, err := p.Decide(1, 2, 100)
-	if err != nil || join.join == nil {
+	if err != nil || join.join == 0 {
 		t.Fatalf("Decide = %+v, %v; want a join", join, err)
 	}
 	if err := p.Release(r); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Reserve(2, 2, 100); err != nil { // reuses the joined record
+	if _, err := p.Reserve(2, 2, 100); err != nil { // takes the joined sequence's cell
 		t.Fatal(err)
 	}
 	for name, d := range map[string]Decision{"fresh": fresh, "join": join, "zero": {}} {
@@ -241,6 +241,115 @@ func TestPrepareRefusesStaleDecision(t *testing.T) {
 			t.Errorf("%s: a refused Prepare changed the table", name)
 		}
 	}
+}
+
+// TestReleaseAfterMidListFree frees a sequence in the middle of a
+// port's list, which shifts every later record one cell down, and
+// checks that the later holds still name their own sequences: each lane
+// behind the hole joins its own sequence, and each hold releases the
+// weight it added there, until the lane's sequence empties.
+func TestReleaseAfterMidListFree(t *testing.T) {
+	p := newPort()
+	const lanes, hole = 6, 2
+	var first [lanes]Reservation // lane i's fresh sequence
+	for vl := range first {
+		r, err := p.Reserve(uint8(vl), 16, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first[vl] = r
+	}
+	if err := p.Release(first[hole]); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string) {
+		t.Helper()
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	check("after the free")
+	var joined [lanes]Reservation
+	for vl := hole + 1; vl < lanes; vl++ {
+		if i := p.Allocator().find(first[vl].Seq); i != vl-1 {
+			t.Fatalf("lane %d's sequence at cell %d after the free, want %d", vl, i, vl-1)
+		}
+		r, err := p.Reserve(uint8(vl), 16, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Seq != first[vl].Seq {
+			t.Fatalf("lane %d joined sequence %d, want its own %d", vl, r.Seq, first[vl].Seq)
+		}
+		joined[vl] = r
+		check("after a join")
+	}
+	for vl := hole + 1; vl < lanes; vl++ {
+		if err := p.Release(first[vl]); err != nil {
+			t.Fatal(err)
+		}
+		if s := p.Allocator().Lookup(first[vl].Seq); s == nil || s.Weight != 50 || s.Conns != 1 || int(s.VL) != vl {
+			t.Fatalf("lane %d after its first hold's release: %v, want weight 50, one connection", vl, s)
+		}
+		check("after a release")
+		if err := p.Release(joined[vl]); err != nil {
+			t.Fatal(err)
+		}
+		if p.Allocator().Lookup(first[vl].Seq) != nil {
+			t.Fatalf("lane %d's sequence outlived its last hold", vl)
+		}
+		check("after a free")
+	}
+	if got, want := p.ReservedWeight(), hole*100; got != want {
+		t.Errorf("reserved weight %d, want %d (the lanes before the hole)", got, want)
+	}
+}
+
+// TestForeignHandles: a hold or a decision made on another port is not
+// trusted.  A hold names its sequence by ID only, so on a port where no
+// sequence of that ID is live its release fails with ErrUnknownSeq; a
+// join decided on another port panics in Prepare, even where a sequence
+// of the same ID is live and has room for the weight.  Neither changes
+// the port.
+func TestForeignHandles(t *testing.T) {
+	p, q := newPort(), newPort()
+	for vl := uint8(0); vl < 3; vl++ {
+		if _, err := p.Reserve(vl, 8, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mine, err := q.Reserve(0, 8, 100) // ID 1, as p's first
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Apply()
+	unchanged := func(what string) {
+		t.Helper()
+		if q.Allocator().Table().High != q.Active().High || q.ReservedWeight() != 100 {
+			t.Errorf("%s changed the port", what)
+		}
+		if err := q.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", what, err)
+		}
+	}
+	hold := p.Allocator().Sequences()[2] // ID 3, not live on q
+	if err := q.Release(Reservation{Hold: Hold{Seq: hold.ID}, Weight: 100}); !errors.Is(err, ErrUnknownSeq) {
+		t.Errorf("release of another port's hold: %v, want ErrUnknownSeq", err)
+	}
+	unchanged("another port's hold")
+	d, err := p.Decide(0, 8, 100)
+	if err != nil || d.join != mine.Seq {
+		t.Fatalf("Decide on the other port = %+v, %v; want a join of sequence %d", d, err, mine.Seq)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Prepare of another port's decision did not panic")
+			}
+		}()
+		q.Prepare(d)
+	}()
+	unchanged("another port's decision")
 }
 
 func TestReservedWeightAccounting(t *testing.T) {

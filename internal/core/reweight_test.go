@@ -13,14 +13,14 @@ import (
 // possible with the first entries taking the remainder.  The table it
 // builds from the live sequences is the reference for the entries
 // reweight writes.
-func wholeSequence(high *[TableSize]arbtable.Entry, s *Sequence) {
-	w := s.tableWeight()
-	for k := 0; k < s.Count; k++ {
-		ew := w / s.Count
-		if k < w%s.Count {
+func wholeSequence(high *[TableSize]arbtable.Entry, s Sequence) {
+	w, n := s.tableWeight(), int(s.Count)
+	for k := 0; k < n; k++ {
+		ew := w / n
+		if k < w%n {
 			ew++
 		}
-		high[s.Start+k*s.Stride] = arbtable.Entry{VL: s.VL, Weight: uint8(ew)}
+		high[int(s.Start)+k*s.Stride] = arbtable.Entry{VL: s.VL, Weight: uint8(ew)}
 	}
 }
 

@@ -211,7 +211,7 @@ echo "==> go test -race -run TestArbiterIndex ./internal/arbtable (high-table sl
 # audit and the bench smoke below cover them too.
 go test -race -run 'TestArbiterIndex' -count=1 ./internal/arbtable
 
-echo "==> go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestReleaseStale|TestReweight|TestDeliverBlock|TestApply|TestStagingPool' ./internal/core (fill-in occupancy-mask, canonical-layout, stale-token, re-weighting, delta-completion and staging-pool differentials)"
+echo "==> go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestReleaseStale|TestReleaseAfterMidListFree|TestForeignHandles|TestReweight|TestDeliverBlock|TestApply|TestStagingPool' ./internal/core (fill-in occupancy-mask, canonical-layout, stale-token, re-weighting, delta-completion and staging-pool differentials)"
 # The allocator keeps slot ownership as one 64-bit word, the live
 # sequences as an ID-ordered list and the reserved weight as a running
 # total instead of walking an owner array and a map; the differential
@@ -223,7 +223,9 @@ echo "==> go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestRele
 # the one-pass defragmenter to the canonical layout of the live
 # multiset and to the retired per-class loop after every emptying
 # release; TestReleaseStaleHandle releases tokens whose sequence is gone
-# or whose record was reused.  A join or leave rewrites only the
+# or whose cell of the list was reused, TestReleaseAfterMidListFree the
+# holds behind a free that shifted the list, and TestForeignHandles a
+# hold and a decision of another port.  A join or leave rewrites only the
 # entries whose share of the sequence's table weight moved, and every
 # write marks the 16-entry blocks it changed, once or more than once;
 # programming a port takes its changed blocks from those marks and
@@ -231,8 +233,8 @@ echo "==> go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestRele
 # TestReweightMatchesWholeSequence holds every entry to the retired
 # whole-sequence write over join/leave histories at every stride, and
 # the marks to the blocks each step really changed.
-# Allocator.CheckInvariants re-derives the word, the total, the order,
-# the lane index and the record pool and states the distance guarantee;
+# Allocator.CheckInvariants re-derives the word, the total and the order
+# and states the distance guarantee;
 # PortTable.CheckInvariants adds the changed-block mask, both ways
 # (outside it the shadow equals the programmed table, and a block one
 # write changed differs from it), and the open transaction's state, and
@@ -254,7 +256,7 @@ echo "==> go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestRele
 # return, and requires after every step that no record backs two open
 # transactions or sits on the free list while open, and that the pool
 # holds as many records as transactions were ever open at once.
-go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestReleaseStale|TestDeliverBlock|TestApply|TestStagingPool' -count=1 ./internal/core
+go test -race -run 'TestAllocatorMask|TestDefragmentCanonical|TestReleaseStale|TestReleaseAfterMidListFree|TestForeignHandles|TestReweight|TestDeliverBlock|TestApply|TestStagingPool' -count=1 ./internal/core
 
 echo "==> go test -race -run TestEngineWheel ./internal/sim (timing-wheel event-queue differential)"
 # The engine finds its next event in a ring of per-byte-time FIFO
@@ -318,13 +320,14 @@ echo "==> go test -run AllocBudget . and 'TestVOQStateSizedByRadix|TestPortRecor
 # fat-trees to at most 4 kB more heap than its WRR twin and each model's
 # index to its own view's words; the
 # record-size gates hold a core.PortTable to 88 bytes
-# (TestAllocBudgetFillIn), the fabric's per-port records — inPort,
+# (TestAllocBudgetFillIn), a core.Allocator to 96 and a core.Sequence to
+# 24 with no pointer (TestAllocBudgetFillInRecords), the fabric's per-port records — inPort,
 # outPort, hostNode, pktQueue — to 360, 112, 376 and 16 bytes, and a
 # switch (swNode) to 136 bytes with its request index (reqIndex, two
 # slab slices over the one view its rule reads) to 72
 # (TestPortRecordSizes), and admission's per-connection records — a
-# connection's hop (hopRecordMaxBytes, 24 bytes), a six-hop connection
-# with its hop list (connRecordMaxBytes, 256, also measured as the bytes
+# connection's hop (hopRecordMaxBytes, 16 bytes), a six-hop connection
+# with its hop list (connRecordMaxBytes, 208, also measured as the bytes
 # a six-hop Admit + Release allocates) and a refusal's hopError
 # (hopErrorMaxBytes, 48) — (TestAllocBudgetAdmissionRecords);
 # testing.AllocsPerRun budgets: 0 allocs/op on arbiter pick, on the
@@ -332,7 +335,7 @@ echo "==> go test -run AllocBudget . and 'TestVOQStateSizedByRadix|TestPortRecor
 # per-hop packet forwarding step with metrics disabled; the
 # fill-in budgets (0 on join/leave, defragment, the audit, a
 # programmed delta and a synchronous Apply, and 0 on a fresh sequence
-# placed and freed, its record recycled); 0 on an in-band transaction
+# placed and freed in its port's list); 0 on an in-band transaction
 # of one to four blocks — BeginProgram, every SMP rendered to its wire
 # bytes, flown, parsed and delivered; 1 (its error) on a refusal at
 # the last hop of a saturated k=8 path, which changes no table; the
@@ -341,7 +344,7 @@ echo "==> go test -run AllocBudget . and 'TestVOQStateSizedByRadix|TestPortRecor
 # connection lifecycle of the in-band churn loop; the set-up ceilings
 # (TestAllocBudgetNetworkSetup: at most 200 objects for a k=8
 # NewWithTopology under either switch model, whose ports, hosts,
-# arbiters and indexes come from per-network slabs; 4 000 for a whole
+# arbiters and indexes come from per-network slabs; 2 500 for a whole
 # wrr-k8-like set-up; 1 per AddConnection, its one-record Flow of at
 # most 192 bytes, which the full pass's TestFlowRecordHoldsNoPointers
 # keeps pointer-free); and a dozen slices, at most 150 kB, per k=8 CDG proof.  These tests are the
