@@ -240,15 +240,28 @@ func TestAllocBudgetVOQForwarding(t *testing.T) {
 // switches' port slices and input buffers, and the request index over
 // those buffers, which keeps only the view its switch rule reads — the
 // head view under WRR, the any-packet view, which is the VOQs, under
-// VOQ-iSLIP.  A switch holds 15.5 kB (WRR) and 15.8 kB (VOQ-iSLIP); the
-// budgets are those plus about 5 %.
+// VOQ-iSLIP.  The budgets were set at 15.5 kB (WRR) and 15.8 kB
+// (VOQ-iSLIP) plus about 5 %; read after two collections a switch now
+// holds 15.2 kB and 15.0 kB, whichever tests ran first.
 const (
 	fabricBytesPerSwitchWRR = 16_300
 	fabricBytesPerSwitchVOQ = 16_600
 )
 
+// settledHeap returns HeapAlloc after two forced collections.  One
+// collection leaves what depends on the tests that ran before: objects
+// an earlier test left with a finalizer are only queued by the first
+// and freed by the second.
+func settledHeap() float64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return float64(m.HeapAlloc)
+}
+
 // TestAllocBudgetFabricBytes gates the memory a switch costs: the heap a
-// freshly built k=8 network holds after a GC, divided by its switches.
+// freshly built k=8 network holds (settledHeap), divided by its switches.
 // A Packet, which every buffered, queued and in-flight packet costs,
 // must fit one 64-byte cache line.
 func TestAllocBudgetFabricBytes(t *testing.T) {
@@ -271,16 +284,12 @@ func TestAllocBudgetFabricBytes(t *testing.T) {
 	} {
 		cfg := fabric.DefaultConfig(topo.NumSwitches, 256, 7)
 		cfg.SwitchModel = tc.model
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
+		before := settledHeap()
 		net, err := fabric.NewWithTopology(cfg, topo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		perSwitch := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(topo.NumSwitches)
+		perSwitch := int64(settledHeap()-before) / int64(topo.NumSwitches)
 		runtime.KeepAlive(net)
 		t.Logf("%s: %d bytes per switch", tc.model, perSwitch)
 		if perSwitch > tc.budget {
@@ -670,11 +679,11 @@ func program(t *testing.T, pt *core.PortTable) {
 
 // TestAllocBudgetInbandProgram gates the in-band control transaction
 // itself: with the delivery pool and the event queue warm, opening a
-// transaction (BeginProgram), rendering every changed block to its
-// 256 wire bytes and posting it (InbandProgrammer.Program), and
-// landing it — parse, DeliverBlock, table swap, the chain check —
-// allocates nothing, for deltas of one to four blocks.  Each SMP used
-// to cost seven objects and each delta one more.
+// transaction (BeginProgram), checking and copying every changed block
+// and posting it (InbandProgrammer.Program), and landing it —
+// DeliverBlock, table swap, the chain check — allocates nothing, for
+// deltas of one to four blocks.  Each SMP used to cost seven objects
+// and each delta one more.
 func TestAllocBudgetInbandProgram(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budgets hold only without race instrumentation")
@@ -805,8 +814,8 @@ const (
 	controlStateConnMaxBytes = 290
 )
 
-// TestAllocBudgetControlState gates those bytes: HeapAlloc after a forced
-// collection, before and after fabric.BuildControl, and after admit-k8's
+// TestAllocBudgetControlState gates those bytes: settledHeap before and
+// after fabric.BuildControl, and after admit-k8's
 // set-up fill, divided by the ports and by the connections admitted.
 func TestAllocBudgetControlState(t *testing.T) {
 	if raceEnabled {
@@ -817,21 +826,12 @@ func TestAllocBudgetControlState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two collections: objects an earlier test left with a finalizer
-	// are freed by the second.
-	heap := func() float64 {
-		var m runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&m)
-		return float64(m.HeapAlloc)
-	}
-	h0 := heap()
+	h0 := settledHeap()
 	cs, err := fabric.BuildControl(fabric.DefaultConfig(topo.NumSwitches, payload, seed), topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1 := heap()
+	h1 := settledHeap()
 	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), seed+1)
 	var live []*admission.Conn
 	for i := 0; i < fillPerHost*topo.NumHosts(); i++ {
@@ -839,7 +839,7 @@ func TestAllocBudgetControlState(t *testing.T) {
 			live = append(live, conn)
 		}
 	}
-	h2 := heap()
+	h2 := settledHeap()
 	ports := 0
 	cs.Adm.Ports().Each(func(admission.PortID, *core.PortTable) { ports++ })
 	perPort, perConn := (h1-h0)/float64(ports), (h2-h1)/float64(len(live))

@@ -229,10 +229,17 @@ func SplitArbModifier(mod uint32) (index, total int, ok bool) {
 // arbBlockBytes is the wire size of one 16-entry arbitration block.
 const arbBlockBytes = 2 * ArbBlockEntries
 
-// checkArbBlock rejects an entry list longer than one block.
+// checkArbBlock rejects an entry list longer than one block, and an
+// entry whose VL does not fit the wire's nibble: the decoder refuses
+// those bits, so the encoder refuses the value rather than masking it.
 func checkArbBlock(entries []arbtable.Entry) error {
 	if len(entries) > ArbBlockEntries {
 		return fmt.Errorf("mad: %d entries exceed block size %d", len(entries), ArbBlockEntries)
+	}
+	for i, e := range entries {
+		if e.VL > 0x0f {
+			return fmt.Errorf("mad: arbitration entry %d: VL %d does not fit the wire's 4 bits", i, e.VL)
+		}
 	}
 	return nil
 }
@@ -246,7 +253,7 @@ func putArbBlock(dst []byte, entries []arbtable.Entry) {
 	d := (*[arbBlockBytes]byte)(dst)
 	for i, e := range entries {
 		j := 2 * (i & (ArbBlockEntries - 1))
-		d[j] = e.VL & 0x0f
+		d[j] = e.VL
 		d[j+1] = e.Weight
 	}
 }
@@ -289,36 +296,40 @@ func DecodeArbBlock(data []byte) ([]arbtable.Entry, error) {
 	return out[:], nil
 }
 
-// highBlockHeader is the header of an SMP carrying one 16-entry block
-// of a high-table transaction: version in the TID, block index and
-// total block count in the attribute modifier.
-func highBlockHeader(method uint8, version uint64, index, total int) (Header, error) {
+// CheckHighBlock returns the error HighBlockSMP and EncodeHighBlock
+// give block index of a total-block high-table transaction carrying
+// entries, or nil when they accept it.
+func CheckHighBlock(index, total int, entries []arbtable.Entry) error {
 	if index < 0 || index >= NumHighBlocks {
-		return Header{}, fmt.Errorf("mad: high-table block index %d out of range", index)
+		return fmt.Errorf("mad: high-table block index %d out of range", index)
 	}
 	if total < 1 || total > NumHighBlocks {
-		return Header{}, fmt.Errorf("mad: high-table block total %d out of range", total)
+		return fmt.Errorf("mad: high-table block total %d out of range", total)
 	}
+	return checkArbBlock(entries)
+}
+
+// highBlockHeader is the header of an SMP carrying one checked 16-entry
+// block of a high-table transaction: version in the TID, block index
+// and total block count in the attribute modifier.
+func highBlockHeader(method uint8, version uint64, index, total int) Header {
 	return Header{
 		BaseVersion: 1, MgmtClass: ClassSubnLID, ClassVersion: 1,
 		Method: method, TID: version,
 		AttrID:       AttrVLArbitration,
 		AttrModifier: ArbModifier(index, total),
-	}, nil
+	}
 }
 
 // HighBlockSMP builds one Set(VLArbitrationTable) SMP carrying one
 // 16-entry block of a table transaction.
 func HighBlockSMP(version uint64, index, total int, entries []arbtable.Entry) (*Packet, error) {
-	h, err := highBlockHeader(MethodSet, version, index, total)
-	if err != nil {
+	if err := CheckHighBlock(index, total, entries); err != nil {
 		return nil, err
 	}
-	block, err := EncodeArbBlock(entries)
-	if err != nil {
-		return nil, err
-	}
-	return &Packet{Header: h, Data: block}, nil
+	block := make([]byte, arbBlockBytes)
+	putArbBlock(block, entries)
+	return &Packet{Header: highBlockHeader(MethodSet, version, index, total), Data: block}, nil
 }
 
 // EncodeHighBlock renders the SMP HighBlockSMP builds straight into
@@ -328,13 +339,10 @@ func HighBlockSMP(version uint64, index, total int, entries []arbtable.Entry) (*
 // and MethodGetResp for a read-back response.  On error wire is
 // untouched.
 func EncodeHighBlock(wire *[Size]byte, method uint8, version uint64, index, total int, entries []arbtable.Entry) error {
-	h, err := highBlockHeader(method, version, index, total)
-	if err != nil {
+	if err := CheckHighBlock(index, total, entries); err != nil {
 		return err
 	}
-	if err := checkArbBlock(entries); err != nil {
-		return err
-	}
+	h := highBlockHeader(method, version, index, total)
 	*wire = [Size]byte{}
 	putHeader(wire, &h)
 	putArbBlock(wire[smpDataOffset:], entries)

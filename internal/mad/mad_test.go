@@ -128,6 +128,22 @@ func TestArbBlockRoundTrip(t *testing.T) {
 	if _, err := EncodeArbBlock(make([]arbtable.Entry, 33)); err == nil {
 		t.Error("33-entry block accepted")
 	}
+	// A VL the wire's 4 bits cannot carry is refused by every encoder,
+	// not masked onto another lane.
+	entries[5].VL = 16
+	var buf [Size]byte
+	if _, err := EncodeArbBlock(entries); err == nil {
+		t.Error("EncodeArbBlock accepted VL 16")
+	}
+	if _, err := HighBlockSMP(1, 0, 1, entries); err == nil {
+		t.Error("HighBlockSMP accepted VL 16")
+	}
+	if err := EncodeHighBlock(&buf, MethodSet, 1, 0, 1, entries); err == nil || buf != ([Size]byte{}) {
+		t.Errorf("EncodeHighBlock of VL 16: error %v, wire written %v", err, buf != ([Size]byte{}))
+	}
+	if err := CheckHighBlock(0, 1, entries); err == nil {
+		t.Error("CheckHighBlock accepted VL 16")
+	}
 	if _, err := DecodeArbBlock([]byte{1}); err == nil {
 		t.Error("short block accepted")
 	}

@@ -61,9 +61,7 @@ func (p *perBlockProgrammer) Program(id admission.PortID, pt *core.PortTable, d 
 	tx := &perBlockTxn{id: id, pt: pt, pending: len(blocks)}
 	for k := range blocks {
 		smp := &perBlockSMP{tx: tx}
-		if err := encodeBlock(&smp.wire, id, d.Version, len(blocks), &blocks[k]); err != nil {
-			return err
-		}
+		encodeBlock(&smp.wire, d.Version, len(blocks), &blocks[k])
 		p.costs.addMAD(hops)
 		p.eng.PostAfter(int64(k+1)*madWireBytes+oneWayBT(hops), p, sim.Event{Kind: refSMP, P: smp})
 	}

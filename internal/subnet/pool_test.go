@@ -3,8 +3,10 @@ package subnet
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/admission"
+	"repro/internal/arbtable"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/faults"
@@ -19,9 +21,9 @@ import (
 // of a programmer running with poison set, and returns how many of
 // each there are: none may still be marked in use, and none may have
 // been written to since it was recycled.  A poisoned SMP names block
-// 254, so an event or a handler that reads a recycled record panics in
-// land or is dropped and never acknowledged; either fails the tests
-// below.
+// 254 and a poisoned transaction block is block 255, so an event or a
+// handler that reads a recycled record panics in land or is dropped
+// and never acknowledged; either fails the tests below.
 func checkFreeList(t *testing.T, p *InbandProgrammer) (deliveries, txns int) {
 	t.Helper()
 	poisoned := func(what string, n int, wire *[mad.Size]byte) {
@@ -42,8 +44,12 @@ func checkFreeList(t *testing.T, p *InbandProgrammer) (deliveries, txns int) {
 		if tx.used {
 			t.Fatalf("transaction record %d of the free list is still open", txns)
 		}
-		for k := range tx.wires {
-			poisoned("transaction record", txns, &tx.wires[k])
+		for k, b := range tx.blocks {
+			for i, e := range b.Entries {
+				if b.Index != 0xff || e != (arbtable.Entry{VL: 0xff, Weight: 0xff}) {
+					t.Fatalf("transaction record %d of the free list was written to after it was recycled (block %d: index %d, entry %d = %+v)", txns, k, b.Index, i, e)
+				}
+			}
 		}
 		txns++
 	}
@@ -51,40 +57,66 @@ func checkFreeList(t *testing.T, p *InbandProgrammer) (deliveries, txns int) {
 }
 
 // TestProgramRejectsBadDeltaBeforePosting: a delta the codec refuses is
-// refused whole.  The bad block comes second, so a programmer that
-// encoded and posted block by block would have one SMP in flight, one
-// MAD accounted and the port waiting for a set that never completes.
+// refused whole, with or without an injector.  The bad block comes
+// second, so a programmer that checked and posted block by block would
+// have one SMP in flight, one MAD accounted and the port waiting for a
+// set that never completes.  A block number past the table and an
+// entry whose VL does not fit the wire's 4 bits are both refused: the
+// second is what a lone SMP's encode refuses, so a flight, which is
+// never encoded, must refuse it too.
 func TestProgramRejectsBadDeltaBeforePosting(t *testing.T) {
-	for _, injector := range []bool{false, true} {
-		eng, prog, pt := newProgrammerFixture(t)
-		prog.poison = true
-		if injector {
-			prog.Faults = faults.New(faults.Config{Seed: 1})
+	var vl16 core.BlockDelta
+	vl16.Index = 1
+	vl16.Entries[3] = arbtable.Entry{VL: 16, Weight: 1}
+	for _, bad := range []struct {
+		name  string
+		block core.BlockDelta
+	}{
+		{"block past the table", core.BlockDelta{Index: core.NumHighBlocks}},
+		{"VL 16", vl16},
+	} {
+		for _, injector := range []bool{false, true} {
+			eng, prog, pt := newProgrammerFixture(t)
+			prog.poison = true
+			if injector {
+				prog.Faults = faults.New(faults.Config{Seed: 1})
+			}
+			var d core.Delta
+			d.Version = 1
+			d.Append(core.BlockDelta{Index: 0})
+			d.Append(bad.block)
+			if err := prog.Program(admission.HostPortID(5), pt, &d); err == nil {
+				t.Fatalf("injector=%v: delta with a %s accepted", injector, bad.name)
+			}
+			if n := eng.Pending(); n != 0 {
+				t.Errorf("injector=%v, %s: %d events posted for a refused delta", injector, bad.name, n)
+			}
+			if prog.Costs != (Costs{}) {
+				t.Errorf("injector=%v, %s: refused delta accounted %+v", injector, bad.name, prog.Costs)
+			}
+			if n := prog.OpenTransactions(); n != 0 {
+				t.Errorf("injector=%v, %s: refused delta left %d transactions open", injector, bad.name, n)
+			}
+			// Whatever records the attempt drew are back, and the
+			// programmer still works.
+			checkFreeList(t, prog)
+			programOnce(t, prog, pt)
+			eng.RunWhile(func() bool { return true })
+			if pt.Programming() || pt.Dirty() {
+				t.Errorf("injector=%v, %s: programmer unusable after a refused delta", injector, bad.name)
+			}
 		}
-		var bad core.Delta
-		bad.Version = 1
-		bad.Append(core.BlockDelta{Index: 0})
-		bad.Append(core.BlockDelta{Index: core.NumHighBlocks})
-		if err := prog.Program(admission.HostPortID(5), pt, &bad); err == nil {
-			t.Fatalf("injector=%v: delta naming block %d accepted", injector, core.NumHighBlocks)
-		}
-		if n := eng.Pending(); n != 0 {
-			t.Errorf("injector=%v: %d events posted for a refused delta", injector, n)
-		}
-		if prog.Costs != (Costs{}) {
-			t.Errorf("injector=%v: refused delta accounted %+v", injector, prog.Costs)
-		}
-		if n := prog.OpenTransactions(); n != 0 {
-			t.Errorf("injector=%v: refused delta left %d transactions open", injector, n)
-		}
-		// Whatever records the attempt drew are back, and the programmer
-		// still works.
-		checkFreeList(t, prog)
-		programOnce(t, prog, pt)
-		eng.RunWhile(func() bool { return true })
-		if pt.Programming() || pt.Dirty() {
-			t.Errorf("injector=%v: programmer unusable after a refused delta", injector)
-		}
+	}
+}
+
+// TestTransactionRecordSize gates the transaction record: it keeps a
+// delta's blocks, 40 bytes each, and no wire bytes, which only a lone
+// SMP's delivery record holds (1 184 bytes when the record kept every
+// block's 256-byte wire).
+func TestTransactionRecordSize(t *testing.T) {
+	const maxBytes = 288
+	if n := unsafe.Sizeof(txnState{}); n > maxBytes {
+		t.Errorf("txnState is %d bytes, want at most %d", n, maxBytes)
 	}
 }
 

@@ -13,11 +13,11 @@ import (
 
 // InbandProgrammer delivers committed table deltas as subnet
 // management packets injected into a running simulation: each changed
-// 16-entry block becomes one Set(VLArbitrationTable) SMP that is
-// marshaled to its wire form, serialized out of the subnet manager,
-// and arrives at the port after the path's MAD latency, where it is
-// unmarshaled, decoded and staged, and answered with a response, as a
-// port answers every SubnSet on QP 0 (reliable.go).  The port swaps its
+// 16-entry block becomes one Set(VLArbitrationTable) SMP, serialized
+// out of the subnet manager, that arrives at the port after the path's
+// MAD latency, is staged, and is answered with a response, as a port
+// answers every SubnSet on QP 0 (reliable.go); only an SMP whose fate
+// can act on it is encoded to its wire form.  The port swaps its
 // active table only when the whole new-version set has arrived, so
 // reconfiguration has a simulated cost and can never tear a table.
 //
@@ -69,8 +69,8 @@ type InbandProgrammer struct {
 
 	txns       freeList[txnState, *txnState]
 	deliveries freeList[smpDelivery, *smpDelivery]
-	// poison, set by tests, overwrites a record's wire bytes as it is
-	// recycled, so that a use after recycle reads garbage at once.
+	// poison, set by tests, overwrites a recycled record's wire or
+	// blocks, so that a use after recycle reads garbage at once.
 	poison bool
 }
 
@@ -127,23 +127,13 @@ type smpDelivery struct {
 
 func (d *smpDelivery) inUse() *bool { return &d.used }
 
-// poisonWire overwrites a recycled record's wire bytes when poison is
-// set: a poisoned SMP names block 254, so a late reader fails at once.
-func (p *InbandProgrammer) poisonWire(w *[mad.Size]byte) {
-	if p.poison {
-		for i := range w {
-			w[i] = 0xff
-		}
-	}
-}
-
-// encodeBlock renders block b of a total-block transaction as the
-// Set(VLArbitrationTable) SMP the subnet manager sends, into wire.
-func encodeBlock(wire *[mad.Size]byte, id admission.PortID, version uint64, total int, b *core.BlockDelta) error {
+// encodeBlock renders block b of a total-block transaction, which
+// Program has checked, as the Set(VLArbitrationTable) SMP the subnet
+// manager sends, into wire.
+func encodeBlock(wire *[mad.Size]byte, version uint64, total int, b *core.BlockDelta) {
 	if err := mad.EncodeHighBlock(wire, mad.MethodSet, version, b.Index, total, b.Entries[:]); err != nil {
-		return fmt.Errorf("subnet: block %d of %v: %w", b.Index, id, err)
+		panic(err)
 	}
-	return nil
 }
 
 // NewInbandProgrammer returns a programmer injecting SMPs into eng,

@@ -88,7 +88,11 @@ func (p *InbandProgrammer) HandleEvent(ev sim.Event) {
 	if ev.Kind == evSMPDeliver {
 		fl := ev.P.(*smpDelivery)
 		p.arrive(fl)
-		p.poisonWire(&fl.wire)
+		if p.poison { // a poisoned SMP names block 254: a late reader fails
+			for i := range fl.wire {
+				fl.wire[i] = 0xff
+			}
+		}
 		fl.ps = nil
 		p.deliveries.put(fl)
 		return
@@ -148,9 +152,8 @@ type txnState struct {
 	seq     int64
 	version uint64
 	hops    int
-	n       int // blocks
-	index   [core.NumHighBlocks]int
-	wires   [core.NumHighBlocks][mad.Size]byte // retained for retransmission
+	n       int                                 // blocks
+	blocks  [core.NumHighBlocks]core.BlockDelta // retained for retransmission
 	acked   [core.NumHighBlocks]bool
 	attempt [core.NumHighBlocks]int // sends so far, per block; timeouts of superseded sends are stale
 	pending int                     // blocks not yet acknowledged
@@ -177,8 +180,14 @@ func (p *InbandProgrammer) settle(ps *portState) {
 }
 
 func (p *InbandProgrammer) recycleTxn(tx *txnState) {
-	for k := range tx.wires {
-		p.poisonWire(&tx.wires[k])
+	if p.poison { // block 255 of VL-255 entries: DeliverBlock refuses it
+		for k := range tx.blocks {
+			b := &tx.blocks[k]
+			b.Index = 0xff
+			for i := range b.Entries {
+				b.Entries[i] = arbtable.Entry{VL: 0xff, Weight: 0xff}
+			}
+		}
 	}
 	tx.acked, tx.attempt = [core.NumHighBlocks]bool{}, [core.NumHighBlocks]int{}
 	tx.timers, tx.deadline = [core.NumHighBlocks]sim.Timer{}, sim.Timer{}
@@ -219,20 +228,20 @@ func (p *InbandProgrammer) counters() *metrics.ControlCounters {
 // commit, torn restart, or give-up.
 func (p *InbandProgrammer) OpenTransactions() int { return p.open }
 
-// Program implements admission.Programmer.  Every block is rendered to
-// its wire form first, so a delta the codec rejects leaves no event,
-// cost or record behind.  The SM serializes the SMPs back to back, and
-// each then needs the one-way path time to the port.
+// Program implements admission.Programmer.  Every block is checked
+// first, as the codec's encoder checks it, so a delta the codec rejects
+// leaves no event, cost or record behind, flying or not.  The SM
+// serializes the SMPs back to back, and each then needs the one-way
+// path time to the port.
 func (p *InbandProgrammer) Program(id admission.PortID, pt *core.PortTable, d *core.Delta) error {
 	blocks := d.Blocks()
-	tx := p.txns.get()
 	for k := range blocks {
-		if err := encodeBlock(&tx.wires[k], id, d.Version, len(blocks), &blocks[k]); err != nil {
-			p.recycleTxn(tx)
-			return err
+		if err := mad.CheckHighBlock(blocks[k].Index, len(blocks), blocks[k].Entries[:]); err != nil {
+			return fmt.Errorf("subnet: block %d of %v: %w", blocks[k].Index, id, err)
 		}
-		tx.index[k] = blocks[k].Index
 	}
+	tx := p.txns.get()
+	copy(tx.blocks[:], blocks)
 	hops := p.hops(id)
 	ps := p.port(id, pt)
 	if ps.tx != nil {
@@ -286,19 +295,14 @@ func (p *InbandProgrammer) flies(ps *portState, tx *txnState, rp RetryProfile) b
 	return p.Faults.TakeIntact(link, 2*tx.n)
 }
 
-// land parses and stages a flying transaction's SMPs in block order;
+// land stages a flying transaction's blocks, unencoded, in block order;
 // the last swaps the table.  The responses land a MAD wire time and a
 // path later, which matters only if the shadow moved on meanwhile: they
 // chain the next transaction then.  Otherwise the transaction settles
 // now (a writer finds the port idle, and supersedes it by programming).
 func (p *InbandProgrammer) land(ps *portState, tx *txnState) {
 	for k := range tx.n {
-		var blk [core.BlockEntries]arbtable.Entry
-		version, index, total, err := mad.DecodeHighBlock(tx.wires[k][:], &blk)
-		if err == nil {
-			_, err = ps.pt.DeliverBlock(version, index, total, &blk)
-		}
-		if err != nil {
+		if _, err := ps.pt.DeliverBlock(tx.version, tx.blocks[k].Index, tx.n, &tx.blocks[k].Entries); err != nil {
 			panic(fmt.Sprintf("subnet: flight to %v: %v", ps.id, err))
 		}
 	}
@@ -318,7 +322,8 @@ func (p *InbandProgrammer) commit(ps *portState) {
 }
 
 // sendBlock transmits one attempt of one block through the injector and
-// arms its response timeout.
+// arms its response timeout.  An SMP its fate does not drop is encoded
+// into a delivery record of its own.
 func (p *InbandProgrammer) sendBlock(ps *portState, tx *txnState, k, attempt int, serializeBT int64) {
 	p.Costs.addMAD(tx.hops)
 	p.noteSend(ps.id)
@@ -338,7 +343,8 @@ func (p *InbandProgrammer) sendBlock(ps *portState, tx *txnState, k, attempt int
 		return
 	}
 	fl := p.deliveries.get()
-	fl.ps, fl.seq, fl.version, fl.hops, fl.wire = ps, tx.seq, tx.version, tx.hops, tx.wires[k]
+	fl.ps, fl.seq, fl.version, fl.hops = ps, tx.seq, tx.version, tx.hops
+	encodeBlock(&fl.wire, tx.version, tx.n, &tx.blocks[k])
 	if fate.Corrupt() {
 		fl.wire[fate.CorruptByte%len(fl.wire)] ^= fate.CorruptMask
 		p.counters().SMPsCorrupted++
@@ -417,7 +423,7 @@ func (p *InbandProgrammer) ack(ps *portState, tx *txnState, index int, torn bool
 		return
 	}
 	for k := range tx.n {
-		if tx.index[k] != index {
+		if tx.blocks[k].Index != index {
 			continue
 		}
 		if tx.acked[k] {

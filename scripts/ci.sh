@@ -279,8 +279,9 @@ go test -race -run 'TestEngineWheel' -count=1 ./internal/sim
 
 echo "==> go test -race ./internal/subnet ./internal/admission (delivery-record lifetime gate)"
 # Every in-band transaction, and every SMP that flies alone, lives in a
-# record recycled through the programmer's free lists, its 256-byte
-# wires inline.  TestDeliveryPoolLifetime runs
+# record recycled through the programmer's free lists: a transaction's
+# holds its blocks (at most 288 bytes, TestTransactionRecordSize), a
+# lone SMP's its 256-byte wire.  TestDeliveryPoolLifetime runs
 # 2 000 connection lifecycles over the k=8 control state — perfect and
 # duplicating/corrupting/reordering management networks — with records
 # poisoned as they are recycled, so that transactions chained from
@@ -336,8 +337,8 @@ echo "==> go test -run AllocBudget . and 'TestVOQStateSizedByRadix|TestPortRecor
 # fill-in budgets (0 on join/leave, defragment, the audit, a
 # programmed delta and a synchronous Apply, and 0 on a fresh sequence
 # placed and freed in its port's list); 0 on an in-band transaction
-# of one to four blocks — BeginProgram, every SMP rendered to its wire
-# bytes, flown, parsed and delivered; 1 (its error) on a refusal at
+# of one to four blocks — BeginProgram, every block checked, copied,
+# flown and delivered; 1 (its error) on a refusal at
 # the last hop of a saturated k=8 path, which changes no table; the
 # ceilings on a whole Admit + Release transaction (1 per offered
 # request: the connection, or a refusal's error) and on a whole
