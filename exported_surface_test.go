@@ -412,6 +412,7 @@ var exportedAllowlist = map[string]string{
 	"mad.Unmarshal":                  "bench/ probe, frozen until ROADMAP 3(b)",
 	"plan.EvaluateState":             "model entry point over a caller-built control state; Evaluate and Headroom wrap it",
 	"routing/cdg.CycleError":         "error type, matched with errors.As",
+	"sim.Engine.After":               "bench/ churn driver, frozen until ROADMAP 3(d)",
 	"sim.Engine.NextTime":            "test hook: fabric's idle-pass tests snapshot the next event time",
 	"sim.Engine.Pending":             "test hook: fabric's idle-pass and subnet's programmer tests count queued events",
 	"sim.Engine.RecordCapacity":      "test hook: fabric's TestShardPoolsDoNotReallocateMidRun snapshots each shard's record slab",

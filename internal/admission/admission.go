@@ -149,6 +149,16 @@ func packPort(id PortID) port {
 	return port{sw: int32(id.Switch), n: int32(id.Port)}
 }
 
+// index returns the port's place in a dense per-port slice of a fabric
+// with hosts hosts and radix ports per switch: the host index, or
+// hosts+switch·radix+port — the order of NewPorts' slab and of Each.
+func (p port) index(hosts, radix int) int {
+	if p.sw < 0 {
+		return int(p.n)
+	}
+	return hosts + int(p.sw)*radix + int(p.n)
+}
+
 // id returns the port's PortID.
 func (p port) id() PortID {
 	if p.sw < 0 {
@@ -289,6 +299,9 @@ type Controller struct {
 	path    []routing.Hop
 	held    []hop
 	decided []core.Decision
+	// heldWeight is CheckInvariants' scratch: the live connections'
+	// weight per port, indexed by port.index.
+	heldWeight []int
 
 	// prog delivers committed deltas to the data plane; nil, the
 	// default, applies them synchronously (free reconfiguration).
@@ -620,15 +633,18 @@ func (c *Controller) MeanSwitchPortReservation() float64 {
 // ledger: every live connection sits at its own slot, and each port's
 // reserved weight is the sum of the live connections' reservations
 // there, so a reservation no connection owns is caught.  An error names
-// the port.
+// the port.  The weights are summed into the controller's heldWeight,
+// so the check allocates nothing once that has been sized.
 func (c *Controller) CheckInvariants() error {
-	held := make(map[port]int)
+	hosts, radix := len(c.ports.Host), c.topo.Ports()
+	held := append(c.heldWeight[:0], make([]int, hosts+len(c.ports.Switch)*radix)...)
+	c.heldWeight = held
 	for i, conn := range c.live {
 		if conn.slot != i {
 			return fmt.Errorf("admission: connection %d at ledger slot %d says it is at %d", conn.ID, i, conn.slot)
 		}
 		for _, h := range conn.hops {
-			held[h.port] += conn.Weight
+			held[h.index(hosts, radix)] += conn.Weight
 		}
 	}
 	var err error
@@ -638,7 +654,7 @@ func (c *Controller) CheckInvariants() error {
 		}
 		if e := tb.CheckInvariants(); e != nil {
 			err = fmt.Errorf("%v: %w", id, e)
-		} else if got, want := tb.ReservedWeight(), held[packPort(id)]; got != want {
+		} else if got, want := tb.ReservedWeight(), held[packPort(id).index(hosts, radix)]; got != want {
 			err = fmt.Errorf("%v: reserved weight %d, live connections hold %d", id, got, want)
 		}
 	})

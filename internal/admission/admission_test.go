@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -332,7 +333,8 @@ func TestFillLoad(t *testing.T) {
 
 // TestCheckInvariantsLedger: a reservation no live connection owns — a
 // leaked connection — fails the controller's audit with an error naming
-// the port, and releasing it heals the ledger.
+// the port, on a host interface and on a switch port the connection
+// itself crosses, and releasing it heals the ledger.
 func TestCheckInvariantsLedger(t *testing.T) {
 	c, topo := newController(t, 4, 1)
 	conn, err := c.Admit(req(0, topo.NumHosts()-1, 9, 32))
@@ -350,6 +352,19 @@ func TestCheckInvariantsLedger(t *testing.T) {
 		t.Fatalf("leaked reservation: CheckInvariants = %v, want the ledger error naming host 2", err)
 	}
 	if err := c.Ports().Host[2].Release(leak); err != nil {
+		t.Fatal(err)
+	}
+	sites := conn.Sites()
+	last := sites[len(sites)-1] // a switch port
+	tb := c.Ports().Switch[last.Switch][last.Port]
+	if leak, err = tb.Reserve(1, 8, 3); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%v: reserved weight %d, live connections hold %d", last, conn.Weight+3, conn.Weight)
+	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("leaked reservation: CheckInvariants = %v, want %q", err, want)
+	}
+	if err := tb.Release(leak); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Release(conn); err != nil {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/arbtable"
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/sim"
 	"repro/internal/sl"
 	"repro/internal/traffic"
 )
@@ -21,14 +22,30 @@ import (
 // the run stops with an error naming it.
 const lifecycleHoldCap = 20
 
-// lifecycles is the outcome of one lifecycle run: the churn report,
-// filled in full, and what a fault rig adds to it.  runChurn returns
-// the report; runFaults copies its fields from it.
+// lifecycles is one lifecycle run: the churn report, filled in full,
+// what a fault rig adds to it, and the driver's state.  runChurn
+// returns the report; runFaults copies its fields from it.
 type lifecycles struct {
 	ChurnResult
 	net *fabric.Network
+	sc  Scenario
 
 	rejectedDown, quarantined int
+
+	// Per arrival: its pre-drawn lifecycle, and from its admission
+	// until its release completes its connection and flow.
+	arrivals []churnArrival
+	conns    []*admission.Conn
+	flows    []*fabric.Flow
+
+	// outstanding counts lifecycles still in flight: unresolved
+	// arrivals plus admitted connections not yet fully released.  The
+	// bandwidth sampler stops with the last one.
+	outstanding        int
+	latSum, slowestIAT int64
+	prev               [arbtable.NumVLs]int64
+	samples            [][arbtable.NumVLs]int64
+	auditErr           error
 }
 
 // churnArrival is one pre-drawn connection lifecycle.  Drawing every
@@ -41,12 +58,21 @@ type churnArrival struct {
 	req  traffic.Request
 }
 
+// Event kinds of the lifecycle driver (its own kind space, as a
+// sim.Handler's is); A carries the arrival's index.
+const (
+	evArrive  sim.Kind = iota // arrival A; posts arrival A+1
+	evRelease                 // arrival A's hold is over
+	evSample                  // per-VL byte-rate sample
+)
+
 // runLifecycles runs sc's connection lifecycles on a live fabric:
 // every arrival goes through AdmitWithRetry, an admitted connection
 // starts its flow and is released after its hold, and every table delta
-// travels in-band as SMPs on the control lane.  After every admission
-// outcome and every completed release it audits the admission
-// invariants, and at the end it audits the whole fabric
+// travels in-band as SMPs on the control lane.  The driver is a
+// sim.Handler on that lane, and each arrival posts the next one.  After
+// every admission outcome and every completed release it audits the
+// admission invariants, and at the end it audits the whole fabric
 // (Network.CheckInvariants) and proves termination (no open
 // transaction or audit round) and convergence
 // (Controller.CheckConverged).  Any violation, and any lifecycle
@@ -70,98 +96,30 @@ func runLifecycles(sc Scenario) (*lifecycles, error) {
 
 	arrivals := drawChurnArrivals(sc, net.Topo.NumHosts())
 	lastArrival := arrivals[len(arrivals)-1].at
-	lc := &lifecycles{net: net}
+	lc := &lifecycles{net: net, sc: sc, arrivals: arrivals, outstanding: len(arrivals),
+		conns: make([]*admission.Conn, len(arrivals)), flows: make([]*fabric.Flow, len(arrivals))}
 	lc.Switches, lc.Hosts, lc.Seed, lc.Offered = net.Topo.NumSwitches, net.Topo.NumHosts(), sc.Seed, sc.Arrivals
 	if sc.SMPFaults {
 		drawFlapSchedule(sc, net.Topo, net.Faults, lastArrival)
 	}
 
 	eng := net.Ctrl
-	var auditErr error
-	audit := func(stage string) {
-		if auditErr == nil {
-			if err := net.Adm.CheckInvariants(); err != nil {
-				auditErr = fmt.Errorf("lifecycle %s @%d: %w", stage, eng.Now(), err)
-			}
-		}
+	eng.Post(arrivals[0].at, lc, sim.Event{Kind: evArrive})
+	eng.PostAfter(sc.SampleBT, lc, sim.Event{Kind: evSample})
+	limit := func() int64 { return lastArrival + lifecycleHoldCap*sc.MeanHoldBT + lc.slowestIAT }
+	net.RunWhile(func() bool { return lc.auditErr == nil && (lc.outstanding == 0 || eng.Now() <= limit()) })
+	if lc.auditErr != nil {
+		return nil, lc.auditErr
 	}
-
-	// outstanding counts lifecycles still in flight: unresolved
-	// arrivals plus admitted connections not yet fully released.  The
-	// bandwidth sampler stops with the last one.  live holds the flows
-	// of admitted connections until their release completes.
-	outstanding := len(arrivals)
-	live := make([]*fabric.Flow, len(arrivals))
-	var latSum, slowestIAT int64
-	for i, arr := range arrivals {
-		eng.At(arr.at, func() {
-			net.Adm.AdmitWithRetry(eng, arr.req, sc.Retry, func(conn *admission.Conn, err error) {
-				if err != nil {
-					switch {
-					case errors.Is(err, admission.ErrHopDown):
-						lc.rejectedDown++
-					case errors.Is(err, admission.ErrHopBusy):
-						lc.RejectedBusy++
-					default:
-						lc.RejectedCapacity++
-					}
-					outstanding--
-					audit("abort")
-					return
-				}
-				lc.Admitted++
-				lat := eng.Now() - arr.at
-				latSum += lat
-				lc.MaxAdmitLatencyBT = max(lc.MaxAdmitLatencyBT, lat)
-				audit("commit")
-				fl := net.AddConnection(conn)
-				live[i] = fl
-				slowestIAT = max(slowestIAT, fl.IAT)
-				net.StartFlow(fl)
-				eng.After(arr.hold, func() {
-					net.ReleaseConnection(conn, fl, func() {
-						lc.Released++
-						outstanding--
-						live[i] = nil
-						audit("release")
-					})
-				})
-			})
-		})
-	}
-
-	// Per-VL byte-rate sampling for the stability metric.
-	var prev [arbtable.NumVLs]int64
-	var samples [][arbtable.NumVLs]int64
-	var sample func()
-	sample = func() {
-		var rates [arbtable.NumVLs]int64
-		for vl := 0; vl < arbtable.NumVLs; vl++ {
-			cur := net.VLBytes(vl)
-			rates[vl] = cur - prev[vl]
-			prev[vl] = cur
-		}
-		samples = append(samples, rates)
-		if outstanding > 0 {
-			eng.After(sc.SampleBT, sample)
-		}
-	}
-	eng.After(sc.SampleBT, sample)
-
-	limit := func() int64 { return lastArrival + lifecycleHoldCap*sc.MeanHoldBT + slowestIAT }
-	net.RunWhile(func() bool { return auditErr == nil && (outstanding == 0 || eng.Now() <= limit()) })
-	if auditErr != nil {
-		return nil, auditErr
-	}
-	if outstanding > 0 {
+	if lc.outstanding > 0 {
 		var stuck []string
-		for _, f := range live {
+		for _, f := range lc.flows {
 			if f != nil {
 				stuck = append(stuck, fmt.Sprintf("flow %d (host %d->%d, VL %d)", f.ID, f.Src, f.Dst, f.VL))
 			}
 		}
 		return nil, fmt.Errorf("experiments: %d lifecycles unresolved at %d BT, %d mean holds after the last arrival (%d still admitting); unreleased: %s",
-			outstanding, eng.Now(), lifecycleHoldCap, outstanding-len(stuck), strings.Join(stuck, ", "))
+			lc.outstanding, eng.Now(), lifecycleHoldCap, lc.outstanding-len(stuck), strings.Join(stuck, ", "))
 	}
 
 	// Termination: every transaction settled, every audit round done.
@@ -191,14 +149,84 @@ func runLifecycles(sc Scenario) (*lifecycles, error) {
 	}
 
 	if lc.Admitted > 0 {
-		lc.MeanAdmitLatencyBT = float64(latSum) / float64(lc.Admitted)
+		lc.MeanAdmitLatencyBT = float64(lc.latSum) / float64(lc.Admitted)
 	}
 	lc.ProgramMADs, lc.ProgramTimeBT = prog.Costs.MADs, prog.Costs.TimeBT
 	lc.Reconfig = net.ReconfigStats()
-	lc.MeanVLRateCoV, lc.MaxVLRateCoV = vlRateCoV(samples)
+	lc.MeanVLRateCoV, lc.MaxVLRateCoV = vlRateCoV(lc.samples)
 	lc.EndTimeBT = eng.Now()
 	lc.Parallel, lc.Windows = net.Parallel(), net.Windows()
 	return lc, nil
+}
+
+// HandleEvent implements sim.Handler: the driver's arrivals, releases
+// and bandwidth samples.
+func (lc *lifecycles) HandleEvent(ev sim.Event) {
+	i, eng := int(ev.A), lc.net.Ctrl
+	switch ev.Kind {
+	case evArrive:
+		if i+1 < len(lc.arrivals) {
+			eng.Post(lc.arrivals[i+1].at, lc, sim.Event{Kind: evArrive, A: int32(i + 1)})
+		}
+		lc.net.Adm.AdmitWithRetry(eng, lc.arrivals[i].req, lc.sc.Retry, func(conn *admission.Conn, err error) {
+			lc.admitDone(i, conn, err)
+		})
+	case evRelease:
+		lc.net.ReleaseConnection(lc.conns[i], lc.flows[i], func() {
+			lc.Released++
+			lc.outstanding--
+			lc.conns[i], lc.flows[i] = nil, nil
+			lc.audit("release")
+		})
+	case evSample:
+		var rates [arbtable.NumVLs]int64
+		for vl := range rates {
+			cur := lc.net.VLBytes(vl)
+			rates[vl], lc.prev[vl] = cur-lc.prev[vl], cur
+		}
+		lc.samples = append(lc.samples, rates)
+		if lc.outstanding > 0 {
+			eng.PostAfter(lc.sc.SampleBT, lc, ev)
+		}
+	}
+}
+
+// admitDone settles arrival i's admission: a refusal resolves it, an
+// admitted connection starts its flow and is released after its hold.
+func (lc *lifecycles) admitDone(i int, conn *admission.Conn, err error) {
+	if err != nil {
+		switch {
+		case errors.Is(err, admission.ErrHopDown):
+			lc.rejectedDown++
+		case errors.Is(err, admission.ErrHopBusy):
+			lc.RejectedBusy++
+		default:
+			lc.RejectedCapacity++
+		}
+		lc.outstanding--
+		lc.audit("abort")
+		return
+	}
+	lc.Admitted++
+	lat := lc.net.Ctrl.Now() - lc.arrivals[i].at
+	lc.latSum += lat
+	lc.MaxAdmitLatencyBT = max(lc.MaxAdmitLatencyBT, lat)
+	lc.audit("commit")
+	fl := lc.net.AddConnection(conn)
+	lc.conns[i], lc.flows[i] = conn, fl
+	lc.slowestIAT = max(lc.slowestIAT, fl.IAT)
+	lc.net.StartFlow(fl)
+	lc.net.Ctrl.PostAfter(lc.arrivals[i].hold, lc, sim.Event{Kind: evRelease, A: int32(i)})
+}
+
+// audit checks the admission invariants after an outcome at stage; the
+// first violation stops the run.
+func (lc *lifecycles) audit(stage string) {
+	if lc.auditErr == nil {
+		if err := lc.net.Adm.CheckInvariants(); err != nil {
+			lc.auditErr = fmt.Errorf("lifecycle %s @%d: %w", stage, lc.net.Ctrl.Now(), err)
+		}
+	}
 }
 
 // drawChurnArrivals pre-draws every arrival time, hold time and

@@ -2,10 +2,12 @@ package mad
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arbtable"
 	"repro/internal/core"
+	"repro/internal/sl"
 )
 
 // fullTableSMPs builds the SMP set of a non-trivially filled table.
@@ -160,6 +162,29 @@ func FuzzHighTableDecode(f *testing.F) {
 			if string(p.Data[:2*ArbBlockEntries]) != string(want[:2*ArbBlockEntries]) {
 				t.Fatalf("block %d: accepted payload differs from re-encode", idx)
 			}
+		}
+	})
+}
+
+// FuzzSLtoVLCodec: a mapping whose VLs all fit 4 bits encodes and
+// decodes back to itself, and one with a wider VL is refused, never
+// masked onto another lane.
+func FuzzSLtoVLCodec(f *testing.F) {
+	id := sl.IdentityMapping()
+	f.Add(id[:])
+	id[3] = 17 // SL 3 → VL 17, which masking turned into VL 1
+	f.Add(id[:])
+	f.Add([]byte{0x0f, 0xff})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var m sl.Mapping
+		copy(m[:], raw)
+		wire, err := EncodeSLtoVL(m)
+		if err != nil {
+			if slices.Max(m[:]) <= 0x0f {
+				t.Fatalf("EncodeSLtoVL(%v) refused a mapping whose VLs fit 4 bits: %v", m, err)
+			}
+		} else if got, err := DecodeSLtoVL(wire); err != nil || got != m {
+			t.Fatalf("%v round-trips to %v, %v", m, got, err)
 		}
 	})
 }

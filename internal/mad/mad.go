@@ -164,18 +164,22 @@ func DecodeNodeInfo(data []byte) (NodeInfo, error) {
 }
 
 // EncodeSLtoVL packs an SLtoVLMappingTable: 16 service levels to 4-bit
-// virtual lanes, two per byte (SL 0 in the high nibble of byte 0).
-func EncodeSLtoVL(m sl.Mapping) []byte {
+// virtual lanes, two per byte (SL 0 in the high nibble of byte 0).  A
+// VL that does not fit 4 bits is refused, not masked onto another lane.
+func EncodeSLtoVL(m sl.Mapping) ([]byte, error) {
 	buf := make([]byte, 8)
 	for i := 0; i < arbtable.NumVLs; i++ {
-		vl := m.VLFor(uint8(i)) & 0x0f
+		vl := m.VLFor(uint8(i))
+		if vl > 0x0f {
+			return nil, fmt.Errorf("mad: SL %d maps to VL %d, which does not fit the wire's 4 bits", i, vl)
+		}
 		if i%2 == 0 {
 			buf[i/2] |= vl << 4
 		} else {
 			buf[i/2] |= vl
 		}
 	}
-	return buf
+	return buf, nil
 }
 
 // DecodeSLtoVL unpacks an SLtoVLMappingTable payload.
@@ -473,14 +477,18 @@ func MTUCode(bytes int) uint8 {
 // EncodePortInfo renders a PortInfo attribute payload (LID at offset
 // 16, state in the low nibble of byte 32, MTU/VLCap nibbles in byte
 // 33, operational VLs in the high nibble of byte 34 — the offsets the
-// specification assigns to these fields).
-func EncodePortInfo(p PortInfo) []byte {
+// specification assigns to these fields).  A field that does not fit
+// its nibble is refused, not masked.
+func EncodePortInfo(p PortInfo) ([]byte, error) {
+	if p.PortState|p.NeighborMTU|p.VLCap|p.OperationalVLs > 0x0f {
+		return nil, fmt.Errorf("mad: PortInfo %+v has a field wider than its 4-bit nibble", p)
+	}
 	buf := make([]byte, smpDataSize)
 	binary.BigEndian.PutUint16(buf[16:18], p.LID)
-	buf[32] = p.PortState & 0x0f
-	buf[33] = (p.NeighborMTU&0x0f)<<4 | (p.VLCap & 0x0f)
-	buf[34] = (p.OperationalVLs & 0x0f) << 4
-	return buf
+	buf[32] = p.PortState
+	buf[33] = p.NeighborMTU<<4 | p.VLCap
+	buf[34] = p.OperationalVLs << 4
+	return buf, nil
 }
 
 // DecodePortInfo parses a PortInfo payload.

@@ -85,7 +85,11 @@ func TestNodeInfoRoundTrip(t *testing.T) {
 
 func TestSLtoVLRoundTrip(t *testing.T) {
 	for _, m := range []sl.Mapping{sl.IdentityMapping(), mustCollapsed(t, 4), mustCollapsed(t, 8)} {
-		got, err := DecodeSLtoVL(EncodeSLtoVL(m))
+		wire, err := EncodeSLtoVL(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeSLtoVL(wire)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +208,11 @@ func TestDecodeHighTableNeedsAllBlocks(t *testing.T) {
 
 func TestPortInfoRoundTrip(t *testing.T) {
 	p := PortInfo{LID: 300, PortState: PortStateActive, NeighborMTU: 4, VLCap: 15, OperationalVLs: 8}
-	got, err := DecodePortInfo(EncodePortInfo(p))
+	wire, err := EncodePortInfo(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodePortInfo(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +222,7 @@ func TestPortInfoRoundTrip(t *testing.T) {
 	if _, err := DecodePortInfo([]byte{1, 2}); err == nil {
 		t.Error("short PortInfo accepted")
 	}
-	bad := EncodePortInfo(p)
+	bad := append([]byte(nil), wire...)
 	bad[32] = 9
 	if _, err := DecodePortInfo(bad); err == nil {
 		t.Error("invalid port state accepted")
@@ -224,10 +232,16 @@ func TestPortInfoRoundTrip(t *testing.T) {
 		byte int
 		bits byte
 	}{{32, 0x10}, {34, 0x01}} {
-		bad := EncodePortInfo(p)
+		bad := append([]byte(nil), wire...)
 		bad[at.byte] |= at.bits
 		if _, err := DecodePortInfo(bad); err == nil {
 			t.Errorf("PortInfo with reserved bits %#02x of byte %d set accepted", at.bits, at.byte)
+		}
+	}
+	// So is a field wider than its nibble, on the encoding side.
+	for _, wide := range []PortInfo{{PortState: 16}, {NeighborMTU: 20}, {VLCap: 16}, {OperationalVLs: 255}} {
+		if wire, err := EncodePortInfo(wide); err == nil {
+			t.Errorf("EncodePortInfo(%+v) = %x, want a refusal", wide, wire)
 		}
 	}
 }

@@ -2,19 +2,14 @@ package subnet
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/admission"
 	"repro/internal/arbtable"
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/mad"
 	"repro/internal/sim"
-	"repro/internal/sl"
-	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // perBlockProgrammer is the delivery protocol on a perfect management
@@ -116,57 +111,23 @@ type inbandRun struct {
 // table swaps.
 func runInbandChurn(t *testing.T, newProg func(*sim.Engine, *Manager) (admission.Programmer, *Costs), onSwap func(*core.PortTable)) inbandRun {
 	t.Helper()
-	const lifecycles, meanGapBT, meanHoldBT = 1500, 256, 16_384
-	topo, err := topology.Spec{Class: topology.FatTree, K: 8}.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := fabric.BuildControl(fabric.DefaultConfig(topo.NumSwitches, 512, 7), topo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs, m := controlK8(t)
 	eng := &sim.Engine{}
-	m := NewManager(topo)
-	m.Routes = cs.Routes
 	prog, costs := newProg(eng, m)
 	cs.Adm.SetProgrammer(prog)
 
 	var run inbandRun
 	var ports []*core.PortTable
-	eachPortTable(cs.Ports, func(pt *core.PortTable) { ports = append(ports, pt) })
+	cs.Ports.Each(func(_ admission.PortID, pt *core.PortTable) { ports = append(ports, pt) })
 	for i, pt := range ports {
 		pt.OnSwap(func(code int32) {
 			run.swaps = append(run.swaps, fmt.Sprintf("port %d at %d", code, eng.Now()))
 			onSwap(ports[code])
 		}, int32(i))
 	}
-
-	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), 8)
-	rng := rand.New(rand.NewSource(7))
-	arrivals := 0
-	var arrive func()
-	arrive = func() {
-		if arrivals == lifecycles {
-			return
-		}
-		n := arrivals
-		arrivals++
-		eng.After(1+int64(rng.ExpFloat64()*meanGapBT), arrive)
-		hold := 1 + int64(rng.ExpFloat64()*meanHoldBT)
-		cs.Adm.AdmitWithRetry(eng, src.Next(), admission.DefaultRetryPolicy(), func(conn *admission.Conn, err error) {
-			run.outcomes = append(run.outcomes, fmt.Sprintf("arrival %d at %d: %v", n, eng.Now(), err))
-			if err != nil {
-				return
-			}
-			eng.After(hold, func() {
-				if err := cs.Adm.Release(conn); err != nil {
-					t.Error(err)
-				}
-			})
-		})
-	}
-	eng.After(1, arrive)
-	eng.RunWhile(func() bool { return true })
+	churnLifecycles(t, eng, cs.Adm, 1500, 256, 16_384, func(i int, err error) {
+		run.outcomes = append(run.outcomes, fmt.Sprintf("arrival %d at %d: %v", i, eng.Now(), err))
+	})
 
 	if err := cs.Adm.CheckInvariants(); err != nil {
 		t.Error(err)

@@ -158,17 +158,8 @@ func TestDeliveryPoolLifetime(t *testing.T) {
 		{"reliable", &faults.Config{Seed: 5, Duplicate: 0.2, Corrupt: 0.02, Reorder: 0.2, MaxReorderBT: 700}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			topo, err := topology.Spec{Class: topology.FatTree, K: 8}.Generate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			cs, err := fabric.BuildControl(fabric.DefaultConfig(topo.NumSwitches, 512, 7), topo)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cs, m := controlK8(t)
 			eng := &sim.Engine{}
-			m := NewManager(topo)
-			m.Routes = cs.Routes
 			prog := &countingProgrammer{InbandProgrammer: NewInbandProgrammer(eng, m)}
 			prog.poison = true
 			if tc.faults != nil {
@@ -178,35 +169,12 @@ func TestDeliveryPoolLifetime(t *testing.T) {
 				}
 			}
 			cs.Adm.SetProgrammer(prog)
-
-			src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), 8)
-			rng := rand.New(rand.NewSource(7))
-			arrivals, admitted, resolved := 0, 0, 0
-			var arrive func()
-			arrive = func() {
-				if arrivals == lifecycles {
-					return
-				}
-				arrivals++
-				eng.After(1+int64(rng.ExpFloat64()*meanGapBT), arrive)
-				hold := 1 + int64(rng.ExpFloat64()*meanHoldBT)
-				cs.Adm.AdmitWithRetry(eng, src.Next(), admission.DefaultRetryPolicy(), func(conn *admission.Conn, err error) {
-					if err != nil {
-						resolved++
-						return
-					}
+			admitted := 0
+			resolved := churnLifecycles(t, eng, cs.Adm, lifecycles, meanGapBT, meanHoldBT, func(_ int, err error) {
+				if err == nil {
 					admitted++
-					eng.After(hold, func() {
-						if err := cs.Adm.Release(conn); err != nil {
-							t.Error(err)
-						}
-						resolved++
-					})
-				})
-			}
-			eng.After(1, arrive)
-
-			eng.RunWhile(func() bool { return true })
+				}
+			})
 			deliveries, txns := checkFreeList(t, prog.InbandProgrammer)
 
 			if resolved != lifecycles || cs.Adm.Live() != 0 {
@@ -216,7 +184,7 @@ func TestDeliveryPoolLifetime(t *testing.T) {
 				t.Error(err)
 			}
 			programs, open := 0, 0
-			eachPortTable(cs.Ports, func(pt *core.PortTable) {
+			cs.Ports.Each(func(_ admission.PortID, pt *core.PortTable) {
 				programs += int(pt.Stats().Programs)
 				if pt.Programming() || pt.Dirty() {
 					open++
@@ -246,13 +214,56 @@ func TestDeliveryPoolLifetime(t *testing.T) {
 	}
 }
 
-func eachPortTable(p *admission.Ports, fn func(*core.PortTable)) {
-	for _, pt := range p.Host {
-		fn(pt)
+// controlK8 builds the k=8 fat-tree's control state and a subnet
+// manager over it.
+func controlK8(t *testing.T) (*fabric.ControlState, *Manager) {
+	topo, err := topology.GenerateFatTree(8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, row := range p.Switch {
-		for _, pt := range row {
-			fn(pt)
+	cs, err := fabric.BuildControl(fabric.DefaultConfig(topo.NumSwitches, 512, 7), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(topo)
+	m.Routes = cs.Routes
+	return cs, m
+}
+
+// churnLifecycles drives n connection lifecycles over adm on eng and
+// returns how many resolved: arrivals with exponential gaps of mean
+// meanGapBT, each through AdmitWithRetry, and every admitted connection
+// released after an exponential hold of mean meanHoldBT.  outcome sees
+// each arrival's admission result as it settles.  It runs eng until
+// nothing is pending.
+func churnLifecycles(t *testing.T, eng *sim.Engine, adm *admission.Controller, n int, meanGapBT, meanHoldBT float64, outcome func(arrival int, err error)) (resolved int) {
+	src := traffic.NewSource(sl.DefaultLevels, len(adm.Ports().Host), 8)
+	rng := rand.New(rand.NewSource(7))
+	arrivals := 0
+	var arrive func()
+	arrive = func() {
+		if arrivals == n {
+			return
 		}
+		i := arrivals
+		arrivals++
+		eng.After(1+int64(rng.ExpFloat64()*meanGapBT), arrive)
+		hold := 1 + int64(rng.ExpFloat64()*meanHoldBT)
+		adm.AdmitWithRetry(eng, src.Next(), admission.DefaultRetryPolicy(), func(conn *admission.Conn, err error) {
+			outcome(i, err)
+			if err != nil {
+				resolved++
+				return
+			}
+			eng.After(hold, func() {
+				if err := adm.Release(conn); err != nil {
+					t.Error(err)
+				}
+				resolved++
+			})
+		})
 	}
+	eng.After(1, arrive)
+	eng.RunWhile(func() bool { return true })
+	return resolved
 }

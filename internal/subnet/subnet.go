@@ -169,12 +169,13 @@ func (m *Manager) Discover() (Costs, error) {
 	probeNode := func(info mad.NodeInfo, depth int) error {
 		c.Devices++
 		c.addMAD(depth)
-		return roundTrip("NodeInfo", info, mad.EncodeNodeInfo, mad.DecodeNodeInfo)
+		return roundTrip("NodeInfo", info, mad.EncodeNodeInfo(info), nil, mad.DecodeNodeInfo)
 	}
 	probePort := func(lid uint16, depth int) error {
 		c.addMAD(depth)
 		info := mad.PortInfo{LID: lid, PortState: mad.PortStateActive, NeighborMTU: mad.MTUCode(4096), VLCap: 15, OperationalVLs: 15}
-		return roundTrip("PortInfo", info, mad.EncodePortInfo, mad.DecodePortInfo)
+		wire, err := mad.EncodePortInfo(info)
+		return roundTrip("PortInfo", info, wire, err, mad.DecodePortInfo)
 	}
 
 	for sw := 0; sw < m.Topo.NumSwitches; sw++ {
@@ -222,10 +223,14 @@ func (m *Manager) Discover() (Costs, error) {
 	return c, nil
 }
 
-// roundTrip holds an attribute a device answers to its wire encoding:
-// it must decode back to exactly what the device holds.
-func roundTrip[T comparable](what string, v T, encode func(T) []byte, decode func([]byte) (T, error)) error {
-	got, err := decode(encode(v))
+// roundTrip holds an attribute a device answers to its wire encoding,
+// wire or the encoder's refusal err: it must decode back to exactly
+// what the device holds.
+func roundTrip[T comparable](what string, v T, wire []byte, err error, decode func([]byte) (T, error)) error {
+	if err != nil {
+		return err
+	}
+	got, err := decode(wire)
 	if err == nil && got != v {
 		err = fmt.Errorf("subnet: %s corrupted on the wire: %+v != %+v", what, got, v)
 	}
@@ -261,13 +266,17 @@ func (m *Manager) ProgramQoS(ports *admission.Ports, mapping sl.Mapping) (Costs,
 		return c, fmt.Errorf("subnet: discover before programming")
 	}
 	var tid uint64 = 1
+	slvlData, err := mad.EncodeSLtoVL(mapping)
+	if err != nil {
+		return c, err
+	}
 	program := func(table *arbtable.Table, hops int) error {
 		slvl := &mad.Packet{
 			Header: mad.Header{
 				BaseVersion: 1, MgmtClass: mad.ClassSubnLID, ClassVersion: 1,
 				Method: mad.MethodSet, TID: tid, AttrID: mad.AttrSLtoVLMapping,
 			},
-			Data: mad.EncodeSLtoVL(mapping),
+			Data: slvlData,
 		}
 		tid++
 		if _, err := slvl.Marshal(); err != nil {

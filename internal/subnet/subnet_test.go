@@ -1,6 +1,7 @@
 package subnet
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/admission"
@@ -116,7 +117,8 @@ func TestProgrammingCosts(t *testing.T) {
 	if fw.MADs != 16*2 {
 		t.Errorf("forwarding MADs = %d, want 32", fw.MADs)
 	}
-	qos, err := m.ProgramQoS(admission.NewPorts(topo, arbtable.UnlimitedHigh, nil), sl.IdentityMapping())
+	ports := admission.NewPorts(topo, arbtable.UnlimitedHigh, nil)
+	qos, err := m.ProgramQoS(ports, sl.IdentityMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,5 +131,11 @@ func TestProgrammingCosts(t *testing.T) {
 	want := (1 + mad.NumHighBlocks) * (wired + topo.NumHosts())
 	if qos.MADs != want {
 		t.Errorf("QoS MADs = %d, want %d", qos.MADs, want)
+	}
+	// A VL the SLtoVL wire's 4 bits cannot carry is refused, not masked.
+	wide := sl.IdentityMapping()
+	wide[3] = 17
+	if c, err := m.ProgramQoS(ports, wide); err == nil || !strings.Contains(err.Error(), "SL 3 maps to VL 17") || c.MADs != 0 {
+		t.Errorf("ProgramQoS(SL 3 → VL 17) = %d MADs, %v; want none and the encoder's refusal", c.MADs, err)
 	}
 }

@@ -342,7 +342,11 @@ echo "==> go test -run AllocBudget . and 'TestVOQStateSizedByRadix|TestPortRecor
 # the last hop of a saturated k=8 path, which changes no table; the
 # ceilings on a whole Admit + Release transaction (1 per offered
 # request: the connection, or a refusal's error) and on a whole
-# connection lifecycle of the in-band churn loop; the set-up ceilings
+# connection lifecycle of the driver -exp churn and -exp faults run
+# (TestAllocBudgetChurnLifecycle runs it through ChurnSweep on a k=8
+# fat-tree, its admission audit after every outcome included: 7.5
+# objects and 800 B), that audit allocating nothing on the filled k=8
+# control state (TestAllocBudgetControlState); the set-up ceilings
 # (TestAllocBudgetNetworkSetup: at most 200 objects for a k=8
 # NewWithTopology under either switch model, whose ports, hosts,
 # arbiters and indexes come from per-network slabs; 2 500 for a whole
@@ -381,6 +385,7 @@ if [[ "$RUN_FUZZ" -eq 1 ]]; then
 ./internal/arbtable FuzzArbiterPick
 ./internal/mad FuzzHighTableDecode
 ./internal/mad FuzzHighBlockCodec
+./internal/mad FuzzSLtoVLCodec
 ./internal/faults FuzzFaultSchedule
 ./internal/faults FuzzFailureSchedule
 ./internal/topology FuzzTopologyGenerate
