@@ -298,10 +298,12 @@ const (
 	flowRecordMaxBytes      = 192
 )
 
-// TestFlowRecordHoldsNoPointers gates what makes a churn run's kept
-// flows cheap to collect: fabric.Flow holds no pointer, func, map,
-// slice, string, interface or channel at any depth, so the allocator
-// puts it in a span the collector's mark phase never scans.
+// TestFlowRecordHoldsNoPointers gates what makes the flows a churn run
+// keeps cheap to collect — the live ones, and the finished ones that
+// hold measurement-window statistics (Network.Flows): fabric.Flow holds
+// no pointer, func, map, slice, string, interface or channel at any
+// depth, so the allocator puts it in a span the collector's mark phase
+// never scans.
 func TestFlowRecordHoldsNoPointers(t *testing.T) {
 	holdsNoPointers(t, "fabric.Flow", reflect.TypeOf(fabric.Flow{}))
 }
@@ -925,11 +927,13 @@ func TestAllocBudgetAdmitRefused(t *testing.T) {
 // lifecycle of -exp churn's driver may cost, everything included: the
 // arrival, retry and release events and callbacks, the connection, its
 // flow, ≈ 30 SMPs out and back, and the admission audit after every
-// outcome.  The bytes are gated too, since churn keeps every released
-// flow.  The driver cost 34.8 objects and 39 kB while the audit built a
-// map of held weight each time, 8.9 objects and 1.4 kB while its events
-// were closures, and 960 bytes while every arrival was posted at the
-// start; it measures 6.9 objects and 750 bytes, the ceilings just above.
+// outcome.  The bytes are gated too: each lifecycle allocates a flow
+// record, which leaves the network at its release unless it holds
+// statistics (this driver starts no measurement window).  The driver
+// cost 34.8 objects and 39 kB while the audit built a map of held
+// weight each time, 8.9 objects and 1.4 kB while its events were
+// closures, and 960 bytes while every arrival was posted at the start;
+// it measures 6.9 objects and 750 bytes, the ceilings just above.
 const (
 	churnLifecycleAllocBudget = 7.5
 	churnLifecycleByteBudget  = 800

@@ -76,7 +76,7 @@ func (n *Network) StopFlow(f *Flow) { f.stopped = true }
 func (n *Network) Reroute(routes *routing.Routes, crashed, hostDead []bool) {
 	n.Routes, n.planes = routes, routes.Planes()
 	n.crashed, n.hostDead = crashed, hostDead
-	for _, f := range n.flows {
+	for _, f := range n.Flows() {
 		sw, _ := n.Topo.HostSwitch(int(f.Src))
 		f.VL = routes.HopVL(sw, int(f.Dst), f.Base)
 	}

@@ -25,10 +25,11 @@ import (
 // best-effort background flow.
 //
 // A Flow holds no pointers, so the allocator places it in a span the
-// collector never scans: a churn run keeps every flow it ever attached
-// (Network.Flows), and each one is a 192-byte record the mark phase
-// skips.  The pacing of a VBR flow lives in its Network's side table
-// (Network.pacers), marked by the paced flag.
+// collector never scans: a churn run keeps every finished flow that
+// carries measurement-window statistics (Network.Flows), and each one
+// is a 192-byte record the mark phase skips.  The pacing of a VBR flow
+// lives in its Network's side table (Network.pacers), marked by the
+// paced flag.
 type Flow struct {
 	ID       int32
 	Src, Dst int32
@@ -45,6 +46,9 @@ type Flow struct {
 	QoS     bool
 	stopped bool // generation stopped (Network.StopFlow)
 	paced   bool // generation gaps come from Network.pacers, not IAT
+	// slot is the flow's index in Network.flows until its release
+	// completes, -1 from then on (finished).
+	slot int32
 
 	Mbps     float64
 	IAT      int64 // nominal packet interarrival, byte times
@@ -73,16 +77,27 @@ type Flow struct {
 // (Network.StopFlow, ReleaseConnection).
 func (f *Flow) Stopped() bool { return f.stopped }
 
-// newFlow builds the runtime state shared by both flow kinds.  It
-// panics on a rate that is not finite and positive: such a flow has no
-// interarrival time, and its first generation would be scheduled in the
-// past or never leave the current instant.
-func newFlow(id, src, dst int, slv, vl uint8, mbps float64, payload int, deadline int64, qos bool) *Flow {
+// finished reports whether the flow's connection release completed
+// (ReleaseConnection): it never generates again.
+func (f *Flow) finished() bool { return f.slot < 0 }
+
+// measured reports whether the flow holds any measurement-window
+// statistic.
+func (f *Flow) measured() bool {
+	return f.Injected != 0 || f.Delivered != 0 || f.Delay.Total() != 0 || f.drops != 0
+}
+
+// newFlow builds the runtime state shared by both flow kinds; attach
+// gives it its ID.  It panics on a rate that is not finite and
+// positive: such a flow has no interarrival time, and its first
+// generation would be scheduled in the past or never leave the current
+// instant.
+func newFlow(src, dst int, slv, vl uint8, mbps float64, payload int, deadline int64, qos bool) *Flow {
 	if !(mbps > 0) || math.IsInf(mbps, 1) {
 		panic(fmt.Sprintf("fabric: flow %d -> %d: rate %v Mbps is not finite and positive", src, dst, mbps))
 	}
 	return &Flow{
-		ID: int32(id), Src: int32(src), Dst: int32(dst), SL: slv, VL: vl, Base: vl,
+		Src: int32(src), Dst: int32(dst), SL: slv, VL: vl, Base: vl,
 		Mbps:        mbps,
 		Wire:        uint16(payload + sl.HeaderBytes),
 		IAT:         traffic.IATByteTimes(payload, mbps),

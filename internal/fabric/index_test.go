@@ -529,6 +529,6 @@ func TestHeadIndexIgnoresUnroutableHeads(t *testing.T) {
 // never listed in arbitration tables: it has absolute priority over
 // every data VL (IBA 1.0; paper section 2.1).
 func (n *Network) addManagement(src, dst int, mbps float64) *Flow {
-	return n.attach(newFlow(len(n.flows), src, dst, arbtable.MgmtVL, arbtable.MgmtVL,
+	return n.attach(newFlow(src, dst, arbtable.MgmtVL, arbtable.MgmtVL,
 		mbps, n.Cfg.PayloadBytes, 0, false))
 }

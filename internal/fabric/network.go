@@ -126,11 +126,18 @@ type Network struct {
 
 	switches []*swNode
 	hosts    []*hostNode
-	flows    []*Flow
+	// flows holds the attached flows in attach order, less the
+	// finished ones that carry no measurement-window statistic
+	// (finish): a retired flow's slot is nil until compactFlows, and
+	// retired counts those slots.  nextFlowID numbers the flows.
+	flows      []*Flow
+	retired    int
+	nextFlowID int32
 	// pacers holds the generation schedule of each paced (VBR) flow,
-	// keyed by flow ID.  It is written only when a flow attaches, so
-	// the shards read it concurrently; each pacer is advanced only by
-	// its flow's source shard.
+	// keyed by flow ID.  It is written when a flow attaches and deleted
+	// when the flow finishes, both on the control lane or before a run,
+	// so the shards read it concurrently; each pacer is advanced only
+	// by its flow's source shard.
 	pacers map[int32]*vbrPacer
 	rng    *rand.Rand
 
@@ -529,13 +536,16 @@ func (n *Network) bindVL(f *Flow) {
 	}
 }
 
-// attach binds a freshly built flow's injection VL (bindVL), registers
-// the flow and feeds its packet wire time into the lookahead bound.
+// attach binds a freshly built flow's injection VL (bindVL), gives it
+// the next ID, registers it and feeds its packet wire time into the
+// lookahead bound.
 // Flows attach before a run or from control events at window barriers,
 // never from data-plane events, so the flows slice and the coordinator
 // are safe to touch here.
 func (n *Network) attach(f *Flow) *Flow {
 	n.bindVL(f)
+	f.ID, f.slot = n.nextFlowID, int32(len(n.flows))
+	n.nextFlowID++
 	n.flows = append(n.flows, f)
 	if wire := int(f.Wire); n.minWire == 0 || wire < n.minWire {
 		n.minWire = wire
@@ -567,7 +577,7 @@ func (n *Network) AddMisbehavingConnection(conn *admission.Conn, actualMbps floa
 // connFlow builds, without attaching it, the flow of an admitted
 // connection sending at mbps.
 func (n *Network) connFlow(conn *admission.Conn, mbps float64) *Flow {
-	return newFlow(len(n.flows), conn.Req.Src, conn.Req.Dst,
+	return newFlow(conn.Req.Src, conn.Req.Dst,
 		conn.Req.Level.SL, n.Mapping.VLFor(conn.Req.Level.SL),
 		mbps, n.Cfg.PayloadBytes, conn.Deadline, true)
 }
@@ -588,26 +598,73 @@ func (n *Network) AddVBRConnection(conn *admission.Conn, peakFactor float64, bur
 	}
 	p := newVBRPacer(f, peakFactor, burst)
 	f.paced = true
+	n.attach(f)
 	if n.pacers == nil {
 		n.pacers = make(map[int32]*vbrPacer)
 	}
 	n.pacers[f.ID] = p
-	return n.attach(f)
+	return f
 }
 
 // AddBestEffort attaches a best-effort background flow.
 func (n *Network) AddBestEffort(be traffic.BestEffort) *Flow {
-	return n.attach(newFlow(len(n.flows), be.Src, be.Dst, be.SL, n.Mapping.VLFor(be.SL),
+	return n.attach(newFlow(be.Src, be.Dst, be.SL, n.Mapping.VLFor(be.SL),
 		be.Mbps, n.Cfg.PayloadBytes, 0, false))
 }
 
-// Flows returns all attached flows.
-func (n *Network) Flows() []*Flow { return n.flows }
+// Flows returns the attached flows in attach order: every flow whose
+// connection is live, and every finished one (ReleaseConnection) that
+// carries a measurement-window statistic.  A finished flow with none
+// has left (finish); StartMeasurement empties every finished flow's
+// statistics, so none is left after it.
+func (n *Network) Flows() []*Flow {
+	if n.retired > 0 {
+		n.compactFlows()
+	}
+	return n.flows
+}
+
+// finish ends a flow whose connection release completed: its pacer
+// goes, and so does the flow itself when it carries no statistic.  Its
+// slot of flows is vacated and the slice compacted once half of it is
+// vacant, so a retirement costs O(1) amortized and the remaining flows
+// keep their attach order (Start, Reroute and the random phases
+// StartFlow draws walk Flows() in that order).
+func (n *Network) finish(f *Flow) {
+	delete(n.pacers, f.ID)
+	slot := f.slot
+	f.slot = -1
+	if f.measured() {
+		return
+	}
+	n.flows[slot] = nil
+	n.retired++
+	if 2*n.retired >= len(n.flows) {
+		n.compactFlows()
+	}
+}
+
+// compactFlows closes the nil slots of flows in order, and drops the
+// finished flows that carry no statistic.
+func (n *Network) compactFlows() {
+	kept := n.flows[:0]
+	for _, f := range n.flows {
+		if f == nil || f.finished() && !f.measured() {
+			continue
+		}
+		if !f.finished() {
+			f.slot = int32(len(kept))
+		}
+		kept = append(kept, f)
+	}
+	clear(n.flows[len(kept):])
+	n.flows, n.retired = kept, 0
+}
 
 // Start schedules the first packet of every flow at a random phase
 // within its interarrival period, decorrelating the CBR sources.
 func (n *Network) Start() {
-	for _, f := range n.flows {
+	for _, f := range n.Flows() {
 		n.StartFlow(f)
 	}
 }
@@ -673,6 +730,7 @@ func (n *Network) HandleEvent(ev sim.Event) {
 		if err := n.Adm.Release(rw.conn); err != nil {
 			panic(fmt.Sprintf("fabric: releasing drained connection: %v", err))
 		}
+		n.finish(f)
 		if rw.onDone != nil {
 			rw.onDone()
 		}
@@ -1011,6 +1069,7 @@ func (sh *shard) deliver(pkt *Packet) {
 
 // StartMeasurement begins the steady-state window: per-flow statistics,
 // per-SL jitter and port meters reset and deliveries start counting.
+// Every finished flow is left with no statistic, so it leaves Flows().
 func (n *Network) StartMeasurement() {
 	n.measuring = true
 	n.measureStart = n.Now()
@@ -1019,8 +1078,11 @@ func (n *Network) StartMeasurement() {
 		clear(sh.jitter[:])
 	}
 	for _, f := range n.flows {
-		f.resetMeasurement()
+		if f != nil {
+			f.resetMeasurement()
+		}
 	}
+	n.compactFlows()
 	for _, h := range n.hosts {
 		h.out.meter.Bytes, h.out.meter.Packets = 0, 0
 	}

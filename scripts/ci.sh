@@ -295,7 +295,7 @@ echo "==> go test -race ./internal/subnet ./internal/admission (delivery-record 
 # the pool from the control lane of the parallel runs in the gate below.
 go test -race -count=1 ./internal/subnet ./internal/admission
 
-echo "==> go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChurnTerminates|TestInbandEventsPerTransaction' (control-lane race gate)"
+echo "==> go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChurnTerminates|TestInbandEventsPerTransaction|TestFinishedFlowsLeave' (control-lane race gate)"
 # Churn and faults run their control planes — mid-run table programs,
 # retransmission, audits — as typed events serialized at window
 # barriers; the multi-shard churn/faults smoke under the race detector
@@ -308,8 +308,10 @@ echo "==> go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChu
 # one more only when they chain the next transaction:
 # TestInbandEventsPerTransaction budgets exactly that on a churn run and
 # holds its outcomes, swap instants, ReconfigStats and MAD costs to a
-# per-block reference.
-go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChurnTerminates|TestInbandEventsPerTransaction' -count=1 ./internal/fabric ./internal/experiments ./internal/subnet
+# per-block reference.  A release that completes on the control lane
+# also retires the flow when it carries no statistic:
+# TestFinishedFlowsLeave runs it at one and two shards.
+go test -race -run 'TestParallelControl|TestTableSwapWakesPort|TestChurnTerminates|TestInbandEventsPerTransaction|TestFinishedFlowsLeave' -count=1 ./internal/fabric ./internal/experiments ./internal/subnet
 
 echo "==> go test -run AllocBudget . and 'TestVOQStateSizedByRadix|TestPortRecordSizes' ./internal/fabric (zero-alloc hot-path and memory gate)"
 # The heap a fresh k=8 network holds per switch, at most 16 300 B (WRR)
