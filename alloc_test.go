@@ -7,6 +7,7 @@
 package repro_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -940,7 +941,8 @@ const (
 )
 
 // TestAllocBudgetChurnLifecycle gates the in-band control transaction
-// end to end on the driver -exp churn and -exp faults run: churn on a
+// end to end on the driver -exp churn and -exp faults run, reached
+// through the experiments' entry point as ibsim reaches it: churn on a
 // k=8 fat-tree with the churn-inband-k8 workload's figures (payload 512,
 // mean gap 512 BT, mean hold 65 536 BT, the default retry policy).  A
 // lifecycle's cost is the difference between runs of 2 000 and 1 000
@@ -954,24 +956,34 @@ func TestAllocBudgetChurnLifecycle(t *testing.T) {
 		Seed: 7, Topology: topology.Spec{Class: topology.FatTree, K: 8}, Fabric: fabric.DefaultConfig(0, 512, 0),
 		Inband: true, Retry: admission.DefaultRetryPolicy(), MeanGapBT: 512, MeanHoldBT: 65_536, SampleBT: 8192,
 	}
-	run := func(arrivals int) (res experiments.ChurnResult, mallocs, bytes uint64) {
+	churn, ok := experiments.Lookup("churn")
+	if !ok {
+		t.Fatal("no churn experiment")
+	}
+	run := func(arrivals int) (rep *experiments.Report, mallocs, bytes uint64) {
 		sc.Arrivals = arrivals
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		out, err := experiments.ChurnSweep(sc, 1, 1)
+		rep, err := churn.Run(sc, experiments.Options{Seeds: 1, Workers: 1})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out[0], after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+		return rep, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 	}
 	const base, lifecycles = 1000, 1000
 	_, m0, b0 := run(base)
-	res, m1, b1 := run(base + lifecycles)
+	rep, m1, b1 := run(base + lifecycles)
 	perLifecycle := float64(m1-m0) / lifecycles
 	bytesPerLifecycle := float64(b1-b0) / lifecycles
+	var res struct {
+		Runs []struct{ Admitted, Offered, ProgramMADs int }
+	}
+	if data, err := json.Marshal(rep.JSON); err != nil || json.Unmarshal(data, &res) != nil || len(res.Runs) != 1 {
+		t.Fatalf("churn report %s does not hold one run (%v)", data, err)
+	}
 	t.Logf("%.2f allocs, %.0f bytes per lifecycle; %d of %d admitted, %d MADs",
-		perLifecycle, bytesPerLifecycle, res.Admitted, res.Offered, res.ProgramMADs)
+		perLifecycle, bytesPerLifecycle, res.Runs[0].Admitted, res.Runs[0].Offered, res.Runs[0].ProgramMADs)
 	if perLifecycle > churnLifecycleAllocBudget {
 		t.Errorf("churn driver allocates %.2f objects per lifecycle, budget %.1f", perLifecycle, churnLifecycleAllocBudget)
 	}

@@ -77,7 +77,7 @@ func TestTextGolden(t *testing.T) {
 		t.Run(e.name, func(t *testing.T) {
 			args := []string{"-exp", e.name, "-scale", "tiny", "-parallel", "1"}
 			if slices.Contains(e.flags, "scenario") {
-				data, err := json.Marshal(e.scenario(experiments.Tiny))
+				data, err := json.Marshal(lookup(t, e.name).Base(experiments.Tiny))
 				path := filepath.Join(dir, e.name+".json")
 				if err == nil {
 					err = os.WriteFile(path, data, 0o644)
@@ -116,8 +116,9 @@ func compareGolden(t *testing.T, golden string, got []byte) {
 
 // hasGolden reports whether e has a deterministic report: it has one,
 // and it is not made of timings alone.
-func hasGolden(e experiment) bool {
-	return slices.Contains(e.flags, "json") && !slices.Contains(e.wallClock, "runs")
+func hasGolden(e entry) bool {
+	x, _ := experiments.Lookup(e.name)
+	return slices.Contains(e.flags, "json") && !slices.Contains(x.WallClock, "runs")
 }
 
 // goldenTest skips simulation runs in -short mode.
@@ -129,7 +130,7 @@ func goldenTest(t *testing.T) {
 }
 
 // goldenEntry prepares a golden test and returns the named entry.
-func goldenEntry(t *testing.T, name string) experiment {
+func goldenEntry(t *testing.T, name string) entry {
 	t.Helper()
 	goldenTest(t)
 	for _, e := range registry {
@@ -138,12 +139,12 @@ func goldenEntry(t *testing.T, name string) experiment {
 		}
 	}
 	t.Fatalf("no registry entry %q", name)
-	return experiment{}
+	return entry{}
 }
 
 // goldenArgs returns the command line that produces e's golden report
 // and the golden file it is compared with.
-func goldenArgs(e experiment) (args []string, golden string) {
+func goldenArgs(e entry) (args []string, golden string) {
 	args = []string{"-exp", e.name, "-scale", "tiny", "-json"}
 	golden = filepath.Join("testdata", e.name+".golden.json")
 	if slices.Contains(e.flags, "trace") {
@@ -158,14 +159,14 @@ func goldenArgs(e experiment) (args []string, golden string) {
 // checkGolden runs e on one sweep worker, compares its report and,
 // when the report has no wall-clock field, its table with the golden
 // files (rewriting them first under -update) and returns the report.
-func checkGolden(t *testing.T, e experiment) []byte {
+func checkGolden(t *testing.T, e entry) []byte {
 	t.Helper()
 	args, golden := goldenArgs(e)
-	got, res := runReport(t, args, "-parallel", "1")
+	got, rep := runReport(t, args, "-parallel", "1")
 	compareGolden(t, golden, got)
-	if len(e.wallClock) == 0 {
+	if len(lookup(t, e.name).WallClock) == 0 {
 		var table bytes.Buffer
-		if err := res.table(&table); err != nil {
+		if err := rep.Table(&table); err != nil {
 			t.Fatal(err)
 		}
 		compareGolden(t, filepath.Join("testdata", e.name+".golden.txt"), table.Bytes())
@@ -178,7 +179,7 @@ func checkGolden(t *testing.T, e experiment) []byte {
 // at -shards 2 is too: the parallel core is deterministic at a fixed
 // shard count.  The sharded runs leave out -trace, which needs a
 // single engine.
-func checkIdentity(t *testing.T, e experiment, one []byte) {
+func checkIdentity(t *testing.T, e entry, one []byte) {
 	t.Helper()
 	args, _ := goldenArgs(e)
 	if !bytes.Equal(one, encodeReport(t, args, "-parallel", "4")) {
@@ -198,7 +199,7 @@ func checkIdentity(t *testing.T, e experiment, one []byte) {
 
 // checkIdentityAlone is checkIdentity with its own one-worker run, for
 // tests that do not also check the golden.
-func checkIdentityAlone(t *testing.T, e experiment) {
+func checkIdentityAlone(t *testing.T, e entry) {
 	t.Helper()
 	args, _ := goldenArgs(e)
 	checkIdentity(t, e, encodeReport(t, args, "-parallel", "1"))
@@ -213,22 +214,23 @@ func encodeReport(t *testing.T, args []string, extra ...string) []byte {
 }
 
 // runReport parses args plus extra and runs the entry: it returns the
-// result and its report encoded with the wall-clock fields zeroed.
-func runReport(t *testing.T, args []string, extra ...string) ([]byte, result) {
+// run's report, with its JSON report encoded with the wall-clock fields
+// zeroed.
+func runReport(t *testing.T, args []string, extra ...string) ([]byte, *experiments.Report) {
 	t.Helper()
-	e, c, err := parse(append(append([]string(nil), args...), extra...), io.Discard)
+	x, c, err := parse(append(append([]string(nil), args...), extra...), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.run(c)
+	rep, err := x.Run(c.sc, c.opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	report := reflect.New(reflect.TypeOf(res.report)).Elem()
-	report.Set(reflect.ValueOf(res.report))
+	report := reflect.New(reflect.TypeOf(rep.JSON)).Elem()
+	report.Set(reflect.ValueOf(rep.JSON))
 	for i := 0; i < report.NumField(); i++ {
 		name, _, _ := strings.Cut(report.Type().Field(i).Tag.Get("json"), ",")
-		if slices.Contains(e.wallClock, name) {
+		if slices.Contains(x.WallClock, name) {
 			report.Field(i).SetZero()
 		}
 	}
@@ -236,7 +238,7 @@ func runReport(t *testing.T, args []string, extra ...string) ([]byte, result) {
 	if err := encodeIndented(&buf, report.Interface()); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), res
+	return buf.Bytes(), rep
 }
 
 // decodeGolden unmarshals the checked-in report of an experiment.
@@ -386,6 +388,15 @@ func TestFaultsJSONShape(t *testing.T) {
 	}
 }
 
+// The grid the scale, hol and plan experiments sweep at -scale tiny:
+// the smallest member of each topology class, by label, under a light
+// and a heavy load, and the switch models of every hol cell.
+var (
+	tinyGrid  = []string{"irregular-4", "fattree-k2", "dragonfly-a2p1h1"}
+	tinyLoads = []float64{0.5, 2}
+	holModels = []string{"wrr", "voq-islip", "voq-mwm"}
+)
+
 // TestHOLJSONShape: the hol golden covers every (spec, load, model)
 // point of the grid in order, the models of a cell share one seed and
 // offer the same admitted load, and WRR rows carry no VOQ block while
@@ -404,20 +415,19 @@ func TestHOLJSONShape(t *testing.T) {
 		} `json:"runs"`
 	}
 	decodeGolden(t, "hol", &rep)
-	specs, loads := experiments.ScaleGrid(experiments.Tiny)
-	if want := len(specs) * len(loads) * len(holModels); len(rep.Runs) != want {
+	if want := len(tinyGrid) * len(tinyLoads) * len(holModels); len(rep.Runs) != want {
 		t.Fatalf("sweep has %d runs, want %d", len(rep.Runs), want)
 	}
 	i := 0
-	for _, spec := range specs {
-		for _, load := range loads {
+	for _, label := range tinyGrid {
+		for _, load := range tinyLoads {
 			cellSeed := rep.Runs[i].Seed
 			cellAdmitted := rep.Runs[i].Admitted
 			for _, model := range holModels {
 				r := rep.Runs[i]
-				if r.Label != spec.Label() || r.Load != load || r.Model != model.String() {
+				if r.Label != label || r.Load != load || r.Model != model {
 					t.Errorf("run %d is (%s, %s, %g), want (%s, %s, %g)",
-						i, r.Label, r.Model, r.Load, spec.Label(), model, load)
+						i, r.Label, r.Model, r.Load, label, model, load)
 				}
 				if r.Seed != cellSeed {
 					t.Errorf("run %d: seed %d differs within its cell (want %d) — models must see identical traffic",
@@ -427,7 +437,7 @@ func TestHOLJSONShape(t *testing.T) {
 					t.Errorf("run %d: admitted %d differs within its cell (want %d)",
 						i, r.Admitted, cellAdmitted)
 				}
-				isVOQ := model.String() != "wrr"
+				isVOQ := model != "wrr"
 				if isVOQ && (r.VOQ == nil || r.VOQ.SchedPasses == 0) {
 					t.Errorf("run %d (%s): missing or empty VOQ counters", i, r.Model)
 				}
@@ -466,16 +476,16 @@ func TestPlanJSONShape(t *testing.T) {
 	if rep.Timing != nil {
 		t.Error("golden contains the wall-clock timing section")
 	}
-	specs, loads, _ := experiments.PlanGrid(experiments.Tiny)
-	if want := len(specs) * len(loads); len(rep.Runs) != want {
+	loads := append(tinyLoads, 1500) // a load the model must call saturated
+	if want := len(tinyGrid) * len(loads); len(rep.Runs) != want {
 		t.Fatalf("sweep has %d runs, want %d", len(rep.Runs), want)
 	}
 	i := 0
-	for _, spec := range specs {
+	for _, label := range tinyGrid {
 		for _, load := range loads {
 			r := rep.Runs[i]
-			if r.Label != spec.Label() || r.Load != load {
-				t.Errorf("run %d is (%s, %g), want (%s, %g)", i, r.Label, r.Load, spec.Label(), load)
+			if r.Label != label || r.Load != load {
+				t.Errorf("run %d is (%s, %g), want (%s, %g)", i, r.Label, r.Load, label, load)
 			}
 			if r.Admitted == 0 {
 				t.Errorf("run %d admitted no connections", i)
@@ -528,16 +538,15 @@ func TestScaleJSONShape(t *testing.T) {
 		} `json:"runs"`
 	}
 	decodeGolden(t, "scale", &rep)
-	specs, loads := experiments.ScaleGrid(experiments.Tiny)
-	if want := len(specs) * len(loads); len(rep.Runs) != want {
+	if want := len(tinyGrid) * len(tinyLoads); len(rep.Runs) != want {
 		t.Fatalf("sweep has %d runs, want %d", len(rep.Runs), want)
 	}
 	i := 0
-	for _, spec := range specs {
-		for _, load := range loads {
+	for _, label := range tinyGrid {
+		for _, load := range tinyLoads {
 			r := rep.Runs[i]
-			if r.Label != spec.Label() || r.Load != load {
-				t.Errorf("run %d is (%s, %g), want (%s, %g)", i, r.Label, r.Load, spec.Label(), load)
+			if r.Label != label || r.Load != load {
+				t.Errorf("run %d is (%s, %g), want (%s, %g)", i, r.Label, r.Load, label, load)
 			}
 			if r.CDG.Channels == 0 || r.CDG.Routes == 0 {
 				t.Errorf("run %d: empty channel-dependency graph: %+v", i, r.CDG)

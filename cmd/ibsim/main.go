@@ -17,6 +17,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -46,7 +47,7 @@ func main() {
 // run parses the command line, runs the chosen experiment and writes
 // its table (or, under -json, its report) to stdout.
 func run(args []string, stdout, stderr io.Writer) (err error) {
-	e, c, err := parse(args, stderr)
+	x, c, err := parse(args, stderr)
 	if err != nil {
 		return err
 	}
@@ -71,17 +72,17 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	start := time.Now()
-	res, err := e.run(c)
+	rep, err := x.Run(c.sc, c.opt)
 	if err != nil {
 		return c.named(err)
 	}
 	label := c.exp
-	if c.asJSON {
+	if c.opt.JSON {
 		label = "json"
-		err = encodeIndented(stdout, res.report)
-	} else if err = res.table(stdout); err == nil && res.report != nil {
+		err = encodeIndented(stdout, rep.JSON)
+	} else if err = rep.Table(stdout); err == nil && rep.JSON != nil {
 		fmt.Fprintln(stdout)
-		err = encodeIndented(stdout, res.report)
+		err = encodeIndented(stdout, rep.JSON)
 	}
 	if err != nil {
 		return err
@@ -90,20 +91,63 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	return nil
 }
 
-// config is one parsed command line: the value of every flag, and the
-// chosen experiment's base scenario at -scale with the -scenario file
-// and the flags applied.
+// entry is one value of -exp: the experiment's name and the flags it
+// reads besides commonFlags; "json" among them means it has a JSON
+// report.  experiments.Lookup finds everything else about it.
+type entry struct {
+	name  string
+	flags []string
+}
+
+// registry is every experiment ibsim runs, in the order -h and the
+// unknown-experiment error list them.
+var registry = []entry{
+	{"table1", nil},
+	{"table2", evaluationFlags},
+	{"figure4", vizFlags},
+	{"figure5", vizFlags},
+	{"figure6", evaluationFlags},
+	{"ablation-priority", []string{"seed", "scenario"}},
+	{"ablation-fill", []string{"seed"}},
+	{"ablation-vl", []string{"seed", "switches", "shards", "scenario"}},
+	{"ablation-switch", []string{"seed", "switches", "shards", "scenario"}},
+	{"vbr", []string{"seed", "scenario"}},
+	{"reconfig", []string{"seed", "switches", "scenario", "json"}},
+	{"scaling", []string{"seed", "shards", "scenario"}},
+	{"churn", []string{"seed", "switches", "shards", "churn-seeds", "scenario", "json"}},
+	{"faults", []string{"seed", "switches", "shards", "scenario", "json"}},
+	{"failover", []string{"seed", "scenario", "json"}},
+	{"scale", []string{"seed", "shards", "scenario", "json"}},
+	{"plan", []string{"seed", "plan-headroom-sl", "scenario", "json"}},
+	{"hol", []string{"seed", "shards", "scenario", "json"}},
+	{"shardbench", []string{"seed", "shards", "scenario", "json"}},
+	{"all", vizFlags},
+}
+
+// The flags of the evaluation views; figure4, figure5 and all draw
+// charts too.
+var (
+	evaluationFlags = []string{"seed", "switches", "shards", "metrics", "trace", "scenario", "json"}
+	vizFlags        = append(evaluationFlags, "viz")
+)
+
+// scales are the -scale presets, smallest first.
+var scales = []experiments.Scale{experiments.Tiny, experiments.Quick, experiments.Full}
+
+// config is one parsed command line: the value of every flag, the run
+// options they set, and the chosen experiment's base scenario at -scale
+// with the -scenario file and the flags applied.
 type config struct {
 	exp, scale, scenario string
-	at                   experiments.Scale    // -scale
+	opt                  experiments.Options
 	sc                   experiments.Scenario // zero for an experiment that runs none
 	set                  map[string]string    // the flags the command line set, by name, with their values
 
-	seed                         int64
-	switches, trace, churnSeeds  int
-	shards, headroomSL, parallel int
-	asJSON, viz, metrics         bool
-	cpuProfile, memProfile       string
+	seed                   int64
+	switches, trace        int
+	shards, headroomSL     int
+	metrics                bool
+	cpuProfile, memProfile string
 }
 
 // commonFlags are read by every experiment; any other flag set on the
@@ -114,7 +158,8 @@ var commonFlags = []string{"exp", "scale", "parallel", "cpuprofile", "memprofile
 // A flag the experiment does not read, a value out of its range, a
 // scenario Validate refuses and an unknown -exp or -scale are all
 // errors.
-func parse(args []string, stderr io.Writer) (*experiment, *config, error) {
+func parse(args []string, stderr io.Writer) (experiments.Experiment, *config, error) {
+	var none experiments.Experiment
 	fs := flag.NewFlagSet("ibsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	c := &config{set: map[string]string{}}
@@ -131,12 +176,12 @@ func parse(args []string, stderr io.Writer) (*experiment, *config, error) {
 	fs.StringVar(&c.scenario, "scenario", "", "JSON scenario `file` decoded over the experiment's base at -scale (fields the experiment's axis sets are refused)")
 	fs.Int64Var(&c.seed, "seed", 0, "random seed (default: the scenario's)")
 	fs.IntVar(&c.switches, "switches", 0, "irregular network size (default: the scenario's)")
-	fs.BoolVar(&c.asJSON, "json", false, "print the experiment's JSON report instead of its tables")
-	fs.BoolVar(&c.viz, "viz", false, "render figures 4 and 5 as terminal charts too")
-	fs.IntVar(&c.parallel, "parallel", 0, "worker goroutines for sweeps (0 = GOMAXPROCS)")
+	fs.BoolVar(&c.opt.JSON, "json", false, "print the experiment's JSON report instead of its tables")
+	fs.BoolVar(&c.opt.Viz, "viz", false, "render figures 4 and 5 as terminal charts too")
+	fs.IntVar(&c.opt.Workers, "parallel", 0, "worker goroutines for sweeps (0 = GOMAXPROCS)")
 	fs.BoolVar(&c.metrics, "metrics", false, "collect per-port arbitration metrics and append a JSON dump")
 	fs.IntVar(&c.trace, "trace", 0, "record the last N arbitration decisions per run (implies -metrics)")
-	fs.IntVar(&c.churnSeeds, "churn-seeds", 4, "independent seeds for -exp churn")
+	fs.IntVar(&c.opt.Seeds, "churn-seeds", 4, "independent seeds for -exp churn")
 	fs.IntVar(&c.shards, "shards", 0, "partition each fabric into N shards simulated in conservative-lookahead windows (0/1 = classic single engine; more shards than switches is refused); -exp shardbench runs 1 and each doubling up to N (default 8)")
 	fs.IntVar(&c.headroomSL, "plan-headroom-sl", 4, "service level the -exp plan headroom bisection probes")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
@@ -150,21 +195,18 @@ func parse(args []string, stderr io.Writer) (*experiment, *config, error) {
 		}
 	}
 	if err := fs.Parse(args); err != nil {
-		return nil, nil, err
+		return none, nil, err
 	}
 	if fs.NArg() > 0 {
-		return nil, nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+		return none, nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 
-	var e *experiment
-	for i := range registry {
-		if registry[i].name == c.exp {
-			e = &registry[i]
-		}
+	i := slices.IndexFunc(registry, func(e entry) bool { return e.name == c.exp })
+	x, ok := experiments.Lookup(c.exp)
+	if i < 0 || !ok {
+		return none, nil, fmt.Errorf("unknown experiment %q (valid: %s)", c.exp, strings.Join(names, ", "))
 	}
-	if e == nil {
-		return nil, nil, fmt.Errorf("unknown experiment %q (valid: %s)", c.exp, strings.Join(names, ", "))
-	}
+	e := registry[i]
 	var unread []string
 	fs.Visit(func(f *flag.Flag) {
 		c.set[f.Name] = f.Value.String()
@@ -173,43 +215,46 @@ func parse(args []string, stderr io.Writer) (*experiment, *config, error) {
 		}
 	})
 	if len(unread) > 0 {
-		return nil, nil, fmt.Errorf("-exp %s does not read %s (it reads %s)", e.name, dashed(unread), dashed(e.flags))
+		return none, nil, fmt.Errorf("-exp %s does not read %s (it reads %s)", e.name, dashed(unread), dashed(e.flags))
 	}
-	i := slices.Index(scaleNames, c.scale)
+	i = slices.Index(scaleNames, c.scale)
 	if i < 0 {
-		return nil, nil, fmt.Errorf("unknown -scale %q (valid: %s)", c.scale, strings.Join(scaleNames, ", "))
+		return none, nil, fmt.Errorf("unknown -scale %q (valid: %s)", c.scale, strings.Join(scaleNames, ", "))
 	}
-	c.at = scales[i]
-	// ChurnSweep allocates a job, a name and a result per seed before
-	// the first seed runs, so a huge count must be refused here.
+	c.opt.Scale = scales[i]
+	// The churn sweep allocates a job, a name and a result per seed
+	// before the first seed runs, so a huge count must be refused here.
 	const maxChurnSeeds = 1024
 	switch {
-	case c.churnSeeds < 1 || c.churnSeeds > maxChurnSeeds:
-		return nil, nil, fmt.Errorf("-churn-seeds %d outside [1, %d]", c.churnSeeds, maxChurnSeeds)
-	case c.parallel < 0:
-		return nil, nil, fmt.Errorf("-parallel %d: the worker count cannot be negative", c.parallel)
+	case c.opt.Seeds < 1 || c.opt.Seeds > maxChurnSeeds:
+		return none, nil, fmt.Errorf("-churn-seeds %d outside [1, %d]", c.opt.Seeds, maxChurnSeeds)
+	case c.opt.Workers < 0:
+		return none, nil, fmt.Errorf("-parallel %d: the worker count cannot be negative", c.opt.Workers)
+	case c.opt.JSON && c.opt.Viz:
+		return none, nil, errors.New("-viz draws terminal charts, which -json does not print")
 	}
 	if _, err := sl.ByID(sl.DefaultLevels, uint8(c.headroomSL)); err != nil || c.headroomSL != int(uint8(c.headroomSL)) {
-		return nil, nil, fmt.Errorf("-plan-headroom-sl %d: not a service level of the evaluation", c.headroomSL)
+		return none, nil, fmt.Errorf("-plan-headroom-sl %d: not a service level of the evaluation", c.headroomSL)
 	}
-	if e.scenario == nil {
-		return e, c, nil
+	c.opt.HeadroomSL = uint8(c.headroomSL)
+	if x.Base == nil {
+		return x, c, nil
 	}
-	sc := e.scenario(c.at)
+	sc := x.Base(c.opt.Scale)
 	if c.scenario != "" {
 		data, err := os.ReadFile(c.scenario)
 		if err == nil {
-			sc, err = experiments.DecodeScenario(data, sc, e.reads, e.axis...)
+			sc, err = experiments.DecodeScenario(data, sc, x.Reads, x.Axis...)
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("-scenario %s: %w", c.scenario, err)
+			return none, nil, fmt.Errorf("-scenario %s: %w", c.scenario, err)
 		}
 	}
 	c.sc = c.applyFlags(sc)
-	if err := c.sc.Validate(e.axis...); err != nil {
-		return nil, nil, c.named(err)
+	if err := c.sc.Validate(x.Axis...); err != nil {
+		return none, nil, c.named(err)
 	}
-	return e, c, nil
+	return x, c, nil
 }
 
 // applyFlags is sc with the scenario flags the command line set
@@ -264,6 +309,15 @@ func dashed(flags []string) string {
 		return "no other flag"
 	}
 	return "-" + strings.Join(flags, " -")
+}
+
+func encodeIndented(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		return fmt.Errorf("encoding report: %w", err)
+	}
+	return nil
 }
 
 func writeHeapProfile(path string) error {

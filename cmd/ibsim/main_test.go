@@ -17,13 +17,13 @@ import (
 	"repro/internal/experiments"
 )
 
-// TestParamsPresets: every entry resolves every scale to a non-zero
-// base scenario, on at least two switches where the entry's base wires
-// the fabric it runs, that Validate accepts with the entry's axis and
-// that decodes from its own encoding unchanged; an entry that reads
+// TestParamsPresets: every entry names an experiment
+// experiments.Lookup finds, and resolves every scale to a non-zero base
+// scenario, on at least two switches where the entry's base wires the
+// fabric it runs, that Validate accepts with the entry's axis and that
+// decodes from its own encoding unchanged; an entry that reads
 // -scenario declares the fields it reads; an unknown -scale is refused
-// before anything runs, and the plan's quick grid probes more headroom
-// than its tiny one.
+// before anything runs.
 func TestParamsPresets(t *testing.T) {
 	for _, e := range registry {
 		t.Run(e.name, func(t *testing.T) {
@@ -31,21 +31,22 @@ func TestParamsPresets(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "-scale") {
 				t.Errorf("-scale huge: err = %v, want one naming -scale", err)
 			}
-			if e.scenario == nil {
+			x := lookup(t, e.name)
+			if x.Base == nil {
 				return
 			}
-			if slices.Contains(e.flags, "scenario") && len(e.reads) == 0 {
+			if slices.Contains(e.flags, "scenario") && len(x.Reads) == 0 {
 				t.Error("reads -scenario but declares no field it reads")
 			}
 			for _, s := range scales {
-				sc := e.scenario(s)
+				sc := x.Base(s)
 				if reflect.ValueOf(sc).IsZero() {
 					t.Errorf("%s: zero scenario", s)
 				}
 				if slices.Contains(e.flags, "switches") && sc.Topology.Switches < 2 {
 					t.Errorf("%s: switches = %d", s, sc.Topology.Switches)
 				}
-				if err := sc.Validate(e.axis...); err != nil {
+				if err := sc.Validate(x.Axis...); err != nil {
 					t.Errorf("%s: %v", s, err)
 				}
 				data, err := json.Marshal(sc)
@@ -58,10 +59,26 @@ func TestParamsPresets(t *testing.T) {
 			}
 		})
 	}
-	_, _, tiny := experiments.PlanGrid(experiments.Tiny)
-	if _, _, quick := experiments.PlanGrid(experiments.Quick); quick <= tiny {
-		t.Errorf("quick plan grid should probe more headroom than tiny (%d vs %d)", quick, tiny)
+}
+
+// lookup returns the experiment of the entry named name.
+func lookup(t *testing.T, name string) experiments.Experiment {
+	t.Helper()
+	x, ok := experiments.Lookup(name)
+	if !ok {
+		t.Fatalf("experiments.Lookup(%q) finds no experiment", name)
 	}
+	return x
+}
+
+// TestUsageGolden pins what ibsim -h prints: every flag with its
+// default and help, and every experiment with the flags it reads.
+func TestUsageGolden(t *testing.T) {
+	var usage bytes.Buffer
+	if err := run([]string{"-h"}, io.Discard, &usage); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
+	}
+	compareGolden(t, filepath.Join("testdata", "usage.golden.txt"), usage.Bytes())
 }
 
 // TestUnknownExperimentErrorListsNames: a typo'd -exp must name every

@@ -335,7 +335,7 @@ func TestAllocatorMaskDifferential(t *testing.T) {
 						t.Errorf("script never allocated a fresh sequence at stride %d: %v", stride, fresh)
 					}
 				}
-				if p.Defrag && d.relocations == 0 {
+				if p == BitReversal && d.relocations == 0 {
 					t.Errorf("script never relocated")
 				}
 			})

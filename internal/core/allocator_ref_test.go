@@ -31,7 +31,7 @@ type refAllocator struct {
 func newRefAllocator(p Policy) *refAllocator {
 	return &refAllocator{
 		table:   arbtable.New(arbtable.UnlimitedHigh),
-		natural: p.Name == NaturalOrder.Name,
+		natural: p == NaturalOrder,
 		seqs:    make(map[SeqID]*Sequence),
 		nextID:  1,
 	}

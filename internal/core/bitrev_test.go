@@ -206,7 +206,7 @@ func FuzzFirstFit(f *testing.F) {
 			for c := 0; c < numStrides; c++ {
 				stride := 1 << uint(c)
 				order := bitrevOrder(c)
-				if p.Name == NaturalOrder.Name {
+				if p == NaturalOrder {
 					for j := range order {
 						order[j] = j
 					}

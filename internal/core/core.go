@@ -395,7 +395,7 @@ func (a *Allocator) fit(stride int) (start int, relocate bool, err error) {
 		return j, false, nil
 	}
 	free := a.FreeSlots()
-	if a.policy.Defrag && TableSize/stride <= free {
+	if !a.policy.natural && TableSize/stride <= free {
 		if j, ok := a.policy.firstFit(canonOcc[TableSize-free], c); ok {
 			return j, true, nil
 		}
@@ -735,7 +735,7 @@ func (a *Allocator) checkInvariants() error {
 	// relocation produces — Defragment's placement, which must occupy
 	// canonOcc of the occupied count — holds a free aligned set of that
 	// size.  Only the paper's policy provides it.
-	if a.policy.Name == BitReversal.Name {
+	if !a.policy.natural {
 		free := a.FreeSlots()
 		var newStart [TableSize]uint8
 		canon, _ := a.canonical(&newStart)

@@ -3,26 +3,26 @@ package core
 import "math/bits"
 
 // Policy selects which free candidate set the allocator takes for a
-// stride and whether a request that finds none defragments.  The
-// paper's algorithm is BitReversal; NaturalOrder is the naive first-fit
+// stride and whether a request that finds none relocates.  The paper's
+// algorithm is BitReversal; NaturalOrder is the naive first-fit
 // baseline used by the ablation benchmarks to quantify what the
-// bit-reversal order and the defragmenter buy.
+// bit-reversal order and relocation buy.  The two are the only
+// policies: relocation is on exactly when the order is bit-reversal.
 type Policy struct {
 	// Name labels the policy in reports.
 	Name string
-	// Defrag enables relocation: a request that finds enough free slots
-	// but no free candidate set defragments the table and takes the
-	// first free set of the canonical layout.
-	Defrag bool
 	// natural takes the lowest free start offset instead of the first
-	// one in bit-reversal order.
+	// one in bit-reversal order, and never relocates.  Otherwise a
+	// request that finds enough free slots but no free candidate set
+	// defragments the table and takes the first free set of the
+	// canonical layout.
 	natural bool
 }
 
 // BitReversal is the paper's policy: offsets in bit-reversal order and
 // defragmentation when a request needs it.  With it, an allocation of n
 // slots succeeds if and only if n slots are free.
-var BitReversal = Policy{Name: "bit-reversal", Defrag: true}
+var BitReversal = Policy{Name: "bit-reversal"}
 
 // NaturalOrder is the naive baseline: offsets inspected in natural
 // order (0, 1, 2, ...) and no defragmentation.  It satisfies the same

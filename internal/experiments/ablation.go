@@ -13,20 +13,20 @@ import (
 	"repro/internal/traffic"
 )
 
-// PrioritySplitResult compares the paper's scheme (all guaranteed
+// prioritySplitResult compares the paper's scheme (all guaranteed
 // traffic in the high-priority table) with the older Pelissier-style
 // split (DB traffic in the low-priority table) under a set of
 // overshooting DBTS sources.  Goodput is delivered/expected packets of
 // the well-behaved DB victim connection.
-type PrioritySplitResult struct {
+type prioritySplitResult struct {
 	NewSchemeGoodput float64
 	OldSchemeGoodput float64
 }
 
-// PriorityScenario is the priority-split ablation's base at every
+// priorityScenario is the priority-split ablation's base at every
 // scale: a 2-switch irregular fabric with small packets, measured for
 // 80 interarrival times of the victim after a warm-up of 4.
-func PriorityScenario(Scale) Scenario {
+func priorityScenario(Scale) Scenario {
 	return Scenario{Seed: 42, Topology: irregular(2, 42), Fabric: fabric.DefaultConfig(0, smallPayload, 0), WarmupIATs: 4, WindowIATs: 80}
 }
 
@@ -82,20 +82,20 @@ func prioritySplitScenario(sc Scenario, oldScheme bool) (float64, error) {
 	return float64(victim.Delivered) / float64(sc.WindowIATs), nil
 }
 
-// AblationPrioritySplit runs the two schemes on sc, each at sc's seed,
+// ablationPrioritySplit runs the two schemes on sc, each at sc's seed,
 // on workers goroutines and reports both goodputs over the WindowIATs
 // window.  The paper's scheme keeps the victim's goodput near 1.
-func AblationPrioritySplit(sc Scenario, workers int) (PrioritySplitResult, error) {
+func ablationPrioritySplit(sc Scenario, workers int) (prioritySplitResult, error) {
 	goodputs, err := sameSeed(sc, []string{"priority-split-new", "priority-split-old"}, workers,
 		func(i int, sc Scenario) (float64, error) { return prioritySplitScenario(sc, i == 1) })
 	if err != nil {
-		return PrioritySplitResult{}, err
+		return prioritySplitResult{}, err
 	}
-	return PrioritySplitResult{NewSchemeGoodput: goodputs[0], OldSchemeGoodput: goodputs[1]}, nil
+	return prioritySplitResult{NewSchemeGoodput: goodputs[0], OldSchemeGoodput: goodputs[1]}, nil
 }
 
-// PrintPrioritySplit renders the ablation result.
-func PrintPrioritySplit(w io.Writer, r PrioritySplitResult) {
+// printPrioritySplit renders the ablation result.
+func printPrioritySplit(w io.Writer, r prioritySplitResult) {
 	fmt.Fprintln(w, "Ablation — DB victim goodput under overshooting DBTS sources")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "new scheme (DB in high-priority table)\t%.3f\n", r.NewSchemeGoodput)
@@ -103,29 +103,29 @@ func PrintPrioritySplit(w io.Writer, r PrioritySplitResult) {
 	tw.Flush()
 }
 
-// FillPolicyResult aggregates the fill-policy ablation over many
+// fillPolicyResult aggregates the fill-policy ablation over many
 // request traces: how many requests fit before the first rejection,
 // how often the table stays serviceable, and how many requests were
 // rejected despite sufficient free slots.
-type FillPolicyResult struct {
+type fillPolicyResult struct {
 	Policy              string
 	MeanFillUntilReject float64
 	Serviceability      float64 // mean fraction of steps
 	FalseRejects        int
 }
 
-// AblationFillPolicies compares the bit-reversal policy with the naive
+// ablationFillPolicies compares the bit-reversal policy with the naive
 // natural-order policy over the given number of random traces, one
 // job per policy on workers goroutines.
-func AblationFillPolicies(traces int, seed int64, workers int) ([]FillPolicyResult, error) {
+func ablationFillPolicies(traces int, seed int64, workers int) ([]fillPolicyResult, error) {
 	policies := []core.Policy{core.BitReversal, core.NaturalOrder}
-	jobs := make([]runner.Job[FillPolicyResult], len(policies))
+	jobs := make([]runner.Job[fillPolicyResult], len(policies))
 	for pi, pol := range policies {
-		jobs[pi] = runner.Job[FillPolicyResult]{
+		jobs[pi] = runner.Job[fillPolicyResult]{
 			Name: "fill-" + pol.Name,
 			Seed: seed,
-			Run: func(int64) (FillPolicyResult, error) {
-				r := FillPolicyResult{Policy: pol.Name}
+			Run: func(int64) (fillPolicyResult, error) {
+				r := fillPolicyResult{Policy: pol.Name}
 				sumFill, sumServ := 0.0, 0.0
 				for i := 0; i < traces; i++ {
 					s := seed + int64(i)
@@ -143,8 +143,8 @@ func AblationFillPolicies(traces int, seed int64, workers int) ([]FillPolicyResu
 	return runner.Sweep(jobs, workers)
 }
 
-// PrintFillPolicies renders the fill-policy ablation.
-func PrintFillPolicies(w io.Writer, rows []FillPolicyResult) {
+// printFillPolicies renders the fill-policy ablation.
+func printFillPolicies(w io.Writer, rows []fillPolicyResult) {
 	fmt.Fprintln(w, "Ablation — table fill-in policies")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "policy\tmean fills before 1st reject\tserviceable steps\tfalse rejects")

@@ -11,7 +11,7 @@ import (
 	"repro/internal/runner"
 )
 
-// ChurnScenario is the connection-churn experiment's base at scale s:
+// churnScenario is the connection-churn experiment's base at scale s:
 // connections arrive with exponentially distributed gaps, hold their
 // reservation for an exponentially distributed time, and leave — all
 // while the fabric keeps forwarding traffic and every table change
@@ -22,9 +22,9 @@ import (
 // at any shard count.  Tiny is a 2-switch fabric with enough overlap
 // between arrivals and in-flight table programs to make retries and
 // chained reprogramming happen; above it, a 4-switch fabric under
-// sustained churn.  The base names no wiring seed: ChurnSweep wires run
+// sustained churn.  The base names no wiring seed: churnSweep wires run
 // i from runner.DeriveSeed(Seed, i).
-func ChurnScenario(s Scale) Scenario {
+func churnScenario(s Scale) Scenario {
 	sc := Scenario{
 		Seed: 42, Topology: irregular(2, 0), Fabric: fabric.DefaultConfig(0, 512, 0),
 		Inband: true, Arrivals: 80, MeanGapBT: 2048, MeanHoldBT: 65536, SampleBT: 8192,
@@ -36,11 +36,11 @@ func ChurnScenario(s Scale) Scenario {
 	return sc
 }
 
-// ChurnResult is the outcome of one churn run.  Every field is
+// churnResult is the outcome of one churn run.  Every field is
 // computed on the simulated clock from the run's seed, so equal
 // parameters give byte-identical JSON regardless of host or worker
 // count.
-type ChurnResult struct {
+type churnResult struct {
 	Switches int   `json:"switches"`
 	Hosts    int   `json:"hosts"`
 	Seed     int64 `json:"seed"`
@@ -84,28 +84,28 @@ type ChurnResult struct {
 // runChurn runs one churn experiment on the lifecycle driver (see
 // runLifecycles).  Any audit violation, and any lifecycle that does not
 // resolve, aborts the run with an error.
-func runChurn(sc Scenario) (ChurnResult, error) {
+func runChurn(sc Scenario) (churnResult, error) {
 	lc, err := runLifecycles(sc)
 	if err != nil {
-		return ChurnResult{}, err
+		return churnResult{}, err
 	}
-	return lc.ChurnResult, nil
+	return lc.churnResult, nil
 }
 
-// ChurnSweep runs sc over derived seeds, each wiring its own fabric.
+// churnSweep runs sc over derived seeds, each wiring its own fabric.
 // Results come back in input order regardless of worker count, so the
 // sweep's JSON encoding is bit-identical at any parallelism.  sc names
 // no wiring seed, since no run would use it.
-func ChurnSweep(sc Scenario, seeds, workers int) ([]ChurnResult, error) {
+func churnSweep(sc Scenario, seeds, workers int) ([]churnResult, error) {
 	if sc.Topology.Seed != 0 {
 		return nil, refuse("Topology.Seed", "the sweep wires run i from runner.DeriveSeed(Seed, i)")
 	}
-	jobs := make([]runner.Job[ChurnResult], seeds)
+	jobs := make([]runner.Job[churnResult], seeds)
 	for i := range jobs {
-		jobs[i] = runner.Job[ChurnResult]{
+		jobs[i] = runner.Job[churnResult]{
 			Name: fmt.Sprintf("churn-%02d", i),
 			Seed: runner.DeriveSeed(sc.Seed, i),
-			Run: func(seed int64) (ChurnResult, error) {
+			Run: func(seed int64) (churnResult, error) {
 				return runChurn(sc.seeded(seed))
 			},
 		}
@@ -113,8 +113,8 @@ func ChurnSweep(sc Scenario, seeds, workers int) ([]ChurnResult, error) {
 	return runner.Sweep(jobs, workers)
 }
 
-// PrintChurn renders a churn sweep as a table, one row per seed.
-func PrintChurn(w io.Writer, res []ChurnResult) {
+// printChurn renders a churn sweep as a table, one row per seed.
+func printChurn(w io.Writer, res []churnResult) {
 	if len(res) == 0 {
 		return
 	}

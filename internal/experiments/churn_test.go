@@ -12,7 +12,7 @@ import (
 // the offered connections, release everything it admitted, and spend
 // real control-plane work doing so.
 func TestChurnRuns(t *testing.T) {
-	res, err := runChurn(ChurnScenario(Tiny).seeded(42))
+	res, err := runChurn(churnScenario(Tiny).seeded(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestChurnRuns(t *testing.T) {
 func TestChurnTerminates(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		for _, seed := range []int64{runner.DeriveSeed(5, 0), runner.DeriveSeed(8, 0)} {
-			sc := ChurnScenario(Quick).seeded(seed)
+			sc := churnScenario(Quick).seeded(seed)
 			sc.Topology.Switches, sc.Fabric.Shards = 8, shards
 			res, err := runChurn(sc)
 			if err != nil {
@@ -59,7 +59,7 @@ func TestChurnTerminates(t *testing.T) {
 			}
 		}
 		for _, seed := range []int64{3, 4} {
-			sc := FaultsScenario(Quick).seeded(seed)
+			sc := faultsScenario(Quick).seeded(seed)
 			sc.Topology.Switches, sc.Fabric.Shards = 8, shards
 			if _, err := runFaults(sc); err != nil {
 				t.Fatalf("faults seed %d shards %d: %v", seed, shards, err)
@@ -76,12 +76,12 @@ func TestChurnSweepDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed churn sweep")
 	}
-	base := ChurnScenario(Tiny)
+	base := churnScenario(Tiny)
 	const seeds = 3
 
 	encode := func(workers int) []byte {
 		t.Helper()
-		res, err := ChurnSweep(base, seeds, workers)
+		res, err := churnSweep(base, seeds, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -107,7 +107,7 @@ func TestChurnSweepDeterminism(t *testing.T) {
 // fabric and an auditor — give identical results at every seed.
 func TestNilInjectorIsPerfect(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		sc := ChurnScenario(Tiny).seeded(seed)
+		sc := churnScenario(Tiny).seeded(seed)
 		want, err := runChurn(sc)
 		if err != nil {
 			t.Fatal(err)
@@ -120,8 +120,8 @@ func TestNilInjectorIsPerfect(t *testing.T) {
 		if q := got.net.Faults.Stats().Queries; q < int64(2*want.ProgramMADs) {
 			t.Errorf("seed %d: the injector dealt %d fates for %d SMPs and their responses", seed, q, want.ProgramMADs)
 		}
-		if got.ChurnResult != want {
-			t.Errorf("seed %d: a zero-rate injector changed the run\n got %+v\nwant %+v", seed, got.ChurnResult, want)
+		if got.churnResult != want {
+			t.Errorf("seed %d: a zero-rate injector changed the run\n got %+v\nwant %+v", seed, got.churnResult, want)
 		}
 	}
 }

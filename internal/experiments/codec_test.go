@@ -17,8 +17,8 @@ import (
 // decodes to it again.
 func FuzzScenarioCodec(f *testing.F) {
 	for _, s := range []Scale{Tiny, Quick, Full} {
-		for _, base := range []Scenario{EvaluationScenario(s), ChurnScenario(s), FaultsScenario(s),
-			FailoverScenario(s), ScaleScenario(s), ShardBenchScenario(s)} {
+		for _, base := range []Scenario{evaluationScenario(s), churnScenario(s), faultsScenario(s),
+			failoverScenario(s), scaleScenario(s), shardBenchScenario(s)} {
 			data, err := json.Marshal(base)
 			if err != nil {
 				f.Fatal(err)
@@ -96,7 +96,7 @@ func isObject(data []byte) bool {
 // by name, and a change to an axis field or to a field under no read
 // path is refused while restating the base's value is not.
 func TestDecodeScenarioPatches(t *testing.T) {
-	base := ScaleScenario(Tiny)
+	base := scaleScenario(Tiny)
 	sc, err := DecodeScenario([]byte(`{"Fabric": {"ISLIPIters": 1}, "Topology": {"Class": "fattree", "K": 4}}`), base, []string{"Fabric", "Topology"})
 	if err != nil {
 		t.Fatal(err)

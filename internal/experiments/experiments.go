@@ -11,7 +11,10 @@
 // auditor, failure recovery — and offer loads it.  An experiment is
 // then a base Scenario per Scale, an axis of edits to it with its seed
 // rule, and the projection of the executed runs onto the rows or
-// series it reports.  DESIGN.md maps every experiment to its runner.
+// series it reports.  Each is declared once, in registry, and reached
+// through the package's one entry point: Lookup finds an Experiment by
+// name, and Experiment.Run runs it.  DESIGN.md maps every experiment to
+// its runner.
 package experiments
 
 import (
@@ -31,14 +34,14 @@ const (
 	largePayload = 2048
 )
 
-// EvaluationScenario is the paired small/large-packet evaluation's base
+// evaluationScenario is the paired small/large-packet evaluation's base
 // at scale s, shared by the ablations built on it: the irregular fabric
 // filled with connections until admission refuses MaxRejects in a row,
 // plus best-effort background.  Full is the paper's 16 switches and 64
 // hosts, measured until the smallest-bandwidth connection has received
 // a statistically useful number of packets; Quick is a 4-switch network
 // with a short window; Tiny is the smallest meaningful configuration.
-func EvaluationScenario(s Scale) Scenario {
+func evaluationScenario(s Scale) Scenario {
 	sc := Scenario{
 		Seed: 42, Topology: irregular(2, 42), Fabric: fabric.DefaultConfig(0, smallPayload, 0),
 		Saturate: true, MaxRejects: 60, BEMbps: 100, WarmupIATs: 1, MinPackets: 6,
@@ -63,7 +66,7 @@ func mergedDelay(flows []*fabric.Flow) *stats.DelayCDF {
 
 // delayBySL merges the per-connection delay distributions of each
 // service level.
-func (r *Run) delayBySL() map[uint8]*stats.DelayCDF {
+func (r *run) delayBySL() map[uint8]*stats.DelayCDF {
 	out := make(map[uint8]*stats.DelayCDF)
 	for _, f := range r.Flows {
 		d, ok := out[f.SL]
@@ -80,7 +83,7 @@ func (r *Run) delayBySL() map[uint8]*stats.DelayCDF {
 // highest and lowest percentage of packets delivered before the
 // threshold with the given index into stats.DelayFractions.  Flows
 // without samples are skipped.
-func (r *Run) bestWorst(slID uint8, thresholdIdx int) (best, worst *fabric.Flow) {
+func (r *run) bestWorst(slID uint8, thresholdIdx int) (best, worst *fabric.Flow) {
 	for _, f := range r.Flows {
 		if f.SL != slID || f.Delay.Total() == 0 {
 			continue
@@ -97,7 +100,7 @@ func (r *Run) bestWorst(slID uint8, thresholdIdx int) (best, worst *fabric.Flow)
 
 // slIDs returns the service levels present among the run's flows, in
 // ascending order.
-func (r *Run) slIDs() []uint8 {
+func (r *run) slIDs() []uint8 {
 	seen := make(map[uint8]bool)
 	for _, f := range r.Flows {
 		seen[f.SL] = true
@@ -110,25 +113,25 @@ func (r *Run) slIDs() []uint8 {
 	return out
 }
 
-// Evaluation bundles the two executed runs (small and large packets)
+// evaluation bundles the two executed runs (small and large packets)
 // all table/figure extractors derive from, so the expensive
 // simulations happen once.
-type Evaluation struct {
-	Small, Large *Run
+type evaluation struct {
+	Small, Large *run
 }
 
-// Evaluate executes the small- and large-packet runs of sc on workers
+// evaluate executes the small- and large-packet runs of sc on workers
 // goroutines (each run is single-goroutine; independent runs fan out).
-func Evaluate(sc Scenario, workers int) (*Evaluation, error) {
+func evaluate(sc Scenario, workers int) (*evaluation, error) {
 	payloads := []int{smallPayload, largePayload}
-	runs, err := sameSeed(sc, []string{"small-packets", "large-packets"}, workers, func(i int, sc Scenario) (*Run, error) {
+	runs, err := sameSeed(sc, []string{"small-packets", "large-packets"}, workers, func(i int, sc Scenario) (*run, error) {
 		sc.Fabric.PayloadBytes = payloads[i]
 		return measured(sc)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Evaluation{Small: runs[0], Large: runs[1]}, nil
+	return &evaluation{Small: runs[0], Large: runs[1]}, nil
 }
 
 // sameSeed runs point on one edit of sc per name, every job at sc's

@@ -14,7 +14,7 @@ import (
 )
 
 func TestTable1Config(t *testing.T) {
-	rows := Table1()
+	rows := table1()
 	if len(rows) != 10 {
 		t.Fatalf("got %d SLs, want 10", len(rows))
 	}
@@ -27,30 +27,30 @@ func TestTable1Config(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintTable1(&buf)
+	printTable1(&buf)
 	if !strings.Contains(buf.String(), "DBTS") || !strings.Contains(buf.String(), "MaxDistance") {
 		t.Errorf("Table 1 rendering incomplete:\n%s", buf.String())
 	}
 }
 
 func TestSetupLoadsNetwork(t *testing.T) {
-	run, err := loaded(EvaluationScenario(Tiny))
+	r, err := loaded(evaluationScenario(Tiny))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(run.Flows) == 0 {
+	if len(r.Flows) == 0 {
 		t.Fatal("no QoS flows")
 	}
-	if len(run.BEFlows) == 0 {
+	if len(r.BEFlows) == 0 {
 		t.Fatal("no best-effort flows")
 	}
 	// Admission control must have left the tables self-consistent.
-	if err := run.Net.CheckInvariants(); err != nil {
+	if err := r.Net.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// The fill must have pushed some port to (near) its budget;
 	// otherwise the run does not exercise a loaded network.
-	if run.Net.Adm.MeanHostReservation() <= 0 {
+	if r.Net.Adm.MeanHostReservation() <= 0 {
 		t.Error("network not loaded")
 	}
 }
@@ -59,7 +59,7 @@ func TestSetupLoadsNetwork(t *testing.T) {
 // recovery ride the in-band programmer, so a scenario asking for
 // either without it is refused before anything is built.
 func TestBuildRefusesControlPlaneWithoutInband(t *testing.T) {
-	for _, sc := range []Scenario{FaultsScenario(Tiny), FailoverScenario(Tiny)} {
+	for _, sc := range []Scenario{faultsScenario(Tiny), failoverScenario(Tiny)} {
 		sc.Inband = false
 		if _, err := build(sc); err == nil || !strings.Contains(err.Error(), "in-band") {
 			t.Errorf("SMPFaults %v, FailAtBT %d without Inband: err = %v, want a refusal naming the in-band programmer",
@@ -81,19 +81,19 @@ func TestPointsRefuseBadLoads(t *testing.T) {
 		run  func(load float64) error
 	}{
 		{"scale", func(load float64) error {
-			_, err := scalePoint(ScaleScenario(Tiny).at(spec, load, 1))
+			_, err := scalePoint(scaleScenario(Tiny).at(spec, load, 1))
 			return err
 		}},
 		{"hol", func(load float64) error {
-			sc := ScaleScenario(Tiny).at(spec, load, 1)
+			sc := scaleScenario(Tiny).at(spec, load, 1)
 			sc.Fabric.SwitchModel = fabric.ModelVOQISLIP
 			_, err := holPoint(sc)
 			return err
 		}},
 		{"shardbench", func(load float64) error {
-			sc := ShardBenchScenario(Tiny)
+			sc := shardBenchScenario(Tiny)
 			sc.Topology, sc.Load, sc.Fabric.Shards = spec, load, 1
-			_, err := ShardBench(sc)
+			_, err := shardBench(sc)
 			return err
 		}},
 	}
@@ -135,11 +135,11 @@ func TestTinyEvaluationShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	ev, err := Evaluate(EvaluationScenario(Tiny), 0)
+	ev, err := evaluate(evaluationScenario(Tiny), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := ev.Table2()
+	rows := ev.table2()
 	for _, row := range rows {
 		if row.DeliveredPerNode <= 0 {
 			t.Errorf("payload %d: no delivered traffic", row.Payload)
@@ -152,7 +152,7 @@ func TestTinyEvaluationShapes(t *testing.T) {
 		}
 	}
 
-	f4 := ev.Figure4()
+	f4 := ev.figure4()
 	for _, s := range f4.Small {
 		if s.Packets == 0 {
 			t.Errorf("figure4: SL %d has no packets", s.SL)
@@ -170,7 +170,7 @@ func TestTinyEvaluationShapes(t *testing.T) {
 		}
 	}
 
-	f5 := ev.Figure5()
+	f5 := figure5For(ev.Small)
 	for _, s := range f5 {
 		if s.Samples < 3 {
 			continue // too few interarrivals to judge
@@ -184,7 +184,7 @@ func TestTinyEvaluationShapes(t *testing.T) {
 		}
 	}
 
-	f6 := ev.Figure6()
+	f6 := ev.figure6()
 	for _, s := range f6 {
 		// Best and worst must both meet the deadline.
 		if s.Best[len(s.Best)-1] < 100 || s.Worst[len(s.Worst)-1] < 100 {
@@ -193,10 +193,10 @@ func TestTinyEvaluationShapes(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	PrintTable2(&buf, rows)
-	PrintFigure4(&buf, "Figure 4a (small)", f4.Small)
-	PrintFigure5(&buf, "Figure 5", f5)
-	PrintFigure6(&buf, f6)
+	printTable2(&buf, rows)
+	printFigure4(&buf, "Figure 4a (small)", f4.Small)
+	printFigure5(&buf, "Figure 5", f5)
+	printFigure6(&buf, f6)
 	out := buf.String()
 	for _, want := range []string{"Injected traffic", "Figure 5", "Figure 6"} {
 		if !strings.Contains(out, want) {
@@ -209,9 +209,9 @@ func TestAblationPrioritySplit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	sc := PriorityScenario(Tiny)
+	sc := priorityScenario(Tiny)
 	sc.Seed = 7
-	res, err := AblationPrioritySplit(sc, 0)
+	res, err := ablationPrioritySplit(sc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +223,14 @@ func TestAblationPrioritySplit(t *testing.T) {
 			res.OldSchemeGoodput, res.NewSchemeGoodput)
 	}
 	var buf bytes.Buffer
-	PrintPrioritySplit(&buf, res)
+	printPrioritySplit(&buf, res)
 	if !strings.Contains(buf.String(), "new scheme") {
 		t.Error("rendering incomplete")
 	}
 }
 
 func TestAblationFillPolicies(t *testing.T) {
-	rows, err := AblationFillPolicies(10, 3, 0)
+	rows, err := ablationFillPolicies(10, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestAblationFillPolicies(t *testing.T) {
 		t.Errorf("bit-reversal fill %.1f <= natural %.1f", br.MeanFillUntilReject, nat.MeanFillUntilReject)
 	}
 	var buf bytes.Buffer
-	PrintFillPolicies(&buf, rows)
+	printFillPolicies(&buf, rows)
 	if !strings.Contains(buf.String(), "bit-reversal") {
 		t.Error("rendering incomplete")
 	}
@@ -261,7 +261,7 @@ func TestScalingTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	rows, err := Scaling(EvaluationScenario(Tiny), []int{2, 4}, 0)
+	rows, err := scaling(evaluationScenario(Tiny), []int{2, 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestScalingTiny(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintScaling(&buf, rows)
+	printScaling(&buf, rows)
 	if !strings.Contains(buf.String(), "switches") {
 		t.Error("rendering incomplete")
 	}
@@ -284,7 +284,7 @@ func TestAblationVLCollapse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	rows, err := AblationVLCollapse(EvaluationScenario(Tiny), []int{15, 4}, 0)
+	rows, err := ablationVLCollapse(evaluationScenario(Tiny), []int{15, 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestAblationVLCollapse(t *testing.T) {
 			full.DeadlineMetPercent, collapsed.DeadlineMetPercent)
 	}
 	var buf bytes.Buffer
-	PrintVLCollapse(&buf, rows)
+	printVLCollapse(&buf, rows)
 	if !strings.Contains(buf.String(), "data VLs") {
 		t.Error("rendering incomplete")
 	}
@@ -310,7 +310,7 @@ func TestAblationSwitchModels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	rows, err := AblationSwitchModels(EvaluationScenario(Tiny), []int{1, 2}, 0)
+	rows, err := ablationSwitchModels(evaluationScenario(Tiny), []int{1, 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestAblationSwitchModels(t *testing.T) {
 			rows[1].WorstDelayRatio, rows[0].WorstDelayRatio)
 	}
 	var buf bytes.Buffer
-	PrintSwitchModels(&buf, rows)
+	printSwitchModels(&buf, rows)
 	if !strings.Contains(buf.String(), "speedup") {
 		t.Error("rendering incomplete")
 	}
@@ -330,7 +330,7 @@ func TestAblationVBR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	res, err := AblationVBR(vbrAt(11, 2, 15), 0)
+	res, err := ablationVBR(vbrAt(11, 2, 15), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestAblationVBR(t *testing.T) {
 			res.PeakReserved.DeadlineMetPercent, res.MeanReserved.DeadlineMetPercent)
 	}
 	var buf bytes.Buffer
-	PrintVBR(&buf, res)
+	printVBR(&buf, res)
 	if !strings.Contains(buf.String(), "VBR") {
 		t.Error("rendering incomplete")
 	}
@@ -359,7 +359,7 @@ func TestAblationVBR(t *testing.T) {
 // survival is 1 - stopped/admitted.
 func TestReconfigurationStudy(t *testing.T) {
 	sc := reconfigAt(8, 7, 50)
-	res, err := Reconfiguration(sc, 0)
+	res, err := reconfiguration(sc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestReconfigurationStudy(t *testing.T) {
 		t.Errorf("mean survival %.2f unexpectedly low at moderate load", res.MeanSurvival)
 	}
 	var buf bytes.Buffer
-	PrintReconfig(&buf, res)
+	printReconfig(&buf, res)
 	if !strings.Contains(buf.String(), "MADs") {
 		t.Error("rendering incomplete")
 	}
@@ -396,25 +396,25 @@ func TestEvaluateDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	a, err := Evaluate(EvaluationScenario(Tiny), 1)
+	a, err := evaluate(evaluationScenario(Tiny), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Evaluate(EvaluationScenario(Tiny), 2)
+	b, err := evaluate(evaluationScenario(Tiny), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Table2() != b.Table2() {
-		t.Errorf("evaluations diverged:\n%+v\n%+v", a.Table2(), b.Table2())
+	if a.table2() != b.table2() {
+		t.Errorf("evaluations diverged:\n%+v\n%+v", a.table2(), b.table2())
 	}
 }
 
 func TestSLBreakdown(t *testing.T) {
-	run, err := loaded(EvaluationScenario(Tiny))
+	r, err := loaded(evaluationScenario(Tiny))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := run.SLBreakdown()
+	rows := r.slBreakdown()
 	if len(rows) == 0 {
 		t.Fatal("no SL breakdown rows")
 	}
@@ -425,18 +425,18 @@ func TestSLBreakdown(t *testing.T) {
 		}
 		total += r.Connections
 	}
-	if total != len(run.Flows) {
-		t.Errorf("breakdown covers %d connections, run has %d", total, len(run.Flows))
+	if total != len(r.Flows) {
+		t.Errorf("breakdown covers %d connections, run has %d", total, len(r.Flows))
 	}
 	var buf bytes.Buffer
-	PrintSLBreakdown(&buf, "test", rows)
+	printSLBreakdown(&buf, "test", rows)
 	if !strings.Contains(buf.String(), "SL 0") {
 		t.Error("rendering incomplete")
 	}
 }
 
 // loaded builds sc and offers its load.
-func loaded(sc Scenario) (*Run, error) {
+func loaded(sc Scenario) (*run, error) {
 	r, err := build(sc)
 	if err != nil {
 		return nil, err

@@ -19,8 +19,8 @@ import (
 	"repro/internal/traffic"
 )
 
-// FailoverScenario is the live-failure experiment's base at scale s:
-// each topology class of FailoverSpecs(s) carries admitted QoS traffic
+// failoverScenario is the live-failure experiment's base at scale s:
+// each topology class of failoverSpecs(s) carries admitted QoS traffic
 // while the run kills one link on a reserved path at FailAtBT (revived
 // at 3x) and crashes one host-bearing switch at 2x.  The subnet
 // manager's recovery must detect every failure, repair the routes with
@@ -29,7 +29,7 @@ import (
 // account for every packet — the point errors out if any of those
 // audits fail.  HorizonBT must clear the schedule's last detection
 // window.
-func FailoverScenario(s Scale) Scenario {
+func failoverScenario(s Scale) Scenario {
 	sc := Scenario{
 		Seed: 1, Fabric: fabric.DefaultConfig(0, 256, 0), Inband: true, Metrics: true,
 		Retry: admission.DefaultRetryPolicy(), Conns: 12, FailAtBT: 100_000, HorizonBT: 450_000,
@@ -41,10 +41,10 @@ func FailoverScenario(s Scale) Scenario {
 	return sc
 }
 
-// FailoverSpecs is the failover sweep's axis at scale s: the smallest
+// failoverSpecs is the failover sweep's axis at scale s: the smallest
 // failure-worthy member of each topology class at Tiny, mid-size
 // instances above it.
-func FailoverSpecs(s Scale) []topology.Spec {
+func failoverSpecs(s Scale) []topology.Spec {
 	if s == Tiny {
 		return []topology.Spec{
 			irregular(6, 42),
@@ -59,10 +59,10 @@ func FailoverSpecs(s Scale) []topology.Spec {
 	}
 }
 
-// FailoverResult is the outcome of one topology point.  Every field is
+// failoverResult is the outcome of one topology point.  Every field is
 // a pure function of the point's parameters and seed, so equal inputs
 // give byte-identical JSON at any worker count.
-type FailoverResult struct {
+type failoverResult struct {
 	Class    string `json:"class"`
 	Label    string `json:"label"`
 	Switches int    `json:"switches"`
@@ -112,8 +112,8 @@ const admitGapBT = 277
 // at sc.FailAtBT/2, sc's failure schedule, or, when sc.Failures is
 // empty, one drawn from the admitted flows (its first failure at
 // sc.FailAtBT), recovery, a drain and the end audits.
-func failoverRun(sc Scenario) (FailoverResult, error) {
-	var res FailoverResult
+func failoverRun(sc Scenario) (failoverResult, error) {
+	var res failoverResult
 	if sc.Conns < 3 || sc.FailAtBT < 1 {
 		return res, refuse("Conns, FailAtBT", "a failover point needs at least 3 admission attempts and a failure time, not %d and %d BT", sc.Conns, sc.FailAtBT)
 	}
@@ -131,7 +131,7 @@ func failoverRun(sc Scenario) (FailoverResult, error) {
 		}
 	}
 
-	res = FailoverResult{Class: sc.Topology.Class.String(), Label: sc.Topology.Label(),
+	res = failoverResult{Class: sc.Topology.Class.String(), Label: sc.Topology.Label(),
 		Switches: topo.NumSwitches, Hosts: topo.NumHosts(), Seed: sc.Seed, BaseCDG: r.proof}
 
 	// QoS admissions, spread out in time so in-flight table programs
@@ -299,17 +299,17 @@ func drawFailoverSchedule(net *fabric.Network, flows []*fabric.Flow, sc Scenario
 	return s, nil
 }
 
-// FailoverSweep runs sc on every topology of specs, each at a seed
+// failoverSweep runs sc on every topology of specs, each at a seed
 // derived from sc's and the point's index; the wiring stays the spec's.
 // Results come back in input order regardless of worker count, so the
 // sweep's JSON encoding is bit-identical at any parallelism.
-func FailoverSweep(sc Scenario, specs []topology.Spec, workers int) ([]FailoverResult, error) {
-	jobs := make([]runner.Job[FailoverResult], len(specs))
+func failoverSweep(sc Scenario, specs []topology.Spec, workers int) ([]failoverResult, error) {
+	jobs := make([]runner.Job[failoverResult], len(specs))
 	for i, spec := range specs {
-		jobs[i] = runner.Job[FailoverResult]{
+		jobs[i] = runner.Job[failoverResult]{
 			Name: spec.Label(),
 			Seed: runner.DeriveSeed(sc.Seed, i),
-			Run: func(seed int64) (FailoverResult, error) {
+			Run: func(seed int64) (failoverResult, error) {
 				p := sc
 				p.Topology, p.Seed = spec, seed
 				return failoverRun(p)
@@ -319,9 +319,9 @@ func FailoverSweep(sc Scenario, specs []topology.Spec, workers int) ([]FailoverR
 	return runner.Sweep(jobs, workers)
 }
 
-// PrintFailover renders a failover sweep as a table, one row per
+// printFailover renders a failover sweep as a table, one row per
 // topology point.
-func PrintFailover(w io.Writer, res []FailoverResult) {
+func printFailover(w io.Writer, res []failoverResult) {
 	if len(res) == 0 {
 		return
 	}

@@ -15,7 +15,7 @@ func TestFailoverTinyConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	res, err := FailoverSweep(FailoverScenario(Tiny), FailoverSpecs(Tiny), 0)
+	res, err := failoverSweep(failoverScenario(Tiny), failoverSpecs(Tiny), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +51,12 @@ func TestFailoverWorkerIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	sc, specs := FailoverScenario(Tiny), FailoverSpecs(Tiny)
-	serial, err := FailoverSweep(sc, specs, 1)
+	sc, specs := failoverScenario(Tiny), failoverSpecs(Tiny)
+	serial, err := failoverSweep(sc, specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := FailoverSweep(sc, specs, 4)
+	parallel, err := failoverSweep(sc, specs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFailoverRevivedPortHeals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	sc := FailoverScenario(Tiny)
+	sc := failoverScenario(Tiny)
 	for _, n := range []int{6, 8, 10, 12} {
 		sc.Topology = irregular(n, 42)
 		for s := int64(1); s <= 10; s++ {
@@ -102,8 +102,8 @@ func TestFailoverGivenScheduleReplays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	sc := FailoverScenario(Tiny)
-	for _, spec := range FailoverSpecs(Tiny) {
+	sc := failoverScenario(Tiny)
+	for _, spec := range failoverSpecs(Tiny) {
 		sc.Topology = spec
 		drawn, err := failoverRun(sc)
 		if err != nil {
@@ -127,7 +127,7 @@ func TestFailoverQuickConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	if _, err := FailoverSweep(FailoverScenario(Quick), FailoverSpecs(Quick), 0); err != nil {
+	if _, err := failoverSweep(failoverScenario(Quick), failoverSpecs(Quick), 0); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -13,8 +13,8 @@ import (
 	"repro/internal/topology"
 )
 
-// FaultsScenario is the fault-injection experiment's base at scale s:
-// the churn workload of ChurnScenario(s) runs unchanged, but the
+// faultsScenario is the fault-injection experiment's base at scale s:
+// the churn workload of churnScenario(s) runs unchanged, but the
 // management network loses, duplicates, corrupts and reorders SMPs, and
 // a flap schedule takes links down while connections arrive and leave.
 // The hardened control plane — retransmission, transaction deadlines,
@@ -23,8 +23,8 @@ import (
 // every transaction terminates (commit or byte-identical rollback), and
 // the whole run is bit-identical across worker counts.  Tiny runs
 // moderate loss, occasional corruption and a few short flaps.
-func FaultsScenario(s Scale) Scenario {
-	sc := ChurnScenario(s).seeded(1)
+func faultsScenario(s Scale) Scenario {
+	sc := churnScenario(s).seeded(1)
 	sc.Retry.DeadlineBT = 1 << 20 // cap total admission retry time too
 	sc.SMPFaults = true
 	sc.Faults = faults.Config{Drop: 0.05, Duplicate: 0.05, Corrupt: 0.02, Reorder: 0.05, MaxReorderBT: 256}
@@ -36,10 +36,10 @@ func FaultsScenario(s Scale) Scenario {
 	return sc
 }
 
-// FaultsResult is the outcome of one faulty churn run.  Like
-// ChurnResult it is a pure function of the parameters, so equal params
+// faultsResult is the outcome of one faulty churn run.  Like
+// churnResult it is a pure function of the parameters, so equal params
 // give byte-identical JSON at any parallelism.
-type FaultsResult struct {
+type faultsResult struct {
 	Switches int   `json:"switches"`
 	Hosts    int   `json:"hosts"`
 	Seed     int64 `json:"seed"`
@@ -113,12 +113,12 @@ func drawFlapSchedule(sc Scenario, topo *topology.Topology, inj *faults.Injector
 // and release, and at the end every transaction and audit round must
 // have terminated and every hop the control plane did not deliberately
 // quarantine must have converged (active == shadow).
-func runFaults(sc Scenario) (FaultsResult, error) {
+func runFaults(sc Scenario) (faultsResult, error) {
 	lc, err := runLifecycles(sc)
 	if err != nil {
-		return FaultsResult{}, err
+		return faultsResult{}, err
 	}
-	return FaultsResult{
+	return faultsResult{
 		Switches: lc.Switches, Hosts: lc.Hosts, Seed: lc.Seed,
 		Drop: sc.Faults.Drop, Corrupt: sc.Faults.Corrupt, Flaps: sc.Flaps,
 		Offered: lc.Offered, Admitted: lc.Admitted, Released: lc.Released,
@@ -147,17 +147,17 @@ var faultGrid = []faultPoint{
 	{0.10, 0.04, 5, 1},
 }
 
-// FaultsSweep runs sc across the fault grid (drop and corruption
+// faultsSweep runs sc across the fault grid (drop and corruption
 // rates, flap counts), one job per point, every point at sc's seed,
 // which also wires the fabric.  Results come back in input order
 // regardless of worker count, so the sweep's JSON is bit-identical at
 // any parallelism.
-func FaultsSweep(sc Scenario, workers int) ([]FaultsResult, error) {
+func faultsSweep(sc Scenario, workers int) ([]faultsResult, error) {
 	names := make([]string, len(faultGrid))
 	for i, pt := range faultGrid {
 		names[i] = fmt.Sprintf("faults-d%g-c%g-f%d", pt.drop, pt.corrupt, pt.flaps)
 	}
-	return sameSeed(sc, names, workers, func(i int, sc Scenario) (FaultsResult, error) {
+	return sameSeed(sc, names, workers, func(i int, sc Scenario) (faultsResult, error) {
 		pt := faultGrid[i]
 		sc.Faults.Drop, sc.Faults.Corrupt, sc.Flaps = pt.drop, pt.corrupt, pt.flaps
 		sc.Faults.Duplicate *= pt.scale
@@ -166,9 +166,9 @@ func FaultsSweep(sc Scenario, workers int) ([]FaultsResult, error) {
 	})
 }
 
-// PrintFaults renders a fault sweep as a table, one row per fault
+// printFaults renders a fault sweep as a table, one row per fault
 // point.
-func PrintFaults(w io.Writer, res []FaultsResult) {
+func printFaults(w io.Writer, res []faultsResult) {
 	if len(res) == 0 {
 		return
 	}

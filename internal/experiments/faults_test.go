@@ -10,7 +10,7 @@ import (
 // still terminate with every surviving port converged (the run itself
 // errors otherwise).
 func TestFaultsTinyRecoveryWork(t *testing.T) {
-	res, err := runFaults(FaultsScenario(Tiny))
+	res, err := runFaults(faultsScenario(Tiny))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestFaultsTinyRecoveryWork(t *testing.T) {
 // the property is simply that the runs succeed.
 func TestFaultsEveryTransactionTerminates(t *testing.T) {
 	for _, seed := range []int64{2, 3, 5, 8, 13} {
-		sc := FaultsScenario(Tiny).seeded(seed)
+		sc := faultsScenario(Tiny).seeded(seed)
 		sc.Arrivals = 40
 		sc.Faults.Drop = 0.08
 		sc.Faults.Corrupt = 0.04
@@ -46,13 +46,13 @@ func TestFaultsEveryTransactionTerminates(t *testing.T) {
 // TestFaultsSweepBitIdenticalAcrossWorkers: the fault sweep's entire
 // JSON encoding must not depend on how many workers ran it.
 func TestFaultsSweepBitIdenticalAcrossWorkers(t *testing.T) {
-	base := FaultsScenario(Tiny)
+	base := faultsScenario(Tiny)
 	base.Arrivals = 40
-	one, err := FaultsSweep(base, 1)
+	one, err := faultsSweep(base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := FaultsSweep(base, 4)
+	many, err := faultsSweep(base, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestFaultsSweepBitIdenticalAcrossWorkers(t *testing.T) {
 // rates, zero flaps) runs the reliable machinery with nothing to
 // recover from — no faults dealt, no retransmissions, no quarantines.
 func TestFaultsFaultFreePointStillAudits(t *testing.T) {
-	sc := FaultsScenario(Tiny)
+	sc := faultsScenario(Tiny)
 	sc.Arrivals = 40
 	sc.Faults.Drop, sc.Faults.Duplicate, sc.Faults.Corrupt, sc.Faults.Reorder, sc.Flaps = 0, 0, 0, 0, 0
 	res, err := runFaults(sc)

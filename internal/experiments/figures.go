@@ -8,29 +8,29 @@ import (
 	"repro/internal/stats"
 )
 
-// DelaySeries is one curve of Figure 4: for one service level, the
+// delaySeries is one curve of Figure 4: for one service level, the
 // percentage of packets received before each threshold (fractions of
 // the connection deadline D, stats.DelayFractions).
-type DelaySeries struct {
+type delaySeries struct {
 	SL      uint8
 	Percent []float64
 	Packets int64
 }
 
-// Figure4Result holds the delay-distribution curves for both packet
+// figure4Result holds the delay-distribution curves for both packet
 // sizes (Figure 4a and 4b).
-type Figure4Result struct {
-	Small, Large []DelaySeries
+type figure4Result struct {
+	Small, Large []delaySeries
 }
 
-// Figure4 extracts the packet-delay distributions per SL.
-func (e *Evaluation) Figure4() Figure4Result {
-	series := func(r *Run) []DelaySeries {
+// figure4 extracts the packet-delay distributions per SL.
+func (e *evaluation) figure4() figure4Result {
+	series := func(r *run) []delaySeries {
 		bySL := r.delayBySL()
-		var out []DelaySeries
+		var out []delaySeries
 		for _, id := range r.slIDs() {
 			d := bySL[id]
-			s := DelaySeries{SL: id, Packets: d.Total()}
+			s := delaySeries{SL: id, Packets: d.Total()}
 			for i := range stats.DelayFractions {
 				s.Percent = append(s.Percent, d.PercentBelow(i))
 			}
@@ -38,11 +38,11 @@ func (e *Evaluation) Figure4() Figure4Result {
 		}
 		return out
 	}
-	return Figure4Result{Small: series(e.Small), Large: series(e.Large)}
+	return figure4Result{Small: series(e.Small), Large: series(e.Large)}
 }
 
-// PrintFigure4 renders one sub-figure's series as rows per SL.
-func PrintFigure4(w io.Writer, title string, series []DelaySeries) {
+// printFigure4 renders one sub-figure's series as rows per SL.
+func printFigure4(w io.Writer, title string, series []delaySeries) {
 	fmt.Fprintf(w, "%s — %% of packets received before threshold (fraction of deadline D)\n", title)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "SL\tpackets")
@@ -60,25 +60,22 @@ func PrintFigure4(w io.Writer, title string, series []DelaySeries) {
 	tw.Flush()
 }
 
-// JitterSeries is one curve of Figure 5: for one service level, the
+// jitterSeries is one curve of Figure 5: for one service level, the
 // percentage of packets in each interarrival interval.
-type JitterSeries struct {
+type jitterSeries struct {
 	SL      uint8
 	Percent [stats.JitterBuckets]float64
 	Samples int64
 }
 
-// Figure5 extracts the jitter histograms per SL for the small packet
-// size (the paper reports large packets as "quite similar"; use
-// Figure5For to get them too).
-func (e *Evaluation) Figure5() []JitterSeries { return Figure5For(e.Small) }
-
-// Figure5For extracts the jitter histograms of one run.
-func Figure5For(r *Run) []JitterSeries {
-	var out []JitterSeries
+// figure5For extracts the jitter histograms per SL of one run (the
+// paper reports the small packets' and calls the large packets' "quite
+// similar").
+func figure5For(r *run) []jitterSeries {
+	var out []jitterSeries
 	for _, id := range r.slIDs() {
 		j := r.Net.Jitter(id)
-		s := JitterSeries{SL: id, Samples: j.Total()}
+		s := jitterSeries{SL: id, Samples: j.Total()}
 		for i := 0; i < stats.JitterBuckets; i++ {
 			s.Percent[i] = j.Percent(i)
 		}
@@ -87,8 +84,8 @@ func Figure5For(r *Run) []JitterSeries {
 	return out
 }
 
-// PrintFigure5 renders the jitter series under the given title.
-func PrintFigure5(w io.Writer, title string, series []JitterSeries) {
+// printFigure5 renders the jitter series under the given title.
+func printFigure5(w io.Writer, title string, series []jitterSeries) {
 	fmt.Fprintf(w, "%s — %% of packets received within interval (relative to IAT)\n", title)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "SL\tsamples")
@@ -106,29 +103,29 @@ func PrintFigure5(w io.Writer, title string, series []JitterSeries) {
 	tw.Flush()
 }
 
-// BestWorstSeries is one panel of Figure 6: the best and worst
+// bestWorstSeries is one panel of Figure 6: the best and worst
 // connection of a strict service level.
-type BestWorstSeries struct {
+type bestWorstSeries struct {
 	SL                  uint8
 	Best                []float64 // % before each threshold, stats.DelayFractions
 	Worst               []float64
 	BestMbps, WorstMbps float64
 }
 
-// Figure6 extracts the best/worst connection comparison for the
+// figure6 extracts the best/worst connection comparison for the
 // service levels with the strictest latency requirements (SLs 0-3).
 // Following the paper, connections are ranked at a very tight
 // threshold — the smallest deadline fraction, where percentages drop
 // below 100 in a loaded network.
-func (e *Evaluation) Figure6() []BestWorstSeries {
+func (e *evaluation) figure6() []bestWorstSeries {
 	const tightIdx = 0 // D/32, the tightest reported threshold
-	var out []BestWorstSeries
+	var out []bestWorstSeries
 	for _, id := range []uint8{0, 1, 2, 3} {
 		best, worst := e.Small.bestWorst(id, tightIdx)
 		if best == nil || worst == nil {
 			continue
 		}
-		s := BestWorstSeries{SL: id, BestMbps: best.Mbps, WorstMbps: worst.Mbps}
+		s := bestWorstSeries{SL: id, BestMbps: best.Mbps, WorstMbps: worst.Mbps}
 		for i := range stats.DelayFractions {
 			s.Best = append(s.Best, best.Delay.PercentBelow(i))
 			s.Worst = append(s.Worst, worst.Delay.PercentBelow(i))
@@ -138,8 +135,8 @@ func (e *Evaluation) Figure6() []BestWorstSeries {
 	return out
 }
 
-// PrintFigure6 renders the best/worst comparison.
-func PrintFigure6(w io.Writer, series []BestWorstSeries) {
+// printFigure6 renders the best/worst comparison.
+func printFigure6(w io.Writer, series []bestWorstSeries) {
 	fmt.Fprintln(w, "Figure 6 — best vs. worst connection, strictest SLs (small packets)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "connection")

@@ -11,10 +11,10 @@ import (
 	"repro/internal/topology"
 )
 
-// HOLResult is the outcome of one (spec, model, load) point.  Every
+// holResult is the outcome of one (spec, model, load) point.  Every
 // field is a pure function of the point's parameters and seed, so
 // equal inputs give byte-identical JSON at any worker count.
-type HOLResult struct {
+type holResult struct {
 	Label    string  `json:"label"`
 	Model    string  `json:"model"`
 	Switches int     `json:"switches"`
@@ -44,14 +44,14 @@ type HOLResult struct {
 }
 
 // holPoint runs the point sc under its switch model.
-func holPoint(sc Scenario) (HOLResult, error) {
+func holPoint(sc Scenario) (holResult, error) {
 	r, err := measured(sc)
 	if err != nil {
-		return HOLResult{}, err
+		return holResult{}, err
 	}
 	net := r.Net
 	_, _, dropped := net.Totals()
-	res := HOLResult{
+	res := holResult{
 		Label:    sc.Topology.Label(),
 		Model:    sc.Fabric.SwitchModel.String(),
 		Switches: net.Topo.NumSwitches,
@@ -78,7 +78,7 @@ func holPoint(sc Scenario) (HOLResult, error) {
 	return res, nil
 }
 
-// HOLSweep runs sc at every (spec, load, model) point of the grid: the
+// holSweep runs sc at every (spec, load, model) point of the grid: the
 // paper's table fill-in algorithm assumes output-driven WRR switches,
 // and this sweep audits whether its distance-based QoS guarantee
 // survives on input-queued hardware.  The derived seed depends only on
@@ -89,16 +89,16 @@ func holPoint(sc Scenario) (HOLResult, error) {
 // sizes) explaining any erosion.  Results come back in input order
 // regardless of worker count, so the sweep's JSON encoding is
 // bit-identical at any parallelism.
-func HOLSweep(sc Scenario, specs []topology.Spec, loads []float64, models []fabric.SwitchModel, workers int) ([]HOLResult, error) {
-	var jobs []runner.Job[HOLResult]
+func holSweep(sc Scenario, specs []topology.Spec, loads []float64, models []fabric.SwitchModel, workers int) ([]holResult, error) {
+	var jobs []runner.Job[holResult]
 	cell := 0 // (spec, load) index shared by the cell's models
 	for _, spec := range specs {
 		for _, load := range loads {
 			for _, model := range models {
-				jobs = append(jobs, runner.Job[HOLResult]{
+				jobs = append(jobs, runner.Job[holResult]{
 					Name: fmt.Sprintf("%s-%s-load%g", spec.Label(), model, load),
 					Seed: runner.DeriveSeed(sc.Seed, cell),
-					Run: func(seed int64) (HOLResult, error) {
+					Run: func(seed int64) (holResult, error) {
 						p := sc.at(spec, load, seed)
 						p.Fabric.SwitchModel = model
 						return holPoint(p)
@@ -111,10 +111,10 @@ func HOLSweep(sc Scenario, specs []topology.Spec, loads []float64, models []fabr
 	return runner.Sweep(jobs, workers)
 }
 
-// PrintHOL renders a HOL sweep, one row per (spec, model, load) point,
+// printHOL renders a HOL sweep, one row per (spec, model, load) point,
 // the models of a cell grouped so the WRR baseline reads directly
 // above its input-queued challengers.
-func PrintHOL(w io.Writer, res []HOLResult) {
+func printHOL(w io.Writer, res []holResult) {
 	if len(res) == 0 {
 		return
 	}

@@ -26,7 +26,7 @@ const lifecycleHoldCap = 20
 // what a fault rig adds to it, and the driver's state.  runChurn
 // returns the report; runFaults copies its fields from it.
 type lifecycles struct {
-	ChurnResult
+	churnResult
 	net *fabric.Network
 	sc  Scenario
 

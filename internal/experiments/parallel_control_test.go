@@ -21,7 +21,7 @@ import (
 // (ci.sh re-runs this test under -race: the control lane must never
 // touch shard state while a window is in flight.)
 func TestParallelControlChurn(t *testing.T) {
-	sc := ChurnScenario(Tiny).seeded(42)
+	sc := churnScenario(Tiny).seeded(42)
 	sc.Fabric.Shards = 2
 	res, err := runChurn(sc)
 	if err != nil {
@@ -50,7 +50,7 @@ func TestParallelControlChurn(t *testing.T) {
 // counters must show cross-shard MAD traffic and barrier-serialized
 // control events.
 func TestParallelControlFaults(t *testing.T) {
-	sc := FaultsScenario(Tiny)
+	sc := faultsScenario(Tiny)
 	sc.Fabric.Shards = 2
 	res, err := runFaults(sc)
 	if err != nil {

@@ -39,20 +39,20 @@ func digestJobs(configs []sweepConfig) []runner.Job[configDigest] {
 			Name: fmt.Sprintf("det-%dsw-seed%d", c.Switches, c.Seed),
 			Seed: c.Seed,
 			Run: func(int64) (configDigest, error) {
-				sc := EvaluationScenario(Tiny).seeded(c.Seed)
+				sc := evaluationScenario(Tiny).seeded(c.Seed)
 				sc.Topology.Switches = c.Switches
 				sc.Metrics = true
-				run, err := measured(sc)
+				r, err := measured(sc)
 				if err != nil {
 					return configDigest{}, err
 				}
-				inj, del, drop := run.Net.Totals()
+				inj, del, drop := r.Net.Totals()
 				// Aggregate in sorted SL order: float summation order must
 				// be deterministic for the bit-identity check to mean
 				// anything.
-				bySL := run.delayBySL()
+				bySL := r.delayBySL()
 				met := 0.0
-				ids := run.slIDs()
+				ids := r.slIDs()
 				for _, id := range ids {
 					met += bySL[id].PercentMeetingDeadline()
 				}
@@ -61,14 +61,14 @@ func digestJobs(configs []sweepConfig) []runner.Job[configDigest] {
 				}
 				return configDigest{
 					Config:      c,
-					Connections: len(run.Flows),
+					Connections: len(r.Flows),
 					Injected:    inj,
 					Delivered:   del,
 					Dropped:     drop,
 					DeadlineMet: met,
-					HostUtil:    run.Net.MeanHostUtilization(),
-					PerNode:     run.Net.DeliveredBytesPerCyclePerNode(),
-					Metrics:     run.Net.Metrics.Snapshot(),
+					HostUtil:    r.Net.MeanHostUtilization(),
+					PerNode:     r.Net.DeliveredBytesPerCyclePerNode(),
+					Metrics:     r.Net.Metrics.Snapshot(),
 				}, nil
 			},
 		}
@@ -117,16 +117,16 @@ func TestParallelRunnerDeterminism(t *testing.T) {
 }
 
 // TestScalingDeterministicAcrossWorkers covers the public sweep API:
-// the Scaling rows must not depend on the worker count.
+// the scaling rows must not depend on the worker count.
 func TestScalingDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	seq, err := Scaling(EvaluationScenario(Tiny), []int{2, 3, 4}, 1)
+	seq, err := scaling(evaluationScenario(Tiny), []int{2, 3, 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Scaling(EvaluationScenario(Tiny), []int{2, 3, 4}, 4)
+	par, err := scaling(evaluationScenario(Tiny), []int{2, 3, 4}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +139,14 @@ func TestScalingDeterministicAcrossWorkers(t *testing.T) {
 // counters (picks happened, every pick visited at least one entry, VL
 // traffic adds up to delivered+queued wire bytes at the hosts).
 func TestRunMetricsPopulated(t *testing.T) {
-	sc := EvaluationScenario(Tiny)
+	sc := evaluationScenario(Tiny)
 	sc.Metrics = true
 	sc.Trace = 32
-	run, err := measured(sc)
+	r, err := measured(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := run.Net.Metrics
+	m := r.Net.Metrics
 	if m == nil {
 		t.Fatal("metrics not attached")
 	}
@@ -169,7 +169,7 @@ func TestRunMetricsPopulated(t *testing.T) {
 	if s.DeadlineMisses != 0 {
 		t.Errorf("deadline misses %d at tiny scale (paper: all packets meet deadlines)", s.DeadlineMisses)
 	}
-	tb := run.Net.Engine.Trace
+	tb := r.Net.Engine.Trace
 	if tb == nil || tb.Recorded() == 0 {
 		t.Fatal("trace not recorded")
 	}

@@ -11,12 +11,12 @@ import (
 	"repro/internal/topology"
 )
 
-// PlanGrid is the capacity-planning experiment's axis at scale s: the
+// planGrid is the capacity-planning experiment's axis at scale s: the
 // scale experiment's grid plus a heavy load the model must call
 // saturated, and the ceiling of the headroom bisection, which answers
 // "how many more flows at one service level does each point admit?".
-func PlanGrid(s Scale) (specs []topology.Spec, loads []float64, headroomMax int) {
-	specs, loads = ScaleGrid(s)
+func planGrid(s Scale) (specs []topology.Spec, loads []float64, headroomMax int) {
+	specs, loads = scaleGrid(s)
 	headroomMax = 128
 	if s != Tiny {
 		headroomMax = 256
@@ -24,9 +24,9 @@ func PlanGrid(s Scale) (specs []topology.Spec, loads []float64, headroomMax int)
 	return specs, append(loads, 1500), headroomMax
 }
 
-// HotLane is one of a point's most-utilized arbitration lanes in the
+// hotLane is one of a point's most-utilized arbitration lanes in the
 // JSON report.
-type HotLane struct {
+type hotLane struct {
 	Port        string  `json:"port"`
 	VL          uint8   `json:"vl"`
 	Demand      float64 `json:"demand"`
@@ -36,12 +36,12 @@ type HotLane struct {
 	QueuePkts   float64 `json:"queuePkts"`
 }
 
-// PlanResult is the analytical verdict on one (spec, load) point.
+// planResult is the analytical verdict on one (spec, load) point.
 // Every field is a pure function of the point's parameters and seed,
 // so equal inputs give byte-identical JSON at any worker count —
 // except ModelMicros, which is wall-clock and therefore excluded from
 // the encoding.
-type PlanResult struct {
+type planResult struct {
 	Class    string  `json:"class"`
 	Label    string  `json:"label"`
 	Switches int     `json:"switches"`
@@ -66,7 +66,7 @@ type PlanResult struct {
 	MeanDelayRatio float64 `json:"meanDelayRatio"`
 	MeanQueuePkts  float64 `json:"meanQueuePkts"`
 
-	HotLanes []HotLane `json:"hotLanes"`
+	HotLanes []hotLane `json:"hotLanes"`
 
 	HeadroomSL    uint8  `json:"headroomSL"`
 	HeadroomExtra int    `json:"headroomExtra"`
@@ -87,8 +87,8 @@ const hotLaneCount = 8
 // planPoint evaluates the point sc analytically, with a headroom
 // bisection at service level headroomSL up to headroomMax extra flows
 // when headroomMax is positive.
-func planPoint(sc Scenario, headroomSL uint8, headroomMax int) (PlanResult, error) {
-	var res PlanResult
+func planPoint(sc Scenario, headroomSL uint8, headroomMax int) (planResult, error) {
+	var res planResult
 	spec, load, seed := sc.Topology, sc.Load, sc.Seed
 	opt := plan.Options{Payload: sc.Fabric.PayloadBytes, MaxConsecutiveRejects: sc.MaxRejects}
 
@@ -97,28 +97,15 @@ func planPoint(sc Scenario, headroomSL uint8, headroomMax int) (PlanResult, erro
 	if err != nil {
 		return res, err
 	}
-	res.ModelMicros = time.Since(start).Microseconds()
-
-	res.Class = spec.Class.String()
-	res.Label = spec.Label()
-	res.Switches = m.Switches
-	res.Hosts = m.Hosts
-	res.Planes = m.Planes
-	res.Seed = seed
-	res.Load = load
-	res.Attempts = m.Attempts
-	res.Admitted = m.Admitted
-	res.Rejected = m.Rejected
-	res.BEFlows = m.BEFlows
-	res.OfferedBPCNode = m.OfferedBPCNode
-	res.PredictedBPCNode = m.PredictedBPCNode
-	res.Lanes = len(m.Lanes)
-	res.SaturatedLanes = m.SaturatedLanes
-	res.MaxUtilization = m.MaxUtilization
-	res.Stable = m.Stable
-	res.MeanDelayRatio = m.MeanDelayRatio
-	res.MeanQueuePkts = m.MeanQueuePkts
-	res.HotLanes = hotLanes(m)
+	micros := time.Since(start).Microseconds()
+	res = planResult{
+		Class: spec.Class.String(), Label: spec.Label(), Switches: m.Switches, Hosts: m.Hosts, Planes: m.Planes,
+		Seed: seed, Load: load, Attempts: m.Attempts, Admitted: m.Admitted, Rejected: m.Rejected, BEFlows: m.BEFlows,
+		OfferedBPCNode: m.OfferedBPCNode, PredictedBPCNode: m.PredictedBPCNode,
+		Lanes: len(m.Lanes), SaturatedLanes: m.SaturatedLanes, MaxUtilization: m.MaxUtilization, Stable: m.Stable,
+		MeanDelayRatio: m.MeanDelayRatio, MeanQueuePkts: m.MeanQueuePkts, HotLanes: hotLanes(m),
+		ModelMicros: micros,
+	}
 
 	if headroomMax > 0 {
 		h, err := plan.Headroom(spec, load, seed, opt, headroomSL, headroomMax)
@@ -135,7 +122,7 @@ func planPoint(sc Scenario, headroomSL uint8, headroomMax int) (PlanResult, erro
 // hotLanes picks the point's most-utilized lanes, deterministically:
 // utilization descending, ties by (port order, VL) — the same total
 // order at any worker count.
-func hotLanes(m *plan.Result) []HotLane {
+func hotLanes(m *plan.Result) []hotLane {
 	idx := make([]int, len(m.Lanes))
 	for i := range idx {
 		idx[i] = i
@@ -143,14 +130,11 @@ func hotLanes(m *plan.Result) []HotLane {
 	sort.SliceStable(idx, func(a, b int) bool {
 		return m.Lanes[idx[a]].Utilization > m.Lanes[idx[b]].Utilization
 	})
-	n := hotLaneCount
-	if n > len(idx) {
-		n = len(idx)
-	}
-	out := make([]HotLane, 0, n)
+	n := min(hotLaneCount, len(idx))
+	out := make([]hotLane, 0, n)
 	for _, i := range idx[:n] {
 		ln := m.Lanes[i]
-		out = append(out, HotLane{
+		out = append(out, hotLane{
 			Port: ln.Port.String(), VL: ln.VL,
 			Demand: ln.Demand, Potential: ln.Potential,
 			Utilization: ln.Utilization, Saturated: ln.Saturated,
@@ -160,18 +144,18 @@ func hotLanes(m *plan.Result) []HotLane {
 	return out
 }
 
-// PlanSweep evaluates sc at every (spec, load) point of the grid, the
+// planSweep evaluates sc at every (spec, load) point of the grid, the
 // analytical WRR model over the grid the scale experiment simulates.
 // Results come back in input order regardless of worker count, so the
 // sweep's JSON encoding is bit-identical at any parallelism.
-func PlanSweep(sc Scenario, specs []topology.Spec, loads []float64, headroomSL uint8, headroomMax, workers int) ([]PlanResult, error) {
-	return gridSweep(sc, specs, loads, workers, func(sc Scenario) (PlanResult, error) {
+func planSweep(sc Scenario, specs []topology.Spec, loads []float64, headroomSL uint8, headroomMax, workers int) ([]planResult, error) {
+	return gridSweep(sc, specs, loads, workers, func(sc Scenario) (planResult, error) {
 		return planPoint(sc, headroomSL, headroomMax)
 	})
 }
 
-// PrintPlan renders a plan sweep as a table, one row per point.
-func PrintPlan(w io.Writer, res []PlanResult) {
+// printPlan renders a plan sweep as a table, one row per point.
+func printPlan(w io.Writer, res []planResult) {
 	if len(res) == 0 {
 		return
 	}

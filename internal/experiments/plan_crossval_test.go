@@ -46,8 +46,8 @@ type crossPoint struct {
 	spec topology.Spec
 	load float64
 	seed int64
-	mdl  PlanResult
-	sim  ScaleResult
+	mdl  planResult
+	sim  scaleResult
 }
 
 // TestPlanCrossValidationGrid is the headline correctness artifact of
@@ -66,7 +66,7 @@ type crossPoint struct {
 //     (spec, seed), the model never strongly inverts an ordering the
 //     simulator strongly establishes.
 func TestPlanCrossValidationGrid(t *testing.T) {
-	sp := ScaleScenario(Tiny)
+	sp := scaleScenario(Tiny)
 	sp.MinPackets = 10
 
 	type job struct {
@@ -203,7 +203,7 @@ func TestPlanFlagsSimStarvedFlows(t *testing.T) {
 	spec := topology.Spec{Class: topology.Irregular, Switches: 4, Seed: 42}
 	const load, seed = 1500.0, 1
 
-	sc := ScaleScenario(Tiny)
+	sc := scaleScenario(Tiny)
 	mdl, err := plan.Evaluate(spec, load, seed, plan.Options{Payload: sc.Fabric.PayloadBytes, MaxConsecutiveRejects: sc.MaxRejects})
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestPlanFlagsSimStarvedFlows(t *testing.T) {
 // inspection.
 func simulateFlows(t *testing.T, spec topology.Spec, load float64, seed int64) ([]*fabric.Flow, *fabric.Network) {
 	t.Helper()
-	sc := ScaleScenario(Tiny).at(spec, load, seed)
+	sc := scaleScenario(Tiny).at(spec, load, seed)
 	sc.MinPackets = 10
 	r, err := measured(sc)
 	if err != nil {

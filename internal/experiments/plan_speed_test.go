@@ -53,7 +53,7 @@ func TestPlanSpeedupOverSimulation(t *testing.T) {
 		}
 
 		start = time.Now()
-		sim, err := scalePoint(ScaleScenario(Tiny).at(spec, load, seed))
+		sim, err := scalePoint(scaleScenario(Tiny).at(spec, load, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,5 +69,14 @@ func TestPlanSpeedupOverSimulation(t *testing.T) {
 		load, planSpeedRuns, modelDur, simDur, float64(simDur)/float64(modelDur))
 	if simDur > 100*time.Millisecond && simDur < planSpeedupFloor*modelDur {
 		t.Errorf("model took %s vs simulation %s; want at least %dx faster", modelDur, simDur, planSpeedupFloor)
+	}
+}
+
+// TestPlanGridHeadroom: the plan's quick grid probes more headroom than
+// its tiny one.
+func TestPlanGridHeadroom(t *testing.T) {
+	_, _, tiny := planGrid(Tiny)
+	if _, _, quick := planGrid(Quick); quick <= tiny {
+		t.Errorf("quick plan grid should probe more headroom than tiny (%d vs %d)", quick, tiny)
 	}
 }

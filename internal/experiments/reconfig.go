@@ -13,15 +13,15 @@ import (
 	"repro/internal/topology"
 )
 
-// ReconfigScenario is the control-plane study's base at scale s: the
+// reconfigScenario is the control-plane study's base at scale s: the
 // failover scenario on the evaluation's irregular fabric at s, on at
 // least three switches (the fewest with a link that is not a cut edge),
 // with 40 QoS admission attempts per switch, all before the failures
 // are applied at FailAtBT/2 so that the repair cost counts repair
 // traffic alone.
-func ReconfigScenario(s Scale) Scenario {
-	sc := FailoverScenario(Tiny)
-	sc.Seed, sc.Topology = 42, EvaluationScenario(s).Topology
+func reconfigScenario(s Scale) Scenario {
+	sc := failoverScenario(Tiny)
+	sc.Seed, sc.Topology = 42, evaluationScenario(s).Topology
 	sc.Topology.Switches = max(3, sc.Topology.Switches)
 	sc.Conns = 40 * sc.Topology.Switches
 	sc.FailAtBT = max(sc.FailAtBT, 2*int64(sc.Conns)*admitGapBT)
@@ -29,11 +29,11 @@ func ReconfigScenario(s Scale) Scenario {
 	return sc
 }
 
-// ReconfigResult reports the control-plane study: what it costs the
+// reconfigResult reports the control-plane study: what it costs the
 // subnet manager to bring up the paper's QoS configuration, and what a
 // single-link failure costs the live fabric (the fault-granularity
 // story of the paper's introduction).
-type ReconfigResult struct {
+type reconfigResult struct {
 	Scenario Scenario `json:"scenario"` // its wiring seed is Seed, which wires the fabric
 	Hosts    int      `json:"hosts"`
 
@@ -46,14 +46,14 @@ type ReconfigResult struct {
 	// link that is not a cut edge, each under the same load, failing
 	// its link for good.  Cut edges are counted, not run.
 	CutEdges       int           `json:"cutEdges"`
-	Links          []LinkFailure `json:"links"`
+	Links          []linkFailure `json:"links"`
 	MeanSurvival   float64       `json:"meanSurvival"`
 	WorstSurvival  float64       `json:"worstSurvival"`
 	MeanRepairMADs float64       `json:"meanRepairMADs"`
 }
 
-// LinkFailure is the live run that failed one inter-switch link.
-type LinkFailure struct {
+// linkFailure is the live run that failed one inter-switch link.
+type linkFailure struct {
 	Link       string  `json:"link"` // "switch:port-switch:port"
 	Admitted   int     `json:"admitted"`
 	Displaced  int64   `json:"displaced"`
@@ -63,14 +63,14 @@ type LinkFailure struct {
 	RepairMADs int     `json:"repairMADs"` // in-band MADs from the failure to the end of the drain
 }
 
-// Reconfiguration runs the control-plane study on sc's irregular
+// reconfiguration runs the control-plane study on sc's irregular
 // fabric, wired from sc's seed: the subnet manager's bring-up, then one
 // live failover run of sc per non-cut inter-switch link, whose Failures
 // fail that link for good at FailAtBT, fanned out over workers.  The
 // rows differ only in the failed link.
-func Reconfiguration(sc Scenario, workers int) (ReconfigResult, error) {
+func reconfiguration(sc Scenario, workers int) (reconfigResult, error) {
 	sc = sc.seeded(sc.Seed)
-	res := ReconfigResult{Scenario: sc}
+	res := reconfigResult{Scenario: sc}
 	if last := int64(sc.Conns-1)*admitGapBT + 1; sc.FailAtBT/2 <= last {
 		return res, refuse("FailAtBT, Conns", "the failures applied at FailAtBT/2 = %d BT must follow the last admission attempt at %d BT", sc.FailAtBT/2, last)
 	}
@@ -108,10 +108,10 @@ func Reconfiguration(sc Scenario, workers int) (ReconfigResult, error) {
 	if len(names) == 0 {
 		return res, refuse("Topology.Switches", "the %d-switch fabric has no inter-switch link that is not a cut edge", topo.NumSwitches)
 	}
-	res.Links, err = sameSeed(sc, names, workers, func(i int, sc Scenario) (LinkFailure, error) {
+	res.Links, err = sameSeed(sc, names, workers, func(i int, sc Scenario) (linkFailure, error) {
 		sc.Failures = fails[i]
 		r, err := failoverRun(sc)
-		return LinkFailure{
+		return linkFailure{
 			Link: names[i], Admitted: r.Admitted,
 			Displaced: r.Control.FlowsDisplaced, Readmitted: r.Readmitted, Stopped: r.StoppedConns,
 			Survival:   1 - float64(r.StoppedConns)/float64(r.Admitted),
@@ -132,9 +132,9 @@ func Reconfiguration(sc Scenario, workers int) (ReconfigResult, error) {
 	return res, nil
 }
 
-// PrintReconfig renders the control-plane study, one row per failed
+// printReconfig renders the control-plane study, one row per failed
 // link.
-func PrintReconfig(w io.Writer, r ReconfigResult) {
+func printReconfig(w io.Writer, r reconfigResult) {
 	fmt.Fprintf(w, "Control plane — subnet manager bring-up and live link-failure repair (%d switches, %d hosts)\n",
 		r.Scenario.Topology.Switches, r.Hosts)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

@@ -34,7 +34,7 @@ func TestReconfigurationTable(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			sc := reconfigAt(c.switches, c.seed, c.conns)
-			res, err := Reconfiguration(sc, 0)
+			res, err := reconfiguration(sc, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestReconfigurationTable(t *testing.T) {
 			}
 
 			var buf bytes.Buffer
-			PrintReconfig(&buf, res)
+			printReconfig(&buf, res)
 			if !strings.Contains(buf.String(), "MADs") {
 				t.Error("rendering incomplete")
 			}
@@ -105,10 +105,10 @@ func TestReconfigurationTable(t *testing.T) {
 // edge to fail.  Both errors must surface, not panic or print a
 // study of nothing.
 func TestReconfigurationRejectsDegenerateFabric(t *testing.T) {
-	if _, err := Reconfiguration(reconfigAt(1, 7, 10), 1); err == nil {
+	if _, err := reconfiguration(reconfigAt(1, 7, 10), 1); err == nil {
 		t.Fatal("1-switch fabric accepted")
 	}
-	_, err := Reconfiguration(reconfigAt(2, 7, 10), 1)
+	_, err := reconfiguration(reconfigAt(2, 7, 10), 1)
 	if err == nil || !strings.Contains(err.Error(), "cut edge") {
 		t.Fatalf("2-switch fabric: got %v, want an error naming the missing non-cut link", err)
 	}
@@ -118,7 +118,7 @@ func TestReconfigurationRejectsDegenerateFabric(t *testing.T) {
 // of the given size wired from seed, with conns admission attempts and
 // its failures timed after the last of them.
 func reconfigAt(switches int, seed int64, conns int) Scenario {
-	sc := ReconfigScenario(Tiny)
+	sc := reconfigScenario(Tiny)
 	sc.Seed, sc.Topology, sc.Conns = seed, irregular(switches, seed), conns
 	sc.FailAtBT = max(100_000, 2*int64(conns)*admitGapBT)
 	sc.HorizonBT = 2 * sc.FailAtBT

@@ -10,15 +10,15 @@ import (
 	"repro/internal/topology"
 )
 
-// ScaleScenario is the base of the structured-fabric experiments at
+// scaleScenario is the base of the structured-fabric experiments at
 // scale s: the scale and hol sweeps simulate it, and the plan models
-// it, at every (spec, load) point of ScaleGrid.  Every point re-proves
+// it, at every (spec, load) point of scaleGrid.  Every point re-proves
 // deadlock freedom of its routing engine with the
 // channel-dependency-graph verifier before any packet moves, then fills
 // the fabric with QoS connections and best-effort background scaled by
 // the load factor and measures delivery under the usual steady-state
 // window.
-func ScaleScenario(s Scale) Scenario {
+func scaleScenario(s Scale) Scenario {
 	sc := Scenario{Seed: 1, Fabric: fabric.DefaultConfig(0, 512, 0), MaxRejects: 20, WarmupIATs: 1, MinPackets: 30, Metrics: true}
 	if s != Tiny {
 		sc.MinPackets = 60
@@ -26,11 +26,11 @@ func ScaleScenario(s Scale) Scenario {
 	return sc
 }
 
-// ScaleGrid is the (spec, load) grid of the scale and hol sweeps at
+// scaleGrid is the (spec, load) grid of the scale and hol sweeps at
 // scale s: the smallest member of each topology class under a light
 // and a heavy load at Tiny, mid-size instances under three loads above
 // it.
-func ScaleGrid(s Scale) (specs []topology.Spec, loads []float64) {
+func scaleGrid(s Scale) (specs []topology.Spec, loads []float64) {
 	if s == Tiny {
 		return []topology.Spec{
 			irregular(4, 42),
@@ -45,10 +45,10 @@ func ScaleGrid(s Scale) (specs []topology.Spec, loads []float64) {
 	}, []float64{0.5, 1, 2}
 }
 
-// ScaleResult is the outcome of one (spec, load) point.  Every field
+// scaleResult is the outcome of one (spec, load) point.  Every field
 // is a pure function of the point's parameters and seed, so equal
 // inputs give byte-identical JSON at any worker count.
-type ScaleResult struct {
+type scaleResult struct {
 	Class    string  `json:"class"`
 	Label    string  `json:"label"`
 	Switches int     `json:"switches"`
@@ -78,14 +78,14 @@ type ScaleResult struct {
 }
 
 // scalePoint runs the point sc.
-func scalePoint(sc Scenario) (ScaleResult, error) {
+func scalePoint(sc Scenario) (scaleResult, error) {
 	r, err := measured(sc)
 	if err != nil {
-		return ScaleResult{}, err
+		return scaleResult{}, err
 	}
 	net := r.Net
 	_, _, dropped := net.Totals()
-	res := ScaleResult{
+	res := scaleResult{
 		Class:    sc.Topology.Class.String(),
 		Label:    sc.Topology.Label(),
 		Switches: net.Topo.NumSwitches,
@@ -115,15 +115,15 @@ func scalePoint(sc Scenario) (ScaleResult, error) {
 	return res, nil
 }
 
-// ScaleSweep runs sc at every (spec, load) point of the grid.  Results
+// scaleSweep runs sc at every (spec, load) point of the grid.  Results
 // come back in input order regardless of worker count, so the sweep's
 // JSON encoding is bit-identical at any parallelism.
-func ScaleSweep(sc Scenario, specs []topology.Spec, loads []float64, workers int) ([]ScaleResult, error) {
+func scaleSweep(sc Scenario, specs []topology.Spec, loads []float64, workers int) ([]scaleResult, error) {
 	return gridSweep(sc, specs, loads, workers, scalePoint)
 }
 
-// PrintScale renders a scale sweep as a table, one row per point.
-func PrintScale(w io.Writer, res []ScaleResult) {
+// printScale renders a scale sweep as a table, one row per point.
+func printScale(w io.Writer, res []scaleResult) {
 	if len(res) == 0 {
 		return
 	}

@@ -6,10 +6,10 @@ import (
 	"text/tabwriter"
 )
 
-// ScalingRow summarizes one network size of the scaling sweep; the
+// scalingRow summarizes one network size of the scaling sweep; the
 // paper evaluates 8 to 64 switches and reports "the results are
 // similar" across sizes.
-type ScalingRow struct {
+type scalingRow struct {
 	Switches           int
 	Hosts              int
 	Connections        int
@@ -19,9 +19,9 @@ type ScalingRow struct {
 	DeliveredPerNode   float64
 }
 
-// ScalingSizes is the scaling sweep's axis at scale s: the network
+// scalingSizes is the scaling sweep's axis at scale s: the network
 // sizes it evaluates, up to the paper's 64 switches at Full.
-func ScalingSizes(s Scale) []int {
+func scalingSizes(s Scale) []int {
 	switch s {
 	case Tiny:
 		return []int{2, 4}
@@ -31,34 +31,34 @@ func ScalingSizes(s Scale) []int {
 	return []int{8, 16, 32, 64}
 }
 
-// Scaling runs the small-packet evaluation of sc across the given
+// scaling runs the small-packet evaluation of sc across the given
 // network sizes on workers goroutines, one job per size.
-func Scaling(sc Scenario, sizes []int, workers int) ([]ScalingRow, error) {
+func scaling(sc Scenario, sizes []int, workers int) ([]scalingRow, error) {
 	names := make([]string, len(sizes))
 	for i, size := range sizes {
 		names[i] = fmt.Sprintf("scaling-%dsw", size)
 	}
-	return sameSeed(sc, names, workers, func(i int, sc Scenario) (ScalingRow, error) {
+	return sameSeed(sc, names, workers, func(i int, sc Scenario) (scalingRow, error) {
 		sc.Fabric.PayloadBytes, sc.Topology.Switches = smallPayload, sizes[i]
-		run, err := measured(sc)
+		r, err := measured(sc)
 		if err != nil {
-			return ScalingRow{}, err
+			return scalingRow{}, err
 		}
-		all, jit := mergedDelay(run.Flows), run.Net.Jitter(run.slIDs()...)
-		return ScalingRow{
+		all, jit := mergedDelay(r.Flows), r.Net.Jitter(r.slIDs()...)
+		return scalingRow{
 			Switches:           sizes[i],
-			Hosts:              run.Net.Topo.NumHosts(),
-			Connections:        len(run.Flows),
+			Hosts:              r.Net.Topo.NumHosts(),
+			Connections:        len(r.Flows),
 			DeadlineMetPercent: all.PercentMeetingDeadline(),
 			CentralJitter:      jit.CentralPercent(),
-			HostUtilization:    run.Net.MeanHostUtilization(),
-			DeliveredPerNode:   run.Net.DeliveredBytesPerCyclePerNode(),
+			HostUtilization:    r.Net.MeanHostUtilization(),
+			DeliveredPerNode:   r.Net.DeliveredBytesPerCyclePerNode(),
 		}, nil
 	})
 }
 
-// PrintScaling renders the scaling sweep.
-func PrintScaling(w io.Writer, rows []ScalingRow) {
+// printScaling renders the scaling sweep.
+func printScaling(w io.Writer, rows []scalingRow) {
 	fmt.Fprintln(w, "Scaling — behavior across network sizes (small packets)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "switches\thosts\tconns\tdeadline met (%)\tcentral jitter (%)\thost util (%)\tdelivered (B/cycle/node)")

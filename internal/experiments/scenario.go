@@ -140,9 +140,9 @@ func irregular(switches int, seed int64) topology.Spec {
 	return topology.Spec{Class: topology.Irregular, Switches: switches, Seed: seed}
 }
 
-// Run is one built scenario: the network, its control plane and the
+// run is one built scenario: the network, its control plane and the
 // flows offered to it.
-type Run struct {
+type run struct {
 	Net     *fabric.Network
 	Fill    admission.FillResult // the QoS fill's connections and counts
 	Flows   []*fabric.Flow       // QoS flows, aligned with Fill.Admitted
@@ -162,7 +162,7 @@ type Run struct {
 // auditor, and failure recovery.  It attaches no traffic: offer runs
 // the QoS fill and the best effort, after whatever flows a driver adds
 // first.
-func build(sc Scenario) (*Run, error) {
+func build(sc Scenario) (*run, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -176,7 +176,7 @@ func build(sc Scenario) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Run{Net: net, sc: sc}
+	r := &run{Net: net, sc: sc}
 	if sc.Metrics {
 		net.EnableMetrics()
 	}
@@ -224,7 +224,7 @@ func build(sc Scenario) (*Run, error) {
 
 // offer loads a built run: the QoS fill, one CBR flow per admitted
 // connection, then the best-effort background.
-func (r *Run) offer() error {
+func (r *run) offer() error {
 	sc, net := r.sc, r.Net
 	hosts := net.Topo.NumHosts()
 	if sc.Saturate {
@@ -248,7 +248,7 @@ func (r *Run) offer() error {
 }
 
 // measured builds sc, offers its load and executes it on its QoS flows.
-func measured(sc Scenario) (*Run, error) {
+func measured(sc Scenario) (*run, error) {
 	r, err := build(sc)
 	if err == nil {
 		err = r.offer()
@@ -264,7 +264,7 @@ func measured(sc Scenario) (*Run, error) {
 // flows, measure for WindowIATs of them or, if that is 0, until it has
 // received MinPackets packets (under a time cap, so a defect cannot hang
 // the harness), then audit the fabric (Network.CheckInvariants).
-func (r *Run) execute(flows []*fabric.Flow) error {
+func (r *run) execute(flows []*fabric.Flow) error {
 	net := r.Net
 	if len(flows) == 0 {
 		return errors.New("experiments: no connections admitted")

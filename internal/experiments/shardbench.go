@@ -11,7 +11,7 @@ import (
 	"repro/internal/topology"
 )
 
-// ShardBenchScenario is the sharded-core throughput benchmark's
+// shardBenchScenario is the sharded-core throughput benchmark's
 // scenario at scale s: a k=8 fat-tree at high load, simulated to a
 // fixed horizon once per shard count of its axis, up to Fabric.Shards.
 // Every run offers identical traffic (connections and background
@@ -19,7 +19,7 @@ import (
 // the event core is partitioned — events/second against the
 // single-engine baseline is the speedup of the conservative-lookahead
 // sync protocol.  Tiny is a short horizon for smoke runs.
-func ShardBenchScenario(s Scale) Scenario {
+func shardBenchScenario(s Scale) Scenario {
 	sc := Scenario{
 		Seed:     7,
 		Topology: topology.Spec{Class: topology.FatTree, K: 8},
@@ -34,8 +34,8 @@ func ShardBenchScenario(s Scale) Scenario {
 	return sc
 }
 
-// ShardBenchResult is one shard count's row.
-type ShardBenchResult struct {
+// shardBenchResult is one shard count's row.
+type shardBenchResult struct {
 	Shards   int    `json:"shards"`
 	Parallel bool   `json:"parallel"`
 	Windows  uint64 `json:"windows"`
@@ -57,19 +57,19 @@ type ShardBenchResult struct {
 	Speedup float64 `json:"speedupVsSingle"`
 }
 
-// ShardBench runs sc once per shard count, in order: one engine, then
+// shardBench runs sc once per shard count, in order: one engine, then
 // each doubling below sc.Fabric.Shards, then sc.Fabric.Shards itself.
 // Wall-clock timing makes the absolute numbers machine-dependent, but
 // the Events column is exact and the simulated work per row is
 // identical by construction.
-func ShardBench(sc Scenario) ([]ShardBenchResult, error) {
+func shardBench(sc Scenario) ([]shardBenchResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	if sc.HorizonBT < 1 {
 		return nil, refuse("HorizonBT", "the benchmark needs a positive horizon, not %d BT", sc.HorizonBT)
 	}
-	var out []ShardBenchResult
+	var out []shardBenchResult
 	baseline := 0.0
 	for _, n := range shardCounts(sc.Fabric.Shards) {
 		sc.Fabric.Shards = n
@@ -102,9 +102,9 @@ func shardCounts(last int) []int {
 }
 
 // shardBenchRun builds, loads and times one run of sc.
-func shardBenchRun(sc Scenario) (ShardBenchResult, error) {
+func shardBenchRun(sc Scenario) (shardBenchResult, error) {
 	shards := sc.Fabric.Shards
-	res := ShardBenchResult{Shards: shards}
+	res := shardBenchResult{Shards: shards}
 	r, err := build(sc)
 	if err != nil {
 		return res, fmt.Errorf("experiments: shard bench at %d shards on %s: %w", shards, sc.Topology.Label(), err)
@@ -139,12 +139,12 @@ func shardBenchRun(sc Scenario) (ShardBenchResult, error) {
 	return res, nil
 }
 
-// PrintShardBench renders the benchmark as a table.  The CPU count is
+// printShardBench renders the benchmark as a table.  The CPU count is
 // part of the header because the speedup column is only meaningful
 // relative to it: with C cores the ceiling is min(shards, C), so a
 // single-core host can at best show that the sync protocol's overhead
 // is small, never a wall-clock speedup.
-func PrintShardBench(w io.Writer, sc Scenario, res []ShardBenchResult) {
+func printShardBench(w io.Writer, sc Scenario, res []shardBenchResult) {
 	fmt.Fprintf(w, "Sharded-core throughput: %s load %g horizon %d BT (%d CPUs)\n",
 		sc.Topology.Label(), sc.Load, sc.HorizonBT, runtime.NumCPU())
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

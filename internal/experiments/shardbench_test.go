@@ -25,7 +25,7 @@ func TestShardBenchRefusesUnmeasurableCounts(t *testing.T) {
 	}
 	for _, shards := range []int{-1, 5, 16} {
 		sc.Fabric.Shards = shards
-		res, err := ShardBench(sc)
+		res, err := shardBench(sc)
 		if err == nil || !strings.Contains(err.Error(), "Fabric.Shards") {
 			t.Errorf("%d shards: err = %v, rows %+v; want a refusal naming Fabric.Shards", shards, err, res)
 		}

@@ -15,7 +15,7 @@ func TestSwitchModelTable(t *testing.T) {
 		t.Skip("simulation run in -short mode")
 	}
 	speedups := []int{1, 2, 4}
-	rows, err := AblationSwitchModels(EvaluationScenario(Tiny), speedups, 0)
+	rows, err := ablationSwitchModels(evaluationScenario(Tiny), speedups, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,13 +44,13 @@ func TestSwitchModelTable(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	PrintSwitchModels(&buf, rows)
+	printSwitchModels(&buf, rows)
 	if out := buf.String(); !strings.Contains(out, "speedup") {
 		t.Errorf("rendering incomplete:\n%s", out)
 	}
 
 	// 0 is invalid: the crossbar needs speedup >= 1.
-	if _, err := AblationSwitchModels(EvaluationScenario(Tiny), []int{0, 1}, 1); err == nil || !strings.Contains(err.Error(), "switchmodel-x0") {
+	if _, err := ablationSwitchModels(evaluationScenario(Tiny), []int{0, 1}, 1); err == nil || !strings.Contains(err.Error(), "switchmodel-x0") {
 		t.Errorf("speedup 0: err = %v, want one naming the point", err)
 	}
 }
@@ -61,11 +61,11 @@ func TestSwitchModelDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	a, err := AblationSwitchModels(EvaluationScenario(Tiny), []int{1, 2}, 1)
+	a, err := ablationSwitchModels(evaluationScenario(Tiny), []int{1, 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AblationSwitchModels(EvaluationScenario(Tiny), []int{1, 2}, 2)
+	b, err := ablationSwitchModels(evaluationScenario(Tiny), []int{1, 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,9 @@ import (
 	"repro/internal/sl"
 )
 
-// Table1Row describes one service level as configured (paper Table 1),
+// table1Row describes one service level as configured (paper Table 1),
 // extended with the derived weight range and per-hop deadline.
-type Table1Row struct {
+type table1Row struct {
 	SL            uint8
 	Class         string
 	Distance      int
@@ -20,11 +20,11 @@ type Table1Row struct {
 	HopDeadlineBT int64
 }
 
-// Table1 reports the service-level configuration.
-func Table1() []Table1Row {
-	rows := make([]Table1Row, 0, len(sl.DefaultLevels))
+// table1 reports the service-level configuration.
+func table1() []table1Row {
+	rows := make([]table1Row, 0, len(sl.DefaultLevels))
 	for _, l := range sl.DefaultLevels {
-		rows = append(rows, Table1Row{
+		rows = append(rows, table1Row{
 			SL:       l.SL,
 			Class:    l.Class.String(),
 			Distance: l.Distance,
@@ -40,11 +40,11 @@ func Table1() []Table1Row {
 	return rows
 }
 
-// PrintTable1 renders Table 1.
-func PrintTable1(w io.Writer) {
+// printTable1 renders Table 1.
+func printTable1(w io.Writer) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "SL\tClass\tMaxDistance\tBandwidth (Mbps)\tWeight\tHopDeadline (byte times)")
-	for _, r := range Table1() {
+	for _, r := range table1() {
 		fmt.Fprintf(tw, "%d\t%s\t%d\t[%g, %g]\t[%d, %d]\t%d\n",
 			r.SL, r.Class, r.Distance, r.MinMbps, r.MaxMbps,
 			r.WeightRange[0], r.WeightRange[1], r.HopDeadlineBT)
@@ -52,9 +52,9 @@ func PrintTable1(w io.Writer) {
 	tw.Flush()
 }
 
-// Table2Row is one column of the paper's Table 2: traffic and
+// table2Row is one column of the paper's Table 2: traffic and
 // utilization for one packet size.
-type Table2Row struct {
+type table2Row struct {
 	Payload            int
 	InjectedPerNode    float64 // bytes/cycle/node
 	DeliveredPerNode   float64 // bytes/cycle/node
@@ -66,11 +66,11 @@ type Table2Row struct {
 	DeadlineMetPercent float64 // all QoS SLs combined (paper: 100)
 }
 
-// Table2 extracts the Table 2 rows from an executed evaluation.
-func (e *Evaluation) Table2() [2]Table2Row {
-	row := func(r *Run) Table2Row {
+// table2 extracts the Table 2 rows from an executed evaluation.
+func (e *evaluation) table2() [2]table2Row {
+	row := func(r *run) table2Row {
 		all := mergedDelay(r.Flows)
-		return Table2Row{
+		return table2Row{
 			Payload:            r.Net.Cfg.PayloadBytes,
 			InjectedPerNode:    r.Net.InjectedBytesPerCyclePerNode(),
 			DeliveredPerNode:   r.Net.DeliveredBytesPerCyclePerNode(),
@@ -82,11 +82,11 @@ func (e *Evaluation) Table2() [2]Table2Row {
 			DeadlineMetPercent: all.PercentMeetingDeadline(),
 		}
 	}
-	return [2]Table2Row{row(e.Small), row(e.Large)}
+	return [2]table2Row{row(e.Small), row(e.Large)}
 }
 
-// PrintTable2 renders the two packet-size columns like the paper.
-func PrintTable2(w io.Writer, rows [2]Table2Row) {
+// printTable2 renders the two packet-size columns like the paper.
+func printTable2(w io.Writer, rows [2]table2Row) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "Packet size\tSmall (%d B)\tLarge (%d B)\n", rows[0].Payload, rows[1].Payload)
 	fmt.Fprintf(tw, "Connections established\t%d\t%d\n", rows[0].Connections, rows[1].Connections)
@@ -100,37 +100,37 @@ func PrintTable2(w io.Writer, rows [2]Table2Row) {
 	tw.Flush()
 }
 
-// SLBreakdownRow reports per service level how many connections the
+// slBreakdownRow reports per service level how many connections the
 // fill established and how much bandwidth they reserve — the paper
 // notes "we have already made many attempts for each SL" when arguing
 // the network is quasi-fully loaded.
-type SLBreakdownRow struct {
+type slBreakdownRow struct {
 	SL           uint8
 	Connections  int
 	ReservedMbps float64
 }
 
-// SLBreakdown summarizes one run's admitted connections per SL.
-func (r *Run) SLBreakdown() []SLBreakdownRow {
-	byID := map[uint8]*SLBreakdownRow{}
+// slBreakdown summarizes one run's admitted connections per SL.
+func (r *run) slBreakdown() []slBreakdownRow {
+	byID := map[uint8]*slBreakdownRow{}
 	for _, f := range r.Flows {
 		row, ok := byID[f.SL]
 		if !ok {
-			row = &SLBreakdownRow{SL: f.SL}
+			row = &slBreakdownRow{SL: f.SL}
 			byID[f.SL] = row
 		}
 		row.Connections++
 		row.ReservedMbps += f.Mbps
 	}
-	var out []SLBreakdownRow
+	var out []slBreakdownRow
 	for _, id := range r.slIDs() {
 		out = append(out, *byID[id])
 	}
 	return out
 }
 
-// PrintSLBreakdown renders the per-SL connection summary.
-func PrintSLBreakdown(w io.Writer, title string, rows []SLBreakdownRow) {
+// printSLBreakdown renders the per-SL connection summary.
+func printSLBreakdown(w io.Writer, title string, rows []slBreakdownRow) {
 	fmt.Fprintf(w, "%s — connections established per service level\n", title)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "SL\tconnections\ttotal reserved (Mbps)")

@@ -14,32 +14,32 @@ import (
 // at vbrPeakFactor times their mean rate.
 const vbrPeakFactor, vbrBurst, vbrFlows = 4, 8, 24
 
-// VBRResult compares how variable-bit-rate sources fare under the
+// vbrResult compares how variable-bit-rate sources fare under the
 // paper's framework depending on what they reserve.  The authors'
 // companion work ("Performance Evaluation of VBR Traffic in
 // InfiniBand") studies VBR under these tables; the qualitative result
 // reproduced here is that reserving the mean rate leaves burst packets
 // queueing beyond their share, while reserving the peak rate restores
 // the CBR-grade guarantees.
-type VBRResult struct {
-	MeanReserved VBROutcome
-	PeakReserved VBROutcome
+type vbrResult struct {
+	MeanReserved vbrOutcome
+	PeakReserved vbrOutcome
 }
 
-// VBROutcome is one reservation policy's outcome.
-type VBROutcome struct {
+// vbrOutcome is one reservation policy's outcome.
+type vbrOutcome struct {
 	DeadlineMetPercent float64
 	WorstDelayRatio    float64
 	Connections        int
 }
 
-// VBRScenario is the VBR extension's base: the 4-switch irregular
+// vbrScenario is the VBR extension's base: the 4-switch irregular
 // fabric with small packets, a CBR fill that stops after 200 refusals
 // in a row, no best effort, and a window of 60 interarrival times of
 // the slowest VBR source after a warm-up of 3.  At Tiny, the scale of
 // the unit tests and golden files, the fabric has 2 switches and the
 // window is 8 interarrival times.
-func VBRScenario(s Scale) Scenario {
+func vbrScenario(s Scale) Scenario {
 	sc := Scenario{
 		Seed: 42, Topology: irregular(4, 42), Fabric: fabric.DefaultConfig(0, smallPayload, 0),
 		Saturate: true, MaxRejects: 200, WarmupIATs: 3, WindowIATs: 60,
@@ -50,15 +50,15 @@ func VBRScenario(s Scale) Scenario {
 	return sc
 }
 
-// vbrScenario loads sc's network with on/off VBR connections on SLs
+// vbrRun loads sc's network with on/off VBR connections on SLs
 // 2-5, then with sc's CBR fill (bursts only contend when the links
 // carry real load), and measures the VBR sources (execute).
 // reservePeak selects whether admission reserves the peak rate or only
 // the mean.
-func vbrScenario(sc Scenario, peakFactor, burst int, reservePeak bool) (VBROutcome, error) {
+func vbrRun(sc Scenario, peakFactor, burst int, reservePeak bool) (vbrOutcome, error) {
 	r, err := build(sc)
 	if err != nil {
-		return VBROutcome{}, err
+		return vbrOutcome{}, err
 	}
 	net := r.Net
 	// Means chosen so that mean*peakFactor stays inside each SL's
@@ -75,10 +75,7 @@ func vbrScenario(sc Scenario, peakFactor, burst int, reservePeak bool) (VBROutco
 		pl := plan[i%len(plan)]
 		reserve := pl.mean
 		if reservePeak {
-			reserve = pl.mean * float64(peakFactor)
-			if max := sl.DefaultLevels[pl.level].MaxMbps; reserve > max {
-				reserve = max
-			}
+			reserve = min(pl.mean*float64(peakFactor), sl.DefaultLevels[pl.level].MaxMbps)
 		}
 		req := traffic.Request{
 			Src: i % hosts, Dst: (i + 5) % hosts,
@@ -86,7 +83,7 @@ func vbrScenario(sc Scenario, peakFactor, burst int, reservePeak bool) (VBROutco
 		}
 		conn, err := net.Adm.Admit(req)
 		if err != nil {
-			return VBROutcome{}, fmt.Errorf("admitting VBR connection %d: %w", i, err)
+			return vbrOutcome{}, fmt.Errorf("admitting VBR connection %d: %w", i, err)
 		}
 		// The source's actual behavior is identical in both scenarios:
 		// bursts at peakFactor times the mean.  Build the flow from the
@@ -98,38 +95,38 @@ func vbrScenario(sc Scenario, peakFactor, burst int, reservePeak bool) (VBROutco
 	// The CBR background fills the remaining budget so the VBR bursts
 	// have to share loaded links.
 	if err := r.offer(); err != nil {
-		return VBROutcome{}, err
+		return vbrOutcome{}, err
 	}
 	if err := r.execute(flows); err != nil {
-		return VBROutcome{}, err
+		return vbrOutcome{}, err
 	}
 	all := mergedDelay(flows)
-	return VBROutcome{
+	return vbrOutcome{
 		DeadlineMetPercent: all.PercentMeetingDeadline(),
 		WorstDelayRatio:    all.MaxRatio(),
 		Connections:        len(flows),
 	}, nil
 }
 
-// AblationVBR runs both reservation policies for on/off VBR sources on
+// ablationVBR runs both reservation policies for on/off VBR sources on
 // sc, each at sc's seed, on workers goroutines.
-func AblationVBR(sc Scenario, workers int) (VBRResult, error) {
+func ablationVBR(sc Scenario, workers int) (vbrResult, error) {
 	outcomes, err := sameSeed(sc, []string{"vbr-mean-reserved", "vbr-peak-reserved"}, workers,
-		func(i int, sc Scenario) (VBROutcome, error) {
-			return vbrScenario(sc, vbrPeakFactor, vbrBurst, i == 1)
+		func(i int, sc Scenario) (vbrOutcome, error) {
+			return vbrRun(sc, vbrPeakFactor, vbrBurst, i == 1)
 		})
 	if err != nil {
-		return VBRResult{}, err
+		return vbrResult{}, err
 	}
-	return VBRResult{MeanReserved: outcomes[0], PeakReserved: outcomes[1]}, nil
+	return vbrResult{MeanReserved: outcomes[0], PeakReserved: outcomes[1]}, nil
 }
 
-// PrintVBR renders the VBR extension experiment.
-func PrintVBR(w io.Writer, r VBRResult) {
+// printVBR renders the VBR extension experiment.
+func printVBR(w io.Writer, r vbrResult) {
 	fmt.Fprintf(w, "Extension — VBR sources (peak %dx mean, bursts of %d packets)\n", vbrPeakFactor, vbrBurst)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "reservation\tdeadline met (%)\tworst delay/D")
-	row := func(name string, s VBROutcome) {
+	row := func(name string, s vbrOutcome) {
 		fmt.Fprintf(tw, "%s\t%.2f\t%.3f\n", name, s.DeadlineMetPercent, s.WorstDelayRatio)
 	}
 	row("mean rate", r.MeanReserved)

@@ -28,7 +28,7 @@ func TestVBRScenarioTable(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			s, err := vbrScenario(vbrAt(11, c.switches, c.windowIATs), c.peakFactor, c.burst, c.reservePeak)
+			s, err := vbrRun(vbrAt(11, c.switches, c.windowIATs), c.peakFactor, c.burst, c.reservePeak)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,8 +51,8 @@ func TestVBRScenarioDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	a, errA := vbrScenario(vbrAt(11, 2, 8), 4, 8, false)
-	b, errB := vbrScenario(vbrAt(11, 2, 8), 4, 8, false)
+	a, errA := vbrRun(vbrAt(11, 2, 8), 4, 8, false)
+	b, errB := vbrRun(vbrAt(11, 2, 8), 4, 8, false)
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}
@@ -68,15 +68,15 @@ func TestVBRResultShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	if _, err := AblationVBR(vbrAt(11, 1, 6), 1); err == nil || !strings.Contains(err.Error(), "vbr-mean-reserved") {
+	if _, err := ablationVBR(vbrAt(11, 1, 6), 1); err == nil || !strings.Contains(err.Error(), "vbr-mean-reserved") {
 		t.Errorf("1-switch network: err = %v, want one naming the failed scenario", err)
 	}
-	res, err := AblationVBR(vbrAt(11, 2, 6), 0)
+	res, err := ablationVBR(vbrAt(11, 2, 6), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	PrintVBR(&buf, res)
+	printVBR(&buf, res)
 	for _, want := range []string{"peak 4x mean, bursts of 8", "mean rate", "peak rate"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("rendering missing %q:\n%s", want, buf.String())
@@ -87,7 +87,7 @@ func TestVBRResultShape(t *testing.T) {
 // vbrAt is the VBR extension's base at seed on the irregular fabric of
 // the given size, measured for windowIATs interarrival times.
 func vbrAt(seed int64, switches int, windowIATs int64) Scenario {
-	sc := VBRScenario(Tiny).seeded(seed)
+	sc := vbrScenario(Tiny).seeded(seed)
 	sc.Topology.Switches, sc.WindowIATs = switches, windowIATs
 	return sc
 }

@@ -6,43 +6,43 @@ import (
 	"text/tabwriter"
 )
 
-// VLCollapseRow summarizes one lane budget of the VL-collapse
+// vlCollapseRow summarizes one lane budget of the VL-collapse
 // ablation: what it costs to run the paper's scheme on switches with
 // fewer virtual lanes than service levels (section 3.2 discusses the
 // sharing and its price: shared groups adopt their most restrictive
 // distance).
-type VLCollapseRow struct {
+type vlCollapseRow struct {
 	DataVLs            int
 	Connections        int
 	HostReservation    float64 // Mbps
 	DeadlineMetPercent float64
 }
 
-// AblationVLCollapse runs the small-packet evaluation of sc with the
+// ablationVLCollapse runs the small-packet evaluation of sc with the
 // identity mapping (15 data VLs) and with collapsed mappings on
 // workers goroutines, one job per lane budget.
-func AblationVLCollapse(sc Scenario, lanes []int, workers int) ([]VLCollapseRow, error) {
+func ablationVLCollapse(sc Scenario, lanes []int, workers int) ([]vlCollapseRow, error) {
 	names := make([]string, len(lanes))
 	for i, v := range lanes {
 		names[i] = fmt.Sprintf("vlcollapse-%dvl", v)
 	}
-	return sameSeed(sc, names, workers, func(i int, sc Scenario) (VLCollapseRow, error) {
+	return sameSeed(sc, names, workers, func(i int, sc Scenario) (vlCollapseRow, error) {
 		sc.Fabric.PayloadBytes, sc.Fabric.DataVLs = smallPayload, lanes[i]
-		run, err := measured(sc)
+		r, err := measured(sc)
 		if err != nil {
-			return VLCollapseRow{}, err
+			return vlCollapseRow{}, err
 		}
-		return VLCollapseRow{
+		return vlCollapseRow{
 			DataVLs:            lanes[i],
-			Connections:        len(run.Flows),
-			HostReservation:    run.Net.Adm.MeanHostReservation(),
-			DeadlineMetPercent: mergedDelay(run.Flows).PercentMeetingDeadline(),
+			Connections:        len(r.Flows),
+			HostReservation:    r.Net.Adm.MeanHostReservation(),
+			DeadlineMetPercent: mergedDelay(r.Flows).PercentMeetingDeadline(),
 		}, nil
 	})
 }
 
-// PrintVLCollapse renders the VL-collapse ablation.
-func PrintVLCollapse(w io.Writer, rows []VLCollapseRow) {
+// printVLCollapse renders the VL-collapse ablation.
+func printVLCollapse(w io.Writer, rows []vlCollapseRow) {
 	fmt.Fprintln(w, "Ablation — collapsing service levels onto fewer data VLs")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "data VLs\tconns admitted\tmean host reservation (Mbps)\tdeadline met (%)")

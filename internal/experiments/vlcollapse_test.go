@@ -13,7 +13,7 @@ func TestVLCollapseTable(t *testing.T) {
 		t.Skip("simulation run in -short mode")
 	}
 	lanes := []int{15, 8, 4}
-	rows, err := AblationVLCollapse(EvaluationScenario(Tiny), lanes, 0)
+	rows, err := ablationVLCollapse(evaluationScenario(Tiny), lanes, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestVLCollapseTable(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	PrintVLCollapse(&buf, rows)
+	printVLCollapse(&buf, rows)
 	if !strings.Contains(buf.String(), "data VLs") {
 		t.Error("rendering incomplete")
 	}
@@ -53,7 +53,7 @@ func TestVLCollapseTable(t *testing.T) {
 // error naming the budget, instead of printing an error row.
 func TestVLCollapseBadPointFailsSweep(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		rows, err := AblationVLCollapse(EvaluationScenario(Tiny), []int{2, 15}, workers)
+		rows, err := ablationVLCollapse(evaluationScenario(Tiny), []int{2, 15}, workers)
 		if err == nil || rows != nil {
 			t.Fatalf("workers=%d: 2-lane budget accepted (rows %+v)", workers, rows)
 		}

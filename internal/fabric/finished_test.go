@@ -195,3 +195,47 @@ func TestRetiredVBRFlowTakesItsPacer(t *testing.T) {
 		t.Errorf("late VBR flow delivered %d packets, its pacer stepped %d times", late.Delivered, p.k)
 	}
 }
+
+// TestWarmupDropsLeaveAtRelease: flows whose source queues dropped
+// packets during the warm-up, and whose releases complete before the
+// measurement window opens, carry no statistic, so they leave Flows()
+// at their release.  Two connections from one host each transmit
+// 1 800 Mbps over its 2 000 Mbps link through a one-packet send queue.
+func TestWarmupDropsLeaveAtRelease(t *testing.T) {
+	cfg := DefaultConfig(2, 256, 29)
+	cfg.HostQueueCap = 1
+	n, err := newIrregular(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flows []*Flow
+	var conns []*admission.Conn
+	for _, level := range []int{5, 9} {
+		conn, err := n.Adm.Admit(traffic.Request{Src: 0, Dst: 7, Level: sl.DefaultLevels[level], Mbps: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flows = append(flows, n.AddMisbehavingConnection(conn, 1800))
+		conns = append(conns, conn)
+	}
+	n.Start()
+	n.Run(200 * flows[0].IAT)
+	if _, _, dropped := n.Totals(); dropped == 0 {
+		t.Fatal("no packet dropped behind the busy link")
+	}
+	done := 0
+	for i, f := range flows {
+		n.ReleaseConnection(conns[i], f, func() { done++ })
+	}
+	n.Run(n.Now() + 1<<22)
+	if done != len(flows) {
+		t.Fatalf("%d of %d releases completed", done, len(flows))
+	}
+	if got := n.Flows(); len(got) != 0 {
+		t.Errorf("Flows() holds %d flows after every release completed before the window, want none", len(got))
+	}
+	n.StartMeasurement()
+	if err := n.CheckConservation(); err != nil {
+		t.Error(err)
+	}
+}

@@ -55,13 +55,12 @@ type Flow struct {
 	Deadline int64 // end-to-end guarantee in byte times; 0 = best effort
 
 	// Measurement-window statistics: packets injected and delivered,
-	// the delay distribution and the packets the full source queue
-	// dropped.  Interarrival jitter is kept per service level, not per
-	// flow (Network.Jitter).
+	// and the delay distribution.  Interarrival jitter is kept per
+	// service level, not per flow (Network.Jitter); the packets a full
+	// source queue dropped are counted per run (Network.Totals).
 	Injected  int64
 	Delivered int64
 	Delay     stats.DelayCDF
-	drops     int64
 
 	lastArrival int64 // previous delivery time within the window, -1 if none
 
@@ -84,7 +83,7 @@ func (f *Flow) finished() bool { return f.slot < 0 }
 // measured reports whether the flow holds any measurement-window
 // statistic.
 func (f *Flow) measured() bool {
-	return f.Injected != 0 || f.Delivered != 0 || f.Delay.Total() != 0 || f.drops != 0
+	return f.Injected != 0 || f.Delivered != 0 || f.Delay.Total() != 0
 }
 
 // newFlow builds the runtime state shared by both flow kinds; attach
@@ -113,7 +112,6 @@ func (f *Flow) resetMeasurement() {
 	f.Injected, f.Delivered = 0, 0
 	f.Delay.Reset()
 	f.lastArrival = -1
-	f.drops = 0
 }
 
 // vbrPacer is the on/off schedule of a VBR flow (AddVBRConnection):

@@ -797,7 +797,6 @@ func (sh *shard) enqueue(f *Flow, wire int, tag int64) bool {
 	n := sh.n
 	host := n.hosts[f.Src]
 	if host.queues[f.VL].len() >= n.queueCap(f) {
-		f.drops++
 		sh.totalDropped++
 		return false
 	}

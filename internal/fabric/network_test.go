@@ -230,7 +230,7 @@ func TestBestEffortOverloadDropsAtSource(t *testing.T) {
 	n.StartMeasurement()
 	n.Start()
 	n.Engine.Run(3_000_000)
-	if f.drops+g.drops == 0 {
+	if _, _, dropped := n.Totals(); dropped == 0 {
 		t.Error("no drops under 2x oversubscription")
 	}
 	if f.Delivered == 0 || g.Delivered == 0 {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/arbtable"
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/mad"
 	"repro/internal/metrics"
@@ -212,7 +213,7 @@ func (p *InbandProgrammer) hops(id admission.PortID) int {
 
 // oneWayBT is an SMP's path time to a port hops away, after its
 // serialization out of the SM.
-func oneWayBT(hops int) int64 { return int64(hops) * (madWireBytes + hopLatencyBT) }
+func oneWayBT(hops int) int64 { return int64(hops) * (madWireBytes + fabric.LinkLatency) }
 
 // counters returns the control-plane counter sink, self-initializing so
 // the protocol never branches on a missing one.

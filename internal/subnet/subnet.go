@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/arbtable"
+	"repro/internal/fabric"
 	"repro/internal/mad"
 	"repro/internal/routing"
 	"repro/internal/sl"
@@ -29,10 +30,10 @@ import (
 )
 
 // MAD cost model: a subnet management packet is one 256-byte MAD; a
-// round trip crosses the path twice with per-hop forwarding latency.
+// round trip crosses the path twice with the fabric's per-hop latency
+// (fabric.LinkLatency).
 const (
 	madWireBytes = 256 + sl.HeaderBytes
-	hopLatencyBT = 20 // same forwarding latency the fabric uses
 	lidsPerBlock = 64 // LinearForwardingTable block size (IBA 1.0)
 )
 
@@ -48,7 +49,7 @@ type Costs struct {
 // distance from the subnet manager.
 func (c *Costs) addMAD(hops int) {
 	c.MADs++
-	c.TimeBT += 2 * int64(hops) * (madWireBytes + hopLatencyBT)
+	c.TimeBT += 2 * int64(hops) * (madWireBytes + fabric.LinkLatency)
 }
 
 // Manager is the subnet manager: it owns the control-plane view of one

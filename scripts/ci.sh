@@ -5,8 +5,9 @@
 #   vet        static checks
 #   build      every package compiles
 #   tier-1     the plain test suite (go test ./...) through go test -json,
-#              reporting its ten slowest tests; a report, not a gate on
-#              wall-clock time
+#              reporting its ten slowest tests and the exported surface
+#              TestExportedSurface counts; a report, not a gate on
+#              wall-clock time or on the count
 #   examples   every program under examples/ runs to exit 0 (output
 #              discarded), so an example that no longer works fails here
 #   race tests the whole suite under the race detector with shuffled
@@ -98,6 +99,10 @@ awk 'function secs(line) {
             printf "%8.2f s  %s\n", t, key
         }
     }' "$TIER1_JSON" | sort -rn | sed -n '1,10p'
+# The exported surface of internal/ as TestExportedSurface counts it:
+# a report, not a gate (the test itself fails on an unreached name).
+grep -o '"Output":"[^"]*exported identifiers and methods, [0-9]* allowlisted' "$TIER1_JSON" \
+    | sed 's/.*: \([0-9]* exported identifiers.*\)/exported surface: \1/' || true
 
 echo "==> go test -race -shuffle=on ./..."
 # The experiments suite runs whole simulation sweeps; under the race
@@ -345,8 +350,9 @@ echo "==> go test -run AllocBudget . and 'TestVOQStateSizedByRadix|TestPortRecor
 # ceilings on a whole Admit + Release transaction (1 per offered
 # request: the connection, or a refusal's error) and on a whole
 # connection lifecycle of the driver -exp churn and -exp faults run
-# (TestAllocBudgetChurnLifecycle runs it through ChurnSweep on a k=8
-# fat-tree, its admission audit after every outcome included: 7.5
+# (TestAllocBudgetChurnLifecycle runs -exp churn through the
+# experiments' entry point, experiments.Lookup and Experiment.Run, on a
+# k=8 fat-tree, its admission audit after every outcome included: 7.5
 # objects and 800 B), that audit allocating nothing on the filled k=8
 # control state (TestAllocBudgetControlState); the set-up ceilings
 # (TestAllocBudgetNetworkSetup: at most 200 objects for a k=8
