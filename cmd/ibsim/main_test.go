@@ -154,6 +154,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"Fabric.ISLIPIters", tiny("hol"), `{"Fabric": {"ISLIPIters": -1}}`},
 		{"Fabric.ISLIPIters", tiny("hol"), `{"Fabric": {"ISLIPIters": "one"}}`},
 		{"Faults.Reorder", tiny("faults"), `{"Faults": {"Reorder": 1.5}}`},
+		// The audit and busy-hop retry bounds are constants, not fields.
+		{"Audit: unknown field", tiny("faults"), `{"Audit": {"MaxRounds": 3}}`},
+		{"Retry.Attempts: unknown field", tiny("churn"), `{"Retry": {"Attempts": 3}}`},
 		{"HorizonBT", tiny("shardbench"), `{"HorizonBT": -5}`},
 		{"HorizonBT", tiny("shardbench"), `{"HorizonBT": 0}`},
 		{"Fabric.Shards", tiny("shardbench"), `{"Topology": {"K": 4}, "Fabric": {"Shards": 200}}`},

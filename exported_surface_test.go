@@ -79,18 +79,27 @@ func unreached(declared, reached map[string]bool) []string {
 	return ids
 }
 
-// exportedSurface type-checks from source the non-test Go files of every
+// loadedModule is the type-checked non-test code of a module's
+// internal/ and cmd/ packages: their syntax and the uses, definitions
+// and selections the checker recorded.
+type loadedModule struct {
+	pkgs  map[string]*types.Package
+	files map[*types.Package][]*ast.File
+	info  map[*types.Package]*types.Info
+}
+
+// loadModule type-checks from source the non-test Go files of every
 // package under root's internal/ and cmd/ (import paths module/...; the
-// standard library comes from importer.Default) and returns the
-// exported identifiers ("pkg.Name") and exported methods of exported
-// types ("pkg.Type.Method") declared under internal/, pkg relative to
-// internal/, with the subset TestExportedSurface's rules reach.
-func exportedSurface(root, module string) (declared, reached map[string]bool, err error) {
+// standard library comes from importer.Default).  bench/ and examples/
+// are not loaded: their references count for no gate.
+func loadModule(root, module string) (*loadedModule, error) {
 	fset := token.NewFileSet()
 	std := importer.Default()
-	pkgs := map[string]*types.Package{}
-	files := map[*types.Package][]*ast.File{}
-	uses := map[*types.Package]map[*ast.Ident]types.Object{}
+	m := &loadedModule{
+		pkgs:  map[string]*types.Package{},
+		files: map[*types.Package][]*ast.File{},
+		info:  map[*types.Package]*types.Info{},
+	}
 	var load func(path string) (*types.Package, error)
 	imp := importerFunc(func(path string) (*types.Package, error) {
 		if !strings.HasPrefix(path, module+"/") {
@@ -99,7 +108,7 @@ func exportedSurface(root, module string) (declared, reached map[string]bool, er
 		return load(path)
 	})
 	load = func(path string) (*types.Package, error) {
-		if p := pkgs[path]; p != nil {
+		if p := m.pkgs[path]; p != nil {
 			return p, nil
 		}
 		dir := filepath.Join(root, strings.TrimPrefix(path, module+"/"))
@@ -118,15 +127,23 @@ func exportedSurface(root, module string) (declared, reached map[string]bool, er
 			}
 			fs = append(fs, f)
 		}
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		info := &types.Info{
+			Uses:       map[*ast.Ident]types.Object{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+		}
 		p, err := (&types.Config{Importer: imp}).Check(path, fset, fs, info)
 		if err != nil {
 			return nil, err
 		}
-		pkgs[path], files[p], uses[p] = p, fs, info.Uses
+		m.pkgs[path], m.files[p], m.info[p] = p, fs, info
 		return p, nil
 	}
-	for _, top := range []string{"internal", "cmd"} { // bench/ and examples/ reach nothing
+	for _, top := range []string{"internal", "cmd"} {
+		if _, err := os.Stat(filepath.Join(root, top)); os.IsNotExist(err) {
+			continue
+		}
 		err := filepath.WalkDir(filepath.Join(root, top), func(path string, d os.DirEntry, err error) error {
 			if err != nil || !d.IsDir() {
 				return err
@@ -141,10 +158,22 @@ func exportedSurface(root, module string) (declared, reached map[string]bool, er
 			return err
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
+	return m, nil
+}
 
+// exportedSurface loads the module and returns the exported identifiers
+// ("pkg.Name") and exported methods of exported types ("pkg.Type.Method")
+// declared under internal/, pkg relative to internal/, with the subset
+// TestExportedSurface's rules reach.
+func exportedSurface(root, module string) (declared, reached map[string]bool, err error) {
+	m, err := loadModule(root, module)
+	if err != nil {
+		return nil, nil, err
+	}
+	pkgs, files := m.pkgs, m.files
 	internal := module + "/internal/"
 	id := func(o types.Object) string { // "" outside internal/
 		if o.Pkg() == nil || !strings.HasPrefix(o.Pkg().Path(), internal) {
@@ -190,8 +219,8 @@ func exportedSurface(root, module string) (declared, reached map[string]bool, er
 			}
 		}
 	}
-	for p, u := range uses {
-		for _, o := range u {
+	for p, info := range m.info {
+		for _, o := range info.Uses {
 			if o.Pkg() != p {
 				if f, ok := o.(*types.Func); ok {
 					o = f.Origin()

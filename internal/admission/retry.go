@@ -8,22 +8,26 @@ import (
 	"repro/internal/traffic"
 )
 
-// RetryPolicy bounds the retry loop of AdmitWithRetry two ways: up to
-// Attempts tries, the k-th retry waiting BackoffBT<<(k-1) byte times
-// (bounded exponential backoff on the simulated clock), and — when
-// DeadlineBT is positive — no retry is scheduled past DeadlineBT byte
-// times after the first attempt.  The deadline caps total retry time
-// even when backoff growth alone would fit more attempts; zero keeps
-// the attempts-only behaviour.
+// The busy-hop retry loop of AdmitWithRetry: up to retryAttempts tries,
+// the k-th retry waiting retryBackoffBT<<(k-1) byte times (bounded
+// exponential backoff on the simulated clock, starting at roughly one
+// MAD round trip).
+const (
+	retryAttempts        = 6
+	retryBackoffBT int64 = 1024
+)
+
+// RetryPolicy caps the retry loop of AdmitWithRetry in time: when
+// DeadlineBT is positive, no retry is scheduled past DeadlineBT byte
+// times after the first attempt, even when the backoff schedule alone
+// would fit more attempts; zero keeps the attempts-only behaviour.
 type RetryPolicy struct {
-	Attempts   int
-	BackoffBT  int64
 	DeadlineBT int64
 }
 
-// DefaultRetryPolicy suits churn workloads: a handful of retries
-// starting at roughly one MAD round trip.
-func DefaultRetryPolicy() RetryPolicy { return RetryPolicy{Attempts: 6, BackoffBT: 1024} }
+// DefaultRetryPolicy suits churn workloads: the attempts alone bound
+// the retries.
+func DefaultRetryPolicy() RetryPolicy { return RetryPolicy{} }
 
 // AdmitWithRetry attempts an admission on the simulated clock,
 // retrying with exponential backoff while the only obstacle is a hop
@@ -37,12 +41,6 @@ func DefaultRetryPolicy() RetryPolicy { return RetryPolicy{Attempts: 6, BackoffB
 // attempt settles the outcome), with the admitted connection or the
 // final error.
 func (c *Controller) AdmitWithRetry(eng *sim.Engine, req traffic.Request, rp RetryPolicy, done func(*Conn, error)) {
-	if rp.Attempts < 1 {
-		rp.Attempts = 1
-	}
-	if rp.BackoffBT < 1 {
-		rp.BackoffBT = 1
-	}
 	t := &retryTxn{c: c, eng: eng, req: req, rp: rp, done: done, start: eng.Now()}
 	t.attempt(0)
 }
@@ -78,11 +76,11 @@ func (t *retryTxn) attempt(k int) {
 		t.done(conn, err)
 		return
 	}
-	if k+1 >= t.rp.Attempts {
+	if k+1 >= retryAttempts {
 		t.done(nil, fmt.Errorf("admission: gave up after %d attempts: %w", k+1, err))
 		return
 	}
-	wait := t.rp.BackoffBT << k
+	wait := retryBackoffBT << k
 	if t.rp.DeadlineBT > 0 && t.eng.Now()+wait > t.start+t.rp.DeadlineBT {
 		t.done(nil, fmt.Errorf("admission: retry deadline (%d bt) exceeded after %d attempts: %w",
 			t.rp.DeadlineBT, k+1, err))

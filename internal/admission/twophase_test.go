@@ -250,7 +250,7 @@ func TestAdmitWithRetrySucceedsAfterProgramLands(t *testing.T) {
 	eng := &sim.Engine{}
 	// The held SMPs land at t=5000; until then every retry hits
 	// ErrHopBusy and backs off.
-	eng.At(5000, func() {
+	eng.After(5000, func() {
 		if err := prog.release(); err != nil {
 			t.Errorf("releasing held deltas: %v", err)
 		}
@@ -258,7 +258,7 @@ func TestAdmitWithRetrySucceedsAfterProgramLands(t *testing.T) {
 
 	var got *Conn
 	var gotErr error
-	c.AdmitWithRetry(eng, req(0, topo.NumHosts()-1, 9, 32), RetryPolicy{Attempts: 8, BackoffBT: 1024}, func(conn *Conn, err error) {
+	c.AdmitWithRetry(eng, req(0, topo.NumHosts()-1, 9, 32), DefaultRetryPolicy(), func(conn *Conn, err error) {
 		got, gotErr = conn, err
 	})
 	eng.RunWhile(func() bool { return true })

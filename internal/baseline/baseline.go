@@ -21,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/routing"
 	"repro/internal/sl"
-	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
@@ -31,7 +30,6 @@ import (
 // low tables are preserved; DB VLs get weight-proportional entries
 // appended after them.
 type LowTables struct {
-	topo   *topology.Topology
 	routes *routing.Routes
 	ports  []*core.PortTable   // host interfaces, indexed by host
 	swPort [][]*core.PortTable // switch output tables
@@ -48,10 +46,9 @@ type LowTables struct {
 
 // NewLowTables returns a DB low-table reservation manager over the
 // same port tables the fabric arbiters read.
-func NewLowTables(topo *topology.Topology, routes *routing.Routes, hostPorts []*core.PortTable, switchPorts [][]*core.PortTable) *LowTables {
+func NewLowTables(routes *routing.Routes, hostPorts []*core.PortTable, switchPorts [][]*core.PortTable) *LowTables {
 	return &LowTables{
-		topo: topo, routes: routes,
-		ports: hostPorts, swPort: switchPorts,
+		routes: routes, ports: hostPorts, swPort: switchPorts,
 		reserved: make(map[*core.PortTable]map[uint8]int),
 		base:     make(map[*core.PortTable][]arbtable.Entry),
 		Budget:   sl.MaxReservableWeight,
@@ -153,7 +150,6 @@ type TrialOp struct {
 // able to honor any request that fits in the free slots — after every
 // operation, while the naive policy fragments.
 type TrialResult struct {
-	Policy   string
 	Accepted int
 	Rejected int
 	// Steps observed and the subset after which the table could still
@@ -214,7 +210,7 @@ func serviceable(a *core.Allocator) bool {
 // keeping traces policy independent.
 func Replay(ops []TrialOp, policy core.Policy) TrialResult {
 	alloc := core.NewAllocatorWithPolicy(arbtable.New(arbtable.UnlimitedHigh), policy)
-	res := TrialResult{Policy: policy.Name}
+	var res TrialResult
 	type accepted struct {
 		id     core.SeqID
 		weight int

@@ -32,7 +32,7 @@ func newLow(t *testing.T) (*LowTables, *topology.Topology) {
 			sw[s][p] = core.NewPortTable(arbtable.New(arbtable.UnlimitedHigh))
 		}
 	}
-	return NewLowTables(topo, routes, hosts, sw), topo
+	return NewLowTables(routes, hosts, sw), topo
 }
 
 func dbReq(src, dst int, mbps float64) traffic.Request {

@@ -48,7 +48,7 @@ func prioritySplitScenario(sc Scenario, oldScheme bool) (float64, error) {
 		// Old scheme: the DB reservation goes to the low-priority
 		// tables along the path; the flow still travels on SL 8's VL.
 		ports := net.Adm.Ports()
-		low := baseline.NewLowTables(net.Topo, net.Routes, ports.Host, ports.Switch)
+		low := baseline.NewLowTables(net.Routes, ports.Host, ports.Switch)
 		if err := low.AdmitDB(victimReq, net.Mapping.VLFor(victimReq.Level.SL)); err != nil {
 			return 0, err
 		}

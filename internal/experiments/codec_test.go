@@ -117,4 +117,11 @@ func TestDecodeScenarioPatches(t *testing.T) {
 	if _, err := DecodeScenario([]byte(`{"Topology": {"K": 0}, "Load": 0, "MaxRejects": 20, "Seed": 3}`), base, reads, "Topology", "Load"); err != nil {
 		t.Errorf("restating the base's axis and unread values: %v", err)
 	}
+	// The audit and busy-hop retry bounds are constants: a document
+	// naming one is refused as an unknown field.
+	for doc, path := range map[string]string{`{"Audit": {"MaxRounds": 3}}`: "Audit", `{"Retry": {"Attempts": 3}}`: "Retry.Attempts"} {
+		if _, err := DecodeScenario([]byte(doc), faultsScenario(Tiny), nil); !errors.As(err, &fe) || fe.Reason != "unknown field" || fe.Fields[0] != path {
+			t.Errorf("%s: err = %v, want an unknown-field *FieldError naming %s", doc, err, path)
+		}
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/routing/cdg"
 	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/sl"
 	"repro/internal/subnet"
 	"repro/internal/topology"
@@ -135,75 +136,30 @@ func failoverRun(sc Scenario) (failoverResult, error) {
 		Switches: topo.NumSwitches, Hosts: topo.NumHosts(), Seed: sc.Seed, BaseCDG: r.proof}
 
 	// QoS admissions, spread out in time so in-flight table programs
-	// do not reject their successors.
+	// do not reject their successors; once traffic is established, the
+	// given failure schedule or one drawn from the admitted flows.  Every
+	// step is posted now, in the order of its instant's ties.
 	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), sc.Seed+1)
+	d := &failoverScript{r: r, given: given, res: &res, reqs: make([]traffic.Request, sc.Conns)}
 	eng := net.Ctrl // == net.Engine on the single engine recovery requires
-	var flows []*fabric.Flow
-	for i := 0; i < sc.Conns; i++ {
-		req := src.Next()
-		eng.At(int64(i)*admitGapBT+1, func() {
-			res.Attempts++
-			net.Adm.AdmitWithRetry(eng, req, sc.Retry, func(conn *admission.Conn, err error) {
-				if err != nil {
-					return // rejection under load is legitimate
-				}
-				res.Admitted++
-				f := net.AddConnection(conn)
-				net.StartFlow(f)
-				rec.Track(conn, f)
-				flows = append(flows, f)
-			})
-		})
+	for i := range d.reqs {
+		d.reqs[i] = src.Next()
+		eng.Post(int64(i)*admitGapBT+1, d, sim.Event{Kind: evFailoverAdmit, N: int64(i)})
 	}
-
-	// Once traffic is established, apply the given failure schedule or
-	// one drawn from the admitted flows.  Every distinct failure
-	// time changes the dead set, so each must end in a repair; a
-	// revival may leave the classification alone.
-	var runErr error
-	var failures map[int64]bool
-	madsAtFailure := 0
-	eng.At(sc.FailAtBT, func() { madsAtFailure = prog.Costs.MADs })
-	eng.At(sc.FailAtBT/2, func() {
-		if len(flows) < 3 {
-			runErr = fmt.Errorf("failover %s: only %d connections admitted", res.Label, len(flows))
-			return
-		}
-		sched := given
-		if sc.Failures == "" {
-			var err error
-			if sched, err = drawFailoverSchedule(net, flows, sc); err != nil {
-				runErr = fmt.Errorf("failover %s: %w", res.Label, err)
-				return
-			}
-		}
-		failures = make(map[int64]bool, len(sched))
-		last := int64(0)
-		for _, ev := range sched {
-			failures[ev.At] = true
-			last = max(last, ev.At, ev.Revive)
-		}
-		if sc.HorizonBT <= last+subnet.TimeoutBT+2*subnet.PollBT {
-			runErr = fmt.Errorf("failover %s: %w", res.Label, refuse("HorizonBT", "horizon %d inside the last detection window", sc.HorizonBT))
-			return
-		}
-		res.Schedule = sched.String()
-		if err := rec.ApplySchedule(sched); err != nil {
-			runErr = fmt.Errorf("failover %s: %w", res.Label, err)
-		}
-	})
+	eng.Post(sc.FailAtBT, d, sim.Event{Kind: evFailoverSnapshot})
+	eng.Post(sc.FailAtBT/2, d, sim.Event{Kind: evFailoverApply})
 
 	net.Run(sc.HorizonBT)
-	if runErr != nil {
-		return res, runErr
+	if d.err != nil {
+		return res, d.err
 	}
 	if err := rec.Err(); err != nil {
 		return res, fmt.Errorf("failover %s: %w", res.Label, err)
 	}
 	c := net.ControlCounters()
-	if c.RepairsStarted != c.RepairsCompleted || c.RepairsCompleted < int64(len(failures)) {
+	if c.RepairsStarted != c.RepairsCompleted || c.RepairsCompleted < int64(len(d.failures)) {
 		return res, fmt.Errorf("failover %s: repairs started %d completed %d, want >= %d completed",
-			res.Label, c.RepairsStarted, c.RepairsCompleted, len(failures))
+			res.Label, c.RepairsStarted, c.RepairsCompleted, len(d.failures))
 	}
 
 	// Drain: stop generation and run until nothing is queued and no
@@ -217,7 +173,7 @@ func failoverRun(sc Scenario) (failoverResult, error) {
 	if q := net.QueuedPackets(); q != 0 {
 		return res, fmt.Errorf("failover %s: %d packets stuck after drain", res.Label, q)
 	}
-	res.RepairMADs = prog.Costs.MADs - madsAtFailure
+	res.RepairMADs = prog.Costs.MADs - d.madsAtFailure
 
 	// Release every surviving reservation and run the engine dry so the
 	// last table programs land.
@@ -270,6 +226,90 @@ func failoverRun(sc Scenario) (failoverResult, error) {
 	res.Lost = net.LostPackets()
 	res.EndTimeBT = net.Now()
 	return res, nil
+}
+
+// Event kinds of the failover script (its own kind space, as a
+// sim.Handler's is).
+const (
+	evFailoverAdmit    sim.Kind = iota // QoS admission attempt N
+	evFailoverSnapshot                 // the MADs sent before FailAtBT
+	evFailoverApply                    // the failure schedule
+)
+
+// failoverScript is a failover point's control-plane script, a
+// sim.Handler on the control lane: the QoS admissions, the failure
+// schedule's application and the MAD count at the first failure.
+type failoverScript struct {
+	r     *run
+	given faults.Schedule
+	reqs  []traffic.Request
+	res   *failoverResult
+
+	flows         []*fabric.Flow
+	failures      map[int64]bool // the schedule's distinct failure times
+	madsAtFailure int
+	err           error
+}
+
+// HandleEvent implements sim.Handler.
+func (d *failoverScript) HandleEvent(ev sim.Event) {
+	switch ev.Kind {
+	case evFailoverAdmit:
+		d.admit(d.reqs[ev.N])
+	case evFailoverSnapshot:
+		d.madsAtFailure = d.r.prog.Costs.MADs
+	case evFailoverApply:
+		d.err = d.apply()
+	}
+}
+
+// admit attempts one QoS admission; an admitted connection starts its
+// flow under the recovery's tracking.
+func (d *failoverScript) admit(req traffic.Request) {
+	net := d.r.Net
+	d.res.Attempts++
+	net.Adm.AdmitWithRetry(net.Ctrl, req, d.r.sc.Retry, func(conn *admission.Conn, err error) {
+		if err != nil {
+			return // rejection under load is legitimate
+		}
+		d.res.Admitted++
+		f := net.AddConnection(conn)
+		net.StartFlow(f)
+		d.r.rec.Track(conn, f)
+		d.flows = append(d.flows, f)
+	})
+}
+
+// apply applies the given failure schedule, or one drawn from the
+// admitted flows.  Every distinct failure time changes the dead set, so
+// each must end in a repair; a revival may leave the classification
+// alone.
+func (d *failoverScript) apply() error {
+	sc, label := d.r.sc, d.res.Label
+	if len(d.flows) < 3 {
+		return fmt.Errorf("failover %s: only %d connections admitted", label, len(d.flows))
+	}
+	sched := d.given
+	if sc.Failures == "" {
+		var err error
+		if sched, err = drawFailoverSchedule(d.r.Net, d.flows, sc); err != nil {
+			return fmt.Errorf("failover %s: %w", label, err)
+		}
+	}
+	d.failures = make(map[int64]bool, len(sched))
+	last := int64(0)
+	for _, ev := range sched {
+		d.failures[ev.At] = true
+		last = max(last, ev.At, ev.Revive)
+	}
+	if sc.HorizonBT <= last+subnet.TimeoutBT+2*subnet.PollBT {
+		return fmt.Errorf("failover %s: %w", label, refuse("HorizonBT", "horizon %d inside the last detection window", sc.HorizonBT))
+	}
+	d.res.Schedule = sched.String()
+	if err := d.r.rec.ApplySchedule(sched); err != nil {
+		return fmt.Errorf("failover %s: %w", label, err)
+	}
+	return nil
 }
 
 // drawFailoverSchedule picks the point's two victims from the live

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/subnet"
 	"repro/internal/topology"
 )
 
@@ -32,7 +31,6 @@ func faultsScenario(s Scale) Scenario {
 	if s != Tiny {
 		sc.Flaps = 6
 	}
-	sc.Audit = subnet.DefaultAuditConfig()
 	return sc
 }
 

@@ -110,14 +110,14 @@ func runControlScript(t *testing.T, spec topology.Spec, shards int) (controlDige
 	for i := 0; i < 3*topo.NumHosts(); i++ {
 		req := src.Next()
 		at := int64(i+1) * 4096
-		eng.At(at, func() {
+		eng.After(at-eng.Now(), func() {
 			if conn, err := net.Adm.Admit(req); err == nil {
 				conns = append(conns, conn)
 			}
 		})
 	}
 	release := int64(3*topo.NumHosts()+2) * 4096
-	eng.At(release, func() {
+	eng.After(release-eng.Now(), func() {
 		for i := 0; i < len(conns); i += 3 {
 			if err := net.Adm.Release(conns[i]); err != nil {
 				t.Errorf("release: %v", err)

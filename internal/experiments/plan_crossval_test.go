@@ -35,7 +35,7 @@ func crossValSeedCount(t *testing.T) int64 {
 }
 
 // throughputRelErrBound is the asserted model accuracy on delivered
-// throughput in the stable region (see DESIGN.md §15: the fluid model
+// throughput in the stable region (see DESIGN.md §14: the fluid model
 // ignores packetization and crossbar transients, so a generous bound
 // is honest; in practice stable-region error is near zero).
 const throughputRelErrBound = 0.15
@@ -246,7 +246,7 @@ func TestPlanFlagsSimStarvedFlows(t *testing.T) {
 			modelFlagsVL[f.Base] = true
 		}
 		// Flow-level view: the fluid model cannot see burst-scale drops
-		// at the 8-packet best-effort source queue (DESIGN.md §15), so
+		// at the 8-packet best-effort source queue (DESIGN.md §14), so
 		// per-flow coverage is asserted at >= 90%, not 100%.
 		if delivered < 0.7*offered {
 			starved++

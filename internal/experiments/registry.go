@@ -143,7 +143,7 @@ var registry = map[string]Experiment{
 	},
 	"faults": {
 		Base:  faultsScenario,
-		Reads: append(lifecycleReads, "SMPFaults", "Faults", "Flaps", "MeanFlapDownBT", "Audit"),
+		Reads: append(lifecycleReads, "SMPFaults", "Faults", "Flaps", "MeanFlapDownBT"),
 		Axis:  []string{"Topology.Seed", "Faults.Drop", "Faults.Corrupt", "Flaps"},
 		exec: func(sc Scenario, opt Options) (*Report, error) {
 			res, err := faultsSweep(sc, opt.Workers)

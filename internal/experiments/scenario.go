@@ -71,7 +71,7 @@ type Scenario struct {
 	// Inband wires the subnet manager and its in-band programmer: every
 	// table delta travels as SMPs on the control lane.
 	Inband bool
-	// Retry is the busy-hop policy of in-band admissions.
+	// Retry caps the busy-hop retries of in-band admissions in time.
 	Retry admission.RetryPolicy
 	// Connection churn (runLifecycles): Arrivals connections with
 	// exponential gaps of mean MeanGapBT each hold their reservation
@@ -85,13 +85,12 @@ type Scenario struct {
 	// SMPFaults attaches a fault injector dealing Faults' per-SMP
 	// rates (its Seed is the scenario's) to the fabric and the in-band
 	// programmer, which then delivers reliably, and the self-healing
-	// auditor configured by Audit.  Flaps link-down windows of mean
+	// auditor.  Flaps link-down windows of mean
 	// length MeanFlapDownBT fall across the churn arrivals.
 	SMPFaults      bool
 	Faults         faults.Config
 	Flaps          int
 	MeanFlapDownBT int64
-	Audit          subnet.AuditConfig
 
 	// Link failures (failoverRun): Conns QoS admissions through the
 	// in-band programmer, then, applied at FailAtBT/2, the schedule in
@@ -208,7 +207,7 @@ func build(sc Scenario) (*run, error) {
 		inj := faults.New(fc)
 		net.SetFaults(inj)
 		r.prog.Faults = inj
-		r.aud = subnet.NewAuditor(net.Ctrl, r.prog, sc.Audit)
+		r.aud = subnet.NewAuditor(net.Ctrl, r.prog)
 		net.Adm.Down = r.aud.Quarantined
 	}
 	if sc.FailAtBT > 0 {

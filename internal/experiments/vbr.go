@@ -30,7 +30,6 @@ type vbrResult struct {
 type vbrOutcome struct {
 	DeadlineMetPercent float64
 	WorstDelayRatio    float64
-	Connections        int
 }
 
 // vbrScenario is the VBR extension's base: the 4-switch irregular
@@ -104,7 +103,6 @@ func vbrRun(sc Scenario, peakFactor, burst int, reservePeak bool) (vbrOutcome, e
 	return vbrOutcome{
 		DeadlineMetPercent: all.PercentMeetingDeadline(),
 		WorstDelayRatio:    all.MaxRatio(),
-		Connections:        len(flows),
 	}, nil
 }
 

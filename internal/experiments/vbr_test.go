@@ -32,9 +32,6 @@ func TestVBRScenarioTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.Connections != 24 {
-				t.Errorf("connections = %d, want 24", s.Connections)
-			}
 			if s.DeadlineMetPercent < 0 || s.DeadlineMetPercent > 100 {
 				t.Errorf("deadline met %% out of range: %v", s.DeadlineMetPercent)
 			}

@@ -19,16 +19,11 @@ import (
 // (internal/plan) evaluates its queueing model over one, so the
 // simulator and the model see byte-identical tables by construction.
 type ControlState struct {
-	Cfg     Config
 	Topo    *topology.Topology
 	Routes  *routing.Routes
 	Mapping sl.Mapping
 	Ports   *admission.Ports
 	Adm     *admission.Controller
-
-	// DataVLs is the effective data-VL count after the multi-plane
-	// collapse (0 when the identity mapping survived).
-	DataVLs int
 }
 
 // BuildControl derives the control state for a configuration over an
@@ -68,13 +63,11 @@ func BuildControl(cfg Config, topo *topology.Topology) (*ControlState, error) {
 	}
 
 	return &ControlState{
-		Cfg:     cfg,
 		Topo:    topo,
 		Routes:  routes,
 		Mapping: mapping,
 		Ports:   ports,
 		Adm:     adm,
-		DataVLs: dataVLs,
 	}, nil
 }
 

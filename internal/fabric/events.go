@@ -162,11 +162,11 @@ func (n *Network) StaleArrivals() int64 {
 }
 
 // packetChunk is how many packet records an empty free-list is refilled
-// with at once: one object instead of 63 small ones.  63 64-byte records
+// with at once: one object instead of 73 small ones.  73 56-byte records
 // plus the 8-byte header the runtime gives a pointer-holding object of
-// this size fill the 4 096-byte size class; 64 records would spill into
-// the next class and waste an eighth of it.
-const packetChunk = 63
+// this size fill the 4 096-byte size class; 74 records would spill into
+// the next class and waste most of it.
+const packetChunk = 73
 
 // newPacket takes a packet from the shard's free-list (refilling an
 // empty list with a chunk of fresh records) and stamps it with the
@@ -176,7 +176,7 @@ const packetChunk = 63
 // retired by the destination's, so records migrate between free-lists
 // along the traffic matrix; each list only ever mutates under its own
 // shard's events.  With pools disabled every packet is a fresh object.
-func (sh *shard) newPacket(f *Flow, vl uint8, dst, wire int, injected, tag int64) *Packet {
+func (sh *shard) newPacket(f *Flow, vl uint8, dst, wire int, injected int64) *Packet {
 	var pkt *Packet
 	if sh.n.poolDisabled {
 		pkt = &Packet{}
@@ -193,7 +193,7 @@ func (sh *shard) newPacket(f *Flow, vl uint8, dst, wire int, injected, tag int64
 		sh.pktFree = sh.pktFree[:k-1]
 	}
 	pkt.Flow, pkt.VL, pkt.Base, pkt.Dst, pkt.Wire = f, vl, f.Base, dst, wire
-	pkt.Injected, pkt.Tag = injected, tag
+	pkt.Injected = injected
 	return pkt
 }
 
@@ -203,7 +203,6 @@ func (sh *shard) newPacket(f *Flow, vl uint8, dst, wire int, injected, tag int64
 func (sh *shard) freePacket(pkt *Packet) {
 	pkt.gen++
 	pkt.Flow = nil
-	pkt.Tag = 0
 	if sh.n.poolDisabled {
 		return
 	}

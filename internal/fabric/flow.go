@@ -159,16 +159,12 @@ type Packet struct {
 	// out is the output port the packet leaves by at the switch whose
 	// input buffer holds it (-1: no route), stamped when it arrives
 	// (swNode.push) and again after a route swap (rebuildIndex).  It
-	// fills padding, so a Packet stays 64 bytes.
+	// fills padding, so a Packet stays 56 bytes.
 	out  int8
 	Dst  int
 	Wire int
 
 	Injected int64 // generation time at the source host
-
-	// Tag carries upper-layer context through the fabric untouched
-	// (InjectPacket's tag).  Zero for plain flow packets.
-	Tag int64
 
 	// gen counts the record's lives through the packet free-list.  An
 	// in-flight arrival event snapshots it at scheduling time; if they

@@ -368,7 +368,7 @@ func NewWithTopology(cfg Config, topo *topology.Topology) (*Network, error) {
 	// (shard.endInstant).
 	n.shards = make([]*shard, part.Shards)
 	for k := range n.shards {
-		sh := &shard{n: n, id: int32(k), eng: eng, dirty: newDirtySet(topo.NumSwitches, topo.NumHosts())}
+		sh := &shard{n: n, eng: eng, dirty: newDirtySet(topo.NumSwitches, topo.NumHosts())}
 		if k > 0 {
 			sh.eng = &sim.Engine{}
 		}
@@ -782,7 +782,7 @@ func (sh *shard) generate(f *Flow) {
 	if sh.n.genStopped || f.stopped {
 		return
 	}
-	sh.enqueue(f, int(f.Wire), 0)
+	sh.enqueue(f, int(f.Wire))
 	gap := f.IAT
 	if f.paced {
 		gap = sh.n.pacers[f.ID].next()
@@ -790,17 +790,17 @@ func (sh *shard) generate(f *Flow) {
 	sh.eng.PostAfter(gap, sh, sim.Event{Kind: evGenerate, P: f})
 }
 
-// enqueue puts a fresh packet of f, wire bytes long and carrying tag, on
-// its source host's send queue and kicks the host — or drops and counts
+// enqueue puts a fresh packet of f, wire bytes long, on its source
+// host's send queue and kicks the host — or drops and counts
 // it when the queue is full.  It reports whether the packet was queued.
-func (sh *shard) enqueue(f *Flow, wire int, tag int64) bool {
+func (sh *shard) enqueue(f *Flow, wire int) bool {
 	n := sh.n
 	host := n.hosts[f.Src]
 	if host.queues[f.VL].len() >= n.queueCap(f) {
 		sh.totalDropped++
 		return false
 	}
-	host.queues[f.VL].push(sh.newPacket(f, f.VL, int(f.Dst), wire, sh.eng.Now(), tag))
+	host.queues[f.VL].push(sh.newPacket(f, f.VL, int(f.Dst), wire, sh.eng.Now()))
 	sh.totalInjected++
 	f.genPkts++
 	if n.measuring {
@@ -1083,11 +1083,11 @@ func (n *Network) StartMeasurement() {
 	}
 	n.compactFlows()
 	for _, h := range n.hosts {
-		h.out.meter.Bytes, h.out.meter.Packets = 0, 0
+		h.out.meter.Bytes = 0
 	}
 	for _, s := range n.switches {
 		for p := range s.out {
-			s.out[p].meter.Bytes, s.out[p].meter.Packets = 0, 0
+			s.out[p].meter.Bytes = 0
 		}
 	}
 }

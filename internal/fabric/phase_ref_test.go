@@ -216,7 +216,7 @@ func TestCanceledWakeUpResettlesOtherWaits(t *testing.T) {
 	mgmt := n.addManagement(src, node.out[q].downHost, 1)
 	sh := n.shardForSwitch(s)
 	buffer := func(i int, f *Flow, port int) {
-		pkt := sh.newPacket(f, f.VL, int(f.Dst), int(f.Wire), n.Now(), 0)
+		pkt := sh.newPacket(f, f.VL, int(f.Dst), int(f.Wire), n.Now())
 		node.in[i].occ[f.VL] += int32(f.Wire)
 		node.push(i, int(f.VL), port, pkt)
 		sh.kickSwitch(s, port)

@@ -48,7 +48,6 @@ type creditReturn struct {
 // nothing but immutable configuration.
 type shard struct {
 	n   *Network
-	id  int32
 	eng *sim.Engine
 
 	// Per-shard packet free-list (see events.go).

@@ -82,14 +82,14 @@ func TestTableSwapWakesPort(t *testing.T) {
 					}
 					switch at {
 					case "host":
-						if !n.injectPacket(f, 256, 0) {
+						if !n.injectPacket(f, 256) {
 							t.Fatal("host queue refused the packet")
 						}
 					case "switch":
 						// As if src had sent it: the input's credit is taken
 						// and the packet lands in the input queue.
 						sh := n.shardForHost(src)
-						pkt := sh.newPacket(f, f.VL, int(f.Dst), int(f.Wire), 0, 0)
+						pkt := sh.newPacket(f, f.VL, int(f.Dst), int(f.Wire), 0)
 						f.genPkts++
 						sh.totalInjected++
 						n.switches[host.downSwitch].in[host.downPort].occ[pkt.VL] += int32(pkt.Wire)
@@ -119,6 +119,6 @@ func TestTableSwapWakesPort(t *testing.T) {
 // on a flow's virtual lane at its source host, bypassing the CBR
 // generator.  It reports false when the host queue is full (the packet
 // is dropped and counted).
-func (n *Network) injectPacket(f *Flow, payload int, tag int64) bool {
-	return n.shardForHost(int(f.Src)).enqueue(f, payload+sl.HeaderBytes, tag)
+func (n *Network) injectPacket(f *Flow, payload int) bool {
+	return n.shardForHost(int(f.Src)).enqueue(f, payload+sl.HeaderBytes)
 }

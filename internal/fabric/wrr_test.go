@@ -143,13 +143,13 @@ func heavyQoS(t *testing.T, n *Network) {
 
 // wrrPinnedDigests are the digests of wrrDigestCases, in order.
 var wrrPinnedDigests = []uint64{
-	0x79a406871bb2096a, 0x5ffd0d3c2274184d, 0xabfc728e11e1f227,
-	0xd84ff73f3da6331b, 0x461573f814774c5f, 0x2658a209152a20af,
-	0x0d6b6a80755f1934, 0x2a3491eced2b6d8d, 0xb2b9b6581acd1e36,
+	0xc27d5e51cd2450af, 0x4f1fb2f80d266f24, 0x89afd817bdc6a857,
+	0x03eda7ff8402b857, 0xc4849e306f129dcf, 0x57d0b1bcc66f7b4e,
+	0xb10814dd5dc4144b, 0xe799c9564b454d4e, 0x5482776d8aa49fbc,
 }
 
 // TestWRRDeliveryDigest pins what the WRR fabric delivers and when, on
-// one engine: every delivery's flow, tag, injection and delivery
+// one engine: every delivery's flow, injection and delivery
 // byte-times, folded per host.  The constants were recorded when the
 // scheduling passes moved to the end-of-instant phase, and
 // TestPhaseMatchesReferenceExecutor holds a pass at every port after

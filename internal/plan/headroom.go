@@ -13,12 +13,11 @@ import (
 // flows at service level X can this fabric admit on top of its current
 // load before the model predicts instability?".
 type HeadroomResult struct {
-	SL       uint8
-	MaxExtra int // probe ceiling handed to Headroom
-	Extra    int // largest probe both admitted and model-stable
+	SL    uint8
+	Extra int // largest probe both admitted and model-stable
 	// Limit names what stopped growth at Extra+1: "admission" (the
 	// reservation budget rejected a flow), "model" (a lane saturated),
-	// or "ceiling" (MaxExtra itself admitted and stable).
+	// or "ceiling" (Headroom's maxExtra itself admitted and stable).
 	Limit string
 }
 
@@ -91,7 +90,7 @@ func Headroom(spec topology.Spec, load float64, seed int64, opt Options, slID ui
 		return nil, err
 	}
 	if !ok {
-		return &HeadroomResult{SL: slID, MaxExtra: maxExtra, Extra: 0, Limit: limit}, nil
+		return &HeadroomResult{SL: slID, Extra: 0, Limit: limit}, nil
 	}
 
 	lo, hi := 0, maxExtra // lo passes, hi is unknown-or-failing
@@ -100,7 +99,7 @@ func Headroom(spec topology.Spec, load float64, seed int64, opt Options, slID ui
 		return nil, err
 	}
 	if ok {
-		return &HeadroomResult{SL: slID, MaxExtra: maxExtra, Extra: maxExtra, Limit: "ceiling"}, nil
+		return &HeadroomResult{SL: slID, Extra: maxExtra, Limit: "ceiling"}, nil
 	}
 	failLimit := limit
 	for hi-lo > 1 {
@@ -116,5 +115,5 @@ func Headroom(spec topology.Spec, load float64, seed int64, opt Options, slID ui
 			failLimit = limit
 		}
 	}
-	return &HeadroomResult{SL: slID, MaxExtra: maxExtra, Extra: lo, Limit: failLimit}, nil
+	return &HeadroomResult{SL: slID, Extra: lo, Limit: failLimit}, nil
 }

@@ -19,7 +19,7 @@
 // an M/D/1-style decomposition — mean residual work over the lane's
 // available service rate — which is exact for Poisson arrivals and a
 // recognized approximation for the CBR sources simulated here; see
-// DESIGN.md §15 for the derivation and validity region.
+// DESIGN.md §14 for the derivation and validity region.
 package plan
 
 import (
@@ -94,10 +94,6 @@ type FlowPred struct {
 
 // Result is one evaluated (control state, offered load) point.
 type Result struct {
-	Spec topology.Spec
-	Load float64
-	Seed int64
-
 	Hosts    int
 	Switches int
 	Planes   int
@@ -170,9 +166,6 @@ func Evaluate(spec topology.Spec, load float64, seed int64, opt Options) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	res.Spec = spec
-	res.Load = load
-	res.Seed = seed
 	res.Attempts = fill.Attempts
 	res.Admitted = len(fill.Admitted)
 	res.Rejected = fill.Rejected
@@ -427,11 +420,7 @@ func EvaluateState(cs *fabric.ControlState, demands []Demand) (*Result, error) {
 		return pm
 	}
 
-	type hopRef struct {
-		pm *portModel
-		ln *lane
-	}
-	paths := make([][]hopRef, len(demands))
+	paths := make([][]*lane, len(demands))
 	for i, d := range demands {
 		if d.BaseVL >= arbtable.NumVLs || d.BaseVL == arbtable.MgmtVL {
 			return nil, fmt.Errorf("plan: demand %d rides VL %d; the model covers data VLs 0..%d",
@@ -448,7 +437,7 @@ func EvaluateState(cs *fabric.ControlState, demands []Demand) (*Result, error) {
 			return nil, err
 		}
 		rate := d.rate()
-		refs := make([]hopRef, len(hops))
+		refs := make([]*lane, len(hops))
 		for j, h := range hops {
 			var pm *portModel
 			if h.Switch < 0 {
@@ -459,7 +448,7 @@ func EvaluateState(cs *fabric.ControlState, demands []Demand) (*Result, error) {
 			ln := pm.lane(h.WireVL)
 			ln.dem += rate
 			ln.wireSum += rate * float64(d.Wire)
-			refs[j] = hopRef{pm: pm, ln: ln}
+			refs[j] = ln
 		}
 		paths[i] = refs
 	}
@@ -518,8 +507,7 @@ func EvaluateState(cs *fabric.ControlState, demands []Demand) (*Result, error) {
 	for i, d := range demands {
 		rate := d.rate()
 		pred := FlowPred{Demand: d, Scale: 1.0, Hops: len(paths[i])}
-		for _, ref := range paths[i] {
-			ln := ref.ln
+		for _, ln := range paths[i] {
 			if ln.dem > ln.potential+satEps {
 				pred.SaturatedHops++
 			}

@@ -84,8 +84,7 @@ func (e *refEngine) Stats() metrics.EngineCounters {
 	}
 }
 
-func (e *refEngine) At(t int64, fn func())    { e.schedule(t, funcHandler{}, Event{P: fn}) }
-func (e *refEngine) After(d int64, fn func()) { e.At(e.now+d, fn) }
+func (e *refEngine) After(d int64, fn func()) { e.schedule(e.now+d, funcHandler{}, Event{P: fn}) }
 
 func (e *refEngine) Post(t int64, h Handler, ev Event)      { e.schedule(t, h, ev) }
 func (e *refEngine) PostAfter(d int64, h Handler, ev Event) { e.schedule(e.now+d, h, ev) }

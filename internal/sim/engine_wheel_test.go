@@ -20,7 +20,6 @@ type scriptEngine interface {
 	Pending() int
 	Stats() metrics.EngineCounters
 	Grow(n int)
-	At(t int64, fn func())
 	After(d int64, fn func())
 	Post(t int64, h Handler, ev Event)
 	PostAfter(d int64, h Handler, ev Event)
@@ -319,9 +318,7 @@ func (s *scriptRun) run() {
 		switch op {
 		case 0, 1, 2, 3:
 			s.post(e.Now()+d, Event{Kind: Kind(k) % numKinds, B: int32(k >> 5), N: int64(1 + y%97)})
-		case 4:
-			e.At(e.Now()+d, s.closure())
-		case 5:
+		case 4, 5:
 			e.After(d, s.closure())
 		case 6:
 			e.PostAfter(d, s, s.event(Event{Kind: Kind(k) % numKinds, B: int32(k >> 5), N: int64(y)}, d))

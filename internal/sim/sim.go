@@ -16,10 +16,10 @@
 // heap-allocated closure per hop.  Event records live in a pooled
 // slab, so steady-state scheduling allocates nothing: executed records
 // return to a free-list and are reused by the next Post.  The closure
-// API (At, After) remains for cold paths and tests; a closure is
-// a typed event whose handler calls it, so both kinds share one queue
-// and FIFO order among simultaneous events holds regardless of which
-// API scheduled them.
+// API (After) remains for tests and the benchmark's churn loop; a
+// closure is a typed event whose handler calls it, so both kinds share
+// one queue and FIFO order among simultaneous events holds regardless
+// of which API scheduled them.
 //
 // # The event queue
 //
@@ -120,9 +120,9 @@ type record struct {
 	ev   Event
 }
 
-// funcHandler runs the closure API on the typed path: At and After
-// schedule an Event whose P is the func (a func value in an interface
-// does not allocate).
+// funcHandler runs the closure API on the typed path: After schedules
+// an Event whose P is the func (a func value in an interface does not
+// allocate).
 type funcHandler struct{}
 
 func (funcHandler) HandleEvent(ev Event) { ev.P.(func())() }
@@ -403,17 +403,12 @@ func (e *Engine) Stats() metrics.EngineCounters {
 
 // --- scheduling ---
 
-// At schedules fn to run at the absolute time t.  Scheduling in the
-// past (t < Now) panics: it would silently corrupt causality.
-func (e *Engine) At(t int64, fn func()) {
-	e.schedule(t, funcHandler{}, Event{P: fn})
-}
+// After schedules fn to run d byte times from now.  A negative d
+// panics: it would silently corrupt causality.
+func (e *Engine) After(d int64, fn func()) { e.schedule(e.now+d, funcHandler{}, Event{P: fn}) }
 
-// After schedules fn to run d byte times from now.
-func (e *Engine) After(d int64, fn func()) { e.At(e.now+d, fn) }
-
-// Post schedules a typed event for h at the absolute time t.  Like At
-// it panics on t < Now.
+// Post schedules a typed event for h at the absolute time t.  Like
+// After it panics on a time before Now.
 func (e *Engine) Post(t int64, h Handler, ev Event) {
 	e.schedule(t, h, ev)
 }

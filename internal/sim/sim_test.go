@@ -16,12 +16,16 @@ func TestEmptyEngine(t *testing.T) {
 	}
 }
 
+// at schedules fn at the absolute time t through After, for the tests
+// written in absolute instants.
+func at(e *Engine, t int64, fn func()) { e.After(t-e.Now(), fn) }
+
 func TestEventOrdering(t *testing.T) {
 	var e Engine
 	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	at(&e, 30, func() { got = append(got, 3) })
+	at(&e, 10, func() { got = append(got, 1) })
+	at(&e, 20, func() { got = append(got, 2) })
 	e.Run(100)
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -39,7 +43,7 @@ func TestFIFOAmongSimultaneous(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		at(&e, 5, func() { got = append(got, i) })
 	}
 	e.Run(5)
 	for i := range got {
@@ -52,7 +56,7 @@ func TestFIFOAmongSimultaneous(t *testing.T) {
 func TestAfterSchedulesRelative(t *testing.T) {
 	var e Engine
 	fired := int64(-1)
-	e.At(100, func() {
+	at(&e, 100, func() {
 		e.After(50, func() { fired = e.Now() })
 	})
 	e.Run(1000)
@@ -63,22 +67,22 @@ func TestAfterSchedulesRelative(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	var e Engine
-	e.At(100, func() {})
+	at(&e, 100, func() {})
 	e.Run(100)
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling in the past did not panic")
 		}
 	}()
-	e.At(50, func() {})
+	at(&e, 50, func() {})
 }
 
 func TestRunStopsAtUntil(t *testing.T) {
 	var e Engine
 	ran := 0
-	e.At(10, func() { ran++ })
-	e.At(20, func() { ran++ })
-	e.At(30, func() { ran++ })
+	at(&e, 10, func() { ran++ })
+	at(&e, 20, func() { ran++ })
+	at(&e, 30, func() { ran++ })
 	e.Run(20)
 	if ran != 2 {
 		t.Errorf("ran %d events, want 2 (events at/before until)", ran)
@@ -96,7 +100,7 @@ func TestRunWhile(t *testing.T) {
 	var e Engine
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.At(int64(i), func() { count++ })
+		at(&e, int64(i), func() { count++ })
 	}
 	e.RunWhile(func() bool { return count < 4 })
 	if count != 4 {
@@ -114,7 +118,7 @@ func TestCascadingEvents(t *testing.T) {
 			e.After(1, recurse)
 		}
 	}
-	e.At(0, recurse)
+	at(&e, 0, recurse)
 	e.Run(1000)
 	if depth != 100 {
 		t.Errorf("depth = %d, want 100", depth)
@@ -132,7 +136,7 @@ func TestClockMonotonicQuick(t *testing.T) {
 		last := int64(-1)
 		monotonic := true
 		for _, d := range delays {
-			e.At(int64(d), func() {
+			at(&e, int64(d), func() {
 				if e.Now() < last {
 					monotonic = false
 				}
@@ -158,17 +162,17 @@ func TestInstantEndRunsBeforeClockMoves(t *testing.T) {
 		got = append(got, fmt.Sprintf("phase@%d", e.Now()))
 		return 2
 	})
-	e.At(10, func() {
+	at(&e, 10, func() {
 		e.MarkInstant()
 		got = append(got, "a")
-		e.At(10, func() { got = append(got, "c") })
+		at(&e, 10, func() { got = append(got, "c") })
 	})
-	e.At(10, func() {
+	at(&e, 10, func() {
 		e.MarkInstant()
 		got = append(got, "b")
 	})
-	e.At(11, func() { got = append(got, "d") })
-	e.At(12, func() {
+	at(&e, 11, func() { got = append(got, "d") })
+	at(&e, 12, func() {
 		e.MarkInstant()
 		got = append(got, "e")
 	})
@@ -193,7 +197,7 @@ func TestInstantEndMarkedOutsideRunServedAtNow(t *testing.T) {
 		return 1
 	})
 	e.Run(5)
-	e.At(9, func() {})
+	e.After(9-e.Now(), func() {})
 	e.MarkInstant()
 	if nt := e.NextTime(); nt != 5 {
 		t.Fatalf("NextTime = %d with a phase due at 5", nt)
@@ -225,7 +229,7 @@ func TestInstantEndPostingAtNowPanics(t *testing.T) {
 		name  string
 		phase func(e *Engine)
 	}{
-		{"post at now", func(e *Engine) { e.At(e.Now(), func() {}) }},
+		{"post at now", func(e *Engine) { at(e, e.Now(), func() {}) }},
 		{"mark again", func(e *Engine) { e.MarkInstant() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -234,7 +238,7 @@ func TestInstantEndPostingAtNowPanics(t *testing.T) {
 				tc.phase(&e)
 				return 1
 			})
-			e.At(4, e.MarkInstant)
+			at(&e, 4, e.MarkInstant)
 			defer func() {
 				if recover() == nil {
 					t.Error("no panic")
@@ -247,10 +251,10 @@ func TestInstantEndPostingAtNowPanics(t *testing.T) {
 	var e Engine
 	ran := false
 	e.SetInstantEnd(func() int {
-		e.At(e.Now()+1, func() { ran = true })
+		at(&e, e.Now()+1, func() { ran = true })
 		return 1
 	})
-	e.At(4, e.MarkInstant)
+	at(&e, 4, e.MarkInstant)
 	e.Run(10)
 	if !ran {
 		t.Error("the event a phase posted one byte-time ahead never ran")
@@ -268,7 +272,7 @@ func TestTypedAndClosureEventsShareFIFO(t *testing.T) {
 	r := &recorder{}
 	order := []int32{}
 	e.Post(5, r, Event{A: 1})
-	e.At(5, func() { order = append(order, -2) })
+	at(&e, 5, func() { order = append(order, -2) })
 	e.Post(5, r, Event{A: 3})
 	e.Post(0, r, Event{A: 0})
 	e.Run(10)
@@ -333,7 +337,7 @@ func TestPoolDisabledBitIdentical(t *testing.T) {
 				e.After(int64(n%5)+1, step)
 			}
 		}
-		e.At(0, step)
+		at(&e, 0, step)
 		e.Run(2000)
 		return r.got
 	}

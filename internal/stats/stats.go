@@ -156,14 +156,12 @@ func (j *JitterHist) Merge(other *JitterHist) {
 // Meter counts bytes crossing a measurement point, with the simulation
 // interval supplied at reading time.
 type Meter struct {
-	Bytes   int64
-	Packets int64
+	Bytes int64
 }
 
 // Add records one packet of the given wire size.
 func (m *Meter) Add(bytes int) {
 	m.Bytes += int64(bytes)
-	m.Packets++
 }
 
 // Utilization returns the fraction of link capacity used over an

@@ -184,7 +184,7 @@ func TestMeter(t *testing.T) {
 	var m Meter
 	m.Add(100)
 	m.Add(156)
-	if m.Bytes != 256 || m.Packets != 2 {
+	if m.Bytes != 256 {
 		t.Errorf("meter = %+v", m)
 	}
 	if u := m.Utilization(512); math.Abs(u-0.5) > 1e-9 {

@@ -24,25 +24,20 @@ import (
 // budget are quarantined permanently: the fabric degrades — rejecting
 // admissions on those paths — instead of hanging.
 
-// AuditConfig bounds the audit loop.
-type AuditConfig struct {
-	// ProbeTimeoutBT is the slack after the last probe's round trip
+// The audit loop's bounds, long enough to ride out short link flaps.
+const (
+	// auditProbeTimeoutBT is the slack after the last probe's round trip
 	// before a round is scored; it must exceed twice the injector's
 	// maximum reorder delay or late responses score as losses.
-	ProbeTimeoutBT int64
-	// MaxRounds bounds both consecutive failed read-back rounds per
+	auditProbeTimeoutBT int64 = 4 * madWireBytes
+	// auditMaxRounds bounds both consecutive failed read-back rounds per
 	// quarantine episode and heal cycles per port; beyond either the
 	// port is quarantined permanently.
-	MaxRounds int
-	// BackoffBT is the wait before the first round and between rounds,
-	// doubling per consecutive failure.
-	BackoffBT int64
-}
-
-// DefaultAuditConfig retries long enough to ride out short link flaps.
-func DefaultAuditConfig() AuditConfig {
-	return AuditConfig{ProbeTimeoutBT: 4 * madWireBytes, MaxRounds: 8, BackoffBT: 4 * madWireBytes}
-}
+	auditMaxRounds = 8
+	// auditBackoffBT is the wait before the first round and between
+	// rounds, doubling per consecutive failure.
+	auditBackoffBT int64 = 4 * madWireBytes
+)
 
 // auditState tracks one port's quarantine.
 type auditState struct {
@@ -61,7 +56,6 @@ type auditState struct {
 type Auditor struct {
 	Engine *sim.Engine
 	Prog   *InbandProgrammer
-	Config AuditConfig
 
 	// Costs accumulates the MAD traffic of the audit probes, separate
 	// from the programmer's delta traffic.
@@ -145,8 +139,8 @@ func (a *Auditor) HandleEvent(ev sim.Event) {
 // NewAuditor returns an auditor wired to the programmer's give-up hook.
 // Point Controller.Down at Quarantined to make admission respect the
 // quarantine set.
-func NewAuditor(eng *sim.Engine, prog *InbandProgrammer, cfg AuditConfig) *Auditor {
-	a := &Auditor{Engine: eng, Prog: prog, Config: cfg, state: make(map[admission.PortID]*auditState)}
+func NewAuditor(eng *sim.Engine, prog *InbandProgrammer) *Auditor {
+	a := &Auditor{Engine: eng, Prog: prog, state: make(map[admission.PortID]*auditState)}
 	prog.OnGiveUp = a.portGaveUp
 	return a
 }
@@ -186,7 +180,7 @@ func (a *Auditor) portGaveUp(id admission.PortID, pt *core.PortTable) {
 	}
 	st.active = true
 	st.rounds = 0
-	a.Engine.PostAfter(a.Config.BackoffBT, a, sim.Event{Kind: evAuditRound, P: st})
+	a.Engine.PostAfter(auditBackoffBT, a, sim.Event{Kind: evAuditRound, P: st})
 }
 
 // round sends one Get(VLArbitrationTable) read-back: every block of the
@@ -241,7 +235,7 @@ func (a *Auditor) round(st *auditState) {
 			lastArrive = max(lastArrive, landAt)
 		}
 	}
-	a.Engine.PostAfter(lastArrive+a.Config.ProbeTimeoutBT, a,
+	a.Engine.PostAfter(lastArrive+auditProbeTimeoutBT, a,
 		sim.Event{Kind: evAuditScore, P: rnd})
 }
 
@@ -274,7 +268,7 @@ func (a *Auditor) finishRound(rnd *auditRound) {
 	st := rnd.st
 	st.active = false
 	if rnd.got == 1<<core.NumHighBlocks-1 {
-		if st.heals >= a.Config.MaxRounds {
+		if st.heals >= auditMaxRounds {
 			// The port keeps bouncing between healed and abandoned; stop
 			// feeding it transactions and leave it out of service.
 			st.permanent = true
@@ -292,12 +286,12 @@ func (a *Auditor) finishRound(rnd *auditRound) {
 		return
 	}
 	st.rounds++
-	if st.rounds >= a.Config.MaxRounds {
+	if st.rounds >= auditMaxRounds {
 		st.permanent = true
 		return
 	}
 	st.active = true
-	backoff := a.Config.BackoffBT << st.rounds
+	backoff := auditBackoffBT << st.rounds
 	// Skip ahead past a known down window rather than burning rounds
 	// probing a link the schedule says is dead.
 	if until := a.Prog.Faults.DownUntil(linkKey(st.id), a.Engine.Now()); until > a.Engine.Now()+backoff {

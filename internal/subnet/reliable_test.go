@@ -217,7 +217,7 @@ func TestReliableTimersCanceledOnGiveUp(t *testing.T) {
 // converges active to shadow.
 func TestAuditorHealsAfterFlap(t *testing.T) {
 	eng, prog, pt := newReliableFixture(t, faults.Config{Seed: 5})
-	aud := NewAuditor(eng, prog, DefaultAuditConfig())
+	aud := NewAuditor(eng, prog)
 
 	id := admission.HostPortID(5)
 	prog.Faults.AddLinkDown(linkKey(id), 0, 200_000)
@@ -251,9 +251,7 @@ func TestAuditorHealsAfterFlap(t *testing.T) {
 // crucially the simulation still drains (the audit loop terminates).
 func TestAuditorPermanentQuarantine(t *testing.T) {
 	eng, prog, pt := newReliableFixture(t, faults.Config{Seed: 9, Drop: 1.0})
-	cfg := DefaultAuditConfig()
-	cfg.MaxRounds = 3
-	aud := NewAuditor(eng, prog, cfg)
+	aud := NewAuditor(eng, prog)
 
 	id := admission.HostPortID(5)
 
@@ -270,8 +268,8 @@ func TestAuditorPermanentQuarantine(t *testing.T) {
 	if c.AuditRecoveries != 0 {
 		t.Errorf("recovered a port that never came back: %+v", *c)
 	}
-	if c.AuditRounds < int64(cfg.MaxRounds) {
-		t.Errorf("AuditRounds = %d, want >= %d", c.AuditRounds, cfg.MaxRounds)
+	if c.AuditRounds < auditMaxRounds {
+		t.Errorf("AuditRounds = %d, want >= %d", c.AuditRounds, auditMaxRounds)
 	}
 	st := aud.state[id]
 	if st == nil || !st.permanent {
@@ -314,7 +312,7 @@ func TestEveryDealtFateActs(t *testing.T) {
 // quarantined port heals after the flap instead of failing every round.
 func TestAuditorCountsDuplicateResponsesOnce(t *testing.T) {
 	eng, prog, pt := newReliableFixture(t, faults.Config{Seed: 5, Duplicate: 1.0})
-	aud := NewAuditor(eng, prog, DefaultAuditConfig())
+	aud := NewAuditor(eng, prog)
 	id := admission.HostPortID(5)
 	prog.Faults.AddLinkDown(linkKey(id), 0, 200_000)
 

@@ -5,11 +5,12 @@
 #   vet        static checks
 #   build      every package compiles
 #   tier-1     the plain test suite (go test ./...) through go test -json,
-#              reporting its ten slowest tests and the exported surface
-#              TestExportedSurface counts; a report, not a gate on
-#              wall-clock time or on the count
-#   examples   every program under examples/ runs to exit 0 (output
-#              discarded), so an example that no longer works fails here
+#              reporting its ten slowest tests, the exported surface
+#              TestExportedSurface counts and the struct fields
+#              TestWriteOnlyFields counts; a report, not a gate on
+#              wall-clock time or on the counts (every program under
+#              examples/ runs in it as an Example test pinning its
+#              output)
 #   race tests the whole suite under the race detector with shuffled
 #              test order (every experiment fans out through
 #              runner.Sweep's worker pool, which makes this the
@@ -62,11 +63,6 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
-echo "==> go run ./examples/... (every example runs to exit 0)"
-for e in examples/*/; do
-    go run "./$e" >/dev/null
-done
-
 echo "==> go test -count=1 -json ./... (tier-1, ten slowest tests)"
 # The tier-1 pass, timed per test.  Only a failing test fails this step;
 # the durations are printed for the record (a test that adds more than
@@ -99,10 +95,14 @@ awk 'function secs(line) {
             printf "%8.2f s  %s\n", t, key
         }
     }' "$TIER1_JSON" | sort -rn | sed -n '1,10p'
-# The exported surface of internal/ as TestExportedSurface counts it:
-# a report, not a gate (the test itself fails on an unreached name).
+# The exported surface of internal/ as TestExportedSurface counts it,
+# and the struct fields and write-only allowlist TestWriteOnlyFields
+# counts: a report, not a gate (each test itself fails on an unreached
+# name or an unread field).
 grep -o '"Output":"[^"]*exported identifiers and methods, [0-9]* allowlisted' "$TIER1_JSON" \
     | sed 's/.*: \([0-9]* exported identifiers.*\)/exported surface: \1/' || true
+grep -o '"Output":"[^"]*struct fields, [0-9]* write-only allowlisted' "$TIER1_JSON" \
+    | sed 's/.*: \([0-9]* struct fields.*\)/write-only field gate: \1/' || true
 
 echo "==> go test -race -shuffle=on ./..."
 # The experiments suite runs whole simulation sweeps; under the race
@@ -192,7 +192,7 @@ echo "==> go test -race -run 'TestIdle|TestVOQDeliveryDigest|TestWRRDeliveryDige
 # the barriers of two-shard runs, where kicks also execute in the
 # barrier's credit flush; both require that nothing changed but a
 # wake-up armed.  TestWRRDeliveryDigest and TestVOQDeliveryDigest pin
-# every delivery's (flow, tag, byte-times), on every routing class, and
+# every delivery's (flow, byte-times), on every routing class, and
 # for WRR under fault windows, at crossbar speedup 1 and at
 # LimitOfHighPriority 0 (TestPhaseMatchesReferenceExecutor, in the race
 # pass above, holds a pass at every port after every byte-time to the
